@@ -241,9 +241,9 @@ let exits =
 
 (* Run one experiment body under the observability flags: tracing is
    enabled iff --trace or --stats was given (--stats needs the event trace
-   for the critical path), and the reports print after the run.  Vector
-   clocks are stamped whenever the run streams a binary trace, so every
-   --trace-stream capture is analyzable offline with `analyze`. *)
+   for the critical path), and the reports print after the run.  Every
+   --trace-stream capture carries the happens-before analyzer's instants,
+   so it is analyzable offline with `analyze`. *)
 let run_with_obs ~obs ~model ~ranks body =
   let trace_capacity =
     if (obs.trace_file <> None || obs.stats) && obs.trace_stream = None then
@@ -259,7 +259,6 @@ let run_with_obs ~obs ~model ~ranks body =
     try
       Engine.run ~model ?check_level:obs.check ?chaos:obs.chaos ?trace_capacity
         ?trace_stream:obs.trace_stream ?domains:obs.domains
-        ~vector_clocks:(obs.trace_stream <> None)
         ~comm_matrix:(obs.comm_matrix <> None)
         ~ranks body
     with
@@ -738,8 +737,9 @@ let analyze_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TRACE"
           ~doc:
-            "Binary trace stream written by --trace-stream (vector clocks are \
-             stamped into every such capture automatically).")
+            "Binary trace stream written by --trace-stream (every such capture \
+             is analyzable; the vector clocks are derived from its send and \
+             match events).")
   in
   let eager_threshold =
     Arg.(
@@ -770,10 +770,6 @@ let analyze_cmd =
            vector clocks\n"
           src r.Hb.ranks r.Hb.events r.Hb.sends r.Hb.matches r.Hb.wildcard_posts
           r.Hb.vcs;
-        if not r.Hb.had_vc then
-          Printf.eprintf
-            "kamping-repro: analyze: trace has no vector-clock records; re-record \
-             with --trace-stream to enable happens-before analysis\n";
         if r.Hb.findings = [] then begin
           Printf.printf "no races found\n";
           exit Exit_codes.ok
@@ -791,7 +787,8 @@ let analyze_cmd =
        ~doc:
          "Offline happens-before analysis of a --trace-stream capture: report \
           wildcard-receive races (concurrent alternative senders, with \
-          vector-clock witnesses), non-commutative reduction-order exposure \
+          vector-clock witnesses derived offline from the capture's send and \
+          match events), non-commutative reduction-order exposure \
           and unsafe send-buffer reuse windows.  Findings carry the message \
           sequence number used by the Chrome-trace flow arrows, so each one \
           can be located visually after $(b,trace-convert).  Exits 1 if any \

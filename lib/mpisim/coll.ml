@@ -880,10 +880,10 @@ let combine_into (op : 'a Reduce_op.t) ~(acc : 'a array) (other : 'a array) =
    happens-before pass flags any such span whose incoming messages have
    concurrent senders — on a real MPI, algorithm or arrival order could
    then change the result.  Gated like the p2p analyzer instants: only
-   emitted when vector clocks are on, one branch otherwise. *)
+   emitted into stream captures, one branch otherwise. *)
 let note_nc_order comm =
   let rt = Comm.runtime comm in
-  if Array.length rt.Runtime.vclocks > 0 then
+  if Trace.is_streaming rt.Runtime.trace then
     Trace.instant rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"coll"
       ~name:"nc_order" ~a:(Comm.context comm) ~b:(Comm.size comm) ~c:(-1)
 

@@ -38,15 +38,15 @@ let pp_report ppf r =
    that many events; [trace_stream] streams every event to a binary file
    instead (no per-rank buffers, nothing dropped) and wins when both are
    given; when neither is present the recorder stays disabled and costs
-   nothing on the hot paths.  [comm_matrix] turns on the per-(src,dst)
-   traffic matrix.
+   nothing on the hot paths.  A stream capture also carries the
+   happens-before analyzer's instants (post, matched, send_meta,
+   nc_order), so every stream file is analyzable offline.  [comm_matrix]
+   turns on the per-(src,dst) traffic matrix.
 
-   Verification hooks: [vector_clocks] turns on O(ranks)-per-event vector
-   clock stamping (the happens-before analyzer's input); [on_runtime]
-   observes the runtime right after creation (the model checker captures
-   it to reach the mailboxes); [on_quiescence] is forwarded to
-   {!Scheduler.run} — the point where deferred wildcard matches are
-   resolved. *)
+   Verification hooks: [on_runtime] observes the runtime right after
+   creation (the model checker captures it to reach the mailboxes);
+   [on_quiescence] is forwarded to {!Scheduler.run} — the point where
+   deferred wildcard matches are resolved. *)
 (* Domain-pool sizing: [Some n] from the caller wins; otherwise the
    [MPISIM_DOMAINS] environment variable ("auto" or 0 = one domain per
    core minus the coordinator's, capped); otherwise sequential. *)
@@ -77,8 +77,8 @@ let resolve_domains = function
 
 let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
     ?(assertion_level = 1) ?check_level ?chaos ?trace_capacity ?trace_stream
-    ?(comm_matrix = false) ?(vector_clocks = false) ?on_runtime ?on_quiescence ?domains
-    ~ranks (body : Comm.t -> 'a) : 'a option array * report =
+    ?(comm_matrix = false) ?on_runtime ?on_quiescence ?domains ~ranks (body : Comm.t -> 'a)
+    : 'a option array * report =
   let domains = resolve_domains domains in
   let rt =
     Runtime.create ~clock_mode ~assertion_level ?check_level ?chaos ~model ~size:ranks ()
@@ -103,7 +103,6 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
         (Errdefs.Usage_error
            "the model checker requires sequential scheduling; use --domains 1")
   end;
-  if vector_clocks then Runtime.enable_vector_clocks rt;
   (match on_runtime with Some f -> f rt | None -> ());
   (match trace_stream with
   | Some path -> Trace.enable_stream rt.Runtime.trace ~path
@@ -229,12 +228,11 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
       (results, report))
 
 let run ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
-    ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ?domains ~ranks
+    ?trace_stream ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks
     (body : Comm.t -> unit) : report =
   let _, report =
     run_collect ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
-      ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ?domains ~ranks
-      body
+      ?trace_stream ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks body
   in
   report
 

@@ -67,13 +67,13 @@ val resolve_domains : int option -> int
     @param trace_stream stream every trace event to this binary file
            instead of buffering ({!Trace.enable_stream}): no per-rank
            rings, nothing dropped; wins over [trace_capacity]; the file
-           is flushed and closed before the report is returned
+           is flushed and closed before the report is returned.  The
+           stream also carries the instants the offline happens-before
+           analyzer reads (post, matched, send_meta, nc_order), so every
+           capture is analyzable with [repro_cli analyze]; the analyzer
+           derives its vector clocks from the send and match events
     @param comm_matrix record the per-(src,dst) traffic matrix with
            collective-algorithm attribution (default off)
-    @param vector_clocks stamp full vector clocks on every send and
-           match ({!Runtime.enable_vector_clocks}) — the input of the
-           offline happens-before analyzer; O(ranks) per event, so off
-           by default
     @param on_runtime observes the runtime right after creation (the
            model checker captures it to reach mailboxes and progress)
     @param on_quiescence forwarded to {!Scheduler.run}: called when a
@@ -99,7 +99,6 @@ val run_collect :
   ?trace_capacity:int ->
   ?trace_stream:string ->
   ?comm_matrix:bool ->
-  ?vector_clocks:bool ->
   ?on_runtime:(Runtime.t -> unit) ->
   ?on_quiescence:(unit -> bool) ->
   ?domains:int ->
@@ -116,7 +115,6 @@ val run :
   ?trace_capacity:int ->
   ?trace_stream:string ->
   ?comm_matrix:bool ->
-  ?vector_clocks:bool ->
   ?on_runtime:(Runtime.t -> unit) ->
   ?on_quiescence:(unit -> bool) ->
   ?domains:int ->

@@ -30,13 +30,12 @@ type t = {
   crc : int;  (* reliable-layer CRC-32 of the payload; -1 = not framed *)
   link_seq : int;  (* reliable-layer per-link sequence number; -1 = none *)
   lamport : int;  (* sender's Lamport clock at injection; receivers merge it *)
-  vc : int array;  (* sender's vector clock at injection; [||] when disabled *)
   mutable matched_time : float;  (* -1.0 until matched *)
   mutable consumed : bool;  (* payload storage handed back to a pool *)
 }
 
-let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ?(vc = [||]) ~context ~src ~dst ~tag
-    ~payload ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
+let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload
+    ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
   if payload_off < 0 || payload_len < 0 || payload_off + payload_len > Bytes.length payload
   then invalid_arg "Message.make: payload slice out of bounds";
   {
@@ -56,7 +55,6 @@ let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ?(vc = [||]) ~context ~src 
     crc;
     link_seq;
     lamport;
-    vc;
     matched_time = -1.0;
     consumed = false;
   }

@@ -207,17 +207,17 @@ let note_wildcard comm ~src_world ~tag =
 (* Analyzer-mode instants: which receive was posted with which pattern
    ("post": a=src b=tag c=ctx d=post id) and which message it finally
    matched ("matched": a=post id, b=msg seq, c=ctx, d=actual src).  Only
-   emitted when vector clocks are on (trace-analysis runs), so ordinary
-   traces keep their exact event mix; otherwise each is one branch. *)
+   emitted into stream captures (the analyzer's input), so ring traces
+   keep their exact event mix; otherwise each is one branch. *)
 let note_post comm (p : Mailbox.posted) =
   let rt = Comm.runtime comm in
-  if Array.length rt.Runtime.vclocks > 0 then
+  if Trace.is_streaming rt.Runtime.trace then
     Trace.instant_d rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"sim" ~name:"post"
       ~a:p.Mailbox.p_src ~b:p.Mailbox.p_tag ~c:p.Mailbox.p_context ~d:p.Mailbox.p_id
 
 let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
   let rt = Comm.runtime comm in
-  if Array.length rt.Runtime.vclocks > 0 then
+  if Trace.is_streaming rt.Runtime.trace then
     Trace.instant_d rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"sim"
       ~name:"matched" ~a:p.Mailbox.p_id ~b:msg.Message.seq ~c:p.Mailbox.p_context
       ~d:msg.Message.src

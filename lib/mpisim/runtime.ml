@@ -63,14 +63,6 @@ type t = {
      they give the causal walk a cheap cross-rank sanity invariant:
      a verified edge always has send-Lamport < match-Lamport. *)
   lamport : int array;
-  (* Full vector clocks for the offline happens-before analyzer: a
-     size × size matrix when enabled, the static empty atom when not.
-     Lamport clocks order one chain of events; vector clocks are what
-     the analyzer needs to *refute* an order — two sends with
-     incomparable VCs are genuinely concurrent, i.e. a real MPI could
-     deliver them either way.  Disabled (every normal run), the cost is
-     one [Array.length] branch per injection/match. *)
-  mutable vclocks : int array array;
   (* Per-(src,dst) traffic matrix with algorithm attribution; disabled
      (one branch per injection) unless explicitly requested. *)
   comm_matrix : Comm_matrix.t;
@@ -83,7 +75,7 @@ type t = {
   (* Multicore backend support.  Per-rank ownership invariant: a rank's
      fiber runs on exactly one domain at a time (the scheduler asserts
      it), so rank-indexed state touched only by its own fiber — clocks,
-     busy/blocked, lamport, own vclock row, own trace ring — needs no
+     busy/blocked, lamport, own trace ring — needs no
      locks.  Everything mutated *across* ranks (mailbox delivery,
      msg_seq, context allocation, rendezvous registries) serializes on
      [lock], taken only when [parallel] is set; sequential runs pay one
@@ -159,7 +151,6 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
     busy = Array.make size 0.;
     blocked = Array.make size 0.;
     lamport = Array.make size 0;
-    vclocks = [||];
     comm_matrix = Comm_matrix.create ~size;
     progress = Atomic.make 0;
     msg_seq = 0;
@@ -200,14 +191,6 @@ let[@inline] locked t f =
         Mutex.unlock t.lock;
         raise e
   end
-
-(* Switch on O(p)-per-event vector-clock stamping (trace analysis mode). *)
-let enable_vector_clocks t =
-  if Array.length t.vclocks = 0 then
-    t.vclocks <- Array.init t.size (fun _ -> Array.make t.size 0)
-
-let vector_clock t rank =
-  if Array.length t.vclocks = 0 then [||] else Array.copy t.vclocks.(rank)
 
 let fresh_context t =
   locked t (fun () ->
@@ -360,18 +343,8 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
      the message carries the post-tick value for the receiver to merge. *)
   let lam = t.lamport.(src) + 1 in
   t.lamport.(src) <- lam;
-  (* Vector-clock send rule: tick own component, stamp a snapshot into
-     the message for the receiver's merge and the offline analyzer. *)
-  let vc =
-    if Array.length t.vclocks = 0 then [||]
-    else begin
-      let row = t.vclocks.(src) in
-      row.(src) <- row.(src) + 1;
-      Array.copy row
-    end
-  in
   let m =
-    Message.make ~crc ~link_seq ~lamport:lam ~vc ~context ~src ~dst ~tag ~payload
+    Message.make ~crc ~link_seq ~lamport:lam ~context ~src ~dst ~tag ~payload
       ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync ()
   in
   Log.debug (fun f ->
@@ -381,14 +354,12 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
   Stats.observe_int t.metrics.msg_size bytes;
   Comm_matrix.record t.comm_matrix ~src ~dst ~bytes;
   Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send" ~a:dst ~b:seq ~c:bytes ~d:lam;
-  if Array.length vc > 0 then begin
-    (* The VC record annotates the send instant just written; the meta
-       instant carries the fields the analyzer needs that the send
-       instant has no room for (tag, context, sync flag). *)
-    Trace.vector_clock t.trace ~rank:src ~vc;
+  (* Analyzer input, stream captures only: the fields the happens-before
+     pass needs that the send instant has no room for (tag, context, sync
+     flag).  Ring traces keep their exact event mix. *)
+  if Trace.is_streaming t.trace then
     Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send_meta" ~a:tag ~b:seq ~c:context
-      ~d:(if sync then 1 else 0)
-  end;
+      ~d:(if sync then 1 else 0);
   let matched = Mailbox.deliver t.mailboxes.(dst) m in
   if not matched then begin
     Stats.incr t.metrics.msgs_unexpected;
@@ -430,20 +401,6 @@ let complete_receive t rank (m : Message.t) =
   Trace.instant_d t.trace ~rank ~cat:"sim"
     ~name:(if was_waiting then "match_wait" else "match")
     ~a:m.Message.src ~b:m.Message.seq ~c:(Message.bytes m) ~d:lam;
-  (* Vector-clock receive rule: component-wise max with the message's
-     snapshot, then tick own component; the record annotates the match
-     instant just written (the receiver's post-merge view is the race
-     analyzer's witness for everything causally before this match). *)
-  if Array.length t.vclocks > 0 then begin
-    let row = t.vclocks.(rank) in
-    let mvc = m.Message.vc in
-    if Array.length mvc > 0 then
-      for i = 0 to t.size - 1 do
-        if mvc.(i) > row.(i) then row.(i) <- mvc.(i)
-      done;
-    row.(rank) <- row.(rank) + 1;
-    Trace.vector_clock t.trace ~rank ~vc:row
-  end;
   advance_clock t rank t.model.Net_model.recv_overhead;
   bump_progress t
 

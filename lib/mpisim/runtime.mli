@@ -50,10 +50,6 @@ type t = {
   lamport : int array;
       (** per-rank Lamport clocks: bumped on injection, merged (max + 1)
           on match; stamped into send/match trace instants *)
-  mutable vclocks : int array array;
-      (** per-rank vector clocks (size × size when enabled, [[||]] off);
-          ticked on injection, merged component-wise on match, streamed
-          into the binary trace for the offline happens-before analyzer *)
   comm_matrix : Comm_matrix.t;
       (** per-(src,dst) traffic matrix with collective-algorithm
           attribution; disabled (one branch per injection) by default *)
@@ -101,26 +97,16 @@ val progress_count : t -> int
     Per-rank ownership invariant (asserted by the parallel scheduler): a
     rank's fiber runs on exactly one domain at a time, so rank-indexed
     state touched only by its own fiber — clocks, busy/blocked
-    accounting, Lamport clocks, its own vector-clock row, its own trace
-    ring — needs no locks.  Only state mutated across ranks (mailbox
-    delivery and matching, [msg_seq], context allocation, communicator
-    registries, collective rendezvous cells) serializes on {!locked}. *)
+    accounting, Lamport clocks, its own trace ring — needs no locks.
+    Only state mutated across ranks (mailbox delivery and matching,
+    [msg_seq], context allocation, communicator registries, collective
+    rendezvous cells) serializes on {!locked}. *)
 val set_parallel : t -> unit
 
 (** [locked t f] runs [f] under the global runtime lock in multicore
     mode, as a plain call otherwise.  Not reentrant; never park a fiber
     inside [f]. *)
 val locked : t -> (unit -> 'a) -> 'a
-
-(** Switch on O(p)-per-event vector-clock stamping.  Sends then carry a
-    VC snapshot, matches merge it, and both emit VC trace records plus a
-    [send_meta] instant (tag/context/sync) — the inputs of
-    [repro_cli analyze].  Off (the default) costs one branch per
-    injection and match. *)
-val enable_vector_clocks : t -> unit
-
-(** A copy of the rank's current vector clock ([[||]] when disabled). *)
-val vector_clock : t -> int -> int array
 
 (** Allocate a fresh communicator context id. *)
 val fresh_context : t -> int
@@ -181,7 +167,13 @@ val recycle_payload : t -> Message.t -> unit
     (storage, offset, length) slice whose storage the message takes over —
     typically a pooled writer's buffer handed over without a copy.
     Returns the in-flight message (synchronous-send requests watch its
-    match flag). *)
+    match flag).
+
+    When tracing is on, emits a [send] instant (dst, message seq, bytes,
+    Lamport clock); a stream capture also gets a [send_meta] instant (tag,
+    seq, context, sync).  The offline happens-before analyzer derives its
+    vector clocks from these and the receiver's [match] instants, so no
+    clock travels with the message. *)
 val inject :
   t ->
   context:int ->

@@ -74,7 +74,11 @@ let ranks t = Array.length t.rings
 
 let enabled t = t.enabled
 
-let is_streaming t = match t.sink with Stream _ -> true | Ring -> false
+(* Recording into a stream sink.  The happens-before analyzer's extra
+   instants (post, matched, send_meta, nc_order) are emitted only then:
+   every stream capture is analyzable offline, and ring traces keep their
+   exact event mix. *)
+let is_streaming t = match t.sink with Stream _ -> t.enabled | Ring -> false
 
 let close_stream t =
   match t.sink with
@@ -151,14 +155,6 @@ let instant t ~rank ~cat ~name ~a ~b ~c =
    match events; the causal walk and flow export read it back). *)
 let instant_d t ~rank ~cat ~name ~a ~b ~c ~d =
   if t.enabled then emit t rank Instant cat name 0. a b c d
-
-(* Vector-clock annotation for the rank's most recent event.  Only the
-   stream sink persists these (ring analysis has the live runtime to ask);
-   with tracing disabled or a ring sink this is a branch and nothing
-   more. *)
-let vector_clock t ~rank ~vc =
-  if t.enabled then
-    match t.sink with Stream w -> Trace_stream.write_vc w ~rank ~vc | Ring -> ()
 
 (* A complete span reported after the fact (scheduler CPU segments): the
    timestamp is the current clock, [dur] reaches back. *)

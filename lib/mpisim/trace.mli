@@ -53,7 +53,10 @@ val enable : ?capacity:int -> t -> unit
     the record; convert it with {!Trace_stream.convert_to_chrome}. *)
 val enable_stream : t -> path:string -> unit
 
-(** Whether the active sink is a stream. *)
+(** Whether events are being recorded into a stream sink (tracing on,
+    stream sink active).  Gates the happens-before analyzer's extra
+    instants, so every stream capture is analyzable offline while ring
+    traces keep their exact event mix; one branch when tracing is off. *)
 val is_streaming : t -> bool
 
 (** Flush and close the stream sink (idempotent; no-op for the ring
@@ -79,12 +82,6 @@ val instant : t -> rank:int -> cat:string -> name:string -> a:int -> b:int -> c:
 (** Like {!instant} with the emitting rank's Lamport clock in [d]. *)
 val instant_d :
   t -> rank:int -> cat:string -> name:string -> a:int -> b:int -> c:int -> d:int -> unit
-
-(** Attach the rank's current vector clock to its most recent event.
-    Persisted by the stream sink only (tag-3 annotation records, read
-    back by the offline happens-before analyzer); a single branch when
-    disabled or under the ring sink. *)
-val vector_clock : t -> rank:int -> vc:int array -> unit
 
 (** A complete span reported after the fact (scheduler CPU segments): the
     timestamp is the current clock and [dur] reaches back. *)

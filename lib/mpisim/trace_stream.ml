@@ -15,19 +15,19 @@
      tag 2    event: i32 rank, i32 per-rank seq, u8 kind,
               i32 cat id, i32 name id, f64 ts, f64 dur,
               i64 a, i64 b, i64 c, i64 d
-     tag 3    vector clock: i32 rank, i32 event seq it annotates,
-              i32 n, n x i64 clock entries
-
-   Tag-3 records are an annotation layer: a VC record refers to the
-   event of the same rank with the given sequence number (in practice
-   the immediately preceding one) and carries the rank's vector clock
-   at that event.  Readers that predate tag 3 skip it via the length
-   prefix — no version bump needed.
+   Tag 3 (per-event vector clocks) was written by older versions and is
+   no longer produced: the happens-before analyzer now derives the clocks
+   from the send and match events themselves.  Old files stay readable —
+   their tag-3 records are skipped by length like any unknown tag.
 
    Category and name strings are interned: the first occurrence writes a
    tag-1 record, later events refer to the id.  The per-rank sequence
    numbers let any reader prove completeness (they must be contiguous
    from zero); the length prefix lets readers skip unknown tags.
+
+   The reader treats the file as untrusted: a rank count above
+   [max_ranks], or a record length larger than the bytes left in the
+   file, is rejected before anything of that size is allocated.
 
    The writer batches into a bounded scratch buffer (one syscall per
    [flush_threshold] bytes rather than per event), so its memory is a
@@ -38,6 +38,11 @@ let magic = "MPTS"
 let version = 1
 
 let flush_threshold = 64 * 1024
+
+(* Largest rank count a stream may declare (2^20): above the 10^6 ranks
+   the sink is built for, and small enough that the reader's per-rank
+   state stays a few MiB however the header is corrupted. *)
+let max_ranks = 1 lsl 20
 
 type t = {
   oc : out_channel;
@@ -64,6 +69,9 @@ let flush t =
   Buffer.clear t.buf
 
 let create ~path ~ranks =
+  if ranks <= 0 || ranks > max_ranks then
+    invalid_arg
+      (Printf.sprintf "Trace_stream.create: %d ranks (want 1..%d)" ranks max_ranks);
   let oc = open_out_bin path in
   let buf = Buffer.create (flush_threshold + 256) in
   Buffer.add_string buf magic;
@@ -156,27 +164,6 @@ let write_event t ~rank ~kind ~cat ~name ~ts ~dur ~a ~b ~c ~d =
   Bytes.set_int64_le s 57 (Int64.of_int d);
   add_record t 2 event_payload_len (fun () -> Buffer.add_bytes t.buf s)
 
-(* Attach the rank's current vector clock to its most recent event.
-   Must be called right after the [write_event] it annotates (it binds to
-   sequence number [seq - 1]).  The array is copied into the stream, so
-   the caller may keep mutating its live clock row. *)
-let write_vc t ~rank ~vc =
-  locked t @@ fun () ->
-  if t.closed then invalid_arg "Trace_stream.write_vc: writer is closed";
-  if t.seqs.(rank) = 0 then invalid_arg "Trace_stream.write_vc: no event to annotate";
-  let n = Array.length vc in
-  add_record t 3
-    ((3 * 4) + (n * 8))
-    (fun () ->
-      let b = Bytes.create ((3 * 4) + (n * 8)) in
-      Bytes.set_int32_le b 0 (Int32.of_int rank);
-      Bytes.set_int32_le b 4 (Int32.of_int (t.seqs.(rank) - 1));
-      Bytes.set_int32_le b 8 (Int32.of_int n);
-      for i = 0 to n - 1 do
-        Bytes.set_int64_le b (12 + (i * 8)) (Int64.of_int vc.(i))
-      done;
-      Buffer.add_bytes t.buf b)
-
 let close t =
   locked t @@ fun () ->
   if not t.closed then begin
@@ -209,9 +196,10 @@ let read_i32 b off = Int32.to_int (Bytes.get_int32_le b off)
 (* Stream the records of [path] through [f], validating as we go: magic
    and version, string ids defined before use, and — the completeness
    proof — per-rank sequence numbers contiguous from zero.  [on_header]
-   fires once, before the first event, with the rank count. *)
-let fold_file ?(on_header = fun (_ : int) -> ())
-    ?(on_vc = fun ~rank:(_ : int) ~seq:(_ : int) (_ : int array) -> ()) path ~init ~f =
+   fires once, before the first event, with the rank count.  Sizes read
+   from the file are checked against [max_ranks] and the file length
+   before they reach an allocation. *)
+let fold_file ?(on_header = fun (_ : int) -> ()) path ~init ~f =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic -> (
@@ -225,7 +213,11 @@ let fold_file ?(on_header = fun (_ : int) -> ())
           let v = Bytes.get_uint8 hdr 4 in
           if v <> version then fail "unsupported trace-stream version %d" v;
           let nranks = read_i32 hdr 5 in
-          if nranks <= 0 then fail "bad rank count %d" nranks;
+          if nranks <= 0 || nranks > max_ranks then
+            fail "bad rank count %d (want 1..%d)" nranks max_ranks;
+          (* Not every channel has a length (pipes); those skip the
+             record-length check and fail on the short read instead. *)
+          let file_len = try in_channel_length ic with Sys_error _ -> max_int in
           on_header nranks;
           let strings : (int, string) Hashtbl.t = Hashtbl.create 64 in
           let expect = Array.make nranks 0 in
@@ -233,12 +225,17 @@ let fold_file ?(on_header = fun (_ : int) -> ())
           let acc = ref init in
           let frame = Bytes.create 5 in
           let rec loop () =
+            let left = file_len - pos_in ic in
+            if left > 0 && left < 5 then fail "truncated record header (%d bytes)" left;
             match really_input ic frame 0 5 with
             | exception End_of_file -> ()
             | () ->
                 let tag = Bytes.get_uint8 frame 0 in
                 let len = read_i32 frame 1 in
                 if len < 0 then fail "negative record length";
+                if len > file_len - pos_in ic then
+                  fail "record length %d exceeds the %d bytes left (tag %d)" len
+                    (file_len - pos_in ic) tag;
                 let payload = Bytes.create len in
                 (try really_input ic payload 0 len
                  with End_of_file -> fail "truncated record (tag %d)" tag);
@@ -285,20 +282,10 @@ let fold_file ?(on_header = fun (_ : int) -> ())
                           ev_c = i64 49;
                           ev_d = i64 57;
                         }
-                | 3 ->
-                    if len < 12 then fail "short vector-clock record";
-                    let rank = read_i32 payload 0 in
-                    if rank < 0 || rank >= nranks then
-                      fail "vector-clock rank %d out of range" rank;
-                    let sq = read_i32 payload 4 in
-                    let n = read_i32 payload 8 in
-                    if n < 0 || len < 12 + (n * 8) then fail "short vector-clock record";
-                    let vc =
-                      Array.init n (fun i ->
-                          Int64.to_int (Bytes.get_int64_le payload (12 + (i * 8))))
-                    in
-                    on_vc ~rank ~seq:sq vc
-                | _ -> () (* unknown tag: the length prefix told us how much to skip *));
+                | _ ->
+                    (* Unknown tag (including the retired tag-3 vector
+                       clocks): the length prefix told us how much to skip. *)
+                    ());
                 loop ()
           in
           loop ();

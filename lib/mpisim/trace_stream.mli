@@ -9,7 +9,12 @@
 
 type t
 
-(** Open a stream writer on [path] (truncating it) for [ranks] ranks. *)
+(** Largest rank count a stream may declare (2{^20}); the reader rejects
+    headers above it before allocating per-rank state. *)
+val max_ranks : int
+
+(** Open a stream writer on [path] (truncating it) for [ranks] ranks.
+    Raises [Invalid_argument] unless [1 <= ranks <= max_ranks]. *)
 val create : path:string -> ranks:int -> t
 
 val write_event :
@@ -25,11 +30,6 @@ val write_event :
   c:int ->
   d:int ->
   unit
-
-(** Attach the rank's current vector clock to its most recently written
-    event (a tag-3 annotation record; the array is copied).  Raises if no
-    event has been written for [rank] yet. *)
-val write_vc : t -> rank:int -> vc:int array -> unit
 
 (** Events written so far (all ranks). *)
 val events_written : t -> int
@@ -61,13 +61,15 @@ type summary = { s_ranks : int; s_events : int }
 
 (** Stream the records of a file through [f], validating the header, the
     string table and the per-rank sequence contiguity; [on_header] fires
-    once with the rank count before the first event; [on_vc] receives
-    each vector-clock annotation (the rank and sequence number of the
-    event it annotates, and the clock itself).  Returns the folded value
-    and a summary, or a description of the first corruption. *)
+    once with the rank count before the first event.  Records of unknown
+    tags (including the vector-clock records older writers emitted as
+    tag 3) are skipped by length.  Returns the folded value and a
+    summary, or a description of the first corruption — a rank count
+    above {!max_ranks} or a record longer than the rest of the file is
+    reported before anything of that size is allocated.  Never raises on
+    malformed input. *)
 val fold_file :
   ?on_header:(int -> unit) ->
-  ?on_vc:(rank:int -> seq:int -> int array -> unit) ->
   string ->
   init:'a ->
   f:('a -> event -> 'a) ->

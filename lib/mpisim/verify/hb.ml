@@ -1,16 +1,16 @@
 (* Offline happens-before analyzer over a binary trace stream.
 
-   Input: a Trace_stream file recorded with vector clocks on
-   (Engine ~vector_clocks:true, i.e. repro_cli --trace-stream): "send"
-   instants annotated with tag-3 vector-clock records and "send_meta"
-   instants (tag/context/sync), "post" instants for every posted
-   receive, "matched" instants linking a post to the message it got,
+   Input: any Trace_stream capture (Engine ~trace_stream, i.e. repro_cli
+   --trace-stream): "send" instants and "send_meta" instants
+   (tag/context/sync), "post" instants for every posted receive,
+   "matched" instants linking a post to the message it got,
    "match"/"match_wait" completion instants, and "nc_order" markers
    inside non-commutative reduction spans.
 
    The pass reconstructs the match relation (which send each receive
-   consumed) and the happens-before partial order (from the vector
-   clocks), then reports:
+   consumed) and the happens-before partial order, as vector clocks
+   derived from the send and match events in the same pass ([Clocks]),
+   then reports:
 
    - wildcard-race: a wildcard receive whose matched send has at least
      one pattern-compatible alternative sender with a causally
@@ -39,7 +39,7 @@ type send = {
   mutable s_tag : int;  (* from send_meta; min_int until seen *)
   mutable s_ctx : int;
   mutable s_sync : bool;
-  mutable s_vc : int array;  (* [||] until the tag-3 record arrives *)
+  s_vc : int array;  (* sender's vector clock at the send (trimmed) *)
 }
 
 type post = {
@@ -63,12 +63,58 @@ type result_t = {
   sends : int;
   matches : int;
   wildcard_posts : int;
-  vcs : int;
-  had_vc : bool;  (* false: trace was recorded without vector clocks *)
+  vcs : int;  (* vector clocks derived: one per send and per match *)
 }
 
-(* What a tag-3 record at (rank, event seq) annotates. *)
-type vc_target = Tsend of int | Tmatch of int
+(* Vector clocks rebuilt offline from the stream's event order.  The
+   writer records a send before the message can be matched (and every
+   rank's events in program order, under the multicore backend's locked
+   writer too), so one pass in file order replays the classic rules: a
+   send ticks the sender's own component and snapshots its clock under
+   the message seq; a match merges that snapshot component-wise, then
+   ticks the receiver.  A match whose send is missing or comes later in
+   the file merges nothing.
+
+   Clocks are stored trimmed — entries past the end are zero
+   ({!Report.vc_get}) — so a clock only grows to the highest rank in its
+   causal past, and a header claiming many idle ranks costs nothing. *)
+module Clocks = struct
+  type t = {
+    rows : int array array;  (* per-rank current clock, trimmed *)
+    snaps : (int, int array) Hashtbl.t;  (* message seq -> send clock *)
+  }
+
+  let create ~ranks = { rows = Array.make ranks [||]; snaps = Hashtbl.create 256 }
+
+  (* Merge [other] into [rank]'s clock, then tick [rank]'s component. *)
+  let advance t rank other =
+    let cur = t.rows.(rank) in
+    let n = max (max (Array.length cur) (rank + 1)) (Array.length other) in
+    let row = if Array.length cur = n then cur else Array.init n (Report.vc_get cur) in
+    Array.iteri (fun i x -> if x > row.(i) then row.(i) <- x) other;
+    row.(rank) <- row.(rank) + 1;
+    t.rows.(rank) <- row
+
+  (* Apply one stream event (ranks are validated by the reader); returns
+     true if it was a send or a match, i.e. it derived a clock. *)
+  let step t (ev : Trace_stream.event) =
+    match ev.Trace_stream.ev_cat, ev.ev_name with
+    | "sim", "send" ->
+        advance t ev.ev_rank [||];
+        Hashtbl.replace t.snaps ev.ev_b (Array.copy t.rows.(ev.ev_rank));
+        true
+    | "sim", ("match" | "match_wait") ->
+        let snap = Option.value (Hashtbl.find_opt t.snaps ev.ev_b) ~default:[||] in
+        advance t ev.ev_rank snap;
+        true
+    | _ -> false
+
+  (* The sender's clock at the send of message [seq], if seen so far. *)
+  let send_clock t seq = Hashtbl.find_opt t.snaps seq
+
+  (* A copy of [rank]'s current clock (trimmed). *)
+  let clock t rank = Array.copy t.rows.(rank)
+end
 
 let default_eager_threshold = 64 * 1024
 
@@ -79,10 +125,11 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
   let posts_by_key : (int * int, post) Hashtbl.t = Hashtbl.create 256 in
   (* msg seq -> (receiver rank, receiver virtual time at match) *)
   let match_ts : (int, int * float) Hashtbl.t = Hashtbl.create 256 in
-  let vc_targets : (int * int, vc_target) Hashtbl.t = Hashtbl.create 256 in
-  let recv_vcs : (int, int array) Hashtbl.t = Hashtbl.create 256 in
-  let coll_stacks : coll_span list ref array ref = ref [||] in
+  let clocks = ref (Clocks.create ~ranks:0) in
+  let nranks = ref 0 in
+  let coll_stacks : coll_span list array ref = ref [||] in
   let vcs = ref 0 in
+  let show vc = Report.vc_to_string ~ranks:!nranks vc in
   let n_matches = ref 0 in
   let findings = ref [] in
   let add_finding f = findings := f :: !findings in
@@ -91,29 +138,28 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
        contributions it consumed causally concurrent? *)
     if sp.nc then begin
       let seqs = List.rev sp.span_matches in
-      let svc q = match Hashtbl.find_opt sends q with Some s -> s.s_vc | None -> [||] in
+      let found = List.filter_map (Hashtbl.find_opt sends) seqs in
       let rec first_pair = function
         | [] -> None
-        | q :: rest -> (
-            match List.find_opt (fun q' -> Report.vc_concurrent (svc q) (svc q')) rest with
-            | Some q' -> Some (q, q')
+        | s :: rest -> (
+            match List.find_opt (fun s' -> Report.vc_concurrent s.s_vc s'.s_vc) rest with
+            | Some s' -> Some (s, s')
             | None -> first_pair rest)
       in
-      match first_pair seqs with
+      match first_pair found with
       | None -> ()
-      | Some (q1, q2) ->
-          let s1 = Hashtbl.find sends q1 and s2 = Hashtbl.find sends q2 in
+      | Some (s1, s2) ->
           add_finding
-            (Report.make ~cls:"nc-order" ~rank ~flow:q1
+            (Report.make ~cls:"nc-order" ~rank ~flow:s1.s_seq
                (Printf.sprintf
                   "non-commutative reduction combined causally concurrent contributions: \
                    send %d from rank %d (vc %s) vs send %d from rank %d (vc %s); a real \
                    MPI's arrival order could change the result"
-                  q1 s1.s_rank (Report.vc_to_string s1.s_vc) q2 s2.s_rank
-                  (Report.vc_to_string s2.s_vc)))
+                  s1.s_seq s1.s_rank (show s1.s_vc) s2.s_seq s2.s_rank (show s2.s_vc)))
     end
   in
   let on_event (ev : Trace_stream.event) =
+    if Clocks.step !clocks ev then incr vcs;
     match ev.Trace_stream.ev_cat with
     | "sim" -> (
         match ev.ev_name with
@@ -128,11 +174,10 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
                 s_tag = min_int;
                 s_ctx = min_int;
                 s_sync = false;
-                s_vc = [||];
+                s_vc = Option.value (Clocks.send_clock !clocks ev.ev_b) ~default:[||];
               }
             in
-            Hashtbl.replace sends ev.ev_b s;
-            Hashtbl.replace vc_targets (ev.ev_rank, ev.ev_seq) (Tsend ev.ev_b)
+            Hashtbl.replace sends ev.ev_b s
         | "send_meta" -> (
             match Hashtbl.find_opt sends ev.ev_b with
             | Some s ->
@@ -160,44 +205,28 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
         | "match" | "match_wait" ->
             incr n_matches;
             Hashtbl.replace match_ts ev.ev_b (ev.ev_rank, ev.ev_ts);
-            Hashtbl.replace vc_targets (ev.ev_rank, ev.ev_seq) (Tmatch ev.ev_b);
-            let stacks = !coll_stacks in
-            if ev.ev_rank < Array.length stacks then
-              List.iter
-                (fun sp -> sp.span_matches <- ev.ev_b :: sp.span_matches)
-                !(stacks.(ev.ev_rank))
+            List.iter
+              (fun sp -> sp.span_matches <- ev.ev_b :: sp.span_matches)
+              !coll_stacks.(ev.ev_rank)
         | _ -> ())
     | "coll" -> (
-        let stacks = !coll_stacks in
-        if ev.ev_rank < Array.length stacks then
-          let stack = stacks.(ev.ev_rank) in
-          match (ev.ev_kind, ev.ev_name) with
-          | Trace_chrome.Begin, _ ->
-              stack := { nc = false; span_matches = [] } :: !stack
-          | Trace_chrome.End, _ -> (
-              match !stack with
-              | sp :: rest ->
-                  stack := rest;
-                  nc_span_done ev.ev_rank sp
-              | [] -> ())
-          | Trace_chrome.Instant, "nc_order" -> (
-              match !stack with sp :: _ -> sp.nc <- true | [] -> ())
-          | _ -> ())
+        let stacks = !coll_stacks and r = ev.ev_rank in
+        match (ev.ev_kind, ev.ev_name, stacks.(r)) with
+        | Trace_chrome.Begin, _, stack ->
+            stacks.(r) <- { nc = false; span_matches = [] } :: stack
+        | Trace_chrome.End, _, sp :: rest ->
+            stacks.(r) <- rest;
+            nc_span_done r sp
+        | Trace_chrome.Instant, "nc_order", sp :: _ -> sp.nc <- true
+        | _ -> ())
     | _ -> ()
   in
   let fold =
     Trace_stream.fold_file path
-      ~on_header:(fun nranks ->
-        coll_stacks := Array.init nranks (fun _ -> ref []))
-      ~on_vc:(fun ~rank ~seq vc ->
-        incr vcs;
-        match Hashtbl.find_opt vc_targets (rank, seq) with
-        | Some (Tsend msg_seq) -> (
-            match Hashtbl.find_opt sends msg_seq with
-            | Some s -> s.s_vc <- vc
-            | None -> ())
-        | Some (Tmatch msg_seq) -> Hashtbl.replace recv_vcs msg_seq vc
-        | None -> ())
+      ~on_header:(fun ranks ->
+        nranks := ranks;
+        clocks := Clocks.create ~ranks;
+        coll_stacks := Array.make ranks [])
       ~init:0
       ~f:(fun n ev ->
         on_event ev;
@@ -218,8 +247,7 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
             match Hashtbl.find_opt sends po.po_match_seq with
             | None -> ()
             | Some chosen ->
-                if (include_internal || not (internal chosen)) && Array.length chosen.s_vc > 0
-                then begin
+                if include_internal || not (internal chosen) then begin
                   let compatible s =
                     s.s_seq <> chosen.s_seq && s.s_dst = po.po_rank && s.s_ctx = po.po_ctx
                     && (po.po_src = -1 || s.s_rank = po.po_src)
@@ -244,14 +272,13 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
                              instead: %s"
                             (if po.po_src = -1 then "any" else string_of_int po.po_src)
                             (if po.po_tag = -1 then "any" else string_of_int po.po_tag)
-                            chosen.s_seq chosen.s_rank
-                            (Report.vc_to_string chosen.s_vc)
+                            chosen.s_seq chosen.s_rank (show chosen.s_vc)
                             (List.length racing)
                             (String.concat "; "
                                (List.map
                                   (fun s ->
                                     Printf.sprintf "send %d from rank %d (vc %s)" s.s_seq
-                                      s.s_rank (Report.vc_to_string s.s_vc))
+                                      s.s_rank (show s.s_vc))
                                   racing))))
                 end
           end)
@@ -289,5 +316,4 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
           matches = !n_matches;
           wildcard_posts = !wildcard_posts;
           vcs = !vcs;
-          had_vc = !vcs > 0;
         }

@@ -33,21 +33,23 @@ let classes findings =
 
 let has_class findings cls = List.exists (fun f -> f.f_class = cls) findings
 
-(* A vector clock rendered as "<1,0,3>" for witnesses in finding text. *)
-let vc_to_string vc =
-  "<" ^ String.concat "," (Array.to_list (Array.map string_of_int vc)) ^ ">"
+(* Entry [i] of a vector clock.  Clocks may be stored trimmed: entries
+   past the end of the array are zero. *)
+let vc_get vc i = if i < Array.length vc then vc.(i) else 0
+
+(* A vector clock over [ranks] ranks rendered as "<1,0,3>" for witnesses
+   in finding text. *)
+let vc_to_string ~ranks vc =
+  "<" ^ String.concat "," (List.init ranks (fun i -> string_of_int (vc_get vc i))) ^ ">"
 
 (* Are two vector clocks causally incomparable (concurrent)?  [a <= b]
    component-wise means a happens-before (or equals) b; concurrency is
    neither direction holding. *)
 let vc_concurrent a b =
-  let n = Array.length a in
-  if n <> Array.length b || n = 0 then false
-  else begin
-    let a_le_b = ref true and b_le_a = ref true in
-    for i = 0 to n - 1 do
-      if a.(i) > b.(i) then a_le_b := false;
-      if b.(i) > a.(i) then b_le_a := false
-    done;
-    (not !a_le_b) && not !b_le_a
-  end
+  let a_le_b = ref true and b_le_a = ref true in
+  for i = 0 to max (Array.length a) (Array.length b) - 1 do
+    let x = vc_get a i and y = vc_get b i in
+    if x > y then a_le_b := false;
+    if y > x then b_le_a := false
+  done;
+  (not !a_le_b) && not !b_le_a

@@ -1,6 +1,7 @@
 (* The verification plane: the bounded schedule-space model checker
    (Explore over Choice-controlled lazy matching) and the offline
-   happens-before analyzer (Hb over vector-clocked trace streams). *)
+   happens-before analyzer (Hb over trace streams, with vector clocks
+   derived from the send and match events). *)
 
 open Mpisim
 
@@ -13,12 +14,12 @@ let with_stream f =
   let path = Filename.temp_file "mpisim_verify" ".bin" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-(* Record [body] with vector clocks on and hand the trace to [f]. *)
+(* Record [body] as a trace stream and hand the analysis to [f]. *)
 let analyze_run ?(ranks = 2) ?(check = Check.Off) body f =
   with_stream (fun path ->
       let report =
-        Engine.run ~model:Net_model.omnipath ~check_level:check ~trace_stream:path
-          ~vector_clocks:true ~ranks body
+        Engine.run ~model:Net_model.omnipath ~check_level:check ~trace_stream:path ~ranks
+          body
       in
       match Hb.analyze path with
       | Ok r -> f report r
@@ -113,60 +114,101 @@ let test_vc_concurrent () =
   Alcotest.(check bool) "incomparable" true (c [| 0; 1; 0 |] [| 0; 0; 1 |]);
   Alcotest.(check bool) "ordered" false (c [| 0; 1; 0 |] [| 1; 1; 0 |]);
   Alcotest.(check bool) "equal" false (c [| 2; 2 |] [| 2; 2 |]);
-  Alcotest.(check bool) "length mismatch is not concurrency" false (c [| 1 |] [| 1; 2 |]);
+  Alcotest.(check bool) "trimmed clock below a longer one" false (c [| 1 |] [| 1; 2 |]);
+  Alcotest.(check bool) "trimmed clocks still compare" true (c [| 2 |] [| 1; 2 |]);
   Alcotest.(check bool) "empty is not concurrency" false (c [||] [||])
 
-let test_vc_records_round_trip () =
-  with_stream (fun path ->
-      let (_ : Engine.report) =
-        Engine.run ~model:Net_model.omnipath ~trace_stream:path ~vector_clocks:true
-          ~ranks:4 (prog "clean_ring")
-      in
-      let n_vc = ref 0 in
-      let ok_shape = ref true in
-      match
-        Trace_stream.fold_file path
-          ~on_vc:(fun ~rank ~seq vc ->
-            incr n_vc;
-            if rank < 0 || rank >= 4 || seq < 0 || Array.length vc <> 4 then
-              ok_shape := false)
-          ~init:0
-          ~f:(fun n _ -> n + 1)
-      with
-      | Error msg -> Alcotest.failf "fold failed: %s" msg
-      | Ok (events, _) ->
-          Alcotest.(check bool) "events present" true (events > 0);
-          (* one vc per send + one per match: 4 sends, 4 receives *)
-          Alcotest.(check int) "vc records" 8 !n_vc;
-          Alcotest.(check bool) "every vc names a valid rank/seq and has p entries"
-            true !ok_shape)
+(* Fold a stream through Hb.Clocks and collect, per rank and in order, the
+   clock each send and match derived, plus each send's snapshot under its
+   message seq. *)
+let derived_clocks path =
+  let clocks = ref (Hb.Clocks.create ~ranks:0) in
+  let per_rank = Hashtbl.create 16 in
+  let pairs = ref [] in
+  Trace_stream.fold_file path
+    ~on_header:(fun ranks -> clocks := Hb.Clocks.create ~ranks)
+    ~init:()
+    ~f:(fun () ev ->
+      if Hb.Clocks.step !clocks ev then begin
+        let vc = Hb.Clocks.clock !clocks ev.Trace_stream.ev_rank in
+        let prev = Option.value (Hashtbl.find_opt per_rank ev.ev_rank) ~default:[] in
+        Hashtbl.replace per_rank ev.ev_rank (vc :: prev);
+        if ev.ev_name <> "send" then
+          match Hb.Clocks.send_clock !clocks ev.ev_b with
+          | Some sent -> pairs := (sent, vc) :: !pairs
+          | None -> ()
+      end)
+  |> Result.map (fun ((), _) -> (per_rank, !pairs))
 
-(* Without ~vector_clocks the stream must contain no tag-3 records and no
-   analyzer metadata — ordinary traces keep their exact event mix. *)
-let test_vc_off_by_default () =
-  with_stream (fun path ->
-      let (_ : Engine.report) =
-        Engine.run ~model:Net_model.omnipath ~trace_stream:path ~ranks:3
-          (prog "hidden_race")
+(* [a] strictly below [b]: component-wise <=, and not equal (trimmed
+   clocks are zero past their end). *)
+let vc_le a b =
+  let n = max (Array.length a) (Array.length b) in
+  List.for_all (fun i -> Report.vc_get a i <= Report.vc_get b i) (List.init n Fun.id)
+
+let vc_lt a b = vc_le a b && not (vc_le b a)
+
+(* The README's witness, pinned: at p=3 each wildcard receive of
+   hidden_race matched one worker's first send, and the two workers'
+   clocks are incomparable. *)
+let test_hidden_race_witness_clocks () =
+  analyze_run ~ranks:3 (prog "hidden_race") (fun _ r ->
+      Alcotest.(check int) "one clock per send and per match" 4 r.Hb.vcs;
+      let details =
+        List.filter_map
+          (fun f ->
+            if f.Report.f_class = "wildcard-race" then Some f.Report.f_detail else None)
+          r.Hb.findings
       in
-      match Hb.analyze path with
-      | Error msg -> Alcotest.failf "analyze failed: %s" msg
-      | Ok r ->
-          Alcotest.(check bool) "no vc records" false r.Hb.had_vc;
-          Alcotest.(check int) "no vcs counted" 0 r.Hb.vcs;
-          Alcotest.(check (list string)) "no findings without clocks" []
-            (Report.classes r.Hb.findings))
+      Alcotest.(check (list string)) "witness clocks"
+        [
+          "wildcard recv (src any, tag any) matched send 0 from rank 1 (vc <0,1,0>), but 1 \
+           concurrent candidate(s) could have matched instead: send 1 from rank 2 (vc \
+           <0,0,1>)";
+          "wildcard recv (src any, tag any) matched send 1 from rank 2 (vc <0,0,1>), but 1 \
+           concurrent candidate(s) could have matched instead: send 0 from rank 1 (vc \
+           <0,1,0>)";
+        ]
+        details)
+
+(* The clock condition on a real workload: every send's clock is strictly
+   below its match's clock, and a rank's clock never decreases (it grows
+   at every send and match), for any rank count. *)
+let prop_clock_condition =
+  QCheck.Test.make ~name:"offline clocks: send < match, per-rank monotone" ~count:12
+    (* p = 2 + k: shrinking moves k towards 0, never below two ranks. *)
+    QCheck.(pair (int_bound 7) (int_bound 1000))
+    (fun (k, seed) ->
+      let p = 2 + k in
+      with_stream (fun path ->
+          let (_ : Engine.report) =
+            Engine.run ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:p
+              (fun comm ->
+                let rng = Xoshiro.create ~seed ~stream:(Comm.rank comm) in
+                let data = Array.init 60 (fun _ -> Xoshiro.next_int rng ~bound:1000) in
+                ignore (Sample_sort.Ss_kamping.sort comm data))
+          in
+          match derived_clocks path with
+          | Error msg -> QCheck.Test.fail_reportf "fold failed: %s" msg
+          | Ok (per_rank, pairs) ->
+              let rec increasing = function
+                | later :: (earlier :: _ as rest) -> vc_lt earlier later && increasing rest
+                | _ -> true
+              in
+              pairs <> []
+              && List.for_all (fun (sent, matched) -> vc_lt sent matched) pairs
+              && Hashtbl.fold (fun _ vcs ok -> ok && increasing vcs) per_rank true))
 
 (* --- analyzer findings --- *)
 
-(* The tentpole scenario: the runtime race counter reports zero (each
+(* The headline scenario: the runtime race counter reports zero (each
    wildcard receive is posted before any competing send has arrived), yet
    the analyzer proves the race offline from the vector clocks. *)
 let test_analyzer_beats_single_run_counter () =
   analyze_run ~ranks:3 ~check:Check.Heavy (prog "hidden_race") (fun report r ->
       Alcotest.(check int) "runtime counter blind to the race" 0
         (counter report "check.wildcard_race");
-      Alcotest.(check bool) "trace had vector clocks" true r.Hb.had_vc;
+      Alcotest.(check bool) "clocks derived from the stream" true (r.Hb.vcs > 0);
       Alcotest.(check int) "both wildcard receives seen" 2 r.Hb.wildcard_posts;
       Alcotest.(check bool) "analyzer proves the race" true
         (Report.has_class r.Hb.findings "wildcard-race"))
@@ -202,21 +244,195 @@ let test_analyzer_missing_file () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a file error"
 
+let analyzer_instants = [ "post"; "matched"; "send_meta"; "nc_order" ]
+
+(* The analyzer's extra instants ride only on stream captures: a ring
+   trace of the same programs keeps its exact event mix. *)
+let test_ring_has_no_analyzer_instants () =
+  List.iter
+    (fun name ->
+      let report =
+        Engine.run ~model:Net_model.omnipath ~trace_capacity:1024 ~ranks:3 (prog name)
+      in
+      let tr = report.Engine.trace in
+      let names = ref [] in
+      for rank = 0 to 2 do
+        Trace.iter_events tr rank (fun e -> names := e.Trace.name :: !names)
+      done;
+      Alcotest.(check bool) (name ^ ": ring trace recorded sends") true
+        (List.mem "send" !names);
+      Alcotest.(check (list string)) (name ^ ": no analyzer instants") []
+        (List.filter (fun n -> List.mem n analyzer_instants) !names))
+    [ "hidden_race"; "nc_reduce" ]
+
+(* --- hostile stream input --- *)
+
+let write_bytes path b =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+let header ~ranks =
+  let b = Bytes.create 9 in
+  Bytes.blit_string "MPTS" 0 b 0 4;
+  Bytes.set_uint8 b 4 1;
+  Bytes.set_int32_le b 5 (Int32.of_int ranks);
+  b
+
+(* [f ()] must return an [Error] while allocating far less than [claimed]
+   bytes. *)
+let check_rejected_cheaply ~claimed label f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  let grown = Gc.allocated_bytes () -. before in
+  (match r with
+  | Error (_ : string) -> ()
+  | Ok _ -> Alcotest.failf "%s: expected an Error" label);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: allocated %.0f bytes, claimed %.0f" label grown claimed)
+    true
+    (grown < claimed /. 1000.)
+
+let fold_count path = Trace_stream.fold_file path ~init:0 ~f:(fun n _ -> n + 1)
+
+let test_hostile_rank_count () =
+  with_stream (fun path ->
+      write_bytes path (header ~ranks:0x7fff_ffff);
+      let claimed = 8. *. float_of_int 0x7fff_ffff in
+      check_rejected_cheaply ~claimed "fold" (fun () -> fold_count path);
+      check_rejected_cheaply ~claimed "analyze" (fun () -> Hb.analyze path))
+
+let test_hostile_record_length () =
+  with_stream (fun path ->
+      let frame = Bytes.create 5 in
+      Bytes.set_uint8 frame 0 2;
+      Bytes.set_int32_le frame 1 (Int32.of_int (1 lsl 31 - 1));
+      write_bytes path (Bytes.cat (header ~ranks:2) frame);
+      let claimed = float_of_int (1 lsl 31) in
+      check_rejected_cheaply ~claimed "fold" (fun () -> fold_count path);
+      check_rejected_cheaply ~claimed "analyze" (fun () -> Hb.analyze path))
+
+(* Well-formed streams with odd causality: a match whose send never
+   appears, and a match recorded before its send.  Neither merges a
+   snapshot; both still derive a clock. *)
+let test_unpaired_matches () =
+  with_stream (fun path ->
+      let w = Trace_stream.create ~path ~ranks:2 in
+      let instant ~rank name ~a ~b =
+        Trace_stream.write_event w ~rank ~kind:Trace_chrome.Instant ~cat:"sim" ~name
+          ~ts:0. ~dur:0. ~a ~b ~c:8 ~d:(-1)
+      in
+      instant ~rank:0 "match" ~a:1 ~b:42;
+      instant ~rank:0 "match" ~a:1 ~b:7;
+      instant ~rank:1 "send" ~a:0 ~b:7;
+      Trace_stream.close w;
+      (match derived_clocks path with
+      | Error msg -> Alcotest.failf "fold failed: %s" msg
+      | Ok (per_rank, pairs) ->
+          Alcotest.(check (list (array int))) "rank 0 ticks alone"
+            [ [| 2 |]; [| 1 |] ]
+            (Hashtbl.find per_rank 0);
+          Alcotest.(check (list (array int))) "rank 1's send is untouched"
+            [ [| 0; 1 |] ]
+            (Hashtbl.find per_rank 1);
+          Alcotest.(check int) "no send preceded its match" 0 (List.length pairs));
+      match Hb.analyze path with
+      | Error msg -> Alcotest.failf "analyze failed: %s" msg
+      | Ok r ->
+          Alcotest.(check int) "three clocks" 3 r.Hb.vcs;
+          Alcotest.(check (list string)) "no findings" [] (Report.classes r.Hb.findings))
+
+(* One mutation of a captured stream. *)
+type mutation = Truncate of int | Flip of int | Oversize of int * int
+
+let show_mutation = function
+  | Truncate n -> Printf.sprintf "truncate at %d" n
+  | Flip bit -> Printf.sprintf "flip bit %d" bit
+  | Oversize (off, len) -> Printf.sprintf "length field at %d := %d" off len
+
+(* Offsets of every record's length field in a well-formed stream. *)
+let length_fields b =
+  let rec go off acc =
+    if off + 5 > Bytes.length b then List.rev acc
+    else go (off + 5 + Int32.to_int (Bytes.get_int32_le b (off + 1))) ((off + 1) :: acc)
+  in
+  go 9 []
+
+let apply_mutation b = function
+  | Truncate n -> Bytes.sub b 0 n
+  | Flip bit ->
+      let b = Bytes.copy b in
+      let i = bit / 8 in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (bit mod 8)));
+      b
+  | Oversize (off, len) ->
+      let b = Bytes.copy b in
+      Bytes.set_int32_le b off (Int32.of_int len);
+      b
+
+(* A real capture, mutated: truncated anywhere, a bit flipped anywhere
+   (header, tags, lengths, ranks, seqs, string ids), or a record length
+   (or the header's rank count) overwritten with an oversize value.  The
+   reader and the analyzer must answer Ok or Error, never raise. *)
+let prop_hostile_streams =
+  let captured =
+    lazy
+      (with_stream (fun path ->
+           let (_ : Engine.report) =
+             Engine.run ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:3
+               (fun comm ->
+                 (prog "hidden_race") comm;
+                 Coll.barrier comm;
+                 (prog "nc_reduce") comm)
+           in
+           In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string))
+  in
+  let gen =
+    let open QCheck.Gen in
+    let b = Lazy.force captured in
+    let n = Bytes.length b in
+    let fields = Array.of_list (5 :: length_fields b) in
+    let oversize =
+      oneof
+        [
+          int_range (n - 8) (n + 8);
+          oneofl [ 1 lsl 20; (1 lsl 31) - 1; 0x7fff_fff0; 0x8000_0000 - 9; -1 ];
+        ]
+    in
+    frequency
+      [
+        (1, map (fun k -> Truncate k) (int_bound n));
+        (3, map (fun bit -> Flip bit) (int_bound ((8 * n) - 1)));
+        ( 2,
+          map2
+            (fun i len -> Oversize (fields.(i), len))
+            (int_bound (Array.length fields - 1))
+            oversize );
+      ]
+  in
+  QCheck.Test.make ~name:"hostile streams: Ok or Error, never raise" ~count:300
+    (QCheck.make ~print:show_mutation gen)
+    (fun m ->
+      with_stream (fun path ->
+          write_bytes path (apply_mutation (Lazy.force captured) m);
+          (match fold_count path with Ok _ | Error _ -> ());
+          (match Hb.analyze path with Ok _ | Error _ -> ());
+          true))
+
 (* --- zero-cost-when-off discipline --- *)
 
-(* With no Choice controller installed and vector clocks off, the hooks
-   the verification plane added to the p2p hot path are a single ref
-   read ([Choice.deferring]) and a single [Array.length] branch; same
-   harness as the Check off-level test. *)
+(* With no Choice controller installed and tracing off, the hooks the
+   verification plane put on the p2p hot path are a single ref read
+   ([Choice.deferring]) and the stream-capture gate ([Trace.is_streaming],
+   a field read on a disabled recorder); same harness as the Check
+   off-level test. *)
 let test_off_hooks_are_free () =
   Choice.uninstall ();
   Alcotest.(check bool) "not deferring" false (Choice.deferring ());
-  let vclocks : int array array = [||] in
+  let tr = Trace.create ~clocks:[| 0.; 0. |] in
   let hits = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
     if Choice.deferring () then incr hits;
-    if Array.length vclocks > 0 then incr hits
+    if Trace.is_streaming tr then incr hits
   done;
   let allocated = Gc.minor_words () -. w0 in
   Alcotest.(check int) "guards never fired" 0 !hits;
@@ -224,20 +440,26 @@ let test_off_hooks_are_free () =
     (Printf.sprintf "allocated %.0f words for 20k guarded sites" allocated)
     true (allocated < 100.)
 
-(* And a whole-run check: the same p2p-heavy program allocates the same
-   with the verification plumbing present as the trace tests always
-   measured — vector clocks off means Message.make receives the shared
-   empty-array atom, not a fresh clock. *)
-let test_run_without_vc_stamps_nothing () =
-  (* Runtime rows only exist after enable_vector_clocks. *)
-  let probed = ref (-1) in
+(* The analyzer gate follows the sink: off without tracing and under a
+   ring, on while a stream records, off again once the stream closes. *)
+let test_gate_follows_sink () =
+  let tr = Trace.create ~clocks:[| 0.; 0. |] in
+  Alcotest.(check bool) "disabled" false (Trace.is_streaming tr);
+  Trace.enable tr;
+  Alcotest.(check bool) "ring" false (Trace.is_streaming tr);
+  with_stream (fun path ->
+      Trace.enable_stream tr ~path;
+      Alcotest.(check bool) "stream" true (Trace.is_streaming tr);
+      Trace.close_stream tr;
+      Alcotest.(check bool) "closed stream" false (Trace.is_streaming tr));
+  let during = ref true in
   let (_ : Engine.report) =
     Engine.run ~model:Net_model.zero_cost
-      ~on_runtime:(fun rt -> probed := Array.length rt.Runtime.vclocks)
+      ~on_runtime:(fun rt -> during := Trace.is_streaming rt.Runtime.trace)
       ~ranks:2
       (fun _ -> ())
   in
-  Alcotest.(check int) "no vclock rows allocated by default" 0 !probed
+  Alcotest.(check bool) "untraced run" false !during
 
 let () =
   Alcotest.run "verify"
@@ -263,8 +485,11 @@ let () =
       ( "hb",
         [
           Alcotest.test_case "vc concurrency" `Quick test_vc_concurrent;
-          Alcotest.test_case "vc records round trip" `Quick test_vc_records_round_trip;
-          Alcotest.test_case "vc off by default" `Quick test_vc_off_by_default;
+          Alcotest.test_case "hidden_race witness clocks" `Quick
+            test_hidden_race_witness_clocks;
+          QCheck_alcotest.to_alcotest prop_clock_condition;
+          Alcotest.test_case "ring traces carry no analyzer instants" `Quick
+            test_ring_has_no_analyzer_instants;
           Alcotest.test_case "analyzer beats single-run counter" `Quick
             test_analyzer_beats_single_run_counter;
           Alcotest.test_case "clean trace has no findings" `Quick test_analyzer_clean_trace;
@@ -275,10 +500,16 @@ let () =
           Alcotest.test_case "buffer-reuse window" `Quick test_analyzer_buffer_reuse;
           Alcotest.test_case "missing file is an error" `Quick test_analyzer_missing_file;
         ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "oversize rank count" `Quick test_hostile_rank_count;
+          Alcotest.test_case "oversize record length" `Quick test_hostile_record_length;
+          Alcotest.test_case "unpaired and early matches" `Quick test_unpaired_matches;
+          QCheck_alcotest.to_alcotest prop_hostile_streams;
+        ] );
       ( "cost",
         [
           Alcotest.test_case "off hooks allocation-free" `Quick test_off_hooks_are_free;
-          Alcotest.test_case "no vc rows without opt-in" `Quick
-            test_run_without_vc_stamps_nothing;
+          Alcotest.test_case "analyzer gate follows the sink" `Quick test_gate_follows_sink;
         ] );
     ]
