@@ -110,9 +110,9 @@ let obs_arg =
              or ';'-separated clauses: $(b,seed=N), $(b,lossy), $(b,drop=F), \
              $(b,dup=F), $(b,reorder=F), $(b,corrupt=F), $(b,jitter=F), \
              $(b,retries=N), $(b,rto=F), $(b,backoff=F), $(b,jitter_cap=F), \
-             $(b,link=A>B:drop=F,...), $(b,fail=R\\@ops:K), $(b,fail=R\\@t:T), \
-             $(b,fail=R\\@task:K), $(b,droplink=A>B\\@N), \
-             $(b,partition=R,S\\@T1-T2).  The run prints a replay line; the \
+             $(b,link=A>B:drop=F,...), $(b,fail=R@ops:K), $(b,fail=R@t:T), \
+             $(b,fail=R@task:K), $(b,droplink=A>B@N), \
+             $(b,partition=R,S@T1-T2).  The run prints a replay line; the \
              same spec reproduces the same faults byte for byte.")
   in
   let chaos_retries =
@@ -599,8 +599,8 @@ let taskqueue_cmd =
        ~doc:
          "Farm heterogeneous tasks through the elastic fault-tolerant task-queue \
           plugin and verify exactly-once results on every survivor.  Combine \
-          with $(b,--chaos) (e.g. $(b,'fail=2\\@ops:50') or \
-          $(b,'fail=1\\@task:3;lossy')) to exercise straggler re-dispatch, \
+          with $(b,--chaos) (e.g. $(b,'fail=2@ops:50') or \
+          $(b,'fail=1@task:3;lossy')) to exercise straggler re-dispatch, \
           duplicate suppression and master re-election under rank death.")
     Term.(
       const run $ ranks_arg $ tasks_arg $ mode_arg $ lease_arg $ rate_arg $ batch_arg

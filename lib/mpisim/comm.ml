@@ -47,7 +47,7 @@ type bcast_count = {
 type shared = {
   context : int;
   group : Group.t;  (* comm rank -> world rank *)
-  inverse : (int, int) Hashtbl.t Lazy.t;  (* world rank -> comm rank *)
+  inverse : (int, int) Hashtbl.t;  (* world rank -> comm rank *)
   mutable revoked : bool;
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;  (* generation -> state *)
@@ -70,17 +70,19 @@ type t = {
   topology : topology option;
 }
 
+(* Built eagerly: ranks on different domains read it concurrently, and
+   forcing one shared [lazy] from two domains raises [Lazy.Undefined]. *)
+let inverse_of group =
+  let h = Hashtbl.create (Group.size group) in
+  Array.iteri (fun r w -> Hashtbl.replace h w r) group;
+  h
+
 let create_shared rt group =
   let op_trace =
     if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
     else None
   in
-  let inverse =
-    lazy
-      (let h = Hashtbl.create (Group.size group) in
-       Array.iteri (fun r w -> Hashtbl.replace h w r) group;
-       h)
-  in
+  let inverse = inverse_of group in
   {
     context = Runtime.fresh_context rt;
     group;
@@ -116,12 +118,7 @@ let get_or_create_shared rt ~context ~group =
         Errdefs.usage_error "communicator context %d created with differing groups" context;
       s
   | None ->
-      let inverse =
-        lazy
-          (let h = Hashtbl.create (Group.size group) in
-           Array.iteri (fun r w -> Hashtbl.replace h w r) group;
-           h)
-      in
+      let inverse = inverse_of group in
       let op_trace =
         if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
         else None
@@ -187,7 +184,7 @@ let world_of_rank t r = Group.world_rank t.shared.group r
 
 (* Comm rank of a world rank; raises if not a member. *)
 let rank_of_world t w =
-  match Hashtbl.find_opt (Lazy.force t.shared.inverse) w with
+  match Hashtbl.find_opt t.shared.inverse w with
   | Some r -> r
   | None -> Errdefs.usage_error "world rank %d is not a member of this communicator" w
 

@@ -46,7 +46,7 @@ type bcast_count = {
 type shared = {
   context : int;
   group : Group.t;
-  inverse : (int, int) Hashtbl.t Lazy.t;
+  inverse : (int, int) Hashtbl.t;
   mutable revoked : bool;
   revoke_observed : bool array;
       (** per comm rank: has that rank's control flow observed the

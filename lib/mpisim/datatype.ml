@@ -24,18 +24,30 @@
 type kind = Builtin | Derived
 
 (* Bulk fast-path kernel for fixed-size, contiguously-encoded element
-   types (builtins, [blob], and compositions of them): [bk_write buf pos v]
-   stores exactly [elem_size] bytes at [pos]; [bk_read buf pos] loads them.
-   [pack_array]/[unpack_array]/[unpack_into] use it to do ONE bounds check
-   and buffer reservation for a whole run of elements and a tight
-   direct-store loop — no closure dispatch, no [Wire] cursor updates per
-   element.  The kernel is chosen once when the type is constructed (for
-   builtins, that is commit time: they are born committed), so the
-   per-message cost of the dispatch is a single branch. *)
-type 'a bulk_kernel = {
-  bk_write : Bytes.t -> int -> 'a -> unit;
-  bk_read : Bytes.t -> int -> 'a;
-}
+   types (builtins, [blob], and compositions of them).  [pack_array],
+   [unpack_array] and [unpack_into] match on it ONCE per call, do one
+   [Wire.reserve_offset]/[read_offset] range check for the whole run, and
+   then loop without touching the [Wire] cursor.
+
+   [int], [float] and [char]/[byte] get their own constructors: their
+   OCaml arrays are flat ([float array]) or hold immediates, so the typed
+   loops store and load with unchecked 64-bit/byte accesses, with no
+   closure call, no float boxing and no [caml_modify] write barrier per
+   element.  Every other kernel is a pair of closures ([K_fn]):
+   [bk_write buf pos v] stores exactly [elem_size] bytes at [pos];
+   [bk_read buf pos] loads them.  A kernel only ever runs inside a range
+   that a [Wire] call has already checked.  The kernel is chosen once when
+   the type is constructed (for builtins, that is commit time: they are
+   born committed). *)
+type _ bulk_kernel =
+  | K_int : int bulk_kernel
+  | K_float : float bulk_kernel
+  | K_char : char bulk_kernel
+  | K_fn : {
+      bk_write : Bytes.t -> int -> 'a -> unit;
+      bk_read : Bytes.t -> int -> 'a;
+    }
+      -> 'a bulk_kernel
 
 type 'a t = {
   name : string;
@@ -101,6 +113,105 @@ let live_derived_count () =
 let pool_reset_for_tests () = Hashtbl.reset pool
 
 (* ------------------------------------------------------------------ *)
+(* Kernel loops *)
+
+(* Unchecked little-endian 64-bit access.  Every caller works inside a run
+   that one [Wire.reserve_offset]/[Wire.read_offset] call has
+   range-checked. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_le64 b p = if Sys.big_endian then swap64 (get64u b p) else get64u b p
+
+let[@inline] set_le64 b p v = set64u b p (if Sys.big_endian then swap64 v else v)
+
+(* One element through any kernel: the composed kernels of [contiguous]
+   and [pair] are built from these. *)
+let kwrite : type a. a bulk_kernel -> Bytes.t -> int -> a -> unit =
+ fun k b p v ->
+  match k with
+  | K_int -> set_le64 b p (Int64.of_int v)
+  | K_float -> set_le64 b p (Int64.bits_of_float v)
+  | K_char -> Bytes.unsafe_set b p v
+  | K_fn f -> f.bk_write b p v
+
+let kread : type a. a bulk_kernel -> Bytes.t -> int -> a =
+ fun k b p ->
+  match k with
+  | K_int -> Int64.to_int (get_le64 b p)
+  | K_float -> Int64.float_of_bits (get_le64 b p)
+  | K_char -> Bytes.unsafe_get b p
+  | K_fn f -> f.bk_read b p
+
+(* A run of [count] elements of [sz] bytes each, starting at byte [off].
+   The typed branches see monomorphic [int]/[float]/[char] arrays, so the
+   compiler emits plain unboxed loads and stores. *)
+
+let write_run : type a.
+    a bulk_kernel -> sz:int -> Bytes.t -> int -> a array -> pos:int -> count:int -> unit =
+ fun k ~sz buf off a ~pos ~count ->
+  match k with
+  | K_int ->
+      for i = 0 to count - 1 do
+        set_le64 buf (off + (8 * i)) (Int64.of_int (Array.unsafe_get a (pos + i)))
+      done
+  | K_float ->
+      for i = 0 to count - 1 do
+        set_le64 buf (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a (pos + i)))
+      done
+  | K_char ->
+      for i = 0 to count - 1 do
+        Bytes.unsafe_set buf (off + i) (Array.unsafe_get a (pos + i))
+      done
+  | K_fn f ->
+      for i = 0 to count - 1 do
+        f.bk_write buf (off + (sz * i)) (Array.unsafe_get a (pos + i))
+      done
+
+let read_run_into : type a.
+    a bulk_kernel -> sz:int -> Bytes.t -> int -> a array -> pos:int -> count:int -> unit =
+ fun k ~sz buf off dst ~pos ~count ->
+  match k with
+  | K_int ->
+      for i = 0 to count - 1 do
+        Array.unsafe_set dst (pos + i) (Int64.to_int (get_le64 buf (off + (8 * i))))
+      done
+  | K_float ->
+      for i = 0 to count - 1 do
+        Array.unsafe_set dst (pos + i) (Int64.float_of_bits (get_le64 buf (off + (8 * i))))
+      done
+  | K_char ->
+      for i = 0 to count - 1 do
+        Array.unsafe_set dst (pos + i) (Bytes.unsafe_get buf (off + i))
+      done
+  | K_fn f ->
+      for i = 0 to count - 1 do
+        Array.unsafe_set dst (pos + i) (f.bk_read buf (off + (sz * i)))
+      done
+
+(* A fresh array: the typed branches allocate it filled with an immediate
+   (or unboxed) placeholder and overwrite it with plain stores. *)
+let read_run : type a. a bulk_kernel -> sz:int -> Bytes.t -> int -> count:int -> a array =
+ fun k ~sz buf off ~count ->
+  match k with
+  | K_int ->
+      let a = Array.make count 0 in
+      read_run_into k ~sz buf off a ~pos:0 ~count;
+      a
+  | K_float ->
+      let a = Array.create_float count in
+      read_run_into k ~sz buf off a ~pos:0 ~count;
+      a
+  | K_char ->
+      let a = Array.make count '\000' in
+      read_run_into k ~sz buf off a ~pos:0 ~count;
+      a
+  | K_fn f -> Array.init count (fun i -> f.bk_read buf (off + (sz * i)))
+
+(* ------------------------------------------------------------------ *)
 (* Builtins *)
 
 let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
@@ -121,76 +232,68 @@ let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
 let int : int t =
   builtin ~name:"int" ~size:8
     ~signature:(Signature.of_base Signature.Int64)
-    ~pack:Wire.put_int ~unpack:Wire.get_int
-    ~bulk:
-      {
-        bk_write = (fun b p v -> Bytes.set_int64_le b p (Int64.of_int v));
-        bk_read = (fun b p -> Int64.to_int (Bytes.get_int64_le b p));
-      }
+    ~pack:Wire.put_int ~unpack:Wire.get_int ~bulk:K_int
 
 let int32 : int32 t =
   builtin ~name:"int32" ~size:4
     ~signature:(Signature.of_base Signature.Int32)
     ~pack:Wire.put_int32 ~unpack:Wire.get_int32
     ~bulk:
-      { bk_write = (fun b p v -> Bytes.set_int32_le b p v); bk_read = Bytes.get_int32_le }
+      (K_fn
+         { bk_write = (fun b p v -> Bytes.set_int32_le b p v); bk_read = Bytes.get_int32_le })
 
 let int64 : int64 t =
   builtin ~name:"int64" ~size:8
     ~signature:(Signature.of_base Signature.Int64)
     ~pack:Wire.put_int64 ~unpack:Wire.get_int64
     ~bulk:
-      { bk_write = (fun b p v -> Bytes.set_int64_le b p v); bk_read = Bytes.get_int64_le }
+      (K_fn
+         { bk_write = (fun b p v -> Bytes.set_int64_le b p v); bk_read = Bytes.get_int64_le })
 
 let float : float t =
   builtin ~name:"float" ~size:8
     ~signature:(Signature.of_base Signature.Float64)
-    ~pack:Wire.put_float ~unpack:Wire.get_float
-    ~bulk:
-      {
-        bk_write = (fun b p v -> Bytes.set_int64_le b p (Int64.bits_of_float v));
-        bk_read = (fun b p -> Int64.float_of_bits (Bytes.get_int64_le b p));
-      }
+    ~pack:Wire.put_float ~unpack:Wire.get_float ~bulk:K_float
 
 let float32 : float t =
   builtin ~name:"float32" ~size:4
     ~signature:(Signature.of_base Signature.Float32)
     ~pack:Wire.put_float32 ~unpack:Wire.get_float32
     ~bulk:
-      {
-        bk_write = (fun b p v -> Bytes.set_int32_le b p (Int32.bits_of_float v));
-        bk_read = (fun b p -> Int32.float_of_bits (Bytes.get_int32_le b p));
-      }
-
-let char_kernel =
-  { bk_write = (fun b p c -> Bytes.unsafe_set b p c); bk_read = Bytes.get }
+      (K_fn
+         {
+           bk_write = (fun b p v -> Bytes.set_int32_le b p (Int32.bits_of_float v));
+           bk_read = (fun b p -> Int32.float_of_bits (Bytes.get_int32_le b p));
+         })
 
 let char : char t =
   builtin ~name:"char" ~size:1
     ~signature:(Signature.of_base Signature.Char)
-    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:char_kernel
+    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
 
 let byte : char t =
   builtin ~name:"byte" ~size:1
     ~signature:(Signature.of_base Signature.Blob)
-    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:char_kernel
+    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
 
 let bool : bool t =
   builtin ~name:"bool" ~size:1
     ~signature:(Signature.of_base Signature.Bool)
     ~pack:Wire.put_bool ~unpack:Wire.get_bool
     ~bulk:
-      {
-        bk_write = (fun b p v -> Bytes.set b p (if v then '\001' else '\000'));
-        bk_read =
-          (fun b p ->
-            match Bytes.get b p with
-            | '\000' -> false
-            | '\001' -> true
-            | c ->
-                raise
-                  (Wire.Decode_error { what = "bool must be 0 or 1"; got = Char.code c }));
-      }
+      (K_fn
+         {
+           bk_write = (fun b p v -> Bytes.set b p (if v then '\001' else '\000'));
+           bk_read =
+             (fun b p ->
+               match Bytes.get b p with
+               | '\000' -> false
+               | '\001' -> true
+               | c ->
+                   raise
+                     (Wire.Decode_error
+                        { what = "bool must be 0 or 1"; got = Char.code c }));
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Derived-type constructors *)
@@ -232,23 +335,21 @@ let contiguous ~count (base : 'a t) : 'a array t =
   in
   let unpack r = Array.init count (fun _ -> base.unpack r) in
   (* A fixed run of a bulk-capable base is itself bulk-capable: the block
-     kernel inherits the per-element stores. *)
+     kernel runs the base's loop, typed for flat builtins. *)
   let bulk =
     match base.bulk with
     | None -> None
     | Some k ->
         let sz = base.elem_size in
         Some
-          {
-            bk_write =
-              (fun buf pos (a : 'a array) ->
-                length_check a;
-                for i = 0 to count - 1 do
-                  k.bk_write buf (pos + (i * sz)) (Array.unsafe_get a i)
-                done);
-            bk_read =
-              (fun buf pos -> Array.init count (fun i -> k.bk_read buf (pos + (i * sz))));
-          }
+          (K_fn
+             {
+               bk_write =
+                 (fun buf off (a : 'a array) ->
+                   length_check a;
+                   write_run k ~sz buf off a ~pos:0 ~count);
+               bk_read = (fun buf off -> read_run k ~sz buf off ~count);
+             })
   in
   create_k ~name ~size:(count * base.elem_size)
     ~signature:(Signature.repeat base.signature count)
@@ -261,13 +362,14 @@ let pair (a : 'a t) (b : 'b t) : ('a * 'b) t =
     | Some ka, Some kb ->
         let sza = a.elem_size in
         Some
-          {
-            bk_write =
-              (fun buf pos (x, y) ->
-                ka.bk_write buf pos x;
-                kb.bk_write buf (pos + sza) y);
-            bk_read = (fun buf pos -> (ka.bk_read buf pos, kb.bk_read buf (pos + sza)));
-          }
+          (K_fn
+             {
+               bk_write =
+                 (fun buf pos (x, y) ->
+                   kwrite ka buf pos x;
+                   kwrite kb buf (pos + sza) y);
+               bk_read = (fun buf pos -> (kread ka buf pos, kread kb buf (pos + sza)));
+             })
     | _ -> None
   in
   create_k ~name ~size:(a.elem_size + b.elem_size)
@@ -454,71 +556,76 @@ let blob ~name ~size ~(write : Bytes.t -> int -> 'a -> unit) ~(read : Bytes.t ->
   (* Single-pass, zero-copy: the value is written directly into (and read
      directly from) the wire buffer. *)
   let pack w v =
-    let buf, pos = Wire.reserve w size in
-    write buf pos v
+    let pos = Wire.reserve_offset w size in
+    write (Wire.writer_storage w) pos v
   in
   let unpack r =
-    let buf, pos = Wire.read_raw r size in
-    read buf pos
+    let pos = Wire.read_offset r size in
+    read (Wire.reader_storage r) pos
   in
   create_k ~name ~size
     ~signature:(Signature.of_base ~count:size Signature.Blob)
     ~pack ~unpack
-    ~bulk:(Some { bk_write = write; bk_read = read })
+    ~bulk:(Some (K_fn { bk_write = write; bk_read = read }))
 
 (* ------------------------------------------------------------------ *)
 (* Array pack/unpack helpers used by the runtime *)
 
 (* Each helper dispatches ONCE on the type's kernel: the fast path does a
-   single [Wire.reserve]/[read_raw] for the whole run and a tight
-   direct-store loop; the general path keeps per-element closure calls
-   (derived/struct types, dynamic sizes). *)
+   single [Wire.reserve_offset]/[read_offset] for the whole run and a
+   typed or per-kernel loop over it; the general path keeps per-element
+   closure calls (derived/struct types, dynamic sizes).  Ranges are
+   checked in a form that cannot overflow, since the loops below them are
+   unchecked. *)
 
 let pack_array (t : 'a t) (w : Wire.writer) (a : 'a array) ~pos ~count =
-  if pos < 0 || count < 0 || pos + count > Array.length a then
+  if pos < 0 || count < 0 || pos > Array.length a - count then
     invalid_arg "Datatype.pack_array: range out of bounds";
   match t.bulk with
   | Some k ->
       let sz = t.elem_size in
-      let buf, base = Wire.reserve w (count * sz) in
-      let off = ref base in
-      for i = pos to pos + count - 1 do
-        k.bk_write buf !off (Array.unsafe_get a i);
-        off := !off + sz
-      done
+      let off = Wire.reserve_offset w (count * sz) in
+      write_run k ~sz (Wire.writer_storage w) off a ~pos ~count
   | None ->
       for i = pos to pos + count - 1 do
         t.pack w (Array.unsafe_get a i)
       done
 
+(* Claim the bytes of a [count]-element run from [r]; returns their offset
+   in [Wire.reader_storage r].  A count the reader cannot hold raises
+   [Wire.Underflow] before [count * elem_size] is formed, so a hostile
+   count can neither wrap the product nor reach an allocation. *)
+let read_run_bytes (t : 'a t) (r : Wire.reader) ~count =
+  let sz = t.elem_size in
+  let available = Wire.remaining r in
+  if sz > 0 && count > available / sz then
+    raise
+      (Wire.Underflow
+         { wanted = (if count > max_int / sz then max_int else count * sz); available });
+  Wire.read_offset r (count * sz)
+
 let unpack_array (t : 'a t) (r : Wire.reader) ~count : 'a array =
   if count < 0 then invalid_arg "Datatype.unpack_array: negative count";
   match t.bulk with
   | Some k ->
-      let sz = t.elem_size in
-      let buf, base = Wire.read_raw r (count * sz) in
-      Array.init count (fun i -> k.bk_read buf (base + (i * sz)))
+      let off = read_run_bytes t r ~count in
+      read_run k ~sz:t.elem_size (Wire.reader_storage r) off ~count
   | None -> Array.init count (fun _ -> t.unpack r)
 
 let unpack_into (t : 'a t) (r : Wire.reader) (dst : 'a array) ~pos ~count =
-  if pos < 0 || count < 0 || pos + count > Array.length dst then
+  if pos < 0 || count < 0 || pos > Array.length dst - count then
     invalid_arg "Datatype.unpack_into: range out of bounds";
   match t.bulk with
   | Some k ->
-      let sz = t.elem_size in
-      let buf, base = Wire.read_raw r (count * sz) in
-      let off = ref base in
-      for i = pos to pos + count - 1 do
-        Array.unsafe_set dst i (k.bk_read buf !off);
-        off := !off + sz
-      done
+      let off = read_run_bytes t r ~count in
+      read_run_into k ~sz:t.elem_size (Wire.reader_storage r) off dst ~pos ~count
   | None ->
       for i = pos to pos + count - 1 do
         Array.unsafe_set dst i (t.unpack r)
       done
 
 (* Whether the type has a bulk kernel (i.e. takes the fast path). *)
-let bulk_available t = t.bulk <> None
+let bulk_available t = Option.is_some t.bulk
 
 (* The same type with its kernel stripped: forced onto the general path.
    Benchmarks and the fast≡general equivalence property use this as the

@@ -24,10 +24,11 @@
 type kind = Builtin | Derived
 
 (** Bulk fast-path kernel for fixed-size, contiguously-encoded element
-    types: one buffer reservation and a direct-store loop per element run,
-    no per-element closure dispatch.  Chosen once at type-construction
-    (= commit for builtins) time; [None] means the general per-element
-    path. *)
+    types: one buffer reservation and one loop per element run.  [int],
+    [float] and [char]/[byte] run typed loops with no per-element closure
+    call, float boxing or write barrier; other kernels call a store/load
+    closure per element.  Chosen once at type-construction (= commit for
+    builtins) time; [None] means the general per-element path. *)
 type 'a bulk_kernel
 
 type 'a t = {
@@ -168,7 +169,11 @@ val blob :
 (** The bulk helpers dispatch once on the type's kernel: builtins, [blob]
     and fixed compositions of them ([contiguous], [pair]) take a
     single-reservation fast path; everything else packs element by
-    element. *)
+    element.  [pack_array] and [unpack_into] raise [Invalid_argument] for
+    a range outside the array.  [unpack_array] and [unpack_into] raise
+    {!Wire.Underflow} when the reader holds fewer than [count] elements
+    — for [unpack_array] on the fast path, before allocating anything
+    proportional to [count]. *)
 
 val pack_array : 'a t -> Wire.writer -> 'a array -> pos:int -> count:int -> unit
 

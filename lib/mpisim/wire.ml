@@ -90,14 +90,17 @@ let put_padding w n =
   Bytes.fill w.buf w.len n '\000';
   w.len <- w.len + n
 
-(* Reserve [len] bytes and return (storage, offset) for in-place writing —
-   the single-bulk-copy path for trivially-copyable types. *)
-let reserve w len : Bytes.t * int =
-  if len < 0 then invalid_arg "Wire.reserve";
+(* Reserve [len] bytes for in-place writing and return their offset in
+   [writer_storage w] — the single-bulk-copy path for trivially-copyable
+   types.  Returning the offset alone keeps the call allocation-free. *)
+let reserve_offset w len =
+  if len < 0 then invalid_arg "Wire.reserve_offset";
   ensure w len;
   let pos = w.len in
   w.len <- pos + len;
-  (w.buf, pos)
+  pos
+
+let writer_storage w = w.buf
 
 let contents w = Bytes.sub w.buf 0 w.len
 
@@ -120,7 +123,9 @@ let reader_of_bytes ?(pos = 0) ?len (data : Bytes.t) =
 
 let remaining r = r.limit - r.pos
 
-let check r n = if r.pos + n > r.limit then raise (Underflow { wanted = n; available = remaining r })
+(* Written as a difference so that a huge [n] cannot wrap the sum. *)
+let check r n =
+  if n > r.limit - r.pos then raise (Underflow { wanted = n; available = remaining r })
 
 let get_char r =
   check r 1;
@@ -171,14 +176,17 @@ let skip r n =
   check r n;
   r.pos <- r.pos + n
 
-(* Zero-copy read access: returns (storage, offset) of the next [len]
-   bytes and advances the cursor.  The storage must not be mutated. *)
-let read_raw r len : Bytes.t * int =
-  if len < 0 then invalid_arg "Wire.read_raw";
+(* Zero-copy read access: returns the offset of the next [len] bytes in
+   [reader_storage r] and advances the cursor.  The storage must not be
+   mutated. *)
+let read_offset r len =
+  if len < 0 then invalid_arg "Wire.read_offset";
   check r len;
   let pos = r.pos in
   r.pos <- pos + len;
-  (r.data, pos)
+  pos
+
+let reader_storage r = r.data
 
 (* ------------------------------------------------------------------ *)
 (* Writer-storage pool.

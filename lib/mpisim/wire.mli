@@ -41,9 +41,13 @@ val put_string : writer -> string -> unit
 (** [n] zero bytes (models alignment gaps, §III-D4). *)
 val put_padding : writer -> int -> unit
 
-(** Reserve [len] bytes for in-place writing: (storage, offset) — the
-    single-bulk-copy path for trivially-copyable types. *)
-val reserve : writer -> int -> Bytes.t * int
+(** Reserve [len] bytes for in-place writing and return their offset in
+    {!writer_storage} — the single-bulk-copy path for trivially-copyable
+    types.  Allocation-free. *)
+val reserve_offset : writer -> int -> int
+
+(** The writer's current storage; replaced when a later write grows it. *)
+val writer_storage : writer -> Bytes.t
 
 (** Copy of the written bytes. *)
 val contents : writer -> Bytes.t
@@ -82,9 +86,13 @@ val get_string : reader -> int -> string
 
 val skip : reader -> int -> unit
 
-(** Zero-copy access to the next [len] bytes: (storage, offset); the
-    storage must not be mutated. *)
-val read_raw : reader -> int -> Bytes.t * int
+(** Zero-copy access to the next [len] bytes: advances the cursor and
+    returns their offset in {!reader_storage}, or raises {!Underflow}.
+    Allocation-free. *)
+val read_offset : reader -> int -> int
+
+(** The bytes the reader reads from; must not be mutated. *)
+val reader_storage : reader -> Bytes.t
 
 (** {1 Writer-storage pool}
 

@@ -225,57 +225,232 @@ let test_bulk_dispatch () =
   Alcotest.(check bool) "without_bulk strips the kernel" false
     (Datatype.bulk_available (Datatype.without_bulk Datatype.int))
 
+(* One equivalence case, placed so that an indexing slip in a kernel loop
+   shows: the elements [v.(pos) .. v.(pos+count-1)] are packed after a
+   [prefix] already in the writer, and read back by a reader that starts
+   past that prefix and must end exactly at the end of the image. *)
 let bulk_equiv (type elt) ?(eq : elt -> elt -> bool = ( = )) (dt : elt Datatype.t)
-    (v : elt array) : bool =
-  let count = Array.length v in
+    (v : elt array) ~pos ~count ~(prefix : string) : bool =
   let general = Datatype.without_bulk dt in
   let pack_image d =
     let w = Wire.create_writer () in
-    Datatype.pack_array d w v ~pos:0 ~count;
+    Wire.put_string w prefix;
+    Datatype.pack_array d w v ~pos ~count;
     Wire.contents w
   in
   let img_fast = pack_image dt and img_general = pack_image general in
+  let expect = Array.sub v pos count in
   let arr_eq a b = Array.length a = Array.length b && Array.for_all2 eq a b in
-  (* Cross-unpack both images through both paths, plus the in-place
-     variant through the fast path. *)
-  let into =
-    let buf = Array.make count (Datatype.zero_elem dt) in
-    Datatype.unpack_into dt (Wire.reader_of_bytes img_general) buf ~pos:0 ~count;
-    buf
+  let unpack d img =
+    let r = Wire.reader_of_bytes ~pos:(String.length prefix) img in
+    let a = Datatype.unpack_array d r ~count in
+    if Wire.remaining r = 0 then Some a else None
   in
+  (* In place, into the same sub-range of a zero-seeded array: the slots
+     outside it must keep their seed. *)
+  let into_ok =
+    let zero = Datatype.zero_elem dt in
+    let dst = Array.make (Array.length v) zero in
+    let r = Wire.reader_of_bytes ~pos:(String.length prefix) img_general in
+    Datatype.unpack_into dt r dst ~pos ~count;
+    Wire.remaining r = 0
+    && arr_eq expect (Array.sub dst pos count)
+    && Array.for_all (eq zero) (Array.sub dst 0 pos)
+    && Array.for_all (eq zero) (Array.sub dst (pos + count) (Array.length v - pos - count))
+  in
+  let same = function Some a -> arr_eq expect a | None -> false in
+  (* Cross-unpack both images through both paths. *)
   Bytes.equal img_fast img_general
-  && arr_eq v (Datatype.unpack_array dt (Wire.reader_of_bytes img_general) ~count)
-  && arr_eq v (Datatype.unpack_array general (Wire.reader_of_bytes img_fast) ~count)
-  && arr_eq v into
+  && same (unpack dt img_general)
+  && same (unpack general img_fast)
+  && into_ok
 
 let float_bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* Floats whose bit patterns a careless kernel could alter: NaNs with
+   payloads (quiet and signalling), signed zero, infinities, subnormals. *)
+let float_specials =
+  List.map Int64.float_of_bits
+    [
+      0x7FF8_0000_0000_0000L;
+      0x7FF8_0000_DEAD_BEEFL;
+      0xFFF4_0000_0000_0001L;
+      0x7FF0_0000_0000_0001L;
+      0x8000_0000_0000_0000L;
+      0x7FF0_0000_0000_0000L;
+      0xFFF0_0000_0000_0000L;
+      0x0000_0000_0000_0001L;
+      0x000F_FFFF_FFFF_FFFFL;
+      0x800F_FFFF_FFFF_FFFFL;
+    ]
+
 let prop_bulk_equals_general =
   let open QCheck in
-  let arr ?(n = 32) g = Gen.(array_size (int_bound n) g) in
+  (* Up to [n] elements, or 257-4096 (result arrays on the major heap). *)
+  let arr ?(n = 32) g =
+    Gen.(
+      frequency [ (3, array_size (int_bound n) g); (1, array_size (int_range 257 4096) g) ])
+  in
+  let float_gen = Gen.(frequency [ (3, float); (1, oneofl float_specials) ]) in
   let gen =
     Gen.oneof
       [
         Gen.map (fun a -> `Int a) (arr Gen.int);
-        Gen.map (fun a -> `Float a) (arr Gen.float);
+        Gen.map (fun a -> `Float a) (arr float_gen);
         Gen.map (fun a -> `Char a) (arr Gen.char);
+        Gen.map (fun a -> `Byte a) (arr Gen.char);
         Gen.map (fun a -> `Bool a) (arr Gen.bool);
-        Gen.map (fun a -> `Pair a) (arr ~n:16 Gen.(pair int float));
+        Gen.map (fun a -> `Pair a) (arr ~n:16 Gen.(pair int float_gen));
         Gen.map (fun a -> `Rows a) (arr ~n:8 Gen.(array_size (return 3) int));
       ]
   in
+  let len = function
+    | `Int a -> Array.length a
+    | `Float a -> Array.length a
+    | `Char a | `Byte a -> Array.length a
+    | `Bool a -> Array.length a
+    | `Pair a -> Array.length a
+    | `Rows a -> Array.length a
+  in
+  (* Half the cases take the whole array, the rest a random sub-range. *)
+  let case =
+    Gen.(
+      gen >>= fun v ->
+      let n = len v in
+      let range =
+        frequency
+          [
+            (1, return (0, n));
+            ( 1,
+              int_bound n >>= fun pos -> map (fun count -> (pos, count)) (int_bound (n - pos))
+            );
+          ]
+      in
+      map2
+        (fun (pos, count) prefix -> (v, pos, count, prefix))
+        range
+        (string_size (int_bound 19)))
+  in
   QCheck.Test.make ~name:"bulk fast path = general path (wire images)" ~count:300
-    (QCheck.make gen) (function
-    | `Int a -> bulk_equiv Datatype.int a
-    | `Float a -> bulk_equiv ~eq:float_bits_eq Datatype.float a
-    | `Char a -> bulk_equiv Datatype.char a
-    | `Bool a -> bulk_equiv Datatype.bool a
-    | `Pair a ->
-        bulk_equiv
-          ~eq:(fun (i, f) (i', f') -> i = i' && float_bits_eq f f')
-          (Datatype.pair Datatype.int Datatype.float)
-          a
-    | `Rows a -> bulk_equiv (Datatype.contiguous ~count:3 Datatype.int) a)
+    (QCheck.make case) (fun (v, pos, count, prefix) ->
+      match v with
+      | `Int a -> bulk_equiv Datatype.int a ~pos ~count ~prefix
+      | `Float a -> bulk_equiv ~eq:float_bits_eq Datatype.float a ~pos ~count ~prefix
+      | `Char a -> bulk_equiv Datatype.char a ~pos ~count ~prefix
+      | `Byte a -> bulk_equiv Datatype.byte a ~pos ~count ~prefix
+      | `Bool a -> bulk_equiv Datatype.bool a ~pos ~count ~prefix
+      | `Pair a ->
+          bulk_equiv
+            ~eq:(fun (i, f) (i', f') -> i = i' && float_bits_eq f f')
+            (Datatype.pair Datatype.int Datatype.float)
+            a ~pos ~count ~prefix
+      | `Rows a ->
+          bulk_equiv (Datatype.contiguous ~count:3 Datatype.int) a ~pos ~count ~prefix)
+
+(* A bool byte other than 0 or 1 is a decode error on the kernel path too,
+   whether the bool is a bare element or sits inside a composed kernel. *)
+let prop_bulk_bool_rejects_bad_byte =
+  let gen =
+    QCheck.(triple (array_of_size Gen.(int_range 1 64) bool) small_nat (int_range 2 255))
+  in
+  QCheck.Test.make ~name:"bulk bool rejects bytes other than 0/1" ~count:100 gen
+    (fun (v, at, bad) ->
+      let n = Array.length v in
+      let at = at mod n in
+      let corrupt d img_len at_byte =
+        let w = Wire.create_writer () in
+        Datatype.pack_array d w (Array.make n (Datatype.zero_elem d)) ~pos:0 ~count:n;
+        let img = Wire.contents w in
+        assert (Bytes.length img = img_len);
+        Bytes.set img at_byte (Char.chr bad);
+        img
+      in
+      let rejects d img =
+        let raises f =
+          match f (Wire.reader_of_bytes img) with
+          | _ -> false
+          | exception Wire.Decode_error { got; _ } -> got = bad
+        in
+        raises (fun r -> Datatype.unpack_array d r ~count:n)
+        && raises (fun r ->
+               let dst = Array.make n (Datatype.zero_elem d) in
+               Datatype.unpack_into d r dst ~pos:0 ~count:n)
+      in
+      let pair = Datatype.pair Datatype.int Datatype.bool in
+      Datatype.bulk_available Datatype.bool
+      && rejects Datatype.bool (corrupt Datatype.bool n at)
+      && rejects pair (corrupt pair (9 * n) ((9 * at) + 8)))
+
+(* A count the reader cannot hold raises [Wire.Underflow] before anything
+   proportional to it is allocated, including counts whose byte length
+   wraps [max_int]. *)
+let test_hostile_count () =
+  let hostile = [ 17; (1 lsl 59) + 1; (1 lsl 61) + 1; max_int / 4; max_int ] in
+  let probe (type e) name (dt : e Datatype.t) =
+    List.iter
+      (fun count ->
+        let r = Wire.reader_of_bytes (Bytes.make 16 '\000') in
+        let b0 = Gc.allocated_bytes () in
+        (match Datatype.unpack_array dt r ~count with
+        | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
+        | exception Wire.Underflow { available; _ } ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s count=%d available" name count)
+              16 available);
+        let allocated = Gc.allocated_bytes () -. b0 in
+        if allocated > 1024. then
+          Alcotest.failf "%s count=%d allocated %.0f bytes" name count allocated;
+        Alcotest.(check int) (Printf.sprintf "%s count=%d: reader untouched" name count) 16
+          (Wire.remaining r))
+      hostile
+  in
+  probe "int" Datatype.int;
+  probe "float" Datatype.float;
+  probe "byte" Datatype.byte
+
+(* The typed kernels allocate nothing per element: packing into a
+   preheated pooled writer and unpacking in place are allocation-free, and
+   a fresh receive array of n <= 256 elements costs exactly its own n + 1
+   words (header included). *)
+let test_bulk_allocation () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let pool = Wire.create_pool () in
+  let check_type (type e) name (dt : e Datatype.t) (sample : int -> e) =
+    List.iter
+      (fun n ->
+        let v = Array.init n sample in
+        let bytes = n * Datatype.elem_size dt in
+        Wire.preheat pool ~capacity:bytes;
+        let w = Wire.acquire pool ~capacity:bytes in
+        let packed = minor_words (fun () -> Datatype.pack_array dt w v ~pos:0 ~count:n) in
+        Alcotest.(check (float 0.)) (Printf.sprintf "%s pack_array n=%d" name n) 0. packed;
+        let img = Wire.contents w in
+        let dst = Array.make n (Datatype.zero_elem dt) in
+        let r = Wire.reader_of_bytes img in
+        let into = minor_words (fun () -> Datatype.unpack_into dt r dst ~pos:0 ~count:n) in
+        Alcotest.(check (float 0.)) (Printf.sprintf "%s unpack_into n=%d" name n) 0. into;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s unpack_into n=%d values" name n)
+          true (dst = v);
+        if n <= 256 then begin
+          let r = Wire.reader_of_bytes img in
+          let fresh =
+            minor_words (fun () -> ignore (Datatype.unpack_array dt r ~count:n))
+          in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s unpack_array n=%d" name n)
+            (float_of_int (n + 1))
+            fresh
+        end)
+      [ 1; 17; 256; 4096 ]
+  in
+  check_type "int" Datatype.int (fun i -> (i * 7919) - 5000);
+  check_type "float" Datatype.float (fun i -> float_of_int i /. 3.);
+  check_type "char" Datatype.char (fun i -> Char.chr (i land 255))
 
 let test_gapped_vs_blob_sizes () =
   let gapped =
@@ -307,6 +482,10 @@ let tests =
     Alcotest.test_case "gapped struct size" `Quick test_gapped_vs_blob_sizes;
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;
     qtest prop_bulk_equals_general;
+    qtest prop_bulk_bool_rejects_bad_byte;
+    Alcotest.test_case "hostile unpack count" `Quick test_hostile_count;
+    Alcotest.test_case "bulk kernels allocate nothing per element" `Quick
+      test_bulk_allocation;
     qtest prop_record_roundtrip;
     qtest prop_pair_roundtrip;
     qtest prop_triple_roundtrip;

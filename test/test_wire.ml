@@ -91,8 +91,8 @@ let test_reserve_matches_put () =
   let w1 = Wire.create_writer () in
   Wire.put_int64 w1 0x0102030405060708L;
   let w2 = Wire.create_writer () in
-  let buf, pos = Wire.reserve w2 8 in
-  Bytes.set_int64_le buf pos 0x0102030405060708L;
+  let pos = Wire.reserve_offset w2 8 in
+  Bytes.set_int64_le (Wire.writer_storage w2) pos 0x0102030405060708L;
   Alcotest.(check bytes) "identical encodings" (Wire.contents w1) (Wire.contents w2)
 
 let test_growth () =
