@@ -86,7 +86,7 @@ let sort (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
 
 (* Check the global sortedness invariant: local arrays sorted and rank
    boundaries ordered.  Collective; returns the same verdict on all ranks.
-   Used by tests and by the strong debug mode of applications. *)
+   Used by tests and by applications that verify their own output. *)
 let is_globally_sorted (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
     ?(compare : 'a -> 'a -> int = Stdlib.compare) (data : 'a array) : bool =
   let locally_sorted = ref true in

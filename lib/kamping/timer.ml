@@ -78,8 +78,7 @@ let min_sum_max =
     (fun (m1, s1, x1) (m2, s2, x2) -> (Float.min m1 m2, s1 +. s2, Float.max x1 x2))
 
 (* Collective: reduce every key across ranks.  All ranks must have used
-   the same keys in the same order (checked at assertion level 2 through
-   the collective trace).
+   the same keys in the same order.
 
    One allreduce total: each rank contributes a (total, total, total)
    triple per key and the custom op folds them to (min, sum, max)

@@ -35,8 +35,8 @@
    span, and can be pinned via [MPISIM_COLL_ALGO] / [Coll_algo.set_overrides].
 
    Every collective starts with [Comm.check_collective], which raises
-   ERR_REVOKED / ERR_PROC_FAILED per ULFM semantics and records the
-   operation for the strong debug mode. *)
+   ERR_REVOKED / ERR_PROC_FAILED per ULFM semantics and, with the {!Check}
+   sanitizer on, feeds its collective call-order check. *)
 
 (* Internal tags, one per operation. *)
 let tag_barrier = P2p.internal_tag 0

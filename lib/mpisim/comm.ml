@@ -3,8 +3,8 @@
    A communicator couples a process group with a private context id, so
    that point-to-point traffic and collectives on different communicators
    never cross-match.  Each rank holds its own handle ([t]); the [shared]
-   record (context, group, revocation flag, debug trace) is common to all
-   member ranks — mirroring how an MPI implementation keeps communicator
+   record (context, group, revocation flag, rendezvous state) is common to
+   all member ranks — mirroring how an MPI implementation keeps communicator
    state per process but semantically shared.
 
    Tag space: user tags are 0..[max_user_tag]; tags above that are reserved
@@ -27,10 +27,10 @@ type ibarrier_state = {
    survivor group decided by the first rank to pass the rendezvous; later
    ranks reuse it even if more failures have happened since — a rank that
    dies during the shrink collective must not make survivors compute
-   differing groups (they would trip the registry's group-equality check).
-   A failed member left in the stored group is correct ULFM behavior: the
-   next operation on the shrunken communicator raises and the next
-   recovery round shrinks it out. *)
+   differing groups (they would trip the group-equality check of
+   [get_or_create_shared]).  A failed member left in the stored group is
+   correct ULFM behavior: the next operation on the shrunken communicator
+   raises and the next recovery round shrinks it out. *)
 type shrink_state = {
   sh_context : int;
   mutable sh_arrived : int list;  (* comm ranks of arrived survivors *)
@@ -44,6 +44,18 @@ type bcast_count = {
   mutable bc_consumed : int;
 }
 
+(* Rendezvous state for one ULFM agreement generation.  [ag_result] is
+   the agreed value, decided by the first rank through the rendezvous;
+   later ranks must reuse it — if a contributor dies between two
+   survivors' resumptions, recomputing would let them disagree on the
+   "agreed" value, which defeats the operation. *)
+type agree_state = {
+  mutable ag_arrived : (int * bool) list;  (* (comm rank, contribution) *)
+  mutable ag_max_clock : float;
+  mutable ag_done : int;
+  mutable ag_result : bool option;
+}
+
 type shared = {
   context : int;
   group : Group.t;  (* comm rank -> world rank *)
@@ -52,11 +64,16 @@ type shared = {
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;  (* generation -> state *)
   bcast_counts : (int, bcast_count) Hashtbl.t;  (* generation -> root's count *)
+  agrees : (int, agree_state) Hashtbl.t;  (* generation -> state *)
+  (* Window creation generation -> the window's shared state, erased to
+     [Obj.t] because its element type varies (see [Rma.create]). *)
+  windows : (int, Obj.t) Hashtbl.t;
   mutable pending_shrink : shrink_state option;
-  (* Per-rank trace of collective operations, recorded at assertion level
-     >= 2 and checked for consistency by the engine (a "strong debug mode",
-     paper §II). *)
-  mutable op_trace : string list array option;
+  (* The run's communicators, context -> shared record: one table per
+     run, created with the world communicator and referenced by every
+     record derived from it.  All ranks creating the "same" communicator
+     look it up here, so revocation and rendezvous state propagate. *)
+  comms : (int, shared) Hashtbl.t;
 }
 
 type t = {
@@ -67,6 +84,7 @@ type t = {
   mutable my_ibarrier_gen : int;
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
+  mutable my_win_gen : int;
   topology : topology option;
 }
 
@@ -77,82 +95,43 @@ let inverse_of group =
   Array.iteri (fun r w -> Hashtbl.replace h w r) group;
   h
 
-let create_shared rt group =
-  let op_trace =
-    if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
-    else None
+let make_shared ~comms ~context group =
+  let s =
+    {
+      context;
+      group;
+      inverse = inverse_of group;
+      revoked = false;
+      revoke_observed = Array.make (Group.size group) false;
+      ibarriers = Hashtbl.create 4;
+      bcast_counts = Hashtbl.create 4;
+      agrees = Hashtbl.create 4;
+      windows = Hashtbl.create 4;
+      pending_shrink = None;
+      comms;
+    }
   in
-  let inverse = inverse_of group in
-  {
-    context = Runtime.fresh_context rt;
-    group;
-    inverse;
-    revoked = false;
-    revoke_observed = Array.make (Group.size group) false;
-    ibarriers = Hashtbl.create 4;
-    bcast_counts = Hashtbl.create 4;
-    pending_shrink = None;
-    op_trace;
-  }
+  Hashtbl.replace comms context s;
+  s
 
-(* NOTE: [create_shared] is completed by [register] below; use
-   [create_registered_shared] unless you are the registry itself. *)
-
-(* Registry of shared communicator records, keyed by (runtime id, context):
-   all ranks creating the "same" communicator must end up pointing at one
-   shared record so that revocation and rendezvous state propagate. *)
-let registry : (int * int, shared) Hashtbl.t = Hashtbl.create 64
-
-let register rt shared = Hashtbl.replace registry (rt.Runtime.id, shared.context) shared
-
-let find_shared rt ~context = Hashtbl.find_opt registry (rt.Runtime.id, context)
+(* The world communicator's record, which also starts the run's table of
+   communicators. *)
+let create_world rt =
+  make_shared ~comms:(Hashtbl.create 16) ~context:(Runtime.fresh_context rt)
+    (Group.world ~size:rt.Runtime.size)
 
 (* Atomic with respect to fiber scheduling (no park inside).  Takes the
    runtime lock in multicore mode: several ranks build the "same"
    communicator concurrently and must converge on one shared record. *)
-let get_or_create_shared rt ~context ~group =
-  Runtime.locked rt @@ fun () ->
-  match find_shared rt ~context with
+let get_or_create_shared parent ~context ~group =
+  let comms = parent.shared.comms in
+  Runtime.locked parent.rt @@ fun () ->
+  match Hashtbl.find_opt comms context with
   | Some s ->
       if not (Group.equal s.group group) then
         Errdefs.usage_error "communicator context %d created with differing groups" context;
       s
-  | None ->
-      let inverse = inverse_of group in
-      let op_trace =
-        if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
-        else None
-      in
-      let s =
-        {
-          context;
-          group;
-          inverse;
-          revoked = false;
-          revoke_observed = Array.make (Group.size group) false;
-          ibarriers = Hashtbl.create 4;
-          bcast_counts = Hashtbl.create 4;
-          pending_shrink = None;
-          op_trace;
-        }
-      in
-      register rt s;
-      s
-
-let all_shared rt =
-  Hashtbl.fold (fun (rid, _) s acc -> if rid = rt.Runtime.id then s :: acc else acc) registry []
-
-let clear_registry rt =
-  let keys =
-    Hashtbl.fold (fun (rid, c) _ acc -> if rid = rt.Runtime.id then (rid, c) :: acc else acc)
-      registry []
-  in
-  List.iter (Hashtbl.remove registry) keys
-
-let create_registered_shared rt group =
-  let s = create_shared rt group in
-  register rt s;
-  s
+  | None -> make_shared ~comms ~context group
 
 let attach ?topology rt shared ~rank =
   if rank < 0 || rank >= Group.size shared.group then
@@ -165,6 +144,7 @@ let attach ?topology rt shared ~rank =
     my_ibarrier_gen = 0;
     my_agree_gen = 0;
     my_bcast_gen = 0;
+    my_win_gen = 0;
     topology;
   }
 
@@ -259,40 +239,6 @@ let failed_members t =
   |> List.filter (fun (_, w) -> Runtime.is_failed t.rt w)
   |> List.map fst
 
-(* Record a collective entry for the strong debug mode. *)
-let trace_collective t op =
-  match t.shared.op_trace with
-  | None -> ()
-  | Some traces -> traces.(t.rank) <- op :: traces.(t.rank)
-
-(* Check that all ranks performed the same sequence of collectives; used at
-   engine teardown when assertion level >= 2. *)
-let collective_trace_mismatch shared =
-  match shared.op_trace with
-  | None -> None
-  | Some traces ->
-      if Array.length traces <= 1 then None
-      else begin
-        let reference = List.rev traces.(0) in
-        let rec check r =
-          if r >= Array.length traces then None
-          else begin
-            let mine = List.rev traces.(r) in
-            (* Ranks may legitimately have stopped early only if the whole
-               run aborted; for completed runs the sequences must agree. *)
-            if mine <> reference then
-              Some
-                (Printf.sprintf
-                   "collective sequence mismatch: rank 0 ran [%s], rank %d ran [%s]"
-                   (String.concat "; " reference)
-                   r
-                   (String.concat "; " mine))
-            else check (r + 1)
-          end
-        in
-        check 1
-      end
-
 (* Entry checks common to all collectives.  [root] is the comm-rank root
    (-1 for unrooted collectives) and [ty] the element-type name ("" when
    untyped); both are plain immediates so the sanitizer-off path allocates
@@ -303,7 +249,6 @@ let check_collective t ~op ~root ~ty =
   if any_member_failed t then
     error t Errdefs.Err_proc_failed "%s: failed ranks %s" op
       (String.concat "," (List.map string_of_int (failed_members t)));
-  trace_collective t op;
   if Check.enabled t.rt.Runtime.check then
     Check.on_collective t.rt.Runtime.check ~context:t.shared.context ~rank:t.rank
       ~world_rank:(world_rank t) ~op ~root ~ty

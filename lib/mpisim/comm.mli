@@ -2,10 +2,13 @@
     on different communicators never cross-matches.
 
     Each rank holds its own handle ({!t}); the {!shared} record (context,
-    group, revocation flag, rendezvous state, debug trace) is common to
-    all member ranks.  Record internals are exposed for the collective
-    layer (which keeps rendezvous state for the non-blocking barrier and
-    ULFM shrink); applications should treat them as read-only. *)
+    group, revocation flag, rendezvous state) is common to all member
+    ranks.  Every shared record of a run reaches the run's table of
+    communicators ([comms]), so no communicator state outlives
+    its run or is visible to another run.  Record internals are exposed
+    for the collective layer (which keeps rendezvous state for the
+    non-blocking barrier, ULFM shrink and agree, and RMA windows);
+    applications should treat them as read-only. *)
 
 (** Largest tag usable by applications; larger tags are reserved for the
     internal messages of collective algorithms. *)
@@ -43,6 +46,15 @@ type bcast_count = {
     data moves.  Message-size-keyed algorithm selection reads it so all
     ranks pick the same algorithm. *)
 
+(** Rendezvous state for one ULFM agreement generation; [ag_result] is
+    decided once, by the first rank through the rendezvous. *)
+type agree_state = {
+  mutable ag_arrived : (int * bool) list;  (** (comm rank, contribution) *)
+  mutable ag_max_clock : float;
+  mutable ag_done : int;
+  mutable ag_result : bool option;
+}
+
 type shared = {
   context : int;
   group : Group.t;
@@ -56,8 +68,14 @@ type shared = {
           asynchronously, as in real ULFM. *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;
   bcast_counts : (int, bcast_count) Hashtbl.t;
+  agrees : (int, agree_state) Hashtbl.t;  (** agreement generation -> state *)
+  windows : (int, Obj.t) Hashtbl.t;
+      (** window creation generation -> the RMA window's shared state,
+          type-erased (see {!Rma}) *)
   mutable pending_shrink : shrink_state option;
-  mutable op_trace : string list array option;
+  comms : (int, shared) Hashtbl.t;
+      (** the run's communicators by context; one table per run, shared
+          by every record of that run *)
 }
 
 type t = {
@@ -68,26 +86,19 @@ type t = {
   mutable my_ibarrier_gen : int;
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
+  mutable my_win_gen : int;
   topology : topology option;
 }
 
 (** {1 Construction (used by the engine and communicator operations)} *)
 
-val create_shared : Runtime.t -> Group.t -> shared
+(** The world communicator's shared record for a fresh run; it also
+    starts the run's communicator table. *)
+val create_world : Runtime.t -> shared
 
-val register : Runtime.t -> shared -> unit
-
-val find_shared : Runtime.t -> context:int -> shared option
-
-(** Find or atomically create the shared record for (runtime, context);
-    raises if an existing record has a different group. *)
-val get_or_create_shared : Runtime.t -> context:int -> group:Group.t -> shared
-
-val all_shared : Runtime.t -> shared list
-
-val clear_registry : Runtime.t -> unit
-
-val create_registered_shared : Runtime.t -> Group.t -> shared
+(** Find or atomically create the shared record for [context] in the
+    parent's run; raises if an existing record has a different group. *)
+val get_or_create_shared : t -> context:int -> group:Group.t -> shared
 
 (** Per-rank handle onto a shared record. *)
 val attach : ?topology:topology -> Runtime.t -> shared -> rank:int -> t
@@ -154,16 +165,9 @@ val any_member_failed : t -> bool
 (** Comm ranks of failed members. *)
 val failed_members : t -> int list
 
-(** Record a collective entry in the strong-debug-mode trace. *)
-val trace_collective : t -> string -> unit
-
-(** Cross-rank consistency check of the recorded collective sequences. *)
-val collective_trace_mismatch : shared -> string option
-
-(** Common collective prologue: revocation and failure checks, trace
-    recording, and — when the sanitizer is enabled — the collective
-    call-order consistency check.  [root] is the comm-rank root ([-1] for
-    unrooted collectives); [ty] the element-type name ({!Datatype.name},
-    [""] when untyped).  Both are passed as plain immediates so the
+(** Common collective prologue: revocation and failure checks and — when
+    the sanitizer is enabled — the collective call-order consistency
+    check.  [root] is the comm-rank root ([-1] for unrooted collectives);
+    [ty] the element-type name ({!Datatype.name}, [""] when untyped).  Both are passed as plain immediates so the
     sanitizer-off path allocates nothing. *)
 val check_collective : t -> op:string -> root:int -> ty:string -> unit

@@ -22,7 +22,7 @@ let dup comm =
     let root_ctx = if Comm.rank comm = 0 then Some [| Runtime.fresh_context rt |] else None in
     (Coll.bcast comm Datatype.int ~root:0 root_ctx).(0)
   in
-  let shared = Comm.get_or_create_shared rt ~context ~group:(Comm.group comm) in
+  let shared = Comm.get_or_create_shared comm ~context ~group:(Comm.group comm) in
   Comm.attach rt shared ~rank:(Comm.rank comm)
 
 (* ------------------------------------------------------------------ *)
@@ -101,7 +101,7 @@ let split comm ~color ?(key = 0) () : Comm.t option =
     let gsize = reply.(2) in
     let world_ranks = Array.sub reply 3 gsize in
     let shared =
-      Comm.get_or_create_shared rt ~context ~group:(Group.of_ranks world_ranks)
+      Comm.get_or_create_shared comm ~context ~group:(Group.of_ranks world_ranks)
     in
     Some (Comm.attach rt shared ~rank:new_rank)
   end
@@ -134,9 +134,9 @@ let dist_graph_create_adjacent comm ~(sources : int array) ~(destinations : int 
   Array.iter (Comm.check_rank comm) destinations;
   Runtime.advance_clock rt (Comm.world_rank comm)
     (float_of_int n *. rt.Runtime.model.Net_model.topo_setup_per_rank);
-  (* Heavy assertion: edge symmetry — every destination must list us as a
-     source.  Costs one alltoallv, hence only at level >= 2 (§III-G). *)
-  if rt.Runtime.assertion_level >= 2 then begin
+  (* Edge symmetry — every destination must list us as a source.  Costs one
+     alltoall, hence only under the heavy sanitizer (§III-G). *)
+  if Check.heavy rt.Runtime.check then begin
     let send_counts = Array.make n 0 in
     Array.iter (fun d -> send_counts.(d) <- send_counts.(d) + 1) destinations;
     let recv_counts = Coll.alltoall comm Datatype.int send_counts in
@@ -151,7 +151,7 @@ let dist_graph_create_adjacent comm ~(sources : int array) ~(destinations : int 
     let root_ctx = if Comm.rank comm = 0 then Some [| Runtime.fresh_context rt |] else None in
     (Coll.bcast comm Datatype.int ~root:0 root_ctx).(0)
   in
-  let shared = Comm.get_or_create_shared rt ~context ~group:(Comm.group comm) in
+  let shared = Comm.get_or_create_shared comm ~context ~group:(Comm.group comm) in
   Comm.attach rt shared ~rank:(Comm.rank comm)
     ~topology:{ Comm.sources = Array.copy sources; destinations = Array.copy destinations }
 
@@ -216,8 +216,8 @@ let shrink comm : Comm.t =
      rank through the rendezvous.  Ranks resuming later must reuse that
      decision: a member may have died in between, and recomputing would
      give them a different group for the same context (tripping the
-     registry's group-equality check).  A dead rank left in the stored
-     group is handled by the next recovery round. *)
+     group-equality check of [Comm.get_or_create_shared]).  A dead rank
+     left in the stored group is handled by the next recovery round. *)
   let survivors =
     Runtime.locked rt (fun () ->
         match state.Comm.sh_survivors with
@@ -229,7 +229,9 @@ let shrink comm : Comm.t =
   in
   let world_ranks = Array.of_list (List.map (Comm.world_of_rank comm) survivors) in
   let new_group = Group.of_ranks world_ranks in
-  let new_shared = Comm.get_or_create_shared rt ~context:state.Comm.sh_context ~group:new_group in
+  let new_shared =
+    Comm.get_or_create_shared comm ~context:state.Comm.sh_context ~group:new_group
+  in
   (* Modelled cost of the underlying agreement protocol. *)
   let s = Array.length world_ranks in
   let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
@@ -262,24 +264,10 @@ let shrink comm : Comm.t =
   in
   Comm.attach rt new_shared ~rank:my_new_rank
 
-(* Agreement states, keyed by (runtime id, context, generation).
-   [ag_result] is the agreed value, decided by the first rank through the
-   rendezvous; later ranks must reuse it — if a contributor dies between
-   two survivors' resumptions, recomputing would let them disagree on the
-   "agreed" value, which defeats the operation. *)
-type agree_state = {
-  mutable ag_arrived : (int * bool) list;  (* (comm rank, contribution) *)
-  mutable ag_max_clock : float;
-  mutable ag_done : int;
-  mutable ag_result : bool option;
-}
-
-let agree_states : (int * int * int, agree_state) Hashtbl.t = Hashtbl.create 16
-
 (* Fault-tolerant agreement: returns the logical AND of the contributions
-   of all
-
-   surviving ranks.  Usable even when some members have failed. *)
+   of all surviving ranks.  Usable even when some members have failed.
+   The rendezvous cell lives in the communicator's shared record, keyed by
+   the per-rank agreement generation (see [Comm.agree_state]). *)
 let agree comm (value : bool) : bool =
   let rt = Comm.runtime comm in
   Runtime.check_alive rt (Comm.world_rank comm);
@@ -287,18 +275,18 @@ let agree comm (value : bool) : bool =
   let me = Comm.world_rank comm in
   let gen = comm.Comm.my_agree_gen in
   comm.Comm.my_agree_gen <- gen + 1;
-  let key = (rt.Runtime.id, Comm.context comm, gen) in
+  let agrees = comm.Comm.shared.Comm.agrees in
   (* Cross-rank rendezvous cell: serialize creation and arrival. *)
   let state =
     Runtime.locked rt (fun () ->
         let state =
-          match Hashtbl.find_opt agree_states key with
+          match Hashtbl.find_opt agrees gen with
           | Some s -> s
           | None ->
               let s =
-                { ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None }
+                { Comm.ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None }
               in
-              Hashtbl.replace agree_states key s;
+              Hashtbl.replace agrees gen s;
               s
         in
         state.ag_arrived <- (Comm.rank comm, value) :: state.ag_arrived;
@@ -339,5 +327,5 @@ let agree comm (value : bool) : bool =
        *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)));
   Runtime.locked rt (fun () ->
       state.ag_done <- state.ag_done + 1;
-      if state.ag_done >= s then Hashtbl.remove agree_states key);
+      if state.ag_done >= s then Hashtbl.remove agrees gen);
   result

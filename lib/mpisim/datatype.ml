@@ -17,9 +17,10 @@
    - [contiguous], [pair], [option_], [create] cover derived and dynamic
      (runtime-sized) types.
 
-   Derived types must be committed before use and freed afterwards; the
-   global pool tracks this so tests can assert the absence of resource
-   leaks (the paper notes MPL/RWTH-MPI leak committed types). *)
+   Derived types must be committed before use and freed afterwards.  Each
+   type carries its own commit state, and one process-wide counter of
+   committed-but-not-freed derived types lets tests assert the absence of
+   resource leaks (the paper notes MPL/RWTH-MPI leak committed types). *)
 
 type kind = Builtin | Derived
 
@@ -49,68 +50,48 @@ type _ bulk_kernel =
     }
       -> 'a bulk_kernel
 
+(* Commit/free state, one per constructed type.  Builtins are born
+   committed and never change it; [without_bulk] copies share it. *)
+type state = { mutable committed : bool; mutable freed : bool }
+
 type 'a t = {
   name : string;
-  id : int;
   kind : kind;
   elem_size : int;  (* wire bytes per element *)
   signature : Signature.t;  (* per element *)
   pack : Wire.writer -> 'a -> unit;
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;  (* fast path; [None] = general path *)
+  state : state;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Commit/free pool *)
+(* Commit/free lifecycle *)
 
-type pool_entry = {
-  pe_name : string;
-  pe_kind : kind;
-  mutable committed : bool;
-  mutable freed : bool;
-}
-
-let pool : (int, pool_entry) Hashtbl.t = Hashtbl.create 64
-
-let next_id = ref 0
-
-let fresh_id ~name ~kind =
-  let id = !next_id in
-  incr next_id;
-  Hashtbl.replace pool id
-    { pe_name = name; pe_kind = kind; committed = (kind = Builtin); freed = false };
-  id
+(* Derived types committed and not yet freed, across the process: a type
+   value may outlive a run and move between runs, so the leak detector
+   cannot be per run. *)
+let live_derived = Atomic.make 0
 
 let commit t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> invalid_arg "Datatype.commit: unknown type"
-  | Some e ->
-      if e.freed then invalid_arg ("Datatype.commit: type already freed: " ^ t.name);
-      e.committed <- true
+  if t.state.freed then invalid_arg ("Datatype.commit: type already freed: " ^ t.name);
+  if not t.state.committed then begin
+    t.state.committed <- true;
+    Atomic.incr live_derived
+  end
 
 let free t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> invalid_arg "Datatype.free: unknown type"
-  | Some e ->
-      if t.kind = Builtin then invalid_arg "Datatype.free: cannot free builtin";
-      if e.freed then invalid_arg ("Datatype.free: double free: " ^ t.name);
-      e.freed <- true
+  if t.kind = Builtin then invalid_arg "Datatype.free: cannot free builtin";
+  if t.state.freed then invalid_arg ("Datatype.free: double free: " ^ t.name);
+  t.state.freed <- true;
+  if t.state.committed then Atomic.decr live_derived
 
-let is_committed t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> false
-  | Some e -> e.committed && not e.freed
+let is_committed t = t.state.committed && not t.state.freed
 
 (* Number of derived types that were committed but never freed; builtins are
    permanently committed and not counted.  Tests use this to detect resource
    leakage (the paper notes that MPL and RWTH-MPI leak committed types). *)
-let live_derived_count () =
-  Hashtbl.fold
-    (fun _id e acc ->
-      if e.pe_kind = Derived && e.committed && not e.freed then acc + 1 else acc)
-    pool 0
-
-let pool_reset_for_tests () = Hashtbl.reset pool
+let live_derived_count () = Atomic.get live_derived
 
 (* ------------------------------------------------------------------ *)
 (* Kernel loops *)
@@ -217,13 +198,13 @@ let read_run : type a. a bulk_kernel -> sz:int -> Bytes.t -> int -> count:int ->
 let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
   {
     name;
-    id = fresh_id ~name ~kind:Builtin;
     kind = Builtin;
     elem_size = size;
     signature;
     pack;
     unpack;
     bulk = Some bulk;
+    state = { committed = true; freed = false };
   }
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
@@ -305,13 +286,13 @@ let create_k ~name ~size ~signature ~pack ~unpack ~bulk =
   if size < 0 then invalid_arg "Datatype.create: negative size";
   {
     name;
-    id = fresh_id ~name ~kind:Derived;
     kind = Derived;
     elem_size = size;
     signature;
     pack;
     unpack;
     bulk;
+    state = { committed = false; freed = false };
   }
 
 (* Fully custom ("dynamic", §III-D2): the caller supplies everything, with
@@ -629,8 +610,7 @@ let bulk_available t = Option.is_some t.bulk
 
 (* The same type with its kernel stripped: forced onto the general path.
    Benchmarks and the fast≡general equivalence property use this as the
-   "before" side; it is NOT registered as a separate pool entry (same id,
-   same commit state). *)
+   "before" side; it shares the original's commit state. *)
 let without_bulk (t : 'a t) : 'a t = { t with bulk = None }
 
 (* Scoped commit: commit [t] if needed, run [f t], and free [t] again if

@@ -31,15 +31,19 @@ type kind = Builtin | Derived
     builtins) time; [None] means the general per-element path. *)
 type 'a bulk_kernel
 
+(** Commit/free state of one type: builtins are born committed; a derived
+    type starts uncommitted.  {!without_bulk} copies share it. *)
+type state
+
 type 'a t = {
   name : string;
-  id : int;
   kind : kind;
   elem_size : int;  (** wire bytes per element *)
   signature : Signature.t;  (** per element *)
   pack : Wire.writer -> 'a -> unit;
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;
+  state : state;
 }
 
 (** {1 Commit/free lifecycle} *)
@@ -54,10 +58,9 @@ val free : 'a t -> unit
 
 val is_committed : 'a t -> bool
 
-(** Derived types currently committed and not freed (leak detector). *)
+(** Derived types currently committed and not freed, across the process
+    (leak detector; safe to read from any domain). *)
 val live_derived_count : unit -> int
-
-val pool_reset_for_tests : unit -> unit
 
 (** [with_committed t f] commits [t] if needed, runs [f t], and frees [t]
     again if this call committed it. *)
@@ -184,7 +187,7 @@ val unpack_into : 'a t -> Wire.reader -> 'a array -> pos:int -> count:int -> uni
 (** Whether the type carries a bulk kernel (takes the fast path). *)
 val bulk_available : 'a t -> bool
 
-(** The same type forced onto the general per-element path (same id and
+(** The same type forced onto the general per-element path (shared
     commit state) — the "before" side for equivalence tests and overhead
     benchmarks. *)
 val without_bulk : 'a t -> 'a t

@@ -75,14 +75,11 @@ let resolve_domains = function
                        (Printf.sprintf
                           "MPISIM_DOMAINS must be a positive integer or \"auto\", got %S" s)))))
 
-let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
-    ?(assertion_level = 1) ?check_level ?chaos ?trace_capacity ?trace_stream
-    ?(comm_matrix = false) ?on_runtime ?on_quiescence ?domains ~ranks (body : Comm.t -> 'a)
-    : 'a option array * report =
+let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured) ?check_level
+    ?chaos ?trace_capacity ?trace_stream ?(comm_matrix = false) ?on_runtime ?on_quiescence
+    ?domains ~ranks (body : Comm.t -> 'a) : 'a option array * report =
   let domains = resolve_domains domains in
-  let rt =
-    Runtime.create ~clock_mode ~assertion_level ?check_level ?chaos ~model ~size:ranks ()
-  in
+  let rt = Runtime.create ~clock_mode ?check_level ?chaos ~model ~size:ranks () in
   (* The sequential-only planes are incompatible with the domain pool:
      chaos decisions, the sanitizer's operation interleaving checks and
      the model checker's quiescence hook all assume one deterministic
@@ -115,10 +112,9 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
     ~finally:(fun () ->
       (* Flush the stream sink before control returns to the caller, so
          the file is complete (and convertible) even on an abort. *)
-      Trace.close_stream rt.Runtime.trace;
-      Comm.clear_registry rt)
+      Trace.close_stream rt.Runtime.trace)
     (fun () ->
-      let world_shared = Comm.create_registered_shared rt (Group.world ~size:ranks) in
+      let world_shared = Comm.create_world rt in
       let results : 'a option array = Array.make ranks None in
       let fiber rank =
         let comm = Comm.attach rt world_shared ~rank in
@@ -189,15 +185,6 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
               (* Unreachable: the scheduler aborts on non-kill failures. *)
               Printexc.raise_with_backtrace exn bt)
         outcomes;
-      (* Strong debug mode: all ranks must have run the same collective
-         sequence on every communicator (§III-G, §III-H). *)
-      if assertion_level >= 2 && !killed = [] then
-        List.iter
-          (fun shared ->
-            match Comm.collective_trace_mismatch shared with
-            | Some msg -> raise (Errdefs.Usage_error msg)
-            | None -> ())
-          (Comm.all_shared rt);
       (* Sanitizer teardown scan (leaked requests, collective counts) —
          only meaningful for runs no rank of which was killed. *)
       if !killed = [] && Check.enabled rt.Runtime.check then
@@ -227,20 +214,31 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
       in
       (results, report))
 
+(* [assertion_level] is accepted for compatibility only: the commit and
+   signature checks always run, and stronger checks belong to
+   [check_level]. *)
 let run ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
     ?trace_stream ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks
     (body : Comm.t -> unit) : report =
+  (match assertion_level with
+  | None | Some 1 -> ()
+  | Some n ->
+      raise
+        (Errdefs.Usage_error
+           (Printf.sprintf
+              "assertion_level %d is not supported: the commit and signature checks are \
+               always on; use check_level (off|light|heavy) for stronger checks"
+              n)));
   let _, report =
-    run_collect ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
-      ?trace_stream ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks body
+    run_collect ?model ?clock_mode ?check_level ?chaos ?trace_capacity ?trace_stream
+      ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks body
   in
   report
 
 (* Convenience for tests: run and return every rank's value, requiring all
    ranks to survive. *)
-let run_values ?model ?clock_mode ?assertion_level ~ranks (body : Comm.t -> 'a) : 'a array
-    =
-  let results, report = run_collect ?model ?clock_mode ?assertion_level ~ranks body in
+let run_values ?model ?clock_mode ~ranks (body : Comm.t -> 'a) : 'a array =
+  let results, report = run_collect ?model ?clock_mode ~ranks body in
   ignore report;
   Array.map
     (function

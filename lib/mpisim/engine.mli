@@ -51,8 +51,6 @@ val resolve_domains : int option -> int
 
     @param model network cost model (default {!Net_model.omnipath})
     @param clock_mode measured CPU (default) or fully virtual time
-    @param assertion_level 0 = none, 1 = cheap checks (default),
-           2 = heavy checks incl. the collective-order trace (§III-G)
     @param check_level {!Check} sanitizer level (defaults to the
            [MPISIM_CHECK] environment variable, else off).  With the
            sanitizer on, deadlocks are reported as
@@ -93,7 +91,6 @@ val resolve_domains : int option -> int
 val run_collect :
   ?model:Net_model.t ->
   ?clock_mode:Runtime.clock_mode ->
-  ?assertion_level:int ->
   ?check_level:Check.level ->
   ?chaos:Chaos.config ->
   ?trace_capacity:int ->
@@ -106,6 +103,12 @@ val run_collect :
   (Comm.t -> 'a) ->
   'a option array * report
 
+(** {!run_collect} without the per-rank results.
+
+    @param assertion_level compatibility only; use [check_level].  The
+           commit and signature checks it once gated always run; [1] is
+           accepted and ignored, any other value raises
+           [Errdefs.Usage_error]. *)
 val run :
   ?model:Net_model.t ->
   ?clock_mode:Runtime.clock_mode ->
@@ -127,7 +130,6 @@ val run :
 val run_values :
   ?model:Net_model.t ->
   ?clock_mode:Runtime.clock_mode ->
-  ?assertion_level:int ->
   ranks:int ->
   (Comm.t -> 'a) ->
   'a array

@@ -47,7 +47,10 @@ type t = {
   (* O(1) depth counters so the runtime can histogram queue depths without
      walking the structures on every delivery. *)
   mutable n_unexpected : int;
-  mutable n_posted : int;
+  mutable n_posted : int;  (* live entries of [posted] *)
+  (* Set by the model checker for its own runs only: wildcard receives
+     defer their match to the explorer's resolver. *)
+  mutable defer_wildcards : bool;
 }
 
 let create () =
@@ -58,7 +61,12 @@ let create () =
     next_posted_id = 0;
     n_unexpected = 0;
     n_posted = 0;
+    defer_wildcards = false;
   }
+
+let set_defer_wildcards t on = t.defer_wildcards <- on
+
+let defers_wildcards t = t.defer_wildcards
 
 let posted_matches (p : posted) (m : Message.t) =
   p.p_msg = None && (not p.p_cancelled) && (not p.p_deferred)
@@ -189,9 +197,10 @@ let count_eligible t ~context ~src ~tag =
 
 (* Post a receive at receiver-clock [now].  If a compatible unexpected
    message exists it is matched immediately (match time: both sides
-   ready).
+   ready) and the receive never enters the posted queue: it is born a
+   tombstone, so retiring it later leaves the live count alone.
 
-   Under the model checker (Choice installed), wildcard receives are NOT
+   Under the model checker ([defer_wildcards]), wildcard receives are NOT
    matched eagerly: the match is the decision point being explored, so
    the post parks as deferred and the explorer's quiescence resolver
    picks among the candidates.  Exact (src, tag) receives stay eager —
@@ -212,7 +221,7 @@ let post t ~context ~src ~tag ~now =
     }
   in
   t.next_posted_id <- t.next_posted_id + 1;
-  if Choice.deferring () && (src = any_source || tag = any_tag) then begin
+  if t.defer_wildcards && (src = any_source || tag = any_tag) then begin
     p.p_deferred <- true;
     Queue.add p t.posted;
     t.n_posted <- t.n_posted + 1
@@ -221,13 +230,14 @@ let post t ~context ~src ~tag ~now =
     (match find_unexpected t ~context ~src ~tag with
     | Some m ->
         p.p_msg <- Some m;
+        p.p_dead <- true;
         m.Message.matched_time <- Float.max m.Message.arrival now
     | None ->
         Queue.add p t.posted;
         t.n_posted <- t.n_posted + 1);
   p
 
-(* ---- Model-checker resolver API (only used while Choice is installed) ---- *)
+(* ---- Model-checker resolver API (only used under [defer_wildcards]) ---- *)
 
 (* Visit every live deferred receive, in posting order. *)
 let iter_deferred t f =
@@ -283,12 +293,17 @@ let resolve_deferred t (p : posted) (m : Message.t) =
 
 (* Rebuild the posted queue without tombstones.  Amortized O(1): it runs
    only when tombstones outnumber live entries, and each removed entry was
-   added exactly once. *)
+   added exactly once.  Keeping tombstones below the live count matters
+   because an unexpected delivery scans the whole queue; with no live
+   entries left the queue is simply emptied. *)
 let compact_posted t =
-  let live = Queue.create () in
-  Queue.iter (fun p -> if not p.p_dead then Queue.add p live) t.posted;
-  Queue.clear t.posted;
-  Queue.transfer live t.posted;
+  if t.n_posted = 0 then Queue.clear t.posted
+  else begin
+    let live = Queue.create () in
+    Queue.iter (fun p -> if not p.p_dead then Queue.add p live) t.posted;
+    Queue.clear t.posted;
+    Queue.transfer live t.posted
+  end;
   t.n_tombstones <- 0
 
 let drop_posted t (p : posted) =
@@ -296,7 +311,7 @@ let drop_posted t (p : posted) =
     p.p_dead <- true;
     t.n_posted <- t.n_posted - 1;
     t.n_tombstones <- t.n_tombstones + 1;
-    if t.n_tombstones > t.n_posted + 16 then compact_posted t
+    if t.n_tombstones > t.n_posted then compact_posted t
   end
 
 (* Cancel a posted receive that has NOT matched.  Per MPI semantics a

@@ -69,7 +69,7 @@ let inject_message comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a arr
      its in-flight exchanges must be allowed to drain after a revoke. *)
   if tag <= Comm.max_user_tag then check_revoked comm ~op;
   check_dest_alive comm ~op dest;
-  if rt.Runtime.assertion_level >= 1 && not (Datatype.is_committed dt) then
+  if not (Datatype.is_committed dt) then
     Errdefs.usage_error "%s: datatype %s is not committed" op (Datatype.name dt);
   let w = Runtime.acquire_writer rt me ~capacity:(max 8 (Datatype.size_of_count dt count)) in
   Datatype.pack_array dt w data ~pos ~count;
@@ -223,15 +223,12 @@ let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
       ~d:msg.Message.src
 
 let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
-  let rt = Comm.runtime comm in
-  if rt.Runtime.assertion_level >= 1 then begin
-    let expected = Datatype.signature_of_count dt msg.Message.count in
-    if not (Signature.matches expected msg.Message.signature) then
-      Comm.error comm Errdefs.Err_type
-        "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
-        (Signature.to_string expected) msg.Message.src
-        (Signature.to_string msg.Message.signature)
-  end
+  let expected = Datatype.signature_of_count dt msg.Message.count in
+  if not (Signature.matches expected msg.Message.signature) then
+    Comm.error comm Errdefs.Err_type
+      "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
+      (Signature.to_string expected) msg.Message.src
+      (Signature.to_string msg.Message.signature)
 
 (* Wait until the posted receive [p] matches, also waking on source failure.
    Returns the matched message or raises. *)

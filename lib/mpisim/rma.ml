@@ -50,7 +50,7 @@ type 'a shared = {
   exposures : 'a array array;  (* world rank -> exposed local array *)
   pending : (int * 'a op) list ref;  (* (origin world rank, op), reversed *)
   locks : lock_state array;  (* world rank -> passive-target lock *)
-  key : int * int * int;  (* registry key, for unregistration at free *)
+  gen : int;  (* creation generation: key in the communicator's window table *)
   mutable fences : int;  (* completed fence epochs *)
   mutable freed_count : int;  (* ranks that completed [free] *)
 }
@@ -64,49 +64,28 @@ type 'a t = {
   mutable freed : bool;
 }
 
-(* Registry so that all ranks share one window state per creation site.
-   Keyed by (runtime id, context, creation sequence).  The [Obj.t]
-   erasure is sound because window creation is collective and ends in a
-   barrier: every rank's k-th [create] on a communicator instantiates the
-   same window with the same element type, so all readers of a key agree
-   on 'a.  Entries are removed by the last rank through [free], and a
-   context's creation counter is reclaimed once none of its windows
-   remain — a long-running sim creating and freeing windows holds no
-   residual global state. *)
-let registry : (int * int * int, Obj.t) Hashtbl.t = Hashtbl.create 16
-
-let creation_counter : (int * int, int ref) Hashtbl.t = Hashtbl.create 16
-
-(* Registry footprint (live windows, tracked contexts); tests assert it
-   returns to its baseline after create/free cycles. *)
-let registry_stats () = (Hashtbl.length registry, Hashtbl.length creation_counter)
-
 (* Create a window exposing [local].  Collective.  The arrays stay owned
-   by their ranks; remote access goes through the window operations. *)
+   by their ranks; remote access goes through the window operations.
+
+   All ranks share one window state per creation site, found in the
+   communicator's window table under the per-rank creation generation:
+   creation is collective, so every rank's k-th [create] on a communicator
+   names the same window.  The [Obj.t] erasure is sound for the same
+   reason: the k-th window has the same element type on every rank, so all
+   readers of an entry agree on 'a.  The last rank through [free] removes
+   the entry. *)
 let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
   Comm.check_collective comm ~op:"win_create" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime comm) ~op:"win_create" ~bytes:0;
   let rt = Comm.runtime comm in
-  let ckey = (rt.Runtime.id, Comm.context comm) in
-  (* Counter bump and shared-record install are cross-rank registry
-     mutations: one locked region in multicore mode. *)
+  let gen = comm.Comm.my_win_gen in
+  comm.Comm.my_win_gen <- gen + 1;
+  let windows = comm.Comm.shared.Comm.windows in
+  (* The first arriver allocates the shared record; a cross-rank table
+     mutation, so one locked region in multicore mode. *)
   let shared =
     Runtime.locked rt @@ fun () ->
-    let counter =
-      match Hashtbl.find_opt creation_counter ckey with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.replace creation_counter ckey c;
-          c
-    in
-    (* Each rank bumps its own view of the counter; since creation is
-       collective and deterministic, all ranks agree on the sequence
-       number.  The first arriver allocates the shared record. *)
-    let seq = !counter / Comm.size comm in
-    incr counter;
-    let key = (rt.Runtime.id, Comm.context comm, seq) in
-    match Hashtbl.find_opt registry key with
+    match Hashtbl.find_opt windows gen with
     | Some s -> (Obj.obj s : 'a shared)
     | None ->
         let s =
@@ -114,12 +93,12 @@ let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
             exposures = Array.make rt.Runtime.size [||];
             pending = ref [];
             locks = Array.init rt.Runtime.size (fun _ -> { excl = false; holders = 0 });
-            key;
+            gen;
             fences = 0;
             freed_count = 0;
           }
         in
-        Hashtbl.replace registry key (Obj.repr s);
+        Hashtbl.replace windows gen (Obj.repr s);
         s
   in
   shared.exposures.(Comm.world_rank comm) <- local;
@@ -340,10 +319,7 @@ let with_locked ?exclusive (t : 'a t) ~target (f : unit -> 'b) : 'b =
 let local (t : 'a t) : 'a array = t.shared.exposures.(Comm.world_rank t.comm)
 
 (* Free the window.  Collective.  The last rank through the barrier
-   removes the window from the global registry, and reclaims the
-   context's creation counter once no other window of that context
-   remains (satellite bugfix: entries used to leak for the process
-   lifetime). *)
+   removes the window from its communicator's window table. *)
 let free (t : 'a t) : unit =
   check_not_freed t ~op:"win_free";
   if t.lock_target >= 0 then
@@ -354,13 +330,5 @@ let free (t : 'a t) : unit =
   Coll.barrier t.comm;
   Runtime.locked (Comm.runtime t.comm) (fun () ->
       t.shared.freed_count <- t.shared.freed_count + 1;
-      if t.shared.freed_count = Comm.size t.comm then begin
-        Hashtbl.remove registry t.shared.key;
-        let rid, ctx, _ = t.shared.key in
-        let any_left =
-          Hashtbl.fold
-            (fun (r, c, _) _ acc -> acc || (r = rid && c = ctx))
-            registry false
-        in
-        if not any_left then Hashtbl.remove creation_counter (rid, ctx)
-      end)
+      if t.shared.freed_count = Comm.size t.comm then
+        Hashtbl.remove t.comm.Comm.shared.Comm.windows t.shared.gen)

@@ -65,12 +65,8 @@ val with_locked : ?exclusive:bool -> 'a t -> target:int -> (unit -> 'b) -> 'b
     only after a synchronization). *)
 val local : 'a t -> 'a array
 
-(** Free the window.  Collective.  The last rank unregisters the shared
-    state from the global registry, so repeated create/free cycles hold
-    no residual memory.  Raises on double free or with a lock epoch
+(** Free the window.  Collective.  The last rank removes the window's
+    shared state from its communicator, so repeated create/free cycles
+    hold no residual memory.  Raises on double free or with a lock epoch
     open. *)
 val free : 'a t -> unit
-
-(** (live windows, tracked contexts) in the global registry — a test
-    hook for asserting create/free balance. *)
-val registry_stats : unit -> int * int

@@ -31,7 +31,6 @@ type metrics = {
 }
 
 type t = {
-  id : int;  (* unique per runtime; keys global registries *)
   size : int;
   model : Net_model.t;
   clock_mode : clock_mode;
@@ -69,24 +68,19 @@ type t = {
   progress : int Atomic.t;
   mutable msg_seq : int;
   mutable next_context : int;
-  (* Assertion level: 0 = none, 1 = cheap local checks, 2 = checks that the
-     real MPI library would need communication for (paper §III-G). *)
-  mutable assertion_level : int;
   (* Multicore backend support.  Per-rank ownership invariant: a rank's
      fiber runs on exactly one domain at a time (the scheduler asserts
      it), so rank-indexed state touched only by its own fiber — clocks,
-     busy/blocked, lamport, own trace ring — needs no
-     locks.  Everything mutated *across* ranks (mailbox delivery,
-     msg_seq, context allocation, rendezvous registries) serializes on
-     [lock], taken only when [parallel] is set; sequential runs pay one
-     branch. *)
+     busy/blocked, lamport, own trace ring — needs no locks.  Everything
+     mutated *across* ranks (mailbox delivery, msg_seq, context
+     allocation, the communicator, rendezvous and window tables of
+     [Comm.shared]) serializes on [lock], taken only when [parallel] is
+     set; sequential runs pay one branch. *)
   lock : Mutex.t;
   mutable parallel : bool;
 }
 
 exception Process_killed of int
-
-let next_runtime_id = ref 0
 
 (* Default sanitizer level: the MPISIM_CHECK environment variable
    (off|light|heavy), so any program can be checked without a code or CLI
@@ -101,11 +95,8 @@ let default_check_level () =
           Log.warn (fun f -> f "ignoring invalid MPISIM_CHECK=%S (want off|light|heavy)" s);
           Check.Off)
 
-let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~model
-    ~size () =
+let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
   if size <= 0 then invalid_arg "Runtime.create: size must be positive";
-  let id = !next_runtime_id in
-  incr next_runtime_id;
   let clocks = Array.make size 0. in
   let stats = Stats.create () in
   let metrics =
@@ -133,7 +124,6 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
         | None -> None)
   in
   {
-    id;
     size;
     model;
     clock_mode;
@@ -155,7 +145,6 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
     progress = Atomic.make 0;
     msg_seq = 0;
     next_context = 0;
-    assertion_level;
     lock = Mutex.create ();
     parallel = false;
   }
@@ -176,7 +165,7 @@ let set_parallel t =
     Array.iter Wire.set_pool_threadsafe t.wire_pools
   end
 
-(* Run [f] under the global runtime lock when in multicore mode; a plain
+(* Run [f] under the runtime's lock when in multicore mode; a plain
    call sequentially.  NOT reentrant — never nest, and never park the
    fiber inside [f]. *)
 let[@inline] locked t f =

@@ -23,7 +23,6 @@ type metrics = {
 }
 
 type t = {
-  id : int;  (** unique per runtime; keys global registries *)
   size : int;
   model : Net_model.t;
   clock_mode : clock_mode;
@@ -56,8 +55,6 @@ type t = {
   progress : int Atomic.t;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
-  mutable assertion_level : int;
-      (** 0 = none, 1 = cheap local checks, 2 = heavy checks (§III-G) *)
   lock : Mutex.t;
       (** serializes cross-rank mutations in multicore mode; see
           {!locked} *)
@@ -68,7 +65,9 @@ type t = {
 (** Raised inside a fiber whose rank was failed by injection. *)
 exception Process_killed of int
 
-(** [create] builds the shared state of one simulation.  [check_level]
+(** [create] builds the state of one simulation; nothing in it is shared
+    with another runtime, so independent runs may execute concurrently on
+    different domains.  [check_level]
     selects the {!Check} sanitizer level; it defaults to the
     [MPISIM_CHECK] environment variable (off|light|heavy), or [Off].
     [chaos] activates the fault-injection plane; omitted, it is still
@@ -76,7 +75,6 @@ exception Process_killed of int
     profile. *)
 val create :
   ?clock_mode:clock_mode ->
-  ?assertion_level:int ->
   ?check_level:Check.level ->
   ?chaos:Chaos.config ->
   model:Net_model.t ->
@@ -99,11 +97,11 @@ val progress_count : t -> int
     state touched only by its own fiber — clocks, busy/blocked
     accounting, Lamport clocks, its own trace ring — needs no locks.
     Only state mutated across ranks (mailbox delivery and matching,
-    [msg_seq], context allocation, communicator registries, collective
-    rendezvous cells) serializes on {!locked}. *)
+    [msg_seq], context allocation, the per-run communicator tables,
+    collective rendezvous cells) serializes on {!locked}. *)
 val set_parallel : t -> unit
 
-(** [locked t f] runs [f] under the global runtime lock in multicore
+(** [locked t f] runs [f] under the runtime's lock in multicore
     mode, as a plain call otherwise.  Not reentrant; never park a fiber
     inside [f]. *)
 val locked : t -> (unit -> 'a) -> 'a

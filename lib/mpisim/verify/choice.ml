@@ -4,17 +4,16 @@
    oldest-message-wins wildcard arbitration picks exactly one schedule
    per program.  The *space* of schedules a real MPI could exhibit hides
    in the wildcard-receive match choices.  This module makes those
-   choices explicit: when a controller is installed, wildcard receives
-   are deferred (Mailbox skips their immediate match), the scheduler's
-   quiescence hook resolves them one at a time, and every resolution is
-   recorded as a (site, candidate-count, chosen-index) decision.  A
-   decision script replays a schedule exactly; the explorer (Explore)
-   enumerates scripts.
+   choices explicit: in a model-checked run, wildcard receives are
+   deferred (the run's mailboxes skip their immediate match), the
+   scheduler's quiescence hook resolves them one at a time, and every
+   resolution is recorded here as a (site, candidate-count, chosen-index)
+   decision.  A decision script replays a schedule exactly; the explorer
+   (Explore) enumerates scripts.
 
-   The module is deliberately dependency-free so Mailbox and Engine can
-   consult it without cycles.  When no controller is installed —
-   the only state every normal run ever sees — each hook is a single
-   load-and-branch with no allocation (Gc-asserted in test_verify). *)
+   A controller belongs to one run: Explore creates it and consults it
+   from that run's quiescence hook, so nothing here is process-global and
+   other runs — on this domain or another — never see it. *)
 
 type decision = {
   d_rank : int;  (* receiver world rank of the resolved site *)
@@ -31,18 +30,7 @@ type t = {
   mutable pruned : int;  (* total non-overtaking-pruned alternatives *)
 }
 
-(* The installed controller.  [None] is the fast path: [deferring] reads
-   one word. *)
-let installed : t option ref = ref None
-
-let deferring () = !installed <> None
-
-let active = deferring
-
-let install ~script =
-  installed := Some { script = Array.of_list script; cursor = 0; log = []; pruned = 0 }
-
-let uninstall () = installed := None
+let create ~script = { script = Array.of_list script; cursor = 0; log = []; pruned = 0 }
 
 (* The scripted (or default-0) choice for the next decision site with
    [ncand] candidates; records the decision.  Out-of-range scripted
@@ -58,7 +46,7 @@ let next t ~rank ~pid ~ncand ~pruned =
     :: t.log;
   chosen
 
-(* Chronological decision log of the current (or last) installed run. *)
+(* Chronological decision log of the controller's run. *)
 let decisions t = List.rev t.log
 
 let pruned t = t.pruned

@@ -3,8 +3,8 @@
    The simulator's only source of schedule nondeterminism on a real MPI
    is the wildcard-receive match choice (everything else — round-robin
    fiber order, virtual-only clocks, zero-cost network — is fixed per
-   decision script).  With a Choice controller installed, Mailbox defers
-   wildcard matches and the scheduler's quiescence hook resolves them one
+   decision script).  Each explored run turns on wildcard deferral in its
+   own mailboxes, and the scheduler's quiescence hook resolves them one
    at a time: the program runs until no fiber can move, the resolver
    picks a candidate for the oldest deferred receive that has one, and
    scheduling continues.  Each resolution is a recorded decision; a
@@ -71,65 +71,63 @@ let classify = function
    Returns the outcome plus the full decision log and pruned count of
    this run. *)
 let run_one ?(check_level = Check.Heavy) ~ranks ~script body =
-  Choice.install ~script;
-  Fun.protect ~finally:Choice.uninstall (fun () ->
-      let rt_ref = ref None in
-      let resolve () =
-        match !rt_ref with
+  let ctl = Choice.create ~script in
+  let rt_ref = ref None in
+  let resolve () =
+    match !rt_ref with
+    | None -> false
+    | Some rt -> (
+        (* The oldest deferred wildcard receive (lowest rank, then
+           posting order) that has at least one candidate: resolve it
+           with the scripted choice.  No such site means quiescence is
+           a genuine deadlock — fall through to detection. *)
+        let found = ref None in
+        (try
+           Array.iteri
+             (fun rank mb ->
+               Mailbox.iter_deferred mb (fun p ->
+                   if !found = None then begin
+                     let heads, pruned =
+                       Mailbox.candidate_heads mb ~context:p.Mailbox.p_context
+                         ~src:p.Mailbox.p_src ~tag:p.Mailbox.p_tag
+                     in
+                     if heads <> [] then begin
+                       found := Some (rank, mb, p, heads, pruned);
+                       raise Exit
+                     end
+                   end))
+             rt.Runtime.mailboxes
+         with Exit -> ());
+        match !found with
         | None -> false
-        | Some rt -> (
-            (* The oldest deferred wildcard receive (lowest rank, then
-               posting order) that has at least one candidate: resolve it
-               with the scripted choice.  No such site means quiescence is
-               a genuine deadlock — fall through to detection. *)
-            let found = ref None in
-            (try
-               Array.iteri
-                 (fun rank mb ->
-                   Mailbox.iter_deferred mb (fun p ->
-                       if !found = None then begin
-                         let heads, pruned =
-                           Mailbox.candidate_heads mb ~context:p.Mailbox.p_context
-                             ~src:p.Mailbox.p_src ~tag:p.Mailbox.p_tag
-                         in
-                         if heads <> [] then begin
-                           found := Some (rank, mb, p, heads, pruned);
-                           raise Exit
-                         end
-                       end))
-                 rt.Runtime.mailboxes
-             with Exit -> ());
-            match !found with
-            | None -> false
-            | Some (rank, mb, p, heads, pruned) ->
-                let ctl =
-                  match !Choice.installed with Some c -> c | None -> assert false
-                in
-                let j =
-                  Choice.next ctl ~rank ~pid:p.Mailbox.p_id ~ncand:(List.length heads)
-                    ~pruned
-                in
-                Mailbox.resolve_deferred mb p (List.nth heads j);
-                (* The poll of the resolved receive can now succeed; bump
-                   progress so the scheduler pass is not seen as stuck. *)
-                Runtime.bump_progress rt;
-                true)
-      in
-      let outcome =
-        match
-          (* ~domains:1 pins the sequential scheduler regardless of an
-             inherited MPISIM_DOMAINS: schedule enumeration only makes
-             sense against the deterministic backend. *)
-          Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only
-            ~check_level ~domains:1
-            ~on_runtime:(fun rt -> rt_ref := Some rt)
-            ~on_quiescence:resolve ~ranks body
-        with
-        | (_ : Engine.report) -> Completed
-        | exception exn -> classify exn
-      in
-      let ctl = match !Choice.installed with Some c -> c | None -> assert false in
-      (outcome, Choice.decisions ctl, Choice.pruned ctl))
+        | Some (rank, mb, p, heads, pruned) ->
+            let j =
+              Choice.next ctl ~rank ~pid:p.Mailbox.p_id ~ncand:(List.length heads) ~pruned
+            in
+            Mailbox.resolve_deferred mb p (List.nth heads j);
+            (* The poll of the resolved receive can now succeed; bump
+               progress so the scheduler pass is not seen as stuck. *)
+            Runtime.bump_progress rt;
+            true)
+  in
+  (* Deferral is switched on in this run's mailboxes only, before any
+     fiber runs. *)
+  let on_runtime rt =
+    rt_ref := Some rt;
+    Array.iter (fun mb -> Mailbox.set_defer_wildcards mb true) rt.Runtime.mailboxes
+  in
+  let outcome =
+    match
+      (* ~domains:1 pins the sequential scheduler regardless of an
+         inherited MPISIM_DOMAINS: schedule enumeration only makes
+         sense against the deterministic backend. *)
+      Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only ~check_level
+        ~domains:1 ~on_runtime ~on_quiescence:resolve ~ranks body
+    with
+    | (_ : Engine.report) -> Completed
+    | exception exn -> classify exn
+  in
+  (outcome, Choice.decisions ctl, Choice.pruned ctl)
 
 (* Explore all non-equivalent schedules of [body], breadth-first, up to
    [max_schedules].  Collects one (minimal, by BFS) witness script per

@@ -282,30 +282,6 @@ let test_neighbor_requires_topology () =
    with Scheduler.Aborted { exn = Errdefs.Usage_error _; _ } -> caught := true);
   Alcotest.(check bool) "usage error without topology" true !caught
 
-(* --- strong debug mode: mismatched collectives detected --- *)
-
-let test_collective_trace_mismatch_detected () =
-  let caught = ref false in
-  (try
-     ignore
-       (Engine.run ~assertion_level:2 ~ranks:2 (fun comm ->
-            if Comm.rank comm = 0 then begin
-              (* Rank 0 runs barrier twice, rank 1 only once: the second
-                 barrier deadlocks OR the trace check trips. *)
-              Coll.barrier comm;
-              ignore (Coll.allgather comm Datatype.int [| 1 |])
-            end
-            else begin
-              ignore (Coll.allgather comm Datatype.int [| 1 |]);
-              Coll.barrier comm
-            end))
-   with
-  | Errdefs.Usage_error _ -> caught := true
-  | Scheduler.Deadlock _ -> caught := true
-  | Scheduler.Aborted _ -> caught := true);
-  Alcotest.(check bool) "mismatch detected" true !caught
-
-
 (* Regression: an empty contribution in one gatherv must not leave a stale
    message that corrupts the next gatherv on the same (source, tag). *)
 let test_gatherv_empty_then_nonempty () =
@@ -562,8 +538,6 @@ let tests =
     Alcotest.test_case "barrier synchronizes clocks" `Quick test_barrier_synchronizes;
     Alcotest.test_case "neighbor alltoallv on ring" `Quick test_neighbor_alltoallv_ring;
     Alcotest.test_case "neighbor requires topology" `Quick test_neighbor_requires_topology;
-    Alcotest.test_case "collective order mismatch" `Quick
-      test_collective_trace_mismatch_detected;
     Alcotest.test_case "gatherv empty-then-nonempty" `Quick
       test_gatherv_empty_then_nonempty;
     Alcotest.test_case "allgatherv byte volume" `Quick test_allgatherv_byte_volume;

@@ -93,18 +93,33 @@ let test_split_then_collective () =
   in
   Alcotest.(check (array int)) "per-subcomm sums" [| 3; 3; 3; 12; 12; 12 |] results
 
+let asymmetric_graph comm =
+  let nbs = if Comm.rank comm = 0 then [| 1 |] else [||] in
+  ignore (Comm_ops.dist_graph_create_adjacent comm ~sources:nbs ~destinations:nbs)
+
 let test_topology_symmetry_check () =
-  (* Asymmetric neighbor lists must be rejected at assertion level 2. *)
+  (* Asymmetric neighbor lists must be rejected by the heavy sanitizer. *)
   let caught = ref false in
-  (try
-     ignore
-       (Engine.run ~assertion_level:2 ~ranks:2 (fun comm ->
-            let nbs = if Comm.rank comm = 0 then [| 1 |] else [||] in
-            ignore (Comm_ops.dist_graph_create_adjacent comm ~sources:nbs ~destinations:nbs)))
-   with
+  (try ignore (Engine.run ~check_level:Check.Heavy ~ranks:2 asymmetric_graph) with
   | Scheduler.Aborted { exn = Errdefs.Usage_error _; _ } -> caught := true
   | Errdefs.Usage_error _ -> caught := true);
   Alcotest.(check bool) "asymmetry rejected" true !caught
+
+let test_topology_symmetry_check_costs_nothing_below_heavy () =
+  (* The symmetry alltoall is heavy-only: below it, graph creation issues
+     no alltoall at all (and so cannot notice the asymmetry). *)
+  List.iter
+    (fun level ->
+      let report = Engine.run ~check_level:level ~ranks:2 asymmetric_graph in
+      let alltoalls =
+        List.fold_left
+          (fun acc (op, calls, _) -> if op = "alltoall" then acc + calls else acc)
+          0 report.Engine.profile
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "no alltoall at %s" (Check.level_to_string level))
+        0 alltoalls)
+    [ Check.Off; Check.Light ]
 
 let test_shrink_after_failure () =
   let results, report =
@@ -167,6 +182,8 @@ let tests =
     Alcotest.test_case "create from group" `Quick test_create_from_group;
     Alcotest.test_case "collectives on subcomms" `Quick test_split_then_collective;
     Alcotest.test_case "topology symmetry check" `Quick test_topology_symmetry_check;
+    Alcotest.test_case "no symmetry alltoall below heavy" `Quick
+      test_topology_symmetry_check_costs_nothing_below_heavy;
     Alcotest.test_case "shrink after failure" `Quick test_shrink_after_failure;
     Alcotest.test_case "agree over survivors" `Quick test_agree_over_survivors;
     Alcotest.test_case "revoked comm rejects ops" `Quick test_revoked_comm_rejects_ops;

@@ -178,6 +178,111 @@ let test_timer_misuse_rejected () =
          | () -> Alcotest.fail "expected Usage_error"
          | exception Errdefs.Usage_error _ -> ()))
 
+let test_assertion_level_compat () =
+  ignore (Engine.run ~assertion_level:1 ~ranks:2 (fun _ -> ()));
+  match Engine.run ~assertion_level:2 ~ranks:2 (fun _ -> ()) with
+  | _ -> Alcotest.fail "expected Usage_error"
+  | exception Errdefs.Usage_error msg ->
+      Alcotest.(check bool) "points at check_level" true
+        (let needle = "check_level" in
+         let n = String.length needle in
+         let rec scan i =
+           i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1))
+         in
+         scan 0)
+
+(* ------------------------------------------------------------------ *)
+(* Independent runs on different domains share no state: communicator,
+   window, agreement and datatype bookkeeping all live in the run (or in
+   the type value), so concurrent runs reproduce their sequential
+   results exactly. *)
+
+(* Touches every kind of cross-rank bookkeeping a run keeps: split and
+   dup (communicator table), an RMA window (window table), agree
+   (agreement cells) and a derived type committed around an allgather. *)
+let probe comm =
+  let r = Comm.rank comm in
+  let sub = Option.get (Comm_ops.split comm ~color:(r mod 2) ~key:r ()) in
+  let dup = Comm_ops.dup sub in
+  let w = Rma.create dup Datatype.int (Array.make (Comm.size dup) 0) in
+  Rma.put w ~target:0 ~target_pos:(Comm.rank dup) [| r + 1 |];
+  Rma.fence w;
+  let window = Array.copy (Rma.local w) in
+  Rma.free w;
+  let agreed = Comm_ops.agree comm (r < Comm.size comm) in
+  let pairs =
+    Datatype.with_committed (Datatype.pair Datatype.int Datatype.int) (fun dt ->
+        Coll.allgather comm dt [| (r, Comm.rank dup) |])
+  in
+  (window, agreed, pairs)
+
+let probe_run () =
+  let results, report =
+    Engine.run_collect ~clock_mode:Runtime.Virtual_only ~domains:1 ~ranks:6 probe
+  in
+  (results, report.Engine.max_time, report.Engine.profile)
+
+(* Run [a] and [b] on two fresh domains released at the same instant. *)
+let in_two_domains a b =
+  let ready = Atomic.make 0 in
+  let start f () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    f ()
+  in
+  let da = Domain.spawn (start a) in
+  let db = Domain.spawn (start b) in
+  (Domain.join da, Domain.join db)
+
+let concurrent_repeats = 200
+
+let test_concurrent_runs_match_sequential () =
+  let want_results, want_time, want_profile = probe_run () in
+  let many () = List.init concurrent_repeats (fun _ -> probe_run ()) in
+  let xs, ys = in_two_domains many many in
+  List.iter
+    (fun (results, max_time, profile) ->
+      Alcotest.(check bool) "results" true (results = want_results);
+      Alcotest.(check (float 0.)) "max_time" want_time max_time;
+      Alcotest.(check (list (triple string int int))) "profile" want_profile profile)
+    (xs @ ys);
+  Alcotest.(check int) "no derived type left committed" 0 (Datatype.live_derived_count ())
+
+(* Rank 0 drains one message from every other rank with fully wildcard
+   receives; oldest-first arbitration fixes the order. *)
+let wildcard_drain comm =
+  if Comm.rank comm = 0 then
+    List.init (Comm.size comm - 1) (fun _ ->
+        let d, st = P2p.recv comm Datatype.int () in
+        (d.(0), Status.source st))
+  else begin
+    P2p.send comm Datatype.int ~dest:0 ~tag:(Comm.rank comm) [| 10 * Comm.rank comm |];
+    []
+  end
+
+let test_explore_leaves_other_runs_undeferred () =
+  let drain () = fst (Engine.run_collect ~domains:1 ~ranks:4 wildcard_drain) in
+  let prog = Option.get (Progs.find "wildcard_race") in
+  let explore () = Explore.explore ~ranks:2 prog.Progs.body in
+  let summary r =
+    ( r.Explore.explored,
+      r.Explore.max_branching,
+      List.map (fun v -> (v.Explore.v_class, v.Explore.v_script)) r.Explore.violations )
+  in
+  let want_drain = drain () in
+  let want_explore = summary (explore ()) in
+  let explorer () = List.init concurrent_repeats (fun _ -> summary (explore ())) in
+  let plain () = List.init concurrent_repeats (fun _ -> drain ()) in
+  let explored, drained = in_two_domains explorer plain in
+  List.iter
+    (fun got -> Alcotest.(check bool) "explorer result unchanged" true (got = want_explore))
+    explored;
+  List.iter
+    (fun got -> Alcotest.(check bool) "plain run matches sequential" true (got = want_drain))
+    drained
+
 let tests =
   [
     Alcotest.test_case "clocks monotone" `Quick test_clocks_monotone;
@@ -194,6 +299,12 @@ let tests =
     Alcotest.test_case "custom error handler" `Quick test_custom_error_handler;
     Alcotest.test_case "timer aggregate" `Quick test_timer_aggregate;
     Alcotest.test_case "timer misuse rejected" `Quick test_timer_misuse_rejected;
+    Alcotest.test_case "assertion_level is compatibility only" `Quick
+      test_assertion_level_compat;
+    Alcotest.test_case "concurrent runs match sequential" `Quick
+      test_concurrent_runs_match_sequential;
+    Alcotest.test_case "explore leaves other runs undeferred" `Quick
+      test_explore_leaves_other_runs_undeferred;
   ]
 
 let () = Alcotest.run "engine" [ ("engine", tests) ]

@@ -328,6 +328,24 @@ let test_mailbox_posted_tombstone_bound () =
     (Mailbox.posted_physical_length mb <= 32);
   Mailbox.cancel mb keep
 
+(* Regression: a receive that matches an unexpected message at [post]
+   never enters the posted queue, so retiring it must not touch the live
+   count (it used to drift negative and force a compaction per retire). *)
+let test_mailbox_immediate_match_keeps_depth () =
+  let mb = Mailbox.create () in
+  let keep = Mailbox.post mb ~context:0 ~src:99 ~tag:99 ~now:0. in
+  for i = 0 to 39 do
+    ignore (Mailbox.deliver mb (mk_msg ~src:1 ~tag:5 ~seq:i ()));
+    let p = Mailbox.post mb ~context:0 ~src:1 ~tag:5 ~now:0. in
+    Alcotest.(check bool) "matched at post" true (p.Mailbox.p_msg <> None);
+    Mailbox.retire mb p;
+    Alcotest.(check int) "depth = live receives" 1 (Mailbox.posted_depth mb)
+  done;
+  Alcotest.(check int) "only the live receive is queued" 1
+    (Mailbox.posted_physical_length mb);
+  Mailbox.cancel mb keep;
+  Alcotest.(check int) "no live receives" 0 (Mailbox.posted_depth mb)
+
 let test_mailbox_wildcard_oldest_across_keys () =
   let mb = Mailbox.create () in
   (* Arrival order deliberately disagrees with key hash order. *)
@@ -398,6 +416,8 @@ let tests =
       test_mailbox_unexpected_reclaim;
     Alcotest.test_case "mailbox: tombstones bounded" `Quick
       test_mailbox_posted_tombstone_bound;
+    Alcotest.test_case "mailbox: immediate match keeps posted depth" `Quick
+      test_mailbox_immediate_match_keeps_depth;
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;

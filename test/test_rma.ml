@@ -112,24 +112,44 @@ let test_multiple_windows () =
   Alcotest.(check (pair int int)) "windows independent" (7, 8) results.(1)
 
 (* ------------------------------------------------------------------ *)
-(* Regression: free must unregister the shared state (it used to leak
-   one registry entry per window, and the creation counter forever). *)
+(* Many windows in one run, two alive at a time: each create must find
+   its own shared state and each free must release it, so a long
+   create/fence/free loop keeps every window's contents independent of
+   its neighbours and leaves the communicator's window table empty. *)
 
-let test_registry_reclaimed () =
-  let live0, ctx0 = Rma.registry_stats () in
-  for _ = 1 to 3 do
-    ignore
-      (Engine.run_values ~ranks:4 (fun comm ->
-           let w1 = Rma.create comm Datatype.int (Array.make 2 0) in
-           let w2 = Rma.create comm Datatype.int (Array.make 2 0) in
-           Rma.fence w1;
-           Rma.fence w2;
-           Rma.free w1;
-           Rma.free w2))
-  done;
-  let live1, ctx1 = Rma.registry_stats () in
-  Alcotest.(check int) "no leaked windows" live0 live1;
-  Alcotest.(check int) "no leaked creation counters" ctx0 ctx1
+let test_many_windows_one_run () =
+  let n = 4 in
+  let fill ~me w i = Rma.put w ~target:((me + 1) mod n) ~target_pos:me [| (i * 100) + me |] in
+  let holds ~me w i =
+    let left = (me + n - 1) mod n in
+    let want j = if j = left then (i * 100) + left else -1 in
+    Array.for_all Fun.id (Array.mapi (fun j v -> v = want j) (Rma.local w))
+  in
+  let results =
+    Engine.run_values ~ranks:n (fun comm ->
+        let me = Comm.rank comm in
+        let ok = ref true in
+        let prev = ref (Rma.create comm Datatype.int (Array.make n (-1)), 0) in
+        fill ~me (fst !prev) 0;
+        for i = 1 to 120 do
+          let w = Rma.create comm Datatype.int (Array.make n (-1)) in
+          fill ~me w i;
+          Rma.fence w;
+          Rma.fence (fst !prev);
+          let pw, pi = !prev in
+          if not (holds ~me w i && holds ~me pw pi) then ok := false;
+          Rma.free pw;
+          prev := (w, i)
+        done;
+        Rma.free (fst !prev);
+        Coll.barrier comm;
+        (!ok, comm.Comm.shared.Comm.windows))
+  in
+  Array.iter
+    (fun (ok, windows) ->
+      Alcotest.(check bool) "every window saw only its own puts" true ok;
+      Alcotest.(check int) "window table empty after the run" 0 (Hashtbl.length windows))
+    results
 
 (* Regression: gets must charge the promised round trip at the closing
    fence (they used to move no clock at all). *)
@@ -324,7 +344,7 @@ let tests =
     Alcotest.test_case "deterministic overlapping puts" `Quick
       test_deterministic_overlapping_puts;
     Alcotest.test_case "multiple windows" `Quick test_multiple_windows;
-    Alcotest.test_case "registry reclaimed after free" `Quick test_registry_reclaimed;
+    Alcotest.test_case "many windows in one run" `Quick test_many_windows_one_run;
     Alcotest.test_case "get charges round trip" `Quick test_get_charges_round_trip;
     Alcotest.test_case "out-of-range put raises ERR_RMA_RANGE" `Quick test_out_of_range_put;
     Alcotest.test_case "out-of-range get/accumulate" `Quick

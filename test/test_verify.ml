@@ -419,19 +419,19 @@ let prop_hostile_streams =
 
 (* --- zero-cost-when-off discipline --- *)
 
-(* With no Choice controller installed and tracing off, the hooks the
-   verification plane put on the p2p hot path are a single ref read
-   ([Choice.deferring]) and the stream-capture gate ([Trace.is_streaming],
-   a field read on a disabled recorder); same harness as the Check
-   off-level test. *)
+(* Outside the model checker and with tracing off, the hooks the
+   verification plane put on the p2p hot path are a field read on the
+   mailbox ([Mailbox.defers_wildcards]) and the stream-capture gate
+   ([Trace.is_streaming], a field read on a disabled recorder); same
+   harness as the Check off-level test. *)
 let test_off_hooks_are_free () =
-  Choice.uninstall ();
-  Alcotest.(check bool) "not deferring" false (Choice.deferring ());
+  let mb = Mailbox.create () in
+  Alcotest.(check bool) "not deferring" false (Mailbox.defers_wildcards mb);
   let tr = Trace.create ~clocks:[| 0.; 0. |] in
   let hits = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    if Choice.deferring () then incr hits;
+    if Mailbox.defers_wildcards mb then incr hits;
     if Trace.is_streaming tr then incr hits
   done;
   let allocated = Gc.minor_words () -. w0 in
