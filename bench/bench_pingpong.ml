@@ -87,8 +87,12 @@ let results_file = "BENCH_PINGPONG.json"
 let fast_path_series ~smoke =
   Printf.printf "\n-- wall clock: bulk fast path vs general per-element path --\n";
   let sizes = if smoke then [ 256; 4096 ] else [ 1024; 65536; 1048576 ] in
-  let iters = if smoke then 4 else 20 in
-  let runs = if smoke then 3 else 5 in
+  (* [bench-diff] compares the smoke [speedup] against the committed
+     history at 10%, so smoke runs still time 32 iterations x 7 runs:
+     with 4 x 3 the 4 KiB ratio ranged over 3.1x-4.3x from run to run on
+     a quiet 2-core host, with 32 x 7 over 3.2x-3.6x. *)
+  let iters = if smoke then 32 else 20 in
+  let runs = if smoke then 7 else 5 in
   let general = Datatype.without_bulk Datatype.byte in
   Bench_util.print_table
     ~header:[ "bytes"; "general (before)"; "bulk (after)"; "speedup" ]
@@ -115,6 +119,81 @@ let fast_path_series ~smoke =
            Bench_util.speedup_string ~baseline:t_fast t_general;
          ])
        sizes)
+
+(* Allocation per message on the ad-hoc and persistent point-to-point
+   paths: exact minor-word counts of a 2-rank ping-pong of 64-byte
+   messages after a warm-up.  Rank 0 reads the counter around its loop;
+   rank 1 runs interleaved with it on the sequential scheduler, so the
+   count covers both ranks' sends and receives.  Deterministic, so the
+   regression gate pins the budget ([*_words] is lower-is-better). *)
+let alloc_per_message (body : Comm.t -> int -> (unit -> unit) * (unit -> unit)) =
+  let round_trips = 1000 in
+  let words = ref 0. in
+  ignore
+    (Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks:2
+       (fun comm ->
+         let me = Comm.rank comm in
+         let send, recv = body comm (1 - me) in
+         let go n =
+           for _ = 1 to n do
+             if me = 0 then begin
+               send ();
+               recv ()
+             end
+             else begin
+               recv ();
+               send ()
+             end
+           done
+         in
+         go 50;
+         if me = 0 then begin
+           let w0 = Gc.minor_words () in
+           go round_trips;
+           words := Gc.minor_words () -. w0
+         end
+         else go round_trips));
+  !words /. float_of_int (2 * round_trips)
+
+let p2p_alloc_series () =
+  Printf.printf "\n-- minor words per 64-byte message (send + receive, both ranks) --\n";
+  let bytes = 64 in
+  let series =
+    [
+      ( "send_recv_into",
+        fun comm peer ->
+          let payload = Array.make bytes 'x' and into = Array.make bytes ' ' in
+          ( (fun () -> P2p.send comm Datatype.byte ~dest:peer payload),
+            fun () -> ignore (P2p.recv_into comm Datatype.byte ~source:peer into) ) );
+      ( "send_recv",
+        fun comm peer ->
+          let payload = Array.make bytes 'x' in
+          ( (fun () -> P2p.send comm Datatype.byte ~dest:peer payload),
+            fun () -> ignore (P2p.recv comm Datatype.byte ~source:peer ()) ) );
+      ( "send_init_recv_init",
+        fun comm peer ->
+          let payload = Array.make bytes 'x' and into = Array.make bytes ' ' in
+          let s = P2p.send_init comm Datatype.byte ~dest:peer payload ~pos:0 ~count:bytes in
+          let r = P2p.recv_init comm Datatype.byte ~source:peer into in
+          let cycle req () =
+            Request.start req;
+            Request.wait_p req
+          in
+          (cycle s, cycle r) );
+    ]
+  in
+  Bench_util.print_table ~header:[ "path"; "words/message" ]
+    (List.map
+       (fun (name, body) ->
+         let words = alloc_per_message body in
+         Bench_util.emit_json_file ~file:results_file ~bench:"p2p_alloc"
+           [
+             ("series", Bench_util.S name);
+             ("bytes", Bench_util.I bytes);
+             ("msg_minor_words", Bench_util.F words);
+           ];
+         [ name; Printf.sprintf "%.1f" words ])
+       series)
 
 let run ?(model = Net_model.omnipath) ?(smoke = false) () =
   Bench_util.section
@@ -147,6 +226,7 @@ let run ?(model = Net_model.omnipath) ?(smoke = false) () =
          ])
        sizes);
   fast_path_series ~smoke;
+  p2p_alloc_series ();
   Printf.printf
     "(Should approach the model: alpha = %.2gus, 1/beta = %.3g GB/s.)\n"
     (model.Net_model.latency *. 1e6)

@@ -15,6 +15,7 @@
      *_per_second         higher is better (bandwidth)
      speedup, *_speedup   higher is better
      *_peak_elems         lower is better (scratch-memory ceilings)
+     *_words              lower is better (minor-heap allocation counts)
 
    Metrics containing "wall" measure the host machine rather than the
    model and are skipped by default: only the deterministic modelled
@@ -35,7 +36,7 @@ let metric_direction name =
   if has_suffix name "_seconds" then Some Lower_better
   else if has_suffix name "_per_second" then Some Higher_better
   else if name = "speedup" || has_suffix name "_speedup" then Some Higher_better
-  else if has_suffix name "_peak_elems" then Some Lower_better
+  else if has_suffix name "_peak_elems" || has_suffix name "_words" then Some Lower_better
   else None
 
 let is_wall name = contains name "wall"

@@ -164,9 +164,10 @@ let world_of_rank t r = Group.world_rank t.shared.group r
 
 (* Comm rank of a world rank; raises if not a member. *)
 let rank_of_world t w =
-  match Hashtbl.find_opt t.shared.inverse w with
-  | Some r -> r
-  | None -> Errdefs.usage_error "world rank %d is not a member of this communicator" w
+  match Hashtbl.find t.shared.inverse w with
+  | r -> r
+  | exception Not_found ->
+      Errdefs.usage_error "world rank %d is not a member of this communicator" w
 
 (* Revocation propagates rank to rank rather than instantaneously: each
    rank is marked as having observed it the first time the revocation

@@ -159,8 +159,13 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured) ?
               ~nfibers:ranks fiber
           end
           else
+            (* Virtual_only runs discard measured segments, so they are not
+               timed at all. *)
             Scheduler.run
-              ~on_segment:(Runtime.on_cpu_segment rt)
+              ?on_segment:
+                (match clock_mode with
+                | Runtime.Measured -> Some (Runtime.on_cpu_segment rt)
+                | Runtime.Virtual_only -> None)
               ?on_park ?on_resume
               ~kill_filter:Fault.is_kill_exn
               ~wake_check ?on_quiescence

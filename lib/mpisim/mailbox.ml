@@ -74,36 +74,48 @@ let posted_matches (p : posted) (m : Message.t) =
   && (p.p_src = any_source || p.p_src = m.Message.src)
   && (p.p_tag = any_tag || p.p_tag = m.Message.tag)
 
+let match_posted (p : posted) (m : Message.t) =
+  p.p_msg <- Some m;
+  m.Message.matched_time <- Float.max m.Message.arrival p.p_clock
+
+(* Reclaim the dead prefix of the posted queue: cheap, and it keeps the
+   common post/match/retire cycle from accumulating queue nodes. *)
+let rec drop_dead_prefix t =
+  if (not (Queue.is_empty t.posted)) && (Queue.peek t.posted).p_dead then begin
+    ignore (Queue.pop t.posted);
+    t.n_tombstones <- t.n_tombstones - 1;
+    drop_dead_prefix t
+  end
+
 (* Deliver [m] to the oldest compatible posted receive, if any.  The match
    time — which is when a synchronous sender may complete — is when both
    the message has arrived AND the receiver was ready for it.  The scan
    visits entries in posting order and stops at the first live match;
-   tombstones are skipped (and reclaimed when they reach the front). *)
+   tombstones are skipped (and reclaimed when they reach the front).  The
+   front entry, live after the reclaim, is tried first without building
+   the scan's closure: in a blocking exchange it is the receive waiting
+   for this very message. *)
 let try_match_posted t (m : Message.t) =
-  (* Reclaim any dead prefix first: cheap, and it keeps the common
-     post/match/retire cycle from accumulating queue nodes. *)
-  let rec drop_dead_prefix () =
-    match Queue.peek_opt t.posted with
-    | Some p when p.p_dead ->
-        ignore (Queue.pop t.posted);
-        t.n_tombstones <- t.n_tombstones - 1;
-        drop_dead_prefix ()
-    | _ -> ()
-  in
-  drop_dead_prefix ();
-  let matched = ref false in
-  (try
-     Queue.iter
-       (fun p ->
-         if (not p.p_dead) && posted_matches p m then begin
-           p.p_msg <- Some m;
-           m.Message.matched_time <- Float.max m.Message.arrival p.p_clock;
-           matched := true;
-           raise Exit
-         end)
-       t.posted
-   with Exit -> ());
-  !matched
+  drop_dead_prefix t;
+  if Queue.is_empty t.posted then false
+  else if posted_matches (Queue.peek t.posted) m then begin
+    match_posted (Queue.peek t.posted) m;
+    true
+  end
+  else begin
+    let matched = ref false in
+    (try
+       Queue.iter
+         (fun p ->
+           if (not p.p_dead) && posted_matches p m then begin
+             match_posted p m;
+             matched := true;
+             raise Exit
+           end)
+         t.posted
+     with Exit -> ());
+    !matched
+  end
 
 let context_table t ~context =
   match Hashtbl.find_opt t.unexpected context with
@@ -136,48 +148,50 @@ let deliver t (m : Message.t) =
     false
   end
 
+(* Pop the head of the per-key queue [q] (key [k] of context table
+   [tbl]); a queue that drains gives its table entry back at once. *)
+let take_head t tbl ~context k q =
+  let m = Queue.pop q in
+  t.n_unexpected <- t.n_unexpected - 1;
+  if Queue.is_empty q then begin
+    Hashtbl.remove tbl k;
+    if Hashtbl.length tbl = 0 then Hashtbl.remove t.unexpected context
+  end;
+  m
+
 (* Find (and optionally remove) the oldest unexpected message matching the
    (context, src, tag) pattern.  Exact patterns are two hash lookups;
    wildcards fold over the keys of their context only.  Removal that
    drains a queue reclaims its table entry immediately. *)
 let find_unexpected ?(remove = true) t ~context ~src ~tag =
-  match Hashtbl.find_opt t.unexpected context with
-  | None -> None
-  | Some tbl ->
+  match Hashtbl.find t.unexpected context with
+  | exception Not_found -> None
+  | tbl when src <> any_source && tag <> any_tag -> (
+      let k = { k_src = src; k_tag = tag } in
+      match Hashtbl.find tbl k with
+      | q when not (Queue.is_empty q) ->
+          Some (if remove then take_head t tbl ~context k q else Queue.peek q)
+      | _ | (exception Not_found) -> None)
+  | tbl -> (
       let best =
-        if src <> any_source && tag <> any_tag then
-          match Hashtbl.find_opt tbl { k_src = src; k_tag = tag } with
-          | Some q when not (Queue.is_empty q) -> Some (Queue.peek q, q, { k_src = src; k_tag = tag })
-          | _ -> None
-        else
-          Hashtbl.fold
-            (fun k q acc ->
-              if
-                (src = any_source || k.k_src = src)
-                && (tag = any_tag || k.k_tag = tag)
-                && not (Queue.is_empty q)
-              then begin
-                let m = Queue.peek q in
-                match acc with
-                | Some (m', _, _) when m'.Message.seq <= m.Message.seq -> acc
-                | _ -> Some (m, q, k)
-              end
-              else acc)
-            tbl None
-      in
-      (match best with
-      | None -> None
-      | Some (m, q, k) ->
-          if remove then begin
-            let taken = Queue.pop q in
-            assert (taken == m);
-            t.n_unexpected <- t.n_unexpected - 1;
-            if Queue.is_empty q then begin
-              Hashtbl.remove tbl k;
-              if Hashtbl.length tbl = 0 then Hashtbl.remove t.unexpected context
+        Hashtbl.fold
+          (fun k q acc ->
+            if
+              (src = any_source || k.k_src = src)
+              && (tag = any_tag || k.k_tag = tag)
+              && not (Queue.is_empty q)
+            then begin
+              let m = Queue.peek q in
+              match acc with
+              | Some (m', _, _) when m'.Message.seq <= m.Message.seq -> acc
+              | _ -> Some (m, q, k)
             end
-          end;
-          Some m)
+            else acc)
+          tbl None
+      in
+      match best with
+      | None -> None
+      | Some (m, q, k) -> Some (if remove then take_head t tbl ~context k q else m))
 
 (* Number of unexpected messages a (context, src, tag) pattern could match
    right now.  The sanitizer's wildcard-race check calls this (heavy level
@@ -229,9 +243,8 @@ let post t ~context ~src ~tag ~now =
   else
     (match find_unexpected t ~context ~src ~tag with
     | Some m ->
-        p.p_msg <- Some m;
         p.p_dead <- true;
-        m.Message.matched_time <- Float.max m.Message.arrival now
+        match_posted p m
     | None ->
         Queue.add p t.posted;
         t.n_posted <- t.n_posted + 1);
@@ -280,16 +293,10 @@ let resolve_deferred t (p : posted) (m : Message.t) =
       let k = { k_src = m.Message.src; k_tag = m.Message.tag } in
       (match Hashtbl.find_opt tbl k with
       | Some q when (not (Queue.is_empty q)) && Queue.peek q == m ->
-          ignore (Queue.pop q);
-          t.n_unexpected <- t.n_unexpected - 1;
-          if Queue.is_empty q then begin
-            Hashtbl.remove tbl k;
-            if Hashtbl.length tbl = 0 then Hashtbl.remove t.unexpected m.Message.context
-          end
+          ignore (take_head t tbl ~context:m.Message.context k q)
       | _ -> invalid_arg "Mailbox.resolve_deferred: candidate is not a queue head"));
   p.p_deferred <- false;
-  p.p_msg <- Some m;
-  m.Message.matched_time <- Float.max m.Message.arrival p.p_clock
+  match_posted p m
 
 (* Rebuild the posted queue without tombstones.  Amortized O(1): it runs
    only when tombstones outnumber live entries, and each removed entry was

@@ -22,7 +22,10 @@ type t = {
   payload_off : int;
   payload_len : int;
   count : int;  (* element count *)
-  signature : Signature.t;  (* full signature of the payload *)
+  signature : Signature.t;
+      (* signature of one element; the payload's is this repeated [count]
+         times ({!payload_signature}), which is never built unless a check
+         fails *)
   sent_at : float;  (* sender's virtual clock at injection (post send-busy) *)
   arrival : float;  (* virtual arrival time at the receiver *)
   seq : int;  (* global injection sequence, for wildcard ordering *)
@@ -34,8 +37,10 @@ type t = {
   mutable consumed : bool;  (* payload storage handed back to a pool *)
 }
 
-let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload
-    ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
+(* All fields explicit: the runtime's per-message constructor, free of
+   optional-argument boxes. *)
+let create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len
+    ~count ~signature ~sent_at ~arrival ~seq ~sync =
   if payload_off < 0 || payload_len < 0 || payload_off + payload_len > Bytes.length payload
   then invalid_arg "Message.make: payload slice out of bounds";
   {
@@ -59,6 +64,14 @@ let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~pa
     consumed = false;
   }
 
+let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload
+    ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
+  create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len
+    ~count ~signature ~sent_at ~arrival ~seq ~sync
+
+(* The full signature of the payload. *)
+let payload_signature t = Signature.repeat t.signature t.count
+
 let is_matched t = t.matched_time >= 0.
 
 let bytes t = t.payload_len
@@ -67,7 +80,7 @@ let bytes t = t.payload_len
    message's storage has been recycled. *)
 let reader t =
   if t.consumed then invalid_arg "Message.reader: payload already recycled";
-  Wire.reader_of_bytes ~pos:t.payload_off ~len:t.payload_len t.payload
+  Wire.reader_of_slice t.payload ~pos:t.payload_off ~len:t.payload_len
 
 (* An owned copy of the payload (for APIs that return raw bytes). *)
 let payload_copy t =

@@ -32,7 +32,11 @@ let check_revoked comm ~op =
 
 (* Trace span around a blocking point-to-point operation.  Eager sends are
    not wrapped (the runtime's "send" instant already marks them); blocking
-   receives, synchronous sends and probes are where virtual time is spent. *)
+   receives, synchronous sends and probes are where virtual time is spent.
+   Callers test [tracing] first and call the operation directly when it
+   is off, so the untraced path builds no closure. *)
+let tracing comm = Trace.enabled (Comm.runtime comm).Runtime.trace
+
 let traced comm ~op f =
   Runtime.with_span (Comm.runtime comm) (Comm.world_rank comm) ~cat:"p2p" ~name:op f
 
@@ -73,13 +77,12 @@ let inject_message comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a arr
     Errdefs.usage_error "%s: datatype %s is not committed" op (Datatype.name dt);
   let w = Runtime.acquire_writer rt me ~capacity:(max 8 (Datatype.size_of_count dt count)) in
   Datatype.pack_array dt w data ~pos ~count;
-  let payload, payload_len = Wire.unsafe_contents w in
+  let payload_len = Wire.length w in
   Runtime.charge_copy rt me ~bytes:payload_len;
   let msg =
     Runtime.inject rt ~context:(Comm.context comm) ~src:me
-      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload ~payload_off:0 ~payload_len ~count
-      ~signature:(Datatype.signature_of_count dt count)
-      ~sync
+      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w) ~payload_off:0
+      ~payload_len ~count ~signature:dt.Datatype.signature ~sync
   in
   Runtime.record rt ~op ~bytes:payload_len;
   msg
@@ -123,7 +126,8 @@ let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
   if Check.enabled chk then clear_waiting comm
 
 let ssend comm dt ~dest ?tag data =
-  traced comm ~op:"ssend" (fun () -> ssend comm dt ~dest ?tag data)
+  if tracing comm then traced comm ~op:"ssend" (fun () -> ssend comm dt ~dest ?tag data)
+  else ssend comm dt ~dest ?tag data
 
 let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
@@ -166,20 +170,26 @@ let my_mailbox comm =
 
 (* Multicore: a rank's mailbox is also mutated by concurrent senders
    ([Runtime.inject] delivers under the runtime lock), so the
-   receiver-side queue operations take the same lock.  Plain calls in
-   sequential mode ({!Runtime.locked} is then a direct application).
+   receiver-side queue operations take the same lock.  Sequential runs
+   call the mailbox directly, without building the locked closure.
    Reads of an already-posted receive's [p_msg] field stay lock-free:
    it is a single mutable word, and the scheduler's round barrier
    orders the matching write before the resumed receiver's read. *)
 let mb_post rt mb ~context ~src ~tag ~now =
-  Runtime.locked rt (fun () -> Mailbox.post mb ~context ~src ~tag ~now)
+  if rt.Runtime.parallel then
+    Runtime.locked rt (fun () -> Mailbox.post mb ~context ~src ~tag ~now)
+  else Mailbox.post mb ~context ~src ~tag ~now
 
-let mb_retire rt mb p = Runtime.locked rt (fun () -> Mailbox.retire mb p)
+let mb_retire rt mb p =
+  if rt.Runtime.parallel then Runtime.locked rt (fun () -> Mailbox.retire mb p)
+  else Mailbox.retire mb p
 
 let mb_cancel rt mb p = Runtime.locked rt (fun () -> Mailbox.cancel mb p)
 
 let mb_find_unexpected rt mb ~context ~src ~tag =
-  Runtime.locked rt (fun () -> Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag)
+  if rt.Runtime.parallel then
+    Runtime.locked rt (fun () -> Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag)
+  else Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag
 
 let source_world comm source =
   if source = any_source then any_source
@@ -222,83 +232,126 @@ let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
       ~name:"matched" ~a:p.Mailbox.p_id ~b:msg.Message.seq ~c:p.Mailbox.p_context
       ~d:msg.Message.src
 
+(* The receiver's [count] elements of [dt] against the message's: both
+   sides carry per-element signatures, so a match is one comparison and
+   the full signatures are only built for the error report. *)
 let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
-  let expected = Datatype.signature_of_count dt msg.Message.count in
-  if not (Signature.matches expected msg.Message.signature) then
+  if not (Signature.repeats_match dt.Datatype.signature msg.Message.signature msg.Message.count)
+  then
     Comm.error comm Errdefs.Err_type
       "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
-      (Signature.to_string expected) msg.Message.src
-      (Signature.to_string msg.Message.signature)
+      (Signature.to_string (Datatype.signature_of_count dt msg.Message.count))
+      msg.Message.src
+      (Signature.to_string (Message.payload_signature msg))
 
-(* Wait until the posted receive [p] matches, also waking on source failure.
-   Returns the matched message or raises. *)
-let await_posted comm ~op ~src_world (p : Mailbox.posted) =
-  let rt = Comm.runtime comm in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
-  (* A revoked communicator only aborts this receive once the source has
-     itself observed the revocation (or died, or is a wildcard): until
-     then the source may still complete the in-flight exchange, and
-     waking early would tear down collectives that could drain. *)
-  let revocation_abort () =
-    p.Mailbox.p_msg = None
-    && Comm.revoked_flag comm
-    && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
-  in
-  let ready () = p.Mailbox.p_msg <> None || failed_source () || revocation_abort () in
-  if not (ready ()) then begin
+(* A revoked communicator only aborts a pending receive once the source
+   has itself observed the revocation (or died, or is a wildcard): until
+   then the source may still complete the in-flight exchange, and waking
+   early would tear down collectives that could drain. *)
+let revocation_abort comm ~src_world (p : Mailbox.posted) =
+  p.Mailbox.p_msg = None
+  && Comm.revoked_flag comm
+  && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
+
+(* When a receiver parked on [p] must wake: its match, its source's
+   failure or an observed revocation. *)
+let posted_ready comm ~src_world (p : Mailbox.posted) =
+  p.Mailbox.p_msg <> None
+  || (src_world <> any_source && Runtime.is_failed (Comm.runtime comm) src_world)
+  || revocation_abort comm ~src_world p
+
+(* The slow path of [await_posted]: park until the receive is ready. *)
+let await_unmatched comm ~op ~src_world (p : Mailbox.posted) =
+  if not (posted_ready comm ~src_world p) then begin
     if Check.enabled (checker comm) then
       set_waiting_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag;
     Scheduler.park
       ~describe:(fun () ->
         Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
           (Comm.context comm) p.Mailbox.p_src p.Mailbox.p_tag)
-      ~poll:(fun () -> if ready () then Some () else None);
+      ~poll:(fun () -> if posted_ready comm ~src_world p then Some () else None);
     if Check.enabled (checker comm) then clear_waiting comm
   end;
   match p.Mailbox.p_msg with
   | Some msg -> msg
   | None ->
-      mb_cancel rt (my_mailbox comm) p;
-      if revocation_abort () then
+      mb_cancel (Comm.runtime comm) (my_mailbox comm) p;
+      if revocation_abort comm ~src_world p then
         Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
       else
         Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
 
-(* Finish a matched receive: signature check, clock accounting, status. *)
-let complete_matched comm dt ~op (msg : Message.t) =
+(* Wait until the posted receive [p] matches, also waking on source failure.
+   Returns the matched message or raises.  A receive already matched at
+   post returns at once, without building the wait's closures. *)
+let await_posted comm ~op ~src_world (p : Mailbox.posted) =
+  match p.Mailbox.p_msg with
+  | Some msg -> msg
+  | None -> await_unmatched comm ~op ~src_world p
+
+(* Post a blocking receive for (source, tag) and wait for its match;
+   returns the matched message, not yet accounted for or unpacked. *)
+let await_recv comm ~op ~source ~tag =
+  let rt = Comm.runtime comm in
+  let src_world = source_world comm source in
+  let now = Runtime.clock rt (Comm.world_rank comm) in
+  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
+  let mb = my_mailbox comm in
+  let p = mb_post rt mb ~context:(Comm.context comm) ~src:src_world ~tag ~now in
+  note_post comm p;
+  let msg = await_posted comm ~op ~src_world p in
+  mb_retire rt mb p;
+  note_matched comm p msg;
+  msg
+
+let status_of_msg comm (msg : Message.t) =
+  Status.make
+    ~source:(Comm.rank_of_world comm msg.Message.src)
+    ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
+
+(* Account for a matched receive: signature check, clock accounting,
+   profiling. *)
+let finish_matched comm dt ~op (msg : Message.t) =
   let rt = Comm.runtime comm in
   check_signature comm dt msg ~op;
   Runtime.complete_receive rt (Comm.world_rank comm) msg;
   Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op ~bytes:(Message.bytes msg);
-  Status.make
-    ~source:(Comm.rank_of_world comm msg.Message.src)
-    ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
+  Runtime.record rt ~op ~bytes:(Message.bytes msg)
+
+let complete_matched comm dt ~op (msg : Message.t) =
+  finish_matched comm dt ~op msg;
+  status_of_msg comm msg
+
+(* Unpack a matched message into a fresh array and recycle its payload. *)
+let unpack_fresh comm dt (msg : Message.t) =
+  let data = Datatype.unpack_array dt (Message.reader msg) ~count:msg.Message.count in
+  Runtime.recycle_payload (Comm.runtime comm) msg;
+  data
 
 (* Dynamic receive: allocates an exact-size result from the message. *)
 let recv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
     'a array * Status.t =
   check_alive_self comm;
-  let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
+  let msg = await_recv comm ~op:"recv" ~source ~tag in
   let status = complete_matched comm dt ~op:"recv" msg in
-  let r = Message.reader msg in
-  let data = Datatype.unpack_array dt r ~count:msg.Message.count in
-  Runtime.recycle_payload (Comm.runtime comm) msg;
-  (data, status)
+  (unpack_fresh comm dt msg, status)
 
-let recv comm dt ?source ?tag () = traced comm ~op:"recv" (fun () -> recv comm dt ?source ?tag ())
+let recv comm dt ?source ?tag () =
+  if tracing comm then traced comm ~op:"recv" (fun () -> recv comm dt ?source ?tag ())
+  else recv comm dt ?source ?tag ()
+
+(* [recv] without the status, for callers that would drop it: the same
+   operation, span and profile entry, minus the status and the pair. *)
+let recv_array comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
+    'a array =
+  check_alive_self comm;
+  let msg = await_recv comm ~op:"recv" ~source ~tag in
+  finish_matched comm dt ~op:"recv" msg;
+  unpack_fresh comm dt msg
+
+let recv_array comm dt ?source ?tag () =
+  if tracing comm then traced comm ~op:"recv" (fun () -> recv_array comm dt ?source ?tag ())
+  else recv_array comm dt ?source ?tag ()
 
 (* MPI-style receive into a caller-provided buffer. *)
 let recv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
@@ -308,28 +361,19 @@ let recv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
     Errdefs.usage_error "recv_into: invalid range (pos %d, maxcount %d, len %d)" pos
       maxcount (Array.length into);
-  let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
+  let msg = await_recv comm ~op:"recv" ~source ~tag in
   if msg.Message.count > maxcount then
     Comm.error comm Errdefs.Err_truncate
       "recv: message of %d elements truncated to buffer of %d" msg.Message.count maxcount;
   let status = complete_matched comm dt ~op:"recv" msg in
-  let r = Message.reader msg in
-  Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
+  Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
   Runtime.recycle_payload (Comm.runtime comm) msg;
   status
 
 let recv_into comm dt ?source ?tag ?pos ?maxcount into =
-  traced comm ~op:"recv_into" (fun () -> recv_into comm dt ?source ?tag ?pos ?maxcount into)
+  if tracing comm then
+    traced comm ~op:"recv_into" (fun () -> recv_into comm dt ?source ?tag ?pos ?maxcount into)
+  else recv_into comm dt ?source ?tag ?pos ?maxcount into
 
 (* Non-blocking receive into a caller-provided buffer. *)
 let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
@@ -379,11 +423,6 @@ let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
 (* ------------------------------------------------------------------ *)
 (* Probing *)
 
-let status_of_unmatched comm (msg : Message.t) =
-  Status.make
-    ~source:(Comm.rank_of_world comm msg.Message.src)
-    ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
-
 let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
@@ -397,7 +436,7 @@ let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
       Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
-      Some (status_of_unmatched comm msg)
+      Some (status_of_msg comm msg)
 
 let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   check_alive_self comm;
@@ -424,9 +463,11 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
         m
   in
   Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
-  status_of_unmatched comm msg
+  status_of_msg comm msg
 
-let probe comm ?source ?tag () = traced comm ~op:"probe" (fun () -> probe comm ?source ?tag ())
+let probe comm ?source ?tag () =
+  if tracing comm then traced comm ~op:"probe" (fun () -> probe comm ?source ?tag ())
+  else probe comm ?source ?tag ()
 
 (* Combined send+receive, deadlock-free because sends are eager. *)
 let sendrecv comm dt ~dest ?(send_tag = 0) ~source ?(recv_tag = any_tag) (data : 'a array)
@@ -438,7 +479,8 @@ let sendrecv comm dt ~dest ?(send_tag = 0) ~source ?(recv_tag = any_tag) (data :
 (* Raw byte transfers (serialization fast path) and typed dynamic
    non-blocking receives *)
 
-let blob_signature bytes_len = Signature.of_base ~count:bytes_len Signature.Blob
+(* A raw byte payload is [count = length] elements of one blob byte. *)
+let byte_signature = Signature.of_base Signature.Blob
 
 (* Send a raw byte payload without datatype packing; matched by
    [recv_bytes].  The element count equals the byte length.  The single
@@ -455,41 +497,28 @@ let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
   let len = Bytes.length payload in
   let w = Runtime.acquire_writer rt me ~capacity:(max 8 len) in
   Wire.put_bytes w payload ~pos:0 ~len;
-  let storage, payload_len = Wire.unsafe_contents w in
   ignore
     (Runtime.inject rt ~context:(Comm.context comm) ~src:me
-       ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:storage ~payload_off:0
-       ~payload_len ~count:len ~signature:(blob_signature len) ~sync:false);
+       ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w)
+       ~payload_off:0 ~payload_len:(Wire.length w) ~count:len ~signature:byte_signature
+       ~sync:false);
   Runtime.record rt ~op:"send" ~bytes:len
 
 let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
   check_alive_self comm;
-  let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
+  let msg = await_recv comm ~op:"recv" ~source ~tag in
   let rt = Comm.runtime comm in
   Runtime.complete_receive rt (Comm.world_rank comm) msg;
   Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
   Runtime.record rt ~op:"recv" ~bytes:(Message.bytes msg);
-  let status =
-    Status.make
-      ~source:(Comm.rank_of_world comm msg.Message.src)
-      ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
-  in
+  let status = status_of_msg comm msg in
   let data = Message.payload_copy msg in
   Runtime.recycle_payload rt msg;
   (data, status)
 
 let recv_bytes comm ?source ?tag () =
-  traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
+  if tracing comm then traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
+  else recv_bytes comm ?source ?tag ()
 
 (* A non-blocking receive whose buffer is allocated at completion time from
    the matched message — the substrate for the binding layer's
@@ -554,13 +583,15 @@ let dyn_test (r : 'a dyn_request) : ('a array * Status.t) option =
 (* Persistent operations (MPI-4 MPI_Send_init / MPI_Recv_init)
 
    Everything a cycle does not strictly need is hoisted to init: argument
-   validation, the datatype plan (byte size + wire signature), the
-   profiling counter handles, rank translation, and a pre-warmed pooled
-   writer large enough for the payload.  The remaining per-cycle
-   allocations are the transport's own (the in-flight [Message.t], the
-   3-word pooled-writer record, the posted-receive record) — the fully
-   allocation-free hot path is the single-rank persistent collective,
-   which skips transport entirely. *)
+   validation, the datatype plan (byte size), the profiling counter
+   handles, rank translation, and a pre-warmed pooled writer large enough
+   for the payload.  What a cycle still allocates is the transport's own,
+   the same as an ad-hoc message minus the status: the in-flight
+   [Message.t] with its boxed times, the pooled-writer record, the
+   posted-receive record and its [Some] cell, the reader, and the fiber's
+   park when the receive has to wait (DESIGN.md §9.1 itemizes the words).
+   The fully allocation-free hot path is the single-rank persistent
+   collective, which skips transport entirely. *)
 
 let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
   Comm.check_user_tag comm tag;
@@ -583,12 +614,12 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
     check_dest_alive comm ~op:"send" dest;
     let w = Runtime.acquire_writer rt me ~capacity:(max 8 plan.Datatype.plan_bytes) in
     Datatype.pack_array dt w data ~pos ~count;
-    let payload, payload_len = Wire.unsafe_contents w in
+    let payload_len = Wire.length w in
     Runtime.charge_copy rt me ~bytes:payload_len;
     ignore
-      (Runtime.inject rt ~context ~src:me ~dst:dst_world ~tag ~payload ~payload_off:0
-         ~payload_len ~count
-         ~signature:plan.Datatype.plan_signature ~sync:false);
+      (Runtime.inject rt ~context ~src:me ~dst:dst_world ~tag
+         ~payload:(Wire.writer_storage w) ~payload_off:0 ~payload_len ~count
+         ~signature:dt.Datatype.signature ~sync:false);
     Profiling.record_prepared rt.Runtime.profile prep ~bytes:payload_len
   in
   (* Eager send: injected at [start], so the cycle is complete immediately. *)
@@ -621,13 +652,7 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
      source failure, observed revocation — or a cycle receiving from a
      dead rank would park forever instead of raising. *)
   let ready () =
-    match !posted with
-    | None -> true
-    | Some p ->
-        p.Mailbox.p_msg <> None
-        || (src_world <> any_source && Runtime.is_failed rt src_world)
-        || Comm.revoked_flag comm
-           && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
+    match !posted with None -> true | Some p -> posted_ready comm ~src_world p
   in
   let run () =
     match !posted with

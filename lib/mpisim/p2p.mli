@@ -54,6 +54,10 @@ val send_bytes : Comm.t -> dest:int -> ?tag:int -> Bytes.t -> unit
 val recv :
   Comm.t -> 'a Datatype.t -> ?source:int -> ?tag:int -> unit -> 'a array * Status.t
 
+(** [recv] without the status: the same receive (span, profile entry and
+    checks), returning only the data, so no status or pair is built. *)
+val recv_array : Comm.t -> 'a Datatype.t -> ?source:int -> ?tag:int -> unit -> 'a array
+
 (** MPI-style receive into caller storage; raises ERR_TRUNCATE if the
     message exceeds [maxcount] (default: the space after [pos]). *)
 val recv_into :

@@ -8,8 +8,10 @@
    The table is a facade over a {!Stats.t} registry: each op owns a pair
    of [Stats] counters ([mpi.<op>.calls] / [mpi.<op>.bytes]), so the same
    numbers appear in the general metrics exports (text and JSON) without
-   being recorded twice.  The handle pair is cached per op, keeping
-   [record] at one hash lookup, as before. *)
+   being recorded twice.  The handle pair is cached per op, so [record]
+   is one string-keyed hash lookup that allocates nothing once the op is
+   registered; [prepare] resolves the pair ahead of time for paths that
+   cannot afford even the lookup. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
@@ -33,28 +35,25 @@ let create ?stats () =
 
 let set_threadsafe t = t.ts <- true
 
-let[@inline] with_lock t f =
-  if not t.ts then f ()
-  else begin
-    Mutex.lock t.lock;
-    let v = f () in
-    Mutex.unlock t.lock;
-    v
-  end
+let register t op =
+  let h =
+    {
+      calls_c = Stats.counter t.stats ("mpi." ^ op ^ ".calls");
+      bytes_c = Stats.counter t.stats ("mpi." ^ op ^ ".bytes");
+    }
+  in
+  Hashtbl.replace t.table op h;
+  h
 
+let handles_unlocked t op =
+  match Hashtbl.find t.table op with h -> h | exception Not_found -> register t op
+
+(* Sequential runs look up without a closure or an option; multicore runs
+   take the lock, which [Mutex.protect] releases even if registration
+   raises. *)
 let handles t op =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table op with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              calls_c = Stats.counter t.stats ("mpi." ^ op ^ ".calls");
-              bytes_c = Stats.counter t.stats ("mpi." ^ op ^ ".bytes");
-            }
-          in
-          Hashtbl.replace t.table op h;
-          h)
+  if t.ts then Mutex.protect t.lock (fun () -> handles_unlocked t op)
+  else handles_unlocked t op
 
 (* Hot-path variant for persistent operations: the handle pair is resolved
    once at init ([prepare]) so a per-cycle [record_prepared] is two counter

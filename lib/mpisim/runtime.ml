@@ -189,7 +189,9 @@ let fresh_context t =
 
 let clock t rank = t.clocks.(rank)
 
-let advance_clock t rank dt =
+(* Inlined into this module's callers so the float amount is never boxed
+   for a call. *)
+let[@inline] advance_clock t rank dt =
   if dt > 0. then begin
     t.clocks.(rank) <- t.clocks.(rank) +. dt;
     t.busy.(rank) <- t.busy.(rank) +. dt
@@ -279,66 +281,85 @@ let recycle_payload t (m : Message.t) =
       Wire.recycle t.wire_pools.(m.Message.dst) m.Message.payload
   end
 
-(* Inject a packed message.  The payload is a (storage, offset, length)
-   slice whose storage the message now owns — typically a pooled writer's
-   buffer handed over without a copy.  Charges the sender; returns the
-   message so the caller can build a request around it (ssend completion
-   etc.). *)
-let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
-    ~sync =
-  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
+(* The sender's busy time for [bytes]: {!Net_model.send_busy_time},
+   spelled out here because a float returned from another module comes
+   back boxed. *)
+let[@inline] send_busy_time t ~bytes =
+  t.model.Net_model.send_overhead +. (float_of_int bytes *. t.model.Net_model.byte_time)
+
+(* The reliable layer's view of one transfer under the chaos plane:
+   (arrival, payload CRC, link sequence number).  May kill ranks and
+   raise. *)
+let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~payload_len =
+  (* Absolute-time failure triggers use the sender's clock as the global
+     progress proxy; the scheduler's wake hook discontinues any victim
+     that is currently parked. *)
+  List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
+  if t.failed.(src) then raise (Process_killed src);
+  if src = dst then (sent_at +. transit, -1, -1)
+  else begin
+    (* Frame the payload before any corruption decision so the
+       receiver-side CRC backstop can detect a flip end to end. *)
+    let crc = Wire.crc32 payload ~pos:payload_off ~len:payload_len in
+    let tr = Chaos.on_transfer ch ~src ~dst ~seq ~bytes:payload_len ~now:sent_at in
+    advance_clock t src tr.Chaos.tr_sender_busy;
+    if tr.Chaos.tr_escalated then begin
+      (* Retransmission budget exhausted: the reliable layer's failure
+         detector declares the peer dead (ULFM semantics) and the send
+         fails with ERR_PROC_FAILED. *)
+      kill t dst;
+      Errdefs.mpi_error Errdefs.Err_proc_failed
+        "send %d->%d: no acknowledgement after %d attempts; peer declared failed" src dst
+        tr.Chaos.tr_attempts
+    end;
+    if tr.Chaos.tr_corrupt then
+      Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
+    (sent_at +. transit +. tr.Chaos.tr_delay, crc, tr.Chaos.tr_link_seq)
+  end
+
+(* Lamport send rule: the injection is a local event, so tick first; the
+   message carries the post-tick value for the receiver to merge. *)
+let[@inline] tick_lamport t src =
+  let lam = t.lamport.(src) + 1 in
+  t.lamport.(src) <- lam;
+  lam
+
+(* The cross-rank half of [inject]: sequence allocation and mailbox
+   delivery mutate the receiver's state, so in multicore mode it runs
+   under the runtime lock. *)
+let deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+    ~signature ~sync =
   let bytes = payload_len in
-  let busy = Net_model.send_busy_time t.model ~bytes in
-  advance_clock t src busy;
   let sent_at = t.clocks.(src) in
-  (* Cross-rank section: sequence allocation and mailbox delivery mutate
-     the receiver's state, so the whole injection serializes under the
-     runtime lock in multicore mode (plain call sequentially). *)
-  locked t @@ fun () ->
   let seq = t.msg_seq in
   t.msg_seq <- seq + 1;
   let transit = Net_model.transit_time t.model in
-  let arrival, crc, link_seq =
-    match t.chaos with
-    | None -> (sent_at +. transit, -1, -1)
-    | Some ch ->
-        (* Absolute-time failure triggers use the sender's clock as the
-           global progress proxy; the scheduler's wake hook discontinues
-           any victim that is currently parked. *)
-        List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
-        if t.failed.(src) then raise (Process_killed src);
-        if src = dst then (sent_at +. transit, -1, -1)
-        else begin
-          (* Frame the payload before any corruption decision so the
-             receiver-side CRC backstop can detect a flip end to end. *)
-          let crc = Wire.crc32 payload ~pos:payload_off ~len:payload_len in
-          let tr = Chaos.on_transfer ch ~src ~dst ~seq ~bytes ~now:sent_at in
-          advance_clock t src tr.Chaos.tr_sender_busy;
-          if tr.Chaos.tr_escalated then begin
-            (* Retransmission budget exhausted: the reliable layer's
-               failure detector declares the peer dead (ULFM semantics)
-               and the send fails with ERR_PROC_FAILED. *)
-            kill t dst;
-            Errdefs.mpi_error Errdefs.Err_proc_failed
-              "send %d->%d: no acknowledgement after %d attempts; peer declared failed"
-              src dst tr.Chaos.tr_attempts
-          end;
-          if tr.Chaos.tr_corrupt then
-            Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
-          (sent_at +. transit +. tr.Chaos.tr_delay, crc, tr.Chaos.tr_link_seq)
-        end
-  in
-  (* Lamport send rule: the injection is a local event, so tick first;
-     the message carries the post-tick value for the receiver to merge. *)
-  let lam = t.lamport.(src) + 1 in
-  t.lamport.(src) <- lam;
+  (* The no-chaos path builds its message directly, with no tuple for
+     the framing fields. *)
   let m =
-    Message.make ~crc ~link_seq ~lamport:lam ~context ~src ~dst ~tag ~payload
-      ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync ()
+    match t.chaos with
+    | None ->
+        let lam = tick_lamport t src in
+        Message.create ~crc:(-1) ~link_seq:(-1) ~lamport:lam ~context ~src ~dst ~tag ~payload
+          ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival:(sent_at +. transit)
+          ~seq ~sync
+    | Some ch ->
+        let arrival, crc, link_seq =
+          chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off
+            ~payload_len
+        in
+        let lam = tick_lamport t src in
+        Message.create ~crc ~link_seq ~lamport:lam ~context ~src ~dst ~tag ~payload
+          ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync
   in
-  Log.debug (fun f ->
-      f "inject ctx=%d %d->%d tag=%d count=%d bytes=%d%s" context src dst tag count bytes
-        (if sync then " (sync)" else ""));
+  let lam = m.Message.lamport in
+  (* The level test keeps the disabled path from building the log closure. *)
+  (match Logs.Src.level log_src with
+  | Some Logs.Debug ->
+      Log.debug (fun f ->
+          f "inject ctx=%d %d->%d tag=%d count=%d bytes=%d%s" context src dst tag count bytes
+            (if sync then " (sync)" else ""))
+  | _ -> ());
   Stats.incr t.metrics.msgs_sent;
   Stats.observe_int t.metrics.msg_size bytes;
   Comm_matrix.record t.comm_matrix ~src ~dst ~bytes;
@@ -357,6 +378,24 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
   end;
   bump_progress t;
   m
+
+(* Inject a packed message.  The payload is a (storage, offset, length)
+   slice whose storage the message now owns — typically a pooled writer's
+   buffer handed over without a copy.  [signature] is the signature of one
+   element.  Charges the sender; returns the message so the caller can
+   build a request around it (ssend completion etc.).  Sequential runs
+   call the delivery half directly: no closure per message. *)
+let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
+    ~sync =
+  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
+  advance_clock t src (send_busy_time t ~bytes:payload_len);
+  if t.parallel then
+    locked t (fun () ->
+        deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+          ~signature ~sync)
+  else
+    deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+      ~signature ~sync
 
 (* Receiver-side completion accounting for a matched message: jump to the
    arrival time and pay the receive overhead.  The unpack cost itself is

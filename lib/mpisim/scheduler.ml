@@ -13,7 +13,9 @@
 
    Timing: the caller may supply [on_segment], which receives the real
    monotonic CPU time of every executed fiber segment — this feeds the
-   hybrid clock's "measured compute" component. *)
+   hybrid clock's "measured compute" component.  Without it the
+   sequential scheduler reads no clock at all: a fiber switch then costs
+   neither a [gettimeofday] nor a boxed timestamp. *)
 
 type 'a poll = unit -> 'a option
 
@@ -69,6 +71,7 @@ type t = {
   mutable live : int;
   mutable current : int;
   on_segment : int -> float -> unit;
+  timed : bool;  (* [on_segment] was supplied: time every segment *)
   mutable seg_start : float;
   (* Park/resume observability hooks.  [track_park] gates the extra
      gettimeofday per park so unhooked runs pay nothing. *)
@@ -82,9 +85,13 @@ type t = {
 
 let close_segment t =
   if t.current >= 0 then begin
-    t.on_segment t.current (now () -. t.seg_start);
+    if t.timed then t.on_segment t.current (now () -. t.seg_start);
     t.current <- -1
   end
+
+let open_segment t rank =
+  t.current <- rank;
+  if t.timed then t.seg_start <- now ()
 
 let handler (t : t) (rank : int) : (unit, unit) Effect.Deep.handler =
   {
@@ -139,18 +146,15 @@ let handler (t : t) (rank : int) : (unit, unit) Effect.Deep.handler =
   }
 
 let start_fiber t rank thunk =
-  t.current <- rank;
-  t.seg_start <- now ();
+  open_segment t rank;
   Effect.Deep.match_with thunk () (handler t rank)
 
 let resume_fiber (type a) t rank (k : (a, unit) Effect.Deep.continuation) (v : a) =
-  t.current <- rank;
-  t.seg_start <- now ();
+  open_segment t rank;
   Effect.Deep.continue k v
 
 let discontinue_fiber t rank (Parked { k; _ }) exn =
-  t.current <- rank;
-  t.seg_start <- now ();
+  open_segment t rank;
   (try Effect.Deep.discontinue k exn
    with _ ->
      close_segment t;
@@ -180,7 +184,7 @@ exception Abandoned_fiber
    fault injection reaches a victim that is blocked in a receive — the poll
    could never succeed (nobody will send to a dead rank), so without the
    hook the kill would only surface as a deadlock. *)
-let run ?(on_segment = fun _ _ -> ()) ?on_park ?on_resume
+let run ?on_segment ?on_park ?on_resume
     ?(kill_filter = fun _ -> false) ?(wake_check = fun _ -> None)
     ?(on_quiescence = fun () -> false) ~progress ~nfibers (body : int -> unit) :
     outcome array =
@@ -191,7 +195,8 @@ let run ?(on_segment = fun _ _ -> ()) ?on_park ?on_resume
       states = Array.init nfibers (fun r -> Ready (fun () -> body r));
       live = nfibers;
       current = -1;
-      on_segment;
+      on_segment = (match on_segment with Some f -> f | None -> fun _ _ -> ());
+      timed = on_segment <> None;
       on_park = (match on_park with Some f -> f | None -> fun _ -> ());
       on_resume = (match on_resume with Some f -> f | None -> fun _ _ -> ());
       track_park;

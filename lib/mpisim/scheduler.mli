@@ -37,7 +37,8 @@ exception Abandoned_fiber
     @param progress a monotone counter that changes whenever shared state
            changes (drives deadlock detection)
     @param on_segment receives (rank, real seconds) for every executed
-           fiber segment — the measured-compute feed of the hybrid clock
+           fiber segment — the measured-compute feed of the hybrid clock;
+           when absent no segment is timed and no clock is read
     @param on_park called when a fiber actually parks (its poll failed);
            voluntary yields do not count
     @param on_resume called with (rank, wall seconds parked) when a parked

@@ -64,6 +64,11 @@ let size_in_bytes (s : t) =
    segmentation (both sides count bytes). *)
 let matches (a : t) (b : t) = a = b
 
+(* [matches (repeat a n) (repeat b n)] for element signatures [a] and [b]:
+   equal elements repeat equally, so the repetitions are only built when
+   the elements differ.  The matching case allocates nothing. *)
+let repeats_match (a : t) (b : t) n = a == b || matches a b || matches (repeat a n) (repeat b n)
+
 (* Receive-side compatibility: a receive of signature [recv] repeated enough
    times may be longer than the incoming data in MPI; we instead require the
    exact per-message equality because the runtime transfers whole messages.

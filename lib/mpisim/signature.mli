@@ -36,6 +36,10 @@ val size_in_bytes : t -> int
 (** Structural equality of normalized signatures. *)
 val matches : t -> t -> bool
 
+(** [repeats_match a b n] is [matches (repeat a n) (repeat b n)], without
+    building either repetition when [a] and [b] already match. *)
+val repeats_match : t -> t -> int -> bool
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -140,8 +140,12 @@ let set g v = g.value <- v
 
 let value g = g.value
 
-(* Index of the smallest bound >= v, or [n_buckets - 1] for overflow. *)
-let bucket_of v =
+(* Index of the smallest bound >= v, or [n_buckets - 1] for overflow.
+
+   [bucket_of] and the observe functions are inlined: OCaml passes a
+   float argument boxed across a real call, so an out-of-line [observe]
+   would allocate two words per observation. *)
+let[@inline] bucket_of v =
   if v <= bounds.(0) then 0
   else if v > bounds.(Array.length bounds - 1) then n_buckets - 1
   else begin
@@ -154,14 +158,15 @@ let bucket_of v =
     !hi
   end
 
-let observe_unlocked h v =
-  h.counts.(bucket_of v) <- h.counts.(bucket_of v) + 1;
+let[@inline] observe_unlocked h v =
+  let b = bucket_of v in
+  h.counts.(b) <- h.counts.(b) + 1;
   h.total <- h.total + 1;
   h.moments.(0) <- h.moments.(0) +. v;
   if v < h.moments.(1) then h.moments.(1) <- v;
   if v > h.moments.(2) then h.moments.(2) <- v
 
-let observe h v =
+let[@inline] observe h v =
   if h.h_ts then begin
     Mutex.lock h.h_lock;
     observe_unlocked h v;
@@ -169,7 +174,7 @@ let observe h v =
   end
   else observe_unlocked h v
 
-let observe_int h n = observe h (float_of_int n)
+let[@inline] observe_int h n = observe h (float_of_int n)
 
 let total h = h.total
 

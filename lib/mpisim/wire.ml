@@ -121,6 +121,13 @@ let reader_of_bytes ?(pos = 0) ?len (data : Bytes.t) =
     invalid_arg "Wire.reader_of_bytes";
   { data; limit; pos }
 
+(* [reader_of_bytes ~pos ~len] without the optional-argument boxes: the
+   per-message receive path reads every payload through one of these. *)
+let reader_of_slice (data : Bytes.t) ~pos ~len =
+  if pos < 0 || len < 0 || len > Bytes.length data - pos then
+    invalid_arg "Wire.reader_of_slice";
+  { data; limit = pos + len; pos }
+
 let remaining r = r.limit - r.pos
 
 (* Written as a difference so that a huge [n] cannot wrap the sum. *)
@@ -207,10 +214,14 @@ let reader_storage r = r.data
    after hand-off (the runtime recycles into the receiver's own pool, but
    the API itself must not rely on that).  [set_threadsafe] arms a
    per-pool mutex guarding the free list; sequential pools never touch
-   it. *)
+   it.
+
+   The free list is a fixed stack of [max_buffers] slots (the top is the
+   most recently recycled buffer), so a hit allocates nothing but the
+   writer record and a recycle allocates nothing at all. *)
 
 type pool = {
-  mutable free : Bytes.t list;
+  free : Bytes.t array;  (* slots [0, n_free) are live; the top is [n_free - 1] *)
   mutable n_free : int;
   max_buffers : int;
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
@@ -223,7 +234,9 @@ type pool = {
 let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
   if max_buffers < 0 || max_retain < 1 then invalid_arg "Wire.create_pool";
   {
-    free = [];
+    (* One slot even when [max_buffers = 0]: [preheat] may still park a
+       buffer for the next acquire. *)
+    free = Array.make (max 1 max_buffers) Bytes.empty;
     n_free = 0;
     max_buffers;
     max_retain;
@@ -235,52 +248,59 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
 
 let set_pool_threadsafe pool = pool.p_ts <- true
 
-let[@inline] with_pool_lock pool f =
-  if not pool.p_ts then f ()
+(* The unlocked operations; the public ones below take the pool mutex
+   only once it is armed, so the sequential call builds no closure. *)
+let acquire_unlocked pool ~capacity =
+  if pool.n_free > 0 then begin
+    let top = pool.n_free - 1 in
+    let b = pool.free.(top) in
+    pool.free.(top) <- Bytes.empty;
+    pool.n_free <- top;
+    pool.hits <- pool.hits + 1;
+    { buf = b; len = 0 }
+  end
   else begin
-    Mutex.lock pool.p_lock;
-    let v = f () in
-    Mutex.unlock pool.p_lock;
-    v
+    pool.misses <- pool.misses + 1;
+    create_writer ~capacity:(max 1 capacity) ()
+  end
+
+let recycle_unlocked pool (b : Bytes.t) =
+  if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
+    pool.free.(pool.n_free) <- b;
+    pool.n_free <- pool.n_free + 1
+  end
+
+(* Pre-warm the pool so the next [acquire] is hit-and-fits: [acquire]
+   pops the top of the free stack whatever its size, so the guarantee is
+   specifically about the *top* buffer.  If the top is already large
+   enough nothing happens; a too-small top in a full pool is replaced
+   (dropping the small buffer) rather than shadowed.  Persistent requests
+   call this at init so the per-cycle pack never grows a writer. *)
+let preheat_unlocked pool ~capacity =
+  let capacity = max 1 (min capacity pool.max_retain) in
+  let n = pool.n_free in
+  if n > 0 && Bytes.length pool.free.(n - 1) >= capacity then ()
+  else if n > 0 && n >= pool.max_buffers then pool.free.(n - 1) <- Bytes.create capacity
+  else begin
+    pool.free.(n) <- Bytes.create capacity;
+    pool.n_free <- n + 1
   end
 
 (* A fresh writer over pooled storage.  The hint only sizes a miss; a
-   pooled buffer grows on demand like any other writer. *)
+   pooled buffer grows on demand like any other writer.  [Mutex.protect]
+   releases the lock even when the body raises: a miss whose
+   [Bytes.create] fails must not leave the pool locked for good. *)
 let acquire pool ~capacity =
-  with_pool_lock pool (fun () ->
-      match pool.free with
-      | b :: rest ->
-          pool.free <- rest;
-          pool.n_free <- pool.n_free - 1;
-          pool.hits <- pool.hits + 1;
-          { buf = b; len = 0 }
-      | [] ->
-          pool.misses <- pool.misses + 1;
-          create_writer ~capacity:(max 1 capacity) ())
+  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> acquire_unlocked pool ~capacity)
+  else acquire_unlocked pool ~capacity
 
 let recycle pool (b : Bytes.t) =
-  with_pool_lock pool (fun () ->
-      if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
-        pool.free <- b :: pool.free;
-        pool.n_free <- pool.n_free + 1
-      end)
+  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> recycle_unlocked pool b)
+  else recycle_unlocked pool b
 
-(* Pre-warm the pool so the next [acquire] is hit-and-fits: [acquire]
-   pops the head of the free list whatever its size, so the guarantee is
-   specifically about the *head* buffer.  If the head is already large
-   enough nothing happens; a too-small head in a full pool is replaced
-   (dropping the small buffer) rather than shadowed.  Persistent requests
-   call this at init so the per-cycle pack never grows a writer. *)
 let preheat pool ~capacity =
-  with_pool_lock pool (fun () ->
-      let capacity = max 1 (min capacity pool.max_retain) in
-      match pool.free with
-      | b :: _ when Bytes.length b >= capacity -> ()
-      | _ :: rest when pool.n_free >= pool.max_buffers ->
-          pool.free <- Bytes.create capacity :: rest
-      | free ->
-          pool.free <- Bytes.create capacity :: free;
-          pool.n_free <- pool.n_free + 1)
+  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> preheat_unlocked pool ~capacity)
+  else preheat_unlocked pool ~capacity
 
 let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
 

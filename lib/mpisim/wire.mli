@@ -62,6 +62,11 @@ type reader
 
 val reader_of_bytes : ?pos:int -> ?len:int -> Bytes.t -> reader
 
+(** [reader_of_slice b ~pos ~len] reads the [len] bytes of [b] from [pos];
+    the same reader as [reader_of_bytes ~pos ~len b], without allocating
+    the optional arguments. *)
+val reader_of_slice : Bytes.t -> pos:int -> len:int -> reader
+
 val remaining : reader -> int
 
 val get_char : reader -> char

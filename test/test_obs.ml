@@ -515,6 +515,8 @@ let test_bench_compare_directions () =
     (Bench_compare.metric_direction "speedup" = Some Bench_compare.Higher_better);
   Alcotest.(check bool) "peak elems lower-better" true
     (Bench_compare.metric_direction "scratch_peak_elems" = Some Bench_compare.Lower_better);
+  Alcotest.(check bool) "allocation words lower-better" true
+    (Bench_compare.metric_direction "msg_minor_words" = Some Bench_compare.Lower_better);
   Alcotest.(check bool) "plain config field is identity" true
     (Bench_compare.metric_direction "ranks" = None);
   Alcotest.(check bool) "wall detection" true

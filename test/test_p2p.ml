@@ -277,8 +277,7 @@ let test_sendrecv () =
 
 let mk_msg ?(context = 0) ~src ~tag ~seq () =
   Message.make ~context ~src ~dst:0 ~tag ~payload:(Bytes.create 8) ~payload_off:0
-    ~payload_len:8 ~count:8
-    ~signature:(Signature.of_base ~count:8 Signature.Blob)
+    ~payload_len:8 ~count:8 ~signature:(Signature.of_base Signature.Blob)
     ~sent_at:0. ~arrival:0. ~seq ~sync:false ()
 
 let test_mailbox_cancel_after_match_fails () =
@@ -390,6 +389,175 @@ let test_pingpong_byte_volume () =
     (2 * iters, 2 * iters * bytes)
     (find "recv")
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget of the ad-hoc message path (sequential scheduler).
+   Each blocking message may allocate its message and posted-receive
+   records, the pooled writer and reader records, the status, a few
+   boxed floats and the fiber's park; everything else on the path —
+   lock, span and profiling plumbing, signatures, pool bookkeeping — must
+   cost nothing.  The per-message figures are exact and repeatable, so
+   the bounds are tight. *)
+
+let words_per_message_budget = 144.
+
+(* Minor words per call of [f], averaged over many calls after a warm-up. *)
+let words_per_call ?(n = 10_000) f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Minor words per message of a 2-rank ping-pong of [round_trips] round
+   trips (two messages each), measured across both ranks' fibers: rank 0
+   reads the counter around its loop, and rank 1 runs interleaved with it
+   on the sequential scheduler. *)
+let pingpong_words ~round_trips ~(send : Comm.t -> int -> unit)
+    ~(recv : Comm.t -> int -> unit) =
+  let words = ref 0. in
+  ignore
+    (Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks:2
+       (fun comm ->
+         let me = Comm.rank comm in
+         let peer = 1 - me in
+         let go n =
+           for _ = 1 to n do
+             if me = 0 then begin
+               send comm peer;
+               recv comm peer
+             end
+             else begin
+               recv comm peer;
+               send comm peer
+             end
+           done
+         in
+         go 50;
+         if me = 0 then begin
+           let w0 = Gc.minor_words () in
+           go round_trips;
+           words := Gc.minor_words () -. w0
+         end
+         else go round_trips));
+  !words /. float_of_int (2 * round_trips)
+
+let test_recv_into_pingpong_budget () =
+  let payload = Array.make 64 'x' and into = Array.make 64 ' ' in
+  let words =
+    pingpong_words ~round_trips:2_000
+      ~send:(fun comm dest -> P2p.send comm Datatype.byte ~dest payload)
+      ~recv:(fun comm source -> ignore (P2p.recv_into comm Datatype.byte ~source into))
+  in
+  if words > words_per_message_budget then
+    Alcotest.failf "send/recv_into: %.1f words per message (budget %.0f)" words
+      words_per_message_budget
+
+let test_kamping_recv_pingpong_budget () =
+  let count = 64 in
+  let payload = Array.make count 'x' in
+  let kcomm = ref None in
+  let comm_of mpi =
+    match !kcomm with
+    | Some (m, c) when m == mpi -> c
+    | _ ->
+        let c = Kamping.Communicator.of_mpi mpi in
+        kcomm := Some (mpi, c);
+        c
+  in
+  let got = ref [||] in
+  let words =
+    pingpong_words ~round_trips:2_000
+      ~send:(fun mpi dest -> Kamping.P2p.send (comm_of mpi) Datatype.byte ~dest payload)
+      ~recv:(fun mpi source -> got := Kamping.P2p.recv (comm_of mpi) Datatype.byte ~source ())
+  in
+  Alcotest.(check int) "received the payload" count (Array.length !got);
+  (* A [count]-element char array is [count] words plus its header. *)
+  let budget = words_per_message_budget +. float_of_int (count + 1) in
+  if words > budget then
+    Alcotest.failf "Kamping send/recv: %.1f words per message (budget %.0f)" words budget
+
+let test_profiling_record_allocation_free () =
+  let prof = Profiling.create () in
+  Profiling.record prof ~op:"send" ~bytes:1;
+  let words = words_per_call (fun () -> Profiling.record prof ~op:"send" ~bytes:64) in
+  Alcotest.(check (float 0.01)) "words per record" 0. words;
+  Alcotest.(check int) "calls counted" 10_101 (Profiling.calls prof ~op:"send")
+
+let test_charge_copy_allocation_free () =
+  let rt =
+    Runtime.create ~clock_mode:Runtime.Virtual_only ~model:Net_model.omnipath ~size:1 ()
+  in
+  let words = words_per_call (fun () -> Runtime.charge_copy rt 0 ~bytes:64) in
+  Alcotest.(check (float 0.01)) "words per charge" 0. words;
+  Alcotest.(check bool) "clock advanced" true (Runtime.clock rt 0 > 0.)
+
+let test_signature_check_allocation_free () =
+  let dt = Datatype.pair Datatype.int Datatype.float in
+  let msg =
+    Message.make ~context:0 ~src:1 ~dst:0 ~tag:0 ~payload:(Bytes.create 8) ~payload_off:0
+      ~payload_len:8 ~count:5 ~signature:dt.Datatype.signature ~sent_at:0. ~arrival:0. ~seq:0
+      ~sync:false ()
+  in
+  (* A structurally equal but physically distinct element signature: the
+     check must not depend on sharing. *)
+  let recv_sig = List.map Fun.id dt.Datatype.signature in
+  let ok = ref true in
+  let words =
+    words_per_call (fun () ->
+        if not (Signature.repeats_match recv_sig msg.Message.signature msg.Message.count)
+        then ok := false)
+  in
+  Alcotest.(check bool) "signatures match" true !ok;
+  Alcotest.(check (float 0.01)) "words per check" 0. words;
+  Alcotest.(check bool) "same answer as the full signatures" true
+    (Signature.matches
+       (Datatype.signature_of_count dt msg.Message.count)
+       (Message.payload_signature msg))
+
+let test_pool_hit_allocates_writer_only () =
+  let pool = Wire.create_pool () in
+  Wire.recycle pool (Bytes.create 64);
+  let words =
+    words_per_call (fun () ->
+        let w = Wire.acquire pool ~capacity:64 in
+        Wire.recycle pool (Wire.writer_storage w))
+  in
+  (* At most the writer record: two fields and a header. *)
+  if words > 3.01 then Alcotest.failf "acquire+recycle: %.2f words (writer record is 3)" words;
+  let hits, misses, free = Wire.pool_stats pool in
+  Alcotest.(check (triple int int int)) "every acquire hit" (10_100, 0, 1) (hits, misses, free)
+
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec at i = i + k <= n && (String.sub s i k = sub || at (i + 1)) in
+  at 0
+
+(* A mismatch is still an ERR_TYPE, reported with the full signatures of
+   both sides. *)
+let test_signature_mismatch_still_detected () =
+  let raised =
+    try
+      ignore
+        (run2 (fun comm ->
+             if Comm.rank comm = 0 then P2p.send comm Datatype.int ~dest:1 [| 1; 2 |]
+             else ignore (P2p.recv comm Datatype.float ~source:0 ())));
+      None
+    with
+    | Errdefs.Mpi_error { code = Errdefs.Err_type; msg } -> Some msg
+    | Scheduler.Aborted { exn = Errdefs.Mpi_error { code = Errdefs.Err_type; msg }; _ } ->
+        Some msg
+  in
+  match raised with
+  | None -> Alcotest.fail "int message received as float without a type error"
+  | Some msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "report names both full signatures: %s" msg)
+        true
+        (contains msg "float64[2]" && contains msg "int64[2]")
+
 let tests =
   [
     Alcotest.test_case "basic send/recv" `Quick test_basic_send_recv;
@@ -421,6 +589,19 @@ let tests =
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;
+    Alcotest.test_case "alloc: send/recv_into per-message budget" `Quick
+      test_recv_into_pingpong_budget;
+    Alcotest.test_case "alloc: kamping recv per-message budget" `Quick
+      test_kamping_recv_pingpong_budget;
+    Alcotest.test_case "alloc: profiling record is free" `Quick
+      test_profiling_record_allocation_free;
+    Alcotest.test_case "alloc: charge_copy is free" `Quick test_charge_copy_allocation_free;
+    Alcotest.test_case "alloc: signature check is free" `Quick
+      test_signature_check_allocation_free;
+    Alcotest.test_case "alloc: pool hit allocates the writer only" `Quick
+      test_pool_hit_allocates_writer_only;
+    Alcotest.test_case "signature mismatch names full signatures" `Quick
+      test_signature_mismatch_still_detected;
   ]
 
 let () = Alcotest.run "p2p" [ ("p2p", tests) ]

@@ -79,6 +79,22 @@ let test_pool_bounds () =
   let _, _, free = Wire.pool_stats pool in
   Alcotest.(check int) "free list capped" 1 free
 
+(* A raising pool operation must not leave the pool's mutex held: a miss
+   whose [Bytes.create] fails raises, and every later acquire on that
+   pool must still work instead of failing on the stuck lock. *)
+let test_pool_lock_released_on_raise () =
+  let pool = Wire.create_pool () in
+  Wire.set_pool_threadsafe pool;
+  Alcotest.check_raises "impossible capacity" (Invalid_argument "Bytes.create") (fun () ->
+      ignore (Wire.acquire pool ~capacity:max_int));
+  let w = Wire.acquire pool ~capacity:16 in
+  Wire.put_int w 7;
+  Wire.recycle pool (Wire.writer_storage w);
+  Wire.preheat pool ~capacity:32;
+  let w = Wire.acquire pool ~capacity:16 in
+  Alcotest.(check bool) "preheated buffer served" true
+    (Bytes.length (Wire.writer_storage w) >= 32)
+
 let test_padding_and_skip () =
   let w = Wire.create_writer () in
   Wire.put_padding w 5;
@@ -159,6 +175,7 @@ let tests =
     Alcotest.test_case "decode error on corrupt bool" `Quick test_decode_error;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     Alcotest.test_case "pool bounds" `Quick test_pool_bounds;
+    Alcotest.test_case "pool lock released on raise" `Quick test_pool_lock_released_on_raise;
     Alcotest.test_case "padding and skip" `Quick test_padding_and_skip;
     Alcotest.test_case "reserve = put" `Quick test_reserve_matches_put;
     Alcotest.test_case "growth" `Quick test_growth;
