@@ -1,256 +1,126 @@
-(* Multicore scheduler benchmarks (DESIGN.md §12): wall-clock speedup of
-   the domain-pool backend over the sequential scheduler on compute-bound
-   workloads, plus the two safety gates of the backend's contract.
+(* Run-level pool benchmark (DESIGN.md §12): N independent p=8 sample-sort
+   simulations through [Engine.run_many] against the same N through
+   [List.map], on one process.
 
-   - [speedup]: the elastic task queue with busy-loop task bodies (real
-     CPU burned inside each fiber, so domains buy real parallelism) and a
-     kamping-style sample sort, each run at 1/2/4/8 domains.  Wall time
-     is the minimum over repetitions; the headline gate — ≥1.8x at 4
-     domains on the compute-bound series — only fires on hosts with at
-     least 4 cores, and is otherwise SKIPPED with the reason recorded in
-     BENCH_MULTICORE.json (a 1-core CI box measures scheduling overhead,
-     not parallelism).
+   - [wall speedup]: both sides are timed after one warm-up repetition
+     (the first pooled repetition pays domain start-up and the fresh
+     minor heaps); the reported wall time is the minimum over the timed
+     repetitions, sequential and pooled interleaved so slow drift cannot
+     bias one side.  The ≥1.5x gate arms when
+     [Domain.recommended_domain_count () >= 2]; on a one-core host the
+     pool is the caller alone, and the bench records a skip reason
+     instead.
 
-   - [sequential overhead]: the sequential scheduler is the seed's code
-     path, untouched; the only new cost when running with --domains 1 is
-     the backend dispatch in the engine.  The gate pins the explicit
-     `--domains 1` run to within 2% (wall, min over reps) of the default
-     path, catching any accidental arming of the thread-safe machinery
-     on the sequential path.
-
-   - [determinism cross-check]: sample sort has no wildcard receives, so
-     its virtual makespan must be bit-identical at every domain count —
-     the virtual-time barrier is a determinism barrier, not a heuristic.
-     (The task queue is excluded: its wildcard task-request matching
-     makes placement schedule-shaped, which is why only its d=1 virtual
-     makespan is emitted as a bench-diff metric.)
+   - [simulated-seconds equality]: each pooled run's virtual makespan
+     must equal its sequential twin exactly — the pool changes where a
+     run executes, never what it computes.  Always armed.
 
    Wall metrics carry "wall" in their name so `bench-diff` skips them by
-   default; the deterministic virtual-time numbers are the CI baseline. *)
+   default; the summed simulated seconds are the CI baseline. *)
 
 open Mpisim
-module C = Kamping.Communicator
-module TQ = Kamping_plugins.Taskqueue
 
 let results_file = "BENCH_MULTICORE.json"
-
-(* Busy loop that the optimizer cannot delete: burns real CPU inside the
-   fiber so the domain pool has actual parallel work, returns a checksum
-   that feeds the task result. *)
-let spin iters seed =
-  let acc = ref seed in
-  for i = 1 to iters do
-    acc := (!acc * 1664525) + 1013904223 + i
-  done;
-  Sys.opaque_identity !acc
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let min_wall ~reps f =
-  let rec go n best = if n = 0 then best else go (n - 1) (Float.min best (snd (wall f))) in
-  go (reps - 1) (snd (wall f))
-
-(* -- compute-bound series: task queue with busy-loop bodies -- *)
-
-(* Per-task spin count, 1x..4x the base drawn from a counter-mode hash:
-   imbalanced enough that work stealing matters, deterministic so every
-   run agrees. *)
-let task_spin ~spin_iters id =
-  spin_iters * (1 + Xoshiro.hash_int ~seed:23 ~stream:0 ~counter:id ~bound:4)
-
-let run_taskqueue ?domains ~p ~n ~spin_iters () : Engine.report =
-  let cfg = TQ.config ~mode:TQ.Master_worker ~lease_timeout:0.5 ~batch:4 () in
-  let tasks = Array.init n Fun.id in
-  let results, report =
-    Engine.run_collect ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only
-      ~check_level:Check.Off ?domains ~ranks:p (fun mpi ->
-        let comm = C.of_mpi mpi in
-        let rt = C.runtime comm in
-        let me = Comm.world_rank mpi in
-        let exec id pay =
-          let iters = task_spin ~spin_iters id in
-          (* Virtual cost mirrors the real burn so the modelled makespan
-             reflects the same imbalance the wall clock sees. *)
-          Runtime.charge_compute rt me (1e-7 *. float_of_int iters);
-          spin iters pay lxor id
-        in
-        TQ.run ~cfg comm ~task_codec:Serial.Codec.int ~result_codec:Serial.Codec.int
-          ~tasks ~exec ())
+(* One sample-sort run; the seed varies with the run index so the N runs
+   are distinct simulations. *)
+let run_samplesort ~p ~per_rank i () : float =
+  let report =
+    Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks:p
+      (fun comm ->
+        let rng = Xoshiro.create ~seed:(88 + i) ~stream:(Comm.rank comm) in
+        let data = Array.init per_rank (fun _ -> Xoshiro.next_int rng ~bound:max_int) in
+        ignore (Sample_sort.Ss_kamping.sort comm data))
   in
-  (* Exactly-once postcondition: every rank holds the same full vector. *)
-  let expected = Array.init n (fun id -> spin (task_spin ~spin_iters id) id lxor id) in
-  Array.iter
-    (function
-      | Some (out, _) -> if out <> expected then failwith "multicore bench: wrong results"
-      | None -> failwith "multicore bench: missing result vector")
-    results;
-  report
-
-(* -- comm+compute series: kamping sample sort -- *)
-
-let run_samplesort ~domains ~p ~per_rank () : Engine.report =
-  Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~domains
-    ~ranks:p (fun comm ->
-      let rng = Xoshiro.create ~seed:88 ~stream:(Comm.rank comm) in
-      let data = Array.init per_rank (fun _ -> Xoshiro.next_int rng ~bound:max_int) in
-      ignore (Sample_sort.Ss_kamping.sort comm data))
+  report.Engine.max_time
 
 let run ?(smoke = false) () =
-  Bench_util.section
-    "Multicore scheduler (DESIGN.md \xC2\xA712): speedup vs domains, sequential overhead";
-  (* The baseline below must be the sequential default path even when the
-     caller exported MPISIM_DOMAINS; every other run pins ~domains
-     explicitly. *)
-  (match Sys.getenv_opt "MPISIM_DOMAINS" with
-  | Some s when String.trim s <> "" && String.trim s <> "1" ->
-      Unix.putenv "MPISIM_DOMAINS" ""
-  | _ -> ());
+  Bench_util.section "Run-level pool (DESIGN.md \xC2\xA712): Engine.run_many vs List.map";
   let gate_failures = ref [] in
   let gate name ok detail =
     Printf.printf "gate %-38s %s  (%s)\n" name (if ok then "PASS" else "FAIL") detail;
     if not ok then gate_failures := name :: !gate_failures
   in
   let cores = Domain.recommended_domain_count () in
-  let domain_series = [ 1; 2; 4; 8 ] in
-  let reps = if smoke then 2 else 3 in
-  let p, n, spin_iters = if smoke then (8, 64, 20_000) else (8, 256, 120_000) in
-  let per_rank = if smoke then 2_000 else 20_000 in
-  Printf.printf "host cores: %d (speedup gate %s)\n" cores
-    (if cores >= 4 then "armed" else "skipped: needs >= 4 cores");
-
-  (* -- speedup curve -- *)
-  Printf.printf "\n-- wall-clock speedup vs domains (min of %d reps) --\n" reps;
-  let measure series_name run_once =
-    let base = ref nan in
-    List.map
-      (fun d ->
-        let report = ref None in
-        let w =
-          min_wall ~reps (fun () -> report := Some (run_once ~domains:d ()))
-        in
-        if d = 1 then base := w;
-        let sim =
-          match !report with Some r -> r.Engine.max_time | None -> assert false
-        in
-        (d, w, !base /. w, sim))
-      domain_series
-    |> fun rows ->
-    Bench_util.print_table
-      ~header:[ "domains"; "wall"; "speedup"; "virtual makespan" ]
-      (List.map
-         (fun (d, w, s, sim) ->
-           [
-             string_of_int d;
-             Printf.sprintf "%.3fs" w;
-             Printf.sprintf "%.2fx" s;
-             Bench_util.time_str sim;
-           ])
-         rows);
-    List.iter
-      (fun (d, w, s, sim) ->
-        Bench_util.emit_json_file ~file:results_file ~bench:("multicore_" ^ series_name)
-          (( "domains", Bench_util.I d )
-          :: ("p", Bench_util.I p)
-          :: ("wall_seconds", Bench_util.F w)
-          :: ("wall_speedup", Bench_util.F s)
-          :: (* The task queue's placement is schedule-shaped under
-                domains > 1 (wildcard task requests), so only its
-                sequential virtual makespan is a stable diff metric;
-                sample sort's is deterministic at every width. *)
-          (if series_name = "samplesort" || d = 1 then
-             [ ("simulated_seconds", Bench_util.F sim) ]
-           else [])))
-      rows;
-    rows
-  in
-  Printf.printf "task queue, busy-loop bodies (p=%d, %d tasks, %d spin iters):\n" p n
-    spin_iters;
-  let tq_rows =
-    measure "taskqueue"
-      (fun ~domains () -> run_taskqueue ~domains ~p ~n ~spin_iters ())
-  in
-  Printf.printf "\nsample sort, kamping bindings (p=%d, %d ints/rank):\n" p per_rank;
-  let ss_rows =
-    measure "samplesort" (fun ~domains () -> run_samplesort ~domains ~p ~per_rank ())
-  in
-
-  (* -- speedup gate (compute-bound series), host-gated -- *)
-  let speedup4 =
-    match List.find_opt (fun (d, _, _, _) -> d = 4) tq_rows with
-    | Some (_, _, s, _) -> s
-    | None -> nan
-  in
-  if cores >= 4 then begin
-    gate "speedup >= 1.8x at 4 domains" (speedup4 >= 1.8)
-      (Printf.sprintf "%.2fx on the compute-bound series" speedup4);
-    Bench_util.emit_json_file ~file:results_file ~bench:"multicore_speedup_gate"
+  let p = 8 in
+  let runs, per_rank, reps = if smoke then (16, 2_000, 10) else (40, 20_000, 3) in
+  let width = min runs cores in
+  Printf.printf "host domains: %d, pool width %d (wall gate %s)\n" cores width
+    (if cores >= 2 then "armed" else "skipped: needs >= 2 domains");
+  let thunks = List.init runs (run_samplesort ~p ~per_rank) in
+  let sequential () = List.map (fun f -> f ()) thunks in
+  let pooled () = Engine.run_many thunks in
+  (* Warm-up repetition of both sides, kept for the equality check. *)
+  let seq_sims = sequential () in
+  let pool_sims = pooled () in
+  let t_seq = ref infinity and t_pool = ref infinity in
+  for _ = 1 to reps do
+    Gc.full_major ();
+    t_seq := Float.min !t_seq (snd (wall sequential));
+    Gc.full_major ();
+    t_pool := Float.min !t_pool (snd (wall pooled))
+  done;
+  let t_seq = !t_seq and t_pool = !t_pool in
+  let speedup = t_seq /. t_pool in
+  let total_sim = List.fold_left ( +. ) 0. seq_sims in
+  Printf.printf "\n%d sample-sort runs (p=%d, %d ints/rank), min of %d reps after warm-up:\n"
+    runs p per_rank reps;
+  Bench_util.print_table
+    ~header:[ "path"; "wall"; "speedup"; "simulated (sum)" ]
+    [
+      [ "List.map"; Printf.sprintf "%.3fs" t_seq; "1.00x"; Bench_util.time_str total_sim ];
       [
-        ("status", Bench_util.S (if speedup4 >= 1.8 then "pass" else "fail"));
-        ("measured_wall_speedup", Bench_util.F speedup4);
+        Printf.sprintf "run_many (%d domains)" width;
+        Printf.sprintf "%.3fs" t_pool;
+        Printf.sprintf "%.2fx" speedup;
+        Bench_util.time_str (List.fold_left ( +. ) 0. pool_sims);
+      ];
+    ];
+  Bench_util.emit_json_file ~file:results_file ~bench:"multicore_pool"
+    [
+      ("runs", Bench_util.I runs);
+      ("p", Bench_util.I p);
+      ("per_rank", Bench_util.I per_rank);
+      ("seq_wall_seconds", Bench_util.F t_seq);
+      ("pool_wall_seconds", Bench_util.F t_pool);
+      ("wall_speedup", Bench_util.F speedup);
+      ("simulated_seconds", Bench_util.F total_sim);
+    ];
+
+  (* -- exact simulated-seconds equality, run by run -- *)
+  let mismatches =
+    List.length (List.filter Fun.id (List.map2 (fun a b -> a <> b) seq_sims pool_sims))
+  in
+  gate "pooled simulated seconds == sequential" (mismatches = 0)
+    (Printf.sprintf "%d of %d runs differ" mismatches runs);
+
+  (* -- wall speedup, host-gated -- *)
+  if cores >= 2 then begin
+    gate "pool speedup >= 1.5x" (speedup >= 1.5)
+      (Printf.sprintf "%.2fx on %d domains" speedup width);
+    Bench_util.emit_json_file ~file:results_file ~bench:"multicore_pool_gate"
+      [
+        ("status", Bench_util.S (if speedup >= 1.5 then "pass" else "fail"));
+        ("measured_wall_speedup", Bench_util.F speedup);
       ]
   end
   else begin
-    Printf.printf "gate %-38s SKIP  (host has %d core(s); measured %.2fx)\n"
-      "speedup >= 1.8x at 4 domains" cores speedup4;
-    Bench_util.emit_json_file ~file:results_file ~bench:"multicore_speedup_gate"
+    Printf.printf "gate %-38s SKIP  (host has %d domain(s); measured %.2fx)\n"
+      "pool speedup >= 1.5x" cores speedup;
+    Bench_util.emit_json_file ~file:results_file ~bench:"multicore_pool_gate"
       [
         ("status", Bench_util.S "skip");
         ( "reason",
           Bench_util.S
-            (Printf.sprintf "host has %d core(s); parallel speedup needs >= 4" cores) );
-        ("measured_wall_speedup", Bench_util.F speedup4);
+            (Printf.sprintf "host has %d domain(s); a pool speedup needs >= 2" cores) );
+        ("measured_wall_speedup", Bench_util.F speedup);
       ]
   end;
-
-  (* -- determinism cross-check: virtual time independent of width -- *)
-  let _, _, _, ss_seq = List.hd ss_rows in
-  let max_rel_dev =
-    List.fold_left
-      (fun acc (_, _, _, sim) -> Float.max acc (Float.abs (sim -. ss_seq) /. ss_seq))
-      0. ss_rows
-  in
-  gate "virtual makespan independent of domains" (max_rel_dev <= 1e-9)
-    (Printf.sprintf "sample sort, max rel deviation %.2e" max_rel_dev);
-
-  (* -- sequential overhead vs the seed path -- *)
-  Printf.printf "\n-- sequential overhead: explicit --domains 1 vs default path --\n";
-  let op, on', ospin = if smoke then (8, 64, 500_000) else (8, 192, 800_000) in
-  let oreps = 5 in
-  (* Same workload through the two sequential entry paths: the default
-     (no domains argument — the seed's code path, byte-identical
-     scheduler) versus an explicit --domains 1 through the backend
-     dispatch.  Interleaved min-over-reps on both sides so slow drift
-     (frequency scaling, background load) cannot bias one side. *)
-  let t_seed = ref infinity and t_explicit = ref infinity in
-  for _ = 1 to oreps do
-    (* Start each timed run from a settled heap so a major collection
-       does not land on one side of the comparison. *)
-    Gc.full_major ();
-    t_seed :=
-      Float.min !t_seed
-        (snd (wall (fun () -> run_taskqueue ~p:op ~n:on' ~spin_iters:ospin ())));
-    Gc.full_major ();
-    t_explicit :=
-      Float.min !t_explicit
-        (snd
-           (wall (fun () -> run_taskqueue ~domains:1 ~p:op ~n:on' ~spin_iters:ospin ())))
-  done;
-  let t_seed = !t_seed and t_explicit = !t_explicit in
-  let overhead_pct = (t_explicit /. t_seed -. 1.) *. 100. in
-  Printf.printf "default path %.3fs, --domains 1 %.3fs (%+.2f%%)\n" t_seed t_explicit
-    overhead_pct;
-  Bench_util.emit_json_file ~file:results_file ~bench:"multicore_seq_overhead"
-    [
-      ("p", Bench_util.I op);
-      ("tasks", Bench_util.I on');
-      ("default_wall_seconds", Bench_util.F t_seed);
-      ("domains1_wall_seconds", Bench_util.F t_explicit);
-    ];
-  gate "sequential --domains 1 overhead <= 2%" (overhead_pct <= 2.)
-    (Printf.sprintf "%+.2f%% wall vs default path (min of %d)" overhead_pct oreps);
 
   if !gate_failures <> [] then begin
     Printf.printf "\nmulticore gates FAILED: %s\n" (String.concat ", " !gate_failures);

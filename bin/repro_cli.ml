@@ -34,7 +34,6 @@ type obs = {
   check : Check.level option;
   chaos : Chaos.config option;
   coll_algo : Coll_algo.spec option;
-  domains : int option;
 }
 
 let obs_arg =
@@ -182,25 +181,9 @@ let obs_arg =
              $(b,coll.algo.*) counters of $(b,--stats) and as trace spans.  \
              Equivalent to the $(b,MPISIM_COLL_ALGO) environment variable.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run the simulation on a pool of $(docv) OCaml domains (the \
-             work-stealing multicore scheduler).  $(b,1) is the default \
-             deterministic sequential scheduler; $(b,0) auto-sizes the pool \
-             to the machine.  Equivalent to the $(b,MPISIM_DOMAINS) \
-             environment variable (the flag wins).  The sequential-only \
-             planes are rejected with a usage error when $(docv) > 1: \
-             $(b,--chaos)/$(b,--chaos-retries), $(b,--check) (and \
-             $(b,MPISIM_CHECK)), and the $(b,verify)/$(b,analyze) \
-             subcommands.")
-  in
   Term.(
     const (fun trace_file trace_stream comm_matrix stats check chaos chaos_retries
-               coll_algo domains ->
+               coll_algo ->
         (* --chaos-retries merges into (or bootstraps) the chaos config, so
            the printed replay line carries the effective retry policy. *)
         let chaos =
@@ -223,10 +206,9 @@ let obs_arg =
                     | None -> base.Chaos.jitter_cap);
                 }
         in
-        { trace_file; trace_stream; comm_matrix; stats; check; chaos; coll_algo;
-          domains })
+        { trace_file; trace_stream; comm_matrix; stats; check; chaos; coll_algo })
     $ trace_file $ trace_stream $ comm_matrix $ stats $ check $ chaos $ chaos_retries
-    $ coll_algo $ domains)
+    $ coll_algo)
 
 (* Exit-status documentation shared by every subcommand; the codes
    themselves live in Mpisim.Exit_codes so tests and CI scripts have the
@@ -258,15 +240,10 @@ let run_with_obs ~obs ~model ~ranks body =
   let report =
     try
       Engine.run ~model ?check_level:obs.check ?chaos:obs.chaos ?trace_capacity
-        ?trace_stream:obs.trace_stream ?domains:obs.domains
+        ?trace_stream:obs.trace_stream
         ~comm_matrix:(obs.comm_matrix <> None)
         ~ranks body
     with
-    | Errdefs.Usage_error msg ->
-        (* Bad flag combination (e.g. --chaos with --domains 2), not a
-           failed run: report it the way cmdliner reports usage errors. *)
-        Printf.eprintf "kamping-repro: %s\n" msg;
-        exit Cmd.Exit.cli_error
     | Scheduler.Aborted { rank; exn = Errdefs.Mpi_error { code; msg }; _ } ->
         (* A chaos run ending in a clean MPI error is a valid outcome; report
            it without an OCaml backtrace so the replay line above is usable. *)
@@ -692,42 +669,6 @@ let bench_diff_cmd =
           nonzero if any metric regressed beyond the tolerance.")
     Term.(const run $ baseline $ current $ tolerance $ include_wall)
 
-(* The verification planes (offline analyzer, model checker) are
-   sequential-only: they reconstruct or enumerate the one deterministic
-   schedule.  They still accept --domains so the flag is uniform across
-   subcommands, but anything that resolves to a pool wider than 1 — the
-   flag itself or an inherited MPISIM_DOMAINS — is a usage error, using
-   the engine's own resolution rules (0/"auto" included). *)
-let sequential_only_arg plane =
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf
-               "Accepted for uniformity with the run subcommands, but %s \
-                requires sequential scheduling: any $(docv) (or \
-                $(b,MPISIM_DOMAINS)) that resolves to more than one domain \
-                is a usage error." plane))
-  in
-  let check d =
-    match
-      try Ok (Engine.resolve_domains d) with Errdefs.Usage_error m -> Error m
-    with
-    | Ok n when n <= 1 -> ()
-    | Ok _ ->
-        Printf.eprintf
-          "kamping-repro: %s requires sequential scheduling; use --domains 1 \
-           (or unset MPISIM_DOMAINS)\n"
-          plane;
-        exit Cmd.Exit.cli_error
-    | Error m ->
-        Printf.eprintf "kamping-repro: %s\n" m;
-        exit Cmd.Exit.cli_error
-  in
-  Term.(const check $ domains)
-
 (* --- analyze: offline happens-before race analysis of a trace stream --- *)
 
 let analyze_cmd =
@@ -759,7 +700,7 @@ let analyze_cmd =
              (collective lowerings, NBX); off by default because their \
              nondeterminism is resolved by the algorithms themselves.")
   in
-  let run src eager_threshold include_internal () =
+  let run src eager_threshold include_internal =
     match Hb.analyze ~eager_threshold ~include_internal src with
     | Error msg ->
         Printf.eprintf "kamping-repro: analyze: %s\n" msg;
@@ -794,8 +735,7 @@ let analyze_cmd =
           can be located visually after $(b,trace-convert).  Exits 1 if any \
           finding is reported.")
     Term.(
-      const run $ src $ eager_threshold $ include_internal
-      $ sequential_only_arg "analyze")
+      const run $ src $ eager_threshold $ include_internal)
 
 (* --- verify: bounded schedule-space model checking --- *)
 
@@ -839,7 +779,7 @@ let verify_cmd =
              printed in a violation witness) instead of exploring, and report \
              what that single schedule exhibits.")
   in
-  let run name ranks max_schedules replay () =
+  let run name ranks max_schedules replay =
     let p = lookup_prog name in
     let ranks = match ranks with Some r -> r | None -> p.Progs.ranks_hint in
     match replay with
@@ -879,8 +819,7 @@ let verify_cmd =
           replayable decision trace per violation class.  Exits 1 on any \
           violation.")
     Term.(
-      const run $ prog_name_arg $ ranks $ max_schedules $ replay
-      $ sequential_only_arg "verify")
+      const run $ prog_name_arg $ ranks $ max_schedules $ replay)
 
 (* --- prog: run one named verification program under the obs flags --- *)
 

@@ -158,25 +158,17 @@ let ibarrier comm =
   let shared = comm.Comm.shared in
   let gen = comm.Comm.my_ibarrier_gen in
   comm.Comm.my_ibarrier_gen <- gen + 1;
-  (* The rendezvous cell is shared by every rank of the communicator:
-     lookup, entry count and clock merge serialize on the runtime lock
-     in multicore mode. *)
+  (* The rendezvous cell is shared by every rank of the communicator. *)
   let state =
-    Runtime.locked rt (fun () ->
-        let state =
-          match Hashtbl.find_opt shared.Comm.ibarriers gen with
-          | Some s -> s
-          | None ->
-              let s =
-                { Comm.ib_target = n; ib_entered = 0; ib_max_clock = 0.; ib_finalized = 0 }
-              in
-              Hashtbl.replace shared.Comm.ibarriers gen s;
-              s
-        in
-        state.Comm.ib_entered <- state.Comm.ib_entered + 1;
-        state.Comm.ib_max_clock <- Float.max state.Comm.ib_max_clock (Runtime.clock rt me);
-        state)
+    match Hashtbl.find_opt shared.Comm.ibarriers gen with
+    | Some s -> s
+    | None ->
+        let s = { Comm.ib_target = n; ib_entered = 0; ib_max_clock = 0.; ib_finalized = 0 } in
+        Hashtbl.replace shared.Comm.ibarriers gen s;
+        s
   in
+  state.Comm.ib_entered <- state.Comm.ib_entered + 1;
+  state.Comm.ib_max_clock <- Float.max state.Comm.ib_max_clock (Runtime.clock rt me);
   Runtime.bump_progress rt;
   let rounds = if n <= 1 then 0 else Coll_algo.ceil_log2 n in
   let dissemination_cost =
@@ -188,10 +180,9 @@ let ibarrier comm =
       ~ready:(fun () -> state.Comm.ib_entered >= state.Comm.ib_target)
       ~finalize:(fun () ->
         Runtime.sync_clock rt me (state.Comm.ib_max_clock +. dissemination_cost);
-        Runtime.locked rt (fun () ->
-            state.Comm.ib_finalized <- state.Comm.ib_finalized + 1;
-            if state.Comm.ib_finalized >= state.Comm.ib_target then
-              Hashtbl.remove shared.Comm.ibarriers gen);
+        state.Comm.ib_finalized <- state.Comm.ib_finalized + 1;
+        if state.Comm.ib_finalized >= state.Comm.ib_target then
+          Hashtbl.remove shared.Comm.ibarriers gen;
         Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
       ~describe:(fun () -> Printf.sprintf "ibarrier gen %d" gen)
   in
@@ -376,15 +367,13 @@ let bcast_count_rendezvous comm ~root ~count_at_root =
   comm.Comm.my_bcast_gen <- gen + 1;
   let rt = Comm.runtime comm in
   if r = root then begin
-    (* Cross-rank publication: serialize against the non-root lookups. *)
-    Runtime.locked rt (fun () ->
-        Hashtbl.replace shared.Comm.bcast_counts gen
-          { Comm.bc_count = count_at_root; bc_consumed = 0 });
+    Hashtbl.replace shared.Comm.bcast_counts gen
+      { Comm.bc_count = count_at_root; bc_consumed = 0 };
     Runtime.bump_progress rt
   end
   else begin
     let root_world = Comm.world_of_rank comm root in
-    if not (Runtime.locked rt (fun () -> Hashtbl.mem shared.Comm.bcast_counts gen)) then
+    if not (Hashtbl.mem shared.Comm.bcast_counts gen) then
       Scheduler.park
         ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
         ~poll:(fun () ->
@@ -395,16 +384,11 @@ let bcast_count_rendezvous comm ~root ~count_at_root =
           then Some ()
           else None)
   end;
-  match
-    Runtime.locked rt (fun () ->
-        match Hashtbl.find_opt shared.Comm.bcast_counts gen with
-        | Some m ->
-            m.Comm.bc_consumed <- m.Comm.bc_consumed + 1;
-            if m.Comm.bc_consumed >= n then Hashtbl.remove shared.Comm.bcast_counts gen;
-            Some m.Comm.bc_count
-        | None -> None)
-  with
-  | Some count -> count
+  match Hashtbl.find_opt shared.Comm.bcast_counts gen with
+  | Some m ->
+      m.Comm.bc_consumed <- m.Comm.bc_consumed + 1;
+      if m.Comm.bc_consumed >= n then Hashtbl.remove shared.Comm.bcast_counts gen;
+      m.Comm.bc_count
   | None ->
       if Comm.revoked_flag comm then
         Comm.error comm Errdefs.Err_revoked "bcast: communicator revoked";

@@ -104,7 +104,8 @@ type spec = (op * algo option) list
 val parse_spec : string -> (spec, string) result
 
 (** Install overrides (replacing any previous ones for the same ops).
-    Must not be called while an [Engine.run] is in flight. *)
+    Must not be called while an [Engine.run] (or [Engine.run_many]) is
+    in flight. *)
 val set_overrides : spec -> unit
 
 (** Drop every override, including any installed from the environment. *)

@@ -88,8 +88,7 @@ type t = {
   topology : topology option;
 }
 
-(* Built eagerly: ranks on different domains read it concurrently, and
-   forcing one shared [lazy] from two domains raises [Lazy.Undefined]. *)
+(* World rank -> communicator rank. *)
 let inverse_of group =
   let h = Hashtbl.create (Group.size group) in
   Array.iteri (fun r w -> Hashtbl.replace h w r) group;
@@ -120,12 +119,10 @@ let create_world rt =
   make_shared ~comms:(Hashtbl.create 16) ~context:(Runtime.fresh_context rt)
     (Group.world ~size:rt.Runtime.size)
 
-(* Atomic with respect to fiber scheduling (no park inside).  Takes the
-   runtime lock in multicore mode: several ranks build the "same"
-   communicator concurrently and must converge on one shared record. *)
+(* Atomic with respect to fiber scheduling (no park inside): every rank
+   that builds the "same" communicator converges on one shared record. *)
 let get_or_create_shared parent ~context ~group =
   let comms = parent.shared.comms in
-  Runtime.locked parent.rt @@ fun () ->
   match Hashtbl.find_opt comms context with
   | Some s ->
       if not (Group.equal s.group group) then

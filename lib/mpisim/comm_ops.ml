@@ -173,36 +173,26 @@ let shrink comm : Comm.t =
   Runtime.record rt ~op:"comm_shrink" ~bytes:0;
   let shared = comm.Comm.shared in
   let me = Comm.world_rank comm in
-  (* The rendezvous cell is cross-rank state: creation and the arrival
-     bookkeeping serialize on the runtime lock in multicore mode.
-     [Runtime.fresh_context] takes the same (non-reentrant) lock, so the
-     candidate context is allocated outside; if another rank installed
-     the cell first, the id is simply discarded (context numbering skips
-     one — harmless). *)
+  (* The rendezvous cell is cross-rank state: the first rank to arrive
+     creates it. *)
   let state =
-    match Runtime.locked rt (fun () -> shared.Comm.pending_shrink) with
+    match shared.Comm.pending_shrink with
     | Some s -> s
-    | None -> (
-        let ctx = Runtime.fresh_context rt in
-        Runtime.locked rt @@ fun () ->
-        match shared.Comm.pending_shrink with
-        | Some s -> s
-        | None ->
-            let s =
-              {
-                Comm.sh_context = ctx;
-                sh_arrived = [];
-                sh_max_clock = 0.;
-                sh_done = 0;
-                sh_survivors = None;
-              }
-            in
-            shared.Comm.pending_shrink <- Some s;
-            s)
+    | None ->
+        let s =
+          {
+            Comm.sh_context = Runtime.fresh_context rt;
+            sh_arrived = [];
+            sh_max_clock = 0.;
+            sh_done = 0;
+            sh_survivors = None;
+          }
+        in
+        shared.Comm.pending_shrink <- Some s;
+        s
   in
-  Runtime.locked rt (fun () ->
-      state.Comm.sh_arrived <- Comm.rank comm :: state.Comm.sh_arrived;
-      state.Comm.sh_max_clock <- Float.max state.Comm.sh_max_clock (Runtime.clock rt me));
+  state.Comm.sh_arrived <- Comm.rank comm :: state.Comm.sh_arrived;
+  state.Comm.sh_max_clock <- Float.max state.Comm.sh_max_clock (Runtime.clock rt me);
   Runtime.bump_progress rt;
   let all_survivors_arrived () =
     let live = live_members comm in
@@ -219,13 +209,12 @@ let shrink comm : Comm.t =
      group-equality check of [Comm.get_or_create_shared]).  A dead rank
      left in the stored group is handled by the next recovery round. *)
   let survivors =
-    Runtime.locked rt (fun () ->
-        match state.Comm.sh_survivors with
-        | Some s -> s
-        | None ->
-            let s = List.sort compare (live_members comm) in
-            state.Comm.sh_survivors <- Some s;
-            s)
+    match state.Comm.sh_survivors with
+    | Some s -> s
+    | None ->
+        let s = List.sort compare (live_members comm) in
+        state.Comm.sh_survivors <- Some s;
+        s
   in
   let world_ranks = Array.of_list (List.map (Comm.world_of_rank comm) survivors) in
   let new_group = Group.of_ranks world_ranks in
@@ -251,9 +240,8 @@ let shrink comm : Comm.t =
          (fun r -> not (Runtime.is_failed rt (Comm.world_of_rank comm r)))
          survivors)
   in
-  Runtime.locked rt (fun () ->
-      state.Comm.sh_done <- state.Comm.sh_done + 1;
-      if state.Comm.sh_done >= passable then shared.Comm.pending_shrink <- None);
+  state.Comm.sh_done <- state.Comm.sh_done + 1;
+  if state.Comm.sh_done >= passable then shared.Comm.pending_shrink <- None;
   let my_new_rank =
     let rec index i = function
       | [] -> Errdefs.usage_error "shrink: internal error, self not in survivor list"
@@ -276,23 +264,17 @@ let agree comm (value : bool) : bool =
   let gen = comm.Comm.my_agree_gen in
   comm.Comm.my_agree_gen <- gen + 1;
   let agrees = comm.Comm.shared.Comm.agrees in
-  (* Cross-rank rendezvous cell: serialize creation and arrival. *)
+  (* Cross-rank rendezvous cell: the first rank to arrive creates it. *)
   let state =
-    Runtime.locked rt (fun () ->
-        let state =
-          match Hashtbl.find_opt agrees gen with
-          | Some s -> s
-          | None ->
-              let s =
-                { Comm.ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None }
-              in
-              Hashtbl.replace agrees gen s;
-              s
-        in
-        state.ag_arrived <- (Comm.rank comm, value) :: state.ag_arrived;
-        state.ag_max_clock <- Float.max state.ag_max_clock (Runtime.clock rt me);
-        state)
+    match Hashtbl.find_opt agrees gen with
+    | Some s -> s
+    | None ->
+        let s = { Comm.ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None } in
+        Hashtbl.replace agrees gen s;
+        s
   in
+  state.ag_arrived <- (Comm.rank comm, value) :: state.ag_arrived;
+  state.ag_max_clock <- Float.max state.ag_max_clock (Runtime.clock rt me);
   Runtime.bump_progress rt;
   let all_arrived () =
     let live = live_members comm in
@@ -306,18 +288,16 @@ let agree comm (value : bool) : bool =
   (* The agreed value is decided once, by the first rank to resume; later
      ranks reuse it even if the live set has changed since. *)
   let result =
-    Runtime.locked rt (fun () ->
-        match state.ag_result with
-        | Some r -> r
-        | None ->
-            let r =
-              List.fold_left
-                (fun acc r ->
-                  acc && (try List.assoc r state.ag_arrived with Not_found -> true))
-                true live
-            in
-            state.ag_result <- Some r;
-            r)
+    match state.ag_result with
+    | Some r -> r
+    | None ->
+        let r =
+          List.fold_left
+            (fun acc r -> acc && (try List.assoc r state.ag_arrived with Not_found -> true))
+            true live
+        in
+        state.ag_result <- Some r;
+        r
   in
   let s = List.length live in
   let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
@@ -325,7 +305,6 @@ let agree comm (value : bool) : bool =
     (state.ag_max_clock
     +. (2. *. float_of_int rounds
        *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)));
-  Runtime.locked rt (fun () ->
-      state.ag_done <- state.ag_done + 1;
-      if state.ag_done >= s then Hashtbl.remove agrees gen);
+  state.ag_done <- state.ag_done + 1;
+  if state.ag_done >= s then Hashtbl.remove agrees gen;
   result

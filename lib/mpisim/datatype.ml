@@ -572,18 +572,23 @@ let pack_array (t : 'a t) (w : Wire.writer) (a : 'a array) ~pos ~count =
         t.pack w (Array.unsafe_get a i)
       done
 
-(* Claim the bytes of a [count]-element run from [r]; returns their offset
-   in [Wire.reader_storage r].  A count the reader cannot hold raises
-   [Wire.Underflow] before [count * elem_size] is formed, so a hostile
-   count can neither wrap the product nor reach an allocation. *)
-let read_run_bytes (t : 'a t) (r : Wire.reader) ~count =
+(* A count the reader cannot hold at [elem_size] bytes per element (the
+   least an element occupies) raises [Wire.Underflow] before
+   [count * elem_size] is formed, so a hostile count can neither wrap the
+   product nor reach an allocation.  The reader is left untouched. *)
+let check_count (t : 'a t) (r : Wire.reader) ~count =
   let sz = t.elem_size in
   let available = Wire.remaining r in
   if sz > 0 && count > available / sz then
     raise
       (Wire.Underflow
-         { wanted = (if count > max_int / sz then max_int else count * sz); available });
-  Wire.read_offset r (count * sz)
+         { wanted = (if count > max_int / sz then max_int else count * sz); available })
+
+(* Claim the bytes of a [count]-element run from [r]; returns their offset
+   in [Wire.reader_storage r]. *)
+let read_run_bytes (t : 'a t) (r : Wire.reader) ~count =
+  check_count t r ~count;
+  Wire.read_offset r (count * t.elem_size)
 
 let unpack_array (t : 'a t) (r : Wire.reader) ~count : 'a array =
   if count < 0 then invalid_arg "Datatype.unpack_array: negative count";
@@ -591,7 +596,9 @@ let unpack_array (t : 'a t) (r : Wire.reader) ~count : 'a array =
   | Some k ->
       let off = read_run_bytes t r ~count in
       read_run k ~sz:t.elem_size (Wire.reader_storage r) off ~count
-  | None -> Array.init count (fun _ -> t.unpack r)
+  | None ->
+      check_count t r ~count;
+      Array.init count (fun _ -> t.unpack r)
 
 let unpack_into (t : 'a t) (r : Wire.reader) (dst : 'a array) ~pos ~count =
   if pos < 0 || count < 0 || pos > Array.length dst - count then

@@ -88,7 +88,10 @@ val bool : bool t
 
 (** {1 Derived-type constructors} *)
 
-(** Fully custom / dynamic type: sizes may be computed at runtime. *)
+(** Fully custom / dynamic type: sizes may be computed at runtime.
+    [size] is the bytes one element occupies on the wire (at least);
+    {!unpack_array} rejects a count the reader cannot hold at that
+    size. *)
 val create :
   name:string ->
   size:int ->
@@ -175,8 +178,9 @@ val blob :
     element.  [pack_array] and [unpack_into] raise [Invalid_argument] for
     a range outside the array.  [unpack_array] and [unpack_into] raise
     {!Wire.Underflow} when the reader holds fewer than [count] elements
-    — for [unpack_array] on the fast path, before allocating anything
-    proportional to [count]. *)
+    — for [unpack_array], before allocating anything proportional to
+    [count] (on the general path a type's [size] is taken as the least
+    bytes one element occupies). *)
 
 val pack_array : 'a t -> Wire.writer -> 'a array -> pos:int -> count:int -> unit
 

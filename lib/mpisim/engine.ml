@@ -47,59 +47,10 @@ let pp_report ppf r =
    creation (the model checker captures it to reach the mailboxes);
    [on_quiescence] is forwarded to {!Scheduler.run} — the point where
    deferred wildcard matches are resolved. *)
-(* Domain-pool sizing: [Some n] from the caller wins; otherwise the
-   [MPISIM_DOMAINS] environment variable ("auto" or 0 = one domain per
-   core minus the coordinator's, capped); otherwise sequential. *)
-let max_auto_domains = 8
-
-let auto_domains () = max 1 (min max_auto_domains (Domain.recommended_domain_count () - 1))
-
-let resolve_domains = function
-  | Some 0 -> auto_domains ()
-  | Some n when n >= 1 -> n
-  | Some n -> raise (Errdefs.Usage_error (Printf.sprintf "domains must be >= 1, got %d" n))
-  | None -> (
-      match Sys.getenv_opt "MPISIM_DOMAINS" with
-      | None -> 1
-      | Some s -> (
-          match String.trim s with
-          | "" -> 1
-          | "auto" -> auto_domains ()
-          | s -> (
-              match int_of_string_opt s with
-              | Some 0 -> auto_domains ()
-              | Some n when n >= 1 -> n
-              | _ ->
-                  raise
-                    (Errdefs.Usage_error
-                       (Printf.sprintf
-                          "MPISIM_DOMAINS must be a positive integer or \"auto\", got %S" s)))))
-
 let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured) ?check_level
     ?chaos ?trace_capacity ?trace_stream ?(comm_matrix = false) ?on_runtime ?on_quiescence
-    ?domains ~ranks (body : Comm.t -> 'a) : 'a option array * report =
-  let domains = resolve_domains domains in
+    ~ranks (body : Comm.t -> 'a) : 'a option array * report =
   let rt = Runtime.create ~clock_mode ?check_level ?chaos ~model ~size:ranks () in
-  (* The sequential-only planes are incompatible with the domain pool:
-     chaos decisions, the sanitizer's operation interleaving checks and
-     the model checker's quiescence hook all assume one deterministic
-     global fiber order.  Fail loudly rather than degrade silently. *)
-  if domains > 1 then begin
-    if rt.Runtime.chaos <> None then
-      raise
-        (Errdefs.Usage_error
-           "chaos injection requires sequential scheduling; drop --chaos or use \
-            --domains 1");
-    if Check.enabled rt.Runtime.check then
-      raise
-        (Errdefs.Usage_error
-           "the correctness sanitizer requires sequential scheduling; unset \
-            MPISIM_CHECK or use --domains 1");
-    if on_quiescence <> None then
-      raise
-        (Errdefs.Usage_error
-           "the model checker requires sequential scheduling; use --domains 1")
-  end;
   (match on_runtime with Some f -> f rt | None -> ());
   (match trace_stream with
   | Some path -> Trace.enable_stream rt.Runtime.trace ~path
@@ -146,31 +97,18 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured) ?
       in
       let outcomes =
         try
-          if domains > 1 then begin
-            Runtime.set_parallel rt;
-            Scheduler.run_parallel
-              ~on_segment:(Runtime.on_cpu_segment rt)
-              ?on_park ?on_resume
-              ~kill_filter:Fault.is_kill_exn
-              ~wake_check
-              ~rank_time:(fun r -> rt.Runtime.clocks.(r))
-              ~domains
-              ~progress:(fun () -> Runtime.progress_count rt)
-              ~nfibers:ranks fiber
-          end
-          else
-            (* Virtual_only runs discard measured segments, so they are not
-               timed at all. *)
-            Scheduler.run
-              ?on_segment:
-                (match clock_mode with
-                | Runtime.Measured -> Some (Runtime.on_cpu_segment rt)
-                | Runtime.Virtual_only -> None)
-              ?on_park ?on_resume
-              ~kill_filter:Fault.is_kill_exn
-              ~wake_check ?on_quiescence
-              ~progress:(fun () -> Runtime.progress_count rt)
-              ~nfibers:ranks fiber
+          (* Virtual_only runs discard measured segments, so they are not
+             timed at all. *)
+          Scheduler.run
+            ?on_segment:
+              (match clock_mode with
+              | Runtime.Measured -> Some (Runtime.on_cpu_segment rt)
+              | Runtime.Virtual_only -> None)
+            ?on_park ?on_resume
+            ~kill_filter:Fault.is_kill_exn
+            ~wake_check ?on_quiescence
+            ~progress:(fun () -> Runtime.progress_count rt)
+            ~nfibers:ranks fiber
         with
         | Scheduler.Deadlock { parked; finished; total }
           when Check.enabled rt.Runtime.check ->
@@ -219,9 +157,10 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured) ?
       in
       (results, report))
 
-(* [assertion_level] is accepted for compatibility only: the commit and
-   signature checks always run, and stronger checks belong to
-   [check_level]. *)
+(* [assertion_level] and [domains] are accepted for compatibility only:
+   the commit and signature checks always run (stronger checks belong to
+   [check_level]), and a run always executes on one domain (independent
+   runs go through [run_many]). *)
 let run ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
     ?trace_stream ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks
     (body : Comm.t -> unit) : report =
@@ -234,9 +173,18 @@ let run ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
               "assertion_level %d is not supported: the commit and signature checks are \
                always on; use check_level (off|light|heavy) for stronger checks"
               n)));
+  (match domains with
+  | None | Some 1 -> ()
+  | Some n ->
+      raise
+        (Errdefs.Usage_error
+           (Printf.sprintf
+              "domains %d is not supported: a run executes on one domain; use \
+               Engine.run_many to run independent simulations in parallel"
+              n)));
   let _, report =
     run_collect ?model ?clock_mode ?check_level ?chaos ?trace_capacity ?trace_stream
-      ?comm_matrix ?on_runtime ?on_quiescence ?domains ~ranks body
+      ?comm_matrix ?on_runtime ?on_quiescence ~ranks body
   in
   report
 
@@ -250,3 +198,34 @@ let run_values ?model ?clock_mode ~ranks (body : Comm.t -> 'a) : 'a array =
       | Some v -> v
       | None -> failwith "Engine.run_values: a rank was killed")
     results
+
+(* Independent runs on a pool of domains.  Workers claim thunks by index
+   from one atomic counter, the calling domain included, so the pool is
+   never wider than the list.  Every thunk runs even when another raises:
+   the exception re-raised is then the lowest-index one whatever the
+   interleaving, and no domain is left running behind the caller. *)
+let run_many (thunks : (unit -> 'a) list) : 'a list =
+  let tasks = Array.of_list thunks in
+  let n = Array.length tasks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (match tasks.(i) () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
+  in
+  let width = min n (Domain.recommended_domain_count ()) in
+  let helpers = List.init (max 0 (width - 1)) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join helpers;
+  Array.iter
+    (function Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+    results;
+  Array.to_list
+    (Array.map (function Some (Ok v) -> v | Some (Error _) | None -> assert false) results)

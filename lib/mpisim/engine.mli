@@ -36,16 +36,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [resolve_domains d] is the scheduler width that [run ?domains:d] would
-    use: [Some 1]/[None]-without-env is the sequential scheduler, [Some 0]
-    (or [MPISIM_DOMAINS=auto]) auto-sizes to the machine (cores minus one,
-    capped), and when [d] is [None] the [MPISIM_DOMAINS] environment
-    variable is consulted.  Raises [Errdefs.Usage_error] on a negative or
-    malformed request.  Exposed so front ends can pre-validate flag
-    combinations (e.g. reject a sequential-only subcommand under
-    [MPISIM_DOMAINS=4]) with the engine's exact resolution rules. *)
-val resolve_domains : int option -> int
-
 (** [run_collect ~ranks body] executes [body world_comm] on every rank and
     collects each rank's result ([None] for killed ranks).
 
@@ -77,17 +67,7 @@ val resolve_domains : int option -> int
     @param on_quiescence forwarded to {!Scheduler.run}: called when a
            scheduler pass runs nothing and progress is stuck; return
            [true] after applying a deferred match decision to continue,
-           [false] to let deadlock detection fire
-    @param domains scheduler backend width: [1] (the default) is the
-           deterministic sequential scheduler; [n > 1] runs fibers on a
-           fixed pool of [n] OCaml domains
-           ({!Scheduler.run_parallel}), [0] auto-sizes to the machine
-           (one domain per core minus one, capped).  When absent, the
-           [MPISIM_DOMAINS] environment variable ("auto"|integer) is
-           consulted.  [domains > 1] is rejected with
-           [Errdefs.Usage_error] when combined with chaos injection,
-           the {!Check} sanitizer or [on_quiescence] — those planes
-           need the sequential schedule. *)
+           [false] to let deadlock detection fire *)
 val run_collect :
   ?model:Net_model.t ->
   ?clock_mode:Runtime.clock_mode ->
@@ -98,7 +78,6 @@ val run_collect :
   ?comm_matrix:bool ->
   ?on_runtime:(Runtime.t -> unit) ->
   ?on_quiescence:(unit -> bool) ->
-  ?domains:int ->
   ranks:int ->
   (Comm.t -> 'a) ->
   'a option array * report
@@ -108,7 +87,10 @@ val run_collect :
     @param assertion_level compatibility only; use [check_level].  The
            commit and signature checks it once gated always run; [1] is
            accepted and ignored, any other value raises
-           [Errdefs.Usage_error]. *)
+           [Errdefs.Usage_error].
+    @param domains compatibility only: a run always executes on one
+           domain; [1] is accepted and ignored, any other value raises
+           [Errdefs.Usage_error].  Use {!run_many} for parallelism. *)
 val run :
   ?model:Net_model.t ->
   ?clock_mode:Runtime.clock_mode ->
@@ -133,3 +115,17 @@ val run_values :
   ranks:int ->
   (Comm.t -> 'a) ->
   'a array
+
+(** [run_many thunks] runs independent thunks — typically whole
+    simulations, each with its own runtime — on
+    [min (List.length thunks) (Domain.recommended_domain_count ())]
+    domains, the calling one included, and returns their results in
+    input order.  Every thunk runs to completion even when another one
+    raises; after every domain has been joined, the exception of the
+    lowest-index failing thunk is re-raised with its backtrace.
+
+    Runs share no simulator state, so a [Virtual_only] run gives the same
+    result here as alone.  What a thunk touches outside its own run (a
+    shared [ref], a channel, the {!Coll_algo.set_overrides} table) is
+    the caller's concern: the pool adds no locking. *)
+val run_many : (unit -> 'a) list -> 'a list

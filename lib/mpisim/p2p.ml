@@ -168,29 +168,6 @@ let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
 let my_mailbox comm =
   (Comm.runtime comm).Runtime.mailboxes.(Comm.world_rank comm)
 
-(* Multicore: a rank's mailbox is also mutated by concurrent senders
-   ([Runtime.inject] delivers under the runtime lock), so the
-   receiver-side queue operations take the same lock.  Sequential runs
-   call the mailbox directly, without building the locked closure.
-   Reads of an already-posted receive's [p_msg] field stay lock-free:
-   it is a single mutable word, and the scheduler's round barrier
-   orders the matching write before the resumed receiver's read. *)
-let mb_post rt mb ~context ~src ~tag ~now =
-  if rt.Runtime.parallel then
-    Runtime.locked rt (fun () -> Mailbox.post mb ~context ~src ~tag ~now)
-  else Mailbox.post mb ~context ~src ~tag ~now
-
-let mb_retire rt mb p =
-  if rt.Runtime.parallel then Runtime.locked rt (fun () -> Mailbox.retire mb p)
-  else Mailbox.retire mb p
-
-let mb_cancel rt mb p = Runtime.locked rt (fun () -> Mailbox.cancel mb p)
-
-let mb_find_unexpected rt mb ~context ~src ~tag =
-  if rt.Runtime.parallel then
-    Runtime.locked rt (fun () -> Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag)
-  else Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag
-
 let source_world comm source =
   if source = any_source then any_source
   else begin
@@ -275,7 +252,7 @@ let await_unmatched comm ~op ~src_world (p : Mailbox.posted) =
   match p.Mailbox.p_msg with
   | Some msg -> msg
   | None ->
-      mb_cancel (Comm.runtime comm) (my_mailbox comm) p;
+      Mailbox.cancel (my_mailbox comm) p;
       if revocation_abort comm ~src_world p then
         Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
       else
@@ -297,10 +274,10 @@ let await_recv comm ~op ~source ~tag =
   let now = Runtime.clock rt (Comm.world_rank comm) in
   if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
   let mb = my_mailbox comm in
-  let p = mb_post rt mb ~context:(Comm.context comm) ~src:src_world ~tag ~now in
+  let p = Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now in
   note_post comm p;
   let msg = await_posted comm ~op ~src_world p in
-  mb_retire rt mb p;
+  Mailbox.retire mb p;
   note_matched comm p msg;
   msg
 
@@ -388,7 +365,7 @@ let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   let chk = checker comm in
   if Check.heavy chk then note_wildcard comm ~src_world ~tag;
   let p =
-    mb_post (Comm.runtime comm) mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
+    Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
   in
   note_post comm p;
   let rt = Comm.runtime comm in
@@ -401,10 +378,10 @@ let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
       ~finalize:(fun () ->
         match p.Mailbox.p_msg with
         | None ->
-            mb_cancel rt mb p;
+            Mailbox.cancel mb p;
             Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
         | Some msg ->
-            mb_retire rt mb p;
+            Mailbox.retire mb p;
             note_matched comm p msg;
             if msg.Message.count > maxcount then
               Comm.error comm Errdefs.Err_truncate "irecv: message truncated";
@@ -429,7 +406,7 @@ let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   Runtime.record rt ~op:"iprobe" ~bytes:0;
   let src_world = source_world comm source in
   match
-    mb_find_unexpected (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
+    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
       ~src:src_world ~tag
   with
   | None -> None
@@ -444,7 +421,7 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   Runtime.record rt ~op:"probe" ~bytes:0;
   let src_world = source_world comm source in
   let find () =
-    mb_find_unexpected (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
+    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
       ~src:src_world ~tag
   in
   let msg =
@@ -534,7 +511,7 @@ let irecv_dyn comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) 
   let chk = checker comm in
   if Check.heavy chk then note_wildcard comm ~src_world ~tag;
   let p =
-    mb_post (Comm.runtime comm) mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
+    Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
   in
   note_post comm p;
   let rt = Comm.runtime comm in
@@ -548,10 +525,10 @@ let irecv_dyn comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) 
       ~finalize:(fun () ->
         match p.Mailbox.p_msg with
         | None ->
-            mb_cancel rt mb p;
+            Mailbox.cancel mb p;
             Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
         | Some msg ->
-            mb_retire rt mb p;
+            Mailbox.retire mb p;
             note_matched comm p msg;
             let status = complete_matched comm dt ~op:"irecv" msg in
             let r = Message.reader msg in
@@ -644,7 +621,7 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     Runtime.check_alive rt me;
     if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
     let now = Runtime.clock rt me in
-    let p = mb_post rt mb ~context ~src:src_world ~tag ~now in
+    let p = Mailbox.post mb ~context ~src:src_world ~tag ~now in
     note_post comm p;
     posted := Some p
   in
@@ -660,7 +637,7 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     | Some p ->
         posted := None;
         let msg = await_posted comm ~op:"recv" ~src_world p in
-        mb_retire rt mb p;
+        Mailbox.retire mb p;
         note_matched comm p msg;
         if msg.Message.count > maxcount then
           Comm.error comm Errdefs.Err_truncate

@@ -19,11 +19,6 @@ type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
   mutable enabled : bool;
-  (* Handle-cache guard for multicore runs: the table is read and grown
-     from several domains, so lookups lock once [set_threadsafe] was
-     called.  Sequential runs keep the lock-free path. *)
-  lock : Mutex.t;
-  mutable ts : bool;
 }
 
 type summary = (string * int * int) list
@@ -31,9 +26,7 @@ type summary = (string * int * int) list
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  { stats; table = Hashtbl.create 32; enabled = true; lock = Mutex.create (); ts = false }
-
-let set_threadsafe t = t.ts <- true
+  { stats; table = Hashtbl.create 32; enabled = true }
 
 let register t op =
   let h =
@@ -45,15 +38,9 @@ let register t op =
   Hashtbl.replace t.table op h;
   h
 
-let handles_unlocked t op =
-  match Hashtbl.find t.table op with h -> h | exception Not_found -> register t op
-
-(* Sequential runs look up without a closure or an option; multicore runs
-   take the lock, which [Mutex.protect] releases even if registration
-   raises. *)
+(* Looked up without a closure or an option. *)
 let handles t op =
-  if t.ts then Mutex.protect t.lock (fun () -> handles_unlocked t op)
-  else handles_unlocked t op
+  match Hashtbl.find t.table op with h -> h | exception Not_found -> register t op
 
 (* Hot-path variant for persistent operations: the handle pair is resolved
    once at init ([prepare]) so a per-cycle [record_prepared] is two counter

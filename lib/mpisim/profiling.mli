@@ -20,12 +20,6 @@ val create : ?stats:Stats.t -> unit -> t
 
 val record : t -> op:string -> bytes:int -> unit
 
-(** Guard the op-handle cache with an internal lock from now on, so
-    {!record}/{!prepare} are safe from several domains (the counters
-    themselves are atomic either way).  One-way; armed by the engine's
-    multicore backend. *)
-val set_threadsafe : t -> unit
-
 (** Pre-resolved counter handles for an op, for allocation-free hot paths
     (persistent-request cycles): {!prepare} pays the hash lookup once,
     {!record_prepared} is then two counter bumps. *)

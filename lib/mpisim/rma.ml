@@ -81,10 +81,8 @@ let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
   let gen = comm.Comm.my_win_gen in
   comm.Comm.my_win_gen <- gen + 1;
   let windows = comm.Comm.shared.Comm.windows in
-  (* The first arriver allocates the shared record; a cross-rank table
-     mutation, so one locked region in multicore mode. *)
+  (* The first arriver allocates the shared record. *)
   let shared =
-    Runtime.locked rt @@ fun () ->
     match Hashtbl.find_opt windows gen with
     | Some s -> (Obj.obj s : 'a shared)
     | None ->
@@ -151,8 +149,7 @@ let enqueue t ~op_name ~target_world (op : 'a op) =
   end
   else
     (* The fence batch is shared by all ranks of the window. *)
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        t.shared.pending := (Comm.world_rank t.comm, op) :: !(t.shared.pending))
+    t.shared.pending := (Comm.world_rank t.comm, op) :: !(t.shared.pending)
 
 (* Queue a put of [data] into [target]'s exposure at [target_pos].
    Applied at the next fence (or at unlock inside a lock epoch). *)
@@ -230,16 +227,11 @@ let fence (t : 'a t) : unit =
   Comm.check_collective t.comm ~op:"win_fence" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime t.comm) ~op:"win_fence" ~bytes:0;
   Coll.barrier t.comm;
-  (* Take-and-clear must be atomic in multicore mode so exactly one rank
-     applies the batch (the sequential scheduler guarantees this by
-     running the first fiber through the barrier to completion). *)
-  let ops =
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        let ops = List.rev !(t.shared.pending) in
-        t.shared.pending := [];
-        t.shared.fences <- t.shared.fences + 1;
-        ops)
-  in
+  (* Take-and-clear: the first fiber through the barrier runs to
+     completion here, so exactly one rank applies the batch. *)
+  let ops = List.rev !(t.shared.pending) in
+  t.shared.pending := [];
+  t.shared.fences <- t.shared.fences + 1;
   if ops <> [] then begin
     let stable = List.stable_sort (fun (o1, _) (o2, _) -> compare o1 o2) ops in
     List.iter (fun (origin, op) -> apply_op t ~origin op) stable
@@ -263,18 +255,15 @@ let lock ?(exclusive = true) (t : 'a t) ~target : unit =
   let target_world = Comm.world_of_rank t.comm target in
   let ls = t.shared.locks.(target_world) in
   let acquirable () = ls.holders = 0 || ((not exclusive) && not ls.excl) in
-  (* Check-and-acquire must be one atomic step in multicore mode (two
-     origins may race for the same target); a loser re-parks and tries
-     again.  Sequentially the loop body runs at most twice, exactly as
-     the straight-line version did. *)
+  (* Check-and-acquire; the loop body runs at most twice (a woken
+     origin's poll already saw the lock acquirable). *)
   let try_acquire () =
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        if acquirable () then begin
-          if ls.holders = 0 then ls.excl <- exclusive;
-          ls.holders <- ls.holders + 1;
-          true
-        end
-        else false)
+    if acquirable () then begin
+      if ls.holders = 0 then ls.excl <- exclusive;
+      ls.holders <- ls.holders + 1;
+      true
+    end
+    else false
   in
   while not (try_acquire ()) do
     Scheduler.park
@@ -301,9 +290,8 @@ let unlock (t : 'a t) : unit =
   t.epoch_ops <- [];
   List.iter (fun op -> apply_op t ~origin:me op) ops;
   let ls = t.shared.locks.(t.lock_target) in
-  Runtime.locked (Comm.runtime t.comm) (fun () ->
-      ls.holders <- ls.holders - 1;
-      if ls.holders = 0 then ls.excl <- false);
+  ls.holders <- ls.holders - 1;
+  if ls.holders = 0 then ls.excl <- false;
   t.lock_target <- -1;
   Runtime.record (Comm.runtime t.comm) ~op:"win_unlock" ~bytes:0;
   (* Wake peers parked in [lock]. *)
@@ -328,7 +316,6 @@ let free (t : 'a t) : unit =
   Runtime.record (Comm.runtime t.comm) ~op:"win_free" ~bytes:0;
   t.freed <- true;
   Coll.barrier t.comm;
-  Runtime.locked (Comm.runtime t.comm) (fun () ->
-      t.shared.freed_count <- t.shared.freed_count + 1;
-      if t.shared.freed_count = Comm.size t.comm then
-        Hashtbl.remove t.comm.Comm.shared.Comm.windows t.shared.gen)
+  t.shared.freed_count <- t.shared.freed_count + 1;
+  if t.shared.freed_count = Comm.size t.comm then
+    Hashtbl.remove t.comm.Comm.shared.Comm.windows t.shared.gen

@@ -65,19 +65,9 @@ type t = {
   (* Per-(src,dst) traffic matrix with algorithm attribution; disabled
      (one branch per injection) unless explicitly requested. *)
   comm_matrix : Comm_matrix.t;
-  progress : int Atomic.t;
+  mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
-  (* Multicore backend support.  Per-rank ownership invariant: a rank's
-     fiber runs on exactly one domain at a time (the scheduler asserts
-     it), so rank-indexed state touched only by its own fiber — clocks,
-     busy/blocked, lamport, own trace ring — needs no locks.  Everything
-     mutated *across* ranks (mailbox delivery, msg_seq, context
-     allocation, the communicator, rendezvous and window tables of
-     [Comm.shared]) serializes on [lock], taken only when [parallel] is
-     set; sequential runs pay one branch. *)
-  lock : Mutex.t;
-  mutable parallel : bool;
 }
 
 exception Process_killed of int
@@ -142,50 +132,19 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
     blocked = Array.make size 0.;
     lamport = Array.make size 0;
     comm_matrix = Comm_matrix.create ~size;
-    progress = Atomic.make 0;
+    progress = 0;
     msg_seq = 0;
     next_context = 0;
-    lock = Mutex.create ();
-    parallel = false;
   }
 
-let bump_progress t = Atomic.incr t.progress
+let bump_progress t = t.progress <- t.progress + 1
 
-let progress_count t = Atomic.get t.progress
-
-(* Switch the runtime into multicore mode: cross-rank mutations start
-   taking [lock], the stats registry and the wire pools arm their own
-   guards.  One-way; called by the engine before the domain-pool
-   scheduler starts. *)
-let set_parallel t =
-  if not t.parallel then begin
-    t.parallel <- true;
-    Stats.set_threadsafe t.stats;
-    Profiling.set_threadsafe t.profile;
-    Array.iter Wire.set_pool_threadsafe t.wire_pools
-  end
-
-(* Run [f] under the runtime's lock when in multicore mode; a plain
-   call sequentially.  NOT reentrant — never nest, and never park the
-   fiber inside [f]. *)
-let[@inline] locked t f =
-  if not t.parallel then f ()
-  else begin
-    Mutex.lock t.lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.lock;
-        v
-    | exception e ->
-        Mutex.unlock t.lock;
-        raise e
-  end
+let progress_count t = t.progress
 
 let fresh_context t =
-  locked t (fun () ->
-      let c = t.next_context in
-      t.next_context <- c + 1;
-      c)
+  let c = t.next_context in
+  t.next_context <- c + 1;
+  c
 
 let clock t rank = t.clocks.(rank)
 
@@ -324,12 +283,16 @@ let[@inline] tick_lamport t src =
   t.lamport.(src) <- lam;
   lam
 
-(* The cross-rank half of [inject]: sequence allocation and mailbox
-   delivery mutate the receiver's state, so in multicore mode it runs
-   under the runtime lock. *)
-let deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
-    ~signature ~sync =
+(* Inject a packed message.  The payload is a (storage, offset, length)
+   slice whose storage the message now owns — typically a pooled writer's
+   buffer handed over without a copy.  [signature] is the signature of one
+   element.  Charges the sender; returns the message so the caller can
+   build a request around it (ssend completion etc.). *)
+let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
+    ~sync =
+  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
   let bytes = payload_len in
+  advance_clock t src (send_busy_time t ~bytes);
   let sent_at = t.clocks.(src) in
   let seq = t.msg_seq in
   t.msg_seq <- seq + 1;
@@ -378,24 +341,6 @@ let deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_le
   end;
   bump_progress t;
   m
-
-(* Inject a packed message.  The payload is a (storage, offset, length)
-   slice whose storage the message now owns — typically a pooled writer's
-   buffer handed over without a copy.  [signature] is the signature of one
-   element.  Charges the sender; returns the message so the caller can
-   build a request around it (ssend completion etc.).  Sequential runs
-   call the delivery half directly: no closure per message. *)
-let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
-    ~sync =
-  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
-  advance_clock t src (send_busy_time t ~bytes:payload_len);
-  if t.parallel then
-    locked t (fun () ->
-        deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
-          ~signature ~sync)
-  else
-    deliver_injected t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
-      ~signature ~sync
 
 (* Receiver-side completion accounting for a matched message: jump to the
    arrival time and pay the receive overhead.  The unpack cost itself is

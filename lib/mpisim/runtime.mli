@@ -52,14 +52,9 @@ type t = {
   comm_matrix : Comm_matrix.t;
       (** per-(src,dst) traffic matrix with collective-algorithm
           attribution; disabled (one branch per injection) by default *)
-  progress : int Atomic.t;  (** monotone; drives deadlock detection *)
+  mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
-  lock : Mutex.t;
-      (** serializes cross-rank mutations in multicore mode; see
-          {!locked} *)
-  mutable parallel : bool;
-      (** multicore backend active: {!locked} really locks *)
 }
 
 (** Raised inside a fiber whose rank was failed by injection. *)
@@ -84,27 +79,8 @@ val create :
 
 val bump_progress : t -> unit
 
-(** Current value of the progress epoch (reads the atomic). *)
+(** Current value of the progress epoch. *)
 val progress_count : t -> int
-
-(** Switch into multicore mode (one-way): cross-rank mutations start
-    taking the runtime lock, the stats registry, profiling table and
-    wire pools arm their internal guards.  Called by the engine before
-    the domain-pool scheduler starts.
-
-    Per-rank ownership invariant (asserted by the parallel scheduler): a
-    rank's fiber runs on exactly one domain at a time, so rank-indexed
-    state touched only by its own fiber — clocks, busy/blocked
-    accounting, Lamport clocks, its own trace ring — needs no locks.
-    Only state mutated across ranks (mailbox delivery and matching,
-    [msg_seq], context allocation, the per-run communicator tables,
-    collective rendezvous cells) serializes on {!locked}. *)
-val set_parallel : t -> unit
-
-(** [locked t f] runs [f] under the runtime's lock in multicore
-    mode, as a plain call otherwise.  Not reentrant; never park a fiber
-    inside [f]. *)
-val locked : t -> (unit -> 'a) -> 'a
 
 (** Allocate a fresh communicator context id. *)
 val fresh_context : t -> int

@@ -69,46 +69,3 @@ val run :
   nfibers:int ->
   (int -> unit) ->
   outcome array
-
-(** [run_parallel ~domains ~progress ~nfibers body] is {!run} on a fixed
-    pool of [domains] OCaml 5 domains (the calling domain included as
-    worker 0; [domains - 1] are spawned for the run and joined at the
-    end).
-
-    Execution is round-based: with every worker idle, the coordinator
-    polls all fibers in rank order (so polls stay sequential and
-    lock-free, exactly as in {!run}), then the runnable set executes
-    concurrently on per-worker run queues with work stealing, then a
-    barrier makes all writes visible before the next poll phase.  Each
-    rank's fiber runs on exactly one domain at a time (asserted), so
-    rank-owned state needs no locking; cross-rank state must be guarded
-    by the runtime (see [Runtime.set_parallel]).
-
-    Determinism: with a deterministic virtual clock the runnable set of
-    each round is schedule-independent, so results and virtual times are
-    reproducible across [domains] settings; wall-clock interleaving
-    within a round is not.  [rank_time] reports a fiber's current
-    virtual time; when [lookahead] (default: [MPISIM_LOOKAHEAD], else
-    infinite) is finite, only fibers within [lookahead] of the round's
-    earliest runnable virtual time run — the virtual-time barrier
-    advances once they park.
-
-    [on_quiescence] is not supported (the model checker requires
-    sequential scheduling); callers must run sequentially instead.
-    Deadlock detection is unchanged: a round that polls nothing runnable
-    while [progress] is stationary raises {!Deadlock}.
-
-    @raise Invalid_argument when [domains < 2] (use {!run}). *)
-val run_parallel :
-  ?on_segment:(int -> float -> unit) ->
-  ?on_park:(int -> unit) ->
-  ?on_resume:(int -> float -> unit) ->
-  ?kill_filter:(exn -> bool) ->
-  ?wake_check:(int -> exn option) ->
-  ?rank_time:(int -> float) ->
-  ?lookahead:float ->
-  domains:int ->
-  progress:(unit -> int) ->
-  nfibers:int ->
-  (int -> unit) ->
-  outcome array

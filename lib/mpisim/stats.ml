@@ -6,18 +6,14 @@
    distributions, and exporters turn it into text or JSON.
 
    Hot-path discipline: [incr]/[add]/[set]/[observe] never allocate.
-   Counters are atomic ints (domain-safe by construction: the multicore
-   scheduler bumps them from several domains); gauges are
-   single-mutable-float records (word-sized stores never tear under the
-   OCaml memory model, so concurrent [set]s are last-writer-wins);
-   histogram bucketing is a binary search over a shared power-of-two
-   bounds array, and the float moments live in a float array rather than
-   record fields so the updates stay box-free.  Histogram observation and
-   registration are multi-field updates, so they take a lock — but only
-   after {!set_threadsafe} marks the registry as shared between domains;
-   sequential runs keep the original lock-free paths. *)
+   Counters are single-mutable-int records and gauges single-mutable-float
+   ones; histogram bucketing is a binary search over a shared
+   power-of-two bounds array, and the float moments live in a float
+   array rather than record fields so the updates stay box-free.  A
+   registry belongs to one run, and a run executes on one domain, so
+   nothing here locks. *)
 
-type counter = int Atomic.t
+type counter = { mutable n : int }
 
 type gauge = { mutable value : float }
 
@@ -39,8 +35,6 @@ type histogram = {
   counts : int array;
   moments : float array;
   mutable total : int;
-  h_lock : Mutex.t;
-  mutable h_ts : bool;  (* lock observations (registry is cross-domain) *)
 }
 
 type t = {
@@ -51,10 +45,6 @@ type t = {
   mutable counter_order : string list;
   mutable gauge_order : string list;
   mutable histogram_order : string list;
-  (* Guards registration (the Hashtbls and order lists) and marks new
-     histograms as lock-on-observe once [set_threadsafe] was called. *)
-  reg_lock : Mutex.t;
-  mutable ts : bool;
 }
 
 let create () =
@@ -65,76 +55,42 @@ let create () =
     counter_order = [];
     gauge_order = [];
     histogram_order = [];
-    reg_lock = Mutex.create ();
-    ts = false;
   }
 
-(* Flip the registry into cross-domain mode: registration takes the lock
-   and every histogram (existing and future) locks its observations.
-   Counters are atomic and gauges tear-free either way.  One-way: a
-   registry shared once stays guarded for its lifetime. *)
-let set_threadsafe t =
-  Mutex.lock t.reg_lock;
-  t.ts <- true;
-  Hashtbl.iter (fun _ h -> h.h_ts <- true) t.histograms;
-  Mutex.unlock t.reg_lock
-
-let with_reg_lock t f =
-  if not t.ts then f ()
-  else begin
-    Mutex.lock t.reg_lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.reg_lock;
-        v
-    | exception e ->
-        Mutex.unlock t.reg_lock;
-        raise e
-  end
-
 let counter t name =
-  with_reg_lock t (fun () ->
-      match Hashtbl.find_opt t.counters name with
-      | Some c -> c
-      | None ->
-          let c = Atomic.make 0 in
-          Hashtbl.replace t.counters name c;
-          t.counter_order <- name :: t.counter_order;
-          c)
+  match Hashtbl.find_opt t.counters name with
+  | Some c -> c
+  | None ->
+      let c = { n = 0 } in
+      Hashtbl.replace t.counters name c;
+      t.counter_order <- name :: t.counter_order;
+      c
 
 let gauge t name =
-  with_reg_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with
-      | Some g -> g
-      | None ->
-          let g = { value = 0. } in
-          Hashtbl.replace t.gauges name g;
-          t.gauge_order <- name :: t.gauge_order;
-          g)
+  match Hashtbl.find_opt t.gauges name with
+  | Some g -> g
+  | None ->
+      let g = { value = 0. } in
+      Hashtbl.replace t.gauges name g;
+      t.gauge_order <- name :: t.gauge_order;
+      g
 
 let histogram t name =
-  with_reg_lock t (fun () ->
-      match Hashtbl.find_opt t.histograms name with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              counts = Array.make n_buckets 0;
-              moments = [| 0.; infinity; neg_infinity |];
-              total = 0;
-              h_lock = Mutex.create ();
-              h_ts = t.ts;
-            }
-          in
-          Hashtbl.replace t.histograms name h;
-          t.histogram_order <- name :: t.histogram_order;
-          h)
+  match Hashtbl.find_opt t.histograms name with
+  | Some h -> h
+  | None ->
+      let h =
+        { counts = Array.make n_buckets 0; moments = [| 0.; infinity; neg_infinity |]; total = 0 }
+      in
+      Hashtbl.replace t.histograms name h;
+      t.histogram_order <- name :: t.histogram_order;
+      h
 
-let incr c = Atomic.incr c
+let incr c = c.n <- c.n + 1
 
-let add c n = ignore (Atomic.fetch_and_add c n : int)
+let add c n = c.n <- c.n + n
 
-let count c = Atomic.get c
+let count c = c.n
 
 let set g v = g.value <- v
 
@@ -158,21 +114,13 @@ let[@inline] bucket_of v =
     !hi
   end
 
-let[@inline] observe_unlocked h v =
+let[@inline] observe h v =
   let b = bucket_of v in
   h.counts.(b) <- h.counts.(b) + 1;
   h.total <- h.total + 1;
   h.moments.(0) <- h.moments.(0) +. v;
   if v < h.moments.(1) then h.moments.(1) <- v;
   if v > h.moments.(2) then h.moments.(2) <- v
-
-let[@inline] observe h v =
-  if h.h_ts then begin
-    Mutex.lock h.h_lock;
-    observe_unlocked h v;
-    Mutex.unlock h.h_lock
-  end
-  else observe_unlocked h v
 
 let[@inline] observe_int h n = observe h (float_of_int n)
 

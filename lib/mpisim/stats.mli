@@ -9,12 +9,9 @@
     All update operations ([incr], [add], [set], [observe]) are
     allocation-free, so they may sit on simulator hot paths.
 
-    Domain safety: counters are atomic, so increments from any domain
-    are never lost; gauges are word-sized stores (last-writer-wins,
-    never torn).  Histogram observation and name registration are
-    multi-field updates and take an internal lock — but only after
-    {!set_threadsafe} marks the registry as shared between domains;
-    purely sequential runs keep the original lock-free paths. *)
+    A registry is owned by one run and is not safe to share between
+    domains; independent runs on different domains (see
+    [Engine.run_many]) each have their own. *)
 
 type t
 
@@ -29,12 +26,6 @@ type gauge
 type histogram
 
 val create : unit -> t
-
-(** Flip the registry into cross-domain mode: registration and histogram
-    observations lock from now on (counter/gauge updates are safe either
-    way).  One-way; called by the engine when the multicore scheduler
-    backend is selected. *)
-val set_threadsafe : t -> unit
 
 (** [counter t name] returns the counter registered under [name],
     creating it on first use.  The handle may be cached; updates through

@@ -53,11 +53,6 @@ type t = {
   seqs : int array;  (* per-rank event sequence numbers *)
   mutable events : int;
   mutable closed : bool;
-  (* The sink is one shared buffer + channel: under the multicore
-     scheduler several domains emit concurrently, so every record write
-     serializes on this lock.  Uncontended (sequential runs) it is a
-     couple of atomic ops per event. *)
-  lock : Mutex.t;
 }
 
 (* rank + seq + cat id + name id (i32), kind (u8), ts + dur (f64),
@@ -88,18 +83,7 @@ let create ~path ~ranks =
     seqs = Array.make ranks 0;
     events = 0;
     closed = false;
-    lock = Mutex.create ();
   }
-
-let[@inline] locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
 
 let events_written t = t.events
 
@@ -143,7 +127,6 @@ let kind_of_code = function
   | _ -> None
 
 let write_event t ~rank ~kind ~cat ~name ~ts ~dur ~a ~b ~c ~d =
-  locked t @@ fun () ->
   if t.closed then invalid_arg "Trace_stream.write_event: writer is closed";
   let cat_id = intern t cat in
   let name_id = intern t name in
@@ -165,7 +148,6 @@ let write_event t ~rank ~kind ~cat ~name ~ts ~dur ~a ~b ~c ~d =
   add_record t 2 event_payload_len (fun () -> Buffer.add_bytes t.buf s)
 
 let close t =
-  locked t @@ fun () ->
   if not t.closed then begin
     t.closed <- true;
     flush t;

@@ -118,11 +118,8 @@ let run_one ?(check_level = Check.Heavy) ~ranks ~script body =
   in
   let outcome =
     match
-      (* ~domains:1 pins the sequential scheduler regardless of an
-         inherited MPISIM_DOMAINS: schedule enumeration only makes
-         sense against the deterministic backend. *)
       Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only ~check_level
-        ~domains:1 ~on_runtime ~on_quiescence:resolve ~ranks body
+        ~on_runtime ~on_quiescence:resolve ~ranks body
     with
     | (_ : Engine.report) -> Completed
     | exception exn -> classify exn

@@ -68,8 +68,7 @@ type result_t = {
 
 (* Vector clocks rebuilt offline from the stream's event order.  The
    writer records a send before the message can be matched (and every
-   rank's events in program order, under the multicore backend's locked
-   writer too), so one pass in file order replays the classic rules: a
+   rank's events in program order), so one pass in file order replays the classic rules: a
    send ticks the sender's own component and snapshots its clock under
    the message seq; a match merges that snapshot component-wise, then
    ticks the receiver.  A match whose send is missing or comes later in

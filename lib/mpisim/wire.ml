@@ -208,13 +208,8 @@ let reader_storage r = r.data
    The pool is bounded both in buffer count and in retained buffer size so
    a single huge transfer cannot pin memory for the rest of the run.
 
-   Domain safety: under the multicore scheduler the per-rank ownership
-   invariant keeps a pool single-domain *almost* always — the exception is
-   [recycle], which the receiver calls on the sender-side pool's buffer
-   after hand-off (the runtime recycles into the receiver's own pool, but
-   the API itself must not rely on that).  [set_threadsafe] arms a
-   per-pool mutex guarding the free list; sequential pools never touch
-   it.
+   A pool belongs to one run, and a run executes on one domain, so the
+   free list takes no lock.
 
    The free list is a fixed stack of [max_buffers] slots (the top is the
    most recently recycled buffer), so a hit allocates nothing but the
@@ -227,8 +222,6 @@ type pool = {
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
   mutable hits : int;  (* acquires served from the free list *)
   mutable misses : int;  (* acquires that had to allocate *)
-  p_lock : Mutex.t;
-  mutable p_ts : bool;  (* lock free-list operations (pool crosses domains) *)
 }
 
 let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
@@ -242,15 +235,11 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
     max_retain;
     hits = 0;
     misses = 0;
-    p_lock = Mutex.create ();
-    p_ts = false;
   }
 
-let set_pool_threadsafe pool = pool.p_ts <- true
-
-(* The unlocked operations; the public ones below take the pool mutex
-   only once it is armed, so the sequential call builds no closure. *)
-let acquire_unlocked pool ~capacity =
+(* A fresh writer over pooled storage.  The hint only sizes a miss; a
+   pooled buffer grows on demand like any other writer. *)
+let acquire pool ~capacity =
   if pool.n_free > 0 then begin
     let top = pool.n_free - 1 in
     let b = pool.free.(top) in
@@ -264,7 +253,7 @@ let acquire_unlocked pool ~capacity =
     create_writer ~capacity:(max 1 capacity) ()
   end
 
-let recycle_unlocked pool (b : Bytes.t) =
+let recycle pool (b : Bytes.t) =
   if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
     pool.free.(pool.n_free) <- b;
     pool.n_free <- pool.n_free + 1
@@ -276,7 +265,7 @@ let recycle_unlocked pool (b : Bytes.t) =
    enough nothing happens; a too-small top in a full pool is replaced
    (dropping the small buffer) rather than shadowed.  Persistent requests
    call this at init so the per-cycle pack never grows a writer. *)
-let preheat_unlocked pool ~capacity =
+let preheat pool ~capacity =
   let capacity = max 1 (min capacity pool.max_retain) in
   let n = pool.n_free in
   if n > 0 && Bytes.length pool.free.(n - 1) >= capacity then ()
@@ -285,22 +274,6 @@ let preheat_unlocked pool ~capacity =
     pool.free.(n) <- Bytes.create capacity;
     pool.n_free <- n + 1
   end
-
-(* A fresh writer over pooled storage.  The hint only sizes a miss; a
-   pooled buffer grows on demand like any other writer.  [Mutex.protect]
-   releases the lock even when the body raises: a miss whose
-   [Bytes.create] fails must not leave the pool locked for good. *)
-let acquire pool ~capacity =
-  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> acquire_unlocked pool ~capacity)
-  else acquire_unlocked pool ~capacity
-
-let recycle pool (b : Bytes.t) =
-  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> recycle_unlocked pool b)
-  else recycle_unlocked pool b
-
-let preheat pool ~capacity =
-  if pool.p_ts then Mutex.protect pool.p_lock (fun () -> preheat_unlocked pool ~capacity)
-  else preheat_unlocked pool ~capacity
 
 let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
 

@@ -114,13 +114,6 @@ type pool
     transfer cannot pin memory. *)
 val create_pool : ?max_buffers:int -> ?max_retain:int -> unit -> pool
 
-(** Arm the pool's internal mutex: from now on acquire/recycle/preheat
-    lock around the free list, making the pool safe to use from several
-    domains.  One-way; a no-cost branch for pools never marked.  The
-    engine marks every per-rank pool when the multicore backend is
-    selected. *)
-val set_pool_threadsafe : pool -> unit
-
 (** A fresh writer over pooled (or, on a miss, newly allocated) storage.
     [capacity] only sizes a miss; pooled buffers grow on demand. *)
 val acquire : pool -> capacity:int -> writer

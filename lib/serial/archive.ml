@@ -9,6 +9,9 @@ let magic = 0x4B414D50 (* "KAMP" *)
 
 let version = 1
 
+(* Size of the framing header in bytes. *)
+let header_bytes = 4 + 1 + 4
+
 let name_hash (s : string) : int32 =
   (* FNV-1a, truncated. *)
   let h = ref 0x811c9dc5 in
@@ -27,6 +30,9 @@ let encode (c : 'a Codec.t) (v : 'a) : Bytes.t =
   Mpisim.Wire.contents w
 
 let decode (c : 'a Codec.t) (b : Bytes.t) : 'a =
+  if Bytes.length b < header_bytes then
+    Codec.decode_error "archive: %d bytes, shorter than the %d-byte header" (Bytes.length b)
+      header_bytes;
   let r = Mpisim.Wire.reader_of_bytes b in
   let m = Int32.to_int (Mpisim.Wire.get_int32 r) in
   if m <> magic then Codec.decode_error "archive: bad magic %x" m;
@@ -36,10 +42,7 @@ let decode (c : 'a Codec.t) (b : Bytes.t) : 'a =
   if h <> name_hash (Codec.name c) then
     Codec.decode_error "archive: payload was encoded with a different codec than %s"
       (Codec.name c);
-  let v = c.Codec.decode r in
+  let v = Codec.decode_wire c r in
   if Mpisim.Wire.remaining r <> 0 then
     Codec.decode_error "archive: %d trailing bytes" (Mpisim.Wire.remaining r);
   v
-
-(* Size of the framing header in bytes. *)
-let header_bytes = 4 + 1 + 4

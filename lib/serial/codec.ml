@@ -69,7 +69,10 @@ let varint : int t =
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     in
-    go 0 0
+    (* Nine groups reach the sign bit: no encoder writes that. *)
+    let v = go 0 0 in
+    if v < 0 then decode_error "varint out of range";
+    v
   in
   make ~name:"varint" ~encode ~decode
 
@@ -79,6 +82,8 @@ let string : string t =
       varint.encode w (String.length s);
       Mpisim.Wire.put_string w s)
     ~decode:(fun r ->
+      (* [get_string] checks the length against the bytes left before it
+         allocates. *)
       let len = varint.decode r in
       Mpisim.Wire.get_string r len)
 
@@ -150,6 +155,9 @@ let list (a : 'a t) : 'a list t =
       varint.encode w (List.length xs);
       List.iter (a.encode w) xs)
     ~decode:(fun r ->
+      (* [List.init] allocates as it decodes, so a count the bytes cannot
+         back ends in [Wire.Underflow] after at most as many elements as
+         bytes are left. *)
       let len = varint.decode r in
       List.init len (fun _ -> a.decode r))
 
@@ -161,7 +169,12 @@ let array (a : 'a t) : 'a array t =
       Array.iter (a.encode w) xs)
     ~decode:(fun r ->
       let len = varint.decode r in
-      Array.init len (fun _ -> a.decode r))
+      (* Sizing the array up front is safe only for a count the bytes
+         left could back at one byte per element; any larger count is
+         either a run of zero-byte elements or hostile, and decodes
+         element by element until the bytes run out. *)
+      if len <= Mpisim.Wire.remaining r then Array.init len (fun _ -> a.decode r)
+      else Array.of_list (List.init len (fun _ -> a.decode r)))
 
 (* Hash tables serialize as (key, value) pairs.  Decoding rebuilds the
    table; iteration order is not preserved (as with any hash container). *)
@@ -177,7 +190,7 @@ let hashtbl (k : 'k t) (v : 'v t) : ('k, 'v) Hashtbl.t t =
         h)
     ~decode:(fun r ->
       let len = varint.decode r in
-      let h = Hashtbl.create (max 16 len) in
+      let h = Hashtbl.create (max 16 (min len (Mpisim.Wire.remaining r))) in
       for _ = 1 to len do
         let key = k.decode r in
         let value = v.decode r in
@@ -211,9 +224,19 @@ let encode_to_bytes (c : 'a t) (v : 'a) : Bytes.t =
   c.encode w v;
   Mpisim.Wire.contents w
 
+(* [c.decode r], with the wire layer's own failures (running out of
+   bytes, a bool that is neither 0 nor 1) reported as [Decode_error]. *)
+let decode_wire (c : 'a t) (r : Mpisim.Wire.reader) : 'a =
+  match c.decode r with
+  | v -> v
+  | exception Mpisim.Wire.Underflow { wanted; available } ->
+      decode_error "%s: wanted %d bytes, %d left" c.name wanted available
+  | exception Mpisim.Wire.Decode_error { what; got } ->
+      decode_error "%s: %s (byte %d)" c.name what got
+
 let decode_from_bytes (c : 'a t) (b : Bytes.t) : 'a =
   let r = Mpisim.Wire.reader_of_bytes b in
-  let v = c.decode r in
+  let v = decode_wire c r in
   if Mpisim.Wire.remaining r <> 0 then
     decode_error "%s: %d trailing bytes" c.name (Mpisim.Wire.remaining r);
   v

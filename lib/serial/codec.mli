@@ -75,7 +75,15 @@ val fix : name:string -> ('a t -> 'a t) -> 'a t
 
 val encode_to_bytes : 'a t -> 'a -> Bytes.t
 
-(** Raises {!Decode_error} on malformed input or trailing bytes. *)
+(** [decode_wire c r] is [c.decode r] with the wire layer's failures
+    ([Wire.Underflow], [Wire.Decode_error]) re-raised as {!Decode_error}.
+    Declared lengths are checked against the bytes left before anything
+    is allocated for them, so a hostile or truncated input fails with
+    {!Decode_error} rather than [Out_of_memory] or [Invalid_argument]. *)
+val decode_wire : 'a t -> Mpisim.Wire.reader -> 'a
+
+(** {!decode_wire} over a whole buffer; raises {!Decode_error} on
+    malformed input or trailing bytes. *)
 val decode_from_bytes : 'a t -> Bytes.t -> 'a
 
 (** Versioned codec (Cereal-style class versioning): the encoding carries

@@ -16,7 +16,11 @@
      trace it emits replays to the same finding — the CI contract of the
      verification plane.
 
-       dune exec test/fixtures/check_fixtures.exe -- --verify all *)
+       dune exec test/fixtures/check_fixtures.exe -- --verify all
+
+   The fixtures are independent runs, so both modes check them on a pool
+   of domains ([Engine.run_many]) and print the verdicts in the order the
+   fixtures were named once every check is done. *)
 
 open Mpisim
 
@@ -74,23 +78,18 @@ let wildcard_body mpi =
 
 let run body = Engine.run ~model:Net_model.zero_cost ~check_level:Check.Heavy ~ranks:2 body
 
+(* A check's verdict: [Ok ()], or [Error why] for the error log. *)
+let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt
+
 (* Run a buggy [body], expecting a Check_violation of class [cls]. *)
 let expect_violation ~cls body =
   match run body with
-  | (_ : Engine.report) ->
-      Printf.eprintf "FAIL: expected a %S violation, run succeeded\n" cls;
-      false
+  | (_ : Engine.report) -> fail "FAIL: expected a %S violation, run succeeded" cls
   | exception Errdefs.Check_violation { check; _ }
   | exception Scheduler.Aborted { exn = Errdefs.Check_violation { check; _ }; _ } ->
-      if check = cls then true
-      else begin
-        Printf.eprintf "FAIL: expected a %S violation, got %S\n" cls check;
-        false
-      end
+      if check = cls then Ok () else fail "FAIL: expected a %S violation, got %S" cls check
   | exception exn ->
-      Printf.eprintf "FAIL: expected a %S violation, got %s\n" cls
-        (Printexc.to_string exn);
-      false
+      fail "FAIL: expected a %S violation, got %s" cls (Printexc.to_string exn)
 
 let collective_mismatch () = expect_violation ~cls:"collective" collective_body
 
@@ -103,23 +102,16 @@ let send_buffer () = expect_violation ~cls:"send-buffer" send_buffer_body
 (* The deadlock report must name the cycle. *)
 let deadlock () =
   match run deadlock_body with
-  | (_ : Engine.report) ->
-      Printf.eprintf "FAIL: expected a deadlock, run succeeded\n";
-      false
+  | (_ : Engine.report) -> fail "FAIL: expected a deadlock, run succeeded"
   | exception Errdefs.Mpi_error { code = Errdefs.Err_deadlock; msg } ->
       let contains needle =
         let nh = String.length msg and nn = String.length needle in
         let rec go i = i + nn <= nh && (String.sub msg i nn = needle || go (i + 1)) in
         go 0
       in
-      if contains "wait-for cycle" && contains "recv(src=" then true
-      else begin
-        Printf.eprintf "FAIL: deadlock report lacks a named cycle:\n%s\n" msg;
-        false
-      end
-  | exception exn ->
-      Printf.eprintf "FAIL: expected Err_deadlock, got %s\n" (Printexc.to_string exn);
-      false
+      if contains "wait-for cycle" && contains "recv(src=" then Ok ()
+      else fail "FAIL: deadlock report lacks a named cycle:\n%s" msg
+  | exception exn -> fail "FAIL: expected Err_deadlock, got %s" (Printexc.to_string exn)
 
 (* Counted, not raised — the run completes but the race counter must be
    non-zero. *)
@@ -127,14 +119,8 @@ let wildcard_race () =
   match run wildcard_body with
   | report ->
       let races = Stats.count (Stats.counter report.Engine.stats "check.wildcard_race") in
-      if races >= 1 then true
-      else begin
-        Printf.eprintf "FAIL: wildcard race not recorded\n";
-        false
-      end
-  | exception exn ->
-      Printf.eprintf "FAIL: wildcard fixture raised %s\n" (Printexc.to_string exn);
-      false
+      if races >= 1 then Ok () else fail "FAIL: wildcard race not recorded"
+  | exception exn -> fail "FAIL: wildcard fixture raised %s" (Printexc.to_string exn)
 
 let fixtures =
   [
@@ -163,34 +149,31 @@ let verify_fixtures =
     ("wildcard", wildcard_body, "nondet-match");
   ]
 
+(* [Ok line] for the verdict log, or [Error why] for the error log. *)
 let verify_one (name, body, expected) =
   let r = Explore.explore ~ranks:2 body in
   match
     List.find_opt (fun v -> v.Explore.v_class = expected) r.Explore.violations
   with
   | None ->
-      Printf.eprintf "FAIL %s: explorer found %s, expected class %S\n" name
+      fail "FAIL %s: explorer found %s, expected class %S" name
         (String.concat ","
            (List.map (fun v -> v.Explore.v_class) r.Explore.violations))
-        expected;
-      false
+        expected
   | Some v ->
       (* The witness script must replay to the same finding. *)
       let replayed = Explore.replay ~ranks:2 ~script:v.Explore.v_script body in
       let cls = Explore.replay_class replayed in
-      if cls = expected then begin
-        Printf.printf "ok   %-12s %d schedule(s), witness '%s' replays to %s\n%!" name
-          r.Explore.explored
+      if cls = expected then
+        Ok
+          (Printf.sprintf "ok   %-12s %d schedule(s), witness '%s' replays to %s" name
+             r.Explore.explored
+             (Choice.script_to_string v.Explore.v_script)
+             cls)
+      else
+        fail "FAIL %s: witness '%s' replayed to %S, expected %S" name
           (Choice.script_to_string v.Explore.v_script)
-          cls;
-        true
-      end
-      else begin
-        Printf.eprintf "FAIL %s: witness '%s' replayed to %S, expected %S\n" name
-          (Choice.script_to_string v.Explore.v_script)
-          cls expected;
-        false
-      end
+          cls expected
 
 let () =
   (* The fixtures print scary sanitizer output on purpose; keep the error
@@ -204,30 +187,41 @@ let () =
     | _ :: rest -> (false, rest)
     | [] -> (false, [])
   in
+  (* Each named fixture's check, or [None] for an unknown name.  A check
+     returns its stdout verdict line, if any, and on failure the message
+     for the error log. *)
+  let check name =
+    if verify_mode then
+      List.find_opt (fun (n, _, _) -> n = name) verify_fixtures
+      |> Option.map (fun f () ->
+             match verify_one f with
+             | Ok line -> (Some line, None)
+             | Error msg -> (None, Some msg))
+    else
+      List.assoc_opt name fixtures
+      |> Option.map (fun f () ->
+             match f () with
+             | Ok () -> (Some ("ok   " ^ name), None)
+             | Error msg -> (Some ("FAIL " ^ name), Some msg))
+  in
+  let checks = List.map check names in
+  let verdicts = ref (Engine.run_many (List.filter_map Fun.id checks)) in
   let failed = ref 0 in
-  List.iter
-    (fun name ->
-      if verify_mode then begin
-        match
-          List.find_opt (fun (n, _, _) -> n = name) verify_fixtures
-        with
-        | None ->
-            Printf.eprintf "unknown fixture %S (have: %s)\n" name
-              (String.concat ", " (List.map fst fixtures));
-            incr failed
-        | Some f -> if not (verify_one f) then incr failed
-      end
-      else
-        match List.assoc_opt name fixtures with
-        | None ->
-            Printf.eprintf "unknown fixture %S (have: %s)\n" name
-              (String.concat ", " (List.map fst fixtures));
-            incr failed
-        | Some f ->
-            if f () then Printf.printf "ok   %s\n%!" name
-            else begin
-              Printf.printf "FAIL %s\n%!" name;
-              incr failed
-            end)
-    names;
+  List.iter2
+    (fun name check ->
+      match check with
+      | None ->
+          Printf.eprintf "unknown fixture %S (have: %s)\n" name
+            (String.concat ", " (List.map fst fixtures));
+          incr failed
+      | Some _ ->
+          let out, err = List.hd !verdicts in
+          verdicts := List.tl !verdicts;
+          Option.iter
+            (fun msg ->
+              Printf.eprintf "%s\n%!" msg;
+              incr failed)
+            err;
+          Option.iter (Printf.printf "%s\n%!") out)
+    names checks;
   exit (if !failed > 0 then 1 else 0)

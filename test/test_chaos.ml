@@ -439,10 +439,130 @@ let test_plan_malformed_messages () =
       ("wobble=1", "unknown fault-plan clause");
     ]
 
+(* --- Hostile input: the text parsers return Ok or Error, never raise --- *)
+
+(* Edits that keep a string close to valid syntax: truncation, a byte
+   replaced by a syntactically loaded character, an insertion, a
+   deletion, and a run of 0xff. *)
+type edit =
+  | Cut of int
+  | Set of int * char
+  | Insert of int * char
+  | Delete of int
+  | Ff of int * int
+
+let apply_edit s e =
+  let n = String.length s in
+  if n = 0 then (match e with Insert (_, c) | Set (_, c) -> String.make 1 c | _ -> s)
+  else
+    match e with
+    | Cut at -> String.sub s 0 (at mod n)
+    | Set (at, c) -> String.mapi (fun i d -> if i = at mod n then c else d) s
+    | Insert (at, c) ->
+        let i = at mod (n + 1) in
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | Delete at ->
+        let i = at mod n in
+        String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | Ff (at, len) ->
+        let i = at mod n in
+        let len = min len (n - i) in
+        String.sub s 0 i ^ String.make len '\xff' ^ String.sub s (i + len) (n - i - len)
+
+let gen_edits =
+  let open QCheck.Gen in
+  let loaded = oneofl (List.of_seq (String.to_seq "=;,@:>-.eE+0123456789\\\"[]{}\x00\xff ")) in
+  let edit =
+    oneof
+      [
+        map (fun at -> Cut at) nat;
+        map2 (fun at c -> Set (at, c)) nat (oneof [ loaded; char ]);
+        map2 (fun at c -> Insert (at, c)) nat (oneof [ loaded; char ]);
+        map (fun at -> Delete at) nat;
+        map2 (fun at len -> Ff (at, len)) nat (int_range 1 8);
+      ]
+  in
+  list_size (int_range 1 4) edit
+
+(* [prop_parser_total ~name base parse] edits strings from [base] and
+   requires [parse] to return, whatever it is given. *)
+let prop_parser_total ~name (base : string QCheck.Gen.t)
+    (parse : string -> ('a, string) result) =
+  let edited = QCheck.Gen.map2 (List.fold_left apply_edit) base gen_edits in
+  QCheck.Test.make ~name ~count:2000 (QCheck.make ~print:(Printf.sprintf "%S") edited)
+    (fun s ->
+      match parse s with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+          QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string exn))
+
+let prop_fault_plan_total =
+  prop_parser_total ~name:"hostile input: Fault_plan.parse is total"
+    (QCheck.Gen.map Fault_plan.to_string (QCheck.gen gen_plan))
+    Fault_plan.parse
+
+let gen_chaos_spec =
+  QCheck.Gen.(
+    map
+      (fun (seed, lossy, plan, (retries, rto)) ->
+        Chaos.config_to_string
+          (Chaos.config ~seed ~lossy ~plan ?max_retries:retries ?rto ()))
+      (quad nat bool (list_size (int_bound 3) gen_action)
+         (pair (opt (int_range 1 9)) (opt (float_range 1e-4 1e-2)))))
+
+let prop_chaos_spec_total =
+  prop_parser_total ~name:"hostile input: Chaos.config_of_string is total" gen_chaos_spec
+    Chaos.config_of_string
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let scalar =
+             oneofl [ "null"; "true"; "false"; "-2.5e1"; "0"; {|"x\nA"|}; {|"\ud83d\ude00"|} ]
+           in
+           if depth = 0 then scalar
+           else
+             oneof
+               [
+                 scalar;
+                 map
+                   (fun xs -> "[" ^ String.concat ", " xs ^ "]")
+                   (list_size (int_bound 3) (self (depth - 1)));
+                 map
+                   (fun xs ->
+                     let field i v = Printf.sprintf {|"k%d": %s|} i v in
+                     "{" ^ String.concat ", " (List.mapi field xs) ^ "}")
+                   (list_size (int_bound 3) (self (depth - 1)));
+               ]))
+
+let prop_json_total =
+  prop_parser_total ~name:"hostile input: Json_in.parse is total" gen_json Json_in.parse
+
+(* Nesting far past the parser's depth bound, closed and unclosed, in
+   both bracket kinds: an [Error], never [Stack_overflow]. *)
+let test_json_deep_nesting () =
+  let depth = 200_000 in
+  List.iter
+    (fun (label, src) ->
+      match Json_in.parse src with
+      | Ok _ -> Alcotest.failf "%s: accepted %d levels" label depth
+      | Error _ -> ()
+      | exception exn -> Alcotest.failf "%s raised %s" label (Printexc.to_string exn))
+    [
+      ("closed arrays", String.make depth '[' ^ "1" ^ String.make depth ']');
+      ("unclosed arrays", String.make depth '[');
+      ("unclosed objects", String.concat "" (List.init depth (fun _ -> {|{"a":|})));
+    ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
+    qtest prop_fault_plan_total;
+    qtest prop_chaos_spec_total;
+    qtest prop_json_total;
+    Alcotest.test_case "hostile input: 200k-deep JSON" `Quick test_json_deep_nesting;
     Alcotest.test_case "crc32 check vector" `Quick test_crc32_vector;
     Alcotest.test_case "crc32 slices" `Quick test_crc32_slice;
     Alcotest.test_case "crc32 detects bit flip" `Quick test_crc32_detects_flip;

@@ -408,6 +408,36 @@ let test_hostile_count () =
   probe "float" Datatype.float;
   probe "byte" Datatype.byte
 
+(* The general per-element path bounds the count by the type's size
+   before [Array.init] allocates: a kernel-less builtin, a [create]d
+   type and a struct all reject a count 16 bytes cannot hold. *)
+let test_hostile_count_general () =
+  let hostile = [ 3; 17; (1 lsl 59) + 1; (1 lsl 61) + 1; max_int / 4; max_int ] in
+  let probe (type e) name (dt : e Datatype.t) =
+    List.iter
+      (fun count ->
+        let r = Wire.reader_of_bytes (Bytes.make 16 '\000') in
+        let b0 = Gc.allocated_bytes () in
+        (match Datatype.unpack_array dt r ~count with
+        | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
+        | exception Wire.Underflow { available; _ } ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s count=%d available" name count)
+              16 available);
+        let allocated = Gc.allocated_bytes () -. b0 in
+        if allocated > 1024. then
+          Alcotest.failf "%s count=%d allocated %.0f bytes" name count allocated;
+        Alcotest.(check int) (Printf.sprintf "%s count=%d: reader untouched" name count) 16
+          (Wire.remaining r))
+      hostile
+  in
+  probe "int without bulk" (Datatype.without_bulk Datatype.int);
+  probe "created 8-byte int"
+    (Datatype.create ~name:"int8" ~size:8
+       ~signature:(Datatype.signature_of_count Datatype.int 1)
+       ~pack:Wire.put_int ~unpack:Wire.get_int);
+  probe "triple" (Datatype.triple Datatype.int Datatype.int Datatype.int)
+
 (* The typed kernels allocate nothing per element: packing into a
    preheated pooled writer and unpacking in place are allocation-free, and
    a fresh receive array of n <= 256 elements costs exactly its own n + 1
@@ -484,6 +514,7 @@ let tests =
     qtest prop_bulk_equals_general;
     qtest prop_bulk_bool_rejects_bad_byte;
     Alcotest.test_case "hostile unpack count" `Quick test_hostile_count;
+    Alcotest.test_case "hostile unpack count, general path" `Quick test_hostile_count_general;
     Alcotest.test_case "bulk kernels allocate nothing per element" `Quick
       test_bulk_allocation;
     qtest prop_record_roundtrip;

@@ -218,36 +218,21 @@ let probe comm =
 
 let probe_run () =
   let results, report =
-    Engine.run_collect ~clock_mode:Runtime.Virtual_only ~domains:1 ~ranks:6 probe
+    Engine.run_collect ~clock_mode:Runtime.Virtual_only ~ranks:6 probe
   in
   (results, report.Engine.max_time, report.Engine.profile)
-
-(* Run [a] and [b] on two fresh domains released at the same instant. *)
-let in_two_domains a b =
-  let ready = Atomic.make 0 in
-  let start f () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    f ()
-  in
-  let da = Domain.spawn (start a) in
-  let db = Domain.spawn (start b) in
-  (Domain.join da, Domain.join db)
 
 let concurrent_repeats = 200
 
 let test_concurrent_runs_match_sequential () =
   let want_results, want_time, want_profile = probe_run () in
   let many () = List.init concurrent_repeats (fun _ -> probe_run ()) in
-  let xs, ys = in_two_domains many many in
   List.iter
-    (fun (results, max_time, profile) ->
-      Alcotest.(check bool) "results" true (results = want_results);
-      Alcotest.(check (float 0.)) "max_time" want_time max_time;
-      Alcotest.(check (list (triple string int int))) "profile" want_profile profile)
-    (xs @ ys);
+    (List.iter (fun (results, max_time, profile) ->
+         Alcotest.(check bool) "results" true (results = want_results);
+         Alcotest.(check (float 0.)) "max_time" want_time max_time;
+         Alcotest.(check (list (triple string int int))) "profile" want_profile profile))
+    (Engine.run_many [ many; many ]);
   Alcotest.(check int) "no derived type left committed" 0 (Datatype.live_derived_count ())
 
 (* Rank 0 drains one message from every other rank with fully wildcard
@@ -263,7 +248,7 @@ let wildcard_drain comm =
   end
 
 let test_explore_leaves_other_runs_undeferred () =
-  let drain () = fst (Engine.run_collect ~domains:1 ~ranks:4 wildcard_drain) in
+  let drain () = fst (Engine.run_collect ~ranks:4 wildcard_drain) in
   let prog = Option.get (Progs.find "wildcard_race") in
   let explore () = Explore.explore ~ranks:2 prog.Progs.body in
   let summary r =
@@ -273,15 +258,21 @@ let test_explore_leaves_other_runs_undeferred () =
   in
   let want_drain = drain () in
   let want_explore = summary (explore ()) in
-  let explorer () = List.init concurrent_repeats (fun _ -> summary (explore ())) in
-  let plain () = List.init concurrent_repeats (fun _ -> drain ()) in
-  let explored, drained = in_two_domains explorer plain in
+  let explorer () = Either.Left (List.init concurrent_repeats (fun _ -> summary (explore ()))) in
+  let plain () = Either.Right (List.init concurrent_repeats (fun _ -> drain ())) in
   List.iter
-    (fun got -> Alcotest.(check bool) "explorer result unchanged" true (got = want_explore))
-    explored;
-  List.iter
-    (fun got -> Alcotest.(check bool) "plain run matches sequential" true (got = want_drain))
-    drained
+    (function
+      | Either.Left explored ->
+          List.iter
+            (fun got ->
+              Alcotest.(check bool) "explorer result unchanged" true (got = want_explore))
+            explored
+      | Either.Right drained ->
+          List.iter
+            (fun got ->
+              Alcotest.(check bool) "plain run matches sequential" true (got = want_drain))
+            drained)
+    (Engine.run_many [ explorer; plain ])
 
 let tests =
   [

@@ -1,79 +1,22 @@
-(* Multicore backend: domain-safety of the shared primitives (wire pools,
-   stats counters), parallel-vs-sequential determinism (fixed and
-   randomized programs, taskqueue exactly-once), byte-compatibility of
-   the sequential scheduler against a pre-multicore golden chaos trace,
-   and the engine's sequential-only gates. *)
+(* Run-level pool: [Engine.run_many] must give, run for run, exactly what
+   [List.map] over the same runs gives (fixed and randomized ring
+   programs, the taskqueue's exactly-once postcondition, the golden chaos
+   replay), keep input order, and re-raise the lowest-index failure only
+   after every domain has finished.  [Engine.run ?domains] accepts 1 and
+   nothing else. *)
 
 open Mpisim
 module C = Kamping.Communicator
 module TQ = Kamping_plugins.Taskqueue
 
-(* ------------------------------------------------------------------ *)
-(* Domain-safety hammers: the primitives the parallel scheduler leans on
-   must conserve totals when hit from several domains at once. *)
-
-let hammer_domains = 4
-let hammer_iters = 25_000
-
-let test_stats_hammer () =
-  let stats = Stats.create () in
-  Stats.set_threadsafe stats;
-  let shared = Stats.counter stats "hammer.shared" in
-  let hist = Stats.histogram stats "hammer.hist" in
-  let worker d () =
-    (* Concurrent registration (the registry lock) ... *)
-    let local = Stats.counter stats (Printf.sprintf "hammer.domain%d" d) in
-    for i = 1 to hammer_iters do
-      (* ... atomic increments and adds on a shared counter ... *)
-      Stats.incr shared;
-      Stats.add shared 2;
-      Stats.incr local;
-      (* ... and locked histogram observation. *)
-      if i mod 100 = 0 then Stats.observe hist 1.0
-    done
-  in
-  let doms = Array.init hammer_domains (fun d -> Domain.spawn (worker d)) in
-  Array.iter Domain.join doms;
-  Alcotest.(check int) "shared counter conserved"
-    (hammer_domains * hammer_iters * 3)
-    (Stats.count shared);
-  for d = 0 to hammer_domains - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "domain %d counter conserved" d)
-      hammer_iters
-      (Stats.count (Stats.counter stats (Printf.sprintf "hammer.domain%d" d)))
-  done;
-  Alcotest.(check int) "histogram total conserved"
-    (hammer_domains * (hammer_iters / 100))
-    (Stats.total hist)
-
-let test_wire_pool_hammer () =
-  let pool = Wire.create_pool ~max_buffers:8 () in
-  Wire.set_pool_threadsafe pool;
-  let worker () =
-    for i = 1 to hammer_iters do
-      let w = Wire.acquire pool ~capacity:64 in
-      Wire.put_int w i;
-      let storage, len = Wire.unsafe_contents w in
-      assert (len = 8);
-      Wire.recycle pool storage;
-      if i mod 1000 = 0 then Wire.preheat pool ~capacity:128
-    done
-  in
-  let doms = Array.init hammer_domains (fun _ -> Domain.spawn worker) in
-  Array.iter Domain.join doms;
-  let hits, misses, free = Wire.pool_stats pool in
-  (* Every acquire is either a hit or a miss — none lost to a race. *)
-  Alcotest.(check int) "acquires conserved" (hammer_domains * hammer_iters) (hits + misses);
-  Alcotest.(check bool) "free list within bound" true (free <= 8)
+(* Both sides of every comparison: the pool and plain sequential
+   evaluation of the same thunks. *)
+let sequential thunks = List.map (fun f -> f ()) thunks
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: the same seeded Virtual_only program must produce
-   identical results and identical (merged) metrics with the sequential
-   scheduler and with the domain pool.  Schedule-independence holds for
-   data results, virtual clocks and the per-op profile; arrival-order
-   artifacts (unexpected-queue depths) are legitimately schedule-shaped
-   and deliberately not compared. *)
+(* Determinism: a seeded Virtual_only program gives identical results,
+   virtual clocks and per-op profile whether it runs alone or next to
+   other runs on other domains. *)
 
 let ring_program ~rounds comm =
   let n = Comm.size comm in
@@ -92,12 +35,12 @@ let ring_program ~rounds comm =
   let s = Coll.allreduce comm Datatype.int Reduce_op.int_sum [| !acc |] in
   ((Comm.rank comm * 1_000_000) + !acc, s.(0))
 
-let run_ring ?domains ~ranks ~rounds () =
-  Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ?domains
-    ~ranks (ring_program ~rounds)
+let run_ring ~ranks ~rounds () =
+  Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~ranks
+    (ring_program ~rounds)
 
-(* The schedule-independent slice of a report: every rank's value, the
-   virtual clocks, and the sorted per-op call/byte profile. *)
+(* Every rank's value, the virtual clocks, the sorted per-op call/byte
+   profile and the message counter of one run. *)
 let fingerprint (results, report) =
   let buf = Buffer.create 256 in
   Array.iter
@@ -115,26 +58,17 @@ let fingerprint (results, report) =
        (Stats.count (Stats.counter report.Engine.stats "msg.sent")));
   Buffer.contents buf
 
-let test_ring_deterministic_across_domains () =
-  let seq = fingerprint (run_ring ~ranks:4 ~rounds:25 ()) in
-  List.iter
-    (fun domains ->
-      let par = fingerprint (run_ring ~domains ~ranks:4 ~rounds:25 ()) in
-      Alcotest.(check string)
-        (Printf.sprintf "domains=%d matches sequential" domains)
-        seq par)
-    [ 2; 4; 8 ]
+let ring_thunks specs =
+  List.map (fun (ranks, rounds) () -> fingerprint (run_ring ~ranks ~rounds ())) specs
 
-(* A finite lookahead tightens the virtual-time barrier; results must not
-   change.  [MPISIM_LOOKAHEAD] is read per run, so set/restore around. *)
-let test_ring_with_zero_lookahead () =
-  let seq = fingerprint (run_ring ~ranks:4 ~rounds:10 ()) in
-  Unix.putenv "MPISIM_LOOKAHEAD" "0.0";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MPISIM_LOOKAHEAD" "")
-    (fun () ->
-      let par = fingerprint (run_ring ~domains:4 ~ranks:4 ~rounds:10 ()) in
-      Alcotest.(check string) "lookahead=0 matches sequential" seq par)
+let test_ring_pools () =
+  List.iter
+    (fun width ->
+      let thunks = ring_thunks (List.init width (fun i -> (4, 25 - i))) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "pool of %d runs matches List.map" width)
+        (sequential thunks) (Engine.run_many thunks))
+    [ 2; 4; 8 ]
 
 let qcheck_count =
   match int_of_string_opt (try Sys.getenv "MULTICORE_QCHECK_COUNT" with Not_found -> "")
@@ -142,64 +76,73 @@ let qcheck_count =
   | Some n when n > 0 -> n
   | _ -> 25
 
-let prop_parallel_determinism =
+let prop_pool_determinism =
   QCheck.Test.make ~name:"multicore: parallel == sequential" ~count:qcheck_count
-    QCheck.(triple (int_range 2 6) (int_range 1 20) (int_range 2 4))
-    (fun (ranks, rounds, domains) ->
-      let seq = fingerprint (run_ring ~ranks ~rounds ()) in
-      let par = fingerprint (run_ring ~domains ~ranks ~rounds ()) in
+    QCheck.(list_of_size (Gen.int_range 1 6) (pair (int_range 2 6) (int_range 1 20)))
+    (fun specs ->
+      let thunks = ring_thunks specs in
+      let seq = sequential thunks in
+      let par = Engine.run_many thunks in
       if seq <> par then
-        QCheck.Test.fail_reportf "ranks=%d rounds=%d domains=%d:@.seq %s@.par %s" ranks
-          rounds domains seq par;
+        QCheck.Test.fail_reportf "runs %s:@.seq %s@.par %s"
+          (String.concat " " (List.map (fun (p, r) -> Printf.sprintf "p=%d/rounds=%d" p r) specs))
+          (String.concat " | " seq) (String.concat " | " par);
       true)
 
-(* Taskqueue exactly-once postcondition under the domain pool: every
-   surviving rank commits the full, correct result vector, and the
-   dispatch accounting balances.  (Task placement is schedule-shaped, so
-   per-rank execution counts are not compared against sequential.) *)
-let test_taskqueue_exactly_once_parallel () =
+(* Taskqueue exactly-once postcondition, in the pool and alone: every
+   surviving rank commits the full, correct result vector, the dispatch
+   accounting balances, and each pooled run's fingerprint (results,
+   clocks, profile, taskqueue counters) equals its sequential twin. *)
+let taskqueue_run ~mode () =
   let n = 30 in
   let p = 4 in
   let tasks = Array.init n (fun i -> 1000 + i) in
+  let results, report =
+    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~ranks:p
+      (fun mpi ->
+        let comm = C.of_mpi mpi in
+        let rt = C.runtime comm in
+        let me = Comm.world_rank mpi in
+        let exec id payload =
+          Runtime.charge_compute rt me 2e-5;
+          (payload * payload) + id
+        in
+        fst
+          (TQ.run
+             ~cfg:(TQ.config ~mode ())
+             comm ~task_codec:Serial.Codec.int ~result_codec:Serial.Codec.int ~tasks ~exec ()))
+  in
+  let count name = Stats.count (Stats.counter report.Engine.stats name) in
+  ( results,
+    count "taskqueue.completed",
+    count "taskqueue.duplicates_suppressed",
+    Array.to_list report.Engine.times,
+    report.Engine.profile )
+
+let test_taskqueue_exactly_once () =
+  let n = 30 in
   let expected = Array.init n (fun i -> ((1000 + i) * (1000 + i)) + i) in
-  List.iter
-    (fun mode ->
-      let results, report =
-        Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
-          ~domains:4 ~ranks:p (fun mpi ->
-            let comm = C.of_mpi mpi in
-            let rt = C.runtime comm in
-            let me = Comm.world_rank mpi in
-            let exec id payload =
-              Runtime.charge_compute rt me 2e-5;
-              (payload * payload) + id
-            in
-            TQ.run
-              ~cfg:(TQ.config ~mode ())
-              comm ~task_codec:Serial.Codec.int ~result_codec:Serial.Codec.int ~tasks
-              ~exec ())
-      in
+  let modes = [ TQ.Master_worker; TQ.Nbx; TQ.Master_worker; TQ.Nbx ] in
+  let thunks = List.map (fun mode -> taskqueue_run ~mode) modes in
+  let pooled = Engine.run_many thunks in
+  Alcotest.(check bool) "pooled runs equal sequential runs" true (pooled = sequential thunks);
+  List.iter2
+    (fun mode (results, completed, suppressed, _, _) ->
+      let name = TQ.mode_to_string mode in
       Array.iteri
         (fun r res ->
           match res with
-          | Some (out, _comm) ->
-              Alcotest.(check (array int))
-                (Printf.sprintf "%s rank %d results" (TQ.mode_to_string mode) r)
+          | Some out ->
+              Alcotest.(check (array int)) (Printf.sprintf "%s rank %d results" name r)
                 expected out
-          | None -> Alcotest.failf "rank %d has no result" r)
+          | None -> Alcotest.failf "%s: rank %d has no result" name r)
         results;
-      let count name = Stats.count (Stats.counter report.Engine.stats name) in
-      Alcotest.(check int)
-        (Printf.sprintf "%s completions balance" (TQ.mode_to_string mode))
-        n
-        (count "taskqueue.completed" - count "taskqueue.duplicates_suppressed"))
-    [ TQ.Master_worker; TQ.Nbx ]
+      Alcotest.(check int) (name ^ " completions balance") n (completed - suppressed))
+    modes pooled
 
 (* ------------------------------------------------------------------ *)
-(* Sequential byte-compatibility: the chaos replay log of the default
-   scheduler must be byte-identical to the golden trace captured before
-   the multicore backend existed.  Any drift here means the sequential
-   path changed. *)
+(* Sequential byte-compatibility: the chaos replay log must be
+   byte-identical to the golden trace, run alone and in the pool. *)
 
 (* Under `dune runtest` the cwd is the test directory; under `dune exec`
    it is the project root. *)
@@ -219,7 +162,7 @@ let chaos_ring_program ~rounds comm =
   done;
   !acc
 
-let test_golden_chaos_replay () =
+let chaos_ring () =
   let chaos =
     Chaos.config ~seed:99 ~lossy:true
       ~plan:(Result.get_ok (Fault_plan.parse "droplink=0>1@3"))
@@ -229,29 +172,82 @@ let test_golden_chaos_replay () =
     Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~chaos
       ~ranks:4 (chaos_ring_program ~rounds:25)
   in
-  Alcotest.(check (array (option int)))
-    "ring results unchanged"
-    [| Some 75325; Some 325; Some 25325; Some 50325 |]
-    results;
-  let log =
-    match report.Engine.chaos_log with
-    | Some l -> l
-    | None -> Alcotest.fail "chaos log missing"
-  in
+  match report.Engine.chaos_log with
+  | Some log -> (results, log)
+  | None -> Alcotest.fail "chaos log missing"
+
+let test_golden_chaos_replay () =
   let ic = open_in_bin (golden_fixture ()) in
   let golden = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Alcotest.(check string) "byte-identical to pre-multicore golden trace" golden log
+  let check label (results, log) =
+    Alcotest.(check (array (option int)))
+      (label ^ ": ring results unchanged")
+      [| Some 75325; Some 325; Some 25325; Some 50325 |]
+      results;
+    Alcotest.(check string) (label ^ ": byte-identical to the golden trace") golden log
+  in
+  check "alone" (chaos_ring ());
+  List.iteri (fun i r -> check (Printf.sprintf "pooled %d" i) r)
+    (Engine.run_many [ chaos_ring; chaos_ring; chaos_ring ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine gates: the sequential-only planes must be rejected loudly. *)
+(* Pool contract. *)
+
+let test_input_order () =
+  Alcotest.(check (list int)) "empty list" [] (Engine.run_many []);
+  (* Later thunks finish first: their runs are shorter. *)
+  let thunks =
+    List.init 6 (fun i () ->
+        ignore (run_ring ~ranks:4 ~rounds:(60 - (10 * i)) ());
+        i)
+  in
+  Alcotest.(check (list int)) "results in input order" [ 0; 1; 2; 3; 4; 5 ]
+    (Engine.run_many thunks)
+
+exception Thunk_failed of int
+
+(* Thunk 1 raises only after a long run while thunk 2 raises at once, so
+   thunk 2's failure is the first to happen; the pool must still report
+   thunk 1's, and only once every thunk (the slow last one included) has
+   finished. *)
+let test_lowest_index_reraise () =
+  let finished = Atomic.make 0 in
+  let slow_ring () = ignore (run_ring ~ranks:4 ~rounds:80 ()) in
+  let thunks =
+    [
+      (fun () -> Atomic.incr finished);
+      (fun () ->
+        slow_ring ();
+        Atomic.incr finished;
+        raise (Thunk_failed 1));
+      (fun () ->
+        Atomic.incr finished;
+        raise (Thunk_failed 2));
+      (fun () ->
+        slow_ring ();
+        slow_ring ();
+        Atomic.incr finished);
+    ]
+  in
+  (match Engine.run_many thunks with
+  | _ -> Alcotest.fail "expected Thunk_failed"
+  | exception Thunk_failed i -> Alcotest.(check int) "lowest failing index" 1 i);
+  Alcotest.(check int) "every thunk ran to the end before the re-raise" 4
+    (Atomic.get finished)
+
+(* ------------------------------------------------------------------ *)
+(* [Engine.run ?domains] is compatibility only: every run, whatever plane
+   it turns on, executes on one domain, so [~domains:1] is accepted and
+   any other width is a usage error. *)
 
 let expect_usage_error name f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Usage_error" name
   | exception Errdefs.Usage_error _ -> ()
 
-let test_parallel_gates () =
+let test_domains_compat () =
+  ignore (Engine.run ~domains:1 ~ranks:2 (fun _ -> ()) : Engine.report);
   expect_usage_error "chaos + domains" (fun () ->
       Engine.run ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
         ~chaos:(Chaos.config ~seed:1 ~lossy:true ())
@@ -259,44 +255,26 @@ let test_parallel_gates () =
         (fun _ -> ()));
   expect_usage_error "sanitizer + domains" (fun () ->
       Engine.run ~check_level:Check.Heavy ~domains:2 ~ranks:2 (fun _ -> ()));
+  expect_usage_error "domains 0" (fun () -> Engine.run ~domains:0 ~ranks:2 (fun _ -> ()));
   expect_usage_error "negative domains" (fun () ->
       Engine.run ~domains:(-3) ~ranks:2 (fun _ -> ()))
-
-let test_domains_env () =
-  Unix.putenv "MPISIM_DOMAINS" "2";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MPISIM_DOMAINS" "")
-    (fun () ->
-      let seq = fingerprint (run_ring ~domains:1 ~ranks:3 ~rounds:5 ()) in
-      (* No explicit [domains]: the env var selects the pool. *)
-      let par =
-        fingerprint
-          (Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
-             ~ranks:3 (ring_program ~rounds:5))
-      in
-      Alcotest.(check string) "env-selected pool matches sequential" seq par)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "multicore"
     [
-      ( "hammers",
-        [
-          quick "stats counters from 4 domains" test_stats_hammer;
-          quick "wire pool from 4 domains" test_wire_pool_hammer;
-        ] );
       ( "determinism",
         [
-          quick "ring identical at 2/4/8 domains" test_ring_deterministic_across_domains;
-          quick "zero lookahead barrier" test_ring_with_zero_lookahead;
-          quick "taskqueue exactly-once at 4 domains" test_taskqueue_exactly_once_parallel;
-          QCheck_alcotest.to_alcotest prop_parallel_determinism;
+          quick "ring identical in 2/4/8 pools" test_ring_pools;
+          quick "taskqueue exactly-once pooled" test_taskqueue_exactly_once;
+          QCheck_alcotest.to_alcotest prop_pool_determinism;
         ] );
       ( "sequential-compat",
         [ quick "golden chaos replay byte-identical" test_golden_chaos_replay ] );
-      ( "gates",
+      ( "pool",
         [
-          quick "sequential-only planes rejected" test_parallel_gates;
-          quick "MPISIM_DOMAINS env" test_domains_env;
+          quick "results in input order" test_input_order;
+          quick "lowest-index raise, all joined" test_lowest_index_reraise;
         ] );
+      ("gates", [ quick "sequential-only planes rejected" test_domains_compat ]);
     ]

@@ -109,8 +109,76 @@ let prop_archive_roundtrip =
       let c = Serial.Codec.(list (pair string (list int))) in
       Serial.Archive.decode c (Serial.Archive.encode c v) = v)
 
+(* Hostile archives: a valid [list (pair string (array int))] archive
+   under truncation, byte flips and runs of 0xff (which turn any varint
+   they hit into a huge or overlong length).  Decoding must return a
+   value or raise [Decode_error] — never [Out_of_memory],
+   [Invalid_argument] or a leaked [Wire.Underflow] — and allocate no more
+   than a small multiple of the input's size. *)
+type mutation = Truncate of int | Flip of int * int | Ff_run of int * int
+
+let apply_mutation b m =
+  let n = Bytes.length b in
+  if n = 0 then b
+  else
+    match m with
+    | Truncate at -> Bytes.sub b 0 (at mod n)
+    | Flip (at, mask) ->
+        let b = Bytes.copy b in
+        let i = at mod n in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 + (mask mod 255)));
+        b
+    | Ff_run (at, len) ->
+        let b = Bytes.copy b in
+        let i = at mod n in
+        Bytes.fill b i (min len (n - i)) '\xff';
+        b
+
+let mutation_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneof
+      [
+        map (fun at -> Truncate at) nat;
+        map2 (fun at mask -> Flip (at, mask)) nat nat;
+        map2 (fun at len -> Ff_run (at, len)) nat (int_range 1 12);
+      ]
+  in
+  QCheck.make gen ~print:(function
+    | Truncate at -> Printf.sprintf "truncate@%d" at
+    | Flip (at, mask) -> Printf.sprintf "flip@%d/%d" at mask
+    | Ff_run (at, len) -> Printf.sprintf "ff@%d*%d" at len)
+
+let hostile_codec = Serial.Codec.(list (pair string (array int)))
+
+let prop_hostile_archive =
+  QCheck.Test.make ~name:"hostile archives: Ok or Decode_error" ~count:2000
+    QCheck.(
+      pair
+        (small_list (pair small_string (array_of_size Gen.(0 -- 8) int)))
+        (list_of_size Gen.(1 -- 3) mutation_arb))
+    (fun (v, mutations) ->
+      let b =
+        List.fold_left apply_mutation (Serial.Archive.encode hostile_codec v) mutations
+      in
+      (* Minor collections on both sides settle the counters, so the
+         delta is this decode's allocation (direct major ones included). *)
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      (match Serial.Archive.decode hostile_codec b with
+      | _ -> ()
+      | exception Serial.Codec.Decode_error _ -> ());
+      Gc.minor ();
+      let words = (Gc.allocated_bytes () -. before) /. 8. in
+      let bound = float_of_int ((16 * Bytes.length b) + 4096) in
+      if words > bound then
+        QCheck.Test.fail_reportf "%d-byte archive: %.0f words allocated (bound %.0f)"
+          (Bytes.length b) words bound;
+      true)
+
 let tests =
   [
+    qtest prop_hostile_archive;
     qtest prop_int;
     qtest prop_string;
     qtest prop_list;

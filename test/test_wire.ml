@@ -79,12 +79,11 @@ let test_pool_bounds () =
   let _, _, free = Wire.pool_stats pool in
   Alcotest.(check int) "free list capped" 1 free
 
-(* A raising pool operation must not leave the pool's mutex held: a miss
-   whose [Bytes.create] fails raises, and every later acquire on that
-   pool must still work instead of failing on the stuck lock. *)
+(* A raising pool operation must leave the pool usable: a miss whose
+   [Bytes.create] fails raises, and every later acquire, recycle and
+   preheat on that pool must still work. *)
 let test_pool_lock_released_on_raise () =
   let pool = Wire.create_pool () in
-  Wire.set_pool_threadsafe pool;
   Alcotest.check_raises "impossible capacity" (Invalid_argument "Bytes.create") (fun () ->
       ignore (Wire.acquire pool ~capacity:max_int));
   let w = Wire.acquire pool ~capacity:16 in
