@@ -84,18 +84,61 @@ let pingpong_wall (dt : char Datatype.t) ~bytes ~iters () =
 
 let results_file = "BENCH_PINGPONG.json"
 
+(* Minor words that one pack plus one unpack of a [bytes]-char message
+   allocate on [dt]'s path, and how many per-element [pack]/[unpack]
+   callbacks they make (0 on the bulk kernel, 2 * [bytes] on the general
+   path).  Both are deterministic, so the regression gate pins them
+   ([*_words], [*_calls]); the wall-clock ratio next to them is a host
+   measurement ([wall_speedup], skipped by the gate). *)
+let pack_unpack_cost (dt : char Datatype.t) ~bytes =
+  let calls = ref 0 in
+  let dt =
+    {
+      dt with
+      Datatype.pack =
+        (fun w c ->
+          incr calls;
+          dt.Datatype.pack w c);
+      unpack =
+        (fun r ->
+          incr calls;
+          dt.Datatype.unpack r);
+    }
+  in
+  let payload = Array.make bytes 'x' and into = Array.make bytes ' ' in
+  let w = Wire.create_writer ~capacity:bytes () in
+  let cycle () =
+    Wire.reset w;
+    Datatype.pack_array dt w payload ~pos:0 ~count:bytes;
+    let r = Wire.reader_of_slice (Wire.writer_storage w) ~pos:0 ~len:(Wire.length w) in
+    Datatype.unpack_into dt r into ~pos:0 ~count:bytes
+  in
+  cycle ();
+  calls := 0;
+  let iters = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  (words /. float_of_int iters, float_of_int !calls /. float_of_int iters)
+
 let fast_path_series ~smoke =
   Printf.printf "\n-- wall clock: bulk fast path vs general per-element path --\n";
   let sizes = if smoke then [ 256; 4096 ] else [ 1024; 65536; 1048576 ] in
-  (* [bench-diff] compares the smoke [speedup] against the committed
-     history at 10%, so smoke runs still time 32 iterations x 7 runs:
-     with 4 x 3 the 4 KiB ratio ranged over 3.1x-4.3x from run to run on
-     a quiet 2-core host, with 32 x 7 over 3.2x-3.6x. *)
   let iters = if smoke then 32 else 20 in
   let runs = if smoke then 7 else 5 in
   let general = Datatype.without_bulk Datatype.byte in
   Bench_util.print_table
-    ~header:[ "bytes"; "general (before)"; "bulk (after)"; "speedup" ]
+    ~header:
+      [
+        "bytes";
+        "general (before)";
+        "bulk (after)";
+        "speedup";
+        "words general/bulk";
+        "calls general/bulk";
+      ]
     (List.map
        (fun bytes ->
          let t_general, () =
@@ -104,19 +147,27 @@ let fast_path_series ~smoke =
          let t_fast, () =
            Bench_util.wall_median ~runs (pingpong_wall Datatype.byte ~bytes ~iters)
          in
+         let w_general, c_general = pack_unpack_cost general ~bytes in
+         let w_bulk, c_bulk = pack_unpack_cost Datatype.byte ~bytes in
          Bench_util.emit_json_file ~file:results_file ~bench:"pingpong_fast_path"
            [
              ("bytes", Bench_util.I bytes);
              ("iters", Bench_util.I iters);
              ("general_wall_seconds", Bench_util.F t_general);
              ("bulk_wall_seconds", Bench_util.F t_fast);
-             ("speedup", Bench_util.F (t_general /. t_fast));
+             ("wall_speedup", Bench_util.F (t_general /. t_fast));
+             ("general_words", Bench_util.F w_general);
+             ("bulk_words", Bench_util.F w_bulk);
+             ("general_calls", Bench_util.F c_general);
+             ("bulk_calls", Bench_util.F c_bulk);
            ];
          [
            string_of_int bytes;
            Printf.sprintf "%.2fms" (t_general *. 1e3);
            Printf.sprintf "%.2fms" (t_fast *. 1e3);
            Bench_util.speedup_string ~baseline:t_fast t_general;
+           Printf.sprintf "%.1f / %.1f" w_general w_bulk;
+           Printf.sprintf "%.0f / %.0f" c_general c_bulk;
          ])
        sizes)
 

@@ -2,9 +2,10 @@
    the collective's output is only reachable via wait/test, like the
    point-to-point results of §III-E.
 
-   Progress follows the runtime's deferred semantics (no asynchronous
-   progress: the collective advances inside wait/test, which every rank
-   must reach — post, do independent work, complete). *)
+   Progress is the runtime's: the call posts the collective's schedule,
+   each test takes the steps whose messages have arrived, and wait
+   completes it — post, do independent work (testing now and then),
+   complete. *)
 
 open Mpisim
 
@@ -36,8 +37,8 @@ let ireduce_scatter comm dt op ?recv_counts (data : 'a array) : 'a array Nb.t =
   let req, cell = Coll.ireduce_scatter mpi dt op ~recv_counts data in
   of_deferred req cell
 
-(* Counts are inferred eagerly (one alltoall now); the data exchange is
-   deferred to wait/test. *)
+(* Counts are inferred eagerly (one blocking alltoall now); the data
+   exchange progresses in test/wait. *)
 let ialltoallv comm dt ~send_counts ?recv_counts (data : 'a array) : 'a array Nb.t =
   let mpi = c comm in
   let recv_counts =

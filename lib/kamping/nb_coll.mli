@@ -2,8 +2,10 @@
     (§III-E applied to collectives): results are only reachable via
     {!Nb.wait}/{!Nb.test}.
 
-    Progress semantics: as in MPI without asynchronous progress, the
-    collective advances inside wait/test, which every rank must reach. *)
+    Progress semantics: as in MPI without an asynchronous progress
+    thread, the collective advances inside the calls on its result: each
+    {!Nb.test} takes the steps whose messages have arrived, so work
+    between tests overlaps it, and {!Nb.wait} completes it. *)
 
 open Mpisim
 
@@ -23,7 +25,7 @@ val ireduce_scatter :
   'a array Nb.t
 
 (** Counts are inferred eagerly (one alltoall at call time) when omitted;
-    the data exchange is deferred. *)
+    the data exchange progresses in test/wait. *)
 val ialltoallv :
   Communicator.t ->
   'a Datatype.t ->

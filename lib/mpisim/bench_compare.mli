@@ -4,8 +4,9 @@
     Records are matched across two files on their identity (bench name
     plus every non-metric field); each shared metric is compared under a
     relative tolerance.  Metric fields and their better-direction are
-    recognized by naming convention: [*_seconds], [*_peak_elems] and
-    [*_words] (allocation counts) lower is better, [*_per_second] and
+    recognized by naming convention: [*_seconds], [*_peak_elems],
+    [*_words] (allocation counts) and [*_calls] (per-element callback
+    counts) lower is better, [*_per_second] and
     [speedup]/[*_speedup] higher is better.
     Metrics containing ["wall"] measure the host machine and are skipped
     unless [include_wall] is set. *)

@@ -1,4 +1,4 @@
-(* Blocking collective operations.
+(* Collective operations.
 
    All collectives are implemented on top of the point-to-point layer with
    real algorithms (binomial trees, Bruck concatenation, ring exchange,
@@ -33,6 +33,16 @@
    against the thresholds in [Net_model.tuning]; the choice is counted in
    a [coll.algo.<op>.<algo>] stats counter and emitted as a nested trace
    span, and can be pinned via [MPISIM_COLL_ALGO] / [Coll_algo.set_overrides].
+
+   Each algorithm is written once, as a schedule: rounds of [send],
+   [recv] and [recv_fold] steps over caller buffers given as ranges, plus
+   local copies and folds.  A driver value [x] says how a receive step
+   waits.  Blocking calls run the schedule straight through: each step is
+   a [P2p.send_range] or [P2p.recv_range] call.  Nonblocking calls and
+   persistent cycles run it progressively: a receive whose message has
+   not arrived yet suspends the schedule, and the request resumes it
+   inside test/wait, so computation between tests overlaps the
+   collective (DESIGN.md §6.1).
 
    Every collective starts with [Comm.check_collective], which raises
    ERR_REVOKED / ERR_PROC_FAILED per ULFM semantics and, with the {!Check}
@@ -71,6 +81,11 @@ let tag_bcast_scatter = P2p.internal_tag 14
 
 let tag_bcast_ring = P2p.internal_tag 15
 
+(* Width of one operation instance's tag window: the tags above.
+   Posted instances take their windows from [P2p.first_window_op] up,
+   clear of every fixed internal op id. *)
+let tag_window = 16
+
 let empty_int : int array = [||]
 
 (* [root] is the comm-rank root (-1 for unrooted collectives) and [ty] the
@@ -80,40 +95,25 @@ let prologue comm ~op ~root ~ty =
   Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm);
   Comm.check_collective comm ~op ~root ~ty
 
-(* Trace span around one collective on the caller's virtual timeline.
-   Each public operation below is shadowed by a [traced] wrapper right
-   after its definition, so collectives lowered onto earlier ones
-   (allreduce onto reduce + bcast, reduce_scatter onto reduce + scatterv)
-   show up as nested spans. *)
-let traced comm ~op f =
-  Runtime.with_span (Comm.runtime comm) (Comm.world_rank comm) ~cat:"coll" ~name:op f
-
 let record comm ~op ~bytes = Runtime.record (Comm.runtime comm) ~op ~bytes
 
-(* The algorithm selected for this call, visible to run reports: bump the
-   [coll.algo.<op>.<algo>] counter and nest an [<op>.<algo>] span inside
-   the collective's own span.  Both names are preallocated in Coll_algo,
-   so with tracing off this costs one counter increment. *)
-let dispatch comm alg_op algo f =
+(* A blocking collective: a trace span on the caller's virtual timeline
+   around the prologue, the profile entry and [f].  Collectives lowered
+   onto others (allreduce onto reduce + bcast) show up as nested
+   spans. *)
+let entry comm ~op ~root ~ty ~bytes f =
+  (* With tracing off, the call builds no closure of its own. *)
   let rt = Comm.runtime comm in
-  Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
-  let cm = rt.Runtime.comm_matrix in
-  if Comm_matrix.enabled cm then begin
-    (* Attribute every message the algorithm body injects to this
-       algorithm in the communication matrix.  Save/restore (rather than
-       reset to "p2p") so lowered collectives attribute to the innermost
-       algorithm actually moving the bytes. *)
-    let me = Comm.world_rank comm in
-    let prev = Comm_matrix.label cm me in
-    Comm_matrix.set_label cm me (Coll_algo.span_name alg_op algo);
-    Fun.protect
-      ~finally:(fun () -> Comm_matrix.set_label cm me prev)
-      (fun () ->
-        Runtime.with_span rt me ~cat:"coll" ~name:(Coll_algo.span_name alg_op algo) f)
+  if Trace.enabled rt.Runtime.trace then
+    Runtime.with_span rt (Comm.world_rank comm) ~cat:"coll" ~name:op (fun () ->
+        prologue comm ~op ~root ~ty;
+        record comm ~op ~bytes;
+        f ())
+  else begin
+    prologue comm ~op ~root ~ty;
+    record comm ~op ~bytes;
+    f ()
   end
-  else
-    Runtime.with_span rt (Comm.world_rank comm) ~cat:"coll"
-      ~name:(Coll_algo.span_name alg_op algo) f
 
 let choose comm alg_op ~bytes ~commutative ~elems =
   Coll_algo.choose (Comm.runtime comm).Runtime.model alg_op ~bytes ~size:(Comm.size comm)
@@ -126,29 +126,341 @@ let charge_dense_scan comm =
   Runtime.advance_clock rt (Comm.world_rank comm)
     (float_of_int (Comm.size comm) *. rt.Runtime.model.Net_model.dense_scan_byte)
 
-let check_root comm root = Comm.check_rank comm root
+let scratch_like (dt : 'a Datatype.t) n : 'a array =
+  if n = 0 then [||] else Array.make n (Datatype.zero_elem dt)
+
+let exclusive_prefix_sum (counts : int array) =
+  let n = Array.length counts in
+  let displs = Array.make n 0 in
+  for i = 1 to n - 1 do
+    displs.(i) <- displs.(i - 1) + counts.(i - 1)
+  done;
+  displs
+
+(* A block table: block b of a buffer is [t.(b), t.(b+1)), so the table
+   has one entry more than there are blocks and ends with the total. *)
+let blocks (counts : int array) =
+  let n = Array.length counts in
+  let t = Array.make (n + 1) 0 in
+  for b = 1 to n do
+    t.(b) <- t.(b - 1) + counts.(b - 1)
+  done;
+  t
+
+(* [total] elements in [parts] blocks whose sizes differ by at most one,
+   the larger ones first. *)
+let even_blocks ~total ~parts =
+  let t = Array.make (parts + 1) 0 in
+  for b = 1 to parts do
+    t.(b) <- t.(b - 1) + (total / parts) + if b - 1 < total mod parts then 1 else 0
+  done;
+  t
+
+let block_count (t : int array) b = t.(b + 1) - t.(b)
+
+(* ------------------------------------------------------------------ *)
+(* Schedules and their drivers *)
+
+(* A schedule running on the progressive driver (a nonblocking call or a
+   persistent cycle) of [comm]: [k] is where it suspended and [poll] what
+   it waits for; an MPI error it raised is kept for test/wait to
+   re-raise.  [poll true] asks whether the awaited message has arrived by
+   the rank's virtual clock, [poll false] only whether it is in the
+   mailbox.  [last_test] is the clock at the previous test.  Once
+   [waiting] — the owner is in wait and has nothing else to do — its
+   steps block the fiber like a blocking call's instead of suspending.
+   [label] is the algorithm the schedule is in, which its sends carry in
+   the communication matrix. *)
+type prog = {
+  comm : Comm.t;
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable poll : bool -> bool;
+  mutable error : exn option;
+  mutable waiting : bool;
+  mutable last_test : float;
+  mutable label : string;
+}
+
+(* How a schedule's steps run: blocking ([prog = None]) or progressive.
+   [shift] moves the operation's tags into a window of its own: a
+   progressive instance may still be in flight when the next collective
+   on the communicator starts, and their messages must not cross-match. *)
+type drv = { shift : int; prog : prog option }
+
+let blocking = { shift = 0; prog = None }
+
+(* A fresh progressive instance.  Collectives are called in the same order
+   on every rank, so the tag windows agree across ranks. *)
+let progressive comm =
+  let gen = comm.Comm.my_sched_gen in
+  comm.Comm.my_sched_gen <- gen + 1;
+  let s =
+    {
+      comm;
+      k = None;
+      poll = (fun _ -> false);
+      error = None;
+      waiting = false;
+      last_test = neg_infinity;
+      label = Comm_matrix.p2p_label;
+    }
+  in
+  (s, { shift = P2p.first_window_op + (tag_window * gen); prog = Some s })
+
+(* Performed by a progressive schedule that cannot go on until [poll]
+   holds; the driver keeps the continuation and resumes it later. *)
+type _ Effect.t += Await : (bool -> bool) -> unit Effect.t
+
+let suspends x = match x.prog with Some s -> not s.waiting | None -> false
+
+let rec await x ~describe poll =
+  if not (poll ()) then
+    if suspends x then begin
+      Effect.perform (Await (fun _ -> poll ()));
+      await x ~describe poll
+    end
+    else Scheduler.park ~describe ~poll:(fun () -> if poll () then Some () else None)
+
+(* Run [f] with the rank's comm-matrix label set to [label], so every
+   message [f] injects is attributed to it.  Save/restore (rather than
+   reset to "p2p") so lowered collectives attribute to the innermost
+   algorithm actually moving the bytes. *)
+let labelled comm label f =
+  let cm = (Comm.runtime comm).Runtime.comm_matrix in
+  let me = Comm.world_rank comm in
+  let prev = Comm_matrix.label cm me in
+  Comm_matrix.set_label cm me label;
+  Fun.protect ~finally:(fun () -> Comm_matrix.set_label cm me prev) f
+
+(* The algorithm selected for this call, visible to run reports: bump the
+   [coll.algo.<op>.<algo>] counter and, on the blocking driver, nest an
+   [<op>.<algo>] span inside the collective's own span and label the
+   algorithm's traffic in the communication matrix.  Both names are
+   preallocated in Coll_algo, so with tracing off this costs one counter
+   increment.  A progressive schedule may suspend mid-algorithm, so it
+   opens no span and leaves the rank's label alone: it keeps its own,
+   which its sends carry.  (An error ends the schedule, and a persistent
+   cycle resets the label, so none is restored on the error path.) *)
+let dispatch x comm alg_op algo f =
+  let rt = Comm.runtime comm in
+  Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
+  let name = Coll_algo.span_name alg_op algo in
+  let me = Comm.world_rank comm in
+  match x.prog with
+  | Some s ->
+      let prev = s.label in
+      s.label <- name;
+      let v = f () in
+      s.label <- prev;
+      v
+  | None when Comm_matrix.enabled rt.Runtime.comm_matrix ->
+      labelled comm name (fun () -> Runtime.with_span rt me ~cat:"coll" ~name f)
+  | None -> Runtime.with_span rt me ~cat:"coll" ~name f
+
+(* A collective lowered onto another one: on the blocking driver the
+   inner one gets the prologue, profile entry and span of an ad-hoc call;
+   a progressive schedule records only the operation it was posted as. *)
+let phase x comm ~op ~root ~ty ~bytes f =
+  if x.prog <> None then f () else entry comm ~op ~root ~ty ~bytes f
+
+(* --- steps --- *)
+
+(* A progressive schedule's send carries the schedule's algorithm label
+   in the communication matrix. *)
+let send x comm dt ~tag ~dest buf ~pos ~count =
+  let tag = tag + x.shift in
+  match x.prog with
+  | Some s when Comm_matrix.enabled (Comm.runtime comm).Runtime.comm_matrix ->
+      labelled comm s.label (fun () -> P2p.send_range comm dt ~dest ~tag buf ~pos ~count)
+  | _ -> P2p.send_range comm dt ~dest ~tag buf ~pos ~count
+
+(* On the progressive driver a receive step runs at once only if its
+   message has arrived by the rank's virtual clock (or its source has
+   failed); otherwise the schedule suspends until [advance] finds it
+   there. *)
+let arrived x comm ~tag ~src =
+  if suspends x && not (P2p.matchable comm ~arrived:true ~source:src ~tag) then
+    Effect.perform (Await (fun arrived -> P2p.matchable comm ~arrived ~source:src ~tag))
+
+(* Receive exactly [count] elements into [buf] at [pos]. *)
+let recv x comm dt ~tag ~what ~src buf ~pos ~count =
+  let tag = tag + x.shift in
+  arrived x comm ~tag ~src;
+  let st = P2p.recv_range comm dt ~source:src ~tag ~pos ~maxcount:count buf in
+  if Status.count st <> count then
+    Comm.error comm Errdefs.Err_count "%s: expected %d elements from rank %d, got %d" what
+      count src (Status.count st)
+
+(* Receive a message of a length this rank does not know. *)
+let recv_dyn x comm dt ~tag ~src =
+  let tag = tag + x.shift in
+  arrived x comm ~tag ~src;
+  P2p.recv_array comm dt ~source:src ~tag ()
+
+(* [acc.(pos+i) <- acc.(pos+i) op from.(fpos+i)] for [count] elements. *)
+let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~count =
+  for i = 0 to count - 1 do
+    acc.(pos + i) <- Reduce_op.apply op acc.(pos + i) from.(fpos + i)
+  done
+
+(* Receive [count] elements into [scratch] and fold them into [buf]. *)
+let recv_fold x comm dt op ~tag ~what ~src ~scratch buf ~pos ~count =
+  recv x comm dt ~tag ~what ~src scratch ~pos:0 ~count;
+  fold op ~acc:buf ~pos ~from:scratch ~fpos:0 ~count
+
+(* --- the progressive driver --- *)
+
+let handler (s : prog) : (unit, unit) Effect.Deep.handler =
+  {
+    retc = (fun () -> ());
+    (* An MPI error belongs to the request; anything else (a killed
+       process, a usage error) ends the fiber as in a blocking call. *)
+    exnc = (function Errdefs.Mpi_error _ as e -> s.error <- Some e | e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Await poll ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                s.k <- Some k;
+                s.poll <- poll)
+        | _ -> None);
+  }
+
+(* Run [body] until it first has to wait. *)
+let launch s h body =
+  s.k <- None;
+  s.waiting <- false;
+  Effect.Deep.match_with body () h
+
+(* A test: resume the schedule for as long as what it waits for is
+   there; [true] once it has finished.  Runs in the owning fiber.  A step
+   is taken once its message has arrived by the rank's virtual clock, so
+   a message still on the wire is left for a later test and the
+   computation in between overlaps it.  A test at the clock of the
+   previous one (a polling loop, which advances no virtual time) takes a
+   message that is merely in the mailbox, moving the clock to its
+   arrival as [P2p.irecv_into]'s test does, so polling always
+   completes. *)
+let advance s =
+  let now = (Comm.runtime s.comm).Runtime.clocks.(Comm.world_rank s.comm) in
+  let arrived = now > s.last_test in
+  s.last_test <- now;
+  let rec go () =
+    match s.k with
+    | None -> true
+    | Some k ->
+        if s.poll arrived then begin
+          s.k <- None;
+          Effect.Deep.continue k ();
+          go ()
+        end
+        else false
+  in
+  go ()
+
+(* Complete the schedule: the owner is waiting, so the remaining steps
+   block the fiber as a blocking call's would.  Then re-raise an error the
+   schedule stopped on. *)
+let finish s =
+  (match s.k with
+  | None -> ()
+  | Some k ->
+      s.waiting <- true;
+      s.k <- None;
+      Effect.Deep.continue k ());
+  match s.error with
+  | None -> ()
+  | Some e ->
+      s.error <- None;
+      raise e
+
+(* Nonblocking driver: post [run] and return the request that advances it
+   in test/wait.  The collective is recorded once, under its own name and
+   real payload bytes; an MPI error raised while posting (a revoked
+   communicator, a failed member) surfaces at test/wait. *)
+let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref =
+  let rt = Comm.runtime comm in
+  let result = ref None in
+  let s, x = progressive comm in
+  launch s (handler s) (fun () ->
+      prologue comm ~op ~root ~ty;
+      record comm ~op ~bytes;
+      result := Some (run x));
+  let req =
+    Request.make_stepped
+      ~advance:(fun () -> advance s)
+      ~ready:(fun () -> s.k = None || s.poll false)
+      ~finalize:(fun () ->
+        finish s;
+        Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
+      ~describe:(fun () -> op)
+  in
+  if Check.enabled rt.Runtime.check then
+    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op req;
+  (req, result)
+
+(* Persistent driver: each [start] re-runs [body] on the progressive
+   driver, in the tag window the request took at init, with the profiling
+   handle and the frozen algorithm's counter resolved once; its sends
+   carry the frozen algorithm's comm-matrix label.  [wait_p]
+   need not park before [finish], which blocks as it goes.  One rank has
+   no peer to wait for, so its cycle runs at [start] with no effect
+   handler: the allocation-free case. *)
+let persistent comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option)
+    (body : drv -> unit) : Request.p =
+  let rt = Comm.runtime comm in
+  let prep = Profiling.prepare rt.Runtime.profile op in
+  let counter =
+    Option.map (fun fz -> Stats.counter rt.Runtime.stats fz.Coll_algo.frozen_counter) frozen
+  in
+  let s, x = progressive comm in
+  let label =
+    match frozen with Some fz -> fz.Coll_algo.frozen_span | None -> Comm_matrix.p2p_label
+  in
+  let cycle () =
+    s.label <- label;
+    prologue comm ~op ~root ~ty;
+    Profiling.record_prepared rt.Runtime.profile prep ~bytes;
+    Option.iter Stats.incr counter;
+    body x
+  in
+  let describe = op ^ "_init" in
+  let ready () = true in
+  if Comm.size comm = 1 then
+    Request.make_p ~describe ~start:cycle ~advance:ready ~ready ~run:ignore
+  else begin
+    let h = handler s in
+    Request.make_p ~describe
+      ~start:(fun () -> launch s h cycle)
+      ~advance:(fun () -> advance s)
+      ~ready
+      ~run:(fun () -> finish s)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Barrier: dissemination *)
 
 let barrier comm =
-  prologue comm ~op:"barrier" ~root:(-1) ~ty:"";
-  record comm ~op:"barrier" ~bytes:0;
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let k = ref 1 in
-  while !k < n do
-    let dest = (r + !k) mod n in
-    let src = (r - !k + n) mod n in
-    P2p.send_range comm Datatype.int ~dest ~tag:tag_barrier empty_int ~pos:0 ~count:0;
-    let (_ : int array * Status.t) = P2p.recv comm Datatype.int ~source:src ~tag:tag_barrier () in
-    k := !k * 2
-  done
-
-let barrier comm = traced comm ~op:"barrier" (fun () -> barrier comm)
+  entry comm ~op:"barrier" ~root:(-1) ~ty:"" ~bytes:0 (fun () ->
+      let n = Comm.size comm in
+      let r = Comm.rank comm in
+      let k = ref 1 in
+      while !k < n do
+        let dest = (r + !k) mod n in
+        let src = (r - !k + n) mod n in
+        P2p.send_range comm Datatype.int ~dest ~tag:tag_barrier empty_int ~pos:0 ~count:0;
+        let (_ : int array * Status.t) =
+          P2p.recv comm Datatype.int ~source:src ~tag:tag_barrier ()
+        in
+        k := !k * 2
+      done)
 
 (* Non-blocking barrier via shared rendezvous.  Completion time is the
-   latest entry clock plus a modelled dissemination term. *)
+   latest entry clock plus a modelled dissemination term.  Deliberately
+   not a schedule: the NBX sparse all-to-all polls it, and a
+   message-based dissemination would change that workload's modelled
+   time (DESIGN.md §2.2). *)
 let ibarrier comm =
   prologue comm ~op:"ibarrier" ~root:(-1) ~ty:"";
   record comm ~op:"ibarrier" ~bytes:0;
@@ -191,166 +503,110 @@ let ibarrier comm =
   req
 
 (* ------------------------------------------------------------------ *)
+(* Ring allgather: allgather for long messages, allgatherv, and the
+   second phase of the long-message bcast. *)
+
+(* In round s the rank at ring position v forwards block (v - s) to its
+   right neighbour and receives block (v - s - 1) from its left one.
+   Ring positions are ranks rotated by [rot] (bcast's root).  Empty
+   blocks still flow, so the ring stays paired. *)
+let ring x comm dt ~tag ~what ~rot ~(table : int array) buf =
+  let n = Comm.size comm in
+  let v = (Comm.rank comm - rot + n) mod n in
+  let right = (v + 1 + rot) mod n in
+  let left = (v - 1 + n + rot) mod n in
+  for s = 0 to n - 2 do
+    let sb = (v - s + n) mod n in
+    let rb = (sb - 1 + n) mod n in
+    send x comm dt ~tag ~dest:right buf ~pos:table.(sb) ~count:(block_count table sb);
+    recv x comm dt ~tag ~what ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
+  done
+
+(* Gather every rank's [data] into a fresh buffer laid out by [table];
+   nothing moves when the total is empty. *)
+let ring_allgather comm dt ~tag ~what ~(table : int array) data =
+  let n = Comm.size comm in
+  if table.(n) = 0 then [||]
+  else begin
+    let out = scratch_like dt table.(n) in
+    Array.blit data 0 out table.(Comm.rank comm) (Array.length data);
+    ring blocking comm dt ~tag ~what ~rot:0 ~table out;
+    out
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Broadcast: binomial tree, or binomial scatter + ring allgather for
    long messages. *)
 
-let bcast_binomial comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let vrank = (r - root + n) mod n in
-  let real v = (v + root) mod n in
-  let buf = ref (match data with Some d when r = root -> d | _ -> [||]) in
-  if n > 1 then begin
-    (* Receive phase: find the lowest set bit of vrank. *)
-    let mask = ref 1 in
-    if vrank <> 0 then begin
-      while vrank land !mask = 0 do
-        mask := !mask lsl 1
-      done;
-      let src = real (vrank - !mask) in
-      let d, _ = P2p.recv comm dt ~source:src ~tag:tag_bcast () in
-      buf := d
-    end
-    else begin
-      while !mask < n do
-        mask := !mask lsl 1
-      done
-    end;
-    (* Send phase: relay to children. *)
-    mask := !mask lsr 1;
-    while !mask > 0 do
-      if vrank + !mask < n then begin
-        let dest = real (vrank + !mask) in
-        P2p.send_range comm dt ~dest ~tag:tag_bcast !buf ~pos:0 ~count:(Array.length !buf)
-      end;
-      mask := !mask lsr 1
+(* The mask at which a binomial tree rooted at vrank 0 reaches [vrank]:
+   the lowest set bit of [vrank] (the parent is [vrank - mask]), or the
+   top mask for the root. *)
+let binomial_mask ~n ~vrank =
+  let mask = ref 1 in
+  if vrank <> 0 then
+    while vrank land !mask = 0 do
+      mask := !mask lsl 1
     done
-  end;
-  !buf
+  else
+    while !mask < n do
+      mask := !mask lsl 1
+    done;
+  !mask
 
-(* Binomial-tree bcast into a caller-provided buffer holding the payload
-   at the root: receives land via [recv_into], so a cycle of a persistent
-   bcast allocates no result arrays.  [total] is the element count on
-   every rank (persistent requests know it from the init-time buffer). *)
-let bcast_binomial_into comm (dt : 'a Datatype.t) ~root ~total (buf : 'a array) : unit =
+(* Binomial tree from [root]: receive from the parent, relay to the
+   children.  Non-roots receive [total] elements into [buf]; with
+   [total < 0] they do not know the count and the received array becomes
+   the buffer.  Returns the buffer. *)
+let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let vrank = (r - root + n) mod n in
+  let vrank = (Comm.rank comm - root + n) mod n in
   let real v = (v + root) mod n in
-  if n > 1 then begin
-    let mask = ref 1 in
-    if vrank <> 0 then begin
-      while vrank land !mask = 0 do
-        mask := !mask lsl 1
-      done;
+  let mask = ref (binomial_mask ~n ~vrank) in
+  let buf =
+    if vrank = 0 then buf
+    else
       let src = real (vrank - !mask) in
-      let st = P2p.recv_into comm dt ~source:src ~tag:tag_bcast ~pos:0 ~maxcount:total buf in
-      if Status.count st <> total then
-        Comm.error comm Errdefs.Err_count "bcast: expected %d elements, got %d" total
-          (Status.count st)
-    end
-    else begin
-      while !mask < n do
-        mask := !mask lsl 1
-      done
-    end;
-    mask := !mask lsr 1;
-    while !mask > 0 do
-      if vrank + !mask < n then
-        P2p.send_range comm dt ~dest:(real (vrank + !mask)) ~tag:tag_bcast buf ~pos:0
-          ~count:total;
-      mask := !mask lsr 1
-    done
-  end
-
-(* The per-block table of the scatter+allgather bcast: block v of the
-   vector lives at [disps.(v), disps.(v+1)). *)
-let bcast_block_table comm ~total =
-  let n = Comm.size comm in
-  let cnts = Array.make n (total / n) in
-  for i = 0 to (total mod n) - 1 do
-    cnts.(i) <- cnts.(i) + 1
+      if total < 0 then recv_dyn x comm dt ~tag:tag_bcast ~src
+      else begin
+        recv x comm dt ~tag:tag_bcast ~what:"bcast" ~src buf ~pos:0 ~count:total;
+        buf
+      end
+  in
+  mask := !mask lsr 1;
+  while !mask > 0 do
+    if vrank + !mask < n then
+      send x comm dt ~tag:tag_bcast ~dest:(real (vrank + !mask)) buf ~pos:0
+        ~count:(Array.length buf);
+    mask := !mask lsr 1
   done;
-  let disps = Array.make (n + 1) 0 in
-  for i = 1 to n do
-    disps.(i) <- disps.(i - 1) + cnts.(i - 1)
-  done;
-  (cnts, disps)
+  buf
 
 (* Long-message bcast (van de Geijn): binomial scatter of p blocks from
    the root, then a ring allgather of the blocks.  2n bytes per rank on
-   the wire instead of the binomial tree's n*log p.  The core takes the
-   full-size buffer on every rank and the precomputed block table, so
-   persistent cycles reuse all three. *)
-let bcast_scatter_allgather_core comm (dt : 'a Datatype.t) ~root ~(cnts : int array)
-    ~(disps : int array) (buf : 'a array) : unit =
+   the wire instead of the binomial tree's n*log p.  [buf] has the full
+   length on every rank; [table] is its even block table. *)
+let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let vrank = (r - root + n) mod n in
+  let vrank = (Comm.rank comm - root + n) mod n in
   let real v = (v + root) mod n in
   (* Scatter phase over vranks: a node entered with mask m holds blocks
      [vrank, vrank + min m (n - vrank)) and forwards the upper half to the
      child at vrank + m/2 as m halves. *)
-  let mask = ref 1 in
-  if vrank <> 0 then begin
-    while vrank land !mask = 0 do
-      mask := !mask lsl 1
-    done;
-    let src = real (vrank - !mask) in
-    let extent = Stdlib.min !mask (n - vrank) in
-    let count = disps.(vrank + extent) - disps.(vrank) in
-    let st =
-      P2p.recv_into comm dt ~source:src ~tag:tag_bcast_scatter ~pos:disps.(vrank)
-        ~maxcount:count buf
-    in
-    if Status.count st <> count then
-      Comm.error comm Errdefs.Err_count "bcast: expected %d scattered elements, got %d"
-        count (Status.count st)
-  end
-  else begin
-    while !mask < n do
-      mask := !mask lsl 1
-    done
-  end;
+  let span v m = table.(v + Stdlib.min m (n - v)) - table.(v) in
+  let mask = ref (binomial_mask ~n ~vrank) in
+  if vrank <> 0 then
+    recv x comm dt ~tag:tag_bcast_scatter ~what:"bcast" ~src:(real (vrank - !mask)) buf
+      ~pos:table.(vrank) ~count:(span vrank !mask);
   mask := !mask lsr 1;
   while !mask > 0 do
-    if vrank + !mask < n then begin
-      let child = vrank + !mask in
-      let extent = Stdlib.min !mask (n - child) in
-      P2p.send_range comm dt ~dest:(real child) ~tag:tag_bcast_scatter buf
-        ~pos:disps.(child)
-        ~count:(disps.(child + extent) - disps.(child))
-    end;
+    let child = vrank + !mask in
+    if child < n then
+      send x comm dt ~tag:tag_bcast_scatter ~dest:(real child) buf ~pos:table.(child)
+        ~count:(span child !mask);
     mask := !mask lsr 1
   done;
-  (* Ring allgather of the n blocks, in vrank space (which is the
-     absolute ring shifted by [root]). *)
-  let right = real ((vrank + 1) mod n) in
-  let left = real ((vrank - 1 + n) mod n) in
-  for s = 0 to n - 2 do
-    let send_block = (vrank - s + n) mod n in
-    let recv_block = (send_block - 1 + n) mod n in
-    P2p.send_range comm dt ~dest:right ~tag:tag_bcast_ring buf ~pos:disps.(send_block)
-      ~count:cnts.(send_block);
-    let st =
-      P2p.recv_into comm dt ~source:left ~tag:tag_bcast_ring ~pos:disps.(recv_block)
-        ~maxcount:cnts.(recv_block) buf
-    in
-    if Status.count st <> cnts.(recv_block) then
-      Comm.error comm Errdefs.Err_count "bcast: expected %d ring elements, got %d"
-        cnts.(recv_block) (Status.count st)
-  done
-
-let bcast_scatter_allgather comm (dt : 'a Datatype.t) ~root ~total
-    (data : 'a array option) : 'a array =
-  let cnts, disps = bcast_block_table comm ~total in
-  let buf =
-    match data with
-    | Some d when Comm.rank comm = root -> d
-    | _ -> if total = 0 then [||] else Array.make total (Datatype.zero_elem dt)
-  in
-  bcast_scatter_allgather_core comm dt ~root ~cnts ~disps buf;
-  buf
+  (* Ring allgather of the n blocks, in vrank space. *)
+  ring x comm dt ~tag:tag_bcast_ring ~what:"bcast" ~rot:root ~table buf
 
 (* In MPI the element count of a bcast is an argument on every rank; our
    binding takes the payload at the root only, so size-keyed algorithm
@@ -359,30 +615,24 @@ let bcast_scatter_allgather comm (dt : 'a Datatype.t) ~root ~total
    Keyed by a per-rank generation counter — collective ordering makes the
    generations agree across ranks.  The poll also wakes on revocation or
    a member death so ULFM error semantics are preserved. *)
-let bcast_count_rendezvous comm ~root ~count_at_root =
+let bcast_count_rendezvous x comm ~root ~count_at_root =
   let n = Comm.size comm in
-  let r = Comm.rank comm in
   let shared = comm.Comm.shared in
   let gen = comm.Comm.my_bcast_gen in
   comm.Comm.my_bcast_gen <- gen + 1;
-  let rt = Comm.runtime comm in
-  if r = root then begin
+  if Comm.rank comm = root then begin
     Hashtbl.replace shared.Comm.bcast_counts gen
       { Comm.bc_count = count_at_root; bc_consumed = 0 };
-    Runtime.bump_progress rt
+    Runtime.bump_progress (Comm.runtime comm)
   end
-  else begin
+  else if not (Hashtbl.mem shared.Comm.bcast_counts gen) then begin
     let root_world = Comm.world_of_rank comm root in
-    if not (Hashtbl.mem shared.Comm.bcast_counts gen) then
-      Scheduler.park
-        ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
-        ~poll:(fun () ->
-          if
-            Hashtbl.mem shared.Comm.bcast_counts gen
-            || Comm.revocation_reached comm ~world:root_world
-            || Comm.any_member_failed comm
-          then Some ()
-          else None)
+    await x
+      ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
+      (fun () ->
+        Hashtbl.mem shared.Comm.bcast_counts gen
+        || Comm.revocation_reached comm ~world:root_world
+        || Comm.any_member_failed comm)
   end;
   match Hashtbl.find_opt shared.Comm.bcast_counts gen with
   | Some m ->
@@ -394,205 +644,164 @@ let bcast_count_rendezvous comm ~root ~count_at_root =
         Comm.error comm Errdefs.Err_revoked "bcast: communicator revoked";
       Comm.error comm Errdefs.Err_proc_failed "bcast: root failed before publishing count"
 
-(* [pin] bypasses selection (and with it the count rendezvous): used by
-   the reduce+bcast allreduce lowering, whose baseline cost must be the
-   seed binomial tree regardless of tuning. *)
-let bcast_gen ~pin comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
-  prologue comm ~op:"bcast" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
-  let n = Comm.size comm in
+(* The bcast after its prologue.  A pinned binomial tree skips the count
+   rendezvous, so its non-roots receive without knowing the count. *)
+let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
   let r = Comm.rank comm in
-  if r = root && data = None then Errdefs.usage_error "bcast: root must provide data";
-  record comm ~op:"bcast"
-    ~bytes:
-      (if r = root then
-         Datatype.size_of_count dt
-           (match data with Some d -> Array.length d | None -> 0)
-       else 0);
-  if n = 1 then (match data with Some d -> d | None -> [||])
-  else begin
-    let algo, total =
-      match pin with
-      | Some a -> (a, -1)
-      | None -> (
-          match Coll_algo.override_for Coll_algo.Bcast with
-          | Some Coll_algo.Binomial -> (Coll_algo.Binomial, -1)
-          | _ ->
-              let count_at_root =
-                match data with Some d when r = root -> Array.length d | _ -> 0
-              in
-              let total = bcast_count_rendezvous comm ~root ~count_at_root in
-              let bytes = Datatype.size_of_count dt total in
-              (choose comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total, total))
-    in
-    dispatch comm Coll_algo.Bcast algo (fun () ->
-        match algo with
-        | Coll_algo.Scatter_allgather -> bcast_scatter_allgather comm dt ~root ~total data
-        | _ -> bcast_binomial comm dt ~root data)
-  end
+  let mine = match data with Some d when r = root -> d | _ -> [||] in
+  if Comm.size comm = 1 then Option.value data ~default:[||]
+  else
+    match Coll_algo.override_for Coll_algo.Bcast with
+    | Some Coll_algo.Binomial ->
+        dispatch x comm Coll_algo.Bcast Coll_algo.Binomial (fun () ->
+            bcast_binomial x comm dt ~root ~total:(-1) mine)
+    | _ ->
+        let count_at_root = Array.length mine in
+        let total = bcast_count_rendezvous x comm ~root ~count_at_root in
+        let bytes = Datatype.size_of_count dt total in
+        let algo = choose comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total in
+        let buf = if r = root then mine else scratch_like dt total in
+        dispatch x comm Coll_algo.Bcast algo (fun () ->
+            match algo with
+            | Coll_algo.Scatter_allgather ->
+                let table = even_blocks ~total ~parts:(Comm.size comm) in
+                bcast_scatter_ring x comm dt ~root ~table buf;
+                buf
+            | _ -> bcast_binomial x comm dt ~root ~total buf)
 
-let bcast comm dt ~root data = traced comm ~op:"bcast" (fun () -> bcast_gen ~pin:None comm dt ~root data)
+(* Validate a bcast's arguments and return the bytes it records. *)
+let bcast_bytes comm dt ~root data =
+  Comm.check_rank comm root;
+  match data with
+  | Some d when Comm.rank comm = root -> Datatype.size_of_count dt (Array.length d)
+  | None when Comm.rank comm = root -> Errdefs.usage_error "bcast: root must provide data"
+  | _ -> 0
+
+let bcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
+  let bytes = bcast_bytes comm dt ~root data in
+  entry comm ~op:"bcast" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
+      bcast_run blocking comm dt ~root data)
 
 (* ------------------------------------------------------------------ *)
 (* Gather / Scatter (rooted, direct exchange) *)
 
-let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a array =
-  prologue comm ~op:"gatherv" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
-  charge_dense_scan comm;
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  record comm ~op:"gatherv" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  if r <> root then begin
-    P2p.send_range comm dt ~dest:root ~tag:tag_gather data ~pos:0
-      ~count:(Array.length data);
-    [||]
+(* Rank src's block lands in [out] at [table.(src)].  The equal-count
+   gather ([skip_empty]) skips zero-count messages on both sides, since
+   every rank knows the count; gatherv sends them, since only the root
+   does — skipping would leave stale messages that corrupt the next
+   collective on the same (source, tag) pair. *)
+let gather_sched x comm dt ~root ~skip_empty ~(table : int array) data out =
+  let len = Array.length data in
+  if Comm.rank comm <> root then begin
+    if not (skip_empty && len = 0) then
+      send x comm dt ~tag:tag_gather ~dest:root data ~pos:0 ~count:len
   end
   else begin
-    let counts =
-      match recv_counts with
-      | Some c ->
-          if Array.length c <> n then
-            Errdefs.usage_error "gatherv: recv_counts has length %d, expected %d"
-              (Array.length c) n;
-          c
-      | None -> Errdefs.usage_error "gatherv: root must provide recv_counts"
-    in
-    if counts.(root) <> Array.length data then
-      Errdefs.usage_error "gatherv: own count %d does not match data length %d"
-        counts.(root) (Array.length data);
-    let displs = Array.make n 0 in
-    for i = 1 to n - 1 do
-      displs.(i) <- displs.(i - 1) + counts.(i - 1)
-    done;
-    let total = displs.(n - 1) + counts.(n - 1) in
-    let out = if total = 0 then [||] else Array.make total (Datatype.zero_elem dt) in
-    Array.blit data 0 out displs.(root) counts.(root);
-    (* Receive from every source, zero-count contributions included:
-       skipping them would leave stale messages that corrupt the next
-       collective on the same (source, tag) pair. *)
-    for src = 0 to n - 1 do
-      if src <> root then begin
-        let st =
-          P2p.recv_into comm dt ~source:src ~tag:tag_gather ~pos:displs.(src)
-            ~maxcount:counts.(src) out
-        in
-        if Status.count st <> counts.(src) then
-          Comm.error comm Errdefs.Err_count
-            "gatherv: rank %d sent %d elements, expected %d" src (Status.count st)
-            counts.(src)
-      end
-    done;
-    out
+    Array.blit data 0 out table.(root) len;
+    for src = 0 to Comm.size comm - 1 do
+      let count = block_count table src in
+      if src <> root && not (skip_empty && count = 0) then
+        recv x comm dt ~tag:tag_gather ~what:"gather" ~src out ~pos:table.(src) ~count
+    done
   end
 
-let gatherv comm dt ~root ?recv_counts data =
-  traced comm ~op:"gatherv" (fun () -> gatherv comm dt ~root ?recv_counts data)
+(* Equal-count gather: the rank-ordered concatenation at the root. *)
+let gather_equal x comm dt ~root data =
+  let n = Comm.size comm in
+  let total = n * Array.length data in
+  let root_here = Comm.rank comm = root in
+  let table = if root_here then even_blocks ~total ~parts:n else empty_int in
+  let out = if root_here then scratch_like dt total else [||] in
+  gather_sched x comm dt ~root ~skip_empty:true ~table data out;
+  out
+
+let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a array =
+  Comm.check_rank comm root;
+  let n = Comm.size comm in
+  let table =
+    if Comm.rank comm <> root then empty_int
+    else
+      match recv_counts with
+      | None -> Errdefs.usage_error "gatherv: root must provide recv_counts"
+      | Some c when Array.length c <> n ->
+          Errdefs.usage_error "gatherv: recv_counts has length %d, expected %d"
+            (Array.length c) n
+      | Some c when c.(root) <> Array.length data ->
+          Errdefs.usage_error "gatherv: own count %d does not match data length %d"
+            c.(root) (Array.length data)
+      | Some c -> blocks c
+  in
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"gatherv" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
+      charge_dense_scan comm;
+      let out = if Comm.rank comm = root then scratch_like dt table.(n) else [||] in
+      gather_sched blocking comm dt ~root ~skip_empty:false ~table data out;
+      out)
 
 let gather comm (dt : 'a Datatype.t) ~root (data : 'a array) : 'a array =
-  prologue comm ~op:"gather" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let count = Array.length data in
-  record comm ~op:"gather" ~bytes:(Datatype.size_of_count dt count);
-  if r <> root then begin
-    (* The count is uniform and known on both sides, so zero-count calls
-       skip the message symmetrically. *)
-    if count > 0 then P2p.send_range comm dt ~dest:root ~tag:tag_gather data ~pos:0 ~count;
-    [||]
-  end
-  else begin
-    let out = if n * count = 0 then [||] else Array.make (n * count) (Datatype.zero_elem dt) in
-    if count > 0 then Array.blit data 0 out (root * count) count;
-    for src = 0 to n - 1 do
-      if src <> root && count > 0 then begin
-        let st =
-          P2p.recv_into comm dt ~source:src ~tag:tag_gather ~pos:(src * count)
-            ~maxcount:count out
-        in
-        if Status.count st <> count then
-          Comm.error comm Errdefs.Err_count
-            "gather: rank %d sent %d elements, expected %d" src (Status.count st) count
-      end
-    done;
-    out
-  end
+  Comm.check_rank comm root;
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
+      gather_equal blocking comm dt ~root data)
 
-let gather comm dt ~root data = traced comm ~op:"gather" (fun () -> gather comm dt ~root data)
+(* The root sends block dest of [data] to every other rank; the others
+   receive theirs at whatever length it has.  Only the root reads
+   [table]. *)
+let scatter_sched x comm dt ~root ~(table : int array) data =
+  if Comm.rank comm = root then begin
+    for dest = 0 to Comm.size comm - 1 do
+      if dest <> root then
+        send x comm dt ~tag:tag_scatter ~dest data ~pos:table.(dest)
+          ~count:(block_count table dest)
+    done;
+    Array.sub data table.(root) (block_count table root)
+  end
+  else recv_dyn x comm dt ~tag:tag_scatter ~src:root
+
+(* Validate a scatter's arguments; returns the root's data and block
+   table (empty elsewhere). *)
+let scatter_args comm ~op ~root ~table data =
+  Comm.check_rank comm root;
+  if Comm.rank comm <> root then ([||], empty_int)
+  else
+    match data with
+    | None -> Errdefs.usage_error "%s: root must provide data" op
+    | Some d -> (d, table d)
 
 let scatterv comm (dt : 'a Datatype.t) ~root ?send_counts (data : 'a array option) :
     'a array =
-  prologue comm ~op:"scatterv" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
-  charge_dense_scan comm;
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  record comm ~op:"scatterv" ~bytes:0;
-  if r = root then begin
-    let data =
-      match data with
-      | Some d -> d
-      | None -> Errdefs.usage_error "scatterv: root must provide data"
-    in
-    let counts =
-      match send_counts with
-      | Some c when Array.length c = n -> c
-      | Some c ->
-          Errdefs.usage_error "scatterv: send_counts has length %d, expected %d"
-            (Array.length c) n
-      | None -> Errdefs.usage_error "scatterv: root must provide send_counts"
-    in
-    let displs = Array.make n 0 in
-    for i = 1 to n - 1 do
-      displs.(i) <- displs.(i - 1) + counts.(i - 1)
-    done;
-    if displs.(n - 1) + counts.(n - 1) <> Array.length data then
-      Errdefs.usage_error "scatterv: counts sum to %d but data has %d elements"
-        (displs.(n - 1) + counts.(n - 1))
-        (Array.length data);
-    for dest = 0 to n - 1 do
-      if dest <> root then
-        P2p.send_range comm dt ~dest ~tag:tag_scatter data ~pos:displs.(dest)
-          ~count:counts.(dest)
-    done;
-    Array.sub data displs.(root) counts.(root)
-  end
-  else begin
-    let d, _ = P2p.recv comm dt ~source:root ~tag:tag_scatter () in
-    d
-  end
-
-let scatterv comm dt ~root ?send_counts data =
-  traced comm ~op:"scatterv" (fun () -> scatterv comm dt ~root ?send_counts data)
+  let data, table =
+    scatter_args comm ~op:"scatterv" ~root data ~table:(fun d ->
+        let counts =
+          match send_counts with
+          | Some c when Array.length c = n -> c
+          | Some c ->
+              Errdefs.usage_error "scatterv: send_counts has length %d, expected %d"
+                (Array.length c) n
+          | None -> Errdefs.usage_error "scatterv: root must provide send_counts"
+        in
+        let table = blocks counts in
+        if table.(n) <> Array.length d then
+          Errdefs.usage_error "scatterv: counts sum to %d but data has %d elements"
+            table.(n) (Array.length d);
+        table)
+  in
+  entry comm ~op:"scatterv" ~root ~ty:(Datatype.name dt) ~bytes:0 (fun () ->
+      charge_dense_scan comm;
+      scatter_sched blocking comm dt ~root ~table data)
 
 let scatter comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
-  prologue comm ~op:"scatter" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  record comm ~op:"scatter" ~bytes:0;
-  if r = root then begin
-    let data =
-      match data with
-      | Some d -> d
-      | None -> Errdefs.usage_error "scatter: root must provide data"
-    in
-    if Array.length data mod n <> 0 then
-      Errdefs.usage_error "scatter: data length %d not divisible by %d" (Array.length data) n;
-    let count = Array.length data / n in
-    for dest = 0 to n - 1 do
-      if dest <> root then
-        P2p.send_range comm dt ~dest ~tag:tag_scatter data ~pos:(dest * count) ~count
-    done;
-    Array.sub data (root * count) count
-  end
-  else begin
-    let d, _ = P2p.recv comm dt ~source:root ~tag:tag_scatter () in
-    d
-  end
-
-let scatter comm dt ~root data = traced comm ~op:"scatter" (fun () -> scatter comm dt ~root data)
+  let data, table =
+    scatter_args comm ~op:"scatter" ~root data ~table:(fun d ->
+        if Array.length d mod n <> 0 then
+          Errdefs.usage_error "scatter: data length %d not divisible by %d"
+            (Array.length d) n;
+        even_blocks ~total:(Array.length d) ~parts:n)
+  in
+  entry comm ~op:"scatter" ~root ~ty:(Datatype.name dt) ~bytes:0 (fun () ->
+      scatter_sched blocking comm dt ~root ~table data)
 
 (* ------------------------------------------------------------------ *)
 (* Allgather: Bruck concatenation (works for any p, O(log p) rounds) by
@@ -619,8 +828,7 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
     held := !held + send_blocks
   done;
   (* Rotate from local order (starting at r) to absolute order. *)
-  let total = n * count in
-  let out = if total = 0 then [||] else Array.make total (Datatype.zero_elem dt) in
+  let out = scratch_like dt (n * count) in
   if count > 0 then
     for b = 0 to n - 1 do
       let abs_block = (r + b) mod n in
@@ -628,53 +836,30 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
     done;
   out
 
-let allgather_ring_impl comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
+let allgather_ring_impl comm dt data =
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let count = Array.length data in
-  let out = if n * count = 0 then [||] else Array.make (n * count) (Datatype.zero_elem dt) in
-  if count > 0 then Array.blit data 0 out (r * count) count;
-  if n > 1 && count > 0 then begin
-    let right = (r + 1) mod n in
-    let left = (r - 1 + n) mod n in
-    for s = 0 to n - 2 do
-      let send_block = (r - s + n) mod n in
-      let recv_block = (send_block - 1 + n) mod n in
-      P2p.send_range comm dt ~dest:right ~tag:tag_allgather out ~pos:(send_block * count)
-        ~count;
-      let (_ : Status.t) =
-        P2p.recv_into comm dt ~source:left ~tag:tag_allgather ~pos:(recv_block * count)
-          ~maxcount:count out
-      in
-      ()
-    done
-  end;
-  out
+  ring_allgather comm dt ~tag:tag_allgather ~what:"allgather"
+    ~table:(even_blocks ~total:(n * Array.length data) ~parts:n)
+    data
 
 let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  prologue comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt);
-  let n = Comm.size comm in
   let count = Array.length data in
-  record comm ~op:"allgather" ~bytes:(Datatype.size_of_count dt count);
-  if n = 1 then Array.copy data
-  else begin
-    let bytes = Datatype.size_of_count dt count in
-    let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true ~elems:count in
-    dispatch comm Coll_algo.Allgather algo (fun () ->
-        match algo with
-        | Coll_algo.Ring -> allgather_ring_impl comm dt data
-        | _ -> allgather_bruck comm dt data)
-  end
-
-let allgather comm dt data = traced comm ~op:"allgather" (fun () -> allgather comm dt data)
+  let bytes = Datatype.size_of_count dt count in
+  entry comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      if Comm.size comm = 1 then Array.copy data
+      else begin
+        let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true ~elems:count in
+        dispatch blocking comm Coll_algo.Allgather algo (fun () ->
+            match algo with
+            | Coll_algo.Ring -> allgather_ring_impl comm dt data
+            | _ -> allgather_bruck comm dt data)
+      end)
 
 (* Allgatherv: ring exchange with per-rank block sizes.  [recv_counts] must
    be provided on every rank (MPI semantics); the binding layer is what
    infers it when omitted (paper §III-A). *)
 let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a array) :
     'a array =
-  prologue comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt);
-  charge_dense_scan comm;
   let n = Comm.size comm in
   let r = Comm.rank comm in
   if Array.length recv_counts <> n then
@@ -683,128 +868,84 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
   if recv_counts.(r) <> Array.length data then
     Errdefs.usage_error "allgatherv: own recv_count %d does not match data length %d"
       recv_counts.(r) (Array.length data);
-  record comm ~op:"allgatherv" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  let displs = Array.make n 0 in
-  for i = 1 to n - 1 do
-    displs.(i) <- displs.(i - 1) + recv_counts.(i - 1)
-  done;
-  let total = displs.(n - 1) + recv_counts.(n - 1) in
-  if total = 0 then [||]
-  else begin
-    let out = Array.make total (Datatype.zero_elem dt) in
-    Array.blit data 0 out displs.(r) recv_counts.(r);
-    if n > 1 then begin
-      let right = (r + 1) mod n in
-      let left = (r - 1 + n) mod n in
-      for s = 0 to n - 2 do
-        (* At step s we forward block (r - s) and receive block (r-s-1);
-           empty blocks still flow to keep the ring paired up. *)
-        let send_block = (r - s + n) mod n in
-        let recv_block = (send_block - 1 + n) mod n in
-        P2p.send_range comm dt ~dest:right ~tag:tag_allgatherv out
-          ~pos:displs.(send_block) ~count:recv_counts.(send_block);
-        let st =
-          P2p.recv_into comm dt ~source:left ~tag:tag_allgatherv ~pos:displs.(recv_block)
-            ~maxcount:recv_counts.(recv_block) out
-        in
-        if Status.count st <> recv_counts.(recv_block) then
-          Comm.error comm Errdefs.Err_count
-            "allgatherv: expected %d elements of block %d, got %d"
-            recv_counts.(recv_block) recv_block (Status.count st)
-      done
-    end;
-    out
-  end
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      charge_dense_scan comm;
+      ring_allgather comm dt ~tag:tag_allgatherv ~what:"allgatherv"
+        ~table:(blocks recv_counts) data)
 
-let allgatherv comm dt ~recv_counts data =
-  traced comm ~op:"allgatherv" (fun () -> allgatherv comm dt ~recv_counts data)
+(* Ring allgather under its own name: always the ring algorithm,
+   regardless of tuning — kept for the algorithm-choice ablation
+   (DESIGN.md §4). *)
+let allgather_ring comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"allgather_ring" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      allgather_ring_impl comm dt data)
 
 (* ------------------------------------------------------------------ *)
 (* Alltoall family: pairwise exchange *)
 
-let exclusive_prefix_sum (counts : int array) =
-  let n = Array.length counts in
-  let displs = Array.make n 0 in
-  for i = 1 to n - 1 do
-    displs.(i) <- displs.(i - 1) + counts.(i - 1)
-  done;
-  displs
-
-let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  prologue comm ~op:"alltoall" ~root:(-1) ~ty:(Datatype.name dt);
+(* Round s sends block (r + s) and receives block (r - s).  [skip_empty]
+   (alltoallv) skips zero-count pairs — both sides know the counts;
+   alltoall and alltoallw send every pair. *)
+let alltoall_sched x comm dt ~tag ~what ~skip_empty ~(send_counts : int array)
+    ~(sdispls : int array) ~(recv_counts : int array) ~(rdispls : int array) data out =
   let n = Comm.size comm in
   let r = Comm.rank comm in
-  if Array.length data mod n <> 0 then
-    Errdefs.usage_error "alltoall: data length %d not divisible by %d" (Array.length data) n;
-  let count = Array.length data / n in
-  record comm ~op:"alltoall" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  let out = Array.copy data in
-  (* Self block. *)
-  if count > 0 then Array.blit data (r * count) out (r * count) count;
-  for s = 1 to n - 1 do
-    let dest = (r + s) mod n in
-    let src = (r - s + n) mod n in
-    P2p.send_range comm dt ~dest ~tag:tag_alltoall data ~pos:(dest * count) ~count;
-    let (_ : Status.t) =
-      P2p.recv_into comm dt ~source:src ~tag:tag_alltoall ~pos:(src * count)
-        ~maxcount:count out
-    in
-    ()
-  done;
-  out
-
-let alltoall comm dt data = traced comm ~op:"alltoall" (fun () -> alltoall comm dt data)
-
-(* Variable alltoall.  Counts and displacements are all required, as in
-   MPI — computing sensible defaults is the binding layer's job (§III-A).
-   Empty pairs are skipped (both sides know the counts), but every rank
-   pays the O(p) count-array scan. *)
-let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
-    ~(send_displs : int array) ~(recv_counts : int array) ~(recv_displs : int array)
-    (data : 'a array) : 'a array =
-  prologue comm ~op:"alltoallv" ~root:(-1) ~ty:(Datatype.name dt);
-  charge_dense_scan comm;
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  if Array.length send_counts <> n || Array.length recv_counts <> n then
-    Errdefs.usage_error "alltoallv: counts arrays must have length %d" n;
-  let sdispls = send_displs in
-  let rdispls = recv_displs in
-  let send_bytes =
-    Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts)
-  in
-  record comm ~op:"alltoallv" ~bytes:send_bytes;
-  let total_recv = rdispls.(n - 1) + recv_counts.(n - 1) in
-  let seed = Datatype.zero_elem dt in
-  let out = if total_recv = 0 then [||] else Array.make total_recv seed in
-  (* Self block. *)
   if send_counts.(r) > 0 then begin
     if send_counts.(r) <> recv_counts.(r) then
-      Comm.error comm Errdefs.Err_count "alltoallv: self send/recv count mismatch";
+      Comm.error comm Errdefs.Err_count "%s: self send/recv count mismatch" what;
     Array.blit data sdispls.(r) out rdispls.(r) send_counts.(r)
   end;
   for s = 1 to n - 1 do
     let dest = (r + s) mod n in
     let src = (r - s + n) mod n in
-    if send_counts.(dest) > 0 then
-      P2p.send_range comm dt ~dest ~tag:tag_alltoallv data ~pos:sdispls.(dest)
-        ~count:send_counts.(dest);
-    if recv_counts.(src) > 0 then begin
-      let st =
-        P2p.recv_into comm dt ~source:src ~tag:tag_alltoallv ~pos:rdispls.(src)
-          ~maxcount:recv_counts.(src) out
-      in
-      if Status.count st <> recv_counts.(src) then
-        Comm.error comm Errdefs.Err_count
-          "alltoallv: expected %d elements from rank %d, got %d" recv_counts.(src) src
-          (Status.count st)
-    end
-  done;
+    if not (skip_empty && send_counts.(dest) = 0) then
+      send x comm dt ~tag ~dest data ~pos:sdispls.(dest) ~count:send_counts.(dest);
+    if not (skip_empty && recv_counts.(src) = 0) then
+      recv x comm dt ~tag ~what ~src out ~pos:rdispls.(src) ~count:recv_counts.(src)
+  done
+
+let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
+  let n = Comm.size comm in
+  if Array.length data mod n <> 0 then
+    Errdefs.usage_error "alltoall: data length %d not divisible by %d"
+      (Array.length data) n;
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"alltoall" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      let count = Array.length data / n in
+      let counts = Array.make n count in
+      let displs = Array.init n (fun i -> i * count) in
+      let out = scratch_like dt (Array.length data) in
+      alltoall_sched blocking comm dt ~tag:tag_alltoall ~what:"alltoall" ~skip_empty:false
+        ~send_counts:counts ~sdispls:displs ~recv_counts:counts ~rdispls:displs data out;
+      out)
+
+(* Variable alltoall.  Counts and displacements are all required, as in
+   MPI — computing sensible defaults is the binding layer's job (§III-A).
+   Empty pairs are skipped (both sides know the counts), but every rank
+   pays the O(p) count-array scan.  Returns the bytes it records. *)
+let alltoallv_bytes comm dt ~op ~send_counts ~recv_counts =
+  let n = Comm.size comm in
+  if Array.length send_counts <> n || Array.length recv_counts <> n then
+    Errdefs.usage_error "%s: counts arrays must have length %d" op n;
+  Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts)
+
+let alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data =
+  charge_dense_scan comm;
+  let n = Comm.size comm in
+  let out = scratch_like dt (recv_displs.(n - 1) + recv_counts.(n - 1)) in
+  alltoall_sched x comm dt ~tag:tag_alltoallv ~what:"alltoallv" ~skip_empty:true
+    ~send_counts ~sdispls:send_displs ~recv_counts ~rdispls:recv_displs data out;
   out
 
-let alltoallv comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data =
-  traced comm ~op:"alltoallv" (fun () ->
-      alltoallv comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data)
+let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
+    ~(send_displs : int array) ~(recv_counts : int array) ~(recv_displs : int array)
+    (data : 'a array) : 'a array =
+  let bytes = alltoallv_bytes comm dt ~op:"alltoallv" ~send_counts ~recv_counts in
+  entry comm ~op:"alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      alltoallv_run blocking comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs
+        data)
 
 (* Alltoallw-style exchange: pays per-peer derived-datatype setup on every
    rank and exchanges with *all* peers, empty or not.  This models why
@@ -812,52 +953,24 @@ let alltoallv comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data =
    limits scalability (paper §II, [9]). *)
 let alltoallw comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
-  prologue comm ~op:"alltoallw" ~root:(-1) ~ty:(Datatype.name dt);
-  charge_dense_scan comm;
-  let rt = Comm.runtime comm in
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  if Array.length send_counts <> n || Array.length recv_counts <> n then
-    Errdefs.usage_error "alltoallw: counts arrays must have length %d" n;
-  (* Datatype setup: one derived datatype per peer, send and receive side. *)
-  Runtime.advance_clock rt (Comm.world_rank comm)
-    (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
-  let sdispls = exclusive_prefix_sum send_counts in
-  let rdispls = exclusive_prefix_sum recv_counts in
-  record comm ~op:"alltoallw"
-    ~bytes:(Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts));
-  let total_recv = rdispls.(n - 1) + recv_counts.(n - 1) in
-  let seed = Datatype.zero_elem dt in
-  let out = if total_recv = 0 then [||] else Array.make total_recv seed in
-  if send_counts.(r) > 0 then Array.blit data sdispls.(r) out rdispls.(r) send_counts.(r);
-  for s = 1 to n - 1 do
-    let dest = (r + s) mod n in
-    let src = (r - s + n) mod n in
-    (* No empty-pair skipping: a zero-size message still flows. *)
-    P2p.send_range comm dt ~dest ~tag:tag_alltoallw data ~pos:sdispls.(dest)
-      ~count:send_counts.(dest);
-    let st =
-      P2p.recv_into comm dt ~source:src ~tag:tag_alltoallw ~pos:rdispls.(src)
-        ~maxcount:recv_counts.(src) out
-    in
-    if Status.count st <> recv_counts.(src) then
-      Comm.error comm Errdefs.Err_count "alltoallw: count mismatch from rank %d" src
-  done;
-  out
-
-let alltoallw comm dt ~send_counts ~recv_counts data =
-  traced comm ~op:"alltoallw" (fun () -> alltoallw comm dt ~send_counts ~recv_counts data)
+  let bytes = alltoallv_bytes comm dt ~op:"alltoallw" ~send_counts ~recv_counts in
+  entry comm ~op:"alltoallw" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      charge_dense_scan comm;
+      let rt = Comm.runtime comm in
+      let n = Comm.size comm in
+      (* Datatype setup: one derived datatype per peer, send and receive
+         side. *)
+      Runtime.advance_clock rt (Comm.world_rank comm)
+        (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
+      let rdispls = exclusive_prefix_sum recv_counts in
+      let out = scratch_like dt (rdispls.(n - 1) + recv_counts.(n - 1)) in
+      alltoall_sched blocking comm dt ~tag:tag_alltoallw ~what:"alltoallw" ~skip_empty:false
+        ~send_counts ~sdispls:(exclusive_prefix_sum send_counts) ~recv_counts ~rdispls data
+        out;
+      out)
 
 (* ------------------------------------------------------------------ *)
 (* Reductions *)
-
-let combine_into (op : 'a Reduce_op.t) ~(acc : 'a array) (other : 'a array) =
-  if Array.length acc <> Array.length other then
-    Errdefs.usage_error "reduce: element count mismatch (%d vs %d)" (Array.length acc)
-      (Array.length other);
-  for i = 0 to Array.length acc - 1 do
-    acc.(i) <- Reduce_op.apply op acc.(i) other.(i)
-  done
 
 (* Analyzer-mode marker: this rank is entering a reduction whose result
    depends on combine order (non-commutative op).  The offline
@@ -871,175 +984,129 @@ let note_nc_order comm =
     Trace.instant rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"coll"
       ~name:"nc_order" ~a:(Comm.context comm) ~b:(Comm.size comm) ~c:(-1)
 
-(* Binomial-tree reduce for commutative operations; gather + ordered fold
-   for non-commutative ones (order must be rank order). *)
-let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a array) :
-    'a array =
-  prologue comm ~op:"reduce" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
+(* Reduce [src] into [acc] (same length) at [root]: binomial tree for
+   commutative operations; gather + rank-ordered fold for
+   non-commutative ones (the order must be rank order).  Other ranks'
+   [acc] is scratch afterwards. *)
+let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc : 'a array) =
   let n = Comm.size comm in
   let r = Comm.rank comm in
-  record comm ~op:"reduce" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  if n = 1 then Array.copy data
-  else if not op.Reduce_op.commutative then begin
+  let count = Array.length src in
+  if not op.Reduce_op.commutative then begin
     note_nc_order comm;
-    (* Rank-ordered fold at the root. *)
-    let gathered = gather comm dt ~root data in
-    if r <> root then [||]
-    else begin
-      let count = Array.length data in
-      let acc = Array.sub gathered 0 count in
-      for src = 1 to n - 1 do
-        combine_into op ~acc (Array.sub gathered (src * count) count)
-      done;
-      acc
+    let bytes = Datatype.size_of_count dt count in
+    let gathered =
+      phase x comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
+          gather_equal x comm dt ~root src)
+    in
+    if r = root then begin
+      Array.blit gathered 0 acc 0 count;
+      for s = 1 to n - 1 do
+        fold op ~acc ~pos:0 ~from:gathered ~fpos:(s * count) ~count
+      done
     end
   end
   else begin
+    Array.blit src 0 acc 0 count;
     let vrank = (r - root + n) mod n in
     let real v = (v + root) mod n in
-    let acc = Array.copy data in
+    (* Only even vranks have children, the first at vrank + 1. *)
+    let has_child = vrank land 1 = 0 && vrank + 1 < n in
+    let scratch = if has_child then scratch_like dt count else [||] in
     let mask = ref 1 in
     let sent = ref false in
     while (not !sent) && !mask < n do
       if vrank land !mask <> 0 then begin
-        P2p.send_range comm dt ~dest:(real (vrank - !mask)) ~tag:tag_reduce acc ~pos:0
-          ~count:(Array.length acc);
+        send x comm dt ~tag:tag_reduce ~dest:(real (vrank - !mask)) acc ~pos:0 ~count;
         sent := true
       end
       else begin
-        if vrank + !mask < n then begin
-          let other, _ = P2p.recv comm dt ~source:(real (vrank + !mask)) ~tag:tag_reduce () in
-          combine_into op ~acc other
-        end;
+        if vrank + !mask < n then
+          recv_fold x comm dt op ~tag:tag_reduce ~what:"reduce" ~src:(real (vrank + !mask))
+            ~scratch acc ~pos:0 ~count;
         mask := !mask lsl 1
       end
-    done;
-    if r = root then acc else [||]
+    done
   end
 
-let reduce comm dt op ~root data = traced comm ~op:"reduce" (fun () -> reduce comm dt op ~root data)
-
-(* Reference allreduce lowering: reduce to rank 0, then a binomial bcast.
-   The bcast is pinned to the binomial tree so this path's cost stays the
-   seed 2-tree lowering whatever the bcast tuning says (it is both the
-   order-safe fallback and the benchmark baseline). *)
-let allreduce_reduce_bcast comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    (data : 'a array) : 'a array =
-  let reduced = reduce comm dt op ~root:0 data in
-  let root_data = if Comm.rank comm = 0 then Some reduced else None in
-  traced comm ~op:"bcast" (fun () ->
-      bcast_gen ~pin:(Some Coll_algo.Binomial) comm dt ~root:0 root_data)
+let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a array) :
+    'a array =
+  Comm.check_rank comm root;
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"reduce" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
+      if Comm.size comm = 1 then Array.copy data
+      else begin
+        let acc = scratch_like dt (Array.length data) in
+        reduce_sched blocking comm dt op ~root ~src:data ~acc;
+        if Comm.rank comm = root then acc else [||]
+      end)
 
 (* The non-power-of-two preamble shared by recursive doubling and
    Rabenseifner (MPICH's rem-rank scheme): with pof2 = 2^floor(log2 p)
    and rem = p - pof2, each of the first 2*rem ranks pairs up — evens
    fold their vector into the odd neighbour and sit out (newrank -1),
-   odds continue as newrank r/2; ranks >= 2*rem continue as r - rem.
-   [combine_recv] must fold a received range into the local buffer. *)
-let fold_into_pof2 comm dt ~rem ~total buf ~(combine_recv : src:int -> unit) =
+   odds continue as newrank r/2; ranks >= 2*rem continue as r - rem. *)
+let fold_into_pof2 x comm dt op ~rem ~total ~scratch buf =
   let r = Comm.rank comm in
   if r < 2 * rem then
     if r land 1 = 0 then begin
-      P2p.send_range comm dt ~dest:(r + 1) ~tag:tag_allreduce buf ~pos:0 ~count:total;
+      send x comm dt ~tag:tag_allreduce ~dest:(r + 1) buf ~pos:0 ~count:total;
       -1
     end
     else begin
-      combine_recv ~src:(r - 1);
+      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:(r - 1) ~scratch buf
+        ~pos:0 ~count:total;
       r / 2
     end
   else r - rem
 
 (* Mirror of the preamble: odd ranks of the first 2*rem pairs hold the
    full result and copy it back to their even neighbour. *)
-let unfold_from_pof2 comm dt ~rem ~total buf =
+let unfold_from_pof2 x comm dt ~rem ~total buf =
   let r = Comm.rank comm in
   if r < 2 * rem then
     if r land 1 = 1 then
-      P2p.send_range comm dt ~dest:(r - 1) ~tag:tag_allreduce buf ~pos:0 ~count:total
-    else begin
-      let st =
-        P2p.recv_into comm dt ~source:(r + 1) ~tag:tag_allreduce ~pos:0 ~maxcount:total buf
-      in
-      if Status.count st <> total then
-        Comm.error comm Errdefs.Err_count "allreduce: expected %d elements back, got %d"
-          total (Status.count st)
-    end
+      send x comm dt ~tag:tag_allreduce ~dest:(r - 1) buf ~pos:0 ~count:total
+    else
+      recv x comm dt ~tag:tag_allreduce ~what:"allreduce" ~src:(r + 1) buf ~pos:0
+        ~count:total
 
-(* Recursive-doubling allreduce: log2 p rounds of full-vector exchange.
-   Latency-optimal; bandwidth n*log p, so for short messages only.
-   The core works in place on [buf] (already seeded with the local
-   contribution) with caller-provided [scratch], so persistent requests
-   can reuse both across cycles. *)
-let allreduce_rdbl_core comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~total
-    ~(buf : 'a array) ~(scratch : 'a array) : unit =
+(* Recursive-doubling allreduce: log2 p rounds of full-vector exchange,
+   in place on [buf] (seeded with the local contribution).
+   Latency-optimal; bandwidth n*log p, so for short messages only. *)
+let allreduce_rdbl x comm dt op ~total ~scratch buf =
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
-  let recv_combine ~src =
-    let st =
-      P2p.recv_into comm dt ~source:src ~tag:tag_allreduce ~pos:0 ~maxcount:total scratch
-    in
-    if Status.count st <> total then
-      Comm.error comm Errdefs.Err_count "allreduce: expected %d elements from %d, got %d"
-        total src (Status.count st);
-    for i = 0 to total - 1 do
-      buf.(i) <- Reduce_op.apply op buf.(i) scratch.(i)
-    done
-  in
-  let newrank = fold_into_pof2 comm dt ~rem ~total buf ~combine_recv:recv_combine in
+  let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
   if newrank >= 0 then begin
     let real nr = if nr < rem then (nr * 2) + 1 else nr + rem in
     let mask = ref 1 in
     while !mask < pof2 do
       let dst = real (newrank lxor !mask) in
-      P2p.send_range comm dt ~dest:dst ~tag:tag_allreduce buf ~pos:0 ~count:total;
-      recv_combine ~src:dst;
+      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:0 ~count:total;
+      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:dst ~scratch buf
+        ~pos:0 ~count:total;
       mask := !mask lsl 1
     done
   end;
-  unfold_from_pof2 comm dt ~rem ~total buf
-
-let allreduce_rdbl comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
-    'a array =
-  let total = Array.length data in
-  let buf = Array.copy data in
-  let scratch = if total = 0 then [||] else Array.make total (Datatype.zero_elem dt) in
-  allreduce_rdbl_core comm dt op ~total ~buf ~scratch;
-  buf
+  unfold_from_pof2 x comm dt ~rem ~total buf
 
 (* Rabenseifner allreduce: recursive-halving reduce-scatter then
-   recursive-doubling allgather over the pof2 sub-machine.  Bandwidth
-   ~2n per rank instead of the 2-tree lowering's 2n*log p; the block
-   bookkeeping (send_idx/recv_idx/last_idx walking the pof2 block table)
-   follows MPICH's allreduce.  Like the recursive-doubling core, works in
-   place on a seeded [buf]; [cnts]/[disps] are the pof2 block table
-   (lengths pof2 and pof2+1), pre-filled by the caller. *)
-let allreduce_rabenseifner_core comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~total
-    ~(buf : 'a array) ~(scratch : 'a array) ~(disps : int array) : unit =
+   recursive-doubling allgather over the pof2 sub-machine, in place on a
+   seeded [buf].  Bandwidth ~2n per rank instead of the 2-tree lowering's
+   2n*log p; the block bookkeeping (send_idx/recv_idx/last_idx walking
+   the pof2 block table [table]) follows MPICH's allreduce. *)
+let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf =
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
-  let recv_combine_range ~src ~pos ~count =
-    let st =
-      P2p.recv_into comm dt ~source:src ~tag:tag_allreduce ~pos:0 ~maxcount:count scratch
-    in
-    if Status.count st <> count then
-      Comm.error comm Errdefs.Err_count "allreduce: expected %d elements from %d, got %d"
-        count src (Status.count st);
-    for i = 0 to count - 1 do
-      buf.(pos + i) <- Reduce_op.apply op buf.(pos + i) scratch.(i)
-    done
-  in
-  let newrank =
-    fold_into_pof2 comm dt ~rem ~total buf
-      ~combine_recv:(fun ~src -> recv_combine_range ~src ~pos:0 ~count:total)
-  in
+  let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
   if newrank >= 0 && pof2 > 1 then begin
     let real nr = if nr < rem then (nr * 2) + 1 else nr + rem in
-    (* Block v of the vector is [disps.(v), disps.(v+1)); blocks may be
+    (* Block v of the vector is [table.(v), table.(v+1)); blocks may be
        empty when total < pof2. *)
-    let range_count lo hi = disps.(hi) - disps.(lo) in
+    let range_count lo hi = table.(hi) - table.(lo) in
     (* Reduce-scatter by recursive halving: each round exchanges half of
        the still-owned block range with the partner and folds the kept
        half.  After log2 pof2 rounds this rank owns one fully reduced
@@ -1060,9 +1127,10 @@ let allreduce_rabenseifner_core comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) 
           (!send_idx, !recv_idx, !recv_idx, !last_idx)
         end
       in
-      P2p.send_range comm dt ~dest:dst ~tag:tag_allreduce buf ~pos:disps.(s_lo)
+      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:table.(s_lo)
         ~count:(range_count s_lo s_hi);
-      recv_combine_range ~src:dst ~pos:disps.(r_lo) ~count:(range_count r_lo r_hi);
+      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:dst ~scratch buf
+        ~pos:table.(r_lo) ~count:(range_count r_lo r_hi);
       send_idx := r_lo;
       recv_idx := r_lo;
       mask := !mask lsl 1;
@@ -1086,115 +1154,117 @@ let allreduce_rabenseifner_core comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) 
           (!send_idx, !last_idx, !recv_idx, !send_idx)
         end
       in
-      P2p.send_range comm dt ~dest:dst ~tag:tag_allreduce buf ~pos:disps.(s_lo)
+      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:table.(s_lo)
         ~count:(range_count s_lo s_hi);
-      let rcount = range_count r_lo r_hi in
-      let st =
-        P2p.recv_into comm dt ~source:dst ~tag:tag_allreduce ~pos:disps.(r_lo)
-          ~maxcount:rcount buf
-      in
-      if Status.count st <> rcount then
-        Comm.error comm Errdefs.Err_count "allreduce: expected %d elements from %d, got %d"
-          rcount dst (Status.count st);
+      recv x comm dt ~tag:tag_allreduce ~what:"allreduce" ~src:dst buf ~pos:table.(r_lo)
+        ~count:(range_count r_lo r_hi);
       if newrank > newdst then send_idx := !recv_idx;
       mask := !mask asr 1
     done
   end;
-  unfold_from_pof2 comm dt ~rem ~total buf
+  unfold_from_pof2 x comm dt ~rem ~total buf
 
-(* Fill the pof2 block table used by the Rabenseifner core: [disps] has
-   pof2+1 entries; block sizes differ by at most one. *)
-let rabenseifner_disps ~total ~pof2 : int array =
-  let cnts = Array.make pof2 (total / pof2) in
-  for i = 0 to (total mod pof2) - 1 do
-    cnts.(i) <- cnts.(i) + 1
-  done;
-  let disps = Array.make (pof2 + 1) 0 in
-  for i = 1 to pof2 do
-    disps.(i) <- disps.(i - 1) + cnts.(i - 1)
-  done;
-  disps
+(* Working buffers of one allreduce with [algo]: the incoming-vector
+   scratch and Rabenseifner's pof2 block table. *)
+let allreduce_buffers comm dt algo ~elems =
+  match algo with
+  | Coll_algo.Recursive_doubling -> (scratch_like dt elems, empty_int)
+  | Coll_algo.Rabenseifner ->
+      let parts = Coll_algo.floor_pow2 (Comm.size comm) in
+      (scratch_like dt elems, even_blocks ~total:elems ~parts)
+  | _ -> ([||], empty_int)
 
-let allreduce_rabenseifner comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    (data : 'a array) : 'a array =
-  let total = Array.length data in
-  let buf = Array.copy data in
-  let scratch = if total = 0 then [||] else Array.make total (Datatype.zero_elem dt) in
-  let disps = rabenseifner_disps ~total ~pof2:(Coll_algo.floor_pow2 (Comm.size comm)) in
-  allreduce_rabenseifner_core comm dt op ~total ~buf ~scratch ~disps;
-  buf
+(* Allreduce of [src] into [dst] (which may be [src]).  The reduce+bcast
+   reference lowering pins the binomial bcast, so its cost stays the seed
+   2-tree lowering whatever the bcast tuning says: it is both the
+   order-safe fallback and the benchmark baseline. *)
+let allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table =
+  let total = Array.length src in
+  match algo with
+  | Coll_algo.Recursive_doubling ->
+      Array.blit src 0 dst 0 total;
+      allreduce_rdbl x comm dt op ~total ~scratch dst
+  | Coll_algo.Rabenseifner ->
+      Array.blit src 0 dst 0 total;
+      allreduce_rabenseifner x comm dt op ~total ~scratch ~table dst
+  | _ ->
+      let ty = Datatype.name dt in
+      let bytes = Datatype.size_of_count dt total in
+      phase x comm ~op:"reduce" ~root:0 ~ty ~bytes (fun () ->
+          reduce_sched x comm dt op ~root:0 ~src ~acc:dst);
+      let bytes = if Comm.rank comm = 0 then bytes else 0 in
+      phase x comm ~op:"bcast" ~root:0 ~ty ~bytes (fun () ->
+          dispatch x comm Coll_algo.Bcast Coll_algo.Binomial (fun () ->
+              ignore (bcast_binomial x comm dt ~root:0 ~total dst)))
 
-let allreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
-  prologue comm ~op:"allreduce" ~root:(-1) ~ty:(Datatype.name dt);
+let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) =
   let elems = Array.length data in
-  let bytes = Datatype.size_of_count dt elems in
-  record comm ~op:"allreduce" ~bytes;
   if Comm.size comm = 1 then Array.copy data
   else begin
     let algo =
-      choose comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative ~elems
+      choose comm Coll_algo.Allreduce ~bytes:(Datatype.size_of_count dt elems)
+        ~commutative:op.Reduce_op.commutative ~elems
     in
-    dispatch comm Coll_algo.Allreduce algo (fun () ->
-        match algo with
-        | Coll_algo.Recursive_doubling -> allreduce_rdbl comm dt op data
-        | Coll_algo.Rabenseifner -> allreduce_rabenseifner comm dt op data
-        | _ -> allreduce_reduce_bcast comm dt op data)
+    let scratch, table = allreduce_buffers comm dt algo ~elems in
+    let dst = scratch_like dt elems in
+    dispatch x comm Coll_algo.Allreduce algo (fun () ->
+        allreduce_sched x comm dt op algo ~src:data ~dst ~scratch ~table);
+    dst
   end
 
-let allreduce comm dt op data = traced comm ~op:"allreduce" (fun () -> allreduce comm dt op data)
+let allreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"allreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      allreduce_run blocking comm dt op data)
 
 (* Inclusive prefix (Hillis-Steele): O(log p) rounds, order-preserving, so
    safe for non-commutative operations. *)
 let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
-  prologue comm ~op:"scan" ~root:(-1) ~ty:(Datatype.name dt);
-  record comm ~op:"scan" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let acc = Array.copy data in
-  let len = Array.length acc in
-  (* One scratch buffer for every round's incoming vector: the hot loop
-     neither allocates nor copies beyond the in-place fold. *)
-  let scratch = if len = 0 then [||] else Array.make len (Datatype.zero_elem dt) in
-  let d = ref 1 in
-  while !d < n do
-    if r + !d < n then P2p.send_range comm dt ~dest:(r + !d) ~tag:tag_scan acc ~pos:0 ~count:len;
-    if r - !d >= 0 then begin
-      let st =
-        P2p.recv_into comm dt ~source:(r - !d) ~tag:tag_scan ~pos:0 ~maxcount:len scratch
-      in
-      if Status.count st <> len then
-        Errdefs.usage_error "scan: element count mismatch (%d vs %d)" len (Status.count st);
-      (* [scratch] covers ranks before ours: combine on the left, writing
-         the result straight into [acc]. *)
-      for i = 0 to len - 1 do
-        acc.(i) <- Reduce_op.apply op scratch.(i) acc.(i)
-      done
-    end;
-    d := !d * 2
-  done;
-  acc
-
-let scan comm dt op data = traced comm ~op:"scan" (fun () -> scan comm dt op data)
+  let len = Array.length data in
+  let bytes = Datatype.size_of_count dt len in
+  entry comm ~op:"scan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      let n = Comm.size comm in
+      let r = Comm.rank comm in
+      let acc = Array.copy data in
+      (* One scratch buffer for every round's incoming vector: the hot loop
+         neither allocates nor copies beyond the in-place fold. *)
+      let scratch = scratch_like dt len in
+      let d = ref 1 in
+      while !d < n do
+        if r + !d < n then
+          P2p.send_range comm dt ~dest:(r + !d) ~tag:tag_scan acc ~pos:0 ~count:len;
+        if r - !d >= 0 then begin
+          let st =
+            P2p.recv_range comm dt ~source:(r - !d) ~tag:tag_scan ~pos:0 ~maxcount:len
+              scratch
+          in
+          if Status.count st <> len then
+            Errdefs.usage_error "scan: element count mismatch (%d vs %d)" len
+              (Status.count st);
+          (* [scratch] covers ranks before ours: combine on the left,
+             writing the result straight into [acc]. *)
+          for i = 0 to len - 1 do
+            acc.(i) <- Reduce_op.apply op scratch.(i) acc.(i)
+          done
+        end;
+        d := !d * 2
+      done;
+      acc)
 
 (* Exclusive prefix: rank 0 receives [None] (MPI leaves it undefined). *)
 let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     'a array option =
-  prologue comm ~op:"exscan" ~root:(-1) ~ty:(Datatype.name dt);
-  record comm ~op:"exscan" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  let n = Comm.size comm in
-  let r = Comm.rank comm in
-  let inclusive = scan comm dt op data in
-  (* Shift the inclusive result one rank to the right. *)
-  if r + 1 < n then
-    P2p.send_range comm dt ~dest:(r + 1) ~tag:tag_scan inclusive ~pos:0
-      ~count:(Array.length inclusive);
-  if r = 0 then None
-  else begin
-    let d, _ = P2p.recv comm dt ~source:(r - 1) ~tag:tag_scan () in
-    Some d
-  end
-
-let exscan comm dt op data = traced comm ~op:"exscan" (fun () -> exscan comm dt op data)
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"exscan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      let n = Comm.size comm in
+      let r = Comm.rank comm in
+      let inclusive = scan comm dt op data in
+      (* Shift the inclusive result one rank to the right. *)
+      if r + 1 < n then
+        P2p.send_range comm dt ~dest:(r + 1) ~tag:tag_scan inclusive ~pos:0
+          ~count:(Array.length inclusive);
+      if r = 0 then None
+      else Some (P2p.recv_array comm dt ~source:(r - 1) ~tag:tag_scan ()))
 
 (* Single-element conveniences used heavily by applications. *)
 let allreduce_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a =
@@ -1204,9 +1274,7 @@ let scan_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a =
   (scan comm dt op [| x |]).(0)
 
 let exscan_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a option =
-  match exscan comm dt op [| x |] with
-  | None -> None
-  | Some a -> Some a.(0)
+  Option.map (fun a -> a.(0)) (exscan comm dt op [| x |])
 
 (* ------------------------------------------------------------------ *)
 (* Neighborhood collectives (static graph topologies, §V-A) *)
@@ -1219,30 +1287,23 @@ let topology_exn comm ~op =
 (* Send [data] to every out-neighbor; receive one block per in-neighbor,
    returned in source order. *)
 let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array array =
-  prologue comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt);
   let topo = topology_exn comm ~op:"neighbor_allgather" in
-  record comm ~op:"neighbor_allgather"
-    ~bytes:(Datatype.size_of_count dt (Array.length data));
-  Array.iter
-    (fun dest ->
-      P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:0
-        ~count:(Array.length data))
-    topo.Comm.destinations;
-  Array.map
-    (fun src ->
-      let d, _ = P2p.recv comm dt ~source:src ~tag:tag_neighbor () in
-      d)
-    topo.Comm.sources
-
-let neighbor_allgather comm dt data =
-  traced comm ~op:"neighbor_allgather" (fun () -> neighbor_allgather comm dt data)
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  entry comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      Array.iter
+        (fun dest ->
+          P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:0
+            ~count:(Array.length data))
+        topo.Comm.destinations;
+      Array.map
+        (fun src -> P2p.recv_array comm dt ~source:src ~tag:tag_neighbor ())
+        topo.Comm.sources)
 
 (* Variable-size neighbor exchange: block i of [data] goes to
    destinations.(i); the result concatenates one block per source, with
    [recv_counts] in source order. *)
 let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
-  prologue comm ~op:"neighbor_alltoallv" ~root:(-1) ~ty:(Datatype.name dt);
   let topo = topology_exn comm ~op:"neighbor_alltoallv" in
   let out_deg = Array.length topo.Comm.destinations in
   let in_deg = Array.length topo.Comm.sources in
@@ -1252,46 +1313,24 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
   if Array.length recv_counts <> in_deg then
     Errdefs.usage_error "neighbor_alltoallv: recv_counts length %d, expected in-degree %d"
       (Array.length recv_counts) in_deg;
-  record comm ~op:"neighbor_alltoallv"
-    ~bytes:(Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts));
-  let sdispls = exclusive_prefix_sum send_counts in
-  Array.iteri
-    (fun i dest ->
-      if send_counts.(i) > 0 then
-        P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:sdispls.(i)
-          ~count:send_counts.(i))
-    topo.Comm.destinations;
-  let rdispls = exclusive_prefix_sum recv_counts in
-  let total = if in_deg = 0 then 0 else rdispls.(in_deg - 1) + recv_counts.(in_deg - 1) in
-  let seed = Datatype.zero_elem dt in
-  let out = if total = 0 then [||] else Array.make total seed in
-  Array.iteri
-    (fun i src ->
-      if recv_counts.(i) > 0 then begin
-        let st =
-          P2p.recv_into comm dt ~source:src ~tag:tag_neighbor ~pos:rdispls.(i)
-            ~maxcount:recv_counts.(i) out
-        in
-        if Status.count st <> recv_counts.(i) then
-          Comm.error comm Errdefs.Err_count "neighbor_alltoallv: count mismatch from %d" src
-      end)
-    topo.Comm.sources;
-  out
-
-let neighbor_alltoallv comm dt ~send_counts ~recv_counts data =
-  traced comm ~op:"neighbor_alltoallv" (fun () ->
-      neighbor_alltoallv comm dt ~send_counts ~recv_counts data)
-
-(* Ring allgather under its own name: always the ring algorithm,
-   regardless of tuning — kept for the algorithm-choice ablation
-   (DESIGN.md §4). *)
-let allgather_ring comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  prologue comm ~op:"allgather_ring" ~root:(-1) ~ty:(Datatype.name dt);
-  record comm ~op:"allgather_ring" ~bytes:(Datatype.size_of_count dt (Array.length data));
-  allgather_ring_impl comm dt data
-
-let allgather_ring comm dt data =
-  traced comm ~op:"allgather_ring" (fun () -> allgather_ring comm dt data)
+  let bytes = Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts) in
+  entry comm ~op:"neighbor_alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      let sdispls = exclusive_prefix_sum send_counts in
+      Array.iteri
+        (fun i dest ->
+          if send_counts.(i) > 0 then
+            P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:sdispls.(i)
+              ~count:send_counts.(i))
+        topo.Comm.destinations;
+      let table = blocks recv_counts in
+      let out = scratch_like dt table.(in_deg) in
+      Array.iteri
+        (fun i src ->
+          if recv_counts.(i) > 0 then
+            recv blocking comm dt ~tag:tag_neighbor ~what:"neighbor_alltoallv" ~src out
+              ~pos:table.(i) ~count:recv_counts.(i))
+        topo.Comm.sources;
+      out)
 
 (* ------------------------------------------------------------------ *)
 (* Reduce-scatter: elementwise reduction whose result is scattered in
@@ -1307,231 +1346,141 @@ let note_rs_scratch comm elems =
   if float_of_int elems > Stats.value g then Stats.set g (float_of_int elems)
 
 (* Pairwise exchange: p-1 rounds; round s sends the block destined to
-   rank r+s and folds the block received from rank r-s.  Each rank only
-   ever materializes its own block plus one incoming block — O(n/p) where
-   the reference lowering needs the whole O(n) vector at the root.
-   Commutative operators only (blocks are folded in arrival order). *)
-let reduce_scatter_pairwise_core comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    ~(recv_counts : int array) ~(displs : int array) ~(data : 'a array) ~(acc : 'a array)
-    ~(scratch : 'a array) : unit =
+   rank r+s and folds the block received from rank r-s into [acc].  Each
+   rank only ever materializes its own block plus one incoming block —
+   O(n/p) where the reference lowering needs the whole O(n) vector at the
+   root.  Commutative operators only (blocks are folded in arrival
+   order). *)
+let reduce_scatter_pairwise x comm dt op ~(table : int array) ~src ~acc ~scratch =
   let n = Comm.size comm in
   let r = Comm.rank comm in
-  let mine = recv_counts.(r) in
-  Array.blit data displs.(r) acc 0 mine;
+  let mine = block_count table r in
+  Array.blit src table.(r) acc 0 mine;
   note_rs_scratch comm (2 * mine);
   for s = 1 to n - 1 do
     let dest = (r + s) mod n in
-    let src = (r - s + n) mod n in
-    P2p.send_range comm dt ~dest ~tag:tag_reduce_scatter data ~pos:displs.(dest)
-      ~count:recv_counts.(dest);
-    let st =
-      P2p.recv_into comm dt ~source:src ~tag:tag_reduce_scatter ~pos:0 ~maxcount:mine
-        scratch
-    in
-    if Status.count st <> mine then
-      Comm.error comm Errdefs.Err_count
-        "reduce_scatter: expected %d elements from rank %d, got %d" mine src
-        (Status.count st);
-    for i = 0 to mine - 1 do
-      acc.(i) <- Reduce_op.apply op acc.(i) scratch.(i)
-    done
+    send x comm dt ~tag:tag_reduce_scatter ~dest src ~pos:table.(dest)
+      ~count:(block_count table dest);
+    recv_fold x comm dt op ~tag:tag_reduce_scatter ~what:"reduce_scatter"
+      ~src:((r - s + n) mod n) ~scratch acc ~pos:0 ~count:mine
   done
 
-let reduce_scatter_pairwise comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    ~(recv_counts : int array) ~(displs : int array) (data : 'a array) : 'a array =
-  let mine = recv_counts.(Comm.rank comm) in
-  let acc = if mine = 0 then [||] else Array.make mine (Datatype.zero_elem dt) in
-  let scratch = if mine = 0 then [||] else Array.make mine (Datatype.zero_elem dt) in
-  reduce_scatter_pairwise_core comm dt op ~recv_counts ~displs ~data ~acc ~scratch;
-  acc
+(* Reduce-scatter of [src] by block table [table] with [algo]; returns
+   this rank's block: [acc] for the pairwise exchange, a fresh array from
+   the reference lowering, reduce to rank 0 then scatterv ([scatterv]
+   false: the uniform scatter of reduce_scatter_block). *)
+let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~acc
+    ~scratch =
+  match algo with
+  | Coll_algo.Pairwise ->
+      reduce_scatter_pairwise x comm dt op ~table ~src ~acc ~scratch;
+      acc
+  | _ ->
+      let total = table.(Comm.size comm) in
+      let root_here = Comm.rank comm = 0 in
+      if root_here then note_rs_scratch comm total;
+      let ty = Datatype.name dt in
+      let reduced = scratch_like dt total in
+      phase x comm ~op:"reduce" ~root:0 ~ty ~bytes:(Datatype.size_of_count dt total)
+        (fun () -> reduce_sched x comm dt op ~root:0 ~src ~acc:reduced);
+      let op = if scatterv then "scatterv" else "scatter" in
+      phase x comm ~op ~root:0 ~ty ~bytes:0 (fun () ->
+          if scatterv then charge_dense_scan comm;
+          let table = if root_here then table else empty_int in
+          scatter_sched x comm dt ~root:0 ~table reduced)
+
+(* The pairwise exchange's accumulator and scratch block. *)
+let reduce_scatter_buffers dt algo ~mine =
+  match algo with
+  | Coll_algo.Pairwise -> (scratch_like dt mine, scratch_like dt mine)
+  | _ -> ([||], [||])
+
+let reduce_scatter_run x comm dt op ~scatterv ~(table : int array) data =
+  let n = Comm.size comm in
+  if n = 1 then Array.copy data
+  else begin
+    let total = table.(n) in
+    let algo =
+      choose comm Coll_algo.Reduce_scatter ~bytes:(Datatype.size_of_count dt total)
+        ~commutative:op.Reduce_op.commutative ~elems:total
+    in
+    let mine = block_count table (Comm.rank comm) in
+    let acc, scratch = reduce_scatter_buffers dt algo ~mine in
+    dispatch x comm Coll_algo.Reduce_scatter algo (fun () ->
+        reduce_scatter_sched x comm dt op algo ~scatterv ~table ~src:data ~acc ~scratch)
+  end
 
 (* Equal block sizes: data has p * count elements; rank r receives the
    reduced block r. *)
 let reduce_scatter_block comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     (data : 'a array) : 'a array =
-  prologue comm ~op:"reduce_scatter_block" ~root:(-1) ~ty:(Datatype.name dt);
   let n = Comm.size comm in
-  if Array.length data mod n <> 0 then
-    Errdefs.usage_error "reduce_scatter_block: data length %d not divisible by %d"
-      (Array.length data) n;
   let total = Array.length data in
+  if total mod n <> 0 then
+    Errdefs.usage_error "reduce_scatter_block: data length %d not divisible by %d" total n;
   let bytes = Datatype.size_of_count dt total in
-  record comm ~op:"reduce_scatter_block" ~bytes;
-  if n = 1 then Array.copy data
-  else begin
-    let algo =
-      choose comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
-        ~elems:total
-    in
-    dispatch comm Coll_algo.Reduce_scatter algo (fun () ->
-        match algo with
-        | Coll_algo.Pairwise ->
-            let count = total / n in
-            let recv_counts = Array.make n count in
-            let displs = Array.init n (fun i -> i * count) in
-            reduce_scatter_pairwise comm dt op ~recv_counts ~displs data
-        | _ ->
-            if Comm.rank comm = 0 then note_rs_scratch comm total;
-            let reduced = reduce comm dt op ~root:0 data in
-            scatter comm dt ~root:0 (if Comm.rank comm = 0 then Some reduced else None))
-  end
-
-let reduce_scatter_block comm dt op data =
-  traced comm ~op:"reduce_scatter_block" (fun () -> reduce_scatter_block comm dt op data)
+  entry comm ~op:"reduce_scatter_block" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      let table = even_blocks ~total ~parts:n in
+      reduce_scatter_run blocking comm dt op ~scatterv:false ~table data)
 
 (* Per-rank block sizes: [recv_counts.(r)] elements of the reduced vector
-   go to rank r. *)
-let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    ~(recv_counts : int array) (data : 'a array) : 'a array =
-  prologue comm ~op:"reduce_scatter" ~root:(-1) ~ty:(Datatype.name dt);
+   go to rank r.  Validates the counts and returns their block table. *)
+let reduce_scatter_table comm ~op ~recv_counts ~len =
   let n = Comm.size comm in
   if Array.length recv_counts <> n then
-    Errdefs.usage_error "reduce_scatter: recv_counts must have length %d" n;
-  let total = Array.fold_left ( + ) 0 recv_counts in
-  if Array.length data <> total then
-    Errdefs.usage_error "reduce_scatter: data length %d does not match counts sum %d"
-      (Array.length data) total;
-  let bytes = Datatype.size_of_count dt total in
-  record comm ~op:"reduce_scatter" ~bytes;
-  if n = 1 then Array.copy data
-  else begin
-    let algo =
-      choose comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
-        ~elems:total
-    in
-    dispatch comm Coll_algo.Reduce_scatter algo (fun () ->
-        match algo with
-        | Coll_algo.Pairwise ->
-            let displs = exclusive_prefix_sum recv_counts in
-            reduce_scatter_pairwise comm dt op ~recv_counts ~displs data
-        | _ ->
-            if Comm.rank comm = 0 then note_rs_scratch comm total;
-            let reduced = reduce comm dt op ~root:0 data in
-            scatterv comm dt ~root:0 ~send_counts:recv_counts
-              (if Comm.rank comm = 0 then Some reduced else None))
-  end
+    Errdefs.usage_error "%s: recv_counts must have length %d" op n;
+  let table = blocks recv_counts in
+  if len <> table.(n) then
+    Errdefs.usage_error "%s: data length %d does not match counts sum %d" op len table.(n);
+  table
 
-let reduce_scatter comm dt op ~recv_counts data =
-  traced comm ~op:"reduce_scatter" (fun () -> reduce_scatter comm dt op ~recv_counts data)
+let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
+    ~(recv_counts : int array) (data : 'a array) : 'a array =
+  let len = Array.length data in
+  let table = reduce_scatter_table comm ~op:"reduce_scatter" ~recv_counts ~len in
+  let bytes = Datatype.size_of_count dt len in
+  entry comm ~op:"reduce_scatter" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
+      reduce_scatter_run blocking comm dt op ~scatterv:true ~table data)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent collectives (MPI-4 MPI_Allreduce_init etc.).
-
-   Everything the ad-hoc path recomputes per call is frozen at init:
-
-   - the {!Coll_algo} choice for this (bytes, size) key — [choose] is a
-     pure function of inputs that only change between runs, so the frozen
-     algorithm (and its [coll.algo.*] counter) is exactly what each
-     ad-hoc call would pick;
-   - the [coll.algo] Stats counter and the profiling handle pair (the
-     per-call [Hashtbl] lookups in [dispatch]/[Runtime.record] are the
-     allocation the ad-hoc path cannot avoid);
-   - working buffers (result copy, scratch vector, block tables), reused
-     across cycles;
-   - a pre-warmed pooled writer sized for the largest per-round payload.
-
-   A cycle of a single-rank persistent collective is fully allocation-free
-   (the Gc-asserted case); multi-rank cycles still allocate in transport
-   (in-flight messages, posted-receive records) but skip every per-call
-   setup allocation above.
-
-   Like the non-blocking collectives, the persistent ones progress inside
-   wait: [start] marks the cycle active and [wait_p] runs the blocking
-   algorithm — legal because MPI only promises completion at wait. *)
-
-(* The per-cycle runner: the ad-hoc prologue/record/dispatch sequence
-   with every name and handle pre-resolved.  [frozen = None] is the
-   single-rank path with no algorithm dispatch. *)
-let persistent_runner comm ~op ~root ~ty ~prep ~bytes ~(frozen : Coll_algo.frozen option)
-    (body : unit -> unit) : unit -> unit =
+(* Persistent collectives (MPI-4 MPI_Allreduce_init etc.): everything the
+   ad-hoc path recomputes per call is frozen at init.  [choose] is a pure
+   function of inputs that only change between runs, so the frozen
+   algorithm (and its [coll.algo.*] counter) is exactly what each ad-hoc
+   call would pick.  Returns it, with a writer pre-warmed for the largest
+   per-round [payload]. *)
+let freeze comm op ~bytes ~commutative ~elems ~payload =
   let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  match frozen with
-  | None ->
-      fun () ->
-        prologue comm ~op ~root ~ty;
-        Profiling.record_prepared rt.Runtime.profile prep ~bytes;
-        Runtime.with_span rt me ~cat:"coll" ~name:op body
-  | Some fz ->
-      let counter = Stats.counter rt.Runtime.stats fz.Coll_algo.frozen_counter in
-      (* Same label save/restore as [dispatch]; the closures of the
-         comm-matrix branch are only built when the matrix is enabled. *)
-      let dispatch_body () =
-        Stats.incr counter;
-        let cm = rt.Runtime.comm_matrix in
-        if Comm_matrix.enabled cm then begin
-          let prev = Comm_matrix.label cm me in
-          Comm_matrix.set_label cm me fz.Coll_algo.frozen_span;
-          Fun.protect
-            ~finally:(fun () -> Comm_matrix.set_label cm me prev)
-            (fun () ->
-              Runtime.with_span rt me ~cat:"coll" ~name:fz.Coll_algo.frozen_span body)
-        end
-        else Runtime.with_span rt me ~cat:"coll" ~name:fz.Coll_algo.frozen_span body
-      in
-      fun () ->
-        prologue comm ~op ~root ~ty;
-        Profiling.record_prepared rt.Runtime.profile prep ~bytes;
-        Runtime.with_span rt me ~cat:"coll" ~name:op dispatch_body
-
-let scratch_like (dt : 'a Datatype.t) n : 'a array =
-  if n = 0 then [||] else Array.make n (Datatype.zero_elem dt)
+  Runtime.preheat_writer rt (Comm.world_rank comm) ~capacity:(max 8 payload);
+  let fz =
+    Coll_algo.freeze rt.Runtime.model op ~bytes ~size:(Comm.size comm) ~commutative ~elems
+  in
+  (Some fz, fz.Coll_algo.frozen_algo)
 
 (* Persistent allreduce: reduces [src] into [dst] each cycle.  Buffers
    are fixed at init per MPI persistent semantics; [src == dst] works
    (in-place). *)
 let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a array)
     ~(dst : 'a array) : Request.p =
-  prologue comm ~op:"allreduce_init" ~root:(-1) ~ty:(Datatype.name dt);
+  let ty = Datatype.name dt in
+  prologue comm ~op:"allreduce_init" ~root:(-1) ~ty;
   let elems = Array.length src in
   if Array.length dst <> elems then
     Errdefs.usage_error "allreduce_init: src has %d elements but dst has %d" elems
       (Array.length dst);
   let bytes = Datatype.size_of_count dt elems in
   record comm ~op:"allreduce_init" ~bytes;
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  let ty = Datatype.name dt in
-  let prep = Profiling.prepare rt.Runtime.profile "allreduce" in
-  let n = Comm.size comm in
-  let run =
-    if n = 1 then
-      persistent_runner comm ~op:"allreduce" ~root:(-1) ~ty ~prep ~bytes ~frozen:None
-        (fun () -> Array.blit src 0 dst 0 elems)
-    else begin
-      let frozen =
-        Coll_algo.freeze rt.Runtime.model Coll_algo.Allreduce ~bytes ~size:n
-          ~commutative:op.Reduce_op.commutative ~elems
-      in
-      Runtime.preheat_writer rt me ~capacity:(max 8 bytes);
-      let body =
-        match frozen.Coll_algo.frozen_algo with
-        | Coll_algo.Recursive_doubling ->
-            let scratch = scratch_like dt elems in
-            fun () ->
-              Array.blit src 0 dst 0 elems;
-              allreduce_rdbl_core comm dt op ~total:elems ~buf:dst ~scratch
-        | Coll_algo.Rabenseifner ->
-            let scratch = scratch_like dt elems in
-            let disps =
-              rabenseifner_disps ~total:elems ~pof2:(Coll_algo.floor_pow2 n)
-            in
-            fun () ->
-              Array.blit src 0 dst 0 elems;
-              allreduce_rabenseifner_core comm dt op ~total:elems ~buf:dst ~scratch ~disps
-        | _ ->
-            (* Order-safe reference lowering; allocates per cycle like the
-               ad-hoc path it wraps. *)
-            fun () ->
-              let res = allreduce_reduce_bcast comm dt op src in
-              Array.blit res 0 dst 0 elems
-      in
-      persistent_runner comm ~op:"allreduce" ~root:(-1) ~ty ~prep ~bytes
-        ~frozen:(Some frozen) body
-    end
-  in
-  Request.make_p ~describe:"allreduce_init" ~start:(fun () -> ()) ~ready:(fun () -> true)
-    ~run
+  let persistent = persistent comm ~op:"allreduce" ~root:(-1) ~ty ~bytes in
+  if Comm.size comm = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 elems)
+  else begin
+    let frozen, algo =
+      freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative ~elems
+        ~payload:bytes
+    in
+    let scratch, table = allreduce_buffers comm dt algo ~elems in
+    persistent ~frozen (fun x ->
+        allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table)
+  end
 
 (* Persistent bcast.  Unlike the ad-hoc binding (payload at the root
    only), the buffer argument exists on every rank — MPI-style — so the
@@ -1539,162 +1488,85 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
    needed; size-keyed selection still matches the ad-hoc choice because
    both key on the same byte total. *)
 let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.p =
-  prologue comm ~op:"bcast_init" ~root ~ty:(Datatype.name dt);
-  check_root comm root;
+  let ty = Datatype.name dt in
+  prologue comm ~op:"bcast_init" ~root ~ty;
+  Comm.check_rank comm root;
   let total = Array.length buf in
   let bytes = Datatype.size_of_count dt total in
   let rbytes = if Comm.rank comm = root then bytes else 0 in
   record comm ~op:"bcast_init" ~bytes:rbytes;
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  let ty = Datatype.name dt in
-  let prep = Profiling.prepare rt.Runtime.profile "bcast" in
+  let persistent = persistent comm ~op:"bcast" ~root ~ty ~bytes:rbytes in
   let n = Comm.size comm in
-  let run =
-    if n = 1 then
-      persistent_runner comm ~op:"bcast" ~root ~ty ~prep ~bytes:rbytes ~frozen:None
-        (fun () -> ())
-    else begin
-      let frozen =
-        Coll_algo.freeze rt.Runtime.model Coll_algo.Bcast ~bytes ~size:n ~commutative:true
-          ~elems:total
-      in
-      Runtime.preheat_writer rt me ~capacity:(max 8 bytes);
-      let body =
-        match frozen.Coll_algo.frozen_algo with
-        | Coll_algo.Scatter_allgather ->
-            let cnts, disps = bcast_block_table comm ~total in
-            fun () -> bcast_scatter_allgather_core comm dt ~root ~cnts ~disps buf
-        | _ -> fun () -> bcast_binomial_into comm dt ~root ~total buf
-      in
-      persistent_runner comm ~op:"bcast" ~root ~ty ~prep ~bytes:rbytes
-        ~frozen:(Some frozen) body
-    end
-  in
-  Request.make_p ~describe:"bcast_init" ~start:(fun () -> ()) ~ready:(fun () -> true) ~run
+  if n = 1 then persistent ~frozen:None ignore
+  else
+    match
+      freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total ~payload:bytes
+    with
+    | frozen, Coll_algo.Scatter_allgather ->
+        let table = even_blocks ~total ~parts:n in
+        persistent ~frozen (fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
+    | frozen, _ ->
+        persistent ~frozen (fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
 
 (* Persistent reduce_scatter: reduces [src] and scatters block r into
    [dst] (whose length must be [recv_counts.(r)]). *)
 let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     ~(recv_counts : int array) ~(src : 'a array) ~(dst : 'a array) : Request.p =
-  prologue comm ~op:"reduce_scatter_init" ~root:(-1) ~ty:(Datatype.name dt);
+  let ty = Datatype.name dt in
+  prologue comm ~op:"reduce_scatter_init" ~root:(-1) ~ty;
   let n = Comm.size comm in
-  let r = Comm.rank comm in
-  if Array.length recv_counts <> n then
-    Errdefs.usage_error "reduce_scatter_init: recv_counts must have length %d" n;
-  let total = Array.fold_left ( + ) 0 recv_counts in
-  if Array.length src <> total then
-    Errdefs.usage_error "reduce_scatter_init: src length %d does not match counts sum %d"
-      (Array.length src) total;
-  let mine = recv_counts.(r) in
+  let len = Array.length src in
+  let table = reduce_scatter_table comm ~op:"reduce_scatter_init" ~recv_counts ~len in
+  let mine = recv_counts.(Comm.rank comm) in
   if Array.length dst <> mine then
     Errdefs.usage_error "reduce_scatter_init: dst length %d but this rank receives %d"
       (Array.length dst) mine;
-  let bytes = Datatype.size_of_count dt total in
+  let bytes = Datatype.size_of_count dt len in
   record comm ~op:"reduce_scatter_init" ~bytes;
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  let ty = Datatype.name dt in
-  let prep = Profiling.prepare rt.Runtime.profile "reduce_scatter" in
-  let displs = exclusive_prefix_sum recv_counts in
-  let run =
-    if n = 1 then
-      persistent_runner comm ~op:"reduce_scatter" ~root:(-1) ~ty ~prep ~bytes ~frozen:None
-        (fun () -> Array.blit src 0 dst 0 total)
-    else begin
-      let frozen =
-        Coll_algo.freeze rt.Runtime.model Coll_algo.Reduce_scatter ~bytes ~size:n
-          ~commutative:op.Reduce_op.commutative ~elems:total
-      in
-      Runtime.preheat_writer rt me
-        ~capacity:(max 8 (Datatype.size_of_count dt (Array.fold_left max 0 recv_counts)));
-      let body =
-        match frozen.Coll_algo.frozen_algo with
-        | Coll_algo.Pairwise ->
-            let scratch = scratch_like dt mine in
-            fun () ->
-              reduce_scatter_pairwise_core comm dt op ~recv_counts ~displs ~data:src
-                ~acc:dst ~scratch
-        | _ ->
-            (* Order-safe reference lowering; allocates per cycle. *)
-            fun () ->
-              if r = 0 then note_rs_scratch comm total;
-              let reduced = reduce comm dt op ~root:0 src in
-              let part =
-                scatterv comm dt ~root:0 ~send_counts:recv_counts
-                  (if r = 0 then Some reduced else None)
-              in
-              Array.blit part 0 dst 0 mine
-      in
-      persistent_runner comm ~op:"reduce_scatter" ~root:(-1) ~ty ~prep ~bytes
-        ~frozen:(Some frozen) body
-    end
-  in
-  Request.make_p ~describe:"reduce_scatter_init" ~start:(fun () -> ())
-    ~ready:(fun () -> true) ~run
+  let persistent = persistent comm ~op:"reduce_scatter" ~root:(-1) ~ty ~bytes in
+  if n = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 len)
+  else begin
+    let frozen, algo =
+      freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
+        ~elems:len
+        ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
+    in
+    let _, scratch = reduce_scatter_buffers dt algo ~mine in
+    persistent ~frozen (fun x ->
+        let part =
+          reduce_scatter_sched x comm dt op algo ~scatterv:true ~table ~src ~acc:dst
+            ~scratch
+        in
+        if part != dst then Array.blit part 0 dst 0 mine)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Non-blocking collectives.
-
-   Progress semantics: like an MPI implementation without asynchronous
-   progress threads, the collective advances only inside wait/test — the
-   request defers the blocking algorithm to its finalization, which every
-   rank must reach.  This provides the deferred-start pattern (post now,
-   complete after independent work) without overlap guarantees. *)
-
-let deferred_collective comm ~opname (run : unit -> unit) : Request.t =
-  let rt = Comm.runtime comm in
-  Runtime.record rt ~op:opname ~bytes:0;
-  let cell = ref None in
-  let req =
-    Request.make
-      ~ready:(fun () -> true)
-      ~finalize:(fun () ->
-        (match !cell with
-        | Some () -> ()
-        | None ->
-            run ();
-            cell := Some ());
-        Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
-      ~describe:(fun () -> opname)
-  in
-  if Check.enabled rt.Runtime.check then
-    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:opname req;
-  req
+(* Non-blocking collectives: the blocking call's schedule, posted on the
+   nonblocking driver.  The request advances it inside test/wait; the
+   result cell is filled at completion. *)
 
 let ibcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) :
     Request.t * 'a array option ref =
-  let result = ref None in
-  let req =
-    deferred_collective comm ~opname:"ibcast" (fun () ->
-        result := Some (bcast comm dt ~root data))
-  in
-  (req, result)
+  let bytes = bcast_bytes comm dt ~root data in
+  post comm ~op:"ibcast" ~root ~ty:(Datatype.name dt) ~bytes (fun x ->
+      bcast_run x comm dt ~root data)
 
 let iallreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     Request.t * 'a array option ref =
-  let result = ref None in
-  let req =
-    deferred_collective comm ~opname:"iallreduce" (fun () ->
-        result := Some (allreduce comm dt op data))
-  in
-  (req, result)
+  let bytes = Datatype.size_of_count dt (Array.length data) in
+  post comm ~op:"iallreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
+      allreduce_run x comm dt op data)
 
 let ialltoallv comm (dt : 'a Datatype.t) ~send_counts ~send_displs ~recv_counts
     ~recv_displs (data : 'a array) : Request.t * 'a array option ref =
-  let result = ref None in
-  let req =
-    deferred_collective comm ~opname:"ialltoallv" (fun () ->
-        result :=
-          Some (alltoallv comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data))
-  in
-  (req, result)
+  let bytes = alltoallv_bytes comm dt ~op:"ialltoallv" ~send_counts ~recv_counts in
+  post comm ~op:"ialltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
+      alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data)
 
 let ireduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~recv_counts
     (data : 'a array) : Request.t * 'a array option ref =
-  let result = ref None in
-  let req =
-    deferred_collective comm ~opname:"ireduce_scatter" (fun () ->
-        result := Some (reduce_scatter comm dt op ~recv_counts data))
-  in
-  (req, result)
+  let len = Array.length data in
+  let table = reduce_scatter_table comm ~op:"ireduce_scatter" ~recv_counts ~len in
+  post comm ~op:"ireduce_scatter" ~root:(-1) ~ty:(Datatype.name dt)
+    ~bytes:(Datatype.size_of_count dt len) (fun x ->
+      reduce_scatter_run x comm dt op ~scatterv:true ~table data)

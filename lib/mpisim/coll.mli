@@ -1,16 +1,20 @@
-(** Blocking collective operations, implemented with real algorithms on
-    top of the point-to-point layer (binomial trees, Bruck concatenation,
-    ring exchange, pairwise exchange, recursive halving/doubling,
+(** Collective operations, implemented with real algorithms on top of
+    the point-to-point layer (binomial trees, Bruck concatenation, ring
+    exchange, pairwise exchange, recursive halving/doubling,
     Hillis-Steele prefix), so modelled cost emerges from each algorithm's
-    message pattern.
+    message pattern.  Each algorithm is written once, as a schedule of
+    send and receive steps over caller buffers, and serves the blocking,
+    the persistent and the nonblocking form of its operation.
 
     Operations with more than one algorithm (allreduce, allgather, bcast,
     reduce_scatter) consult {!Coll_algo.choose} per call: selection is
     keyed on payload bytes and communicator size against the thresholds
     in [Net_model.tuning], can be pinned via [MPISIM_COLL_ALGO] or
     {!Coll_algo.set_overrides}, and is observable through the
-    [coll.algo.<op>.<algo>] stats counters and an [<op>.<algo>] trace
-    span nested in the collective's span.
+    [coll.algo.<op>.<algo>] stats counters, the communication matrix's
+    algorithm labels and, for blocking calls, an [<op>.<algo>] trace
+    span nested in the collective's span (a nonblocking or persistent
+    schedule may suspend mid-algorithm, so it opens no spans).
 
     This layer mirrors MPI's semantics: variable-size collectives require
     counts (and, for alltoallv, displacements) as the standard does —
@@ -172,8 +176,9 @@ val reduce_scatter :
     A single-rank cycle is fully allocation-free; multi-rank cycles still
     allocate in transport but skip all per-call setup.
 
-    Progress semantics match the non-blocking collectives: the algorithm
-    runs inside [wait_p], which every rank must reach each cycle. *)
+    Progress semantics match the nonblocking collectives: [start] runs
+    the schedule until a receive whose message has not arrived,
+    {!Request.test_p} advances it, and {!Request.wait_p} completes it. *)
 
 (** Reduce [src] into [dst] each cycle ([src == dst] for in-place). *)
 val allreduce_init :
@@ -197,10 +202,16 @@ val reduce_scatter_init :
 
 (** {1 Non-blocking collectives}
 
-    Progress semantics: as in an MPI implementation without asynchronous
-    progress, the collective advances only inside wait/test on the
-    returned request (which every rank must reach).  The result cell is
-    filled at completion. *)
+    The call posts the blocking operation's schedule and returns at its
+    first receive whose message has not arrived yet.  {!Request.test}
+    takes every step whose message has arrived by the rank's virtual
+    clock (a test at the same clock as the previous one, as in a polling
+    loop, also takes one that is merely in the mailbox), so computation
+    between tests overlaps the collective; {!Request.wait} runs it to
+    completion.  The collective is recorded once under its own name with
+    its payload bytes.  An MPI error raised while posting (a revoked
+    communicator, a failed member) surfaces at test/wait.  The result
+    cell is filled at completion. *)
 
 val ibcast :
   Comm.t -> 'a Datatype.t -> root:int -> 'a array option -> Request.t * 'a array option ref

@@ -85,6 +85,8 @@ type t = {
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
   mutable my_win_gen : int;
+  mutable my_sched_gen : int;
+      (* progressive collective instances posted so far: their tag windows *)
   topology : topology option;
 }
 
@@ -142,6 +144,7 @@ let attach ?topology rt shared ~rank =
     my_agree_gen = 0;
     my_bcast_gen = 0;
     my_win_gen = 0;
+    my_sched_gen = 0;
     topology;
   }
 

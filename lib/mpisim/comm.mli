@@ -87,6 +87,9 @@ type t = {
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
   mutable my_win_gen : int;
+  mutable my_sched_gen : int;
+      (** nonblocking and persistent collectives posted so far, which
+          numbers their tag windows *)
   topology : topology option;
 }
 

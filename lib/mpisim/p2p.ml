@@ -19,6 +19,8 @@ let any_tag = Mailbox.any_tag
 (* Internal tag space for collective algorithms. *)
 let internal_tag op_id = Comm.max_user_tag + 1 + op_id
 
+let first_window_op = 1 lsl 16
+
 let check_alive_self comm = Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm)
 
 let check_dest_alive comm ~op dest =
@@ -331,10 +333,9 @@ let recv_array comm dt ?source ?tag () =
   else recv_array comm dt ?source ?tag ()
 
 (* MPI-style receive into a caller-provided buffer. *)
-let recv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
-    ?(pos = 0) ?maxcount (into : 'a array) : Status.t =
+let recv_range comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into : 'a array) :
+    Status.t =
   check_alive_self comm;
-  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
   if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
     Errdefs.usage_error "recv_into: invalid range (pos %d, maxcount %d, len %d)" pos
       maxcount (Array.length into);
@@ -347,10 +348,35 @@ let recv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   Runtime.recycle_payload (Comm.runtime comm) msg;
   status
 
-let recv_into comm dt ?source ?tag ?pos ?maxcount into =
+let recv_range comm dt ~source ~tag ~pos ~maxcount into =
   if tracing comm then
-    traced comm ~op:"recv_into" (fun () -> recv_into comm dt ?source ?tag ?pos ?maxcount into)
-  else recv_into comm dt ?source ?tag ?pos ?maxcount into
+    traced comm ~op:"recv_into" (fun () ->
+        recv_range comm dt ~source ~tag ~pos ~maxcount into)
+  else recv_range comm dt ~source ~tag ~pos ~maxcount into
+
+let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcount into =
+  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
+  recv_range comm dt ~source ~tag ~pos ~maxcount into
+
+(* True when a receive for (source, tag) posted now would not wait: a
+   matching message is in the mailbox, or the source has failed or seen
+   the communicator revoked (the receive then raises).  With [arrived],
+   the message must also have reached the mailbox by this rank's virtual
+   clock, so that taking it does not move the clock to its arrival.
+   Cheap enough for a scheduler poll. *)
+let matchable comm ~arrived ~source ~tag =
+  let rt = Comm.runtime comm in
+  let src_world = Comm.world_of_rank comm source in
+  Runtime.is_failed rt src_world
+  || (Comm.revoked_flag comm && Comm.revocation_reached comm ~world:src_world)
+  ||
+  match
+    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
+      ~src:src_world ~tag
+  with
+  | None -> false
+  | Some msg ->
+      (not arrived) || msg.Message.arrival <= rt.Runtime.clocks.(Comm.world_rank comm)
 
 (* Non-blocking receive into a caller-provided buffer. *)
 let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
@@ -600,7 +626,8 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
     Profiling.record_prepared rt.Runtime.profile prep ~bytes:payload_len
   in
   (* Eager send: injected at [start], so the cycle is complete immediately. *)
-  Request.make_p ~describe:"send_init" ~start ~ready:(fun () -> true) ~run:(fun () -> ())
+  let ready () = true in
+  Request.make_p ~describe:"send_init" ~start ~advance:ready ~ready ~run:(fun () -> ())
 
 let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) =
@@ -651,4 +678,4 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
         Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
         Runtime.recycle_payload rt msg
   in
-  Request.make_p ~describe:"recv_init" ~start ~ready ~run
+  Request.make_p ~describe:"recv_init" ~start ~advance:ready ~ready ~run

@@ -20,8 +20,14 @@ val any_source : int
 (** Wildcard tag ([MPI_ANY_TAG]). *)
 val any_tag : int
 
-(** Reserved tags above the user tag space, for internal protocols. *)
+(** Reserved tags above the user tag space, for internal protocols.
+    Fixed protocols ([Coll]'s operations, [Comm_ops], [Cart]'s
+    [40 + dim], [Serialized]) use op ids below {!first_window_op}. *)
 val internal_tag : int -> int
+
+(** Op ids from here up are the tag windows of posted and persistent
+    collectives, one window per instance ([Coll]). *)
+val first_window_op : int
 
 (** {1 Sends} *)
 
@@ -69,6 +75,26 @@ val recv_into :
   ?maxcount:int ->
   'a array ->
   Status.t
+
+(** [recv_into] with every argument given, as the collectives' receive
+    steps call it: no optional argument to box per message. *)
+val recv_range :
+  Comm.t ->
+  'a Datatype.t ->
+  source:int ->
+  tag:int ->
+  pos:int ->
+  maxcount:int ->
+  'a array ->
+  Status.t
+
+(** [matchable comm ~arrived ~source ~tag]: a receive for (source, tag)
+    posted now would not wait — a matching message is in the mailbox, or
+    the source has failed or seen the communicator revoked.  With
+    [~arrived:true] the message must also have arrived by the rank's
+    virtual clock.  Scheduler-safe; the readiness rule of nonblocking
+    collectives' steps. *)
+val matchable : Comm.t -> arrived:bool -> source:int -> tag:int -> bool
 
 (** Non-blocking receive into caller storage. *)
 val irecv_into :

@@ -6,6 +6,12 @@
    may raise failure errors).  [test]/[wait] are idempotent after
    completion, per MPI semantics for inactive requests.
 
+   An operation that makes progress in steps (a nonblocking collective's
+   schedule) also supplies [advance]: it runs in the owning fiber, takes
+   every step that is ready now, and says whether the operation is done.
+   [test] calls it instead of [ready], so computation between tests
+   overlaps the operation; for every other request it is [ready].
+
    Observer hook: the sanitizer ([Check]) may attach an observer to a
    request it tracks; every completion entry point — [wait], [test],
    [wait_any], [test_some] — reports through it when invoked on a request
@@ -18,13 +24,16 @@ type observer = { on_rewait : unit -> unit }
 type t = {
   mutable status : Status.t option;
   ready : unit -> bool;
+  advance : unit -> bool;
   finalize : unit -> Status.t;
   describe : unit -> string;
   mutable observer : observer option;
 }
 
-let make ~ready ~finalize ~describe =
-  { status = None; ready; finalize; describe; observer = None }
+let make_stepped ~advance ~ready ~finalize ~describe =
+  { status = None; ready; advance; finalize; describe; observer = None }
+
+let make ~ready ~finalize ~describe = make_stepped ~advance:ready ~ready ~finalize ~describe
 
 let set_observer t o = t.observer <- Some o
 
@@ -35,6 +44,7 @@ let completed status =
   {
     status = Some status;
     ready = (fun () -> true);
+    advance = (fun () -> true);
     finalize = (fun () -> status);
     describe = (fun () -> "completed");
     observer = None;
@@ -52,7 +62,7 @@ let test t =
       notify_rewait t;
       Some s
   | None ->
-      if t.ready () then begin
+      if t.advance () then begin
         let s = t.finalize () in
         t.status <- Some s;
         Some s
@@ -94,17 +104,19 @@ type p = {
   p_describe : string;
   p_start : unit -> unit;  (* begin one cycle (post receives, inject sends) *)
   p_ready : unit -> bool;  (* cheap poll, safe from the scheduler loop *)
+  p_advance : unit -> bool;  (* [test_p]'s progress step, as [advance] above *)
   p_run : unit -> unit;  (* finish the cycle in the owning fiber *)
   mutable p_active : bool;
   mutable p_freed : bool;
   mutable p_cycles : int;
 }
 
-let make_p ~describe ~start ~ready ~run =
+let make_p ~describe ~start ~advance ~ready ~run =
   {
     p_describe = describe;
     p_start = start;
     p_ready = ready;
+    p_advance = advance;
     p_run = run;
     p_active = false;
     p_freed = false;
@@ -139,7 +151,7 @@ let wait_p p =
 
 let test_p p =
   if not p.p_active then true
-  else if p.p_ready () then begin
+  else if p.p_advance () then begin
     p.p_run ();
     p.p_active <- false;
     true

@@ -20,6 +20,19 @@ val make :
   describe:(unit -> string) ->
   t
 
+(** A request for an operation that progresses in steps (a nonblocking
+    collective's schedule).  [advance] runs in the owning fiber: it takes
+    every step that can be taken now and returns [true] once the
+    operation is done.  {!test} calls it in place of [ready], so work
+    between tests overlaps the operation; [ready] stays the scheduler-safe
+    poll {!wait} parks on. *)
+val make_stepped :
+  advance:(unit -> bool) ->
+  ready:(unit -> bool) ->
+  finalize:(unit -> Status.t) ->
+  describe:(unit -> string) ->
+  t
+
 (** Attach an observer (used by the {!Check} sanitizer on tracked
     requests).  Requests without one pay a single pointer comparison. *)
 val set_observer : t -> observer -> unit
@@ -61,13 +74,16 @@ val test_some : t list -> (int * Status.t) list
 
 type p
 
-(** [make_p ~describe ~start ~ready ~run] builds a persistent request from
-    preallocated cycle closures: [start] begins one cycle, [ready] is the
-    cheap scheduler-safe completion poll, [run] finishes the cycle in the
-    owning fiber. *)
+(** [make_p ~describe ~start ~advance ~ready ~run] builds a persistent
+    request from preallocated cycle closures: [start] begins one cycle,
+    [ready] is the cheap scheduler-safe completion poll, [run] finishes
+    the cycle in the owning fiber, and [advance] is {!test_p}'s progress
+    step, as for {!make_stepped} ([ready] itself for a cycle that does
+    not progress in steps). *)
 val make_p :
   describe:string ->
   start:(unit -> unit) ->
+  advance:(unit -> bool) ->
   ready:(unit -> bool) ->
   run:(unit -> unit) ->
   p

@@ -521,6 +521,382 @@ let test_algo_observability () =
         span_seen := true);
   Alcotest.(check bool) "trace span carries algorithm name" true !span_seen
 
+(* --- One schedule, three drivers --- *)
+
+(* Blocking calls, persistent requests (one started per cycle) and
+   nonblocking calls waited at once run the same schedule, so for every
+   pinned algorithm, rank count and length (0 included) they must give
+   identical results; under [Virtual_only] the blocking and the
+   immediately-waited runs must also give an identical makespan. *)
+
+type driver = Blocking | Persistent | Nonblocking
+
+let cycles = 3
+
+(* Fresh inputs each cycle, so a persistent request must re-read them. *)
+let cycle_data ~seed ~rank ~cycle ~len = data_for ~seed:(seed + cycle) ~rank ~len
+
+let wait_result (req, cell) =
+  ignore (Request.wait req);
+  Option.get !cell
+
+(* Run [cycles] cycles of one collective under [drv]: [blocking] and
+   [nonblocking] are the ad-hoc calls for cycle c; [init] builds the
+   persistent request, returning a per-cycle input refresh and the
+   result read-out. *)
+let run_driver ~p drv ~blocking ~nonblocking ~init =
+  let results, report =
+    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
+      ~check_level:Check.Heavy ~ranks:p (fun comm ->
+        match drv with
+        | Blocking -> Array.concat (List.init cycles (blocking comm))
+        | Nonblocking ->
+            Array.concat (List.init cycles (fun c -> wait_result (nonblocking comm c)))
+        | Persistent ->
+            let req, refresh, result = init comm in
+            let out =
+              List.init cycles (fun c ->
+                  refresh c;
+                  Request.start req;
+                  Request.wait_p req;
+                  result ())
+            in
+            Request.free_p req;
+            Array.concat out)
+  in
+  (Array.map Option.get results, report.Engine.max_time)
+
+let drivers_agree ~p ~blocking ~nonblocking ~init =
+  let run drv = run_driver ~p drv ~blocking ~nonblocking ~init in
+  let b, tb = run Blocking and n, tn = run Nonblocking and q, _ = run Persistent in
+  b = n && b = q && tb = tn
+
+let gen_drivers = QCheck.(triple (int_range 1 9) (int_bound 1_000_000) (int_range 0 40))
+
+let prop_allreduce_drivers =
+  QCheck.Test.make ~name:"allreduce: blocking = persistent = nonblocking" ~count:20
+    gen_drivers (fun (p, seed, len) ->
+      List.for_all
+        (fun (algo, op) ->
+          with_overrides
+            [ (Coll_algo.Allreduce, Some algo) ]
+            (fun () ->
+              let input comm c = cycle_data ~seed ~rank:(Comm.rank comm) ~cycle:c ~len in
+              drivers_agree ~p
+                ~blocking:(fun comm c -> Coll.allreduce comm Datatype.int op (input comm c))
+                ~nonblocking:(fun comm c ->
+                  Coll.iallreduce comm Datatype.int op (input comm c))
+                ~init:(fun comm ->
+                  let src = Array.make len 0 and dst = Array.make len 0 in
+                  ( Coll.allreduce_init comm Datatype.int op ~src ~dst,
+                    (fun c -> Array.blit (input comm c) 0 src 0 len),
+                    fun () -> Array.copy dst ))))
+        [
+          (Coll_algo.Reduce_bcast, Reduce_op.int_sum);
+          (Coll_algo.Recursive_doubling, Reduce_op.int_sum);
+          (Coll_algo.Rabenseifner, Reduce_op.int_sum);
+          (Coll_algo.Rabenseifner, nc_op ());
+        ])
+
+let prop_bcast_drivers =
+  QCheck.Test.make ~name:"bcast: blocking = persistent = nonblocking" ~count:20 gen_drivers
+    (fun (p, seed, len) ->
+      let root = seed mod p in
+      let payload c = cycle_data ~seed ~rank:root ~cycle:c ~len in
+      let data comm c = if Comm.rank comm = root then Some (payload c) else None in
+      List.for_all
+        (fun algo ->
+          with_overrides
+            [ (Coll_algo.Bcast, Some algo) ]
+            (fun () ->
+              drivers_agree ~p
+                ~blocking:(fun comm c -> Coll.bcast comm Datatype.int ~root (data comm c))
+                ~nonblocking:(fun comm c ->
+                  Coll.ibcast comm Datatype.int ~root (data comm c))
+                ~init:(fun comm ->
+                  let buf = Array.make len 0 in
+                  ( Coll.bcast_init comm Datatype.int ~root buf,
+                    (fun c ->
+                      if Comm.rank comm = root then Array.blit (payload c) 0 buf 0 len),
+                    fun () -> Array.copy buf ))))
+        [ Coll_algo.Binomial; Coll_algo.Scatter_allgather ])
+
+let prop_reduce_scatter_drivers =
+  QCheck.Test.make ~name:"reduce_scatter: blocking = persistent = nonblocking" ~count:20
+    gen_drivers (fun (p, seed, extra) ->
+      (* A ragged split, with empty blocks. *)
+      let recv_counts =
+        Array.init p (fun r ->
+            Xoshiro.hash_int ~seed ~stream:95 ~counter:r ~bound:(extra + 1))
+      in
+      let total = Array.fold_left ( + ) 0 recv_counts in
+      let input comm c = cycle_data ~seed ~rank:(Comm.rank comm) ~cycle:c ~len:total in
+      List.for_all
+        (fun algo ->
+          with_overrides
+            [ (Coll_algo.Reduce_scatter, Some algo) ]
+            (fun () ->
+              let op = Reduce_op.int_sum in
+              drivers_agree ~p
+                ~blocking:(fun comm c ->
+                  Coll.reduce_scatter comm Datatype.int op ~recv_counts (input comm c))
+                ~nonblocking:(fun comm c ->
+                  Coll.ireduce_scatter comm Datatype.int op ~recv_counts (input comm c))
+                ~init:(fun comm ->
+                  let src = Array.make total 0 in
+                  let dst = Array.make recv_counts.(Comm.rank comm) 0 in
+                  ( Coll.reduce_scatter_init comm Datatype.int op ~recv_counts ~src ~dst,
+                    (fun c -> Array.blit (input comm c) 0 src 0 total),
+                    fun () -> Array.copy dst ))))
+        [ Coll_algo.Reduce_scatterv; Coll_algo.Pairwise ])
+
+(* alltoallv has no persistent form: blocking against nonblocking only. *)
+let prop_alltoallv_drivers =
+  QCheck.Test.make ~name:"alltoallv: blocking = nonblocking" ~count:20 gen_drivers
+    (fun (p, seed, extra) ->
+      let count ~src ~dst =
+        Xoshiro.hash_int ~seed ~stream:(96 + src) ~counter:dst ~bound:(extra + 1)
+      in
+      let call comm c k =
+        let r = Comm.rank comm in
+        let send_counts = Array.init p (fun d -> count ~src:r ~dst:d) in
+        let recv_counts = Array.init p (fun s -> count ~src:s ~dst:r) in
+        let data =
+          cycle_data ~seed ~rank:r ~cycle:c ~len:(Array.fold_left ( + ) 0 send_counts)
+        in
+        k comm Datatype.int ~send_counts
+          ~send_displs:(Coll.exclusive_prefix_sum send_counts)
+          ~recv_counts
+          ~recv_displs:(Coll.exclusive_prefix_sum recv_counts)
+          data
+      in
+      let run drv =
+        run_driver ~p drv
+          ~blocking:(fun comm c -> call comm c Coll.alltoallv)
+          ~nonblocking:(fun comm c -> call comm c Coll.ialltoallv)
+          ~init:(fun _ -> assert false)
+      in
+      run Blocking = run Nonblocking)
+
+(* A nonblocking collective is one MPI call: one profile entry under its
+   own name with its real payload bytes, whatever algorithm runs it, and
+   no entry for the blocking operations it is built from. *)
+let test_icollective_recorded_once () =
+  let p = 4 and n = 10 in
+  List.iter
+    (fun algo ->
+      with_overrides
+        [ (Coll_algo.Allreduce, Some algo) ]
+        (fun () ->
+          let report =
+            Engine.run ~model:Net_model.zero_cost ~ranks:p (fun comm ->
+                let sum = Reduce_op.int_sum in
+                ignore (wait_result (Coll.iallreduce comm Datatype.int sum (Array.make n 1))))
+          in
+          let rows op = List.filter (fun (o, _, _) -> o = op) report.Engine.profile in
+          let name = Coll_algo.algo_name algo in
+          Alcotest.(check (list (triple string int int)))
+            (name ^ ": one iallreduce entry, 8n bytes per call")
+            [ ("iallreduce", p, p * 8 * n) ]
+            (rows "iallreduce");
+          List.iter
+            (fun op ->
+              Alcotest.(check int) (name ^ ": no " ^ op ^ " entry") 0 (List.length (rows op)))
+            [ "allreduce"; "reduce"; "bcast" ]))
+    [ Coll_algo.Reduce_bcast; Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ]
+
+(* The overlap setting: 8 ranks, a 64 KiB int allreduce, Ethernet. *)
+let overlap_ranks = 8
+
+let overlap_elems = 8192
+
+let overlap_makespan body =
+  let report =
+    Engine.run ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
+      ~ranks:overlap_ranks body
+  in
+  report.Engine.max_time
+
+let blocking_allreduce_makespan () =
+  overlap_makespan (fun comm ->
+      ignore (Coll.allreduce comm Datatype.int Reduce_op.int_sum (Array.make overlap_elems 1)))
+
+(* Post the iallreduce, run [between req] until it returns, wait, and
+   check the result. *)
+let iallreduce_around between comm =
+  let data = Array.make overlap_elems 1 in
+  let req, cell = Coll.iallreduce comm Datatype.int Reduce_op.int_sum data in
+  between req;
+  ignore (Request.wait req);
+  if Option.get !cell <> Array.make overlap_elems overlap_ranks then
+    failwith "wrong iallreduce result"
+
+(* Overlap: after posting, each rank computes half as long as the blocking
+   allreduce takes, in 16 chunks with a test between them.  The schedule
+   advances in those tests, so the compute hides in the collective's wire
+   latency: the makespan stays within 10% of the larger of the two
+   instead of their sum. *)
+let test_iallreduce_overlaps_compute () =
+  let chunks = 16 in
+  let blocking = blocking_allreduce_makespan () in
+  let compute = blocking /. 2. in
+  let overlapped =
+    overlap_makespan (fun comm ->
+        let rt = Comm.runtime comm and me = Comm.world_rank comm in
+        iallreduce_around
+          (fun req ->
+            for _ = 1 to chunks do
+              Runtime.charge_compute rt me (compute /. float_of_int chunks);
+              ignore (Request.test req);
+              Scheduler.yield ()
+            done)
+          comm)
+  in
+  let bound = 1.1 *. Float.max compute blocking in
+  Alcotest.(check bool)
+    (Printf.sprintf "makespan %.1fus <= %.1fus (compute %.1fus, blocking %.1fus)"
+       (overlapped *. 1e6) (bound *. 1e6) (compute *. 1e6) (blocking *. 1e6))
+    true (overlapped <= bound)
+
+(* A polling loop advances no virtual time; each test that finds the
+   clock where the previous one left it takes a message that is merely in
+   the mailbox, so the loop still completes, at the blocking makespan. *)
+let test_polling_loop_completes () =
+  let polled =
+    overlap_makespan
+      (iallreduce_around (fun req ->
+           while Request.test req = None do
+             Scheduler.yield ()
+           done))
+  in
+  Alcotest.(check (float 1e-12))
+    "polled makespan = blocking" (blocking_allreduce_makespan ()) polled
+
+(* Two nonblocking collectives in flight on one communicator, advanced by
+   tests in opposite orders on even and odd ranks, with a blocking
+   allreduce in between: each posted instance has its own tag window, so
+   no message matches another instance's receive. *)
+let test_concurrent_icollectives () =
+  let p = 6 and n = 5000 in
+  let results =
+    Engine.run_values ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~ranks:p
+      (fun comm ->
+        let r = Comm.rank comm in
+        let rt = Comm.runtime comm and me = Comm.world_rank comm in
+        let sum = Reduce_op.int_sum in
+        let a = Coll.iallreduce comm Datatype.int sum (Array.make n (r + 1)) in
+        let b = Coll.iallreduce comm Datatype.int sum (Array.make 3 (10 * r)) in
+        let mid = Coll.allreduce comm Datatype.int sum [| r |] in
+        let pending = ref (if r mod 2 = 0 then [ b; a ] else [ a; b ]) in
+        for _ = 1 to 8 do
+          Runtime.charge_compute rt me 20e-6;
+          pending := List.filter (fun (req, _) -> Request.test req = None) !pending
+        done;
+        List.iter (fun (req, _) -> ignore (Request.wait req)) !pending;
+        let result (_, cell) = (Option.get !cell).(0) in
+        (result a, result b, mid.(0)))
+  in
+  Array.iter
+    (fun got ->
+      Alcotest.(check (triple int int int))
+        "each instance reduces its own data"
+        (p * (p + 1) / 2, 10 * p * (p - 1) / 2, p * (p - 1) / 2)
+        got)
+    results
+
+(* A non-commutative reduce folds in rank order whatever the root: the
+   root starts from rank 0's contribution, not its own. *)
+let prop_nc_reduce_any_root =
+  QCheck.Test.make ~name:"non-commutative reduce at any root = rank-ordered fold" ~count:30
+    gen_p_and_seed (fun (p, seed) ->
+      let roots = List.sort_uniq compare [ p - 1; seed mod p ] in
+      let expected = nc_expected p in
+      List.for_all
+        (fun root ->
+          let results =
+            run_checked ~ranks:p (fun comm ->
+                let data = nc_data ~rank:(Comm.rank comm) in
+                Coll.reduce comm Datatype.int (nc_op ()) ~root data)
+          in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun r res -> if r = root then res = expected else res = [||])
+               results))
+        roots)
+
+(* Posted collectives take tag windows clear of every fixed internal tag:
+   a 2-D halo exchange on a cartesian communicator runs while two
+   iallreduces are in flight on it.  Reduce + bcast is pinned, so each
+   leaf's reduce message is already queued when the halo exchange
+   receives from the same neighbour. *)
+let test_halo_beside_icollectives () =
+  let p = 4 in
+  let results =
+    with_overrides
+      [ (Coll_algo.Allreduce, Some Coll_algo.Reduce_bcast) ]
+      (fun () ->
+        run_checked ~ranks:p (fun comm ->
+            let cart = Cart.create comm ~dims:[| 2; 2 |] ~periods:[| true; true |] in
+            let comm = Cart.comm cart in
+            let r = Comm.rank comm in
+            let sum = Reduce_op.int_sum in
+            let a = Coll.iallreduce comm Datatype.int sum [| r |] in
+            let b = Coll.iallreduce comm Datatype.int sum [| 10 * r |] in
+            let halo dim =
+              match
+                Cart.halo_exchange cart Datatype.int ~dim ~to_prev:[| r; dim |]
+                  ~to_next:[| r; dim |]
+              with
+              | Some prev, Some next -> (prev, next)
+              | _ -> Alcotest.fail "periodic grid has both neighbours"
+            in
+            let h0 = halo 0 and h1 = halo 1 in
+            let result (req, cell) =
+              ignore (Request.wait req);
+              (Option.get !cell).(0)
+            in
+            let neighbour dim disp = Option.get (snd (Cart.shift cart ~dim ~disp)) in
+            let expect_halo dim (prev, next) =
+              prev = [| neighbour dim (-1); dim |] && next = [| neighbour dim 1; dim |]
+            in
+            expect_halo 0 h0 && expect_halo 1 h1 && result a = 6 && result b = 60))
+  in
+  Alcotest.(check bool) "halos and reductions intact on every rank" true
+    (Array.for_all Fun.id results)
+
+(* A posted or persistent collective's traffic carries its algorithm's
+   label in the communication matrix, as the blocking call's does. *)
+let test_posted_comm_matrix_label () =
+  let algo = Coll_algo.Recursive_doubling in
+  let labels body =
+    let _, report =
+      with_overrides
+        [ (Coll_algo.Allreduce, Some algo) ]
+        (fun () ->
+          Engine.run_collect ~model:Net_model.zero_cost ~comm_matrix:true ~ranks:4 body)
+    in
+    List.sort_uniq compare
+      (List.map
+         (fun e -> e.Comm_matrix.cm_label)
+         (Comm_matrix.entries report.Engine.comm_matrix))
+  in
+  let expected = [ Coll_algo.span_name Coll_algo.Allreduce algo ] in
+  let sum = Reduce_op.int_sum in
+  Alcotest.(check (list string)) "blocking" expected
+    (labels (fun comm -> ignore (Coll.allreduce comm Datatype.int sum [| 1; 2 |])));
+  Alcotest.(check (list string)) "nonblocking" expected
+    (labels (fun comm ->
+         ignore (wait_result (Coll.iallreduce comm Datatype.int sum [| 1; 2 |]))));
+  Alcotest.(check (list string)) "persistent" expected
+    (labels (fun comm ->
+         let src = [| 1; 2 |] and dst = [| 0; 0 |] in
+         let req = Coll.allreduce_init comm Datatype.int sum ~src ~dst in
+         for _ = 1 to 2 do
+           Request.start req;
+           Request.wait_p req
+         done;
+         Request.free_p req))
+
 let tests =
   [
     qtest prop_allgatherv;
@@ -547,6 +923,20 @@ let tests =
     qtest prop_reduce_scatter_algorithms;
     Alcotest.test_case "MPISIM_COLL_ALGO overrides selection" `Quick test_env_override;
     Alcotest.test_case "algorithm choice is observable" `Quick test_algo_observability;
+    qtest prop_allreduce_drivers;
+    qtest prop_bcast_drivers;
+    qtest prop_reduce_scatter_drivers;
+    qtest prop_alltoallv_drivers;
+    Alcotest.test_case "i-collective recorded once" `Quick test_icollective_recorded_once;
+    Alcotest.test_case "iallreduce overlaps compute" `Quick
+      test_iallreduce_overlaps_compute;
+    Alcotest.test_case "polling loop completes" `Quick test_polling_loop_completes;
+    Alcotest.test_case "concurrent i-collectives" `Quick test_concurrent_icollectives;
+    qtest prop_nc_reduce_any_root;
+    Alcotest.test_case "halo exchange beside i-collectives" `Quick
+      test_halo_beside_icollectives;
+    Alcotest.test_case "posted traffic keeps its comm-matrix label" `Quick
+      test_posted_comm_matrix_label;
   ]
 
 let () = Alcotest.run "coll" [ ("coll", tests) ]

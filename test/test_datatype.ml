@@ -225,6 +225,40 @@ let test_bulk_dispatch () =
   Alcotest.(check bool) "without_bulk strips the kernel" false
     (Datatype.bulk_available (Datatype.without_bulk Datatype.int))
 
+(* The kernel is really taken: packing and unpacking through a builtin
+   with a kernel makes no per-element [pack]/[unpack] call, while the same
+   type on the general path makes one per element each way. *)
+let test_bulk_skips_callbacks () =
+  let callbacks (dt : char Datatype.t) n =
+    let calls = ref 0 in
+    let dt =
+      {
+        dt with
+        Datatype.pack =
+          (fun w c ->
+            incr calls;
+            dt.Datatype.pack w c);
+        unpack =
+          (fun r ->
+            incr calls;
+            dt.Datatype.unpack r);
+      }
+    in
+    let w = Wire.create_writer ~capacity:n () in
+    Datatype.pack_array dt w (Array.make n 'x') ~pos:0 ~count:n;
+    Datatype.unpack_into dt (Wire.reader_of_bytes (Wire.contents w)) (Array.make n ' ')
+      ~pos:0 ~count:n;
+    !calls
+  in
+  List.iter
+    (fun (name, dt) ->
+      Alcotest.(check int) (name ^ ": no per-element call") 0 (callbacks dt 300);
+      Alcotest.(check int)
+        (name ^ " without_bulk: one call per element each way")
+        600
+        (callbacks (Datatype.without_bulk dt) 300))
+    [ ("byte", Datatype.byte); ("char", Datatype.char) ]
+
 (* One equivalence case, placed so that an indexing slip in a kernel loop
    shows: the elements [v.(pos) .. v.(pos+count-1)] are packed after a
    [prefix] already in the writer, and read back by a reader that starts
@@ -510,6 +544,8 @@ let tests =
       test_blob_segmentation_independent;
     Alcotest.test_case "zero_elem decodes" `Quick test_zero_elem_decodes;
     Alcotest.test_case "gapped struct size" `Quick test_gapped_vs_blob_sizes;
+    Alcotest.test_case "bulk kernel skips per-element calls" `Quick
+      test_bulk_skips_callbacks;
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;
     qtest prop_bulk_equals_general;
     qtest prop_bulk_bool_rejects_bad_byte;

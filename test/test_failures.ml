@@ -145,7 +145,7 @@ let test_test_failed_peer () =
   in
   Alcotest.(check bool) "test surfaced the failure" true !caught
 
-(* Nonblocking collectives: the deferred operation must observe the
+(* Nonblocking collectives: the posted operation must observe the
    failure at wait time on every survivor. *)
 let test_nb_collective_failed_peer () =
   let observed = ref 0 in

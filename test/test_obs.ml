@@ -517,6 +517,8 @@ let test_bench_compare_directions () =
     (Bench_compare.metric_direction "scratch_peak_elems" = Some Bench_compare.Lower_better);
   Alcotest.(check bool) "allocation words lower-better" true
     (Bench_compare.metric_direction "msg_minor_words" = Some Bench_compare.Lower_better);
+  Alcotest.(check bool) "callback counts lower-better" true
+    (Bench_compare.metric_direction "bulk_calls" = Some Bench_compare.Lower_better);
   Alcotest.(check bool) "plain config field is identity" true
     (Bench_compare.metric_direction "ranks" = None);
   Alcotest.(check bool) "wall detection" true

@@ -82,6 +82,62 @@ let test_truncation () =
   Alcotest.(check bool) "truncated space is not a certificate" false
     r.Explore.deadlock_free
 
+(* The breadth-first search's counts, pinned per program at p=2 and p=4:
+   (explored, pruned, max_branching), plus the classes found. *)
+let test_pinned_counts () =
+  let expected =
+    [
+      ("wildcard_race", 2, (2, 0, 2), [ "nondet-match" ]);
+      ("wildcard_race", 4, (2, 0, 2), [ "nondet-match" ]);
+      ("hidden_race", 2, (1, 0, 1), []);
+      ("hidden_race", 4, (6, 0, 3), [ "nondet-match" ]);
+      ("deadlock", 2, (1, 0, 0), [ "deadlock" ]);
+      ("deadlock", 4, (1, 0, 0), [ "deadlock" ]);
+      ("coll_mismatch", 2, (1, 0, 0), [ "collective" ]);
+      ("coll_mismatch", 4, (1, 0, 0), [ "collective" ]);
+      ("clean_ring", 2, (1, 0, 0), []);
+      ("clean_ring", 4, (1, 0, 0), []);
+      ("clean_coll", 2, (1, 0, 0), []);
+      ("clean_coll", 4, (1, 0, 0), []);
+      ("nc_reduce", 2, (1, 0, 0), []);
+      ("nc_reduce", 4, (1, 0, 0), []);
+      ("big_send", 2, (1, 0, 0), []);
+      ("big_send", 4, (1, 0, 0), []);
+    ]
+  in
+  Alcotest.(check int)
+    "every program pinned" (2 * List.length Progs.all) (List.length expected);
+  List.iter
+    (fun (name, ranks, counts, classes) ->
+      let r = Explore.explore ~ranks (prog name) in
+      let what = Printf.sprintf "%s p=%d" name ranks in
+      Alcotest.(check (triple int int int))
+        (what ^ ": explored, pruned, max branching")
+        counts
+        (r.Explore.explored, r.Explore.pruned, r.Explore.max_branching);
+      Alcotest.(check (list string))
+        (what ^ ": classes") classes
+        (List.map (fun v -> v.Explore.v_class) r.Explore.violations))
+    expected
+
+(* A bound cuts the search at exactly that many schedules: hidden_race at
+   p=5 has 24, and any smaller bound explores exactly that many, reports
+   the truncation and keeps the first witness. *)
+let test_budget_cuts () =
+  List.iter
+    (fun max_schedules ->
+      let r = Explore.explore ~max_schedules ~ranks:5 (prog "hidden_race") in
+      let full = max_schedules >= 24 in
+      Alcotest.(check (pair int bool))
+        (Printf.sprintf "bound %d: explored, truncated" max_schedules)
+        ((if full then 24 else max_schedules), not full)
+        (r.Explore.explored, r.Explore.truncated);
+      Alcotest.(check (list (pair string (list int))))
+        (Printf.sprintf "bound %d: first witness" max_schedules)
+        [ ("nondet-match", []) ]
+        (List.map (fun v -> (v.Explore.v_class, v.Explore.v_script)) r.Explore.violations))
+    [ 1; 2; 3; 5; 6; 23; 24; 100 ]
+
 (* --- replay --- *)
 
 let test_witness_replays () =
@@ -474,6 +530,8 @@ let () =
           Alcotest.test_case "hidden race schedule space" `Quick
             test_hidden_race_schedule_space;
           Alcotest.test_case "bounded exploration truncates" `Quick test_truncation;
+          Alcotest.test_case "pinned counts per program" `Quick test_pinned_counts;
+          Alcotest.test_case "budget bound cuts the search" `Quick test_budget_cuts;
         ] );
       ( "replay",
         [
