@@ -17,17 +17,15 @@ open Mpisim
 
 let results_file = "BENCH_COLL.json"
 
-(* Pin one collective to one algorithm for the duration of [f]; [None]
-   restores automatic selection.  The env-configured state comes back
-   afterwards, so a pinned measurement can never leak into later ones. *)
-let with_algo op algo f =
-  Coll_algo.set_overrides [ (op, algo) ];
-  Fun.protect ~finally:Coll_algo.refresh_from_env f
+(* One run with [op] pinned to [algo] in its model; [None] selects
+   automatically.  The pin belongs to the run, so it cannot leak into
+   later measurements. *)
+let simulate ~op ~algo ~ranks body =
+  Engine.run
+    ~model:(Coll_algo.pin [ (op, algo) ] Net_model.omnipath)
+    ~clock_mode:Runtime.Virtual_only ~ranks body
 
-let simulate ~ranks body =
-  Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks body
-
-let modelled_time ~ranks body = (simulate ~ranks body).Engine.max_time
+let modelled_time ~op ~algo ~ranks body = (simulate ~op ~algo ~ranks body).Engine.max_time
 
 let emit ~coll ~algo ~ranks ~elems ~bytes ~seconds =
   Bench_util.emit_json_file ~file:results_file ~bench:"coll_algo"
@@ -57,7 +55,7 @@ let sweep ~coll ~op ~algos ~configs ~(body : elems:int -> Comm.t -> unit) =
          @ List.map
              (fun v ->
                let t =
-                 with_algo op v (fun () -> modelled_time ~ranks (body ~elems))
+                 modelled_time ~op ~algo:v ~ranks (body ~elems)
                in
                emit ~coll ~algo:(label v) ~ranks ~elems ~bytes ~seconds:t;
                fmt_time t)
@@ -77,11 +75,11 @@ let allreduce_gate () =
     ignore (Coll.allreduce comm Datatype.int Reduce_op.int_sum data)
   in
   let t_seed =
-    with_algo Coll_algo.Allreduce (Some Coll_algo.Reduce_bcast) (fun () ->
-        modelled_time ~ranks (body ~elems))
+    modelled_time ~op:Coll_algo.Allreduce ~algo:(Some Coll_algo.Reduce_bcast) ~ranks
+      (body ~elems)
   in
   let auto_report =
-    with_algo Coll_algo.Allreduce None (fun () -> simulate ~ranks (body ~elems))
+    simulate ~op:Coll_algo.Allreduce ~algo:None ~ranks (body ~elems)
   in
   let t_auto = auto_report.Engine.max_time in
   let rabenseifner_calls =
@@ -112,7 +110,7 @@ let reduce_scatter_gate () =
     ignore (Coll.reduce_scatter_block comm Datatype.int Reduce_op.int_sum data)
   in
   let peak variant =
-    let report = with_algo Coll_algo.Reduce_scatter (Some variant) (fun () -> simulate ~ranks body) in
+    let report = simulate ~op:Coll_algo.Reduce_scatter ~algo:(Some variant) ~ranks body in
     int_of_float
       (Stats.value (Stats.gauge report.Engine.stats "coll.reduce_scatter.peak_scratch_elems"))
   in

@@ -55,7 +55,8 @@ let obs_arg =
             "Stream every trace event incrementally to $(docv) as length-prefixed \
              binary records (no in-memory rings, nothing dropped; memory stays O(1) \
              per idle rank at any scale).  Convert offline with $(b,trace-convert).  \
-             Overrides $(b,--trace)'s in-memory recording.")
+             The capture is the run's trace record: $(b,--trace) writes its JSON \
+             from it and $(b,--stats) reads its critical path from it.")
   in
   let comm_matrix =
     Arg.(
@@ -179,7 +180,7 @@ let obs_arg =
              scatter_allgather), reduce_scatter (reduce_scatterv, pairwise).  \
              The chosen algorithm per call is visible in the \
              $(b,coll.algo.*) counters of $(b,--stats) and as trace spans.  \
-             Equivalent to the $(b,MPISIM_COLL_ALGO) environment variable.")
+             The pins belong to this run's network model.")
   in
   Term.(
     const (fun trace_file trace_stream comm_matrix stats check chaos chaos_retries
@@ -222,17 +223,17 @@ let exits =
   :: Cmd.Exit.defaults
 
 (* Run one experiment body under the observability flags: tracing is
-   enabled iff --trace or --stats was given (--stats needs the event trace
-   for the critical path), and the reports print after the run.  Every
-   --trace-stream capture carries the happens-before analyzer's instants,
-   so it is analyzable offline with `analyze`. *)
+   enabled iff --trace, --trace-stream or --stats was given (--stats needs
+   the event trace for the critical path), and the reports print after
+   the run.  The stream, when given, takes the rings' place; the reports
+   read whichever sink recorded the run.  Every --trace-stream capture
+   carries the happens-before analyzer's instants, so it is analyzable
+   offline with `analyze`. *)
 let run_with_obs ~obs ~model ~ranks body =
   let trace_capacity =
-    if (obs.trace_file <> None || obs.stats) && obs.trace_stream = None then
-      Some Trace.default_capacity
-    else None
+    if obs.trace_file <> None || obs.stats then Some Trace.default_capacity else None
   in
-  (match obs.coll_algo with Some spec -> Coll_algo.set_overrides spec | None -> ());
+  let model = Coll_algo.pin (Option.value obs.coll_algo ~default:[]) model in
   (match obs.chaos with
   | Some cfg ->
       Printf.printf "chaos: replay with --chaos '%s'\n%!" (Chaos.config_to_string cfg)
@@ -287,19 +288,15 @@ let run_with_obs ~obs ~model ~ranks body =
           exit Exit_codes.file_error)
   | None -> ());
   (match obs.trace_file with
-  | Some file when obs.trace_stream <> None ->
-      Printf.eprintf
-        "kamping-repro: --trace %s ignored: --trace-stream already captured the run\n"
-        file
   | Some file -> (
       match Trace.write_chrome_file report.Engine.trace file with
-      | () ->
+      | Ok () ->
           let dropped = Trace.total_dropped report.Engine.trace in
           if dropped > 0 then
             Printf.printf "trace written to %s (%d oldest events dropped)\n" file
               dropped
           else Printf.printf "trace written to %s\n" file
-      | exception Sys_error msg ->
+      | Error msg ->
           Printf.eprintf "kamping-repro: cannot write trace: %s\n" msg;
           exit Exit_codes.file_error)
   | None -> ());
@@ -599,7 +596,7 @@ let trace_convert_cmd =
       & info [] ~docv:"OUT" ~doc:"Chrome trace-event JSON output file.")
   in
   let run src dst =
-    match Trace_stream.convert_to_chrome ~src ~dst with
+    match Trace_chrome.convert ~src ~dst with
     | Ok s ->
         Printf.printf "%s: %d ranks, %d events -> %s\n" src s.Trace_stream.s_ranks
           s.Trace_stream.s_events dst

@@ -32,7 +32,7 @@
    per call from (payload bytes, communicator size, commutativity)
    against the thresholds in [Net_model.tuning]; the choice is counted in
    a [coll.algo.<op>.<algo>] stats counter and emitted as a nested trace
-   span, and can be pinned via [MPISIM_COLL_ALGO] / [Coll_algo.set_overrides].
+   span, and can be pinned through the run's model ([Coll_algo.pin]).
 
    Each algorithm is written once, as a schedule: rounds of [send],
    [recv] and [recv_fold] steps over caller buffers given as ranges, plus
@@ -651,7 +651,7 @@ let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a ar
   let mine = match data with Some d when r = root -> d | _ -> [||] in
   if Comm.size comm = 1 then Option.value data ~default:[||]
   else
-    match Coll_algo.override_for Coll_algo.Bcast with
+    match Coll_algo.pinned (Comm.runtime comm).Runtime.model Coll_algo.Bcast with
     | Some Coll_algo.Binomial ->
         dispatch x comm Coll_algo.Bcast Coll_algo.Binomial (fun () ->
             bcast_binomial x comm dt ~root ~total:(-1) mine)

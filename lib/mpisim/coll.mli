@@ -9,8 +9,8 @@
     Operations with more than one algorithm (allreduce, allgather, bcast,
     reduce_scatter) consult {!Coll_algo.choose} per call: selection is
     keyed on payload bytes and communicator size against the thresholds
-    in [Net_model.tuning], can be pinned via [MPISIM_COLL_ALGO] or
-    {!Coll_algo.set_overrides}, and is observable through the
+    in [Net_model.tuning], can be pinned through the run's model
+    ({!Coll_algo.pin}), and is observable through the
     [coll.algo.<op>.<algo>] stats counters, the communication matrix's
     algorithm labels and, for blocking calls, an [<op>.<algo>] trace
     span nested in the collective's span (a nonblocking or persistent
@@ -172,7 +172,7 @@ val reduce_scatter :
 
     The frozen algorithm (and its counter attribution) is exactly what
     every ad-hoc call with the same signature would pick, because
-    {!Coll_algo.choose} only depends on inputs that change between runs.
+    {!Coll_algo.choose} only depends on inputs fixed for the run.
     A single-rank cycle is fully allocation-free; multi-rank cycles still
     allocate in transport but skip all per-call setup.
 

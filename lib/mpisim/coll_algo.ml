@@ -1,13 +1,13 @@
 (* Collective-algorithm selection.  See the interface for the contract.
 
    Selection must be deterministic and identical on every rank: it is a
-   pure function of (model tuning, call signature) plus a global override
-   table that only changes between runs.  The counter/span name tables
-   are precomputed so the dispatch path in Coll allocates nothing. *)
+   pure function of the run's model (tuning and pins) and the call
+   signature.  The counter/span name tables are precomputed so the
+   dispatch path in Coll allocates nothing. *)
 
-type op = Allreduce | Allgather | Bcast | Reduce_scatter
+type op = Net_model.coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
 
-type algo =
+type algo = Net_model.coll_algo =
   | Reduce_bcast
   | Recursive_doubling
   | Rabenseifner
@@ -80,17 +80,21 @@ let span_names =
 let counter_name op algo = counter_names.(op_index op).(algo_index algo)
 let span_name op algo = span_names.(op_index op).(algo_index algo)
 
-(* --- overrides ------------------------------------------------------- *)
+(* --- pins -------------------------------------------------------------- *)
 
 type spec = (op * algo option) list
 
-let overrides : algo option array = Array.make (Array.length all_ops) None
+(* Pins live in the model, so each run carries its own. *)
+let pin spec (model : Net_model.t) =
+  { model with tuning = { model.tuning with pins = spec @ model.tuning.pins } }
 
-let override_for op = overrides.(op_index op)
+(* The first pin for [op]; returns the stored option and builds no
+   closure, so the per-call lookup allocates nothing. *)
+let rec first_pin op = function
+  | [] -> None
+  | (o, a) :: rest -> if o = op then a else first_pin op rest
 
-let set_overrides spec = List.iter (fun (o, a) -> overrides.(op_index o) <- a) spec
-
-let clear_overrides () = Array.fill overrides 0 (Array.length overrides) None
+let pinned (model : Net_model.t) op = first_pin op model.tuning.pins
 
 let op_of_name = function
   | "allreduce" -> Some Allreduce
@@ -135,17 +139,6 @@ let parse_spec s =
     (Ok []) entries
   |> Result.map List.rev
 
-let refresh_from_env () =
-  clear_overrides ();
-  match Sys.getenv_opt "MPISIM_COLL_ALGO" with
-  | None | Some "" -> ()
-  | Some s -> (
-      match parse_spec s with
-      | Ok spec -> set_overrides spec
-      | Error m -> Printf.eprintf "mpisim: ignoring MPISIM_COLL_ALGO: %s\n%!" m)
-
-let () = refresh_from_env ()
-
 (* --- integer helpers -------------------------------------------------- *)
 
 let ceil_log2 n =
@@ -189,16 +182,16 @@ let auto (t : Net_model.coll_tuning) op ~bytes ~size ~commutative ~elems =
       else Pairwise
 
 let choose (model : Net_model.t) op ~bytes ~size ~commutative ~elems =
-  match override_for op with
+  match pinned model op with
   | Some a when commutative || not (needs_commutative a) -> a
   | _ -> auto model.Net_model.tuning op ~bytes ~size ~commutative ~elems
 
 (* --- frozen selection (persistent operations) ------------------------- *)
 
 (* A persistent request fixes its algorithm at init time; [choose] is a
-   pure function of static inputs (tuning and overrides only change
-   between runs), so the frozen choice equals what every later ad-hoc
-   call with the same signature would pick — the equivalence the
+   pure function of static inputs (the run's tuning and pins), so the
+   frozen choice equals what every later ad-hoc call with the same
+   signature would pick — the equivalence the
    persistent ≡ ad-hoc counter-parity tests rely on.  The names are
    resolved once too, so the per-cycle dispatch has no table lookups. *)
 type frozen = {

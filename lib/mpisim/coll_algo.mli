@@ -9,24 +9,22 @@
     operator commutativity) against the thresholds in
     {!Net_model.coll_tuning}.
 
-    The automatic choice can be overridden per operation, either
-    programmatically ({!set_overrides}) or externally via the
-    [MPISIM_COLL_ALGO] environment variable / [repro_cli --coll-algo],
-    using specs like ["allreduce=rabenseifner,allgather=ring"].
-    Overrides never bypass correctness guards: a non-commutative operator
-    always stays on the order-safe reference lowering regardless of any
-    override.
+    The automatic choice can be pinned per operation ({!pin}, or
+    [repro_cli --coll-algo] with specs like
+    ["allreduce=rabenseifner,allgather=ring"]).  Pins never bypass
+    correctness guards: a non-commutative operator always stays on the
+    order-safe reference lowering regardless of any pin.
 
-    Overrides are global, deliberately: algorithm selection must agree on
-    every rank of a run, so they may only change between [Engine.run]s,
-    never during one. *)
+    Pins are part of the run's network model ([Net_model.tuning]), so
+    every rank of a run sees the same ones, and runs pinned differently
+    can share a process or an [Engine.run_many] pool. *)
 
 (** A collective with more than one algorithm available. *)
-type op = Allreduce | Allgather | Bcast | Reduce_scatter
+type op = Net_model.coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
 
 (** The algorithm families.  Not every algorithm applies to every op; see
     {!valid_for}. *)
-type algo =
+type algo = Net_model.coll_algo =
   | Reduce_bcast  (** allreduce reference lowering: reduce to 0 + bcast *)
   | Recursive_doubling  (** allreduce: log p full-vector exchanges *)
   | Rabenseifner
@@ -59,8 +57,8 @@ val span_name : op -> algo -> string
 (** {1 Selection} *)
 
 (** [choose model op ~bytes ~size ~commutative ~elems] picks the
-    algorithm for one collective call: the override for [op] if set and
-    safe, otherwise the automatic bytes/size-keyed choice against
+    algorithm for one collective call: the pin for [op] if set and safe,
+    otherwise the automatic bytes/size-keyed choice against
     [model.tuning].  [bytes] is the total payload (per-rank contribution
     for allgather), [size] the communicator size, [elems] the element
     count of the reduced vector (allreduce only; pass 0 elsewhere), and
@@ -74,8 +72,8 @@ val choose :
 (** {1 Frozen selection (persistent operations)}
 
     A persistent [*_init] request fixes its algorithm once at init.
-    Because {!choose} is a pure function of inputs that only change
-    between runs (tuning, overrides), the frozen choice is identical to
+    Because {!choose} is a pure function of inputs fixed for a run (the
+    model's tuning and pins), the frozen choice is identical to
     what each ad-hoc call with the same signature would pick — so
     persistent and ad-hoc runs attribute to the same
     [coll.algo.<op>.<algo>] counter. *)
@@ -91,35 +89,24 @@ type frozen = {
 val freeze :
   Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> elems:int -> frozen
 
-(** {1 Overrides} *)
+(** {1 Pins} *)
 
 (** Per-op pinned algorithms; [None] restores automatic selection. *)
 type spec = (op * algo option) list
 
-(** Parse an override spec of the form ["op=alg[,op=alg]"], e.g.
+(** Parse a pin spec of the form ["op=alg[,op=alg]"], e.g.
     ["allreduce=rabenseifner,allgather=ring"].  [alg] may be ["auto"] to
     explicitly request automatic selection.  Separators [','] and [';']
     are both accepted.  Returns [Error msg] on unknown names or an
     algorithm that does not implement the op. *)
 val parse_spec : string -> (spec, string) result
 
-(** Install overrides (replacing any previous ones for the same ops).
-    Must not be called while an [Engine.run] (or [Engine.run_many]) is
-    in flight. *)
-val set_overrides : spec -> unit
+(** [pin spec model] is [model] with [spec]'s pins taking precedence over
+    the ones it already carries; pass the result to [Engine.run ~model]. *)
+val pin : spec -> Net_model.t -> Net_model.t
 
-(** Drop every override, including any installed from the environment. *)
-val clear_overrides : unit -> unit
-
-(** The pinned algorithm for [op], if any. *)
-val override_for : op -> algo option
-
-(** Re-read [MPISIM_COLL_ALGO] and install it on top of a clean slate
-    (an unset or empty variable clears everything).  Called once at
-    module initialization; tests that mutate the environment call it
-    directly.  An unparseable value is ignored with a warning on stderr
-    rather than aborting the host program. *)
-val refresh_from_env : unit -> unit
+(** The algorithm [model] pins for [op], if any. *)
+val pinned : Net_model.t -> op -> algo option
 
 (** {1 Integer helpers shared with the algorithm implementations} *)
 

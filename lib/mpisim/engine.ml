@@ -22,7 +22,7 @@ type report = {
   busy : float array;  (* per-rank virtual time spent working *)
   blocked : float array;  (* per-rank virtual time spent waiting *)
   stats : Stats.t;  (* the runtime's metrics registry *)
-  trace : Trace.t;  (* event recorder; empty unless [trace_capacity] set *)
+  trace : Trace.t;  (* event recorder; empty unless a trace sink was set *)
   comm_matrix : Comm_matrix.t;  (* per-(src,dst) traffic; empty unless [comm_matrix] set *)
   chaos_log : string option;  (* chaos event log; replay-comparable, None when chaos off *)
 }
@@ -36,8 +36,8 @@ let pp_report ppf r =
 
    [trace_capacity] enables event tracing with a per-rank ring buffer of
    that many events; [trace_stream] streams every event to a binary file
-   instead (no per-rank buffers, nothing dropped) and wins when both are
-   given; when neither is present the recorder stays disabled and costs
+   instead (no per-rank buffers, nothing dropped; the rings are not used
+   when both are given); when neither is present the recorder stays disabled and costs
    nothing on the hot paths.  A stream capture also carries the
    happens-before analyzer's instants (post, matched, send_meta,
    nc_order), so every stream file is analyzable offline.  [comm_matrix]

@@ -23,8 +23,8 @@ type report = {
   blocked : float array;  (** per-rank virtual time spent waiting *)
   stats : Stats.t;  (** the runtime's metrics registry *)
   trace : Trace.t;
-      (** event recorder; empty unless [trace_capacity] was passed
-          (streamed events live in the [trace_stream] file, not here) *)
+      (** event recorder; empty unless [trace_capacity] or [trace_stream]
+          was passed ({!Trace.fold} reads either sink) *)
   comm_matrix : Comm_matrix.t;
       (** per-(src,dst) traffic matrix; empty unless [comm_matrix] *)
   chaos_log : string option;
@@ -54,8 +54,10 @@ val pp_report : Format.formatter -> report -> unit
            of this many events (disabled — and free — when absent)
     @param trace_stream stream every trace event to this binary file
            instead of buffering ({!Trace.enable_stream}): no per-rank
-           rings, nothing dropped; wins over [trace_capacity]; the file
-           is flushed and closed before the report is returned.  The
+           rings, nothing dropped, and [trace_capacity] is not used.  The
+           file is flushed and closed before the report is returned, and
+           the report's [trace] reads it back ({!Trace.fold}), so its
+           Chrome export and critical path are those of a ring run.  The
            stream also carries the instants the offline happens-before
            analyzer reads (post, matched, send_meta, nc_order), so every
            capture is analyzable with [repro_cli analyze]; the analyzer
@@ -126,6 +128,8 @@ val run_values :
 
     Runs share no simulator state, so a [Virtual_only] run gives the same
     result here as alone.  What a thunk touches outside its own run (a
-    shared [ref], a channel, the {!Coll_algo.set_overrides} table) is
-    the caller's concern: the pool adds no locking. *)
+    shared [ref], a channel) is the caller's concern: the pool adds no
+    locking.  Per-run configuration travels in the run's arguments (the
+    model carries collective-algorithm pins, {!Coll_algo.pin}), so
+    differently configured thunks do not interfere. *)
 val run_many : (unit -> 'a) list -> 'a list

@@ -57,6 +57,21 @@ type fault_profile = {
   retry : retry_policy;
 }
 
+(* The collectives with more than one algorithm, and the algorithms
+   (Coll_algo re-exports both with their documentation). *)
+type coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
+
+type coll_algo =
+  | Reduce_bcast
+  | Recursive_doubling
+  | Rabenseifner
+  | Bruck
+  | Ring
+  | Binomial
+  | Scatter_allgather
+  | Reduce_scatterv
+  | Pairwise
+
 (* Thresholds steering the collective-algorithm engine (Coll_algo).  All
    cutoffs are in payload bytes; defaults follow the switch-over points
    real MPI implementations use (MPICH: 2KB short-allreduce cutoff,
@@ -71,6 +86,8 @@ type coll_tuning = {
   reduce_scatter_pairwise_min_bytes : int;
       (* total payload at or above which pairwise exchange replaces the
          reduce-to-root + scatter reference lowering *)
+  pins : (coll_op * coll_algo option) list;
+      (* per-op pinned algorithms (Coll_algo.pin); None or absent = auto *)
 }
 
 let default_tuning =
@@ -79,6 +96,7 @@ let default_tuning =
     allgather_ring_min_bytes = 32768;
     bcast_scatter_min_bytes = 65536;
     reduce_scatter_pairwise_min_bytes = 2048;
+    pins = [];
   }
 
 type t = {

@@ -43,6 +43,21 @@ type fault_profile = {
   retry : retry_policy;
 }
 
+(** The collectives with more than one algorithm, and the algorithms;
+    documented where {!Coll_algo} re-exports them. *)
+type coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
+
+type coll_algo =
+  | Reduce_bcast
+  | Recursive_doubling
+  | Rabenseifner
+  | Bruck
+  | Ring
+  | Binomial
+  | Scatter_allgather
+  | Reduce_scatterv
+  | Pairwise
+
 (** Thresholds steering the collective-algorithm engine ({!Coll_algo}).
     All cutoffs are payload bytes; defaults mirror the switch-over points
     real MPI implementations use. *)
@@ -56,10 +71,14 @@ type coll_tuning = {
   reduce_scatter_pairwise_min_bytes : int;
       (** total payload at or above which pairwise exchange replaces the
           reduce-to-root + scatter reference lowering *)
+  pins : (coll_op * coll_algo option) list;
+      (** pinned algorithms, first entry per op wins ({!Coll_algo.pin});
+          [None] or no entry selects automatically *)
 }
 
 (** 2KB recursive-doubling cutoff, 32KB ring allgather, 64KB
-    scatter+allgather bcast, 2KB pairwise reduce_scatter cutoff. *)
+    scatter+allgather bcast, 2KB pairwise reduce_scatter cutoff, no
+    pins. *)
 val default_tuning : coll_tuning
 
 type t = {

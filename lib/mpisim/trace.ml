@@ -10,14 +10,15 @@
 
    - [Ring] (default): each rank owns a bounded ring buffer.  When a ring
      overflows, the oldest events are evicted and counted; exports mention
-     the loss rather than silently truncating.  This is the sink post-run
-     analysis ([events], Trace_report) reads from.
+     the loss rather than silently truncating.
 
    - [Stream]: every event is appended incrementally to a binary file
      (Trace_stream) with a per-rank sequence number.  No per-rank buffers
      are allocated at all — idle ranks cost O(1) memory — and nothing is
-     ever dropped, which is the only viable shape at 10^5+ ranks.  The
-     offline converter turns the file into Chrome-trace JSON.
+     ever dropped, which is the only viable shape at 10^5+ ranks.
+
+   Both sinks hold one record (Trace_stream.event) and [fold] reads
+   either back, so its consumers do not depend on the sink.
 
    The recorder is created disabled and compiles down to a no-op in that
    state: every emit function first reads a single mutable bool and
@@ -27,19 +28,7 @@
    runtime's clock array), call sites never box a float argument on the
    disabled path. *)
 
-type kind = Trace_chrome.kind = Begin | End | Instant | Complete
-
-type event = {
-  kind : kind;
-  cat : string;  (* layer: "sched" | "sim" | "coll" | "p2p" | "kamping" | "timer" *)
-  name : string;
-  ts : float;  (* virtual time; for [Complete], the span's *end* *)
-  dur : float;  (* span length, [Complete] only *)
-  a : int;  (* event-specific args, -1 when unused: *)
-  b : int;  (* send: a=dst b=seq c=bytes; match: a=src b=seq c=bytes *)
-  c : int;
-  d : int;  (* the emitting rank's Lamport clock on send/match instants *)
-}
+open Trace_stream
 
 type ring = {
   mutable ev : event array;
@@ -48,7 +37,7 @@ type ring = {
   mutable dropped : int;
 }
 
-type sink = Ring | Stream of Trace_stream.t
+type sink = Ring | Stream of Trace_stream.t * string (* the writer and its file *)
 
 type t = {
   mutable enabled : bool;
@@ -83,7 +72,7 @@ let is_streaming t = match t.sink with Stream _ -> t.enabled | Ring -> false
 let close_stream t =
   match t.sink with
   | Ring -> ()
-  | Stream w ->
+  | Stream (w, _) ->
       Trace_stream.close w;
       t.enabled <- false
 
@@ -109,13 +98,11 @@ let enable ?(capacity = default_capacity) t =
 let enable_stream t ~path =
   close_stream t;
   reset_rings t 0;
-  t.sink <- Stream (Trace_stream.create ~path ~ranks:(ranks t));
+  t.sink <- Stream (Trace_stream.create ~path ~ranks:(ranks t), path);
   t.enabled <- true
 
-let disable t = t.enabled <- false
-
 let stream_events t =
-  match t.sink with Ring -> 0 | Stream w -> Trace_stream.events_written w
+  match t.sink with Ring -> 0 | Stream (w, _) -> Trace_stream.events_written w
 
 (* Total ring slots currently allocated — 0 under the stream sink; the
    scale tests assert this stays 0 for arbitrarily large rank counts. *)
@@ -136,11 +123,10 @@ let push r e =
   end
 
 let emit t rank kind cat name dur a b c d =
+  let e = { kind; cat; name; ts = t.clocks.(rank); dur; a; b; c; d } in
   match t.sink with
-  | Ring -> push t.rings.(rank) { kind; cat; name; ts = t.clocks.(rank); dur; a; b; c; d }
-  | Stream w ->
-      Trace_stream.write_event w ~rank ~kind ~cat ~name ~ts:t.clocks.(rank) ~dur ~a ~b
-        ~c ~d
+  | Ring -> push t.rings.(rank) e
+  | Stream (w, _) -> Trace_stream.write_event w ~rank e
 
 let span_begin t ~rank ~cat ~name =
   if t.enabled then emit t rank Begin cat name 0. (-1) (-1) (-1) (-1)
@@ -170,61 +156,38 @@ let with_span t ~rank ~cat ~name f =
     Fun.protect ~finally:(fun () -> span_end t ~rank ~cat ~name) f
   end
 
-let dropped t rank = t.rings.(rank).dropped
-
 let total_dropped t = Array.fold_left (fun acc r -> acc + r.dropped) 0 t.rings
 
-let length t rank = t.rings.(rank).len
+(* The one reader: the rings rank by rank, or the closed stream file. *)
+let fold ?(on_header = ignore) t ~init ~f =
+  match t.sink with
+  | Stream (_, path) -> Result.map fst (fold_file ~on_header path ~init ~f)
+  | Ring ->
+      on_header (ranks t);
+      let acc = ref init in
+      Array.iteri
+        (fun rank r ->
+          for i = 0 to r.len - 1 do
+            acc := f !acc rank r.ev.((r.start + i) mod Array.length r.ev)
+          done)
+        t.rings;
+      Ok !acc
 
-(* Events of one rank in chronological (emission) order. *)
-let events t rank : event list =
-  let r = t.rings.(rank) in
-  let cap = Array.length r.ev in
-  List.init r.len (fun i -> r.ev.((r.start + i) mod cap))
+(* Events of one rank in emission order. *)
+let events t rank =
+  match fold t ~init:[] ~f:(fun acc r e -> if r = rank then e :: acc else acc) with
+  | Ok evs -> List.rev evs
+  | Error msg -> failwith msg
 
-let iter_events t rank f =
-  let r = t.rings.(rank) in
-  let cap = Array.length r.ev in
-  for i = 0 to r.len - 1 do
-    f r.ev.((r.start + i) mod cap)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace-event export (chrome://tracing, Perfetto).
-
-   Rendering rules (thread-per-rank layout, CPU tracks, flow arrows,
-   zero-duration clamping) live in Trace_chrome, shared with the stream
-   converter. *)
-
-let chrome_json_into buf t =
-  let n = ranks t in
-  let root = Json_out.start_obj buf in
-  Json_out.field_str root "displayTimeUnit" "ms";
-  Json_out.key root "otherData";
-  let od = Json_out.start_obj buf in
-  Json_out.field_int od "droppedEvents" (total_dropped t);
-  Json_out.end_obj od;
-  Json_out.key root "traceEvents";
-  let arr = Json_out.start_arr buf in
-  Trace_chrome.thread_names buf arr ~nranks:n;
-  for rank = 0 to n - 1 do
-    iter_events t rank (fun e ->
-        Trace_chrome.event buf arr ~nranks:n ~rank ~kind:e.kind ~cat:e.cat ~name:e.name
-          ~ts:e.ts ~dur:e.dur ~a:e.a ~b:e.b ~c:e.c ~d:e.d)
-  done;
-  Json_out.end_arr arr;
-  Json_out.end_obj root
+(* Chrome trace-event export: Trace_chrome's writer over [fold]. *)
+let export t write =
+  let streamed = match t.sink with Stream _ -> true | Ring -> false in
+  write ~dropped:(total_dropped t) ~streamed (fun ~on_header -> fold ~on_header t)
 
 let to_chrome_json t =
   let buf = Buffer.create 65536 in
-  chrome_json_into buf t;
-  Buffer.contents buf
+  match export t (Trace_chrome.write buf) with
+  | Ok () -> Buffer.contents buf
+  | Error msg -> failwith msg
 
-let write_chrome_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      chrome_json_into buf t;
-      Buffer.output_buffer oc buf)
+let write_chrome_file t path = export t (Trace_chrome.write_file path)

@@ -5,30 +5,17 @@
     (message injection and match, park/resume, failure injection).
 
     Two sinks: the default {e ring} sink buffers a bounded window per
-    rank (evicting and counting the oldest on overflow, {!dropped}); the
+    rank (evicting and counting the oldest on overflow, {!total_dropped}); the
     {e stream} sink ({!enable_stream}) appends every event incrementally
     to a binary {!Trace_stream} file with per-rank sequence numbers — no
     per-rank buffers at all, nothing dropped, O(1) memory per idle rank.
+    Both hold one record, {!Trace_stream.event}, read back by {!fold}.
 
     The recorder is created {e disabled}: every emitter first checks a
     single mutable bool and returns without allocating, so instrumented
     hot paths cost one branch when tracing is off.  Emitters read the
     timestamp themselves from the runtime's clock array, so call sites
     never box a float on the disabled path. *)
-
-type kind = Trace_chrome.kind = Begin | End | Instant | Complete
-
-type event = {
-  kind : kind;
-  cat : string;  (** layer: ["sched"], ["sim"], ["coll"], ["p2p"], ["kamping"], ["timer"] *)
-  name : string;
-  ts : float;  (** virtual time; for [Complete], the span's {e end} *)
-  dur : float;  (** span length, [Complete] only *)
-  a : int;  (** event args, [-1] when unused. [send]: a=dst b=seq c=bytes; *)
-  b : int;  (** [match]/[match_wait]: a=src b=seq c=bytes; [park]/[resume]: none *)
-  c : int;
-  d : int;  (** the emitting rank's Lamport clock on send/match instants *)
-}
 
 type t
 
@@ -49,8 +36,8 @@ val enable : ?capacity:int -> t -> unit
 
 (** Switch to the stream sink and start recording: events append to the
     binary file at [path] as they are emitted; no ring storage is
-    allocated.  {!events} and post-run analysis see nothing — the file is
-    the record; convert it with {!Trace_stream.convert_to_chrome}. *)
+    allocated.  Once {!close_stream} has run, {!fold} reads the file
+    back. *)
 val enable_stream : t -> path:string -> unit
 
 (** Whether events are being recorded into a stream sink (tracing on,
@@ -71,8 +58,6 @@ val stream_events : t -> int
     stream sink (asserted by the scale tests). *)
 val ring_capacity_total : t -> int
 
-val disable : t -> unit
-
 val span_begin : t -> rank:int -> cat:string -> name:string -> unit
 
 val span_end : t -> rank:int -> cat:string -> name:string -> unit
@@ -91,28 +76,34 @@ val complete : t -> rank:int -> cat:string -> name:string -> dur:float -> unit
     disabled. *)
 val with_span : t -> rank:int -> cat:string -> name:string -> (unit -> 'a) -> 'a
 
-(** Events evicted from [rank]'s ring so far. *)
-val dropped : t -> int -> int
-
+(** Events evicted from the rings so far. *)
 val total_dropped : t -> int
 
-(** Events currently buffered for [rank]. *)
-val length : t -> int -> int
+(** The one reader: [f acc rank ev] over every recorded event, each
+    rank's in emission order, after [on_header] with the rank count.  The
+    rings are read rank by rank; a stream is read back from its closed
+    file ({!Trace_stream.fold_file}), whose corruption is the [Error]. *)
+val fold :
+  ?on_header:(int -> unit) ->
+  t ->
+  init:'a ->
+  f:('a -> int -> Trace_stream.event -> 'a) ->
+  ('a, string) result
 
-(** Chronological event list of one rank. *)
-val events : t -> int -> event list
-
-val iter_events : t -> int -> (event -> unit) -> unit
+(** One rank's events in emission order (a {!fold}); raises [Failure]
+    when the stream file cannot be read. *)
+val events : t -> int -> Trace_stream.event list
 
 (** {1 Chrome trace-event export}
 
-    Loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.
-    One thread per rank on the virtual timeline; scheduler CPU segments go
-    to a separate per-rank track; send→match pairs are drawn as flow
-    arrows keyed by the global message sequence number. *)
+    Loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}:
+    Trace_chrome's writer over {!fold}, whichever the sink.  One thread per
+    rank on the virtual timeline; scheduler CPU segments go to a separate
+    per-rank track; send→match pairs are drawn as flow arrows keyed by the
+    global message sequence number. *)
 
-val chrome_json_into : Buffer.t -> t -> unit
-
+(** Raises [Failure] when the stream file cannot be read. *)
 val to_chrome_json : t -> string
 
-val write_chrome_file : t -> string -> unit
+(** Leaves no file behind on an error. *)
+val write_chrome_file : t -> string -> (unit, string) result

@@ -58,27 +58,6 @@ type hop = {
 }
 
 
-(* Reconstruct span intervals of one rank from its Begin/End/Complete
-   events.  Eviction can orphan an End (its Begin was dropped) — such Ends
-   are skipped; Begins still open at the end of the run close at the
-   rank's finish time. *)
-let spans_of_rank tr ~times rank =
-  let stack = ref [] in
-  let acc = ref [] in
-  Trace.iter_events tr rank (fun (ev : Trace.event) ->
-      match ev.kind with
-      | Trace.Begin -> stack := (ev.cat, ev.name, ev.ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (cat, name, t0) :: rest ->
-              stack := rest;
-              acc := (t0, ev.ts, cat, name) :: !acc
-          | [] -> ())
-      | Trace.Complete -> acc := (ev.ts -. ev.dur, ev.ts, ev.cat, ev.name) :: !acc
-      | Trace.Instant -> ());
-  List.iter (fun (cat, name, t0) -> acc := (t0, times.(rank), cat, name) :: !acc) !stack;
-  !acc
-
 (* Name the operation active at time [at]: the tightest enclosing span,
    preferring semantic layers (coll/kamping/timer) over raw p2p ops. *)
 let name_at spans ~at =
@@ -124,92 +103,111 @@ let max_hops = 64
 
 type send_site = { snd_rank : int; snd_ts : float; snd_bytes : int; snd_lamport : int }
 
-let critical_path tr ~times =
+(* One fold over the trace gathers what the walk reads: the global send
+   table (message seq -> send site), each rank's match_wait and park
+   instants (newest first), and each rank's span intervals.  Eviction can
+   orphan an End (its Begin was dropped) — such Ends are skipped; Begins
+   still open at the end of the run close at the rank's finish time. *)
+let path tr ~times =
   let ranks = Trace.ranks tr in
-  if ranks = 0 || Array.length times = 0 then []
-  else begin
-    (* Global send table: message seq -> send site. *)
-    let sends = Hashtbl.create 1024 in
-    (* Per-rank match_wait and park instants, reverse chronological. *)
-    let waits = Array.make ranks [] in
-    let parks = Array.make ranks [] in
-    for r = 0 to ranks - 1 do
-      Trace.iter_events tr r (fun (ev : Trace.event) ->
-          if ev.kind = Trace.Instant then
-            if ev.cat = "sim" then begin
-              if ev.name = "send" then
-                Hashtbl.replace sends ev.b
-                  { snd_rank = r; snd_ts = ev.ts; snd_bytes = ev.c; snd_lamport = ev.d }
-              else if ev.name = "match_wait" then waits.(r) <- ev :: waits.(r)
+  let sends = Hashtbl.create 1024 in
+  let waits = Array.make ranks [] and parks = Array.make ranks [] in
+  let spans = Array.make ranks [] and stacks = Array.make ranks [] in
+  let add n r (ev : Trace_stream.event) =
+    (match ev.kind with
+    | Begin -> stacks.(r) <- (ev.cat, ev.name, ev.ts) :: stacks.(r)
+    | End -> (
+        match stacks.(r) with
+        | (cat, name, t0) :: rest ->
+            stacks.(r) <- rest;
+            spans.(r) <- (t0, ev.ts, cat, name) :: spans.(r)
+        | [] -> ())
+    | Complete -> spans.(r) <- (ev.ts -. ev.dur, ev.ts, ev.cat, ev.name) :: spans.(r)
+    | Instant ->
+        if ev.cat = "sim" then begin
+          if ev.name = "send" then
+            Hashtbl.replace sends ev.b
+              { snd_rank = r; snd_ts = ev.ts; snd_bytes = ev.c; snd_lamport = ev.d }
+          else if ev.name = "match_wait" then waits.(r) <- ev :: waits.(r)
+        end
+        else if ev.cat = "sched" && ev.name = "park" then parks.(r) <- ev.ts :: parks.(r));
+    n + 1
+  in
+  match Trace.fold tr ~init:0 ~f:add with
+  | Error _ as e -> e
+  | Ok 0 -> Ok []
+  | Ok _ ->
+      Array.iteri
+        (fun r stack ->
+          List.iter
+            (fun (cat, name, t0) -> spans.(r) <- (t0, times.(r), cat, name) :: spans.(r))
+            stack)
+        stacks;
+      let finish = ref 0 in
+      Array.iteri (fun i v -> if v > times.(!finish) then finish := i) times;
+      let hops = ref [] in
+      let rec walk rank t budget =
+        match List.find_opt (fun (ev : Trace_stream.event) -> ev.ts <= t) waits.(rank) with
+        | None ->
+            hops :=
+              {
+                hop_rank = rank;
+                hop_from = 0.;
+                hop_to = t;
+                hop_name = name_at spans.(rank) ~at:t;
+                via_src = -1;
+                via_seq = -1;
+                via_bytes = -1;
+                via_latency = -1.;
+                via_slack = -1.;
+                via_verified = false;
+              }
+              :: !hops
+        | Some m ->
+            let site = Hashtbl.find_opt sends m.b in
+            let verified =
+              match site with
+              | Some s ->
+                  s.snd_rank = m.a && s.snd_ts <= m.ts
+                  && s.snd_bytes = m.c
+                  && (s.snd_lamport < 0 || m.d < 0 || s.snd_lamport < m.d)
+              | None -> false
+            in
+            (* Slack: how long the receiver had already been parked when the
+               message arrived — the headroom a faster sender would buy. *)
+            let slack =
+              match List.find_opt (fun p -> p <= m.ts) parks.(rank) with
+              | Some p -> m.ts -. p
+              | None -> -1.
+            in
+            let latency = match site with Some s -> m.ts -. s.snd_ts | None -> -1. in
+            hops :=
+              {
+                hop_rank = rank;
+                hop_from = m.ts;
+                hop_to = t;
+                hop_name = name_at spans.(rank) ~at:m.ts;
+                via_src = m.a;
+                via_seq = m.b;
+                via_bytes = m.c;
+                via_latency = latency;
+                via_slack = slack;
+                via_verified = verified;
+              }
+              :: !hops;
+            if budget > 0 && verified then begin
+              match site with
+              | Some s when s.snd_ts < m.ts ->
+                  (* Strictly decreasing time, so the walk terminates even
+                     on malformed traces. *)
+                  walk s.snd_rank s.snd_ts (budget - 1)
+              | _ -> () (* a zero-latency self-edge: stop rather than loop *)
             end
-            else if ev.cat = "sched" && ev.name = "park" then
-              parks.(r) <- ev.ts :: parks.(r))
-    done;
-    let spans = Array.init ranks (fun r -> spans_of_rank tr ~times r) in
-    let finish = ref 0 in
-    Array.iteri (fun i v -> if v > times.(!finish) then finish := i) times;
-    let hops = ref [] in
-    let rec walk rank t budget =
-      match List.find_opt (fun (ev : Trace.event) -> ev.ts <= t) waits.(rank) with
-      | None ->
-          hops :=
-            {
-              hop_rank = rank;
-              hop_from = 0.;
-              hop_to = t;
-              hop_name = name_at spans.(rank) ~at:t;
-              via_src = -1;
-              via_seq = -1;
-              via_bytes = -1;
-              via_latency = -1.;
-              via_slack = -1.;
-              via_verified = false;
-            }
-            :: !hops
-      | Some m ->
-          let site = Hashtbl.find_opt sends m.b in
-          let verified =
-            match site with
-            | Some s ->
-                s.snd_rank = m.a && s.snd_ts <= m.ts
-                && s.snd_bytes = m.c
-                && (s.snd_lamport < 0 || m.d < 0 || s.snd_lamport < m.d)
-            | None -> false
-          in
-          (* Slack: how long the receiver had already been parked when the
-             message arrived — the headroom a faster sender would buy. *)
-          let slack =
-            match List.find_opt (fun p -> p <= m.ts) parks.(rank) with
-            | Some p -> m.ts -. p
-            | None -> -1.
-          in
-          let latency = match site with Some s -> m.ts -. s.snd_ts | None -> -1. in
-          hops :=
-            {
-              hop_rank = rank;
-              hop_from = m.ts;
-              hop_to = t;
-              hop_name = name_at spans.(rank) ~at:m.ts;
-              via_src = m.a;
-              via_seq = m.b;
-              via_bytes = m.c;
-              via_latency = latency;
-              via_slack = slack;
-              via_verified = verified;
-            }
-            :: !hops;
-          if budget > 0 && verified then begin
-            match site with
-            | Some s when s.snd_ts < m.ts ->
-                (* Strictly decreasing time, so the walk terminates even
-                   on malformed traces. *)
-                walk s.snd_rank s.snd_ts (budget - 1)
-            | _ -> () (* a zero-latency self-edge: stop rather than loop *)
-          end
-    in
-    walk !finish times.(!finish) max_hops;
-    !hops (* prepended finish-first, so this is start -> finish order *)
-  end
+      in
+      walk !finish times.(!finish) max_hops;
+      Ok !hops (* prepended finish-first, so this is start -> finish order *)
+
+let critical_path tr ~times = Result.value (path tr ~times) ~default:[]
 
 (* How many cross-rank edges of a critical path failed verification
    against the send table.  Published as the [obs.causal.unverified_edges]
@@ -219,9 +217,10 @@ let unverified_edges hops =
   List.length (List.filter (fun h -> h.via_src >= 0 && not h.via_verified) hops)
 
 let pp_critical_path ppf tr ~times =
-  match critical_path tr ~times with
-  | [] -> Format.fprintf ppf "critical path: no trace events recorded@."
-  | hops ->
+  match path tr ~times with
+  | Error msg -> Format.fprintf ppf "critical path: cannot read the trace: %s@." msg
+  | Ok [] -> Format.fprintf ppf "critical path: no trace events recorded@."
+  | Ok hops ->
       let finish = List.length hops - 1 in
       let edges = List.filter (fun h -> h.via_src >= 0) hops in
       let verified = List.filter (fun h -> h.via_verified) edges in

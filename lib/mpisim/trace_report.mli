@@ -40,8 +40,9 @@ type hop = {
     through binding "match_wait" instants to the sends that released
     them (the longest path through the send→recv DAG; at most 64 hops).
     The walk only crosses verified edges — an evicted or inconsistent
-    send ends it.  Returns hops in start-to-finish order; [[]] when
-    tracing was disabled. *)
+    send ends it.  A fold over {!Trace.fold}, so either sink gives the
+    same path.  Returns hops in start-to-finish order; [[]] when nothing
+    was recorded or the stream file cannot be read. *)
 val critical_path : Trace.t -> times:float array -> hop list
 
 (** Number of cross-rank edges in a critical path that failed send-table

@@ -33,6 +33,22 @@
    [flush_threshold] bytes rather than per event), so its memory is a
    constant independent of run length and rank count. *)
 
+(* The event record of every sink and reader.  The emitting rank travels
+   beside it, so a ring slot costs no more than the event. *)
+type kind = Begin | End | Instant | Complete
+
+type event = {
+  kind : kind;
+  cat : string;  (* layer: "sched" | "sim" | "coll" | "p2p" | "kamping" | "timer" *)
+  name : string;
+  ts : float;  (* virtual time; for [Complete], the span's *end* *)
+  dur : float;  (* span length, [Complete] only *)
+  a : int;  (* event-specific args, -1 when unused: *)
+  b : int;  (* send: a=dst b=seq c=bytes; match: a=src b=seq c=bytes *)
+  c : int;
+  d : int;  (* the emitting rank's Lamport clock on send/match instants *)
+}
+
 let magic = "MPTS"
 
 let version = 1
@@ -87,8 +103,6 @@ let create ~path ~ranks =
 
 let events_written t = t.events
 
-let seq t rank = t.seqs.(rank)
-
 let add_record t tag payload_len add_payload =
   Buffer.add_uint8 t.buf tag;
   let len = Bytes.create 4 in
@@ -113,38 +127,34 @@ let intern t s =
           Buffer.add_string t.buf s);
       id
 
-let kind_code : Trace_chrome.kind -> int = function
-  | Trace_chrome.Begin -> 0
-  | Trace_chrome.End -> 1
-  | Trace_chrome.Instant -> 2
-  | Trace_chrome.Complete -> 3
+let kind_code = function Begin -> 0 | End -> 1 | Instant -> 2 | Complete -> 3
 
 let kind_of_code = function
-  | 0 -> Some Trace_chrome.Begin
-  | 1 -> Some Trace_chrome.End
-  | 2 -> Some Trace_chrome.Instant
-  | 3 -> Some Trace_chrome.Complete
+  | 0 -> Some Begin
+  | 1 -> Some End
+  | 2 -> Some Instant
+  | 3 -> Some Complete
   | _ -> None
 
-let write_event t ~rank ~kind ~cat ~name ~ts ~dur ~a ~b ~c ~d =
+let write_event t ~rank e =
   if t.closed then invalid_arg "Trace_stream.write_event: writer is closed";
-  let cat_id = intern t cat in
-  let name_id = intern t name in
+  let cat_id = intern t e.cat in
+  let name_id = intern t e.name in
   let sq = t.seqs.(rank) in
   t.seqs.(rank) <- sq + 1;
   t.events <- t.events + 1;
   let s = t.scratch in
   Bytes.set_int32_le s 0 (Int32.of_int rank);
   Bytes.set_int32_le s 4 (Int32.of_int sq);
-  Bytes.set_uint8 s 8 (kind_code kind);
+  Bytes.set_uint8 s 8 (kind_code e.kind);
   Bytes.set_int32_le s 9 (Int32.of_int cat_id);
   Bytes.set_int32_le s 13 (Int32.of_int name_id);
-  Bytes.set_int64_le s 17 (Int64.bits_of_float ts);
-  Bytes.set_int64_le s 25 (Int64.bits_of_float dur);
-  Bytes.set_int64_le s 33 (Int64.of_int a);
-  Bytes.set_int64_le s 41 (Int64.of_int b);
-  Bytes.set_int64_le s 49 (Int64.of_int c);
-  Bytes.set_int64_le s 57 (Int64.of_int d);
+  Bytes.set_int64_le s 17 (Int64.bits_of_float e.ts);
+  Bytes.set_int64_le s 25 (Int64.bits_of_float e.dur);
+  Bytes.set_int64_le s 33 (Int64.of_int e.a);
+  Bytes.set_int64_le s 41 (Int64.of_int e.b);
+  Bytes.set_int64_le s 49 (Int64.of_int e.c);
+  Bytes.set_int64_le s 57 (Int64.of_int e.d);
   add_record t 2 event_payload_len (fun () -> Buffer.add_bytes t.buf s)
 
 let close t =
@@ -157,27 +167,14 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* Reader *)
 
-type event = {
-  ev_rank : int;
-  ev_seq : int;
-  ev_kind : Trace_chrome.kind;
-  ev_cat : string;
-  ev_name : string;
-  ev_ts : float;
-  ev_dur : float;
-  ev_a : int;
-  ev_b : int;
-  ev_c : int;
-  ev_d : int;
-}
-
 type summary = { s_ranks : int; s_events : int }
 
 let read_i32 b off = Int32.to_int (Bytes.get_int32_le b off)
 
-(* Stream the records of [path] through [f], validating as we go: magic
-   and version, string ids defined before use, and — the completeness
-   proof — per-rank sequence numbers contiguous from zero.  [on_header]
+(* Stream the records of [path] through [f] (with each event's rank),
+   validating as we go: magic and version, string ids defined before use,
+   and — the completeness proof — per-rank sequence numbers contiguous
+   from zero.  [on_header]
    fires once, before the first event, with the rank count.  Sizes read
    from the file are checked against [max_ranks] and the file length
    before they reach an allocation. *)
@@ -250,19 +247,17 @@ let fold_file ?(on_header = fun (_ : int) -> ()) path ~init ~f =
                     let i64 off = Int64.to_int (Bytes.get_int64_le payload off) in
                     incr events;
                     acc :=
-                      f !acc
+                      f !acc rank
                         {
-                          ev_rank = rank;
-                          ev_seq = sq;
-                          ev_kind = kind;
-                          ev_cat = str 9;
-                          ev_name = str 13;
-                          ev_ts = Int64.float_of_bits (Bytes.get_int64_le payload 17);
-                          ev_dur = Int64.float_of_bits (Bytes.get_int64_le payload 25);
-                          ev_a = i64 33;
-                          ev_b = i64 41;
-                          ev_c = i64 49;
-                          ev_d = i64 57;
+                          kind;
+                          cat = str 9;
+                          name = str 13;
+                          ts = Int64.float_of_bits (Bytes.get_int64_le payload 17);
+                          dur = Int64.float_of_bits (Bytes.get_int64_le payload 25);
+                          a = i64 33;
+                          b = i64 41;
+                          c = i64 49;
+                          d = i64 57;
                         }
                 | _ ->
                     (* Unknown tag (including the retired tag-3 vector
@@ -282,56 +277,3 @@ let fold_file ?(on_header = fun (_ : int) -> ()) path ~init ~f =
       | exn ->
           close_in_noerr ic;
           raise exn)
-
-(* Offline converter: stream file -> Chrome trace-event JSON, using the
-   same rendering rules (flow arrows, zero-duration clamping, per-rank
-   CPU tracks) as the in-memory exporter, in bounded memory: the output
-   buffer drains to [dst] every [flush_threshold] bytes. *)
-let convert_to_chrome ~src ~dst =
-  match open_out dst with
-  | exception Sys_error msg -> Error msg
-  | oc ->
-      let buf = Buffer.create (flush_threshold + 4096) in
-      (* (root, traceEvents array, nranks), built once the header is read. *)
-      let ctx = ref None in
-      let fold_result =
-        fold_file src
-          ~on_header:(fun nranks ->
-            let root = Json_out.start_obj buf in
-            Json_out.field_str root "displayTimeUnit" "ms";
-            Json_out.key root "otherData";
-            let od = Json_out.start_obj buf in
-            Json_out.field_int od "droppedEvents" 0;
-            Json_out.field_str od "sink" "stream";
-            Json_out.end_obj od;
-            Json_out.key root "traceEvents";
-            let arr = Json_out.start_arr buf in
-            Trace_chrome.thread_names buf arr ~nranks;
-            ctx := Some (root, arr, nranks))
-          ~init:()
-          ~f:(fun () ev ->
-            match !ctx with
-            | None -> ()
-            | Some (_, arr, nranks) ->
-                if Buffer.length buf >= flush_threshold then begin
-                  Buffer.output_buffer oc buf;
-                  Buffer.clear buf
-                end;
-                Trace_chrome.event buf arr ~nranks ~rank:ev.ev_rank ~kind:ev.ev_kind
-                  ~cat:ev.ev_cat ~name:ev.ev_name ~ts:ev.ev_ts ~dur:ev.ev_dur ~a:ev.ev_a
-                  ~b:ev.ev_b ~c:ev.ev_c ~d:ev.ev_d)
-      in
-      let result =
-        match fold_result with
-        | Error _ as e -> e
-        | Ok ((), summary) -> (
-            match !ctx with
-            | None -> Error "empty trace stream: header missing"
-            | Some (root, arr, _) ->
-                Json_out.end_arr arr;
-                Json_out.end_obj root;
-                Buffer.output_buffer oc buf;
-                Ok summary)
-      in
-      close_out oc;
-      result

@@ -7,6 +7,27 @@
     is ever dropped.  A reader proves completeness by checking that the
     sequence numbers of every rank are contiguous from zero. *)
 
+(** {1 The event record}
+
+    Shared by every sink and reader; the emitting rank travels beside it
+    (the folds' [int] argument). *)
+
+type kind = Begin | End | Instant | Complete
+
+type event = {
+  kind : kind;
+  cat : string;  (** layer: ["sched"], ["sim"], ["coll"], ["p2p"], ["kamping"], ["timer"] *)
+  name : string;
+  ts : float;  (** virtual time; for [Complete], the span's {e end} *)
+  dur : float;  (** span length, [Complete] only *)
+  a : int;  (** event args, [-1] when unused. [send]: a=dst b=seq c=bytes; *)
+  b : int;  (** [match]/[match_wait]: a=src b=seq c=bytes; [park]/[resume]: none *)
+  c : int;
+  d : int;  (** the emitting rank's Lamport clock on send/match instants *)
+}
+
+(** {1 Writer} *)
+
 type t
 
 (** Largest rank count a stream may declare (2{^20}); the reader rejects
@@ -17,25 +38,11 @@ val max_ranks : int
     Raises [Invalid_argument] unless [1 <= ranks <= max_ranks]. *)
 val create : path:string -> ranks:int -> t
 
-val write_event :
-  t ->
-  rank:int ->
-  kind:Trace_chrome.kind ->
-  cat:string ->
-  name:string ->
-  ts:float ->
-  dur:float ->
-  a:int ->
-  b:int ->
-  c:int ->
-  d:int ->
-  unit
+(** Append one event of [rank]. *)
+val write_event : t -> rank:int -> event -> unit
 
 (** Events written so far (all ranks). *)
 val events_written : t -> int
-
-(** Next per-rank sequence number (= events written for that rank). *)
-val seq : t -> int -> int
 
 (** Flush and close the underlying channel.  Idempotent; writing after
     [close] raises. *)
@@ -43,24 +50,11 @@ val close : t -> unit
 
 (** {1 Reader} *)
 
-type event = {
-  ev_rank : int;
-  ev_seq : int;
-  ev_kind : Trace_chrome.kind;
-  ev_cat : string;
-  ev_name : string;
-  ev_ts : float;
-  ev_dur : float;
-  ev_a : int;
-  ev_b : int;
-  ev_c : int;
-  ev_d : int;
-}
-
 type summary = { s_ranks : int; s_events : int }
 
-(** Stream the records of a file through [f], validating the header, the
-    string table and the per-rank sequence contiguity; [on_header] fires
+(** Stream the events of a file through [f] (with the emitting rank), in
+    file order — each rank's events in emission order — validating the
+    header, the string table and the per-rank sequence contiguity; [on_header] fires
     once with the rank count before the first event.  Records of unknown
     tags (including the vector-clock records older writers emitted as
     tag 3) are skipped by length.  Returns the folded value and a
@@ -72,10 +66,5 @@ val fold_file :
   ?on_header:(int -> unit) ->
   string ->
   init:'a ->
-  f:('a -> event -> 'a) ->
+  f:('a -> int -> event -> 'a) ->
   ('a * summary, string) result
-
-(** Offline converter to Chrome trace-event JSON (chrome://tracing,
-    Perfetto), with the same flow arrows and zero-duration clamping as
-    {!Trace.chrome_json_into}; runs in bounded memory. *)
-val convert_to_chrome : src:string -> dst:string -> (summary, string) result

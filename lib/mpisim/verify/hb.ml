@@ -94,17 +94,17 @@ module Clocks = struct
     row.(rank) <- row.(rank) + 1;
     t.rows.(rank) <- row
 
-  (* Apply one stream event (ranks are validated by the reader); returns
-     true if it was a send or a match, i.e. it derived a clock. *)
-  let step t (ev : Trace_stream.event) =
-    match ev.Trace_stream.ev_cat, ev.ev_name with
+  (* Apply one event of [rank] (ranks are validated by the reader);
+     returns true if it was a send or a match, i.e. it derived a clock. *)
+  let step t rank (ev : Trace_stream.event) =
+    match (ev.cat, ev.name) with
     | "sim", "send" ->
-        advance t ev.ev_rank [||];
-        Hashtbl.replace t.snaps ev.ev_b (Array.copy t.rows.(ev.ev_rank));
+        advance t rank [||];
+        Hashtbl.replace t.snaps ev.b (Array.copy t.rows.(rank));
         true
     | "sim", ("match" | "match_wait") ->
-        let snap = Option.value (Hashtbl.find_opt t.snaps ev.ev_b) ~default:[||] in
-        advance t ev.ev_rank snap;
+        let snap = Option.value (Hashtbl.find_opt t.snaps ev.b) ~default:[||] in
+        advance t rank snap;
         true
     | _ -> false
 
@@ -157,83 +157,79 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
                   s1.s_seq s1.s_rank (show s1.s_vc) s2.s_seq s2.s_rank (show s2.s_vc)))
     end
   in
-  let on_event (ev : Trace_stream.event) =
-    if Clocks.step !clocks ev then incr vcs;
-    match ev.Trace_stream.ev_cat with
+  let on_event rank (ev : Trace_stream.event) =
+    if Clocks.step !clocks rank ev then incr vcs;
+    match ev.cat with
     | "sim" -> (
-        match ev.ev_name with
+        match ev.name with
         | "send" ->
             let s =
               {
-                s_rank = ev.ev_rank;
-                s_dst = ev.ev_a;
-                s_seq = ev.ev_b;
-                s_bytes = ev.ev_c;
-                s_ts = ev.ev_ts;
+                s_rank = rank;
+                s_dst = ev.a;
+                s_seq = ev.b;
+                s_bytes = ev.c;
+                s_ts = ev.ts;
                 s_tag = min_int;
                 s_ctx = min_int;
                 s_sync = false;
-                s_vc = Option.value (Clocks.send_clock !clocks ev.ev_b) ~default:[||];
+                s_vc = Option.value (Clocks.send_clock !clocks ev.b) ~default:[||];
               }
             in
-            Hashtbl.replace sends ev.ev_b s
+            Hashtbl.replace sends ev.b s
         | "send_meta" -> (
-            match Hashtbl.find_opt sends ev.ev_b with
+            match Hashtbl.find_opt sends ev.b with
             | Some s ->
-                s.s_tag <- ev.ev_a;
-                s.s_ctx <- ev.ev_c;
-                s.s_sync <- ev.ev_d = 1
+                s.s_tag <- ev.a;
+                s.s_ctx <- ev.c;
+                s.s_sync <- ev.d = 1
             | None -> ())
         | "post" ->
             let po =
               {
-                po_rank = ev.ev_rank;
-                po_src = ev.ev_a;
-                po_tag = ev.ev_b;
-                po_ctx = ev.ev_c;
-                po_id = ev.ev_d;
+                po_rank = rank;
+                po_src = ev.a;
+                po_tag = ev.b;
+                po_ctx = ev.c;
+                po_id = ev.d;
                 po_match_seq = -1;
               }
             in
             posts := po :: !posts;
-            Hashtbl.replace posts_by_key (ev.ev_rank, ev.ev_d) po
+            Hashtbl.replace posts_by_key (rank, ev.d) po
         | "matched" -> (
-            match Hashtbl.find_opt posts_by_key (ev.ev_rank, ev.ev_a) with
-            | Some po -> po.po_match_seq <- ev.ev_b
+            match Hashtbl.find_opt posts_by_key (rank, ev.a) with
+            | Some po -> po.po_match_seq <- ev.b
             | None -> ())
         | "match" | "match_wait" ->
             incr n_matches;
-            Hashtbl.replace match_ts ev.ev_b (ev.ev_rank, ev.ev_ts);
+            Hashtbl.replace match_ts ev.b (rank, ev.ts);
             List.iter
-              (fun sp -> sp.span_matches <- ev.ev_b :: sp.span_matches)
-              !coll_stacks.(ev.ev_rank)
+              (fun sp -> sp.span_matches <- ev.b :: sp.span_matches)
+              !coll_stacks.(rank)
         | _ -> ())
     | "coll" -> (
-        let stacks = !coll_stacks and r = ev.ev_rank in
-        match (ev.ev_kind, ev.ev_name, stacks.(r)) with
-        | Trace_chrome.Begin, _, stack ->
-            stacks.(r) <- { nc = false; span_matches = [] } :: stack
-        | Trace_chrome.End, _, sp :: rest ->
-            stacks.(r) <- rest;
-            nc_span_done r sp
-        | Trace_chrome.Instant, "nc_order", sp :: _ -> sp.nc <- true
+        let stacks = !coll_stacks in
+        match (ev.kind, ev.name, stacks.(rank)) with
+        | Begin, _, stack -> stacks.(rank) <- { nc = false; span_matches = [] } :: stack
+        | End, _, sp :: rest ->
+            stacks.(rank) <- rest;
+            nc_span_done rank sp
+        | Instant, "nc_order", sp :: _ -> sp.nc <- true
         | _ -> ())
     | _ -> ()
   in
-  let fold =
+  match
     Trace_stream.fold_file path
       ~on_header:(fun ranks ->
         nranks := ranks;
         clocks := Clocks.create ~ranks;
         coll_stacks := Array.make ranks [])
-      ~init:0
-      ~f:(fun n ev ->
-        on_event ev;
-        n + 1)
-  in
-  match fold with
+      ~init:()
+      ~f:(fun () -> on_event)
+  with
   | Error msg -> Error msg
-  | Ok (events, summary) ->
+  | Ok ((), summary) ->
       let internal s = s.s_tag > Comm.max_user_tag in
       (* Wildcard races: for each wildcard post that matched, find the
          pattern-compatible alternative sends concurrent with the chosen
@@ -310,7 +306,7 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
         {
           findings;
           ranks = summary.Trace_stream.s_ranks;
-          events;
+          events = summary.s_events;
           sends = Hashtbl.length sends;
           matches = !n_matches;
           wildcard_posts = !wildcard_posts;

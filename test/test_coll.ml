@@ -323,17 +323,13 @@ let test_allgatherv_byte_volume () =
 
 (* --- Algorithm-selection engine (ISSUE 5) --- *)
 
-(* Pin algorithms for the duration of [f], then restore whatever the
-   environment configures, so property iterations cannot leak into each
-   other or into unrelated tests. *)
-let with_overrides spec f =
-  Coll_algo.set_overrides spec;
-  Fun.protect ~finally:Coll_algo.refresh_from_env f
-
-(* Heavy-sanitizer run that requires every rank to survive. *)
-let run_checked ~ranks body =
+(* Heavy-sanitizer run, with [pins] in its model, that requires every
+   rank to survive. *)
+let run_checked ?(pins = []) ~ranks body =
   let results, _ =
-    Engine.run_collect ~model:Net_model.zero_cost ~check_level:Check.Heavy ~ranks body
+    Engine.run_collect
+      ~model:(Coll_algo.pin pins Net_model.zero_cost)
+      ~check_level:Check.Heavy ~ranks body
   in
   Array.map
     (function Some v -> v | None -> Alcotest.fail "rank died in algorithm property")
@@ -373,17 +369,16 @@ let prop_allreduce_algorithms =
       List.for_all
         (fun algo ->
           let results =
-            with_overrides
-              [ (Coll_algo.Allreduce, Some algo) ]
-              (fun () ->
-                run_checked ~ranks:p (fun comm ->
-                    let r = Comm.rank comm in
-                    let sum =
-                      Coll.allreduce comm Datatype.int Reduce_op.int_sum
-                        (data_for ~seed ~rank:r ~len)
-                    in
-                    let chained = Coll.allreduce comm Datatype.int (nc_op ()) (nc_data ~rank:r) in
-                    (sum, chained)))
+            run_checked ~pins:[ (Coll_algo.Allreduce, Some algo) ] ~ranks:p (fun comm ->
+                let r = Comm.rank comm in
+                let sum =
+                  Coll.allreduce comm Datatype.int Reduce_op.int_sum
+                    (data_for ~seed ~rank:r ~len)
+                in
+                let chained =
+                  Coll.allreduce comm Datatype.int (nc_op ()) (nc_data ~rank:r)
+                in
+                (sum, chained))
           in
           Array.for_all (fun (sum, chained) -> sum = expected && chained = nc_exp) results)
         [ Coll_algo.Reduce_bcast; Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ])
@@ -398,12 +393,9 @@ let prop_allgather_algorithms =
       List.for_all
         (fun algo ->
           let results =
-            with_overrides
-              [ (Coll_algo.Allgather, Some algo) ]
-              (fun () ->
-                run_checked ~ranks:p (fun comm ->
-                    Coll.allgather comm Datatype.int
-                      (data_for ~seed ~rank:(Comm.rank comm) ~len)))
+            run_checked ~pins:[ (Coll_algo.Allgather, Some algo) ] ~ranks:p (fun comm ->
+                Coll.allgather comm Datatype.int
+                  (data_for ~seed ~rank:(Comm.rank comm) ~len))
           in
           Array.for_all (fun res -> res = expected) results)
         [ Coll_algo.Bruck; Coll_algo.Ring ])
@@ -417,12 +409,9 @@ let prop_bcast_algorithms =
       List.for_all
         (fun algo ->
           let results =
-            with_overrides
-              [ (Coll_algo.Bcast, Some algo) ]
-              (fun () ->
-                run_checked ~ranks:p (fun comm ->
-                    Coll.bcast comm Datatype.int ~root
-                      (if Comm.rank comm = root then Some expected else None)))
+            run_checked ~pins:[ (Coll_algo.Bcast, Some algo) ] ~ranks:p (fun comm ->
+                Coll.bcast comm Datatype.int ~root
+                  (if Comm.rank comm = root then Some expected else None))
           in
           Array.for_all (fun res -> res = expected) results)
         [ Coll_algo.Binomial; Coll_algo.Scatter_allgather ])
@@ -450,26 +439,24 @@ let prop_reduce_scatter_algorithms =
       let nc_exp = nc_expected p in
       List.for_all
         (fun algo ->
+          let pins = [ (Coll_algo.Reduce_scatter, Some algo) ] in
           let results =
-            with_overrides
-              [ (Coll_algo.Reduce_scatter, Some algo) ]
-              (fun () ->
-                run_checked ~ranks:p (fun comm ->
-                    let r = Comm.rank comm in
-                    let mine =
-                      Coll.reduce_scatter comm Datatype.int Reduce_op.int_sum ~recv_counts
-                        (data_for ~seed ~rank:r ~len:total)
-                    in
-                    (* Non-commutative operator stays order-exact under any
-                       override (uniform blocks so every rank gets one). *)
-                    let nc =
-                      if p <= nc_len then
-                        Coll.reduce_scatter comm Datatype.int (nc_op ())
-                          ~recv_counts:(Array.make p 1)
-                          (Array.sub (nc_data ~rank:r) 0 p)
-                      else [||]
-                    in
-                    (mine, nc)))
+            run_checked ~pins ~ranks:p (fun comm ->
+                let r = Comm.rank comm in
+                let mine =
+                  Coll.reduce_scatter comm Datatype.int Reduce_op.int_sum ~recv_counts
+                    (data_for ~seed ~rank:r ~len:total)
+                in
+                (* Non-commutative operator stays order-exact under any
+                   override (uniform blocks so every rank gets one). *)
+                let nc =
+                  if p <= nc_len then
+                    Coll.reduce_scatter comm Datatype.int (nc_op ())
+                      ~recv_counts:(Array.make p 1)
+                      (Array.sub (nc_data ~rank:r) 0 p)
+                  else [||]
+                in
+                (mine, nc))
           in
           Array.for_all
             (fun r ->
@@ -479,30 +466,39 @@ let prop_reduce_scatter_algorithms =
             (Array.init p Fun.id))
         [ Coll_algo.Reduce_scatterv; Coll_algo.Pairwise ])
 
-(* MPISIM_COLL_ALGO forces the named algorithms even where the automatic
-   choice would differ (tiny messages would pick recursive doubling and
-   Bruck), and the choice is observable in the stats counters. *)
-let test_env_override () =
-  Unix.putenv "MPISIM_COLL_ALGO" "allreduce=rabenseifner,allgather=ring";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "MPISIM_COLL_ALGO" "";
-      Coll_algo.refresh_from_env ())
-    (fun () ->
-      Coll_algo.refresh_from_env ();
-      let _, report =
-        Engine.run_collect ~model:Net_model.omnipath ~ranks:4 (fun comm ->
+(* Pins belong to the run's model: two pooled runs pinned to different
+   allreduce algorithms (tiny messages, where the automatic choice is
+   recursive doubling) each count only their own algorithm, on every
+   rank, however the pool interleaves them. *)
+let test_pins_per_run () =
+  let calls = 20 and ranks = 4 in
+  let run spec () =
+    let pins = Result.get_ok (Coll_algo.parse_spec spec) in
+    let _, report =
+      Engine.run_collect ~model:(Coll_algo.pin pins Net_model.omnipath) ~ranks (fun comm ->
+          for _ = 1 to calls do
             ignore
-              (Coll.allreduce comm Datatype.int Reduce_op.int_sum (Array.init 8 Fun.id));
-            ignore (Coll.allgather comm Datatype.int [| Comm.rank comm |]))
-      in
-      let count name = Stats.count (Stats.counter report.Engine.stats name) in
-      Alcotest.(check int) "rabenseifner forced on all ranks" 4
-        (count "coll.algo.allreduce.rabenseifner");
-      Alcotest.(check int) "auto choice bypassed" 0
-        (count "coll.algo.allreduce.recursive_doubling");
-      Alcotest.(check int) "ring forced on all ranks" 4 (count "coll.algo.allgather.ring");
-      Alcotest.(check int) "bruck bypassed" 0 (count "coll.algo.allgather.bruck"))
+              (Coll.allreduce comm Datatype.int Reduce_op.int_sum (Array.init 8 Fun.id))
+          done)
+    in
+    report.Engine.stats
+  in
+  let pinned = [ Coll_algo.Rabenseifner; Coll_algo.Recursive_doubling ] in
+  let stats =
+    Engine.run_many
+      (List.map (fun a -> run ("allreduce=" ^ Coll_algo.algo_name a)) pinned)
+  in
+  List.iter2
+    (fun algo st ->
+      List.iter
+        (fun other ->
+          let name = Coll_algo.counter_name Coll_algo.Allreduce other in
+          Alcotest.(check int)
+            (Coll_algo.algo_name algo ^ " run: " ^ name)
+            (if other = algo then calls * ranks else 0)
+            (Stats.count (Stats.counter st name)))
+        [ Coll_algo.Reduce_bcast; Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ])
+    pinned stats
 
 (* The selected algorithm is visible both as a counter and as a trace
    span nested inside the collective's span. *)
@@ -516,9 +512,10 @@ let test_algo_observability () =
     (Stats.count
        (Stats.counter report.Engine.stats "coll.algo.allreduce.recursive_doubling"));
   let span_seen = ref false in
-  Trace.iter_events report.Engine.trace 0 (fun e ->
-      if e.Trace.cat = "coll" && e.Trace.name = "allreduce.recursive_doubling" then
-        span_seen := true);
+  List.iter
+    (fun (e : Trace_stream.event) ->
+      if e.cat = "coll" && e.name = "allreduce.recursive_doubling" then span_seen := true)
+    (Trace.events report.Engine.trace 0);
   Alcotest.(check bool) "trace span carries algorithm name" true !span_seen
 
 (* --- One schedule, three drivers --- *)
@@ -544,9 +541,11 @@ let wait_result (req, cell) =
    [nonblocking] are the ad-hoc calls for cycle c; [init] builds the
    persistent request, returning a per-cycle input refresh and the
    result read-out. *)
-let run_driver ~p drv ~blocking ~nonblocking ~init =
+let run_driver ?(pins = []) ~p drv ~blocking ~nonblocking ~init =
   let results, report =
-    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
+    Engine.run_collect
+      ~model:(Coll_algo.pin pins Net_model.ethernet)
+      ~clock_mode:Runtime.Virtual_only
       ~check_level:Check.Heavy ~ranks:p (fun comm ->
         match drv with
         | Blocking -> Array.concat (List.init cycles (blocking comm))
@@ -566,8 +565,8 @@ let run_driver ~p drv ~blocking ~nonblocking ~init =
   in
   (Array.map Option.get results, report.Engine.max_time)
 
-let drivers_agree ~p ~blocking ~nonblocking ~init =
-  let run drv = run_driver ~p drv ~blocking ~nonblocking ~init in
+let drivers_agree ~pins ~p ~blocking ~nonblocking ~init =
+  let run drv = run_driver ~pins ~p drv ~blocking ~nonblocking ~init in
   let b, tb = run Blocking and n, tn = run Nonblocking and q, _ = run Persistent in
   b = n && b = q && tb = tn
 
@@ -578,19 +577,16 @@ let prop_allreduce_drivers =
     gen_drivers (fun (p, seed, len) ->
       List.for_all
         (fun (algo, op) ->
-          with_overrides
-            [ (Coll_algo.Allreduce, Some algo) ]
-            (fun () ->
-              let input comm c = cycle_data ~seed ~rank:(Comm.rank comm) ~cycle:c ~len in
-              drivers_agree ~p
-                ~blocking:(fun comm c -> Coll.allreduce comm Datatype.int op (input comm c))
-                ~nonblocking:(fun comm c ->
-                  Coll.iallreduce comm Datatype.int op (input comm c))
-                ~init:(fun comm ->
-                  let src = Array.make len 0 and dst = Array.make len 0 in
-                  ( Coll.allreduce_init comm Datatype.int op ~src ~dst,
-                    (fun c -> Array.blit (input comm c) 0 src 0 len),
-                    fun () -> Array.copy dst ))))
+          let input comm c = cycle_data ~seed ~rank:(Comm.rank comm) ~cycle:c ~len in
+          drivers_agree ~pins:[ (Coll_algo.Allreduce, Some algo) ] ~p
+            ~blocking:(fun comm c -> Coll.allreduce comm Datatype.int op (input comm c))
+            ~nonblocking:(fun comm c ->
+              Coll.iallreduce comm Datatype.int op (input comm c))
+            ~init:(fun comm ->
+              let src = Array.make len 0 and dst = Array.make len 0 in
+              ( Coll.allreduce_init comm Datatype.int op ~src ~dst,
+                (fun c -> Array.blit (input comm c) 0 src 0 len),
+                fun () -> Array.copy dst )))
         [
           (Coll_algo.Reduce_bcast, Reduce_op.int_sum);
           (Coll_algo.Recursive_doubling, Reduce_op.int_sum);
@@ -606,19 +602,16 @@ let prop_bcast_drivers =
       let data comm c = if Comm.rank comm = root then Some (payload c) else None in
       List.for_all
         (fun algo ->
-          with_overrides
-            [ (Coll_algo.Bcast, Some algo) ]
-            (fun () ->
-              drivers_agree ~p
-                ~blocking:(fun comm c -> Coll.bcast comm Datatype.int ~root (data comm c))
-                ~nonblocking:(fun comm c ->
-                  Coll.ibcast comm Datatype.int ~root (data comm c))
-                ~init:(fun comm ->
-                  let buf = Array.make len 0 in
-                  ( Coll.bcast_init comm Datatype.int ~root buf,
-                    (fun c ->
-                      if Comm.rank comm = root then Array.blit (payload c) 0 buf 0 len),
-                    fun () -> Array.copy buf ))))
+          drivers_agree ~pins:[ (Coll_algo.Bcast, Some algo) ] ~p
+            ~blocking:(fun comm c -> Coll.bcast comm Datatype.int ~root (data comm c))
+            ~nonblocking:(fun comm c ->
+              Coll.ibcast comm Datatype.int ~root (data comm c))
+            ~init:(fun comm ->
+              let buf = Array.make len 0 in
+              ( Coll.bcast_init comm Datatype.int ~root buf,
+                (fun c ->
+                  if Comm.rank comm = root then Array.blit (payload c) 0 buf 0 len),
+                fun () -> Array.copy buf )))
         [ Coll_algo.Binomial; Coll_algo.Scatter_allgather ])
 
 let prop_reduce_scatter_drivers =
@@ -633,21 +626,18 @@ let prop_reduce_scatter_drivers =
       let input comm c = cycle_data ~seed ~rank:(Comm.rank comm) ~cycle:c ~len:total in
       List.for_all
         (fun algo ->
-          with_overrides
-            [ (Coll_algo.Reduce_scatter, Some algo) ]
-            (fun () ->
-              let op = Reduce_op.int_sum in
-              drivers_agree ~p
-                ~blocking:(fun comm c ->
-                  Coll.reduce_scatter comm Datatype.int op ~recv_counts (input comm c))
-                ~nonblocking:(fun comm c ->
-                  Coll.ireduce_scatter comm Datatype.int op ~recv_counts (input comm c))
-                ~init:(fun comm ->
-                  let src = Array.make total 0 in
-                  let dst = Array.make recv_counts.(Comm.rank comm) 0 in
-                  ( Coll.reduce_scatter_init comm Datatype.int op ~recv_counts ~src ~dst,
-                    (fun c -> Array.blit (input comm c) 0 src 0 total),
-                    fun () -> Array.copy dst ))))
+          let op = Reduce_op.int_sum in
+          drivers_agree ~pins:[ (Coll_algo.Reduce_scatter, Some algo) ] ~p
+            ~blocking:(fun comm c ->
+              Coll.reduce_scatter comm Datatype.int op ~recv_counts (input comm c))
+            ~nonblocking:(fun comm c ->
+              Coll.ireduce_scatter comm Datatype.int op ~recv_counts (input comm c))
+            ~init:(fun comm ->
+              let src = Array.make total 0 in
+              let dst = Array.make recv_counts.(Comm.rank comm) 0 in
+              ( Coll.reduce_scatter_init comm Datatype.int op ~recv_counts ~src ~dst,
+                (fun c -> Array.blit (input comm c) 0 src 0 total),
+                fun () -> Array.copy dst )))
         [ Coll_algo.Reduce_scatterv; Coll_algo.Pairwise ])
 
 (* alltoallv has no persistent form: blocking against nonblocking only. *)
@@ -685,24 +675,22 @@ let test_icollective_recorded_once () =
   let p = 4 and n = 10 in
   List.iter
     (fun algo ->
-      with_overrides
-        [ (Coll_algo.Allreduce, Some algo) ]
-        (fun () ->
-          let report =
-            Engine.run ~model:Net_model.zero_cost ~ranks:p (fun comm ->
-                let sum = Reduce_op.int_sum in
-                ignore (wait_result (Coll.iallreduce comm Datatype.int sum (Array.make n 1))))
-          in
-          let rows op = List.filter (fun (o, _, _) -> o = op) report.Engine.profile in
-          let name = Coll_algo.algo_name algo in
-          Alcotest.(check (list (triple string int int)))
-            (name ^ ": one iallreduce entry, 8n bytes per call")
-            [ ("iallreduce", p, p * 8 * n) ]
-            (rows "iallreduce");
-          List.iter
-            (fun op ->
-              Alcotest.(check int) (name ^ ": no " ^ op ^ " entry") 0 (List.length (rows op)))
-            [ "allreduce"; "reduce"; "bcast" ]))
+      let model = Coll_algo.pin [ (Coll_algo.Allreduce, Some algo) ] Net_model.zero_cost in
+      let report =
+        Engine.run ~model ~ranks:p (fun comm ->
+            let sum = Reduce_op.int_sum in
+            ignore (wait_result (Coll.iallreduce comm Datatype.int sum (Array.make n 1))))
+      in
+      let rows op = List.filter (fun (o, _, _) -> o = op) report.Engine.profile in
+      let name = Coll_algo.algo_name algo in
+      Alcotest.(check (list (triple string int int)))
+        (name ^ ": one iallreduce entry, 8n bytes per call")
+        [ ("iallreduce", p, p * 8 * n) ]
+        (rows "iallreduce");
+      List.iter
+        (fun op ->
+          Alcotest.(check int) (name ^ ": no " ^ op ^ " entry") 0 (List.length (rows op)))
+        [ "allreduce"; "reduce"; "bcast" ])
     [ Coll_algo.Reduce_bcast; Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ]
 
 (* The overlap setting: 8 ranks, a 64 KiB int allreduce, Ethernet. *)
@@ -831,35 +819,33 @@ let prop_nc_reduce_any_root =
    receives from the same neighbour. *)
 let test_halo_beside_icollectives () =
   let p = 4 in
+  let pins = [ (Coll_algo.Allreduce, Some Coll_algo.Reduce_bcast) ] in
   let results =
-    with_overrides
-      [ (Coll_algo.Allreduce, Some Coll_algo.Reduce_bcast) ]
-      (fun () ->
-        run_checked ~ranks:p (fun comm ->
-            let cart = Cart.create comm ~dims:[| 2; 2 |] ~periods:[| true; true |] in
-            let comm = Cart.comm cart in
-            let r = Comm.rank comm in
-            let sum = Reduce_op.int_sum in
-            let a = Coll.iallreduce comm Datatype.int sum [| r |] in
-            let b = Coll.iallreduce comm Datatype.int sum [| 10 * r |] in
-            let halo dim =
-              match
-                Cart.halo_exchange cart Datatype.int ~dim ~to_prev:[| r; dim |]
-                  ~to_next:[| r; dim |]
-              with
-              | Some prev, Some next -> (prev, next)
-              | _ -> Alcotest.fail "periodic grid has both neighbours"
-            in
-            let h0 = halo 0 and h1 = halo 1 in
-            let result (req, cell) =
-              ignore (Request.wait req);
-              (Option.get !cell).(0)
-            in
-            let neighbour dim disp = Option.get (snd (Cart.shift cart ~dim ~disp)) in
-            let expect_halo dim (prev, next) =
-              prev = [| neighbour dim (-1); dim |] && next = [| neighbour dim 1; dim |]
-            in
-            expect_halo 0 h0 && expect_halo 1 h1 && result a = 6 && result b = 60))
+    run_checked ~pins ~ranks:p (fun comm ->
+        let cart = Cart.create comm ~dims:[| 2; 2 |] ~periods:[| true; true |] in
+        let comm = Cart.comm cart in
+        let r = Comm.rank comm in
+        let sum = Reduce_op.int_sum in
+        let a = Coll.iallreduce comm Datatype.int sum [| r |] in
+        let b = Coll.iallreduce comm Datatype.int sum [| 10 * r |] in
+        let halo dim =
+          match
+            Cart.halo_exchange cart Datatype.int ~dim ~to_prev:[| r; dim |]
+              ~to_next:[| r; dim |]
+          with
+          | Some prev, Some next -> (prev, next)
+          | _ -> Alcotest.fail "periodic grid has both neighbours"
+        in
+        let h0 = halo 0 and h1 = halo 1 in
+        let result (req, cell) =
+          ignore (Request.wait req);
+          (Option.get !cell).(0)
+        in
+        let neighbour dim disp = Option.get (snd (Cart.shift cart ~dim ~disp)) in
+        let expect_halo dim (prev, next) =
+          prev = [| neighbour dim (-1); dim |] && next = [| neighbour dim 1; dim |]
+        in
+        expect_halo 0 h0 && expect_halo 1 h1 && result a = 6 && result b = 60)
   in
   Alcotest.(check bool) "halos and reductions intact on every rank" true
     (Array.for_all Fun.id results)
@@ -870,10 +856,9 @@ let test_posted_comm_matrix_label () =
   let algo = Coll_algo.Recursive_doubling in
   let labels body =
     let _, report =
-      with_overrides
-        [ (Coll_algo.Allreduce, Some algo) ]
-        (fun () ->
-          Engine.run_collect ~model:Net_model.zero_cost ~comm_matrix:true ~ranks:4 body)
+      Engine.run_collect
+        ~model:(Coll_algo.pin [ (Coll_algo.Allreduce, Some algo) ] Net_model.zero_cost)
+        ~comm_matrix:true ~ranks:4 body
     in
     List.sort_uniq compare
       (List.map
@@ -921,7 +906,7 @@ let tests =
     qtest prop_allgather_algorithms;
     qtest prop_bcast_algorithms;
     qtest prop_reduce_scatter_algorithms;
-    Alcotest.test_case "MPISIM_COLL_ALGO overrides selection" `Quick test_env_override;
+    Alcotest.test_case "pins are per-run under run_many" `Quick test_pins_per_run;
     Alcotest.test_case "algorithm choice is observable" `Quick test_algo_observability;
     qtest prop_allreduce_drivers;
     qtest prop_bcast_drivers;

@@ -45,7 +45,7 @@ let test_stream_sink_complete () =
   Alcotest.(check int) "nothing dropped" 0 (Trace.total_dropped tr);
   let written = Trace.stream_events tr in
   Alcotest.(check bool) "events were streamed" true (written > 0);
-  (match Trace_stream.fold_file path ~init:0 ~f:(fun n _ -> n + 1) with
+  (match Trace_stream.fold_file path ~init:0 ~f:(fun n _ _ -> n + 1) with
   | Error msg -> Alcotest.fail msg
   | Ok (n, s) ->
       (* The fold validates per-rank sequence contiguity from zero, so
@@ -62,7 +62,7 @@ let test_stream_convert_valid_json () =
     Engine.run_collect ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:4
       mixed_program
   in
-  (match Trace_stream.convert_to_chrome ~src:path ~dst:out with
+  (match Trace_chrome.convert ~src:path ~dst:out with
   | Error msg -> Alcotest.fail msg
   | Ok s -> Alcotest.(check int) "converter rank count" 4 s.Trace_stream.s_ranks);
   let json = read_file out in
@@ -90,7 +90,7 @@ let test_stream_convert_deterministic () =
       Engine.run_collect ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:5
         mixed_program
     in
-    (match Trace_stream.convert_to_chrome ~src:path ~dst:out with
+    (match Trace_chrome.convert ~src:path ~dst:out with
     | Error msg -> Alcotest.fail msg
     | Ok _ -> ());
     let json = read_file out in
@@ -114,12 +114,136 @@ let test_stream_scale_bounded_memory () =
   Alcotest.(check int) "zero ring slots at p=4096" 0 (Trace.ring_capacity_total tr);
   Alcotest.(check int) "zero dropped at p=4096" 0 (Trace.total_dropped tr);
   let written = Trace.stream_events tr in
-  (match Trace_stream.fold_file path ~init:() ~f:(fun () _ -> ()) with
+  (match Trace_stream.fold_file path ~init:() ~f:(fun () _ _ -> ()) with
   | Error msg -> Alcotest.fail msg
   | Ok ((), s) ->
       Alcotest.(check int) "all 4096 ranks in the header" 4096 s.Trace_stream.s_ranks;
       Alcotest.(check int) "file holds every event" written s.Trace_stream.s_events);
   Sys.remove path
+
+(* --- one record, one reader: the two sinks agree --- *)
+
+(* Collectives (one non-commutative), p2p, a wildcard-source receive and
+   a nonblocking allreduce overlapped with compute.  The receive names its
+   tag: an [any_tag] receive would also match the in-flight allreduce's
+   internal messages (see ROADMAP). *)
+let cross_sink_program mpi =
+  let me = Comm.rank mpi and n = Comm.size mpi in
+  let rt = Comm.runtime mpi in
+  let req, cell = Coll.iallreduce mpi Datatype.int Reduce_op.int_sum [| me; 1 |] in
+  Runtime.charge_compute rt (Comm.world_rank mpi) (1e-6 *. float_of_int (me + 1));
+  ignore (Request.test req);
+  let chain = Reduce_op.custom ~commutative:false ~name:"chain" (fun a b -> (a * 31) + b) in
+  let r = Coll.reduce mpi Datatype.int chain ~root:0 [| me + 1 |] in
+  let b = Coll.bcast mpi Datatype.int ~root:1 (if me = 1 then Some [| 7; 8 |] else None) in
+  if me = 0 then
+    for _ = 1 to n - 1 do
+      ignore (P2p.recv mpi Datatype.int ~source:P2p.any_source ~tag:0 ())
+    done
+  else P2p.send mpi Datatype.int ~dest:0 [| me |];
+  ignore (Request.wait req);
+  mixed_program mpi + Array.length r + b.(0) + (Option.get !cell).(1)
+
+let analyzer_only (e : Trace_stream.event) =
+  match e.name with "post" | "matched" | "send_meta" | "nc_order" -> true | _ -> false
+
+let cross_sink_runs () =
+  let path = tmp "cross.bin" in
+  let run ?trace_capacity ?trace_stream () =
+    snd
+      (Engine.run_collect ~clock_mode:Runtime.Virtual_only ?trace_capacity ?trace_stream
+         ~ranks:4 cross_sink_program)
+  in
+  let ring = run ~trace_capacity:65536 () and stream = run ~trace_stream:path () in
+  (path, ring, stream)
+
+let test_cross_sink_events () =
+  let path, ring, stream = cross_sink_runs () in
+  let extra = ref 0 in
+  for r = 0 to 3 do
+    let streamed = Trace.events stream.Engine.trace r in
+    extra := !extra + List.length (List.filter analyzer_only streamed);
+    Alcotest.(check bool)
+      (Printf.sprintf "rank %d: same events, same order" r)
+      true
+      (Trace.events ring.Engine.trace r
+      = List.filter (fun e -> not (analyzer_only e)) streamed)
+  done;
+  Alcotest.(check bool) "the stream carried analyzer instants" true (!extra > 0);
+  Alcotest.(check int) "the ring dropped nothing" 0 (Trace.total_dropped ring.Engine.trace);
+  Sys.remove path
+
+let test_cross_sink_critical_path () =
+  let path, ring, stream = cross_sink_runs () in
+  let hops (r : Engine.report) = Trace_report.critical_path r.trace ~times:r.times in
+  let from_ring = hops ring in
+  Alcotest.(check bool) "the ring path crosses verified edges" true
+    (List.exists (fun h -> h.Trace_report.via_verified) from_ring);
+  Alcotest.(check bool) "the stream gives the ring's path" true (hops stream = from_ring);
+  Sys.remove path
+
+let test_cross_sink_chrome () =
+  let path, ring, stream = cross_sink_runs () in
+  let events json =
+    match Result.map (Json_in.member "traceEvents") (Json_in.parse json) with
+    | Ok (Some (Json_in.Arr evs)) ->
+        let analyzer e =
+          match Json_in.member "name" e with
+          | Some (Json_in.Str n) -> List.mem n [ "post"; "matched"; "send_meta"; "nc_order" ]
+          | _ -> false
+        in
+        List.sort compare (List.filter (fun e -> not (analyzer e)) evs)
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let from_stream = Trace.to_chrome_json stream.Engine.trace in
+  Alcotest.(check bool) "same set of events" true
+    (events (Trace.to_chrome_json ring.Engine.trace) = events from_stream);
+  let out = tmp "cross.json" in
+  (match Trace_chrome.convert ~src:path ~dst:out with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check string) "trace-convert writes the same JSON" from_stream (read_file out);
+  Sys.remove path;
+  Sys.remove out
+
+(* A capture cut short is rejected, and the converter leaves no output
+   file behind — also when the JSON written before the cut is past the
+   writer's 64 KiB drain point.  A cut on a record boundary is a valid,
+   shorter capture. *)
+let test_truncated_capture_leaves_no_output () =
+  let path = tmp "trunc_src.bin" and cut = tmp "trunc.bin" and out = tmp "trunc.json" in
+  let _ =
+    Engine.run_collect ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:8
+      (fun mpi ->
+        for _ = 1 to 20 do
+          ignore (mixed_program mpi)
+        done)
+  in
+  let bytes = read_file path in
+  let len = String.length bytes in
+  (match Trace_chrome.convert ~src:path ~dst:out with
+  | Ok _ ->
+      Alcotest.(check bool) "full export past the drain point" true
+        (String.length (read_file out) > 65536)
+  | Error msg -> Alcotest.fail msg);
+  let rejected = ref 0 in
+  List.iter
+    (fun at ->
+      Out_channel.with_open_bin cut (fun oc -> output_string oc (String.sub bytes 0 at));
+      match Trace_chrome.convert ~src:cut ~dst:out with
+      | Error _ ->
+          incr rejected;
+          Alcotest.(check bool)
+            (Printf.sprintf "cut at %d: no output file" at)
+            false (Sys.file_exists out)
+      | Ok _ -> (
+          match Json_in.parse (read_file out) with
+          | Ok _ -> Sys.remove out
+          | Error msg -> Alcotest.failf "cut at %d: converted to invalid JSON: %s" at msg))
+    [ 0; 3; 7; 11; 20; len / 3; len / 2; len - 40; len - 7; len - 1 ];
+  Alcotest.(check bool) "most cuts rejected" true (!rejected >= 7);
+  Sys.remove path;
+  Sys.remove cut
 
 (* --- zero-duration spans in the Chrome export --- *)
 
@@ -233,8 +357,8 @@ let test_lamport_send_match_instants () =
     let ds =
       List.filter_map
         (fun e ->
-          if e.Trace.kind = Trace.Instant && e.Trace.cat = "sim" && e.Trace.d >= 0 then
-            Some e.Trace.d
+          if e.Trace_stream.kind = Instant && e.cat = "sim" && e.d >= 0 then
+            Some e.Trace_stream.d
           else None)
         (Trace.events tr r)
     in
@@ -254,8 +378,8 @@ let test_lamport_send_match_instants () =
   for r = 0 to ranks - 1 do
     List.iter
       (fun e ->
-        if e.Trace.kind = Trace.Instant && e.Trace.cat = "sim" && e.Trace.name = "send"
-        then Hashtbl.replace sends e.Trace.b e.Trace.d)
+        if e.Trace_stream.kind = Instant && e.cat = "sim" && e.name = "send"
+        then Hashtbl.replace sends e.Trace_stream.b e.d)
       (Trace.events tr r)
   done;
   let checked = ref 0 in
@@ -263,14 +387,14 @@ let test_lamport_send_match_instants () =
     List.iter
       (fun e ->
         if
-          e.Trace.kind = Trace.Instant && e.Trace.cat = "sim"
-          && (e.Trace.name = "match" || e.Trace.name = "match_wait")
+          e.Trace_stream.kind = Instant && e.cat = "sim"
+          && (e.Trace_stream.name = "match" || e.name = "match_wait")
         then
-          match Hashtbl.find_opt sends e.Trace.b with
+          match Hashtbl.find_opt sends e.Trace_stream.b with
           | Some send_lam ->
               incr checked;
               Alcotest.(check bool) "send Lamport < match Lamport" true
-                (send_lam < e.Trace.d)
+                (send_lam < e.Trace_stream.d)
           | None -> ())
       (Trace.events tr r)
   done;
@@ -386,13 +510,13 @@ let test_chaos_flow_dedup =
             (fun (_, evs) ->
               List.iter
                 (fun e ->
-                  if e.Trace.kind = Trace.Instant && e.Trace.cat = "sim" then begin
+                  if e.Trace_stream.kind = Instant && e.cat = "sim" then begin
                     let bump tbl =
-                      Hashtbl.replace tbl e.Trace.b
-                        (1 + Option.value (Hashtbl.find_opt tbl e.Trace.b) ~default:0)
+                      Hashtbl.replace tbl e.Trace_stream.b
+                        (1 + Option.value (Hashtbl.find_opt tbl e.b) ~default:0)
                     in
-                    if e.Trace.name = "send" then bump sends
-                    else if e.Trace.name = "match" || e.Trace.name = "match_wait" then
+                    if e.Trace_stream.name = "send" then bump sends
+                    else if e.Trace_stream.name = "match" || e.name = "match_wait" then
                       bump matches
                   end)
                 evs)
@@ -415,9 +539,9 @@ let test_chaos_lamport_monotone =
                 List.filter_map
                   (fun e ->
                     if
-                      e.Trace.kind = Trace.Instant && e.Trace.cat = "sim"
-                      && e.Trace.d >= 0
-                    then Some e.Trace.d
+                      e.Trace_stream.kind = Instant && e.cat = "sim"
+                      && e.Trace_stream.d >= 0
+                    then Some e.Trace_stream.d
                     else None)
                   evs
               in
@@ -604,6 +728,11 @@ let tests =
       test_stream_convert_deterministic;
     Alcotest.test_case "stream scale p=4096 bounded memory" `Slow
       test_stream_scale_bounded_memory;
+    Alcotest.test_case "cross-sink events" `Quick test_cross_sink_events;
+    Alcotest.test_case "cross-sink critical path" `Quick test_cross_sink_critical_path;
+    Alcotest.test_case "cross-sink chrome export" `Quick test_cross_sink_chrome;
+    Alcotest.test_case "truncated capture leaves no output" `Quick
+      test_truncated_capture_leaves_no_output;
     Alcotest.test_case "zero-duration clamp" `Quick test_zero_duration_clamp;
     Alcotest.test_case "stats sorted iteration" `Quick test_stats_sorted_iteration;
     Alcotest.test_case "comm matrix attribution" `Quick test_comm_matrix_attribution;

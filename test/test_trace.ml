@@ -23,22 +23,22 @@ let test_span_nesting () =
       Trace.with_span tr ~rank:0 ~cat:"inner" ~name:"b" (fun () -> clocks.(0) <- 2.));
   (match Trace.events tr 0 with
   | [ e1; e2; e3; e4 ] ->
-      Alcotest.(check string) "outer begin" "a" e1.Trace.name;
-      Alcotest.(check bool) "outer begin kind" true (e1.Trace.kind = Trace.Begin);
-      Alcotest.(check string) "inner begin" "b" e2.Trace.name;
-      Alcotest.(check string) "inner end" "b" e3.Trace.name;
-      Alcotest.(check bool) "inner end kind" true (e3.Trace.kind = Trace.End);
-      Alcotest.(check string) "outer end" "a" e4.Trace.name;
+      Alcotest.(check string) "outer begin" "a" e1.Trace_stream.name;
+      Alcotest.(check bool) "outer begin kind" true (e1.Trace_stream.kind = Begin);
+      Alcotest.(check string) "inner begin" "b" e2.Trace_stream.name;
+      Alcotest.(check string) "inner end" "b" e3.Trace_stream.name;
+      Alcotest.(check bool) "inner end kind" true (e3.Trace_stream.kind = End);
+      Alcotest.(check string) "outer end" "a" e4.Trace_stream.name;
       Alcotest.(check bool) "timestamps ordered" true
-        (e1.Trace.ts <= e2.Trace.ts && e2.Trace.ts <= e3.Trace.ts
-        && e3.Trace.ts <= e4.Trace.ts)
+        (e1.Trace_stream.ts <= e2.ts && e2.ts <= e3.ts
+        && e3.ts <= e4.ts)
   | evs -> Alcotest.failf "expected 4 events, got %d" (List.length evs));
   (* Spans close even when the body raises. *)
   (try
      Trace.with_span tr ~rank:0 ~cat:"outer" ~name:"raise" (fun () -> failwith "boom")
    with Failure _ -> ());
   let ends =
-    find_events tr 0 (fun e -> e.Trace.kind = Trace.End && e.Trace.name = "raise")
+    find_events tr 0 (fun e -> e.Trace_stream.kind = End && e.name = "raise")
   in
   Alcotest.(check int) "span closed on exception" 1 (List.length ends)
 
@@ -49,10 +49,10 @@ let test_ring_eviction () =
   for i = 1 to 10 do
     Trace.instant tr ~rank:0 ~cat:"t" ~name:"e" ~a:i ~b:(-1) ~c:(-1)
   done;
-  Alcotest.(check int) "length capped at capacity" 4 (Trace.length tr 0);
-  Alcotest.(check int) "dropped counts evictions" 6 (Trace.dropped tr 0);
+  Alcotest.(check int) "length capped at capacity" 4 (List.length (Trace.events tr 0));
+  Alcotest.(check int) "dropped counts evictions" 6 (Trace.total_dropped tr);
   (* The survivors are the newest events, in order. *)
-  let surviving = List.map (fun e -> e.Trace.a) (Trace.events tr 0) in
+  let surviving = List.map (fun e -> e.Trace_stream.a) (Trace.events tr 0) in
   Alcotest.(check (list int)) "oldest evicted first" [ 7; 8; 9; 10 ] surviving
 
 let test_disabled_mode_is_free () =
@@ -71,7 +71,7 @@ let test_disabled_mode_is_free () =
   Alcotest.(check bool)
     (Printf.sprintf "allocation-free when disabled (%.0f words)" allocated)
     true (allocated < 100.);
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length tr 0)
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events tr 0))
 
 let test_chrome_export_parses_shape () =
   let clocks = [| 0.; 0. |] in
@@ -213,7 +213,7 @@ let test_allgather_trace_layers () =
     let evs = Trace.events tr rank in
     let begins cat name =
       List.filter
-        (fun e -> e.Trace.kind = Trace.Begin && e.Trace.cat = cat && e.Trace.name = name)
+        (fun e -> e.Trace_stream.kind = Begin && e.cat = cat && e.name = name)
         evs
     in
     Alcotest.(check int)
@@ -233,16 +233,16 @@ let test_allgather_trace_layers () =
     in
     let kb =
       index (fun e ->
-          e.Trace.kind = Trace.Begin && e.Trace.cat = "kamping" && e.Trace.name = "allgather")
+          e.Trace_stream.kind = Begin && e.cat = "kamping" && e.name = "allgather")
     and cb =
       index (fun e ->
-          e.Trace.kind = Trace.Begin && e.Trace.cat = "coll" && e.Trace.name = "allgather")
+          e.Trace_stream.kind = Begin && e.cat = "coll" && e.name = "allgather")
     and ce =
       index (fun e ->
-          e.Trace.kind = Trace.End && e.Trace.cat = "coll" && e.Trace.name = "allgather")
+          e.Trace_stream.kind = End && e.cat = "coll" && e.name = "allgather")
     and ke =
       index (fun e ->
-          e.Trace.kind = Trace.End && e.Trace.cat = "kamping" && e.Trace.name = "allgather")
+          e.Trace_stream.kind = End && e.cat = "kamping" && e.name = "allgather")
     in
     Alcotest.(check bool)
       (Printf.sprintf "rank %d: kamping wraps coll" rank)
@@ -251,7 +251,7 @@ let test_allgather_trace_layers () =
     (* Every rank of a 4-rank Bruck allgather sends at least once. *)
     let sends =
       List.filter
-        (fun e -> e.Trace.kind = Trace.Instant && e.Trace.cat = "sim" && e.Trace.name = "send")
+        (fun e -> e.Trace_stream.kind = Instant && e.cat = "sim" && e.name = "send")
         evs
     in
     Alcotest.(check bool)
@@ -306,7 +306,16 @@ let test_trace_disabled_by_default () =
     Engine.run ~ranks:2 (fun comm -> Coll.barrier comm)
   in
   Alcotest.(check bool) "trace disabled" false (Trace.enabled report.Engine.trace);
-  Alcotest.(check int) "no events" 0 (Trace.length report.Engine.trace 0);
+  Alcotest.(check int) "no events" 0 (List.length (Trace.events report.Engine.trace 0));
+  (* Nothing recorded: no critical path, and the report says so rather
+     than printing a path that looks valid. *)
+  let times = report.Engine.times in
+  Alcotest.(check int) "no critical path" 0
+    (List.length (Trace_report.critical_path report.Engine.trace ~times));
+  Alcotest.(check string) "the report names the absence"
+    "critical path: no trace events recorded\n"
+    (Format.asprintf "%a" (fun ppf tr -> Trace_report.pp_critical_path ppf tr ~times)
+       report.Engine.trace);
   (* Metrics still flow: the barrier's messages were counted. *)
   let sent = Stats.count (Stats.counter report.Engine.stats "msg.sent") in
   Alcotest.(check bool) "messages counted without tracing" true (sent > 0)

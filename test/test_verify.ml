@@ -184,13 +184,13 @@ let derived_clocks path =
   Trace_stream.fold_file path
     ~on_header:(fun ranks -> clocks := Hb.Clocks.create ~ranks)
     ~init:()
-    ~f:(fun () ev ->
-      if Hb.Clocks.step !clocks ev then begin
-        let vc = Hb.Clocks.clock !clocks ev.Trace_stream.ev_rank in
-        let prev = Option.value (Hashtbl.find_opt per_rank ev.ev_rank) ~default:[] in
-        Hashtbl.replace per_rank ev.ev_rank (vc :: prev);
-        if ev.ev_name <> "send" then
-          match Hb.Clocks.send_clock !clocks ev.ev_b with
+    ~f:(fun () rank ev ->
+      if Hb.Clocks.step !clocks rank ev then begin
+        let vc = Hb.Clocks.clock !clocks rank in
+        let prev = Option.value (Hashtbl.find_opt per_rank rank) ~default:[] in
+        Hashtbl.replace per_rank rank (vc :: prev);
+        if ev.Trace_stream.name <> "send" then
+          match Hb.Clocks.send_clock !clocks ev.b with
           | Some sent -> pairs := (sent, vc) :: !pairs
           | None -> ()
       end)
@@ -313,7 +313,9 @@ let test_ring_has_no_analyzer_instants () =
       let tr = report.Engine.trace in
       let names = ref [] in
       for rank = 0 to 2 do
-        Trace.iter_events tr rank (fun e -> names := e.Trace.name :: !names)
+        List.iter
+          (fun e -> names := e.Trace_stream.name :: !names)
+          (Trace.events tr rank)
       done;
       Alcotest.(check bool) (name ^ ": ring trace recorded sends") true
         (List.mem "send" !names);
@@ -347,7 +349,7 @@ let check_rejected_cheaply ~claimed label f =
     true
     (grown < claimed /. 1000.)
 
-let fold_count path = Trace_stream.fold_file path ~init:0 ~f:(fun n _ -> n + 1)
+let fold_count path = Trace_stream.fold_file path ~init:0 ~f:(fun n _ _ -> n + 1)
 
 let test_hostile_rank_count () =
   with_stream (fun path ->
@@ -373,8 +375,8 @@ let test_unpaired_matches () =
   with_stream (fun path ->
       let w = Trace_stream.create ~path ~ranks:2 in
       let instant ~rank name ~a ~b =
-        Trace_stream.write_event w ~rank ~kind:Trace_chrome.Instant ~cat:"sim" ~name
-          ~ts:0. ~dur:0. ~a ~b ~c:8 ~d:(-1)
+        Trace_stream.write_event w ~rank
+          { kind = Instant; cat = "sim"; name; ts = 0.; dur = 0.; a; b; c = 8; d = -1 }
       in
       instant ~rank:0 "match" ~a:1 ~b:42;
       instant ~rank:0 "match" ~a:1 ~b:7;
