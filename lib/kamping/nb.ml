@@ -97,16 +97,20 @@ let issend comm dt ~dest ?tag (data : 'a array) : 'a array t =
   let request = P2p.issend (c comm) dt ~dest ?tag data in
   of_request request ~fetch
 
+(* A result the operation puts in a cell at completion: a dynamic receive
+   or a nonblocking collective. *)
+let of_cell ((request, cell) : Request.t * 'a option ref) : 'a t =
+  of_request request ~fetch:(fun () ->
+      match !cell with
+      | Some v -> v
+      | None -> Errdefs.usage_error "non-blocking operation completed without a result")
+
 (* Dynamic non-blocking receive: the result buffer is created on completion
    with exactly the received size, so there is no window in which the user
    could observe a partially received buffer. *)
 let irecv comm dt ?source ?tag () : 'a array t =
   post_instant comm ~name:"irecv" ~peer:(Option.value source ~default:(-1));
-  let dreq = P2p.irecv_dyn (c comm) dt ?source ?tag () in
-  of_request dreq.P2p.base ~fetch:(fun () ->
-      match !(dreq.P2p.cell) with
-      | Some data -> data
-      | None -> Errdefs.usage_error "irecv: completed without data")
+  of_cell (P2p.irecv (c comm) dt ?source ?tag ())
 
 (* Receive with a known element count (capacity check only). *)
 let irecv_counted comm dt ?source ?tag ~count () : 'a array t =

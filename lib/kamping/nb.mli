@@ -13,6 +13,11 @@ type 'a t
 
 val of_request : fetch:(unit -> 'a) -> Request.t -> 'a t
 
+(** The result of an operation that fills the cell when its request
+    completes ({!Mpisim.P2p.irecv}, the posted collectives of
+    {!Mpisim.Coll}). *)
+val of_cell : Request.t * 'a option ref -> 'a t
+
 (** Block until complete; returns the payload.  Idempotent. *)
 val wait : 'a t -> 'a
 

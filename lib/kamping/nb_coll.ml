@@ -11,19 +11,11 @@ open Mpisim
 
 let c = Communicator.mpi
 
-let of_deferred (req : Request.t) (cell : 'a array option ref) : 'a array Nb.t =
-  Nb.of_request req ~fetch:(fun () ->
-      match !cell with
-      | Some v -> v
-      | None -> Errdefs.usage_error "non-blocking collective completed without result")
-
 let ibcast comm dt ~root ?data () : 'a array Nb.t =
-  let req, cell = Coll.ibcast (c comm) dt ~root data in
-  of_deferred req cell
+  Nb.of_cell (Coll.ibcast (c comm) dt ~root data)
 
 let iallreduce comm dt op (data : 'a array) : 'a array Nb.t =
-  let req, cell = Coll.iallreduce (c comm) dt op data in
-  of_deferred req cell
+  Nb.of_cell (Coll.iallreduce (c comm) dt op data)
 
 let ireduce_scatter comm dt op ?recv_counts (data : 'a array) : 'a array Nb.t =
   let mpi = c comm in
@@ -34,8 +26,7 @@ let ireduce_scatter comm dt op ?recv_counts (data : 'a array) : 'a array Nb.t =
         let size = Comm.size mpi and len = Array.length data in
         Array.init size (fun r -> (len / size) + if r < len mod size then 1 else 0)
   in
-  let req, cell = Coll.ireduce_scatter mpi dt op ~recv_counts data in
-  of_deferred req cell
+  Nb.of_cell (Coll.ireduce_scatter mpi dt op ~recv_counts data)
 
 (* Counts are inferred eagerly (one blocking alltoall now); the data
    exchange progresses in test/wait. *)
@@ -48,10 +39,8 @@ let ialltoallv comm dt ~send_counts ?recv_counts (data : 'a array) : 'a array Nb
   in
   let send_displs = Coll.exclusive_prefix_sum send_counts in
   let recv_displs = Coll.exclusive_prefix_sum recv_counts in
-  let req, cell =
-    Coll.ialltoallv mpi dt ~send_counts ~send_displs ~recv_counts ~recv_displs data
-  in
-  of_deferred req cell
+  Nb.of_cell
+    (Coll.ialltoallv mpi dt ~send_counts ~send_displs ~recv_counts ~recv_displs data)
 
 let ibarrier comm : unit Nb.t =
   let req = Coll.ibarrier (c comm) in

@@ -10,7 +10,7 @@
    Tag space: user tags are 0..[max_user_tag]; tags above that are reserved
    for the internal messages of collective algorithms. *)
 
-let max_user_tag = (1 lsl 20) - 1
+let max_user_tag = Mailbox.max_user_tag
 
 type topology = { sources : int array; destinations : int array }
 (* Neighbor lists in comm ranks, for neighborhood collectives (§V-A). *)

@@ -646,13 +646,3 @@ let signature_of_count (t : 'a t) n = Signature.repeat t.signature n
 let name t = t.name
 
 let elem_size t = t.elem_size
-
-(* A pre-compiled pack/unpack plan for a (type, count) pair.  Persistent
-   requests resolve the byte size once at init so the per-cycle path
-   passes a cached value.  The wire signature needs no plan: a message
-   carries its datatype's per-element signature, which already exists. *)
-type 'a plan = { plan_dt : 'a t; plan_count : int; plan_bytes : int }
-
-let plan (t : 'a t) ~count =
-  if count < 0 then Errdefs.usage_error "Datatype.plan: negative count %d" count;
-  { plan_dt = t; plan_count = count; plan_bytes = size_of_count t count }

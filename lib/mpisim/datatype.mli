@@ -207,15 +207,3 @@ val signature_of_count : 'a t -> int -> Signature.t
 val name : 'a t -> string
 
 val elem_size : 'a t -> int
-
-(** A pre-compiled pack/unpack plan for a (type, count) pair: the byte
-    size resolved once, so persistent-request cycles pass a cached value
-    instead of recomputing it per call. *)
-type 'a plan = {
-  plan_dt : 'a t;
-  plan_count : int;
-  plan_bytes : int;  (** = [size_of_count plan_dt plan_count] *)
-}
-
-(** Raises [Usage_error] on a negative count. *)
-val plan : 'a t -> count:int -> 'a plan

@@ -24,6 +24,19 @@ let any_source = -1
 
 let any_tag = -1
 
+(* User tags are 0..[max_user_tag]; the tags above are reserved for the
+   internal messages of collectives and other library protocols. *)
+let max_user_tag = (1 lsl 20) - 1
+
+(* A receive's tag pattern against a message's tag.  The wildcard matches
+   user tags only, as collective traffic in MPI travels in a context of
+   its own: an [any_tag] receive never takes a collective's message. *)
+let tag_matches pattern tag =
+  if pattern = any_tag then tag <= max_user_tag else pattern = tag
+
+(* The same for a source pattern. *)
+let src_matches pattern src = pattern = any_source || pattern = src
+
 type key = { k_src : int; k_tag : int }
 
 type posted = {
@@ -71,8 +84,8 @@ let defers_wildcards t = t.defer_wildcards
 let posted_matches (p : posted) (m : Message.t) =
   p.p_msg = None && (not p.p_cancelled) && (not p.p_deferred)
   && p.p_context = m.Message.context
-  && (p.p_src = any_source || p.p_src = m.Message.src)
-  && (p.p_tag = any_tag || p.p_tag = m.Message.tag)
+  && src_matches p.p_src m.Message.src
+  && tag_matches p.p_tag m.Message.tag
 
 let match_posted (p : posted) (m : Message.t) =
   p.p_msg <- Some m;
@@ -176,10 +189,7 @@ let find_unexpected ?(remove = true) t ~context ~src ~tag =
       let best =
         Hashtbl.fold
           (fun k q acc ->
-            if
-              (src = any_source || k.k_src = src)
-              && (tag = any_tag || k.k_tag = tag)
-              && not (Queue.is_empty q)
+            if src_matches src k.k_src && tag_matches tag k.k_tag && not (Queue.is_empty q)
             then begin
               let m = Queue.peek q in
               match acc with
@@ -204,8 +214,7 @@ let count_eligible t ~context ~src ~tag =
   | Some tbl ->
       Hashtbl.fold
         (fun k q acc ->
-          if (src = any_source || k.k_src = src) && (tag = any_tag || k.k_tag = tag) then
-            acc + Queue.length q
+          if src_matches src k.k_src && tag_matches tag k.k_tag then acc + Queue.length q
           else acc)
         tbl 0
 
@@ -270,10 +279,7 @@ let candidate_heads t ~context ~src ~tag =
       let heads, eligible =
         Hashtbl.fold
           (fun k q (heads, eligible) ->
-            if
-              (src = any_source || k.k_src = src)
-              && (tag = any_tag || k.k_tag = tag)
-              && not (Queue.is_empty q)
+            if src_matches src k.k_src && tag_matches tag k.k_tag && not (Queue.is_empty q)
             then (Queue.peek q :: heads, eligible + Queue.length q)
             else (heads, eligible))
           tbl ([], 0)

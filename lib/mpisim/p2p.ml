@@ -9,6 +9,11 @@
    Receives may be dynamic ([recv] allocates an exact-size buffer from the
    matched message) or MPI-style ([recv_into] with truncation checking).
 
+   Every send form goes through [check_send] and [inject]; every receive
+   form — blocking, nonblocking, persistent, raw bytes — through one
+   [post], one wake rule ([ready], built on [source_gone]) and one
+   [complete], and keeps only its own unpack step (DESIGN.md §4).
+
    All functions operate in communicator ranks; translation to world ranks
    happens here. *)
 
@@ -32,6 +37,14 @@ let check_revoked comm ~op =
   if Comm.is_revoked comm then
     Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
 
+let check_committed (dt : 'a Datatype.t) ~op =
+  if not (Datatype.is_committed dt) then
+    Errdefs.usage_error "%s: datatype %s is not committed" op (Datatype.name dt)
+
+let check_range ~op ~pos ~count len =
+  if count < 0 || pos < 0 || pos + count > len then
+    Errdefs.usage_error "%s: invalid range (pos %d, count %d, len %d)" op pos count len
+
 (* Trace span around a blocking point-to-point operation.  Eager sends are
    not wrapped (the runtime's "send" instant already marks them); blocking
    receives, synchronous sends and probes are where virtual time is spent.
@@ -52,46 +65,56 @@ let traced comm ~op f =
    exactly the data the cycle report needs. *)
 let checker comm = (Comm.runtime comm).Runtime.check
 
-let set_waiting_recv comm ~op ~src_world ~tag =
-  Check.set_waiting (checker comm) ~rank:(Comm.world_rank comm)
-    (Check.Wrecv { src = src_world; tag; ctx = Comm.context comm; op })
-
 let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_rank comm)
 
-(* Pack [count] elements of [data] starting at [pos] and inject the message.
-   Returns the in-flight message.
+(* ------------------------------------------------------------------ *)
+(* Sends *)
 
-   Zero-copy plane: the pack goes into a pooled per-rank writer, and the
-   writer's storage is transferred into the message via [unsafe_contents]
+(* Entry checks of every send.  Internal collective traffic (reserved
+   tags) is exempt from the revocation check: the collective already
+   checked at entry, and its in-flight exchanges must be allowed to drain
+   after a revoke. *)
+let check_send comm ~op ~dest ~tag =
+  check_alive_self comm;
+  if tag <= Comm.max_user_tag then check_revoked comm ~op;
+  check_dest_alive comm ~op dest
+
+(* Hand the pooled writer [w] to the transport as a message of [count]
+   elements of [signature], and profile it under [op].  Returns the
+   in-flight message.
+
+   Zero-copy plane: the writer's storage is transferred into the message
    — no [Wire.contents] copy.  The storage returns to a pool when the
    receiver finishes unpacking ([Runtime.recycle_payload]). *)
-let inject_message comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) ~pos
-    ~count =
+let inject comm ~op ~dest ~tag ~sync ~signature ~count w =
   let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  check_alive_self comm;
-  (* Internal collective traffic (reserved tags) is exempt from the
-     revocation entry check: the collective already checked at entry, and
-     its in-flight exchanges must be allowed to drain after a revoke. *)
-  if tag <= Comm.max_user_tag then check_revoked comm ~op;
-  check_dest_alive comm ~op dest;
-  if not (Datatype.is_committed dt) then
-    Errdefs.usage_error "%s: datatype %s is not committed" op (Datatype.name dt);
-  let w = Runtime.acquire_writer rt me ~capacity:(max 8 (Datatype.size_of_count dt count)) in
-  Datatype.pack_array dt w data ~pos ~count;
   let payload_len = Wire.length w in
-  Runtime.charge_copy rt me ~bytes:payload_len;
   let msg =
-    Runtime.inject rt ~context:(Comm.context comm) ~src:me
-      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w) ~payload_off:0
-      ~payload_len ~count ~signature:dt.Datatype.signature ~sync
+    Runtime.inject rt ~context:(Comm.context comm) ~src:(Comm.world_rank comm)
+      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w)
+      ~payload_off:0 ~payload_len ~count ~signature ~sync
   in
   Runtime.record rt ~op ~bytes:payload_len;
   msg
 
+let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
+
+(* The typed send: checks, pack [count] elements of [data] from [pos] into
+   a pooled writer (charging the copy), inject. *)
+let send_typed comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) ~pos
+    ~count =
+  check_send comm ~op ~dest ~tag;
+  check_committed dt ~op;
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  let w = Runtime.acquire_writer rt me ~capacity:(writer_capacity dt ~count) in
+  Datatype.pack_array dt w data ~pos ~count;
+  Runtime.charge_copy rt me ~bytes:(Wire.length w);
+  inject comm ~op ~dest ~tag ~sync ~signature:dt.Datatype.signature ~count w
+
 let send_range comm dt ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
   Comm.check_rank comm dest;
-  ignore (inject_message comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
+  ignore (send_typed comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
 
 let send comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
@@ -113,13 +136,14 @@ let issend_request comm (msg : Message.t) =
         ~bytes:(Message.bytes msg))
     ~describe:(fun () -> Format.asprintf "issend %a" Message.pp msg)
 
-let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
+(* The user-level sends of a whole array: tag and rank checked. *)
+let send_user comm dt ~op ~dest ~tag ~sync (data : 'a array) =
   Comm.check_user_tag comm tag;
   Comm.check_rank comm dest;
-  let msg =
-    inject_message comm dt ~op:"ssend" ~dest ~tag ~sync:true data ~pos:0
-      ~count:(Array.length data)
-  in
+  send_typed comm dt ~op ~dest ~tag ~sync data ~pos:0 ~count:(Array.length data)
+
+let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
+  let msg = send_user comm dt ~op:"ssend" ~dest ~tag ~sync:true data in
   let chk = checker comm in
   if Check.enabled chk then
     Check.set_waiting chk ~rank:(Comm.world_rank comm)
@@ -131,41 +155,50 @@ let ssend comm dt ~dest ?tag data =
   if tracing comm then traced comm ~op:"ssend" (fun () -> ssend comm dt ~dest ?tag data)
   else ssend comm dt ~dest ?tag data
 
+let track comm ~kind req =
+  let chk = checker comm in
+  if Check.enabled chk then Check.track_request chk ~rank:(Comm.world_rank comm) ~kind req;
+  req
+
 let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  Comm.check_user_tag comm tag;
-  Comm.check_rank comm dest;
-  let count = Array.length data in
+  let msg = send_user comm dt ~op:"isend" ~dest ~tag ~sync:false data in
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
-  let msg = inject_message comm dt ~op:"isend" ~dest ~tag ~sync:false data ~pos:0 ~count in
   let complete_at = Runtime.clock rt me in
-  let req =
-    Request.make
-      ~ready:(fun () -> true)
-      ~finalize:(fun () ->
-        Runtime.sync_clock rt me complete_at;
-        Status.make ~source:(Comm.rank comm) ~tag ~count ~bytes:(Message.bytes msg))
-      ~describe:(fun () -> "isend")
-  in
-  if Check.enabled rt.Runtime.check then
-    Check.track_request rt.Runtime.check ~rank:me ~kind:"isend" req;
-  req
+  track comm ~kind:"isend"
+    (Request.make
+       ~ready:(fun () -> true)
+       ~finalize:(fun () ->
+         Runtime.sync_clock rt me complete_at;
+         Status.make ~source:(Comm.rank comm) ~tag ~count:msg.Message.count
+           ~bytes:(Message.bytes msg))
+       ~describe:(fun () -> "isend"))
 
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  Comm.check_user_tag comm tag;
+  let msg = send_user comm dt ~op:"issend" ~dest ~tag ~sync:true data in
+  track comm ~kind:"issend" (issend_request comm msg)
+
+(* A raw byte payload is [count = length] elements of one blob byte. *)
+let byte_signature = Signature.of_base Signature.Blob
+
+(* Send a raw byte payload without datatype packing; matched by
+   [recv_bytes].  The element count equals the byte length.  The single
+   defensive copy (the caller keeps ownership of [payload]) goes straight
+   into a pooled wire buffer, so the path allocates nothing once the pool
+   is warm; that copy is not charged to the sender's clock. *)
+let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
   Comm.check_rank comm dest;
-  let msg =
-    inject_message comm dt ~op:"issend" ~dest ~tag ~sync:true data ~pos:0
-      ~count:(Array.length data)
+  check_send comm ~op:"send_bytes" ~dest ~tag;
+  let len = Bytes.length payload in
+  let w =
+    Runtime.acquire_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 len)
   in
-  let req = issend_request comm msg in
-  let chk = checker comm in
-  if Check.enabled chk then
-    Check.track_request chk ~rank:(Comm.world_rank comm) ~kind:"issend" req;
-  req
+  Wire.put_bytes w payload ~pos:0 ~len;
+  ignore
+    (inject comm ~op:"send" ~dest ~tag ~sync:false ~signature:byte_signature ~count:len w)
 
 (* ------------------------------------------------------------------ *)
-(* Receives *)
+(* The receive core *)
 
 let my_mailbox comm =
   (Comm.runtime comm).Runtime.mailboxes.(Comm.world_rank comm)
@@ -211,108 +244,135 @@ let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
       ~name:"matched" ~a:p.Mailbox.p_id ~b:msg.Message.seq ~c:p.Mailbox.p_context
       ~d:msg.Message.src
 
-(* The receiver's [count] elements of [dt] against the message's: both
-   sides carry per-element signatures, so a match is one comparison and
-   the full signatures are only built for the error report. *)
-let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
-  if not (Signature.repeats_match dt.Datatype.signature msg.Message.signature msg.Message.count)
-  then
-    Comm.error comm Errdefs.Err_type
-      "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
-      (Signature.to_string (Datatype.signature_of_count dt msg.Message.count))
-      msg.Message.src
-      (Signature.to_string (Message.payload_signature msg))
+(* The one post: the receiver must be alive; the heavy sanitizer notes a
+   wildcard that could match several queued messages; the receive enters
+   the mailbox at this rank's clock (matching a queued message at once if
+   one fits). *)
+let post comm ~src_world ~tag =
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  Runtime.check_alive rt me;
+  if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
+  let p =
+    Mailbox.post (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
+      ~now:(Runtime.clock rt me)
+  in
+  note_post comm p;
+  p
 
-(* A revoked communicator only aborts a pending receive once the source
-   has itself observed the revocation (or died, or is a wildcard): until
-   then the source may still complete the in-flight exchange, and waking
-   early would tear down collectives that could drain. *)
-let revocation_abort comm ~src_world (p : Mailbox.posted) =
-  p.Mailbox.p_msg = None
-  && Comm.revoked_flag comm
+(* A revocation ends a pending receive only once its source has observed
+   it (or died); a wildcard source stands for any member.  Until then the
+   source may still complete the in-flight exchange, and waking early
+   would tear down collectives that could drain. *)
+let revoked_for comm ~src_world =
+  Comm.revoked_flag comm
   && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
 
-(* When a receiver parked on [p] must wake: its match, its source's
-   failure or an observed revocation. *)
-let posted_ready comm ~src_world (p : Mailbox.posted) =
-  p.Mailbox.p_msg <> None
-  || (src_world <> any_source && Runtime.is_failed (Comm.runtime comm) src_world)
-  || revocation_abort comm ~src_world p
+(* The source can no longer satisfy the receive: it has failed, or it has
+   observed the communicator's revocation. *)
+let source_gone comm ~src_world =
+  (src_world <> any_source && Runtime.is_failed (Comm.runtime comm) src_world)
+  || revoked_for comm ~src_world
 
-(* The slow path of [await_posted]: park until the receive is ready. *)
-let await_unmatched comm ~op ~src_world (p : Mailbox.posted) =
-  if not (posted_ready comm ~src_world p) then begin
+(* The one wake rule of a posted receive: its match, or a gone source. *)
+let ready comm ~src_world (p : Mailbox.posted) =
+  p.Mailbox.p_msg <> None || source_gone comm ~src_world
+
+(* The error of a receive or probe whose source is gone. *)
+let gone comm ~op ~src_world =
+  if revoked_for comm ~src_world then
+    Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
+  else Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
+
+let set_waiting_recv comm ~op ~src_world ~tag =
+  Check.set_waiting (checker comm) ~rank:(Comm.world_rank comm)
+    (Check.Wrecv { src = src_world; tag; ctx = Comm.context comm; op })
+
+(* Park a blocking receive until it is [ready]; the sanitizer's wait-for
+   graph sees it meanwhile.  A receive that need not wait builds no
+   closure. *)
+let await comm ~op ~src_world (p : Mailbox.posted) =
+  if not (ready comm ~src_world p) then begin
     if Check.enabled (checker comm) then
       set_waiting_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag;
     Scheduler.park
       ~describe:(fun () ->
         Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
           (Comm.context comm) p.Mailbox.p_src p.Mailbox.p_tag)
-      ~poll:(fun () -> if posted_ready comm ~src_world p then Some () else None);
+      ~poll:(fun () -> if ready comm ~src_world p then Some () else None);
     if Check.enabled (checker comm) then clear_waiting comm
-  end;
-  match p.Mailbox.p_msg with
-  | Some msg -> msg
-  | None ->
-      Mailbox.cancel (my_mailbox comm) p;
-      if revocation_abort comm ~src_world p then
-        Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
-      else
-        Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
+  end
 
-(* Wait until the posted receive [p] matches, also waking on source failure.
-   Returns the matched message or raises.  A receive already matched at
-   post returns at once, without building the wait's closures. *)
-let await_posted comm ~op ~src_world (p : Mailbox.posted) =
-  match p.Mailbox.p_msg with
-  | Some msg -> msg
-  | None -> await_unmatched comm ~op ~src_world p
+(* The receiver's [count] elements of [signature] against the message's:
+   both sides carry per-element signatures, so a match is one comparison
+   and the full signatures are only built for the error report. *)
+let check_signature comm ~signature (msg : Message.t) ~op =
+  if not (Signature.repeats_match signature msg.Message.signature msg.Message.count) then
+    Comm.error comm Errdefs.Err_type
+      "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
+      (Signature.to_string (Signature.repeat signature msg.Message.count))
+      msg.Message.src
+      (Signature.to_string (Message.payload_signature msg))
 
-(* Post a blocking receive for (source, tag) and wait for its match;
-   returns the matched message, not yet accounted for or unpacked. *)
-let await_recv comm ~op ~source ~tag =
-  let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
-  let now = Runtime.clock rt (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
+(* The one completion of a woken receive: a gone source cancels it and
+   raises; a match is retired, checked against [maxcount] and the
+   receiver's element [signature], and accounted for (clock, copy charge,
+   profile entry under [op]).  Returns the message; the caller unpacks it
+   and recycles its payload. *)
+let complete comm ~op ~signature ~maxcount ~src_world (p : Mailbox.posted) =
   let mb = my_mailbox comm in
-  let p = Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now in
-  note_post comm p;
-  let msg = await_posted comm ~op ~src_world p in
-  Mailbox.retire mb p;
-  note_matched comm p msg;
-  msg
+  match p.Mailbox.p_msg with
+  | None ->
+      Mailbox.cancel mb p;
+      gone comm ~op ~src_world
+  | Some msg ->
+      Mailbox.retire mb p;
+      note_matched comm p msg;
+      if msg.Message.count > maxcount then
+        Comm.error comm Errdefs.Err_truncate
+          "%s: message of %d elements truncated to buffer of %d" op msg.Message.count
+          maxcount;
+      check_signature comm ~signature msg ~op;
+      let rt = Comm.runtime comm in
+      let me = Comm.world_rank comm in
+      Runtime.complete_receive rt me msg;
+      Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
+      Runtime.record rt ~op ~bytes:(Message.bytes msg);
+      msg
+
+(* A blocking receive: post, wait, complete. *)
+let receive comm ~op ~signature ~maxcount ~source ~tag =
+  let src_world = source_world comm source in
+  let p = post comm ~src_world ~tag in
+  await comm ~op ~src_world p;
+  complete comm ~op ~signature ~maxcount ~src_world p
 
 let status_of_msg comm (msg : Message.t) =
   Status.make
     ~source:(Comm.rank_of_world comm msg.Message.src)
     ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
 
-(* Account for a matched receive: signature check, clock accounting,
-   profiling. *)
-let finish_matched comm dt ~op (msg : Message.t) =
-  let rt = Comm.runtime comm in
-  check_signature comm dt msg ~op;
-  Runtime.complete_receive rt (Comm.world_rank comm) msg;
-  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op ~bytes:(Message.bytes msg)
-
-let complete_matched comm dt ~op (msg : Message.t) =
-  finish_matched comm dt ~op msg;
-  status_of_msg comm msg
-
-(* Unpack a matched message into a fresh array and recycle its payload. *)
+(* The unpack steps: into a fresh array, or into a range of caller
+   storage; both recycle the payload. *)
 let unpack_fresh comm dt (msg : Message.t) =
   let data = Datatype.unpack_array dt (Message.reader msg) ~count:msg.Message.count in
   Runtime.recycle_payload (Comm.runtime comm) msg;
   data
 
+let unpack_into comm dt (msg : Message.t) into ~pos =
+  Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
+  Runtime.recycle_payload (Comm.runtime comm) msg
+
+(* ------------------------------------------------------------------ *)
+(* Receives *)
+
 (* Dynamic receive: allocates an exact-size result from the message. *)
 let recv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
     'a array * Status.t =
-  check_alive_self comm;
-  let msg = await_recv comm ~op:"recv" ~source ~tag in
-  let status = complete_matched comm dt ~op:"recv" msg in
+  let msg =
+    receive comm ~op:"recv" ~signature:dt.Datatype.signature ~maxcount:max_int ~source ~tag
+  in
+  let status = status_of_msg comm msg in
   (unpack_fresh comm dt msg, status)
 
 let recv comm dt ?source ?tag () =
@@ -323,10 +383,8 @@ let recv comm dt ?source ?tag () =
    operation, span and profile entry, minus the status and the pair. *)
 let recv_array comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
     'a array =
-  check_alive_self comm;
-  let msg = await_recv comm ~op:"recv" ~source ~tag in
-  finish_matched comm dt ~op:"recv" msg;
-  unpack_fresh comm dt msg
+  let signature = dt.Datatype.signature in
+  unpack_fresh comm dt (receive comm ~op:"recv" ~signature ~maxcount:max_int ~source ~tag)
 
 let recv_array comm dt ?source ?tag () =
   if tracing comm then traced comm ~op:"recv" (fun () -> recv_array comm dt ?source ?tag ())
@@ -335,17 +393,11 @@ let recv_array comm dt ?source ?tag () =
 (* MPI-style receive into a caller-provided buffer. *)
 let recv_range comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into : 'a array) :
     Status.t =
-  check_alive_self comm;
-  if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "recv_into: invalid range (pos %d, maxcount %d, len %d)" pos
-      maxcount (Array.length into);
-  let msg = await_recv comm ~op:"recv" ~source ~tag in
-  if msg.Message.count > maxcount then
-    Comm.error comm Errdefs.Err_truncate
-      "recv: message of %d elements truncated to buffer of %d" msg.Message.count maxcount;
-  let status = complete_matched comm dt ~op:"recv" msg in
-  Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
-  Runtime.recycle_payload (Comm.runtime comm) msg;
+  check_range ~op:"recv_into" ~pos ~count:maxcount (Array.length into);
+  let signature = dt.Datatype.signature in
+  let msg = receive comm ~op:"recv" ~signature ~maxcount ~source ~tag in
+  let status = status_of_msg comm msg in
+  unpack_into comm dt msg into ~pos;
   status
 
 let recv_range comm dt ~source ~tag ~pos ~maxcount into =
@@ -358,70 +410,75 @@ let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcou
   let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
   recv_range comm dt ~source ~tag ~pos ~maxcount into
 
-(* True when a receive for (source, tag) posted now would not wait: a
-   matching message is in the mailbox, or the source has failed or seen
-   the communicator revoked (the receive then raises).  With [arrived],
-   the message must also have reached the mailbox by this rank's virtual
-   clock, so that taking it does not move the clock to its arrival.
-   Cheap enough for a scheduler poll. *)
-let matchable comm ~arrived ~source ~tag =
-  let rt = Comm.runtime comm in
-  let src_world = Comm.world_of_rank comm source in
-  Runtime.is_failed rt src_world
-  || (Comm.revoked_flag comm && Comm.revocation_reached comm ~world:src_world)
+let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
+  let msg =
+    receive comm ~op:"recv" ~signature:byte_signature ~maxcount:max_int ~source ~tag
+  in
+  let status = status_of_msg comm msg in
+  let data = Message.payload_copy msg in
+  Runtime.recycle_payload (Comm.runtime comm) msg;
+  (data, status)
+
+let recv_bytes comm ?source ?tag () =
+  if tracing comm then
+    traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
+  else recv_bytes comm ?source ?tag ()
+
+(* The oldest queued message a receive for (source, tag) would take. *)
+let queued comm ~src_world ~tag =
+  Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
+    ~src:src_world ~tag
+
+(* The wake rule for a receive not yet posted: a queued match — with
+   [arrived], one that reached the mailbox by this rank's virtual clock —
+   or a gone source. *)
+let wakes comm ~arrived ~src_world ~tag =
+  source_gone comm ~src_world
   ||
-  match
-    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag
-  with
+  match queued comm ~src_world ~tag with
   | None -> false
   | Some msg ->
-      (not arrived) || msg.Message.arrival <= rt.Runtime.clocks.(Comm.world_rank comm)
+      (not arrived)
+      || msg.Message.arrival <= (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm)
+
+let matchable comm ~arrived ~source ~tag =
+  wakes comm ~arrived ~src_world:(Comm.world_of_rank comm source) ~tag
+
+(* A nonblocking receive, posted now: [wait]/[test] complete it once
+   [ready], and [unpack] takes the matched message. *)
+let irecv_request comm ~source ~tag ~signature ~maxcount unpack =
+  let src_world = source_world comm source in
+  let p = post comm ~src_world ~tag in
+  track comm ~kind:"irecv"
+    (Request.make
+       ~ready:(fun () -> ready comm ~src_world p)
+       ~finalize:(fun () ->
+         let msg = complete comm ~op:"irecv" ~signature ~maxcount ~src_world p in
+         let status = status_of_msg comm msg in
+         unpack msg;
+         status)
+       ~describe:(fun () ->
+         Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag))
 
 (* Non-blocking receive into a caller-provided buffer. *)
 let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) : Request.t =
-  check_alive_self comm;
   let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
-  if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "irecv: invalid range";
-  let src_world = source_world comm source in
-  let mb = my_mailbox comm in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  let chk = checker comm in
-  if Check.heavy chk then note_wildcard comm ~src_world ~tag;
-  let p =
-    Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let rt = Comm.runtime comm in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
+  check_range ~op:"irecv" ~pos ~count:maxcount (Array.length into);
+  irecv_request comm ~source ~tag ~signature:dt.Datatype.signature ~maxcount (fun msg ->
+      unpack_into comm dt msg into ~pos)
+
+(* A non-blocking receive whose buffer is allocated at completion time from
+   the matched message — the substrate for the binding layer's
+   ownership-safe non-blocking results (§III-E). *)
+let irecv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
+    Request.t * 'a array option ref =
+  let cell = ref None in
   let req =
-    Request.make
-      ~ready:(fun () -> p.Mailbox.p_msg <> None || failed_source ())
-      ~finalize:(fun () ->
-        match p.Mailbox.p_msg with
-        | None ->
-            Mailbox.cancel mb p;
-            Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
-        | Some msg ->
-            Mailbox.retire mb p;
-            note_matched comm p msg;
-            if msg.Message.count > maxcount then
-              Comm.error comm Errdefs.Err_truncate "irecv: message truncated";
-            let status = complete_matched comm dt ~op:"irecv" msg in
-            let r = Message.reader msg in
-            Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
-            Runtime.recycle_payload rt msg;
-            status)
-      ~describe:(fun () ->
-        Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
+    irecv_request comm ~source ~tag ~signature:dt.Datatype.signature ~maxcount:max_int
+      (fun msg -> cell := Some (unpack_fresh comm dt msg))
   in
-  if Check.enabled chk then
-    Check.track_request chk ~rank:(Comm.world_rank comm) ~kind:"irecv" req;
-  req
+  (req, cell)
 
 (* ------------------------------------------------------------------ *)
 (* Probing *)
@@ -430,43 +487,33 @@ let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"iprobe" ~bytes:0;
-  let src_world = source_world comm source in
-  match
-    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag
-  with
+  match queued comm ~src_world:(source_world comm source) ~tag with
   | None -> None
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
       Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
       Some (status_of_msg comm msg)
 
+(* A probe waits like a receive that is never posted: until a match is
+   queued or the source is gone. *)
 let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"probe" ~bytes:0;
   let src_world = source_world comm source in
-  let find () =
-    Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag
-  in
-  let msg =
-    match find () with
-    | Some m -> m
-    | None ->
-        if Check.enabled (checker comm) then
-          set_waiting_recv comm ~op:"probe" ~src_world ~tag;
-        let m =
-          Scheduler.park
-            ~describe:(fun () ->
-              Printf.sprintf "probe on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-            ~poll:find
-        in
-        if Check.enabled (checker comm) then clear_waiting comm;
-        m
-  in
-  Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
-  status_of_msg comm msg
+  if not (wakes comm ~arrived:false ~src_world ~tag) then begin
+    if Check.enabled (checker comm) then set_waiting_recv comm ~op:"probe" ~src_world ~tag;
+    Scheduler.park
+      ~describe:(fun () ->
+        Printf.sprintf "probe on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
+      ~poll:(fun () -> if wakes comm ~arrived:false ~src_world ~tag then Some () else None);
+    if Check.enabled (checker comm) then clear_waiting comm
+  end;
+  match queued comm ~src_world ~tag with
+  | None -> gone comm ~op:"probe" ~src_world
+  | Some msg ->
+      Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
+      status_of_msg comm msg
 
 let probe comm ?source ?tag () =
   if tracing comm then traced comm ~op:"probe" (fun () -> probe comm ?source ?tag ())
@@ -479,151 +526,28 @@ let sendrecv comm dt ~dest ?(send_tag = 0) ~source ?(recv_tag = any_tag) (data :
   recv comm dt ~source ~tag:recv_tag ()
 
 (* ------------------------------------------------------------------ *)
-(* Raw byte transfers (serialization fast path) and typed dynamic
-   non-blocking receives *)
-
-(* A raw byte payload is [count = length] elements of one blob byte. *)
-let byte_signature = Signature.of_base Signature.Blob
-
-(* Send a raw byte payload without datatype packing; matched by
-   [recv_bytes].  The element count equals the byte length.  The single
-   defensive copy (the caller keeps ownership of [payload]) goes straight
-   into a pooled wire buffer, so the path allocates nothing once the pool
-   is warm. *)
-let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
-  Comm.check_rank comm dest;
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  check_alive_self comm;
-  check_revoked comm ~op:"send_bytes";
-  check_dest_alive comm ~op:"send_bytes" dest;
-  let len = Bytes.length payload in
-  let w = Runtime.acquire_writer rt me ~capacity:(max 8 len) in
-  Wire.put_bytes w payload ~pos:0 ~len;
-  ignore
-    (Runtime.inject rt ~context:(Comm.context comm) ~src:me
-       ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w)
-       ~payload_off:0 ~payload_len:(Wire.length w) ~count:len ~signature:byte_signature
-       ~sync:false);
-  Runtime.record rt ~op:"send" ~bytes:len
-
-let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
-  check_alive_self comm;
-  let msg = await_recv comm ~op:"recv" ~source ~tag in
-  let rt = Comm.runtime comm in
-  Runtime.complete_receive rt (Comm.world_rank comm) msg;
-  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op:"recv" ~bytes:(Message.bytes msg);
-  let status = status_of_msg comm msg in
-  let data = Message.payload_copy msg in
-  Runtime.recycle_payload rt msg;
-  (data, status)
-
-let recv_bytes comm ?source ?tag () =
-  if tracing comm then traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
-  else recv_bytes comm ?source ?tag ()
-
-(* A non-blocking receive whose buffer is allocated at completion time from
-   the matched message — the substrate for the binding layer's
-   ownership-safe non-blocking results (§III-E). *)
-type 'a dyn_request = { base : Request.t; cell : 'a array option ref }
-
-let irecv_dyn comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
-    'a dyn_request =
-  check_alive_self comm;
-  let src_world = source_world comm source in
-  let mb = my_mailbox comm in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  let chk = checker comm in
-  if Check.heavy chk then note_wildcard comm ~src_world ~tag;
-  let p =
-    Mailbox.post mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let rt = Comm.runtime comm in
-  let cell = ref None in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
-  let base =
-    Request.make
-      ~ready:(fun () -> p.Mailbox.p_msg <> None || failed_source ())
-      ~finalize:(fun () ->
-        match p.Mailbox.p_msg with
-        | None ->
-            Mailbox.cancel mb p;
-            Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
-        | Some msg ->
-            Mailbox.retire mb p;
-            note_matched comm p msg;
-            let status = complete_matched comm dt ~op:"irecv" msg in
-            let r = Message.reader msg in
-            cell := Some (Datatype.unpack_array dt r ~count:msg.Message.count);
-            Runtime.recycle_payload rt msg;
-            status)
-      ~describe:(fun () ->
-        Printf.sprintf "irecv_dyn on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-  in
-  if Check.enabled chk then
-    Check.track_request chk ~rank:(Comm.world_rank comm) ~kind:"irecv_dyn" base;
-  { base; cell }
-
-let dyn_wait (r : 'a dyn_request) : 'a array * Status.t =
-  let status = Request.wait r.base in
-  match !(r.cell) with
-  | Some data -> (data, status)
-  | None -> Errdefs.usage_error "dyn_wait: request finalized without data"
-
-let dyn_test (r : 'a dyn_request) : ('a array * Status.t) option =
-  match Request.test r.base with
-  | None -> None
-  | Some status -> (
-      match !(r.cell) with
-      | Some data -> Some (data, status)
-      | None -> Errdefs.usage_error "dyn_test: request finalized without data")
-
-(* ------------------------------------------------------------------ *)
 (* Persistent operations (MPI-4 MPI_Send_init / MPI_Recv_init)
 
    Everything a cycle does not strictly need is hoisted to init: argument
-   validation, the datatype plan (byte size), the profiling counter
-   handles, rank translation, and a pre-warmed pooled writer large enough
-   for the payload.  What a cycle still allocates is the transport's own,
-   the same as an ad-hoc message minus the status: the in-flight
-   [Message.t] with its boxed times, the pooled-writer record, the
-   posted-receive record and its [Some] cell, the reader, and the fiber's
-   park when the receive has to wait (DESIGN.md §9.1 itemizes the words).
-   The fully allocation-free hot path is the single-rank persistent
-   collective, which skips transport entirely. *)
+   validation, rank translation, and a pre-warmed pooled writer large
+   enough for the payload.  A cycle then runs the ad-hoc
+   send or receive core, minus the status: what it allocates is the
+   transport's own — the in-flight [Message.t] with its boxed times, the
+   pooled-writer record, the posted-receive record and its [Some] cell,
+   the reader, and the fiber's park when the receive has to wait
+   (DESIGN.md §9.1 itemizes the words).  The fully allocation-free hot
+   path is the single-rank persistent collective, which skips transport
+   entirely. *)
 
 let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
   Comm.check_user_tag comm tag;
   Comm.check_rank comm dest;
-  if count < 0 || pos < 0 || pos + count > Array.length data then
-    Errdefs.usage_error "send_init: invalid range (pos %d, count %d, len %d)" pos count
-      (Array.length data);
-  if not (Datatype.is_committed dt) then
-    Errdefs.usage_error "send_init: datatype %s is not committed" (Datatype.name dt);
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  let plan = Datatype.plan dt ~count in
-  let prep = Profiling.prepare rt.Runtime.profile "send" in
-  let context = Comm.context comm in
-  let dst_world = Comm.world_of_rank comm dest in
-  Runtime.preheat_writer rt me ~capacity:(max 8 plan.Datatype.plan_bytes);
+  check_range ~op:"send_init" ~pos ~count (Array.length data);
+  check_committed dt ~op:"send_init";
+  Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm)
+    ~capacity:(writer_capacity dt ~count);
   let start () =
-    Runtime.check_alive rt me;
-    check_revoked comm ~op:"send";
-    check_dest_alive comm ~op:"send" dest;
-    let w = Runtime.acquire_writer rt me ~capacity:(max 8 plan.Datatype.plan_bytes) in
-    Datatype.pack_array dt w data ~pos ~count;
-    let payload_len = Wire.length w in
-    Runtime.charge_copy rt me ~bytes:payload_len;
-    ignore
-      (Runtime.inject rt ~context ~src:me ~dst:dst_world ~tag
-         ~payload:(Wire.writer_storage w) ~payload_off:0 ~payload_len ~count
-         ~signature:dt.Datatype.signature ~sync:false);
-    Profiling.record_prepared rt.Runtime.profile prep ~bytes:payload_len
+    ignore (send_typed comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
   in
   (* Eager send: injected at [start], so the cycle is complete immediately. *)
   let ready () = true in
@@ -632,50 +556,21 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
 let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) =
   let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
-  if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "recv_init: invalid range (pos %d, maxcount %d, len %d)" pos
-      maxcount (Array.length into);
-  if not (Datatype.is_committed dt) then
-    Errdefs.usage_error "recv_init: datatype %s is not committed" (Datatype.name dt);
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
+  check_range ~op:"recv_init" ~pos ~count:maxcount (Array.length into);
+  check_committed dt ~op:"recv_init";
   let src_world = source_world comm source in
-  let context = Comm.context comm in
-  let mb = my_mailbox comm in
-  let prep = Profiling.prepare rt.Runtime.profile "recv" in
+  let signature = dt.Datatype.signature in
   let posted : Mailbox.posted option ref = ref None in
-  let start () =
-    Runtime.check_alive rt me;
-    if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
-    let now = Runtime.clock rt me in
-    let p = Mailbox.post mb ~context ~src:src_world ~tag ~now in
-    note_post comm p;
-    posted := Some p
-  in
-  (* The poll must wake on the same conditions as [await_posted] — match,
-     source failure, observed revocation — or a cycle receiving from a
-     dead rank would park forever instead of raising. *)
-  let ready () =
-    match !posted with None -> true | Some p -> posted_ready comm ~src_world p
+  let start () = posted := Some (post comm ~src_world ~tag) in
+  let cycle_ready () =
+    match !posted with None -> true | Some p -> ready comm ~src_world p
   in
   let run () =
     match !posted with
     | None -> ()
     | Some p ->
         posted := None;
-        let msg = await_posted comm ~op:"recv" ~src_world p in
-        Mailbox.retire mb p;
-        note_matched comm p msg;
-        if msg.Message.count > maxcount then
-          Comm.error comm Errdefs.Err_truncate
-            "recv: message of %d elements truncated to buffer of %d" msg.Message.count
-            maxcount;
-        check_signature comm dt msg ~op:"recv";
-        Runtime.complete_receive rt me msg;
-        Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
-        Profiling.record_prepared rt.Runtime.profile prep ~bytes:(Message.bytes msg);
-        let r = Message.reader msg in
-        Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
-        Runtime.recycle_payload rt msg
+        let msg = complete comm ~op:"recv" ~signature ~maxcount ~src_world p in
+        unpack_into comm dt msg into ~pos
   in
-  Request.make_p ~describe:"recv_init" ~start ~advance:ready ~ready ~run
+  Request.make_p ~describe:"recv_init" ~start ~advance:cycle_ready ~ready:cycle_ready ~run

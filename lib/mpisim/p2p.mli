@@ -12,12 +12,17 @@
 
     Failure semantics: sending to a failed rank, or receiving from a
     failed rank that left no matching message, raises ERR_PROC_FAILED
-    through the communicator's error handler. *)
+    through the communicator's error handler.  Every receive form (and
+    {!probe}) wakes on its match, on its source's failure, or on a
+    revocation its source has observed, and then raises ERR_PROC_FAILED
+    or ERR_REVOKED; a receive whose match is already there completes
+    with it. *)
 
 (** Wildcard source ([MPI_ANY_SOURCE]). *)
 val any_source : int
 
-(** Wildcard tag ([MPI_ANY_TAG]). *)
+(** Wildcard tag ([MPI_ANY_TAG]).  It matches user tags only, never the
+    reserved tags of collectives and other internal protocols. *)
 val any_tag : int
 
 (** Reserved tags above the user tag space, for internal protocols.
@@ -107,18 +112,22 @@ val irecv_into :
   'a array ->
   Request.t
 
+(** Raw byte receive, matched by {!send_bytes}: the payload's bytes and
+    the status (count = byte length). *)
 val recv_bytes : Comm.t -> ?source:int -> ?tag:int -> unit -> Bytes.t * Status.t
 
-(** A typed non-blocking receive whose result buffer is allocated at
-    completion from the matched message — the substrate of the binding
-    layer's ownership-safe results (§III-E). *)
-type 'a dyn_request = { base : Request.t; cell : 'a array option ref }
-
-val irecv_dyn : Comm.t -> 'a Datatype.t -> ?source:int -> ?tag:int -> unit -> 'a dyn_request
-
-val dyn_wait : 'a dyn_request -> 'a array * Status.t
-
-val dyn_test : 'a dyn_request -> ('a array * Status.t) option
+(** Dynamic non-blocking receive: the result array is allocated at
+    completion with exactly the received size and put in the cell, which
+    holds [None] until {!Request.wait}/{!Request.test} completes the
+    request — the substrate of the binding layer's ownership-safe results
+    (§III-E). *)
+val irecv :
+  Comm.t ->
+  'a Datatype.t ->
+  ?source:int ->
+  ?tag:int ->
+  unit ->
+  Request.t * 'a array option ref
 
 (** {1 Persistent operations (MPI-4)}
 

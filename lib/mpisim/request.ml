@@ -39,17 +39,6 @@ let set_observer t o = t.observer <- Some o
 
 let describe t = t.describe ()
 
-(* A request that is already complete (e.g. for empty transfers). *)
-let completed status =
-  {
-    status = Some status;
-    ready = (fun () -> true);
-    advance = (fun () -> true);
-    finalize = (fun () -> status);
-    describe = (fun () -> "completed");
-    observer = None;
-  }
-
 (* Shared by every entry point that touches an already-completed request:
    completion on an inactive request is the same misuse whether it arrives
    through [wait], [test], [wait_any] or [test_some]. *)

@@ -40,9 +40,6 @@ val set_observer : t -> observer -> unit
 (** Human-readable description of the pending operation. *)
 val describe : t -> string
 
-(** An already-completed request (empty transfers etc.). *)
-val completed : Status.t -> t
-
 (** Non-blocking completion check; finalizes on first success. *)
 val test : t -> Status.t option
 

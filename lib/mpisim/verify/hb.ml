@@ -245,8 +245,8 @@ let analyze ?(eager_threshold = default_eager_threshold) ?(include_internal = fa
                 if include_internal || not (internal chosen) then begin
                   let compatible s =
                     s.s_seq <> chosen.s_seq && s.s_dst = po.po_rank && s.s_ctx = po.po_ctx
-                    && (po.po_src = -1 || s.s_rank = po.po_src)
-                    && (po.po_tag = -1 || s.s_tag = po.po_tag)
+                    && Mailbox.src_matches po.po_src s.s_rank
+                    && Mailbox.tag_matches po.po_tag s.s_tag
                   in
                   let racing =
                     Hashtbl.fold

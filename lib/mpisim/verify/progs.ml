@@ -76,6 +76,19 @@ let clean_coll comm =
   ignore (Coll.allreduce comm Datatype.int Reduce_op.int_sum [| Comm.rank comm |]);
   Coll.barrier comm
 
+(* A fully wildcard receive beside a nonblocking allreduce in flight:
+   rank 1 sends one user message (tag 7) that rank 0 takes with any
+   source and any tag before both wait for the allreduce.  The wildcard
+   tag matches user tags only, so the receive can never take one of the
+   allreduce's internal messages: certified deadlock-free over every
+   wildcard decision. *)
+let wildcard_beside_icoll comm =
+  let me = Comm.rank comm in
+  let req, _ = Coll.iallreduce comm Datatype.int Reduce_op.int_sum [| me |] in
+  if me = 1 then P2p.send comm Datatype.int ~dest:0 ~tag:7 [| me |];
+  if me = 0 then ignore (P2p.recv comm Datatype.int ~source:P2p.any_source ());
+  ignore (Request.wait req)
+
 (* Non-commutative float reduction: contributions from distinct ranks
    are causally concurrent, so the analyzer reports nc-order (the
    combine order is schedule-dependent on a real MPI). *)
@@ -130,6 +143,12 @@ let all : prog list =
       ranks_hint = 2;
       doc = "commutative allreduce + barrier; certified clean";
       body = clean_coll;
+    };
+    {
+      name = "wildcard_beside_icoll";
+      ranks_hint = 2;
+      doc = "wildcard receive beside an in-flight iallreduce; certified deadlock-free";
+      body = wildcard_beside_icoll;
     };
     {
       name = "nc_reduce";

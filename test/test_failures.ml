@@ -169,6 +169,67 @@ let test_nb_collective_failed_peer () =
   Alcotest.(check (list int)) "victim recorded" [ 2 ] report.Engine.killed;
   Alcotest.(check int) "all survivors observed at wait" 3 !observed
 
+(* --- Every receive form over a source that revokes or dies --- *)
+
+(* Each row is one receive form run on rank 0 from rank 1.  Rank 1 lets
+   rank 0 post first, then revokes the communicator or dies without
+   sending.  The receive must raise the matching error and never wait
+   forever. *)
+let receive_forms : (string * (Comm.t -> unit)) list =
+  let buf () = Array.make 4 0 in
+  [
+    ("recv", fun c -> ignore (P2p.recv c Datatype.int ~source:1 ()));
+    ("recv_into", fun c -> ignore (P2p.recv_into c Datatype.int ~source:1 (buf ())));
+    ("recv_bytes", fun c -> ignore (P2p.recv_bytes c ~source:1 ()));
+    ( "irecv_into + wait",
+      fun c -> ignore (Request.wait (P2p.irecv_into c Datatype.int ~source:1 (buf ()))) );
+    ( "Nb.irecv + wait",
+      fun c ->
+        let comm = Kamping.Communicator.of_mpi c in
+        ignore (Kamping.Nb.wait (Kamping.Nb.irecv comm Datatype.int ~source:1 ())) );
+    ( "recv_init start/wait_p",
+      fun c ->
+        let p = P2p.recv_init c Datatype.int ~source:1 (buf ()) in
+        Request.start p;
+        Request.wait_p p );
+    ("probe", fun c -> ignore (P2p.probe c ~source:1 ()));
+  ]
+
+let source_ends : (string * (Comm.t -> unit) * string) list =
+  [
+    ("source revokes", Comm.revoke, "ERR_REVOKED");
+    ("source is killed", Fault.die, "ERR_PROC_FAILED");
+  ]
+
+let check_receive_form recv source_end expected () =
+  let outcome = ref "returned" in
+  (match
+     Engine.run_collect ~ranks:2 (fun comm ->
+         if Comm.rank comm = 1 then begin
+           Scheduler.yield ();
+           source_end comm
+         end
+         else
+           match recv comm with
+           | () -> ()
+           | exception Errdefs.Mpi_error { code; _ } -> outcome := Errdefs.code_name code)
+   with
+  | _ -> ()
+  | exception Scheduler.Deadlock _ -> outcome := "deadlock");
+  Alcotest.(check string) "outcome" expected !outcome
+
+let receive_form_tests =
+  List.concat_map
+    (fun (form, recv) ->
+      List.map
+        (fun (what, source_end, expected) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: %s" form what)
+            `Quick
+            (check_receive_form recv source_end expected))
+        source_ends)
+    receive_forms
+
 (* --- A failure during recovery itself (shrink/agree store-once) --- *)
 
 (* Rank 3 dies first; survivors enter shrink; rank 2 dies while the others
@@ -404,7 +465,7 @@ let prop_rma_accumulate_sums =
       results.(0) = expected 0 && results.(1) = expected 1)
 
 let tests =
-  collective_failure_tests
+  collective_failure_tests @ receive_form_tests
   @ [
       Alcotest.test_case "send to failed" `Quick test_send_to_failed;
       Alcotest.test_case "fail_world_rank wakes parked victim" `Quick

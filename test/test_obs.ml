@@ -123,10 +123,8 @@ let test_stream_scale_bounded_memory () =
 
 (* --- one record, one reader: the two sinks agree --- *)
 
-(* Collectives (one non-commutative), p2p, a wildcard-source receive and
-   a nonblocking allreduce overlapped with compute.  The receive names its
-   tag: an [any_tag] receive would also match the in-flight allreduce's
-   internal messages (see ROADMAP). *)
+(* Collectives (one non-commutative), p2p, a fully wildcard receive and
+   a nonblocking allreduce overlapped with compute. *)
 let cross_sink_program mpi =
   let me = Comm.rank mpi and n = Comm.size mpi in
   let rt = Comm.runtime mpi in
@@ -138,7 +136,7 @@ let cross_sink_program mpi =
   let b = Coll.bcast mpi Datatype.int ~root:1 (if me = 1 then Some [| 7; 8 |] else None) in
   if me = 0 then
     for _ = 1 to n - 1 do
-      ignore (P2p.recv mpi Datatype.int ~source:P2p.any_source ~tag:0 ())
+      ignore (P2p.recv mpi Datatype.int ~source:P2p.any_source ())
     done
   else P2p.send mpi Datatype.int ~dest:0 [| me |];
   ignore (Request.wait req);

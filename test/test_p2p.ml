@@ -63,6 +63,30 @@ let test_tag_selectivity () =
   in
   Alcotest.(check (list int)) "tag selection" [ 200; 100 ] results.(1)
 
+(* A fully wildcard receive beside a nonblocking allreduce in flight: the
+   wildcard tag matches user tags only, so the receive takes rank 1's
+   tag-7 message and never one of the allreduce's internal messages
+   (which would leave the allreduce waiting forever). *)
+let test_wildcard_tag_skips_collective_traffic () =
+  let results =
+    Engine.run_values ~ranks:4 (fun comm ->
+        let me = Comm.rank comm in
+        let req, cell = Coll.iallreduce comm Datatype.int Reduce_op.int_sum [| me |] in
+        if me = 1 then P2p.send comm Datatype.int ~dest:0 ~tag:7 [| 70 |];
+        let got =
+          if me = 0 then begin
+            let data, st = P2p.recv comm Datatype.int ~source:P2p.any_source () in
+            (Status.tag st, data.(0))
+          end
+          else (-1, -1)
+        in
+        ignore (Request.wait req);
+        (got, (Option.get !cell).(0)))
+  in
+  Alcotest.(check (pair int int))
+    "rank 0 received the user message" (7, 70) (fst results.(0));
+  Array.iter (fun (_, sum) -> Alcotest.(check int) "allreduce sum" 6 sum) results
+
 let test_any_source_oldest_first () =
   let results =
     Engine.run_values ~ranks:3 (fun comm ->
@@ -201,11 +225,11 @@ let test_wait_any () =
         match Comm.rank comm with
         | 0 ->
             (* Two dynamic receives, completed in sender order. *)
-            let r1 = P2p.irecv_dyn comm Datatype.int ~source:1 () in
-            let r2 = P2p.irecv_dyn comm Datatype.int ~source:2 () in
-            let i, _ = Request.wait_any [ r1.P2p.base; r2.P2p.base ] in
-            ignore (P2p.dyn_wait r1);
-            ignore (P2p.dyn_wait r2);
+            let r1, _ = P2p.irecv comm Datatype.int ~source:1 () in
+            let r2, _ = P2p.irecv comm Datatype.int ~source:2 () in
+            let i, _ = Request.wait_any [ r1; r2 ] in
+            ignore (Request.wait r1);
+            ignore (Request.wait r2);
             i
         | 1 ->
             P2p.send comm Datatype.int ~dest:0 [| 1 |];
@@ -225,10 +249,11 @@ let test_request_idempotent () =
           true
         end
         else begin
-          let r = P2p.irecv_dyn comm Datatype.int ~source:0 () in
-          let d1, _ = P2p.dyn_wait r in
-          let d2, _ = P2p.dyn_wait r in
-          d1 == d2
+          let r, cell = P2p.irecv comm Datatype.int ~source:0 () in
+          ignore (Request.wait r);
+          let d1 = !cell in
+          ignore (Request.wait r);
+          d1 != None && d1 == !cell
         end)
   in
   Alcotest.(check bool) "wait is idempotent" true results.(1)
@@ -565,6 +590,8 @@ let tests =
     Alcotest.test_case "non-overtaking order" `Quick test_nonovertaking_same_pair;
     Alcotest.test_case "tag selectivity" `Quick test_tag_selectivity;
     Alcotest.test_case "wildcard oldest-first" `Quick test_any_source_oldest_first;
+    Alcotest.test_case "wildcard tag skips collective traffic" `Quick
+      test_wildcard_tag_skips_collective_traffic;
     Alcotest.test_case "probe then recv" `Quick test_probe_then_recv;
     Alcotest.test_case "iprobe empty" `Quick test_iprobe_empty;
     Alcotest.test_case "truncation error" `Quick test_truncation_error;

@@ -99,6 +99,8 @@ let test_pinned_counts () =
       ("clean_ring", 4, (1, 0, 0), []);
       ("clean_coll", 2, (1, 0, 0), []);
       ("clean_coll", 4, (1, 0, 0), []);
+      ("wildcard_beside_icoll", 2, (1, 0, 1), []);
+      ("wildcard_beside_icoll", 4, (1, 0, 1), []);
       ("nc_reduce", 2, (1, 0, 0), []);
       ("nc_reduce", 4, (1, 0, 0), []);
       ("big_send", 2, (1, 0, 0), []);
