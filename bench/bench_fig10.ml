@@ -25,14 +25,18 @@ let generate family comm ~n_per_rank ~m_per_rank ~seed =
   | Rgg -> Graphgen.Rgg2d.generate comm ~n_per_rank ~seed ()
   | Rhg -> Graphgen.Rhg.generate comm ~n_per_rank ~seed ()
 
+let results_file = "BENCH_FIG10.json"
+
 (* Simulated time of the BFS proper (graph generation excluded): we take
    the makespan delta around the search.  Minimum of [reps] runs filters
-   measured-compute noise. *)
-let run_one ?(reps = 2) ~ranks ~n_per_rank ~m_per_rank family exchanger : float =
+   measured-compute noise.  Also returns the run's message and byte
+   totals (generation included; it is the same for every exchanger). *)
+let run_one ?(reps = 2) ?clock_mode ~ranks ~n_per_rank ~m_per_rank family exchanger :
+    float * int * int =
   let once () =
     let t_bfs = ref 0. in
-    let (_ : Engine.report) =
-      Engine.run ~ranks (fun mpi ->
+    let report =
+      Engine.run ?clock_mode ~ranks (fun mpi ->
           let comm = Kamping.Communicator.of_mpi mpi in
           let g = generate family comm ~n_per_rank ~m_per_rank ~seed:99 in
           Coll.barrier mpi;
@@ -43,11 +47,27 @@ let run_one ?(reps = 2) ~ranks ~n_per_rank ~m_per_rank family exchanger : float 
           let stop = Runtime.clock rt (Comm.world_rank mpi) in
           if Comm.rank mpi = 0 then t_bfs := stop -. start)
     in
-    !t_bfs
+    let stats = report.Engine.stats in
+    ( !t_bfs,
+      Stats.count (Stats.counter stats "msg.sent"),
+      int_of_float (Stats.sum (Stats.histogram stats "msg_size_bytes")) )
   in
-  List.fold_left (fun acc _ -> Float.min acc (once ())) (once ()) (List.init (reps - 1) Fun.id)
+  let first = once () in
+  List.fold_left
+    (fun ((t, _, _) as best) _ ->
+      let (t', _, _) as r = once () in
+      if t' < t then r else best)
+    first
+    (List.init (reps - 1) Fun.id)
 
-let run ?(max_p = 64) ?(n_per_rank = 256) ?(m_per_rank = 1024) ?reps () =
+(* [smoke]: p in {4, 16}, 64 vertices per rank, one rep, under
+   [Virtual_only] so every number repeats exactly — the CI gate's
+   configuration. *)
+let run ?(smoke = false) ?(max_p = 64) ?(n_per_rank = 256) ?(m_per_rank = 1024) ?reps () =
+  let max_p, n_per_rank, m_per_rank, reps, clock_mode =
+    if smoke then (16, 64, 256, Some 1, Runtime.Virtual_only)
+    else (max_p, n_per_rank, m_per_rank, reps, Runtime.Measured)
+  in
   Bench_util.section
     (Printf.sprintf
        "Figure 10: BFS weak scaling (%d vertices, ~%d edges per rank, simulated time)"
@@ -66,8 +86,22 @@ let run ?(max_p = 64) ?(n_per_rank = 256) ?(m_per_rank = 1024) ?reps () =
             string_of_int p
             :: List.map
                  (fun ex ->
-                   Bench_util.time_str
-                     (run_one ?reps ~ranks:p ~n_per_rank ~m_per_rank family ex))
+                   let t, msgs, bytes =
+                     run_one ?reps ~clock_mode ~ranks:p ~n_per_rank ~m_per_rank family ex
+                   in
+                   Bench_util.emit_json_file ~file:results_file ~bench:"fig10_bfs"
+                     [
+                       ("family", Bench_util.S (family_name family));
+                       ("exchanger", Bench_util.S (Bfs.Exchangers.exchanger_name ex));
+                       ("p", Bench_util.I p);
+                       ("n_per_rank", Bench_util.I n_per_rank);
+                       ("m_per_rank", Bench_util.I m_per_rank);
+                       ("clock", Bench_util.S (if smoke then "virtual" else "measured"));
+                       ("bfs_seconds", Bench_util.F t);
+                       ("sent_msgs", Bench_util.I msgs);
+                       ("sent_bytes", Bench_util.I bytes);
+                     ];
+                   Bench_util.time_str t)
                  Bfs.Exchangers.all)
           ps
       in

@@ -53,7 +53,7 @@ let neighbor_exchange topo_comm (neighbors : int array)
          (Array.map
             (fun nb ->
               match Hashtbl.find_opt buckets nb with
-              | Some vs -> Array.of_list (List.rev vs)
+              | Some vs -> Common.array_of_rev_list vs
               | None -> [||])
             neighbors))
   in
@@ -95,7 +95,7 @@ let bfs mpi (g : Distgraph.t) ~(source : int) ~(exchanger : exchanger) : int arr
     | Sparse ->
         let outgoing =
           Hashtbl.fold
-            (fun dest vs acc -> (dest, Array.of_list (List.rev vs)) :: acc)
+            (fun dest vs acc -> (dest, Common.array_of_rev_list vs) :: acc)
             buckets []
         in
         let incoming = Kamping_plugins.Sparse_alltoall.alltoallv comm Datatype.int outgoing in

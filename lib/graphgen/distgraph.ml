@@ -18,6 +18,7 @@ type t = {
   rank : int;
   first_vertex : int;
   n_local : int;
+  chunk : int;
   xadj : int array;  (* length n_local + 1 *)
   adjncy : int array;  (* global neighbor ids, sorted per vertex *)
 }
@@ -117,7 +118,7 @@ let build_from_edges (comm : Kamping.Communicator.t) ~(n_global : int)
     (fun l vs ->
       List.iteri (fun i v -> adjncy.(xadj.(l) + i) <- v) vs)
     adj_lists;
-  { n_global; comm_size = p; rank = r; first_vertex; n_local; xadj; adjncy }
+  { n_global; comm_size = p; rank = r; first_vertex; n_local; chunk; xadj; adjncy }
 
 (* Global statistics (collective): vertex count, edge-endpoint count, cut
    fraction, max degree. *)

@@ -4,7 +4,19 @@
     size ceil(n/p), so ownership is computable locally from a vertex id.
     Neighbor lists store global ids, sorted and deduplicated. *)
 
-type t
+(** The layout and CSR arrays are readable in place, so a per-edge loop
+    can run over them with no call per edge (DESIGN.md §13).
+    Callers must not write to [xadj] or [adjncy]. *)
+type t = private {
+  n_global : int;
+  comm_size : int;
+  rank : int;
+  first_vertex : int;
+  n_local : int;
+  chunk : int;  (** [chunk_size ~n_global ~comm_size]: vertex [v] lives on [v / chunk] *)
+  xadj : int array;  (** length [n_local + 1]: row [l] is [adjncy.(xadj.(l)) ..] *)
+  adjncy : int array;  (** global neighbor ids, sorted per vertex *)
+}
 
 val chunk_size : n_global:int -> comm_size:int -> int
 

@@ -17,6 +17,7 @@
      *_peak_elems         lower is better (scratch-memory ceilings)
      *_words              lower is better (minor-heap allocation counts)
      *_calls              lower is better (per-element callback counts)
+     *_msgs, *_bytes      lower is better (traffic totals)
 
    Metrics containing "wall" measure the host machine rather than the
    model and are skipped by default: only the deterministic modelled
@@ -39,6 +40,7 @@ let metric_direction name =
   else if name = "speedup" || has_suffix name "_speedup" then Some Higher_better
   else if
     has_suffix name "_peak_elems" || has_suffix name "_words" || has_suffix name "_calls"
+    || has_suffix name "_msgs" || has_suffix name "_bytes"
   then Some Lower_better
   else None
 

@@ -483,12 +483,15 @@ let irecv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
 (* ------------------------------------------------------------------ *)
 (* Probing *)
 
+(* A queued match wins over a gone source, as in [probe]; with none, a
+   gone source raises rather than leave a poll loop spinning. *)
 let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"iprobe" ~bytes:0;
-  match queued comm ~src_world:(source_world comm source) ~tag with
-  | None -> None
+  let src_world = source_world comm source in
+  match queued comm ~src_world ~tag with
+  | None -> if source_gone comm ~src_world then gone comm ~op:"iprobe" ~src_world else None
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
       Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;

@@ -166,7 +166,9 @@ val recv_init :
 (** Block until a matching message is available (without receiving it). *)
 val probe : Comm.t -> ?source:int -> ?tag:int -> unit -> Status.t
 
-(** Non-blocking probe. *)
+(** Non-blocking probe.  With no match queued, a source that has failed
+    or observed the communicator's revocation raises [ERR_PROC_FAILED] /
+    [ERR_REVOKED], as {!probe} does, so a poll loop cannot spin forever. *)
 val iprobe : Comm.t -> ?source:int -> ?tag:int -> unit -> Status.t option
 
 (** Combined send+receive; deadlock-free because sends are eager. *)

@@ -122,33 +122,101 @@ let rgg_gen comm = Graphgen.Rgg2d.generate comm ~n_per_rank:64 ~seed:5 ()
 
 let rhg_gen comm = Graphgen.Rhg.generate comm ~n_per_rank:64 ~seed:7 ()
 
+let bfs_families = [ ("gnm", gnm_gen); ("rgg", rgg_gen); ("rhg", rhg_gen) ]
+
+(* One case per graph family and rank count; p = 4 keeps the plain
+   "(family)" name. *)
+let bfs_cases name bfs =
+  List.concat_map
+    (fun p ->
+      List.map
+        (fun (gname, gen) ->
+          let where = if p = 4 then gname else Printf.sprintf "%s, p=%d" gname p in
+          Alcotest.test_case
+            (Printf.sprintf "%s (%s)" name where)
+            `Quick (run_bfs_check ~p ~gen name bfs))
+        bfs_families)
+    [ 4; 5 ]
+
 let bfs_binding_tests =
-  [
-    Alcotest.test_case "bfs mpi (gnm)" `Quick
-      (run_bfs_check ~p:4 ~gen:gnm_gen "bfs mpi" Bfs.Bfs_mpi.bfs);
-    Alcotest.test_case "bfs kamping (gnm)" `Quick
-      (run_bfs_check ~p:4 ~gen:gnm_gen "bfs kamping" Bfs.Bfs_kamping.bfs);
-    Alcotest.test_case "bfs boost (gnm)" `Quick
-      (run_bfs_check ~p:4 ~gen:gnm_gen "bfs boost" Bfs.Bfs_boost.bfs);
-    Alcotest.test_case "bfs rwth (gnm)" `Quick
-      (run_bfs_check ~p:4 ~gen:gnm_gen "bfs rwth" Bfs.Bfs_rwth.bfs);
-    Alcotest.test_case "bfs mpl (gnm)" `Quick
-      (run_bfs_check ~p:4 ~gen:gnm_gen "bfs mpl" Bfs.Bfs_mpl.bfs);
-  ]
+  List.concat_map
+    (fun (name, bfs) -> bfs_cases name bfs)
+    [
+      ("bfs mpi", Bfs.Bfs_mpi.bfs);
+      ("bfs kamping", Bfs.Bfs_kamping.bfs);
+      ("bfs boost", Bfs.Bfs_boost.bfs);
+      ("bfs rwth", Bfs.Bfs_rwth.bfs);
+      ("bfs mpl", Bfs.Bfs_mpl.bfs);
+    ]
 
 let bfs_exchanger_tests =
   List.concat_map
-    (fun (gname, gen) ->
-      List.map
-        (fun ex ->
-          Alcotest.test_case
-            (Printf.sprintf "bfs %s (%s)" (Bfs.Exchangers.exchanger_name ex) gname)
-            `Quick
-            (run_bfs_check ~p:4 ~gen
-               (Printf.sprintf "bfs %s" (Bfs.Exchangers.exchanger_name ex))
-               (fun mpi g ~source -> Bfs.Exchangers.bfs mpi g ~source ~exchanger:ex)))
-        Bfs.Exchangers.all)
-    [ ("gnm", gnm_gen); ("rgg", rgg_gen); ("rhg", rhg_gen) ]
+    (fun ex ->
+      bfs_cases
+        (Printf.sprintf "bfs %s" (Bfs.Exchangers.exchanger_name ex))
+        (fun mpi g ~source -> Bfs.Exchangers.bfs mpi g ~source ~exchanger:ex))
+    Bfs.Exchangers.all
+
+(* The frontier kernel as it was written before it ran on the CSR arrays
+   in place: per-edge [Distgraph] calls and a [Hashtbl.replace] per remote
+   neighbor.  The reference for [Bfs.Common.expand_frontier]. *)
+let reference_expand_frontier g (dist : int array) frontier ~level =
+  let open Graphgen in
+  let next_local = ref [] in
+  let buckets : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      Distgraph.iter_neighbors g l (fun u ->
+          if Distgraph.is_local g u then begin
+            let lu = Distgraph.local_of_global g u in
+            if dist.(lu) = Bfs.Common.undef then begin
+              dist.(lu) <- level + 1;
+              next_local := lu :: !next_local
+            end
+          end
+          else begin
+            let owner = Distgraph.owner g u in
+            Hashtbl.replace buckets owner
+              (u :: (try Hashtbl.find buckets owner with Not_found -> []))
+          end))
+    frontier;
+  (next_local, buckets)
+
+(* Same next frontier (order included), same [dist] and the same
+   [Hashtbl.fold] sequence — the exchangers' send order — on random
+   frontiers over random graphs of every family. *)
+let prop_expand_matches_reference =
+  QCheck.Test.make ~name:"expand_frontier = per-edge Hashtbl reference" ~count:40
+    QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 88) (int_bound 1_000_000))
+    (fun (family, pi, n, seed) ->
+      let p = [| 1; 3; 4; 5; 8 |].(pi) and n_per_rank = 8 + n in
+      let gen comm =
+        match family with
+        | 0 -> Graphgen.Gnm.generate comm ~n_per_rank ~m_per_rank:(3 * n_per_rank) ~seed
+        | 1 -> Graphgen.Rgg2d.generate comm ~n_per_rank ~seed ()
+        | _ -> Graphgen.Rhg.generate comm ~n_per_rank ~seed ()
+      in
+      let agree =
+        Engine.run_values ~ranks:p (fun mpi ->
+            let g = gen (Kamping.Communicator.of_mpi mpi) in
+            let n = Graphgen.Distgraph.n_local g in
+            let rng = Xoshiro.create ~seed ~stream:(Comm.rank mpi) in
+            let pick bound = Xoshiro.next_int rng ~bound in
+            let dist =
+              Array.init (max 1 n) (fun _ ->
+                  if pick 3 = 0 then pick 8 else Bfs.Common.undef)
+            in
+            let frontier = if n = 0 then [] else List.init (pick (n + 1)) (fun _ -> pick n) in
+            let level = pick 10 in
+            let fold b = Hashtbl.fold (fun owner vs acc -> (owner, vs) :: acc) b [] in
+            let d_new = Array.copy dist and d_ref = Array.copy dist in
+            let next_new, b_new = Bfs.Common.expand_frontier g d_new frontier ~level in
+            let next_ref, b_ref = reference_expand_frontier g d_ref frontier ~level in
+            !next_new = !next_ref && d_new = d_ref && fold b_new = fold b_ref)
+      in
+      Array.for_all Fun.id agree)
+
+let bfs_kernel_tests = [ QCheck_alcotest.to_alcotest prop_expand_matches_reference ]
 
 (* ------------------------------------------------------------------ *)
 (* Suffix array: both variants against the sequential reference. *)
@@ -286,6 +354,7 @@ let () =
       ("vector_allgather", va_tests);
       ("bfs_bindings", bfs_binding_tests);
       ("bfs_exchangers", bfs_exchanger_tests);
+      ("bfs_kernel", bfs_kernel_tests);
       ("suffix_array", suffix_tests);
       ("label_propagation", lp_tests);
       ("phylo", phylo_tests);

@@ -174,7 +174,9 @@ let test_nb_collective_failed_peer () =
 (* Each row is one receive form run on rank 0 from rank 1.  Rank 1 lets
    rank 0 post first, then revokes the communicator or dies without
    sending.  The receive must raise the matching error and never wait
-   forever. *)
+   forever.  A poll loop that gives up reports "spun" instead. *)
+exception Spun
+
 let receive_forms : (string * (Comm.t -> unit)) list =
   let buf () = Array.make 4 0 in
   [
@@ -193,6 +195,14 @@ let receive_forms : (string * (Comm.t -> unit)) list =
         Request.start p;
         Request.wait_p p );
     ("probe", fun c -> ignore (P2p.probe c ~source:1 ()));
+    ( "iprobe poll loop",
+      fun c ->
+        let polls = ref 0 in
+        while P2p.iprobe c ~source:1 () = None do
+          incr polls;
+          if !polls >= 10_000 then raise Spun;
+          Scheduler.yield ()
+        done );
   ]
 
 let source_ends : (string * (Comm.t -> unit) * string) list =
@@ -212,7 +222,8 @@ let check_receive_form recv source_end expected () =
          else
            match recv comm with
            | () -> ()
-           | exception Errdefs.Mpi_error { code; _ } -> outcome := Errdefs.code_name code)
+           | exception Errdefs.Mpi_error { code; _ } -> outcome := Errdefs.code_name code
+           | exception Spun -> outcome := "spun")
    with
   | _ -> ()
   | exception Scheduler.Deadlock _ -> outcome := "deadlock");

@@ -641,6 +641,11 @@ let test_bench_compare_directions () =
     (Bench_compare.metric_direction "msg_minor_words" = Some Bench_compare.Lower_better);
   Alcotest.(check bool) "callback counts lower-better" true
     (Bench_compare.metric_direction "bulk_calls" = Some Bench_compare.Lower_better);
+  Alcotest.(check bool) "traffic totals lower-better" true
+    (Bench_compare.metric_direction "sent_msgs" = Some Bench_compare.Lower_better
+    && Bench_compare.metric_direction "sent_bytes" = Some Bench_compare.Lower_better);
+  Alcotest.(check bool) "a bare size field is identity" true
+    (Bench_compare.metric_direction "bytes" = None);
   Alcotest.(check bool) "plain config field is identity" true
     (Bench_compare.metric_direction "ranks" = None);
   Alcotest.(check bool) "wall detection" true
