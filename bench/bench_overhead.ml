@@ -138,9 +138,9 @@ let stencil_persistent ~iterations mpi =
   for it = 1 to iterations do
     src.(0) <- src.(0) + it;
     Request.start req;
-    Request.wait_p req
+    ignore (Request.wait req)
   done;
-  Request.free_p req
+  Request.free req
 
 (* Median wall seconds and mean minor words of [runs] full simulations.
    The words include engine setup, identical across variants, so the
@@ -170,15 +170,15 @@ let single_rank_cycle_words () =
          let req = Coll.allreduce_init mpi Datatype.int Reduce_op.int_sum ~src ~dst in
          for _ = 1 to 10 do
            Request.start req;
-           Request.wait_p req
+           ignore (Request.wait req)
          done;
          let w0 = Gc.minor_words () in
          for _ = 1 to 10_000 do
            Request.start req;
-           Request.wait_p req
+           ignore (Request.wait req)
          done;
          words := Gc.minor_words () -. w0;
-         Request.free_p req));
+         Request.free req));
   !words
 
 let persistent_section ~smoke () =

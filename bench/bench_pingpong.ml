@@ -228,7 +228,7 @@ let p2p_alloc_series () =
           let r = P2p.recv_init comm Datatype.byte ~source:peer into in
           let cycle req () =
             Request.start req;
-            Request.wait_p req
+            ignore (Request.wait req)
           in
           (cycle s, cycle r) );
     ]

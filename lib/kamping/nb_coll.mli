@@ -3,9 +3,9 @@
     {!Nb.wait}/{!Nb.test}.
 
     Progress semantics: as in MPI without an asynchronous progress
-    thread, the collective advances inside the calls on its result: each
-    {!Nb.test} takes the steps whose messages have arrived, so work
-    between tests overlaps it, and {!Nb.wait} completes it. *)
+    thread, each {!Nb.test} takes the steps whose messages have arrived,
+    so work between tests overlaps the collective, and every blocking
+    wait of the rank advances it. *)
 
 open Mpisim
 
@@ -25,7 +25,7 @@ val ireduce_scatter :
   'a array Nb.t
 
 (** Counts are inferred eagerly (one alltoall at call time) when omitted;
-    the data exchange progresses in test/wait. *)
+    the data exchange progresses as above. *)
 val ialltoallv :
   Communicator.t ->
   'a Datatype.t ->

@@ -3,10 +3,10 @@
    The binding layer's job is the same as everywhere else: compute the
    parameters MPI makes the caller spell out.  [send_init] defaults to
    the whole buffer; [reduce_scatter_init] defaults [recv_counts] to an
-   equal split.  The returned {!Mpisim.Request.p} is cycled with
-   {!start}/{!wait} — all per-call setup (algorithm selection, datatype
-   plan, counter handles, working buffers) was paid once at init, so the
-   steady state adds no binding-layer overhead on top of the transport. *)
+   equal split.  All per-call setup (algorithm selection, datatype plan,
+   counter handles, working buffers) is paid once at init, so the
+   [Request.start]/[Request.wait] cycle adds no binding-layer overhead on
+   top of the transport. *)
 
 open Mpisim
 
@@ -14,23 +14,23 @@ type comm = Communicator.t
 
 let c = Communicator.mpi
 
-let send_init comm dt ~dest ?tag (data : 'a array) : Request.p =
+let send_init comm dt ~dest ?tag (data : 'a array) : Request.t =
   P2p.send_init (c comm) dt ~dest ?tag data ~pos:0 ~count:(Array.length data)
 
-let recv_init comm dt ?source ?tag (into : 'a array) : Request.p =
+let recv_init comm dt ?source ?tag (into : 'a array) : Request.t =
   P2p.recv_init (c comm) dt ?source ?tag into
 
-let bcast_init comm dt ?root (buf : 'a array) : Request.p =
+let bcast_init comm dt ?root (buf : 'a array) : Request.t =
   let root = Option.value root ~default:0 in
   Coll.bcast_init (c comm) dt ~root buf
 
-let allreduce_init comm dt op ~src ~dst : Request.p =
+let allreduce_init comm dt op ~src ~dst : Request.t =
   Coll.allreduce_init (c comm) dt op ~src ~dst
 
 (* [recv_counts] defaults to an equal split of [src] (which must then be
    divisible by the communicator size). *)
 let reduce_scatter_init comm dt op ?recv_counts ~(src : 'a array) ~(dst : 'a array) () :
-    Request.p =
+    Request.t =
   let mpi = c comm in
   let recv_counts =
     match recv_counts with
@@ -46,12 +46,3 @@ let reduce_scatter_init comm dt op ?recv_counts ~(src : 'a array) ~(dst : 'a arr
         Array.make p (n / p)
   in
   Coll.reduce_scatter_init mpi dt op ~recv_counts ~src ~dst
-
-(* Request-cycle surface, re-exported so callers need only this module. *)
-let start = Request.start
-
-let wait = Request.wait_p
-
-let test = Request.test_p
-
-let free = Request.free_p

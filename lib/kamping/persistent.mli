@@ -2,16 +2,16 @@
 
     [*_init] pays all per-call setup once — argument validation,
     algorithm selection, datatype plan, counter handles, working
-    buffers — and returns a request cycled with {!start}/{!wait}:
+    buffers — and returns an inactive persistent {!Mpisim.Request.t}:
 
     {[
       let req = Persistent.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
       for _ = 1 to iterations do
         (* ... update src in place ... *)
-        Persistent.start req;
-        Persistent.wait req
+        Request.start req;
+        ignore (Request.wait req)
       done;
-      Persistent.free req
+      Request.free req
     ]}
 
     Buffers are fixed at init per MPI persistent-request semantics; each
@@ -19,19 +19,19 @@
 
 type comm = Communicator.t
 
-(** Persistent send of the whole buffer; each {!start} injects its
-    current contents.  [tag] defaults to 0. *)
+(** Persistent send of the whole buffer; each [Request.start] injects
+    its current contents.  [tag] defaults to 0. *)
 val send_init :
-  comm -> 'a Mpisim.Datatype.t -> dest:int -> ?tag:int -> 'a array -> Mpisim.Request.p
+  comm -> 'a Mpisim.Datatype.t -> dest:int -> ?tag:int -> 'a array -> Mpisim.Request.t
 
-(** Persistent receive into [into]; posted at {!start}, unpacked at
-    {!wait}. *)
+(** Persistent receive into [into]; posted at [Request.start],
+    unpacked at completion. *)
 val recv_init :
-  comm -> 'a Mpisim.Datatype.t -> ?source:int -> ?tag:int -> 'a array -> Mpisim.Request.p
+  comm -> 'a Mpisim.Datatype.t -> ?source:int -> ?tag:int -> 'a array -> Mpisim.Request.t
 
 (** Persistent broadcast of the root's buffer contents into every rank's
     buffer.  [root] defaults to 0. *)
-val bcast_init : comm -> 'a Mpisim.Datatype.t -> ?root:int -> 'a array -> Mpisim.Request.p
+val bcast_init : comm -> 'a Mpisim.Datatype.t -> ?root:int -> 'a array -> Mpisim.Request.t
 
 (** Persistent allreduce of [src] into [dst] each cycle. *)
 val allreduce_init :
@@ -40,7 +40,7 @@ val allreduce_init :
   'a Mpisim.Reduce_op.t ->
   src:'a array ->
   dst:'a array ->
-  Mpisim.Request.p
+  Mpisim.Request.t
 
 (** Persistent reduce-scatter; [recv_counts] defaults to an equal split
     of [src] (its length must then be divisible by the communicator
@@ -53,18 +53,4 @@ val reduce_scatter_init :
   src:'a array ->
   dst:'a array ->
   unit ->
-  Mpisim.Request.p
-
-(** {1 Request cycle (re-exports of {!Mpisim.Request})} *)
-
-val start : Mpisim.Request.p -> unit
-
-(** Complete the active cycle (no-op on an inactive request). *)
-val wait : Mpisim.Request.p -> unit
-
-(** [true] and completes if the cycle can finish now; [true] if
-    inactive. *)
-val test : Mpisim.Request.p -> bool
-
-(** Mark the request unusable; it must be inactive. *)
-val free : Mpisim.Request.p -> unit
+  Mpisim.Request.t

@@ -37,12 +37,10 @@
    Each algorithm is written once, as a schedule: rounds of [send],
    [recv] and [recv_fold] steps over caller buffers given as ranges, plus
    local copies and folds.  A driver value [x] says how a receive step
-   waits.  Blocking calls run the schedule straight through: each step is
-   a [P2p.send_range] or [P2p.recv_range] call.  Nonblocking calls and
-   persistent cycles run it progressively: a receive whose message has
-   not arrived yet suspends the schedule, and the request resumes it
-   inside test/wait, so computation between tests overlaps the
-   collective (DESIGN.md §6.1).
+   waits.  Blocking calls run the schedule straight through.  Nonblocking
+   calls and persistent cycles run it progressively: a receive whose
+   message is not there suspends the schedule, which tests and the rank's
+   blocking waits resume (DESIGN.md §6.1).
 
    Every collective starts with [Comm.check_collective], which raises
    ERR_REVOKED / ERR_PROC_FAILED per ULFM semantics and, with the {!Check}
@@ -161,24 +159,25 @@ let block_count (t : int array) b = t.(b + 1) - t.(b)
 (* ------------------------------------------------------------------ *)
 (* Schedules and their drivers *)
 
-(* A schedule running on the progressive driver (a nonblocking call or a
-   persistent cycle) of [comm]: [k] is where it suspended and [poll] what
-   it waits for; an MPI error it raised is kept for test/wait to
-   re-raise.  [poll true] asks whether the awaited message has arrived by
-   the rank's virtual clock, [poll false] only whether it is in the
-   mailbox.  [last_test] is the clock at the previous test.  Once
-   [waiting] — the owner is in wait and has nothing else to do — its
-   steps block the fiber like a blocking call's instead of suspending.
-   [label] is the algorithm the schedule is in, which its sends carry in
-   the communication matrix. *)
+(* A schedule on the progressive driver of [comm]: [k] is where it
+   suspended, waiting for the message from comm rank [src] with (shifted)
+   tag [tag] or, with [tag] negative, for [until]; an MPI error it raised
+   is kept for test/wait.  [by_clock] is the rule the running advance
+   takes steps by: a message that has arrived by the rank's virtual
+   clock, or one merely in the mailbox.  [last_test] is the clock at the
+   previous test.  [label], the algorithm the schedule is in, goes with
+   its sends into the communication matrix; [algo] names its wait. *)
 type prog = {
   comm : Comm.t;
   mutable k : (unit, unit) Effect.Deep.continuation option;
-  mutable poll : bool -> bool;
+  mutable src : int;
+  mutable tag : int;
+  mutable until : unit -> bool;
+  mutable by_clock : bool;
   mutable error : exn option;
-  mutable waiting : bool;
   mutable last_test : float;
   mutable label : string;
+  mutable algo : string;
 }
 
 (* How a schedule's steps run: blocking ([prog = None]) or progressive.
@@ -189,37 +188,13 @@ type drv = { shift : int; prog : prog option }
 
 let blocking = { shift = 0; prog = None }
 
-(* A fresh progressive instance.  Collectives are called in the same order
-   on every rank, so the tag windows agree across ranks. *)
-let progressive comm =
-  let gen = comm.Comm.my_sched_gen in
-  comm.Comm.my_sched_gen <- gen + 1;
-  let s =
-    {
-      comm;
-      k = None;
-      poll = (fun _ -> false);
-      error = None;
-      waiting = false;
-      last_test = neg_infinity;
-      label = Comm_matrix.p2p_label;
-    }
-  in
-  (s, { shift = P2p.first_window_op + (tag_window * gen); prog = Some s })
+(* Performed by a progressive schedule that cannot go on yet; the driver
+   keeps the continuation and resumes it later. *)
+type _ Effect.t += Await : unit Effect.t
 
-(* Performed by a progressive schedule that cannot go on until [poll]
-   holds; the driver keeps the continuation and resumes it later. *)
-type _ Effect.t += Await : (bool -> bool) -> unit Effect.t
-
-let suspends x = match x.prog with Some s -> not s.waiting | None -> false
-
-let rec await x ~describe poll =
-  if not (poll ()) then
-    if suspends x then begin
-      Effect.perform (Await (fun _ -> poll ()));
-      await x ~describe poll
-    end
-    else Scheduler.park ~describe ~poll:(fun () -> if poll () then Some () else None)
+let waits s ~by_clock =
+  if s.tag >= 0 then P2p.matchable s.comm ~arrived:by_clock ~source:s.src ~tag:s.tag
+  else s.until ()
 
 (* Run [f] with the rank's comm-matrix label set to [label], so every
    message [f] injects is attributed to it.  Save/restore (rather than
@@ -239,8 +214,9 @@ let labelled comm label f =
    preallocated in Coll_algo, so with tracing off this costs one counter
    increment.  A progressive schedule may suspend mid-algorithm, so it
    opens no span and leaves the rank's label alone: it keeps its own,
-   which its sends carry.  (An error ends the schedule, and a persistent
-   cycle resets the label, so none is restored on the error path.) *)
+   which its sends carry, and names its first algorithm in its wait.  (An
+   error ends the schedule, and a persistent cycle resets the label, so
+   none is restored on the error path.) *)
 let dispatch x comm alg_op algo f =
   let rt = Comm.runtime comm in
   Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
@@ -250,6 +226,7 @@ let dispatch x comm alg_op algo f =
   | Some s ->
       let prev = s.label in
       s.label <- name;
+      if s.algo = "" then s.algo <- Coll_algo.algo_name algo;
       let v = f () in
       s.label <- prev;
       v
@@ -275,12 +252,16 @@ let send x comm dt ~tag ~dest buf ~pos ~count =
   | _ -> P2p.send_range comm dt ~dest ~tag buf ~pos ~count
 
 (* On the progressive driver a receive step runs at once only if its
-   message has arrived by the rank's virtual clock (or its source has
-   failed); otherwise the schedule suspends until [advance] finds it
+   message is there by the driver's current rule (or its source has
+   failed); otherwise the schedule suspends until its driver finds it
    there. *)
 let arrived x comm ~tag ~src =
-  if suspends x && not (P2p.matchable comm ~arrived:true ~source:src ~tag) then
-    Effect.perform (Await (fun arrived -> P2p.matchable comm ~arrived ~source:src ~tag))
+  match x.prog with
+  | Some s when not (P2p.matchable comm ~arrived:s.by_clock ~source:src ~tag) ->
+      s.src <- src;
+      s.tag <- tag;
+      Effect.perform Await
+  | _ -> ()
 
 (* Receive exactly [count] elements into [buf] at [pos]. *)
 let recv x comm dt ~tag ~what ~src buf ~pos ~count =
@@ -310,7 +291,9 @@ let recv_fold x comm dt op ~tag ~what ~src ~scratch buf ~pos ~count =
 
 (* --- the progressive driver --- *)
 
+(* Built once per schedule: a suspension allocates only its continuation. *)
 let handler (s : prog) : (unit, unit) Effect.Deep.handler =
+  let suspend = Some (fun k -> s.k <- Some k) in
   {
     retc = (fun () -> ());
     (* An MPI error belongs to the request; anything else (a killed
@@ -319,105 +302,66 @@ let handler (s : prog) : (unit, unit) Effect.Deep.handler =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Await poll ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                s.k <- Some k;
-                s.poll <- poll)
+        | Await -> (suspend : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None);
   }
 
-(* Run [body] until it first has to wait. *)
-let launch s h body =
-  s.k <- None;
-  s.waiting <- false;
-  Effect.Deep.match_with body () h
-
-(* A test: resume the schedule for as long as what it waits for is
-   there; [true] once it has finished.  Runs in the owning fiber.  A step
-   is taken once its message has arrived by the rank's virtual clock, so
-   a message still on the wire is left for a later test and the
-   computation in between overlaps it.  A test at the clock of the
-   previous one (a polling loop, which advances no virtual time) takes a
-   message that is merely in the mailbox, moving the clock to its
-   arrival as [P2p.irecv_into]'s test does, so polling always
-   completes. *)
-let advance s =
-  let now = (Comm.runtime s.comm).Runtime.clocks.(Comm.world_rank s.comm) in
-  let arrived = now > s.last_test in
-  s.last_test <- now;
-  let rec go () =
-    match s.k with
-    | None -> true
-    | Some k ->
-        if s.poll arrived then begin
-          s.k <- None;
-          Effect.Deep.continue k ();
-          go ()
-        end
-        else false
-  in
-  go ()
-
-(* Complete the schedule: the owner is waiting, so the remaining steps
-   block the fiber as a blocking call's would.  Then re-raise an error the
-   schedule stopped on. *)
-let finish s =
-  (match s.k with
-  | None -> ()
+(* Resume the schedule, in the owning fiber, for as long as what it waits
+   for is there by the rule [by_clock]; [true] once it has finished. *)
+let rec advance s ~by_clock =
+  s.by_clock <- by_clock;
+  match s.k with
+  | None -> true
   | Some k ->
-      s.waiting <- true;
-      s.k <- None;
-      Effect.Deep.continue k ());
-  match s.error with
-  | None -> ()
-  | Some e ->
-      s.error <- None;
-      raise e
+      if waits s ~by_clock then begin
+        s.k <- None;
+        Effect.Deep.continue k ();
+        advance s ~by_clock
+      end
+      else false
 
-(* Nonblocking driver: post [run] and return the request that advances it
-   in test/wait.  The collective is recorded once, under its own name and
-   real payload bytes; an MPI error raised while posting (a revoked
-   communicator, a failed member) surfaces at test/wait. *)
-let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref =
+(* The progressive driver: the request that runs [body], persistent
+   (created inactive, each [Request.start] runs one cycle) or, for a
+   nonblocking call, started at once.  A cycle runs the prologue, records
+   [op] through a handle resolved here, bumps the frozen algorithm's
+   counter and sends with its label, in the tag window taken here
+   (collectives are called in the same order everywhere, so windows
+   agree); an MPI error it raises surfaces at test/wait.  A started
+   schedule that has to wait joins the rank's in-flight list.  A test
+   takes a step once its message has arrived by the rank's virtual clock,
+   so computation between tests overlaps it, or, at the clock of the
+   previous test (a polling loop), once it is in the mailbox, so polling
+   completes.  One rank has no peer to wait for, so its persistent cycle
+   runs at [start] with no effect handler: the allocation-free case. *)
+let schedule comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option) ~persistent
+    (body : drv -> unit) : Request.t =
   let rt = Comm.runtime comm in
-  let result = ref None in
-  let s, x = progressive comm in
-  launch s (handler s) (fun () ->
-      prologue comm ~op ~root ~ty;
-      record comm ~op ~bytes;
-      result := Some (run x));
-  let req =
-    Request.make_stepped
-      ~advance:(fun () -> advance s)
-      ~ready:(fun () -> s.k = None || s.poll false)
-      ~finalize:(fun () ->
-        finish s;
-        Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
-      ~describe:(fun () -> op)
-  in
-  if Check.enabled rt.Runtime.check then
-    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op req;
-  (req, result)
-
-(* Persistent driver: each [start] re-runs [body] on the progressive
-   driver, in the tag window the request took at init, with the profiling
-   handle and the frozen algorithm's counter resolved once; its sends
-   carry the frozen algorithm's comm-matrix label.  [wait_p]
-   need not park before [finish], which blocks as it goes.  One rank has
-   no peer to wait for, so its cycle runs at [start] with no effect
-   handler: the allocation-free case. *)
-let persistent comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option)
-    (body : drv -> unit) : Request.p =
-  let rt = Comm.runtime comm in
+  let inflight = rt.Runtime.inflight.(Comm.world_rank comm) in
   let prep = Profiling.prepare rt.Runtime.profile op in
   let counter =
     Option.map (fun fz -> Stats.counter rt.Runtime.stats fz.Coll_algo.frozen_counter) frozen
   in
-  let s, x = progressive comm in
+  let gen = comm.Comm.my_sched_gen in
+  comm.Comm.my_sched_gen <- gen + 1;
+  let s =
+    {
+      comm;
+      k = None;
+      src = -1;
+      tag = -1;
+      until = (fun () -> false);
+      by_clock = true;
+      error = None;
+      last_test = neg_infinity;
+      label = Comm_matrix.p2p_label;
+      algo = "";
+    }
+  in
+  let x = { shift = P2p.first_window_op + (tag_window * gen); prog = Some s } in
   let label =
     match frozen with Some fz -> fz.Coll_algo.frozen_span | None -> Comm_matrix.p2p_label
   in
+  Option.iter (fun fz -> s.algo <- Coll_algo.algo_name fz.Coll_algo.frozen_algo) frozen;
   let cycle () =
     s.label <- label;
     prologue comm ~op ~root ~ty;
@@ -425,18 +369,60 @@ let persistent comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option)
     Option.iter Stats.incr counter;
     body x
   in
-  let describe = op ^ "_init" in
-  let ready () = true in
-  if Comm.size comm = 1 then
-    Request.make_p ~describe ~start:cycle ~advance:ready ~ready ~run:ignore
+  let name = if persistent then op ^ "_init" else op in
+  let describe () =
+    let algo = if s.algo = "" then "" else "." ^ s.algo in
+    if s.k = None then name ^ algo else Printf.sprintf "%s%s (src %d)" name algo s.src
+  in
+  if persistent && Comm.size comm = 1 then
+    Request.make ~start:cycle ~ready:(fun () -> true) ~finalize:(fun () -> Status.empty)
+      ~describe inflight
   else begin
     let h = handler s in
-    Request.make_p ~describe
-      ~start:(fun () -> launch s h cycle)
-      ~advance:(fun () -> advance s)
-      ~ready
-      ~run:(fun () -> finish s)
+    let sched =
+      {
+        Request.step = (fun () -> advance s ~by_clock:false);
+        wakes = (fun () -> s.k <> None && waits s ~by_clock:false);
+      }
+    in
+    let start () =
+      s.by_clock <- true;
+      Effect.Deep.match_with cycle () h;
+      if s.k <> None then Request.enlist inflight sched
+    in
+    let test () =
+      let now = rt.Runtime.clocks.(Comm.world_rank comm) in
+      let by_clock = now > s.last_test in
+      s.last_test <- now;
+      advance s ~by_clock
+    in
+    let finalize () =
+      match s.error with
+      | None -> Status.empty
+      | Some e ->
+          s.error <- None;
+          raise e
+    in
+    let req =
+      Request.make ?start:(if persistent then Some start else None) ~advance:test
+        ~ready:(fun () -> s.k = None) ~finalize ~describe inflight
+    in
+    if not persistent then start ();
+    req
   end
+
+(* A nonblocking collective, recorded once under its own name with its
+   payload bytes; the result cell is filled at completion. *)
+let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref =
+  let rt = Comm.runtime comm in
+  let result = ref None in
+  let req =
+    schedule comm ~op ~root ~ty ~bytes ~frozen:None ~persistent:false (fun x ->
+        result := Some (run x))
+  in
+  if Check.enabled rt.Runtime.check then
+    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op req;
+  (req, result)
 
 (* ------------------------------------------------------------------ *)
 (* Barrier: dissemination *)
@@ -497,6 +483,7 @@ let ibarrier comm =
           Hashtbl.remove shared.Comm.ibarriers gen;
         Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
       ~describe:(fun () -> Printf.sprintf "ibarrier gen %d" gen)
+      rt.Runtime.inflight.(me)
   in
   if Check.enabled rt.Runtime.check then
     Check.track_request rt.Runtime.check ~rank:me ~kind:"ibarrier" req;
@@ -627,12 +614,23 @@ let bcast_count_rendezvous x comm ~root ~count_at_root =
   end
   else if not (Hashtbl.mem shared.Comm.bcast_counts gen) then begin
     let root_world = Comm.world_of_rank comm root in
-    await x
-      ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
-      (fun () ->
-        Hashtbl.mem shared.Comm.bcast_counts gen
-        || Comm.revocation_reached comm ~world:root_world
-        || Comm.any_member_failed comm)
+    let ready () =
+      Hashtbl.mem shared.Comm.bcast_counts gen
+      || Comm.revocation_reached comm ~world:root_world
+      || Comm.any_member_failed comm
+    in
+    (* A progressive schedule suspends: it never blocks inside itself. *)
+    match x.prog with
+    | Some s ->
+        s.src <- root;
+        s.tag <- -1;
+        s.until <- ready;
+        Effect.perform Await
+    | None ->
+        Request.block
+          (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
+          ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
+          ~poll:(fun () -> if ready () then Some () else None)
   end;
   match Hashtbl.find_opt shared.Comm.bcast_counts gen with
   | Some m ->
@@ -1461,7 +1459,7 @@ let freeze comm op ~bytes ~commutative ~elems ~payload =
    are fixed at init per MPI persistent semantics; [src == dst] works
    (in-place). *)
 let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a array)
-    ~(dst : 'a array) : Request.p =
+    ~(dst : 'a array) : Request.t =
   let ty = Datatype.name dt in
   prologue comm ~op:"allreduce_init" ~root:(-1) ~ty;
   let elems = Array.length src in
@@ -1470,7 +1468,7 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
       (Array.length dst);
   let bytes = Datatype.size_of_count dt elems in
   record comm ~op:"allreduce_init" ~bytes;
-  let persistent = persistent comm ~op:"allreduce" ~root:(-1) ~ty ~bytes in
+  let persistent = schedule comm ~op:"allreduce" ~root:(-1) ~ty ~bytes ~persistent:true in
   if Comm.size comm = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 elems)
   else begin
     let frozen, algo =
@@ -1487,7 +1485,7 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
    element count is known everywhere at init and no count rendezvous is
    needed; size-keyed selection still matches the ad-hoc choice because
    both key on the same byte total. *)
-let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.p =
+let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   let ty = Datatype.name dt in
   prologue comm ~op:"bcast_init" ~root ~ty;
   Comm.check_rank comm root;
@@ -1495,7 +1493,7 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.p =
   let bytes = Datatype.size_of_count dt total in
   let rbytes = if Comm.rank comm = root then bytes else 0 in
   record comm ~op:"bcast_init" ~bytes:rbytes;
-  let persistent = persistent comm ~op:"bcast" ~root ~ty ~bytes:rbytes in
+  let persistent = schedule comm ~op:"bcast" ~root ~ty ~bytes:rbytes ~persistent:true in
   let n = Comm.size comm in
   if n = 1 then persistent ~frozen:None ignore
   else
@@ -1511,7 +1509,7 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.p =
 (* Persistent reduce_scatter: reduces [src] and scatters block r into
    [dst] (whose length must be [recv_counts.(r)]). *)
 let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
-    ~(recv_counts : int array) ~(src : 'a array) ~(dst : 'a array) : Request.p =
+    ~(recv_counts : int array) ~(src : 'a array) ~(dst : 'a array) : Request.t =
   let ty = Datatype.name dt in
   prologue comm ~op:"reduce_scatter_init" ~root:(-1) ~ty;
   let n = Comm.size comm in
@@ -1523,7 +1521,9 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
       (Array.length dst) mine;
   let bytes = Datatype.size_of_count dt len in
   record comm ~op:"reduce_scatter_init" ~bytes;
-  let persistent = persistent comm ~op:"reduce_scatter" ~root:(-1) ~ty ~bytes in
+  let persistent =
+    schedule comm ~op:"reduce_scatter" ~root:(-1) ~ty ~bytes ~persistent:true
+  in
   if n = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 len)
   else begin
     let frozen, algo =

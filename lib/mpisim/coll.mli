@@ -165,8 +165,8 @@ val reduce_scatter :
     [*_init] freezes everything a cycle does not strictly need at init —
     the {!Coll_algo} selection for this (bytes, size) key, the
     [coll.algo.*] counter and profiling handles, working buffers, block
-    tables, and a pre-warmed pooled writer — and returns a {!Request.p}
-    cycled with {!Request.start}/{!Request.wait_p}.  Buffers are fixed at
+    tables, and a pre-warmed pooled writer — and returns an inactive
+    persistent {!Request.t}, cycled with {!Request.start}.  Buffers are fixed at
     init per MPI persistent semantics; each cycle reads the current
     contents.
 
@@ -177,17 +177,16 @@ val reduce_scatter :
     allocate in transport but skip all per-call setup.
 
     Progress semantics match the nonblocking collectives: [start] runs
-    the schedule until a receive whose message has not arrived,
-    {!Request.test_p} advances it, and {!Request.wait_p} completes it. *)
+    the schedule until a receive whose message has not arrived. *)
 
 (** Reduce [src] into [dst] each cycle ([src == dst] for in-place). *)
 val allreduce_init :
-  Comm.t -> 'a Datatype.t -> 'a Reduce_op.t -> src:'a array -> dst:'a array -> Request.p
+  Comm.t -> 'a Datatype.t -> 'a Reduce_op.t -> src:'a array -> dst:'a array -> Request.t
 
 (** Broadcast the root's [buf] contents into every rank's [buf] each
     cycle.  Unlike {!bcast}, the buffer argument exists on every rank
     (MPI-style), so no count rendezvous is needed. *)
-val bcast_init : Comm.t -> 'a Datatype.t -> root:int -> 'a array -> Request.p
+val bcast_init : Comm.t -> 'a Datatype.t -> root:int -> 'a array -> Request.t
 
 (** Reduce [src] and scatter block [r] (of [recv_counts.(r)] elements)
     into [dst] each cycle. *)
@@ -198,7 +197,7 @@ val reduce_scatter_init :
   recv_counts:int array ->
   src:'a array ->
   dst:'a array ->
-  Request.p
+  Request.t
 
 (** {1 Non-blocking collectives}
 
@@ -207,9 +206,9 @@ val reduce_scatter_init :
     takes every step whose message has arrived by the rank's virtual
     clock (a test at the same clock as the previous one, as in a polling
     loop, also takes one that is merely in the mailbox), so computation
-    between tests overlaps the collective; {!Request.wait} runs it to
-    completion.  The collective is recorded once under its own name with
-    its payload bytes.  An MPI error raised while posting (a revoked
+    between tests overlaps the collective; every blocking wait of the
+    rank advances it ({!Request.block}).  The collective is recorded once
+    under its own name with its payload bytes.  An MPI error raised while posting (a revoked
     communicator, a failed member) surfaces at test/wait.  The result
     cell is filled at completion. *)
 

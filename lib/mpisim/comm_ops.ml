@@ -199,7 +199,7 @@ let shrink comm : Comm.t =
     List.for_all (fun r -> List.mem r state.Comm.sh_arrived) live
   in
   if not (all_survivors_arrived ()) then
-    Scheduler.park
+    Request.block rt.Runtime.inflight.(me)
       ~describe:(fun () -> Printf.sprintf "comm_shrink on rank %d" (Comm.rank comm))
       ~poll:(fun () -> if all_survivors_arrived () then Some () else None);
   (* Survivors, ordered by old comm rank — decided once, by the first
@@ -281,7 +281,7 @@ let agree comm (value : bool) : bool =
     List.for_all (fun r -> List.mem_assoc r state.ag_arrived) live
   in
   if not (all_arrived ()) then
-    Scheduler.park
+    Request.block rt.Runtime.inflight.(me)
       ~describe:(fun () -> Printf.sprintf "comm_agree on rank %d" (Comm.rank comm))
       ~poll:(fun () -> if all_arrived () then Some () else None);
   let live = live_members comm in

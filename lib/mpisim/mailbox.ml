@@ -37,7 +37,7 @@ let tag_matches pattern tag =
 (* The same for a source pattern. *)
 let src_matches pattern src = pattern = any_source || pattern = src
 
-type key = { k_src : int; k_tag : int }
+type key = { mutable k_src : int; mutable k_tag : int }
 
 type posted = {
   p_context : int;
@@ -64,6 +64,7 @@ type t = {
   (* Set by the model checker for its own runs only: wildcard receives
      defer their match to the explorer's resolver. *)
   mutable defer_wildcards : bool;
+  probe : key;  (* [head_exact]'s reused lookup key: mutated, never stored *)
 }
 
 let create () =
@@ -75,6 +76,7 @@ let create () =
     n_unexpected = 0;
     n_posted = 0;
     defer_wildcards = false;
+    probe = { k_src = 0; k_tag = 0 };
   }
 
 let set_defer_wildcards t on = t.defer_wildcards <- on
@@ -202,6 +204,14 @@ let find_unexpected ?(remove = true) t ~context ~src ~tag =
       match best with
       | None -> None
       | Some (m, q, k) -> Some (if remove then take_head t tbl ~context k q else m))
+
+(* The oldest unexpected message with exactly this key, left queued, found
+   without allocating (for polls); raises [Not_found] if there is none (a
+   queue in the index is never empty: [take_head] drops a drained one). *)
+let head_exact t ~context ~src ~tag =
+  t.probe.k_src <- src;
+  t.probe.k_tag <- tag;
+  Queue.peek (Hashtbl.find (Hashtbl.find t.unexpected context) t.probe)
 
 (* Number of unexpected messages a (context, src, tag) pattern could match
    right now.  The sanitizer's wildcard-race check calls this (heavy level

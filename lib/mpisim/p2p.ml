@@ -67,6 +67,8 @@ let checker comm = (Comm.runtime comm).Runtime.check
 
 let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_rank comm)
 
+let inflight comm = (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
+
 (* ------------------------------------------------------------------ *)
 (* Sends *)
 
@@ -135,6 +137,7 @@ let issend_request comm (msg : Message.t) =
       Status.make ~source:(Comm.rank comm) ~tag:msg.Message.tag ~count:msg.Message.count
         ~bytes:(Message.bytes msg))
     ~describe:(fun () -> Format.asprintf "issend %a" Message.pp msg)
+    (inflight comm)
 
 (* The user-level sends of a whole array: tag and rank checked. *)
 let send_user comm dt ~op ~dest ~tag ~sync (data : 'a array) =
@@ -172,7 +175,8 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
          Runtime.sync_clock rt me complete_at;
          Status.make ~source:(Comm.rank comm) ~tag ~count:msg.Message.count
            ~bytes:(Message.bytes msg))
-       ~describe:(fun () -> "isend"))
+       ~describe:(fun () -> "isend")
+       (inflight comm))
 
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
   let msg = send_user comm dt ~op:"issend" ~dest ~tag ~sync:true data in
@@ -284,24 +288,25 @@ let gone comm ~op ~src_world =
     Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
   else Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
 
-let set_waiting_recv comm ~op ~src_world ~tag =
-  Check.set_waiting (checker comm) ~rank:(Comm.world_rank comm)
-    (Check.Wrecv { src = src_world; tag; ctx = Comm.context comm; op })
+(* Block a receive or probe until [poll] holds; the sanitizer's wait-for
+   graph sees it meanwhile. *)
+let block_recv comm ~op ~src_world ~tag ~describe poll =
+  let chk = checker comm in
+  if Check.enabled chk then
+    Check.set_waiting chk ~rank:(Comm.world_rank comm)
+      (Check.Wrecv { src = src_world; tag; ctx = Comm.context comm; op });
+  Request.block (inflight comm) ~describe ~poll;
+  if Check.enabled chk then clear_waiting comm
 
-(* Park a blocking receive until it is [ready]; the sanitizer's wait-for
-   graph sees it meanwhile.  A receive that need not wait builds no
-   closure. *)
+(* Park a blocking receive until it is [ready].  A receive that need not
+   wait builds no closure. *)
 let await comm ~op ~src_world (p : Mailbox.posted) =
-  if not (ready comm ~src_world p) then begin
-    if Check.enabled (checker comm) then
-      set_waiting_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag;
-    Scheduler.park
+  if not (ready comm ~src_world p) then
+    block_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag
       ~describe:(fun () ->
         Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
           (Comm.context comm) p.Mailbox.p_src p.Mailbox.p_tag)
-      ~poll:(fun () -> if ready comm ~src_world p then Some () else None);
-    if Check.enabled (checker comm) then clear_waiting comm
-  end
+      (fun () -> if ready comm ~src_world p then Some () else None)
 
 (* The receiver's [count] elements of [signature] against the message's:
    both sides carry per-element signatures, so a match is one comparison
@@ -441,8 +446,18 @@ let wakes comm ~arrived ~src_world ~tag =
       (not arrived)
       || msg.Message.arrival <= (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm)
 
+(* [wakes] for an exact (source, tag), without allocating: it is the wake
+   poll of a blocked rank's schedules. *)
 let matchable comm ~arrived ~source ~tag =
-  wakes comm ~arrived ~src_world:(Comm.world_of_rank comm source) ~tag
+  let src_world = Comm.world_of_rank comm source in
+  let now = (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm) in
+  source_gone comm ~src_world
+  ||
+  match
+    Mailbox.head_exact (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
+  with
+  | msg -> (not arrived) || msg.Message.arrival <= now
+  | exception Not_found -> false
 
 (* A nonblocking receive, posted now: [wait]/[test] complete it once
    [ready], and [unpack] takes the matched message. *)
@@ -458,7 +473,8 @@ let irecv_request comm ~source ~tag ~signature ~maxcount unpack =
          unpack msg;
          status)
        ~describe:(fun () ->
-         Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag))
+         Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
+       (inflight comm))
 
 (* Non-blocking receive into a caller-provided buffer. *)
 let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
@@ -504,14 +520,11 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"probe" ~bytes:0;
   let src_world = source_world comm source in
-  if not (wakes comm ~arrived:false ~src_world ~tag) then begin
-    if Check.enabled (checker comm) then set_waiting_recv comm ~op:"probe" ~src_world ~tag;
-    Scheduler.park
+  if not (wakes comm ~arrived:false ~src_world ~tag) then
+    block_recv comm ~op:"probe" ~src_world ~tag
       ~describe:(fun () ->
         Printf.sprintf "probe on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-      ~poll:(fun () -> if wakes comm ~arrived:false ~src_world ~tag then Some () else None);
-    if Check.enabled (checker comm) then clear_waiting comm
-  end;
+      (fun () -> if wakes comm ~arrived:false ~src_world ~tag then Some () else None);
   match queued comm ~src_world ~tag with
   | None -> gone comm ~op:"probe" ~src_world
   | Some msg ->
@@ -533,14 +546,9 @@ let sendrecv comm dt ~dest ?(send_tag = 0) ~source ?(recv_tag = any_tag) (data :
 
    Everything a cycle does not strictly need is hoisted to init: argument
    validation, rank translation, and a pre-warmed pooled writer large
-   enough for the payload.  A cycle then runs the ad-hoc
-   send or receive core, minus the status: what it allocates is the
-   transport's own — the in-flight [Message.t] with its boxed times, the
-   pooled-writer record, the posted-receive record and its [Some] cell,
-   the reader, and the fiber's park when the receive has to wait
-   (DESIGN.md §9.1 itemizes the words).  The fully allocation-free hot
-   path is the single-rank persistent collective, which skips transport
-   entirely. *)
+   enough for the payload.  A cycle then runs the ad-hoc send or receive
+   core and completes with MPI's empty status: what it allocates is the
+   transport's own (DESIGN.md §9.1 itemizes the words). *)
 
 let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
   Comm.check_user_tag comm tag;
@@ -553,8 +561,11 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
     ignore (send_typed comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
   in
   (* Eager send: injected at [start], so the cycle is complete immediately. *)
-  let ready () = true in
-  Request.make_p ~describe:"send_init" ~start ~advance:ready ~ready ~run:(fun () -> ())
+  Request.make ~start
+    ~ready:(fun () -> true)
+    ~finalize:(fun () -> Status.empty)
+    ~describe:(fun () -> "send_init")
+    (inflight comm)
 
 let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) =
@@ -568,12 +579,15 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   let cycle_ready () =
     match !posted with None -> true | Some p -> ready comm ~src_world p
   in
-  let run () =
-    match !posted with
+  let finalize () =
+    (match !posted with
     | None -> ()
     | Some p ->
         posted := None;
         let msg = complete comm ~op:"recv" ~signature ~maxcount ~src_world p in
-        unpack_into comm dt msg into ~pos
+        unpack_into comm dt msg into ~pos);
+    Status.empty
   in
-  Request.make_p ~describe:"recv_init" ~start ~advance:cycle_ready ~ready:cycle_ready ~run
+  Request.make ~start ~ready:cycle_ready ~finalize
+    ~describe:(fun () -> "recv_init")
+    (inflight comm)

@@ -93,12 +93,12 @@ val recv_range :
   'a array ->
   Status.t
 
-(** [matchable comm ~arrived ~source ~tag]: a receive for (source, tag)
-    posted now would not wait — a matching message is in the mailbox, or
-    the source has failed or seen the communicator revoked.  With
-    [~arrived:true] the message must also have arrived by the rank's
-    virtual clock.  Scheduler-safe; the readiness rule of nonblocking
-    collectives' steps. *)
+(** [matchable comm ~arrived ~source ~tag]: a receive for an exact
+    (source, tag) posted now would not wait — a matching message is in
+    the mailbox, or the source has failed or seen the communicator
+    revoked.  With [~arrived:true] the message must also have arrived by
+    the rank's virtual clock.  Scheduler-safe and allocation-free; the
+    readiness rule of a collective schedule's steps. *)
 val matchable : Comm.t -> arrived:bool -> source:int -> tag:int -> bool
 
 (** Non-blocking receive into caller storage. *)
@@ -131,10 +131,11 @@ val irecv :
 
 (** {1 Persistent operations (MPI-4)}
 
-    [*_init] builds a {!Request.p} once — validating arguments, compiling
-    the datatype plan and pre-warming a pooled writer — and every later
-    {!Request.start}/{!Request.wait_p} cycle reuses the frozen state.
-    Buffers are fixed at init, per MPI persistent-request semantics. *)
+    [*_init] builds an inactive persistent {!Request.t} once — validating
+    arguments and pre-warming a pooled writer — and every later
+    {!Request.start}/{!Request.wait} cycle reuses the frozen state.  A
+    cycle completes with {!Status.empty}.  Buffers are fixed at init, per
+    MPI persistent-request semantics. *)
 
 (** Persistent eager send of [count] elements of [data] starting at
     [pos]; each [start] injects the current buffer contents. *)
@@ -146,10 +147,10 @@ val send_init :
   'a array ->
   pos:int ->
   count:int ->
-  Request.p
+  Request.t
 
 (** Persistent receive into caller storage; each cycle posts the receive
-    at [start] and unpacks into [into] at [wait_p].  Truncation raises
+    at [start] and unpacks into [into] at completion.  Truncation raises
     ERR_TRUNCATE like {!recv_into}. *)
 val recv_init :
   Comm.t ->
@@ -159,7 +160,7 @@ val recv_init :
   ?pos:int ->
   ?maxcount:int ->
   'a array ->
-  Request.p
+  Request.t
 
 (** {1 Probing} *)
 

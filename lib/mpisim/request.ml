@@ -1,159 +1,136 @@
-(* Request objects for non-blocking operations.
+(* Request objects for nonblocking and persistent operations.
 
    A request separates cheap completion *detection* ([ready], safe to call
    from the scheduler's poll loop) from *finalization* ([finalize], which
    runs in the owning fiber: it unpacks data, updates the owner's clock and
-   may raise failure errors).  [test]/[wait] are idempotent after
-   completion, per MPI semantics for inactive requests.
+   may raise failure errors).  A collective's schedule also supplies
+   [advance], [test]'s in-fiber progress step.  A persistent request
+   (MPI-4 [*_init]) is created inactive with a [start] that begins one
+   cycle; the same completion calls finish it.
 
-   An operation that makes progress in steps (a nonblocking collective's
-   schedule) also supplies [advance]: it runs in the owning fiber, takes
-   every step that is ready now, and says whether the operation is done.
-   [test] calls it instead of [ready], so computation between tests
-   overlaps the operation; for every other request it is [ready].
+   One progress rule: every blocking wait of a rank goes through [block]
+   with the rank's in-flight schedules, so a rank blocked in any call
+   still progresses what it posted and no schedule blocks inside itself.
 
-   Observer hook: the sanitizer ([Check]) may attach an observer to a
-   request it tracks; every completion entry point — [wait], [test],
-   [wait_any], [test_some] — reports through it when invoked on a request
-   that has already completed (an MPI "wait on inactive request", which
-   MUST-style tools flag as a use of a freed request).  Requests without an
-   observer pay one pointer comparison. *)
+   Observer hook: the sanitizer ([Check]) may attach an observer that
+   every completion entry point calls on a one-shot request that has
+   already completed (an MPI "wait on inactive request", which MUST-style
+   tools flag as a use of a freed request). *)
 
 type observer = { on_rewait : unit -> unit }
 
+type sched = { step : unit -> bool; wakes : unit -> bool }
+
+type inflight = { mutable scheds : sched list }
+
 type t = {
-  mutable status : Status.t option;
+  mutable status : Status.t;  (* [pending] while active *)
   ready : unit -> bool;
   advance : unit -> bool;
   finalize : unit -> Status.t;
   describe : unit -> string;
+  start : (unit -> unit) option;  (* [Some] for a persistent request *)
+  inflight : inflight;
+  mutable freed : bool;
   mutable observer : observer option;
 }
 
-let make_stepped ~advance ~ready ~finalize ~describe =
-  { status = None; ready; advance; finalize; describe; observer = None }
+let pending = Status.make ~source:(-1) ~tag:(-1) ~count:(-1) ~bytes:(-1)
 
-let make ~ready ~finalize ~describe = make_stepped ~advance:ready ~ready ~finalize ~describe
+let inflight () = { scheds = [] }
+
+let enlist q s = q.scheds <- q.scheds @ [ s ]
+
+(* Step every schedule in order, dropping (and so copying) only finished ones. *)
+let rec step_all = function
+  | [] -> []
+  | s :: rest as l ->
+      let finished = s.step () in
+      let rest' = step_all rest in
+      if finished then rest' else if rest' == rest then l else s :: rest'
+
+let rec block q ~describe ~poll =
+  match q.scheds with
+  | [] -> Scheduler.park ~describe ~poll
+  | scheds -> (
+      q.scheds <- step_all scheds;
+      match poll () with
+      | Some v -> v
+      | None ->
+          Scheduler.park ~describe ~poll:(fun () ->
+              match poll () with
+              | Some _ -> Some ()
+              | None ->
+                  if List.exists (fun s -> s.wakes ()) q.scheds then Some () else None);
+          block q ~describe ~poll)
+
+let make ?start ?advance ~ready ~finalize ~describe inflight =
+  {
+    status = (match start with Some _ -> Status.empty | None -> pending);
+    ready;
+    advance = Option.value advance ~default:ready;
+    finalize;
+    describe;
+    start;
+    inflight;
+    freed = false;
+    observer = None;
+  }
 
 let set_observer t o = t.observer <- Some o
 
 let describe t = t.describe ()
 
-(* Shared by every entry point that touches an already-completed request:
-   completion on an inactive request is the same misuse whether it arrives
-   through [wait], [test], [wait_any] or [test_some]. *)
-let notify_rewait t =
-  match t.observer with Some o -> o.on_rewait () | None -> ()
+let is_complete t = t.status != pending
+
+let start t =
+  match t.start with
+  | None ->
+      Errdefs.usage_error "Request.start: %s is not a persistent request" (t.describe ())
+  | Some begin_cycle ->
+      if t.freed then
+        Errdefs.usage_error "Request.start: %s has been freed" (t.describe ());
+      if t.status == pending then
+        Errdefs.usage_error "Request.start: %s is already active (wait it first)"
+          (t.describe ());
+      t.status <- pending;
+      begin_cycle ()
+
+let free t =
+  if t.freed then Errdefs.usage_error "Request.free: %s already freed" (t.describe ());
+  if t.status == pending then
+    Errdefs.usage_error "Request.free: %s is still active (wait it first)" (t.describe ());
+  t.freed <- true
+
+(* Completion on an inactive request; on a one-shot one it is the misuse
+   the observer reports. *)
+let inactive t =
+  (match (t.start, t.observer) with None, Some o -> o.on_rewait () | _ -> ());
+  t.status
+
+let complete t =
+  let s = t.finalize () in
+  t.status <- s;
+  s
 
 let test t =
-  match t.status with
-  | Some s ->
-      notify_rewait t;
-      Some s
-  | None ->
-      if t.advance () then begin
-        let s = t.finalize () in
-        t.status <- Some s;
-        Some s
-      end
-      else None
+  if t.status != pending then Some (inactive t)
+  else if t.advance () then Some (complete t)
+  else None
 
+(* A request whose operation is already done completes without parking
+   and builds no closure. *)
 let wait t =
-  match t.status with
-  | Some s ->
-      notify_rewait t;
-      s
-  | None ->
-      Scheduler.park
+  if t.status != pending then inactive t
+  else begin
+    if not (t.ready ()) then
+      block t.inflight
         ~describe:(fun () -> "wait: " ^ t.describe ())
         ~poll:(fun () -> if t.ready () then Some () else None);
-      let s = t.finalize () in
-      t.status <- Some s;
-      s
-
-let is_complete t = t.status <> None
+    complete t
+  end
 
 let wait_all ts = List.map wait ts
-
-(* Persistent requests (MPI-4 [*_init] operations).
-
-   A persistent request is built once — validation, algorithm selection,
-   datatype plan compilation and buffer pre-acquisition all happen at init
-   — and then cycled through [start]/[wait_p] many times.  The closures
-   below are the *only* closures of a cycle: [start]/[wait_p] themselves
-   allocate nothing (the park closure in [wait_p] is constructed only on
-   the slow path, when the operation is not already complete).
-
-   Lifecycle, per MPI semantics: init → inactive; [start] activates (error
-   if already active); [wait_p]/[test_p] complete the cycle back to
-   inactive, and are no-ops / immediately-true on an inactive request;
-   [free_p] is an error while active. *)
-
-type p = {
-  p_describe : string;
-  p_start : unit -> unit;  (* begin one cycle (post receives, inject sends) *)
-  p_ready : unit -> bool;  (* cheap poll, safe from the scheduler loop *)
-  p_advance : unit -> bool;  (* [test_p]'s progress step, as [advance] above *)
-  p_run : unit -> unit;  (* finish the cycle in the owning fiber *)
-  mutable p_active : bool;
-  mutable p_freed : bool;
-  mutable p_cycles : int;
-}
-
-let make_p ~describe ~start ~advance ~ready ~run =
-  {
-    p_describe = describe;
-    p_start = start;
-    p_ready = ready;
-    p_advance = advance;
-    p_run = run;
-    p_active = false;
-    p_freed = false;
-    p_cycles = 0;
-  }
-
-let describe_p p = p.p_describe
-
-let is_active p = p.p_active
-
-let started_cycles p = p.p_cycles
-
-let start p =
-  if p.p_freed then
-    Errdefs.usage_error "Request.start: %s has been freed" p.p_describe;
-  if p.p_active then
-    Errdefs.usage_error "Request.start: %s is already active (wait it first)"
-      p.p_describe;
-  p.p_active <- true;
-  p.p_cycles <- p.p_cycles + 1;
-  p.p_start ()
-
-let wait_p p =
-  if p.p_active then begin
-    if not (p.p_ready ()) then
-      Scheduler.park
-        ~describe:(fun () -> "wait: " ^ p.p_describe)
-        ~poll:(fun () -> if p.p_ready () then Some () else None);
-    p.p_run ();
-    p.p_active <- false
-  end
-
-let test_p p =
-  if not p.p_active then true
-  else if p.p_advance () then begin
-    p.p_run ();
-    p.p_active <- false;
-    true
-  end
-  else false
-
-let free_p p =
-  if p.p_freed then
-    Errdefs.usage_error "Request.free: %s already freed" p.p_describe;
-  if p.p_active then
-    Errdefs.usage_error "Request.free: %s is still active (wait it first)"
-      p.p_describe;
-  p.p_freed <- true
 
 (* Wait until at least one request completes; returns its index and status.
    Raises [Invalid_argument] on an empty list. *)
@@ -163,7 +140,7 @@ let wait_any ts =
   let find_ready () =
     let rec go i =
       if i >= Array.length arr then None
-      else if arr.(i).status <> None || arr.(i).ready () then Some i
+      else if arr.(i).status != pending || arr.(i).ready () then Some i
       else go (i + 1)
     in
     go 0
@@ -172,23 +149,12 @@ let wait_any ts =
     match find_ready () with
     | Some i -> i
     | None ->
-        Scheduler.park
+        block arr.(0).inflight
           ~describe:(fun () -> Printf.sprintf "wait_any over %d requests" (Array.length arr))
           ~poll:find_ready
   in
-  let s =
-    match arr.(i).status with
-    | Some s ->
-        (* Selecting an already-inactive request is the same misuse as
-           waiting on one directly; report it instead of hiding it. *)
-        notify_rewait arr.(i);
-        s
-    | None ->
-        let s = arr.(i).finalize () in
-        arr.(i).status <- Some s;
-        s
-  in
-  (i, s)
+  let t = arr.(i) in
+  (i, if t.status != pending then inactive t else complete t)
 
 (* Complete every currently-ready request; returns (index, status) pairs.
    Does not block. *)

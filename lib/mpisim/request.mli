@@ -1,36 +1,58 @@
-(** Request objects for non-blocking operations.
+(** Request objects for nonblocking and persistent operations.
 
     A request separates cheap completion {e detection} ([ready], safe from
     the scheduler's poll loop) from {e finalization} ([finalize], which
     runs in the owning fiber: it unpacks data, updates the owner's clock,
     and may raise failure errors).  [test]/[wait] are idempotent after
-    completion, matching MPI's inactive-request semantics. *)
+    completion, matching MPI's inactive-request semantics.
+
+    A persistent request (MPI-4 [*_init]) is the same type: it is created
+    inactive, {!start} re-arms it, and {!wait}/{!test}/{!wait_all}/
+    {!wait_any}/{!test_some} complete it, so persistent cycles, nonblocking
+    collectives and point-to-point requests mix in one list. *)
 
 type t
 
 (** Sanitizer hook: [on_rewait] is called when any completion entry point
-    — {!wait}, {!test}, {!wait_any} or {!test_some} — touches a request
-    that already completed (MPI's "wait on an inactive request", which
-    MUST-style tools flag as use of a freed request). *)
+    — {!wait}, {!test}, {!wait_any} or {!test_some} — touches a one-shot
+    request that already completed (MPI's "wait on an inactive request",
+    which MUST-style tools flag as use of a freed request). *)
 type observer = { on_rewait : unit -> unit }
 
-val make :
-  ready:(unit -> bool) ->
-  finalize:(unit -> Status.t) ->
-  describe:(unit -> string) ->
-  t
+(** A schedule in flight.  [step], in the owning fiber, takes every step
+    whose message is in the mailbox and says whether the schedule has
+    finished; [wakes], scheduler-safe, holds only when [step] can take a
+    step. *)
+type sched = { step : unit -> bool; wakes : unit -> bool }
 
-(** A request for an operation that progresses in steps (a nonblocking
-    collective's schedule).  [advance] runs in the owning fiber: it takes
-    every step that can be taken now and returns [true] once the
-    operation is done.  {!test} calls it in place of [ready], so work
-    between tests overlaps the operation; [ready] stays the scheduler-safe
-    poll {!wait} parks on. *)
-val make_stepped :
-  advance:(unit -> bool) ->
+(** A rank's schedules in flight, in posting order ([Runtime.inflight]). *)
+type inflight
+
+val inflight : unit -> inflight
+
+(** Add a started schedule that has not finished. *)
+val enlist : inflight -> sched -> unit
+
+(** The one blocking wait: returns [v] once [poll] yields [Some v].  With
+    [q] empty it is exactly {!Scheduler.park}; otherwise it advances every
+    schedule of [q] in the calling fiber, dropping finished ones, and
+    parks until [poll] holds or one of them [wakes], as often as needed. *)
+val block : inflight -> describe:(unit -> string) -> poll:'a Scheduler.poll -> 'a
+
+(** A request of the rank whose in-flight schedules are [q]: one-shot and
+    active from creation, or, with [start], persistent and created
+    inactive, each {!start} calling [start] to begin one cycle.
+    [advance] (default [ready]) is {!test}'s progress step: it runs in the
+    owning fiber, takes every step that can be taken now and returns
+    [true] once the operation is done.  [ready] is the scheduler-safe poll
+    {!wait} parks on. *)
+val make :
+  ?start:(unit -> unit) ->
+  ?advance:(unit -> bool) ->
   ready:(unit -> bool) ->
   finalize:(unit -> Status.t) ->
   describe:(unit -> string) ->
+  inflight ->
   t
 
 (** Attach an observer (used by the {!Check} sanitizer on tracked
@@ -40,68 +62,32 @@ val set_observer : t -> observer -> unit
 (** Human-readable description of the pending operation. *)
 val describe : t -> string
 
-(** Non-blocking completion check; finalizes on first success. *)
+(** Begin one cycle of a persistent request (allocating nothing of its
+    own).  Usage error if it is not persistent, active, or freed. *)
+val start : t -> unit
+
+(** Release the request.  Usage error while active or on double free. *)
+val free : t -> unit
+
+(** Non-blocking completion check; finalizes on first success.  On an
+    inactive request it returns its status at once. *)
 val test : t -> Status.t option
 
-(** Block (cooperatively) until complete. *)
+(** Block (cooperatively) until complete.  On an inactive request it
+    returns its status at once. *)
 val wait : t -> Status.t
 
+(** [true] once inactive: completed, or a persistent request not
+    started. *)
 val is_complete : t -> bool
 
 val wait_all : t list -> Status.t list
 
 (** Block until at least one request completes; returns its index and
-    status.  Raises [Invalid_argument] on the empty list. *)
+    status.  An inactive request counts as complete.  Raises
+    [Invalid_argument] on the empty list. *)
 val wait_any : t list -> int * Status.t
 
 (** Complete every currently-ready request without blocking; returns
     (index, status) pairs. *)
 val test_some : t list -> (int * Status.t) list
-
-(** {1 Persistent requests}
-
-    MPI-4 [*_init] operations: validation, algorithm selection, datatype
-    plan compilation and buffer pre-acquisition happen once at init; the
-    request is then cycled through {!start}/{!wait_p} with no per-cycle
-    allocation ([start] and the fast path of [wait_p] build no closures).
-
-    Lifecycle: init → inactive; [start] activates (usage error if already
-    active); [wait_p]/[test_p] return it to inactive and are no-ops on an
-    inactive request; [free_p] is a usage error while active. *)
-
-type p
-
-(** [make_p ~describe ~start ~advance ~ready ~run] builds a persistent
-    request from preallocated cycle closures: [start] begins one cycle,
-    [ready] is the cheap scheduler-safe completion poll, [run] finishes
-    the cycle in the owning fiber, and [advance] is {!test_p}'s progress
-    step, as for {!make_stepped} ([ready] itself for a cycle that does
-    not progress in steps). *)
-val make_p :
-  describe:string ->
-  start:(unit -> unit) ->
-  advance:(unit -> bool) ->
-  ready:(unit -> bool) ->
-  run:(unit -> unit) ->
-  p
-
-val describe_p : p -> string
-
-(** Begin one cycle.  Usage error if the request is active or freed. *)
-val start : p -> unit
-
-(** Complete the current cycle (cooperatively blocking); no-op when
-    inactive. *)
-val wait_p : p -> unit
-
-(** Non-blocking cycle completion: [true] when the request is (now)
-    inactive, [false] if the cycle is still in flight. *)
-val test_p : p -> bool
-
-(** Release the request.  Usage error while active or on double free. *)
-val free_p : p -> unit
-
-val is_active : p -> bool
-
-(** Number of [start]s so far (diagnostics and tests). *)
-val started_cycles : p -> int

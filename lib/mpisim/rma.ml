@@ -266,7 +266,7 @@ let lock ?(exclusive = true) (t : 'a t) ~target : unit =
     else false
   in
   while not (try_acquire ()) do
-    Scheduler.park
+    Request.block (Comm.runtime t.comm).Runtime.inflight.(Comm.world_rank t.comm)
       ~describe:(fun () ->
         Printf.sprintf "win_lock(%s) on target %d"
           (if exclusive then "exclusive" else "shared")

@@ -65,6 +65,8 @@ type t = {
   (* Per-(src,dst) traffic matrix with algorithm attribution; disabled
      (one branch per injection) unless explicitly requested. *)
   comm_matrix : Comm_matrix.t;
+  (* Per-rank schedules in flight, which the rank's blocking waits advance. *)
+  inflight : Request.inflight array;
   mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
@@ -132,6 +134,7 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
     blocked = Array.make size 0.;
     lamport = Array.make size 0;
     comm_matrix = Comm_matrix.create ~size;
+    inflight = Array.init size (fun _ -> Request.inflight ());
     progress = 0;
     msg_seq = 0;
     next_context = 0;

@@ -52,6 +52,8 @@ type t = {
   comm_matrix : Comm_matrix.t;
       (** per-(src,dst) traffic matrix with collective-algorithm
           attribution; disabled (one branch per injection) by default *)
+  inflight : Request.inflight array;
+      (** per-rank schedules in flight, advanced by {!Request.block} *)
   mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;

@@ -12,6 +12,8 @@ let bytes t = t.bytes
 
 let make ~source ~tag ~count ~bytes = { source; tag; count; bytes }
 
+let empty = { source = -1; tag = -1; count = 0; bytes = 0 }
+
 let pp ppf t =
   Format.fprintf ppf "{src=%d; tag=%d; count=%d; bytes=%d}" t.source t.tag t.count
     t.bytes

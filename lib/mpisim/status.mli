@@ -16,4 +16,7 @@ val bytes : t -> int
 
 val make : source:int -> tag:int -> count:int -> bytes:int -> t
 
+(** MPI's empty status: what collectives and persistent cycles return. *)
+val empty : t
+
 val pp : Format.formatter -> t -> unit

@@ -89,6 +89,28 @@ let wildcard_beside_icoll comm =
   if me = 0 then ignore (P2p.recv comm Datatype.int ~source:P2p.any_source ());
   ignore (Request.wait req)
 
+(* A 4 KiB iallreduce: above the recursive-doubling limit, so it runs
+   Rabenseifner, whose allgather sends only after its reduce-scatter has
+   received.  The two programs below complete because a blocked rank
+   advances what it has posted (MPI's progress rule): certified clean. *)
+let iallreduce comm v =
+  fst (Coll.iallreduce comm Datatype.int Reduce_op.int_sum (Array.make 512 v))
+
+(* Two allreduces, waited for in opposite orders by even and odd ranks. *)
+let opposite_icoll comm =
+  let me = Comm.rank comm in
+  let a = iallreduce comm me and b = iallreduce comm (10 * me) in
+  ignore (Request.wait_all (if me mod 2 = 0 then [ a; b ] else [ b; a ]))
+
+(* Rank 0 blocks receiving from rank 1, which sends only once the
+   allreduce rank 0 has posted completes. *)
+let recv_beside_icoll comm =
+  let me = Comm.rank comm in
+  let req = iallreduce comm me in
+  if me = 0 then ignore (P2p.recv comm Datatype.int ~source:1 ~tag:0 ());
+  ignore (Request.wait req);
+  if me = 1 then P2p.send comm Datatype.int ~dest:0 ~tag:0 [| me |]
+
 (* Non-commutative float reduction: contributions from distinct ranks
    are causally concurrent, so the analyzer reports nc-order (the
    combine order is schedule-dependent on a real MPI). *)
@@ -149,6 +171,18 @@ let all : prog list =
       ranks_hint = 2;
       doc = "wildcard receive beside an in-flight iallreduce; certified deadlock-free";
       body = wildcard_beside_icoll;
+    };
+    {
+      name = "opposite_icoll";
+      ranks_hint = 2;
+      doc = "two iallreduces waited in opposite orders by parity; certified clean";
+      body = opposite_icoll;
+    };
+    {
+      name = "recv_beside_icoll";
+      ranks_hint = 2;
+      doc = "recv beside an in-flight iallreduce its sender waits on; certified clean";
+      body = recv_beside_icoll;
     };
     {
       name = "nc_reduce";

@@ -557,10 +557,10 @@ let run_driver ?(pins = []) ~p drv ~blocking ~nonblocking ~init =
               List.init cycles (fun c ->
                   refresh c;
                   Request.start req;
-                  Request.wait_p req;
+                  ignore (Request.wait req);
                   result ())
             in
-            Request.free_p req;
+            Request.free req;
             Array.concat out)
   in
   (Array.map Option.get results, report.Engine.max_time)
@@ -878,9 +878,129 @@ let test_posted_comm_matrix_label () =
          let req = Coll.allreduce_init comm Datatype.int sum ~src ~dst in
          for _ = 1 to 2 do
            Request.start req;
-           Request.wait_p req
+           ignore (Request.wait req)
          done;
-         Request.free_p req))
+         Request.free req))
+
+(* --- One progress rule --- *)
+
+(* Each rank posts a mix of nonblocking and started persistent allreduces
+   (lengths on both sides of the Rabenseifner switch), then waits for
+   them in an order of its own: rotated by its rank, reversed on odd
+   ranks.  A wait advances every schedule its rank has in flight, so any
+   order completes, with the blocking results. *)
+let prop_any_wait_order =
+  QCheck.Test.make ~name:"requests complete in any per-rank wait order" ~count:25
+    QCheck.(pair (int_range 2 8) (int_bound 1_000_000))
+    (fun (p, seed) ->
+      let k = 2 + (seed mod 3) in
+      let len i = Xoshiro.hash_int ~seed ~stream:98 ~counter:i ~bound:600 in
+      let persistent i = Xoshiro.hash_int ~seed ~stream:99 ~counter:i ~bound:2 = 1 in
+      let input r i = data_for ~seed:(seed + i) ~rank:r ~len:(len i) in
+      let sum = Reduce_op.int_sum in
+      let expected =
+        List.init k (fun i ->
+            let xs = List.init p (fun r -> input r i) in
+            Array.init (len i) (fun j -> List.fold_left (fun acc a -> acc + a.(j)) 0 xs))
+      in
+      let results =
+        Engine.run_values ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
+          ~ranks:p (fun comm ->
+            let r = Comm.rank comm in
+            let posted =
+              List.init k (fun i ->
+                  let src = input r i in
+                  if persistent i then begin
+                    let dst = Array.make (len i) 0 in
+                    let req = Coll.allreduce_init comm Datatype.int sum ~src ~dst in
+                    Request.start req;
+                    (req, fun () -> dst)
+                  end
+                  else
+                    let req, cell = Coll.iallreduce comm Datatype.int sum src in
+                    (req, fun () -> Option.get !cell))
+            in
+            let order = List.init k (fun j -> (j + r) mod k) in
+            let order = if r mod 2 = 1 then List.rev order else order in
+            List.iter (fun i -> ignore (Request.wait (fst (List.nth posted i)))) order;
+            List.map (fun (_, result) -> result ()) posted)
+      in
+      Array.for_all (fun got -> got = expected) results)
+
+(* A persistent cycle, a nonblocking collective and a point-to-point
+   receive are one request type: wait_any, test_some and wait_all take
+   them in one list. *)
+let test_mixed_request_list () =
+  let p = 4 and n = 300 in
+  let results =
+    Engine.run_values ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~ranks:p
+      (fun comm ->
+        let r = Comm.rank comm in
+        let left = (r + p - 1) mod p and right = (r + 1) mod p in
+        let sum = Reduce_op.int_sum in
+        let src = Array.make n (r + 1) and dst = Array.make n 0 in
+        let cycle = Coll.allreduce_init comm Datatype.int sum ~src ~dst in
+        Request.start cycle;
+        let icoll, cell = Coll.iallreduce comm Datatype.int sum [| r |] in
+        let into = [| -1 |] in
+        let recv = P2p.irecv_into comm Datatype.int ~source:left ~tag:5 into in
+        P2p.send comm Datatype.int ~dest:right ~tag:5 [| r |];
+        let reqs = [ cycle; icoll; recv ] in
+        let first, _ = Request.wait_any reqs in
+        let rest = List.filteri (fun i _ -> i <> first) reqs in
+        let tested = List.map (fun (i, _) -> List.nth rest i) (Request.test_some rest) in
+        ignore (Request.wait_all (List.filter (fun q -> not (List.memq q tested)) rest));
+        (* The finished cycle re-arms, beside a fresh receive. *)
+        src.(0) <- 0;
+        Request.start cycle;
+        let recv = P2p.irecv_into comm Datatype.int ~source:left ~tag:6 into in
+        P2p.send comm Datatype.int ~dest:right ~tag:6 [| 10 * r |];
+        ignore (Request.wait_all [ recv; cycle ]);
+        Request.free cycle;
+        (dst.(0), dst.(1), (Option.get !cell).(0), into.(0)))
+  in
+  Array.iteri
+    (fun r (first, second, icoll, from_left) ->
+      let what = Printf.sprintf "rank %d: " r in
+      let left = (r + p - 1) mod p in
+      Alcotest.(check int) (what ^ "re-armed cycle reads the zeroed element") 0 first;
+      Alcotest.(check int) (what ^ "cycle") (p * (p + 1) / 2) second;
+      Alcotest.(check int) (what ^ "i-collective") (p * (p - 1) / 2) icoll;
+      Alcotest.(check int) (what ^ "left neighbour's second send") (10 * left) from_left)
+    results
+
+(* A deadlock report names a schedule's wait by operation, algorithm and
+   peer, never by its internal window tag: rank 3 never posts its
+   allreduce, so the others wait for it forever. *)
+let test_deadlock_names_schedule_wait () =
+  let report =
+    match
+      Engine.run ~model:Net_model.zero_cost ~ranks:4 (fun comm ->
+          if Comm.rank comm < 3 then
+            let sum = Reduce_op.int_sum in
+            ignore (wait_result (Coll.iallreduce comm Datatype.int sum [| 1 |])))
+    with
+    | _ -> Alcotest.fail "expected a deadlock"
+    | exception (Scheduler.Deadlock _ as e) -> Printexc.to_string e
+  in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length report && (String.sub report i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool)
+    (report ^ "\nnames the operation, algorithm and peer")
+    true
+    (contains "wait: iallreduce.recursive_doubling (src ");
+  let numbers =
+    String.map (fun c -> if c >= '0' && c <= '9' then c else ' ') report
+    |> String.split_on_char ' '
+    |> List.filter_map int_of_string_opt
+  in
+  Alcotest.(check (list int)) "no window tag" []
+    (List.filter (fun v -> v >= P2p.first_window_op) numbers)
 
 let tests =
   [
@@ -922,6 +1042,11 @@ let tests =
       test_halo_beside_icollectives;
     Alcotest.test_case "posted traffic keeps its comm-matrix label" `Quick
       test_posted_comm_matrix_label;
+    qtest prop_any_wait_order;
+    Alcotest.test_case "one list: persistent, i-collective, irecv" `Quick
+      test_mixed_request_list;
+    Alcotest.test_case "deadlock names a schedule's wait" `Quick
+      test_deadlock_names_schedule_wait;
   ]
 
 let () = Alcotest.run "coll" [ ("coll", tests) ]

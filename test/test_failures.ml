@@ -189,11 +189,11 @@ let receive_forms : (string * (Comm.t -> unit)) list =
       fun c ->
         let comm = Kamping.Communicator.of_mpi c in
         ignore (Kamping.Nb.wait (Kamping.Nb.irecv comm Datatype.int ~source:1 ())) );
-    ( "recv_init start/wait_p",
+    ( "recv_init start/wait",
       fun c ->
         let p = P2p.recv_init c Datatype.int ~source:1 (buf ()) in
         Request.start p;
-        Request.wait_p p );
+        ignore (Request.wait p) );
     ("probe", fun c -> ignore (P2p.probe c ~source:1 ()));
     ( "iprobe poll loop",
       fun c ->

@@ -23,9 +23,9 @@ let test_send_recv_cycle () =
           for c = 1 to cycles do
             Array.iteri (fun i _ -> buf.(i) <- (c * 10) + i) buf;
             Request.start req;
-            Request.wait_p req
+            ignore (Request.wait req)
           done;
-          Request.free_p req;
+          Request.free req;
           [||]
         end
         else begin
@@ -34,10 +34,10 @@ let test_send_recv_cycle () =
           let seen = Array.make (cycles * 4) 0 in
           for c = 1 to cycles do
             Request.start req;
-            Request.wait_p req;
+            ignore (Request.wait req);
             Array.blit into 0 seen ((c - 1) * 4) 4
           done;
-          Request.free_p req;
+          Request.free req;
           seen
         end)
   in
@@ -65,30 +65,34 @@ let test_lifecycle_errors () =
   expect_usage "free while active" (fun comm ->
       let req = P2p.send_init comm Datatype.int ~dest:0 [| 1 |] ~pos:0 ~count:1 in
       Request.start req;
-      Request.free_p req);
+      Request.free req);
   expect_usage "start after free" (fun comm ->
       let req = fresh comm in
-      Request.free_p req;
+      Request.free req;
       Request.start req);
   expect_usage "double free" (fun comm ->
       let req = fresh comm in
-      Request.free_p req;
-      Request.free_p req)
+      Request.free req;
+      Request.free req)
 
 let test_inactive_noops () =
-  ignore
-    (Engine.run ~model:Net_model.zero_cost ~ranks:1 (fun comm ->
-         let src = [| 7 |] and dst = [| 0 |] in
-         let req = Coll.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
-         (* wait/test on an inactive request are no-ops, as in MPI *)
-         Request.wait_p req;
-         if not (Request.test_p req) then failwith "test on inactive must be true";
-         if Request.is_active req then failwith "never started";
-         Request.start req;
-         Request.wait_p req;
-         if dst.(0) <> 7 then failwith "cycle result";
-         if Request.started_cycles req <> 1 then failwith "cycle count";
-         Request.free_p req))
+  let report =
+    Engine.run ~model:Net_model.zero_cost ~ranks:1 (fun comm ->
+        let src = [| 7 |] and dst = [| 0 |] in
+        let req = Coll.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
+        (* wait/test on an inactive request return at once, as in MPI *)
+        ignore (Request.wait req);
+        if Request.test req = None then failwith "test on inactive must complete";
+        if not (Request.is_complete req) then failwith "never started";
+        Request.start req;
+        ignore (Request.wait req);
+        if dst.(0) <> 7 then failwith "cycle result";
+        Request.free req)
+  in
+  (* Each cycle is one profiled allreduce call: one start, one entry. *)
+  Alcotest.(check (list (triple string int int)))
+    "one cycle recorded" [ ("allreduce", 1, 8) ]
+    (List.filter (fun (op, _, _) -> op = "allreduce") report.Engine.profile)
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence property: a persistent request started N times produces
@@ -135,10 +139,10 @@ let allreduce_variants ~p ~seed ~elems ~cycles ~commutative =
     for c = 1 to cycles do
       src.(0) <- src.(0) + c;
       Request.start req;
-      Request.wait_p req;
+      ignore (Request.wait req);
       Array.blit dst 0 out ((c - 1) * elems) elems
     done;
-    Request.free_p req;
+    Request.free req;
     out
   in
   let run body =
@@ -190,10 +194,10 @@ let prop_persistent_bcast_equals_adhoc =
               if r = root then
                 Array.blit (data_for ~seed:(seed + c) ~rank:root ~len:elems) 0 buf 0 elems;
               Request.start req;
-              Request.wait_p req;
+              ignore (Request.wait req);
               Array.blit buf 0 out ((c - 1) * elems) elems
             done;
-            Request.free_p req;
+            Request.free req;
             out)
       in
       Array.for_all2 (fun a b -> a = b) adhoc pers
@@ -241,10 +245,10 @@ let prop_persistent_reduce_scatter_equals_adhoc =
             for c = 1 to cycles do
               src.(0) <- src.(0) + c;
               Request.start req;
-              Request.wait_p req;
+              ignore (Request.wait req);
               Array.blit dst 0 out ((c - 1) * mine) mine
             done;
-            Request.free_p req;
+            Request.free req;
             out)
       in
       Array.for_all2
@@ -266,15 +270,15 @@ let test_single_rank_cycle_allocation_free () =
          let req = Coll.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
          for _ = 1 to 10 do
            Request.start req;
-           Request.wait_p req
+           ignore (Request.wait req)
          done;
          let w0 = Gc.minor_words () in
          for _ = 1 to 10_000 do
            Request.start req;
-           Request.wait_p req
+           ignore (Request.wait req)
          done;
          let words = Gc.minor_words () -. w0 in
-         Request.free_p req;
+         Request.free req;
          if words >= 100. then
            failwith (Printf.sprintf "start/wait allocated %.0f minor words/10k cycles" words)))
 
@@ -305,9 +309,9 @@ let test_multi_rank_cycle_allocates_less () =
         let req = Coll.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
         for _ = 1 to cycles do
           Request.start req;
-          Request.wait_p req
+          ignore (Request.wait req)
         done;
-        Request.free_p req)
+        Request.free req)
   in
   Alcotest.(check bool)
     (Printf.sprintf "persistent %.0f < ad-hoc %.0f minor words" persistent adhoc)
@@ -323,17 +327,17 @@ let test_kamping_persistent () =
         let r = Kamping.Communicator.rank comm in
         let src = [| r + 1; r + 1 |] and dst = [| 0; 0 |] in
         let req = Kamping.Persistent.allreduce_init comm Datatype.int Reduce_op.int_sum ~src ~dst in
-        Kamping.Persistent.start req;
-        Kamping.Persistent.wait req;
+        Request.start req;
+        ignore (Request.wait req);
         let rs_dst = [| 0 |] in
         let rs =
           Kamping.Persistent.reduce_scatter_init comm Datatype.int Reduce_op.int_sum
             ~src:[| r; r; r; r |] ~dst:rs_dst ()
         in
-        Kamping.Persistent.start rs;
-        Kamping.Persistent.wait rs;
-        Kamping.Persistent.free rs;
-        Kamping.Persistent.free req;
+        Request.start rs;
+        ignore (Request.wait rs);
+        Request.free rs;
+        Request.free req;
         (dst.(0), rs_dst.(0)))
   in
   Array.iter
@@ -343,12 +347,12 @@ let test_kamping_persistent () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Regression (ISSUE 9 satellite): a fault-plan kill landing between
-   [Request.start] and [Request.wait_p] of a persistent receive must
-   surface ERR_PROC_FAILED out of [wait_p], not hang the parked fiber.
-   Rank 0 completes one cycle (proving the request works), then its
-   second send hits a [fail=0@ops:2] trigger and it dies without
-   injecting; rank 1 is already parked in its second [wait_p]. *)
+(* Regression: a fault-plan kill landing between [Request.start] and
+   [Request.wait] of a persistent receive must surface ERR_PROC_FAILED
+   out of [wait], not hang the parked fiber.  Rank 0 completes one cycle
+   (proving the request works), then its second send hits a
+   [fail=0@ops:2] trigger and it dies without injecting; rank 1 is
+   already parked in its second [wait]. *)
 
 let test_kill_between_start_and_wait () =
   let plan = Result.get_ok (Fault_plan.parse "fail=0@ops:2") in
@@ -369,11 +373,11 @@ let test_kill_between_start_and_wait () =
           let into = Array.make 3 (-1) in
           let req = P2p.recv_init comm Datatype.int ~source:0 into in
           Request.start req;
-          Request.wait_p req;
+          ignore (Request.wait req);
           Alcotest.(check (array int)) "first cycle delivered" [| 7; 8; 9 |] into;
           Request.start req;
-          match Request.wait_p req with
-          | () -> `Completed
+          match Request.wait req with
+          | _ -> `Completed
           | exception Errdefs.Mpi_error { code = Errdefs.Err_proc_failed; _ } ->
               `Saw_proc_failed
         end)
@@ -382,13 +386,13 @@ let test_kill_between_start_and_wait () =
   Alcotest.(check (list int)) "rank 0 died on its second op" [ 0 ] report.Engine.killed;
   match results.(1) with
   | Some `Saw_proc_failed -> ()
-  | Some `Completed -> Alcotest.fail "wait_p completed against a dead source"
+  | Some `Completed -> Alcotest.fail "wait completed against a dead source"
   | Some `Sender | None -> Alcotest.fail "receiver produced no outcome"
 
 let tests =
   [
     Alcotest.test_case "send/recv cycle" `Quick test_send_recv_cycle;
-    Alcotest.test_case "kill between start and wait_p surfaces failure" `Quick
+    Alcotest.test_case "kill between start and wait raises" `Quick
       test_kill_between_start_and_wait;
     Alcotest.test_case "lifecycle errors" `Quick test_lifecycle_errors;
     Alcotest.test_case "inactive wait/test no-ops" `Quick test_inactive_noops;

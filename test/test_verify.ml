@@ -101,6 +101,10 @@ let test_pinned_counts () =
       ("clean_coll", 4, (1, 0, 0), []);
       ("wildcard_beside_icoll", 2, (1, 0, 1), []);
       ("wildcard_beside_icoll", 4, (1, 0, 1), []);
+      ("opposite_icoll", 2, (1, 0, 0), []);
+      ("opposite_icoll", 4, (1, 0, 0), []);
+      ("recv_beside_icoll", 2, (1, 0, 0), []);
+      ("recv_beside_icoll", 4, (1, 0, 0), []);
       ("nc_reduce", 2, (1, 0, 0), []);
       ("nc_reduce", 4, (1, 0, 0), []);
       ("big_send", 2, (1, 0, 0), []);
