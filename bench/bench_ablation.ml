@@ -17,12 +17,11 @@ let allgather_ablation ~max_p () =
   (* Memory bound: the result array is p * count elements on every rank. *)
   let max_p = min max_p 64 in
   let run ~ranks ~count which =
+    let algo = match which with `Bruck -> Coll_algo.Bruck | `Ring -> Coll_algo.Ring in
+    let model = Coll_algo.pin [ (Coll_algo.Allgather, Some algo) ] Net_model.omnipath in
     let report =
-      Engine.run ~clock_mode:Runtime.Virtual_only ~ranks (fun comm ->
-          let v = Array.make count (Comm.rank comm) in
-          match which with
-          | `Bruck -> ignore (Coll.allgather comm Datatype.int v)
-          | `Ring -> ignore (Coll.allgather_ring comm Datatype.int v))
+      Engine.run ~model ~clock_mode:Runtime.Virtual_only ~ranks (fun comm ->
+          ignore (Coll.allgather comm Datatype.int (Array.make count (Comm.rank comm))))
     in
     report.Engine.max_time
   in

@@ -32,7 +32,8 @@ let experiments ~full ~smoke =
         if full then Bench_suffix.run ~ranks:16 ~n:65_536 () else Bench_suffix.run () );
     ("label_prop", fun () -> Bench_lp.run ());
     ("raxml", fun () -> Bench_raxml.run ());
-    ("ulfm", fun () -> if full then Bench_ulfm.run ~max_p:256 () else Bench_ulfm.run ());
+    ( "ulfm",
+      fun () -> if full then Bench_ulfm.run ~max_p:256 () else Bench_ulfm.run ~smoke () );
     ( "ablation",
       fun () -> if full then Bench_ablation.run ~max_p:1024 () else Bench_ablation.run () );
     ("pingpong", fun () -> Bench_pingpong.run ~smoke ());

@@ -50,13 +50,7 @@ let extract_recv_counts r = r.recv_counts
 
 let extract_recv_displs r = r.recv_displs
 
-let exclusive_prefix_sum (counts : int array) =
-  let n = Array.length counts in
-  let displs = Array.make n 0 in
-  for i = 1 to n - 1 do
-    displs.(i) <- displs.(i - 1) + counts.(i - 1)
-  done;
-  displs
+let exclusive_prefix_sum = Coll.exclusive_prefix_sum
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast *)

@@ -167,6 +167,12 @@ val allreduce_single : comm -> 'a Datatype.t -> 'a Reduce_op.t -> 'a -> 'a
 val reduce_scatter :
   comm -> 'a Datatype.t -> 'a Reduce_op.t -> ?recv_counts:int array -> 'a array -> 'a array
 
+(** The default [recv_counts] of every reduce-scatter (blocking,
+    nonblocking and persistent): [len] elements split over [size] ranks
+    as evenly as possible, the first [len mod size] ranks getting one
+    extra. *)
+val even_split : len:int -> size:int -> int array
+
 (** [reduce_scatter] with the uniform block size [len / p] ([len] must be
     divisible by [p]). *)
 val reduce_scatter_block : comm -> 'a Datatype.t -> 'a Reduce_op.t -> 'a array -> 'a array

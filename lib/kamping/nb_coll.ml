@@ -22,9 +22,7 @@ let ireduce_scatter comm dt op ?recv_counts (data : 'a array) : 'a array Nb.t =
   let recv_counts =
     match recv_counts with
     | Some rc -> rc
-    | None ->
-        let size = Comm.size mpi and len = Array.length data in
-        Array.init size (fun r -> (len / size) + if r < len mod size then 1 else 0)
+    | None -> Collectives.even_split ~len:(Array.length data) ~size:(Comm.size mpi)
   in
   Nb.of_cell (Coll.ireduce_scatter mpi dt op ~recv_counts data)
 

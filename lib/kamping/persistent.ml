@@ -27,22 +27,13 @@ let bcast_init comm dt ?root (buf : 'a array) : Request.t =
 let allreduce_init comm dt op ~src ~dst : Request.t =
   Coll.allreduce_init (c comm) dt op ~src ~dst
 
-(* [recv_counts] defaults to an equal split of [src] (which must then be
-   divisible by the communicator size). *)
+(* [recv_counts] defaults to the even split of the other reduce-scatters. *)
 let reduce_scatter_init comm dt op ?recv_counts ~(src : 'a array) ~(dst : 'a array) () :
     Request.t =
   let mpi = c comm in
   let recv_counts =
     match recv_counts with
     | Some counts -> counts
-    | None ->
-        let p = Comm.size mpi in
-        let n = Array.length src in
-        if n mod p <> 0 then
-          Errdefs.usage_error
-            "reduce_scatter_init: buffer of %d elements not divisible by %d ranks (supply \
-             ~recv_counts)"
-            n p;
-        Array.make p (n / p)
+    | None -> Collectives.even_split ~len:(Array.length src) ~size:(Comm.size mpi)
   in
   Coll.reduce_scatter_init mpi dt op ~recv_counts ~src ~dst

@@ -42,9 +42,9 @@ val allreduce_init :
   dst:'a array ->
   Mpisim.Request.t
 
-(** Persistent reduce-scatter; [recv_counts] defaults to an equal split
-    of [src] (its length must then be divisible by the communicator
-    size). *)
+(** Persistent reduce-scatter; [recv_counts] defaults to
+    {!Collectives.even_split} of [src], as in the blocking and nonblocking
+    calls. *)
 val reduce_scatter_init :
   comm ->
   'a Mpisim.Datatype.t ->

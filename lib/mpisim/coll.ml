@@ -442,47 +442,26 @@ let barrier comm =
         k := !k * 2
       done)
 
-(* Non-blocking barrier via shared rendezvous.  Completion time is the
-   latest entry clock plus a modelled dissemination term.  Deliberately
-   not a schedule: the NBX sparse all-to-all polls it, and a
-   message-based dissemination would change that workload's modelled
-   time (DESIGN.md §2.2). *)
+(* Non-blocking barrier: a rendezvous cell that waits for every member
+   and completes at the latest arrival plus a modelled dissemination
+   term.  Deliberately not a schedule: the NBX sparse all-to-all polls
+   it, and a message-based dissemination would change that workload's
+   modelled time (DESIGN.md §2.2).  A member that fails, or that has
+   observed a revocation, before arriving makes test/wait raise. *)
 let ibarrier comm =
   prologue comm ~op:"ibarrier" ~root:(-1) ~ty:"";
   record comm ~op:"ibarrier" ~bytes:0;
   let rt = Comm.runtime comm in
-  let n = Comm.size comm in
   let me = Comm.world_rank comm in
-  let shared = comm.Comm.shared in
-  let gen = comm.Comm.my_ibarrier_gen in
-  comm.Comm.my_ibarrier_gen <- gen + 1;
-  (* The rendezvous cell is shared by every rank of the communicator. *)
-  let state =
-    match Hashtbl.find_opt shared.Comm.ibarriers gen with
-    | Some s -> s
-    | None ->
-        let s = { Comm.ib_target = n; ib_entered = 0; ib_max_clock = 0.; ib_finalized = 0 } in
-        Hashtbl.replace shared.Comm.ibarriers gen s;
-        s
-  in
-  state.Comm.ib_entered <- state.Comm.ib_entered + 1;
-  state.Comm.ib_max_clock <- Float.max state.Comm.ib_max_clock (Runtime.clock rt me);
-  Runtime.bump_progress rt;
-  let rounds = if n <= 1 then 0 else Coll_algo.ceil_log2 n in
-  let dissemination_cost =
-    float_of_int rounds
-    *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)
-  in
+  let cell = Comm.arrive comm Comm.Ibarrier in
   let req =
     Request.make
-      ~ready:(fun () -> state.Comm.ib_entered >= state.Comm.ib_target)
+      ~ready:(fun () -> Comm.settled comm cell)
       ~finalize:(fun () ->
-        Runtime.sync_clock rt me (state.Comm.ib_max_clock +. dissemination_cost);
-        state.Comm.ib_finalized <- state.Comm.ib_finalized + 1;
-        if state.Comm.ib_finalized >= state.Comm.ib_target then
-          Hashtbl.remove shared.Comm.ibarriers gen;
+        Comm.leave comm cell ~op:"ibarrier";
+        Comm.sync_rounds comm cell ~k:1 ~m:(Comm.size comm);
         Status.make ~source:(Comm.rank comm) ~tag:0 ~count:0 ~bytes:0)
-      ~describe:(fun () -> Printf.sprintf "ibarrier gen %d" gen)
+      ~describe:(fun () -> Printf.sprintf "ibarrier gen %d" (Comm.generation cell))
       rt.Runtime.inflight.(me)
   in
   if Check.enabled rt.Runtime.check then
@@ -597,50 +576,25 @@ let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
 
 (* In MPI the element count of a bcast is an argument on every rank; our
    binding takes the payload at the root only, so size-keyed algorithm
-   selection needs the root to publish the count through the shared
-   communicator record first (simulator state, not a modelled message).
-   Keyed by a per-rank generation counter — collective ordering makes the
-   generations agree across ranks.  The poll also wakes on revocation or
-   a member death so ULFM error semantics are preserved. *)
+   selection needs the root to publish the count first: a rendezvous
+   cell that waits for the root (simulator state, not a modelled
+   message).  A root that fails or observes a revocation before
+   publishing raises here. *)
 let bcast_count_rendezvous x comm ~root ~count_at_root =
-  let n = Comm.size comm in
-  let shared = comm.Comm.shared in
-  let gen = comm.Comm.my_bcast_gen in
-  comm.Comm.my_bcast_gen <- gen + 1;
-  if Comm.rank comm = root then begin
-    Hashtbl.replace shared.Comm.bcast_counts gen
-      { Comm.bc_count = count_at_root; bc_consumed = 0 };
-    Runtime.bump_progress (Comm.runtime comm)
-  end
-  else if not (Hashtbl.mem shared.Comm.bcast_counts gen) then begin
-    let root_world = Comm.world_of_rank comm root in
-    let ready () =
-      Hashtbl.mem shared.Comm.bcast_counts gen
-      || Comm.revocation_reached comm ~world:root_world
-      || Comm.any_member_failed comm
-    in
-    (* A progressive schedule suspends: it never blocks inside itself. *)
-    match x.prog with
-    | Some s ->
-        s.src <- root;
-        s.tag <- -1;
-        s.until <- ready;
-        Effect.perform Await
-    | None ->
-        Request.block
-          (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
-          ~describe:(fun () -> Printf.sprintf "bcast count rendezvous gen %d" gen)
-          ~poll:(fun () -> if ready () then Some () else None)
-  end;
-  match Hashtbl.find_opt shared.Comm.bcast_counts gen with
-  | Some m ->
-      m.Comm.bc_consumed <- m.Comm.bc_consumed + 1;
-      if m.Comm.bc_consumed >= n then Hashtbl.remove shared.Comm.bcast_counts gen;
-      m.Comm.bc_count
-  | None ->
-      if Comm.revoked_flag comm then
-        Comm.error comm Errdefs.Err_revoked "bcast: communicator revoked";
-      Comm.error comm Errdefs.Err_proc_failed "bcast: root failed before publishing count"
+  let cell = Comm.arrive comm (Comm.Bcast { root }) ~value:count_at_root in
+  (if not (Comm.settled comm cell) then
+     (* A progressive schedule suspends: it never blocks inside itself. *)
+     match x.prog with
+     | Some s ->
+         s.src <- root;
+         s.tag <- -1;
+         s.until <- (fun () -> Comm.settled comm cell);
+         Effect.perform Await
+     | None ->
+         Comm.await comm cell ~describe:(fun () ->
+             Printf.sprintf "bcast count rendezvous gen %d" (Comm.generation cell)));
+  Comm.leave comm cell ~op:"bcast";
+  cell.Comm.brought.(root)
 
 (* The bcast after its prologue.  A pinned binomial tree skips the count
    rendezvous, so its non-roots receive without knowing the count. *)
@@ -871,14 +825,6 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
       charge_dense_scan comm;
       ring_allgather comm dt ~tag:tag_allgatherv ~what:"allgatherv"
         ~table:(blocks recv_counts) data)
-
-(* Ring allgather under its own name: always the ring algorithm,
-   regardless of tuning — kept for the algorithm-choice ablation
-   (DESIGN.md §4). *)
-let allgather_ring comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"allgather_ring" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      allgather_ring_impl comm dt data)
 
 (* ------------------------------------------------------------------ *)
 (* Alltoall family: pairwise exchange *)

@@ -68,12 +68,8 @@ val scatterv :
 (** {1 All-to-all} *)
 
 (** Equal-count allgather: Bruck concatenation (O(log p) rounds), or
-    ring for long messages. *)
+    ring for long messages; [Coll_algo.pin] forces either. *)
 val allgather : Comm.t -> 'a Datatype.t -> 'a array -> 'a array
-
-(** Ring allgather: same result, p-1 rounds; kept for the
-    algorithm-choice ablation. *)
-val allgather_ring : Comm.t -> 'a Datatype.t -> 'a array -> 'a array
 
 (** Variable-count allgather (ring); [recv_counts] required on every rank
     as in MPI. *)

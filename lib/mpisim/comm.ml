@@ -15,45 +15,41 @@ let max_user_tag = Mailbox.max_user_tag
 type topology = { sources : int array; destinations : int array }
 (* Neighbor lists in comm ranks, for neighborhood collectives (§V-A). *)
 
-(* Rendezvous state for a non-blocking barrier generation. *)
-type ibarrier_state = {
-  ib_target : int;
-  mutable ib_entered : int;
-  mutable ib_max_clock : float;
-  mutable ib_finalized : int;
-}
+(* Rendezvous.  [ibarrier], the bcast count, ULFM [agree] and [shrink]
+   and RMA window creation meet through shared state rather than
+   messages: one cell per call, found in the communicator's table under
+   (kind, generation).  Every rank numbers its calls of each kind, and
+   calls of a kind are collective, so the k-th call of a kind on every
+   member meets in the same cell.  The kind also says whom the cell waits
+   for: every member (ibarrier, window), the root (bcast), or the members
+   still alive (agree, shrink). *)
+type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink | Window
 
-(* Rendezvous state for a ULFM shrink in progress.  [sh_survivors] is the
-   survivor group decided by the first rank to pass the rendezvous; later
-   ranks reuse it even if more failures have happened since — a rank that
-   dies during the shrink collective must not make survivors compute
-   differing groups (they would trip the group-equality check of
-   [get_or_create_shared]).  A failed member left in the stored group is
-   correct ULFM behavior: the next operation on the shrunken communicator
-   raises and the next recovery round shrinks it out. *)
-type shrink_state = {
-  sh_context : int;
-  mutable sh_arrived : int list;  (* comm ranks of arrived survivors *)
-  mutable sh_max_clock : float;
-  mutable sh_done : int;
-  mutable sh_survivors : int list option;  (* comm ranks, decided once *)
-}
+let kind_index = function
+  | Ibarrier -> 0
+  | Bcast _ -> 1
+  | Agree -> 2
+  | Shrink -> 3
+  | Window -> 4
 
-type bcast_count = {
-  bc_count : int;
-  mutable bc_consumed : int;
-}
+let n_kinds = 5
 
-(* Rendezvous state for one ULFM agreement generation.  [ag_result] is
-   the agreed value, decided by the first rank through the rendezvous;
-   later ranks must reuse it — if a contributor dies between two
-   survivors' resumptions, recomputing would let them disagree on the
-   "agreed" value, which defeats the operation. *)
-type agree_state = {
-  mutable ag_arrived : (int * bool) list;  (* (comm rank, contribution) *)
-  mutable ag_max_clock : float;
-  mutable ag_done : int;
-  mutable ag_result : bool option;
+(* What the first arrival makes for everyone: shrink's context id, or a
+   window's shared record, erased because its element type varies (see
+   [Rma.create]). *)
+type made = Nothing | Context of int | Window_state of Obj.t
+
+let absent = min_int
+
+type cell = {
+  kind : kind;
+  key : int;  (* generation * n_kinds + kind index *)
+  made : made;
+  brought : int array;  (* comm rank -> what it brought, [absent] until it arrives *)
+  mutable arrivals : int;
+  mutable max_clock : float;  (* latest arrival clock *)
+  mutable live : int list option;  (* live members, decided once *)
+  mutable left : int;  (* ranks done with the cell *)
 }
 
 type shared = {
@@ -62,13 +58,7 @@ type shared = {
   inverse : (int, int) Hashtbl.t;  (* world rank -> comm rank *)
   mutable revoked : bool;
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
-  ibarriers : (int, ibarrier_state) Hashtbl.t;  (* generation -> state *)
-  bcast_counts : (int, bcast_count) Hashtbl.t;  (* generation -> root's count *)
-  agrees : (int, agree_state) Hashtbl.t;  (* generation -> state *)
-  (* Window creation generation -> the window's shared state, erased to
-     [Obj.t] because its element type varies (see [Rma.create]). *)
-  windows : (int, Obj.t) Hashtbl.t;
-  mutable pending_shrink : shrink_state option;
+  cells : (int, cell) Hashtbl.t;  (* open rendezvous, by key *)
   (* The run's communicators, context -> shared record: one table per
      run, created with the world communicator and referenced by every
      record derived from it.  All ranks creating the "same" communicator
@@ -81,10 +71,7 @@ type t = {
   shared : shared;
   rank : int;  (* my rank in this communicator *)
   mutable errhandler : Errdefs.handler;
-  mutable my_ibarrier_gen : int;
-  mutable my_agree_gen : int;
-  mutable my_bcast_gen : int;
-  mutable my_win_gen : int;
+  gens : int array;  (* kind index -> rendezvous calls so far *)
   mutable my_sched_gen : int;
       (* progressive collective instances posted so far: their tag windows *)
   topology : topology option;
@@ -104,11 +91,7 @@ let make_shared ~comms ~context group =
       inverse = inverse_of group;
       revoked = false;
       revoke_observed = Array.make (Group.size group) false;
-      ibarriers = Hashtbl.create 4;
-      bcast_counts = Hashtbl.create 4;
-      agrees = Hashtbl.create 4;
-      windows = Hashtbl.create 4;
-      pending_shrink = None;
+      cells = Hashtbl.create 4;
       comms;
     }
   in
@@ -140,10 +123,7 @@ let attach ?topology rt shared ~rank =
     shared;
     rank;
     errhandler = Errdefs.Errors_raise;
-    my_ibarrier_gen = 0;
-    my_agree_gen = 0;
-    my_bcast_gen = 0;
-    my_win_gen = 0;
+    gens = Array.make n_kinds 0;
     my_sched_gen = 0;
     topology;
   }
@@ -253,3 +233,115 @@ let check_collective t ~op ~root ~ty =
   if Check.enabled t.rt.Runtime.check then
     Check.on_collective t.rt.Runtime.check ~context:t.shared.context ~rank:t.rank
       ~world_rank:(world_rank t) ~op ~root ~ty
+
+(* ------------------------------------------------------------------ *)
+(* Rendezvous *)
+
+(* Comm ranks of the members that have not failed, in rank order. *)
+let live_members t =
+  let rec go r acc =
+    if r < 0 then acc
+    else go (r - 1) (if Runtime.is_failed t.rt t.shared.group.(r) then acc else r :: acc)
+  in
+  go (size t - 1) []
+
+(* This rank's next call of [kind].  The first member to arrive creates
+   the cell, with [make ()] for everyone; every arrival records what it
+   brings ([value]: bcast's count at the root, an agree vote) and its
+   clock, and counts as progress. *)
+let arrive ?(value = 0) ?(make = fun () -> Nothing) t kind =
+  let i = kind_index kind in
+  let gen = t.gens.(i) in
+  t.gens.(i) <- gen + 1;
+  let key = (gen * n_kinds) + i in
+  let c =
+    match Hashtbl.find_opt t.shared.cells key with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            kind;
+            key;
+            made = make ();
+            brought = Array.make (size t) absent;
+            arrivals = 0;
+            max_clock = 0.;
+            live = None;
+            left = 0;
+          }
+        in
+        Hashtbl.replace t.shared.cells key c;
+        c
+  in
+  c.brought.(t.rank) <- value;
+  c.arrivals <- c.arrivals + 1;
+  c.max_clock <- Float.max c.max_clock (Runtime.clock t.rt (world_rank t));
+  Runtime.bump_progress t.rt;
+  c
+
+let generation c = c.key / n_kinds
+
+(* Every member the cell waits for has arrived (a failed member counts
+   as arrived for a live-member cell). *)
+let complete t c =
+  match c.kind with
+  | Ibarrier | Window -> c.arrivals = Array.length c.brought
+  | Bcast { root } -> c.brought.(root) <> absent
+  | Agree | Shrink ->
+      let rec go r =
+        r < 0
+        || (c.brought.(r) <> absent || Runtime.is_failed t.rt t.shared.group.(r))
+           && go (r - 1)
+      in
+      go (Array.length c.brought - 1)
+
+(* A cell waiting for all members, or for the root, can no longer
+   complete once a member has failed (every later collective entry
+   raises, so a member yet to arrive never will) or once a member it
+   still waits for has observed the revocation. *)
+let broken t c =
+  let awaited r = c.brought.(r) = absent && t.shared.revoke_observed.(r) in
+  match c.kind with
+  | Agree | Shrink -> false
+  | Bcast { root } -> any_member_failed t || (t.shared.revoked && awaited root)
+  | Ibarrier | Window ->
+      let rec any r = r >= 0 && (awaited r || any (r - 1)) in
+      any_member_failed t || (t.shared.revoked && any (Array.length c.brought - 1))
+
+(* The one wake rule: the cell has completed, or it never will. *)
+let settled t c = complete t c || broken t c
+
+let await t c ~describe =
+  if not (settled t c) then
+    Request.block t.rt.Runtime.inflight.(world_rank t) ~describe ~poll:(fun () ->
+        if settled t c then Some () else None)
+
+(* The live members, decided by the first rank through: later ranks
+   reuse the decision even if a member has died since, so survivors
+   cannot compute differing groups or agreed values. *)
+let decide_live t c =
+  match c.live with
+  | Some l -> l
+  | None ->
+      let l = live_members t in
+      c.live <- Some l;
+      l
+
+(* Leave the cell at the modelled end of the agreement it stands for:
+   [k] passes of ceil(log2 m) latency-bound rounds after the last
+   arrival. *)
+let sync_rounds t c ~k ~m =
+  let model = t.rt.Runtime.model in
+  let hop = model.Net_model.latency +. model.Net_model.send_overhead in
+  let rounds = k * Coll_algo.ceil_log2 m in
+  Runtime.sync_clock t.rt (world_rank t) (c.max_clock +. (float_of_int rounds *. hop))
+
+(* Done with the cell.  The last live member out removes it; a cell that
+   broke raises [op]'s error. *)
+let leave t c ~op =
+  c.left <- c.left + 1;
+  let live = if Runtime.any_failed t.rt then List.length (live_members t) else size t in
+  if c.left >= live then Hashtbl.remove t.shared.cells c.key;
+  if not (complete t c) then
+    if t.shared.revoked then error t Errdefs.Err_revoked "%s: communicator revoked" op
+    else error t Errdefs.Err_proc_failed "%s: a member failed before the rendezvous" op

@@ -6,9 +6,9 @@
     ranks.  Every shared record of a run reaches the run's table of
     communicators ([comms]), so no communicator state outlives
     its run or is visible to another run.  Record internals are exposed
-    for the collective layer (which keeps rendezvous state for the
-    non-blocking barrier, ULFM shrink and agree, and RMA windows);
-    applications should treat them as read-only. *)
+    for the collective layer (which meets in rendezvous cells for the
+    non-blocking barrier, the bcast count, ULFM shrink and agree, and RMA
+    windows); applications should treat them as read-only. *)
 
 (** Largest tag usable by applications; larger tags are reserved for the
     internal messages of collective algorithms. *)
@@ -18,41 +18,36 @@ type topology = { sources : int array; destinations : int array }
 (** Neighbor lists in comm ranks, for the neighborhood collectives
     (§V-A). *)
 
-type ibarrier_state = {
-  ib_target : int;
-  mutable ib_entered : int;
-  mutable ib_max_clock : float;
-  mutable ib_finalized : int;
-}
+(** {1 Rendezvous}
 
-type shrink_state = {
-  sh_context : int;
-  mutable sh_arrived : int list;
-  mutable sh_max_clock : float;
-  mutable sh_done : int;
-  mutable sh_survivors : int list option;
-      (** survivor group decided by the first rank through the
-          rendezvous; later ranks reuse it so a failure {e during} the
-          shrink cannot make survivors compute differing groups *)
-}
+    [ibarrier], the bcast count, ULFM agree and shrink, and RMA window
+    creation meet through shared state rather than messages: one cell per
+    call, in the communicator's [cells] table.  The k-th call of a kind on
+    a communicator meets every other member's k-th call of that kind. *)
 
-type bcast_count = {
-  bc_count : int;  (** element count published by the bcast root *)
-  mutable bc_consumed : int;  (** ranks done with this entry; reclaimed at size *)
-}
-(** In real MPI every rank passes the count to [MPI_Bcast]; our binding
-    takes the payload at the root only, so the collective layer publishes
-    the root's count here (keyed by per-rank bcast generation) before the
-    data moves.  Message-size-keyed algorithm selection reads it so all
-    ranks pick the same algorithm. *)
+(** The kind also says whom the cell waits for: every member ([Ibarrier],
+    [Window]), the root ([Bcast]), or the members still alive ([Agree],
+    [Shrink]). *)
+type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink | Window
 
-(** Rendezvous state for one ULFM agreement generation; [ag_result] is
-    decided once, by the first rank through the rendezvous. *)
-type agree_state = {
-  mutable ag_arrived : (int * bool) list;  (** (comm rank, contribution) *)
-  mutable ag_max_clock : float;
-  mutable ag_done : int;
-  mutable ag_result : bool option;
+(** What the first arrival makes for every member: shrink's fresh context
+    id, or an RMA window's shared record (type-erased, see {!Rma}). *)
+type made = Nothing | Context of int | Window_state of Obj.t
+
+type cell = {
+  kind : kind;
+  key : int;
+  made : made;
+  brought : int array;
+      (** comm rank -> the value it brought (bcast's count at the root,
+          an agree vote), [min_int] until it arrives *)
+  mutable arrivals : int;
+  mutable max_clock : float;  (** latest arrival clock *)
+  mutable live : int list option;
+      (** live members, decided once by the first rank through, so a
+          failure {e during} agree or shrink cannot make survivors
+          compute differing values or groups *)
+  mutable left : int;
 }
 
 type shared = {
@@ -66,13 +61,7 @@ type shared = {
           once their source is marked here (or dead), so in-flight
           collectives can drain — revocation notice propagates
           asynchronously, as in real ULFM. *)
-  ibarriers : (int, ibarrier_state) Hashtbl.t;
-  bcast_counts : (int, bcast_count) Hashtbl.t;
-  agrees : (int, agree_state) Hashtbl.t;  (** agreement generation -> state *)
-  windows : (int, Obj.t) Hashtbl.t;
-      (** window creation generation -> the RMA window's shared state,
-          type-erased (see {!Rma}) *)
-  mutable pending_shrink : shrink_state option;
+  cells : (int, cell) Hashtbl.t;  (** open rendezvous cells *)
   comms : (int, shared) Hashtbl.t;
       (** the run's communicators by context; one table per run, shared
           by every record of that run *)
@@ -83,10 +72,7 @@ type t = {
   shared : shared;
   rank : int;
   mutable errhandler : Errdefs.handler;
-  mutable my_ibarrier_gen : int;
-  mutable my_agree_gen : int;
-  mutable my_bcast_gen : int;
-  mutable my_win_gen : int;
+  gens : int array;  (** rendezvous calls so far, per kind *)
   mutable my_sched_gen : int;
       (** nonblocking and persistent collectives posted so far, which
           numbers their tag windows *)
@@ -174,3 +160,40 @@ val failed_members : t -> int list
     [ty] the element-type name ({!Datatype.name}, [""] when untyped).  Both are passed as plain immediates so the
     sanitizer-off path allocates nothing. *)
 val check_collective : t -> op:string -> root:int -> ty:string -> unit
+
+(** {1 Rendezvous operations} *)
+
+(** Comm ranks of the members that have not failed, in rank order. *)
+val live_members : t -> int list
+
+(** This rank's next call of [kind]: find the cell or, as the first
+    member to arrive, create it with [make ()] (default [Nothing]).
+    Records the arrival, its [value] (default 0) and clock, and bumps
+    progress. *)
+val arrive : ?value:int -> ?make:(unit -> made) -> t -> kind -> cell
+
+(** The cell's generation: which call of its kind it is. *)
+val generation : cell -> int
+
+(** The one wake rule, scheduler-safe: every member the cell waits for
+    has arrived, or, for an [Ibarrier], [Window] or [Bcast] cell, it never
+    will: a member has failed, or a member it waits for has observed the
+    revocation before arriving.  [Agree] and [Shrink] cells tolerate
+    failures and never break. *)
+val settled : t -> cell -> bool
+
+(** Block (through {!Request.block}) until {!settled}. *)
+val await : t -> cell -> describe:(unit -> string) -> unit
+
+(** The live members, decided by the first rank to ask; later ranks get
+    the same list. *)
+val decide_live : t -> cell -> int list
+
+(** Move this rank's clock to the cell's latest arrival plus [k] passes
+    of [Coll_algo.ceil_log2 m] rounds of (latency + send overhead). *)
+val sync_rounds : t -> cell -> k:int -> m:int -> unit
+
+(** Done with the cell: the last live member out removes it from the
+    table.  Raises [ERR_REVOKED] / [ERR_PROC_FAILED] (through the error
+    handler, naming [op]) if the cell settled without completing. *)
+val leave : t -> cell -> op:string -> unit

@@ -158,153 +158,52 @@ let dist_graph_create_adjacent comm ~(sources : int array) ~(destinations : int 
 (* ------------------------------------------------------------------ *)
 (* ULFM: shrink and agree *)
 
-let live_members comm =
-  let rt = Comm.runtime comm in
-  Array.to_list (Comm.group comm)
-  |> List.mapi (fun r w -> (r, w))
-  |> List.filter (fun (_, w) -> not (Runtime.is_failed rt w))
-  |> List.map fst
-
-(* Build a new communicator from the surviving processes.  Usable on a
-   revoked communicator (that is its purpose). *)
+(* Build a new communicator from the surviving processes, ordered by old
+   comm rank.  Usable on a revoked communicator (that is its purpose).
+   The first rank to arrive takes the new context id; the first through
+   the rendezvous decides the survivors.  A member that dies after that
+   decision stays in the group: the next operation on the shrunken
+   communicator raises and the next recovery round shrinks it out. *)
 let shrink comm : Comm.t =
   let rt = Comm.runtime comm in
   Runtime.check_alive rt (Comm.world_rank comm);
   Runtime.record rt ~op:"comm_shrink" ~bytes:0;
-  let shared = comm.Comm.shared in
-  let me = Comm.world_rank comm in
-  (* The rendezvous cell is cross-rank state: the first rank to arrive
-     creates it. *)
-  let state =
-    match shared.Comm.pending_shrink with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            Comm.sh_context = Runtime.fresh_context rt;
-            sh_arrived = [];
-            sh_max_clock = 0.;
-            sh_done = 0;
-            sh_survivors = None;
-          }
-        in
-        shared.Comm.pending_shrink <- Some s;
-        s
+  let cell =
+    Comm.arrive comm Comm.Shrink ~make:(fun () -> Comm.Context (Runtime.fresh_context rt))
   in
-  state.Comm.sh_arrived <- Comm.rank comm :: state.Comm.sh_arrived;
-  state.Comm.sh_max_clock <- Float.max state.Comm.sh_max_clock (Runtime.clock rt me);
-  Runtime.bump_progress rt;
-  let all_survivors_arrived () =
-    let live = live_members comm in
-    List.for_all (fun r -> List.mem r state.Comm.sh_arrived) live
+  Comm.await comm cell ~describe:(fun () ->
+      Printf.sprintf "comm_shrink on rank %d" (Comm.rank comm));
+  let survivors = Comm.decide_live comm cell in
+  let context =
+    match cell.Comm.made with
+    | Comm.Context c -> c
+    | Nothing | Window_state _ -> invalid_arg "Comm_ops.shrink"
   in
-  if not (all_survivors_arrived ()) then
-    Request.block rt.Runtime.inflight.(me)
-      ~describe:(fun () -> Printf.sprintf "comm_shrink on rank %d" (Comm.rank comm))
-      ~poll:(fun () -> if all_survivors_arrived () then Some () else None);
-  (* Survivors, ordered by old comm rank — decided once, by the first
-     rank through the rendezvous.  Ranks resuming later must reuse that
-     decision: a member may have died in between, and recomputing would
-     give them a different group for the same context (tripping the
-     group-equality check of [Comm.get_or_create_shared]).  A dead rank
-     left in the stored group is handled by the next recovery round. *)
-  let survivors =
-    match state.Comm.sh_survivors with
-    | Some s -> s
-    | None ->
-        let s = List.sort compare (live_members comm) in
-        state.Comm.sh_survivors <- Some s;
-        s
-  in
-  let world_ranks = Array.of_list (List.map (Comm.world_of_rank comm) survivors) in
-  let new_group = Group.of_ranks world_ranks in
-  let new_shared =
-    Comm.get_or_create_shared comm ~context:state.Comm.sh_context ~group:new_group
-  in
+  let world_ranks = List.map (Comm.world_of_rank comm) survivors in
+  let group = Group.of_ranks (Array.of_list world_ranks) in
+  let new_shared = Comm.get_or_create_shared comm ~context ~group in
   (* Modelled cost of the underlying agreement protocol. *)
-  let s = Array.length world_ranks in
-  let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
-  Runtime.sync_clock rt me
-    (state.Comm.sh_max_clock
-    +. (2. *. float_of_int rounds
-       *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)));
-  (* Clear the rendezvous once every survivor that can still pass has
-     done so.  Count only currently-live survivors: a member that died
-     mid-shrink will never pass, and must not pin the rendezvous (which
-     would poison the next shrink on this communicator).  Clearing early
-     is harmless — in-flight shrinkers hold direct references to
-     [state]. *)
-  let passable =
-    List.length
-      (List.filter
-         (fun r -> not (Runtime.is_failed rt (Comm.world_of_rank comm r)))
-         survivors)
+  Comm.sync_rounds comm cell ~k:2 ~m:(List.length survivors);
+  Comm.leave comm cell ~op:"comm_shrink";
+  let rec index i = function
+    | [] -> Errdefs.usage_error "shrink: internal error, self not in survivor list"
+    | r :: _ when r = Comm.rank comm -> i
+    | _ :: rest -> index (i + 1) rest
   in
-  state.Comm.sh_done <- state.Comm.sh_done + 1;
-  if state.Comm.sh_done >= passable then shared.Comm.pending_shrink <- None;
-  let my_new_rank =
-    let rec index i = function
-      | [] -> Errdefs.usage_error "shrink: internal error, self not in survivor list"
-      | r :: _ when r = Comm.rank comm -> i
-      | _ :: rest -> index (i + 1) rest
-    in
-    index 0 survivors
-  in
-  Comm.attach rt new_shared ~rank:my_new_rank
+  Comm.attach rt new_shared ~rank:(index 0 survivors)
 
-(* Fault-tolerant agreement: returns the logical AND of the contributions
-   of all surviving ranks.  Usable even when some members have failed.
-   The rendezvous cell lives in the communicator's shared record, keyed by
-   the per-rank agreement generation (see [Comm.agree_state]). *)
+(* Fault-tolerant agreement: the logical AND of the votes of the members
+   alive when the first rank passes the rendezvous, so every survivor
+   returns the same value.  Usable even when some members have failed. *)
 let agree comm (value : bool) : bool =
   let rt = Comm.runtime comm in
   Runtime.check_alive rt (Comm.world_rank comm);
   Runtime.record rt ~op:"comm_agree" ~bytes:0;
-  let me = Comm.world_rank comm in
-  let gen = comm.Comm.my_agree_gen in
-  comm.Comm.my_agree_gen <- gen + 1;
-  let agrees = comm.Comm.shared.Comm.agrees in
-  (* Cross-rank rendezvous cell: the first rank to arrive creates it. *)
-  let state =
-    match Hashtbl.find_opt agrees gen with
-    | Some s -> s
-    | None ->
-        let s = { Comm.ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None } in
-        Hashtbl.replace agrees gen s;
-        s
-  in
-  state.ag_arrived <- (Comm.rank comm, value) :: state.ag_arrived;
-  state.ag_max_clock <- Float.max state.ag_max_clock (Runtime.clock rt me);
-  Runtime.bump_progress rt;
-  let all_arrived () =
-    let live = live_members comm in
-    List.for_all (fun r -> List.mem_assoc r state.ag_arrived) live
-  in
-  if not (all_arrived ()) then
-    Request.block rt.Runtime.inflight.(me)
-      ~describe:(fun () -> Printf.sprintf "comm_agree on rank %d" (Comm.rank comm))
-      ~poll:(fun () -> if all_arrived () then Some () else None);
-  let live = live_members comm in
-  (* The agreed value is decided once, by the first rank to resume; later
-     ranks reuse it even if the live set has changed since. *)
-  let result =
-    match state.ag_result with
-    | Some r -> r
-    | None ->
-        let r =
-          List.fold_left
-            (fun acc r -> acc && (try List.assoc r state.ag_arrived with Not_found -> true))
-            true live
-        in
-        state.ag_result <- Some r;
-        r
-  in
-  let s = List.length live in
-  let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
-  Runtime.sync_clock rt me
-    (state.ag_max_clock
-    +. (2. *. float_of_int rounds
-       *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)));
-  state.ag_done <- state.ag_done + 1;
-  if state.ag_done >= s then Hashtbl.remove agrees gen;
+  let cell = Comm.arrive comm Comm.Agree ~value:(Bool.to_int value) in
+  Comm.await comm cell ~describe:(fun () ->
+      Printf.sprintf "comm_agree on rank %d" (Comm.rank comm));
+  let live = Comm.decide_live comm cell in
+  let result = List.for_all (fun r -> cell.Comm.brought.(r) <> 0) live in
+  Comm.sync_rounds comm cell ~k:2 ~m:(List.length live);
+  Comm.leave comm cell ~op:"comm_agree";
   result

@@ -26,9 +26,6 @@ val dist_graph_create_adjacent :
 
 (** {1 ULFM (paper §V-B)} *)
 
-(** Comm ranks of the members that have not failed. *)
-val live_members : Comm.t -> int list
-
 (** Build a new communicator from the surviving processes, ordered by old
     rank.  Usable on a revoked communicator.  Collective over the
     survivors. *)

@@ -50,15 +50,14 @@ type 'a shared = {
   exposures : 'a array array;  (* world rank -> exposed local array *)
   pending : (int * 'a op) list ref;  (* (origin world rank, op), reversed *)
   locks : lock_state array;  (* world rank -> passive-target lock *)
-  gen : int;  (* creation generation: key in the communicator's window table *)
   mutable fences : int;  (* completed fence epochs *)
-  mutable freed_count : int;  (* ranks that completed [free] *)
 }
 
 type 'a t = {
   comm : Comm.t;
   dt : 'a Datatype.t;
   shared : 'a shared;
+  cell : Comm.cell;  (* the creation rendezvous, left at [free] *)
   mutable lock_target : int;  (* world rank of the open lock epoch, -1 none *)
   mutable epoch_ops : 'a op list;  (* ops of the open lock epoch, reversed *)
   mutable freed : bool;
@@ -67,42 +66,36 @@ type 'a t = {
 (* Create a window exposing [local].  Collective.  The arrays stay owned
    by their ranks; remote access goes through the window operations.
 
-   All ranks share one window state per creation site, found in the
-   communicator's window table under the per-rank creation generation:
-   creation is collective, so every rank's k-th [create] on a communicator
-   names the same window.  The [Obj.t] erasure is sound for the same
-   reason: the k-th window has the same element type on every rank, so all
-   readers of an entry agree on 'a.  The last rank through [free] removes
-   the entry. *)
+   All ranks share one window state: the first to arrive at the creation
+   rendezvous makes it, and creation is collective, so every rank's k-th
+   [create] on a communicator meets in the same cell.  The erasure in
+   [Comm.Window_state] is sound for the same reason: the k-th window has
+   the same element type on every rank.  The cell stays open until
+   [free]. *)
 let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
   Comm.check_collective comm ~op:"win_create" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime comm) ~op:"win_create" ~bytes:0;
-  let rt = Comm.runtime comm in
-  let gen = comm.Comm.my_win_gen in
-  comm.Comm.my_win_gen <- gen + 1;
-  let windows = comm.Comm.shared.Comm.windows in
-  (* The first arriver allocates the shared record. *)
-  let shared =
-    match Hashtbl.find_opt windows gen with
-    | Some s -> (Obj.obj s : 'a shared)
-    | None ->
-        let s =
-          {
-            exposures = Array.make rt.Runtime.size [||];
-            pending = ref [];
-            locks = Array.init rt.Runtime.size (fun _ -> { excl = false; holders = 0 });
-            gen;
-            fences = 0;
-            freed_count = 0;
-          }
-        in
-        Hashtbl.replace windows gen (Obj.repr s);
-        s
+  let size = (Comm.runtime comm).Runtime.size in
+  let cell =
+    Comm.arrive comm Comm.Window ~make:(fun () ->
+        Comm.Window_state
+          (Obj.repr
+             {
+               exposures = Array.make size [||];
+               pending = ref [];
+               locks = Array.init size (fun _ -> { excl = false; holders = 0 });
+               fences = 0;
+             }))
+  in
+  let shared : 'a shared =
+    match cell.Comm.made with
+    | Comm.Window_state s -> Obj.obj s
+    | Nothing | Context _ -> invalid_arg "Rma.create"
   in
   shared.exposures.(Comm.world_rank comm) <- local;
   (* Windows become usable only after every rank registered. *)
   Coll.barrier comm;
-  { comm; dt; shared; lock_target = -1; epoch_ops = []; freed = false }
+  { comm; dt; shared; cell; lock_target = -1; epoch_ops = []; freed = false }
 
 let check_not_freed t ~op =
   if t.freed then Errdefs.usage_error "%s: window has been freed" op
@@ -307,7 +300,7 @@ let with_locked ?exclusive (t : 'a t) ~target (f : unit -> 'b) : 'b =
 let local (t : 'a t) : 'a array = t.shared.exposures.(Comm.world_rank t.comm)
 
 (* Free the window.  Collective.  The last rank through the barrier
-   removes the window from its communicator's window table. *)
+   closes the creation rendezvous. *)
 let free (t : 'a t) : unit =
   check_not_freed t ~op:"win_free";
   if t.lock_target >= 0 then
@@ -316,6 +309,4 @@ let free (t : 'a t) : unit =
   Runtime.record (Comm.runtime t.comm) ~op:"win_free" ~bytes:0;
   t.freed <- true;
   Coll.barrier t.comm;
-  t.shared.freed_count <- t.shared.freed_count + 1;
-  if t.shared.freed_count = Comm.size t.comm then
-    Hashtbl.remove t.comm.Comm.shared.Comm.windows t.shared.gen
+  Comm.leave t.comm t.cell ~op:"win_free"

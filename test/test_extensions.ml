@@ -235,12 +235,14 @@ let prop_allgather_ring_equals_bruck =
   QCheck.Test.make ~name:"ring allgather = Bruck allgather" ~count:40
     QCheck.(pair (int_range 1 9) (int_range 1 5))
     (fun (p, count) ->
-      let results =
-        Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun comm ->
-            let v = Array.init count (fun i -> (Comm.rank comm * 10) + i) in
-            (Coll.allgather comm Datatype.int v, Coll.allgather_ring comm Datatype.int v))
+      let run algo =
+        let pins = [ (Coll_algo.Allgather, Some algo) ] in
+        let model = Coll_algo.pin pins Net_model.zero_cost in
+        Engine.run_values ~model ~ranks:p (fun comm ->
+            Coll.allgather comm Datatype.int
+              (Array.init count (fun i -> (Comm.rank comm * 10) + i)))
       in
-      Array.for_all (fun (a, b) -> a = b) results)
+      run Coll_algo.Ring = run Coll_algo.Bruck)
 
 let tests =
   [

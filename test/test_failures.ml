@@ -211,23 +211,29 @@ let source_ends : (string * (Comm.t -> unit) * string) list =
     ("source is killed", Fault.die, "ERR_PROC_FAILED");
   ]
 
-let check_receive_form recv source_end expected () =
-  let outcome = ref "returned" in
+let check_receive_form ?(ranks = 2) recv source_end expected () =
+  let outcomes = Array.make ranks "returned" in
   (match
-     Engine.run_collect ~ranks:2 (fun comm ->
-         if Comm.rank comm = 1 then begin
+     Engine.run_collect ~ranks (fun comm ->
+         let r = Comm.rank comm in
+         if r = 1 then begin
            Scheduler.yield ();
            source_end comm
          end
          else
            match recv comm with
            | () -> ()
-           | exception Errdefs.Mpi_error { code; _ } -> outcome := Errdefs.code_name code
-           | exception Spun -> outcome := "spun")
+           | exception Errdefs.Mpi_error { code; _ } ->
+               outcomes.(r) <- Errdefs.code_name code
+           | exception Spun -> outcomes.(r) <- "spun")
    with
   | _ -> ()
-  | exception Scheduler.Deadlock _ -> outcome := "deadlock");
-  Alcotest.(check string) "outcome" expected !outcome
+  | exception Scheduler.Deadlock _ -> Array.fill outcomes 0 ranks "deadlock");
+  Array.iteri
+    (fun r outcome ->
+      if r <> 1 then
+        Alcotest.(check string) (Printf.sprintf "rank %d outcome" r) expected outcome)
+    outcomes
 
 let receive_form_tests =
   List.concat_map
@@ -240,6 +246,70 @@ let receive_form_tests =
             (check_receive_form recv source_end expected))
         source_ends)
     receive_forms
+
+(* The same matrix over the non-blocking barrier, a rendezvous rather
+   than a receive: on 3 ranks, ranks 0 and 2 enter it while rank 1
+   revokes or dies instead, so the barrier can never complete. *)
+let rendezvous_forms : (string * (Comm.t -> unit)) list =
+  [
+    ("ibarrier + wait", fun c -> ignore (Request.wait (Coll.ibarrier c)));
+    ( "ibarrier test poll loop",
+      fun c ->
+        let req = Coll.ibarrier c in
+        let polls = ref 0 in
+        while Request.test req = None do
+          incr polls;
+          if !polls >= 10_000 then raise Spun;
+          Scheduler.yield ()
+        done );
+    ( "Nb_coll.ibarrier + wait",
+      fun c -> Kamping.Nb.wait (Kamping.Nb_coll.ibarrier (Kamping.Communicator.of_mpi c)) );
+  ]
+
+let rendezvous_form_tests =
+  List.concat_map
+    (fun (form, enter) ->
+      List.map
+        (fun (what, source_end, expected) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: %s" form what)
+            `Quick
+            (check_receive_form ~ranks:3 enter source_end expected))
+        source_ends)
+    rendezvous_forms
+
+(* A clean run through every rendezvous kind — ibarrier, bcast's count,
+   window create/free, agree, and shrink and agree after a member dies —
+   leaves no rendezvous cell open on any communicator. *)
+let test_rendezvous_cells_closed () =
+  let results, report =
+    Engine.run_collect ~ranks:4 (fun comm ->
+        let me = Comm.rank comm in
+        ignore (Request.wait (Coll.ibarrier comm));
+        let payload = if me = 1 then Some [| 7; 8 |] else None in
+        Alcotest.(check (array int))
+          "bcast payload" [| 7; 8 |]
+          (Coll.bcast comm Datatype.int ~root:1 payload);
+        let win = Rma.create comm Datatype.int [| me |] in
+        Rma.fence win;
+        Rma.free win;
+        Alcotest.(check bool) "agree over all" false (Comm_ops.agree comm (me <> 2));
+        if me = 3 then Fault.die comm;
+        let rt = Comm.runtime comm in
+        Scheduler.park
+          ~describe:(fun () -> "awaiting failure")
+          ~poll:(fun () -> if Runtime.is_failed rt 3 then Some () else None);
+        Alcotest.(check bool) "agree over survivors" true (Comm_ops.agree comm true);
+        let shrunk = Comm_ops.shrink comm in
+        ignore (Request.wait (Coll.ibarrier shrunk));
+        Coll.barrier shrunk;
+        Hashtbl.fold
+          (fun _ s open_cells -> open_cells + Hashtbl.length s.Comm.cells)
+          comm.Comm.shared.Comm.comms 0)
+  in
+  Alcotest.(check (list int)) "rank 3 died" [ 3 ] report.Engine.killed;
+  Alcotest.(check (list (option int)))
+    "no rendezvous cell left open" [ Some 0; Some 0; Some 0; None ] (Array.to_list results)
 
 (* --- A failure during recovery itself (shrink/agree store-once) --- *)
 
@@ -476,8 +546,10 @@ let prop_rma_accumulate_sums =
       results.(0) = expected 0 && results.(1) = expected 1)
 
 let tests =
-  collective_failure_tests @ receive_form_tests
+  collective_failure_tests @ receive_form_tests @ rendezvous_form_tests
   @ [
+      Alcotest.test_case "rendezvous cells closed after a clean run" `Quick
+        test_rendezvous_cells_closed;
       Alcotest.test_case "send to failed" `Quick test_send_to_failed;
       Alcotest.test_case "fail_world_rank wakes parked victim" `Quick
         test_fail_world_rank_wakes_victim;

@@ -346,6 +346,32 @@ let test_kamping_persistent () =
       Alcotest.(check int) "reduce_scatter block" 6 rs)
     results
 
+(* Without [recv_counts], the persistent reduce-scatter splits [src] like
+   the blocking call: 10 elements on 4 ranks go out as 3, 3, 2, 2. *)
+let test_kamping_reduce_scatter_init_uneven () =
+  let results =
+    Engine.run_values ~model:Net_model.zero_cost ~ranks:4 (fun mpi ->
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let r = Kamping.Communicator.rank comm in
+        let src = Array.init 10 (fun i -> (r * 10) + i) in
+        let sum = Reduce_op.int_sum in
+        let blocking = Kamping.Collectives.reduce_scatter comm Datatype.int sum src in
+        let dst = Array.make (Array.length blocking) 0 in
+        let req =
+          Kamping.Persistent.reduce_scatter_init comm Datatype.int sum ~src ~dst ()
+        in
+        Request.start req;
+        ignore (Request.wait req);
+        Request.free req;
+        (blocking, dst))
+  in
+  Array.iteri
+    (fun r (blocking, persistent) ->
+      Alcotest.(check int) (Printf.sprintf "rank %d block" r) (if r < 2 then 3 else 2)
+        (Array.length blocking);
+      Alcotest.(check (array int)) (Printf.sprintf "rank %d result" r) blocking persistent)
+    results
+
 (* ------------------------------------------------------------------ *)
 (* Regression: a fault-plan kill landing between [Request.start] and
    [Request.wait] of a persistent receive must surface ERR_PROC_FAILED
@@ -401,6 +427,8 @@ let tests =
     Alcotest.test_case "multi-rank cycle allocates less" `Quick
       test_multi_rank_cycle_allocates_less;
     Alcotest.test_case "kamping persistent surface" `Quick test_kamping_persistent;
+    Alcotest.test_case "kamping reduce_scatter_init uneven split" `Quick
+      test_kamping_reduce_scatter_init_uneven;
     qtest prop_persistent_allreduce_equals_adhoc;
     qtest prop_persistent_bcast_equals_adhoc;
     qtest prop_persistent_reduce_scatter_equals_adhoc;

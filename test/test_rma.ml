@@ -115,7 +115,7 @@ let test_multiple_windows () =
 (* Many windows in one run, two alive at a time: each create must find
    its own shared state and each free must release it, so a long
    create/fence/free loop keeps every window's contents independent of
-   its neighbours and leaves the communicator's window table empty. *)
+   its neighbours and leaves no rendezvous cell open on the communicator. *)
 
 let test_many_windows_one_run () =
   let n = 4 in
@@ -143,12 +143,12 @@ let test_many_windows_one_run () =
         done;
         Rma.free (fst !prev);
         Coll.barrier comm;
-        (!ok, comm.Comm.shared.Comm.windows))
+        (!ok, comm.Comm.shared.Comm.cells))
   in
   Array.iter
-    (fun (ok, windows) ->
+    (fun (ok, cells) ->
       Alcotest.(check bool) "every window saw only its own puts" true ok;
-      Alcotest.(check int) "window table empty after the run" 0 (Hashtbl.length windows))
+      Alcotest.(check int) "no rendezvous cell open after the run" 0 (Hashtbl.length cells))
     results
 
 (* Regression: gets must charge the promised round trip at the closing
