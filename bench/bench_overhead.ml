@@ -208,7 +208,7 @@ let persistent_section ~smoke () =
           ("iterations", Bench_util.I iterations);
           ("ranks", Bench_util.I stencil_ranks);
           ("elems", Bench_util.I stencil_elems);
-          ("wall_s", Bench_util.F wall);
+          ("wall_seconds", Bench_util.F wall);
           ("minor_words", Bench_util.F words);
         ])
     [

@@ -2,10 +2,10 @@
 
    Matching follows MPI semantics: a receive names (context, source, tag),
    where source and tag may be wildcards; messages between a fixed
-   (context, source, tag) triple are non-overtaking.  We keep an exact-key
-   hash of FIFO queues for the common case and use global sequence numbers
-   to arbitrate wildcard matches (oldest message wins, as a sane
-   deterministic policy).
+   (context, source, tag) triple are non-overtaking.  Unexpected messages
+   wait in one FIFO per exact key, and global sequence numbers arbitrate
+   wildcard matches (oldest message wins, as a sane deterministic
+   policy).
 
    Hot-path data structures are O(1) amortized:
 
@@ -13,12 +13,14 @@
      tombstone that is reclaimed lazily (popped when it reaches the front,
      compacted when tombstones outnumber live entries), so post/retire
      never walk the queue the way the previous list-append design did;
-   - unexpected messages are indexed context-first: an exact-key receive
-     is two hash lookups, and a wildcard scan folds only over the keys of
-     its own context instead of the whole table;
-   - a per-key queue that drains is removed from the index immediately, so
-     long runs with many distinct (src, tag) pairs cannot grow the table
-     without bound. *)
+   - unexpected messages sit in one flat open-addressing table keyed on
+     (context, src, tag), each key's FIFO chained through the messages'
+     own [next] links, so queueing and taking a message allocate nothing:
+     an exact-key receive is one probe, and a wildcard scans the slots,
+     which the table keeps within 8x the live keys;
+   - a key whose FIFO drains frees its slot at once (backward-shift
+     deletion, no tombstones), so long runs with many distinct (src, tag)
+     pairs cannot grow the table without bound. *)
 
 let any_source = -1
 
@@ -37,23 +39,42 @@ let tag_matches pattern tag =
 (* The same for a source pattern. *)
 let src_matches pattern src = pattern = any_source || pattern = src
 
-type key = { mutable k_src : int; mutable k_tag : int }
-
 type posted = {
   p_context : int;
   p_src : int;  (* may be [any_source] *)
   p_tag : int;  (* may be [any_tag] *)
   p_id : int;
   p_clock : float;  (* receiver's virtual clock when the recv was posted *)
-  mutable p_msg : Message.t option;  (* set when matched *)
+  mutable p_msg : Message.t;  (* [Message.nil] until matched *)
   mutable p_cancelled : bool;
   mutable p_dead : bool;  (* tombstone: retired or cancelled, skip on scan *)
   mutable p_deferred : bool;  (* model checker owns this match choice *)
 }
 
+(* No receive: the idle state of a persistent receive between cycles. *)
+let no_posted =
+  {
+    p_context = -1;
+    p_src = any_source;
+    p_tag = any_tag;
+    p_id = -1;
+    p_clock = 0.;
+    p_msg = Message.nil;
+    p_cancelled = true;
+    p_dead = true;
+    p_deferred = false;
+  }
+
 type t = {
-  (* context id -> (src, tag) -> FIFO of unexpected messages *)
-  unexpected : (int, (key, Message.t Queue.t) Hashtbl.t) Hashtbl.t;
+  (* The unexpected index: an open-addressing table of (context, src, tag)
+     keys, [u_ctx.(i) = -1] for a free slot, each key holding the head and
+     tail of its FIFO chained through [Message.next]. *)
+  mutable u_ctx : int array;
+  mutable u_src : int array;
+  mutable u_tag : int array;
+  mutable u_head : Message.t array;
+  mutable u_tail : Message.t array;
+  mutable n_keys : int;  (* live slots *)
   posted : posted Queue.t;  (* in posting order, with tombstones *)
   mutable n_tombstones : int;
   mutable next_posted_id : int;
@@ -64,33 +85,22 @@ type t = {
   (* Set by the model checker for its own runs only: wildcard receives
      defer their match to the explorer's resolver. *)
   mutable defer_wildcards : bool;
-  probe : key;  (* [head_exact]'s reused lookup key: mutated, never stored *)
 }
 
-let create () =
-  {
-    unexpected = Hashtbl.create 4;
-    posted = Queue.create ();
-    n_tombstones = 0;
-    next_posted_id = 0;
-    n_unexpected = 0;
-    n_posted = 0;
-    defer_wildcards = false;
-    probe = { k_src = 0; k_tag = 0 };
-  }
+let min_slots = 16
 
 let set_defer_wildcards t on = t.defer_wildcards <- on
 
 let defers_wildcards t = t.defer_wildcards
 
 let posted_matches (p : posted) (m : Message.t) =
-  p.p_msg = None && (not p.p_cancelled) && (not p.p_deferred)
+  p.p_msg == Message.nil && (not p.p_cancelled) && (not p.p_deferred)
   && p.p_context = m.Message.context
   && src_matches p.p_src m.Message.src
   && tag_matches p.p_tag m.Message.tag
 
 let match_posted (p : posted) (m : Message.t) =
-  p.p_msg <- Some m;
+  p.p_msg <- m;
   m.Message.matched_time <- Float.max m.Message.arrival p.p_clock
 
 (* Reclaim the dead prefix of the posted queue: cheap, and it keeps the
@@ -132,26 +142,70 @@ let try_match_posted t (m : Message.t) =
     !matched
   end
 
-let context_table t ~context =
-  match Hashtbl.find_opt t.unexpected context with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.unexpected context tbl;
-      tbl
+(* The table's home slot of a key: an integer mix, masked. *)
+let home t ctx src tag =
+  let h = ((ctx * 0x2545F491) + (src * 0x9E3779B9) + tag) * 0x4F6CDD1D in
+  (h lxor (h lsr 29)) land (Array.length t.u_ctx - 1)
+
+(* Linear probing from slot [i]: the key's slot, or the free slot that
+   ends its probe run.  A top-level function, as a local recursive
+   closure would allocate on every lookup. *)
+let rec probe t i ctx src tag =
+  let c = t.u_ctx.(i) in
+  if c = -1 || (c = ctx && t.u_src.(i) = src && t.u_tag.(i) = tag) then i
+  else probe t ((i + 1) land (Array.length t.u_ctx - 1)) ctx src tag
+
+let slot t ctx src tag = probe t (home t ctx src tag) ctx src tag
+
+let fill t i ctx src tag head tail =
+  t.u_ctx.(i) <- ctx;
+  t.u_src.(i) <- src;
+  t.u_tag.(i) <- tag;
+  t.u_head.(i) <- head;
+  t.u_tail.(i) <- tail
+
+(* Rebuild the table at [slots] (a power of two) with the same keys. *)
+let resize t slots =
+  let ctx = t.u_ctx and src = t.u_src and tag = t.u_tag in
+  let head = t.u_head and tail = t.u_tail in
+  t.u_ctx <- Array.make slots (-1);
+  t.u_src <- Array.make slots 0;
+  t.u_tag <- Array.make slots 0;
+  t.u_head <- Array.make slots Message.nil;
+  t.u_tail <- Array.make slots Message.nil;
+  Array.iteri
+    (fun i c ->
+      if c <> -1 then fill t (slot t c src.(i) tag.(i)) c src.(i) tag.(i) head.(i) tail.(i))
+    ctx
+
+let create () =
+  {
+    u_ctx = Array.make min_slots (-1);
+    u_src = Array.make min_slots 0;
+    u_tag = Array.make min_slots 0;
+    u_head = Array.make min_slots Message.nil;
+    u_tail = Array.make min_slots Message.nil;
+    n_keys = 0;
+    posted = Queue.create ();
+    n_tombstones = 0;
+    next_posted_id = 0;
+    n_unexpected = 0;
+    n_posted = 0;
+    defer_wildcards = false;
+  }
 
 let enqueue_unexpected t (m : Message.t) =
-  let tbl = context_table t ~context:m.Message.context in
-  let k = { k_src = m.Message.src; k_tag = m.Message.tag } in
-  let q =
-    match Hashtbl.find_opt tbl k with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.replace tbl k q;
-        q
-  in
-  Queue.add m q;
+  let ctx = m.Message.context and src = m.Message.src and tag = m.Message.tag in
+  let i = slot t ctx src tag in
+  if t.u_ctx.(i) = -1 then begin
+    fill t i ctx src tag m m;
+    t.n_keys <- t.n_keys + 1;
+    if 2 * t.n_keys > Array.length t.u_ctx then resize t (2 * Array.length t.u_ctx)
+  end
+  else begin
+    t.u_tail.(i).Message.next <- m;
+    t.u_tail.(i) <- m
+  end;
   t.n_unexpected <- t.n_unexpected + 1
 
 (* Entry point for the runtime: a message has arrived at this rank.
@@ -163,55 +217,72 @@ let deliver t (m : Message.t) =
     false
   end
 
-(* Pop the head of the per-key queue [q] (key [k] of context table
-   [tbl]); a queue that drains gives its table entry back at once. *)
-let take_head t tbl ~context k q =
-  let m = Queue.pop q in
+(* Backward-shift deletion: [hole] is free; walk its probe run from [j]
+   and move back every key whose home does not lie in (hole, j], so no
+   lookup ever meets a gap and no tombstone is left. *)
+let rec close_hole t hole j =
+  let mask = Array.length t.u_ctx - 1 in
+  let c = t.u_ctx.(j) and src = t.u_src.(j) and tag = t.u_tag.(j) in
+  if c = -1 then fill t hole (-1) 0 0 Message.nil Message.nil
+  else if (j - home t c src tag) land mask >= (j - hole) land mask then begin
+    fill t hole c src tag t.u_head.(j) t.u_tail.(j);
+    close_hole t j ((j + 1) land mask)
+  end
+  else close_hole t hole ((j + 1) land mask)
+
+(* Pop the head of slot [i]'s FIFO; a key that drains frees its slot at
+   once, and a table below load 1/8 halves (never below [min_slots]). *)
+let take_head t i =
+  let m = t.u_head.(i) in
+  let next = m.Message.next in
+  m.Message.next <- Message.nil;
   t.n_unexpected <- t.n_unexpected - 1;
-  if Queue.is_empty q then begin
-    Hashtbl.remove tbl k;
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.unexpected context
+  if next != Message.nil then t.u_head.(i) <- next
+  else begin
+    t.n_keys <- t.n_keys - 1;
+    let slots = Array.length t.u_ctx in
+    close_hole t i ((i + 1) land (slots - 1));
+    if slots > min_slots && 8 * t.n_keys < slots then resize t (slots / 2)
   end;
   m
 
+let matches_slot t i ~context ~src ~tag =
+  t.u_ctx.(i) = context && src_matches src t.u_src.(i) && tag_matches tag t.u_tag.(i)
+
+(* The slot of the oldest head a wildcard pattern matches from slot [i]
+   on, or [best]. *)
+let rec oldest_from t i ~context ~src ~tag best =
+  if i = Array.length t.u_ctx then best
+  else if
+    matches_slot t i ~context ~src ~tag
+    && (best < 0 || t.u_head.(i).Message.seq < t.u_head.(best).Message.seq)
+  then oldest_from t (i + 1) ~context ~src ~tag i
+  else oldest_from t (i + 1) ~context ~src ~tag best
+
+(* The slot whose head is the oldest unexpected message matching the
+   (context, src, tag) pattern, or -1: one probe for an exact pattern, a
+   scan of the slots for a wildcard. *)
+let find_slot t ~context ~src ~tag =
+  if src <> any_source && tag <> any_tag then begin
+    let i = slot t context src tag in
+    if t.u_ctx.(i) = -1 then -1 else i
+  end
+  else oldest_from t 0 ~context ~src ~tag (-1)
+
 (* Find (and optionally remove) the oldest unexpected message matching the
-   (context, src, tag) pattern.  Exact patterns are two hash lookups;
-   wildcards fold over the keys of their context only.  Removal that
-   drains a queue reclaims its table entry immediately. *)
+   (context, src, tag) pattern. *)
 let find_unexpected ?(remove = true) t ~context ~src ~tag =
-  match Hashtbl.find t.unexpected context with
-  | exception Not_found -> None
-  | tbl when src <> any_source && tag <> any_tag -> (
-      let k = { k_src = src; k_tag = tag } in
-      match Hashtbl.find tbl k with
-      | q when not (Queue.is_empty q) ->
-          Some (if remove then take_head t tbl ~context k q else Queue.peek q)
-      | _ | (exception Not_found) -> None)
-  | tbl -> (
-      let best =
-        Hashtbl.fold
-          (fun k q acc ->
-            if src_matches src k.k_src && tag_matches tag k.k_tag && not (Queue.is_empty q)
-            then begin
-              let m = Queue.peek q in
-              match acc with
-              | Some (m', _, _) when m'.Message.seq <= m.Message.seq -> acc
-              | _ -> Some (m, q, k)
-            end
-            else acc)
-          tbl None
-      in
-      match best with
-      | None -> None
-      | Some (m, q, k) -> Some (if remove then take_head t tbl ~context k q else m))
+  let i = find_slot t ~context ~src ~tag in
+  if i < 0 then None else Some (if remove then take_head t i else t.u_head.(i))
 
 (* The oldest unexpected message with exactly this key, left queued, found
-   without allocating (for polls); raises [Not_found] if there is none (a
-   queue in the index is never empty: [take_head] drops a drained one). *)
+   without allocating (for polls); raises [Not_found] if there is none. *)
 let head_exact t ~context ~src ~tag =
-  t.probe.k_src <- src;
-  t.probe.k_tag <- tag;
-  Queue.peek (Hashtbl.find (Hashtbl.find t.unexpected context) t.probe)
+  let i = slot t context src tag in
+  if t.u_ctx.(i) = -1 then raise Not_found else t.u_head.(i)
+
+let rec chain_length (m : Message.t) n =
+  if m == Message.nil then n else chain_length m.Message.next (n + 1)
 
 (* Number of unexpected messages a (context, src, tag) pattern could match
    right now.  The sanitizer's wildcard-race check calls this (heavy level
@@ -219,14 +290,11 @@ let head_exact t ~context ~src ~tag =
    candidates mean the match is arbitrated by sequence number — i.e. by the
    schedule — and a real MPI run could return a different message. *)
 let count_eligible t ~context ~src ~tag =
-  match Hashtbl.find_opt t.unexpected context with
-  | None -> 0
-  | Some tbl ->
-      Hashtbl.fold
-        (fun k q acc ->
-          if src_matches src k.k_src && tag_matches tag k.k_tag then acc + Queue.length q
-          else acc)
-        tbl 0
+  let n = ref 0 in
+  for i = 0 to Array.length t.u_ctx - 1 do
+    if matches_slot t i ~context ~src ~tag then n := chain_length t.u_head.(i) !n
+  done;
+  !n
 
 (* Post a receive at receiver-clock [now].  If a compatible unexpected
    message exists it is matched immediately (match time: both sides
@@ -247,70 +315,58 @@ let post t ~context ~src ~tag ~now =
       p_tag = tag;
       p_id = t.next_posted_id;
       p_clock = now;
-      p_msg = None;
+      p_msg = Message.nil;
       p_cancelled = false;
       p_dead = false;
-      p_deferred = false;
+      p_deferred = t.defer_wildcards && (src = any_source || tag = any_tag);
     }
   in
   t.next_posted_id <- t.next_posted_id + 1;
-  if t.defer_wildcards && (src = any_source || tag = any_tag) then begin
-    p.p_deferred <- true;
+  let i = if p.p_deferred then -1 else find_slot t ~context ~src ~tag in
+  if i >= 0 then begin
+    p.p_dead <- true;
+    match_posted p (take_head t i)
+  end
+  else begin
     Queue.add p t.posted;
     t.n_posted <- t.n_posted + 1
-  end
-  else
-    (match find_unexpected t ~context ~src ~tag with
-    | Some m ->
-        p.p_dead <- true;
-        match_posted p m
-    | None ->
-        Queue.add p t.posted;
-        t.n_posted <- t.n_posted + 1);
+  end;
   p
 
 (* ---- Model-checker resolver API (only used under [defer_wildcards]) ---- *)
 
 (* Visit every live deferred receive, in posting order. *)
 let iter_deferred t f =
-  Queue.iter (fun p -> if (not p.p_dead) && p.p_deferred && p.p_msg = None then f p) t.posted
+  Queue.iter
+    (fun p -> if (not p.p_dead) && p.p_deferred && p.p_msg == Message.nil then f p)
+    t.posted
 
 (* The candidate set for a deferred receive: the *heads* of each matching
-   per-(src, tag) queue, sorted by global seq.  Non-head messages in those
-   queues are unreachable choices — MPI non-overtaking forces the head of
-   each queue to match first — so they are pruned from the branching
+   per-(src, tag) FIFO, sorted by global seq.  Non-head messages in those
+   FIFOs are unreachable choices — MPI non-overtaking forces the head of
+   each FIFO to match first — so they are pruned from the branching
    factor and only counted.  This is the persistent/sleep-set-style
    reduction: schedules differing only in the order of same-link messages
    are equivalent and explored once. *)
 let candidate_heads t ~context ~src ~tag =
-  match Hashtbl.find_opt t.unexpected context with
-  | None -> ([], 0)
-  | Some tbl ->
-      let heads, eligible =
-        Hashtbl.fold
-          (fun k q (heads, eligible) ->
-            if src_matches src k.k_src && tag_matches tag k.k_tag && not (Queue.is_empty q)
-            then (Queue.peek q :: heads, eligible + Queue.length q)
-            else (heads, eligible))
-          tbl ([], 0)
-      in
-      let heads =
-        List.sort (fun a b -> compare a.Message.seq b.Message.seq) heads
-      in
-      (heads, eligible - List.length heads)
+  let heads = ref [] and eligible = ref 0 in
+  for i = 0 to Array.length t.u_ctx - 1 do
+    if matches_slot t i ~context ~src ~tag then begin
+      heads := t.u_head.(i) :: !heads;
+      eligible := chain_length t.u_head.(i) !eligible
+    end
+  done;
+  let heads = List.sort (fun a b -> compare a.Message.seq b.Message.seq) !heads in
+  (heads, !eligible - List.length heads)
 
 (* Apply a resolver decision: match deferred receive [p] with candidate
-   [m], which must be the head of its exact-key unexpected queue. *)
+   [m], which must be the head of its exact-key unexpected FIFO. *)
 let resolve_deferred t (p : posted) (m : Message.t) =
-  assert (p.p_deferred && p.p_msg = None);
-  (match Hashtbl.find_opt t.unexpected m.Message.context with
-  | None -> invalid_arg "Mailbox.resolve_deferred: candidate not queued"
-  | Some tbl ->
-      let k = { k_src = m.Message.src; k_tag = m.Message.tag } in
-      (match Hashtbl.find_opt tbl k with
-      | Some q when (not (Queue.is_empty q)) && Queue.peek q == m ->
-          ignore (take_head t tbl ~context:m.Message.context k q)
-      | _ -> invalid_arg "Mailbox.resolve_deferred: candidate is not a queue head"));
+  assert (p.p_deferred && p.p_msg == Message.nil);
+  let i = slot t m.Message.context m.Message.src m.Message.tag in
+  if t.u_ctx.(i) = -1 || t.u_head.(i) != m then
+    invalid_arg "Mailbox.resolve_deferred: candidate is not a queue head";
+  ignore (take_head t i);
   p.p_deferred <- false;
   match_posted p m
 
@@ -341,13 +397,12 @@ let drop_posted t (p : posted) =
    receive that has already been matched must complete — cancelling it
    here would silently drop the matched message. *)
 let cancel t p =
-  (match p.p_msg with
-  | Some m ->
-      Errdefs.usage_error
-        "Mailbox.cancel: receive already matched message from rank %d (tag %d); a \
-         matched receive must be completed, not cancelled"
-        m.Message.src m.Message.tag
-  | None -> ());
+  let m = p.p_msg in
+  if m != Message.nil then
+    Errdefs.usage_error
+      "Mailbox.cancel: receive already matched message from rank %d (tag %d); a matched \
+       receive must be completed, not cancelled"
+      m.Message.src m.Message.tag;
   p.p_cancelled <- true;
   drop_posted t p
 
@@ -360,10 +415,11 @@ let posted_depth t = t.n_posted
 
 let pending_counts t = (t.n_unexpected, t.n_posted)
 
-(* Structure-size observers for tests: live (key, queue) entries in the
+(* Structure-size observers for tests: live keys and slots of the
    unexpected index, and physical entries (live + tombstones) in the
    posted queue. *)
-let unexpected_key_count t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.unexpected 0
+let unexpected_key_count t = t.n_keys
+
+let unexpected_slots t = Array.length t.u_ctx
 
 let posted_physical_length t = Queue.length t.posted

@@ -11,7 +11,11 @@
    at injection) and may be larger than the payload itself.  Whoever
    unpacks the message calls [Runtime.recycle_payload], which marks the
    slice consumed and returns the storage to a pool; [consumed] guards
-   against double recycling and against reading a recycled slice. *)
+   against double recycling and against reading a recycled slice.
+
+   [next] links a message waiting unexpected in a mailbox to the next one
+   with the same (context, src, tag) key, so a per-key FIFO costs no
+   cell; [nil] ends every chain. *)
 
 type t = {
   context : int;  (* communicator context id *)
@@ -35,7 +39,33 @@ type t = {
   lamport : int;  (* sender's Lamport clock at injection; receivers merge it *)
   mutable matched_time : float;  (* -1.0 until matched *)
   mutable consumed : bool;  (* payload storage handed back to a pool *)
+  mutable next : t;  (* next unexpected message of the same key, or [nil] *)
 }
+
+(* The end of a chain, and the "no message" of a posted receive; never
+   delivered. *)
+let rec nil =
+  {
+    context = -1;
+    src = -1;
+    dst = -1;
+    tag = -1;
+    payload = Bytes.empty;
+    payload_off = 0;
+    payload_len = 0;
+    count = 0;
+    signature = Signature.empty;
+    sent_at = 0.;
+    arrival = 0.;
+    seq = -1;
+    sync = false;
+    crc = -1;
+    link_seq = -1;
+    lamport = 0;
+    matched_time = -1.0;
+    consumed = true;
+    next = nil;
+  }
 
 (* All fields explicit: the runtime's per-message constructor, free of
    optional-argument boxes. *)
@@ -62,6 +92,7 @@ let create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off
     lamport;
     matched_time = -1.0;
     consumed = false;
+    next = nil;
   }
 
 let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload

@@ -280,7 +280,7 @@ let source_gone comm ~src_world =
 
 (* The one wake rule of a posted receive: its match, or a gone source. *)
 let ready comm ~src_world (p : Mailbox.posted) =
-  p.Mailbox.p_msg <> None || source_gone comm ~src_world
+  p.Mailbox.p_msg != Message.nil || source_gone comm ~src_world
 
 (* The error of a receive or probe whose source is gone. *)
 let gone comm ~op ~src_world =
@@ -326,24 +326,23 @@ let check_signature comm ~signature (msg : Message.t) ~op =
    and recycles its payload. *)
 let complete comm ~op ~signature ~maxcount ~src_world (p : Mailbox.posted) =
   let mb = my_mailbox comm in
-  match p.Mailbox.p_msg with
-  | None ->
-      Mailbox.cancel mb p;
-      gone comm ~op ~src_world
-  | Some msg ->
-      Mailbox.retire mb p;
-      note_matched comm p msg;
-      if msg.Message.count > maxcount then
-        Comm.error comm Errdefs.Err_truncate
-          "%s: message of %d elements truncated to buffer of %d" op msg.Message.count
-          maxcount;
-      check_signature comm ~signature msg ~op;
-      let rt = Comm.runtime comm in
-      let me = Comm.world_rank comm in
-      Runtime.complete_receive rt me msg;
-      Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
-      Runtime.record rt ~op ~bytes:(Message.bytes msg);
-      msg
+  let msg = p.Mailbox.p_msg in
+  if msg == Message.nil then begin
+    Mailbox.cancel mb p;
+    gone comm ~op ~src_world
+  end;
+  Mailbox.retire mb p;
+  note_matched comm p msg;
+  if msg.Message.count > maxcount then
+    Comm.error comm Errdefs.Err_truncate
+      "%s: message of %d elements truncated to buffer of %d" op msg.Message.count maxcount;
+  check_signature comm ~signature msg ~op;
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  Runtime.complete_receive rt me msg;
+  Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
+  Runtime.record rt ~op ~bytes:(Message.bytes msg);
+  msg
 
 (* A blocking receive: post, wait, complete. *)
 let receive comm ~op ~signature ~maxcount ~source ~tag =
@@ -574,18 +573,16 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   check_committed dt ~op:"recv_init";
   let src_world = source_world comm source in
   let signature = dt.Datatype.signature in
-  let posted : Mailbox.posted option ref = ref None in
-  let start () = posted := Some (post comm ~src_world ~tag) in
-  let cycle_ready () =
-    match !posted with None -> true | Some p -> ready comm ~src_world p
-  in
+  let posted = ref Mailbox.no_posted in
+  let start () = posted := post comm ~src_world ~tag in
+  let cycle_ready () = !posted == Mailbox.no_posted || ready comm ~src_world !posted in
   let finalize () =
-    (match !posted with
-    | None -> ()
-    | Some p ->
-        posted := None;
-        let msg = complete comm ~op:"recv" ~signature ~maxcount ~src_world p in
-        unpack_into comm dt msg into ~pos);
+    let p = !posted in
+    if p != Mailbox.no_posted then begin
+      posted := Mailbox.no_posted;
+      let msg = complete comm ~op:"recv" ~signature ~maxcount ~src_world p in
+      unpack_into comm dt msg into ~pos
+    end;
     Status.empty
   in
   Request.make ~start ~ready:cycle_ready ~finalize

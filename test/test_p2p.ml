@@ -361,7 +361,7 @@ let test_mailbox_immediate_match_keeps_depth () =
   for i = 0 to 39 do
     ignore (Mailbox.deliver mb (mk_msg ~src:1 ~tag:5 ~seq:i ()));
     let p = Mailbox.post mb ~context:0 ~src:1 ~tag:5 ~now:0. in
-    Alcotest.(check bool) "matched at post" true (p.Mailbox.p_msg <> None);
+    Alcotest.(check bool) "matched at post" true (p.Mailbox.p_msg != Message.nil);
     Mailbox.retire mb p;
     Alcotest.(check int) "depth = live receives" 1 (Mailbox.posted_depth mb)
   done;
@@ -381,6 +381,200 @@ let test_mailbox_wildcard_oldest_across_keys () =
   with
   | Some m -> Alcotest.(check int) "oldest seq wins" 2 m.Message.seq
   | None -> Alcotest.fail "wildcard found nothing"
+
+(* Model-based check: random deliver / post / retire-or-cancel / resolve
+   sequences against a naive reference mailbox — unexpected messages in
+   one arrival-ordered list, live posted receives in one posting-ordered
+   list, every match a linear scan.  Enough distinct keys over three
+   contexts grow the table several times, collide probe chains, and the
+   final drain shrinks it back to its minimum. *)
+
+type mb_op =
+  | Deliver of int * int * int  (** context, src, tag *)
+  | Post of int * int * int  (** context, src or any_source, tag or any_tag *)
+  | Drop of int  (** retire (matched) or cancel (unmatched) the i-th live receive *)
+  | Resolve of int * int  (** deferred wildcard receive in a context, candidate i *)
+
+let reserved_tag = Mailbox.max_user_tag + 3
+
+let show_op = function
+  | Deliver (c, s, t) -> Printf.sprintf "deliver(%d,%d,%d)" c s t
+  | Post (c, s, t) -> Printf.sprintf "post(%d,%d,%d)" c s t
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Resolve (c, i) -> Printf.sprintf "resolve(%d,%d)" c i
+
+let arb_mb_ops =
+  let open QCheck.Gen in
+  let ctx = int_range 1 3 and src = int_range 0 7 in
+  let tag = frequency [ (15, int_range 0 15); (1, return reserved_tag) ] in
+  let pat g any = frequency [ (3, g); (1, return any) ] in
+  let op ~deliver =
+    frequency
+      [
+        (deliver, map3 (fun c s t -> Deliver (c, s, t)) ctx src tag);
+        ( 10 - deliver,
+          map3
+            (fun c s t -> Post (c, s, t))
+            ctx (pat src Mailbox.any_source) (pat tag Mailbox.any_tag) );
+        (2, map (fun i -> Drop i) nat);
+        (1, map2 (fun c i -> Resolve (c, i)) ctx nat);
+      ]
+  in
+  (* A filling phase, then a draining one. *)
+  let gen =
+    map2 ( @ )
+      (list_size (int_range 0 300) (op ~deliver:8))
+      (list_size (int_range 0 300) (op ~deliver:2))
+  in
+  QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) gen
+
+(* A reference posted receive: its pattern and the seq it matched (-1). *)
+type ref_posted = { r_ctx : int; r_src : int; r_tag : int; mutable r_seq : int }
+
+let pattern_matches ~ctx ~src ~tag (m : Message.t) =
+  m.Message.context = ctx
+  && Mailbox.src_matches src m.Message.src
+  && Mailbox.tag_matches tag m.Message.tag
+
+let same_key (a : Message.t) (b : Message.t) =
+  a.Message.context = b.Message.context && a.Message.src = b.Message.src
+  && a.Message.tag = b.Message.tag
+
+let seq_of (m : Message.t) = if m == Message.nil then -1 else m.Message.seq
+
+let prop_mailbox_matches_reference =
+  QCheck.Test.make ~name:"mailbox = naive list reference" ~count:60 arb_mb_ops (fun ops ->
+      let mb = Mailbox.create () in
+      let unexp = ref [] (* arrival (= seq) order *) in
+      let live = ref [] (* (handle, reference) in posting order *) in
+      let next_seq = ref 0 in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let take_ref ~ctx ~src ~tag =
+        match List.find_opt (pattern_matches ~ctx ~src ~tag) !unexp with
+        | Some m ->
+            unexp := List.filter (fun x -> x != m) !unexp;
+            seq_of m
+        | None -> -1
+      in
+      let is_head m = List.find (fun x -> same_key x m) !unexp == m in
+      let drop (p, r) = if r.r_seq >= 0 then Mailbox.retire mb p else Mailbox.cancel mb p in
+      let check_pattern ~ctx ~src ~tag =
+        let eligible = List.filter (pattern_matches ~ctx ~src ~tag) !unexp in
+        let heads = List.filter is_head eligible in
+        let got_heads, pruned = Mailbox.candidate_heads mb ~context:ctx ~src ~tag in
+        if Mailbox.count_eligible mb ~context:ctx ~src ~tag <> List.length eligible then
+          fail "count_eligible (%d,%d,%d)" ctx src tag;
+        if List.map seq_of got_heads <> List.map seq_of heads then
+          fail "candidate_heads (%d,%d,%d)" ctx src tag;
+        if pruned <> List.length eligible - List.length heads then
+          fail "pruned count (%d,%d,%d)" ctx src tag
+      in
+      let agree ctx src tag =
+        let keys = List.filter is_head !unexp in
+        let slots = Mailbox.unexpected_slots mb in
+        let n_keys = Mailbox.unexpected_key_count mb in
+        if Mailbox.unexpected_depth mb <> List.length !unexp then fail "unexpected_depth";
+        if Mailbox.posted_depth mb <> List.length !live then fail "posted_depth";
+        if n_keys <> List.length keys then fail "unexpected_key_count";
+        if slots < 16 || 2 * n_keys > slots || (slots > 16 && 8 * n_keys < slots) then
+          fail "table of %d slots for %d keys" slots n_keys;
+        List.iter
+          (fun (p, r) ->
+            if seq_of p.Mailbox.p_msg <> r.r_seq then fail "posted receive's match")
+          !live;
+        List.iter
+          (fun (s, t) -> check_pattern ~ctx ~src:s ~tag:t)
+          [
+            (src, tag);
+            (Mailbox.any_source, tag);
+            (src, Mailbox.any_tag);
+            (Mailbox.any_source, Mailbox.any_tag);
+          ]
+      in
+      let step = function
+        | Deliver (c, s, t) ->
+            let m = mk_msg ~context:c ~src:s ~tag:t ~seq:!next_seq () in
+            incr next_seq;
+            let waiting (_, r) =
+              r.r_seq < 0 && pattern_matches ~ctx:r.r_ctx ~src:r.r_src ~tag:r.r_tag m
+            in
+            let expected =
+              match List.find_opt waiting !live with
+              | Some (_, r) ->
+                  r.r_seq <- m.Message.seq;
+                  true
+              | None ->
+                  unexp := !unexp @ [ m ];
+                  false
+            in
+            if Mailbox.deliver mb m <> expected then fail "deliver's match";
+            agree c s t
+        | Post (c, s, t) ->
+            let p = Mailbox.post mb ~context:c ~src:s ~tag:t ~now:0. in
+            let expected = take_ref ~ctx:c ~src:s ~tag:t in
+            if seq_of p.Mailbox.p_msg <> expected then fail "post's match";
+            if p.Mailbox.p_msg.Message.next != Message.nil then fail "taken message linked";
+            if expected >= 0 then Mailbox.retire mb p
+            else live := !live @ [ (p, { r_ctx = c; r_src = s; r_tag = t; r_seq = -1 }) ];
+            agree c s t
+        | Drop i ->
+            (match !live with
+            | [] -> ()
+            | l ->
+                let e = List.nth l (i mod List.length l) in
+                drop e;
+                live := List.filter (fun x -> x != e) l);
+            agree 1 0 0
+        | Resolve (c, i) ->
+            let any_s = Mailbox.any_source and any_t = Mailbox.any_tag in
+            Mailbox.set_defer_wildcards mb true;
+            let p = Mailbox.post mb ~context:c ~src:any_s ~tag:any_t ~now:0. in
+            Mailbox.set_defer_wildcards mb false;
+            if not p.Mailbox.p_deferred then fail "wildcard post not deferred";
+            let non_head m =
+              pattern_matches ~ctx:c ~src:any_s ~tag:any_t m && not (is_head m)
+            in
+            (match List.find_opt non_head !unexp with
+            | Some m -> (
+                match Mailbox.resolve_deferred mb p m with
+                | () -> fail "resolved with a message that is not a head"
+                | exception Invalid_argument _ -> ())
+            | None -> ());
+            (match Mailbox.candidate_heads mb ~context:c ~src:any_s ~tag:any_t with
+            | [], _ -> Mailbox.cancel mb p
+            | heads, _ ->
+                let m = List.nth heads (i mod List.length heads) in
+                Mailbox.resolve_deferred mb p m;
+                unexp := List.filter (fun x -> x != m) !unexp;
+                if seq_of p.Mailbox.p_msg <> m.Message.seq then fail "resolved match";
+                Mailbox.retire mb p);
+            agree c any_s any_t
+      in
+      List.iter step ops;
+      (* Drain everything: the table must come back to its minimum. *)
+      List.iter drop !live;
+      live := [];
+      List.iter
+        (fun (c, tag) ->
+          let rec drain () =
+            match Mailbox.find_unexpected mb ~context:c ~src:Mailbox.any_source ~tag with
+            | Some m ->
+                if m.Message.seq <> take_ref ~ctx:c ~src:Mailbox.any_source ~tag then
+                  fail "drain order";
+                drain ()
+            | None -> ()
+          in
+          drain ())
+        [
+          (1, Mailbox.any_tag);
+          (2, Mailbox.any_tag);
+          (3, Mailbox.any_tag);
+          (1, reserved_tag);
+          (2, reserved_tag);
+          (3, reserved_tag);
+        ];
+      agree 1 0 0;
+      Mailbox.unexpected_key_count mb = 0 && Mailbox.unexpected_slots mb = 16)
 
 (* The data plane must move exactly the bytes the program sends: pooled
    buffers and slice hand-off change ownership, never volume. *)
@@ -435,6 +629,55 @@ let words_per_call ?(n = 10_000) f =
     f ()
   done;
   (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The mailbox alone, steady state over 10k messages: a message that
+   arrives first is queued and taken by the receive's post, allocating
+   only the posted record (10 words) and the match time; a receive posted
+   first adds its posted-queue cell. *)
+let mailbox_words ~post_first =
+  let mb = Mailbox.create () in
+  let m = mk_msg ~src:1 ~tag:5 ~seq:0 () in
+  words_per_call (fun () ->
+      if post_first then begin
+        let p = Mailbox.post mb ~context:0 ~src:1 ~tag:5 ~now:0. in
+        ignore (Mailbox.deliver mb m);
+        Mailbox.retire mb p
+      end
+      else begin
+        ignore (Mailbox.deliver mb m);
+        Mailbox.retire mb (Mailbox.post mb ~context:0 ~src:1 ~tag:5 ~now:0.)
+      end)
+
+let test_mailbox_deliver_then_post_budget () =
+  let words = mailbox_words ~post_first:false in
+  if words > 12. then Alcotest.failf "deliver then post: %.2f words per message" words
+
+let test_mailbox_post_then_deliver_budget () =
+  let words = mailbox_words ~post_first:true in
+  if words > 13. then Alcotest.failf "post then deliver: %.2f words per message" words
+
+(* 10k distinct window tags, up to 100 live at once: the table grows to
+   hold them, never past load 1/8 of its peak, and returns to its 16
+   slots once they drain. *)
+let test_mailbox_window_tags_bounded () =
+  let mb = Mailbox.create () in
+  let window = 100 and peak = ref 0 in
+  let take tag =
+    match Mailbox.find_unexpected mb ~context:0 ~src:1 ~tag with
+    | Some m -> Alcotest.(check int) "oldest of its tag" tag m.Message.seq
+    | None -> Alcotest.failf "window tag %d lost" tag
+  in
+  for tag = 0 to 9_999 do
+    ignore (Mailbox.deliver mb (mk_msg ~src:1 ~tag ~seq:tag ()));
+    if tag >= window then take (tag - window);
+    peak := max !peak (Mailbox.unexpected_slots mb)
+  done;
+  for tag = 10_000 - window to 9_999 do
+    take tag
+  done;
+  Alcotest.(check int) "peak slots" 256 !peak;
+  Alcotest.(check int) "no live keys" 0 (Mailbox.unexpected_key_count mb);
+  Alcotest.(check int) "back at 16 slots" 16 (Mailbox.unexpected_slots mb)
 
 (* Minor words per message of a 2-rank ping-pong of [round_trips] round
    trips (two messages each), measured across both ranks' fibers: rank 0
@@ -615,11 +858,18 @@ let tests =
       test_mailbox_immediate_match_keeps_depth;
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
+    QCheck_alcotest.to_alcotest prop_mailbox_matches_reference;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;
     Alcotest.test_case "alloc: send/recv_into per-message budget" `Quick
       test_recv_into_pingpong_budget;
     Alcotest.test_case "alloc: kamping recv per-message budget" `Quick
       test_kamping_recv_pingpong_budget;
+    Alcotest.test_case "alloc: mailbox deliver-then-post budget" `Quick
+      test_mailbox_deliver_then_post_budget;
+    Alcotest.test_case "alloc: mailbox post-then-deliver budget" `Quick
+      test_mailbox_post_then_deliver_budget;
+    Alcotest.test_case "mailbox: window tags leave a bounded table" `Quick
+      test_mailbox_window_tags_bounded;
     Alcotest.test_case "alloc: profiling record is free" `Quick
       test_profiling_record_allocation_free;
     Alcotest.test_case "alloc: charge_copy is free" `Quick test_charge_copy_allocation_free;
