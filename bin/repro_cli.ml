@@ -115,45 +115,6 @@ let obs_arg =
              $(b,partition=R,S@T1-T2).  The run prints a replay line; the \
              same spec reproduces the same faults byte for byte.")
   in
-  let chaos_retries =
-    let retries_conv =
-      let parse s =
-        let bad msg = `Error (Printf.sprintf "--chaos-retries %s: %s" s msg) in
-        match String.split_on_char ':' s with
-        | [] -> bad "empty"
-        | n :: rest -> (
-            match (int_of_string_opt n, List.map float_of_string_opt rest) with
-            | None, _ -> bad "retry count must be an integer"
-            | Some n, _ when n < 0 -> bad "retry count must be >= 0"
-            | Some n, floats ->
-                if List.exists (( = ) None) floats then bad "malformed float field"
-                else
-                  let at i = List.nth_opt floats i |> Option.join in
-                  (match at 1 with
-                  | Some b when b < 1. -> bad "backoff must be >= 1"
-                  | _ -> `Ok (n, at 0, at 1, at 2)))
-      in
-      let print ppf (n, rto, backoff, cap) =
-        Format.fprintf ppf "%d" n;
-        List.iter
-          (function Some f -> Format.fprintf ppf ":%g" f | None -> ())
-          [ rto; backoff; cap ]
-      in
-      (parse, print)
-    in
-    Arg.(
-      value
-      & opt (some retries_conv) None
-      & info [ "chaos-retries" ] ~docv:"N[:RTO[:BACKOFF[:JITTER_CAP]]]"
-          ~doc:
-            "Override the retransmission policy of the chaos plane's reliable \
-             layer: $(b,N) retries before a transfer escalates to \
-             ERR_PROC_FAILED, base retransmit timeout $(b,RTO) seconds, \
-             per-attempt multiplier $(b,BACKOFF), and accumulated-jitter bound \
-             $(b,JITTER_CAP) seconds.  Fields left out defer to the network \
-             model's fault profile (see DESIGN.md \xC2\xA75).  Implies a default \
-             $(b,--chaos) config when none is given.")
-  in
   let coll_algo =
     let spec_conv =
       ( (fun s ->
@@ -183,33 +144,9 @@ let obs_arg =
              The pins belong to this run's network model.")
   in
   Term.(
-    const (fun trace_file trace_stream comm_matrix stats check chaos chaos_retries
-               coll_algo ->
-        (* --chaos-retries merges into (or bootstraps) the chaos config, so
-           the printed replay line carries the effective retry policy. *)
-        let chaos =
-          match chaos_retries with
-          | None -> chaos
-          | Some (n, rto, backoff, jitter_cap) ->
-              let base =
-                match chaos with Some c -> c | None -> Chaos.config ()
-              in
-              Some
-                {
-                  base with
-                  Chaos.max_retries = Some n;
-                  rto = (match rto with Some _ -> rto | None -> base.Chaos.rto);
-                  backoff =
-                    (match backoff with Some _ -> backoff | None -> base.Chaos.backoff);
-                  jitter_cap =
-                    (match jitter_cap with
-                    | Some _ -> jitter_cap
-                    | None -> base.Chaos.jitter_cap);
-                }
-        in
+    const (fun trace_file trace_stream comm_matrix stats check chaos coll_algo ->
         { trace_file; trace_stream; comm_matrix; stats; check; chaos; coll_algo })
-    $ trace_file $ trace_stream $ comm_matrix $ stats $ check $ chaos $ chaos_retries
-    $ coll_algo)
+    $ trace_file $ trace_stream $ comm_matrix $ stats $ check $ chaos $ coll_algo)
 
 (* Exit-status documentation shared by every subcommand; the codes
    themselves live in Mpisim.Exit_codes so tests and CI scripts have the
@@ -254,6 +191,10 @@ let run_with_obs ~obs ~model ~ranks body =
     | Errdefs.Mpi_error { code; msg } ->
         Printf.printf "run failed cleanly: %s: %s\n" (Errdefs.code_name code) msg;
         exit Exit_codes.clean_failure
+    | Errdefs.Usage_error msg ->
+        (* A spec that does not fit the run, e.g. a rank outside it. *)
+        Printf.eprintf "kamping-repro: %s\n" msg;
+        exit Cmd.Exit.cli_error
   in
   report_line report;
   (match (obs.chaos, report.Engine.chaos_log) with

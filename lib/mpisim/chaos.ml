@@ -26,24 +26,45 @@
    - reordering only shifts arrival timestamps: matching order is
      restored by the sequence numbers, as in any reliable transport. *)
 
+(* Per-link fault rates.  All probabilities are per transmission attempt;
+   [jitter] is the upper bound of a uniform extra transit delay in
+   seconds.  A rate structure with every field 0. is a perfect link. *)
+type link_rates = {
+  drop : float;  (* P(attempt is lost in transit) *)
+  duplicate : float;  (* P(attempt arrives twice; dup is discarded by seq) *)
+  reorder : float;  (* P(attempt is held back one extra latency) *)
+  corrupt : float;  (* P(attempt arrives with flipped bits) *)
+  jitter : float;  (* uniform extra transit delay in [0, jitter) seconds *)
+}
+
+let perfect_link = { drop = 0.; duplicate = 0.; reorder = 0.; corrupt = 0.; jitter = 0. }
+
+(* A moderately lossy network: a few percent of attempts misbehave, with
+   jitter on the order of the wire latency.  Chaos tests start here. *)
+let lossy_rates ~latency =
+  { drop = 0.02; duplicate = 0.01; reorder = 0.01; corrupt = 0.005; jitter = latency }
+
+(* The rates of every link without an override. *)
+type default_rates = Perfect | Lossy | Rates of link_rates
+
 type config = {
   seed : int;
-  rates : Net_model.link_rates option;
-      (* default per-link rates; [None] falls back to the model's fault
-         profile (or, with [lossy], the standard lossy rates) *)
-  links : ((int * int) * Net_model.link_rates) list;  (* per-link overrides *)
-  lossy : bool;  (* start from [Net_model.lossy_rates] when [rates] is None *)
+  rates : default_rates;
+  links : ((int * int) * link_rates) list;  (* per-link overrides *)
   plan : Fault_plan.t;
-  max_retries : int option;  (* retransmissions before escalating; None = profile *)
-  rto : float option;  (* base retransmit timeout; None = profile (4 x latency) *)
-  backoff : float option;  (* per-attempt timeout multiplier; None = profile *)
-  jitter_cap : float option;  (* accumulated-jitter bound; None = profile *)
+  max_retries : int;  (* retransmissions before escalating to ERR_PROC_FAILED *)
+  rto : float option;  (* base retransmit timeout; None = 4 x latency *)
+  backoff : float;  (* per-attempt timeout multiplier, >= 1 *)
+  jitter_cap : float;  (* upper bound on accumulated jitter delay, seconds *)
   deliver_corrupt : bool;  (* test knob: deliver corrupted payloads *)
 }
 
-let config ?(seed = 1) ?rates ?(links = []) ?(lossy = false) ?(plan = Fault_plan.empty)
-    ?max_retries ?rto ?backoff ?jitter_cap ?(deliver_corrupt = false) () =
-  { seed; rates; links; lossy; plan; max_retries; rto; backoff; jitter_cap; deliver_corrupt }
+(* The one place the retransmission defaults are written: 8 retries,
+   binary exponential backoff, unbounded jitter. *)
+let config ?(seed = 1) ?(rates = Perfect) ?(links = []) ?(plan = Fault_plan.empty)
+    ?(max_retries = 8) ?rto ?(backoff = 2.0) ?(jitter_cap = infinity)
+    ?(deliver_corrupt = false) () =
+  { seed; rates; links; plan; max_retries; rto; backoff; jitter_cap; deliver_corrupt }
 
 (* A deterministic plan trigger with a fired latch (so `ops >= k` cannot
    re-fire after the threshold passes). *)
@@ -57,11 +78,8 @@ type t = {
   cfg : config;
   rng : Xoshiro.t;
   size : int;
-  profile : Net_model.fault_profile;
-  max_retries : int;  (* resolved: config override or profile policy *)
-  rto : float;
-  backoff : float;
-  jitter_cap : float;
+  rates : link_rates;  (* resolved default rates *)
+  rto : float;  (* resolved base retransmit timeout *)
   latency : float;
   send_overhead : float;
   trace : Trace.t;
@@ -90,40 +108,54 @@ type t = {
    truncation. *)
 let max_log_events = 200_000
 
-let create ~size ~(model : Net_model.t) ~stats ~trace (cfg : config) : t =
-  let profile =
-    match cfg.rates with
-    | Some r ->
-        { Net_model.default_rates = r; link_overrides = cfg.links;
-          retry = Net_model.default_retry }
-    | None ->
-        if cfg.lossy then
-          {
-            Net_model.default_rates = Net_model.lossy_rates ~latency:model.Net_model.latency;
-            link_overrides = cfg.links;
-            retry = Net_model.default_retry;
-          }
-        else (
-          match model.Net_model.faults with
-          | Some p -> { p with Net_model.link_overrides = cfg.links @ p.Net_model.link_overrides }
-          | None ->
-              { Net_model.default_rates = Net_model.perfect_link;
-                link_overrides = cfg.links; retry = Net_model.default_retry })
+(* [%g] when that reads back as the same float, every digit otherwise, so
+   a printed spec parses back to an equal config. *)
+let float_str f =
+  let s = Printf.sprintf "%g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* The rate clauses of [r], as the spec spells them. *)
+let rate_fields (r : link_rates) =
+  let fields =
+    List.filter_map
+      (fun (name, v) ->
+        if v > 0. then Some (Printf.sprintf "%s=%s" name (float_str v)) else None)
+      [ ("drop", r.drop); ("dup", r.duplicate); ("reorder", r.reorder);
+        ("corrupt", r.corrupt); ("jitter", r.jitter) ]
   in
-  (* Retransmission policy: the profile's, with config overrides on top. *)
-  let retry = profile.Net_model.retry in
-  let pick opt dflt = match opt with Some v -> v | None -> dflt in
+  if fields = [] then [ "drop=0" ] else fields
+
+let link_to_string ((src, dst), r) =
+  Printf.sprintf "link=%d>%d:%s" src dst (String.concat "," (rate_fields r))
+
+let create ~size ~(model : Net_model.t) ~stats ~trace (cfg : config) : t =
+  (* A clause naming a rank outside the run would never fire. *)
+  let check clause =
+    List.iter (fun r ->
+        if r < 0 || r >= size then
+          raise
+            (Errdefs.Usage_error
+               (Printf.sprintf "chaos clause %s names rank %d, outside a run of %d ranks"
+                  clause r size)))
+  in
+  List.iter (fun (((s, d), _) as l) -> check (link_to_string l) [ s; d ]) cfg.links;
   let triggers, drop_nth, partitions =
     List.fold_left
-      (fun (ts, ds, ps) -> function
-        | Fault_plan.Fail_at_ops { rank; ops } ->
-            ({ ft_rank = rank; ft_kind = `Ops ops; ft_fired = false } :: ts, ds, ps)
-        | Fault_plan.Fail_at_time { rank; time } ->
-            ({ ft_rank = rank; ft_kind = `Time time; ft_fired = false } :: ts, ds, ps)
-        | Fault_plan.Fail_at_task { rank; task } ->
-            ({ ft_rank = rank; ft_kind = `Task task; ft_fired = false } :: ts, ds, ps)
-        | Fault_plan.Drop_nth { src; dst; n } -> (ts, ((src, dst), n) :: ds, ps)
+      (fun (ts, ds, ps) a ->
+        let check = check (Fault_plan.action_to_string a) in
+        let trigger rank kind =
+          check [ rank ];
+          ({ ft_rank = rank; ft_kind = kind; ft_fired = false } :: ts, ds, ps)
+        in
+        match a with
+        | Fault_plan.Fail_at_ops { rank; ops } -> trigger rank (`Ops ops)
+        | Fault_plan.Fail_at_time { rank; time } -> trigger rank (`Time time)
+        | Fault_plan.Fail_at_task { rank; task } -> trigger rank (`Task task)
+        | Fault_plan.Drop_nth { src; dst; n } ->
+            check [ src; dst ];
+            (ts, ((src, dst), n) :: ds, ps)
         | Fault_plan.Partition { ranks; t_start; t_end } ->
+            check ranks;
             (ts, ds, (ranks, t_start, t_end) :: ps))
       ([], [], []) cfg.plan
   in
@@ -131,13 +163,12 @@ let create ~size ~(model : Net_model.t) ~stats ~trace (cfg : config) : t =
     cfg;
     rng = Xoshiro.create ~seed:cfg.seed ~stream:0xC4A05;
     size;
-    profile;
-    max_retries = pick cfg.max_retries retry.Net_model.max_retries;
-    rto =
-      pick cfg.rto
-        (pick retry.Net_model.rto (4. *. model.Net_model.latency));
-    backoff = pick cfg.backoff retry.Net_model.backoff;
-    jitter_cap = pick cfg.jitter_cap retry.Net_model.jitter_cap;
+    rates =
+      (match cfg.rates with
+      | Perfect -> perfect_link
+      | Lossy -> lossy_rates ~latency:model.Net_model.latency
+      | Rates r -> r);
+    rto = Option.value cfg.rto ~default:(4. *. model.Net_model.latency);
     latency = model.Net_model.latency;
     send_overhead = model.Net_model.send_overhead;
     trace;
@@ -276,7 +307,7 @@ let draw t p = p > 0. && Xoshiro.next_float t.rng < p
 (* Decide the fate of one logical message on link [src -> dst] injected at
    sender time [now].  Deterministic given (seed, plan, call order). *)
 let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
-  let rates = Net_model.rates_for t.profile ~src ~dst in
+  let rates = Option.value (List.assoc_opt (src, dst) t.cfg.links) ~default:t.rates in
   let link_seq =
     let c =
       match Hashtbl.find_opt t.link_counts (src, dst) with
@@ -292,7 +323,7 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
   let forced_drop =
     List.exists (fun ((s, d), n) -> s = src && d = dst && n = link_seq) t.drop_nth
   in
-  let max_attempts = t.max_retries + 1 in
+  let max_attempts = t.cfg.max_retries + 1 in
   let rec attempt i ~delay ~busy =
     if i > max_attempts then begin
       Stats.incr t.c_escalations;
@@ -321,12 +352,12 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
           event t ~rank:src ~name:"plan_drop" "%d->%d link_seq=%d" src dst link_seq;
           true
         end
-        else if draw t rates.Net_model.drop then begin
+        else if draw t rates.drop then begin
           Stats.incr t.c_dropped;
           event t ~rank:src ~name:"drop" "%d->%d seq=%d attempt=%d" src dst seq i;
           true
         end
-        else if draw t rates.Net_model.corrupt && not t.cfg.deliver_corrupt then begin
+        else if draw t rates.corrupt && not t.cfg.deliver_corrupt then begin
           (* CRC fails at the receiver; to the reliable layer that is a
              lost attempt like any other. *)
           Stats.incr t.c_corrupted;
@@ -338,25 +369,25 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
       in
       if lost then begin
         Stats.incr t.c_retransmits;
-        let backoff = t.rto *. (t.backoff ** float_of_int (i - 1)) in
+        let backoff = t.rto *. (t.cfg.backoff ** float_of_int (i - 1)) in
         attempt (i + 1) ~delay:(delay +. backoff) ~busy:(busy +. t.send_overhead)
       end
       else begin
         let corrupt_delivered =
-          t.cfg.deliver_corrupt && draw t rates.Net_model.corrupt
+          t.cfg.deliver_corrupt && draw t rates.corrupt
         in
         if corrupt_delivered then begin
           Stats.incr t.c_corrupted;
           event t ~rank:src ~name:"corrupt" "%d->%d seq=%d (delivered)" src dst seq
         end;
-        if draw t rates.Net_model.duplicate then begin
+        if draw t rates.duplicate then begin
           (* The duplicate arrives but the receive side's sequence numbers
              discard it; nothing is enqueued twice. *)
           Stats.incr t.c_duplicated;
           event t ~rank:src ~name:"duplicate" "%d->%d seq=%d" src dst seq
         end;
         let delay =
-          if draw t rates.Net_model.reorder then begin
+          if draw t rates.reorder then begin
             Stats.incr t.c_reordered;
             event t ~rank:src ~name:"reorder" "%d->%d seq=%d" src dst seq;
             delay +. t.latency
@@ -364,8 +395,8 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
           else delay
         in
         let delay =
-          if rates.Net_model.jitter > 0. then
-            delay +. Float.min (rates.Net_model.jitter *. Xoshiro.next_float t.rng) t.jitter_cap
+          if rates.jitter > 0. then
+            delay +. Float.min (rates.jitter *. Xoshiro.next_float t.rng) t.cfg.jitter_cap
           else delay
         in
         Stats.observe t.h_rtt (t.latency +. delay);
@@ -395,147 +426,143 @@ let corrupt_payload t (payload : Bytes.t) ~pos ~len =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Spec parsing: the full --chaos argument.
-
-   Clauses, ';'-separated:
-     seed=N                         PRNG seed (default 1)
-     lossy                          start from Net_model.lossy_rates
-     drop|dup|duplicate|reorder|corrupt=F   default-rate fields
-     jitter=F                       uniform extra delay bound (seconds)
-     retries=N                      retransmissions before escalation
-     rto=F                          base retransmit timeout (seconds)
-     backoff=F                      per-attempt timeout multiplier
-     jitter_cap=F                   accumulated-jitter bound (seconds)
-     deliver_corrupt                deliver corrupted payloads (test knob)
-     link=A>B:drop=F,jitter=F,...   per-link override
-     fail=R@ops:K | fail=R@t:T | fail=R@task:K | droplink=A>B@N
-       | partition=R,S@T1-T2        fault-plan clauses (see Fault_plan)
-   A spec that is a bare integer is shorthand for seed=N;lossy. *)
+(* Spec parsing: the full --chaos argument; chaos.mli lists the
+   clauses.  Every error names the offending clause. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let parse_rate clause s =
-  match float_of_string_opt (String.trim s) with
-  | Some f when f >= 0. -> Ok f
-  | _ -> Error (Printf.sprintf "%s: %S is not a non-negative number" clause s)
+(* [s] split at the first [c]. *)
+let cut c s =
+  Option.map
+    (fun i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1)))
+    (String.index_opt s c)
 
-let parse_rates_update clause (r : Net_model.link_rates) key v :
-    (Net_model.link_rates, string) result =
-  let* f = parse_rate clause v in
+let parse_float clause s =
+  match float_of_string_opt (String.trim s) with
+  | Some f when f >= 0. && Float.is_finite f -> Ok f
+  | _ -> Error (Printf.sprintf "%s: %S is not a finite non-negative number" clause s)
+
+let parse_rates_update clause (r : link_rates) key v : (link_rates, string) result =
+  let* f = parse_float clause v in
+  let prob set =
+    if f <= 1. then Ok (set f)
+    else Error (Printf.sprintf "%s: a probability must lie in [0, 1]" clause)
+  in
   match key with
-  | "drop" -> Ok { r with Net_model.drop = f }
-  | "dup" | "duplicate" -> Ok { r with Net_model.duplicate = f }
-  | "reorder" -> Ok { r with Net_model.reorder = f }
-  | "corrupt" -> Ok { r with Net_model.corrupt = f }
-  | "jitter" -> Ok { r with Net_model.jitter = f }
+  | "drop" -> prob (fun f -> { r with drop = f })
+  | "dup" | "duplicate" -> prob (fun f -> { r with duplicate = f })
+  | "reorder" -> prob (fun f -> { r with reorder = f })
+  | "corrupt" -> prob (fun f -> { r with corrupt = f })
+  | "jitter" -> Ok { r with jitter = f }
   | k -> Error (Printf.sprintf "%s: unknown rate %S" clause k)
 
 let parse_link clause rhs =
-  match String.index_opt rhs ':' with
+  let rank s =
+    match int_of_string_opt (String.trim s) with Some r when r >= 0 -> Some r | _ -> None
+  in
+  match cut ':' rhs with
   | None -> Error (Printf.sprintf "%s: expected link=A>B:rate=value,..." clause)
-  | Some i -> (
-      let linkpart = String.sub rhs 0 i in
-      let ratepart = String.sub rhs (i + 1) (String.length rhs - i - 1) in
-      match String.index_opt linkpart '>' with
+  | Some (link, rates) -> (
+      match Option.map (fun (a, b) -> (rank a, rank b)) (cut '>' link) with
       | None -> Error (Printf.sprintf "%s: expected A>B before ':'" clause)
-      | Some j -> (
-          let a = String.trim (String.sub linkpart 0 j) in
-          let b =
-            String.trim (String.sub linkpart (j + 1) (String.length linkpart - j - 1))
+      | Some (Some src, Some dst) ->
+          let* rates =
+            List.fold_left
+              (fun acc kv ->
+                let* acc = acc in
+                match cut '=' kv with
+                | None -> Error (Printf.sprintf "%s: expected rate=value in %S" clause kv)
+                | Some (k, v) -> parse_rates_update clause acc (String.trim k) v)
+              (Ok perfect_link) (String.split_on_char ',' rates)
           in
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some src, Some dst when src >= 0 && dst >= 0 ->
-              let* rates =
-                String.split_on_char ',' ratepart
-                |> List.fold_left
-                     (fun acc kv ->
-                       let* acc = acc in
-                       match String.index_opt kv '=' with
-                       | None ->
-                           Error (Printf.sprintf "%s: expected rate=value in %S" clause kv)
-                       | Some e ->
-                           parse_rates_update clause acc
-                             (String.trim (String.sub kv 0 e))
-                             (String.sub kv (e + 1) (String.length kv - e - 1)))
-                     (Ok Net_model.perfect_link)
-              in
-              Ok ((src, dst), rates)
-          | _ -> Error (Printf.sprintf "%s: bad ranks in link spec" clause)))
+          Ok ((src, dst), rates)
+      | Some _ -> Error (Printf.sprintf "%s: bad ranks in link spec" clause))
 
 let config_of_string (s : string) : (config, string) result =
   match int_of_string_opt (String.trim s) with
-  | Some seed -> Ok (config ~seed ~lossy:true ())
+  | Some seed -> Ok (config ~seed ~rates:Lossy ())
   | None ->
+      let conflict clause earlier =
+        Error
+          (Printf.sprintf
+             "%s: conflicts with %s (the default rates are either lossy or set by \
+              rate clauses)"
+             clause earlier)
+      in
+      let clause_result (cfg : config) clause =
+        match (clause, cut '=' clause) with
+        | "lossy", _ -> (
+            match cfg.rates with
+            | Rates r -> conflict clause (String.concat ";" (rate_fields r))
+            | Perfect | Lossy -> Ok { cfg with rates = Lossy })
+        | "deliver_corrupt", _ -> Ok { cfg with deliver_corrupt = true }
+        | _, None -> Error (Printf.sprintf "unknown chaos clause %S" clause)
+        | _, Some (key, v) -> (
+            match String.trim key with
+            | "seed" -> (
+                match int_of_string_opt (String.trim v) with
+                | Some seed -> Ok { cfg with seed }
+                | None -> Error (Printf.sprintf "%s: bad seed" clause))
+            | "retries" -> (
+                match int_of_string_opt (String.trim v) with
+                | Some n when n >= 0 -> Ok { cfg with max_retries = n }
+                | _ -> Error (Printf.sprintf "%s: bad retry count" clause))
+            | "rto" ->
+                let* f = parse_float clause v in
+                Ok { cfg with rto = Some f }
+            | "backoff" ->
+                let* f = parse_float clause v in
+                if f < 1. then
+                  Error (Printf.sprintf "%s: backoff multiplier must be >= 1" clause)
+                else Ok { cfg with backoff = f }
+            | "jitter_cap" -> (
+                (* The one value that may be infinite: it is the default. *)
+                match float_of_string_opt (String.trim v) with
+                | Some f when f >= 0. -> Ok { cfg with jitter_cap = f }
+                | _ ->
+                    Error (Printf.sprintf "%s: %S is not a non-negative number" clause v))
+            | ("drop" | "dup" | "duplicate" | "reorder" | "corrupt" | "jitter") as key -> (
+                match cfg.rates with
+                | Lossy -> conflict clause "lossy"
+                | Perfect | Rates _ ->
+                    let base = match cfg.rates with Rates r -> r | _ -> perfect_link in
+                    let* r = parse_rates_update clause base key v in
+                    Ok { cfg with rates = Rates r })
+            | "link" ->
+                let* l = parse_link clause v in
+                Ok { cfg with links = cfg.links @ [ l ] }
+            | "fail" | "droplink" | "partition" ->
+                let* a = Fault_plan.parse_action clause in
+                Ok { cfg with plan = cfg.plan @ [ a ] }
+            | k -> Error (Printf.sprintf "unknown chaos clause %S" k))
+      in
       String.split_on_char ';' s
       |> List.fold_left
            (fun acc clause ->
              let* cfg = acc in
-             let clause = String.trim clause in
-             if clause = "" then Ok cfg
-             else if clause = "lossy" then Ok { cfg with lossy = true }
-             else if clause = "deliver_corrupt" then
-               Ok { cfg with deliver_corrupt = true }
-             else
-               match String.index_opt clause '=' with
-               | None -> Error (Printf.sprintf "unknown chaos clause %S" clause)
-               | Some i -> (
-                   let key = String.trim (String.sub clause 0 i) in
-                   let v = String.sub clause (i + 1) (String.length clause - i - 1) in
-                   match key with
-                   | "seed" -> (
-                       match int_of_string_opt (String.trim v) with
-                       | Some seed -> Ok { cfg with seed }
-                       | None -> Error (Printf.sprintf "%s: bad seed" clause))
-                   | "retries" -> (
-                       match int_of_string_opt (String.trim v) with
-                       | Some n when n >= 0 -> Ok { cfg with max_retries = Some n }
-                       | _ -> Error (Printf.sprintf "%s: bad retry count" clause))
-                   | "rto" ->
-                       let* f = parse_rate clause v in
-                       Ok { cfg with rto = Some f }
-                   | "backoff" ->
-                       let* f = parse_rate clause v in
-                       if f < 1. then
-                         Error (Printf.sprintf "%s: backoff multiplier must be >= 1" clause)
-                       else Ok { cfg with backoff = Some f }
-                   | "jitter_cap" ->
-                       let* f = parse_rate clause v in
-                       Ok { cfg with jitter_cap = Some f }
-                   | "drop" | "dup" | "duplicate" | "reorder" | "corrupt" | "jitter" ->
-                       let base =
-                         match cfg.rates with
-                         | Some r -> r
-                         | None -> Net_model.perfect_link
-                       in
-                       let* r = parse_rates_update clause base key v in
-                       Ok { cfg with rates = Some r }
-                   | "link" ->
-                       let* l = parse_link clause v in
-                       Ok { cfg with links = cfg.links @ [ l ] }
-                   | "fail" | "droplink" | "partition" ->
-                       let* a = Fault_plan.parse_action clause in
-                       Ok { cfg with plan = cfg.plan @ [ a ] }
-                   | k -> Error (Printf.sprintf "unknown chaos clause %S" k)))
+             match String.trim clause with "" -> Ok cfg | clause -> clause_result cfg clause)
            (Ok (config ()))
 
+(* Retry clauses are printed only where they differ from [config ()], so
+   the replay line of a default run stays short and parses back equal. *)
 let config_to_string (cfg : config) =
-  let b = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ ";")) fmt in
-  add "seed=%d" cfg.seed;
-  if cfg.lossy then add "lossy";
-  (match cfg.rates with
-  | Some r ->
-      if r.Net_model.drop > 0. then add "drop=%g" r.Net_model.drop;
-      if r.Net_model.duplicate > 0. then add "dup=%g" r.Net_model.duplicate;
-      if r.Net_model.reorder > 0. then add "reorder=%g" r.Net_model.reorder;
-      if r.Net_model.corrupt > 0. then add "corrupt=%g" r.Net_model.corrupt;
-      if r.Net_model.jitter > 0. then add "jitter=%g" r.Net_model.jitter
-  | None -> ());
-  (match cfg.max_retries with Some n -> add "retries=%d" n | None -> ());
-  (match cfg.rto with Some r -> add "rto=%g" r | None -> ());
-  (match cfg.backoff with Some f -> add "backoff=%g" f | None -> ());
-  (match cfg.jitter_cap with Some f -> add "jitter_cap=%g" f | None -> ());
-  if cfg.deliver_corrupt then add "deliver_corrupt";
-  List.iter (fun a -> add "%s" (Fault_plan.action_to_string a)) cfg.plan;
-  let s = Buffer.contents b in
-  if String.length s > 0 then String.sub s 0 (String.length s - 1) else s
+  let d = config () in
+  let unless_default v dv clause = if v = dv then [] else [ clause ] in
+  String.concat ";"
+    (List.concat
+       [
+         [ Printf.sprintf "seed=%d" cfg.seed ];
+         (match cfg.rates with
+         | Perfect -> []
+         | Lossy -> [ "lossy" ]
+         | Rates r -> rate_fields r);
+         List.map link_to_string cfg.links;
+         unless_default cfg.max_retries d.max_retries
+           (Printf.sprintf "retries=%d" cfg.max_retries);
+         (match cfg.rto with Some r -> [ "rto=" ^ float_str r ] | None -> []);
+         unless_default cfg.backoff d.backoff ("backoff=" ^ float_str cfg.backoff);
+         unless_default cfg.jitter_cap d.jitter_cap
+           ("jitter_cap=" ^ float_str cfg.jitter_cap);
+         (if cfg.deliver_corrupt then [ "deliver_corrupt" ] else []);
+         List.map Fault_plan.action_to_string cfg.plan;
+       ])

@@ -11,38 +11,57 @@
     [ERR_PROC_FAILED] when a transfer escalates.  See DESIGN.md §5 for
     the escalation ladder and determinism guarantees. *)
 
-type config = {
-  seed : int;
-  rates : Net_model.link_rates option;
-      (** default per-link rates; [None] falls back to the model's fault
-          profile (or the standard lossy rates when [lossy]) *)
-  links : ((int * int) * Net_model.link_rates) list;
-  lossy : bool;
-  plan : Fault_plan.t;
-  max_retries : int option;
-      (** retransmissions before escalating; [None] defers to the model's
-          {!Net_model.retry_policy} (default 8) *)
-  rto : float option;
-      (** base retransmit timeout; [None] defers to the policy
-          (default 4 x latency) *)
-  backoff : float option;
-      (** per-attempt timeout multiplier; [None] defers to the policy
-          (default 2.0) *)
-  jitter_cap : float option;
-      (** accumulated-jitter bound in seconds; [None] defers to the
-          policy (default unbounded) *)
-  deliver_corrupt : bool;
-      (** test knob: deliver corrupted payloads so the receiver-side CRC
-          backstop fires instead of modelling corruption as loss *)
+(** Per-link fault rates.  Probabilities are per transmission attempt
+    and lie in [\[0, 1\]]; [jitter] bounds a uniform extra transit delay
+    in seconds.  All-zero rates describe a perfect link. *)
+type link_rates = {
+  drop : float;
+  duplicate : float;
+  reorder : float;
+  corrupt : float;
+  jitter : float;
 }
 
-(** Build a config; defaults: seed 1, no rates, no plan, retransmission
-    knobs deferred to the model's {!Net_model.retry_policy}. *)
+(** All-zero link rates. *)
+val perfect_link : link_rates
+
+(** A moderately lossy rate set (2% drop, 1% duplicate/reorder, 0.5%
+    corrupt, jitter = [latency]). *)
+val lossy_rates : latency:float -> link_rates
+
+(** The rates of every link without an override: perfect, the model's
+    {!lossy_rates}, or explicit ones. *)
+type default_rates = Perfect | Lossy | Rates of link_rates
+
+(** Everything that configures a run's faults; nothing else does. *)
+type config = {
+  seed : int;  (** PRNG seed (default 1) *)
+  rates : default_rates;  (** default per-link rates (default [Perfect]) *)
+  links : ((int * int) * link_rates) list;
+      (** per-link overrides, keyed by (src, dst) world rank (default none) *)
+  plan : Fault_plan.t;  (** deterministic fault plan (default empty) *)
+  max_retries : int;
+      (** retransmissions before a transfer escalates to ERR_PROC_FAILED
+          (default 8) *)
+  rto : float option;
+      (** base retransmit timeout in seconds; [None] (the default) is
+          4 x the model's latency *)
+  backoff : float;  (** per-attempt timeout multiplier, >= 1 (default 2.0) *)
+  jitter_cap : float;
+      (** bound on one delivery's accumulated jitter in seconds (default
+          [infinity]) *)
+  deliver_corrupt : bool;
+      (** test knob: deliver corrupted payloads so the receiver-side CRC
+          backstop fires instead of modelling corruption as loss (default
+          false) *)
+}
+
+(** Build a config; every omitted field takes the default its
+    documentation states. *)
 val config :
   ?seed:int ->
-  ?rates:Net_model.link_rates ->
-  ?links:((int * int) * Net_model.link_rates) list ->
-  ?lossy:bool ->
+  ?rates:default_rates ->
+  ?links:((int * int) * link_rates) list ->
   ?plan:Fault_plan.t ->
   ?max_retries:int ->
   ?rto:float ->
@@ -58,15 +77,21 @@ val config :
     [deliver_corrupt], [link=A>B:drop=F,...], plus the {!Fault_plan}
     clauses ([fail=R\@ops:K], [fail=R\@t:T], [fail=R\@task:K],
     [droplink=A>B\@N], [partition=R,S\@T1-T2]).  A bare integer is
-    shorthand for [seed=N;lossy]. *)
+    shorthand for [seed=N;lossy].  Probabilities above 1, non-finite
+    numbers (except [jitter_cap=inf]) and [lossy] beside a default-rate
+    clause are [Error]s naming the clause. *)
 val config_of_string : string -> (config, string) result
 
-(** A spec that {!config_of_string} parses back to an equivalent config
-    (the replay line printed by the CLI and CI jobs). *)
+(** A spec that {!config_of_string} parses back to an equal config (the
+    replay line printed by the CLI and CI jobs).  Retry clauses appear
+    only where they differ from the defaults. *)
 val config_to_string : config -> string
 
 type t
 
+(** Start the chaos plane for a run of [size] ranks.  Raises
+    {!Errdefs.Usage_error} naming the clause when a link override or a
+    plan action names a rank outside the run. *)
 val create :
   size:int -> model:Net_model.t -> stats:Stats.t -> trace:Trace.t -> config -> t
 

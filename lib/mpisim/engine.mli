@@ -48,8 +48,7 @@ val pp_report : Format.formatter -> report -> unit
            clean run ends with a leak scan over non-blocking requests.
     @param chaos activate the fault-injection plane with this config
            (drop/duplicate/corrupt draws, fault-plan triggers, reliable
-           retransmission); also activated implicitly when [model]
-           carries a fault profile
+           retransmission); omitted, the plane is off
     @param trace_capacity enable event tracing with a per-rank ring buffer
            of this many events (disabled — and free — when absent)
     @param trace_stream stream every trace event to this binary file

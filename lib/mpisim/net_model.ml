@@ -22,41 +22,6 @@
    - [topo_setup_per_rank]: cost, per member rank, of building a (neighbor)
      graph topology communicator. *)
 
-(* Per-link fault rates for the chaos plane.  All probabilities are per
-   transmission attempt; [jitter] is the upper bound of a uniform extra
-   transit delay in seconds.  A rate structure with every field 0. is a
-   perfect link. *)
-type link_rates = {
-  drop : float;  (* P(attempt is lost in transit) *)
-  duplicate : float;  (* P(attempt arrives twice; dup is discarded by seq) *)
-  reorder : float;  (* P(attempt is held back one extra latency) *)
-  corrupt : float;  (* P(attempt arrives with flipped bits) *)
-  jitter : float;  (* uniform extra transit delay in [0, jitter) seconds *)
-}
-
-(* Retransmission policy of the reliable-delivery layer (chaos plane).
-   [rto = None] derives the base timeout from the model (4 x latency);
-   [backoff] multiplies the timeout per failed attempt (2.0 = classic
-   binary exponential backoff); [jitter_cap] bounds the accumulated
-   random extra transit delay of one delivery in seconds. *)
-type retry_policy = {
-  max_retries : int;  (* retransmissions before escalating to ERR_PROC_FAILED *)
-  rto : float option;  (* base retransmit timeout; None = 4 x latency *)
-  backoff : float;  (* per-attempt timeout multiplier, >= 1 *)
-  jitter_cap : float;  (* upper bound on accumulated jitter delay, seconds *)
-}
-
-let default_retry = { max_retries = 8; rto = None; backoff = 2.0; jitter_cap = infinity }
-
-(* A fault profile: default rates for every link plus per-link overrides,
-   keyed by (src world rank, dst world rank), and the retransmission
-   policy the reliable layer applies on top of them. *)
-type fault_profile = {
-  default_rates : link_rates;
-  link_overrides : ((int * int) * link_rates) list;
-  retry : retry_policy;
-}
-
 (* The collectives with more than one algorithm, and the algorithms
    (Coll_algo re-exports both with their documentation). *)
 type coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
@@ -109,37 +74,8 @@ type t = {
   alltoallw_type_setup : float;  (* per-peer datatype setup in alltoallw *)
   dense_scan_byte : float;  (* per-rank scan cost of dense vector collectives *)
   topo_setup_per_rank : float;  (* graph-topology construction, per rank *)
-  faults : fault_profile option;  (* lossy-network model; None = perfect links *)
   tuning : coll_tuning;  (* collective algorithm switch-over points *)
 }
-
-let perfect_link = { drop = 0.; duplicate = 0.; reorder = 0.; corrupt = 0.; jitter = 0. }
-
-let no_faults = { default_rates = perfect_link; link_overrides = []; retry = default_retry }
-
-(* A moderately lossy network: a few percent of attempts misbehave, with
-   jitter on the order of the wire latency.  Chaos tests start here. *)
-let lossy_rates ~latency =
-  { drop = 0.02; duplicate = 0.01; reorder = 0.01; corrupt = 0.005; jitter = latency }
-
-let lossy m =
-  {
-    m with
-    faults =
-      Some
-        {
-          default_rates = lossy_rates ~latency:m.latency;
-          link_overrides = [];
-          retry = default_retry;
-        };
-  }
-
-let with_faults m profile = { m with faults = Some profile }
-
-let rates_for profile ~src ~dst =
-  match List.assoc_opt (src, dst) profile.link_overrides with
-  | Some r -> r
-  | None -> profile.default_rates
 
 (* An OmniPath-like interconnect: ~1.5us latency, 100 Gbit/s = 12.5 GB/s. *)
 let omnipath =
@@ -153,7 +89,6 @@ let omnipath =
     alltoallw_type_setup = 0.8e-6;
     dense_scan_byte = 1.0e-9;
     topo_setup_per_rank = 0.5e-6;
-    faults = None;
     tuning = default_tuning;
   }
 
@@ -169,7 +104,6 @@ let ethernet =
     alltoallw_type_setup = 3e-6;
     dense_scan_byte = 2e-9;
     topo_setup_per_rank = 2e-6;
-    faults = None;
     tuning = default_tuning;
   }
 
@@ -186,7 +120,6 @@ let zero_cost =
     alltoallw_type_setup = 0.;
     dense_scan_byte = 0.;
     topo_setup_per_rank = 0.;
-    faults = None;
     tuning = default_tuning;
   }
 

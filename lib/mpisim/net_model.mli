@@ -8,41 +8,6 @@
     implementation artifacts the paper's experiments depend on (alltoallw
     datatype setup, dense count-array scans, topology construction). *)
 
-(** Per-link fault rates for the chaos plane.  Probabilities are per
-    transmission attempt; [jitter] bounds a uniform extra transit delay in
-    seconds.  All-zero rates describe a perfect link. *)
-type link_rates = {
-  drop : float;
-  duplicate : float;
-  reorder : float;
-  corrupt : float;
-  jitter : float;
-}
-
-(** Retransmission policy of the chaos plane's reliable-delivery layer.
-    [rto = None] derives the base timeout from the model (4 x latency);
-    [backoff] multiplies the timeout per failed attempt; [jitter_cap]
-    bounds the accumulated random extra transit delay of one delivery. *)
-type retry_policy = {
-  max_retries : int;  (** retransmissions before escalating to ERR_PROC_FAILED *)
-  rto : float option;  (** base retransmit timeout; [None] = 4 x latency *)
-  backoff : float;  (** per-attempt timeout multiplier, >= 1 *)
-  jitter_cap : float;  (** upper bound on accumulated jitter, seconds *)
-}
-
-(** 8 retries, model-derived rto, binary exponential backoff, unbounded
-    jitter — the historical hardcoded behaviour. *)
-val default_retry : retry_policy
-
-(** Default rates for every link plus per-link overrides, keyed by
-    (src world rank, dst world rank), and the retransmission policy the
-    reliable layer applies on top of them. *)
-type fault_profile = {
-  default_rates : link_rates;
-  link_overrides : ((int * int) * link_rates) list;
-  retry : retry_policy;
-}
-
 (** The collectives with more than one algorithm, and the algorithms;
     documented where {!Coll_algo} re-exports them. *)
 type coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
@@ -95,33 +60,10 @@ type t = {
           collectives *)
   topo_setup_per_rank : float;
       (** graph-topology communicator construction, per member rank *)
-  faults : fault_profile option;
-      (** lossy-network model for the chaos plane; [None] (the presets'
-          value) means perfect links and costs nothing on the data path *)
   tuning : coll_tuning;
       (** collective algorithm switch-over points (presets use
           [default_tuning]) *)
 }
-
-(** All-zero link rates. *)
-val perfect_link : link_rates
-
-(** The profile equivalent of perfect links. *)
-val no_faults : fault_profile
-
-(** A moderately lossy rate set (2% drop, 1% duplicate/reorder, 0.5%
-    corrupt, jitter = [latency]). *)
-val lossy_rates : latency:float -> link_rates
-
-(** [lossy m] is [m] with the default lossy profile attached. *)
-val lossy : t -> t
-
-(** [with_faults m profile] is [m] with [profile] attached. *)
-val with_faults : t -> fault_profile -> t
-
-(** The rates governing link [src -> dst] (world ranks): the override if
-    one exists, the profile default otherwise. *)
-val rates_for : fault_profile -> src:int -> dst:int -> link_rates
 
 (** An OmniPath-like interconnect (~1.5us latency, 100 Gbit/s) — the
     SuperMUC-NG analogue used by the paper-reproduction benchmarks. *)

@@ -105,16 +105,7 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
   let check = Check.create ~stats ~trace ~size () in
   Check.set_level check
     (match check_level with Some l -> l | None -> default_check_level ());
-  let chaos =
-    match chaos with
-    | Some cfg -> Some (Chaos.create ~size ~model ~stats ~trace cfg)
-    | None -> (
-        (* A model carrying a fault profile implies chaos even without an
-           explicit config: the profile alone defines the lossy network. *)
-        match model.Net_model.faults with
-        | Some _ -> Some (Chaos.create ~size ~model ~stats ~trace (Chaos.config ()))
-        | None -> None)
-  in
+  let chaos = Option.map (Chaos.create ~size ~model ~stats ~trace) chaos in
   {
     size;
     model;

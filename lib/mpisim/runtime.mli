@@ -67,9 +67,8 @@ exception Process_killed of int
     different domains.  [check_level]
     selects the {!Check} sanitizer level; it defaults to the
     [MPISIM_CHECK] environment variable (off|light|heavy), or [Off].
-    [chaos] activates the fault-injection plane; omitted, it is still
-    activated (with default knobs) when [model] carries a fault
-    profile. *)
+    [chaos] activates the fault-injection plane; omitted, the plane is
+    off. *)
 val create :
   ?clock_mode:clock_mode ->
   ?check_level:Check.level ->

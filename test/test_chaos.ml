@@ -44,30 +44,34 @@ let test_plan_parse_errors () =
       | Error _ -> ())
     bad
 
+let contains s needle =
+  let nh = String.length s and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
+  go 0
+
 let test_chaos_config_of_string () =
   (match Chaos.config_of_string "42" with
   | Ok cfg ->
       Alcotest.(check int) "bare int is seed" 42 cfg.Chaos.seed;
-      Alcotest.(check bool) "bare int is lossy" true cfg.Chaos.lossy
+      Alcotest.(check bool) "bare int is lossy" true (cfg.Chaos.rates = Chaos.Lossy)
   | Error msg -> Alcotest.failf "bare int: %s" msg);
   (match Chaos.config_of_string "seed=7;drop=0.5;retries=3;fail=1@ops:10" with
   | Ok cfg ->
       Alcotest.(check int) "seed" 7 cfg.Chaos.seed;
-      Alcotest.(check (option int)) "retries" (Some 3) cfg.Chaos.max_retries;
+      Alcotest.(check int) "retries" 3 cfg.Chaos.max_retries;
       Alcotest.(check int) "plan size" 1 (List.length cfg.Chaos.plan);
       (match cfg.Chaos.rates with
-      | Some r -> Alcotest.(check (float 1e-9)) "drop" 0.5 r.Net_model.drop
-      | None -> Alcotest.fail "rates not set")
+      | Chaos.Rates r -> Alcotest.(check (float 1e-9)) "drop" 0.5 r.Chaos.drop
+      | Chaos.Perfect | Chaos.Lossy -> Alcotest.fail "rates not set")
   | Error msg -> Alcotest.failf "clauses: %s" msg);
-  (* Retry-policy knobs (ISSUE 9 satellite): parse, expose as options,
-     and round-trip through the replay line. *)
+  (* Retry-policy knobs: parse, and round-trip through the replay
+     line. *)
   (match Chaos.config_of_string "seed=2;retries=5;rto=0.002;backoff=1.5;jitter_cap=0.0001" with
   | Ok cfg -> (
-      Alcotest.(check (option int)) "retries knob" (Some 5) cfg.Chaos.max_retries;
+      Alcotest.(check int) "retries knob" 5 cfg.Chaos.max_retries;
       Alcotest.(check (option (float 1e-9))) "rto knob" (Some 0.002) cfg.Chaos.rto;
-      Alcotest.(check (option (float 1e-9))) "backoff knob" (Some 1.5) cfg.Chaos.backoff;
-      Alcotest.(check (option (float 1e-9))) "jitter_cap knob" (Some 1e-4)
-        cfg.Chaos.jitter_cap;
+      Alcotest.(check (float 1e-9)) "backoff knob" 1.5 cfg.Chaos.backoff;
+      Alcotest.(check (float 1e-9)) "jitter_cap knob" 1e-4 cfg.Chaos.jitter_cap;
       match Chaos.config_of_string (Chaos.config_to_string cfg) with
       | Ok cfg' -> Alcotest.(check bool) "retry knobs round-trip" true (cfg = cfg')
       | Error msg -> Alcotest.failf "retry knob replay line: %s" msg)
@@ -75,6 +79,35 @@ let test_chaos_config_of_string () =
   (match Chaos.config_of_string "backoff=0.5" with
   | Ok _ -> Alcotest.fail "backoff < 1 accepted"
   | Error _ -> ());
+  (* Malformed values are errors that name the offending clause; the
+     default rates come from [lossy] or from rate clauses, never both. *)
+  List.iter
+    (fun (spec, fragments) ->
+      match Chaos.config_of_string spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error msg ->
+          List.iter
+            (fun fragment ->
+              if not (contains msg fragment) then
+                Alcotest.failf "error for %S is %S; expected it to mention %S" spec msg
+                  fragment)
+            fragments)
+    [
+      ("seed=3;lossy;drop=0.1", [ "drop=0.1"; "lossy" ]);
+      ("seed=3;dup=0.2;lossy", [ "dup=0.2"; "lossy" ]);
+      ("drop=5", [ "drop=5"; "[0, 1]" ]);
+      ("corrupt=1.5", [ "corrupt=1.5"; "[0, 1]" ]);
+      ("link=0>1:reorder=2", [ "link=0>1:reorder=2"; "[0, 1]" ]);
+      ("jitter=inf", [ "jitter=inf"; "finite" ]);
+      ("rto=inf", [ "rto=inf"; "finite" ]);
+      ("rto=nan", [ "rto=nan" ]);
+      ("link=0>1:jitter=infinity", [ "jitter=infinity"; "finite" ]);
+    ];
+  (match Chaos.config_of_string "jitter_cap=inf;drop=1" with
+  | Ok cfg ->
+      Alcotest.(check (float 0.)) "jitter_cap=inf is the default" infinity
+        cfg.Chaos.jitter_cap
+  | Error msg -> Alcotest.failf "jitter_cap=inf;drop=1: %s" msg);
   (* The replay line parses back. *)
   match Chaos.config_of_string "seed=5;lossy;retries=2;fail=0@ops:9" with
   | Ok cfg -> (
@@ -106,7 +139,7 @@ let run_ring ?chaos ?(ranks = 4) ?(rounds = 25) () =
 
 let test_deterministic_replay () =
   let cfg () =
-    Chaos.config ~seed:99 ~lossy:true
+    Chaos.config ~seed:99 ~rates:Chaos.Lossy
       ~plan:(Result.get_ok (Fault_plan.parse "droplink=0>1@3")) ()
   in
   let _, r1 = run_ring ~chaos:(cfg ()) () in
@@ -116,7 +149,7 @@ let test_deterministic_replay () =
   in
   Alcotest.(check bool) "log is non-trivial" true (String.length (log r1) > 0);
   Alcotest.(check string) "byte-identical replay" (log r1) (log r2);
-  let _, r3 = run_ring ~chaos:(Chaos.config ~seed:100 ~lossy:true ()) () in
+  let _, r3 = run_ring ~chaos:(Chaos.config ~seed:100 ~rates:Chaos.Lossy ()) () in
   Alcotest.(check bool) "different seed, different log" true (log r1 <> log r3)
 
 let test_chaos_off_no_log () =
@@ -126,7 +159,7 @@ let test_chaos_off_no_log () =
 (* Lossy chaos must not change program results: the reliable layer hides
    drops/duplicates/reordering behind retransmission and arrival shifts. *)
 let test_lossy_results_correct () =
-  let results, report = run_ring ~chaos:(Chaos.config ~seed:3 ~lossy:true ()) () in
+  let results, report = run_ring ~chaos:(Chaos.config ~seed:3 ~rates:Chaos.Lossy ()) () in
   let expected, _ = run_ring () in
   Alcotest.(check bool) "some chaos events happened" true
     (Stats.count (Stats.counter report.Engine.stats "chaos.dropped")
@@ -149,7 +182,7 @@ let test_drop_nth () =
 (* --- Escalation: a fully dropped link declares the peer failed --- *)
 
 let test_escalation () =
-  let rates = { Net_model.perfect_link with Net_model.drop = 1.0 } in
+  let rates = { Chaos.perfect_link with Chaos.drop = 1.0 } in
   let caught = ref false in
   let _, report =
     Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
@@ -174,13 +207,13 @@ let test_escalation () =
 (* --- Corruption backstop: delivered corruption trips the CRC check --- *)
 
 let test_deliver_corrupt_crc_backstop () =
-  let rates = { Net_model.perfect_link with Net_model.corrupt = 1.0 } in
+  let rates = { Chaos.perfect_link with Chaos.corrupt = 1.0 } in
   let violated = ref false in
   (try
      ignore
        (Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
           ~check_level:Check.Light
-          ~chaos:(Chaos.config ~seed:1 ~rates ~deliver_corrupt:true ())
+          ~chaos:(Chaos.config ~seed:1 ~rates:(Chaos.Rates rates) ~deliver_corrupt:true ())
           ~ranks:2
           (fun comm ->
             if Comm.rank comm = 0 then P2p.send comm Datatype.int ~dest:1 [| 123 |]
@@ -194,9 +227,9 @@ let test_deliver_corrupt_crc_backstop () =
 (* Without deliver_corrupt, corruption is modelled as loss: the payload
    arrives intact after retransmission and the CRC backstop stays quiet. *)
 let test_corrupt_as_loss () =
-  let rates = { Net_model.perfect_link with Net_model.corrupt = 0.3 } in
+  let rates = { Chaos.perfect_link with Chaos.corrupt = 0.3 } in
   let results, report =
-    run_ring ~chaos:(Chaos.config ~seed:5 ~rates ()) ()
+    run_ring ~chaos:(Chaos.config ~seed:5 ~rates:(Chaos.Rates rates) ()) ()
   in
   let expected, _ = run_ring () in
   Alcotest.(check bool) "corruption events occurred" true
@@ -206,8 +239,10 @@ let test_corrupt_as_loss () =
 (* --- Duplicates are counted but never double-delivered --- *)
 
 let test_duplicates_not_delivered () =
-  let rates = { Net_model.perfect_link with Net_model.duplicate = 0.5 } in
-  let results, report = run_ring ~chaos:(Chaos.config ~seed:2 ~rates ()) () in
+  let rates = { Chaos.perfect_link with Chaos.duplicate = 0.5 } in
+  let results, report =
+    run_ring ~chaos:(Chaos.config ~seed:2 ~rates:(Chaos.Rates rates) ()) ()
+  in
   let expected, _ = run_ring () in
   Alcotest.(check bool) "duplicates occurred" true
     (Stats.count (Stats.counter report.Engine.stats "chaos.duplicated") > 0);
@@ -326,7 +361,7 @@ let test_coll_algo_replay () =
      send few, large messages, so 2% per attempt may never fire. *)
   let cfg () =
     Chaos.config ~seed:11
-      ~rates:{ (Net_model.lossy_rates ~latency:25e-6) with Net_model.drop = 0.2 }
+      ~rates:(Chaos.Rates { (Chaos.lossy_rates ~latency:25e-6) with Chaos.drop = 0.2 })
       ()
   in
   let res1, r1 = run ~chaos:(cfg ()) () in
@@ -345,10 +380,20 @@ let test_coll_algo_replay () =
   Alcotest.(check bool) "identical results across replays" true (res1 = res2);
   Alcotest.(check bool) "results match chaos-off run" true (res1 = expected)
 
+(* --- A clause naming a rank outside the run is a usage error --- *)
+
+let test_rank_outside_run clause () =
+  let chaos = Result.get_ok (Chaos.config_of_string ("seed=1;" ^ clause)) in
+  match run_ring ~ranks:2 ~rounds:2 ~chaos () with
+  | _ -> Alcotest.failf "%S ran on 2 ranks" clause
+  | exception Errdefs.Usage_error msg ->
+      if not (contains msg clause) then
+        Alcotest.failf "error for %S is %S; expected it to name the clause" clause msg
+
 (* --- RTT histogram is fed by the reliable layer --- *)
 
 let test_rtt_histogram () =
-  let _, report = run_ring ~chaos:(Chaos.config ~seed:1 ~lossy:true ()) () in
+  let _, report = run_ring ~chaos:(Chaos.config ~seed:1 ~rates:Chaos.Lossy ()) () in
   let h = Stats.histogram report.Engine.stats "reliable.rtt" in
   Alcotest.(check bool) "rtt observations recorded" true (Stats.total h > 0)
 
@@ -358,11 +403,12 @@ let test_rtt_histogram () =
    form (print-parse-print idempotence — exactly the property a CLI
    replay line needs).  Times are multiples of 1e-7 so %g regularly
    emits scientific notation ("1e-06"), the form the window separator
-   historically mis-split. *)
+   historically mis-split; each is read from its decimal text, so %g
+   prints it back to the same float. *)
 let gen_action =
   QCheck.Gen.(
     let rank = int_bound 63 in
-    let time k = float_of_int k *. 1e-7 in
+    let time k = float_of_string (Printf.sprintf "%de-7" k) in
     oneof
       [
         map2
@@ -418,12 +464,7 @@ let test_plan_malformed_messages () =
       match Fault_plan.parse spec with
       | Ok _ -> Alcotest.failf "expected parse error for %S" spec
       | Error msg ->
-          let contains needle =
-            let nh = String.length msg and nn = String.length needle in
-            let rec go i = i + nn <= nh && (String.sub msg i nn = needle || go (i + 1)) in
-            go 0
-          in
-          if not (contains fragment) then
+          if not (contains msg fragment) then
             Alcotest.failf "error for %S is %S; expected it to mention %S" spec msg
               fragment)
     [
@@ -501,14 +542,44 @@ let prop_fault_plan_total =
     (QCheck.Gen.map Fault_plan.to_string (QCheck.gen gen_plan))
     Fault_plan.parse
 
-let gen_chaos_spec =
+(* Configs that set every kind of clause: default rates (perfect, lossy
+   or explicit), link overrides, every retry knob and a fault plan. *)
+let gen_chaos_config =
   QCheck.Gen.(
+    let prob = oneof [ return 0.; float_range 0. 1. ] in
+    let link_rates =
+      map
+        (fun (drop, duplicate, reorder, (corrupt, jitter)) ->
+          { Chaos.drop; duplicate; reorder; corrupt; jitter })
+        (quad prob prob prob (pair prob (oneof [ return 0.; float_range 0. 1e-4 ])))
+    in
+    let rates =
+      oneof
+        [ return Chaos.Perfect; return Chaos.Lossy; map (fun r -> Chaos.Rates r) link_rates ]
+    in
+    let link = pair (pair (int_bound 15) (int_bound 15)) link_rates in
     map
-      (fun (seed, lossy, plan, (retries, rto)) ->
-        Chaos.config_to_string
-          (Chaos.config ~seed ~lossy ~plan ?max_retries:retries ?rto ()))
-      (quad nat bool (list_size (int_bound 3) gen_action)
-         (pair (opt (int_range 1 9)) (opt (float_range 1e-4 1e-2)))))
+      (fun ((seed, rates, links, plan), (retries, rto, backoff, jitter_cap)) ->
+        Chaos.config ~seed ~rates ~links ~plan ?max_retries:retries ?rto ?backoff
+          ?jitter_cap ())
+      (pair
+         (quad nat rates (list_size (int_bound 2) link)
+            (list_size (int_bound 3) gen_action))
+         (quad (opt (int_range 0 12)) (opt (float_range 1e-4 1e-2))
+            (opt (float_range 1. 3.))
+            (opt (oneof [ return infinity; float_range 0. 1e-3 ])))))
+
+let gen_chaos_spec = QCheck.Gen.map Chaos.config_to_string gen_chaos_config
+
+(* The replay line parses back to the config that printed it. *)
+let prop_chaos_spec_roundtrip =
+  QCheck.Test.make ~name:"chaos spec replay line parses back equal"
+    ~count:500
+    (QCheck.make ~print:Chaos.config_to_string gen_chaos_config)
+    (fun cfg ->
+      match Chaos.config_of_string (Chaos.config_to_string cfg) with
+      | Ok cfg' -> cfg' = cfg || QCheck.Test.fail_reportf "parsed back differently"
+      | Error msg -> QCheck.Test.fail_reportf "did not parse back: %s" msg)
 
 let prop_chaos_spec_total =
   prop_parser_total ~name:"hostile input: Chaos.config_of_string is total" gen_chaos_spec
@@ -573,6 +644,7 @@ let tests =
     Alcotest.test_case "malformed plans name the clause" `Quick
       test_plan_malformed_messages;
     qtest prop_plan_print_parse_print;
+    qtest prop_chaos_spec_roundtrip;
     Alcotest.test_case "chaos spec parsing" `Quick test_chaos_config_of_string;
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
     Alcotest.test_case "no log when off" `Quick test_chaos_off_no_log;
@@ -589,6 +661,14 @@ let tests =
     Alcotest.test_case "fail_world_rank wakes blocked victim" `Quick
       test_fail_world_rank_wakes_blocked_victim;
     Alcotest.test_case "partition heals" `Quick test_partition_heals;
+    Alcotest.test_case "fail= rank outside the run" `Quick
+      (test_rank_outside_run "fail=9@ops:2");
+    Alcotest.test_case "link= rank outside the run" `Quick
+      (test_rank_outside_run "link=0>2:drop=0.5");
+    Alcotest.test_case "droplink= rank outside the run" `Quick
+      (test_rank_outside_run "droplink=3>0@1");
+    Alcotest.test_case "partition= rank outside the run" `Quick
+      (test_rank_outside_run "partition=0,5@0-0.001");
     Alcotest.test_case "reliable rtt histogram" `Quick test_rtt_histogram;
     Alcotest.test_case "tuned collectives replay deterministically" `Quick
       test_coll_algo_replay;

@@ -392,7 +392,7 @@ let prop_chaos_recovery_sort =
         | Ok pl -> pl
         | Error e -> Alcotest.failf "bad generated plan %S: %s" plan_spec e
       in
-      let chaos = Chaos.config ~seed ~lossy:true ~plan ~max_retries:10 () in
+      let chaos = Chaos.config ~seed ~rates:Chaos.Lossy ~plan ~max_retries:10 () in
       let inputs =
         Array.init p (fun r ->
             Array.init (40 + r) (fun i ->

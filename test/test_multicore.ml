@@ -146,9 +146,12 @@ let test_taskqueue_exactly_once () =
 
 (* Under `dune runtest` the cwd is the test directory; under `dune exec`
    it is the project root. *)
-let golden_fixture () =
-  List.find Sys.file_exists
-    [ "fixtures/golden_chaos_ring.log"; "test/fixtures/golden_chaos_ring.log" ]
+let read_fixture name =
+  let file = List.find Sys.file_exists [ "fixtures/" ^ name; "test/fixtures/" ^ name ] in
+  let ic = open_in_bin file in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  contents
 
 let chaos_ring_program ~rounds comm =
   let n = Comm.size comm in
@@ -162,34 +165,63 @@ let chaos_ring_program ~rounds comm =
   done;
   !acc
 
-let chaos_ring () =
-  let chaos =
-    Chaos.config ~seed:99 ~lossy:true
-      ~plan:(Result.get_ok (Fault_plan.parse "droplink=0>1@3"))
-      ()
-  in
+let chaos_ring_with chaos () =
   let results, report =
     Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~chaos
       ~ranks:4 (chaos_ring_program ~rounds:25)
   in
   match report.Engine.chaos_log with
-  | Some log -> (results, log)
+  | Some log -> (results, report.Engine.times, log)
   | None -> Alcotest.fail "chaos log missing"
 
-let test_golden_chaos_replay () =
-  let ic = open_in_bin (golden_fixture ()) in
-  let golden = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let check label (results, log) =
+let chaos_ring =
+  chaos_ring_with
+    (Chaos.config ~seed:99 ~rates:Chaos.Lossy
+       ~plan:(Result.get_ok (Fault_plan.parse "droplink=0>1@3"))
+       ())
+
+(* [check_golden ~fixture ~times run] runs the ring alone and three times
+   in the pool; every run must print the fixture's log byte for byte
+   and, when [times] is given, end each rank at exactly that time. *)
+let check_golden ~fixture ?times run =
+  let golden = read_fixture fixture in
+  let check label (results, rank_times, log) =
     Alcotest.(check (array (option int)))
       (label ^ ": ring results unchanged")
       [| Some 75325; Some 325; Some 25325; Some 50325 |]
       results;
-    Alcotest.(check string) (label ^ ": byte-identical to the golden trace") golden log
+    Alcotest.(check string) (label ^ ": byte-identical to the golden trace") golden log;
+    Option.iter
+      (fun times ->
+        Alcotest.(check (array string))
+          (label ^ ": per-rank completion times")
+          times
+          (Array.map (Printf.sprintf "%h") rank_times))
+      times
   in
-  check "alone" (chaos_ring ());
-  List.iteri (fun i r -> check (Printf.sprintf "pooled %d" i) r)
-    (Engine.run_many [ chaos_ring; chaos_ring; chaos_ring ])
+  check "alone" (run ());
+  List.iteri
+    (fun i r -> check (Printf.sprintf "pooled %d" i) r)
+    (Engine.run_many [ run; run; run ])
+
+let test_golden_chaos_replay () = check_golden ~fixture:"golden_chaos_ring.log" chaos_ring
+
+(* The explicit-knob path: one spec setting every default-rate clause,
+   every retry clause, a link override and a partition, whose
+   retransmission times show in the partition drops.  The completion
+   times pin rto, backoff and jitter_cap; the log pins the rates and the
+   draw order. *)
+let knob_spec =
+  "seed=23;drop=0.08;dup=0.05;reorder=0.06;corrupt=0.03;jitter=3e-05;retries=4;\
+   rto=6e-05;backoff=1.5;jitter_cap=2e-05;\
+   link=1>2:drop=0.25,dup=0.1,reorder=0.1,corrupt=0.05,jitter=5e-05;\
+   partition=0@0.0004-0.0007"
+
+let test_golden_chaos_knobs () =
+  check_golden ~fixture:"golden_chaos_knobs.log"
+    ~times:[| "0x1.45d3ab209e251p-9"; "0x1.51876725b403ep-9"; "0x1.553479607bc41p-9";
+              "0x1.49d2c36a798cp-9" |]
+    (chaos_ring_with (Result.get_ok (Chaos.config_of_string knob_spec)))
 
 (* ------------------------------------------------------------------ *)
 (* Pool contract. *)
@@ -250,7 +282,7 @@ let test_domains_compat () =
   ignore (Engine.run ~domains:1 ~ranks:2 (fun _ -> ()) : Engine.report);
   expect_usage_error "chaos + domains" (fun () ->
       Engine.run ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
-        ~chaos:(Chaos.config ~seed:1 ~lossy:true ())
+        ~chaos:(Chaos.config ~seed:1 ~rates:Chaos.Lossy ())
         ~domains:2 ~ranks:2
         (fun _ -> ()));
   expect_usage_error "sanitizer + domains" (fun () ->
@@ -270,7 +302,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_pool_determinism;
         ] );
       ( "sequential-compat",
-        [ quick "golden chaos replay byte-identical" test_golden_chaos_replay ] );
+        [
+          quick "golden chaos replay byte-identical" test_golden_chaos_replay;
+          quick "golden knob-path chaos replay byte-identical" test_golden_chaos_knobs;
+        ] );
       ( "pool",
         [
           quick "results in input order" test_input_order;

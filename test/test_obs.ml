@@ -468,9 +468,9 @@ let test_disabled_paths_allocation_free () =
 
 let chaos_trace_events ~seed =
   let rates =
-    { Net_model.drop = 0.05; duplicate = 0.3; reorder = 0.3; corrupt = 0.; jitter = 0. }
+    { Chaos.drop = 0.05; duplicate = 0.3; reorder = 0.3; corrupt = 0.; jitter = 0. }
   in
-  let chaos = Chaos.config ~seed ~rates ~max_retries:10 () in
+  let chaos = Chaos.config ~seed ~rates:(Chaos.Rates rates) ~max_retries:10 () in
   let ranks = 3 in
   let program mpi =
     let me = Comm.rank mpi in

@@ -178,7 +178,7 @@ let replay_once mode =
     | TQ.Nbx -> TQ.config ~mode:TQ.Nbx ~batch:2 ()
   in
   let chaos =
-    Chaos.config ~seed:77 ~lossy:true
+    Chaos.config ~seed:77 ~rates:Chaos.Lossy
       ~plan:(Result.get_ok (Fault_plan.parse "fail=2@task:4"))
       ()
   in
@@ -235,7 +235,7 @@ let prop_exactly_once_under_chaos =
         | Ok pl -> pl
         | Error e -> Alcotest.failf "bad generated plan %S: %s" plan_spec e
       in
-      let chaos = Chaos.config ~seed ~lossy:true ~plan ~max_retries:10 () in
+      let chaos = Chaos.config ~seed ~rates:Chaos.Lossy ~plan ~max_retries:10 () in
       let deps =
         Array.init n (fun i ->
             if i > 0 && Xoshiro.hash_int ~seed ~stream:9 ~counter:i ~bound:4 = 0 then
