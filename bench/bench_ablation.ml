@@ -8,9 +8,39 @@
    3. empty-pair skipping in alltoallv: the difference between our
       alltoallv (skips) and alltoallw (cannot skip) on a sparse pattern.
 
-   All numbers are simulated time with the omnipath model. *)
+   All numbers are simulated time with the omnipath model under
+   [Virtual_only], so they repeat exactly: every cell is also written as
+   one row (study, p, variant, sim_seconds) of BENCH_ABLATION.json, which
+   CI gates against bench/history/. *)
 
 open Mpisim
+
+let results_file = "BENCH_ABLATION.json"
+
+let sweep ~from ~max_p =
+  let rec go p acc = if p > max_p then List.rev acc else go (p * 4) (p :: acc) in
+  go from []
+
+(* One table per study: a row per p, a column per [(variant, run)]; each
+   cell's simulated time is recorded as it is printed. *)
+let study_table ~study ~ps variants =
+  Bench_util.print_table ~header:("p" :: List.map fst variants)
+    (List.map
+       (fun p ->
+         string_of_int p
+         :: List.map
+              (fun (variant, run) ->
+                let t = run p in
+                Bench_util.emit_json_file ~file:results_file ~bench:"ablation"
+                  [
+                    ("study", Bench_util.S study);
+                    ("p", Bench_util.I p);
+                    ("variant", Bench_util.S variant);
+                    ("sim_seconds", Bench_util.F t);
+                  ];
+                Bench_util.time_str t)
+              variants)
+       ps)
 
 let allgather_ablation ~max_p () =
   Printf.printf "\n-- allgather algorithm: Bruck (default) vs ring --\n";
@@ -25,22 +55,13 @@ let allgather_ablation ~max_p () =
     in
     report.Engine.max_time
   in
-  let ps =
-    let rec go p acc = if p > max_p then List.rev acc else go (p * 4) (p :: acc) in
-    go 4 []
-  in
-  Bench_util.print_table
-    ~header:[ "p"; "bruck (8 ints)"; "ring (8 ints)"; "bruck (8k ints)"; "ring (8k ints)" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p;
-           Bench_util.time_str (run ~ranks:p ~count:8 `Bruck);
-           Bench_util.time_str (run ~ranks:p ~count:8 `Ring);
-           Bench_util.time_str (run ~ranks:p ~count:8192 `Bruck);
-           Bench_util.time_str (run ~ranks:p ~count:8192 `Ring);
-         ])
-       ps);
+  study_table ~study:"allgather" ~ps:(sweep ~from:4 ~max_p)
+    [
+      ("bruck (8 ints)", fun p -> run ~ranks:p ~count:8 `Bruck);
+      ("ring (8 ints)", fun p -> run ~ranks:p ~count:8 `Ring);
+      ("bruck (8k ints)", fun p -> run ~ranks:p ~count:8192 `Bruck);
+      ("ring (8k ints)", fun p -> run ~ranks:p ~count:8192 `Ring);
+    ];
   Printf.printf
     "(Both algorithms move the same total volume, so Bruck's O(log p) rounds\n\
      \ dominate at small sizes and the gap narrows as bandwidth takes over;\n\
@@ -65,21 +86,12 @@ let grid_k_ablation ~max_p () =
     in
     report.Engine.max_time
   in
-  let ps =
-    let rec go p acc = if p > max_p then List.rev acc else go (p * 4) (p :: acc) in
-    go 16 []
-  in
-  Bench_util.print_table
-    ~header:[ "p"; "direct (k=1)"; "grid k=2"; "grid k=3" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p;
-           Bench_util.time_str (run ~ranks:p ~k:1);
-           Bench_util.time_str (run ~ranks:p ~k:2);
-           Bench_util.time_str (run ~ranks:p ~k:3);
-         ])
-       ps)
+  study_table ~study:"grid_k" ~ps:(sweep ~from:16 ~max_p)
+    [
+      ("direct (k=1)", fun p -> run ~ranks:p ~k:1);
+      ("grid k=2", fun p -> run ~ranks:p ~k:2);
+      ("grid k=3", fun p -> run ~ranks:p ~k:3);
+    ]
 
 let skip_ablation ~max_p () =
   Printf.printf "\n-- empty-pair skipping: alltoallv (skips) vs alltoallw (cannot) --\n";
@@ -106,20 +118,8 @@ let skip_ablation ~max_p () =
     in
     report.Engine.max_time
   in
-  let ps =
-    let rec go p acc = if p > max_p then List.rev acc else go (p * 4) (p :: acc) in
-    go 16 []
-  in
-  Bench_util.print_table
-    ~header:[ "p"; "alltoallv"; "alltoallw" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p;
-           Bench_util.time_str (run ~ranks:p `V);
-           Bench_util.time_str (run ~ranks:p `W);
-         ])
-       ps)
+  study_table ~study:"empty_pair_skip" ~ps:(sweep ~from:16 ~max_p)
+    [ ("alltoallv", fun p -> run ~ranks:p `V); ("alltoallw", fun p -> run ~ranks:p `W) ]
 
 let run ?(max_p = 256) () =
   Bench_util.section "Ablations: design choices (DESIGN.md section 4)";

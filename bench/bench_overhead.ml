@@ -250,11 +250,13 @@ let run ?(smoke = false) () =
         ~header:[ "variant"; "wall time/run"; "vs raw" ]
         (List.map
            (fun (n, ns) ->
+             (* Wall time per run only: bench-diff keys a row on its
+                non-metric fields, so a ratio like "vs raw" stays in the
+                table, or the row would never meet its baseline. *)
              Bench_util.emit_json_file ~file:results_file ~bench:"overhead"
                [
                  ("variant", Bench_util.S n);
-                 ("wall_ns_per_run", Bench_util.F ns);
-                 ("vs_raw", Bench_util.F (ns /. base));
+                 ("wall_seconds", Bench_util.F (ns *. 1e-9));
                ];
              [ n; Bench_util.ns_string ns; Printf.sprintf "%+.1f%%" ((ns /. base -. 1.) *. 100.) ])
            estimates)

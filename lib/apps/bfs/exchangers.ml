@@ -73,7 +73,7 @@ let bfs mpi (g : Distgraph.t) ~(source : int) ~(exchanger : exchanger) : int arr
   in
   let grid =
     match exchanger with
-    | Grid -> Some (Kamping_plugins.Grid_alltoall.create comm)
+    | Grid -> Some (Kamping_plugins.Grid_kd.create ~k:2 comm)
     | Dense_mpi | Neighbor | Neighbor_rebuild | Kamping | Sparse -> None
   in
   let exchange (buckets : (int, int list) Hashtbl.t) : int array =
@@ -102,7 +102,7 @@ let bfs mpi (g : Distgraph.t) ~(source : int) ~(exchanger : exchanger) : int arr
         Array.concat (List.map snd incoming)
     | Grid ->
         let data, send_counts = flatten_dense ~p buckets in
-        Kamping_plugins.Grid_alltoall.alltoallv (Option.get grid) Datatype.int ~send_counts
+        Kamping_plugins.Grid_kd.alltoallv (Option.get grid) Datatype.int ~send_counts
           data
   in
   let dist, frontier0 = Common.initial_state g ~source in

@@ -109,11 +109,11 @@ let test_grid () =
     Engine.run_values ~ranks:n (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let r = Comm.rank mpi in
-        let grid = Kamping_plugins.Grid_alltoall.create comm in
+        let grid = Kamping_plugins.Grid_kd.create ~k:2 comm in
         (* send (r*n + d) to each d *)
         let send_counts = Array.make n 1 in
         let data = Array.init n (fun d -> (r * n) + d) in
-        let recv = Kamping_plugins.Grid_alltoall.alltoallv grid Datatype.int ~send_counts data in
+        let recv = Kamping_plugins.Grid_kd.alltoallv grid Datatype.int ~send_counts data in
         Array.sort compare recv;
         recv)
   in

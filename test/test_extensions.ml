@@ -93,11 +93,35 @@ let prop_grid_kd_equals_dense =
       in
       Array.for_all Fun.id results)
 
+(* k = 2 is the paper's 2-D grid: rows x cols, listed slowest to fastest,
+   with cols the largest divisor of p not above ceil(sqrt p) on the fast
+   dimension.  p = 8 and 12 pin the orientation: their grids are not
+   square, so a transposed layout fails. *)
 let test_grid_kd_factorization () =
   let dims = Kamping_plugins.Grid_kd.factorize ~k:3 64 in
   Alcotest.(check int) "product" 64 (Array.fold_left ( * ) 1 dims);
   let dims2 = Kamping_plugins.Grid_kd.factorize ~k:2 30 in
-  Alcotest.(check int) "product 30" 30 (Array.fold_left ( * ) 1 dims2)
+  Alcotest.(check int) "product 30" 30 (Array.fold_left ( * ) 1 dims2);
+  let cols p =
+    let rec search c = if p mod c = 0 then c else search (c - 1) in
+    search (int_of_float (ceil (sqrt (float_of_int p))))
+  in
+  let grid_dims p =
+    let grid = ref [||] in
+    ignore
+      (Engine.run_values ~ranks:p (fun mpi ->
+           let g = Kamping_plugins.Grid_kd.create ~k:2 (Kamping.Communicator.of_mpi mpi) in
+           if Comm.rank mpi = 0 then grid := Kamping_plugins.Grid_kd.dims g));
+    !grid
+  in
+  Alcotest.(check (array int)) "p = 8: 4 rows x 2 cols" [| 4; 2 |] (grid_dims 8);
+  Alcotest.(check (array int)) "p = 12: 3 rows x 4 cols" [| 3; 4 |] (grid_dims 12);
+  for p = 1 to 200 do
+    Alcotest.(check (array int))
+      (Printf.sprintf "factorize ~k:2 %d" p)
+      [| p / cols p; cols p |]
+      (Kamping_plugins.Grid_kd.factorize ~k:2 p)
+  done
 
 (* --- aggregator --- *)
 

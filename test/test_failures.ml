@@ -203,6 +203,15 @@ let receive_forms : (string * (Comm.t -> unit)) list =
           if !polls >= 10_000 then raise Spun;
           Scheduler.yield ()
         done );
+    ( "irecv_into test poll loop",
+      fun c ->
+        let req = P2p.irecv_into c Datatype.int ~source:1 (buf ()) in
+        let polls = ref 0 in
+        while Request.test req = None do
+          incr polls;
+          if !polls >= 10_000 then raise Spun;
+          Scheduler.yield ()
+        done );
   ]
 
 let source_ends : (string * (Comm.t -> unit) * string) list =

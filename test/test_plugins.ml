@@ -20,9 +20,9 @@ let prop_grid_equals_dense =
                 (List.init p (fun d ->
                      Array.init send_counts.(d) (fun i -> (r * 10000) + (d * 100) + i)))
             in
-            let grid = Kamping_plugins.Grid_alltoall.create comm in
+            let grid = Kamping_plugins.Grid_kd.create ~k:2 comm in
             let via_grid =
-              Kamping_plugins.Grid_alltoall.alltoallv grid Datatype.int ~send_counts data
+              Kamping_plugins.Grid_kd.alltoallv grid Datatype.int ~send_counts data
             in
             let via_dense = Kamping.Collectives.alltoallv comm Datatype.int ~send_counts data in
             let sort a =
