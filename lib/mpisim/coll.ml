@@ -590,9 +590,7 @@ let bcast_count_rendezvous x comm ~root ~count_at_root =
          s.tag <- -1;
          s.until <- (fun () -> Comm.settled comm cell);
          Effect.perform Await
-     | None ->
-         Comm.await comm cell ~describe:(fun () ->
-             Printf.sprintf "bcast count rendezvous gen %d" (Comm.generation cell)));
+     | None -> Comm.await comm cell);
   Comm.leave comm cell ~op:"bcast";
   cell.Comm.brought.(root)
 

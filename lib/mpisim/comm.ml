@@ -34,10 +34,12 @@ let kind_index = function
 
 let n_kinds = 5
 
-(* What the first arrival makes for everyone: shrink's context id, or a
-   window's shared record, erased because its element type varies (see
+(* What the first arrival makes for everyone: shrink's context id, or
+   what a later module declares (an RMA window's shared record, see
    [Rma.create]). *)
-type made = Nothing | Context of int | Window_state of Obj.t
+type made = ..
+
+type made += Nothing | Context of int
 
 let absent = min_int
 
@@ -66,6 +68,18 @@ type shared = {
   comms : (int, shared) Hashtbl.t;
 }
 
+(* What this handle's blocked receive, probe or rendezvous waits for.
+   The blocking call stores it here and parks on the handle's closures
+   over it, built once in [attach]: a blocking receive builds none. *)
+type wait = {
+  mutable posted : Mailbox.posted;  (* the awaited receive *)
+  mutable src_world : int;
+  mutable source : int;  (* the probe's source as named: comm rank or any *)
+  mutable tag : int;
+  mutable op : string;
+  mutable cell : cell;  (* the awaited rendezvous *)
+}
+
 type t = {
   rt : Runtime.t;
   shared : shared;
@@ -75,6 +89,13 @@ type t = {
   mutable my_sched_gen : int;
       (* progressive collective instances posted so far: their tag windows *)
   topology : topology option;
+  wait : wait;
+  recv_ready : unit -> bool;
+  recv_describe : unit -> string;
+  probe_ready : unit -> bool;
+  probe_describe : unit -> string;
+  cell_settled : unit -> bool;
+  cell_describe : unit -> string;
 }
 
 (* World rank -> communicator rank. *)
@@ -114,19 +135,6 @@ let get_or_create_shared parent ~context ~group =
         Errdefs.usage_error "communicator context %d created with differing groups" context;
       s
   | None -> make_shared ~comms ~context group
-
-let attach ?topology rt shared ~rank =
-  if rank < 0 || rank >= Group.size shared.group then
-    Errdefs.usage_error "Comm.attach: rank %d out of range" rank;
-  {
-    rt;
-    shared;
-    rank;
-    errhandler = Errdefs.Errors_raise;
-    gens = Array.make n_kinds 0;
-    my_sched_gen = 0;
-    topology;
-  }
 
 let rank t = t.rank
 
@@ -311,10 +319,108 @@ let broken t c =
 (* The one wake rule: the cell has completed, or it never will. *)
 let settled t c = complete t c || broken t c
 
-let await t c ~describe =
-  if not (settled t c) then
-    Request.block t.rt.Runtime.inflight.(world_rank t) ~describe ~poll:(fun () ->
-        if settled t c then Some () else None)
+(* ------------------------------------------------------------------ *)
+(* Blocking waits *)
+
+(* A revocation ends a pending receive only once its source has observed
+   it (or died); a wildcard source stands for any member.  Until then the
+   source may still complete the in-flight exchange, and waking early
+   would tear down collectives that could drain. *)
+let revoked_for t ~src_world =
+  t.shared.revoked
+  && (src_world = Mailbox.any_source || revocation_reached t ~world:src_world)
+
+(* The source can no longer satisfy a receive: it has failed, or it has
+   observed the communicator's revocation. *)
+let source_gone t ~src_world =
+  (src_world <> Mailbox.any_source && Runtime.is_failed t.rt src_world)
+  || revoked_for t ~src_world
+
+(* The one wake rule of a posted receive: its match, or a gone source. *)
+let matched_or_gone t ~src_world (p : Mailbox.posted) =
+  p.Mailbox.p_msg != Message.nil || source_gone t ~src_world
+
+(* The wait rules of this handle's blocked call, over what it stored in
+   [t.wait]: the closures [attach] builds call these. *)
+let recv_ready t = matched_or_gone t ~src_world:t.wait.src_world t.wait.posted
+
+let recv_describe t =
+  let w = t.wait in
+  Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" w.op t.rank t.shared.context
+    w.posted.Mailbox.p_src w.posted.Mailbox.p_tag
+
+(* A probe wakes like a receive that is never posted: once a match is
+   queued or the source is gone. *)
+let probe_ready t =
+  let w = t.wait in
+  source_gone t ~src_world:w.src_world
+  || Mailbox.find_slot
+       t.rt.Runtime.mailboxes.(world_rank t)
+       ~context:t.shared.context ~src:w.src_world ~tag:w.tag
+     >= 0
+
+let probe_describe t =
+  Printf.sprintf "probe on rank %d (src %d, tag %d)" t.rank t.wait.source t.wait.tag
+
+let cell_describe t =
+  let c = t.wait.cell in
+  match c.kind with
+  | Shrink -> Printf.sprintf "comm_shrink on rank %d" t.rank
+  | Agree -> Printf.sprintf "comm_agree on rank %d" t.rank
+  | Bcast _ -> Printf.sprintf "bcast count rendezvous gen %d" (generation c)
+  | Ibarrier | Window -> Printf.sprintf "rendezvous gen %d" (generation c)
+
+(* A cell no wait is on: the [wait.cell] of a handle before its first
+   rendezvous. *)
+let no_cell =
+  {
+    kind = Ibarrier;
+    key = -1;
+    made = Nothing;
+    brought = [||];
+    arrivals = 0;
+    max_clock = 0.;
+    live = None;
+    left = 0;
+  }
+
+let attach ?topology rt shared ~rank =
+  if rank < 0 || rank >= Group.size shared.group then
+    Errdefs.usage_error "Comm.attach: rank %d out of range" rank;
+  let rec t =
+    {
+      rt;
+      shared;
+      rank;
+      errhandler = Errdefs.Errors_raise;
+      gens = Array.make n_kinds 0;
+      my_sched_gen = 0;
+      topology;
+      wait =
+        {
+          posted = Mailbox.no_posted;
+          src_world = Mailbox.any_source;
+          source = Mailbox.any_source;
+          tag = Mailbox.any_tag;
+          op = "";
+          cell = no_cell;
+        };
+      recv_ready = (fun () -> recv_ready t);
+      recv_describe = (fun () -> recv_describe t);
+      probe_ready = (fun () -> probe_ready t);
+      probe_describe = (fun () -> probe_describe t);
+      cell_settled = (fun () -> settled t t.wait.cell);
+      cell_describe = (fun () -> cell_describe t);
+    }
+  in
+  t
+
+let await t c =
+  if not (settled t c) then begin
+    t.wait.cell <- c;
+    Request.block t.rt.Runtime.inflight.(world_rank t) ~describe:t.cell_describe
+      ~ready:t.cell_settled
+  end
 
 (* The live members, decided by the first rank through: later ranks
    reuse the decision even if a member has died since, so survivors

@@ -30,9 +30,12 @@ type topology = { sources : int array; destinations : int array }
     [Shrink]). *)
 type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink | Window
 
-(** What the first arrival makes for every member: shrink's fresh context
-    id, or an RMA window's shared record (type-erased, see {!Rma}). *)
-type made = Nothing | Context of int | Window_state of Obj.t
+(** What the first arrival makes for every member: nothing, shrink's
+    fresh context id, or a constructor another module declares (an RMA
+    window's shared record, see {!Rma}). *)
+type made = ..
+
+type made += Nothing | Context of int
 
 type cell = {
   kind : kind;
@@ -67,6 +70,18 @@ type shared = {
           by every record of that run *)
 }
 
+(** What the handle's blocked receive, probe or rendezvous waits for:
+    the blocking call stores it here and parks on the handle's closures
+    over it, so a blocking receive builds no closure. *)
+type wait = {
+  mutable posted : Mailbox.posted;  (** the awaited receive *)
+  mutable src_world : int;
+  mutable source : int;  (** the probe's source as named: comm rank or any *)
+  mutable tag : int;
+  mutable op : string;
+  mutable cell : cell;  (** the awaited rendezvous *)
+}
+
 type t = {
   rt : Runtime.t;
   shared : shared;
@@ -77,6 +92,13 @@ type t = {
       (** nonblocking and persistent collectives posted so far, which
           numbers their tag windows *)
   topology : topology option;
+  wait : wait;
+  recv_ready : unit -> bool;  (** {!matched_or_gone} over [wait] *)
+  recv_describe : unit -> string;
+  probe_ready : unit -> bool;  (** a match queued for [wait], or its source gone *)
+  probe_describe : unit -> string;
+  cell_settled : unit -> bool;  (** {!settled} on [wait.cell] *)
+  cell_describe : unit -> string;
 }
 
 (** {1 Construction (used by the engine and communicator operations)} *)
@@ -135,6 +157,21 @@ val revocation_reached : t -> world:int -> bool
 
 val revoke : t -> unit
 
+(** {1 Blocking waits} *)
+
+(** The revocation ends a receive from world rank [src_world]
+    ({!Mailbox.any_source}: any member): it is revoked and, for a named
+    source, {!revocation_reached}. *)
+val revoked_for : t -> src_world:int -> bool
+
+(** The source can no longer satisfy a receive: it has failed, or
+    {!revoked_for}. *)
+val source_gone : t -> src_world:int -> bool
+
+(** The one wake rule of a posted receive: its match, or a gone source.
+    Scheduler-safe. *)
+val matched_or_gone : t -> src_world:int -> Mailbox.posted -> bool
+
 val set_errhandler : t -> Errdefs.handler -> unit
 
 val errhandler : t -> Errdefs.handler
@@ -182,8 +219,10 @@ val generation : cell -> int
     failures and never break. *)
 val settled : t -> cell -> bool
 
-(** Block (through {!Request.block}) until {!settled}. *)
-val await : t -> cell -> describe:(unit -> string) -> unit
+(** Block (through {!Request.block}) until {!settled}, on the handle's
+    closures: the deadlock text names the call the cell's kind stands
+    for ("comm_agree on rank 2", "bcast count rendezvous gen 0"). *)
+val await : t -> cell -> unit
 
 (** The live members, decided by the first rank to ask; later ranks get
     the same list. *)

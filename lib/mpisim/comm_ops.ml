@@ -171,13 +171,12 @@ let shrink comm : Comm.t =
   let cell =
     Comm.arrive comm Comm.Shrink ~make:(fun () -> Comm.Context (Runtime.fresh_context rt))
   in
-  Comm.await comm cell ~describe:(fun () ->
-      Printf.sprintf "comm_shrink on rank %d" (Comm.rank comm));
+  Comm.await comm cell;
   let survivors = Comm.decide_live comm cell in
   let context =
     match cell.Comm.made with
     | Comm.Context c -> c
-    | Nothing | Window_state _ -> invalid_arg "Comm_ops.shrink"
+    | _ -> invalid_arg "Comm_ops.shrink"
   in
   let world_ranks = List.map (Comm.world_of_rank comm) survivors in
   let group = Group.of_ranks (Array.of_list world_ranks) in
@@ -200,8 +199,7 @@ let agree comm (value : bool) : bool =
   Runtime.check_alive rt (Comm.world_rank comm);
   Runtime.record rt ~op:"comm_agree" ~bytes:0;
   let cell = Comm.arrive comm Comm.Agree ~value:(Bool.to_int value) in
-  Comm.await comm cell ~describe:(fun () ->
-      Printf.sprintf "comm_agree on rank %d" (Comm.rank comm));
+  Comm.await comm cell;
   let live = Comm.decide_live comm cell in
   let result = List.for_all (fun r -> cell.Comm.brought.(r) <> 0) live in
   Comm.sync_rounds comm cell ~k:2 ~m:(List.length live);

@@ -63,6 +63,7 @@ type 'a t = {
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;  (* fast path; [None] = general path *)
   state : state;
+  id : 'a Type.Id.t;  (* one per constructed type; [without_bulk] copies share it *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -205,6 +206,7 @@ let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
     unpack;
     bulk = Some bulk;
     state = { committed = true; freed = false };
+    id = Type.Id.make ();
   }
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
@@ -293,6 +295,7 @@ let create_k ~name ~size ~signature ~pack ~unpack ~bulk =
     unpack;
     bulk;
     state = { committed = false; freed = false };
+    id = Type.Id.make ();
   }
 
 (* Fully custom ("dynamic", §III-D2): the caller supplies everything, with

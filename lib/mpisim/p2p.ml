@@ -11,7 +11,7 @@
 
    Every send form goes through [check_send] and [inject]; every receive
    form — blocking, nonblocking, persistent, raw bytes — through one
-   [post], one wake rule ([ready], built on [source_gone]) and one
+   [post], one wake rule ([Comm.matched_or_gone]) and one
    [complete], and keeps only its own unpack step (DESIGN.md §4).
 
    All functions operate in communicator ranks; translation to world ranks
@@ -264,49 +264,33 @@ let post comm ~src_world ~tag =
   note_post comm p;
   p
 
-(* A revocation ends a pending receive only once its source has observed
-   it (or died); a wildcard source stands for any member.  Until then the
-   source may still complete the in-flight exchange, and waking early
-   would tear down collectives that could drain. *)
-let revoked_for comm ~src_world =
-  Comm.revoked_flag comm
-  && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
-
-(* The source can no longer satisfy the receive: it has failed, or it has
-   observed the communicator's revocation. *)
-let source_gone comm ~src_world =
-  (src_world <> any_source && Runtime.is_failed (Comm.runtime comm) src_world)
-  || revoked_for comm ~src_world
-
-(* The one wake rule of a posted receive: its match, or a gone source. *)
-let ready comm ~src_world (p : Mailbox.posted) =
-  p.Mailbox.p_msg != Message.nil || source_gone comm ~src_world
-
 (* The error of a receive or probe whose source is gone. *)
 let gone comm ~op ~src_world =
-  if revoked_for comm ~src_world then
+  if Comm.revoked_for comm ~src_world then
     Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
   else Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
 
-(* Block a receive or probe until [poll] holds; the sanitizer's wait-for
-   graph sees it meanwhile. *)
-let block_recv comm ~op ~src_world ~tag ~describe poll =
+(* Block a receive or probe until [ready] holds; the sanitizer's
+   wait-for graph sees it meanwhile. *)
+let block_recv comm ~op ~src_world ~tag ~describe ready =
   let chk = checker comm in
   if Check.enabled chk then
     Check.set_waiting chk ~rank:(Comm.world_rank comm)
       (Check.Wrecv { src = src_world; tag; ctx = Comm.context comm; op });
-  Request.block (inflight comm) ~describe ~poll;
+  Request.block (inflight comm) ~describe ~ready;
   if Check.enabled chk then clear_waiting comm
 
-(* Park a blocking receive until it is [ready].  A receive that need not
-   wait builds no closure. *)
+(* Park a blocking receive until its match or a gone source, on the
+   handle's receive closures: no closure is built. *)
 let await comm ~op ~src_world (p : Mailbox.posted) =
-  if not (ready comm ~src_world p) then
-    block_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag
-      ~describe:(fun () ->
-        Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
-          (Comm.context comm) p.Mailbox.p_src p.Mailbox.p_tag)
-      (fun () -> if ready comm ~src_world p then Some () else None)
+  if not (Comm.matched_or_gone comm ~src_world p) then begin
+    let w = comm.Comm.wait in
+    w.posted <- p;
+    w.src_world <- src_world;
+    w.op <- op;
+    block_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag ~describe:comm.Comm.recv_describe
+      comm.Comm.recv_ready
+  end
 
 (* The receiver's [count] elements of [signature] against the message's:
    both sides carry per-element signatures, so a match is one comparison
@@ -433,24 +417,14 @@ let queued comm ~src_world ~tag =
   Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
     ~src:src_world ~tag
 
-(* The wake rule for a receive not yet posted: a queued match — with
-   [arrived], one that reached the mailbox by this rank's virtual clock —
-   or a gone source. *)
-let wakes comm ~arrived ~src_world ~tag =
-  source_gone comm ~src_world
-  ||
-  match queued comm ~src_world ~tag with
-  | None -> false
-  | Some msg ->
-      (not arrived)
-      || msg.Message.arrival <= (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm)
-
-(* [wakes] for an exact (source, tag), without allocating: it is the wake
-   poll of a blocked rank's schedules. *)
+(* The wake rule for a receive not yet posted, for an exact (source,
+   tag), without allocating: a queued match — with [arrived], one that
+   reached the mailbox by this rank's virtual clock — or a gone source.
+   It is the wake poll of a blocked rank's schedules. *)
 let matchable comm ~arrived ~source ~tag =
   let src_world = Comm.world_of_rank comm source in
   let now = (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm) in
-  source_gone comm ~src_world
+  Comm.source_gone comm ~src_world
   ||
   match
     Mailbox.head_exact (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
@@ -459,13 +433,14 @@ let matchable comm ~arrived ~source ~tag =
   | exception Not_found -> false
 
 (* A nonblocking receive, posted now: [wait]/[test] complete it once
-   [ready], and [unpack] takes the matched message. *)
+   matched or its source is gone, and [unpack] takes the matched
+   message. *)
 let irecv_request comm ~source ~tag ~signature ~maxcount unpack =
   let src_world = source_world comm source in
   let p = post comm ~src_world ~tag in
   track comm ~kind:"irecv"
     (Request.make
-       ~ready:(fun () -> ready comm ~src_world p)
+       ~ready:(fun () -> Comm.matched_or_gone comm ~src_world p)
        ~finalize:(fun () ->
          let msg = complete comm ~op:"irecv" ~signature ~maxcount ~src_world p in
          let status = status_of_msg comm msg in
@@ -506,7 +481,8 @@ let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   Runtime.record rt ~op:"iprobe" ~bytes:0;
   let src_world = source_world comm source in
   match queued comm ~src_world ~tag with
-  | None -> if source_gone comm ~src_world then gone comm ~op:"iprobe" ~src_world else None
+  | None ->
+      if Comm.source_gone comm ~src_world then gone comm ~op:"iprobe" ~src_world else None
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
       Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
@@ -519,11 +495,13 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"probe" ~bytes:0;
   let src_world = source_world comm source in
-  if not (wakes comm ~arrived:false ~src_world ~tag) then
-    block_recv comm ~op:"probe" ~src_world ~tag
-      ~describe:(fun () ->
-        Printf.sprintf "probe on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-      (fun () -> if wakes comm ~arrived:false ~src_world ~tag then Some () else None);
+  let w = comm.Comm.wait in
+  w.src_world <- src_world;
+  w.source <- source;
+  w.tag <- tag;
+  if not (comm.Comm.probe_ready ()) then
+    block_recv comm ~op:"probe" ~src_world ~tag ~describe:comm.Comm.probe_describe
+      comm.Comm.probe_ready;
   match queued comm ~src_world ~tag with
   | None -> gone comm ~op:"probe" ~src_world
   | Some msg ->
@@ -575,7 +553,9 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   let signature = dt.Datatype.signature in
   let posted = ref Mailbox.no_posted in
   let start () = posted := post comm ~src_world ~tag in
-  let cycle_ready () = !posted == Mailbox.no_posted || ready comm ~src_world !posted in
+  let cycle_ready () =
+    !posted == Mailbox.no_posted || Comm.matched_or_gone comm ~src_world !posted
+  in
   let finalize () =
     let p = !posted in
     if p != Mailbox.no_posted then begin

@@ -21,9 +21,21 @@ type observer = { on_rewait : unit -> unit }
 
 type sched = { step : unit -> bool; wakes : unit -> bool }
 
-type inflight = { mutable scheds : sched list }
+(* A rank's schedules in flight, and the wait slot of its blocked call:
+   the closures a blocked rank parks on are built once, here, and read
+   what the blocked call stored in the mutable fields. *)
+type inflight = {
+  mutable scheds : sched list;
+  mutable until : unit -> bool;  (* the blocked call's own wake rule *)
+  woken : unit -> bool;  (* [until], or a schedule can take a step *)
+  mutable awaited : unit -> string;  (* describes the request [wait] blocks on *)
+  wait_describe : unit -> string;
+  mutable any : t array;  (* the requests [wait_any] blocks on *)
+  any_ready : unit -> bool;
+  any_describe : unit -> string;
+}
 
-type t = {
+and t = {
   mutable status : Status.t;  (* [pending] while active *)
   ready : unit -> bool;
   advance : unit -> bool;
@@ -37,7 +49,31 @@ type t = {
 
 let pending = Status.make ~source:(-1) ~tag:(-1) ~count:(-1) ~bytes:(-1)
 
-let inflight () = { scheds = [] }
+let never () = false
+
+let rec wakes_any = function [] -> false | s :: rest -> s.wakes () || wakes_any rest
+
+(* The first of [arr] from [i] on that is inactive or ready, or -1. *)
+let rec first_ready arr i =
+  if i >= Array.length arr then -1
+  else if arr.(i).status != pending || arr.(i).ready () then i
+  else first_ready arr (i + 1)
+
+let inflight () =
+  let rec q =
+    {
+      scheds = [];
+      until = never;
+      woken = (fun () -> q.until () || wakes_any q.scheds);
+      awaited = (fun () -> "");
+      wait_describe = (fun () -> "wait: " ^ q.awaited ());
+      any = [||];
+      any_ready = (fun () -> first_ready q.any 0 >= 0);
+      any_describe =
+        (fun () -> Printf.sprintf "wait_any over %d requests" (Array.length q.any));
+    }
+  in
+  q
 
 let enlist q s = q.scheds <- q.scheds @ [ s ]
 
@@ -49,20 +85,16 @@ let rec step_all = function
       let rest' = step_all rest in
       if finished then rest' else if rest' == rest then l else s :: rest'
 
-let rec block q ~describe ~poll =
+let rec block q ~describe ~ready =
   match q.scheds with
-  | [] -> Scheduler.park ~describe ~poll
-  | scheds -> (
+  | [] -> Scheduler.wait ~describe ~ready
+  | scheds ->
       q.scheds <- step_all scheds;
-      match poll () with
-      | Some v -> v
-      | None ->
-          Scheduler.park ~describe ~poll:(fun () ->
-              match poll () with
-              | Some _ -> Some ()
-              | None ->
-                  if List.exists (fun s -> s.wakes ()) q.scheds then Some () else None);
-          block q ~describe ~poll)
+      if not (ready ()) then begin
+        q.until <- ready;
+        Scheduler.wait ~describe ~ready:q.woken;
+        block q ~describe ~ready
+      end
 
 let make ?start ?advance ~ready ~finalize ~describe inflight =
   {
@@ -118,15 +150,17 @@ let test t =
   else if t.advance () then Some (complete t)
   else None
 
-(* A request whose operation is already done completes without parking
-   and builds no closure. *)
+(* A request whose operation is already done completes without parking.
+   One that waits parks on its own [ready] and its rank's [wait_describe]:
+   no closure is built. *)
 let wait t =
   if t.status != pending then inactive t
   else begin
-    if not (t.ready ()) then
-      block t.inflight
-        ~describe:(fun () -> "wait: " ^ t.describe ())
-        ~poll:(fun () -> if t.ready () then Some () else None);
+    if not (t.ready ()) then begin
+      let q = t.inflight in
+      q.awaited <- t.describe;
+      block q ~describe:q.wait_describe ~ready:t.ready
+    end;
     complete t
   end
 
@@ -137,21 +171,15 @@ let wait_all ts = List.map wait ts
 let wait_any ts =
   if ts = [] then invalid_arg "Request.wait_any: empty";
   let arr = Array.of_list ts in
-  let find_ready () =
-    let rec go i =
-      if i >= Array.length arr then None
-      else if arr.(i).status != pending || arr.(i).ready () then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let i =
-    match find_ready () with
-    | Some i -> i
-    | None ->
-        block arr.(0).inflight
-          ~describe:(fun () -> Printf.sprintf "wait_any over %d requests" (Array.length arr))
-          ~poll:find_ready
+    match first_ready arr 0 with
+    | -1 ->
+        let q = arr.(0).inflight in
+        q.any <- arr;
+        block q ~describe:q.any_describe ~ready:q.any_ready;
+        q.any <- [||];
+        first_ready arr 0
+    | i -> i
   in
   let t = arr.(i) in
   (i, if t.status != pending then inactive t else complete t)

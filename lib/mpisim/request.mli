@@ -33,11 +33,13 @@ val inflight : unit -> inflight
 (** Add a started schedule that has not finished. *)
 val enlist : inflight -> sched -> unit
 
-(** The one blocking wait: returns [v] once [poll] yields [Some v].  With
-    [q] empty it is exactly {!Scheduler.park}; otherwise it advances every
+(** The one blocking wait: returns once [ready ()] holds.  With [q]
+    empty it is exactly {!Scheduler.wait}; otherwise it advances every
     schedule of [q] in the calling fiber, dropping finished ones, and
-    parks until [poll] holds or one of them [wakes], as often as needed. *)
-val block : inflight -> describe:(unit -> string) -> poll:'a Scheduler.poll -> 'a
+    parks until [ready] holds or one of them [wakes], as often as
+    needed.  It builds no closure: the park's combined wake rule is
+    [q]'s own, and [ready] and [describe] are the caller's. *)
+val block : inflight -> describe:(unit -> string) -> ready:(unit -> bool) -> unit
 
 (** A request of the rank whose in-flight schedules are [q]: one-shot and
     active from creation, or, with [start], persistent and created
@@ -74,7 +76,9 @@ val free : t -> unit
 val test : t -> Status.t option
 
 (** Block (cooperatively) until complete.  On an inactive request it
-    returns its status at once. *)
+    returns its status at once.  A wait that blocks parks on the
+    request's own [ready] and a describe its rank already holds, so it
+    builds no closure. *)
 val wait : t -> Status.t
 
 (** [true] once inactive: completed, or a persistent request not

@@ -53,6 +53,11 @@ type 'a shared = {
   mutable fences : int;  (* completed fence epochs *)
 }
 
+(* The window's shared record, as the creation rendezvous holds it: the
+   datatype's identity proves every later rank's element type equal to
+   the first's. *)
+type Comm.made += Window_state : 'a Type.Id.t * 'a shared -> Comm.made
+
 type 'a t = {
   comm : Comm.t;
   dt : 'a Datatype.t;
@@ -61,41 +66,79 @@ type 'a t = {
   mutable lock_target : int;  (* world rank of the open lock epoch, -1 none *)
   mutable epoch_ops : 'a op list;  (* ops of the open lock epoch, reversed *)
   mutable freed : bool;
+  (* The lock [lock] waits for, and the closures it parks on, built
+     once per window. *)
+  mutable wanted : int;  (* comm rank of the target *)
+  mutable wanted_exclusive : bool;
+  lock_ready : unit -> bool;
+  lock_describe : unit -> string;
 }
+
+(* The wanted lock can be taken: an exclusive lock needs the target free,
+   a shared lock tolerates other shared holders. *)
+let acquirable t =
+  let ls = t.shared.locks.(Comm.world_of_rank t.comm t.wanted) in
+  ls.holders = 0 || ((not t.wanted_exclusive) && not ls.excl)
+
+let lock_describe t =
+  Printf.sprintf "win_lock(%s) on target %d"
+    (if t.wanted_exclusive then "exclusive" else "shared")
+    t.wanted
 
 (* Create a window exposing [local].  Collective.  The arrays stay owned
    by their ranks; remote access goes through the window operations.
 
    All ranks share one window state: the first to arrive at the creation
    rendezvous makes it, and creation is collective, so every rank's k-th
-   [create] on a communicator meets in the same cell.  The erasure in
-   [Comm.Window_state] is sound for the same reason: the k-th window has
-   the same element type on every rank.  The cell stays open until
-   [free]. *)
-let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
+   [create] on a communicator meets in the same cell.  Every rank must
+   pass the same datatype: its identity is what lets a later rank take
+   the first one's state at its own element type.  The cell stays open
+   until [free]. *)
+let create (type a) (comm : Comm.t) (dt : a Datatype.t) (local : a array) : a t =
   Comm.check_collective comm ~op:"win_create" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime comm) ~op:"win_create" ~bytes:0;
   let size = (Comm.runtime comm).Runtime.size in
   let cell =
     Comm.arrive comm Comm.Window ~make:(fun () ->
-        Comm.Window_state
-          (Obj.repr
-             {
-               exposures = Array.make size [||];
-               pending = ref [];
-               locks = Array.init size (fun _ -> { excl = false; holders = 0 });
-               fences = 0;
-             }))
+        Window_state
+          ( dt.Datatype.id,
+            {
+              exposures = Array.make size [||];
+              pending = ref [];
+              locks = Array.init size (fun _ -> { excl = false; holders = 0 });
+              fences = 0;
+            } ))
   in
-  let shared : 'a shared =
+  let shared : a shared =
     match cell.Comm.made with
-    | Comm.Window_state s -> Obj.obj s
-    | Nothing | Context _ -> invalid_arg "Rma.create"
+    | Window_state (id, s) -> (
+        match Type.Id.provably_equal id dt.Datatype.id with
+        | Some Type.Equal -> s
+        | None ->
+            Errdefs.usage_error
+              "win_create: rank %d passed datatype %s, not the one the other ranks passed"
+              (Comm.rank comm) (Datatype.name dt))
+    | _ -> invalid_arg "Rma.create"
   in
   shared.exposures.(Comm.world_rank comm) <- local;
   (* Windows become usable only after every rank registered. *)
   Coll.barrier comm;
-  { comm; dt; shared; cell; lock_target = -1; epoch_ops = []; freed = false }
+  let rec t =
+    {
+      comm;
+      dt;
+      shared;
+      cell;
+      lock_target = -1;
+      epoch_ops = [];
+      freed = false;
+      wanted = 0;
+      wanted_exclusive = false;
+      lock_ready = (fun () -> acquirable t);
+      lock_describe = (fun () -> lock_describe t);
+    }
+  in
+  t
 
 let check_not_freed t ~op =
   if t.freed then Errdefs.usage_error "%s: window has been freed" op
@@ -247,25 +290,15 @@ let lock ?(exclusive = true) (t : 'a t) ~target : unit =
       (Comm.rank_of_world t.comm t.lock_target);
   let target_world = Comm.world_of_rank t.comm target in
   let ls = t.shared.locks.(target_world) in
-  let acquirable () = ls.holders = 0 || ((not exclusive) && not ls.excl) in
-  (* Check-and-acquire; the loop body runs at most twice (a woken
-     origin's poll already saw the lock acquirable). *)
-  let try_acquire () =
-    if acquirable () then begin
-      if ls.holders = 0 then ls.excl <- exclusive;
-      ls.holders <- ls.holders + 1;
-      true
-    end
-    else false
-  in
-  while not (try_acquire ()) do
+  t.wanted <- target;
+  t.wanted_exclusive <- exclusive;
+  (* No fiber runs between the last check and the acquisition. *)
+  while not (acquirable t) do
     Request.block (Comm.runtime t.comm).Runtime.inflight.(Comm.world_rank t.comm)
-      ~describe:(fun () ->
-        Printf.sprintf "win_lock(%s) on target %d"
-          (if exclusive then "exclusive" else "shared")
-          target)
-      ~poll:(fun () -> if acquirable () then Some () else None)
+      ~describe:t.lock_describe ~ready:t.lock_ready
   done;
+  if ls.holders = 0 then ls.excl <- exclusive;
+  ls.holders <- ls.holders + 1;
   t.lock_target <- target_world;
   Runtime.record (Comm.runtime t.comm) ~op:"win_lock" ~bytes:0;
   (* The lock request's round trip to the target. *)

@@ -22,7 +22,11 @@ type 'a t
 
 (** Create a window exposing [local] for one-sided access.  Collective;
     returns once every rank has registered its exposure.  The array
-    remains owned by its rank; remote access goes through the window. *)
+    remains owned by its rank; remote access goes through the window.
+    Every rank passes the same datatype value ({!Datatype.int}, or one
+    derived type shared by the ranks): its identity is what types the
+    window's shared state, and a rank passing another raises a usage
+    error. *)
 val create : Comm.t -> 'a Datatype.t -> 'a array -> 'a t
 
 (** Queue a put of [data] into [target]'s exposure at [target_pos];

@@ -1,15 +1,27 @@
 (* Cooperative fiber scheduler built on OCaml effects.
 
-   Each simulated rank runs as a fiber.  A fiber blocks by performing
-   [Park { poll; describe }]: the scheduler parks it and re-polls it on
-   subsequent passes; when [poll] returns [Some v] the fiber resumes with
-   [v].  Scheduling is deterministic round-robin, so simulations are
-   reproducible.
+   Each simulated rank runs as a fiber.  A fiber blocks through its wait
+   slot: it stores the [ready] and [describe] closures of what it waits
+   for in the slot, then performs the one payload-free effect [Wait].
+   The scheduler keeps only the continuation, re-polls the slot's
+   [ready] on subsequent passes and resumes the fiber once it holds.  A
+   yield is a wait on a static always-ready closure.  Scheduling is
+   deterministic round-robin, so simulations are reproducible.
+
+   A park allocates the continuation and its [Waiting] state and nothing
+   else: the slot's closures are the waiter's own (built once, not per
+   wait), the handler's effect case is built once per fiber, and the
+   park time, only read by the park hooks, goes into a float array.
+
+   The slots belong to the run.  A fiber finds its run through a
+   domain-local pointer set while the run is executing and restored when
+   it returns, so runs on several domains ([Engine.run_many]), and runs
+   nested in a fiber, each fill their own slots.
 
    Deadlock detection: if a full pass over all live fibers runs nothing and
-   the caller-supplied progress counter has not moved, no poll can ever
-   succeed again (all state changes come from fibers), so the scheduler
-   reports a deadlock with each parked fiber's description.
+   the caller-supplied progress counter has not moved, no slot can ever
+   become ready again (all state changes come from fibers), so the
+   scheduler reports a deadlock with each waiting fiber's description.
 
    Timing: the caller may supply [on_segment], which receives the real
    monotonic CPU time of every executed fiber segment — this feeds the
@@ -19,9 +31,8 @@
 
 type 'a poll = unit -> 'a option
 
-type _ Effect.t +=
-  | Park : { poll : 'a poll; describe : unit -> string } -> 'a Effect.t
-  | Yield : unit Effect.t
+(* The one effect: suspend the current fiber on its wait slot. *)
+type _ Effect.t += Wait : unit Effect.t
 
 exception Aborted of { rank : int; exn : exn; backtrace : Printexc.raw_backtrace }
 
@@ -44,32 +55,23 @@ let () =
         Some (Printf.sprintf "rank %d raised: %s" rank (Printexc.to_string exn))
     | _ -> None)
 
-(* Block the current fiber until [poll] returns [Some v]; returns [v].
-   Fast path: if the poll succeeds immediately, no parking happens. *)
-let park ~describe ~poll = Effect.perform (Park { poll; describe })
-
-(* Let other fibers run once. *)
-let yield () = Effect.perform Yield
-
 type outcome = Finished | Raised of exn * Printexc.raw_backtrace
 
-type parked =
-  | Parked : {
-      poll : 'a poll;
-      describe : unit -> string;
-      k : ('a, unit) Effect.Deep.continuation;
-      parked_at : float;  (* wall clock at park; 0. when hooks are off *)
-    }
-      -> parked
-
-type state = Ready of (unit -> unit) | Waiting of parked | Done of outcome
+type state =
+  | Ready of (unit -> unit)
+  | Waiting of (unit, unit) Effect.Deep.continuation
+  | Done of outcome
 
 let now () = Unix.gettimeofday ()
 
 type t = {
   states : state array;
+  (* The wait slots, one per fiber: what the fiber waits for. *)
+  ready : (unit -> bool) array;
+  describe : (unit -> string) array;
+  parked_at : float array;  (* wall clock at park; 0. for a yield or with hooks off *)
   mutable live : int;
-  mutable current : int;
+  mutable current : int;  (* the fiber running now, -1 in scheduler context *)
   on_segment : int -> float -> unit;
   timed : bool;  (* [on_segment] was supplied: time every segment *)
   mutable seg_start : float;
@@ -83,6 +85,67 @@ type t = {
   kill_filter : exn -> bool;
 }
 
+(* What the domain runs outside any run: no fiber is current. *)
+let idle =
+  {
+    states = [||];
+    ready = [||];
+    describe = [||];
+    parked_at = [||];
+    live = 0;
+    current = -1;
+    on_segment = (fun _ _ -> ());
+    timed = false;
+    seg_start = 0.;
+    on_park = (fun _ -> ());
+    on_resume = (fun _ _ -> ());
+    track_park = false;
+    kill_filter = (fun _ -> false);
+  }
+
+(* The run executing on this domain. *)
+let running : t Domain.DLS.key = Domain.DLS.new_key (fun () -> idle)
+
+let always_ready () = true
+
+let yield_describe () = "yield"
+
+(* Fill the current fiber's slot and suspend it.  A slot that already
+   holds the closures is not rewritten: a yield loop, or a handle's
+   receives, then skip the write barrier.  Outside a run there is no
+   slot: the effect is then unhandled, as any effect without a
+   handler. *)
+let suspend ~describe ~ready =
+  let t = Domain.DLS.get running in
+  let rank = t.current in
+  if rank >= 0 then begin
+    if t.ready.(rank) != ready then t.ready.(rank) <- ready;
+    if t.describe.(rank) != describe then t.describe.(rank) <- describe
+  end;
+  Effect.perform Wait
+
+(* Block the current fiber until [ready ()] holds.  Fast path: a wait
+   that is already over does not park. *)
+let wait ~describe ~ready = if not (ready ()) then suspend ~describe ~ready
+
+(* [wait] for a poll that returns a value.  The closure it parks on is
+   built only when the first poll fails. *)
+let park ~describe ~poll =
+  match poll () with
+  | Some v -> v
+  | None -> (
+      let got = ref None in
+      suspend ~describe ~ready:(fun () ->
+          match poll () with
+          | Some _ as v ->
+              got := v;
+              true
+          | None -> false);
+      match !got with Some v -> v | None -> assert false)
+
+(* Let other fibers run once: a wait on the always-ready slot. *)
+let yield () = suspend ~describe:yield_describe ~ready:always_ready
+
 let close_segment t =
   if t.current >= 0 then begin
     if t.timed then t.on_segment t.current (now () -. t.seg_start);
@@ -93,7 +156,23 @@ let open_segment t rank =
   t.current <- rank;
   if t.timed then t.seg_start <- now ()
 
+(* The fiber's handler, its effect case built once.  A yield resumes on
+   the next pass, after every other runnable fiber has had a turn; being
+   always ready it can never trip deadlock detection, and the park hooks
+   skip it: yields are voluntary, not waits. *)
 let handler (t : t) (rank : int) : (unit, unit) Effect.Deep.handler =
+  let on_wait =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        close_segment t;
+        if t.track_park then
+          if t.ready.(rank) == always_ready then t.parked_at.(rank) <- 0.
+          else begin
+            t.on_park rank;
+            t.parked_at.(rank) <- now ()
+          end;
+        t.states.(rank) <- Waiting k)
+  in
   {
     retc =
       (fun () ->
@@ -107,53 +186,20 @@ let handler (t : t) (rank : int) : (unit, unit) Effect.Deep.handler =
         t.states.(rank) <- Done (Raised (exn, bt));
         t.live <- t.live - 1);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Park { poll; describe } ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                match poll () with
-                | Some v -> Effect.Deep.continue k v
-                | None ->
-                    close_segment t;
-                    let parked_at =
-                      if t.track_park then begin
-                        t.on_park rank;
-                        now ()
-                      end
-                      else 0.
-                    in
-                    t.states.(rank) <- Waiting (Parked { poll; describe; k; parked_at }))
-        | Yield ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                close_segment t;
-                (* Always-ready poll: the fiber resumes on the next pass,
-                   after every other runnable fiber has had a turn.  Being
-                   always ready, it can never trip deadlock detection.
-                   Yields are voluntary, not waits, so park hooks skip
-                   them. *)
-                t.states.(rank) <-
-                  Waiting
-                    (Parked
-                       {
-                         poll = (fun () -> Some ());
-                         describe = (fun () -> "yield");
-                         k;
-                         parked_at = 0.;
-                       }))
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Wait -> on_wait | _ -> None);
   }
 
 let start_fiber t rank thunk =
   open_segment t rank;
   Effect.Deep.match_with thunk () (handler t rank)
 
-let resume_fiber (type a) t rank (k : (a, unit) Effect.Deep.continuation) (v : a) =
+let resume_fiber t rank k =
   open_segment t rank;
-  Effect.Deep.continue k v
+  Effect.Deep.continue k ()
 
-let discontinue_fiber t rank (Parked { k; _ }) exn =
+let discontinue_fiber t rank k exn =
   open_segment t rank;
   (try Effect.Deep.discontinue k exn
    with _ ->
@@ -179,11 +225,11 @@ exception Abandoned_fiber
    represent an injected process failure: such fibers end in [Raised] but do
    not abort the other fibers.
 
-   [wake_check rank] is consulted before polling a parked fiber: [Some exn]
+   [wake_check rank] is consulted before polling a waiting fiber: [Some exn]
    discontinues the fiber with [exn] instead of resuming it.  This is how
-   fault injection reaches a victim that is blocked in a receive — the poll
-   could never succeed (nobody will send to a dead rank), so without the
-   hook the kill would only surface as a deadlock. *)
+   fault injection reaches a victim that is blocked in a receive — the slot
+   could never become ready (nobody will send to a dead rank), so without
+   the hook the kill would only surface as a deadlock. *)
 let run ?on_segment ?on_park ?on_resume
     ?(kill_filter = fun _ -> false) ?(wake_check = fun _ -> None)
     ?(on_quiescence = fun () -> false) ~progress ~nfibers (body : int -> unit) :
@@ -193,6 +239,9 @@ let run ?on_segment ?on_park ?on_resume
   let t =
     {
       states = Array.init nfibers (fun r -> Ready (fun () -> body r));
+      ready = Array.make nfibers always_ready;
+      describe = Array.make nfibers yield_describe;
+      parked_at = Array.make nfibers 0.;
       live = nfibers;
       current = -1;
       on_segment = (match on_segment with Some f -> f | None -> fun _ _ -> ());
@@ -215,7 +264,7 @@ let run ?on_segment ?on_park ?on_resume
     Array.iteri
       (fun rank st ->
         match st with
-        | Waiting p -> discontinue_fiber t rank p Abandoned_fiber
+        | Waiting k -> discontinue_fiber t rank k Abandoned_fiber
         | Ready _ ->
             t.states.(rank) <- Done (Raised (Abandoned_fiber, Printexc.get_callstack 0));
             t.live <- t.live - 1
@@ -234,23 +283,22 @@ let run ?on_segment ?on_park ?on_resume
               ran := true;
               start_fiber t rank thunk;
               check_fatal rank
-          | Waiting (Parked p as parked) -> begin
+          | Waiting k -> begin
               match wake_check rank with
               | Some exn ->
                   ran := true;
-                  discontinue_fiber t rank parked exn;
+                  discontinue_fiber t rank k exn;
                   check_fatal rank
-              | None -> (
-              match p.poll () with
-              | Some v ->
-                  ran := true;
-                  (* Yield parks carry [parked_at = 0.] and are not real
-                     waits; skip the resume hook for them. *)
-                  if t.track_park && p.parked_at > 0. then
-                    t.on_resume rank (now () -. p.parked_at);
-                  resume_fiber t rank p.k v;
-                  check_fatal rank
-              | None -> ())
+              | None ->
+                  if t.ready.(rank) () then begin
+                    ran := true;
+                    (* Yields carry [parked_at = 0.] and are not real
+                       waits; skip the resume hook for them. *)
+                    if t.track_park && t.parked_at.(rank) > 0. then
+                      t.on_resume rank (now () -. t.parked_at.(rank));
+                    resume_fiber t rank k;
+                    check_fatal rank
+                  end
             end
           | Done _ -> ()
         end
@@ -272,7 +320,7 @@ let run ?on_segment ?on_park ?on_resume
               Array.to_list t.states
               |> List.mapi (fun r st ->
                      match st with
-                     | Waiting (Parked { describe; _ }) -> Some (r, describe ())
+                     | Waiting _ -> Some (r, t.describe.(r) ())
                      | Ready _ | Done _ -> None)
               |> List.filter_map Fun.id
             in
@@ -288,10 +336,11 @@ let run ?on_segment ?on_park ?on_resume
           else loop ()
     end
   in
-  loop ();
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running t;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set running outer) loop;
   Array.map
     (function
       | Done o -> o
       | Ready _ | Waiting _ -> assert false)
     t.states
-

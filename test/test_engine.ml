@@ -235,6 +235,85 @@ let test_concurrent_runs_match_sequential () =
     (Engine.run_many [ many; many ]);
   Alcotest.(check int) "no derived type left committed" 0 (Datatype.live_derived_count ())
 
+(* Wait slots belong to their run.  Each rank of [ring_deadlock ~tag]
+   passes messages around a ring for a while (parking and waking), then
+   waits for a [tag] message its neighbour never sends: the deadlock
+   report must name exactly those receives, whatever else runs beside it
+   on another domain or ran before it on this one. *)
+let ring_deadlock ?(before = fun _ -> ()) ~ranks ~tag () =
+  let ctx = ref (-1) in
+  match
+    Engine.run ~clock_mode:Runtime.Virtual_only ~ranks (fun comm ->
+        let n = Comm.size comm and r = Comm.rank comm in
+        ctx := Comm.context comm;
+        before comm;
+        for round = 1 to 20 do
+          P2p.send comm Datatype.int ~dest:((r + 1) mod n) ~tag:round [| r |];
+          ignore (P2p.recv comm Datatype.int ~source:((r + n - 1) mod n) ~tag:round ())
+        done;
+        ignore (P2p.recv comm Datatype.int ~source:((r + 1) mod n) ~tag ()))
+  with
+  | _ -> Alcotest.fail "expected deadlock"
+  | exception Scheduler.Deadlock { parked; _ } ->
+      let want =
+        List.init ranks (fun r ->
+            ( r,
+              Printf.sprintf "recv on rank %d (ctx %d, src %d, tag %d)" r !ctx
+                ((r + 1) mod ranks) tag ))
+      in
+      (want, parked)
+
+let check_own_waits (want, parked) =
+  Alcotest.(check (list (pair int string))) "parked with its own waits" want parked
+
+let test_concurrent_deadlocks_keep_their_waits () =
+  let many ~ranks ~tag () = List.init 50 (fun _ -> ring_deadlock ~ranks ~tag ()) in
+  List.iter (List.iter check_own_waits)
+    (Engine.run_many [ many ~ranks:2 ~tag:11; many ~ranks:3 ~tag:22 ])
+
+(* A fiber that raises aborts its run, in the middle of other fibers'
+   waits, and here once inside another run's fiber: the runs after it
+   still park, wake and describe their own waits. *)
+let raising_run () =
+  match
+    Engine.run ~ranks:2 (fun comm ->
+        if Comm.rank comm = 0 then ignore (P2p.recv comm Datatype.int ~source:1 ~tag:5 ())
+        else begin
+          Scheduler.yield ();
+          failwith "boom"
+        end)
+  with
+  | _ -> Alcotest.fail "expected abort"
+  | exception Scheduler.Aborted { exn = Failure _; _ } -> ()
+
+let test_run_after_raise_keeps_its_waits () =
+  raising_run ();
+  check_own_waits (ring_deadlock ~ranks:3 ~tag:7 ());
+  let inner = ref None in
+  let nest comm =
+    if Comm.rank comm = 0 then begin
+      raising_run ();
+      inner := Some (ring_deadlock ~ranks:2 ~tag:8 ())
+    end
+  in
+  (* The outer run's fibers park, wake and deadlock after the inner runs. *)
+  check_own_waits (ring_deadlock ~before:nest ~ranks:2 ~tag:10 ());
+  check_own_waits (Option.get !inner);
+  check_own_waits (ring_deadlock ~ranks:2 ~tag:9 ())
+
+(* A window's ranks meet at one element type: the datatype's identity
+   proves it, so a rank passing another datatype of the same OCaml type
+   is refused rather than sharing storage it cannot describe. *)
+let test_window_datatypes_must_agree () =
+  match
+    Engine.run ~ranks:2 (fun comm ->
+        let dt = if Comm.rank comm = 0 then Datatype.float else Datatype.float32 in
+        Rma.free (Rma.create comm dt [| 0. |]))
+  with
+  | _ -> Alcotest.fail "expected a usage error"
+  | exception Scheduler.Aborted { rank; exn = Errdefs.Usage_error _; _ } ->
+      Alcotest.(check int) "the rank that passed the other datatype" 1 rank
+
 (* Rank 0 drains one message from every other rank with fully wildcard
    receives; oldest-first arbitration fixes the order. *)
 let wildcard_drain comm =
@@ -294,6 +373,12 @@ let tests =
       test_assertion_level_compat;
     Alcotest.test_case "concurrent runs match sequential" `Quick
       test_concurrent_runs_match_sequential;
+    Alcotest.test_case "concurrent deadlocks keep their waits" `Quick
+      test_concurrent_deadlocks_keep_their_waits;
+    Alcotest.test_case "run after a raise keeps its waits" `Quick
+      test_run_after_raise_keeps_its_waits;
+    Alcotest.test_case "window datatypes must agree" `Quick
+      test_window_datatypes_must_agree;
     Alcotest.test_case "explore leaves other runs undeferred" `Quick
       test_explore_leaves_other_runs_undeferred;
   ]

@@ -612,12 +612,13 @@ let test_pingpong_byte_volume () =
 (* Allocation budget of the ad-hoc message path (sequential scheduler).
    Each blocking message may allocate its message and posted-receive
    records, the pooled writer and reader records, the status, a few
-   boxed floats and the fiber's park; everything else on the path —
+   boxed floats and the fiber's park (its continuation and state);
+   everything else on the path —
    lock, span and profiling plumbing, signatures, pool bookkeeping — must
    cost nothing.  The per-message figures are exact and repeatable, so
    the bounds are tight. *)
 
-let words_per_message_budget = 144.
+let words_per_message_budget = 64.
 
 (* Minor words per call of [f], averaged over many calls after a warm-up. *)
 let words_per_call ?(n = 10_000) f =
@@ -722,6 +723,45 @@ let test_recv_into_pingpong_budget () =
   if words > words_per_message_budget then
     Alcotest.failf "send/recv_into: %.1f words per message (budget %.0f)" words
       words_per_message_budget
+
+(* The fiber's park, alone: a single fiber parks on a slot that is not
+   ready at the first poll and ready at the next, so every iteration
+   parks once and resumes once.  The slot's closures are built before
+   the loop, so what remains is the continuation and its [Waiting]
+   state. *)
+let scheduler_words_per_iteration body =
+  let words = ref 0. and n = 10_000 in
+  ignore
+    (Scheduler.run ~progress:(fun () -> 0) ~nfibers:1 (fun _ ->
+         for _ = 1 to 100 do
+           body ()
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           body ()
+         done;
+         words := Gc.minor_words () -. w0));
+  !words /. float_of_int n
+
+let park_budget = 5.
+
+let test_park_resume_budget () =
+  let flip = ref false and polls = ref 0 in
+  let ready () =
+    incr polls;
+    flip := not !flip;
+    not !flip
+  in
+  let describe () = "flip" in
+  let words = scheduler_words_per_iteration (fun () -> Scheduler.wait ~describe ~ready) in
+  Alcotest.(check int) "every wait failed its first poll" (2 * 10_100) !polls;
+  if words > park_budget then
+    Alcotest.failf "park and resume: %.2f words (budget %.0f)" words park_budget
+
+let test_yield_budget () =
+  let words = scheduler_words_per_iteration Scheduler.yield in
+  if words > park_budget then
+    Alcotest.failf "yield: %.2f words (budget %.0f)" words park_budget
 
 let test_kamping_recv_pingpong_budget () =
   let count = 64 in
@@ -864,6 +904,8 @@ let tests =
       test_recv_into_pingpong_budget;
     Alcotest.test_case "alloc: kamping recv per-message budget" `Quick
       test_kamping_recv_pingpong_budget;
+    Alcotest.test_case "alloc: park and resume budget" `Quick test_park_resume_budget;
+    Alcotest.test_case "alloc: yield budget" `Quick test_yield_budget;
     Alcotest.test_case "alloc: mailbox deliver-then-post budget" `Quick
       test_mailbox_deliver_then_post_budget;
     Alcotest.test_case "alloc: mailbox post-then-deliver budget" `Quick
