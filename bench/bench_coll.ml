@@ -166,6 +166,6 @@ let run ?(smoke = false) () =
   if !gate_failures <> [] then begin
     Printf.eprintf "bench_coll: %d gate(s) failed: %s\n" (List.length !gate_failures)
       (String.concat ", " !gate_failures);
-    exit 1
+    Bench_util.record_failed_gates ~bench:"coll" !gate_failures
   end;
   Printf.printf "(results appended to %s)\n" results_file

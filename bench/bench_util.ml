@@ -9,6 +9,16 @@
      with Bechamel — this is what the zero-overhead microbenchmarks
      report. *)
 
+(* Acceptance gates that failed in this process, as "bench: gate", in
+   the order the benches ran.  A bench records its failures here rather
+   than exiting, so every selected experiment still runs and writes its
+   JSON; [bench/main.ml] lists them all and exits 1 at the end. *)
+let failed_gates = ref []
+
+(* [gates] as a bench keeps them: newest first. *)
+let record_failed_gates ~bench gates =
+  failed_gates := !failed_gates @ List.rev_map (fun g -> bench ^ ": " ^ g) gates
+
 let section title =
   Printf.printf "\n==============================================================\n";
   Printf.printf "%s\n" title;

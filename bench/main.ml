@@ -64,4 +64,12 @@ let () =
   in
   let t0 = Unix.gettimeofday () in
   List.iter (fun (_, f) -> f ()) to_run;
-  Printf.printf "\ntotal benchmark wall time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\ntotal benchmark wall time: %.1fs\n" (Unix.gettimeofday () -. t0);
+  (* Every selected experiment has run; only now does a failed gate fail
+     the process. *)
+  match !Bench_util.failed_gates with
+  | [] -> ()
+  | failed ->
+      Printf.printf "\n%d gate(s) FAILED:\n" (List.length failed);
+      List.iter (Printf.printf "  %s\n") failed;
+      exit 1

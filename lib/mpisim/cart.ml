@@ -116,12 +116,12 @@ let halo_exchange t (dt : 'a Datatype.t) ~dim ~(to_prev : 'a array) ~(to_next : 
   | None -> ());
   let from_prev =
     match prev with
-    | Some p -> Some (fst (P2p.recv t.comm dt ~source:p ~tag ()))
+    | Some p -> Some (P2p.recv_fresh t.comm dt ~source:p ~tag)
     | None -> None
   in
   let from_next =
     match next with
-    | Some n -> Some (fst (P2p.recv t.comm dt ~source:n ~tag ()))
+    | Some n -> Some (P2p.recv_fresh t.comm dt ~source:n ~tag)
     | None -> None
   in
   (from_prev, from_next)

@@ -120,9 +120,8 @@ let choose comm alg_op ~bytes ~commutative ~elems =
 (* Charge the O(p) cost of scanning per-rank count/displacement arrays in
    dense vector collectives. *)
 let charge_dense_scan comm =
-  let rt = Comm.runtime comm in
-  Runtime.advance_clock rt (Comm.world_rank comm)
-    (float_of_int (Comm.size comm) *. rt.Runtime.model.Net_model.dense_scan_byte)
+  Runtime.charge_dense_scan (Comm.runtime comm) (Comm.world_rank comm)
+    ~entries:(Comm.size comm)
 
 let scratch_like (dt : 'a Datatype.t) n : 'a array =
   if n = 0 then [||] else Array.make n (Datatype.zero_elem dt)
@@ -267,16 +266,16 @@ let arrived x comm ~tag ~src =
 let recv x comm dt ~tag ~what ~src buf ~pos ~count =
   let tag = tag + x.shift in
   arrived x comm ~tag ~src;
-  let st = P2p.recv_range comm dt ~source:src ~tag ~pos ~maxcount:count buf in
-  if Status.count st <> count then
+  let got = P2p.recv_range comm dt ~source:src ~tag ~pos ~maxcount:count buf in
+  if got <> count then
     Comm.error comm Errdefs.Err_count "%s: expected %d elements from rank %d, got %d" what
-      count src (Status.count st)
+      count src got
 
 (* Receive a message of a length this rank does not know. *)
 let recv_dyn x comm dt ~tag ~src =
   let tag = tag + x.shift in
   arrived x comm ~tag ~src;
-  P2p.recv_array comm dt ~source:src ~tag ()
+  P2p.recv_fresh comm dt ~source:src ~tag
 
 (* [acc.(pos+i) <- acc.(pos+i) op from.(fpos+i)] for [count] elements. *)
 let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~count =
@@ -436,9 +435,7 @@ let barrier comm =
         let dest = (r + !k) mod n in
         let src = (r - !k + n) mod n in
         P2p.send_range comm Datatype.int ~dest ~tag:tag_barrier empty_int ~pos:0 ~count:0;
-        let (_ : int array * Status.t) =
-          P2p.recv comm Datatype.int ~source:src ~tag:tag_barrier ()
-        in
+        ignore (P2p.recv_fresh comm Datatype.int ~source:src ~tag:tag_barrier);
         k := !k * 2
       done)
 
@@ -504,6 +501,11 @@ let ring_allgather comm dt ~tag ~what ~(table : int array) data =
 (* Broadcast: binomial tree, or binomial scatter + ring allgather for
    long messages. *)
 
+(* The comm rank of virtual rank [v] in a tree rooted at [root].  Helpers
+   such as this one are top-level functions: a local one that captures
+   its context allocates a closure per call of the collective. *)
+let unrotate ~n ~root v = (v + root) mod n
+
 (* The mask at which a binomial tree rooted at vrank 0 reaches [vrank]:
    the lowest set bit of [vrank] (the parent is [vrank - mask]), or the
    top mask for the root. *)
@@ -526,12 +528,11 @@ let binomial_mask ~n ~vrank =
 let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
   let n = Comm.size comm in
   let vrank = (Comm.rank comm - root + n) mod n in
-  let real v = (v + root) mod n in
   let mask = ref (binomial_mask ~n ~vrank) in
   let buf =
     if vrank = 0 then buf
     else
-      let src = real (vrank - !mask) in
+      let src = unrotate ~n ~root (vrank - !mask) in
       if total < 0 then recv_dyn x comm dt ~tag:tag_bcast ~src
       else begin
         recv x comm dt ~tag:tag_bcast ~what:"bcast" ~src buf ~pos:0 ~count:total;
@@ -541,7 +542,7 @@ let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
   mask := !mask lsr 1;
   while !mask > 0 do
     if vrank + !mask < n then
-      send x comm dt ~tag:tag_bcast ~dest:(real (vrank + !mask)) buf ~pos:0
+      send x comm dt ~tag:tag_bcast ~dest:(unrotate ~n ~root (vrank + !mask)) buf ~pos:0
         ~count:(Array.length buf);
     mask := !mask lsr 1
   done;
@@ -554,20 +555,21 @@ let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
 let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
   let n = Comm.size comm in
   let vrank = (Comm.rank comm - root + n) mod n in
-  let real v = (v + root) mod n in
   (* Scatter phase over vranks: a node entered with mask m holds blocks
      [vrank, vrank + min m (n - vrank)) and forwards the upper half to the
      child at vrank + m/2 as m halves. *)
   let span v m = table.(v + Stdlib.min m (n - v)) - table.(v) in
   let mask = ref (binomial_mask ~n ~vrank) in
   if vrank <> 0 then
-    recv x comm dt ~tag:tag_bcast_scatter ~what:"bcast" ~src:(real (vrank - !mask)) buf
-      ~pos:table.(vrank) ~count:(span vrank !mask);
+    recv x comm dt ~tag:tag_bcast_scatter ~what:"bcast"
+      ~src:(unrotate ~n ~root (vrank - !mask))
+      buf ~pos:table.(vrank) ~count:(span vrank !mask);
   mask := !mask lsr 1;
   while !mask > 0 do
     let child = vrank + !mask in
     if child < n then
-      send x comm dt ~tag:tag_bcast_scatter ~dest:(real child) buf ~pos:table.(child)
+      send x comm dt ~tag:tag_bcast_scatter ~dest:(unrotate ~n ~root child) buf
+        ~pos:table.(child)
         ~count:(span child !mask);
     mask := !mask lsr 1
   done;
@@ -773,7 +775,7 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
        blocks [held..held+send_blocks-1]); receive symmetrically. *)
     P2p.send_range comm dt ~dest ~tag:tag_allgather !buf ~pos:0
       ~count:(send_blocks * count);
-    let incoming, _ = P2p.recv comm dt ~source:src ~tag:tag_allgather () in
+    let incoming = P2p.recv_fresh comm dt ~source:src ~tag:tag_allgather in
     buf := Array.append !buf incoming;
     held := !held + send_blocks
   done;
@@ -951,7 +953,6 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
   else begin
     Array.blit src 0 acc 0 count;
     let vrank = (r - root + n) mod n in
-    let real v = (v + root) mod n in
     (* Only even vranks have children, the first at vrank + 1. *)
     let has_child = vrank land 1 = 0 && vrank + 1 < n in
     let scratch = if has_child then scratch_like dt count else [||] in
@@ -959,12 +960,14 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
     let sent = ref false in
     while (not !sent) && !mask < n do
       if vrank land !mask <> 0 then begin
-        send x comm dt ~tag:tag_reduce ~dest:(real (vrank - !mask)) acc ~pos:0 ~count;
+        send x comm dt ~tag:tag_reduce ~dest:(unrotate ~n ~root (vrank - !mask)) acc ~pos:0
+          ~count;
         sent := true
       end
       else begin
         if vrank + !mask < n then
-          recv_fold x comm dt op ~tag:tag_reduce ~what:"reduce" ~src:(real (vrank + !mask))
+          recv_fold x comm dt op ~tag:tag_reduce ~what:"reduce"
+            ~src:(unrotate ~n ~root (vrank + !mask))
             ~scratch acc ~pos:0 ~count;
         mask := !mask lsl 1
       end
@@ -1002,6 +1005,9 @@ let fold_into_pof2 x comm dt op ~rem ~total ~scratch buf =
     end
   else r - rem
 
+(* The comm rank of pof2 sub-machine rank [nr]. *)
+let unfold_rank ~rem nr = if nr < rem then (nr * 2) + 1 else nr + rem
+
 (* Mirror of the preamble: odd ranks of the first 2*rem pairs hold the
    full result and copy it back to their even neighbour. *)
 let unfold_from_pof2 x comm dt ~rem ~total buf =
@@ -1022,10 +1028,9 @@ let allreduce_rdbl x comm dt op ~total ~scratch buf =
   let rem = n - pof2 in
   let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
   if newrank >= 0 then begin
-    let real nr = if nr < rem then (nr * 2) + 1 else nr + rem in
     let mask = ref 1 in
     while !mask < pof2 do
-      let dst = real (newrank lxor !mask) in
+      let dst = unfold_rank ~rem (newrank lxor !mask) in
       send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:0 ~count:total;
       recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:dst ~scratch buf
         ~pos:0 ~count:total;
@@ -1045,7 +1050,6 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
   let rem = n - pof2 in
   let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
   if newrank >= 0 && pof2 > 1 then begin
-    let real nr = if nr < rem then (nr * 2) + 1 else nr + rem in
     (* Block v of the vector is [table.(v), table.(v+1)); blocks may be
        empty when total < pof2. *)
     let range_count lo hi = table.(hi) - table.(lo) in
@@ -1057,7 +1061,7 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
     let mask = ref 1 in
     while !mask < pof2 do
       let newdst = newrank lxor !mask in
-      let dst = real newdst in
+      let dst = unfold_rank ~rem newdst in
       let half = pof2 / (!mask * 2) in
       let s_lo, s_hi, r_lo, r_hi =
         if newrank < newdst then begin
@@ -1083,7 +1087,7 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
     mask := pof2 asr 1;
     while !mask > 0 do
       let newdst = newrank lxor !mask in
-      let dst = real newdst in
+      let dst = unfold_rank ~rem newdst in
       let half = pof2 / (!mask * 2) in
       let s_lo, s_hi, r_lo, r_hi =
         if newrank < newdst then begin
@@ -1108,13 +1112,16 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
 
 (* Working buffers of one allreduce with [algo]: the incoming-vector
    scratch and Rabenseifner's pof2 block table. *)
-let allreduce_buffers comm dt algo ~elems =
+let allreduce_scratch dt algo ~elems =
   match algo with
-  | Coll_algo.Recursive_doubling -> (scratch_like dt elems, empty_int)
+  | Coll_algo.Recursive_doubling | Coll_algo.Rabenseifner -> scratch_like dt elems
+  | _ -> [||]
+
+let allreduce_table comm algo ~elems =
+  match algo with
   | Coll_algo.Rabenseifner ->
-      let parts = Coll_algo.floor_pow2 (Comm.size comm) in
-      (scratch_like dt elems, even_blocks ~total:elems ~parts)
-  | _ -> ([||], empty_int)
+      even_blocks ~total:elems ~parts:(Coll_algo.floor_pow2 (Comm.size comm))
+  | _ -> empty_int
 
 (* Allreduce of [src] into [dst] (which may be [src]).  The reduce+bcast
    reference lowering pins the binomial bcast, so its cost stays the seed
@@ -1147,7 +1154,8 @@ let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a a
       choose comm Coll_algo.Allreduce ~bytes:(Datatype.size_of_count dt elems)
         ~commutative:op.Reduce_op.commutative ~elems
     in
-    let scratch, table = allreduce_buffers comm dt algo ~elems in
+    let scratch = allreduce_scratch dt algo ~elems in
+    let table = allreduce_table comm algo ~elems in
     let dst = scratch_like dt elems in
     dispatch x comm Coll_algo.Allreduce algo (fun () ->
         allreduce_sched x comm dt op algo ~src:data ~dst ~scratch ~table);
@@ -1176,13 +1184,12 @@ let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a 
         if r + !d < n then
           P2p.send_range comm dt ~dest:(r + !d) ~tag:tag_scan acc ~pos:0 ~count:len;
         if r - !d >= 0 then begin
-          let st =
+          let got =
             P2p.recv_range comm dt ~source:(r - !d) ~tag:tag_scan ~pos:0 ~maxcount:len
               scratch
           in
-          if Status.count st <> len then
-            Errdefs.usage_error "scan: element count mismatch (%d vs %d)" len
-              (Status.count st);
+          if got <> len then
+            Errdefs.usage_error "scan: element count mismatch (%d vs %d)" len got;
           (* [scratch] covers ranks before ours: combine on the left,
              writing the result straight into [acc]. *)
           for i = 0 to len - 1 do
@@ -1206,7 +1213,7 @@ let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
         P2p.send_range comm dt ~dest:(r + 1) ~tag:tag_scan inclusive ~pos:0
           ~count:(Array.length inclusive);
       if r = 0 then None
-      else Some (P2p.recv_array comm dt ~source:(r - 1) ~tag:tag_scan ()))
+      else Some (P2p.recv_fresh comm dt ~source:(r - 1) ~tag:tag_scan))
 
 (* Single-element conveniences used heavily by applications. *)
 let allreduce_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a =
@@ -1238,7 +1245,7 @@ let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array ar
             ~count:(Array.length data))
         topo.Comm.destinations;
       Array.map
-        (fun src -> P2p.recv_array comm dt ~source:src ~tag:tag_neighbor ())
+        (fun src -> P2p.recv_fresh comm dt ~source:src ~tag:tag_neighbor)
         topo.Comm.sources)
 
 (* Variable-size neighbor exchange: block i of [data] goes to
@@ -1419,7 +1426,8 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
       freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative ~elems
         ~payload:bytes
     in
-    let scratch, table = allreduce_buffers comm dt algo ~elems in
+    let scratch = allreduce_scratch dt algo ~elems in
+    let table = allreduce_table comm algo ~elems in
     persistent ~frozen (fun x ->
         allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table)
   end

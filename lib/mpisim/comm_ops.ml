@@ -45,7 +45,7 @@ let split comm ~color ?(key = 0) () : Comm.t option =
       let entries = Array.make n (0, 0) in
       entries.(0) <- (color, key);
       for src = 1 to n - 1 do
-        let d, _ = P2p.recv comm Datatype.int ~source:src ~tag:tag_comm () in
+        let d = P2p.recv_fresh comm Datatype.int ~source:src ~tag:tag_comm in
         entries.(src) <- (d.(0), d.(1))
       done;
       (* Group members by color. *)
@@ -90,7 +90,7 @@ let split comm ~color ?(key = 0) () : Comm.t option =
       if color < 0 then [||] else Option.get !my_reply
     end
     else begin
-      let d, _ = P2p.recv comm Datatype.int ~source:0 ~tag:tag_comm () in
+      let d = P2p.recv_fresh comm Datatype.int ~source:0 ~tag:tag_comm in
       d
     end
   in

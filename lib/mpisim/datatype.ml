@@ -579,13 +579,15 @@ let pack_array (t : 'a t) (w : Wire.writer) (a : 'a array) ~pos ~count =
    least an element occupies) raises [Wire.Underflow] before
    [count * elem_size] is formed, so a hostile count can neither wrap the
    product nor reach an allocation.  The reader is left untouched. *)
-let check_count (t : 'a t) (r : Wire.reader) ~count =
+let check_fits (t : 'a t) ~available ~count =
   let sz = t.elem_size in
-  let available = Wire.remaining r in
   if sz > 0 && count > available / sz then
     raise
       (Wire.Underflow
          { wanted = (if count > max_int / sz then max_int else count * sz); available })
+
+let check_count (t : 'a t) (r : Wire.reader) ~count =
+  check_fits t ~available:(Wire.remaining r) ~count
 
 (* Claim the bytes of a [count]-element run from [r]; returns their offset
    in [Wire.reader_storage r]. *)
@@ -614,6 +616,31 @@ let unpack_into (t : 'a t) (r : Wire.reader) (dst : 'a array) ~pos ~count =
       for i = pos to pos + count - 1 do
         Array.unsafe_set dst i (t.unpack r)
       done
+
+(* The same over the [len] bytes of [b] from [off], e.g. a message's
+   payload slice: the fast path reads the run in place, so no reader is
+   built; the general path reads through one. *)
+let check_slice ~op (b : Bytes.t) ~off ~len =
+  if off < 0 || len < 0 || len > Bytes.length b - off then invalid_arg (op ^ ": bad slice")
+
+let unpack_slice_array (t : 'a t) (b : Bytes.t) ~off ~len ~count : 'a array =
+  if count < 0 then invalid_arg "Datatype.unpack_array: negative count";
+  check_slice ~op:"Datatype.unpack_slice_array" b ~off ~len;
+  match t.bulk with
+  | Some k ->
+      check_fits t ~available:len ~count;
+      read_run k ~sz:t.elem_size b off ~count
+  | None -> unpack_array t (Wire.reader_of_slice b ~pos:off ~len) ~count
+
+let unpack_slice_into (t : 'a t) (b : Bytes.t) ~off ~len (dst : 'a array) ~pos ~count =
+  if pos < 0 || count < 0 || pos > Array.length dst - count then
+    invalid_arg "Datatype.unpack_into: range out of bounds";
+  check_slice ~op:"Datatype.unpack_slice_into" b ~off ~len;
+  match t.bulk with
+  | Some k ->
+      check_fits t ~available:len ~count;
+      read_run_into k ~sz:t.elem_size b off dst ~pos ~count
+  | None -> unpack_into t (Wire.reader_of_slice b ~pos:off ~len) dst ~pos ~count
 
 (* Whether the type has a bulk kernel (i.e. takes the fast path). *)
 let bulk_available t = Option.is_some t.bulk

@@ -193,6 +193,14 @@ val unpack_array : 'a t -> Wire.reader -> count:int -> 'a array
 
 val unpack_into : 'a t -> Wire.reader -> 'a array -> pos:int -> count:int -> unit
 
+(** [unpack_array] and [unpack_into] over the [len] bytes of [b] from
+    [off] (a message's payload slice), with the same errors: the fast path
+    reads the run in place and builds no {!Wire.reader}. *)
+val unpack_slice_array : 'a t -> Bytes.t -> off:int -> len:int -> count:int -> 'a array
+
+val unpack_slice_into :
+  'a t -> Bytes.t -> off:int -> len:int -> 'a array -> pos:int -> count:int -> unit
+
 (** Whether the type carries a bulk kernel (takes the fast path). *)
 val bulk_available : 'a t -> bool
 

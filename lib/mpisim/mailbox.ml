@@ -9,10 +9,12 @@
 
    Hot-path data structures are O(1) amortized:
 
-   - posted receives live in a FIFO queue; retiring or cancelling marks a
-     tombstone that is reclaimed lazily (popped when it reaches the front,
-     compacted when tombstones outnumber live entries), so post/retire
-     never walk the queue the way the previous list-append design did;
+   - a receive whose message is already queued takes it at once and
+     needs no record ([take]); one that waits joins a FIFO of posted
+     receives chained through the records' own [p_next] links, and
+     leaves it when a delivery matches it (the scan knows its
+     predecessor), so posting, matching and retiring allocate nothing
+     beyond the record; only a cancel walks the FIFO;
    - unexpected messages sit in one flat open-addressing table keyed on
      (context, src, tag), each key's FIFO chained through the messages'
      own [next] links, so queueing and taking a message allocate nothing:
@@ -44,25 +46,26 @@ type posted = {
   p_src : int;  (* may be [any_source] *)
   p_tag : int;  (* may be [any_tag] *)
   p_id : int;
-  p_clock : float;  (* receiver's virtual clock when the recv was posted *)
+  p_clock : int;  (* receiver's virtual clock when the recv was posted, a stamp *)
   mutable p_msg : Message.t;  (* [Message.nil] until matched *)
-  mutable p_cancelled : bool;
-  mutable p_dead : bool;  (* tombstone: retired or cancelled, skip on scan *)
+  mutable p_live : bool;  (* counted in [posted_depth]: not yet retired or cancelled *)
   mutable p_deferred : bool;  (* model checker owns this match choice *)
+  mutable p_next : posted;  (* the next waiting receive, or [no_posted] *)
 }
 
-(* No receive: the idle state of a persistent receive between cycles. *)
-let no_posted =
+(* No receive: the idle state of a persistent receive between cycles, and
+   the end of the waiting FIFO. *)
+let rec no_posted =
   {
     p_context = -1;
     p_src = any_source;
     p_tag = any_tag;
     p_id = -1;
-    p_clock = 0.;
+    p_clock = 0;
     p_msg = Message.nil;
-    p_cancelled = true;
-    p_dead = true;
+    p_live = false;
     p_deferred = false;
+    p_next = no_posted;
   }
 
 type t = {
@@ -75,13 +78,14 @@ type t = {
   mutable u_head : Message.t array;
   mutable u_tail : Message.t array;
   mutable n_keys : int;  (* live slots *)
-  posted : posted Queue.t;  (* in posting order, with tombstones *)
-  mutable n_tombstones : int;
+  (* The receives waiting for a message, in posting order. *)
+  mutable w_head : posted;
+  mutable w_tail : posted;
   mutable next_posted_id : int;
   (* O(1) depth counters so the runtime can histogram queue depths without
      walking the structures on every delivery. *)
   mutable n_unexpected : int;
-  mutable n_posted : int;  (* live entries of [posted] *)
+  mutable n_posted : int;  (* receives that waited and are not yet retired *)
   (* Set by the model checker for its own runs only: wildcard receives
      defer their match to the explorer's resolver. *)
   mutable defer_wildcards : bool;
@@ -93,54 +97,47 @@ let set_defer_wildcards t on = t.defer_wildcards <- on
 
 let defers_wildcards t = t.defer_wildcards
 
+(* The match time — when a synchronous sender may complete — is when both
+   the message has arrived AND the receiver was ready for it (stamps take
+   their maximum as the times do). *)
+let stamp_match (m : Message.t) ~clock =
+  m.Message.matched_stamp <- Int.max m.Message.arrival_stamp clock
+
 let posted_matches (p : posted) (m : Message.t) =
-  p.p_msg == Message.nil && (not p.p_cancelled) && (not p.p_deferred)
+  (not p.p_deferred)
   && p.p_context = m.Message.context
   && src_matches p.p_src m.Message.src
   && tag_matches p.p_tag m.Message.tag
 
-let match_posted (p : posted) (m : Message.t) =
-  p.p_msg <- m;
-  m.Message.matched_time <- Float.max m.Message.arrival p.p_clock
+let append t p =
+  if t.w_tail == no_posted then t.w_head <- p else t.w_tail.p_next <- p;
+  t.w_tail <- p
 
-(* Reclaim the dead prefix of the posted queue: cheap, and it keeps the
-   common post/match/retire cycle from accumulating queue nodes. *)
-let rec drop_dead_prefix t =
-  if (not (Queue.is_empty t.posted)) && (Queue.peek t.posted).p_dead then begin
-    ignore (Queue.pop t.posted);
-    t.n_tombstones <- t.n_tombstones - 1;
-    drop_dead_prefix t
-  end
+(* Unlink waiting receive [p], whose predecessor is [prev] ([no_posted]
+   at the head). *)
+let unlink t prev p =
+  if prev == no_posted then t.w_head <- p.p_next else prev.p_next <- p.p_next;
+  if t.w_tail == p then t.w_tail <- prev;
+  p.p_next <- no_posted
 
-(* Deliver [m] to the oldest compatible posted receive, if any.  The match
-   time — which is when a synchronous sender may complete — is when both
-   the message has arrived AND the receiver was ready for it.  The scan
-   visits entries in posting order and stops at the first live match;
-   tombstones are skipped (and reclaimed when they reach the front).  The
-   front entry, live after the reclaim, is tried first without building
-   the scan's closure: in a blocking exchange it is the receive waiting
-   for this very message. *)
-let try_match_posted t (m : Message.t) =
-  drop_dead_prefix t;
-  if Queue.is_empty t.posted then false
-  else if posted_matches (Queue.peek t.posted) m then begin
-    match_posted (Queue.peek t.posted) m;
+(* Unlink [p] wherever it waits, walking from [q] (whose predecessor is
+   [prev]); nothing if it does not wait. *)
+let rec remove_from t prev q p =
+  if q != no_posted then if q == p then unlink t prev p else remove_from t q q.p_next p
+
+(* Deliver [m] to the oldest compatible waiting receive, if any: the scan
+   visits the FIFO in posting order and unlinks the first match. *)
+let rec match_from t prev p (m : Message.t) =
+  if p == no_posted then false
+  else if posted_matches p m then begin
+    unlink t prev p;
+    p.p_msg <- m;
+    stamp_match m ~clock:p.p_clock;
     true
   end
-  else begin
-    let matched = ref false in
-    (try
-       Queue.iter
-         (fun p ->
-           if (not p.p_dead) && posted_matches p m then begin
-             match_posted p m;
-             matched := true;
-             raise Exit
-           end)
-         t.posted
-     with Exit -> ());
-    !matched
-  end
+  else match_from t p p.p_next m
+
+let try_match_posted t m = match_from t no_posted t.w_head m
 
 (* The table's home slot of a key: an integer mix, masked. *)
 let home t ctx src tag =
@@ -186,8 +183,8 @@ let create () =
     u_head = Array.make min_slots Message.nil;
     u_tail = Array.make min_slots Message.nil;
     n_keys = 0;
-    posted = Queue.create ();
-    n_tombstones = 0;
+    w_head = no_posted;
+    w_tail = no_posted;
     next_posted_id = 0;
     n_unexpected = 0;
     n_posted = 0;
@@ -296,50 +293,87 @@ let count_eligible t ~context ~src ~tag =
   done;
   !n
 
-(* Post a receive at receiver-clock [now].  If a compatible unexpected
-   message exists it is matched immediately (match time: both sides
-   ready) and the receive never enters the posted queue: it is born a
-   tombstone, so retiring it later leaves the live count alone.
-
-   Under the model checker ([defer_wildcards]), wildcard receives are NOT
+(* A receive at receiver-clock [clock] (a stamp), in two halves.  Under
+   the model checker ([defer_wildcards]), wildcard receives are NOT
    matched eagerly: the match is the decision point being explored, so
-   the post parks as deferred and the explorer's quiescence resolver
+   the receive waits as deferred and the explorer's quiescence resolver
    picks among the candidates.  Exact (src, tag) receives stay eager —
    non-overtaking makes their match unique, so deferring them would only
-   multiply equivalent schedules. *)
-let post t ~context ~src ~tag ~now =
+   multiply equivalent schedules.
+
+   [take]: the oldest queued message the receive matches at once, taken
+   off its FIFO with its match time set and a receive id spent on it
+   ([last_posted_id]); or [Message.nil], with nothing spent.  A receive
+   that takes its message this way needs no record. *)
+let defers t ~src ~tag = t.defer_wildcards && (src = any_source || tag = any_tag)
+
+let take t ~context ~src ~tag ~clock =
+  let i = if defers t ~src ~tag then -1 else find_slot t ~context ~src ~tag in
+  if i < 0 then Message.nil
+  else begin
+    t.next_posted_id <- t.next_posted_id + 1;
+    let m = take_head t i in
+    stamp_match m ~clock;
+    m
+  end
+
+let last_posted_id t = t.next_posted_id - 1
+
+(* [enqueue]: a receive that found nothing to [take] waits at the tail of
+   the FIFO, for a delivery to match it. *)
+let enqueue t ~context ~src ~tag ~clock =
   let p =
     {
       p_context = context;
       p_src = src;
       p_tag = tag;
       p_id = t.next_posted_id;
-      p_clock = now;
+      p_clock = clock;
       p_msg = Message.nil;
-      p_cancelled = false;
-      p_dead = false;
-      p_deferred = t.defer_wildcards && (src = any_source || tag = any_tag);
+      p_live = true;
+      p_deferred = defers t ~src ~tag;
+      p_next = no_posted;
     }
   in
   t.next_posted_id <- t.next_posted_id + 1;
-  let i = if p.p_deferred then -1 else find_slot t ~context ~src ~tag in
-  if i >= 0 then begin
-    p.p_dead <- true;
-    match_posted p (take_head t i)
-  end
-  else begin
-    Queue.add p t.posted;
-    t.n_posted <- t.n_posted + 1
-  end;
+  append t p;
+  t.n_posted <- t.n_posted + 1;
   p
+
+(* Both halves, for callers that need a record either way: a receive that
+   takes its message at once gets one born retired, so retiring it leaves
+   the live count alone. *)
+let post_at t ~context ~src ~tag ~clock =
+  let m = take t ~context ~src ~tag ~clock in
+  if m == Message.nil then enqueue t ~context ~src ~tag ~clock
+  else
+    {
+      p_context = context;
+      p_src = src;
+      p_tag = tag;
+      p_id = last_posted_id t;
+      p_clock = clock;
+      p_msg = m;
+      p_live = false;
+      p_deferred = false;
+      p_next = no_posted;
+    }
+
+(* [post_at] at a clock given as a float, as tests and benchmarks post. *)
+let post t ~context ~src ~tag ~now = post_at t ~context ~src ~tag ~clock:(Message.stamp now)
 
 (* ---- Model-checker resolver API (only used under [defer_wildcards]) ---- *)
 
 (* Visit every live deferred receive, in posting order. *)
 let iter_deferred t f =
-  Queue.iter
-    (fun p -> if (not p.p_dead) && p.p_deferred && p.p_msg == Message.nil then f p)
-    t.posted
+  let rec go p =
+    if p != no_posted then begin
+      let next = p.p_next in
+      if p.p_deferred then f p;
+      go next
+    end
+  in
+  go t.w_head
 
 (* The candidate set for a deferred receive: the *heads* of each matching
    per-(src, tag) FIFO, sorted by global seq.  Non-head messages in those
@@ -368,29 +402,16 @@ let resolve_deferred t (p : posted) (m : Message.t) =
     invalid_arg "Mailbox.resolve_deferred: candidate is not a queue head";
   ignore (take_head t i);
   p.p_deferred <- false;
-  match_posted p m
+  remove_from t no_posted t.w_head p;
+  p.p_msg <- m;
+  stamp_match m ~clock:p.p_clock
 
-(* Rebuild the posted queue without tombstones.  Amortized O(1): it runs
-   only when tombstones outnumber live entries, and each removed entry was
-   added exactly once.  Keeping tombstones below the live count matters
-   because an unexpected delivery scans the whole queue; with no live
-   entries left the queue is simply emptied. *)
-let compact_posted t =
-  if t.n_posted = 0 then Queue.clear t.posted
-  else begin
-    let live = Queue.create () in
-    Queue.iter (fun p -> if not p.p_dead then Queue.add p live) t.posted;
-    Queue.clear t.posted;
-    Queue.transfer live t.posted
-  end;
-  t.n_tombstones <- 0
-
+(* Retire or cancel: a receive still waiting leaves the FIFO. *)
 let drop_posted t (p : posted) =
-  if not p.p_dead then begin
-    p.p_dead <- true;
-    t.n_posted <- t.n_posted - 1;
-    t.n_tombstones <- t.n_tombstones + 1;
-    if t.n_tombstones > t.n_posted then compact_posted t
+  if p.p_live then begin
+    p.p_live <- false;
+    if p.p_msg == Message.nil then remove_from t no_posted t.w_head p;
+    t.n_posted <- t.n_posted - 1
   end
 
 (* Cancel a posted receive that has NOT matched.  Per MPI semantics a
@@ -403,7 +424,6 @@ let cancel t p =
       "Mailbox.cancel: receive already matched message from rank %d (tag %d); a matched \
        receive must be completed, not cancelled"
       m.Message.src m.Message.tag;
-  p.p_cancelled <- true;
   drop_posted t p
 
 (* Once a posted receive has matched, drop it from the posted list. *)
@@ -416,10 +436,11 @@ let posted_depth t = t.n_posted
 let pending_counts t = (t.n_unexpected, t.n_posted)
 
 (* Structure-size observers for tests: live keys and slots of the
-   unexpected index, and physical entries (live + tombstones) in the
-   posted queue. *)
+   unexpected index, and the receives in the waiting FIFO. *)
 let unexpected_key_count t = t.n_keys
 
 let unexpected_slots t = Array.length t.u_ctx
 
-let posted_physical_length t = Queue.length t.posted
+let posted_physical_length t =
+  let rec go p n = if p == no_posted then n else go p.p_next (n + 1) in
+  go t.w_head 0

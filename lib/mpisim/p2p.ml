@@ -12,7 +12,9 @@
    Every send form goes through [check_send] and [inject]; every receive
    form — blocking, nonblocking, persistent, raw bytes — through one
    [post], one wake rule ([Comm.matched_or_gone]) and one
-   [complete], and keeps only its own unpack step (DESIGN.md §4).
+   [complete], and keeps only its own unpack step (DESIGN.md §4).  A
+   blocking receive posts in two halves: a message already queued is
+   taken and finished with no posted record ([take], [finish]).
 
    All functions operate in communicator ranks; translation to world ranks
    happens here. *)
@@ -69,6 +71,30 @@ let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_ra
 
 let inflight comm = (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
 
+(* The ops every message is profiled under, each with a fixed slot in
+   its run's profile ([Profiling.record_slot]): a message hashes no op
+   name. *)
+type op = { name : string; slot : int }
+
+let op_send = { name = "send"; slot = 0 }
+
+let op_ssend = { name = "ssend"; slot = 1 }
+
+let op_isend = { name = "isend"; slot = 2 }
+
+let op_issend = { name = "issend"; slot = 3 }
+
+let op_recv = { name = "recv"; slot = 4 }
+
+let op_irecv = { name = "irecv"; slot = 5 }
+
+let op_probe = { name = "probe"; slot = 6 }
+
+let op_iprobe = { name = "iprobe"; slot = 7 }
+
+let record comm op ~bytes =
+  Profiling.record_slot (Comm.runtime comm).Runtime.profile ~slot:op.slot ~op:op.name ~bytes
+
 (* ------------------------------------------------------------------ *)
 (* Sends *)
 
@@ -96,7 +122,7 @@ let inject comm ~op ~dest ~tag ~sync ~signature ~count w =
       ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w)
       ~payload_off:0 ~payload_len ~count ~signature ~sync
   in
-  Runtime.record rt ~op ~bytes:payload_len;
+  record comm op ~bytes:payload_len;
   msg
 
 let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
@@ -105,8 +131,8 @@ let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
    a pooled writer (charging the copy), inject. *)
 let send_typed comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) ~pos
     ~count =
-  check_send comm ~op ~dest ~tag;
-  check_committed dt ~op;
+  check_send comm ~op:op.name ~dest ~tag;
+  check_committed dt ~op:op.name;
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let w = Runtime.acquire_writer rt me ~capacity:(writer_capacity dt ~count) in
@@ -114,18 +140,13 @@ let send_typed comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) 
   Runtime.charge_copy rt me ~bytes:(Wire.length w);
   inject comm ~op ~dest ~tag ~sync ~signature:dt.Datatype.signature ~count w
 
-let send_range comm dt ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
+let send_range comm dt ~dest ~tag (data : 'a array) ~pos ~count =
   Comm.check_rank comm dest;
-  ignore (send_typed comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
+  ignore (send_typed comm dt ~op:op_send ~dest ~tag ~sync:false data ~pos ~count)
 
 let send comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
   send_range comm dt ~dest ~tag data ~pos:0 ~count:(Array.length data)
-
-(* Completion time of a synchronous send: the match time plus the latency
-   of the (modelled) acknowledgement. *)
-let ssend_complete_time rt (msg : Message.t) =
-  msg.Message.matched_time +. Net_model.transit_time rt.Runtime.model
 
 let issend_request comm (msg : Message.t) =
   let rt = Comm.runtime comm in
@@ -133,7 +154,7 @@ let issend_request comm (msg : Message.t) =
   Request.make
     ~ready:(fun () -> Message.is_matched msg)
     ~finalize:(fun () ->
-      Runtime.sync_clock rt me (ssend_complete_time rt msg);
+      Runtime.sync_to_ack rt me msg;
       Status.make ~source:(Comm.rank comm) ~tag:msg.Message.tag ~count:msg.Message.count
         ~bytes:(Message.bytes msg))
     ~describe:(fun () -> Format.asprintf "issend %a" Message.pp msg)
@@ -146,7 +167,7 @@ let send_user comm dt ~op ~dest ~tag ~sync (data : 'a array) =
   send_typed comm dt ~op ~dest ~tag ~sync data ~pos:0 ~count:(Array.length data)
 
 let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  let msg = send_user comm dt ~op:"ssend" ~dest ~tag ~sync:true data in
+  let msg = send_user comm dt ~op:op_ssend ~dest ~tag ~sync:true data in
   let chk = checker comm in
   if Check.enabled chk then
     Check.set_waiting chk ~rank:(Comm.world_rank comm)
@@ -164,7 +185,7 @@ let track comm ~kind req =
   req
 
 let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  let msg = send_user comm dt ~op:"isend" ~dest ~tag ~sync:false data in
+  let msg = send_user comm dt ~op:op_isend ~dest ~tag ~sync:false data in
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let complete_at = Runtime.clock rt me in
@@ -179,7 +200,7 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
        (inflight comm))
 
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  let msg = send_user comm dt ~op:"issend" ~dest ~tag ~sync:true data in
+  let msg = send_user comm dt ~op:op_issend ~dest ~tag ~sync:true data in
   track comm ~kind:"issend" (issend_request comm msg)
 
 (* A raw byte payload is [count = length] elements of one blob byte. *)
@@ -199,7 +220,7 @@ let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
   in
   Wire.put_bytes w payload ~pos:0 ~len;
   ignore
-    (inject comm ~op:"send" ~dest ~tag ~sync:false ~signature:byte_signature ~count:len w)
+    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:byte_signature ~count:len w)
 
 (* ------------------------------------------------------------------ *)
 (* The receive core *)
@@ -235,33 +256,57 @@ let note_wildcard comm ~src_world ~tag =
    matched ("matched": a=post id, b=msg seq, c=ctx, d=actual src).  Only
    emitted into stream captures (the analyzer's input), so ring traces
    keep their exact event mix; otherwise each is one branch. *)
-let note_post comm (p : Mailbox.posted) =
+let note_post comm ~src_world ~tag ~id =
   let rt = Comm.runtime comm in
   if Trace.is_streaming rt.Runtime.trace then
     Trace.instant_d rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"sim" ~name:"post"
-      ~a:p.Mailbox.p_src ~b:p.Mailbox.p_tag ~c:p.Mailbox.p_context ~d:p.Mailbox.p_id
+      ~a:src_world ~b:tag ~c:(Comm.context comm) ~d:id
 
-let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
+let note_matched comm ~id (msg : Message.t) =
   let rt = Comm.runtime comm in
   if Trace.is_streaming rt.Runtime.trace then
     Trace.instant_d rt.Runtime.trace ~rank:(Comm.world_rank comm) ~cat:"sim"
-      ~name:"matched" ~a:p.Mailbox.p_id ~b:msg.Message.seq ~c:p.Mailbox.p_context
-      ~d:msg.Message.src
+      ~name:"matched" ~a:id ~b:msg.Message.seq ~c:(Comm.context comm) ~d:msg.Message.src
 
-(* The one post: the receiver must be alive; the heavy sanitizer notes a
-   wildcard that could match several queued messages; the receive enters
-   the mailbox at this rank's clock (matching a queued message at once if
-   one fits). *)
-let post comm ~src_world ~tag =
+(* The one post, whole ([post]) or in the halves of a blocking receive
+   ([take], then [enqueue] if nothing was taken): the receiver must be
+   alive; the heavy sanitizer notes a wildcard that could match several
+   queued messages; the receive takes a queued match at once or enters
+   the mailbox, at this rank's clock. *)
+let check_post comm ~src_world ~tag =
   let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  Runtime.check_alive rt me;
-  if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
+  Runtime.check_alive rt (Comm.world_rank comm);
+  if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag
+
+let clock_stamp comm = Runtime.clock_stamp (Comm.runtime comm) (Comm.world_rank comm)
+
+let post comm ~src_world ~tag =
+  check_post comm ~src_world ~tag;
   let p =
-    Mailbox.post (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
-      ~now:(Runtime.clock rt me)
+    Mailbox.post_at (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
+      ~clock:(clock_stamp comm)
   in
-  note_post comm p;
+  note_post comm ~src_world ~tag ~id:p.Mailbox.p_id;
+  p
+
+(* The queued message a blocking receive takes with no record, or
+   [Message.nil]. *)
+let take comm ~src_world ~tag =
+  check_post comm ~src_world ~tag;
+  let mb = my_mailbox comm in
+  let msg =
+    Mailbox.take mb ~context:(Comm.context comm) ~src:src_world ~tag
+      ~clock:(clock_stamp comm)
+  in
+  if msg != Message.nil then note_post comm ~src_world ~tag ~id:(Mailbox.last_posted_id mb);
+  msg
+
+let enqueue comm ~src_world ~tag =
+  let p =
+    Mailbox.enqueue (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
+      ~clock:(clock_stamp comm)
+  in
+  note_post comm ~src_world ~tag ~id:p.Mailbox.p_id;
   p
 
 (* The error of a receive or probe whose source is gone. *)
@@ -287,9 +332,9 @@ let await comm ~op ~src_world (p : Mailbox.posted) =
     let w = comm.Comm.wait in
     w.posted <- p;
     w.src_world <- src_world;
-    w.op <- op;
-    block_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag ~describe:comm.Comm.recv_describe
-      comm.Comm.recv_ready
+    w.op <- op.name;
+    block_recv comm ~op:op.name ~src_world ~tag:p.Mailbox.p_tag
+      ~describe:comm.Comm.recv_describe comm.Comm.recv_ready
   end
 
 (* The receiver's [count] elements of [signature] against the message's:
@@ -303,52 +348,69 @@ let check_signature comm ~signature (msg : Message.t) ~op =
       msg.Message.src
       (Signature.to_string (Message.payload_signature msg))
 
-(* The one completion of a woken receive: a gone source cancels it and
-   raises; a match is retired, checked against [maxcount] and the
-   receiver's element [signature], and accounted for (clock, copy charge,
-   profile entry under [op]).  Returns the message; the caller unpacks it
-   and recycles its payload. *)
+(* The accounting of a matched receive, whichever way it matched: it is
+   checked against [maxcount] and the receiver's element [signature], and
+   accounted for (clock, copy charge, profile entry under [op]).  Returns
+   the message; the caller unpacks it and recycles its payload. *)
+let finish comm ~op ~signature ~maxcount ~id (msg : Message.t) =
+  note_matched comm ~id msg;
+  if msg.Message.count > maxcount then
+    Comm.error comm Errdefs.Err_truncate
+      "%s: message of %d elements truncated to buffer of %d" op.name msg.Message.count
+      maxcount;
+  check_signature comm ~signature msg ~op:op.name;
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  Runtime.complete_receive rt me msg;
+  Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
+  record comm op ~bytes:(Message.bytes msg);
+  msg
+
+(* The one completion of a woken posted receive: a gone source cancels it
+   and raises; a match is retired and finished. *)
 let complete comm ~op ~signature ~maxcount ~src_world (p : Mailbox.posted) =
   let mb = my_mailbox comm in
   let msg = p.Mailbox.p_msg in
   if msg == Message.nil then begin
     Mailbox.cancel mb p;
-    gone comm ~op ~src_world
+    gone comm ~op:op.name ~src_world
   end;
   Mailbox.retire mb p;
-  note_matched comm p msg;
-  if msg.Message.count > maxcount then
-    Comm.error comm Errdefs.Err_truncate
-      "%s: message of %d elements truncated to buffer of %d" op msg.Message.count maxcount;
-  check_signature comm ~signature msg ~op;
-  let rt = Comm.runtime comm in
-  let me = Comm.world_rank comm in
-  Runtime.complete_receive rt me msg;
-  Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op ~bytes:(Message.bytes msg);
-  msg
+  finish comm ~op ~signature ~maxcount ~id:p.Mailbox.p_id msg
 
-(* A blocking receive: post, wait, complete. *)
+(* A blocking receive: a queued match is taken and finished at once, with
+   no posted record; otherwise post, wait, complete. *)
 let receive comm ~op ~signature ~maxcount ~source ~tag =
   let src_world = source_world comm source in
-  let p = post comm ~src_world ~tag in
-  await comm ~op ~src_world p;
-  complete comm ~op ~signature ~maxcount ~src_world p
+  let msg = take comm ~src_world ~tag in
+  if msg != Message.nil then
+    finish comm ~op ~signature ~maxcount ~id:(Mailbox.last_posted_id (my_mailbox comm)) msg
+  else begin
+    let p = enqueue comm ~src_world ~tag in
+    await comm ~op ~src_world p;
+    complete comm ~op ~signature ~maxcount ~src_world p
+  end
 
 let status_of_msg comm (msg : Message.t) =
   Status.make
     ~source:(Comm.rank_of_world comm msg.Message.src)
     ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
 
-(* The unpack steps: into a fresh array, or into a range of caller
-   storage; both recycle the payload. *)
+(* The unpack steps, straight from the payload slice: into a fresh array,
+   or into a range of caller storage; both recycle the payload. *)
 let unpack_fresh comm dt (msg : Message.t) =
-  let data = Datatype.unpack_array dt (Message.reader msg) ~count:msg.Message.count in
+  Message.check_live msg ~op:"P2p.recv";
+  let data =
+    Datatype.unpack_slice_array dt msg.Message.payload ~off:msg.Message.payload_off
+      ~len:msg.Message.payload_len ~count:msg.Message.count
+  in
   Runtime.recycle_payload (Comm.runtime comm) msg;
   data
 
 let unpack_into comm dt (msg : Message.t) into ~pos =
-  Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
+  Message.check_live msg ~op:"P2p.recv_into";
+  Datatype.unpack_slice_into dt msg.Message.payload ~off:msg.Message.payload_off
+    ~len:msg.Message.payload_len into ~pos ~count:msg.Message.count;
   Runtime.recycle_payload (Comm.runtime comm) msg
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +420,7 @@ let unpack_into comm dt (msg : Message.t) into ~pos =
 let recv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
     'a array * Status.t =
   let msg =
-    receive comm ~op:"recv" ~signature:dt.Datatype.signature ~maxcount:max_int ~source ~tag
+    receive comm ~op:op_recv ~signature:dt.Datatype.signature ~maxcount:max_int ~source ~tag
   in
   let status = status_of_msg comm msg in
   (unpack_fresh comm dt msg, status)
@@ -368,25 +430,42 @@ let recv comm dt ?source ?tag () =
   else recv comm dt ?source ?tag ()
 
 (* [recv] without the status, for callers that would drop it: the same
-   operation, span and profile entry, minus the status and the pair. *)
-let recv_array comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
-    'a array =
+   operation, span and profile entry, minus the status and the pair.
+   [recv_fresh] takes every argument, as internal protocols call it. *)
+let recv_fresh comm (dt : 'a Datatype.t) ~source ~tag : 'a array =
   let signature = dt.Datatype.signature in
-  unpack_fresh comm dt (receive comm ~op:"recv" ~signature ~maxcount:max_int ~source ~tag)
+  unpack_fresh comm dt (receive comm ~op:op_recv ~signature ~maxcount:max_int ~source ~tag)
 
-let recv_array comm dt ?source ?tag () =
-  if tracing comm then traced comm ~op:"recv" (fun () -> recv_array comm dt ?source ?tag ())
-  else recv_array comm dt ?source ?tag ()
+let recv_fresh comm dt ~source ~tag =
+  if tracing comm then traced comm ~op:"recv" (fun () -> recv_fresh comm dt ~source ~tag)
+  else recv_fresh comm dt ~source ~tag
 
-(* MPI-style receive into a caller-provided buffer. *)
-let recv_range comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into : 'a array) :
-    Status.t =
+let recv_array comm dt ?(source = any_source) ?(tag = any_tag) () =
+  recv_fresh comm dt ~source ~tag
+
+(* MPI-style receive into a caller-provided buffer: the message, unpacked
+   and recycled. *)
+let receive_into comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into : 'a array) =
   check_range ~op:"recv_into" ~pos ~count:maxcount (Array.length into);
   let signature = dt.Datatype.signature in
-  let msg = receive comm ~op:"recv" ~signature ~maxcount ~source ~tag in
-  let status = status_of_msg comm msg in
+  let msg = receive comm ~op:op_recv ~signature ~maxcount ~source ~tag in
   unpack_into comm dt msg into ~pos;
-  status
+  msg
+
+let recv_into comm dt ~source ~tag ~pos ~maxcount into =
+  status_of_msg comm (receive_into comm dt ~source ~tag ~pos ~maxcount into)
+
+let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcount into =
+  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
+  if tracing comm then
+    traced comm ~op:"recv_into" (fun () ->
+        recv_into comm dt ~source ~tag ~pos ~maxcount into)
+  else recv_into comm dt ~source ~tag ~pos ~maxcount into
+
+(* [recv_into] with every argument given, returning the element count: a
+   collective's receive step builds no status. *)
+let recv_range comm dt ~source ~tag ~pos ~maxcount into =
+  (receive_into comm dt ~source ~tag ~pos ~maxcount into).Message.count
 
 let recv_range comm dt ~source ~tag ~pos ~maxcount into =
   if tracing comm then
@@ -394,13 +473,9 @@ let recv_range comm dt ~source ~tag ~pos ~maxcount into =
         recv_range comm dt ~source ~tag ~pos ~maxcount into)
   else recv_range comm dt ~source ~tag ~pos ~maxcount into
 
-let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcount into =
-  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
-  recv_range comm dt ~source ~tag ~pos ~maxcount into
-
 let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
   let msg =
-    receive comm ~op:"recv" ~signature:byte_signature ~maxcount:max_int ~source ~tag
+    receive comm ~op:op_recv ~signature:byte_signature ~maxcount:max_int ~source ~tag
   in
   let status = status_of_msg comm msg in
   let data = Message.payload_copy msg in
@@ -423,13 +498,12 @@ let queued comm ~src_world ~tag =
    It is the wake poll of a blocked rank's schedules. *)
 let matchable comm ~arrived ~source ~tag =
   let src_world = Comm.world_of_rank comm source in
-  let now = (Comm.runtime comm).Runtime.clocks.(Comm.world_rank comm) in
   Comm.source_gone comm ~src_world
   ||
   match
     Mailbox.head_exact (my_mailbox comm) ~context:(Comm.context comm) ~src:src_world ~tag
   with
-  | msg -> (not arrived) || msg.Message.arrival <= now
+  | msg -> (not arrived) || Runtime.arrived (Comm.runtime comm) (Comm.world_rank comm) msg
   | exception Not_found -> false
 
 (* A nonblocking receive, posted now: [wait]/[test] complete it once
@@ -442,7 +516,7 @@ let irecv_request comm ~source ~tag ~signature ~maxcount unpack =
     (Request.make
        ~ready:(fun () -> Comm.matched_or_gone comm ~src_world p)
        ~finalize:(fun () ->
-         let msg = complete comm ~op:"irecv" ~signature ~maxcount ~src_world p in
+         let msg = complete comm ~op:op_irecv ~signature ~maxcount ~src_world p in
          let status = status_of_msg comm msg in
          unpack msg;
          status)
@@ -478,14 +552,14 @@ let irecv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
 let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  Runtime.record rt ~op:"iprobe" ~bytes:0;
+  record comm op_iprobe ~bytes:0;
   let src_world = source_world comm source in
   match queued comm ~src_world ~tag with
   | None ->
       if Comm.source_gone comm ~src_world then gone comm ~op:"iprobe" ~src_world else None
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
-      Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
+      Runtime.sync_to_arrival rt (Comm.world_rank comm) msg;
       Some (status_of_msg comm msg)
 
 (* A probe waits like a receive that is never posted: until a match is
@@ -493,7 +567,7 @@ let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
 let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  Runtime.record rt ~op:"probe" ~bytes:0;
+  record comm op_probe ~bytes:0;
   let src_world = source_world comm source in
   let w = comm.Comm.wait in
   w.src_world <- src_world;
@@ -505,7 +579,7 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
   match queued comm ~src_world ~tag with
   | None -> gone comm ~op:"probe" ~src_world
   | Some msg ->
-      Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
+      Runtime.sync_to_arrival rt (Comm.world_rank comm) msg;
       status_of_msg comm msg
 
 let probe comm ?source ?tag () =
@@ -535,7 +609,7 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
   Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm)
     ~capacity:(writer_capacity dt ~count);
   let start () =
-    ignore (send_typed comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
+    ignore (send_typed comm dt ~op:op_send ~dest ~tag ~sync:false data ~pos ~count)
   in
   (* Eager send: injected at [start], so the cycle is complete immediately. *)
   Request.make ~start
@@ -560,7 +634,7 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     let p = !posted in
     if p != Mailbox.no_posted then begin
       posted := Mailbox.no_posted;
-      let msg = complete comm ~op:"recv" ~signature ~maxcount ~src_world p in
+      let msg = complete comm ~op:op_recv ~signature ~maxcount ~src_world p in
       unpack_into comm dt msg into ~pos
     end;
     Status.empty

@@ -41,9 +41,10 @@ val first_window_op : int
 val send : Comm.t -> 'a Datatype.t -> dest:int -> ?tag:int -> 'a array -> unit
 
 (** Eager send of [count] elements starting at [pos]; does not validate
-    the tag (internal protocols use reserved tags). *)
+    the tag (internal protocols use reserved tags), and takes it as a
+    plain argument, so a protocol's send boxes no option. *)
 val send_range :
-  Comm.t -> 'a Datatype.t -> dest:int -> ?tag:int -> 'a array -> pos:int -> count:int -> unit
+  Comm.t -> 'a Datatype.t -> dest:int -> tag:int -> 'a array -> pos:int -> count:int -> unit
 
 (** Synchronous send: returns once the receiver has matched. *)
 val ssend : Comm.t -> 'a Datatype.t -> dest:int -> ?tag:int -> 'a array -> unit
@@ -69,6 +70,11 @@ val recv :
     checks), returning only the data, so no status or pair is built. *)
 val recv_array : Comm.t -> 'a Datatype.t -> ?source:int -> ?tag:int -> unit -> 'a array
 
+(** [recv_array] with every argument given, as internal protocols (the
+    collectives' steps, [Cart], [Comm_ops]) call it: no optional
+    argument to box per message. *)
+val recv_fresh : Comm.t -> 'a Datatype.t -> source:int -> tag:int -> 'a array
+
 (** MPI-style receive into caller storage; raises ERR_TRUNCATE if the
     message exceeds [maxcount] (default: the space after [pos]). *)
 val recv_into :
@@ -81,8 +87,10 @@ val recv_into :
   'a array ->
   Status.t
 
-(** [recv_into] with every argument given, as the collectives' receive
-    steps call it: no optional argument to box per message. *)
+(** [recv_into] with every argument given, returning the number of
+    elements received instead of a status, as the collectives' receive
+    steps call it: no optional argument and no status to allocate per
+    message. *)
 val recv_range :
   Comm.t ->
   'a Datatype.t ->
@@ -91,7 +99,7 @@ val recv_range :
   pos:int ->
   maxcount:int ->
   'a array ->
-  Status.t
+  int
 
 (** [matchable comm ~arrived ~source ~tag]: a receive for an exact
     (source, tag) posted now would not wait — a matching message is in

@@ -11,22 +11,26 @@
    being recorded twice.  The handle pair is cached per op, so [record]
    is one string-keyed hash lookup that allocates nothing once the op is
    registered; [prepare] resolves the pair ahead of time for paths that
-   cannot afford even the lookup. *)
+   cannot afford even the lookup, and [record_slot] resolves it at the
+   first call of an op with a fixed slot and keeps it there. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
 type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
+  slots : handles option array;  (* [None] until the slot's op is first recorded *)
   mutable enabled : bool;
 }
+
+let n_slots = 16
 
 type summary = (string * int * int) list
 (* (op, calls, bytes), sorted by op name *)
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  { stats; table = Hashtbl.create 32; enabled = true }
+  { stats; table = Hashtbl.create 32; slots = Array.make n_slots None; enabled = true }
 
 let register t op =
   let h =
@@ -60,6 +64,22 @@ let record t ~op ~bytes =
     let h = handles t op in
     Stats.incr h.calls_c;
     Stats.add h.bytes_c bytes
+  end
+
+(* [record ~op] for an op that always comes with the same [slot]: the
+   lookup runs once per table, at the op's first call, so the op enters
+   [snapshot] exactly when [record] would have entered it. *)
+let record_slot t ~slot ~op ~bytes =
+  if t.enabled then begin
+    let h =
+      match t.slots.(slot) with
+      | Some h -> h
+      | None ->
+          let h = handles t op in
+          t.slots.(slot) <- Some h;
+          h
+    in
+    record_prepared t h ~bytes
   end
 
 let set_enabled t b = t.enabled <- b

@@ -29,6 +29,16 @@ val prepare : t -> string -> prepared
 
 val record_prepared : t -> prepared -> bytes:int -> unit
 
+(** Slots of a table's handle cache: [0 <= slot < n_slots]. *)
+val n_slots : int
+
+(** [record_slot t ~slot ~op ~bytes] is [record t ~op ~bytes] for an op
+    that is always recorded with the same [slot] (the point-to-point ops
+    of every message): the handles are looked up at the op's first call
+    in [t] and kept in the slot, so later calls hash nothing.  Until that
+    first call the op is not in [t], as with {!record}. *)
+val record_slot : t -> slot:int -> op:string -> bytes:int -> unit
+
 val set_enabled : t -> bool -> unit
 
 val snapshot : t -> summary

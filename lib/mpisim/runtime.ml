@@ -70,6 +70,8 @@ type t = {
   mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
+  (* The latency sample on its way into [Stats.observe_at], unboxed. *)
+  sample : float array;
 }
 
 exception Process_killed of int
@@ -129,6 +131,7 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
     progress = 0;
     msg_seq = 0;
     next_context = 0;
+    sample = [| 0. |];
   }
 
 let bump_progress t = t.progress <- t.progress + 1
@@ -142,6 +145,16 @@ let fresh_context t =
 
 let clock t rank = t.clocks.(rank)
 
+(* [Message.stamp] and [Message.time], local so that they inline: the
+   message path below reads and writes stamps without boxing a float. *)
+let[@inline] stamp (x : float) = Int64.to_int (Int64.bits_of_float x) lxor min_int
+
+let[@inline] time s =
+  Int64.float_of_bits (Int64.logand (Int64.of_int (s lxor min_int)) Int64.max_int)
+
+(* [rank]'s clock as a stamp, for a posted receive. *)
+let clock_stamp t rank = stamp t.clocks.(rank)
+
 (* Inlined into this module's callers so the float amount is never boxed
    for a call. *)
 let[@inline] advance_clock t rank dt =
@@ -150,11 +163,23 @@ let[@inline] advance_clock t rank dt =
     t.busy.(rank) <- t.busy.(rank) +. dt
   end
 
-let sync_clock t rank time =
+let[@inline] sync_clock t rank time =
   if time > t.clocks.(rank) then begin
     t.blocked.(rank) <- t.blocked.(rank) +. (time -. t.clocks.(rank));
     t.clocks.(rank) <- time
   end
+
+(* Whether [m] has arrived by [rank]'s clock. *)
+let arrived t rank (m : Message.t) = time m.Message.arrival_stamp <= t.clocks.(rank)
+
+(* Wait on [rank]'s clock for [m] to arrive (a probe observes it). *)
+let sync_to_arrival t rank (m : Message.t) =
+  sync_clock t rank (time m.Message.arrival_stamp)
+
+(* Complete a synchronous send of the matched [m]: its match time plus the
+   latency of the (modelled) acknowledgement. *)
+let sync_to_ack t rank (m : Message.t) =
+  sync_clock t rank (time m.Message.matched_stamp +. Net_model.transit_time t.model)
 
 (* Measured CPU segments are reported by the engine through this hook.
    When tracing, the segment becomes a complete span on the rank's CPU
@@ -168,6 +193,11 @@ let on_cpu_segment t rank dt =
 (* Charge modelled compute explicitly (used by Virtual_only programs and by
    cost knobs that represent work our implementation does not perform). *)
 let charge_compute t rank seconds = advance_clock t rank seconds
+
+(* The O(p) scan of a dense vector collective's count arrays: [entries]
+   of them at the model's per-entry cost. *)
+let charge_dense_scan t rank ~entries =
+  advance_clock t rank (float_of_int entries *. t.model.Net_model.dense_scan_byte)
 
 (* Pack/unpack cost: in Measured mode this CPU work is captured by segment
    measurement; in Virtual_only mode we charge the model's copy rate. *)
@@ -298,8 +328,8 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
     | None ->
         let lam = tick_lamport t src in
         Message.create ~crc:(-1) ~link_seq:(-1) ~lamport:lam ~context ~src ~dst ~tag ~payload
-          ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival:(sent_at +. transit)
-          ~seq ~sync
+          ~payload_off ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
+          ~arrival_stamp:(stamp (sent_at +. transit)) ~seq ~sync
     | Some ch ->
         let arrival, crc, link_seq =
           chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off
@@ -307,7 +337,8 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
         in
         let lam = tick_lamport t src in
         Message.create ~crc ~link_seq ~lamport:lam ~context ~src ~dst ~tag ~payload
-          ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync
+          ~payload_off ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
+          ~arrival_stamp:(stamp arrival) ~seq ~sync
   in
   let lam = m.Message.lamport in
   (* The level test keeps the disabled path from building the log closure. *)
@@ -357,11 +388,13 @@ let complete_receive t rank (m : Message.t) =
            "recv: payload CRC mismatch on message from rank %d" m.Message.src
      end
    end);
-  let was_waiting = m.Message.arrival > t.clocks.(rank) in
-  sync_clock t rank m.Message.arrival;
+  let arrival = time m.Message.arrival_stamp in
+  let was_waiting = arrival > t.clocks.(rank) in
+  sync_clock t rank arrival;
   (* Consumed-at latency: how long after the sender released the message
      the receiver actually absorbed it (transit + queueing + skew). *)
-  Stats.observe t.metrics.msg_latency (t.clocks.(rank) -. m.Message.sent_at);
+  t.sample.(0) <- t.clocks.(rank) -. time m.Message.sent_stamp;
+  Stats.observe_at t.metrics.msg_latency t.sample 0;
   (* Lamport receive rule: merge the sender's clock, then tick. *)
   let lam = (if m.Message.lamport > t.lamport.(rank) then m.Message.lamport else t.lamport.(rank)) + 1 in
   t.lamport.(rank) <- lam;

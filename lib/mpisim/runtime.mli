@@ -57,6 +57,9 @@ type t = {
   mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
+  sample : float array;
+      (** one slot: a latency sample on its way into {!Stats.observe_at},
+          so the float crosses the call unboxed *)
 }
 
 (** Raised inside a fiber whose rank was failed by injection. *)
@@ -93,12 +96,33 @@ val advance_clock : t -> int -> float -> unit
 (** Move a rank's clock forward to [time] if it is behind. *)
 val sync_clock : t -> int -> float -> unit
 
+(** The message path's clock reads and moves, over the message's time
+    stamps ({!Message.stamp}) so no float crosses a module boundary
+    boxed: [clock_stamp t rank] is the rank's clock as a stamp (a posted
+    receive's); [arrived t rank m] whether [m] has arrived by the rank's
+    clock; [sync_to_arrival t rank m] waits on the clock for [m] (a probe
+    observes it); [sync_to_ack t rank m] completes a synchronous send of
+    the matched [m] at its match time plus the acknowledgement's
+    latency. *)
+val clock_stamp : t -> int -> int
+
+val arrived : t -> int -> Message.t -> bool
+
+val sync_to_arrival : t -> int -> Message.t -> unit
+
+val sync_to_ack : t -> int -> Message.t -> unit
+
 (** Measured CPU segments, reported by the engine. *)
 val on_cpu_segment : t -> int -> float -> unit
 
 (** Charge modelled compute explicitly (Virtual_only programs; modelled
     work our implementation does not perform). *)
 val charge_compute : t -> int -> float -> unit
+
+(** Charge the scan of a dense vector collective's count arrays:
+    [entries] of them at the model's [dense_scan_byte] each (computed
+    here, so no float crosses the call). *)
+val charge_dense_scan : t -> int -> entries:int -> unit
 
 (** Pack/unpack cost: charged from the model in Virtual_only mode (it is
     measured for real in Measured mode). *)
@@ -122,9 +146,10 @@ val kill : t -> int -> unit
 
 val any_failed : t -> bool
 
-(** A pooled writer for packing one outgoing message on [rank].  Its
+(** [rank]'s pooled writer, for packing one outgoing message.  Its
     storage must end up either in an injected message (via
-    [Wire.unsafe_contents]) or back in the pool. *)
+    [Wire.unsafe_contents]) or back in the pool; the record itself is
+    handed out again by the next acquire on [rank] ({!Wire.acquire}). *)
 val acquire_writer : t -> int -> capacity:int -> Wire.writer
 
 (** Pre-warm [rank]'s pool so its next [acquire_writer] returns a

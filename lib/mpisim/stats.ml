@@ -57,10 +57,11 @@ let create () =
     histogram_order = [];
   }
 
+(* A hit is a [Hashtbl.find]: no option is boxed for the handle. *)
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.counters name with
+  | c -> c
+  | exception Not_found ->
       let c = { n = 0 } in
       Hashtbl.replace t.counters name c;
       t.counter_order <- name :: t.counter_order;
@@ -123,6 +124,8 @@ let[@inline] observe h v =
   if v > h.moments.(2) then h.moments.(2) <- v
 
 let[@inline] observe_int h n = observe h (float_of_int n)
+
+let observe_at h (a : float array) i = observe h a.(i)
 
 let total h = h.total
 

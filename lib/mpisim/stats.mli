@@ -50,6 +50,11 @@ val observe : histogram -> float -> unit
 
 val observe_int : histogram -> int -> unit
 
+(** [observe_at h a i] observes [a.(i)]: a float computed in another
+    module crosses into this one unboxed when it comes in a float array
+    (an argument of type [float] is boxed at every call). *)
+val observe_at : histogram -> float array -> int -> unit
+
 val total : histogram -> int
 
 val sum : histogram -> float

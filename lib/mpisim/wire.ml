@@ -212,8 +212,9 @@ let reader_storage r = r.data
    free list takes no lock.
 
    The free list is a fixed stack of [max_buffers] slots (the top is the
-   most recently recycled buffer), so a hit allocates nothing but the
-   writer record and a recycle allocates nothing at all. *)
+   most recently recycled buffer), and the pool owns the one writer
+   record it hands out, refilled on every acquire: a hit and a recycle
+   allocate nothing at all. *)
 
 type pool = {
   free : Bytes.t array;  (* slots [0, n_free) are live; the top is [n_free - 1] *)
@@ -222,6 +223,7 @@ type pool = {
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
   mutable hits : int;  (* acquires served from the free list *)
   mutable misses : int;  (* acquires that had to allocate *)
+  writer : writer;  (* handed out by every acquire *)
 }
 
 let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
@@ -235,23 +237,30 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
     max_retain;
     hits = 0;
     misses = 0;
+    writer = { buf = Bytes.empty; len = 0 };
   }
 
-(* A fresh writer over pooled storage.  The hint only sizes a miss; a
+(* The pool's writer over pooled storage.  The hint only sizes a miss; a
    pooled buffer grows on demand like any other writer. *)
 let acquire pool ~capacity =
-  if pool.n_free > 0 then begin
-    let top = pool.n_free - 1 in
-    let b = pool.free.(top) in
-    pool.free.(top) <- Bytes.empty;
-    pool.n_free <- top;
-    pool.hits <- pool.hits + 1;
-    { buf = b; len = 0 }
-  end
-  else begin
-    pool.misses <- pool.misses + 1;
-    create_writer ~capacity:(max 1 capacity) ()
-  end
+  let b =
+    if pool.n_free > 0 then begin
+      let top = pool.n_free - 1 in
+      let b = pool.free.(top) in
+      pool.free.(top) <- Bytes.empty;
+      pool.n_free <- top;
+      pool.hits <- pool.hits + 1;
+      b
+    end
+    else begin
+      pool.misses <- pool.misses + 1;
+      Bytes.create (max 1 capacity)
+    end
+  in
+  let w = pool.writer in
+  w.buf <- b;
+  w.len <- 0;
+  w
 
 let recycle pool (b : Bytes.t) =
   if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin

@@ -114,8 +114,11 @@ type pool
     transfer cannot pin memory. *)
 val create_pool : ?max_buffers:int -> ?max_retain:int -> unit -> pool
 
-(** A fresh writer over pooled (or, on a miss, newly allocated) storage.
-    [capacity] only sizes a miss; pooled buffers grow on demand. *)
+(** The pool's writer, emptied, over pooled (or, on a miss, newly
+    allocated) storage.  [capacity] only sizes a miss; pooled buffers
+    grow on demand.  A pool has one writer record, which every acquire
+    hands out again: a writer is good until the next acquire on its pool,
+    so take its storage ({!writer_storage}, {!unsafe_contents}) first. *)
 val acquire : pool -> capacity:int -> writer
 
 (** Return detached writer storage to the pool. *)
