@@ -25,7 +25,7 @@ let recv_with_status comm (codec : 'a Serial.Codec.t) ?source ?tag () : 'a * Sta
   let payload, status = P2p.recv_bytes (c comm) ?source ?tag () in
   (Serial.Archive.decode codec payload, status)
 
-let bcast_tag = P2p.internal_tag 32
+let bcast_tag = Coll_algo.tag_bcast_serialized
 
 (* Binomial-tree broadcast of a serialized value; root passes [~value]. *)
 let bcast comm (codec : 'a Serial.Codec.t) ~root ?value () : 'a =

@@ -103,11 +103,14 @@ let shift t ~dim ~disp : int option * int option =
 (* Halo exchange along one dimension: simultaneously send [to_prev] toward
    coordinate-1 and [to_next] toward coordinate+1; returns
    (from_prev, from_next), [None] at open boundaries.  Collective along
-   the dimension. *)
+   the dimension.  One tag serves every dimension: a neighbour along one
+   dimension differs from this rank in that coordinate only, so it is
+   never a neighbour along another, and two ranks' halo messages are all
+   of one dimension. *)
 let halo_exchange t (dt : 'a Datatype.t) ~dim ~(to_prev : 'a array) ~(to_next : 'a array)
     : 'a array option * 'a array option =
   let prev, next = shift t ~dim ~disp:1 in
-  let tag = P2p.internal_tag (40 + dim) in
+  let tag = Coll_algo.tag_halo_exchange in
   (match prev with
   | Some p -> P2p.send_range t.comm dt ~dest:p ~tag to_prev ~pos:0 ~count:(Array.length to_prev)
   | None -> ());

@@ -293,7 +293,6 @@ type transfer = {
   tr_delay : float;  (* extra arrival delay: backoff + jitter + reorder *)
   tr_sender_busy : float;  (* retransmission cost charged to the sender *)
   tr_corrupt : bool;  (* payload delivered corrupted (deliver_corrupt) *)
-  tr_link_seq : int;  (* this link's reliable-layer sequence number *)
 }
 
 let partition_active t ~src ~dst ~at =
@@ -335,7 +334,6 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
         tr_delay = delay;
         tr_sender_busy = busy;
         tr_corrupt = false;
-        tr_link_seq = link_seq;
       }
     end
     else begin
@@ -407,7 +405,6 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
           tr_delay = delay;
           tr_sender_busy = busy;
           tr_corrupt = corrupt_delivered;
-          tr_link_seq = link_seq;
         }
       end
     end

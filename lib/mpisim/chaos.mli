@@ -129,7 +129,6 @@ type transfer = {
   tr_delay : float;  (** extra arrival delay (backoff + jitter + reorder) *)
   tr_sender_busy : float;  (** retransmission cost charged to the sender *)
   tr_corrupt : bool;  (** payload delivered corrupted ([deliver_corrupt]) *)
-  tr_link_seq : int;  (** reliable-layer per-link sequence number *)
 }
 
 (** Decide the fate of the message with global sequence number [seq]

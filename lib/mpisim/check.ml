@@ -262,14 +262,11 @@ let clear_waiting t ~rank = t.waiting.(rank) <- None
 
 let describe_waiting = function
   | Wrecv { src; tag; ctx; op } ->
-      if src < 0 then Printf.sprintf "%s(src=any, tag=%s, ctx=%d)" op
-          (if tag < 0 then "any" else string_of_int tag)
-          ctx
-      else
-        Printf.sprintf "%s(src=%d, tag=%s, ctx=%d)" op src
-          (if tag < 0 then "any" else string_of_int tag)
-          ctx
-  | Wssend { dst; tag; op } -> Printf.sprintf "%s(dst=%d, tag=%d)" op dst tag
+      let tag = if tag < 0 then "any" else Coll_algo.describe_tag tag in
+      if src < 0 then Printf.sprintf "%s(src=any, tag=%s, ctx=%d)" op tag ctx
+      else Printf.sprintf "%s(src=%d, tag=%s, ctx=%d)" op src tag ctx
+  | Wssend { dst; tag; op } ->
+      Printf.sprintf "%s(dst=%d, tag=%s)" op dst (Coll_algo.describe_tag tag)
 
 (* The rank this pending op is waiting on, if deterministic. *)
 let waits_on = function

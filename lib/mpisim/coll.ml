@@ -36,8 +36,12 @@
 
    Each algorithm is written once, as a schedule: rounds of [send],
    [recv] and [recv_fold] steps over caller buffers given as ranges, plus
-   local copies and folds.  A driver value [x] says how a receive step
-   waits.  Blocking calls run the schedule straight through.  Nonblocking
+   local copies and folds.  Every step sends or receives on the
+   algorithm's own entry of [Coll_algo]'s internal-tag table, so the tag
+   alone tells the communication matrix, a blocked call's report and a
+   count error which algorithm (or lowered phase) moved the message.  A
+   driver value [x] says how a receive step waits.  Blocking calls run
+   the schedule straight through.  Nonblocking
    calls and persistent cycles run it progressively: a receive whose
    message is not there suspends the schedule, which tests and the rank's
    blocking waits resume (DESIGN.md §6.1).
@@ -45,44 +49,6 @@
    Every collective starts with [Comm.check_collective], which raises
    ERR_REVOKED / ERR_PROC_FAILED per ULFM semantics and, with the {!Check}
    sanitizer on, feeds its collective call-order check. *)
-
-(* Internal tags, one per operation. *)
-let tag_barrier = P2p.internal_tag 0
-
-let tag_bcast = P2p.internal_tag 1
-
-let tag_gather = P2p.internal_tag 2
-
-let tag_scatter = P2p.internal_tag 3
-
-let tag_allgather = P2p.internal_tag 4
-
-let tag_allgatherv = P2p.internal_tag 5
-
-let tag_alltoall = P2p.internal_tag 6
-
-let tag_alltoallv = P2p.internal_tag 7
-
-let tag_alltoallw = P2p.internal_tag 8
-
-let tag_reduce = P2p.internal_tag 9
-
-let tag_scan = P2p.internal_tag 10
-
-let tag_neighbor = P2p.internal_tag 11
-
-let tag_allreduce = P2p.internal_tag 12
-
-let tag_reduce_scatter = P2p.internal_tag 13
-
-let tag_bcast_scatter = P2p.internal_tag 14
-
-let tag_bcast_ring = P2p.internal_tag 15
-
-(* Width of one operation instance's tag window: the tags above.
-   Posted instances take their windows from [P2p.first_window_op] up,
-   clear of every fixed internal op id. *)
-let tag_window = 16
 
 let empty_int : int array = [||]
 
@@ -164,8 +130,7 @@ let block_count (t : int array) b = t.(b + 1) - t.(b)
    is kept for test/wait.  [by_clock] is the rule the running advance
    takes steps by: a message that has arrived by the rank's virtual
    clock, or one merely in the mailbox.  [last_test] is the clock at the
-   previous test.  [label], the algorithm the schedule is in, goes with
-   its sends into the communication matrix; [algo] names its wait. *)
+   previous test. *)
 type prog = {
   comm : Comm.t;
   mutable k : (unit, unit) Effect.Deep.continuation option;
@@ -175,8 +140,6 @@ type prog = {
   mutable by_clock : bool;
   mutable error : exn option;
   mutable last_test : float;
-  mutable label : string;
-  mutable algo : string;
 }
 
 (* How a schedule's steps run: blocking ([prog = None]) or progressive.
@@ -195,43 +158,20 @@ let waits s ~by_clock =
   if s.tag >= 0 then P2p.matchable s.comm ~arrived:by_clock ~source:s.src ~tag:s.tag
   else s.until ()
 
-(* Run [f] with the rank's comm-matrix label set to [label], so every
-   message [f] injects is attributed to it.  Save/restore (rather than
-   reset to "p2p") so lowered collectives attribute to the innermost
-   algorithm actually moving the bytes. *)
-let labelled comm label f =
-  let cm = (Comm.runtime comm).Runtime.comm_matrix in
-  let me = Comm.world_rank comm in
-  let prev = Comm_matrix.label cm me in
-  Comm_matrix.set_label cm me label;
-  Fun.protect ~finally:(fun () -> Comm_matrix.set_label cm me prev) f
-
 (* The algorithm selected for this call, visible to run reports: bump the
    [coll.algo.<op>.<algo>] counter and, on the blocking driver, nest an
-   [<op>.<algo>] span inside the collective's own span and label the
-   algorithm's traffic in the communication matrix.  Both names are
+   [<op>.<algo>] span inside the collective's own span.  Both names are
    preallocated in Coll_algo, so with tracing off this costs one counter
    increment.  A progressive schedule may suspend mid-algorithm, so it
-   opens no span and leaves the rank's label alone: it keeps its own,
-   which its sends carry, and names its first algorithm in its wait.  (An
-   error ends the schedule, and a persistent cycle resets the label, so
-   none is restored on the error path.) *)
+   opens no span. *)
 let dispatch x comm alg_op algo f =
   let rt = Comm.runtime comm in
   Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
-  let name = Coll_algo.span_name alg_op algo in
-  let me = Comm.world_rank comm in
   match x.prog with
-  | Some s ->
-      let prev = s.label in
-      s.label <- name;
-      if s.algo = "" then s.algo <- Coll_algo.algo_name algo;
-      let v = f () in
-      s.label <- prev;
-      v
-  | None when Comm_matrix.enabled rt.Runtime.comm_matrix ->
-      labelled comm name (fun () -> Runtime.with_span rt me ~cat:"coll" ~name f)
-  | None -> Runtime.with_span rt me ~cat:"coll" ~name f
+  | Some _ -> f ()
+  | None ->
+      Runtime.with_span rt (Comm.world_rank comm) ~cat:"coll"
+        ~name:(Coll_algo.span_name alg_op algo) f
 
 (* A collective lowered onto another one: on the blocking driver the
    inner one gets the prologue, profile entry and span of an ad-hoc call;
@@ -241,14 +181,8 @@ let phase x comm ~op ~root ~ty ~bytes f =
 
 (* --- steps --- *)
 
-(* A progressive schedule's send carries the schedule's algorithm label
-   in the communication matrix. *)
 let send x comm dt ~tag ~dest buf ~pos ~count =
-  let tag = tag + x.shift in
-  match x.prog with
-  | Some s when Comm_matrix.enabled (Comm.runtime comm).Runtime.comm_matrix ->
-      labelled comm s.label (fun () -> P2p.send_range comm dt ~dest ~tag buf ~pos ~count)
-  | _ -> P2p.send_range comm dt ~dest ~tag buf ~pos ~count
+  P2p.send_range comm dt ~dest ~tag:(tag + x.shift) buf ~pos ~count
 
 (* On the progressive driver a receive step runs at once only if its
    message is there by the driver's current rule (or its source has
@@ -263,13 +197,13 @@ let arrived x comm ~tag ~src =
   | _ -> ()
 
 (* Receive exactly [count] elements into [buf] at [pos]. *)
-let recv x comm dt ~tag ~what ~src buf ~pos ~count =
-  let tag = tag + x.shift in
-  arrived x comm ~tag ~src;
-  let got = P2p.recv_range comm dt ~source:src ~tag ~pos ~maxcount:count buf in
+let recv x comm dt ~tag ~src buf ~pos ~count =
+  let shifted = tag + x.shift in
+  arrived x comm ~tag:shifted ~src;
+  let got = P2p.recv_range comm dt ~source:src ~tag:shifted ~pos ~maxcount:count buf in
   if got <> count then
-    Comm.error comm Errdefs.Err_count "%s: expected %d elements from rank %d, got %d" what
-      count src got
+    Comm.error comm Errdefs.Err_count "%s: expected %d elements from rank %d, got %d"
+      (Coll_algo.tag_name tag) count src got
 
 (* Receive a message of a length this rank does not know. *)
 let recv_dyn x comm dt ~tag ~src =
@@ -284,8 +218,8 @@ let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~
   done
 
 (* Receive [count] elements into [scratch] and fold them into [buf]. *)
-let recv_fold x comm dt op ~tag ~what ~src ~scratch buf ~pos ~count =
-  recv x comm dt ~tag ~what ~src scratch ~pos:0 ~count;
+let recv_fold x comm dt op ~tag ~src ~scratch buf ~pos ~count =
+  recv x comm dt ~tag ~src scratch ~pos:0 ~count;
   fold op ~acc:buf ~pos ~from:scratch ~fpos:0 ~count
 
 (* --- the progressive driver --- *)
@@ -319,11 +253,22 @@ let rec advance s ~by_clock =
       end
       else false
 
+(* Where a suspended schedule of operation [op] waits, from its tag's
+   entry: an algorithm of [op] (".recursive_doubling"), nothing for
+   [op]'s only algorithm, or the operation a lowered phase runs
+   (".bcast.binomial"); nothing while it waits for a rendezvous. *)
+let wait_suffix ~op tag =
+  let e = Coll_algo.tag_name tag in
+  let n = String.length op in
+  if tag < 0 || e = op then ""
+  else if String.starts_with ~prefix:(op ^ ".") e then String.sub e n (String.length e - n)
+  else "." ^ e
+
 (* The progressive driver: the request that runs [body], persistent
    (created inactive, each [Request.start] runs one cycle) or, for a
    nonblocking call, started at once.  A cycle runs the prologue, records
    [op] through a handle resolved here, bumps the frozen algorithm's
-   counter and sends with its label, in the tag window taken here
+   [counter] and sends in the tag window taken here
    (collectives are called in the same order everywhere, so windows
    agree); an MPI error it raises surfaces at test/wait.  A started
    schedule that has to wait joins the rank's in-flight list.  A test
@@ -332,14 +277,12 @@ let rec advance s ~by_clock =
    previous test (a polling loop), once it is in the mailbox, so polling
    completes.  One rank has no peer to wait for, so its persistent cycle
    runs at [start] with no effect handler: the allocation-free case. *)
-let schedule comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option) ~persistent
+let schedule comm ~op ~root ~ty ~bytes ~(counter : string option) ~persistent
     (body : drv -> unit) : Request.t =
   let rt = Comm.runtime comm in
   let inflight = rt.Runtime.inflight.(Comm.world_rank comm) in
   let prep = Profiling.prepare rt.Runtime.profile op in
-  let counter =
-    Option.map (fun fz -> Stats.counter rt.Runtime.stats fz.Coll_algo.frozen_counter) frozen
-  in
+  let counter = Option.map (Stats.counter rt.Runtime.stats) counter in
   let gen = comm.Comm.my_sched_gen in
   comm.Comm.my_sched_gen <- gen + 1;
   let s =
@@ -352,26 +295,23 @@ let schedule comm ~op ~root ~ty ~bytes ~(frozen : Coll_algo.frozen option) ~pers
       by_clock = true;
       error = None;
       last_test = neg_infinity;
-      label = Comm_matrix.p2p_label;
-      algo = "";
     }
   in
-  let x = { shift = P2p.first_window_op + (tag_window * gen); prog = Some s } in
-  let label =
-    match frozen with Some fz -> fz.Coll_algo.frozen_span | None -> Comm_matrix.p2p_label
+  let x =
+    { shift = Coll_algo.first_window_op + (Coll_algo.tag_window * gen); prog = Some s }
   in
-  Option.iter (fun fz -> s.algo <- Coll_algo.algo_name fz.Coll_algo.frozen_algo) frozen;
   let cycle () =
-    s.label <- label;
     prologue comm ~op ~root ~ty;
     Profiling.record_prepared rt.Runtime.profile prep ~bytes;
     Option.iter Stats.incr counter;
     body x
   in
   let name = if persistent then op ^ "_init" else op in
+  (* A posted operation is named "i" ^ the operation it runs. *)
+  let base = if persistent then op else String.sub op 1 (String.length op - 1) in
   let describe () =
-    let algo = if s.algo = "" then "" else "." ^ s.algo in
-    if s.k = None then name ^ algo else Printf.sprintf "%s%s (src %d)" name algo s.src
+    if s.k = None then name
+    else Printf.sprintf "%s%s (src %d)" name (wait_suffix ~op:base s.tag) s.src
   in
   if persistent && Comm.size comm = 1 then
     Request.make ~start:cycle ~ready:(fun () -> true) ~finalize:(fun () -> Status.empty)
@@ -416,7 +356,7 @@ let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref
   let rt = Comm.runtime comm in
   let result = ref None in
   let req =
-    schedule comm ~op ~root ~ty ~bytes ~frozen:None ~persistent:false (fun x ->
+    schedule comm ~op ~root ~ty ~bytes ~counter:None ~persistent:false (fun x ->
         result := Some (run x))
   in
   if Check.enabled rt.Runtime.check then
@@ -434,8 +374,9 @@ let barrier comm =
       while !k < n do
         let dest = (r + !k) mod n in
         let src = (r - !k + n) mod n in
-        P2p.send_range comm Datatype.int ~dest ~tag:tag_barrier empty_int ~pos:0 ~count:0;
-        ignore (P2p.recv_fresh comm Datatype.int ~source:src ~tag:tag_barrier);
+        P2p.send_range comm Datatype.int ~dest ~tag:Coll_algo.tag_barrier empty_int ~pos:0
+          ~count:0;
+        ignore (P2p.recv_fresh comm Datatype.int ~source:src ~tag:Coll_algo.tag_barrier);
         k := !k * 2
       done)
 
@@ -473,7 +414,7 @@ let ibarrier comm =
    right neighbour and receives block (v - s - 1) from its left one.
    Ring positions are ranks rotated by [rot] (bcast's root).  Empty
    blocks still flow, so the ring stays paired. *)
-let ring x comm dt ~tag ~what ~rot ~(table : int array) buf =
+let ring x comm dt ~tag ~rot ~(table : int array) buf =
   let n = Comm.size comm in
   let v = (Comm.rank comm - rot + n) mod n in
   let right = (v + 1 + rot) mod n in
@@ -482,18 +423,18 @@ let ring x comm dt ~tag ~what ~rot ~(table : int array) buf =
     let sb = (v - s + n) mod n in
     let rb = (sb - 1 + n) mod n in
     send x comm dt ~tag ~dest:right buf ~pos:table.(sb) ~count:(block_count table sb);
-    recv x comm dt ~tag ~what ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
+    recv x comm dt ~tag ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
   done
 
 (* Gather every rank's [data] into a fresh buffer laid out by [table];
    nothing moves when the total is empty. *)
-let ring_allgather comm dt ~tag ~what ~(table : int array) data =
+let ring_allgather comm dt ~tag ~(table : int array) data =
   let n = Comm.size comm in
   if table.(n) = 0 then [||]
   else begin
     let out = scratch_like dt table.(n) in
     Array.blit data 0 out table.(Comm.rank comm) (Array.length data);
-    ring blocking comm dt ~tag ~what ~rot:0 ~table out;
+    ring blocking comm dt ~tag ~rot:0 ~table out;
     out
   end
 
@@ -533,17 +474,18 @@ let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
     if vrank = 0 then buf
     else
       let src = unrotate ~n ~root (vrank - !mask) in
-      if total < 0 then recv_dyn x comm dt ~tag:tag_bcast ~src
+      if total < 0 then recv_dyn x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src
       else begin
-        recv x comm dt ~tag:tag_bcast ~what:"bcast" ~src buf ~pos:0 ~count:total;
+        recv x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src buf ~pos:0 ~count:total;
         buf
       end
   in
   mask := !mask lsr 1;
   while !mask > 0 do
     if vrank + !mask < n then
-      send x comm dt ~tag:tag_bcast ~dest:(unrotate ~n ~root (vrank + !mask)) buf ~pos:0
-        ~count:(Array.length buf);
+      send x comm dt ~tag:Coll_algo.tag_bcast_binomial
+        ~dest:(unrotate ~n ~root (vrank + !mask))
+        buf ~pos:0 ~count:(Array.length buf);
     mask := !mask lsr 1
   done;
   buf
@@ -561,20 +503,20 @@ let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
   let span v m = table.(v + Stdlib.min m (n - v)) - table.(v) in
   let mask = ref (binomial_mask ~n ~vrank) in
   if vrank <> 0 then
-    recv x comm dt ~tag:tag_bcast_scatter ~what:"bcast"
+    recv x comm dt ~tag:Coll_algo.tag_bcast_scatter
       ~src:(unrotate ~n ~root (vrank - !mask))
       buf ~pos:table.(vrank) ~count:(span vrank !mask);
   mask := !mask lsr 1;
   while !mask > 0 do
     let child = vrank + !mask in
     if child < n then
-      send x comm dt ~tag:tag_bcast_scatter ~dest:(unrotate ~n ~root child) buf
+      send x comm dt ~tag:Coll_algo.tag_bcast_scatter ~dest:(unrotate ~n ~root child) buf
         ~pos:table.(child)
         ~count:(span child !mask);
     mask := !mask lsr 1
   done;
   (* Ring allgather of the n blocks, in vrank space. *)
-  ring x comm dt ~tag:tag_bcast_ring ~what:"bcast" ~rot:root ~table buf
+  ring x comm dt ~tag:Coll_algo.tag_bcast_ring ~rot:root ~table buf
 
 (* In MPI the element count of a bcast is an argument on every rank; our
    binding takes the payload at the root only, so size-keyed algorithm
@@ -646,14 +588,14 @@ let gather_sched x comm dt ~root ~skip_empty ~(table : int array) data out =
   let len = Array.length data in
   if Comm.rank comm <> root then begin
     if not (skip_empty && len = 0) then
-      send x comm dt ~tag:tag_gather ~dest:root data ~pos:0 ~count:len
+      send x comm dt ~tag:Coll_algo.tag_gather ~dest:root data ~pos:0 ~count:len
   end
   else begin
     Array.blit data 0 out table.(root) len;
     for src = 0 to Comm.size comm - 1 do
       let count = block_count table src in
       if src <> root && not (skip_empty && count = 0) then
-        recv x comm dt ~tag:tag_gather ~what:"gather" ~src out ~pos:table.(src) ~count
+        recv x comm dt ~tag:Coll_algo.tag_gather ~src out ~pos:table.(src) ~count
     done
   end
 
@@ -703,12 +645,12 @@ let scatter_sched x comm dt ~root ~(table : int array) data =
   if Comm.rank comm = root then begin
     for dest = 0 to Comm.size comm - 1 do
       if dest <> root then
-        send x comm dt ~tag:tag_scatter ~dest data ~pos:table.(dest)
+        send x comm dt ~tag:Coll_algo.tag_scatter ~dest data ~pos:table.(dest)
           ~count:(block_count table dest)
     done;
     Array.sub data table.(root) (block_count table root)
   end
-  else recv_dyn x comm dt ~tag:tag_scatter ~src:root
+  else recv_dyn x comm dt ~tag:Coll_algo.tag_scatter ~src:root
 
 (* Validate a scatter's arguments; returns the root's data and block
    table (empty elsewhere). *)
@@ -773,9 +715,9 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
     let src = (r + !held) mod n in
     (* Send our first [send_blocks] blocks (they become the receiver's
        blocks [held..held+send_blocks-1]); receive symmetrically. *)
-    P2p.send_range comm dt ~dest ~tag:tag_allgather !buf ~pos:0
+    P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_allgather_bruck !buf ~pos:0
       ~count:(send_blocks * count);
-    let incoming = P2p.recv_fresh comm dt ~source:src ~tag:tag_allgather in
+    let incoming = P2p.recv_fresh comm dt ~source:src ~tag:Coll_algo.tag_allgather_bruck in
     buf := Array.append !buf incoming;
     held := !held + send_blocks
   done;
@@ -790,7 +732,7 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
 
 let allgather_ring_impl comm dt data =
   let n = Comm.size comm in
-  ring_allgather comm dt ~tag:tag_allgather ~what:"allgather"
+  ring_allgather comm dt ~tag:Coll_algo.tag_allgather_ring
     ~table:(even_blocks ~total:(n * Array.length data) ~parts:n)
     data
 
@@ -823,8 +765,7 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
   let bytes = Datatype.size_of_count dt (Array.length data) in
   entry comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
       charge_dense_scan comm;
-      ring_allgather comm dt ~tag:tag_allgatherv ~what:"allgatherv"
-        ~table:(blocks recv_counts) data)
+      ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~table:(blocks recv_counts) data)
 
 (* ------------------------------------------------------------------ *)
 (* Alltoall family: pairwise exchange *)
@@ -832,13 +773,14 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
 (* Round s sends block (r + s) and receives block (r - s).  [skip_empty]
    (alltoallv) skips zero-count pairs — both sides know the counts;
    alltoall and alltoallw send every pair. *)
-let alltoall_sched x comm dt ~tag ~what ~skip_empty ~(send_counts : int array)
+let alltoall_sched x comm dt ~tag ~skip_empty ~(send_counts : int array)
     ~(sdispls : int array) ~(recv_counts : int array) ~(rdispls : int array) data out =
   let n = Comm.size comm in
   let r = Comm.rank comm in
   if send_counts.(r) > 0 then begin
     if send_counts.(r) <> recv_counts.(r) then
-      Comm.error comm Errdefs.Err_count "%s: self send/recv count mismatch" what;
+      Comm.error comm Errdefs.Err_count "%s: self send/recv count mismatch"
+        (Coll_algo.tag_name tag);
     Array.blit data sdispls.(r) out rdispls.(r) send_counts.(r)
   end;
   for s = 1 to n - 1 do
@@ -847,7 +789,7 @@ let alltoall_sched x comm dt ~tag ~what ~skip_empty ~(send_counts : int array)
     if not (skip_empty && send_counts.(dest) = 0) then
       send x comm dt ~tag ~dest data ~pos:sdispls.(dest) ~count:send_counts.(dest);
     if not (skip_empty && recv_counts.(src) = 0) then
-      recv x comm dt ~tag ~what ~src out ~pos:rdispls.(src) ~count:recv_counts.(src)
+      recv x comm dt ~tag ~src out ~pos:rdispls.(src) ~count:recv_counts.(src)
   done
 
 let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
@@ -861,7 +803,7 @@ let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
       let counts = Array.make n count in
       let displs = Array.init n (fun i -> i * count) in
       let out = scratch_like dt (Array.length data) in
-      alltoall_sched blocking comm dt ~tag:tag_alltoall ~what:"alltoall" ~skip_empty:false
+      alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoall ~skip_empty:false
         ~send_counts:counts ~sdispls:displs ~recv_counts:counts ~rdispls:displs data out;
       out)
 
@@ -879,7 +821,7 @@ let alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs 
   charge_dense_scan comm;
   let n = Comm.size comm in
   let out = scratch_like dt (recv_displs.(n - 1) + recv_counts.(n - 1)) in
-  alltoall_sched x comm dt ~tag:tag_alltoallv ~what:"alltoallv" ~skip_empty:true
+  alltoall_sched x comm dt ~tag:Coll_algo.tag_alltoallv ~skip_empty:true
     ~send_counts ~sdispls:send_displs ~recv_counts ~rdispls:recv_displs data out;
   out
 
@@ -908,7 +850,7 @@ let alltoallw comm (dt : 'a Datatype.t) ~(send_counts : int array)
         (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
       let rdispls = exclusive_prefix_sum recv_counts in
       let out = scratch_like dt (rdispls.(n - 1) + recv_counts.(n - 1)) in
-      alltoall_sched blocking comm dt ~tag:tag_alltoallw ~what:"alltoallw" ~skip_empty:false
+      alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoallw ~skip_empty:false
         ~send_counts ~sdispls:(exclusive_prefix_sum send_counts) ~recv_counts ~rdispls data
         out;
       out)
@@ -960,13 +902,14 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
     let sent = ref false in
     while (not !sent) && !mask < n do
       if vrank land !mask <> 0 then begin
-        send x comm dt ~tag:tag_reduce ~dest:(unrotate ~n ~root (vrank - !mask)) acc ~pos:0
-          ~count;
+        send x comm dt ~tag:Coll_algo.tag_reduce
+          ~dest:(unrotate ~n ~root (vrank - !mask))
+          acc ~pos:0 ~count;
         sent := true
       end
       else begin
         if vrank + !mask < n then
-          recv_fold x comm dt op ~tag:tag_reduce ~what:"reduce"
+          recv_fold x comm dt op ~tag:Coll_algo.tag_reduce
             ~src:(unrotate ~n ~root (vrank + !mask))
             ~scratch acc ~pos:0 ~count;
         mask := !mask lsl 1
@@ -990,17 +933,17 @@ let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a arra
    Rabenseifner (MPICH's rem-rank scheme): with pof2 = 2^floor(log2 p)
    and rem = p - pof2, each of the first 2*rem ranks pairs up — evens
    fold their vector into the odd neighbour and sit out (newrank -1),
-   odds continue as newrank r/2; ranks >= 2*rem continue as r - rem. *)
-let fold_into_pof2 x comm dt op ~rem ~total ~scratch buf =
+   odds continue as newrank r/2; ranks >= 2*rem continue as r - rem.  It
+   sends on the [tag] of the algorithm it precedes. *)
+let fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf =
   let r = Comm.rank comm in
   if r < 2 * rem then
     if r land 1 = 0 then begin
-      send x comm dt ~tag:tag_allreduce ~dest:(r + 1) buf ~pos:0 ~count:total;
+      send x comm dt ~tag ~dest:(r + 1) buf ~pos:0 ~count:total;
       -1
     end
     else begin
-      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:(r - 1) ~scratch buf
-        ~pos:0 ~count:total;
+      recv_fold x comm dt op ~tag ~src:(r - 1) ~scratch buf ~pos:0 ~count:total;
       r / 2
     end
   else r - rem
@@ -1010,14 +953,11 @@ let unfold_rank ~rem nr = if nr < rem then (nr * 2) + 1 else nr + rem
 
 (* Mirror of the preamble: odd ranks of the first 2*rem pairs hold the
    full result and copy it back to their even neighbour. *)
-let unfold_from_pof2 x comm dt ~rem ~total buf =
+let unfold_from_pof2 x comm dt ~tag ~rem ~total buf =
   let r = Comm.rank comm in
   if r < 2 * rem then
-    if r land 1 = 1 then
-      send x comm dt ~tag:tag_allreduce ~dest:(r - 1) buf ~pos:0 ~count:total
-    else
-      recv x comm dt ~tag:tag_allreduce ~what:"allreduce" ~src:(r + 1) buf ~pos:0
-        ~count:total
+    if r land 1 = 1 then send x comm dt ~tag ~dest:(r - 1) buf ~pos:0 ~count:total
+    else recv x comm dt ~tag ~src:(r + 1) buf ~pos:0 ~count:total
 
 (* Recursive-doubling allreduce: log2 p rounds of full-vector exchange,
    in place on [buf] (seeded with the local contribution).
@@ -1026,18 +966,18 @@ let allreduce_rdbl x comm dt op ~total ~scratch buf =
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
-  let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
+  let tag = Coll_algo.tag_allreduce_rdbl in
+  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf in
   if newrank >= 0 then begin
     let mask = ref 1 in
     while !mask < pof2 do
       let dst = unfold_rank ~rem (newrank lxor !mask) in
-      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:0 ~count:total;
-      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:dst ~scratch buf
-        ~pos:0 ~count:total;
+      send x comm dt ~tag ~dest:dst buf ~pos:0 ~count:total;
+      recv_fold x comm dt op ~tag ~src:dst ~scratch buf ~pos:0 ~count:total;
       mask := !mask lsl 1
     done
   end;
-  unfold_from_pof2 x comm dt ~rem ~total buf
+  unfold_from_pof2 x comm dt ~tag ~rem ~total buf
 
 (* Rabenseifner allreduce: recursive-halving reduce-scatter then
    recursive-doubling allgather over the pof2 sub-machine, in place on a
@@ -1048,7 +988,8 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
-  let newrank = fold_into_pof2 x comm dt op ~rem ~total ~scratch buf in
+  let tag = Coll_algo.tag_allreduce_rabenseifner in
+  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf in
   if newrank >= 0 && pof2 > 1 then begin
     (* Block v of the vector is [table.(v), table.(v+1)); blocks may be
        empty when total < pof2. *)
@@ -1073,10 +1014,9 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
           (!send_idx, !recv_idx, !recv_idx, !last_idx)
         end
       in
-      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:table.(s_lo)
-        ~count:(range_count s_lo s_hi);
-      recv_fold x comm dt op ~tag:tag_allreduce ~what:"allreduce" ~src:dst ~scratch buf
-        ~pos:table.(r_lo) ~count:(range_count r_lo r_hi);
+      send x comm dt ~tag ~dest:dst buf ~pos:table.(s_lo) ~count:(range_count s_lo s_hi);
+      recv_fold x comm dt op ~tag ~src:dst ~scratch buf ~pos:table.(r_lo)
+        ~count:(range_count r_lo r_hi);
       send_idx := r_lo;
       recv_idx := r_lo;
       mask := !mask lsl 1;
@@ -1100,15 +1040,13 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
           (!send_idx, !last_idx, !recv_idx, !send_idx)
         end
       in
-      send x comm dt ~tag:tag_allreduce ~dest:dst buf ~pos:table.(s_lo)
-        ~count:(range_count s_lo s_hi);
-      recv x comm dt ~tag:tag_allreduce ~what:"allreduce" ~src:dst buf ~pos:table.(r_lo)
-        ~count:(range_count r_lo r_hi);
+      send x comm dt ~tag ~dest:dst buf ~pos:table.(s_lo) ~count:(range_count s_lo s_hi);
+      recv x comm dt ~tag ~src:dst buf ~pos:table.(r_lo) ~count:(range_count r_lo r_hi);
       if newrank > newdst then send_idx := !recv_idx;
       mask := !mask asr 1
     done
   end;
-  unfold_from_pof2 x comm dt ~rem ~total buf
+  unfold_from_pof2 x comm dt ~tag ~rem ~total buf
 
 (* Working buffers of one allreduce with [algo]: the incoming-vector
    scratch and Rabenseifner's pof2 block table. *)
@@ -1182,14 +1120,11 @@ let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a 
       let d = ref 1 in
       while !d < n do
         if r + !d < n then
-          P2p.send_range comm dt ~dest:(r + !d) ~tag:tag_scan acc ~pos:0 ~count:len;
+          send blocking comm dt ~tag:Coll_algo.tag_scan ~dest:(r + !d) acc ~pos:0
+            ~count:len;
         if r - !d >= 0 then begin
-          let got =
-            P2p.recv_range comm dt ~source:(r - !d) ~tag:tag_scan ~pos:0 ~maxcount:len
-              scratch
-          in
-          if got <> len then
-            Errdefs.usage_error "scan: element count mismatch (%d vs %d)" len got;
+          recv blocking comm dt ~tag:Coll_algo.tag_scan ~src:(r - !d) scratch ~pos:0
+            ~count:len;
           (* [scratch] covers ranks before ours: combine on the left,
              writing the result straight into [acc]. *)
           for i = 0 to len - 1 do
@@ -1210,10 +1145,10 @@ let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
       let inclusive = scan comm dt op data in
       (* Shift the inclusive result one rank to the right. *)
       if r + 1 < n then
-        P2p.send_range comm dt ~dest:(r + 1) ~tag:tag_scan inclusive ~pos:0
+        send blocking comm dt ~tag:Coll_algo.tag_exscan ~dest:(r + 1) inclusive ~pos:0
           ~count:(Array.length inclusive);
       if r = 0 then None
-      else Some (P2p.recv_fresh comm dt ~source:(r - 1) ~tag:tag_scan))
+      else Some (recv_dyn blocking comm dt ~tag:Coll_algo.tag_exscan ~src:(r - 1)))
 
 (* Single-element conveniences used heavily by applications. *)
 let allreduce_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a =
@@ -1241,11 +1176,12 @@ let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array ar
   entry comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
       Array.iter
         (fun dest ->
-          P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:0
+          P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_allgather data ~pos:0
             ~count:(Array.length data))
         topo.Comm.destinations;
       Array.map
-        (fun src -> P2p.recv_fresh comm dt ~source:src ~tag:tag_neighbor)
+        (fun src ->
+          P2p.recv_fresh comm dt ~source:src ~tag:Coll_algo.tag_neighbor_allgather)
         topo.Comm.sources)
 
 (* Variable-size neighbor exchange: block i of [data] goes to
@@ -1268,15 +1204,15 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
       Array.iteri
         (fun i dest ->
           if send_counts.(i) > 0 then
-            P2p.send_range comm dt ~dest ~tag:tag_neighbor data ~pos:sdispls.(i)
-              ~count:send_counts.(i))
+            P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_alltoallv data
+              ~pos:sdispls.(i) ~count:send_counts.(i))
         topo.Comm.destinations;
       let table = blocks recv_counts in
       let out = scratch_like dt table.(in_deg) in
       Array.iteri
         (fun i src ->
           if recv_counts.(i) > 0 then
-            recv blocking comm dt ~tag:tag_neighbor ~what:"neighbor_alltoallv" ~src out
+            recv blocking comm dt ~tag:Coll_algo.tag_neighbor_alltoallv ~src out
               ~pos:table.(i) ~count:recv_counts.(i))
         topo.Comm.sources;
       out)
@@ -1308,9 +1244,9 @@ let reduce_scatter_pairwise x comm dt op ~(table : int array) ~src ~acc ~scratch
   note_rs_scratch comm (2 * mine);
   for s = 1 to n - 1 do
     let dest = (r + s) mod n in
-    send x comm dt ~tag:tag_reduce_scatter ~dest src ~pos:table.(dest)
+    send x comm dt ~tag:Coll_algo.tag_reduce_scatter_pairwise ~dest src ~pos:table.(dest)
       ~count:(block_count table dest);
-    recv_fold x comm dt op ~tag:tag_reduce_scatter ~what:"reduce_scatter"
+    recv_fold x comm dt op ~tag:Coll_algo.tag_reduce_scatter_pairwise
       ~src:((r - s + n) mod n) ~scratch acc ~pos:0 ~count:mine
   done
 
@@ -1396,15 +1332,12 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
    ad-hoc path recomputes per call is frozen at init.  [choose] is a pure
    function of inputs that only change between runs, so the frozen
    algorithm (and its [coll.algo.*] counter) is exactly what each ad-hoc
-   call would pick.  Returns it, with a writer pre-warmed for the largest
-   per-round [payload]. *)
+   call would pick.  Returns its counter's name and the algorithm, with a
+   writer pre-warmed for the largest per-round [payload]. *)
 let freeze comm op ~bytes ~commutative ~elems ~payload =
-  let rt = Comm.runtime comm in
-  Runtime.preheat_writer rt (Comm.world_rank comm) ~capacity:(max 8 payload);
-  let fz =
-    Coll_algo.freeze rt.Runtime.model op ~bytes ~size:(Comm.size comm) ~commutative ~elems
-  in
-  (Some fz, fz.Coll_algo.frozen_algo)
+  Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 payload);
+  let algo = choose comm op ~bytes ~commutative ~elems in
+  (Some (Coll_algo.counter_name op algo), algo)
 
 (* Persistent allreduce: reduces [src] into [dst] each cycle.  Buffers
    are fixed at init per MPI persistent semantics; [src == dst] works
@@ -1420,15 +1353,15 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
   let bytes = Datatype.size_of_count dt elems in
   record comm ~op:"allreduce_init" ~bytes;
   let persistent = schedule comm ~op:"allreduce" ~root:(-1) ~ty ~bytes ~persistent:true in
-  if Comm.size comm = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 elems)
+  if Comm.size comm = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 elems)
   else begin
-    let frozen, algo =
+    let counter, algo =
       freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative ~elems
         ~payload:bytes
     in
     let scratch = allreduce_scratch dt algo ~elems in
     let table = allreduce_table comm algo ~elems in
-    persistent ~frozen (fun x ->
+    persistent ~counter (fun x ->
         allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table)
   end
 
@@ -1447,16 +1380,16 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   record comm ~op:"bcast_init" ~bytes:rbytes;
   let persistent = schedule comm ~op:"bcast" ~root ~ty ~bytes:rbytes ~persistent:true in
   let n = Comm.size comm in
-  if n = 1 then persistent ~frozen:None ignore
+  if n = 1 then persistent ~counter:None ignore
   else
     match
       freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total ~payload:bytes
     with
-    | frozen, Coll_algo.Scatter_allgather ->
+    | counter, Coll_algo.Scatter_allgather ->
         let table = even_blocks ~total ~parts:n in
-        persistent ~frozen (fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
-    | frozen, _ ->
-        persistent ~frozen (fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
+        persistent ~counter (fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
+    | counter, _ ->
+        persistent ~counter (fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
 
 (* Persistent reduce_scatter: reduces [src] and scatters block r into
    [dst] (whose length must be [recv_counts.(r)]). *)
@@ -1476,15 +1409,15 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   let persistent =
     schedule comm ~op:"reduce_scatter" ~root:(-1) ~ty ~bytes ~persistent:true
   in
-  if n = 1 then persistent ~frozen:None (fun _ -> Array.blit src 0 dst 0 len)
+  if n = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 len)
   else begin
-    let frozen, algo =
+    let counter, algo =
       freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
         ~elems:len
         ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
     in
     let _, scratch = reduce_scatter_buffers dt algo ~mine in
-    persistent ~frozen (fun x ->
+    persistent ~counter (fun x ->
         let part =
           reduce_scatter_sched x comm dt op algo ~scatterv:true ~table ~src ~acc:dst
             ~scratch

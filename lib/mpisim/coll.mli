@@ -11,8 +11,9 @@
     keyed on payload bytes and communicator size against the thresholds
     in [Net_model.tuning], can be pinned through the run's model
     ({!Coll_algo.pin}), and is observable through the
-    [coll.algo.<op>.<algo>] stats counters, the communication matrix's
-    algorithm labels and, for blocking calls, an [<op>.<algo>] trace
+    [coll.algo.<op>.<algo>] stats counters, the communication matrix
+    (every algorithm sends on its own {!Coll_algo} tag, which names it)
+    and, for blocking calls, an [<op>.<algo>] trace
     span nested in the collective's span (a nonblocking or persistent
     schedule may suspend mid-algorithm, so it opens no spans).
 

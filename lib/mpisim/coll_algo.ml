@@ -3,7 +3,8 @@
    Selection must be deterministic and identical on every rank: it is a
    pure function of the run's model (tuning and pins) and the call
    signature.  The counter/span name tables are precomputed so the
-   dispatch path in Coll allocates nothing. *)
+   dispatch path in Coll allocates nothing.  The module also keeps the
+   internal-tag table, which reuses the span names. *)
 
 type op = Net_model.coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
 
@@ -79,6 +80,58 @@ let span_names =
 
 let counter_name op algo = counter_names.(op_index op).(algo_index algo)
 let span_name op algo = span_names.(op_index op).(algo_index algo)
+
+(* --- the internal-tag table ------------------------------------------- *)
+
+(* Op id [id] is the tag [tag_base + id]; a posted or persistent instance
+   shifts every id into a window of its own, so an id and its name are
+   found again as the tag's offset in the window.  [reserve] hands each id
+   out once, to the one protocol that sends on it. *)
+let tag_window = 32
+let first_window_op = 1 lsl 16
+let tag_base = Mailbox.max_user_tag + 1
+let tag_names = Array.make tag_window ""
+
+let reserve id name =
+  if tag_names.(id) <> "" then invalid_arg ("Coll_algo: tag id taken twice by " ^ name);
+  tag_names.(id) <- name;
+  tag_base + id
+
+let tag_barrier = reserve 0 "barrier"
+let tag_bcast_binomial = reserve 1 (span_name Bcast Binomial)
+let tag_gather = reserve 2 "gather"
+let tag_scatter = reserve 3 "scatter"
+let tag_allgather_bruck = reserve 4 (span_name Allgather Bruck)
+let tag_allgatherv = reserve 5 "allgatherv"
+let tag_alltoall = reserve 6 "alltoall"
+let tag_alltoallv = reserve 7 "alltoallv"
+let tag_alltoallw = reserve 8 "alltoallw"
+let tag_reduce = reserve 9 "reduce"
+let tag_scan = reserve 10 "scan"
+let tag_neighbor_allgather = reserve 11 "neighbor_allgather"
+let tag_allreduce_rdbl = reserve 12 (span_name Allreduce Recursive_doubling)
+let tag_reduce_scatter_pairwise = reserve 13 (span_name Reduce_scatter Pairwise)
+
+(* The scatter and ring phases of one bcast algorithm. *)
+let tag_bcast_scatter = reserve 14 (span_name Bcast Scatter_allgather)
+let tag_bcast_ring = reserve 15 (span_name Bcast Scatter_allgather)
+let tag_allreduce_rabenseifner = reserve 16 (span_name Allreduce Rabenseifner)
+let tag_allgather_ring = reserve 17 (span_name Allgather Ring)
+let tag_exscan = reserve 18 "exscan"
+let tag_neighbor_alltoallv = reserve 19 "neighbor_alltoallv"
+let tag_comm_split = reserve 20 "comm_split"
+let tag_halo_exchange = reserve 21 "halo_exchange"
+let tag_bcast_serialized = reserve 22 "bcast_serialized"
+let p2p_name = "p2p"
+
+let tag_name tag =
+  if tag < tag_base then p2p_name
+  else
+    let op = tag - tag_base in
+    let id = if op >= first_window_op then (op - first_window_op) mod tag_window else op in
+    if id < tag_window && tag_names.(id) <> "" then tag_names.(id) else "internal"
+
+let describe_tag tag = if tag < tag_base then string_of_int tag else tag_name tag
 
 (* --- pins -------------------------------------------------------------- *)
 
@@ -185,27 +238,3 @@ let choose (model : Net_model.t) op ~bytes ~size ~commutative ~elems =
   match pinned model op with
   | Some a when commutative || not (needs_commutative a) -> a
   | _ -> auto model.Net_model.tuning op ~bytes ~size ~commutative ~elems
-
-(* --- frozen selection (persistent operations) ------------------------- *)
-
-(* A persistent request fixes its algorithm at init time; [choose] is a
-   pure function of static inputs (the run's tuning and pins), so the
-   frozen choice equals what every later ad-hoc call with the same
-   signature would pick — the equivalence the
-   persistent ≡ ad-hoc counter-parity tests rely on.  The names are
-   resolved once too, so the per-cycle dispatch has no table lookups. *)
-type frozen = {
-  frozen_op : op;
-  frozen_algo : algo;
-  frozen_counter : string;
-  frozen_span : string;
-}
-
-let freeze (model : Net_model.t) op ~bytes ~size ~commutative ~elems =
-  let algo = choose model op ~bytes ~size ~commutative ~elems in
-  {
-    frozen_op = op;
-    frozen_algo = algo;
-    frozen_counter = counter_name op algo;
-    frozen_span = span_name op algo;
-  }

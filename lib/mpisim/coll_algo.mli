@@ -54,6 +54,62 @@ val counter_name : op -> algo -> string
 (** Trace span name ["<op>.<algo>"].  Preallocated. *)
 val span_name : op -> algo -> string
 
+(** {1 Internal tags}
+
+    Tags above the user range belong to the simulator's own protocols.
+    This table gives each of them one op id and one name: an operation
+    with one algorithm is named after the operation (["alltoallv"]), an
+    algorithm after its span (["allreduce.rabenseifner"]), another
+    protocol after its call (["comm_split"]).  Every reader of a
+    message's tag (the communication matrix, blocked-call and deadlock
+    reports, a collective's count error) gets the name with
+    {!tag_name}. *)
+
+(** Op ids a posted or persistent collective instance shifts its tags
+    by: instance [gen] of a communicator adds
+    [first_window_op + tag_window * gen], clear of every id below. *)
+val tag_window : int
+
+val first_window_op : int
+
+val tag_barrier : int
+val tag_bcast_binomial : int
+val tag_gather : int
+val tag_scatter : int
+val tag_allgather_bruck : int
+val tag_allgatherv : int
+val tag_alltoall : int
+val tag_alltoallv : int
+val tag_alltoallw : int
+val tag_reduce : int
+val tag_scan : int
+val tag_neighbor_allgather : int
+val tag_allreduce_rdbl : int
+val tag_reduce_scatter_pairwise : int
+
+(** The scatter and ring phases of the scatter-allgather bcast, both
+    named after it. *)
+val tag_bcast_scatter : int
+
+val tag_bcast_ring : int
+val tag_allreduce_rabenseifner : int
+val tag_allgather_ring : int
+val tag_exscan : int
+val tag_neighbor_alltoallv : int
+val tag_comm_split : int
+val tag_halo_exchange : int
+val tag_bcast_serialized : int
+
+(** The name of every user tag, ["p2p"]. *)
+val p2p_name : string
+
+(** The name of the entry [tag] belongs to, as a blocking tag or in any
+    instance's window; {!p2p_name} for a user tag.  Preallocated. *)
+val tag_name : int -> string
+
+(** A user tag's number, an internal tag's {!tag_name}. *)
+val describe_tag : int -> string
+
 (** {1 Selection} *)
 
 (** [choose model op ~bytes ~size ~commutative ~elems] picks the
@@ -68,26 +124,6 @@ val span_name : op -> algo -> string
     matching signatures, and {!Check} enforces it. *)
 val choose :
   Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> elems:int -> algo
-
-(** {1 Frozen selection (persistent operations)}
-
-    A persistent [*_init] request fixes its algorithm once at init.
-    Because {!choose} is a pure function of inputs fixed for a run (the
-    model's tuning and pins), the frozen choice is identical to
-    what each ad-hoc call with the same signature would pick — so
-    persistent and ad-hoc runs attribute to the same
-    [coll.algo.<op>.<algo>] counter. *)
-
-type frozen = {
-  frozen_op : op;
-  frozen_algo : algo;
-  frozen_counter : string;  (** = [counter_name frozen_op frozen_algo] *)
-  frozen_span : string;  (** = [span_name frozen_op frozen_algo] *)
-}
-
-(** Same arguments and semantics as {!choose}, with the names resolved. *)
-val freeze :
-  Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> elems:int -> frozen
 
 (** {1 Pins} *)
 

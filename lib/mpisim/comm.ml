@@ -8,7 +8,8 @@
    state per process but semantically shared.
 
    Tag space: user tags are 0..[max_user_tag]; tags above that are reserved
-   for the internal messages of collective algorithms. *)
+   for the internal protocols, one entry each in [Coll_algo]'s tag table,
+   which also names them in the reports below. *)
 
 let max_user_tag = Mailbox.max_user_tag
 
@@ -346,8 +347,9 @@ let recv_ready t = matched_or_gone t ~src_world:t.wait.src_world t.wait.posted
 
 let recv_describe t =
   let w = t.wait in
-  Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" w.op t.rank t.shared.context
-    w.posted.Mailbox.p_src w.posted.Mailbox.p_tag
+  Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %s)" w.op t.rank t.shared.context
+    w.posted.Mailbox.p_src
+    (Coll_algo.describe_tag w.posted.Mailbox.p_tag)
 
 (* A probe wakes like a receive that is never posted: once a match is
    queued or the source is gone. *)
@@ -360,7 +362,8 @@ let probe_ready t =
      >= 0
 
 let probe_describe t =
-  Printf.sprintf "probe on rank %d (src %d, tag %d)" t.rank t.wait.source t.wait.tag
+  Printf.sprintf "probe on rank %d (src %d, tag %s)" t.rank t.wait.source
+    (Coll_algo.describe_tag t.wait.tag)
 
 let cell_describe t =
   let c = t.wait.cell in

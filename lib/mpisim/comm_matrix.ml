@@ -2,12 +2,12 @@
    attribution.
 
    Every injected message bumps one cell keyed by (source rank,
-   destination rank, label), where the label is the collective algorithm
-   the sender was executing ("allreduce.rabenseifner", from the same
-   precomputed Coll_algo span names PR 5 introduced) or "p2p" outside any
-   collective.  Coll.dispatch maintains the per-rank label around each
-   algorithm body, so lowered collectives attribute to the innermost
-   algorithm actually moving the bytes.
+   destination rank, label), where the label is the name of the message's
+   tag in Coll_algo's internal-tag table ("allreduce.rabenseifner",
+   "alltoallv", "comm_split") or "p2p" for a user tag.  The tag says which
+   protocol sent the message, so no run-time state names it: a lowered
+   phase (the reduce half of allreduce's reduce+bcast lowering) is
+   attributed to the operation that phase runs.
 
    Hot-path discipline matches Trace and Stats: the recorder is created
    disabled, and [record] is a single mutable-bool check in that state —
@@ -19,26 +19,21 @@ type cell = { mutable msgs : int; mutable bytes : int }
 
 type t = {
   mutable enabled : bool;
+  size : int;
   cells : (int * int * string, cell) Hashtbl.t;
-  labels : string array;  (* per-rank current attribution label *)
 }
 
-let p2p_label = "p2p"
+let p2p_label = Coll_algo.p2p_name
 
-let create ~size =
-  { enabled = false; cells = Hashtbl.create 256; labels = Array.make size p2p_label }
+let create ~size = { enabled = false; size; cells = Hashtbl.create 256 }
 
 let enable t = t.enabled <- true
 
 let enabled t = t.enabled
 
-let label t rank = t.labels.(rank)
-
-let set_label t rank l = t.labels.(rank) <- l
-
-let record t ~src ~dst ~bytes =
+let record t ~src ~dst ~tag ~bytes =
   if t.enabled then begin
-    let key = (src, dst, t.labels.(src)) in
+    let key = (src, dst, Coll_algo.tag_name tag) in
     match Hashtbl.find_opt t.cells key with
     | Some c ->
         c.msgs <- c.msgs + 1;
@@ -84,7 +79,7 @@ let csv t =
 
 let json_into buf t =
   let root = Json_out.start_obj buf in
-  Json_out.field_int root "ranks" (Array.length t.labels);
+  Json_out.field_int root "ranks" t.size;
   let msgs, bytes = totals t in
   Json_out.field_int root "total_msgs" msgs;
   Json_out.field_int root "total_bytes" bytes;

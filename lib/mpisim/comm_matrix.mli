@@ -1,8 +1,9 @@
 (** Per-(src, dst) message/byte counters with collective-algorithm
     attribution: every injected message bumps the cell for (source,
-    destination, algorithm label), where the label is the innermost
-    collective algorithm the sender was executing (the [Coll_algo] span
-    name) or ["p2p"] outside any collective.
+    destination, label), where the label is the name of the message's
+    tag ({!Coll_algo.tag_name}): the collective algorithm or operation,
+    or the internal protocol, that sent it, and ["p2p"] for a user tag.
+    A lowered phase is labelled with the operation it runs.
 
     Created disabled; {!record} is a single branch (no allocation) in
     that state, so the send hot path is unaffected unless the matrix was
@@ -18,13 +19,9 @@ val enable : t -> unit
 
 val enabled : t -> bool
 
-(** The sender-side attribution label; maintained by [Coll.dispatch]. *)
-val label : t -> int -> string
-
-val set_label : t -> int -> string -> unit
-
-(** Count one injected message; no-op when disabled. *)
-val record : t -> src:int -> dst:int -> bytes:int -> unit
+(** Count one injected message under its tag's name; no-op when
+    disabled. *)
+val record : t -> src:int -> dst:int -> tag:int -> bytes:int -> unit
 
 type entry = { cm_src : int; cm_dst : int; cm_label : string; cm_msgs : int; cm_bytes : int }
 

@@ -8,7 +8,7 @@
    operations cannot be routed through a fixed rank (it may be dead), so
    they use a shared-memory rendezvous with a modelled completion cost. *)
 
-let tag_comm = P2p.internal_tag 12
+let tag_comm = Coll_algo.tag_comm_split
 
 (* ------------------------------------------------------------------ *)
 (* Dup *)

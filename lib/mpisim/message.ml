@@ -48,7 +48,6 @@ type t = {
   seq : int;  (* global injection sequence, for wildcard ordering *)
   sync : bool;  (* synchronous send: sender completes on match *)
   crc : int;  (* reliable-layer CRC-32 of the payload; -1 = not framed *)
-  link_seq : int;  (* reliable-layer per-link sequence number; -1 = none *)
   lamport : int;  (* sender's Lamport clock at injection; receivers merge it *)
   mutable matched_stamp : int;  (* [not_matched] until matched *)
   mutable consumed : bool;  (* payload storage handed back to a pool *)
@@ -80,7 +79,6 @@ let rec nil =
     seq = -1;
     sync = false;
     crc = -1;
-    link_seq = -1;
     lamport = 0;
     matched_stamp = not_matched;
     consumed = true;
@@ -89,8 +87,8 @@ let rec nil =
 
 (* All fields explicit, times as stamps: the runtime's per-message
    constructor, free of optional-argument and float boxes. *)
-let create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len
-    ~count ~signature ~sent_stamp ~arrival_stamp ~seq ~sync =
+let create ~crc ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+    ~signature ~sent_stamp ~arrival_stamp ~seq ~sync =
   if payload_off < 0 || payload_len < 0 || payload_off + payload_len > Bytes.length payload
   then invalid_arg "Message.make: payload slice out of bounds";
   {
@@ -108,19 +106,18 @@ let create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off
     seq;
     sync;
     crc;
-    link_seq;
     lamport;
     matched_stamp = not_matched;
     consumed = false;
     next = nil;
   }
 
-let make ?(crc = -1) ?(link_seq = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload
-    ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
+let make ?(crc = -1) ?(lamport = 0) ~context ~src ~dst ~tag ~payload ~payload_off
+    ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync () =
   if not (sent_at >= 0. && arrival >= 0.) then
     invalid_arg "Message.make: times must be non-negative";
-  create ~crc ~link_seq ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len
-    ~count ~signature ~sent_stamp:(stamp sent_at) ~arrival_stamp:(stamp arrival) ~seq ~sync
+  create ~crc ~lamport ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+    ~signature ~sent_stamp:(stamp sent_at) ~arrival_stamp:(stamp arrival) ~seq ~sync
 
 (* The full signature of the payload. *)
 let payload_signature t = Signature.repeat t.signature t.count

@@ -23,10 +23,7 @@ let any_source = Mailbox.any_source
 
 let any_tag = Mailbox.any_tag
 
-(* Internal tag space for collective algorithms. *)
-let internal_tag op_id = Comm.max_user_tag + 1 + op_id
-
-let first_window_op = 1 lsl 16
+let first_window_op = Coll_algo.first_window_op
 
 let check_alive_self comm = Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm)
 

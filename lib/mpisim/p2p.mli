@@ -25,13 +25,9 @@ val any_source : int
     reserved tags of collectives and other internal protocols. *)
 val any_tag : int
 
-(** Reserved tags above the user tag space, for internal protocols.
-    Fixed protocols ([Coll]'s operations, [Comm_ops], [Cart]'s
-    [40 + dim], [Serialized]) use op ids below {!first_window_op}. *)
-val internal_tag : int -> int
-
 (** Op ids from here up are the tag windows of posted and persistent
-    collectives, one window per instance ([Coll]). *)
+    collectives, one window per instance ([Coll]).  The reserved tags
+    below them are the entries of {!Coll_algo}'s tag table. *)
 val first_window_op : int
 
 (** {1 Sends} *)

@@ -271,15 +271,14 @@ let[@inline] send_busy_time t ~bytes =
   t.model.Net_model.send_overhead +. (float_of_int bytes *. t.model.Net_model.byte_time)
 
 (* The reliable layer's view of one transfer under the chaos plane:
-   (arrival, payload CRC, link sequence number).  May kill ranks and
-   raise. *)
+   (arrival, payload CRC).  May kill ranks and raise. *)
 let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~payload_len =
   (* Absolute-time failure triggers use the sender's clock as the global
      progress proxy; the scheduler's wake hook discontinues any victim
      that is currently parked. *)
   List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
   if t.failed.(src) then raise (Process_killed src);
-  if src = dst then (sent_at +. transit, -1, -1)
+  if src = dst then (sent_at +. transit, -1)
   else begin
     (* Frame the payload before any corruption decision so the
        receiver-side CRC backstop can detect a flip end to end. *)
@@ -297,7 +296,7 @@ let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~
     end;
     if tr.Chaos.tr_corrupt then
       Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
-    (sent_at +. transit +. tr.Chaos.tr_delay, crc, tr.Chaos.tr_link_seq)
+    (sent_at +. transit +. tr.Chaos.tr_delay, crc)
   end
 
 (* Lamport send rule: the injection is a local event, so tick first; the
@@ -327,17 +326,17 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
     match t.chaos with
     | None ->
         let lam = tick_lamport t src in
-        Message.create ~crc:(-1) ~link_seq:(-1) ~lamport:lam ~context ~src ~dst ~tag ~payload
-          ~payload_off ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
+        Message.create ~crc:(-1) ~lamport:lam ~context ~src ~dst ~tag ~payload ~payload_off
+          ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
           ~arrival_stamp:(stamp (sent_at +. transit)) ~seq ~sync
     | Some ch ->
-        let arrival, crc, link_seq =
+        let arrival, crc =
           chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off
             ~payload_len
         in
         let lam = tick_lamport t src in
-        Message.create ~crc ~link_seq ~lamport:lam ~context ~src ~dst ~tag ~payload
-          ~payload_off ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
+        Message.create ~crc ~lamport:lam ~context ~src ~dst ~tag ~payload ~payload_off
+          ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
           ~arrival_stamp:(stamp arrival) ~seq ~sync
   in
   let lam = m.Message.lamport in
@@ -350,7 +349,7 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
   | _ -> ());
   Stats.incr t.metrics.msgs_sent;
   Stats.observe_int t.metrics.msg_size bytes;
-  Comm_matrix.record t.comm_matrix ~src ~dst ~bytes;
+  Comm_matrix.record t.comm_matrix ~src ~dst ~tag ~bytes;
   Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send" ~a:dst ~b:seq ~c:bytes ~d:lam;
   (* Analyzer input, stream captures only: the fields the happens-before
      pass needs that the send instant has no room for (tag, context, sync

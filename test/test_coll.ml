@@ -1002,6 +1002,161 @@ let test_deadlock_names_schedule_wait () =
   Alcotest.(check (list int)) "no window tag" []
     (List.filter (fun v -> v >= P2p.first_window_op) numbers)
 
+(* Every internal tag names one protocol: the table hands each one its own
+   id, every id fits a posted instance's window, and a windowed tag looks
+   up the same entry as the blocking one. *)
+let test_tag_table () =
+  let tags =
+    Coll_algo.
+      [
+        tag_barrier; tag_bcast_binomial; tag_gather; tag_scatter; tag_allgather_bruck;
+        tag_allgatherv; tag_alltoall; tag_alltoallv; tag_alltoallw; tag_reduce; tag_scan;
+        tag_neighbor_allgather; tag_allreduce_rdbl; tag_reduce_scatter_pairwise;
+        tag_bcast_scatter; tag_bcast_ring; tag_allreduce_rabenseifner; tag_allgather_ring;
+        tag_exscan; tag_neighbor_alltoallv; tag_comm_split; tag_halo_exchange;
+        tag_bcast_serialized;
+      ]
+  in
+  Alcotest.(check int) "distinct ids" (List.length tags)
+    (List.length (List.sort_uniq compare tags));
+  List.iter
+    (fun tag ->
+      let id = tag - (Comm.max_user_tag + 1) in
+      Alcotest.(check bool) (Printf.sprintf "id %d fits a window" id) true
+        (id >= 0 && id < Coll_algo.tag_window);
+      let name = Coll_algo.tag_name tag in
+      Alcotest.(check bool) (Printf.sprintf "id %d is named" id) true
+        (name <> Coll_algo.p2p_name && name <> "internal");
+      List.iter
+        (fun gen ->
+          let windowed = tag + Coll_algo.first_window_op + (Coll_algo.tag_window * gen) in
+          Alcotest.(check string)
+            (Printf.sprintf "id %d in window %d" id gen)
+            name (Coll_algo.tag_name windowed))
+        [ 0; 1; 7; 1000 ])
+    tags;
+  Alcotest.(check string) "the allreduce id keeps its number"
+    (Coll_algo.span_name Coll_algo.Allreduce Coll_algo.Recursive_doubling)
+    (Coll_algo.tag_name (Comm.max_user_tag + 1 + 12));
+  Alcotest.(check string) "user tags are p2p" Coll_algo.p2p_name
+    (Coll_algo.tag_name Comm.max_user_tag);
+  Alcotest.(check string) "a user tag is described by its number" "5"
+    (Coll_algo.describe_tag 5)
+
+(* The sorted, distinct communication-matrix labels of [body] at [ranks]. *)
+let matrix_labels ?(model = Net_model.zero_cost) ~ranks body =
+  let _, report = Engine.run_collect ~model ~comm_matrix:true ~ranks body in
+  List.sort_uniq compare
+    (List.map (fun e -> e.Comm_matrix.cm_label) (Comm_matrix.entries report.Engine.comm_matrix))
+
+(* Collectives that run one algorithm are labelled with their own name,
+   with no algorithm dispatch around them. *)
+let test_comm_matrix_single_algorithm_labels () =
+  let p = 4 in
+  let check name body =
+    Alcotest.(check (list string)) name [ name ] (matrix_labels ~ranks:p body)
+  in
+  check "alltoallv" (fun comm ->
+      let counts = Array.make p 2 and displs = Array.init p (fun i -> 2 * i) in
+      ignore
+        (Coll.alltoallv comm Datatype.int ~send_counts:counts ~send_displs:displs
+           ~recv_counts:counts ~recv_displs:displs (Array.make (2 * p) 1)));
+  check "allgatherv" (fun comm ->
+      ignore
+        (Coll.allgatherv comm Datatype.int ~recv_counts:(Array.make p 1)
+           [| Comm.rank comm |]));
+  check "gather" (fun comm -> ignore (Coll.gather comm Datatype.int ~root:0 [| 1; 2 |]));
+  check "barrier" Coll.barrier;
+  check "scan" (fun comm -> ignore (Coll.scan comm Datatype.int Reduce_op.int_sum [| 1 |]))
+
+(* At p = 5 the pof2 preamble folds rank 0 into rank 1 and copies the
+   result back: those messages carry the pinned algorithm's label too. *)
+let test_comm_matrix_pof2_preamble_label () =
+  List.iter
+    (fun algo ->
+      let model = Coll_algo.pin [ (Coll_algo.Allreduce, Some algo) ] Net_model.zero_cost in
+      Alcotest.(check (list string))
+        (Coll_algo.algo_name algo)
+        [ Coll_algo.span_name Coll_algo.Allreduce algo ]
+        (matrix_labels ~model ~ranks:5 (fun comm ->
+             ignore (Coll.allreduce comm Datatype.int Reduce_op.int_sum (Array.make 8 1)))))
+    [ Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ]
+
+(* A split's traffic is labelled with the split, not with a collective. *)
+let test_comm_matrix_split_label () =
+  Alcotest.(check (list string)) "split" [ "comm_split" ]
+    (matrix_labels ~ranks:4 (fun comm ->
+         ignore (Comm_ops.split comm ~color:(Comm.rank comm mod 2) ())))
+
+(* A posted non-commutative allreduce runs the reduce+bcast lowering: the
+   reduce phase gathers to the root (order matters), the bcast phase is a
+   binomial tree, and each is labelled with the operation it runs. *)
+let test_comm_matrix_lowered_phase_labels () =
+  let op = Reduce_op.custom ~commutative:false ~name:"append" (fun a b -> (a * 10) + b) in
+  Alcotest.(check (list string)) "iallreduce"
+    [ Coll_algo.span_name Coll_algo.Bcast Coll_algo.Binomial; "gather" ]
+    (matrix_labels ~ranks:4 (fun comm ->
+         ignore (wait_result (Coll.iallreduce comm Datatype.int op [| Comm.rank comm |]))))
+
+(* A rank blocked in a blocking collective is reported by the collective
+   and algorithm of the message it waits for, never by the raw internal
+   tag, with the sanitizer off and on: rank 3 never enters the
+   allreduce. *)
+let test_deadlock_names_blocking_collective () =
+  let report check_level =
+    match
+      Engine.run ~model:Net_model.zero_cost ~check_level ~ranks:4 (fun comm ->
+          if Comm.rank comm < 3 then
+            ignore (Coll.allreduce comm Datatype.int Reduce_op.int_sum [| 1 |]))
+    with
+    | _ -> Alcotest.fail "expected a deadlock"
+    | exception (Scheduler.Deadlock _ as e) -> Printexc.to_string e
+    | exception Errdefs.Mpi_error { code = Errdefs.Err_deadlock; msg } -> msg
+  in
+  List.iter
+    (fun (level, name) ->
+      let report = report level in
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length report && (String.sub report i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s\nnames the collective and algorithm" name report)
+        true
+        (contains "allreduce.recursive_doubling");
+      let numbers =
+        String.map (fun c -> if c >= '0' && c <= '9' then c else ' ') report
+        |> String.split_on_char ' '
+        |> List.filter_map int_of_string_opt
+      in
+      Alcotest.(check (list int)) (name ^ ": no internal tag") []
+        (List.filter (fun v -> v > Comm.max_user_tag) numbers))
+    [ (Check.Off, "sanitizer off"); (Check.Light, "light sanitizer") ]
+
+(* A scan whose contributions differ in length fails like every other
+   collective receive: ERR_COUNT through the communicator's handler. *)
+let test_scan_count_mismatch () =
+  let outcome comm f =
+    match f comm with
+    | _ -> "ok"
+    | exception Errdefs.Mpi_error { code; _ } -> Errdefs.code_name code
+    | exception Errdefs.Usage_error _ -> "usage error"
+  in
+  let sum = Reduce_op.int_sum in
+  let data comm = Array.make (Comm.rank comm + 1) 1 in
+  let results op =
+    Engine.run_values ~model:Net_model.zero_cost ~ranks:2 (fun comm -> outcome comm op)
+  in
+  Alcotest.(check (array string)) "allreduce" [| "ERR_TRUNCATE"; "ERR_COUNT" |]
+    (results (fun comm -> ignore (Coll.allreduce comm Datatype.int sum (data comm))));
+  Alcotest.(check (array string)) "scan" [| "ok"; "ERR_COUNT" |]
+    (results (fun comm -> ignore (Coll.scan comm Datatype.int sum (data comm))));
+  Alcotest.(check (array string)) "exscan" [| "ok"; "ERR_COUNT" |]
+    (results (fun comm -> ignore (Coll.exscan comm Datatype.int sum (data comm))))
+
 let tests =
   [
     qtest prop_allgatherv;
@@ -1047,6 +1202,17 @@ let tests =
       test_mixed_request_list;
     Alcotest.test_case "deadlock names a schedule's wait" `Quick
       test_deadlock_names_schedule_wait;
+    Alcotest.test_case "one tag table" `Quick test_tag_table;
+    Alcotest.test_case "comm matrix: single-algorithm labels" `Quick
+      test_comm_matrix_single_algorithm_labels;
+    Alcotest.test_case "comm matrix: pof2 preamble label" `Quick
+      test_comm_matrix_pof2_preamble_label;
+    Alcotest.test_case "comm matrix: split label" `Quick test_comm_matrix_split_label;
+    Alcotest.test_case "comm matrix: lowered phase labels" `Quick
+      test_comm_matrix_lowered_phase_labels;
+    Alcotest.test_case "deadlock names a blocking collective" `Quick
+      test_deadlock_names_blocking_collective;
+    Alcotest.test_case "scan count mismatch is ERR_COUNT" `Quick test_scan_count_mismatch;
   ]
 
 let () = Alcotest.run "coll" [ ("coll", tests) ]

@@ -455,7 +455,7 @@ let test_disabled_paths_allocation_free () =
   let w0 = Gc.minor_words () in
   for i = 1 to 10_000 do
     Trace.instant_d tr ~rank:0 ~cat:"c" ~name:"i" ~a:i ~b:0 ~c:0 ~d:i;
-    Comm_matrix.record cm ~src:0 ~dst:1 ~bytes:i
+    Comm_matrix.record cm ~src:0 ~dst:1 ~tag:0 ~bytes:i
   done;
   let allocated = Gc.minor_words () -. w0 in
   Alcotest.(check bool)
