@@ -17,12 +17,19 @@ open Mpisim
 (* struct MyType { int64 a; char c; /* 7 bytes pad */ double b; } *)
 type my_type = { a : int; c : char; b : float }
 
-let gapped_dt : my_type Datatype.t =
-  Datatype.record3 "my_type_struct"
-    (Datatype.field "a" Datatype.int (fun t -> t.a))
-    (Datatype.field ~pad_after:7 "c" Datatype.char (fun t -> t.c))
-    (Datatype.field "b" Datatype.float (fun t -> t.b))
-    (fun a c b -> { a; c; b })
+(* One field list, two layouts: gaps skipped (17 wire bytes) or shipped
+   as zeros (24). *)
+let my_type_fields : (my_type, int -> char -> float -> my_type) Datatype.fields =
+  Datatype.
+    [
+      field "a" int (fun t -> t.a);
+      field ~pad_after:7 "c" char (fun t -> t.c);
+      field "b" float (fun t -> t.b);
+    ]
+
+let make_my_type a c b = { a; c; b }
+
+let gapped_dt = Datatype.record "my_type_struct" my_type_fields make_my_type
 
 let blob_dt : my_type Datatype.t =
   Datatype.blob ~name:"my_type_blob" ~size:24
@@ -38,12 +45,8 @@ let blob_dt : my_type Datatype.t =
         b = Int64.float_of_bits (Bytes.get_int64_le buf (pos + 16));
       })
 
-let gapped_with_pad_dt : my_type Datatype.t =
-  Datatype.record3_with_gaps "my_type_gaps"
-    (Datatype.field "a" Datatype.int (fun t -> t.a))
-    (Datatype.field ~pad_after:7 "c" Datatype.char (fun t -> t.c))
-    (Datatype.field "b" Datatype.float (fun t -> t.b))
-    (fun a c b -> { a; c; b })
+let gapped_with_pad_dt =
+  Datatype.record_with_gaps "my_type_gaps" my_type_fields make_my_type
 
 let codec : my_type Serial.Codec.t =
   Serial.Codec.map ~name:"my_type"
@@ -69,41 +72,58 @@ let serialize_roundtrip () =
 
 let wire_bytes (dt : my_type Datatype.t) = Datatype.size_of_count dt n
 
-let run () =
+let results_file = "BENCH_TYPES.json"
+
+(* One BENCH_TYPES.json row per representation: [wire_bytes] is the
+   layout, gated exactly against bench/history; [pack_unpack_wall_ns]
+   measures the host, so bench-diff skips it. *)
+let run ?(smoke = false) () =
   Bench_util.section
     "Type construction defaults (paper SIII-D4): struct-with-gaps vs contiguous bytes vs serialization";
   let serial_bytes =
     Bytes.length (Serial.Codec.encode_to_bytes (Serial.Codec.array codec) sample)
   in
+  let representations =
+    [
+      ("struct (gap-skipping)", pack_unpack gapped_dt, wire_bytes gapped_dt);
+      ("contiguous bytes (default)", pack_unpack blob_dt, wire_bytes blob_dt);
+      ( "struct (gaps on wire)",
+        pack_unpack gapped_with_pad_dt,
+        wire_bytes gapped_with_pad_dt );
+      ("serialization", serialize_roundtrip, serial_bytes);
+    ]
+  in
   let estimates =
-    Bench_util.bechamel_estimates ~name:"types"
-      [
-        ("struct (gap-skipping)", pack_unpack gapped_dt);
-        ("contiguous bytes (default)", pack_unpack blob_dt);
-        ("struct (gaps on wire)", pack_unpack gapped_with_pad_dt);
-        ("serialization", serialize_roundtrip);
-      ]
+    Bench_util.bechamel_estimates
+      ~quota:(if smoke then 0.25 else 1.5)
+      ~name:"types"
+      (List.map (fun (name, f, _) -> (name, f)) representations)
   in
-  let bytes_of = function
-    | "struct (gap-skipping)" -> wire_bytes gapped_dt
-    | "contiguous bytes (default)" -> wire_bytes blob_dt
-    | "struct (gaps on wire)" -> wire_bytes gapped_with_pad_dt
-    | _ -> serial_bytes
-  in
+  List.iter
+    (fun (name, _, b) ->
+      let wall =
+        match List.assoc_opt name estimates with
+        | Some ns -> [ ("pack_unpack_wall_ns", Bench_util.F ns) ]
+        | None -> []
+      in
+      Bench_util.emit_json_file ~file:results_file ~bench:"types"
+        (("representation", Bench_util.S name) :: ("wire_bytes", Bench_util.I b) :: wall))
+    representations;
   let model = Net_model.omnipath in
   Bench_util.print_table
     ~header:
       [ "representation"; "pack+unpack (1000 elems)"; "wire bytes"; "modelled transfer" ]
     (List.map
-       (fun (name, ns) ->
-         let b = bytes_of name in
+       (fun (name, _, b) ->
          [
            name;
-           Bench_util.ns_string ns;
+           (match List.assoc_opt name estimates with
+           | Some ns -> Bench_util.ns_string ns
+           | None -> "n/a");
            string_of_int b;
            Bench_util.time_str (float_of_int b *. model.Net_model.byte_time);
          ])
-       estimates);
+       representations);
   Printf.printf
     "\nExpected: the contiguous-bytes default packs fastest at a small wire-size\n\
      cost; serialization is markedly more expensive — hence opt-in only.\n"

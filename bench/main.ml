@@ -22,7 +22,7 @@ let experiments ~full ~smoke =
         if full then Bench_fig10.run ~max_p:256 ~n_per_rank:512 ~m_per_rank:2048 ~reps:1 ()
         else Bench_fig10.run ~smoke () );
     ("overhead", fun () -> Bench_overhead.run ~smoke ());
-    ("types", fun () -> Bench_types.run ());
+    ("types", fun () -> Bench_types.run ~smoke ());
     ( "repro_reduce",
       fun () -> if full then Bench_repro.run ~max_p:128 () else Bench_repro.run () );
     ( "sparse",

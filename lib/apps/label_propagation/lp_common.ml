@@ -110,9 +110,6 @@ let n_distinct_labels st =
     st.labels;
   Hashtbl.length seen
 
-(* Committed once, on first use (Construct-On-First-Use, §III-D1). *)
-let pair_dt : (int * int) Mpisim.Datatype.t Lazy.t =
-  lazy
-    (let dt = Mpisim.Datatype.pair Mpisim.Datatype.int Mpisim.Datatype.int in
-     Mpisim.Datatype.commit dt;
-     dt)
+(* [f] over the (key, value) pair type, committed for the call (§III-D1);
+   built per run, as [Engine.run_many] runs share process-wide values. *)
+let with_pair_dt f = Mpisim.Datatype.(with_committed (pair int int)) f

@@ -4,7 +4,7 @@
 
 let run mpi (g : Graphgen.Distgraph.t) ~max_cluster_size ~rounds : int array =
   let comm = Kamping.Communicator.of_mpi mpi in
-  let dt = Lazy.force Lp_common.pair_dt in
+  Lp_common.with_pair_dt @@ fun dt ->
   let st = Lp_common.create g ~max_cluster_size in
   for _ = 1 to rounds do
     let moves = Lp_common.local_pass st in

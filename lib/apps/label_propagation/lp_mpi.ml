@@ -12,10 +12,9 @@ let prefix_displs ~p (counts : int array) =
   done;
   displs
 
-let exchange_ghosts comm (updates : (int, (int * int) list) Hashtbl.t) : (int * int) array
-    =
+let exchange_ghosts comm dt (updates : (int, (int * int) list) Hashtbl.t) :
+    (int * int) array =
   let p = Comm.size comm in
-  let dt = Lazy.force Lp_common.pair_dt in
   let send_counts = Array.make p 0 in
   Hashtbl.iter (fun dest xs -> send_counts.(dest) <- List.length xs) updates;
   let send_displs = prefix_displs ~p send_counts in
@@ -35,19 +34,19 @@ let exchange_ghosts comm (updates : (int, (int * int) list) Hashtbl.t) : (int * 
   let recv_displs = prefix_displs ~p recv_counts in
   Coll.alltoallv comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs send_buf
 
-let sync_sizes comm (deltas : (int * int) list) : (int * int) array =
-  let dt = Lazy.force Lp_common.pair_dt in
+let sync_sizes comm dt (deltas : (int * int) list) : (int * int) array =
   let mine = Array.of_list deltas in
   let counts = Coll.allgather comm Datatype.int [| Array.length mine |] in
   Coll.allgatherv comm dt ~recv_counts:counts mine
 
 let run comm (g : Graphgen.Distgraph.t) ~max_cluster_size ~rounds : int array =
+  Lp_common.with_pair_dt @@ fun dt ->
   let st = Lp_common.create g ~max_cluster_size in
   for _ = 1 to rounds do
     let moves = Lp_common.local_pass st in
-    let ghosts = exchange_ghosts comm (Lp_common.boundary_updates st moves) in
+    let ghosts = exchange_ghosts comm dt (Lp_common.boundary_updates st moves) in
     Lp_common.apply_ghost_updates st ghosts;
-    let all_deltas = sync_sizes comm (Lp_common.size_deltas moves) in
+    let all_deltas = sync_sizes comm dt (Lp_common.size_deltas moves) in
     Lp_common.apply_size_deltas st (Array.to_list all_deltas)
   done;
   st.Lp_common.labels

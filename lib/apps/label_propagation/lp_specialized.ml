@@ -13,8 +13,8 @@ open Mpisim
 module Graph_comm = struct
   type t = { comm : Kamping.Communicator.t; dt : (int * int) Datatype.t }
 
-  let create mpi (_g : Graphgen.Distgraph.t) =
-    { comm = Kamping.Communicator.of_mpi mpi; dt = Lazy.force Lp_common.pair_dt }
+  let create mpi (_g : Graphgen.Distgraph.t) dt =
+    { comm = Kamping.Communicator.of_mpi mpi; dt }
 
   (* Push (vertex, payload) pairs to the ghost owners. *)
   let push_to_ghosts t (updates : (int, (int * int) list) Hashtbl.t) : (int * int) array =
@@ -26,7 +26,8 @@ module Graph_comm = struct
 end
 
 let run mpi (g : Graphgen.Distgraph.t) ~max_cluster_size ~rounds : int array =
-  let gc = Graph_comm.create mpi g in
+  Lp_common.with_pair_dt @@ fun dt ->
+  let gc = Graph_comm.create mpi g dt in
   let st = Lp_common.create g ~max_cluster_size in
   for _ = 1 to rounds do
     let moves = Lp_common.local_pass st in

@@ -55,31 +55,20 @@ let push_pairs comm ~n ~p (pairs : (int * int) list) : (int * int) array =
 
 type mtuple = { pos : int; cls : int; c0 : int; c1 : int; r0 : int; r1 : int; r2 : int }
 
-let mtuple_dt : mtuple Datatype.t Lazy.t =
-  lazy
-    (let dt =
-       Datatype.create ~name:"dc3_tuple" ~size:56
-         ~signature:(Signature.of_base ~count:7 Signature.Int64)
-         ~pack:(fun w t ->
-           Wire.put_int w t.pos;
-           Wire.put_int w t.cls;
-           Wire.put_int w t.c0;
-           Wire.put_int w t.c1;
-           Wire.put_int w t.r0;
-           Wire.put_int w t.r1;
-           Wire.put_int w t.r2)
-         ~unpack:(fun r ->
-           let pos = Wire.get_int r in
-           let cls = Wire.get_int r in
-           let c0 = Wire.get_int r in
-           let c1 = Wire.get_int r in
-           let r0 = Wire.get_int r in
-           let r1 = Wire.get_int r in
-           let r2 = Wire.get_int r in
-           { pos; cls; c0; c1; r0; r1; r2 })
-     in
-     Datatype.commit dt;
-     dt)
+(* Seven ints on the wire; built per sort (see {!push_pairs}). *)
+let mtuple_dt () : mtuple Datatype.t =
+  Datatype.(
+    record "dc3_tuple"
+      [
+        field "pos" int (fun t -> t.pos);
+        field "cls" int (fun t -> t.cls);
+        field "c0" int (fun t -> t.c0);
+        field "c1" int (fun t -> t.c1);
+        field "r0" int (fun t -> t.r0);
+        field "r1" int (fun t -> t.r1);
+        field "r2" int (fun t -> t.r2);
+      ]
+      (fun pos cls c0 c1 r0 r1 r2 -> { pos; cls; c0; c1; r0; r1; r2 }))
 
 (* The DC3 comparator: constant-time suffix comparison via the tuples. *)
 let cmp_mtuple (a : mtuple) (b : mtuple) : int =
@@ -278,7 +267,8 @@ let rec dcx_ranks (comm : Kamping.Communicator.t) (text : int array) : int array
           })
     in
     let sorted =
-      Kamping_plugins.Sorter.sort comm (Lazy.force mtuple_dt) ~compare:cmp_mtuple tuples
+      Datatype.with_committed (mtuple_dt ()) @@ fun dt ->
+      Kamping_plugins.Sorter.sort comm dt ~compare:cmp_mtuple tuples
     in
     (* Ranks: global index in sorted order, shipped back to owners. *)
     let offset =

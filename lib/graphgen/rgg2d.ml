@@ -22,20 +22,6 @@ let radius_for_degree ~n ~degree = sqrt (degree /. (Float.pi *. float_of_int n))
 
 type point = { id : int; x : float; y : float }
 
-(* Committed once, on first use, for the lifetime of the program (the
-   Construct-On-First-Use idiom of §III-D1). *)
-let point_dt : point Datatype.t Lazy.t =
-  lazy
-    (let dt =
-       Datatype.record3 "rgg_point"
-         (Datatype.field "id" Datatype.int (fun p -> p.id))
-         (Datatype.field "x" Datatype.float (fun p -> p.x))
-         (Datatype.field "y" Datatype.float (fun p -> p.y))
-         (fun id x y -> { id; x; y })
-     in
-     Datatype.commit dt;
-     dt)
-
 let dist2 a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   (dx *. dx) +. (dy *. dy)
@@ -77,7 +63,17 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?radius ~(seed 
   List.iter (fun (dest, pts) -> send_counts.(dest) <- Array.length pts) outgoing;
   let data = Array.concat (List.map snd (List.sort compare outgoing)) in
   let halo =
-    Kamping.Collectives.alltoallv comm (Lazy.force point_dt) ~send_counts data
+    (* Built per call: [Engine.run_many] runs share process-wide values. *)
+    Datatype.(
+      with_committed
+        (record "rgg_point"
+           [
+             field "id" int (fun (p : point) -> p.id);
+             field "x" float (fun p -> p.x);
+             field "y" float (fun p -> p.y);
+           ]
+           (fun id x y : point -> { id; x; y })))
+    @@ fun dt -> Kamping.Collectives.alltoallv comm dt ~send_counts data
   in
   (* Neighbor search over local + halo points via grid hashing. *)
   let all_points = Array.append my_points halo in

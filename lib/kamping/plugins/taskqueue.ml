@@ -67,7 +67,6 @@ let mode_of_string = function
 type config = {
   mode : mode;
   lease_timeout : float;
-  lease_backoff : float;
   max_in_flight : int;
   rate : float;
   burst : int;
@@ -76,11 +75,13 @@ type config = {
   max_recovery_retries : int;
 }
 
-let config ?(mode = Master_worker) ?(lease_timeout = 1e-3) ?(lease_backoff = 2.0)
+(* A re-dispatched task's lease doubles per attempt. *)
+let lease_backoff = 2.0
+
+let config ?(mode = Master_worker) ?(lease_timeout = 1e-3)
     ?(max_in_flight = max_int) ?(rate = infinity) ?(burst = 64) ?(checkpoint_every = 16)
     ?(batch = 4) ?(max_recovery_retries = 8) () =
   if lease_timeout <= 0. then Errdefs.usage_error "taskqueue: lease_timeout must be > 0";
-  if lease_backoff < 1. then Errdefs.usage_error "taskqueue: lease_backoff must be >= 1";
   if max_in_flight < 1 then Errdefs.usage_error "taskqueue: max_in_flight must be >= 1";
   if burst < 1 then Errdefs.usage_error "taskqueue: burst must be >= 1";
   if checkpoint_every < 1 then
@@ -89,7 +90,6 @@ let config ?(mode = Master_worker) ?(lease_timeout = 1e-3) ?(lease_backoff = 2.0
   {
     mode;
     lease_timeout;
-    lease_backoff;
     max_in_flight;
     rate;
     burst;
@@ -301,7 +301,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
   let assign worker (id, attempt) =
     take_token state rt me_world bucket;
     let now = Runtime.clock rt me_world in
-    let timeout = state.cfg.lease_timeout *. (state.cfg.lease_backoff ** float_of_int attempt) in
+    let timeout = state.cfg.lease_timeout *. (lease_backoff ** float_of_int attempt) in
     Hashtbl.replace leased id
       { l_worker = worker; l_deadline = now +. timeout; l_attempt = attempt };
     Stats.incr state.ctr.c_dispatched;

@@ -36,9 +36,8 @@ val mode_of_string : string -> (mode, string) result
 type config = {
   mode : mode;
   lease_timeout : float;
-      (** base virtual-time lease per dispatched task (master mode);
-          expiry requeues the task *)
-  lease_backoff : float;  (** lease multiplier per re-dispatch (>= 1) *)
+      (** base virtual-time lease per dispatched task (master mode),
+          doubled per re-dispatch; expiry requeues the task *)
   max_in_flight : int;  (** bound on simultaneously leased tasks *)
   rate : float;
       (** token-bucket dispatch rate, tasks per virtual second;
@@ -52,12 +51,11 @@ type config = {
 }
 
 (** Validating constructor; every field defaults to a sane value
-    ([Master_worker], 1 ms leases, backoff 2, unbounded window, limiter
+    ([Master_worker], 1 ms leases, unbounded window, limiter
     off, checkpoint every 16, batch 4, 8 recovery retries). *)
 val config :
   ?mode:mode ->
   ?lease_timeout:float ->
-  ?lease_backoff:float ->
   ?max_in_flight:int ->
   ?rate:float ->
   ?burst:int ->

@@ -11,7 +11,7 @@
    Which fields are metrics, and which direction is better, is keyed on
    the suite's naming conventions:
 
-     *_seconds            lower is better (includes modelled latencies)
+     *_seconds, *_ns      lower is better (includes modelled latencies)
      *_per_second         higher is better (bandwidth)
      speedup, *_speedup   higher is better
      *_peak_elems         lower is better (scratch-memory ceilings)
@@ -35,7 +35,7 @@ let contains s sub =
   m = 0 || go 0
 
 let metric_direction name =
-  if has_suffix name "_seconds" then Some Lower_better
+  if has_suffix name "_seconds" || has_suffix name "_ns" then Some Lower_better
   else if has_suffix name "_per_second" then Some Higher_better
   else if name = "speedup" || has_suffix name "_speedup" then Some Higher_better
   else if

@@ -103,30 +103,21 @@ let shift t ~dim ~disp : int option * int option =
 (* Halo exchange along one dimension: simultaneously send [to_prev] toward
    coordinate-1 and [to_next] toward coordinate+1; returns
    (from_prev, from_next), [None] at open boundaries.  Collective along
-   the dimension.  One tag serves every dimension: a neighbour along one
-   dimension differs from this rank in that coordinate only, so it is
-   never a neighbour along another, and two ranks' halo messages are all
-   of one dimension. *)
+   the dimension.  [from_prev] is what prev sent toward its next, matched
+   by the direction's tag: on a periodic dimension of extent 2 (or 1) prev
+   and next are one rank.  A neighbour along one dimension is never one
+   along another, so the two tags serve every dimension. *)
 let halo_exchange t (dt : 'a Datatype.t) ~dim ~(to_prev : 'a array) ~(to_next : 'a array)
     : 'a array option * 'a array option =
   let prev, next = shift t ~dim ~disp:1 in
-  let tag = Coll_algo.tag_halo_exchange in
-  (match prev with
-  | Some p -> P2p.send_range t.comm dt ~dest:p ~tag to_prev ~pos:0 ~count:(Array.length to_prev)
-  | None -> ());
-  (match next with
-  | Some n -> P2p.send_range t.comm dt ~dest:n ~tag to_next ~pos:0 ~count:(Array.length to_next)
-  | None -> ());
-  let from_prev =
-    match prev with
-    | Some p -> Some (P2p.recv_fresh t.comm dt ~source:p ~tag)
-    | None -> None
+  let send dest tag a =
+    P2p.send_range t.comm dt ~dest ~tag a ~pos:0 ~count:(Array.length a)
   in
-  let from_next =
-    match next with
-    | Some n -> Some (P2p.recv_fresh t.comm dt ~source:n ~tag)
-    | None -> None
-  in
+  Option.iter (fun p -> send p Coll_algo.tag_halo_to_prev to_prev) prev;
+  Option.iter (fun n -> send n Coll_algo.tag_halo_to_next to_next) next;
+  let recv tag source = P2p.recv_fresh t.comm dt ~source ~tag in
+  let from_prev = Option.map (recv Coll_algo.tag_halo_to_next) prev in
+  let from_next = Option.map (recv Coll_algo.tag_halo_to_prev) next in
   (from_prev, from_next)
 
 (* Sub-grid communicator keeping the dimensions flagged true

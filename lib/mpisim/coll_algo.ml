@@ -120,8 +120,9 @@ let tag_allgather_ring = reserve 17 (span_name Allgather Ring)
 let tag_exscan = reserve 18 "exscan"
 let tag_neighbor_alltoallv = reserve 19 "neighbor_alltoallv"
 let tag_comm_split = reserve 20 "comm_split"
-let tag_halo_exchange = reserve 21 "halo_exchange"
+let tag_halo_to_prev = reserve 21 "halo_exchange.to_prev"
 let tag_bcast_serialized = reserve 22 "bcast_serialized"
+let tag_halo_to_next = reserve 23 "halo_exchange.to_next"
 let p2p_name = "p2p"
 
 let tag_name tag =

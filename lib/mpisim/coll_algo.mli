@@ -97,7 +97,12 @@ val tag_allgather_ring : int
 val tag_exscan : int
 val tag_neighbor_alltoallv : int
 val tag_comm_split : int
-val tag_halo_exchange : int
+
+(** One tag per halo direction: on a periodic dimension of extent 2 the
+    one neighbour is both prev and next. *)
+val tag_halo_to_prev : int
+
+val tag_halo_to_next : int
 val tag_bcast_serialized : int
 
 (** The name of every user tag, ["p2p"]. *)

@@ -7,10 +7,10 @@
    compile-time type mapping (paper §III-D) is built:
 
    - builtins ([int], [float], ...) correspond to MPI's basic types;
-   - [record2]..[record5] build gap-skipping struct types from field lists,
-     the analogue of MPI_Type_create_struct driven by PFR reflection: the
-     layout cannot go out of sync with the data because the fields *are*
-     the accessors;
+   - [record] and [record_with_gaps] build struct types from one typed
+     field list, the analogue of MPI_Type_create_struct driven by PFR
+     reflection: the layout cannot go out of sync with the data because
+     the fields *are* the accessors;
    - [blob] maps a trivially-copyable value to an opaque contiguous byte
      block, the paper's preferred default (§III-D4): one bulk copy,
      alignment gaps included on the wire;
@@ -367,20 +367,6 @@ let pair (a : 'a t) (b : 'b t) : ('a * 'b) t =
       (x, y))
     ~bulk
 
-let triple (a : 'a t) (b : 'b t) (c : 'c t) : ('a * 'b * 'c) t =
-  let name = Printf.sprintf "triple(%s,%s,%s)" a.name b.name c.name in
-  create ~name ~size:(a.elem_size + b.elem_size + c.elem_size)
-    ~signature:(Signature.concat [ a.signature; b.signature; c.signature ])
-    ~pack:(fun w (x, y, z) ->
-      a.pack w x;
-      b.pack w y;
-      c.pack w z)
-    ~unpack:(fun r ->
-      let x = a.unpack r in
-      let y = b.unpack r in
-      let z = c.unpack r in
-      (x, y, z))
-
 (* Fixed-size option: a presence byte plus space for the payload either way,
    so that elements stay fixed-size (absent payloads are zero padding). *)
 let option_ (base : 'a t) : 'a option t =
@@ -416,120 +402,77 @@ type ('r, 'a) field = {
   fname : string;
   ftype : 'a t;
   fget : 'r -> 'a;
-  fpad_after : int;  (* alignment gap after this field (not sent) *)
+  fpad_after : int;  (* alignment gap after this field *)
 }
 
 let field ?(pad_after = 0) fname ftype fget =
   if pad_after < 0 then invalid_arg "Datatype.field: negative padding";
   { fname; ftype; fget; fpad_after = pad_after }
 
-(* Gap-skipping struct type: packs field by field, omitting padding from
-   the wire — the analogue of MPI_Type_create_struct. *)
-let record2 name (fa : ('r, 'a) field) (fb : ('r, 'b) field) (make : 'a -> 'b -> 'r) : 'r t =
-  create ~name
-    ~size:(fa.ftype.elem_size + fb.ftype.elem_size)
-    ~signature:(Signature.append fa.ftype.signature fb.ftype.signature)
-    ~pack:(fun w r ->
-      fa.ftype.pack w (fa.fget r);
-      fb.ftype.pack w (fb.fget r))
-    ~unpack:(fun rd ->
-      let a = fa.ftype.unpack rd in
-      let b = fb.ftype.unpack rd in
-      make a b)
+(* The fields of a struct in wire order.  ['k] is the type of the
+   constructor that rebuilds the struct from their values
+   (['a -> 'b -> ... -> 'r]), so a list whose fields do not line up with
+   [make] does not type-check. *)
+type ('r, 'k) fields =
+  | [] : ('r, 'r) fields
+  | ( :: ) : ('r, 'a) field * ('r, 'k) fields -> ('r, 'a -> 'k) fields
 
-let record3 name (fa : ('r, 'a) field) (fb : ('r, 'b) field) (fc : ('r, 'c) field)
-    (make : 'a -> 'b -> 'c -> 'r) : 'r t =
-  create ~name
-    ~size:(fa.ftype.elem_size + fb.ftype.elem_size + fc.ftype.elem_size)
-    ~signature:
-      (Signature.concat [ fa.ftype.signature; fb.ftype.signature; fc.ftype.signature ])
-    ~pack:(fun w r ->
-      fa.ftype.pack w (fa.fget r);
-      fb.ftype.pack w (fb.fget r);
-      fc.ftype.pack w (fc.fget r))
-    ~unpack:(fun rd ->
-      let a = fa.ftype.unpack rd in
-      let b = fb.ftype.unpack rd in
-      let c = fc.ftype.unpack rd in
-      make a b c)
-
-let record4 name (fa : ('r, 'a) field) (fb : ('r, 'b) field) (fc : ('r, 'c) field)
-    (fd : ('r, 'd) field) (make : 'a -> 'b -> 'c -> 'd -> 'r) : 'r t =
-  create ~name
-    ~size:
-      (fa.ftype.elem_size + fb.ftype.elem_size + fc.ftype.elem_size + fd.ftype.elem_size)
-    ~signature:
-      (Signature.concat
-         [ fa.ftype.signature; fb.ftype.signature; fc.ftype.signature; fd.ftype.signature ])
-    ~pack:(fun w r ->
-      fa.ftype.pack w (fa.fget r);
-      fb.ftype.pack w (fb.fget r);
-      fc.ftype.pack w (fc.fget r);
-      fd.ftype.pack w (fd.fget r))
-    ~unpack:(fun rd ->
-      let a = fa.ftype.unpack rd in
-      let b = fb.ftype.unpack rd in
-      let c = fc.ftype.unpack rd in
-      let d = fd.ftype.unpack rd in
-      make a b c d)
-
-let record5 name (fa : ('r, 'a) field) (fb : ('r, 'b) field) (fc : ('r, 'c) field)
-    (fd : ('r, 'd) field) (fe : ('r, 'e) field) (make : 'a -> 'b -> 'c -> 'd -> 'e -> 'r) :
-    'r t =
-  create ~name
-    ~size:
-      (fa.ftype.elem_size + fb.ftype.elem_size + fc.ftype.elem_size + fd.ftype.elem_size
-     + fe.ftype.elem_size)
-    ~signature:
-      (Signature.concat
-         [
-           fa.ftype.signature;
-           fb.ftype.signature;
-           fc.ftype.signature;
-           fd.ftype.signature;
-           fe.ftype.signature;
-         ])
-    ~pack:(fun w r ->
-      fa.ftype.pack w (fa.fget r);
-      fb.ftype.pack w (fb.fget r);
-      fc.ftype.pack w (fc.fget r);
-      fd.ftype.pack w (fd.fget r);
-      fe.ftype.pack w (fe.fget r))
-    ~unpack:(fun rd ->
-      let a = fa.ftype.unpack rd in
-      let b = fb.ftype.unpack rd in
-      let c = fc.ftype.unpack rd in
-      let d = fd.ftype.unpack rd in
-      let e = fe.ftype.unpack rd in
-      make a b c d e)
-
-(* Gap-including struct type: like record*, but alignment gaps are sent as
-   zero padding in a single pass — the trivially-copyable "contiguous bytes"
-   default of §III-D4.  Wire size includes padding; the signature is Blob
-   so it matches any equally-sized blob. *)
-let record3_with_gaps name (fa : ('r, 'a) field) (fb : ('r, 'b) field) (fc : ('r, 'c) field)
-    (make : 'a -> 'b -> 'c -> 'r) : 'r t =
-  let size =
-    fa.ftype.elem_size + fa.fpad_after + fb.ftype.elem_size + fb.fpad_after
-    + fc.ftype.elem_size + fc.fpad_after
+(* One builder for both layouts.  Without [gaps] this is the gap-skipping
+   struct of MPI_Type_create_struct: field by field, padding left off the
+   wire.  With [gaps] every field's [pad_after] is shipped as
+   zero bytes in the same pass, the trivially-copyable "contiguous bytes"
+   default of §III-D4; the wire size then includes the padding and the
+   signature is Blob, so it matches any equally-sized blob. *)
+let struct_type (type r k) ~gaps name (fields : (r, k) fields) (make : k) : r t =
+  let pad f = if gaps then f.fpad_after else 0 in
+  let rec size : type k. (r, k) fields -> int = function
+    | [] -> 0
+    | f :: rest -> f.ftype.elem_size + pad f + size rest
   in
+  let rec signature : type k. (r, k) fields -> Signature.t = function
+    | [] -> Signature.empty
+    | f :: rest -> Signature.append f.ftype.signature (signature rest)
+  in
+  (* Each walks the list once, at construction, into a chain of
+     per-field closures. *)
+  let rec pack : type k. (r, k) fields -> Wire.writer -> r -> unit = function
+    | [] -> fun _ _ -> ()
+    | f :: rest ->
+        let next = pack rest and p = pad f in
+        fun w v ->
+          f.ftype.pack w (f.fget v);
+          if p > 0 then Wire.put_padding w p;
+          next w v
+  in
+  let rec unpack : type k. (r, k) fields -> Wire.reader -> k -> r = function
+    | [] -> fun _ make -> make
+    | f :: rest ->
+        let next = unpack rest and p = pad f in
+        fun rd make ->
+          let x = f.ftype.unpack rd in
+          if p > 0 then Wire.skip rd p;
+          next rd (make x)
+  in
+  let size = size fields and unpack = unpack fields in
   create ~name ~size
-    ~signature:(Signature.of_base ~count:size Signature.Blob)
-    ~pack:(fun w r ->
-      fa.ftype.pack w (fa.fget r);
-      Wire.put_padding w fa.fpad_after;
-      fb.ftype.pack w (fb.fget r);
-      Wire.put_padding w fb.fpad_after;
-      fc.ftype.pack w (fc.fget r);
-      Wire.put_padding w fc.fpad_after)
-    ~unpack:(fun rd ->
-      let a = fa.ftype.unpack rd in
-      Wire.skip rd fa.fpad_after;
-      let b = fb.ftype.unpack rd in
-      Wire.skip rd fb.fpad_after;
-      let c = fc.ftype.unpack rd in
-      Wire.skip rd fc.fpad_after;
-      make a b c)
+    ~signature:
+      (if gaps then Signature.of_base ~count:size Signature.Blob else signature fields)
+    ~pack:(pack fields)
+    ~unpack:(fun rd -> unpack rd make)
+
+let record name fields make = struct_type ~gaps:false name fields make
+
+let record_with_gaps name fields make = struct_type ~gaps:true name fields make
+
+let triple (a : 'a t) (b : 'b t) (c : 'c t) : ('a * 'b * 'c) t =
+  record
+    (Printf.sprintf "triple(%s,%s,%s)" a.name b.name c.name)
+    [
+      field "0" a (fun (x, _, _) -> x);
+      field "1" b (fun (_, y, _) -> y);
+      field "2" c (fun (_, _, z) -> z);
+    ]
+    (fun x y z -> (x, y, z))
 
 (* Opaque contiguous byte block for trivially-copyable values: a single bulk
    write/read per element.  [write buf pos v] must fill exactly [size]

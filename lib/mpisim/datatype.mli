@@ -7,8 +7,8 @@
 
     - builtins correspond to MPI's basic types and are permanently
       committed;
-    - [record2]..[record5] build gap-skipping struct types from field
-      lists — the analogue of MPI_Type_create_struct driven by PFR
+    - [record] and [record_with_gaps] build struct types from one typed
+      field list — the analogue of MPI_Type_create_struct driven by PFR
       reflection: the layout cannot drift from the data because the
       fields {e are} the accessors;
     - [blob] maps a trivially-copyable value to one contiguous byte block
@@ -122,49 +122,28 @@ val option_ : 'a t -> 'a option t
 type ('r, 'a) field
 
 (** [field ?pad_after name dt get] describes one struct member;
-    [pad_after] models an alignment gap after it (only meaningful to the
-    gap-including constructors). *)
+    [pad_after] models an alignment gap after it (shipped only by
+    {!record_with_gaps}). *)
 val field : ?pad_after:int -> string -> 'a t -> ('r -> 'a) -> ('r, 'a) field
 
-val record2 : string -> ('r, 'a) field -> ('r, 'b) field -> ('a -> 'b -> 'r) -> 'r t
+(** The fields of a struct in wire order, written as a list literal:
+    [[ field "id" int (fun p -> p.id); field "x" float (fun p -> p.x) ]].
+    ['k] is the type of the constructor that rebuilds the struct from the
+    field values ([int -> float -> 'r] here), so a list that does not line
+    up with the constructor does not type-check. *)
+type ('r, 'k) fields =
+  | [] : ('r, 'r) fields
+  | ( :: ) : ('r, 'a) field * ('r, 'k) fields -> ('r, 'a -> 'k) fields
 
-val record3 :
-  string ->
-  ('r, 'a) field ->
-  ('r, 'b) field ->
-  ('r, 'c) field ->
-  ('a -> 'b -> 'c -> 'r) ->
-  'r t
+(** [record name fields make]: the gap-skipping struct type (the analogue
+    of MPI_Type_create_struct): fields packed one after another, padding
+    left off the wire, signature the concatenation of the fields'. *)
+val record : string -> ('r, 'k) fields -> 'k -> 'r t
 
-val record4 :
-  string ->
-  ('r, 'a) field ->
-  ('r, 'b) field ->
-  ('r, 'c) field ->
-  ('r, 'd) field ->
-  ('a -> 'b -> 'c -> 'd -> 'r) ->
-  'r t
-
-val record5 :
-  string ->
-  ('r, 'a) field ->
-  ('r, 'b) field ->
-  ('r, 'c) field ->
-  ('r, 'd) field ->
-  ('r, 'e) field ->
-  ('a -> 'b -> 'c -> 'd -> 'e -> 'r) ->
-  'r t
-
-(** Like {!record3} but alignment gaps are shipped as zero padding in one
-    pass — the trivially-copyable "contiguous bytes" default of §III-D4.
-    The signature is opaque ([Blob]). *)
-val record3_with_gaps :
-  string ->
-  ('r, 'a) field ->
-  ('r, 'b) field ->
-  ('r, 'c) field ->
-  ('a -> 'b -> 'c -> 'r) ->
-  'r t
+(** Like {!record} but every field's [pad_after] is shipped as zero bytes
+    in the same pass — the trivially-copyable "contiguous bytes" default
+    of §III-D4.  The signature is opaque ([Blob]). *)
+val record_with_gaps : string -> ('r, 'k) fields -> 'k -> 'r t
 
 (** Opaque contiguous byte block written/read in place (zero-copy with the
     wire buffer).  [write buf pos v] must fill exactly [size] bytes. *)

@@ -290,23 +290,21 @@ let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
    slice.  The chaos plane's reliable-delivery layer frames every payload
    with this checksum so bit corruption is detected at the receiver
-   instead of silently unpacking garbage.  The table is built lazily: a
-   run that never enables faults pays nothing. *)
+   instead of silently unpacking garbage.  The table is built at module
+   initialisation and only read, so runs on several domains share it. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
 
 let crc32 (b : Bytes.t) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Wire.crc32";
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!c lsr 8)
+    c := crc_table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

@@ -76,6 +76,32 @@ let test_halo_open_boundary () =
   Alcotest.(check (pair bool bool)) "rank 2 has no next" (false, true) results.(2);
   Alcotest.(check (pair bool bool)) "rank 1 has both" (false, false) results.(1)
 
+(* Distinct payloads each way: on a periodic dimension of extent 2 the one
+   neighbour is both prev and next, and [from_prev] must be what it sent
+   toward its next; at extent 1 a rank is its own neighbour both ways. *)
+let test_halo_extent_two () =
+  let results =
+    Engine.run_values ~ranks:2 (fun comm ->
+        let cart = Cart.create comm ~dims:[| 2 |] ~periods:[| true |] in
+        let r = Comm.rank (Cart.comm cart) in
+        let from_prev, from_next =
+          Cart.halo_exchange cart Datatype.int ~dim:0 ~to_prev:[| 100 + r |]
+            ~to_next:[| 200 + r |]
+        in
+        ((Option.get from_prev).(0), (Option.get from_next).(0)))
+  in
+  Alcotest.(check (pair int int)) "rank 0" (201, 101) results.(0);
+  Alcotest.(check (pair int int)) "rank 1" (200, 100) results.(1);
+  let self =
+    Engine.run_values ~ranks:1 (fun comm ->
+        let cart = Cart.create comm ~dims:[| 1 |] ~periods:[| true |] in
+        let from_prev, from_next =
+          Cart.halo_exchange cart Datatype.int ~dim:0 ~to_prev:[| 100 |] ~to_next:[| 200 |]
+        in
+        ((Option.get from_prev).(0), (Option.get from_next).(0)))
+  in
+  Alcotest.(check (pair int int)) "extent 1: own messages" (200, 100) self.(0)
+
 let test_cart_sub () =
   (* A 2x3 grid split into rows: each row becomes a 1-D cart of size 3. *)
   let results =
@@ -178,6 +204,7 @@ let tests =
     Alcotest.test_case "shift boundaries" `Quick test_shift_boundaries;
     Alcotest.test_case "halo exchange (periodic ring)" `Quick test_halo_exchange_ring;
     Alcotest.test_case "halo open boundary" `Quick test_halo_open_boundary;
+    Alcotest.test_case "halo periodic extent 2 and 1" `Quick test_halo_extent_two;
     Alcotest.test_case "cart sub" `Quick test_cart_sub;
     qtest prop_reduce_scatter_block;
     Alcotest.test_case "reduce_scatter varying counts" `Quick test_reduce_scatter_varying;

@@ -151,11 +151,14 @@ let test_zero_elem_decodes () =
 type my_record = { ra : int; rb : float; rc : char }
 
 let my_record_dt =
-  Datatype.record3 "my_record"
-    (Datatype.field "ra" Datatype.int (fun r -> r.ra))
-    (Datatype.field "rb" Datatype.float (fun r -> r.rb))
-    (Datatype.field "rc" Datatype.char (fun r -> r.rc))
-    (fun ra rb rc -> { ra; rb; rc })
+  Datatype.(
+    record "my_record"
+      [
+        field "ra" int (fun r -> r.ra);
+        field "rb" float (fun r -> r.rb);
+        field "rc" char (fun r -> r.rc);
+      ]
+      (fun ra rb rc -> { ra; rb; rc }))
 
 let prop_record_roundtrip =
   let gen = QCheck.(triple int float printable_char) in
@@ -163,6 +166,65 @@ let prop_record_roundtrip =
       let v = { ra; rb; rc } in
       let v' = roundtrip my_record_dt v in
       v'.ra = ra && Int64.bits_of_float v'.rb = Int64.bits_of_float rb && v'.rc = rc)
+
+(* The field list at the arities no caller in the tree uses: one field,
+   five mixed fields (one padded, which [record] leaves off the wire), and
+   seven, through both layouts. *)
+let prop_record1_roundtrip =
+  QCheck.Test.make ~name:"1-field record roundtrip" ~count:300 QCheck.int (fun v ->
+      let dt = Datatype.(record "r1" [ field "v" int Fun.id ] Fun.id) in
+      Datatype.elem_size dt = 8 && roundtrip dt v = v)
+
+type r5 = { f1 : int; f2 : bool; f3 : char; f4 : int32; f5 : float }
+
+let prop_record5_roundtrip =
+  let gen = QCheck.(tup5 int bool printable_char int32 float) in
+  QCheck.Test.make ~name:"5-field record roundtrip" ~count:300 gen
+    (fun (f1, f2, f3, f4, f5) ->
+      let dt =
+        Datatype.(
+          record "r5"
+            [
+              field "f1" int (fun r -> r.f1);
+              field "f2" bool (fun r -> r.f2);
+              field ~pad_after:2 "f3" char (fun r -> r.f3);
+              field "f4" int32 (fun r -> r.f4);
+              field "f5" float (fun r -> r.f5);
+            ]
+            (fun f1 f2 f3 f4 f5 -> { f1; f2; f3; f4; f5 }))
+      in
+      let v' = roundtrip dt { f1; f2; f3; f4; f5 } in
+      Datatype.elem_size dt = 22
+      && (v'.f1, v'.f2, v'.f3, v'.f4) = (f1, f2, f3, f4)
+      && Int64.bits_of_float v'.f5 = Int64.bits_of_float f5)
+
+let prop_record7_roundtrip =
+  let gen = QCheck.(array_of_size (Gen.return 7) int) in
+  QCheck.Test.make ~name:"7-field record roundtrip (both layouts)" ~count:300 gen (fun a ->
+      let fields =
+        Datatype.
+          [
+            field "0" int (fun (a : int array) -> a.(0));
+            field ~pad_after:1 "1" int (fun a -> a.(1));
+            field "2" int (fun a -> a.(2));
+            field "3" int (fun a -> a.(3));
+            field "4" int (fun a -> a.(4));
+            field ~pad_after:3 "5" int (fun a -> a.(5));
+            field "6" int (fun a -> a.(6));
+          ]
+      in
+      let make a0 a1 a2 a3 a4 a5 a6 = [| a0; a1; a2; a3; a4; a5; a6 |] in
+      let skipping = Datatype.record "r7" fields make in
+      let padded = Datatype.record_with_gaps "r7_gaps" fields make in
+      let packed dt =
+        let w = Wire.create_writer () in
+        dt.Datatype.pack w a;
+        Wire.length w
+      in
+      (Datatype.elem_size skipping, packed skipping) = (56, 56)
+      && (Datatype.elem_size padded, packed padded) = (60, 60)
+      && roundtrip skipping a = a
+      && roundtrip padded a = a)
 
 let prop_pair_roundtrip =
   QCheck.Test.make ~name:"pair roundtrip" ~count:300
@@ -220,7 +282,7 @@ let test_bulk_dispatch () =
       ( "pair of builtins composes",
         Datatype.bulk_available (Datatype.pair Datatype.int Datatype.float) );
     ];
-  Alcotest.(check bool) "record3 takes the general path" false
+  Alcotest.(check bool) "record takes the general path" false
     (Datatype.bulk_available my_record_dt);
   Alcotest.(check bool) "without_bulk strips the kernel" false
     (Datatype.bulk_available (Datatype.without_bulk Datatype.int))
@@ -524,15 +586,72 @@ let test_bulk_allocation () =
 
 let test_gapped_vs_blob_sizes () =
   let gapped =
-    Datatype.record3_with_gaps "gap_t"
-      (Datatype.field "a" Datatype.int (fun (a, _, _) -> a))
-      (Datatype.field ~pad_after:7 "b" Datatype.char (fun (_, b, _) -> b))
-      (Datatype.field "c" Datatype.float (fun (_, _, c) -> c))
-      (fun a b c -> (a, b, c))
+    Datatype.(
+      record_with_gaps "gap_t"
+        [
+          field "a" int (fun (a, _, _) -> a);
+          field ~pad_after:7 "b" char (fun (_, b, _) -> b);
+          field "c" float (fun (_, _, c) -> c);
+        ]
+        (fun a b c -> (a, b, c)))
   in
   Alcotest.(check int) "padded size" 24 (Datatype.elem_size gapped);
   let v = (11, 'q', 2.5) in
   Alcotest.(check bool) "roundtrip with gaps" true (roundtrip gapped v = v)
+
+(* The layouts are the ones the per-arity builders produced: bench_types'
+   [struct MyType { int64 a; char c; /* 7 bytes pad */ double b; }]
+   through both layouts packs to the bytes [record3] and
+   [record3_with_gaps] wrote (hex captured from them), names and
+   signatures included; the DC3 merge tuple keeps the signature of its
+   hand-written [Datatype.create]. *)
+type my_type = { a : int; c : char; b : float }
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_golden_layouts () =
+  let fields =
+    Datatype.
+      [
+        field "a" int (fun t -> t.a);
+        field ~pad_after:7 "c" char (fun t -> t.c);
+        field "b" float (fun t -> t.b);
+      ]
+  in
+  let make a c b = { a; c; b } in
+  let sample =
+    [| { a = 0x0102030405060708; c = 'Z'; b = 1.5 }; { a = -2; c = '\255'; b = -0.25 } |]
+  in
+  let packed dt =
+    let w = Wire.create_writer () in
+    Datatype.pack_array dt w sample ~pos:0 ~count:2;
+    hex (Wire.contents w)
+  in
+  let gapped = Datatype.record "my_type_struct" fields make in
+  let padded = Datatype.record_with_gaps "my_type_gaps" fields make in
+  Alcotest.(check (pair int int)) "bytes per element" (17, 24)
+    (Datatype.elem_size gapped, Datatype.elem_size padded);
+  Alcotest.(check string) "gap-skipping bytes"
+    "08070605040302015a000000000000f83ffeffffffffffffffff000000000000d0bf" (packed gapped);
+  Alcotest.(check string) "gaps-on-wire bytes"
+    "08070605040302015a00000000000000000000000000f83f\
+     feffffffffffffffff00000000000000000000000000d0bf"
+    (packed padded);
+  Alcotest.(check string) "gap-skipping signature" "[int64; char; float64]"
+    (Signature.to_string gapped.Datatype.signature);
+  Alcotest.(check string) "gaps-on-wire signature" "[blob[24]]"
+    (Signature.to_string padded.Datatype.signature);
+  let triple = Datatype.triple Datatype.int Datatype.bool Datatype.int in
+  Alcotest.(check (pair string string)) "triple name and signature"
+    ("triple(int,bool,int)", "[int64; bool; int64]")
+    (Datatype.name triple, Signature.to_string triple.Datatype.signature);
+  let dc3 = Suffix_array.Sa_dcx.mtuple_dt () in
+  Alcotest.(check (pair string int)) "dc3 tuple name and size" ("dc3_tuple", 56)
+    (Datatype.name dc3, Datatype.elem_size dc3);
+  Alcotest.(check bool) "dc3 tuple signature" true
+    (Signature.matches dc3.Datatype.signature (Signature.of_base ~count:7 Signature.Int64))
 
 let tests =
   [
@@ -550,6 +669,10 @@ let tests =
       test_blob_segmentation_independent;
     Alcotest.test_case "zero_elem decodes" `Quick test_zero_elem_decodes;
     Alcotest.test_case "gapped struct size" `Quick test_gapped_vs_blob_sizes;
+    Alcotest.test_case "struct layouts unchanged (golden bytes)" `Quick test_golden_layouts;
+    qtest prop_record1_roundtrip;
+    qtest prop_record5_roundtrip;
+    qtest prop_record7_roundtrip;
     Alcotest.test_case "bulk kernel skips per-element calls" `Quick
       test_bulk_skips_callbacks;
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;

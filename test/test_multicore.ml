@@ -223,6 +223,43 @@ let test_golden_chaos_knobs () =
               "0x1.49d2c36a798cp-9" |]
     (chaos_ring_with (Result.get_ok (Chaos.config_of_string knob_spec)))
 
+(* Values a run builds outside itself are shared by the pool's domains:
+   RGG generations (the point datatype of its halo exchange) and chaos
+   runs (the CRC table of reliable delivery) started together on several
+   domains must each equal its sequential twin, and leave no derived
+   type committed.  First in the suite, so the pool is the first to touch
+   them. *)
+let rgg_run ~seed () =
+  let adjacency =
+    Engine.run_values ~ranks:4 (fun mpi ->
+        let g = Graphgen.Rgg2d.generate (C.of_mpi mpi) ~n_per_rank:48 ~seed () in
+        List.init (Graphgen.Distgraph.n_local g) (fun l ->
+            let ns = ref [] in
+            Graphgen.Distgraph.iter_neighbors g l (fun u -> ns := u :: !ns);
+            (Graphgen.Distgraph.global_of_local g l, List.sort compare !ns)))
+  in
+  Printf.sprintf "rgg seed %d: %s" seed
+    (String.concat ";"
+       (List.map
+          (fun (v, ns) ->
+            Printf.sprintf "%d>%s" v (String.concat "." (List.map string_of_int ns)))
+          (List.concat (Array.to_list adjacency))))
+
+let chaos_run () =
+  let results, _, log = chaos_ring () in
+  let show = Option.fold ~none:"-" ~some:string_of_int in
+  Printf.sprintf "chaos %s %s"
+    (String.concat "," (Array.to_list (Array.map show results)))
+    (Digest.to_hex (Digest.string log))
+
+let test_shared_values_pooled () =
+  let live = Datatype.live_derived_count () in
+  let thunks = List.concat_map (fun seed -> [ rgg_run ~seed; chaos_run ]) [ 1; 2; 3; 4 ] in
+  let pooled = Engine.run_many thunks in
+  Alcotest.(check (list string)) "pooled equal sequential" (sequential thunks) pooled;
+  Alcotest.(check int) "no derived type left committed" live
+    (Datatype.live_derived_count ())
+
 (* ------------------------------------------------------------------ *)
 (* Pool contract. *)
 
@@ -297,6 +334,7 @@ let () =
     [
       ( "determinism",
         [
+          quick "RGG and chaos runs pooled from a cold start" test_shared_values_pooled;
           quick "ring identical in 2/4/8 pools" test_ring_pools;
           quick "taskqueue exactly-once pooled" test_taskqueue_exactly_once;
           QCheck_alcotest.to_alcotest prop_pool_determinism;

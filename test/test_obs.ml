@@ -631,6 +631,9 @@ let mk bench keys metrics =
 let test_bench_compare_directions () =
   Alcotest.(check bool) "seconds lower-better" true
     (Bench_compare.metric_direction "sim_seconds" = Some Bench_compare.Lower_better);
+  Alcotest.(check bool) "nanoseconds lower-better" true
+    (Bench_compare.metric_direction "pack_unpack_wall_ns"
+    = Some Bench_compare.Lower_better);
   Alcotest.(check bool) "per_second higher-better" true
     (Bench_compare.metric_direction "bytes_per_second" = Some Bench_compare.Higher_better);
   Alcotest.(check bool) "speedup higher-better" true

@@ -116,7 +116,7 @@ let test_bad_deps_rejected () =
 let test_straggler_redispatch () =
   let n = 12 in
   let cost id = if id = 5 then 0.05 else 1e-3 in
-  let cfg = TQ.config ~lease_timeout:4e-3 ~lease_backoff:2.0 () in
+  let cfg = TQ.config ~lease_timeout:4e-3 () in
   let report = check_results ~p:3 ~n (run_queue ~cfg ~cost ~p:3 ~n ()) in
   let completed = count report "taskqueue.completed" in
   Alcotest.(check bool) "lease expired" true (count report "taskqueue.leases_expired" > 0);
