@@ -1,7 +1,7 @@
 (* Ablation studies for the design choices called out in DESIGN.md §4:
 
    1. allgather algorithm: Bruck (O(log p) rounds, default) vs ring
-      (p-1 rounds, bandwidth-optimal) — latency/bandwidth crossover;
+      (p-1 rounds): the same bytes, so Bruck wins at every size here;
    2. grid dimensionality k for the indirect all-to-all: k=1 (direct)
       vs k=2 vs k=3 — startups fall as k*p^(1/k) while forwarded volume
       grows k-fold;
@@ -63,10 +63,12 @@ let allgather_ablation ~max_p () =
       ("ring (8k ints)", fun p -> run ~ranks:p ~count:8192 `Ring);
     ];
   Printf.printf
-    "(Both algorithms move the same total volume, so Bruck's O(log p) rounds\n\
-     \ dominate at small sizes and the gap narrows as bandwidth takes over;\n\
-     \ real MPI prefers rings at large sizes for pipelining/cache reasons our\n\
-     \ model does not represent.)\n"
+    "(Both algorithms move the same (p-1) blocks per rank, so Bruck's O(log p)\n\
+     \ rounds win at every size and the gap narrows as bandwidth takes over.\n\
+     \ The alpha-beta model has no link contention and no pipelining, which\n\
+     \ is what makes rings win at large sizes on real networks, so the cost\n\
+     \ model never selects ring for a non-empty block; ring stays for\n\
+     \ allgatherv and bcast's second phase.)\n"
 
 let grid_k_ablation ~max_p () =
   Printf.printf "\n-- grid dimensionality for indirect all-to-all --\n";

@@ -7,8 +7,10 @@
    model — this compares algorithms, not wall-clock noise.
 
    Smoke gates (CI):
-   - large-message allreduce: the tuned automatic choice (Rabenseifner)
-     must beat the seed reduce+bcast lowering by >= 1.5x in modelled time;
+   - every swept cell: the automatic choice, the cost model's argmin, is
+     within 2% of the fastest pinned algorithm's modelled time;
+   - large-message allreduce: the automatic choice (Rabenseifner) must
+     beat the seed reduce+bcast lowering by >= 1.5x in modelled time;
    - reduce_scatter: the pairwise algorithm's peak per-rank scratch must
      stay O(n/p) while the reference lowering materializes the full O(n)
      vector (i.e. O(p * n/p)) at the root. *)
@@ -40,26 +42,33 @@ let emit ~coll ~algo ~ranks ~elems ~bytes ~seconds =
 
 let fmt_time t = Printf.sprintf "%.1fus" (t *. 1e6)
 
+(* Swept cells where the automatic choice is more than 2% slower than the
+   fastest pinned algorithm, and the number of cells swept. *)
+let auto_losses = ref []
+
+let swept = ref 0
+
 (* One table per collective: rows are (p, elems), one column per pinned
    algorithm plus the automatic choice. *)
 let sweep ~coll ~op ~algos ~configs ~(body : elems:int -> Comm.t -> unit) =
   Printf.printf "\n-- %s: modelled time per algorithm --\n" coll;
-  let variants = List.map (fun a -> Some a) algos @ [ None ] in
-  let label = function Some a -> Coll_algo.algo_name a | None -> "auto" in
   Bench_util.print_table
-    ~header:([ "p"; "elems" ] @ List.map label variants)
+    ~header:([ "p"; "elems" ] @ List.map Coll_algo.algo_name algos @ [ "auto" ])
     (List.map
        (fun (ranks, elems) ->
-         let bytes = elems * 8 in
+         let time algo label =
+           let t = modelled_time ~op ~algo ~ranks (body ~elems) in
+           emit ~coll ~algo:label ~ranks ~elems ~bytes:(elems * 8) ~seconds:t;
+           t
+         in
+         let pinned = List.map (fun a -> time (Some a) (Coll_algo.algo_name a)) algos in
+         let auto = time None "auto" in
+         incr swept;
+         if auto > 1.02 *. List.fold_left Float.min infinity pinned then
+           auto_losses :=
+             Printf.sprintf "%s p=%d elems=%d" coll ranks elems :: !auto_losses;
          [ string_of_int ranks; string_of_int elems ]
-         @ List.map
-             (fun v ->
-               let t =
-                 modelled_time ~op ~algo:v ~ranks (body ~elems)
-               in
-               emit ~coll ~algo:(label v) ~ranks ~elems ~bytes ~seconds:t;
-               fmt_time t)
-             variants)
+         @ List.map fmt_time (pinned @ [ auto ]))
        configs)
 
 let gate_failures = ref []
@@ -161,6 +170,10 @@ let run ?(smoke = false) () =
       let data = Array.init elems (fun i -> i) in
       ignore (Coll.reduce_scatter_block comm Datatype.int Reduce_op.int_sum data));
   Printf.printf "\n-- acceptance gates --\n";
+  gate "auto within 2% of the fastest pinned" (!auto_losses = [])
+    (match !auto_losses with
+    | [] -> Printf.sprintf "%d cells" !swept
+    | l -> String.concat ", " (List.rev l));
   allreduce_gate ();
   reduce_scatter_gate ();
   if !gate_failures <> [] then begin

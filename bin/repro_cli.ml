@@ -133,8 +133,9 @@ let obs_arg =
       & opt (some spec_conv) None
       & info [ "coll-algo" ] ~docv:"SPEC"
           ~doc:
-            "Pin collective algorithms instead of the size-keyed automatic \
-             selection.  $(docv) is a ','-separated list of $(b,op=alg), e.g. \
+            "Pin collective algorithms instead of the automatic selection, \
+             which runs the cheapest under the network model.  $(docv) is a \
+             ','-separated list of $(b,op=alg), e.g. \
              $(b,allreduce=rabenseifner,allgather=ring); $(b,alg) may be \
              $(b,auto).  Ops: allreduce (reduce_bcast, recursive_doubling, \
              rabenseifner), allgather (bruck, ring), bcast (binomial, \

@@ -12,10 +12,10 @@
      (recursive-halving reduce-scatter + recursive-doubling allgather)
      for long commutative ones, reduce+bcast otherwise;
    - [allgather]: Bruck concatenation, O(log p) rounds (any p), or ring
-     for long messages;
+     when pinned or when the blocks are empty;
    - [allgatherv]: ring, p-1 rounds (bandwidth-optimal);
    - [reduce_scatter]/[reduce_scatter_block]: pairwise exchange with an
-     O(n) peak buffer for commutative operations; reduce + scatter(v)
+     O(n/p) peak buffer for long commutative ones; reduce + scatter(v)
      otherwise;
    - [alltoall]/[alltoallv]: pairwise exchange; [alltoallv] skips empty
      pairs but charges the O(p) count-array scan that makes dense
@@ -29,9 +29,9 @@
    - neighbor collectives: direct exchange with the static graph topology.
 
    Where more than one algorithm exists, {!Coll_algo.choose} picks one
-   per call from (payload bytes, communicator size, commutativity)
-   against the thresholds in [Net_model.tuning]; the choice is counted in
-   a [coll.algo.<op>.<algo>] stats counter and emitted as a nested trace
+   per call from (payload bytes, communicator size, commutativity): the
+   cheapest under the run's [Net_model]; the choice is counted in a
+   [coll.algo.<op>.<algo>] stats counter and emitted as a nested trace
    span, and can be pinned through the run's model ([Coll_algo.pin]).
 
    Each algorithm is written once, as a schedule: rounds of [send],
@@ -79,9 +79,9 @@ let entry comm ~op ~root ~ty ~bytes f =
     f ()
   end
 
-let choose comm alg_op ~bytes ~commutative ~elems =
+let choose comm alg_op ~bytes ~commutative =
   Coll_algo.choose (Comm.runtime comm).Runtime.model alg_op ~bytes ~size:(Comm.size comm)
-    ~commutative ~elems
+    ~commutative
 
 (* Charge the O(p) cost of scanning per-rank count/displacement arrays in
    dense vector collectives. *)
@@ -553,7 +553,7 @@ let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a ar
         let count_at_root = Array.length mine in
         let total = bcast_count_rendezvous x comm ~root ~count_at_root in
         let bytes = Datatype.size_of_count dt total in
-        let algo = choose comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total in
+        let algo = choose comm Coll_algo.Bcast ~bytes ~commutative:true in
         let buf = if r = root then mine else scratch_like dt total in
         dispatch x comm Coll_algo.Bcast algo (fun () ->
             match algo with
@@ -742,7 +742,7 @@ let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   entry comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
       if Comm.size comm = 1 then Array.copy data
       else begin
-        let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true ~elems:count in
+        let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true in
         dispatch blocking comm Coll_algo.Allgather algo (fun () ->
             match algo with
             | Coll_algo.Ring -> allgather_ring_impl comm dt data
@@ -1063,7 +1063,7 @@ let allreduce_table comm algo ~elems =
 
 (* Allreduce of [src] into [dst] (which may be [src]).  The reduce+bcast
    reference lowering pins the binomial bcast, so its cost stays the seed
-   2-tree lowering whatever the bcast tuning says: it is both the
+   2-tree lowering whatever bcast would select: it is both the
    order-safe fallback and the benchmark baseline. *)
 let allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table =
   let total = Array.length src in
@@ -1090,7 +1090,7 @@ let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a a
   else begin
     let algo =
       choose comm Coll_algo.Allreduce ~bytes:(Datatype.size_of_count dt elems)
-        ~commutative:op.Reduce_op.commutative ~elems
+        ~commutative:op.Reduce_op.commutative
     in
     let scratch = allreduce_scratch dt algo ~elems in
     let table = allreduce_table comm algo ~elems in
@@ -1287,7 +1287,7 @@ let reduce_scatter_run x comm dt op ~scatterv ~(table : int array) data =
     let total = table.(n) in
     let algo =
       choose comm Coll_algo.Reduce_scatter ~bytes:(Datatype.size_of_count dt total)
-        ~commutative:op.Reduce_op.commutative ~elems:total
+        ~commutative:op.Reduce_op.commutative
     in
     let mine = block_count table (Comm.rank comm) in
     let acc, scratch = reduce_scatter_buffers dt algo ~mine in
@@ -1334,9 +1334,9 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
    algorithm (and its [coll.algo.*] counter) is exactly what each ad-hoc
    call would pick.  Returns its counter's name and the algorithm, with a
    writer pre-warmed for the largest per-round [payload]. *)
-let freeze comm op ~bytes ~commutative ~elems ~payload =
+let freeze comm op ~bytes ~commutative ~payload =
   Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 payload);
-  let algo = choose comm op ~bytes ~commutative ~elems in
+  let algo = choose comm op ~bytes ~commutative in
   (Some (Coll_algo.counter_name op algo), algo)
 
 (* Persistent allreduce: reduces [src] into [dst] each cycle.  Buffers
@@ -1356,7 +1356,7 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
   if Comm.size comm = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 elems)
   else begin
     let counter, algo =
-      freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative ~elems
+      freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative
         ~payload:bytes
     in
     let scratch = allreduce_scratch dt algo ~elems in
@@ -1382,9 +1382,7 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   let n = Comm.size comm in
   if n = 1 then persistent ~counter:None ignore
   else
-    match
-      freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~elems:total ~payload:bytes
-    with
+    match freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~payload:bytes with
     | counter, Coll_algo.Scatter_allgather ->
         let table = even_blocks ~total ~parts:n in
         persistent ~counter (fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
@@ -1413,7 +1411,6 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   else begin
     let counter, algo =
       freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
-        ~elems:len
         ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
     in
     let _, scratch = reduce_scatter_buffers dt algo ~mine in

@@ -7,9 +7,9 @@
     the persistent and the nonblocking form of its operation.
 
     Operations with more than one algorithm (allreduce, allgather, bcast,
-    reduce_scatter) consult {!Coll_algo.choose} per call: selection is
-    keyed on payload bytes and communicator size against the thresholds
-    in [Net_model.tuning], can be pinned through the run's model
+    reduce_scatter) consult {!Coll_algo.choose} per call: it runs the
+    algorithm with the least modelled time for the payload bytes and
+    communicator size under the run's model, can be pinned through it
     ({!Coll_algo.pin}), and is observable through the
     [coll.algo.<op>.<algo>] stats counters, the communication matrix
     (every algorithm sends on its own {!Coll_algo} tag, which names it)
@@ -69,7 +69,7 @@ val scatterv :
 (** {1 All-to-all} *)
 
 (** Equal-count allgather: Bruck concatenation (O(log p) rounds), or
-    ring for long messages; [Coll_algo.pin] forces either. *)
+    ring for empty blocks; [Coll_algo.pin] forces either. *)
 val allgather : Comm.t -> 'a Datatype.t -> 'a array -> 'a array
 
 (** Variable-count allgather (ring); [recv_counts] required on every rank

@@ -1,7 +1,7 @@
 (* Collective-algorithm selection.  See the interface for the contract.
 
    Selection must be deterministic and identical on every rank: it is a
-   pure function of the run's model (tuning and pins) and the call
+   pure function of the run's model (its costs and pins) and the call
    signature.  The counter/span name tables are precomputed so the
    dispatch path in Coll allocates nothing.  The module also keeps the
    internal-tag table, which reuses the span names. *)
@@ -85,16 +85,26 @@ let span_name op algo = span_names.(op_index op).(algo_index algo)
 
 (* Op id [id] is the tag [tag_base + id]; a posted or persistent instance
    shifts every id into a window of its own, so an id and its name are
-   found again as the tag's offset in the window.  [reserve] hands each id
-   out once, to the one protocol that sends on it. *)
+   found again as the tag's offset in the window.  Each id belongs to the
+   one protocol that sends on it. *)
 let tag_window = 32
 let first_window_op = 1 lsl 16
 let tag_base = Mailbox.max_user_tag + 1
-let tag_names = Array.make tag_window ""
+
+(* The name of each op id, listed by id; never written. *)
+let tag_names =
+  [|
+    "barrier"; span_name Bcast Binomial; "gather"; "scatter"; span_name Allgather Bruck;
+    "allgatherv"; "alltoall"; "alltoallv"; "alltoallw"; "reduce"; "scan";
+    "neighbor_allgather"; span_name Allreduce Recursive_doubling;
+    span_name Reduce_scatter Pairwise; span_name Bcast Scatter_allgather;
+    span_name Bcast Scatter_allgather; span_name Allreduce Rabenseifner;
+    span_name Allgather Ring; "exscan"; "neighbor_alltoallv"; "comm_split";
+    "halo_exchange.to_prev"; "bcast_serialized"; "halo_exchange.to_next";
+  |]
 
 let reserve id name =
-  if tag_names.(id) <> "" then invalid_arg ("Coll_algo: tag id taken twice by " ^ name);
-  tag_names.(id) <- name;
+  if tag_names.(id) <> name then invalid_arg ("Coll_algo.reserve: id of " ^ name);
   tag_base + id
 
 let tag_barrier = reserve 0 "barrier"
@@ -130,7 +140,7 @@ let tag_name tag =
   else
     let op = tag - tag_base in
     let id = if op >= first_window_op then (op - first_window_op) mod tag_window else op in
-    if id < tag_window && tag_names.(id) <> "" then tag_names.(id) else "internal"
+    if id < Array.length tag_names then tag_names.(id) else "internal"
 
 let describe_tag tag = if tag < tag_base then string_of_int tag else tag_name tag
 
@@ -139,8 +149,7 @@ let describe_tag tag = if tag < tag_base then string_of_int tag else tag_name ta
 type spec = (op * algo option) list
 
 (* Pins live in the model, so each run carries its own. *)
-let pin spec (model : Net_model.t) =
-  { model with tuning = { model.tuning with pins = spec @ model.tuning.pins } }
+let pin spec (model : Net_model.t) = { model with pins = spec @ model.pins }
 
 (* The first pin for [op]; returns the stored option and builds no
    closure, so the per-call lookup allocates nothing. *)
@@ -148,7 +157,7 @@ let rec first_pin op = function
   | [] -> None
   | (o, a) :: rest -> if o = op then a else first_pin op rest
 
-let pinned (model : Net_model.t) op = first_pin op model.tuning.pins
+let pinned (model : Net_model.t) op = first_pin op model.pins
 
 let op_of_name = function
   | "allreduce" -> Some Allreduce
@@ -215,27 +224,72 @@ let floor_pow2 n =
 
 (* --- selection -------------------------------------------------------- *)
 
-let auto (t : Net_model.coll_tuning) op ~bytes ~size ~commutative ~elems =
+(* The cheapest algorithm by [m]'s own terms.  Runtime and P2p charge a
+   message of b bytes s = o_s + (byte_time + copy_byte_time) b to send,
+   [latency] in flight and r = o_r + copy_byte_time b to receive, so a
+   critical-path round costs hop = s + l + r; each closed form counts an
+   algorithm's rounds and bytes, off a power of two ([x] = 1) with the
+   pof2 preamble and the waits that cost less (DESIGN.md §6).  Local
+   floats only, so a call allocates nothing; a tie keeps the first. *)
+let auto (m : Net_model.t) op ~bytes ~size:p ~commutative =
+  let l = m.latency and o_s = m.send_overhead and o_r = m.recv_overhead in
+  let c = m.copy_byte_time and sb = m.byte_time +. m.copy_byte_time in
+  let n = float_of_int bytes and blk = float_of_int bytes /. float_of_int p in
+  let s = o_s +. (sb *. n) and r = o_r +. (c *. n) and a = o_s +. l +. o_r in
+  let hop = s +. l +. r and b' = sb +. c in
+  let pof2 = floor_pow2 p and k = float_of_int (ceil_log2 p) and bb = b' *. blk in
+  let lg = float_of_int (ceil_log2 pof2) and rem = p - pof2 in
+  let x = if rem = 0 then 0. else 1. and rounds = float_of_int (p - 1) in
   match op with
+  | Allreduce when not commutative -> Reduce_bcast
   | Allreduce ->
-      if not commutative then Reduce_bcast
-        (* Rabenseifner needs at least one element per power-of-two block
-           to beat the full-vector exchanges; MPICH uses the same guard. *)
-      else if bytes <= t.Net_model.allreduce_rdbl_max_bytes || elems < floor_pow2 size then
-        Recursive_doubling
-      else Rabenseifner
-  | Allgather -> if bytes >= t.Net_model.allgather_ring_min_bytes then Ring else Bruck
+      (* Off a power of two: the unfold's hop after either lg full hops,
+         or the preamble's hop and lg rounds of which only ceil_log2 rem,
+         the most bits two preamble ranks differ in, wait for latency. *)
+      let late = hop -. (l *. (lg -. float_of_int (ceil_log2 (max rem 1)))) in
+      let rdbl = (lg *. hop) +. (x *. (hop +. if late > 0. then late else 0.)) in
+      let rabenseifner =
+        2. *. ((x *. hop) +. (lg *. a) +. (b' *. (n -. (n /. float_of_int pof2))))
+      in
+      let reduce_bcast = (2. *. k *. hop) -. (x *. (hop +. l)) in
+      if rdbl <= rabenseifner && rdbl <= reduce_bcast then Recursive_doubling
+      else if rabenseifner <= reduce_bcast then Rabenseifner
+      else Reduce_bcast
+  | Allgather ->
+      (* [bytes] is one block; a ring of empty blocks sends nothing. *)
+      let ring = if bytes = 0 then 0. else rounds *. hop in
+      if (k *. a) +. (b' *. rounds *. n) <= ring then Bruck else Ring
   | Bcast ->
-      (* Below four ranks the scatter phase degenerates (blocks the size
-         of the message over <= 3 nodes); binomial is never worse. *)
-      if size >= 4 && bytes >= t.Net_model.bcast_scatter_min_bytes then Scatter_allgather
-      else Binomial
+      (* The binomial scatter: a subtree of q blocks, q not a power of two,
+         ends after its first child's subtree of the q - top blocks above
+         its top power of two or after its second child's full one. *)
+      let g = ref 0. and off = ref 0. and q = ref p in
+      while !q land (!q - 1) <> 0 do
+        let top = floor_pow2 !q in
+        let first = float_of_int (!q - top) *. blk in
+        let second =
+          !off +. o_s +. (sb *. first) +. (float_of_int (ceil_log2 top) *. a)
+          +. (bb *. float_of_int (top - 1))
+        in
+        if second > !g then g := second;
+        off := !off +. a +. (b' *. first);
+        q := !q - top
+      done;
+      let last =
+        !off +. (float_of_int (ceil_log2 !q) *. a) +. (bb *. float_of_int (!q - 1))
+      in
+      let scatter = (if last > !g then last else !g) +. (rounds *. (a +. bb)) in
+      if (k *. hop) -. (x *. (l +. r)) <= scatter then Binomial else Scatter_allgather
+  | Reduce_scatter when not commutative -> Reduce_scatterv
   | Reduce_scatter ->
-      if (not commutative) || bytes < t.Net_model.reduce_scatter_pairwise_min_bytes then
-        Reduce_scatterv
-      else Pairwise
+      (* Binomial reduce, the dense count scan, p-1 block sends to land. *)
+      let reduce_scatterv =
+        (k *. hop) -. (x *. (s +. l)) +. (float_of_int p *. m.dense_scan_byte)
+        +. (rounds *. (o_s +. (sb *. blk))) +. l +. o_r +. (c *. blk)
+      in
+      if reduce_scatterv <= rounds *. (a +. bb) then Reduce_scatterv else Pairwise
 
-let choose (model : Net_model.t) op ~bytes ~size ~commutative ~elems =
+let choose (model : Net_model.t) op ~bytes ~size ~commutative =
   match pinned model op with
   | Some a when commutative || not (needs_commutative a) -> a
-  | _ -> auto model.Net_model.tuning op ~bytes ~size ~commutative ~elems
+  | _ -> auto model op ~bytes ~size ~commutative

@@ -1,13 +1,12 @@
 (** Collective-algorithm selection engine.
 
     Real MPI implementations switch between several algorithms per
-    collective based on message size and communicator size (MPICH's 2KB
-    recursive-doubling cutoff for allreduce, ring vs Bruck allgather,
-    scatter+allgather bcast for long messages).  This module centralizes
-    that decision for the simulator: {!Coll} asks {!choose} which
-    algorithm to run, keyed on (payload bytes, communicator size,
-    operator commutativity) against the thresholds in
-    {!Net_model.coll_tuning}.
+    collective based on message size and communicator size (MPICH's
+    recursive-doubling vs Rabenseifner allreduce, binomial vs scatter +
+    allgather bcast).  This module centralizes that decision for the
+    simulator: {!Coll} asks {!choose} which algorithm to run, and it
+    takes the one whose closed-form time under the run's {!Net_model.t}
+    is least, so the selector agrees with the simulator it drives.
 
     The automatic choice can be pinned per operation ({!pin}, or
     [repro_cli --coll-algo] with specs like
@@ -15,7 +14,7 @@
     correctness guards: a non-commutative operator always stays on the
     order-safe reference lowering regardless of any pin.
 
-    Pins are part of the run's network model ([Net_model.tuning]), so
+    Pins are part of the run's network model ([Net_model.pins]), so
     every rank of a run sees the same ones, and runs pinned differently
     can share a process or an [Engine.run_many] pool. *)
 
@@ -117,18 +116,18 @@ val describe_tag : int -> string
 
 (** {1 Selection} *)
 
-(** [choose model op ~bytes ~size ~commutative ~elems] picks the
-    algorithm for one collective call: the pin for [op] if set and safe,
-    otherwise the automatic bytes/size-keyed choice against
-    [model.tuning].  [bytes] is the total payload (per-rank contribution
-    for allgather), [size] the communicator size, [elems] the element
-    count of the reduced vector (allreduce only; pass 0 elsewhere), and
-    [commutative] whether the operator tolerates reassociation across
-    ranks (pass [true] for non-reducing collectives).  Every rank of a
-    communicator must pass identical arguments — MPI already requires
-    matching signatures, and {!Check} enforces it. *)
-val choose :
-  Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> elems:int -> algo
+(** [choose model op ~bytes ~size ~commutative] picks the algorithm for
+    one collective call: the pin for [op] if set and safe, otherwise the
+    one whose closed-form time under [model] is least (DESIGN.md §6; an
+    exact tie, as under [Net_model.zero_cost], keeps recursive doubling,
+    Bruck, binomial or reduce + scatterv).  [bytes] is the total payload
+    (per-rank contribution for allgather), [size] the communicator size,
+    and [commutative] whether the operator tolerates reassociation across
+    ranks (pass [true] for non-reducing collectives).  Pure and
+    allocation-free: every rank of a communicator must pass identical
+    arguments — MPI already requires matching signatures, and {!Check}
+    enforces it. *)
+val choose : Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> algo
 
 (** {1 Pins} *)
 

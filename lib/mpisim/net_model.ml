@@ -9,7 +9,8 @@
      [copy_byte_time] per byte (unpacking is additionally measured as real
      CPU work when the hybrid clock is active, see {!Clock});
    - collectives are built from point-to-point messages, so their cost
-     emerges from the algorithm's critical path rather than from a formula.
+     emerges from the algorithm's critical path; Coll_algo predicts that
+     path from these same terms to pick the cheapest algorithm.
 
    Extra knobs model implementation artifacts the paper relies on:
 
@@ -37,33 +38,6 @@ type coll_algo =
   | Reduce_scatterv
   | Pairwise
 
-(* Thresholds steering the collective-algorithm engine (Coll_algo).  All
-   cutoffs are in payload bytes; defaults follow the switch-over points
-   real MPI implementations use (MPICH: 2KB short-allreduce cutoff,
-   long-message ring/pairwise algorithms past the eager range). *)
-type coll_tuning = {
-  allreduce_rdbl_max_bytes : int;
-      (* at or below: recursive-doubling allreduce; above: Rabenseifner *)
-  allgather_ring_min_bytes : int;
-      (* per-rank contribution at or above which ring replaces Bruck *)
-  bcast_scatter_min_bytes : int;
-      (* total payload at or above which scatter+ring replaces binomial *)
-  reduce_scatter_pairwise_min_bytes : int;
-      (* total payload at or above which pairwise exchange replaces the
-         reduce-to-root + scatter reference lowering *)
-  pins : (coll_op * coll_algo option) list;
-      (* per-op pinned algorithms (Coll_algo.pin); None or absent = auto *)
-}
-
-let default_tuning =
-  {
-    allreduce_rdbl_max_bytes = 2048;
-    allgather_ring_min_bytes = 32768;
-    bcast_scatter_min_bytes = 65536;
-    reduce_scatter_pairwise_min_bytes = 2048;
-    pins = [];
-  }
-
 type t = {
   name : string;
   latency : float;  (* seconds of wire latency per message (alpha_net) *)
@@ -74,7 +48,7 @@ type t = {
   alltoallw_type_setup : float;  (* per-peer datatype setup in alltoallw *)
   dense_scan_byte : float;  (* per-rank scan cost of dense vector collectives *)
   topo_setup_per_rank : float;  (* graph-topology construction, per rank *)
-  tuning : coll_tuning;  (* collective algorithm switch-over points *)
+  pins : (coll_op * coll_algo option) list;  (* Coll_algo.pin; first per op wins *)
 }
 
 (* An OmniPath-like interconnect: ~1.5us latency, 100 Gbit/s = 12.5 GB/s. *)
@@ -89,7 +63,7 @@ let omnipath =
     alltoallw_type_setup = 0.8e-6;
     dense_scan_byte = 1.0e-9;
     topo_setup_per_rank = 0.5e-6;
-    tuning = default_tuning;
+    pins = [];
   }
 
 (* Commodity ethernet: higher latency, 10 Gbit/s. *)
@@ -104,7 +78,7 @@ let ethernet =
     alltoallw_type_setup = 3e-6;
     dense_scan_byte = 2e-9;
     topo_setup_per_rank = 2e-6;
-    tuning = default_tuning;
+    pins = [];
   }
 
 (* Free communication: useful for correctness tests where modelled time is
@@ -120,7 +94,7 @@ let zero_cost =
     alltoallw_type_setup = 0.;
     dense_scan_byte = 0.;
     topo_setup_per_rank = 0.;
-    tuning = default_tuning;
+    pins = [];
   }
 
 let send_busy_time m ~bytes = m.send_overhead +. (float_of_int bytes *. m.byte_time)

@@ -4,9 +4,11 @@
     [send_overhead + b * byte_time] and arrives [latency] after injection;
     the receiver pays [recv_overhead] plus unpacking.  Collectives are
     built from point-to-point messages, so their cost emerges from the
-    algorithm rather than from a formula.  The extra knobs model the
-    implementation artifacts the paper's experiments depend on (alltoallw
-    datatype setup, dense count-array scans, topology construction). *)
+    algorithm's critical path; {!Coll_algo.choose} predicts that path
+    from these same terms and runs the cheapest algorithm.  The extra
+    knobs model the implementation artifacts the paper's experiments
+    depend on (alltoallw datatype setup, dense count-array scans,
+    topology construction). *)
 
 (** The collectives with more than one algorithm, and the algorithms;
     documented where {!Coll_algo} re-exports them. *)
@@ -23,29 +25,6 @@ type coll_algo =
   | Reduce_scatterv
   | Pairwise
 
-(** Thresholds steering the collective-algorithm engine ({!Coll_algo}).
-    All cutoffs are payload bytes; defaults mirror the switch-over points
-    real MPI implementations use. *)
-type coll_tuning = {
-  allreduce_rdbl_max_bytes : int;
-      (** at or below: recursive-doubling allreduce; above: Rabenseifner *)
-  allgather_ring_min_bytes : int;
-      (** per-rank contribution at or above which ring replaces Bruck *)
-  bcast_scatter_min_bytes : int;
-      (** total payload at or above which scatter+ring replaces binomial *)
-  reduce_scatter_pairwise_min_bytes : int;
-      (** total payload at or above which pairwise exchange replaces the
-          reduce-to-root + scatter reference lowering *)
-  pins : (coll_op * coll_algo option) list;
-      (** pinned algorithms, first entry per op wins ({!Coll_algo.pin});
-          [None] or no entry selects automatically *)
-}
-
-(** 2KB recursive-doubling cutoff, 32KB ring allgather, 64KB
-    scatter+allgather bcast, 2KB pairwise reduce_scatter cutoff, no
-    pins. *)
-val default_tuning : coll_tuning
-
 type t = {
   name : string;
   latency : float;  (** wire latency per message, seconds (alpha) *)
@@ -60,9 +39,9 @@ type t = {
           collectives *)
   topo_setup_per_rank : float;
       (** graph-topology communicator construction, per member rank *)
-  tuning : coll_tuning;
-      (** collective algorithm switch-over points (presets use
-          [default_tuning]) *)
+  pins : (coll_op * coll_algo option) list;
+      (** pinned algorithms, first entry per op wins ({!Coll_algo.pin});
+          [None] or no entry selects the cheapest (presets pin nothing) *)
 }
 
 (** An OmniPath-like interconnect (~1.5us latency, 100 Gbit/s) — the

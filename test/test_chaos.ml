@@ -340,9 +340,9 @@ let test_partition_heals () =
    their retransmission schedule must still replay byte-identically, and
    the results must match a chaos-off run. *)
 let test_coll_algo_replay () =
-  (* 4096 ints = 32KB: above both the 2KB Rabenseifner cutoff and the
-     32KB ring-allgather threshold, so the automatic choice exercises the
-     long-message algorithms. *)
+  (* 4096 ints = 32KB per call.  Both algorithms are pinned: on 4 ranks
+     the cost picks recursive doubling and Bruck, and the replay is meant
+     to cover the two intricate patterns. *)
   let elems = 4_096 in
   let program comm =
     let r = Comm.rank comm in
@@ -354,8 +354,15 @@ let test_coll_algo_replay () =
     (sum.(0), sum.(elems - 1), Array.fold_left ( + ) 0 gathered)
   in
   let run ?chaos () =
-    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ?chaos
-      ~ranks:4 program
+    Engine.run_collect
+      ~model:
+        (Coll_algo.pin
+           [
+             (Coll_algo.Allreduce, Some Coll_algo.Rabenseifner);
+             (Coll_algo.Allgather, Some Coll_algo.Ring);
+           ]
+           Net_model.ethernet)
+      ~clock_mode:Runtime.Virtual_only ?chaos ~ranks:4 program
   in
   (* A denser drop rate than the default lossy profile: the collectives
      send few, large messages, so 2% per attempt may never fire. *)

@@ -693,15 +693,22 @@ let test_icollective_recorded_once () =
         [ "allreduce"; "reduce"; "bcast" ])
     [ Coll_algo.Reduce_bcast; Coll_algo.Recursive_doubling; Coll_algo.Rabenseifner ]
 
-(* The overlap setting: 8 ranks, a 64 KiB int allreduce, Ethernet. *)
+(* The overlap setting: 8 ranks, a 64 KiB int allreduce, Ethernet, with
+   Rabenseifner pinned.  Its 6 latency-bound rounds are what the compute
+   hides in; the cost picks recursive doubling here (264 against 277us),
+   whose 3 rounds leave too little wire latency to hide half the call. *)
 let overlap_ranks = 8
 
 let overlap_elems = 8192
 
 let overlap_makespan body =
   let report =
-    Engine.run ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
-      ~ranks:overlap_ranks body
+    Engine.run
+      ~model:
+        (Coll_algo.pin
+           [ (Coll_algo.Allreduce, Some Coll_algo.Rabenseifner) ]
+           Net_model.ethernet)
+      ~clock_mode:Runtime.Virtual_only ~ranks:overlap_ranks body
   in
   report.Engine.max_time
 
@@ -884,11 +891,12 @@ let test_posted_comm_matrix_label () =
 
 (* --- One progress rule --- *)
 
-(* Each rank posts a mix of nonblocking and started persistent allreduces
-   (lengths on both sides of the Rabenseifner switch), then waits for
-   them in an order of its own: rotated by its rank, reversed on odd
-   ranks.  A wait advances every schedule its rank has in flight, so any
-   order completes, with the blocking results. *)
+(* Each rank posts a mix of nonblocking and started persistent allreduces,
+   then waits for them in an order of its own: rotated by its rank,
+   reversed on odd ranks.  A wait advances every schedule its rank has in
+   flight, so any order completes, with the blocking results.  The cost
+   picks recursive doubling at these lengths, so odd seeds pin
+   Rabenseifner to cover its schedule too. *)
 let prop_any_wait_order =
   QCheck.Test.make ~name:"requests complete in any per-rank wait order" ~count:25
     QCheck.(pair (int_range 2 8) (int_bound 1_000_000))
@@ -903,9 +911,11 @@ let prop_any_wait_order =
             let xs = List.init p (fun r -> input r i) in
             Array.init (len i) (fun j -> List.fold_left (fun acc a -> acc + a.(j)) 0 xs))
       in
+      let rabenseifner = (Coll_algo.Allreduce, Some Coll_algo.Rabenseifner) in
+      let pins = if seed mod 2 = 1 then [ rabenseifner ] else [] in
       let results =
-        Engine.run_values ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only
-          ~ranks:p (fun comm ->
+        Engine.run_values ~model:(Coll_algo.pin pins Net_model.ethernet)
+          ~clock_mode:Runtime.Virtual_only ~ranks:p (fun comm ->
             let r = Comm.rank comm in
             let posted =
               List.init k (fun i ->
@@ -1157,6 +1167,121 @@ let test_scan_count_mismatch () =
   Alcotest.(check (array string)) "exscan" [| "ok"; "ERR_COUNT" |]
     (results (fun comm -> ignore (Coll.exscan comm Datatype.int sum (data comm))))
 
+(* --- Selection is the cost model's argmin --- *)
+
+(* One call of [op] over [total] ints at [p] ranks; allgather's block is
+   the total divided by p, reduce_scatter's blocks differ by at most one. *)
+let selection_body op ~p ~total comm =
+  let r = Comm.rank comm in
+  let sum = Reduce_op.int_sum in
+  match op with
+  | Coll_algo.Allreduce ->
+      ignore (Coll.allreduce comm Datatype.int sum (Array.init total (( + ) r)))
+  | Coll_algo.Allgather ->
+      ignore (Coll.allgather comm Datatype.int (Array.make (total / p) r))
+  | Coll_algo.Bcast ->
+      let data = if r = 0 then Some (Array.init total Fun.id) else None in
+      ignore (Coll.bcast comm Datatype.int ~root:0 data)
+  | Coll_algo.Reduce_scatter ->
+      let count i = (total / p) + if i < total mod p then 1 else 0 in
+      let data = Array.init total Fun.id in
+      let recv_counts = Array.init p count in
+      ignore (Coll.reduce_scatter comm Datatype.int sum ~recv_counts data)
+
+let selection_algos = function
+  | Coll_algo.Allreduce -> Coll_algo.[ Reduce_bcast; Recursive_doubling; Rabenseifner ]
+  | Coll_algo.Allgather -> Coll_algo.[ Bruck; Ring ]
+  | Coll_algo.Bcast -> Coll_algo.[ Binomial; Scatter_allgather ]
+  | Coll_algo.Reduce_scatter -> Coll_algo.[ Reduce_scatterv; Pairwise ]
+
+(* [None] when the automatic choice's makespan is within 2% of the
+   fastest pinned algorithm's, and equal to it where that one leads the
+   runner-up by more than 5%; otherwise the cell's times.  With the
+   sanitizer on, a run must also record no finding. *)
+let selection_cell ?(check_level = Check.Off) (model : Net_model.t) op ~p ~total =
+  let time pin =
+    let report =
+      Engine.run
+        ~model:(Coll_algo.pin [ (op, pin) ] model)
+        ~clock_mode:Runtime.Virtual_only ~check_level ~ranks:p (selection_body op ~p ~total)
+    in
+    Stats.iter_counters report.Engine.stats (fun name c ->
+        if String.starts_with ~prefix:"check." name && Stats.count c > 0 then
+          Alcotest.failf "%s: %d findings" name (Stats.count c));
+    report.Engine.max_time
+  in
+  let auto = time None in
+  match List.sort compare (List.map (fun a -> time (Some a)) (selection_algos op)) with
+  | best :: second :: _ when auto <= 1.02 *. best && (second <= 1.05 *. best || auto = best)
+    ->
+      None
+  | times ->
+      let us t = Printf.sprintf "%.4gus" (t *. 1e6) in
+      Some
+        (Printf.sprintf "%s %s p=%d total=%d: auto %s, pinned %s" model.name
+           (Coll_algo.op_name op) p total (us auto)
+           (String.concat " " (List.map us times)))
+
+let all_ops = Coll_algo.[ Allreduce; Allgather; Bcast; Reduce_scatter ]
+
+(* Every op at p in {4, 8, 13, 16, 32} and totals 1, 4, ..., 65536 ints
+   on both networks.  The byte thresholds this replaced were slower than
+   the fastest algorithm in 40 (omnipath) and 46 (ethernet) of these 180
+   cells each, by up to 3.68x (reduce_scatter, p = 32, 256 ints). *)
+let test_selection_sweep () =
+  let failures =
+    List.concat_map
+      (fun model ->
+        List.concat_map
+          (fun op ->
+            List.concat_map
+              (fun p ->
+                List.filter_map
+                  (fun e -> selection_cell model op ~p ~total:(1 lsl (2 * e)))
+                  (List.init 9 Fun.id))
+              [ 4; 8; 13; 16; 32 ])
+          all_ops)
+      [ Net_model.omnipath; Net_model.ethernet ]
+  in
+  Alcotest.(check (list string)) "cells where auto loses" [] failures
+
+(* The same bound for a random op, p <= 32, total below 65536 ints and
+   network, under the heavy sanitizer: every rank selects alike. *)
+let prop_selection_is_argmin =
+  QCheck.Test.make ~name:"auto within 2% of the fastest pinned algorithm" ~count:20
+    QCheck.(quad (int_bound 3) (int_range 2 32) (int_bound 15) (int_bound 1_000_000))
+    (fun (o, p, e, seed) ->
+      let model = if seed mod 2 = 0 then Net_model.omnipath else Net_model.ethernet in
+      let total = (1 lsl e) + (seed mod (1 lsl e)) in
+      match
+        selection_cell ~check_level:Check.Heavy model (List.nth all_ops o) ~p ~total
+      with
+      | None -> true
+      | Some cell -> QCheck.Test.fail_report cell)
+
+(* Selection runs on every collective call, so it allocates nothing: the
+   costs are local floats, the bcast scatter's loop included. *)
+let test_choose_allocation_free () =
+  let ops = Array.of_list all_ops in
+  let choose_all () =
+    for size = 1 to 32 do
+      for i = 0 to 3 do
+        let bytes = size * 4096 in
+        let model = if size land 1 = 0 then Net_model.omnipath else Net_model.ethernet in
+        let commutative = size land 2 = 0 in
+        ignore (Coll_algo.choose model ops.(i) ~bytes ~size ~commutative)
+      done
+    done
+  in
+  choose_all ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    choose_all ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. 100. in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per 128 choices" words) true
+    (words < 1.)
+
 let tests =
   [
     qtest prop_allgatherv;
@@ -1213,6 +1338,9 @@ let tests =
     Alcotest.test_case "deadlock names a blocking collective" `Quick
       test_deadlock_names_blocking_collective;
     Alcotest.test_case "scan count mismatch is ERR_COUNT" `Quick test_scan_count_mismatch;
+    Alcotest.test_case "selection sweep: auto is the fastest" `Quick test_selection_sweep;
+    Alcotest.test_case "selection allocates nothing" `Quick test_choose_allocation_free;
+    qtest prop_selection_is_argmin;
   ]
 
 let () = Alcotest.run "coll" [ ("coll", tests) ]
