@@ -12,12 +12,9 @@
       [gatherv]'s to a gather of the send counts;
     - displacements default to exclusive prefix sums.
 
-    Operations come in up to three forms:
-    - [op]: returns the receive buffer by value;
-    - [op_full]: additionally returns the computed out-parameters in a
-      result record with [extract_*] accessors (§III-B);
-    - [op_into]: writes into a caller {!Vec.t} under a {!Resize_policy.t}
-      for allocation-free steady states (§III-C).
+    Each operation returns its receive buffer by value; result objects
+    with the computed out-parameters (§III-B) and caller-supplied
+    receive buffers (§III-C) are spelled through {!Named}.
 
     When every parameter is supplied, exactly one underlying collective is
     issued and no auxiliary allocation happens — the zero-overhead path,
@@ -27,27 +24,12 @@ open Mpisim
 
 type comm = Communicator.t
 
-(** Result record of vector collectives. *)
-type 'a vector_result = {
-  recv_buf : 'a array;
-  recv_counts : int array;
-  recv_displs : int array;
-}
-
-val extract_recv_buf : 'a vector_result -> 'a array
-
-val extract_recv_counts : 'a vector_result -> int array
-
-val extract_recv_displs : 'a vector_result -> int array
-
 val exclusive_prefix_sum : int array -> int array
 
 (** {1 Broadcast} *)
 
 (** The root passes [~data]; every rank returns the payload. *)
 val bcast : comm -> 'a Datatype.t -> root:int -> ?data:'a array -> unit -> 'a array
-
-val bcast_single : comm -> 'a Datatype.t -> root:int -> ?value:'a -> unit -> 'a
 
 (** {1 Gather family} *)
 
@@ -58,15 +40,6 @@ val allgather : comm -> 'a Datatype.t -> 'a array -> 'a array
     and the array is also returned. *)
 val allgather_inplace : comm -> 'a Datatype.t -> 'a array -> 'a array
 
-val allgatherv_full :
-  comm ->
-  'a Datatype.t ->
-  ?send_count:int ->
-  ?recv_counts:int array ->
-  ?recv_displs:int array ->
-  'a array ->
-  'a vector_result
-
 val allgatherv :
   comm ->
   'a Datatype.t ->
@@ -76,26 +49,7 @@ val allgatherv :
   'a array ->
   'a array
 
-val allgatherv_into :
-  comm ->
-  'a Datatype.t ->
-  ?policy:Resize_policy.t ->
-  ?send_count:int ->
-  ?recv_counts:int array ->
-  recv_buf:'a Vec.t ->
-  'a array ->
-  unit
-
 val gather : comm -> 'a Datatype.t -> root:int -> 'a array -> 'a array
-
-val gatherv_full :
-  comm ->
-  'a Datatype.t ->
-  root:int ->
-  ?send_count:int ->
-  ?recv_counts:int array ->
-  'a array ->
-  'a vector_result
 
 val gatherv :
   comm ->
@@ -121,16 +75,6 @@ val scatterv :
 
 val alltoall : comm -> 'a Datatype.t -> 'a array -> 'a array
 
-val alltoallv_full :
-  comm ->
-  'a Datatype.t ->
-  send_counts:int array ->
-  ?send_displs:int array ->
-  ?recv_counts:int array ->
-  ?recv_displs:int array ->
-  'a array ->
-  'a vector_result
-
 val alltoallv :
   comm ->
   'a Datatype.t ->
@@ -140,16 +84,6 @@ val alltoallv :
   ?recv_displs:int array ->
   'a array ->
   'a array
-
-val alltoallv_into :
-  comm ->
-  'a Datatype.t ->
-  ?policy:Resize_policy.t ->
-  send_counts:int array ->
-  ?recv_counts:int array ->
-  recv_buf:'a Vec.t ->
-  'a array ->
-  unit
 
 (** {1 Reductions} *)
 
@@ -185,8 +119,6 @@ val exscan : comm -> 'a Datatype.t -> 'a Reduce_op.t -> 'a array -> 'a array opt
 
 (** Exclusive prefix with an explicit rank-0 value — avoids MPI_Exscan's
     undefined-on-rank-0 footgun. *)
-val exscan_or : comm -> 'a Datatype.t -> 'a Reduce_op.t -> init:'a array -> 'a array -> 'a array
-
 val exscan_single_or : comm -> 'a Datatype.t -> 'a Reduce_op.t -> init:'a -> 'a -> 'a
 
 val barrier : comm -> unit

@@ -11,18 +11,22 @@
      let v_global = Named.extract_recv_buf result in
      let counts = Named.extract_recv_counts result in
 
-   C++ KaMPIng validates parameter sets at compile time via template
-   metaprogramming; OCaml has no variadic templates, so validation happens
-   at call entry with precise, human-readable messages (which parameter is
-   missing / duplicated / not accepted by the operation — the §III-G
-   error-message quality claim, enforced by tests).  The labelled-argument
-   API in {!Collectives} remains the idiomatic-OCaml spelling; this module
-   is the faithful rendering of the paper's design. *)
+   C++ KaMPIng rejects a parameter that an operation does not accept at
+   compile time; so does this module.  A parameter's type carries a
+   phantom kind, one polymorphic-variant tag per factory, and each
+   operation's signature (named.mli) bounds the tags its list may carry,
+   so [allgatherv comm dt [ send_buf v; op o ]] fails to type-check with
+   "does not allow tag(s) `op".  What a list type cannot say — a
+   required parameter that is missing, a parameter passed twice, both
+   in-place and out-of-place buffers — is checked at call entry, in the
+   one pass that resolves the list into the operation's arguments, with
+   messages naming the operation and the parameter (§III-G). *)
 
 open Mpisim
 
-(* A parameter object for an operation over element type ['a]. *)
-type 'a param =
+(* A parameter object for an operation over element type ['a]; ['k] is
+   the phantom kind, fixed by the factory's signature in named.mli. *)
+type ('a, 'k) param =
   | Send_buf of 'a array
   | Send_recv_buf of 'a array  (* the in-place spelling (§III-G) *)
   | Send_counts of int array
@@ -61,51 +65,79 @@ let root r = Root r
 
 let op o = Op o
 
-let param_name = function
-  | Send_buf _ -> "send_buf"
-  | Send_recv_buf _ -> "send_recv_buf"
-  | Send_counts _ -> "send_counts"
-  | Send_count _ -> "send_count"
-  | Recv_counts _ -> "recv_counts"
-  | Recv_counts_out -> "recv_counts_out"
-  | Recv_displs _ -> "recv_displs"
-  | Recv_displs_out -> "recv_displs_out"
-  | Send_displs _ -> "send_displs"
-  | Recv_buf _ -> "recv_buf"
-  | Root _ -> "root"
-  | Op _ -> "op"
-
 (* ------------------------------------------------------------------ *)
-(* Parameter-set validation with human-readable diagnostics (§III-G). *)
+(* One resolution pass: a parameter list becomes the operation's
+   arguments.  Only a duplicate can fail here; a missing required
+   parameter fails where the operation asks for it. *)
 
-let validate ~opname ~(accepted : string list) ~(required : string list)
-    (params : 'a param list) =
-  let names = List.map param_name params in
-  let rec dup = function
-    | [] -> None
-    | x :: rest -> if List.mem x rest then Some x else dup rest
-  in
-  (match dup names with
-  | Some d ->
-      Errdefs.usage_error "%s: parameter %s was passed more than once" opname d
-  | None -> ());
-  List.iter
-    (fun n ->
-      if not (List.mem n accepted) then
-        Errdefs.usage_error
-          "%s does not accept parameter %s (accepted: %s)" opname n
-          (String.concat ", " accepted))
-    names;
-  List.iter
-    (fun n ->
-      if not (List.mem n names) then
-        Errdefs.usage_error "%s: required parameter %s is missing" opname n)
-    required
+type 'a args = {
+  mutable a_send_buf : 'a array option;
+  mutable a_send_recv_buf : 'a array option;
+  mutable a_send_counts : int array option;
+  mutable a_send_count : int option;
+  mutable a_recv_counts : int array option;
+  mutable a_recv_counts_out : bool;
+  mutable a_recv_displs : int array option;
+  mutable a_recv_displs_out : bool;
+  mutable a_send_displs : int array option;
+  mutable a_recv_buf : (Resize_policy.t * 'a Vec.t) option;
+  mutable a_root : int option;
+  mutable a_op : 'a Reduce_op.t option;
+}
 
-let find (params : 'a param list) (f : 'a param -> 'b option) : 'b option =
-  List.find_map f params
+let once opname name passed =
+  if passed then
+    Errdefs.usage_error "%s: parameter %s was passed more than once" opname name
 
-let has params name = List.exists (fun p -> param_name p = name) params
+let put opname name slot v =
+  once opname name (Option.is_some slot);
+  Some v
+
+let rec fill opname a = function
+  | [] -> a
+  | p :: rest ->
+      (match p with
+      | Send_buf v -> a.a_send_buf <- put opname "send_buf" a.a_send_buf v
+      | Send_recv_buf v ->
+          a.a_send_recv_buf <- put opname "send_recv_buf" a.a_send_recv_buf v
+      | Send_counts c -> a.a_send_counts <- put opname "send_counts" a.a_send_counts c
+      | Send_count c -> a.a_send_count <- put opname "send_count" a.a_send_count c
+      | Recv_counts c -> a.a_recv_counts <- put opname "recv_counts" a.a_recv_counts c
+      | Recv_counts_out ->
+          once opname "recv_counts_out" a.a_recv_counts_out;
+          a.a_recv_counts_out <- true
+      | Recv_displs d -> a.a_recv_displs <- put opname "recv_displs" a.a_recv_displs d
+      | Recv_displs_out ->
+          once opname "recv_displs_out" a.a_recv_displs_out;
+          a.a_recv_displs_out <- true
+      | Send_displs d -> a.a_send_displs <- put opname "send_displs" a.a_send_displs d
+      | Recv_buf (policy, v) ->
+          a.a_recv_buf <- put opname "recv_buf" a.a_recv_buf (policy, v)
+      | Root r -> a.a_root <- put opname "root" a.a_root r
+      | Op o -> a.a_op <- put opname "op" a.a_op o);
+      fill opname a rest
+
+let resolve opname params =
+  fill opname
+    {
+      a_send_buf = None;
+      a_send_recv_buf = None;
+      a_send_counts = None;
+      a_send_count = None;
+      a_recv_counts = None;
+      a_recv_counts_out = false;
+      a_recv_displs = None;
+      a_recv_displs_out = false;
+      a_send_displs = None;
+      a_recv_buf = None;
+      a_root = None;
+      a_op = None;
+    }
+    params
+
+let required opname name = function
+  | Some v -> v
+  | None -> Errdefs.usage_error "%s: required parameter %s is missing" opname name
 
 (* ------------------------------------------------------------------ *)
 (* The result object (§III-B): the receive buffer is always present;
@@ -138,96 +170,44 @@ let extract_recv_displs r =
    out-parameters as options. *)
 let decompose r = (r.r_recv_buf, r.r_recv_counts, r.r_recv_displs)
 
+(* The result of a call that computed [buf], after writing it into the
+   caller's [recv_buf] if one was passed. *)
+let result opname a buf ~counts ~displs =
+  (match a.a_recv_buf with Some (policy, v) -> Vec.write_array policy v buf | None -> ());
+  { op_name = opname; r_recv_buf = buf; r_recv_counts = counts; r_recv_displs = displs }
+
+let vector_result opname a (r : 'a Infer.vector_result) =
+  result opname a r.recv_buf
+    ~counts:(if a.a_recv_counts_out then Some r.recv_counts else None)
+    ~displs:(if a.a_recv_displs_out then Some r.recv_displs else None)
+
 (* ------------------------------------------------------------------ *)
 (* Operations *)
 
-let get_send_buf ~opname params =
-  match
-    find params (function Send_buf v -> Some v | _ -> None)
-  with
-  | Some v -> v
-  | None -> Errdefs.usage_error "%s: required parameter send_buf is missing" opname
-
-let deliver_recv_buf params (data : 'a array) =
-  match find params (function Recv_buf (p, v) -> Some (p, v) | _ -> None) with
-  | Some (policy, v) -> Vec.write_array policy v data
-  | None -> ()
-
 (* allgatherv: paper Fig. 1's running example. *)
-let allgatherv (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let allgatherv comm dt params =
   let opname = "allgatherv" in
-  validate ~opname
-    ~accepted:
-      [
-        "send_buf";
-        "send_count";
-        "recv_counts";
-        "recv_counts_out";
-        "recv_displs";
-        "recv_displs_out";
-        "recv_buf";
-      ]
-    ~required:[ "send_buf" ] params;
-  let v = get_send_buf ~opname params in
-  let send_count = find params (function Send_count c -> Some c | _ -> None) in
-  let recv_counts = find params (function Recv_counts c -> Some c | _ -> None) in
-  let recv_displs = find params (function Recv_displs d -> Some d | _ -> None) in
-  let full = Collectives.allgatherv_full comm dt ?send_count ?recv_counts ?recv_displs v in
-  deliver_recv_buf params full.Collectives.recv_buf;
-  {
-    op_name = opname;
-    r_recv_buf = full.Collectives.recv_buf;
-    r_recv_counts = (if has params "recv_counts_out" then Some full.Collectives.recv_counts else None);
-    r_recv_displs = (if has params "recv_displs_out" then Some full.Collectives.recv_displs else None);
-  }
+  let a = resolve opname params in
+  let v = required opname "send_buf" a.a_send_buf in
+  vector_result opname a
+    (Infer.allgatherv comm dt ?send_count:a.a_send_count ?recv_counts:a.a_recv_counts
+       ?recv_displs:a.a_recv_displs v)
 
-let alltoallv (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let alltoallv comm dt params =
   let opname = "alltoallv" in
-  validate ~opname
-    ~accepted:
-      [
-        "send_buf";
-        "send_counts";
-        "send_displs";
-        "recv_counts";
-        "recv_counts_out";
-        "recv_displs";
-        "recv_displs_out";
-        "recv_buf";
-      ]
-    ~required:[ "send_buf"; "send_counts" ] params;
-  let v = get_send_buf ~opname params in
-  let send_counts =
-    Option.get (find params (function Send_counts c -> Some c | _ -> None))
-  in
-  let send_displs = find params (function Send_displs d -> Some d | _ -> None) in
-  let recv_counts = find params (function Recv_counts c -> Some c | _ -> None) in
-  let recv_displs = find params (function Recv_displs d -> Some d | _ -> None) in
-  let full =
-    Collectives.alltoallv_full comm dt ~send_counts ?send_displs ?recv_counts ?recv_displs
-      v
-  in
-  deliver_recv_buf params full.Collectives.recv_buf;
-  {
-    op_name = opname;
-    r_recv_buf = full.Collectives.recv_buf;
-    r_recv_counts = (if has params "recv_counts_out" then Some full.Collectives.recv_counts else None);
-    r_recv_displs = (if has params "recv_displs_out" then Some full.Collectives.recv_displs else None);
-  }
+  let a = resolve opname params in
+  let v = required opname "send_buf" a.a_send_buf in
+  let send_counts = required opname "send_counts" a.a_send_counts in
+  vector_result opname a
+    (Infer.alltoallv comm dt ~send_counts ?send_displs:a.a_send_displs
+       ?recv_counts:a.a_recv_counts ?recv_displs:a.a_recv_displs v)
 
 (* allgather: supports the in-place send_recv_buf spelling of §III-G. *)
-let allgather (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let allgather comm dt params =
   let opname = "allgather" in
-  validate ~opname ~accepted:[ "send_buf"; "send_recv_buf"; "recv_buf" ] ~required:[]
-    params;
+  let a = resolve opname params in
   let buf =
-    match
-      ( find params (function Send_buf v -> Some v | _ -> None),
-        find params (function Send_recv_buf v -> Some v | _ -> None) )
-    with
+    match (a.a_send_buf, a.a_send_recv_buf) with
     | Some _, Some _ ->
         Errdefs.usage_error "%s: pass either send_buf or send_recv_buf, not both" opname
     | Some v, None -> Collectives.allgather comm dt v
@@ -236,47 +216,28 @@ let allgather (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param li
         Errdefs.usage_error "%s: required parameter send_buf (or send_recv_buf) is missing"
           opname
   in
-  deliver_recv_buf params buf;
-  { op_name = opname; r_recv_buf = buf; r_recv_counts = None; r_recv_displs = None }
+  result opname a buf ~counts:None ~displs:None
 
-let gatherv (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let gatherv comm dt params =
   let opname = "gatherv" in
-  validate ~opname
-    ~accepted:[ "send_buf"; "root"; "recv_counts"; "recv_counts_out"; "recv_buf" ]
-    ~required:[ "send_buf"; "root" ] params;
-  let v = get_send_buf ~opname params in
-  let rt = Option.get (find params (function Root r -> Some r | _ -> None)) in
-  let recv_counts = find params (function Recv_counts c -> Some c | _ -> None) in
-  let full = Collectives.gatherv_full comm dt ~root:rt ?recv_counts v in
-  deliver_recv_buf params full.Collectives.recv_buf;
-  {
-    op_name = opname;
-    r_recv_buf = full.Collectives.recv_buf;
-    r_recv_counts = (if has params "recv_counts_out" then Some full.Collectives.recv_counts else None);
-    r_recv_displs = None;
-  }
+  let a = resolve opname params in
+  let v = required opname "send_buf" a.a_send_buf in
+  let root = required opname "root" a.a_root in
+  vector_result opname a (Infer.gatherv comm dt ~root ?recv_counts:a.a_recv_counts v)
 
-let bcast (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let bcast comm dt params =
   let opname = "bcast" in
-  validate ~opname ~accepted:[ "send_buf"; "root"; "recv_buf" ] ~required:[ "root" ]
-    params;
-  let rt = Option.get (find params (function Root r -> Some r | _ -> None)) in
-  let data = find params (function Send_buf v -> Some v | _ -> None) in
-  if Communicator.rank comm = rt && data = None then
+  let a = resolve opname params in
+  let root = required opname "root" a.a_root in
+  if Communicator.rank comm = root && Option.is_none a.a_send_buf then
     Errdefs.usage_error "%s: the root must pass send_buf" opname;
-  let buf = Collectives.bcast comm dt ~root:rt ?data () in
-  deliver_recv_buf params buf;
-  { op_name = opname; r_recv_buf = buf; r_recv_counts = None; r_recv_displs = None }
+  result opname a
+    (Collectives.bcast comm dt ~root ?data:a.a_send_buf ())
+    ~counts:None ~displs:None
 
-let allreduce (comm : Communicator.t) (dt : 'a Datatype.t) (params : 'a param list) :
-    'a result =
+let allreduce comm dt params =
   let opname = "allreduce" in
-  validate ~opname ~accepted:[ "send_buf"; "op"; "recv_buf" ] ~required:[ "send_buf"; "op" ]
-    params;
-  let v = get_send_buf ~opname params in
-  let o = Option.get (find params (function Op o -> Some o | _ -> None)) in
-  let buf = Collectives.allreduce comm dt o v in
-  deliver_recv_buf params buf;
-  { op_name = opname; r_recv_buf = buf; r_recv_counts = None; r_recv_displs = None }
+  let a = resolve opname params in
+  let v = required opname "send_buf" a.a_send_buf in
+  let o = required opname "op" a.a_op in
+  result opname a (Collectives.allreduce comm dt o v) ~counts:None ~displs:None

@@ -172,8 +172,6 @@ let note_revocation_observed t =
     Runtime.bump_progress t.rt
   end
 
-let revoked_flag t = t.shared.revoked
-
 let is_revoked t =
   if t.shared.revoked then note_revocation_observed t;
   t.shared.revoked
@@ -188,8 +186,6 @@ let revocation_reached t ~world =
   && (t.shared.revoke_observed.(rank_of_world t world) || Runtime.is_failed t.rt world)
 
 let set_errhandler t h = t.errhandler <- h
-
-let errhandler t = t.errhandler
 
 let topology t = t.topology
 

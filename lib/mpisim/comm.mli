@@ -141,19 +141,8 @@ val topology : t -> topology option
 
 (** Whether the communicator has been revoked.  Also records that this
     rank has now observed the revocation, releasing peers whose parked
-    receives were waiting on this rank (see {!revocation_reached}). *)
+    receives were waiting on this rank (see {!revoked_for}). *)
 val is_revoked : t -> bool
-
-(** [is_revoked] without the observation side effect: for poll loops that
-    must not count as this rank abandoning its in-flight operations. *)
-val revoked_flag : t -> bool
-
-(** The communicator is revoked {e and} the revocation is visible from
-    world rank [world]'s side: that rank has observed it or has failed.
-    A receive parked on a specific source aborts with [ERR_REVOKED] only
-    under this condition — while the source is alive and still unaware of
-    the revocation, it may yet complete the in-flight exchange. *)
-val revocation_reached : t -> world:int -> bool
 
 val revoke : t -> unit
 
@@ -161,7 +150,10 @@ val revoke : t -> unit
 
 (** The revocation ends a receive from world rank [src_world]
     ({!Mailbox.any_source}: any member): it is revoked and, for a named
-    source, {!revocation_reached}. *)
+    source, the revocation is visible from that rank's side — it has
+    observed it or has failed.  While the source is alive and still
+    unaware of the revocation, it may yet complete the in-flight
+    exchange. *)
 val revoked_for : t -> src_world:int -> bool
 
 (** The source can no longer satisfy a receive: it has failed, or
@@ -173,8 +165,6 @@ val source_gone : t -> src_world:int -> bool
 val matched_or_gone : t -> src_world:int -> Mailbox.posted -> bool
 
 val set_errhandler : t -> Errdefs.handler -> unit
-
-val errhandler : t -> Errdefs.handler
 
 (** Raise (or otherwise dispatch) a runtime failure through the
     communicator's error handler. *)
@@ -199,9 +189,6 @@ val failed_members : t -> int list
 val check_collective : t -> op:string -> root:int -> ty:string -> unit
 
 (** {1 Rendezvous operations} *)
-
-(** Comm ranks of the members that have not failed, in rank order. *)
-val live_members : t -> int list
 
 (** This rank's next call of [kind]: find the cell or, as the first
     member to arrive, create it with [make ()] (default [Nothing]).

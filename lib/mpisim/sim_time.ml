@@ -8,12 +8,6 @@ type t = float
 
 let zero : t = 0.
 
-let of_seconds s =
-  if s < 0. then invalid_arg "Sim_time.of_seconds: negative";
-  s
-
-let to_seconds (t : t) : float = t
-
 let add (a : t) (b : t) : t = a +. b
 
 let max (a : t) (b : t) : t = if a >= b then a else b
@@ -21,10 +15,6 @@ let max (a : t) (b : t) : t = if a >= b then a else b
 let compare (a : t) (b : t) = Float.compare a b
 
 let ( + ) = add
-
-let microseconds us = of_seconds (us *. 1e-6)
-
-let nanoseconds ns = of_seconds (ns *. 1e-9)
 
 let pp ppf (t : t) =
   if t < 1e-6 then Format.fprintf ppf "%.1fns" (t *. 1e9)

@@ -7,13 +7,6 @@ type t = float
 (** The origin. *)
 val zero : t
 
-(** [of_seconds s] is [s] as a time.  Raises [Invalid_argument] if
-    negative. *)
-val of_seconds : float -> t
-
-(** Seconds as a plain float. *)
-val to_seconds : t -> float
-
 val add : t -> t -> t
 
 val max : t -> t -> t
@@ -21,12 +14,6 @@ val max : t -> t -> t
 val compare : t -> t -> int
 
 val ( + ) : t -> t -> t
-
-(** [microseconds us] / [nanoseconds ns] build times from sub-second
-    units. *)
-val microseconds : float -> t
-
-val nanoseconds : float -> t
 
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)
 val pp : Format.formatter -> t -> unit

@@ -529,6 +529,230 @@ let prop_named_equals_labelled_alltoallv =
       in
       Array.for_all Fun.id results)
 
+(* Every Named operation against its labelled call on p <= 9 ranks, under
+   the heavy sanitizer: parameters in a random order per rank, a random
+   subset of the optional ones (send_count, counts and displacements
+   given or inferred, the _out parameters, recv_buf under each resize
+   policy).  Each call must return the labelled result, out-parameters
+   equal to the counts and displacements the inference computes, and
+   issue the same profiled calls. *)
+
+type named_outcome = {
+  buf : int array;
+  counts : int array option;
+  displs : int array option;
+  vec_ok : bool;  (* the recv_buf vec holds [buf] under its policy *)
+}
+
+let shuffle ~seed ~r l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Xoshiro.hash_int ~seed ~stream:(100 + r) ~counter:i ~bound:(i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_named_matches_labelled =
+  QCheck.Test.make ~name:"Named = labelled: any order, optional and out parameters"
+    ~count:120
+    QCheck.(triple (int_range 1 9) (int_range 0 6) (int_bound 1_000_000))
+    (fun (p, which, seed) ->
+      (* QCheck's int shrinker can step below the range's lower bound. *)
+      QCheck.assume (p >= 1);
+      let draw stream counter bound = Xoshiro.hash_int ~seed ~stream ~counter ~bound in
+      let flag k = draw 0 k 2 = 1 in
+      let policy =
+        Kamping.Resize_policy.(
+          match draw 1 0 3 with 0 -> Resize_to_fit | 1 -> Grow_only | _ -> No_resize)
+      in
+      let init_len r =
+        draw 2 r 40 + if policy = Kamping.Resize_policy.No_resize then 40 else 0
+      in
+      let opt b x = if b then [ x ] else [] in
+      let some_if b x = if b then Some x else None in
+      (* Run [named] and [labelled] on every rank; [named] gets the
+         optional recv_buf parameter and its vec, and the outcome is
+         checked against [labelled]'s buffer and [counts]/[displs]. *)
+      let check ~named ~labelled ~counts ~displs =
+        let run body =
+          Engine.run_collect ~model:Net_model.zero_cost ~check_level:Check.Heavy ~ranks:p
+            (fun mpi -> body (Kamping.Communicator.of_mpi mpi) (Comm.rank mpi))
+        in
+        let with_vec = flag 9 in
+        let named_values, named_report =
+          run (fun comm r ->
+              let vec = Kamping.Vec.of_array (Array.make (init_len r) (-1)) in
+              let res : int Kamping.Named.result =
+                named comm r
+                  (opt with_vec (Kamping.Named.recv_buf ~policy vec))
+              in
+              let buf, counts, displs = Kamping.Named.decompose res in
+              let vec_ok =
+                (not with_vec)
+                ||
+                let n = Array.length buf and init = init_len r in
+                let len =
+                  Kamping.Resize_policy.(
+                    match policy with
+                    | Resize_to_fit -> n
+                    | Grow_only -> max init n
+                    | No_resize -> init)
+                in
+                Kamping.Vec.length vec = len
+                && Array.sub (Kamping.Vec.to_array vec) 0 n = buf
+              in
+              { buf; counts; displs; vec_ok })
+        in
+        let labelled_values, labelled_report = run labelled in
+        named_report.Engine.profile = labelled_report.Engine.profile
+        && Array.for_all Fun.id
+             (Array.init p (fun r ->
+                  match (named_values.(r), labelled_values.(r)) with
+                  | Some o, Some l ->
+                      o.buf = l && o.vec_ok && o.counts = counts r && o.displs = displs r
+                  | _ -> false))
+      in
+      let mix r l = shuffle ~seed ~r l in
+      match which with
+      | 0 ->
+          (* allgatherv: rank r sends len r ints, followed by pad r unsent
+             ones when send_count is passed. *)
+          let len r = draw 3 r 5 and pad r = draw 4 r 3 in
+          let with_count = flag 1 and given_c = flag 2 and given_d = flag 3 in
+          let c_out = flag 4 and d_out = flag 5 in
+          let all_counts = Array.init p len in
+          let all_displs = Kamping.Collectives.exclusive_prefix_sum all_counts in
+          let v r =
+            Array.init (len r + if with_count then pad r else 0) (fun i -> (r * 100) + i)
+          in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                allgatherv comm Datatype.int
+                  (mix r
+                     (ps
+                     @ [ send_buf (v r) ]
+                     @ opt with_count (send_count (len r))
+                     @ opt given_c (recv_counts all_counts)
+                     @ opt given_d (recv_displs all_displs)
+                     @ opt c_out (recv_counts_out ())
+                     @ opt d_out (recv_displs_out ())))))
+            ~labelled:(fun comm r ->
+              Kamping.Collectives.allgatherv comm Datatype.int
+                ?send_count:(some_if with_count (len r))
+                ?recv_counts:(some_if given_c all_counts)
+                ?recv_displs:(some_if given_d all_displs)
+                (v r))
+            ~counts:(fun _ -> some_if c_out all_counts)
+            ~displs:(fun _ -> some_if d_out all_displs)
+      | 1 ->
+          (* alltoallv: rank s sends sc s d ints to rank d. *)
+          let sc s d = draw 3 ((s * p) + d) 3 in
+          let given_sd = flag 1 and given_c = flag 2 and given_d = flag 3 in
+          let c_out = flag 4 and d_out = flag 5 in
+          let send_counts_of s = Array.init p (sc s) in
+          let recv_counts_of r = Array.init p (fun s -> sc s r) in
+          let data s =
+            Array.concat (List.init p (fun d -> Array.make (sc s d) ((s * 10) + d)))
+          in
+          let sd s = Kamping.Collectives.exclusive_prefix_sum (send_counts_of s) in
+          let rd r = Kamping.Collectives.exclusive_prefix_sum (recv_counts_of r) in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                alltoallv comm Datatype.int
+                  (mix r
+                     (ps
+                     @ [ send_buf (data r); send_counts (send_counts_of r) ]
+                     @ opt given_sd (send_displs (sd r))
+                     @ opt given_c (recv_counts (recv_counts_of r))
+                     @ opt given_d (recv_displs (rd r))
+                     @ opt c_out (recv_counts_out ())
+                     @ opt d_out (recv_displs_out ())))))
+            ~labelled:(fun comm r ->
+              Kamping.Collectives.alltoallv comm Datatype.int
+                ~send_counts:(send_counts_of r)
+                ?send_displs:(some_if given_sd (sd r))
+                ?recv_counts:(some_if given_c (recv_counts_of r))
+                ?recv_displs:(some_if given_d (rd r))
+                (data r))
+            ~counts:(fun r -> some_if c_out (recv_counts_of r))
+            ~displs:(fun r -> some_if d_out (rd r))
+      | 2 ->
+          (* gatherv: only the root receives counts; elsewhere the inferred
+             counts are the (empty) result of the count gather. *)
+          let rt = draw 3 0 p and len r = draw 4 r 4 in
+          let given_c = flag 2 and c_out = flag 4 in
+          let all_counts = Array.init p len in
+          let v r = Array.init (len r) (fun i -> (r * 100) + i) in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                gatherv comm Datatype.int
+                  (mix r
+                     (ps
+                     @ [ send_buf (v r); root rt ]
+                     @ opt given_c (recv_counts all_counts)
+                     @ opt c_out (recv_counts_out ())))))
+            ~labelled:(fun comm r ->
+              Kamping.Collectives.gatherv comm Datatype.int ~root:rt
+                ?recv_counts:(some_if given_c all_counts) (v r))
+            ~counts:(fun r ->
+              some_if c_out (if r = rt || given_c then all_counts else [||]))
+            ~displs:(fun _ -> None)
+      | 3 ->
+          let rt = draw 3 0 p and len = draw 4 0 5 in
+          let data = Array.init len (fun i -> i * 7) in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                bcast comm Datatype.int
+                  (mix r (ps @ [ root rt ] @ opt (r = rt) (send_buf data)))))
+            ~labelled:(fun comm r ->
+              Kamping.Collectives.bcast comm Datatype.int ~root:rt
+                ?data:(some_if (r = rt) data) ())
+            ~counts:(fun _ -> None) ~displs:(fun _ -> None)
+      | 4 ->
+          let len = 1 + draw 3 0 5 in
+          let o =
+            match draw 4 0 3 with
+            | 0 -> Reduce_op.int_sum
+            | 1 -> Reduce_op.int_max
+            | _ -> Reduce_op.int_min
+          in
+          let v r = Array.init len (fun i -> draw 5 ((r * len) + i) 1000) in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                allreduce comm Datatype.int (mix r (ps @ [ send_buf (v r); op o ]))))
+            ~labelled:(fun comm r ->
+              Kamping.Collectives.allreduce comm Datatype.int o (v r))
+            ~counts:(fun _ -> None) ~displs:(fun _ -> None)
+      | _ ->
+          (* allgather, by value (which = 5) or in place (which = 6). *)
+          let k = 1 + draw 3 0 3 and in_place = which = 6 in
+          let mine r = Array.init k (fun i -> (r * 10) + i) in
+          let slots r =
+            Array.init (p * k) (fun i -> if i / k = r then (r * 10) + (i mod k) else 0)
+          in
+          check
+            ~named:(fun comm r ps ->
+              Kamping.Named.(
+                allgather comm Datatype.int
+                  (mix r
+                     (ps
+                     @ [
+                         (if in_place then send_recv_buf (slots r)
+                          else send_buf (mine r));
+                       ]))))
+            ~labelled:(fun comm r ->
+              if in_place then
+                Kamping.Collectives.allgather_inplace comm Datatype.int (slots r)
+              else Kamping.Collectives.allgather comm Datatype.int (mine r))
+            ~counts:(fun _ -> None) ~displs:(fun _ -> None))
+
 (* --- RMA accumulate property --- *)
 
 let prop_rma_accumulate_sums =
@@ -571,6 +795,7 @@ let tests =
       qtest prop_chaos_recovery_sort;
       qtest prop_named_equals_labelled_allgatherv;
       qtest prop_named_equals_labelled_alltoallv;
+      qtest prop_named_matches_labelled;
       qtest prop_rma_accumulate_sums;
     ]
 

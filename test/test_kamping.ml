@@ -60,10 +60,14 @@ let test_result_extractors () =
         let comm = Kamping.Communicator.of_mpi mpi in
         let r = Comm.rank mpi in
         let v = Array.make (r + 1) r in
-        let full = Kamping.Collectives.allgatherv_full comm Datatype.int v in
-        ( Kamping.Collectives.extract_recv_buf full,
-          Kamping.Collectives.extract_recv_counts full,
-          Kamping.Collectives.extract_recv_displs full ))
+        let full =
+          Kamping.Named.(
+            allgatherv comm Datatype.int
+              [ send_buf v; recv_counts_out (); recv_displs_out () ])
+        in
+        ( Kamping.Named.extract_recv_buf full,
+          Kamping.Named.extract_recv_counts full,
+          Kamping.Named.extract_recv_displs full ))
   in
   let buf, counts, displs = results.(0) in
   Alcotest.(check (array int)) "buf" [| 0; 1; 1; 2; 2; 2 |] buf;
@@ -95,18 +99,6 @@ let test_no_resize_rejects_small () =
   match Kamping.Vec.write_array Kamping.Resize_policy.No_resize v [| 1; 2; 3 |] with
   | () -> Alcotest.fail "expected Usage_error"
   | exception Errdefs.Usage_error _ -> ()
-
-let test_allgatherv_into_policies () =
-  let results =
-    Engine.run_values ~ranks:3 (fun mpi ->
-        let comm = Kamping.Communicator.of_mpi mpi in
-        let r = Comm.rank mpi in
-        let out = Kamping.Vec.create () in
-        Kamping.Collectives.allgatherv_into comm Datatype.int
-          ~policy:Kamping.Resize_policy.Resize_to_fit ~recv_buf:out [| r; r |];
-        Kamping.Vec.to_array out)
-  in
-  Alcotest.(check (array int)) "into vec" [| 0; 0; 1; 1; 2; 2 |] results.(0)
 
 (* --- in-place allgather --- *)
 
@@ -351,7 +343,6 @@ let tests =
     Alcotest.test_case "grow_only grows" `Quick test_grow_only_grows;
     Alcotest.test_case "grow_only keeps larger" `Quick test_grow_only_keeps_larger;
     Alcotest.test_case "no_resize rejects" `Quick test_no_resize_rejects_small;
-    Alcotest.test_case "allgatherv_into vec" `Quick test_allgatherv_into_policies;
     Alcotest.test_case "allgather in-place" `Quick test_allgather_inplace;
     Alcotest.test_case "nb send returns buffer" `Quick test_nb_send_returns_buffer;
     Alcotest.test_case "nb test before completion" `Quick test_nb_test_before_completion;
