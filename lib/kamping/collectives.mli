@@ -10,7 +10,11 @@
     - [allgatherv] receive counts default to an allgather of the send
       counts; [alltoallv]'s to an alltoall of the send counts;
       [gatherv]'s to a gather of the send counts;
-    - displacements default to exclusive prefix sums.
+    - displacements default to exclusive prefix sums.  Given ones place
+      each block as MPI does: [allgatherv]'s block [s] lands at
+      [recv_displs.(s)] in a result of length [max (displ + count)], whose
+      elements no block covers are the datatype's zero.  On a [gatherv]
+      non-root, counts and displacements are empty either way.
 
     Each operation returns its receive buffer by value; result objects
     with the computed out-parameters (§III-B) and caller-supplied

@@ -26,6 +26,34 @@ type 'a vector_result = {
   recv_displs : int array;
 }
 
+(* MPI placement of a packed allgatherv result: block [s] of [buf] (its
+   [counts.(s)] elements, in rank order) lands at [displs.(s)].  The
+   buffer ends where the last-ending block ends; elements no block
+   covers are the datatype's zero.  Displacements that are the packed
+   layout return [buf] itself. *)
+let place dt ~(counts : int array) ~(displs : int array) (buf : 'a array) =
+  let p = Array.length counts in
+  if Array.length displs <> p then
+    Errdefs.usage_error "allgatherv: recv_displs has length %d, expected %d"
+      (Array.length displs) p;
+  let len = ref 0 and packed = ref true in
+  for s = 0 to p - 1 do
+    if displs.(s) < 0 then
+      Errdefs.usage_error "allgatherv: recv_displs.(%d) = %d is negative" s displs.(s);
+    if displs.(s) <> !len then packed := false;
+    len := max !len (displs.(s) + counts.(s))
+  done;
+  if !packed then buf
+  else begin
+    let out = if !len = 0 then [||] else Array.make !len (Datatype.zero_elem dt) in
+    let pos = ref 0 in
+    for s = 0 to p - 1 do
+      Array.blit buf !pos out displs.(s) counts.(s);
+      pos := !pos + counts.(s)
+    done;
+    out
+  end
+
 let allgatherv comm dt ?send_count ?recv_counts ?recv_displs (send_buf : 'a array) :
     'a vector_result =
   traced comm ~op:"allgatherv" @@ fun () ->
@@ -39,11 +67,14 @@ let allgatherv comm dt ?send_count ?recv_counts ?recv_displs (send_buf : 'a arra
     | Some rc -> rc
     | None -> Coll.allgather mpi Datatype.int [| send_count |]
   in
-  let recv_displs =
-    match recv_displs with Some d -> d | None -> Coll.exclusive_prefix_sum recv_counts
-  in
-  let recv_buf = Coll.allgatherv mpi dt ~recv_counts send_view in
-  { recv_buf; recv_counts; recv_displs }
+  let packed = Coll.allgatherv mpi dt ~recv_counts send_view in
+  match recv_displs with
+  | Some recv_displs ->
+      let recv_buf = place dt ~counts:recv_counts ~displs:recv_displs packed in
+      { recv_buf; recv_counts; recv_displs }
+  | None ->
+      let recv_displs = Coll.exclusive_prefix_sum recv_counts in
+      { recv_buf = packed; recv_counts; recv_displs }
 
 let gatherv comm dt ~root ?send_count ?recv_counts (send_buf : 'a array) : 'a vector_result
     =
@@ -60,13 +91,16 @@ let gatherv comm dt ~root ?send_count ?recv_counts (send_buf : 'a array) : 'a ve
         (* One extra gather of the counts; only the root keeps it. *)
         Coll.gather mpi Datatype.int ~root [| send_count |]
   in
-  let is_root = Communicator.rank comm = root in
-  let recv_buf =
-    if is_root then Coll.gatherv mpi dt ~root ~recv_counts send_view
-    else Coll.gatherv mpi dt ~root send_view
-  in
-  let recv_displs = if is_root then Coll.exclusive_prefix_sum recv_counts else [||] in
-  { recv_buf; recv_counts; recv_displs }
+  (* Counts and displacements mean something at the root only; a
+     non-root's are empty, whether they were given or inferred. *)
+  if Communicator.rank comm = root then
+    {
+      recv_buf = Coll.gatherv mpi dt ~root ~recv_counts send_view;
+      recv_counts;
+      recv_displs = Coll.exclusive_prefix_sum recv_counts;
+    }
+  else
+    { recv_buf = Coll.gatherv mpi dt ~root send_view; recv_counts = [||]; recv_displs = [||] }
 
 let alltoallv comm dt ~(send_counts : int array) ?send_displs ?recv_counts ?recv_displs
     (send_buf : 'a array) : 'a vector_result =

@@ -61,23 +61,44 @@ let prologue comm ~op ~root ~ty =
 
 let record comm ~op ~bytes = Runtime.record (Comm.runtime comm) ~op ~bytes
 
+(* Trace spans without closures.  A span is the name it was opened
+   under, or [no_span]; a call site brackets its body as
+
+     let span = enter comm ~op ~root ~ty ~bytes in
+     match body with r -> leave comm span r | exception e -> leave_raise comm span e
+
+   so the span closes on the way out, returned or raised, as
+   [Fun.protect] would close it, and no path (traced or not) builds a
+   closure.  With tracing off, opening and closing are a flag test. *)
+let no_span = ""
+
+let open_span comm name =
+  Trace.span_begin (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm)
+    ~cat:"coll" ~name;
+  name
+
+let leave comm span r =
+  if span != no_span then
+    Trace.span_end (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm)
+      ~cat:"coll" ~name:span;
+  r
+
+let leave_raise comm span e =
+  let bt = Printexc.get_raw_backtrace () in
+  leave comm span ();
+  Printexc.raise_with_backtrace e bt
+
 (* A blocking collective: a trace span on the caller's virtual timeline
-   around the prologue, the profile entry and [f].  Collectives lowered
-   onto others (allreduce onto reduce + bcast) show up as nested
+   around the prologue, the profile entry and the body.  Collectives
+   lowered onto others (allreduce onto reduce + bcast) show up as nested
    spans. *)
-let entry comm ~op ~root ~ty ~bytes f =
-  (* With tracing off, the call builds no closure of its own. *)
-  let rt = Comm.runtime comm in
-  if Trace.enabled rt.Runtime.trace then
-    Runtime.with_span rt (Comm.world_rank comm) ~cat:"coll" ~name:op (fun () ->
-        prologue comm ~op ~root ~ty;
-        record comm ~op ~bytes;
-        f ())
-  else begin
-    prologue comm ~op ~root ~ty;
-    record comm ~op ~bytes;
-    f ()
-  end
+let enter comm ~op ~root ~ty ~bytes =
+  let span = open_span comm op in
+  (match prologue comm ~op ~root ~ty with
+  | () -> ()
+  | exception e -> leave_raise comm span e);
+  record comm ~op ~bytes;
+  span
 
 let choose comm alg_op ~bytes ~commutative =
   Coll_algo.choose (Comm.runtime comm).Runtime.model alg_op ~bytes ~size:(Comm.size comm)
@@ -159,25 +180,21 @@ let waits s ~by_clock =
   else s.until ()
 
 (* The algorithm selected for this call, visible to run reports: bump the
-   [coll.algo.<op>.<algo>] counter and, on the blocking driver, nest an
+   [coll.algo.<op>.<algo>] counter and, on the blocking driver, open an
    [<op>.<algo>] span inside the collective's own span.  Both names are
    preallocated in Coll_algo, so with tracing off this costs one counter
    increment.  A progressive schedule may suspend mid-algorithm, so it
    opens no span. *)
-let dispatch x comm alg_op algo f =
+let dispatch x comm alg_op algo =
   let rt = Comm.runtime comm in
   Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
-  match x.prog with
-  | Some _ -> f ()
-  | None ->
-      Runtime.with_span rt (Comm.world_rank comm) ~cat:"coll"
-        ~name:(Coll_algo.span_name alg_op algo) f
+  if x.prog <> None then no_span else open_span comm (Coll_algo.span_name alg_op algo)
 
 (* A collective lowered onto another one: on the blocking driver the
    inner one gets the prologue, profile entry and span of an ad-hoc call;
    a progressive schedule records only the operation it was posted as. *)
-let phase x comm ~op ~root ~ty ~bytes f =
-  if x.prog <> None then f () else entry comm ~op ~root ~ty ~bytes f
+let phase x comm ~op ~root ~ty ~bytes =
+  if x.prog <> None then no_span else enter comm ~op ~root ~ty ~bytes
 
 (* --- steps --- *)
 
@@ -366,19 +383,24 @@ let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref
 (* ------------------------------------------------------------------ *)
 (* Barrier: dissemination *)
 
+let barrier_run comm =
+  let n = Comm.size comm in
+  let r = Comm.rank comm in
+  let k = ref 1 in
+  while !k < n do
+    let dest = (r + !k) mod n in
+    let src = (r - !k + n) mod n in
+    P2p.send_range comm Datatype.int ~dest ~tag:Coll_algo.tag_barrier empty_int ~pos:0
+      ~count:0;
+    ignore (P2p.recv_fresh comm Datatype.int ~source:src ~tag:Coll_algo.tag_barrier);
+    k := !k * 2
+  done
+
 let barrier comm =
-  entry comm ~op:"barrier" ~root:(-1) ~ty:"" ~bytes:0 (fun () ->
-      let n = Comm.size comm in
-      let r = Comm.rank comm in
-      let k = ref 1 in
-      while !k < n do
-        let dest = (r + !k) mod n in
-        let src = (r - !k + n) mod n in
-        P2p.send_range comm Datatype.int ~dest ~tag:Coll_algo.tag_barrier empty_int ~pos:0
-          ~count:0;
-        ignore (P2p.recv_fresh comm Datatype.int ~source:src ~tag:Coll_algo.tag_barrier);
-        k := !k * 2
-      done)
+  let span = enter comm ~op:"barrier" ~root:(-1) ~ty:"" ~bytes:0 in
+  match barrier_run comm with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Non-blocking barrier: a rendezvous cell that waits for every member
    and completes at the latest arrival plus a modelled dissemination
@@ -546,22 +568,28 @@ let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a ar
   if Comm.size comm = 1 then Option.value data ~default:[||]
   else
     match Coll_algo.pinned (Comm.runtime comm).Runtime.model Coll_algo.Bcast with
-    | Some Coll_algo.Binomial ->
-        dispatch x comm Coll_algo.Bcast Coll_algo.Binomial (fun () ->
-            bcast_binomial x comm dt ~root ~total:(-1) mine)
-    | _ ->
+    | Some Coll_algo.Binomial -> (
+        let span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
+        match bcast_binomial x comm dt ~root ~total:(-1) mine with
+        | r -> leave comm span r
+        | exception e -> leave_raise comm span e)
+    | _ -> (
         let count_at_root = Array.length mine in
         let total = bcast_count_rendezvous x comm ~root ~count_at_root in
         let bytes = Datatype.size_of_count dt total in
         let algo = choose comm Coll_algo.Bcast ~bytes ~commutative:true in
         let buf = if r = root then mine else scratch_like dt total in
-        dispatch x comm Coll_algo.Bcast algo (fun () ->
-            match algo with
-            | Coll_algo.Scatter_allgather ->
-                let table = even_blocks ~total ~parts:(Comm.size comm) in
-                bcast_scatter_ring x comm dt ~root ~table buf;
-                buf
-            | _ -> bcast_binomial x comm dt ~root ~total buf)
+        let span = dispatch x comm Coll_algo.Bcast algo in
+        match
+          match algo with
+          | Coll_algo.Scatter_allgather ->
+              let table = even_blocks ~total ~parts:(Comm.size comm) in
+              bcast_scatter_ring x comm dt ~root ~table buf;
+              buf
+          | _ -> bcast_binomial x comm dt ~root ~total buf
+        with
+        | r -> leave comm span r
+        | exception e -> leave_raise comm span e)
 
 (* Validate a bcast's arguments and return the bytes it records. *)
 let bcast_bytes comm dt ~root data =
@@ -573,8 +601,10 @@ let bcast_bytes comm dt ~root data =
 
 let bcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
   let bytes = bcast_bytes comm dt ~root data in
-  entry comm ~op:"bcast" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
-      bcast_run blocking comm dt ~root data)
+  let span = enter comm ~op:"bcast" ~root ~ty:(Datatype.name dt) ~bytes in
+  match bcast_run blocking comm dt ~root data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Gather / Scatter (rooted, direct exchange) *)
@@ -609,6 +639,14 @@ let gather_equal x comm dt ~root data =
   gather_sched x comm dt ~root ~skip_empty:true ~table data out;
   out
 
+let gatherv_run comm dt ~root ~(table : int array) data =
+  charge_dense_scan comm;
+  let out =
+    if Comm.rank comm = root then scratch_like dt table.(Comm.size comm) else [||]
+  in
+  gather_sched blocking comm dt ~root ~skip_empty:false ~table data out;
+  out
+
 let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a array =
   Comm.check_rank comm root;
   let n = Comm.size comm in
@@ -626,17 +664,18 @@ let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a 
       | Some c -> blocks c
   in
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"gatherv" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
-      charge_dense_scan comm;
-      let out = if Comm.rank comm = root then scratch_like dt table.(n) else [||] in
-      gather_sched blocking comm dt ~root ~skip_empty:false ~table data out;
-      out)
+  let span = enter comm ~op:"gatherv" ~root ~ty:(Datatype.name dt) ~bytes in
+  match gatherv_run comm dt ~root ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 let gather comm (dt : 'a Datatype.t) ~root (data : 'a array) : 'a array =
   Comm.check_rank comm root;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
-      gather_equal blocking comm dt ~root data)
+  let span = enter comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes in
+  match gather_equal blocking comm dt ~root data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* The root sends block dest of [data] to every other rank; the others
    receive theirs at whatever length it has.  Only the root reads
@@ -681,9 +720,11 @@ let scatterv comm (dt : 'a Datatype.t) ~root ?send_counts (data : 'a array optio
             table.(n) (Array.length d);
         table)
   in
-  entry comm ~op:"scatterv" ~root ~ty:(Datatype.name dt) ~bytes:0 (fun () ->
-      charge_dense_scan comm;
-      scatter_sched blocking comm dt ~root ~table data)
+  let span = enter comm ~op:"scatterv" ~root ~ty:(Datatype.name dt) ~bytes:0 in
+  charge_dense_scan comm;
+  match scatter_sched blocking comm dt ~root ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 let scatter comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
   let n = Comm.size comm in
@@ -694,8 +735,10 @@ let scatter comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array 
             (Array.length d) n;
         even_blocks ~total:(Array.length d) ~parts:n)
   in
-  entry comm ~op:"scatter" ~root ~ty:(Datatype.name dt) ~bytes:0 (fun () ->
-      scatter_sched blocking comm dt ~root ~table data)
+  let span = enter comm ~op:"scatter" ~root ~ty:(Datatype.name dt) ~bytes:0 in
+  match scatter_sched blocking comm dt ~root ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Allgather: Bruck concatenation (works for any p, O(log p) rounds) by
@@ -736,18 +779,27 @@ let allgather_ring_impl comm dt data =
     ~table:(even_blocks ~total:(n * Array.length data) ~parts:n)
     data
 
+let allgather_run comm dt ~bytes data =
+  if Comm.size comm = 1 then Array.copy data
+  else begin
+    let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true in
+    let span = dispatch blocking comm Coll_algo.Allgather algo in
+    match
+      match algo with
+      | Coll_algo.Ring -> allgather_ring_impl comm dt data
+      | _ -> allgather_bruck comm dt data
+    with
+    | r -> leave comm span r
+    | exception e -> leave_raise comm span e
+  end
+
 let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   let count = Array.length data in
   let bytes = Datatype.size_of_count dt count in
-  entry comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      if Comm.size comm = 1 then Array.copy data
-      else begin
-        let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true in
-        dispatch blocking comm Coll_algo.Allgather algo (fun () ->
-            match algo with
-            | Coll_algo.Ring -> allgather_ring_impl comm dt data
-            | _ -> allgather_bruck comm dt data)
-      end)
+  let span = enter comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match allgather_run comm dt ~bytes data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Allgatherv: ring exchange with per-rank block sizes.  [recv_counts] must
    be provided on every rank (MPI semantics); the binding layer is what
@@ -763,9 +815,12 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
     Errdefs.usage_error "allgatherv: own recv_count %d does not match data length %d"
       recv_counts.(r) (Array.length data);
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      charge_dense_scan comm;
-      ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~table:(blocks recv_counts) data)
+  let span = enter comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  charge_dense_scan comm;
+  let table = blocks recv_counts in
+  match ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Alltoall family: pairwise exchange *)
@@ -792,20 +847,26 @@ let alltoall_sched x comm dt ~tag ~skip_empty ~(send_counts : int array)
       recv x comm dt ~tag ~src out ~pos:rdispls.(src) ~count:recv_counts.(src)
   done
 
+let alltoall_run comm dt data =
+  let n = Comm.size comm in
+  let count = Array.length data / n in
+  let counts = Array.make n count in
+  let displs = Array.init n (fun i -> i * count) in
+  let out = scratch_like dt (Array.length data) in
+  alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoall ~skip_empty:false
+    ~send_counts:counts ~sdispls:displs ~recv_counts:counts ~rdispls:displs data out;
+  out
+
 let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   let n = Comm.size comm in
   if Array.length data mod n <> 0 then
     Errdefs.usage_error "alltoall: data length %d not divisible by %d"
       (Array.length data) n;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"alltoall" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      let count = Array.length data / n in
-      let counts = Array.make n count in
-      let displs = Array.init n (fun i -> i * count) in
-      let out = scratch_like dt (Array.length data) in
-      alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoall ~skip_empty:false
-        ~send_counts:counts ~sdispls:displs ~recv_counts:counts ~rdispls:displs data out;
-      out)
+  let span = enter comm ~op:"alltoall" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match alltoall_run comm dt data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Variable alltoall.  Counts and displacements are all required, as in
    MPI — computing sensible defaults is the binding layer's job (§III-A).
@@ -829,9 +890,26 @@ let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(send_displs : int array) ~(recv_counts : int array) ~(recv_displs : int array)
     (data : 'a array) : 'a array =
   let bytes = alltoallv_bytes comm dt ~op:"alltoallv" ~send_counts ~recv_counts in
-  entry comm ~op:"alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      alltoallv_run blocking comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs
-        data)
+  let span = enter comm ~op:"alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match
+    alltoallv_run blocking comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data
+  with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
+
+let alltoallw_run comm dt ~send_counts ~recv_counts data =
+  charge_dense_scan comm;
+  let rt = Comm.runtime comm in
+  let n = Comm.size comm in
+  (* Datatype setup: one derived datatype per peer, send and receive
+     side. *)
+  Runtime.advance_clock rt (Comm.world_rank comm)
+    (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
+  let rdispls = exclusive_prefix_sum recv_counts in
+  let out = scratch_like dt (rdispls.(n - 1) + recv_counts.(n - 1)) in
+  alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoallw ~skip_empty:false
+    ~send_counts ~sdispls:(exclusive_prefix_sum send_counts) ~recv_counts ~rdispls data out;
+  out
 
 (* Alltoallw-style exchange: pays per-peer derived-datatype setup on every
    rank and exchanges with *all* peers, empty or not.  This models why
@@ -840,20 +918,10 @@ let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
 let alltoallw comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
   let bytes = alltoallv_bytes comm dt ~op:"alltoallw" ~send_counts ~recv_counts in
-  entry comm ~op:"alltoallw" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      charge_dense_scan comm;
-      let rt = Comm.runtime comm in
-      let n = Comm.size comm in
-      (* Datatype setup: one derived datatype per peer, send and receive
-         side. *)
-      Runtime.advance_clock rt (Comm.world_rank comm)
-        (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
-      let rdispls = exclusive_prefix_sum recv_counts in
-      let out = scratch_like dt (rdispls.(n - 1) + recv_counts.(n - 1)) in
-      alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoallw ~skip_empty:false
-        ~send_counts ~sdispls:(exclusive_prefix_sum send_counts) ~recv_counts ~rdispls data
-        out;
-      out)
+  let span = enter comm ~op:"alltoallw" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match alltoallw_run comm dt ~send_counts ~recv_counts data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Reductions *)
@@ -882,8 +950,10 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
     note_nc_order comm;
     let bytes = Datatype.size_of_count dt count in
     let gathered =
-      phase x comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
-          gather_equal x comm dt ~root src)
+      let span = phase x comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes in
+      match gather_equal x comm dt ~root src with
+      | r -> leave comm span r
+      | exception e -> leave_raise comm span e
     in
     if r = root then begin
       Array.blit gathered 0 acc 0 count;
@@ -917,17 +987,22 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
     done
   end
 
+let reduce_run comm dt op ~root data =
+  if Comm.size comm = 1 then Array.copy data
+  else begin
+    let acc = scratch_like dt (Array.length data) in
+    reduce_sched blocking comm dt op ~root ~src:data ~acc;
+    if Comm.rank comm = root then acc else [||]
+  end
+
 let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a array) :
     'a array =
   Comm.check_rank comm root;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"reduce" ~root ~ty:(Datatype.name dt) ~bytes (fun () ->
-      if Comm.size comm = 1 then Array.copy data
-      else begin
-        let acc = scratch_like dt (Array.length data) in
-        reduce_sched blocking comm dt op ~root ~src:data ~acc;
-        if Comm.rank comm = root then acc else [||]
-      end)
+  let span = enter comm ~op:"reduce" ~root ~ty:(Datatype.name dt) ~bytes in
+  match reduce_run comm dt op ~root data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* The non-power-of-two preamble shared by recursive doubling and
    Rabenseifner (MPICH's rem-rank scheme): with pof2 = 2^floor(log2 p)
@@ -1077,12 +1152,20 @@ let allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table =
   | _ ->
       let ty = Datatype.name dt in
       let bytes = Datatype.size_of_count dt total in
-      phase x comm ~op:"reduce" ~root:0 ~ty ~bytes (fun () ->
-          reduce_sched x comm dt op ~root:0 ~src ~acc:dst);
+      (let span = phase x comm ~op:"reduce" ~root:0 ~ty ~bytes in
+       match reduce_sched x comm dt op ~root:0 ~src ~acc:dst with
+       | () -> leave comm span ()
+       | exception e -> leave_raise comm span e);
       let bytes = if Comm.rank comm = 0 then bytes else 0 in
-      phase x comm ~op:"bcast" ~root:0 ~ty ~bytes (fun () ->
-          dispatch x comm Coll_algo.Bcast Coll_algo.Binomial (fun () ->
-              ignore (bcast_binomial x comm dt ~root:0 ~total dst)))
+      let span = phase x comm ~op:"bcast" ~root:0 ~ty ~bytes in
+      let algo_span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
+      match bcast_binomial x comm dt ~root:0 ~total dst with
+      | _ ->
+          leave comm algo_span ();
+          leave comm span ()
+      | exception e ->
+          leave comm algo_span ();
+          leave_raise comm span e
 
 let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) =
   let elems = Array.length data in
@@ -1095,60 +1178,74 @@ let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a a
     let scratch = allreduce_scratch dt algo ~elems in
     let table = allreduce_table comm algo ~elems in
     let dst = scratch_like dt elems in
-    dispatch x comm Coll_algo.Allreduce algo (fun () ->
-        allreduce_sched x comm dt op algo ~src:data ~dst ~scratch ~table);
-    dst
+    let span = dispatch x comm Coll_algo.Allreduce algo in
+    match allreduce_sched x comm dt op algo ~src:data ~dst ~scratch ~table with
+    | () -> leave comm span dst
+    | exception e -> leave_raise comm span e
   end
 
 let allreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"allreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      allreduce_run blocking comm dt op data)
+  let span = enter comm ~op:"allreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match allreduce_run blocking comm dt op data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Inclusive prefix (Hillis-Steele): O(log p) rounds, order-preserving, so
    safe for non-commutative operations. *)
+let scan_run comm dt op data =
+  let len = Array.length data in
+  let n = Comm.size comm in
+  let r = Comm.rank comm in
+  let acc = Array.copy data in
+  (* One scratch buffer for every round's incoming vector: the hot loop
+     neither allocates nor copies beyond the in-place fold. *)
+  let scratch = scratch_like dt len in
+  let d = ref 1 in
+  while !d < n do
+    if r + !d < n then
+      send blocking comm dt ~tag:Coll_algo.tag_scan ~dest:(r + !d) acc ~pos:0
+        ~count:len;
+    if r - !d >= 0 then begin
+      recv blocking comm dt ~tag:Coll_algo.tag_scan ~src:(r - !d) scratch ~pos:0
+        ~count:len;
+      (* [scratch] covers ranks before ours: combine on the left,
+         writing the result straight into [acc]. *)
+      for i = 0 to len - 1 do
+        acc.(i) <- Reduce_op.apply op scratch.(i) acc.(i)
+      done
+    end;
+    d := !d * 2
+  done;
+  acc
+
 let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
   let len = Array.length data in
   let bytes = Datatype.size_of_count dt len in
-  entry comm ~op:"scan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      let n = Comm.size comm in
-      let r = Comm.rank comm in
-      let acc = Array.copy data in
-      (* One scratch buffer for every round's incoming vector: the hot loop
-         neither allocates nor copies beyond the in-place fold. *)
-      let scratch = scratch_like dt len in
-      let d = ref 1 in
-      while !d < n do
-        if r + !d < n then
-          send blocking comm dt ~tag:Coll_algo.tag_scan ~dest:(r + !d) acc ~pos:0
-            ~count:len;
-        if r - !d >= 0 then begin
-          recv blocking comm dt ~tag:Coll_algo.tag_scan ~src:(r - !d) scratch ~pos:0
-            ~count:len;
-          (* [scratch] covers ranks before ours: combine on the left,
-             writing the result straight into [acc]. *)
-          for i = 0 to len - 1 do
-            acc.(i) <- Reduce_op.apply op scratch.(i) acc.(i)
-          done
-        end;
-        d := !d * 2
-      done;
-      acc)
+  let span = enter comm ~op:"scan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match scan_run comm dt op data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Exclusive prefix: rank 0 receives [None] (MPI leaves it undefined). *)
+let exscan_run comm dt op data =
+  let n = Comm.size comm in
+  let r = Comm.rank comm in
+  let inclusive = scan comm dt op data in
+  (* Shift the inclusive result one rank to the right. *)
+  if r + 1 < n then
+    send blocking comm dt ~tag:Coll_algo.tag_exscan ~dest:(r + 1) inclusive ~pos:0
+      ~count:(Array.length inclusive);
+  if r = 0 then None
+  else Some (recv_dyn blocking comm dt ~tag:Coll_algo.tag_exscan ~src:(r - 1))
+
 let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     'a array option =
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"exscan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      let n = Comm.size comm in
-      let r = Comm.rank comm in
-      let inclusive = scan comm dt op data in
-      (* Shift the inclusive result one rank to the right. *)
-      if r + 1 < n then
-        send blocking comm dt ~tag:Coll_algo.tag_exscan ~dest:(r + 1) inclusive ~pos:0
-          ~count:(Array.length inclusive);
-      if r = 0 then None
-      else Some (recv_dyn blocking comm dt ~tag:Coll_algo.tag_exscan ~src:(r - 1)))
+  let span = enter comm ~op:"exscan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match exscan_run comm dt op data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Single-element conveniences used heavily by applications. *)
 let allreduce_single comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (x : 'a) : 'a =
@@ -1170,23 +1267,45 @@ let topology_exn comm ~op =
 
 (* Send [data] to every out-neighbor; receive one block per in-neighbor,
    returned in source order. *)
+let neighbor_allgather_run comm dt (topo : Comm.topology) data =
+  Array.iter
+    (fun dest ->
+      P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_allgather data ~pos:0
+        ~count:(Array.length data))
+    topo.Comm.destinations;
+  Array.map
+    (fun src -> P2p.recv_fresh comm dt ~source:src ~tag:Coll_algo.tag_neighbor_allgather)
+    topo.Comm.sources
+
 let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array array =
   let topo = topology_exn comm ~op:"neighbor_allgather" in
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  entry comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      Array.iter
-        (fun dest ->
-          P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_allgather data ~pos:0
-            ~count:(Array.length data))
-        topo.Comm.destinations;
-      Array.map
-        (fun src ->
-          P2p.recv_fresh comm dt ~source:src ~tag:Coll_algo.tag_neighbor_allgather)
-        topo.Comm.sources)
+  let span = enter comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match neighbor_allgather_run comm dt topo data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Variable-size neighbor exchange: block i of [data] goes to
    destinations.(i); the result concatenates one block per source, with
    [recv_counts] in source order. *)
+let neighbor_alltoallv_run comm dt (topo : Comm.topology) ~send_counts ~recv_counts data =
+  let sdispls = exclusive_prefix_sum send_counts in
+  Array.iteri
+    (fun i dest ->
+      if send_counts.(i) > 0 then
+        P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_alltoallv data
+          ~pos:sdispls.(i) ~count:send_counts.(i))
+    topo.Comm.destinations;
+  let table = blocks recv_counts in
+  let out = scratch_like dt table.(Array.length topo.Comm.sources) in
+  Array.iteri
+    (fun i src ->
+      if recv_counts.(i) > 0 then
+        recv blocking comm dt ~tag:Coll_algo.tag_neighbor_alltoallv ~src out ~pos:table.(i)
+          ~count:recv_counts.(i))
+    topo.Comm.sources;
+  out
+
 let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
   let topo = topology_exn comm ~op:"neighbor_alltoallv" in
@@ -1199,23 +1318,10 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     Errdefs.usage_error "neighbor_alltoallv: recv_counts length %d, expected in-degree %d"
       (Array.length recv_counts) in_deg;
   let bytes = Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts) in
-  entry comm ~op:"neighbor_alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      let sdispls = exclusive_prefix_sum send_counts in
-      Array.iteri
-        (fun i dest ->
-          if send_counts.(i) > 0 then
-            P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_neighbor_alltoallv data
-              ~pos:sdispls.(i) ~count:send_counts.(i))
-        topo.Comm.destinations;
-      let table = blocks recv_counts in
-      let out = scratch_like dt table.(in_deg) in
-      Array.iteri
-        (fun i src ->
-          if recv_counts.(i) > 0 then
-            recv blocking comm dt ~tag:Coll_algo.tag_neighbor_alltoallv ~src out
-              ~pos:table.(i) ~count:recv_counts.(i))
-        topo.Comm.sources;
-      out)
+  let span = enter comm ~op:"neighbor_alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match neighbor_alltoallv_run comm dt topo ~send_counts ~recv_counts data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Reduce-scatter: elementwise reduction whose result is scattered in
@@ -1266,13 +1372,18 @@ let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~
       if root_here then note_rs_scratch comm total;
       let ty = Datatype.name dt in
       let reduced = scratch_like dt total in
-      phase x comm ~op:"reduce" ~root:0 ~ty ~bytes:(Datatype.size_of_count dt total)
-        (fun () -> reduce_sched x comm dt op ~root:0 ~src ~acc:reduced);
+      (let bytes = Datatype.size_of_count dt total in
+       let span = phase x comm ~op:"reduce" ~root:0 ~ty ~bytes in
+       match reduce_sched x comm dt op ~root:0 ~src ~acc:reduced with
+       | () -> leave comm span ()
+       | exception e -> leave_raise comm span e);
       let op = if scatterv then "scatterv" else "scatter" in
-      phase x comm ~op ~root:0 ~ty ~bytes:0 (fun () ->
-          if scatterv then charge_dense_scan comm;
-          let table = if root_here then table else empty_int in
-          scatter_sched x comm dt ~root:0 ~table reduced)
+      let span = phase x comm ~op ~root:0 ~ty ~bytes:0 in
+      if scatterv then charge_dense_scan comm;
+      let table = if root_here then table else empty_int in
+      match scatter_sched x comm dt ~root:0 ~table reduced with
+      | r -> leave comm span r
+      | exception e -> leave_raise comm span e
 
 (* The pairwise exchange's accumulator and scratch block. *)
 let reduce_scatter_buffers dt algo ~mine =
@@ -1291,8 +1402,12 @@ let reduce_scatter_run x comm dt op ~scatterv ~(table : int array) data =
     in
     let mine = block_count table (Comm.rank comm) in
     let acc, scratch = reduce_scatter_buffers dt algo ~mine in
-    dispatch x comm Coll_algo.Reduce_scatter algo (fun () ->
-        reduce_scatter_sched x comm dt op algo ~scatterv ~table ~src:data ~acc ~scratch)
+    let span = dispatch x comm Coll_algo.Reduce_scatter algo in
+    match
+      reduce_scatter_sched x comm dt op algo ~scatterv ~table ~src:data ~acc ~scratch
+    with
+    | r -> leave comm span r
+    | exception e -> leave_raise comm span e
   end
 
 (* Equal block sizes: data has p * count elements; rank r receives the
@@ -1304,9 +1419,13 @@ let reduce_scatter_block comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   if total mod n <> 0 then
     Errdefs.usage_error "reduce_scatter_block: data length %d not divisible by %d" total n;
   let bytes = Datatype.size_of_count dt total in
-  entry comm ~op:"reduce_scatter_block" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      let table = even_blocks ~total ~parts:n in
-      reduce_scatter_run blocking comm dt op ~scatterv:false ~table data)
+  let span =
+    enter comm ~op:"reduce_scatter_block" ~root:(-1) ~ty:(Datatype.name dt) ~bytes
+  in
+  let table = even_blocks ~total ~parts:n in
+  match reduce_scatter_run blocking comm dt op ~scatterv:false ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* Per-rank block sizes: [recv_counts.(r)] elements of the reduced vector
    go to rank r.  Validates the counts and returns their block table. *)
@@ -1324,8 +1443,10 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   let len = Array.length data in
   let table = reduce_scatter_table comm ~op:"reduce_scatter" ~recv_counts ~len in
   let bytes = Datatype.size_of_count dt len in
-  entry comm ~op:"reduce_scatter" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun () ->
-      reduce_scatter_run blocking comm dt op ~scatterv:true ~table data)
+  let span = enter comm ~op:"reduce_scatter" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match reduce_scatter_run blocking comm dt op ~scatterv:true ~table data with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Persistent collectives (MPI-4 MPI_Allreduce_init etc.): everything the

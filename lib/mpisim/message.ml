@@ -14,10 +14,12 @@
    makes the int compare the same way, so stamps compare and take their
    maximum as the times would.  A float field of a record that also
    holds other values is boxed, two words per write; a stamp costs
-   nothing.  A module that needs the float on a hot path decodes it with
-   a local copy of [time]: a float returned across a module boundary
-   comes back boxed.  [not_matched], the largest stamp, is the pattern of
-   a NaN, which no virtual time is.
+   nothing.  [stamp] and [time] are [@inline], and the default build
+   inlines across modules (see the root dune-workspace), so a caller in
+   any module converts without boxing the float; under [--profile dev]
+   ([-opaque]) each call from another module boxes it.  [not_matched],
+   the largest stamp, is the pattern of a NaN, which no virtual time
+   is.
 
    The payload is a (storage, offset, length) slice: the storage usually
    comes from the sender's pooled wire buffer (handed over without a copy

@@ -97,9 +97,9 @@ let zero_cost =
     pins = [];
   }
 
-let send_busy_time m ~bytes = m.send_overhead +. (float_of_int bytes *. m.byte_time)
+let[@inline] send_busy_time m ~bytes = m.send_overhead +. (float_of_int bytes *. m.byte_time)
 
-let transit_time m = m.latency
+let[@inline] transit_time m = m.latency
 
 let recv_busy_time m ~bytes =
   m.recv_overhead +. (float_of_int bytes *. m.copy_byte_time)

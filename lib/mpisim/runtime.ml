@@ -70,8 +70,6 @@ type t = {
   mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
-  (* The latency sample on its way into [Stats.observe_at], unboxed. *)
-  sample : float array;
 }
 
 exception Process_killed of int
@@ -131,7 +129,6 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
     progress = 0;
     msg_seq = 0;
     next_context = 0;
-    sample = [| 0. |];
   }
 
 let bump_progress t = t.progress <- t.progress + 1
@@ -145,18 +142,11 @@ let fresh_context t =
 
 let clock t rank = t.clocks.(rank)
 
-(* [Message.stamp] and [Message.time], local so that they inline: the
-   message path below reads and writes stamps without boxing a float. *)
-let[@inline] stamp (x : float) = Int64.to_int (Int64.bits_of_float x) lxor min_int
-
-let[@inline] time s =
-  Int64.float_of_bits (Int64.logand (Int64.of_int (s lxor min_int)) Int64.max_int)
-
 (* [rank]'s clock as a stamp, for a posted receive. *)
-let clock_stamp t rank = stamp t.clocks.(rank)
+let clock_stamp t rank = Message.stamp t.clocks.(rank)
 
-(* Inlined into this module's callers so the float amount is never boxed
-   for a call. *)
+(* Inlined into its callers, in this module and (in the default build)
+   in others, so the float amount is never boxed for a call. *)
 let[@inline] advance_clock t rank dt =
   if dt > 0. then begin
     t.clocks.(rank) <- t.clocks.(rank) +. dt;
@@ -170,16 +160,16 @@ let[@inline] sync_clock t rank time =
   end
 
 (* Whether [m] has arrived by [rank]'s clock. *)
-let arrived t rank (m : Message.t) = time m.Message.arrival_stamp <= t.clocks.(rank)
+let arrived t rank (m : Message.t) = Message.time m.Message.arrival_stamp <= t.clocks.(rank)
 
 (* Wait on [rank]'s clock for [m] to arrive (a probe observes it). *)
 let sync_to_arrival t rank (m : Message.t) =
-  sync_clock t rank (time m.Message.arrival_stamp)
+  sync_clock t rank (Message.time m.Message.arrival_stamp)
 
 (* Complete a synchronous send of the matched [m]: its match time plus the
    latency of the (modelled) acknowledgement. *)
 let sync_to_ack t rank (m : Message.t) =
-  sync_clock t rank (time m.Message.matched_stamp +. Net_model.transit_time t.model)
+  sync_clock t rank (Message.time m.Message.matched_stamp +. Net_model.transit_time t.model)
 
 (* Measured CPU segments are reported by the engine through this hook.
    When tracing, the segment becomes a complete span on the rank's CPU
@@ -264,12 +254,6 @@ let recycle_payload t (m : Message.t) =
       Wire.recycle t.wire_pools.(m.Message.dst) m.Message.payload
   end
 
-(* The sender's busy time for [bytes]: {!Net_model.send_busy_time},
-   spelled out here because a float returned from another module comes
-   back boxed. *)
-let[@inline] send_busy_time t ~bytes =
-  t.model.Net_model.send_overhead +. (float_of_int bytes *. t.model.Net_model.byte_time)
-
 (* The reliable layer's view of one transfer under the chaos plane:
    (arrival, payload CRC).  May kill ranks and raise. *)
 let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~payload_len =
@@ -315,7 +299,7 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
     ~sync =
   if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
   let bytes = payload_len in
-  advance_clock t src (send_busy_time t ~bytes);
+  advance_clock t src (Net_model.send_busy_time t.model ~bytes);
   let sent_at = t.clocks.(src) in
   let seq = t.msg_seq in
   t.msg_seq <- seq + 1;
@@ -327,8 +311,8 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
     | None ->
         let lam = tick_lamport t src in
         Message.create ~crc:(-1) ~lamport:lam ~context ~src ~dst ~tag ~payload ~payload_off
-          ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
-          ~arrival_stamp:(stamp (sent_at +. transit)) ~seq ~sync
+          ~payload_len ~count ~signature ~sent_stamp:(Message.stamp sent_at)
+          ~arrival_stamp:(Message.stamp (sent_at +. transit)) ~seq ~sync
     | Some ch ->
         let arrival, crc =
           chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off
@@ -336,8 +320,8 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
         in
         let lam = tick_lamport t src in
         Message.create ~crc ~lamport:lam ~context ~src ~dst ~tag ~payload ~payload_off
-          ~payload_len ~count ~signature ~sent_stamp:(stamp sent_at)
-          ~arrival_stamp:(stamp arrival) ~seq ~sync
+          ~payload_len ~count ~signature ~sent_stamp:(Message.stamp sent_at)
+          ~arrival_stamp:(Message.stamp arrival) ~seq ~sync
   in
   let lam = m.Message.lamport in
   (* The level test keeps the disabled path from building the log closure. *)
@@ -387,13 +371,13 @@ let complete_receive t rank (m : Message.t) =
            "recv: payload CRC mismatch on message from rank %d" m.Message.src
      end
    end);
-  let arrival = time m.Message.arrival_stamp in
+  let arrival = Message.time m.Message.arrival_stamp in
   let was_waiting = arrival > t.clocks.(rank) in
   sync_clock t rank arrival;
   (* Consumed-at latency: how long after the sender released the message
      the receiver actually absorbed it (transit + queueing + skew). *)
-  t.sample.(0) <- t.clocks.(rank) -. time m.Message.sent_stamp;
-  Stats.observe_at t.metrics.msg_latency t.sample 0;
+  Stats.observe t.metrics.msg_latency
+    (t.clocks.(rank) -. Message.time m.Message.sent_stamp);
   (* Lamport receive rule: merge the sender's clock, then tick. *)
   let lam = (if m.Message.lamport > t.lamport.(rank) then m.Message.lamport else t.lamport.(rank)) + 1 in
   t.lamport.(rank) <- lam;

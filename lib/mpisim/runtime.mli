@@ -57,9 +57,6 @@ type t = {
   mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
-  sample : float array;
-      (** one slot: a latency sample on its way into {!Stats.observe_at},
-          so the float crosses the call unboxed *)
 }
 
 (** Raised inside a fiber whose rank was failed by injection. *)

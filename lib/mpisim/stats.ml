@@ -7,11 +7,10 @@
 
    Hot-path discipline: [incr]/[add]/[set]/[observe] never allocate.
    Counters are single-mutable-int records and gauges single-mutable-float
-   ones; histogram bucketing is a binary search over a shared
-   power-of-two bounds array, and the float moments live in a float
-   array rather than record fields so the updates stay box-free.  A
-   registry belongs to one run, and a run executes on one domain, so
-   nothing here locks. *)
+   ones; a histogram's bucket is read off the value's IEEE exponent, and
+   the float moments live in a float array rather than record fields so
+   the updates stay box-free.  A registry belongs to one run, and a run
+   executes on one domain, so nothing here locks. *)
 
 type counter = { mutable n : int }
 
@@ -97,22 +96,25 @@ let set g v = g.value <- v
 
 let value g = g.value
 
-(* Index of the smallest bound >= v, or [n_buckets - 1] for overflow.
+(* Index of the smallest bound >= v, or [n_buckets - 1] for overflow;
+   [nan] compares false with every bound and lands in the last finite
+   bucket.  A v strictly inside the bounds is a normal float
+   1.m * 2^(e - 1023); its smallest power-of-two bound is 2^(e - 1023)
+   when the mantissa m is 0 and the next power up otherwise.  The bits
+   of a positive float fit an immediate int (bit 63 is its sign).
 
-   [bucket_of] and the observe functions are inlined: OCaml passes a
-   float argument boxed across a real call, so an out-of-line [observe]
-   would allocate two words per observation. *)
+   [bucket_of] and the observe functions are [@inline]: the default
+   build inlines across modules (see the root dune-workspace), so a
+   caller's float reaches [observe] unboxed.  Under [--profile dev]
+   every module is opaque, and each observation from another module
+   allocates its boxed float. *)
 let[@inline] bucket_of v =
   if v <= bounds.(0) then 0
   else if v > bounds.(Array.length bounds - 1) then n_buckets - 1
+  else if Float.is_nan v then n_buckets - 2
   else begin
-    let lo = ref 0 and hi = ref (Array.length bounds - 1) in
-    (* invariant: bounds.(lo) < v <= bounds.(hi) *)
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if v <= bounds.(mid) then hi := mid else lo := mid
-    done;
-    !hi
+    let b = Int64.to_int (Int64.bits_of_float v) in
+    (b lsr 52) - 1023 - min_exp + if b land 0xF_FFFF_FFFF_FFFF = 0 then 0 else 1
   end
 
 let[@inline] observe h v =
@@ -124,8 +126,6 @@ let[@inline] observe h v =
   if v > h.moments.(2) then h.moments.(2) <- v
 
 let[@inline] observe_int h n = observe h (float_of_int n)
-
-let observe_at h (a : float array) i = observe h a.(i)
 
 let total h = h.total
 

@@ -7,7 +7,10 @@
     ({!to_json}).
 
     All update operations ([incr], [add], [set], [observe]) are
-    allocation-free, so they may sit on simulator hot paths.
+    allocation-free, so they may sit on simulator hot paths: [observe]
+    and [observe_int] are inlined into their callers, so a float
+    argument is never boxed.  That needs cross-module inlining, which
+    the default build has and [--profile dev] ([-opaque]) has not.
 
     A registry is owned by one run and is not safe to share between
     domains; independent runs on different domains (see
@@ -50,10 +53,11 @@ val observe : histogram -> float -> unit
 
 val observe_int : histogram -> int -> unit
 
-(** [observe_at h a i] observes [a.(i)]: a float computed in another
-    module crosses into this one unboxed when it comes in a float array
-    (an argument of type [float] is boxed at every call). *)
-val observe_at : histogram -> float array -> int -> unit
+(** The index of [v]'s bucket: 0 for [v <= 2{^-40}] (every [v <= 0]),
+    the overflow bucket for [v > 2{^40}], otherwise the bucket whose
+    upper bound is the smallest power of two [>= v]; [nan] lands in the
+    last bucket below overflow. *)
+val bucket_of : float -> int
 
 val total : histogram -> int
 

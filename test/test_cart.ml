@@ -9,7 +9,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let prop_dims_create_product =
   QCheck.Test.make ~name:"dims_create: product = nnodes" ~count:200
-    QCheck.(pair (int_range 1 400) (int_range 1 4))
+    QCheck.(pair (Arb.ranks 1 400) (int_range 1 4))
     (fun (nnodes, ndims) ->
       let dims = Cart.dims_create ~nnodes ~ndims in
       Array.length dims = ndims && Array.fold_left ( * ) 1 dims = nnodes)
@@ -123,7 +123,7 @@ let test_cart_sub () =
 
 let prop_reduce_scatter_block =
   QCheck.Test.make ~name:"reduce_scatter_block = reduce then scatter" ~count:50
-    QCheck.(pair (int_range 1 8) (int_bound 1000))
+    QCheck.(pair (Arb.ranks 1 8) (int_bound 1000))
     (fun (p, seed) ->
       let count = 3 in
       let results =

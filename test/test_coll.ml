@@ -8,7 +8,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* Generator scaffolding: a rank count in 1..9 and per-rank integer data of
    varying lengths, derived deterministically from a qcheck seed. *)
-let gen_p_and_seed = QCheck.(pair (int_range 1 9) (int_bound 1_000_000))
+let gen_p_and_seed = QCheck.(pair (Arb.ranks 1 9) (int_bound 1_000_000))
 
 let data_for ~seed ~rank ~len =
   Array.init len (fun i -> Xoshiro.hash_int ~seed ~stream:rank ~counter:i ~bound:1000 - 500)
@@ -570,7 +570,7 @@ let drivers_agree ~pins ~p ~blocking ~nonblocking ~init =
   let b, tb = run Blocking and n, tn = run Nonblocking and q, _ = run Persistent in
   b = n && b = q && tb = tn
 
-let gen_drivers = QCheck.(triple (int_range 1 9) (int_bound 1_000_000) (int_range 0 40))
+let gen_drivers = QCheck.(triple (Arb.ranks 1 9) (int_bound 1_000_000) (int_range 0 40))
 
 let prop_allreduce_drivers =
   QCheck.Test.make ~name:"allreduce: blocking = persistent = nonblocking" ~count:20
@@ -899,7 +899,7 @@ let test_posted_comm_matrix_label () =
    Rabenseifner to cover its schedule too. *)
 let prop_any_wait_order =
   QCheck.Test.make ~name:"requests complete in any per-rank wait order" ~count:25
-    QCheck.(pair (int_range 2 8) (int_bound 1_000_000))
+    QCheck.(pair (Arb.ranks 2 8) (int_bound 1_000_000))
     (fun (p, seed) ->
       let k = 2 + (seed mod 3) in
       let len i = Xoshiro.hash_int ~seed ~stream:98 ~counter:i ~bound:600 in
@@ -1249,7 +1249,7 @@ let test_selection_sweep () =
    network, under the heavy sanitizer: every rank selects alike. *)
 let prop_selection_is_argmin =
   QCheck.Test.make ~name:"auto within 2% of the fastest pinned algorithm" ~count:20
-    QCheck.(quad (int_bound 3) (int_range 2 32) (int_bound 15) (int_bound 1_000_000))
+    QCheck.(quad (int_bound 3) (Arb.ranks 2 32) (int_bound 15) (int_bound 1_000_000))
     (fun (o, p, e, seed) ->
       let model = if seed mod 2 = 0 then Net_model.omnipath else Net_model.ethernet in
       let total = (1 lsl e) + (seed mod (1 lsl e)) in

@@ -67,7 +67,7 @@ let test_layout_datatype_halo_exchange () =
 
 let prop_grid_kd_equals_dense =
   QCheck.Test.make ~name:"k-d grid alltoallv = dense (multisets)" ~count:30
-    QCheck.(triple (int_range 2 16) (int_range 1 4) (int_bound 100000))
+    QCheck.(triple (Arb.ranks 2 16) (int_range 1 4) (int_bound 100000))
     (fun (p, k, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -234,7 +234,7 @@ let test_dist_array_reduce_by_key () =
 
 let prop_dist_array_balance_preserves_order =
   QCheck.Test.make ~name:"balance preserves global order" ~count:40
-    QCheck.(pair (int_range 1 6) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 1 6) (int_bound 10000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -257,7 +257,7 @@ let prop_dist_array_balance_preserves_order =
 
 let prop_allgather_ring_equals_bruck =
   QCheck.Test.make ~name:"ring allgather = Bruck allgather" ~count:40
-    QCheck.(pair (int_range 1 9) (int_range 1 5))
+    QCheck.(pair (Arb.ranks 1 9) (int_range 1 5))
     (fun (p, count) ->
       let run algo =
         let pins = [ (Coll_algo.Allgather, Some algo) ] in

@@ -383,7 +383,7 @@ let prop_chaos_recovery_sort =
   let module C = Kamping.Communicator in
   let module U = Kamping_plugins.Ulfm in
   QCheck.Test.make ~name:"chaos: sort recovers or fails cleanly" ~count:120
-    QCheck.(triple (int_range 3 6) (int_bound 100_000) (int_bound 3))
+    QCheck.(triple (Arb.ranks 3 6) (int_bound 100_000) (int_bound 3))
     (fun (p, seed, plan_kind) ->
       let victim = seed mod p in
       let ops = 5 + (seed mod 40) in
@@ -485,11 +485,29 @@ let prop_chaos_recovery_sort =
           true (* a clean, typed failure is an acceptable outcome *)
       | exception Errdefs.Mpi_error { code; _ } when code <> Errdefs.Err_deadlock -> true)
 
+(* A property over [Arb.ranks] that fails at every rank count shrinks
+   to the range's lower bound and reports its own failure; over
+   [QCheck.int_range] the shrinker would step to 0 ranks, where
+   [Engine.run] raises. *)
+let test_rank_shrink_stays_in_range () =
+  let always_fails p =
+    ignore (Engine.run ~model:Net_model.zero_cost ~ranks:p (fun _ -> ()));
+    false
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let cell = QCheck.Test.make_cell ~count:5 (Arb.ranks lo hi) always_fails in
+      match QCheck.TestResult.get_state (QCheck.Test.check_cell cell) with
+      | QCheck.TestResult.Failed { instances = [ c ] } ->
+          Alcotest.(check int) "shrunk to the lower bound" lo c.QCheck.TestResult.instance
+      | _ -> Alcotest.failf "ranks %d..%d: expected a plain failure" lo hi)
+    [ (1, 9); (2, 8); (3, 6) ]
+
 (* --- Named front-end equivalence --- *)
 
 let prop_named_equals_labelled_allgatherv =
   QCheck.Test.make ~name:"Named.allgatherv = Collectives.allgatherv" ~count:40
-    QCheck.(pair (int_range 1 8) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 1 8) (int_bound 10000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -507,7 +525,7 @@ let prop_named_equals_labelled_allgatherv =
 
 let prop_named_equals_labelled_alltoallv =
   QCheck.Test.make ~name:"Named.alltoallv = Collectives.alltoallv" ~count:40
-    QCheck.(pair (int_range 1 8) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 1 8) (int_bound 10000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -557,10 +575,8 @@ let shuffle ~seed ~r l =
 let prop_named_matches_labelled =
   QCheck.Test.make ~name:"Named = labelled: any order, optional and out parameters"
     ~count:120
-    QCheck.(triple (int_range 1 9) (int_range 0 6) (int_bound 1_000_000))
+    QCheck.(triple (Arb.ranks 1 9) (int_range 0 6) (int_bound 1_000_000))
     (fun (p, which, seed) ->
-      (* QCheck's int shrinker can step below the range's lower bound. *)
-      QCheck.assume (p >= 1);
       let draw stream counter bound = Xoshiro.hash_int ~seed ~stream ~counter ~bound in
       let flag k = draw 0 k 2 = 1 in
       let policy =
@@ -681,8 +697,8 @@ let prop_named_matches_labelled =
             ~counts:(fun r -> some_if c_out (recv_counts_of r))
             ~displs:(fun r -> some_if d_out (rd r))
       | 2 ->
-          (* gatherv: only the root receives counts; elsewhere the inferred
-             counts are the (empty) result of the count gather. *)
+          (* gatherv: only the root receives counts; elsewhere they are
+             empty, given or inferred. *)
           let rt = draw 3 0 p and len r = draw 4 r 4 in
           let given_c = flag 2 and c_out = flag 4 in
           let all_counts = Array.init p len in
@@ -699,8 +715,7 @@ let prop_named_matches_labelled =
             ~labelled:(fun comm r ->
               Kamping.Collectives.gatherv comm Datatype.int ~root:rt
                 ?recv_counts:(some_if given_c all_counts) (v r))
-            ~counts:(fun r ->
-              some_if c_out (if r = rt || given_c then all_counts else [||]))
+            ~counts:(fun r -> some_if c_out (if r = rt then all_counts else [||]))
             ~displs:(fun _ -> None)
       | 3 ->
           let rt = draw 3 0 p and len = draw 4 0 5 in
@@ -757,7 +772,7 @@ let prop_named_matches_labelled =
 
 let prop_rma_accumulate_sums =
   QCheck.Test.make ~name:"RMA accumulate totals are exact" ~count:30
-    QCheck.(pair (int_range 2 8) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 2 8) (int_bound 10000))
     (fun (p, seed) ->
       let contributions r = Xoshiro.hash_int ~seed ~stream:r ~counter:0 ~bound:100 in
       let results =
@@ -793,6 +808,8 @@ let tests =
       Alcotest.test_case "failure during shrink (store-once recovery)" `Quick
         test_failure_during_shrink;
       qtest prop_chaos_recovery_sort;
+      Alcotest.test_case "rank counts shrink within their range" `Quick
+        test_rank_shrink_stays_in_range;
       qtest prop_named_equals_labelled_allgatherv;
       qtest prop_named_equals_labelled_alltoallv;
       qtest prop_named_matches_labelled;

@@ -77,7 +77,7 @@ let test_family_properties () =
 (* Graph structure must be independent of how many ranks generated it. *)
 let prop_gnm_rank_count_invariant =
   QCheck.Test.make ~name:"gnm invariant under p (fixed n, m)" ~count:8
-    QCheck.(pair (int_range 1 6) (int_range 1 6))
+    QCheck.(pair (Arb.ranks 1 6) (Arb.ranks 1 6))
     (fun (p1, p2) ->
       (* Keep global n and m constant across rank counts. *)
       let n_total = 48 and m_total = 96 in

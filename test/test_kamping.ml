@@ -11,7 +11,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let prop_inferred_equals_explicit_allgatherv =
   QCheck.Test.make ~name:"allgatherv: inferred = explicit" ~count:50
-    QCheck.(pair (int_range 1 8) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 1 8) (int_bound 10000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -32,7 +32,7 @@ let prop_inferred_equals_explicit_allgatherv =
 
 let prop_inferred_equals_explicit_alltoallv =
   QCheck.Test.make ~name:"alltoallv: inferred = explicit" ~count:50
-    QCheck.(pair (int_range 1 8) (int_bound 10000))
+    QCheck.(pair (Arb.ranks 1 8) (int_bound 10000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->

@@ -78,7 +78,7 @@ let qcheck_count =
 
 let prop_pool_determinism =
   QCheck.Test.make ~name:"multicore: parallel == sequential" ~count:qcheck_count
-    QCheck.(list_of_size (Gen.int_range 1 6) (pair (int_range 2 6) (int_range 1 20)))
+    QCheck.(list_of_size (Gen.int_range 1 6) (pair (Arb.ranks 2 6) (int_range 1 20)))
     (fun specs ->
       let thunks = ring_thunks specs in
       let seq = sequential thunks in

@@ -113,6 +113,30 @@ let test_allreduce_with_op_param () =
   in
   Array.iter (fun v -> Alcotest.(check (array int)) "max" [| 4 |] v) results
 
+(* Given displacements place each block as MPI does, in both spellings:
+   on 2 ranks sending [10] and [11], displacements [1; 0] swap the
+   blocks and [0; 3] leave a gap of the datatype's zero.  Counts given
+   or inferred make no difference. *)
+let test_allgatherv_recv_displs_place () =
+  List.iter
+    (fun (displs, expected) ->
+      let results =
+        Engine.run_values ~ranks:2 (fun mpi ->
+            let comm = Kamping.Communicator.of_mpi mpi in
+            let v = [| 10 + Comm.rank mpi |] and counts = [| 1; 1 |] in
+            [
+              extract_recv_buf
+                (allgatherv comm Datatype.int
+                   [ send_buf v; recv_counts counts; recv_displs displs ]);
+              extract_recv_buf (allgatherv comm Datatype.int [ recv_displs displs; send_buf v ]);
+              Kamping.Collectives.allgatherv comm Datatype.int ~recv_counts:counts
+                ~recv_displs:displs v;
+              Kamping.Collectives.allgatherv comm Datatype.int ~recv_displs:displs v;
+            ])
+      in
+      Array.iter (List.iter (Alcotest.(check (array int)) "placed" expected)) results)
+    [ ([| 1; 0 |], [| 11; 10 |]); ([| 0; 3 |], [| 10; 0; 0; 11 |]); ([| 0; 1 |], [| 10; 11 |]) ]
+
 (* --- diagnostics quality (§III-G) --- *)
 
 let expect_usage_error ~mentions f =
@@ -148,6 +172,14 @@ let test_unrequested_out_param_extraction () =
       let comm = Kamping.Communicator.of_mpi mpi in
       let r = allgatherv comm Datatype.int [ send_buf [| 1 |] ] in
       ignore (extract_recv_counts r))
+
+let test_bad_recv_displs () =
+  expect_usage_error ~mentions:[ "allgatherv"; "recv_displs"; "negative" ] (fun mpi ->
+      let comm = Kamping.Communicator.of_mpi mpi in
+      ignore (allgatherv comm Datatype.int [ send_buf [| 1 |]; recv_displs [| 0; -1 |] ]));
+  expect_usage_error ~mentions:[ "allgatherv"; "recv_displs"; "length 1" ] (fun mpi ->
+      let comm = Kamping.Communicator.of_mpi mpi in
+      ignore (Kamping.Collectives.allgatherv comm Datatype.int ~recv_displs:[| 0 |] [| 1 |]))
 
 let test_in_place_conflict () =
   expect_usage_error ~mentions:[ "either send_buf or send_recv_buf" ] (fun mpi ->
@@ -222,6 +254,9 @@ let tests =
     Alcotest.test_case "unrequested out extraction" `Quick
       test_unrequested_out_param_extraction;
     Alcotest.test_case "in-place conflict diagnostic" `Quick test_in_place_conflict;
+    Alcotest.test_case "allgatherv recv_displs place blocks" `Quick
+      test_allgatherv_recv_displs_place;
+    Alcotest.test_case "bad recv_displs diagnostic" `Quick test_bad_recv_displs;
     Alcotest.test_case "words per call" `Quick test_words_per_call;
   ]
 

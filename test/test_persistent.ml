@@ -153,7 +153,7 @@ let allreduce_variants ~p ~seed ~elems ~cycles ~commutative =
 let prop_persistent_allreduce_equals_adhoc =
   QCheck.Test.make ~name:"persistent allreduce = N ad-hoc calls" ~count:30
     QCheck.(
-      quad (int_range 2 7) (int_bound 1_000_000) (int_range 1 48) (pair (int_range 1 4) bool))
+      quad (Arb.ranks 2 7) (int_bound 1_000_000) (int_range 1 48) (pair (int_range 1 4) bool))
     (fun (p, seed, elems, (cycles, commutative)) ->
       let (adhoc, rep_a), (pers, rep_p) =
         allreduce_variants ~p ~seed ~elems ~cycles ~commutative
@@ -163,7 +163,7 @@ let prop_persistent_allreduce_equals_adhoc =
 
 let prop_persistent_bcast_equals_adhoc =
   QCheck.Test.make ~name:"persistent bcast = N ad-hoc calls" ~count:30
-    QCheck.(triple (int_range 2 7) (int_bound 1_000_000) (int_range 1 48))
+    QCheck.(triple (Arb.ranks 2 7) (int_bound 1_000_000) (int_range 1 48))
     (fun (p, seed, elems) ->
       let cycles = 3 in
       let root = seed mod p in
@@ -205,7 +205,7 @@ let prop_persistent_bcast_equals_adhoc =
 
 let prop_persistent_reduce_scatter_equals_adhoc =
   QCheck.Test.make ~name:"persistent reduce_scatter = N ad-hoc calls" ~count:30
-    QCheck.(triple (int_range 2 7) (int_bound 1_000_000) (pair (int_range 0 5) bool))
+    QCheck.(triple (Arb.ranks 2 7) (int_bound 1_000_000) (pair (int_range 0 5) bool))
     (fun (p, seed, (extra, commutative)) ->
       let cycles = 3 in
       (* uneven counts, some possibly zero *)

@@ -8,7 +8,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let prop_grid_equals_dense =
   QCheck.Test.make ~name:"grid alltoallv = dense alltoallv (as multisets)" ~count:40
-    QCheck.(pair (int_range 2 12) (int_bound 100000))
+    QCheck.(pair (Arb.ranks 2 12) (int_bound 100000))
     (fun (p, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun mpi ->
@@ -38,7 +38,7 @@ let prop_grid_equals_dense =
 
 let prop_nbx_delivers_multiset =
   QCheck.Test.make ~name:"NBX delivers exactly what was sent" ~count:40
-    QCheck.(pair (int_range 2 10) (int_bound 100000))
+    QCheck.(pair (Arb.ranks 2 10) (int_bound 100000))
     (fun (p, seed) ->
       let plan r =
         (* rank r sends to a pseudo-random subset of ranks *)
@@ -74,7 +74,7 @@ let prop_nbx_delivers_multiset =
 
 let prop_sorter_sorted_and_permutation =
   QCheck.Test.make ~name:"sorter: sorted + permutation" ~count:40
-    QCheck.(pair (int_range 1 9) (int_bound 100000))
+    QCheck.(pair (Arb.ranks 1 9) (int_bound 100000))
     (fun (p, seed) ->
       let input r =
         let len = Xoshiro.hash_int ~seed ~stream:50 ~counter:r ~bound:40 in
@@ -101,7 +101,7 @@ let prop_sorter_sorted_and_permutation =
 
 let prop_repro_reduce_split_invariant =
   QCheck.Test.make ~name:"repro reduce invariant under random distributions" ~count:20
-    QCheck.(pair (int_range 1 8) (int_range 1 8))
+    QCheck.(pair (Arb.ranks 1 8) (Arb.ranks 1 8))
     (fun (p1, p2) ->
       let n = 257 in
       let global = Array.init n (fun i -> cos (float_of_int i) *. 1e7) in

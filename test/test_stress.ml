@@ -99,7 +99,7 @@ let execute comm ~seed ~len : int =
 
 let prop_no_deadlock_any_program =
   QCheck.Test.make ~name:"random collective programs never deadlock" ~count:60
-    QCheck.(triple (int_range 1 9) (int_range 1 20) (int_bound 100000))
+    QCheck.(triple (Arb.ranks 1 9) (int_range 1 20) (int_bound 100000))
     (fun (p, len, seed) ->
       let results =
         Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun comm ->
@@ -109,7 +109,7 @@ let prop_no_deadlock_any_program =
 
 let prop_engine_fully_deterministic =
   QCheck.Test.make ~name:"virtual-only runs are bit-identical" ~count:20
-    QCheck.(pair (int_range 2 8) (int_bound 100000))
+    QCheck.(pair (Arb.ranks 2 8) (int_bound 100000))
     (fun (p, seed) ->
       let run () =
         let checksums = ref [||] in
@@ -126,7 +126,7 @@ let prop_engine_fully_deterministic =
 
 let prop_send_recv_conservation =
   QCheck.Test.make ~name:"every send is received (profiling conservation)" ~count:30
-    QCheck.(triple (int_range 2 8) (int_range 1 15) (int_bound 100000))
+    QCheck.(triple (Arb.ranks 2 8) (int_range 1 15) (int_bound 100000))
     (fun (p, len, seed) ->
       let report =
         Engine.run ~model:Net_model.zero_cost ~ranks:p (fun comm ->
@@ -147,7 +147,7 @@ let prop_checksums_agree_across_ranks =
      symmetric operations — we compare across two runs at different seeds
      that the checksum actually reflects the data (sanity of the mixer). *)
   QCheck.Test.make ~name:"checksum reflects program" ~count:20
-    QCheck.(pair (int_range 2 6) (int_bound 100000))
+    QCheck.(pair (Arb.ranks 2 6) (int_bound 100000))
     (fun (p, seed) ->
       let run seed =
         (Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun comm ->

@@ -212,7 +212,7 @@ let qcheck_count =
 
 let prop_exactly_once_under_chaos =
   QCheck.Test.make ~name:"taskqueue: exactly-once under chaos" ~count:qcheck_count
-    QCheck.(quad (int_range 2 5) (int_bound 100_000) bool (int_bound 5))
+    QCheck.(quad (Arb.ranks 2 5) (int_bound 100_000) bool (int_bound 5))
     (fun (p, seed, nbx, plan_kind) ->
       let n = 8 + (seed mod 22) in
       let victim = 1 + (seed mod (p - 1)) in

@@ -141,6 +141,72 @@ let test_histogram_extremes () =
   Alcotest.(check (float 1e20)) "overflow quantile is exact max" 1e30
     (Stats.quantile h 1.0)
 
+(* [Stats.bucket_of] against the binary search over the bounds it
+   replaced: every float, including nan (the last finite bucket),
+   infinities, zeros, negatives, subnormals, exact powers of two with
+   their neighbours, and both ends of the bound range. *)
+let reference_bucket v =
+  let bounds = Array.init 81 (fun i -> 2. ** float_of_int (i - 40)) in
+  let last = Array.length bounds - 1 in
+  if v <= bounds.(0) then 0
+  else if v > bounds.(last) then last + 1
+  else begin
+    let lo = ref 0 and hi = ref last in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if v <= bounds.(mid) then hi := mid else lo := mid
+    done;
+    !hi
+  end
+
+let arb_any_float =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      [ nan; infinity; neg_infinity; 0.; -0.; Float.min_float; -.Float.min_float;
+        Float.max_float; -.Float.max_float; Float.succ 0.; Float.pred 0. ]
+  in
+  let power = map (fun e -> Float.ldexp 1. e) (int_range (-1074) 1023) in
+  let near_power =
+    map2 (fun e up -> (if up then Float.succ else Float.pred) (Float.ldexp 1. e))
+      (int_range (-1074) 1023) bool
+  in
+  let in_range_edge =
+    map2 (fun e d -> Float.ldexp 1. e +. (d *. Float.ldexp Float.epsilon e))
+      (oneofl [ -41; -40; -39; 39; 40; 41 ]) (float_range (-2.) 2.)
+  in
+  let scaled =
+    map3 (fun m e neg -> (if neg then Float.neg else Fun.id) (Float.ldexp m e))
+      (float_range 0.5 1.) (int_range (-1080) 1030) bool
+  in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (frequency
+       [ (1, special); (2, power); (2, near_power); (2, in_range_edge); (4, scaled);
+         (1, float) ])
+
+let prop_bucket_of_matches_search =
+  QCheck.Test.make ~name:"bucket_of = binary search over the bounds" ~count:5000
+    arb_any_float (fun v -> Stats.bucket_of v = reference_bucket v)
+
+(* A histogram observation from another module allocates nothing:
+   [Stats.observe] is inlined into this test, so its float argument is
+   never boxed.  This pins the default build's cross-module inlining;
+   under [--profile dev] every module is compiled [-opaque], the call is
+   real, each observation boxes its float, and this test fails by
+   design. *)
+let test_observe_cross_module_free () =
+  let h = Stats.histogram (Stats.create ()) "x" and n = 10_000 in
+  for i = 1 to 100 do
+    Stats.observe h (float_of_int i *. 0.5)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Stats.observe h (float_of_int i *. 0.5)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "observed" (n + 100) (Stats.total h);
+  Alcotest.(check (float 0.01)) "minor words per observe" 0. words
+
 (* --- profiling facade --- *)
 
 let test_profiling_diff_symmetric () =
@@ -328,6 +394,9 @@ let tests =
     Alcotest.test_case "chrome export shape" `Quick test_chrome_export_parses_shape;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
     Alcotest.test_case "histogram extremes" `Quick test_histogram_extremes;
+    QCheck_alcotest.to_alcotest prop_bucket_of_matches_search;
+    Alcotest.test_case "alloc: observe from another module is free" `Quick
+      test_observe_cross_module_free;
     Alcotest.test_case "profiling diff symmetric" `Quick test_profiling_diff_symmetric;
     Alcotest.test_case "timer aggregate batched" `Quick
       test_timer_aggregate_single_allreduce;

@@ -238,10 +238,8 @@ let test_hidden_race_witness_clocks () =
    at every send and match), for any rank count. *)
 let prop_clock_condition =
   QCheck.Test.make ~name:"offline clocks: send < match, per-rank monotone" ~count:12
-    (* p = 2 + k: shrinking moves k towards 0, never below two ranks. *)
-    QCheck.(pair (int_bound 7) (int_bound 1000))
-    (fun (k, seed) ->
-      let p = 2 + k in
+    QCheck.(pair (Arb.ranks 2 9) (int_bound 1000))
+    (fun (p, seed) ->
       with_stream (fun path ->
           let (_ : Engine.report) =
             Engine.run ~clock_mode:Runtime.Virtual_only ~trace_stream:path ~ranks:p
