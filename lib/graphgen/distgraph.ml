@@ -5,10 +5,10 @@
    ownership is computable locally from a vertex id, which every
    distributed graph algorithm here relies on.
 
-   [build_from_edges] turns locally generated directed edge lists into a
-   symmetric distributed graph: every edge is sent to both endpoints'
-   owners with one alltoallv, deduplicated, and compiled to CSR.  This is
-   itself a real use of the binding layer. *)
+   [build_from_edges] turns locally generated edges into a symmetric
+   distributed graph: every edge is sent to both endpoints' owners with
+   one alltoallv, deduplicated, and compiled to CSR.  This is itself a
+   real use of the binding layer. *)
 
 open Mpisim
 
@@ -65,59 +65,135 @@ let cut_edge_count g =
   done;
   !cut
 
-(* Build a symmetric distributed graph from locally generated directed
-   edges.  Each (u, v) pair contributes u->v and v->u; duplicates and self
-   loops are dropped.  Collective. *)
-let build_from_edges (comm : Kamping.Communicator.t) ~(n_global : int)
-    (edges : (int * int) list) : t =
+(* Directed edges bucketed by the rank that owns their source: one flat
+   int buffer per owner, holding (source, target) pairs back to back, so
+   an edge costs two int writes and no allocation. *)
+module Edges = struct
+  type t = {
+    n_global : int;
+    chunk : int;
+    bufs : int array array;  (* per owner; grows by doubling *)
+    lens : int array;  (* ints used in [bufs.(owner)] *)
+  }
+
+  let create (comm : Kamping.Communicator.t) ~n_global =
+    let p = Kamping.Communicator.size comm in
+    {
+      n_global;
+      chunk = chunk_size ~n_global ~comm_size:p;
+      bufs = Array.make p [||];
+      lens = Array.make p 0;
+    }
+
+  let owner es v =
+    if v < 0 || v >= es.n_global then
+      Errdefs.usage_error "Distgraph.owner_of: vertex %d out of range" v;
+    v / es.chunk
+
+  let push es dest u v =
+    let len = es.lens.(dest) in
+    let buf = es.bufs.(dest) in
+    let buf =
+      if len + 2 <= Array.length buf then buf
+      else begin
+        let grown = Array.make (max 64 (2 * Array.length buf)) 0 in
+        Array.blit buf 0 grown 0 len;
+        es.bufs.(dest) <- grown;
+        grown
+      end
+    in
+    buf.(len) <- u;
+    buf.(len + 1) <- v;
+    es.lens.(dest) <- len + 2
+
+  let add es u v =
+    if u <> v then begin
+      push es (owner es u) u v;
+      push es (owner es v) v u
+    end
+end
+
+(* Sort [a.(lo) .. a.(hi - 1)]: in place by insertion for the short rows
+   of the local generators, through a copy for a hub's long one. *)
+let sort_range (a : int array) lo hi =
+  if hi - lo <= 24 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let row = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare row;
+    Array.blit row 0 a lo (hi - lo)
+  end
+
+(* Build a symmetric distributed graph from locally generated edges:
+   every owner's pairs travel in one int alltoallv, then the CSR is
+   compiled by a counting sort on the local source and an in-place sort
+   and dedupe of each row.  Collective. *)
+let build_from_edges (comm : Kamping.Communicator.t) (es : Edges.t) : t =
   let p = Kamping.Communicator.size comm in
   let r = Kamping.Communicator.rank comm in
+  if Array.length es.lens <> p then
+    Errdefs.usage_error "build_from_edges: edges made for %d ranks, communicator has %d"
+      (Array.length es.lens) p;
+  let n_global = es.n_global in
   let chunk = chunk_size ~n_global ~comm_size:p in
   let first_vertex = min n_global (r * chunk) in
-  let n_local = min chunk (n_global - first_vertex) in
-  let n_local = max 0 n_local in
-  (* Route both directions of every edge to the owner of its source. *)
-  let outgoing : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let push dest e =
-    Hashtbl.replace outgoing dest (e :: (try Hashtbl.find outgoing dest with Not_found -> []))
-  in
-  List.iter
-    (fun (u, v) ->
-      if u <> v then begin
-        push (owner_of ~n_global ~comm_size:p u) (u, v);
-        push (owner_of ~n_global ~comm_size:p v) (v, u)
-      end)
-    edges;
-  let pair_dt = Datatype.pair Datatype.int Datatype.int in
-  let mine =
-    Datatype.with_committed pair_dt (fun dt -> Kamping.Flatten.alltoallv comm dt outgoing)
-  in
-  (* Compile to CSR with sorted, deduplicated neighbor lists. *)
-  let buckets = Array.make (max 1 n_local) [] in
-  Array.iter
-    (fun (u, v) ->
-      let l = u - first_vertex in
-      if l < 0 || l >= n_local then
-        Errdefs.usage_error "build_from_edges: misrouted edge (%d, %d) at rank %d" u v r;
-      buckets.(l) <- v :: buckets.(l))
-    mine;
+  let n_local = max 0 (min chunk (n_global - first_vertex)) in
+  let data = Array.make (Array.fold_left ( + ) 0 es.lens) 0 in
+  let pos = ref 0 in
+  Array.iteri
+    (fun dest len ->
+      Array.blit es.bufs.(dest) 0 data !pos len;
+      pos := !pos + len)
+    es.lens;
+  let mine = Kamping.Collectives.alltoallv comm Datatype.int ~send_counts:es.lens data in
+  let m = Array.length mine / 2 in
+  (* Counting sort on the local source: [xadj.(l + 1)] counts row [l]. *)
   let xadj = Array.make (n_local + 1) 0 in
-  let adj_lists =
-    Array.mapi
-      (fun l vs ->
-        let sorted = List.sort_uniq compare vs in
-        xadj.(l + 1) <- List.length sorted;
-        sorted)
-      (if n_local = 0 then [||] else buckets)
-  in
+  for i = 0 to m - 1 do
+    let u = mine.(2 * i) in
+    let l = u - first_vertex in
+    if l < 0 || l >= n_local then
+      Errdefs.usage_error "build_from_edges: misrouted edge (%d, %d) at rank %d" u
+        mine.((2 * i) + 1) r;
+    xadj.(l + 1) <- xadj.(l + 1) + 1
+  done;
   for l = 1 to n_local do
     xadj.(l) <- xadj.(l) + xadj.(l - 1)
   done;
-  let adjncy = Array.make xadj.(n_local) 0 in
-  Array.iteri
-    (fun l vs ->
-      List.iteri (fun i v -> adjncy.(xadj.(l) + i) <- v) vs)
-    adj_lists;
+  let adj = Array.make m 0 in
+  let fill = Array.sub xadj 0 (max 1 n_local) in
+  for i = 0 to m - 1 do
+    let l = mine.(2 * i) - first_vertex in
+    adj.(fill.(l)) <- mine.((2 * i) + 1);
+    fill.(l) <- fill.(l) + 1
+  done;
+  (* Sort each row and drop its duplicates, compacting toward the front:
+     row [l] moves to start at the new [xadj.(l)]. *)
+  let w = ref 0 in
+  for l = 0 to n_local - 1 do
+    let lo = xadj.(l) and hi = xadj.(l + 1) in
+    sort_range adj lo hi;
+    xadj.(l) <- !w;
+    let prev = ref (-1) (* ids are >= 0: [Edges.add] checked them *) in
+    for i = lo to hi - 1 do
+      let v = adj.(i) in
+      if v <> !prev then begin
+        adj.(!w) <- v;
+        incr w;
+        prev := v
+      end
+    done
+  done;
+  xadj.(n_local) <- !w;
+  let adjncy = if !w = m then adj else Array.sub adj 0 !w in
   { n_global; comm_size = p; rank = r; first_vertex; n_local; chunk; xadj; adjncy }
 
 (* Global statistics (collective): vertex count, edge-endpoint count, cut

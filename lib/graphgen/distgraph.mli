@@ -50,11 +50,27 @@ val local_edge_count : t -> int
 (** Local edge endpoints whose other end is remote. *)
 val cut_edge_count : t -> int
 
-(** Build a symmetric distributed graph from locally generated directed
-    edges: each (u, v) contributes both directions, routed to the owners
-    with one alltoallv; self loops and duplicates are dropped.
-    Collective. *)
-val build_from_edges : Kamping.Communicator.t -> n_global:int -> (int * int) list -> t
+(** Locally generated edges, bucketed by the rank that owns each
+    endpoint in flat int buffers. *)
+module Edges : sig
+  type t
+
+  (** An empty buffer for a graph of [n_global] vertices distributed over
+      the communicator's ranks. *)
+  val create : Kamping.Communicator.t -> n_global:int -> t
+
+  (** [add es u v] records the undirected edge {u, v}: [u -> v] for [u]'s
+      owner and [v -> u] for [v]'s.  A self loop is dropped.  Raises
+      [Usage_error] if [u] or [v] is not in [0, n_global). *)
+  val add : t -> int -> int -> unit
+end
+
+(** Build a symmetric distributed graph from locally generated edges,
+    routed to their owners with one int alltoallv; self loops and
+    duplicates are dropped.  Raises [Usage_error] if an edge arrives at
+    a rank that does not own its source (ranks disagreed on
+    [n_global]).  Collective. *)
+val build_from_edges : Kamping.Communicator.t -> Edges.t -> t
 
 type stats = {
   vertices : int;

@@ -18,14 +18,14 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ~(m_per_rank : 
   let n = n_per_rank * p in
   let m = m_per_rank * p in
   if n < 2 then Errdefs.usage_error "Gnm.generate: need at least 2 vertices";
-  let edges = ref [] in
+  let edges = Distgraph.Edges.create comm ~n_global:n in
   let e = ref r in
   while !e < m do
     let u = Xoshiro.hash_int ~seed ~stream:1 ~counter:!e ~bound:n in
     (* Avoid self loops by drawing v from the remaining n-1 vertices. *)
     let v0 = Xoshiro.hash_int ~seed ~stream:2 ~counter:!e ~bound:(n - 1) in
     let v = if v0 >= u then v0 + 1 else v0 in
-    edges := (u, v) :: !edges;
+    Distgraph.Edges.add edges u v;
     e := !e + p
   done;
-  Distgraph.build_from_edges comm ~n_global:n !edges
+  Distgraph.build_from_edges comm edges

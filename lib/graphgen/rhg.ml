@@ -37,7 +37,7 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?(gamma = defau
   let r = Kamping.Communicator.rank comm in
   let n = n_per_rank * p in
   let first = r * n_per_rank in
-  let edges = ref [] in
+  let edges = Distgraph.Edges.create comm ~n_global:n in
   for j = 0 to n_per_rank - 1 do
     let v = first + j in
     let d = degree_of ~seed ~gamma ~avg_degree ~n v in
@@ -51,7 +51,7 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?(gamma = defau
       let dist = max 1 (min (n - 1) dist) in
       let sign = if Xoshiro.hash_int ~seed ~stream:23 ~counter ~bound:2 = 0 then 1 else -1 in
       let t = ((v + (sign * dist)) mod n + n) mod n in
-      if t <> v then edges := (v, t) :: !edges
+      Distgraph.Edges.add edges v t
     done
   done;
-  Distgraph.build_from_edges comm ~n_global:n !edges
+  Distgraph.build_from_edges comm edges

@@ -15,10 +15,30 @@ let c = Communicator.mpi
 
 (* Trace span around one binding-layer call, so default-parameter
    communication (the count allgather of [allgatherv]) shows up inside
-   the kamping span, nested above the underlying [Coll] spans. *)
-let traced comm ~op f =
+   the kamping span, nested above the underlying [Coll] spans.  The
+   shape of [Coll.enter]/[leave]: a call site brackets its body as
+
+     let span = enter comm ~op in
+     match body with r -> leave comm span r | exception e -> leave_raise comm span e
+
+   so the span closes on return or raise and no path builds a closure;
+   with tracing off, both ends are a flag test. *)
+let enter comm ~op =
   let mpi = c comm in
-  Runtime.with_span (Comm.runtime mpi) (Comm.world_rank mpi) ~cat:"kamping" ~name:op f
+  Trace.span_begin (Comm.runtime mpi).Runtime.trace ~rank:(Comm.world_rank mpi)
+    ~cat:"kamping" ~name:op;
+  op
+
+let leave comm span r =
+  let mpi = c comm in
+  Trace.span_end (Comm.runtime mpi).Runtime.trace ~rank:(Comm.world_rank mpi)
+    ~cat:"kamping" ~name:span;
+  r
+
+let leave_raise comm span e =
+  let bt = Printexc.get_raw_backtrace () in
+  leave comm span ();
+  Printexc.raise_with_backtrace e bt
 
 type 'a vector_result = {
   recv_buf : 'a array;
@@ -54,9 +74,8 @@ let place dt ~(counts : int array) ~(displs : int array) (buf : 'a array) =
     out
   end
 
-let allgatherv comm dt ?send_count ?recv_counts ?recv_displs (send_buf : 'a array) :
+let allgatherv_run comm dt send_count recv_counts recv_displs (send_buf : 'a array) :
     'a vector_result =
-  traced comm ~op:"allgatherv" @@ fun () ->
   let mpi = c comm in
   let send_count = match send_count with Some s -> s | None -> Array.length send_buf in
   let send_view =
@@ -76,9 +95,14 @@ let allgatherv comm dt ?send_count ?recv_counts ?recv_displs (send_buf : 'a arra
       let recv_displs = Coll.exclusive_prefix_sum recv_counts in
       { recv_buf = packed; recv_counts; recv_displs }
 
-let gatherv comm dt ~root ?send_count ?recv_counts (send_buf : 'a array) : 'a vector_result
+let allgatherv comm dt ?send_count ?recv_counts ?recv_displs send_buf =
+  let span = enter comm ~op:"allgatherv" in
+  match allgatherv_run comm dt send_count recv_counts recv_displs send_buf with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
+
+let gatherv_run comm dt root send_count recv_counts (send_buf : 'a array) : 'a vector_result
     =
-  traced comm ~op:"gatherv" @@ fun () ->
   let mpi = c comm in
   let send_count = match send_count with Some s -> s | None -> Array.length send_buf in
   let send_view =
@@ -102,9 +126,14 @@ let gatherv comm dt ~root ?send_count ?recv_counts (send_buf : 'a array) : 'a ve
   else
     { recv_buf = Coll.gatherv mpi dt ~root send_view; recv_counts = [||]; recv_displs = [||] }
 
-let alltoallv comm dt ~(send_counts : int array) ?send_displs ?recv_counts ?recv_displs
+let gatherv comm dt ~root ?send_count ?recv_counts send_buf =
+  let span = enter comm ~op:"gatherv" in
+  match gatherv_run comm dt root send_count recv_counts send_buf with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e
+
+let alltoallv_run comm dt (send_counts : int array) send_displs recv_counts recv_displs
     (send_buf : 'a array) : 'a vector_result =
-  traced comm ~op:"alltoallv" @@ fun () ->
   let mpi = c comm in
   let recv_counts =
     match recv_counts with
@@ -121,3 +150,9 @@ let alltoallv comm dt ~(send_counts : int array) ?send_displs ?recv_counts ?recv
     Coll.alltoallv mpi dt ~send_counts ~send_displs ~recv_counts ~recv_displs send_buf
   in
   { recv_buf; recv_counts; recv_displs }
+
+let alltoallv comm dt ~send_counts ?send_displs ?recv_counts ?recv_displs send_buf =
+  let span = enter comm ~op:"alltoallv" in
+  match alltoallv_run comm dt send_counts send_displs recv_counts recv_displs send_buf with
+  | r -> leave comm span r
+  | exception e -> leave_raise comm span e

@@ -7,6 +7,11 @@ open Graphgen
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let has_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* Gather the full adjacency structure of a distributed graph. *)
 let gather_graph ~p gen =
   let results =
@@ -110,6 +115,165 @@ let test_owner_block_distribution () =
            assert (Distgraph.global_of_local g 5 = 15)
          end))
 
+(* [build_from_edges] against a list-based reference: edge [(a, u, v)]
+   is added on rank [a mod p] as [{u mod n, v mod n}], so small [n] gives
+   self loops, duplicates and both orientations of one edge. *)
+let reference_rows ~n edges =
+  let adj = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      if u <> v then begin
+        adj.(u) <- v :: adj.(u);
+        adj.(v) <- u :: adj.(v)
+      end)
+    edges;
+  Array.map (List.sort_uniq compare) adj
+
+let prop_build_from_edges =
+  QCheck.Test.make ~name:"build_from_edges matches a reference CSR" ~count:60
+    QCheck.(
+      triple (Arb.ranks 1 6) (int_range 1 24)
+        (list_of_size Gen.(int_range 0 60) (triple small_nat small_nat small_nat)))
+    (fun (p, n, raw) ->
+      let edges = List.map (fun (a, u, v) -> (a mod p, u mod n, v mod n)) raw in
+      let rows = reference_rows ~n (List.map (fun (_, u, v) -> (u, v)) edges) in
+      let build comm =
+        let es = Distgraph.Edges.create comm ~n_global:n in
+        let r = Kamping.Communicator.rank comm in
+        List.iter (fun (a, u, v) -> if a = r then Distgraph.Edges.add es u v) edges;
+        Distgraph.build_from_edges comm es
+      in
+      let adj, _, _ = gather_graph ~p build in
+      adj = List.init n (fun u -> (u, rows.(u))))
+
+let expect_usage_error ~ranks ~mentions f =
+  let check msg =
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "message %S mentions %S" msg needle)
+          true
+          (has_sub msg needle))
+      mentions
+  in
+  match Engine.run ~ranks f with
+  | _ -> Alcotest.fail "expected Usage_error"
+  | exception Scheduler.Aborted { exn = Errdefs.Usage_error msg; _ } -> check msg
+  | exception Errdefs.Usage_error msg -> check msg
+
+let test_edge_errors () =
+  expect_usage_error ~ranks:2 ~mentions:[ "vertex 8 out of range" ] (fun mpi ->
+      let comm = Kamping.Communicator.of_mpi mpi in
+      Distgraph.Edges.add (Distgraph.Edges.create comm ~n_global:8) 1 8);
+  expect_usage_error ~ranks:2 ~mentions:[ "vertex -1 out of range" ] (fun mpi ->
+      let comm = Kamping.Communicator.of_mpi mpi in
+      Distgraph.Edges.add (Distgraph.Edges.create comm ~n_global:8) (-1) 3);
+  (* Ranks that disagree on [n_global] route by different blocks: rank 1
+     (12 vertices, blocks of 6) sends edge {4, 5} to rank 0, which (8
+     vertices, blocks of 4) does not own 4 or 5. *)
+  expect_usage_error ~ranks:2 ~mentions:[ "misrouted edge (4, 5) at rank 0" ] (fun mpi ->
+      let comm = Kamping.Communicator.of_mpi mpi in
+      let r = Comm.rank mpi in
+      let es = Distgraph.Edges.create comm ~n_global:(if r = 0 then 8 else 12) in
+      if r = 1 then Distgraph.Edges.add es 4 5;
+      ignore (Distgraph.build_from_edges comm es))
+
+(* RGG radius extremes: 1e-9 leaves every vertex isolated and must not
+   size its grid by the radius (1e9 cells across); 1.5 exceeds the unit
+   square's diagonal, so on two ranks the graph is complete. *)
+let test_radius_extremes () =
+  let p = 4 and n_per_rank = 12 in
+  let gen radius comm = Rgg2d.generate comm ~n_per_rank ?radius ~seed:5 () in
+  let _, _, tiny = gather_graph ~p (gen (Some 1e-9)) in
+  Alcotest.(check int) "1e-9: no edges" 0 tiny.Distgraph.edge_endpoints;
+  let allocated radius =
+    let b0 = Gc.allocated_bytes () in
+    ignore (gather_graph ~p (gen radius));
+    Gc.allocated_bytes () -. b0
+  in
+  let tiny_bytes = allocated (Some 1e-9) and default_bytes = allocated None in
+  if tiny_bytes > default_bytes then
+    Alcotest.failf "1e-9 allocated %.0f bytes, the default radius %.0f" tiny_bytes
+      default_bytes;
+  (* Halos reach only the adjacent strips, so only two strips make the
+     graph complete. *)
+  let adj, _, _ = gather_graph ~p:2 (gen (Some 1.5)) in
+  List.iter
+    (fun (u, ns) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "1.5: vertex %d sees every other" u)
+        (List.filter (( <> ) u) (List.init (2 * n_per_rank) Fun.id))
+        ns)
+    adj;
+  expect_usage_error ~ranks:2 ~mentions:[ "radius"; "negative" ] (fun mpi ->
+      ignore (gen (Some (-0.1)) (Kamping.Communicator.of_mpi mpi)))
+
+(* Golden graphs.  One MD5 per rank over [n_global], [first_vertex],
+   [xadj] and [adjncy], for every generator at several rank counts and
+   seeds, the simulator benchmark's RGG (16 ranks of 2048 vertices) and
+   the RGG radius extremes.  The fixture was written by the list-based
+   generators that the flat-array ones replaced, so it pins the exact
+   graph, not just its invariants. *)
+let rank_digest (g : Distgraph.t) =
+  let b = Buffer.create 4096 in
+  let int x =
+    Buffer.add_string b (string_of_int x);
+    Buffer.add_char b ' '
+  in
+  int g.n_global;
+  int g.first_vertex;
+  Buffer.add_char b '|';
+  Array.iter int g.xadj;
+  Buffer.add_char b '|';
+  Array.iter int g.adjncy;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_cases =
+  let per_family name gen =
+    List.concat_map
+      (fun p ->
+        List.map
+          (fun seed -> (Printf.sprintf "%s p=%d seed=%d" name p seed, p, gen ~seed))
+          [ 1; 17 ])
+      [ 1; 3; 4; 16 ]
+  in
+  per_family "gnm" (fun ~seed comm ->
+      Gnm.generate comm ~n_per_rank:48 ~m_per_rank:144 ~seed)
+  @ per_family "rgg2d" (fun ~seed comm -> Rgg2d.generate comm ~n_per_rank:48 ~seed ())
+  @ per_family "rhg" (fun ~seed comm -> Rhg.generate comm ~n_per_rank:48 ~seed ())
+  @ List.map
+      (fun seed ->
+        ( Printf.sprintf "rgg2d simbench seed=%d" seed,
+          16,
+          fun comm -> Rgg2d.generate comm ~n_per_rank:2048 ~seed () ))
+      [ 1; 2; 3 ]
+  @ List.map
+      (fun (label, p, radius) ->
+        ( Printf.sprintf "rgg2d p=%d radius=%s" p label,
+          p,
+          fun comm -> Rgg2d.generate comm ~n_per_rank:12 ~radius ~seed:5 () ))
+      [ ("1e-9", 4, 1e-9); ("1.5", 2, 1.5) ]
+
+let golden_digests () =
+  List.concat_map
+    (fun (label, p, gen) ->
+      let digests =
+        Engine.run_values ~ranks:p (fun mpi ->
+            rank_digest (gen (Kamping.Communicator.of_mpi mpi)))
+      in
+      Array.to_list
+        (Array.mapi (fun r d -> Printf.sprintf "%s rank=%d %s\n" label r d) digests))
+    golden_cases
+  |> String.concat ""
+
+let read_fixture name =
+  let file = List.find Sys.file_exists [ "fixtures/" ^ name; "test/fixtures/" ^ name ] in
+  In_channel.with_open_bin file In_channel.input_all
+
+let test_golden_digests () =
+  Alcotest.(check string) "per-rank CSR digests" (read_fixture "graph_digests.txt")
+    (golden_digests ())
+
 let tests =
   [
     Alcotest.test_case "gnm structure" `Quick (check_structure "gnm" gnm);
@@ -121,6 +285,10 @@ let tests =
     Alcotest.test_case "family properties" `Slow test_family_properties;
     qtest prop_gnm_rank_count_invariant;
     Alcotest.test_case "block distribution" `Quick test_owner_block_distribution;
+    Alcotest.test_case "golden digests" `Quick test_golden_digests;
+    qtest prop_build_from_edges;
+    Alcotest.test_case "edge usage errors" `Quick test_edge_errors;
+    Alcotest.test_case "rgg radius extremes" `Quick test_radius_extremes;
   ]
 
 let () = Alcotest.run "graphgen" [ ("graphgen", tests) ]
