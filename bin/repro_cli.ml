@@ -89,8 +89,7 @@ let obs_arg =
             "Run the correctness sanitizer at $(docv) (off, light or heavy): \
              collective call-order consistency, request-lifecycle and deadlock \
              diagnosis at $(b,light); plus send-buffer integrity and \
-             wildcard-race detection at $(b,heavy).  Defaults to the \
-             $(b,MPISIM_CHECK) environment variable, else off.")
+             wildcard-race detection at $(b,heavy).  Defaults to off.")
   in
   let chaos =
     let chaos_conv =

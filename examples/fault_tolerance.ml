@@ -10,17 +10,17 @@
    resynchronization the survivors would run different numbers of
    collectives and deadlock.
 
-     dune exec examples/fault_tolerance.exe -- [ranks] *)
+     dune exec examples/fault_tolerance.exe -- [--check LEVEL] [ranks] *)
 
 open Mpisim
 
 let iterations = 10
 
 let () =
-  let ranks = try int_of_string Sys.argv.(1) with _ -> 8 in
+  let ranks = Example_cli.arg 0 int_of_string ~default:8 in
   let victim1 = 2 and victim2 = 5 in
   let results, report =
-    Engine.run_collect ~ranks (fun mpi ->
+    Engine.run_collect ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let comm = ref (Kamping.Communicator.of_mpi mpi) in
         let me = Comm.rank mpi in
         let completed = ref 0 in

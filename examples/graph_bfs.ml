@@ -1,7 +1,7 @@
 (* Distributed BFS over a generated graph (paper Fig. 9/10), with the
    frontier-exchange strategy selectable from the command line.
 
-     dune exec examples/graph_bfs.exe -- [ranks] [family] [exchanger]
+     dune exec examples/graph_bfs.exe -- [--check LEVEL] [ranks] [family] [exchanger]
 
    family:    gnm | rgg | rhg
    exchanger: mpi | mpi_neighbor | mpi_neighbor_rebuild | kamping |
@@ -23,12 +23,12 @@ let parse_exchanger s =
   | None -> failwith ("unknown exchanger: " ^ s)
 
 let () =
-  let ranks = try int_of_string Sys.argv.(1) with _ -> 16 in
-  let family = try parse_family Sys.argv.(2) with _ -> `Rgg in
-  let exchanger = try parse_exchanger Sys.argv.(3) with _ -> Bfs.Exchangers.Kamping in
+  let ranks = Example_cli.arg 0 int_of_string ~default:16 in
+  let family = Example_cli.arg 1 parse_family ~default:`Rgg in
+  let exchanger = Example_cli.arg 2 parse_exchanger ~default:Bfs.Exchangers.Kamping in
   let n_per_rank = 512 in
   let results, report =
-    Engine.run_collect ~ranks (fun mpi ->
+    Engine.run_collect ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let g =
           match family with

@@ -8,17 +8,17 @@
    through an MPL-style {!Mpisim.Layout} datatype — then applies the
    stencil.  A reproducible-reduce of the total heat checks conservation.
 
-     dune exec examples/heat_stencil.exe -- [ranks] [iterations] *)
+     dune exec examples/heat_stencil.exe -- [--check LEVEL] [ranks] [iterations] *)
 
 open Mpisim
 
 let () =
-  let ranks = try int_of_string Sys.argv.(1) with _ -> 16 in
-  let iterations = try int_of_string Sys.argv.(2) with _ -> 50 in
+  let ranks = Example_cli.arg 0 int_of_string ~default:16 in
+  let iterations = Example_cli.arg 1 int_of_string ~default:50 in
   let local_n = 32 in
   (* interior cells per dimension per rank *)
   let results, report =
-    Engine.run_collect ~ranks (fun mpi ->
+    Engine.run_collect ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let dims = Cart.dims_create ~nnodes:ranks ~ndims:2 in
         let cart = Cart.create mpi ~dims ~periods:[| false; false |] in
         let comm = Cart.comm cart in

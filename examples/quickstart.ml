@@ -12,7 +12,7 @@ open Mpisim
 let () =
   let ranks = 4 in
   let report =
-    Engine.run ~ranks (fun mpi ->
+    Engine.run ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let r = Kamping.Communicator.rank comm in
         let v = Array.init (r + 1) (fun i -> (10 * r) + i) in

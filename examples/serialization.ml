@@ -10,7 +10,7 @@ let dict_codec = Serial.Codec.hashtbl Serial.Codec.string Serial.Codec.string
 
 let () =
   let report =
-    Engine.run ~ranks:4 (fun mpi ->
+    Engine.run ~check_level:Example_cli.check_level ~ranks:4 (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let r = Kamping.Communicator.rank comm in
 

@@ -1,14 +1,14 @@
 (* Distributed sample sort (paper Fig. 7) through the sorter plugin.
 
-     dune exec examples/sorting.exe -- [ranks] [elements-per-rank] *)
+     dune exec examples/sorting.exe -- [--check LEVEL] [ranks] [elements-per-rank] *)
 
 open Mpisim
 
 let () =
-  let ranks = try int_of_string Sys.argv.(1) with _ -> 8 in
-  let per_rank = try int_of_string Sys.argv.(2) with _ -> 100_000 in
+  let ranks = Example_cli.arg 0 int_of_string ~default:8 in
+  let per_rank = Example_cli.arg 1 int_of_string ~default:100_000 in
   let results, report =
-    Engine.run_collect ~ranks (fun mpi ->
+    Engine.run_collect ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let rng = Xoshiro.create ~seed:2024 ~stream:(Comm.rank mpi) in
         let data = Array.init per_rank (fun _ -> Xoshiro.next_int rng ~bound:max_int) in

@@ -3,18 +3,18 @@
    future work (§VI), built directly on the binding layer (no walled
    garden: the communicator stays accessible throughout).
 
-     dune exec examples/wordcount.exe -- [ranks] *)
+     dune exec examples/wordcount.exe -- [--check LEVEL] [ranks] *)
 
 open Mpisim
 
 let vocabulary = [| "ocaml"; "mpi"; "kamping"; "zero"; "overhead"; "bindings" |]
 
 let () =
-  let ranks = try int_of_string Sys.argv.(1) with _ -> 6 in
+  let ranks = Example_cli.arg 0 int_of_string ~default:6 in
   let words_per_rank = 10_000 in
   let n = ranks * words_per_rank in
   let results, report =
-    Engine.run_collect ~ranks (fun mpi ->
+    Engine.run_collect ~check_level:Example_cli.check_level ~ranks (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         (* "Load" the corpus: word ids, skewed towards low ids. *)
         let corpus =

@@ -7,9 +7,9 @@
    hops).
 
    Distributed generation: rank r owns the y-strip [r/p, (r+1)/p); its
-   points are hashes of (seed, global id).  Points within [radius] of a
-   strip border are exchanged with the adjacent rank (a halo exchange —
-   real communication through the binding layer); neighbor search uses a
+   points are hashes of (seed, global id).  Each point is sent to every
+   other strip within [radius] of it (a halo exchange — real
+   communication through the binding layer); neighbor search uses a
    dense uniform grid with cell width >= radius. *)
 
 open Mpisim
@@ -20,7 +20,7 @@ let default_degree = 16.
    deg = n * pi * radius^2. *)
 let radius_for_degree ~n ~degree = sqrt (degree /. (Float.pi *. float_of_int n))
 
-(* A border point on its way to the adjacent strip. *)
+(* A border point on its way to a strip within [radius]. *)
 type point = { id : int; x : float; y : float }
 
 (* Grid cell coordinate of [v] for cell width [c]. *)
@@ -44,20 +44,25 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?radius ~(seed 
   let local_y =
     Array.init n_per_rank (fun j -> strip_lo +. (hash 12 j *. (strip_hi -. strip_lo)))
   in
-  (* Halo exchange: border points go to the adjacent strips. *)
-  let border keep =
-    let pts = ref [] in
-    for j = n_per_rank - 1 downto 0 do
-      if keep local_y.(j) then
-        pts := { id = first + j; x = local_x.(j); y = local_y.(j) } :: !pts
-    done;
-    Array.of_list !pts
+  (* Halo exchange: each point goes to every other strip within [radius]
+     of it (only the adjacent ones unless [radius] exceeds a strip's
+     height 1/p), grouped by destination. *)
+  let strip_edge d = float_of_int d /. float_of_int p in
+  let gap d y = if d < r then y -. strip_edge (d + 1) else strip_edge d -. y in
+  let border d =
+    (* No point of this strip is nearer strip [d] than its closer edge. *)
+    if d = r || gap d (if d < r then strip_lo else strip_hi) > radius then [||]
+    else begin
+      let pts = ref [] in
+      for j = n_per_rank - 1 downto 0 do
+        if gap d local_y.(j) <= radius then
+          pts := { id = first + j; x = local_x.(j); y = local_y.(j) } :: !pts
+      done;
+      Array.of_list !pts
+    end
   in
-  let to_prev = if r > 0 then border (fun y -> y -. strip_lo <= radius) else [||] in
-  let to_next = if r < p - 1 then border (fun y -> strip_hi -. y <= radius) else [||] in
-  let send_counts = Array.make p 0 in
-  if r > 0 then send_counts.(r - 1) <- Array.length to_prev;
-  if r < p - 1 then send_counts.(r + 1) <- Array.length to_next;
+  let outgoing = Array.init p border in
+  let send_counts = Array.map Array.length outgoing in
   let halo =
     (* Built per call: [Engine.run_many] runs share process-wide values. *)
     Datatype.(
@@ -70,7 +75,8 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?radius ~(seed 
            ]
            (fun id x y : point -> { id; x; y })))
     @@ fun dt ->
-    Kamping.Collectives.alltoallv comm dt ~send_counts (Array.append to_prev to_next)
+    Kamping.Collectives.alltoallv comm dt ~send_counts
+      (Array.concat (Array.to_list outgoing))
   in
   (* Local points, then halo points, as parallel arrays. *)
   let ids =

@@ -60,11 +60,3 @@ let alltoallv (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
     if not !finished then Scheduler.yield ()
   done;
   List.rev !received
-
-(* Convenience: destination-table input, like {!Kamping.Flatten}. *)
-let exchange_table (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
-    (table : (int, 'a list) Hashtbl.t) : (int * 'a array) list =
-  let outgoing =
-    Hashtbl.fold (fun dest xs acc -> (dest, Array.of_list xs) :: acc) table []
-  in
-  alltoallv comm dt outgoing

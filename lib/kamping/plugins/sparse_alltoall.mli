@@ -13,10 +13,3 @@ open Mpisim
     possibly with an empty list). *)
 val alltoallv :
   Kamping.Communicator.t -> 'a Datatype.t -> (int * 'a array) list -> (int * 'a array) list
-
-(** Destination-table convenience (see {!Kamping.Flatten}). *)
-val exchange_table :
-  Kamping.Communicator.t ->
-  'a Datatype.t ->
-  (int, 'a list) Hashtbl.t ->
-  (int * 'a array) list

@@ -54,6 +54,7 @@
 
 open Mpisim
 module C = Kamping.Communicator
+module S = Kamping.Serialized
 
 type mode = Master_worker | Nbx
 
@@ -222,13 +223,12 @@ let take_token state rt me_world bucket =
   end
 
 (* Drain checkpoint-replication messages into local knowledge. *)
-let drain_ckpts state entry_codec mpi =
+let drain_ckpts state entry_codec comm =
   let rec go () =
-    match P2p.iprobe mpi ~tag:t_ckpt () with
+    match P2p.iprobe (C.mpi comm) ~tag:t_ckpt () with
     | None -> ()
     | Some st ->
-        let b, _ = P2p.recv_bytes mpi ~source:(Status.source st) ~tag:t_ckpt () in
-        let entries = Serial.Archive.decode entry_codec b in
+        let entries = S.recv comm entry_codec ~source:(Status.source st) ~tag:t_ckpt () in
         List.iter (fun (k, r) -> merge_entry state state.knowledge k r) entries;
         go ()
   in
@@ -292,8 +292,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
          results whose origin worker has also died. *)
       if size > 1 && List.length !since_ckpt >= state.cfg.checkpoint_every then begin
         Stats.incr state.ctr.c_checkpoints;
-        P2p.send_bytes mpi ~dest:1 ~tag:t_ckpt
-          (Serial.Archive.encode entry_codec !since_ckpt);
+        S.send comm entry_codec ~dest:1 ~tag:t_ckpt !since_ckpt;
         since_ckpt := []
       end
     end
@@ -307,8 +306,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     Stats.incr state.ctr.c_dispatched;
     if attempt > 0 then Stats.incr state.ctr.c_redispatched;
     trace_flow rt ~rank:me_world ~name:"dispatch" ~a:id ~b:worker ~c:attempt;
-    P2p.send_bytes mpi ~dest:worker ~tag:t_assign
-      (Serial.Archive.encode assign_codec (id, Some tasks.(id)))
+    S.send comm assign_codec ~dest:worker ~tag:t_assign (id, Some tasks.(id))
   in
   (* Main pump.  Single-rank communicators (everyone else died, or p=1)
      short-circuit to local execution. *)
@@ -319,15 +317,17 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     (match P2p.iprobe mpi ~tag:t_result () with
     | Some st ->
         progressed := true;
-        let b, _ = P2p.recv_bytes mpi ~source:(Status.source st) ~tag:t_result () in
-        let k, result = Serial.Archive.decode result_codec b in
+        let k, result =
+          S.recv comm result_codec ~source:(Status.source st) ~tag:t_result ()
+        in
         record_result k result
     | None -> ());
     (match P2p.iprobe mpi ~tag:t_request () with
     | Some st ->
         progressed := true;
-        let _, st = P2p.recv_bytes mpi ~source:(Status.source st) ~tag:t_request () in
-        Queue.add (Status.source st) waiting
+        let w = Status.source st in
+        S.recv comm Serial.Codec.unit ~source:w ~tag:t_request ();
+        Queue.add w waiting
     | None -> ());
     (* Lease expiry: stragglers go back on the ready queue with a longer
        (backed-off) lease for the next dispatch. *)
@@ -379,8 +379,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
   Queue.iter
     (fun w ->
       stopped.(w) <- true;
-      P2p.send_bytes mpi ~dest:w ~tag:t_assign
-        (Serial.Archive.encode assign_codec (-1, None)))
+      S.send comm assign_codec ~dest:w ~tag:t_assign (-1, None))
     waiting;
   Queue.clear waiting;
   let all_stopped () =
@@ -397,17 +396,17 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     (match P2p.iprobe mpi ~tag:t_request () with
     | Some st ->
         progressed := true;
-        let _, st = P2p.recv_bytes mpi ~source:(Status.source st) ~tag:t_request () in
         let w = Status.source st in
+        S.recv comm Serial.Codec.unit ~source:w ~tag:t_request ();
         stopped.(w) <- true;
-        P2p.send_bytes mpi ~dest:w ~tag:t_assign
-          (Serial.Archive.encode assign_codec (-1, None))
+        S.send comm assign_codec ~dest:w ~tag:t_assign (-1, None)
     | None -> ());
     (match P2p.iprobe mpi ~tag:t_result () with
     | Some st ->
         progressed := true;
-        let b, _ = P2p.recv_bytes mpi ~source:(Status.source st) ~tag:t_result () in
-        let k, result = Serial.Archive.decode result_codec b in
+        let k, result =
+          S.recv comm result_codec ~source:(Status.source st) ~tag:t_result ()
+        in
         record_result k result
     | None -> ());
     if not !progressed then Scheduler.yield ()
@@ -421,18 +420,16 @@ let worker_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
   let master = 0 in
   let continue_ = ref true in
   while !continue_ do
-    drain_ckpts state entry_codec mpi;
-    P2p.send_bytes mpi ~dest:master ~tag:t_request Bytes.empty;
-    let b, _ = P2p.recv_bytes mpi ~source:master ~tag:t_assign () in
-    match Serial.Archive.decode assign_codec b with
+    drain_ckpts state entry_codec comm;
+    S.send comm Serial.Codec.unit ~dest:master ~tag:t_request ();
+    match S.recv comm assign_codec ~source:master ~tag:t_assign () with
     | id, Some payload ->
         tasks.(id) <- payload;
         let k, result = execute state rt ~me_world ~exec ~tasks id in
-        P2p.send_bytes mpi ~dest:master ~tag:t_result
-          (Serial.Archive.encode result_codec (k, result))
+        S.send comm result_codec ~dest:master ~tag:t_result (k, result)
     | _, None -> continue_ := false
   done;
-  drain_ckpts state entry_codec mpi
+  drain_ckpts state entry_codec comm
 
 (* ------------------------------------------------------------------ *)
 (* NBX mode: bulk-synchronous decentralized rebalancing *)
@@ -547,7 +544,7 @@ let entry_codec_of result_codec = Serial.Codec.(list (pair key_codec result_code
    re-elected master resumes from. *)
 let resync state entry_codec comm =
   let entries t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] in
-  let all = Kamping.Serialized.gather comm entry_codec ~root:0 (entries state.knowledge) in
+  let all = S.gather comm entry_codec ~root:0 (entries state.knowledge) in
   let merged =
     if C.rank comm = 0 then begin
       let table = Hashtbl.copy state.knowledge in
@@ -556,7 +553,7 @@ let resync state entry_codec comm =
     end
     else []
   in
-  let union = Kamping.Serialized.bcast comm entry_codec ~root:0 ~value:merged () in
+  let union = S.bcast comm entry_codec ~root:0 ~value:merged () in
   List.iter (fun (k, r) -> merge_entry state state.knowledge k r) union
 
 let assemble state n =
@@ -613,7 +610,7 @@ let run ?(cfg = config ()) (comm : C.t) ~(task_codec : 'a Serial.Codec.t)
   let my_tasks = Array.copy tasks in
   let protocol_body c =
     Comm.check_collective (C.mpi c) ~op:"taskqueue" ~root:(-1) ~ty:(mode_to_string cfg.mode);
-    drain_ckpts state entry_codec (C.mpi c);
+    drain_ckpts state entry_codec c;
     resync state entry_codec c;
     (match cfg.mode with
     | Master_worker ->

@@ -402,8 +402,6 @@ let on_wildcard_match t ~rank ~src ~tag ~eligible =
           eligible)
   end
 
-let wildcard_races t = Stats.count (Stats.counter t.stats "check.wildcard_race")
-
 (* ------------------------------------------------------------------ *)
 (* (e) RMA bounds *)
 

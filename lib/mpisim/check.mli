@@ -115,9 +115,6 @@ val on_crc_mismatch : t -> rank:int -> src:int -> expected:int -> got:int -> uni
     simultaneously eligible; records a race when [eligible >= 2]. *)
 val on_wildcard_match : t -> rank:int -> src:int -> tag:int -> eligible:int -> unit
 
-(** Wildcard races recorded so far. *)
-val wildcard_races : t -> int
-
 (** {1 RMA bounds} *)
 
 (** A one-sided op on [rank] addressed elements [pos, pos+count) outside

@@ -100,7 +100,7 @@ let tag_names =
     span_name Reduce_scatter Pairwise; span_name Bcast Scatter_allgather;
     span_name Bcast Scatter_allgather; span_name Allreduce Rabenseifner;
     span_name Allgather Ring; "exscan"; "neighbor_alltoallv"; "comm_split";
-    "halo_exchange.to_prev"; "bcast_serialized"; "halo_exchange.to_next";
+    "halo_exchange.to_prev"; "halo_exchange.to_next";
   |]
 
 let reserve id name =
@@ -131,8 +131,7 @@ let tag_exscan = reserve 18 "exscan"
 let tag_neighbor_alltoallv = reserve 19 "neighbor_alltoallv"
 let tag_comm_split = reserve 20 "comm_split"
 let tag_halo_to_prev = reserve 21 "halo_exchange.to_prev"
-let tag_bcast_serialized = reserve 22 "bcast_serialized"
-let tag_halo_to_next = reserve 23 "halo_exchange.to_next"
+let tag_halo_to_next = reserve 22 "halo_exchange.to_next"
 let p2p_name = "p2p"
 
 let tag_name tag =

@@ -21,8 +21,8 @@
 (** A collective with more than one algorithm available. *)
 type op = Net_model.coll_op = Allreduce | Allgather | Bcast | Reduce_scatter
 
-(** The algorithm families.  Not every algorithm applies to every op; see
-    {!valid_for}. *)
+(** The algorithm families.  Not every algorithm applies to every op:
+    {!parse_spec} refuses one that does not. *)
 type algo = Net_model.coll_algo =
   | Reduce_bcast  (** allreduce reference lowering: reduce to 0 + bcast *)
   | Recursive_doubling  (** allreduce: log p full-vector exchanges *)
@@ -42,9 +42,6 @@ type algo = Net_model.coll_algo =
 
 val op_name : op -> string
 val algo_name : algo -> string
-
-(** [valid_for op algo] is true when [algo] implements [op]. *)
-val valid_for : op -> algo -> bool
 
 (** Stats counter name ["coll.algo.<op>.<algo>"].  Preallocated: calling
     this never allocates. *)
@@ -102,7 +99,6 @@ val tag_comm_split : int
 val tag_halo_to_prev : int
 
 val tag_halo_to_next : int
-val tag_bcast_serialized : int
 
 (** The name of every user tag, ["p2p"]. *)
 val p2p_name : string

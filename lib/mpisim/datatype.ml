@@ -278,6 +278,35 @@ let bool : bool t =
                         { what = "bool must be 0 or 1"; got = Char.code c }));
          })
 
+(* One whole byte string per element (a serialized archive, a raw
+   payload), framed as its 8-byte length and then its bytes: 8 is the
+   least an element occupies, and a zero frame decodes to [Bytes.empty].
+   A length that is negative or runs past the reader raises
+   [Wire.Underflow] before anything is allocated.  No bulk kernel: the
+   elements are not fixed-size. *)
+let bytes : Bytes.t t =
+  {
+    name = "bytes";
+    kind = Builtin;
+    elem_size = 8;
+    signature = Signature.of_base Signature.Byte_string;
+    pack =
+      (fun w b ->
+        Wire.put_int w (Bytes.length b);
+        Wire.put_bytes w b ~pos:0 ~len:(Bytes.length b));
+    unpack =
+      (fun r ->
+        let len = Wire.get_int r in
+        (* [get_bytes] checks a length past the reader; a negative one
+           would reach [Bytes.sub]. *)
+        if len < 0 then
+          raise (Wire.Underflow { wanted = len; available = Wire.remaining r });
+        if len = 0 then Bytes.empty else Wire.get_bytes r len);
+    bulk = None;
+    state = { committed = true; freed = false };
+    id = Type.Id.make ();
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Derived-type constructors *)
 

@@ -91,6 +91,15 @@ val byte : char t
 
 val bool : bool t
 
+(** One whole byte string per element, framed as an 8-byte length and
+    then the bytes — how raw payloads and serialized archives
+    ([Kamping.Serialized]) travel through the typed calls.  [elem_size]
+    is 8, the least an element occupies; a zero frame decodes to
+    [Bytes.empty].  A negative length, or one past the reader, raises
+    {!Wire.Underflow} before anything is allocated.  The signature is its
+    own ([Byte_string]): it matches neither [byte] nor [blob] runs. *)
+val bytes : Bytes.t t
+
 (** {1 Derived-type constructors} *)
 
 (** Fully custom / dynamic type: sizes may be computed at runtime.

@@ -27,10 +27,6 @@ type report = {
   chaos_log : string option;  (* chaos event log; replay-comparable, None when chaos off *)
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf "ranks=%d max_time=%a killed=[%s]" r.ranks Sim_time.pp r.max_time
-    (String.concat "," (List.map string_of_int r.killed))
-
 (* Run [body] on every rank; collect each rank's result ([None] for killed
    ranks).  Non-failure exceptions propagate as [Scheduler.Aborted].
 

@@ -34,15 +34,12 @@ type report = {
           replay *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** [run_collect ~ranks body] executes [body world_comm] on every rank and
     collects each rank's result ([None] for killed ranks).
 
     @param model network cost model (default {!Net_model.omnipath})
     @param clock_mode measured CPU (default) or fully virtual time
-    @param check_level {!Check} sanitizer level (defaults to the
-           [MPISIM_CHECK] environment variable, else off).  With the
+    @param check_level {!Check} sanitizer level (default off).  With the
            sanitizer on, deadlocks are reported as
            [Mpi_error ERR_DEADLOCK] with a named wait-for cycle, and a
            clean run ends with a leak scan over non-blocking requests.

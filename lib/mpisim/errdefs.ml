@@ -53,9 +53,6 @@ let mpi_error code fmt =
 
 let usage_error fmt = Printf.ksprintf (fun msg -> raise (Usage_error msg)) fmt
 
-let check_violation ~check ~rank fmt =
-  Printf.ksprintf (fun msg -> raise (Check_violation { check; rank; msg })) fmt
-
 (* Per-communicator error-handling strategy (MPI_Errhandler analogue). *)
 type handler =
   | Errors_raise  (* raise Mpi_error (the default; idiomatic OCaml) *)

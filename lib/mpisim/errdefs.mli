@@ -43,8 +43,6 @@ val mpi_error : code -> ('a, unit, string, 'b) format4 -> 'a
 
 val usage_error : ('a, unit, string, 'b) format4 -> 'a
 
-val check_violation : check:string -> rank:int -> ('a, unit, string, 'b) format4 -> 'a
-
 (** Per-communicator error-handling strategy (MPI_Errhandler analogue).
     [Errors_custom] is the plugin hook of §III-G; a handler that returns
     cannot resume the operation (the error is re-raised). *)

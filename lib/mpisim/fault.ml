@@ -24,10 +24,3 @@ let fail_world_rank rt ~world_rank =
   Runtime.kill rt world_rank
 
 let is_kill_exn = function Runtime.Process_killed _ -> true | _ -> false
-
-let failed_ranks rt =
-  let acc = ref [] in
-  for r = rt.Runtime.size - 1 downto 0 do
-    if Runtime.is_failed rt r then acc := r :: !acc
-  done;
-  !acc

@@ -18,5 +18,3 @@ val fail_world_rank : Runtime.t -> world_rank:int -> unit
 (** Recognizer for the failure exception (used as the engine's kill
     filter). *)
 val is_kill_exn : exn -> bool
-
-val failed_ranks : Runtime.t -> int list

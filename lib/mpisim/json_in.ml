@@ -244,5 +244,3 @@ let parse_lines s =
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None

@@ -20,5 +20,3 @@ val parse_lines : string -> (t list, string) result
 val member : string -> t -> t option
 
 val to_float : t -> float option
-
-val to_str : t -> string option

@@ -131,11 +131,6 @@ let bytes t = t.payload_len
 (* Raise unless the payload storage is still the message's. *)
 let check_live t ~op = if t.consumed then invalid_arg (op ^ ": payload already recycled")
 
-(* An owned copy of the payload (for APIs that return raw bytes). *)
-let payload_copy t =
-  check_live t ~op:"Message.payload_copy";
-  Bytes.sub t.payload t.payload_off t.payload_len
-
 let pp ppf t =
   Format.fprintf ppf "msg{ctx=%d; %d->%d; tag=%d; count=%d; %dB; arr=%a}" t.context
     t.src t.dst t.tag t.count (bytes t) Sim_time.pp (time t.arrival_stamp)

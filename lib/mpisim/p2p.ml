@@ -10,7 +10,7 @@
    matched message) or MPI-style ([recv_into] with truncation checking).
 
    Every send form goes through [check_send] and [inject]; every receive
-   form — blocking, nonblocking, persistent, raw bytes — through one
+   form — blocking, nonblocking, persistent — through one
    [post], one wake rule ([Comm.matched_or_gone]) and one
    [complete], and keeps only its own unpack step (DESIGN.md §4).  A
    blocking receive posts in two halves: a message already queued is
@@ -199,25 +199,6 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
   let msg = send_user comm dt ~op:op_issend ~dest ~tag ~sync:true data in
   track comm ~kind:"issend" (issend_request comm msg)
-
-(* A raw byte payload is [count = length] elements of one blob byte. *)
-let byte_signature = Signature.of_base Signature.Blob
-
-(* Send a raw byte payload without datatype packing; matched by
-   [recv_bytes].  The element count equals the byte length.  The single
-   defensive copy (the caller keeps ownership of [payload]) goes straight
-   into a pooled wire buffer, so the path allocates nothing once the pool
-   is warm; that copy is not charged to the sender's clock. *)
-let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
-  Comm.check_rank comm dest;
-  check_send comm ~op:"send_bytes" ~dest ~tag;
-  let len = Bytes.length payload in
-  let w =
-    Runtime.acquire_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 len)
-  in
-  Wire.put_bytes w payload ~pos:0 ~len;
-  ignore
-    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:byte_signature ~count:len w)
 
 (* ------------------------------------------------------------------ *)
 (* The receive core *)
@@ -469,20 +450,6 @@ let recv_range comm dt ~source ~tag ~pos ~maxcount into =
     traced comm ~op:"recv_into" (fun () ->
         recv_range comm dt ~source ~tag ~pos ~maxcount into)
   else recv_range comm dt ~source ~tag ~pos ~maxcount into
-
-let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
-  let msg =
-    receive comm ~op:op_recv ~signature:byte_signature ~maxcount:max_int ~source ~tag
-  in
-  let status = status_of_msg comm msg in
-  let data = Message.payload_copy msg in
-  Runtime.recycle_payload (Comm.runtime comm) msg;
-  (data, status)
-
-let recv_bytes comm ?source ?tag () =
-  if tracing comm then
-    traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
-  else recv_bytes comm ?source ?tag ()
 
 (* The oldest queued message a receive for (source, tag) would take. *)
 let queued comm ~src_world ~tag =

@@ -51,10 +51,6 @@ val isend : Comm.t -> 'a Datatype.t -> dest:int -> ?tag:int -> 'a array -> Reque
 (** Non-blocking synchronous send; completes when matched. *)
 val issend : Comm.t -> 'a Datatype.t -> dest:int -> ?tag:int -> 'a array -> Request.t
 
-(** Raw byte payload (the serialization fast path); element count equals
-    the byte length. *)
-val send_bytes : Comm.t -> dest:int -> ?tag:int -> Bytes.t -> unit
-
 (** {1 Receives} *)
 
 (** Dynamic receive: blocks until a matching message arrives and returns
@@ -115,10 +111,6 @@ val irecv_into :
   ?maxcount:int ->
   'a array ->
   Request.t
-
-(** Raw byte receive, matched by {!send_bytes}: the payload's bytes and
-    the status (count = byte length). *)
-val recv_bytes : Comm.t -> ?source:int -> ?tag:int -> unit -> Bytes.t * Status.t
 
 (** Dynamic non-blocking receive: the result array is allocated at
     completion with exactly the received size and put in the cell, which

@@ -121,6 +121,3 @@ let diff ~(before : summary) ~(after : summary) : summary =
       tbl []
   in
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) (forward @ vanished)
-
-let pp_summary ppf (s : summary) =
-  List.iter (fun (op, c, b) -> Format.fprintf ppf "%-24s %8d calls %12d bytes@." op c b) s

@@ -29,9 +29,6 @@ val prepare : t -> string -> prepared
 
 val record_prepared : t -> prepared -> bytes:int -> unit
 
-(** Slots of a table's handle cache: [0 <= slot < n_slots]. *)
-val n_slots : int
-
 (** [record_slot t ~slot ~op ~bytes] is [record t ~op ~bytes] for an op
     that is always recorded with the same [slot] (the point-to-point ops
     of every message): the handles are looked up at the op's first call
@@ -53,5 +50,3 @@ val total_calls : t -> int
     Symmetric: ops present only in [before] appear with negative deltas
     (a reset or rename cannot hide a change). *)
 val diff : before:summary -> after:summary -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

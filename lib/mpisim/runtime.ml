@@ -74,20 +74,7 @@ type t = {
 
 exception Process_killed of int
 
-(* Default sanitizer level: the MPISIM_CHECK environment variable
-   (off|light|heavy), so any program can be checked without a code or CLI
-   change.  Unset or unparsable means Off. *)
-let default_check_level () =
-  match Sys.getenv_opt "MPISIM_CHECK" with
-  | None -> Check.Off
-  | Some s -> (
-      match Check.level_of_string (String.lowercase_ascii (String.trim s)) with
-      | Some l -> l
-      | None ->
-          Log.warn (fun f -> f "ignoring invalid MPISIM_CHECK=%S (want off|light|heavy)" s);
-          Check.Off)
-
-let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
+let create ?(clock_mode = Measured) ?(check_level = Check.Off) ?chaos ~model ~size () =
   if size <= 0 then invalid_arg "Runtime.create: size must be positive";
   let clocks = Array.make size 0. in
   let stats = Stats.create () in
@@ -103,8 +90,7 @@ let create ?(clock_mode = Measured) ?check_level ?chaos ~model ~size () =
   in
   let trace = Trace.create ~clocks in
   let check = Check.create ~stats ~trace ~size () in
-  Check.set_level check
-    (match check_level with Some l -> l | None -> default_check_level ());
+  Check.set_level check check_level;
   let chaos = Option.map (Chaos.create ~size ~model ~stats ~trace) chaos in
   {
     size;

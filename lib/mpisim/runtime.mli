@@ -65,8 +65,7 @@ exception Process_killed of int
 (** [create] builds the state of one simulation; nothing in it is shared
     with another runtime, so independent runs may execute concurrently on
     different domains.  [check_level]
-    selects the {!Check} sanitizer level; it defaults to the
-    [MPISIM_CHECK] environment variable (off|light|heavy), or [Off].
+    selects the {!Check} sanitizer level (default [Off]).
     [chaos] activates the fault-injection plane; omitted, the plane is
     off. *)
 val create :

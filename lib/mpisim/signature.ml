@@ -7,11 +7,12 @@
    mirroring the compile-time guarantees the paper provides (§III-D).
 
    A signature is a run-length-encoded sequence of base kinds.  Opaque
-   byte-blob types (trivially-copyable structs sent as contiguous bytes,
-   serialized payloads) use [Blob], which matches any byte count of [Blob]:
-   this mirrors MPI_BYTE's matching rules. *)
+   byte-blob types (trivially-copyable structs sent as contiguous bytes)
+   use [Blob], which matches any byte count of [Blob]: this mirrors
+   MPI_BYTE's matching rules.  [Byte_string] is one length-framed byte
+   string, at least its 8-byte length on the wire. *)
 
-type base = Int64 | Int32 | Float64 | Float32 | Char | Bool | Blob
+type base = Int64 | Int32 | Float64 | Float32 | Char | Bool | Blob | Byte_string
 
 type t = (base * int) list
 (* Invariant: counts are positive and adjacent bases differ. *)
@@ -24,6 +25,7 @@ let base_size = function
   | Char -> 1
   | Bool -> 1
   | Blob -> 1
+  | Byte_string -> 8
 
 let base_name = function
   | Int64 -> "int64"
@@ -33,6 +35,7 @@ let base_name = function
   | Char -> "char"
   | Bool -> "bool"
   | Blob -> "blob"
+  | Byte_string -> "bytes"
 
 let empty : t = []
 

@@ -7,18 +7,16 @@
     compile-time guarantees of paper §III-D.
 
     A signature is a run-length-encoded sequence of base kinds.  [Blob]
-    is the opaque byte kind (trivially-copyable structs, serialized
-    payloads): blob runs match blob runs of equal byte count regardless of
-    segmentation, like MPI_BYTE. *)
+    is the opaque byte kind (trivially-copyable structs): blob runs match
+    blob runs of equal byte count regardless of segmentation, like
+    MPI_BYTE.  [Byte_string] is one length-framed byte string
+    ([Datatype.bytes]), so a string of bytes never matches a run of
+    [Blob] bytes. *)
 
-type base = Int64 | Int32 | Float64 | Float32 | Char | Bool | Blob
+type base = Int64 | Int32 | Float64 | Float32 | Char | Bool | Blob | Byte_string
 
 type t = (base * int) list
 (** Runs of positive count; adjacent bases differ (normalized form). *)
-
-val base_size : base -> int
-
-val base_name : base -> string
 
 val empty : t
 

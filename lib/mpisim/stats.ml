@@ -282,8 +282,3 @@ let json_into buf t =
       Json_out.end_obj o);
   Json_out.end_obj hs;
   Json_out.end_obj root
-
-let to_json t =
-  let buf = Buffer.create 1024 in
-  json_into buf t;
-  Buffer.contents buf

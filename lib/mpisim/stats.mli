@@ -4,7 +4,7 @@
     (which is now implemented on top of it): the runtime feeds it
     message-size, message-latency, mailbox-depth and fiber-park-duration
     distributions; exporters turn it into text ({!pp}) or JSON
-    ({!to_json}).
+    ({!json_into}).
 
     All update operations ([incr], [add], [set], [observe]) are
     allocation-free, so they may sit on simulator hot paths: [observe]
@@ -84,8 +84,6 @@ val iter_counters : t -> (string -> counter -> unit) -> unit
 
 val iter_gauges : t -> (string -> gauge -> unit) -> unit
 
-val iter_histograms : t -> (string -> histogram -> unit) -> unit
-
 (** Value formatters for histogram reports. *)
 val fmt_bytes : float -> string
 
@@ -98,5 +96,3 @@ val pp_histogram : ?fmt:(float -> string) -> Format.formatter -> histogram -> un
 val pp : Format.formatter -> t -> unit
 
 val json_into : Buffer.t -> t -> unit
-
-val to_json : t -> string

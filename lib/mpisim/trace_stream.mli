@@ -30,12 +30,8 @@ type event = {
 
 type t
 
-(** Largest rank count a stream may declare (2{^20}); the reader rejects
-    headers above it before allocating per-rank state. *)
-val max_ranks : int
-
 (** Open a stream writer on [path] (truncating it) for [ranks] ranks.
-    Raises [Invalid_argument] unless [1 <= ranks <= max_ranks]. *)
+    Raises [Invalid_argument] unless [1 <= ranks <= 2{^20}]. *)
 val create : path:string -> ranks:int -> t
 
 (** Append one event of [rank]. *)
@@ -59,7 +55,7 @@ type summary = { s_ranks : int; s_events : int }
     tags (including the vector-clock records older writers emitted as
     tag 3) are skipped by length.  Returns the folded value and a
     summary, or a description of the first corruption — a rank count
-    above {!max_ranks} or a record longer than the rest of the file is
+    above 2{^20} or a record longer than the rest of the file is
     reported before anything of that size is allocated.  Never raises on
     malformed input. *)
 val fold_file :

@@ -70,8 +70,6 @@ let next_float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1. /. 9007199254740992.)
 
-let next_bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* Hash-based draws for counter-based ("stateless") generation. *)
 let hash_float ~seed ~stream ~counter =
   let h = mix64 (mix64 (Int64.of_int seed) (Int64.of_int stream)) (Int64.of_int counter) in

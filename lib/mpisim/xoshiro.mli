@@ -11,16 +11,12 @@ type t
     [stream]s with the same [seed] are decorrelated. *)
 val create : seed:int -> stream:int -> t
 
-val next_int64 : t -> int64
-
 (** Uniform int in [0, bound), rejection-sampled (no modulo bias).
     Raises [Invalid_argument] if [bound <= 0]. *)
 val next_int : t -> bound:int -> int
 
 (** Uniform float in [0, 1). *)
 val next_float : t -> float
-
-val next_bool : t -> bool
 
 (** Stateless draws: pure functions of (seed, stream, counter). *)
 val hash_float : seed:int -> stream:int -> counter:int -> float

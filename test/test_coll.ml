@@ -1024,7 +1024,7 @@ let test_tag_table () =
         tag_neighbor_allgather; tag_allreduce_rdbl; tag_reduce_scatter_pairwise;
         tag_bcast_scatter; tag_bcast_ring; tag_allreduce_rabenseifner; tag_allgather_ring;
         tag_exscan; tag_neighbor_alltoallv; tag_comm_split; tag_halo_to_prev;
-        tag_bcast_serialized; tag_halo_to_next;
+        tag_halo_to_next;
       ]
   in
   Alcotest.(check int) "distinct ids" (List.length tags)

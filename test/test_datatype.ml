@@ -538,7 +538,58 @@ let test_hostile_count_general () =
     (Datatype.create ~name:"int8" ~size:8
        ~signature:(Datatype.signature_of_count Datatype.int 1)
        ~pack:Wire.put_int ~unpack:Wire.get_int);
-  probe "triple" (Datatype.triple Datatype.int Datatype.int Datatype.int)
+  probe "triple" (Datatype.triple Datatype.int Datatype.int Datatype.int);
+  probe "bytes" Datatype.bytes
+
+(* [Datatype.bytes]: one byte string per element, of any length, through
+   the typed point-to-point and collective paths — several strings per
+   message, empty ones and 1 MiB ones among them — and a zero frame is
+   the empty string. *)
+let test_bytes_datatype () =
+  Alcotest.(check bytes) "zero_elem" Bytes.empty (Datatype.zero_elem Datatype.bytes);
+  Alcotest.(check int) "elem_size" 8 (Datatype.elem_size Datatype.bytes);
+  let mib = Bytes.init (1 lsl 20) (fun i -> Char.chr ((i * 7) land 255)) in
+  let block src dst =
+    [|
+      Bytes.of_string (Printf.sprintf "%d->%d" src dst);
+      Bytes.empty;
+      (if (src + dst) mod 2 = 0 then mib else Bytes.make dst 'x');
+    |]
+  in
+  let p = 3 in
+  let ok =
+    Engine.run_values ~ranks:p (fun comm ->
+        let r = Comm.rank comm in
+        (* Point to point: every rank sends its block for the next one. *)
+        let next = (r + 1) mod p and prev = (r + p - 1) mod p in
+        P2p.send comm Datatype.bytes ~dest:next (block r next);
+        let got, status = P2p.recv comm Datatype.bytes ~source:prev () in
+        let counts = Array.make p 3 in
+        let displs = Array.init p (fun i -> 3 * i) in
+        let all =
+          Coll.alltoallv comm Datatype.bytes ~send_counts:counts ~send_displs:displs
+            ~recv_counts:counts ~recv_displs:displs
+            (Array.concat (List.init p (block r)))
+        in
+        got = block prev r
+        && Status.count status = 3
+        && all = Array.concat (List.init p (fun src -> block src r)))
+  in
+  Alcotest.(check (array bool)) "every rank got its strings" (Array.make p true) ok
+
+(* A byte string's signature is its own: received as [byte] it is a type
+   mismatch, not a misread. *)
+let test_bytes_signature () =
+  let caught = ref false in
+  (try
+     ignore
+       (Engine.run ~ranks:2 (fun comm ->
+            if Comm.rank comm = 0 then
+              P2p.send comm Datatype.bytes ~dest:1 [| Bytes.of_string "abc" |]
+            else ignore (P2p.recv comm Datatype.byte ~source:0 ())))
+   with Scheduler.Aborted { exn = Errdefs.Mpi_error { code = Errdefs.Err_type; _ }; _ } ->
+     caught := true);
+  Alcotest.(check bool) "bytes received as byte raises ERR_TYPE" true !caught
 
 (* The typed kernels allocate nothing per element: packing into a
    preheated pooled writer and unpacking in place are allocation-free, and
@@ -680,6 +731,8 @@ let tests =
     qtest prop_bulk_bool_rejects_bad_byte;
     Alcotest.test_case "hostile unpack count" `Quick test_hostile_count;
     Alcotest.test_case "hostile unpack count, general path" `Quick test_hostile_count_general;
+    Alcotest.test_case "bytes: send/recv and alltoallv" `Quick test_bytes_datatype;
+    Alcotest.test_case "bytes: own signature" `Quick test_bytes_signature;
     Alcotest.test_case "bulk kernels allocate nothing per element" `Quick
       test_bulk_allocation;
     qtest prop_record_roundtrip;

@@ -182,7 +182,7 @@ let receive_forms : (string * (Comm.t -> unit)) list =
   [
     ("recv", fun c -> ignore (P2p.recv c Datatype.int ~source:1 ()));
     ("recv_into", fun c -> ignore (P2p.recv_into c Datatype.int ~source:1 (buf ())));
-    ("recv_bytes", fun c -> ignore (P2p.recv_bytes c ~source:1 ()));
+    ("recv of Datatype.bytes", fun c -> ignore (P2p.recv c Datatype.bytes ~source:1 ()));
     ( "irecv_into + wait",
       fun c -> ignore (Request.wait (P2p.irecv_into c Datatype.int ~source:1 (buf ()))) );
     ( "Nb.irecv + wait",

@@ -195,8 +195,7 @@ let test_radius_extremes () =
   if tiny_bytes > default_bytes then
     Alcotest.failf "1e-9 allocated %.0f bytes, the default radius %.0f" tiny_bytes
       default_bytes;
-  (* Halos reach only the adjacent strips, so only two strips make the
-     graph complete. *)
+  (* 1.5 exceeds the unit square's diagonal: the graph is complete. *)
   let adj, _, _ = gather_graph ~p:2 (gen (Some 1.5)) in
   List.iter
     (fun (u, ns) ->
@@ -208,12 +207,64 @@ let test_radius_extremes () =
   expect_usage_error ~ranks:2 ~mentions:[ "radius"; "negative" ] (fun mpi ->
       ignore (gen (Some (-0.1)) (Kamping.Communicator.of_mpi mpi)))
 
+(* The RGG against a brute-force scan of every pair of points (the
+   generator's own hashes): the halo must reach every strip within
+   [radius], also when [radius] exceeds a strip's height 1/p — at 16 × 48
+   vertices the default radius is 0.081 > 1/16, and at p = 4 a radius of
+   1.5 connects every pair. *)
+let brute_rgg ~p ~n_per_rank ~radius ~seed =
+  let n = p * n_per_rank in
+  let x = Array.init n (fun id -> Xoshiro.hash_float ~seed ~stream:11 ~counter:id) in
+  let y =
+    Array.init n (fun id ->
+        let r = id / n_per_rank in
+        let lo = float_of_int r /. float_of_int p
+        and hi = float_of_int (r + 1) /. float_of_int p in
+        lo +. (Xoshiro.hash_float ~seed ~stream:12 ~counter:id *. (hi -. lo)))
+  in
+  let near u v =
+    let dx = x.(u) -. x.(v) and dy = y.(u) -. y.(v) in
+    u <> v && (dx *. dx) +. (dy *. dy) <= radius *. radius
+  in
+  List.init n (fun u -> (u, List.filter (near u) (List.init n Fun.id)))
+
+let test_rgg_brute_force () =
+  let seed = 1 and n_per_rank = 48 in
+  List.iter
+    (fun (p, radius) ->
+      let expected =
+        brute_rgg ~p ~n_per_rank ~seed
+          ~radius:
+            (match radius with
+            | Some r -> r
+            | None ->
+                Rgg2d.radius_for_degree ~n:(p * n_per_rank) ~degree:Rgg2d.default_degree)
+      in
+      let adj, _, _ =
+        gather_graph ~p (fun comm -> Rgg2d.generate comm ~n_per_rank ?radius ~seed ())
+      in
+      let edges a = List.fold_left (fun acc (_, ns) -> acc + List.length ns) 0 a / 2 in
+      let label = Printf.sprintf "p=%d" p in
+      Alcotest.(check int) (label ^ ": edge count") (edges expected) (edges adj);
+      Alcotest.(check (list (pair int (list int)))) (label ^ ": adjacency") expected adj)
+    [ (16, None); (4, Some 1.5) ];
+  let complete, _, _ =
+    gather_graph ~p:4 (fun comm -> Rgg2d.generate comm ~n_per_rank ~radius:1.5 ~seed ())
+  in
+  List.iter
+    (fun (u, ns) ->
+      Alcotest.(check int) (Printf.sprintf "1.5: vertex %d degree" u) ((4 * n_per_rank) - 1)
+        (List.length ns))
+    complete
+
 (* Golden graphs.  One MD5 per rank over [n_global], [first_vertex],
    [xadj] and [adjncy], for every generator at several rank counts and
    seeds, the simulator benchmark's RGG (16 ranks of 2048 vertices) and
    the RGG radius extremes.  The fixture was written by the list-based
    generators that the flat-array ones replaced, so it pins the exact
-   graph, not just its invariants. *)
+   graph, not just its invariants; the [rgg2d p=16] lines were rewritten
+   when the halo started reaching every strip within the radius (see
+   [test_rgg_brute_force]). *)
 let rank_digest (g : Distgraph.t) =
   let b = Buffer.create 4096 in
   let int x =
@@ -289,6 +340,7 @@ let tests =
     qtest prop_build_from_edges;
     Alcotest.test_case "edge usage errors" `Quick test_edge_errors;
     Alcotest.test_case "rgg radius extremes" `Quick test_radius_extremes;
+    Alcotest.test_case "rgg = brute-force pair scan" `Quick test_rgg_brute_force;
   ]
 
 let () = Alcotest.run "graphgen" [ ("graphgen", tests) ]

@@ -176,6 +176,53 @@ let prop_hostile_archive =
           (Bytes.length b) words bound;
       true)
 
+(* [Kamping.Serialized]'s collectives travel as [Datatype.bytes] through
+   the ordinary bcast, gather and alltoallv.  Over random rank counts
+   (powers of two or not), roots and string lists (empty ones included),
+   run under the heaviest sanitizer level, each equals its sequential
+   reference: bcast hands every rank the root's value, gather the rank
+   ordered values at the root and [] elsewhere, and sparse_exchange the
+   messages addressed to a rank, grouped by source in send order. *)
+let prop_serialized_collectives =
+  let codec = Serial.Codec.(list string) in
+  QCheck.Test.make ~name:"Serialized bcast/gather/sparse_exchange = reference" ~count:60
+    QCheck.(
+      triple (int_range 1 9) small_nat
+        (small_list (pair (small_list small_string) (small_list (pair small_nat string)))))
+    (fun (p, root, per_rank) ->
+      QCheck.assume (p >= 1);
+      let root = root mod p in
+      let value r = match List.nth_opt per_rank r with Some (v, _) -> v | None -> [] in
+      let outgoing r =
+        match List.nth_opt per_rank r with
+        | Some (_, out) -> List.map (fun (d, s) -> (d mod p, [ s ])) out
+        | None -> []
+      in
+      let results, _ =
+        Mpisim.Engine.run_collect ~check_level:Mpisim.Check.Heavy ~ranks:p (fun mpi ->
+            let comm = Kamping.Communicator.of_mpi mpi in
+            let r = Kamping.Communicator.rank comm in
+            let b =
+              Kamping.Serialized.bcast comm codec ~root
+                ?value:(if r = root then Some (value r) else None)
+                ()
+            in
+            let g = Kamping.Serialized.gather comm codec ~root (value r) in
+            let x = Kamping.Serialized.sparse_exchange comm codec (outgoing r) in
+            (b, g, x))
+      in
+      let expected r =
+        ( value root,
+          (if r = root then List.init p value else []),
+          List.concat_map
+            (fun src ->
+              List.filter_map
+                (fun (d, v) -> if d = r then Some (src, v) else None)
+                (outgoing src))
+            (List.init p Fun.id) )
+      in
+      Array.for_all Fun.id (Array.mapi (fun r got -> got = Some (expected r)) results))
+
 let tests =
   [
     qtest prop_hostile_archive;
@@ -195,6 +242,7 @@ let tests =
     Alcotest.test_case "archive codec mismatch" `Quick test_archive_wrong_codec_rejected;
     Alcotest.test_case "archive bad magic" `Quick test_archive_bad_magic_rejected;
     qtest prop_archive_roundtrip;
+    qtest prop_serialized_collectives;
   ]
 
 

@@ -52,6 +52,33 @@ let test_decode_error () =
     (Wire.Decode_error { what = "bool must be 0 or 1"; got = 7 }) (fun () ->
       ignore (Wire.get_bool r))
 
+(* Hostile [Datatype.bytes] frames: a negative length, or one past the
+   payload, is [Wire.Underflow] before anything proportional to the
+   claimed length is allocated. *)
+let test_bytes_hostile_frames () =
+  List.iter
+    (fun (name, len, payload) ->
+      let w = Wire.create_writer () in
+      Wire.put_int w len;
+      Wire.put_padding w payload;
+      let r = Wire.reader_of_bytes (Wire.contents w) in
+      (* Settle the GC counters first, as [test_datatype]'s hostile counts do. *)
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
+      (match Datatype.unpack_array Datatype.bytes r ~count:1 with
+      | _ -> Alcotest.failf "%s: decoded" name
+      | exception Wire.Underflow { available; _ } ->
+          Alcotest.(check int) (name ^ ": available") payload available);
+      let allocated = Gc.allocated_bytes () -. b0 in
+      if allocated > 1024. then Alcotest.failf "%s: allocated %.0f bytes" name allocated)
+    [
+      ("length -1", -1, 16);
+      ("length min_int", min_int, 16);
+      ("length one past the payload", 17, 16);
+      ("length 2^40, empty payload", 1 lsl 40, 0);
+      ("length max_int", max_int, 16);
+    ]
+
 let test_pool_reuse () =
   let pool = Wire.create_pool ~max_buffers:2 () in
   let w1 = Wire.acquire pool ~capacity:64 in
@@ -172,6 +199,7 @@ let tests =
     Alcotest.test_case "primitive roundtrip" `Quick test_primitive_roundtrip;
     Alcotest.test_case "underflow detection" `Quick test_underflow;
     Alcotest.test_case "decode error on corrupt bool" `Quick test_decode_error;
+    Alcotest.test_case "hostile bytes frames" `Quick test_bytes_hostile_frames;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     Alcotest.test_case "pool bounds" `Quick test_pool_bounds;
     Alcotest.test_case "pool lock released on raise" `Quick test_pool_lock_released_on_raise;
