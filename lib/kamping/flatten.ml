@@ -41,32 +41,6 @@ let flatten ~size (table : (int, 'a list) Hashtbl.t) : 'a array * int array =
     (out, send_counts)
   end
 
-(* Same, for (destination, block) pairs. *)
-let flatten_blocks ~size (blocks : (int * 'a array) list) : 'a array * int array =
-  let send_counts = Array.make size 0 in
-  List.iter
-    (fun (dest, b) ->
-      if dest < 0 || dest >= size then
-        Errdefs.usage_error "flatten_blocks: destination %d out of range" dest;
-      send_counts.(dest) <- send_counts.(dest) + Array.length b)
-    blocks;
-  let displs = Array.make size 0 in
-  for i = 1 to size - 1 do
-    displs.(i) <- displs.(i - 1) + send_counts.(i - 1)
-  done;
-  let total = if size = 0 then 0 else displs.(size - 1) + send_counts.(size - 1) in
-  match List.find_opt (fun (_, b) -> Array.length b > 0) blocks with
-  | None -> ([||], send_counts)
-  | Some (_, first) ->
-      let out = Array.make total first.(0) in
-      let cursor = Array.copy displs in
-      List.iter
-        (fun (dest, b) ->
-          Array.blit b 0 out cursor.(dest) (Array.length b);
-          cursor.(dest) <- cursor.(dest) + Array.length b)
-        blocks;
-      (out, send_counts)
-
 (* Flatten and exchange in one call: the BFS frontier-exchange one-liner. *)
 let alltoallv comm dt (table : (int, 'a list) Hashtbl.t) : 'a array =
   let data, send_counts = flatten ~size:(Communicator.size comm) table in

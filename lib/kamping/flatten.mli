@@ -11,8 +11,5 @@ open Mpisim
     counts).  Within a destination, elements keep their list order. *)
 val flatten : size:int -> (int, 'a list) Hashtbl.t -> 'a array * int array
 
-(** Same, for (destination, block) pairs. *)
-val flatten_blocks : size:int -> (int * 'a array) list -> 'a array * int array
-
 (** Flatten and exchange in one call. *)
 val alltoallv : Communicator.t -> 'a Datatype.t -> (int, 'a list) Hashtbl.t -> 'a array

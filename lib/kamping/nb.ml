@@ -111,10 +111,3 @@ let of_cell ((request, cell) : Request.t * 'a option ref) : 'a t =
 let irecv comm dt ?source ?tag () : 'a array t =
   post_instant comm ~name:"irecv" ~peer:(Option.value source ~default:(-1));
   of_cell (P2p.irecv (c comm) dt ?source ?tag ())
-
-(* Receive with a known element count (capacity check only). *)
-let irecv_counted comm dt ?source ?tag ~count () : 'a array t =
-  post_instant comm ~name:"irecv" ~peer:(Option.value source ~default:(-1));
-  let buf = Array.make count (Datatype.zero_elem dt) in
-  let request = P2p.irecv_into (c comm) dt ?source ?tag buf in
-  of_request request ~fetch:(fun () -> buf)

@@ -41,12 +41,3 @@ val issend :
     completion with exactly the received size. *)
 val irecv : Communicator.t -> 'a Datatype.t -> ?source:int -> ?tag:int -> unit -> 'a array t
 
-(** Receive with a known element count. *)
-val irecv_counted :
-  Communicator.t ->
-  'a Datatype.t ->
-  ?source:int ->
-  ?tag:int ->
-  count:int ->
-  unit ->
-  'a array t

@@ -15,9 +15,6 @@ val pending_count : t -> int
     slots this may block on the oldest pending request. *)
 val add : t -> 'a Nb.t -> unit
 
-(** Complete and drop the oldest pending request (no-op when empty). *)
-val wait_oldest : t -> unit
-
 val wait_all : t -> unit
 
 (** Retire every already-completed request; returns how many. *)

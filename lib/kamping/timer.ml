@@ -126,11 +126,3 @@ let aggregate (t : t) : aggregate list =
       aggs;
     aggs
   end
-
-let pp_aggregates ppf (aggs : aggregate list) =
-  List.iter
-    (fun a ->
-      Format.fprintf ppf "%-24s min=%s mean=%s max=%s (%d timings)@." a.key
-        (Sim_time.to_string a.min) (Sim_time.to_string a.mean) (Sim_time.to_string a.max)
-        a.count)
-    aggs

@@ -28,5 +28,3 @@ type aggregate = { key : string; min : float; mean : float; max : float; count :
     registry as [timer.<key>.{min,mean,max}_seconds] gauges, so timed
     phases appear in [--stats] dumps and are bench-diff comparable. *)
 val aggregate : t -> aggregate list
-
-val pp_aggregates : Format.formatter -> aggregate list -> unit

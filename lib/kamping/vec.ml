@@ -28,9 +28,6 @@ let set t i v =
 
 let to_array t = Array.sub t.data 0 t.len
 
-(* The underlying storage (may be longer than [length]). *)
-let unsafe_data t = t.data
-
 let clear t = t.len <- 0
 
 let push t v =

@@ -26,9 +26,6 @@ val set : 'a t -> int -> 'a -> unit
 (** Copy of the first [length] elements. *)
 val to_array : 'a t -> 'a array
 
-(** The underlying storage (may exceed [length]); no copy. *)
-val unsafe_data : 'a t -> 'a array
-
 val clear : 'a t -> unit
 
 val push : 'a t -> 'a -> unit

@@ -35,8 +35,13 @@
    span, and can be pinned through the run's model ([Coll_algo.pin]).
 
    Each algorithm is written once, as a schedule: rounds of [send],
-   [recv] and [recv_fold] steps over caller buffers given as ranges, plus
-   local copies and folds.  Every step sends or receives on the
+   [recv], [forward] and [recv_fold] steps over caller buffers given as
+   ranges, plus local copies and folds.  A step touches each payload
+   once: a ring round [forward]s the message received the round before,
+   its packed bytes unchanged, instead of packing the block again, and
+   [recv_fold] reduces the received bytes straight into the accumulator
+   ({!Datatype.fold_slice}), with no scratch vector in between.  Every
+   step sends or receives on the
    algorithm's own entry of [Coll_algo]'s internal-tag table, so the tag
    alone tells the communication matrix, a blocked call's report and a
    count error which algorithm (or lowered phase) moved the message.  A
@@ -52,14 +57,48 @@
 
 let empty_int : int array = [||]
 
+(* The operations a collective entry records, each with a fixed slot in
+   its run's profile after P2p's ([Profiling.op]): an entry hashes no op
+   name. *)
+let coll_op i name = { Profiling.name; slot = P2p.n_ops + i }
+
+let op_barrier = coll_op 0 "barrier"
+let op_ibarrier = coll_op 1 "ibarrier"
+let op_bcast = coll_op 2 "bcast"
+let op_gather = coll_op 3 "gather"
+let op_gatherv = coll_op 4 "gatherv"
+let op_scatter = coll_op 5 "scatter"
+let op_scatterv = coll_op 6 "scatterv"
+let op_allgather = coll_op 7 "allgather"
+let op_allgatherv = coll_op 8 "allgatherv"
+let op_alltoall = coll_op 9 "alltoall"
+let op_alltoallv = coll_op 10 "alltoallv"
+let op_alltoallw = coll_op 11 "alltoallw"
+let op_reduce = coll_op 12 "reduce"
+let op_allreduce = coll_op 13 "allreduce"
+let op_scan = coll_op 14 "scan"
+let op_exscan = coll_op 15 "exscan"
+let op_neighbor_allgather = coll_op 16 "neighbor_allgather"
+let op_neighbor_alltoallv = coll_op 17 "neighbor_alltoallv"
+let op_reduce_scatter_block = coll_op 18 "reduce_scatter_block"
+let op_reduce_scatter = coll_op 19 "reduce_scatter"
+let op_allreduce_init = coll_op 20 "allreduce_init"
+let op_bcast_init = coll_op 21 "bcast_init"
+let op_reduce_scatter_init = coll_op 22 "reduce_scatter_init"
+let op_ibcast = coll_op 23 "ibcast"
+let op_iallreduce = coll_op 24 "iallreduce"
+let op_ialltoallv = coll_op 25 "ialltoallv"
+let op_ireduce_scatter = coll_op 26 "ireduce_scatter"
+
 (* [root] is the comm-rank root (-1 for unrooted collectives) and [ty] the
    element-type name ("" for untyped ops): plain immediates, so the
    sanitizer-off path stays allocation-free. *)
-let prologue comm ~op ~root ~ty =
+let prologue comm ~(op : Profiling.op) ~root ~ty =
   Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm);
-  Comm.check_collective comm ~op ~root ~ty
+  Comm.check_collective comm ~op:op.name ~root ~ty
 
-let record comm ~op ~bytes = Runtime.record (Comm.runtime comm) ~op ~bytes
+let record comm ~op ~bytes =
+  Profiling.record_op (Comm.runtime comm).Runtime.profile op ~bytes
 
 (* Trace spans without closures.  A span is the name it was opened
    under, or [no_span]; a call site brackets its body as
@@ -92,8 +131,8 @@ let leave_raise comm span e =
    around the prologue, the profile entry and the body.  Collectives
    lowered onto others (allreduce onto reduce + bcast) show up as nested
    spans. *)
-let enter comm ~op ~root ~ty ~bytes =
-  let span = open_span comm op in
+let enter comm ~(op : Profiling.op) ~root ~ty ~bytes =
+  let span = open_span comm op.name in
   (match prologue comm ~op ~root ~ty with
   | () -> ()
   | exception e -> leave_raise comm span e);
@@ -179,15 +218,25 @@ let waits s ~by_clock =
   if s.tag >= 0 then P2p.matchable s.comm ~arrived:by_clock ~source:s.src ~tag:s.tag
   else s.until ()
 
+(* The [coll.algo.<op>.<algo>] counter of this run, registered at its
+   first use and kept by [Coll_algo.slot]. *)
+let algo_counter (rt : Runtime.t) alg_op algo =
+  let i = Coll_algo.slot alg_op algo in
+  match rt.algo_counters.(i) with
+  | Some c -> c
+  | None ->
+      let c = Stats.counter rt.stats (Coll_algo.counter_name alg_op algo) in
+      rt.algo_counters.(i) <- Some c;
+      c
+
 (* The algorithm selected for this call, visible to run reports: bump the
    [coll.algo.<op>.<algo>] counter and, on the blocking driver, open an
-   [<op>.<algo>] span inside the collective's own span.  Both names are
-   preallocated in Coll_algo, so with tracing off this costs one counter
-   increment.  A progressive schedule may suspend mid-algorithm, so it
-   opens no span. *)
+   [<op>.<algo>] span inside the collective's own span.  The counter is
+   kept per run and the span name is preallocated in Coll_algo, so with
+   tracing off this costs one counter increment.  A progressive schedule
+   may suspend mid-algorithm, so it opens no span. *)
 let dispatch x comm alg_op algo =
-  let rt = Comm.runtime comm in
-  Stats.incr (Stats.counter rt.Runtime.stats (Coll_algo.counter_name alg_op algo));
+  Stats.incr (algo_counter (Comm.runtime comm) alg_op algo);
   if x.prog <> None then no_span else open_span comm (Coll_algo.span_name alg_op algo)
 
 (* A collective lowered onto another one: on the blocking driver the
@@ -213,14 +262,32 @@ let arrived x comm ~tag ~src =
       Effect.perform Await
   | _ -> ()
 
-(* Receive exactly [count] elements into [buf] at [pos]. *)
-let recv x comm dt ~tag ~src buf ~pos ~count =
+(* The message of a receive step of exactly [count] elements, its payload
+   not yet read. *)
+let take x comm dt ~tag ~src ~count =
   let shifted = tag + x.shift in
   arrived x comm ~tag:shifted ~src;
-  let got = P2p.recv_range comm dt ~source:src ~tag:shifted ~pos ~maxcount:count buf in
-  if got <> count then
+  let msg = P2p.recv_message comm dt ~source:src ~tag:shifted ~maxcount:count in
+  let got = msg.Message.count in
+  if got <> count then begin
+    P2p.release comm msg;
     Comm.error comm Errdefs.Err_count "%s: expected %d elements from rank %d, got %d"
       (Coll_algo.tag_name tag) count src got
+  end;
+  msg
+
+(* Receive exactly [count] elements into [buf] at [pos], keeping the
+   message: a ring forwards it the next round. *)
+let recv_kept x comm dt ~tag ~src buf ~pos ~count =
+  let msg = take x comm dt ~tag ~src ~count in
+  P2p.read_into dt msg buf ~pos;
+  msg
+
+let recv x comm dt ~tag ~src buf ~pos ~count =
+  P2p.release comm (recv_kept x comm dt ~tag ~src buf ~pos ~count)
+
+(* Send a kept message on: its payload is the block it brought, packed. *)
+let forward x comm dt ~tag ~dest msg = P2p.forward comm dt ~dest ~tag:(tag + x.shift) msg
 
 (* Receive a message of a length this rank does not know. *)
 let recv_dyn x comm dt ~tag ~src =
@@ -234,10 +301,13 @@ let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~
     acc.(pos + i) <- Reduce_op.apply op acc.(pos + i) from.(fpos + i)
   done
 
-(* Receive [count] elements into [scratch] and fold them into [buf]. *)
-let recv_fold x comm dt op ~tag ~src ~scratch buf ~pos ~count =
-  recv x comm dt ~tag ~src scratch ~pos:0 ~count;
-  fold op ~acc:buf ~pos ~from:scratch ~fpos:0 ~count
+(* Receive [count] elements and fold them into [buf] at [pos] straight
+   from the message, the accumulator on the left (a scan puts the
+   incoming vector there). *)
+let recv_fold ?(incoming_left = false) x comm dt op ~tag ~src buf ~pos ~count =
+  let msg = take x comm dt ~tag ~src ~count in
+  P2p.fold_into dt op ~incoming_left msg buf ~pos;
+  P2p.release comm msg
 
 (* --- the progressive driver --- *)
 
@@ -294,12 +364,11 @@ let wait_suffix ~op tag =
    previous test (a polling loop), once it is in the mailbox, so polling
    completes.  One rank has no peer to wait for, so its persistent cycle
    runs at [start] with no effect handler: the allocation-free case. *)
-let schedule comm ~op ~root ~ty ~bytes ~(counter : string option) ~persistent
-    (body : drv -> unit) : Request.t =
+let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counter option)
+    ~persistent (body : drv -> unit) : Request.t =
   let rt = Comm.runtime comm in
   let inflight = rt.Runtime.inflight.(Comm.world_rank comm) in
-  let prep = Profiling.prepare rt.Runtime.profile op in
-  let counter = Option.map (Stats.counter rt.Runtime.stats) counter in
+  let prep = Profiling.prepare_op rt.Runtime.profile op in
   let gen = comm.Comm.my_sched_gen in
   comm.Comm.my_sched_gen <- gen + 1;
   let s =
@@ -323,9 +392,11 @@ let schedule comm ~op ~root ~ty ~bytes ~(counter : string option) ~persistent
     Option.iter Stats.incr counter;
     body x
   in
-  let name = if persistent then op ^ "_init" else op in
+  let name = if persistent then op.name ^ "_init" else op.name in
   (* A posted operation is named "i" ^ the operation it runs. *)
-  let base = if persistent then op else String.sub op 1 (String.length op - 1) in
+  let base =
+    if persistent then op.name else String.sub op.name 1 (String.length op.name - 1)
+  in
   let describe () =
     if s.k = None then name
     else Printf.sprintf "%s%s (src %d)" name (wait_suffix ~op:base s.tag) s.src
@@ -377,7 +448,7 @@ let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref
         result := Some (run x))
   in
   if Check.enabled rt.Runtime.check then
-    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op req;
+    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op.name req;
   (req, result)
 
 (* ------------------------------------------------------------------ *)
@@ -397,7 +468,7 @@ let barrier_run comm =
   done
 
 let barrier comm =
-  let span = enter comm ~op:"barrier" ~root:(-1) ~ty:"" ~bytes:0 in
+  let span = enter comm ~op:op_barrier ~root:(-1) ~ty:"" ~bytes:0 in
   match barrier_run comm with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -409,8 +480,8 @@ let barrier comm =
    modelled time (DESIGN.md §2.2).  A member that fails, or that has
    observed a revocation, before arriving makes test/wait raise. *)
 let ibarrier comm =
-  prologue comm ~op:"ibarrier" ~root:(-1) ~ty:"";
-  record comm ~op:"ibarrier" ~bytes:0;
+  prologue comm ~op:op_ibarrier ~root:(-1) ~ty:"";
+  record comm ~op:op_ibarrier ~bytes:0;
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let cell = Comm.arrive comm Comm.Ibarrier in
@@ -432,21 +503,29 @@ let ibarrier comm =
 (* Ring allgather: allgather for long messages, allgatherv, and the
    second phase of the long-message bcast. *)
 
-(* In round s the rank at ring position v forwards block (v - s) to its
+(* In round s the rank at ring position v sends block (v - s) to its
    right neighbour and receives block (v - s - 1) from its left one.
-   Ring positions are ranks rotated by [rot] (bcast's root).  Empty
-   blocks still flow, so the ring stays paired. *)
+   Round 0 packs the rank's own block; every later round forwards the
+   message that brought its block the round before, and the last one is
+   recycled here (DESIGN.md §4).  Ring positions are ranks rotated by
+   [rot] (bcast's root).  Empty blocks still flow, so the ring stays
+   paired. *)
 let ring x comm dt ~tag ~rot ~(table : int array) buf =
   let n = Comm.size comm in
-  let v = (Comm.rank comm - rot + n) mod n in
-  let right = (v + 1 + rot) mod n in
-  let left = (v - 1 + n + rot) mod n in
-  for s = 0 to n - 2 do
-    let sb = (v - s + n) mod n in
-    let rb = (sb - 1 + n) mod n in
-    send x comm dt ~tag ~dest:right buf ~pos:table.(sb) ~count:(block_count table sb);
-    recv x comm dt ~tag ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
-  done
+  if n > 1 then begin
+    let v = (Comm.rank comm - rot + n) mod n in
+    let right = (v + 1 + rot) mod n in
+    let left = (v - 1 + n + rot) mod n in
+    send x comm dt ~tag ~dest:right buf ~pos:table.(v) ~count:(block_count table v);
+    let held = ref Message.nil in
+    for s = 0 to n - 2 do
+      if s > 0 then forward x comm dt ~tag ~dest:right !held;
+      let rb = (v - s - 1 + n) mod n in
+      held :=
+        recv_kept x comm dt ~tag ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
+    done;
+    P2p.release comm !held
+  end
 
 (* Gather every rank's [data] into a fresh buffer laid out by [table];
    nothing moves when the total is empty. *)
@@ -601,7 +680,7 @@ let bcast_bytes comm dt ~root data =
 
 let bcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
   let bytes = bcast_bytes comm dt ~root data in
-  let span = enter comm ~op:"bcast" ~root ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_bcast ~root ~ty:(Datatype.name dt) ~bytes in
   match bcast_run blocking comm dt ~root data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -664,7 +743,7 @@ let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a 
       | Some c -> blocks c
   in
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"gatherv" ~root ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_gatherv ~root ~ty:(Datatype.name dt) ~bytes in
   match gatherv_run comm dt ~root ~table data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -672,7 +751,7 @@ let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a 
 let gather comm (dt : 'a Datatype.t) ~root (data : 'a array) : 'a array =
   Comm.check_rank comm root;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_gather ~root ~ty:(Datatype.name dt) ~bytes in
   match gather_equal blocking comm dt ~root data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -720,7 +799,7 @@ let scatterv comm (dt : 'a Datatype.t) ~root ?send_counts (data : 'a array optio
             table.(n) (Array.length d);
         table)
   in
-  let span = enter comm ~op:"scatterv" ~root ~ty:(Datatype.name dt) ~bytes:0 in
+  let span = enter comm ~op:op_scatterv ~root ~ty:(Datatype.name dt) ~bytes:0 in
   charge_dense_scan comm;
   match scatter_sched blocking comm dt ~root ~table data with
   | r -> leave comm span r
@@ -735,7 +814,7 @@ let scatter comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array 
             (Array.length d) n;
         even_blocks ~total:(Array.length d) ~parts:n)
   in
-  let span = enter comm ~op:"scatter" ~root ~ty:(Datatype.name dt) ~bytes:0 in
+  let span = enter comm ~op:op_scatter ~root ~ty:(Datatype.name dt) ~bytes:0 in
   match scatter_sched blocking comm dt ~root ~table data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -796,7 +875,7 @@ let allgather_run comm dt ~bytes data =
 let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   let count = Array.length data in
   let bytes = Datatype.size_of_count dt count in
-  let span = enter comm ~op:"allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_allgather ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match allgather_run comm dt ~bytes data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -815,7 +894,7 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
     Errdefs.usage_error "allgatherv: own recv_count %d does not match data length %d"
       recv_counts.(r) (Array.length data);
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"allgatherv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_allgatherv ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   charge_dense_scan comm;
   let table = blocks recv_counts in
   match ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~table data with
@@ -863,7 +942,7 @@ let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
     Errdefs.usage_error "alltoall: data length %d not divisible by %d"
       (Array.length data) n;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"alltoall" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_alltoall ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match alltoall_run comm dt data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -890,7 +969,7 @@ let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(send_displs : int array) ~(recv_counts : int array) ~(recv_displs : int array)
     (data : 'a array) : 'a array =
   let bytes = alltoallv_bytes comm dt ~op:"alltoallv" ~send_counts ~recv_counts in
-  let span = enter comm ~op:"alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_alltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match
     alltoallv_run blocking comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data
   with
@@ -918,7 +997,7 @@ let alltoallw_run comm dt ~send_counts ~recv_counts data =
 let alltoallw comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
   let bytes = alltoallv_bytes comm dt ~op:"alltoallw" ~send_counts ~recv_counts in
-  let span = enter comm ~op:"alltoallw" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_alltoallw ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match alltoallw_run comm dt ~send_counts ~recv_counts data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -950,7 +1029,7 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
     note_nc_order comm;
     let bytes = Datatype.size_of_count dt count in
     let gathered =
-      let span = phase x comm ~op:"gather" ~root ~ty:(Datatype.name dt) ~bytes in
+      let span = phase x comm ~op:op_gather ~root ~ty:(Datatype.name dt) ~bytes in
       match gather_equal x comm dt ~root src with
       | r -> leave comm span r
       | exception e -> leave_raise comm span e
@@ -965,9 +1044,6 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
   else begin
     Array.blit src 0 acc 0 count;
     let vrank = (r - root + n) mod n in
-    (* Only even vranks have children, the first at vrank + 1. *)
-    let has_child = vrank land 1 = 0 && vrank + 1 < n in
-    let scratch = if has_child then scratch_like dt count else [||] in
     let mask = ref 1 in
     let sent = ref false in
     while (not !sent) && !mask < n do
@@ -981,7 +1057,7 @@ let reduce_sched x comm dt (op : 'a Reduce_op.t) ~root ~(src : 'a array) ~(acc :
         if vrank + !mask < n then
           recv_fold x comm dt op ~tag:Coll_algo.tag_reduce
             ~src:(unrotate ~n ~root (vrank + !mask))
-            ~scratch acc ~pos:0 ~count;
+            acc ~pos:0 ~count;
         mask := !mask lsl 1
       end
     done
@@ -999,7 +1075,7 @@ let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a arra
     'a array =
   Comm.check_rank comm root;
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"reduce" ~root ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_reduce ~root ~ty:(Datatype.name dt) ~bytes in
   match reduce_run comm dt op ~root data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1010,7 +1086,7 @@ let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a arra
    fold their vector into the odd neighbour and sit out (newrank -1),
    odds continue as newrank r/2; ranks >= 2*rem continue as r - rem.  It
    sends on the [tag] of the algorithm it precedes. *)
-let fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf =
+let fold_into_pof2 x comm dt op ~tag ~rem ~total buf =
   let r = Comm.rank comm in
   if r < 2 * rem then
     if r land 1 = 0 then begin
@@ -1018,7 +1094,7 @@ let fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf =
       -1
     end
     else begin
-      recv_fold x comm dt op ~tag ~src:(r - 1) ~scratch buf ~pos:0 ~count:total;
+      recv_fold x comm dt op ~tag ~src:(r - 1) buf ~pos:0 ~count:total;
       r / 2
     end
   else r - rem
@@ -1037,18 +1113,18 @@ let unfold_from_pof2 x comm dt ~tag ~rem ~total buf =
 (* Recursive-doubling allreduce: log2 p rounds of full-vector exchange,
    in place on [buf] (seeded with the local contribution).
    Latency-optimal; bandwidth n*log p, so for short messages only. *)
-let allreduce_rdbl x comm dt op ~total ~scratch buf =
+let allreduce_rdbl x comm dt op ~total buf =
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
   let tag = Coll_algo.tag_allreduce_rdbl in
-  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf in
+  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total buf in
   if newrank >= 0 then begin
     let mask = ref 1 in
     while !mask < pof2 do
       let dst = unfold_rank ~rem (newrank lxor !mask) in
       send x comm dt ~tag ~dest:dst buf ~pos:0 ~count:total;
-      recv_fold x comm dt op ~tag ~src:dst ~scratch buf ~pos:0 ~count:total;
+      recv_fold x comm dt op ~tag ~src:dst buf ~pos:0 ~count:total;
       mask := !mask lsl 1
     done
   end;
@@ -1059,12 +1135,12 @@ let allreduce_rdbl x comm dt op ~total ~scratch buf =
    seeded [buf].  Bandwidth ~2n per rank instead of the 2-tree lowering's
    2n*log p; the block bookkeeping (send_idx/recv_idx/last_idx walking
    the pof2 block table [table]) follows MPICH's allreduce. *)
-let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf =
+let allreduce_rabenseifner x comm dt op ~total ~(table : int array) buf =
   let n = Comm.size comm in
   let pof2 = Coll_algo.floor_pow2 n in
   let rem = n - pof2 in
   let tag = Coll_algo.tag_allreduce_rabenseifner in
-  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total ~scratch buf in
+  let newrank = fold_into_pof2 x comm dt op ~tag ~rem ~total buf in
   if newrank >= 0 && pof2 > 1 then begin
     (* Block v of the vector is [table.(v), table.(v+1)); blocks may be
        empty when total < pof2. *)
@@ -1090,7 +1166,7 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
         end
       in
       send x comm dt ~tag ~dest:dst buf ~pos:table.(s_lo) ~count:(range_count s_lo s_hi);
-      recv_fold x comm dt op ~tag ~src:dst ~scratch buf ~pos:table.(r_lo)
+      recv_fold x comm dt op ~tag ~src:dst buf ~pos:table.(r_lo)
         ~count:(range_count r_lo r_hi);
       send_idx := r_lo;
       recv_idx := r_lo;
@@ -1123,13 +1199,7 @@ let allreduce_rabenseifner x comm dt op ~total ~scratch ~(table : int array) buf
   end;
   unfold_from_pof2 x comm dt ~tag ~rem ~total buf
 
-(* Working buffers of one allreduce with [algo]: the incoming-vector
-   scratch and Rabenseifner's pof2 block table. *)
-let allreduce_scratch dt algo ~elems =
-  match algo with
-  | Coll_algo.Recursive_doubling | Coll_algo.Rabenseifner -> scratch_like dt elems
-  | _ -> [||]
-
+(* Rabenseifner's pof2 block table. *)
 let allreduce_table comm algo ~elems =
   match algo with
   | Coll_algo.Rabenseifner ->
@@ -1140,24 +1210,24 @@ let allreduce_table comm algo ~elems =
    reference lowering pins the binomial bcast, so its cost stays the seed
    2-tree lowering whatever bcast would select: it is both the
    order-safe fallback and the benchmark baseline. *)
-let allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table =
+let allreduce_sched x comm dt op algo ~src ~dst ~table =
   let total = Array.length src in
   match algo with
   | Coll_algo.Recursive_doubling ->
       Array.blit src 0 dst 0 total;
-      allreduce_rdbl x comm dt op ~total ~scratch dst
+      allreduce_rdbl x comm dt op ~total dst
   | Coll_algo.Rabenseifner ->
       Array.blit src 0 dst 0 total;
-      allreduce_rabenseifner x comm dt op ~total ~scratch ~table dst
+      allreduce_rabenseifner x comm dt op ~total ~table dst
   | _ ->
       let ty = Datatype.name dt in
       let bytes = Datatype.size_of_count dt total in
-      (let span = phase x comm ~op:"reduce" ~root:0 ~ty ~bytes in
+      (let span = phase x comm ~op:op_reduce ~root:0 ~ty ~bytes in
        match reduce_sched x comm dt op ~root:0 ~src ~acc:dst with
        | () -> leave comm span ()
        | exception e -> leave_raise comm span e);
       let bytes = if Comm.rank comm = 0 then bytes else 0 in
-      let span = phase x comm ~op:"bcast" ~root:0 ~ty ~bytes in
+      let span = phase x comm ~op:op_bcast ~root:0 ~ty ~bytes in
       let algo_span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
       match bcast_binomial x comm dt ~root:0 ~total dst with
       | _ ->
@@ -1175,18 +1245,17 @@ let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a a
       choose comm Coll_algo.Allreduce ~bytes:(Datatype.size_of_count dt elems)
         ~commutative:op.Reduce_op.commutative
     in
-    let scratch = allreduce_scratch dt algo ~elems in
     let table = allreduce_table comm algo ~elems in
     let dst = scratch_like dt elems in
     let span = dispatch x comm Coll_algo.Allreduce algo in
-    match allreduce_sched x comm dt op algo ~src:data ~dst ~scratch ~table with
+    match allreduce_sched x comm dt op algo ~src:data ~dst ~table with
     | () -> leave comm span dst
     | exception e -> leave_raise comm span e
   end
 
 let allreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"allreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_allreduce ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match allreduce_run blocking comm dt op data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1198,23 +1267,16 @@ let scan_run comm dt op data =
   let n = Comm.size comm in
   let r = Comm.rank comm in
   let acc = Array.copy data in
-  (* One scratch buffer for every round's incoming vector: the hot loop
-     neither allocates nor copies beyond the in-place fold. *)
-  let scratch = scratch_like dt len in
   let d = ref 1 in
   while !d < n do
     if r + !d < n then
       send blocking comm dt ~tag:Coll_algo.tag_scan ~dest:(r + !d) acc ~pos:0
         ~count:len;
-    if r - !d >= 0 then begin
-      recv blocking comm dt ~tag:Coll_algo.tag_scan ~src:(r - !d) scratch ~pos:0
-        ~count:len;
-      (* [scratch] covers ranks before ours: combine on the left,
-         writing the result straight into [acc]. *)
-      for i = 0 to len - 1 do
-        acc.(i) <- Reduce_op.apply op scratch.(i) acc.(i)
-      done
-    end;
+    (* The incoming vector covers ranks before ours: it combines on the
+       left, folded from the message straight into [acc]. *)
+    if r - !d >= 0 then
+      recv_fold ~incoming_left:true blocking comm dt op ~tag:Coll_algo.tag_scan
+        ~src:(r - !d) acc ~pos:0 ~count:len;
     d := !d * 2
   done;
   acc
@@ -1222,7 +1284,7 @@ let scan_run comm dt op data =
 let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
   let len = Array.length data in
   let bytes = Datatype.size_of_count dt len in
-  let span = enter comm ~op:"scan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_scan ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match scan_run comm dt op data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1242,7 +1304,7 @@ let exscan_run comm dt op data =
 let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     'a array option =
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"exscan" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_exscan ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match exscan_run comm dt op data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1280,7 +1342,9 @@ let neighbor_allgather_run comm dt (topo : Comm.topology) data =
 let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array array =
   let topo = topology_exn comm ~op:"neighbor_allgather" in
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  let span = enter comm ~op:"neighbor_allgather" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span =
+    enter comm ~op:op_neighbor_allgather ~root:(-1) ~ty:(Datatype.name dt) ~bytes
+  in
   match neighbor_allgather_run comm dt topo data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1318,7 +1382,9 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     Errdefs.usage_error "neighbor_alltoallv: recv_counts length %d, expected in-degree %d"
       (Array.length recv_counts) in_deg;
   let bytes = Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts) in
-  let span = enter comm ~op:"neighbor_alltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span =
+    enter comm ~op:op_neighbor_alltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes
+  in
   match neighbor_alltoallv_run comm dt topo ~send_counts ~recv_counts data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1329,7 +1395,7 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
 
 (* Peak per-rank working-buffer size of a reduce_scatter, in elements: a
    max-gauge, so the benchmark gate can show the pairwise algorithm stays
-   O(n) where the reference lowering materializes O(p*n) at the root. *)
+   O(n/p) where the reference lowering materializes O(n) at the root. *)
 let note_rs_scratch comm elems =
   let g =
     Stats.gauge (Comm.runtime comm).Runtime.stats "coll.reduce_scatter.peak_scratch_elems"
@@ -1337,34 +1403,33 @@ let note_rs_scratch comm elems =
   if float_of_int elems > Stats.value g then Stats.set g (float_of_int elems)
 
 (* Pairwise exchange: p-1 rounds; round s sends the block destined to
-   rank r+s and folds the block received from rank r-s into [acc].  Each
-   rank only ever materializes its own block plus one incoming block —
-   O(n/p) where the reference lowering needs the whole O(n) vector at the
-   root.  Commutative operators only (blocks are folded in arrival
-   order). *)
-let reduce_scatter_pairwise x comm dt op ~(table : int array) ~src ~acc ~scratch =
+   rank r+s and folds the block received from rank r-s into [acc],
+   straight from the message.  Each rank only ever materializes its own
+   block — O(n/p) where the reference lowering needs the whole O(n)
+   vector at the root.  Commutative operators only (blocks are folded in
+   arrival order). *)
+let reduce_scatter_pairwise x comm dt op ~(table : int array) ~src ~acc =
   let n = Comm.size comm in
   let r = Comm.rank comm in
   let mine = block_count table r in
   Array.blit src table.(r) acc 0 mine;
-  note_rs_scratch comm (2 * mine);
+  note_rs_scratch comm mine;
   for s = 1 to n - 1 do
     let dest = (r + s) mod n in
     send x comm dt ~tag:Coll_algo.tag_reduce_scatter_pairwise ~dest src ~pos:table.(dest)
       ~count:(block_count table dest);
     recv_fold x comm dt op ~tag:Coll_algo.tag_reduce_scatter_pairwise
-      ~src:((r - s + n) mod n) ~scratch acc ~pos:0 ~count:mine
+      ~src:((r - s + n) mod n) acc ~pos:0 ~count:mine
   done
 
 (* Reduce-scatter of [src] by block table [table] with [algo]; returns
    this rank's block: [acc] for the pairwise exchange, a fresh array from
    the reference lowering, reduce to rank 0 then scatterv ([scatterv]
    false: the uniform scatter of reduce_scatter_block). *)
-let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~acc
-    ~scratch =
+let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~acc =
   match algo with
   | Coll_algo.Pairwise ->
-      reduce_scatter_pairwise x comm dt op ~table ~src ~acc ~scratch;
+      reduce_scatter_pairwise x comm dt op ~table ~src ~acc;
       acc
   | _ ->
       let total = table.(Comm.size comm) in
@@ -1373,11 +1438,11 @@ let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~
       let ty = Datatype.name dt in
       let reduced = scratch_like dt total in
       (let bytes = Datatype.size_of_count dt total in
-       let span = phase x comm ~op:"reduce" ~root:0 ~ty ~bytes in
+       let span = phase x comm ~op:op_reduce ~root:0 ~ty ~bytes in
        match reduce_sched x comm dt op ~root:0 ~src ~acc:reduced with
        | () -> leave comm span ()
        | exception e -> leave_raise comm span e);
-      let op = if scatterv then "scatterv" else "scatter" in
+      let op = if scatterv then op_scatterv else op_scatter in
       let span = phase x comm ~op ~root:0 ~ty ~bytes:0 in
       if scatterv then charge_dense_scan comm;
       let table = if root_here then table else empty_int in
@@ -1385,11 +1450,6 @@ let reduce_scatter_sched x comm dt op algo ~scatterv ~(table : int array) ~src ~
       | r -> leave comm span r
       | exception e -> leave_raise comm span e
 
-(* The pairwise exchange's accumulator and scratch block. *)
-let reduce_scatter_buffers dt algo ~mine =
-  match algo with
-  | Coll_algo.Pairwise -> (scratch_like dt mine, scratch_like dt mine)
-  | _ -> ([||], [||])
 
 let reduce_scatter_run x comm dt op ~scatterv ~(table : int array) data =
   let n = Comm.size comm in
@@ -1401,11 +1461,10 @@ let reduce_scatter_run x comm dt op ~scatterv ~(table : int array) data =
         ~commutative:op.Reduce_op.commutative
     in
     let mine = block_count table (Comm.rank comm) in
-    let acc, scratch = reduce_scatter_buffers dt algo ~mine in
+    (* The pairwise exchange's accumulator. *)
+    let acc = if algo = Coll_algo.Pairwise then scratch_like dt mine else [||] in
     let span = dispatch x comm Coll_algo.Reduce_scatter algo in
-    match
-      reduce_scatter_sched x comm dt op algo ~scatterv ~table ~src:data ~acc ~scratch
-    with
+    match reduce_scatter_sched x comm dt op algo ~scatterv ~table ~src:data ~acc with
     | r -> leave comm span r
     | exception e -> leave_raise comm span e
   end
@@ -1420,7 +1479,7 @@ let reduce_scatter_block comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     Errdefs.usage_error "reduce_scatter_block: data length %d not divisible by %d" total n;
   let bytes = Datatype.size_of_count dt total in
   let span =
-    enter comm ~op:"reduce_scatter_block" ~root:(-1) ~ty:(Datatype.name dt) ~bytes
+    enter comm ~op:op_reduce_scatter_block ~root:(-1) ~ty:(Datatype.name dt) ~bytes
   in
   let table = even_blocks ~total ~parts:n in
   match reduce_scatter_run blocking comm dt op ~scatterv:false ~table data with
@@ -1443,7 +1502,7 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   let len = Array.length data in
   let table = reduce_scatter_table comm ~op:"reduce_scatter" ~recv_counts ~len in
   let bytes = Datatype.size_of_count dt len in
-  let span = enter comm ~op:"reduce_scatter" ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  let span = enter comm ~op:op_reduce_scatter ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match reduce_scatter_run blocking comm dt op ~scatterv:true ~table data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
@@ -1458,7 +1517,7 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
 let freeze comm op ~bytes ~commutative ~payload =
   Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 payload);
   let algo = choose comm op ~bytes ~commutative in
-  (Some (Coll_algo.counter_name op algo), algo)
+  (Some (algo_counter (Comm.runtime comm) op algo), algo)
 
 (* Persistent allreduce: reduces [src] into [dst] each cycle.  Buffers
    are fixed at init per MPI persistent semantics; [src == dst] works
@@ -1466,24 +1525,22 @@ let freeze comm op ~bytes ~commutative ~payload =
 let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a array)
     ~(dst : 'a array) : Request.t =
   let ty = Datatype.name dt in
-  prologue comm ~op:"allreduce_init" ~root:(-1) ~ty;
+  prologue comm ~op:op_allreduce_init ~root:(-1) ~ty;
   let elems = Array.length src in
   if Array.length dst <> elems then
     Errdefs.usage_error "allreduce_init: src has %d elements but dst has %d" elems
       (Array.length dst);
   let bytes = Datatype.size_of_count dt elems in
-  record comm ~op:"allreduce_init" ~bytes;
-  let persistent = schedule comm ~op:"allreduce" ~root:(-1) ~ty ~bytes ~persistent:true in
+  record comm ~op:op_allreduce_init ~bytes;
+  let persistent = schedule comm ~op:op_allreduce ~root:(-1) ~ty ~bytes ~persistent:true in
   if Comm.size comm = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 elems)
   else begin
     let counter, algo =
       freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative
         ~payload:bytes
     in
-    let scratch = allreduce_scratch dt algo ~elems in
     let table = allreduce_table comm algo ~elems in
-    persistent ~counter (fun x ->
-        allreduce_sched x comm dt op algo ~src ~dst ~scratch ~table)
+    persistent ~counter (fun x -> allreduce_sched x comm dt op algo ~src ~dst ~table)
   end
 
 (* Persistent bcast.  Unlike the ad-hoc binding (payload at the root
@@ -1493,13 +1550,13 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
    both key on the same byte total. *)
 let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   let ty = Datatype.name dt in
-  prologue comm ~op:"bcast_init" ~root ~ty;
+  prologue comm ~op:op_bcast_init ~root ~ty;
   Comm.check_rank comm root;
   let total = Array.length buf in
   let bytes = Datatype.size_of_count dt total in
   let rbytes = if Comm.rank comm = root then bytes else 0 in
-  record comm ~op:"bcast_init" ~bytes:rbytes;
-  let persistent = schedule comm ~op:"bcast" ~root ~ty ~bytes:rbytes ~persistent:true in
+  record comm ~op:op_bcast_init ~bytes:rbytes;
+  let persistent = schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~persistent:true in
   let n = Comm.size comm in
   if n = 1 then persistent ~counter:None ignore
   else
@@ -1515,7 +1572,7 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
 let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     ~(recv_counts : int array) ~(src : 'a array) ~(dst : 'a array) : Request.t =
   let ty = Datatype.name dt in
-  prologue comm ~op:"reduce_scatter_init" ~root:(-1) ~ty;
+  prologue comm ~op:op_reduce_scatter_init ~root:(-1) ~ty;
   let n = Comm.size comm in
   let len = Array.length src in
   let table = reduce_scatter_table comm ~op:"reduce_scatter_init" ~recv_counts ~len in
@@ -1524,9 +1581,9 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     Errdefs.usage_error "reduce_scatter_init: dst length %d but this rank receives %d"
       (Array.length dst) mine;
   let bytes = Datatype.size_of_count dt len in
-  record comm ~op:"reduce_scatter_init" ~bytes;
+  record comm ~op:op_reduce_scatter_init ~bytes;
   let persistent =
-    schedule comm ~op:"reduce_scatter" ~root:(-1) ~ty ~bytes ~persistent:true
+    schedule comm ~op:op_reduce_scatter ~root:(-1) ~ty ~bytes ~persistent:true
   in
   if n = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 len)
   else begin
@@ -1534,11 +1591,9 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
       freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
         ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
     in
-    let _, scratch = reduce_scatter_buffers dt algo ~mine in
     persistent ~counter (fun x ->
         let part =
           reduce_scatter_sched x comm dt op algo ~scatterv:true ~table ~src ~acc:dst
-            ~scratch
         in
         if part != dst then Array.blit part 0 dst 0 mine)
   end
@@ -1551,25 +1606,25 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
 let ibcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) :
     Request.t * 'a array option ref =
   let bytes = bcast_bytes comm dt ~root data in
-  post comm ~op:"ibcast" ~root ~ty:(Datatype.name dt) ~bytes (fun x ->
+  post comm ~op:op_ibcast ~root ~ty:(Datatype.name dt) ~bytes (fun x ->
       bcast_run x comm dt ~root data)
 
 let iallreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     Request.t * 'a array option ref =
   let bytes = Datatype.size_of_count dt (Array.length data) in
-  post comm ~op:"iallreduce" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
+  post comm ~op:op_iallreduce ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
       allreduce_run x comm dt op data)
 
 let ialltoallv comm (dt : 'a Datatype.t) ~send_counts ~send_displs ~recv_counts
     ~recv_displs (data : 'a array) : Request.t * 'a array option ref =
   let bytes = alltoallv_bytes comm dt ~op:"ialltoallv" ~send_counts ~recv_counts in
-  post comm ~op:"ialltoallv" ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
+  post comm ~op:op_ialltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
       alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data)
 
 let ireduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~recv_counts
     (data : 'a array) : Request.t * 'a array option ref =
   let len = Array.length data in
   let table = reduce_scatter_table comm ~op:"ireduce_scatter" ~recv_counts ~len in
-  post comm ~op:"ireduce_scatter" ~root:(-1) ~ty:(Datatype.name dt)
+  post comm ~op:op_ireduce_scatter ~root:(-1) ~ty:(Datatype.name dt)
     ~bytes:(Datatype.size_of_count dt len) (fun x ->
       reduce_scatter_run x comm dt op ~scatterv:true ~table data)

@@ -79,6 +79,8 @@ let span_names =
   Array.map (fun o -> Array.map (fun a -> op_name o ^ "." ^ algo_name a) all_algos) all_ops
 
 let counter_name op algo = counter_names.(op_index op).(algo_index algo)
+let n_slots = Array.length all_ops * Array.length all_algos
+let slot op algo = (op_index op * Array.length all_algos) + algo_index algo
 let span_name op algo = span_names.(op_index op).(algo_index algo)
 
 (* --- the internal-tag table ------------------------------------------- *)

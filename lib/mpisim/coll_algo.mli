@@ -47,6 +47,12 @@ val algo_name : algo -> string
     this never allocates. *)
 val counter_name : op -> algo -> string
 
+(** [slot op algo] numbers the (op, algo) pairs [0 .. n_slots - 1], so
+    a run can keep each pair's counter handle in an array. *)
+val slot : op -> algo -> int
+
+val n_slots : int
+
 (** Trace span name ["<op>.<algo>"].  Preallocated. *)
 val span_name : op -> algo -> string
 

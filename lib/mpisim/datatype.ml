@@ -259,6 +259,12 @@ let byte : char t =
     ~signature:(Signature.of_base Signature.Blob)
     ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
 
+let[@inline] read_bool b p =
+  match Bytes.get b p with
+  | '\000' -> false
+  | '\001' -> true
+  | c -> raise (Wire.Decode_error { what = "bool must be 0 or 1"; got = Char.code c })
+
 let bool : bool t =
   builtin ~name:"bool" ~size:1
     ~signature:(Signature.of_base Signature.Bool)
@@ -267,15 +273,7 @@ let bool : bool t =
       (K_fn
          {
            bk_write = (fun b p v -> Bytes.set b p (if v then '\001' else '\000'));
-           bk_read =
-             (fun b p ->
-               match Bytes.get b p with
-               | '\000' -> false
-               | '\001' -> true
-               | c ->
-                   raise
-                     (Wire.Decode_error
-                        { what = "bool must be 0 or 1"; got = Char.code c }));
+           bk_read = read_bool;
          })
 
 (* One whole byte string per element (a serialized archive, a raw
@@ -613,6 +611,115 @@ let unpack_slice_into (t : 'a t) (b : Bytes.t) ~off ~len (dst : 'a array) ~pos ~
       check_fits t ~available:len ~count;
       read_run_into k ~sz:t.elem_size b off dst ~pos ~count
   | None -> unpack_into t (Wire.reader_of_slice b ~pos:off ~len) dst ~pos ~count
+
+(* ------------------------------------------------------------------ *)
+(* Reducing from the wire *)
+
+(* The fused loops of the built-in operations: element i of the run at
+   byte [off] folded straight into acc.(pos+i).  The operation is a
+   [Reduce_op.builtin] tag matched per element, a jump the branch
+   predictor learns, so each loop is plain loads, the operation and a
+   plain store: no closure call, no float box, no [caml_modify].  The int
+   and bool operations are exactly commutative; a float operation keeps
+   the operand order (a NaN's payload and [Float.min]'s choice between
+   two NaNs depend on it).  Each loop computes what its type's built-in
+   [Reduce_op] functions compute. *)
+let fold_ints (tag : Reduce_op.builtin) b off (acc : int array) ~pos ~count =
+  for i = 0 to count - 1 do
+    let j = pos + i in
+    let a = Array.unsafe_get acc j and x = Int64.to_int (get_le64 b (off + (8 * i))) in
+    Array.unsafe_set acc j
+      (match tag with
+      | Sum -> a + x
+      | Prod -> a * x
+      | Min -> if a <= x then a else x
+      | Max -> if a >= x then a else x
+      | Band | Land -> a land x
+      | Bor | Lor -> a lor x
+      | Bxor | Lxor -> a lxor x)
+  done
+
+let fold_floats (tag : Reduce_op.builtin) ~incoming_left b off (acc : float array) ~pos
+    ~count =
+  for i = 0 to count - 1 do
+    let j = pos + i in
+    let a = Array.unsafe_get acc j
+    and x = Int64.float_of_bits (get_le64 b (off + (8 * i))) in
+    let l = if incoming_left then x else a and r = if incoming_left then a else x in
+    Array.unsafe_set acc j
+      (match tag with
+      | Sum -> l +. r
+      | Prod -> l *. r
+      | Min -> Float.min l r
+      | _ -> Float.max l r)
+  done
+
+let fold_bools (tag : Reduce_op.builtin) b off (acc : bool array) ~pos ~count =
+  for i = 0 to count - 1 do
+    let j = pos + i in
+    let a = Array.unsafe_get acc j and x = read_bool b (off + i) in
+    Array.unsafe_set acc j
+      (match tag with Land -> a && x | Lor -> a || x | _ -> a <> x)
+  done
+
+(* Run the fused loop of [op] on the kernel [k] of [t], if it has one.
+   An operation is built-in by identity, as one of [Reduce_op]'s own
+   records for the element type: a copy with another [f] is not. *)
+let fold_builtin : type a.
+    a t ->
+    a bulk_kernel ->
+    a Reduce_op.t ->
+    incoming_left:bool ->
+    Bytes.t ->
+    int ->
+    a array ->
+    pos:int ->
+    count:int ->
+    bool =
+ fun t k op ~incoming_left b off acc ~pos ~count ->
+  let open Reduce_op in
+  match (k, op.builtin) with
+  | K_int, Some tag
+    when op == int_sum || op == int_prod || op == int_min || op == int_max
+         || op == int_band || op == int_bor || op == int_bxor ->
+      fold_ints tag b off acc ~pos ~count;
+      true
+  | K_float, Some tag
+    when op == float_sum || op == float_prod || op == float_min || op == float_max ->
+      fold_floats tag ~incoming_left b off acc ~pos ~count;
+      true
+  | K_fn _, Some tag -> (
+      match Type.Id.provably_equal t.id bool.id with
+      | Some Type.Equal when op == bool_and || op == bool_or || op == bool_xor ->
+          fold_bools tag b off acc ~pos ~count;
+          true
+      | _ -> false)
+  | _ -> false
+
+let fold_slice (t : 'a t) (op : 'a Reduce_op.t) ~incoming_left (b : Bytes.t) ~off ~len
+    (acc : 'a array) ~pos ~count =
+  if pos < 0 || count < 0 || pos > Array.length acc - count then
+    invalid_arg "Datatype.fold_slice: range out of bounds";
+  check_slice ~op:"Datatype.fold_slice" b ~off ~len;
+  let f = op.Reduce_op.f in
+  match t.bulk with
+  | Some k ->
+      check_fits t ~available:len ~count;
+      if not (fold_builtin t k op ~incoming_left b off acc ~pos ~count) then begin
+        let sz = t.elem_size in
+        for i = 0 to count - 1 do
+          let j = pos + i in
+          let x = kread k b (off + (sz * i)) in
+          acc.(j) <- (if incoming_left then f x acc.(j) else f acc.(j) x)
+        done
+      end
+  | None ->
+      let r = Wire.reader_of_slice b ~pos:off ~len in
+      check_count t r ~count;
+      for j = pos to pos + count - 1 do
+        let x = t.unpack r in
+        acc.(j) <- (if incoming_left then f x acc.(j) else f acc.(j) x)
+      done
 
 (* Whether the type has a bulk kernel (i.e. takes the fast path). *)
 let bulk_available t = Option.is_some t.bulk

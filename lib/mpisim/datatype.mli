@@ -189,6 +189,28 @@ val unpack_slice_array : 'a t -> Bytes.t -> off:int -> len:int -> count:int -> '
 val unpack_slice_into :
   'a t -> Bytes.t -> off:int -> len:int -> 'a array -> pos:int -> count:int -> unit
 
+(** [fold_slice t op ~incoming_left b ~off ~len acc ~pos ~count] reduces
+    the [count] elements [x_i] of the slice into [acc] in place:
+    [acc.(pos+i) <- op.f acc.(pos+i) x_i], or [op.f x_i acc.(pos+i)] with
+    [~incoming_left:true] (a prefix scan's order).  The result is bit for
+    bit what {!unpack_slice_into} followed by that fold gives, with no
+    array in between: a built-in operation of {!Reduce_op} on [int],
+    [float] or [bool] runs a fused typed loop, and every other combination
+    reads one element at a time through the type's kernel or, on the
+    general path, a reader.  Raises like {!unpack_slice_into}; a decode
+    error part way leaves the elements before it folded. *)
+val fold_slice :
+  'a t ->
+  'a Reduce_op.t ->
+  incoming_left:bool ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  'a array ->
+  pos:int ->
+  count:int ->
+  unit
+
 (** Whether the type carries a bulk kernel (takes the fast path). *)
 val bulk_available : 'a t -> bool
 

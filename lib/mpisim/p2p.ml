@@ -69,28 +69,28 @@ let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_ra
 let inflight comm = (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
 
 (* The ops every message is profiled under, each with a fixed slot in
-   its run's profile ([Profiling.record_slot]): a message hashes no op
-   name. *)
-type op = { name : string; slot : int }
+   its run's profile (slots 0-7; Coll's entries take the next ones): a
+   message hashes no op name. *)
+let op_send = { Profiling.name = "send"; slot = 0 }
 
-let op_send = { name = "send"; slot = 0 }
+let op_ssend = { Profiling.name = "ssend"; slot = 1 }
 
-let op_ssend = { name = "ssend"; slot = 1 }
+let op_isend = { Profiling.name = "isend"; slot = 2 }
 
-let op_isend = { name = "isend"; slot = 2 }
+let op_issend = { Profiling.name = "issend"; slot = 3 }
 
-let op_issend = { name = "issend"; slot = 3 }
+let op_recv = { Profiling.name = "recv"; slot = 4 }
 
-let op_recv = { name = "recv"; slot = 4 }
+let op_irecv = { Profiling.name = "irecv"; slot = 5 }
 
-let op_irecv = { name = "irecv"; slot = 5 }
+let op_probe = { Profiling.name = "probe"; slot = 6 }
 
-let op_probe = { name = "probe"; slot = 6 }
+let op_iprobe = { Profiling.name = "iprobe"; slot = 7 }
 
-let op_iprobe = { name = "iprobe"; slot = 7 }
+let n_ops = 8
 
 let record comm op ~bytes =
-  Profiling.record_slot (Comm.runtime comm).Runtime.profile ~slot:op.slot ~op:op.name ~bytes
+  Profiling.record_op (Comm.runtime comm).Runtime.profile op ~bytes
 
 (* ------------------------------------------------------------------ *)
 (* Sends *)
@@ -104,22 +104,21 @@ let check_send comm ~op ~dest ~tag =
   if tag <= Comm.max_user_tag then check_revoked comm ~op;
   check_dest_alive comm ~op dest
 
-(* Hand the pooled writer [w] to the transport as a message of [count]
-   elements of [signature], and profile it under [op].  Returns the
-   in-flight message.
+(* Hand the payload slice [payload, off, len) to the transport as a
+   message of [count] elements of [signature], and profile it under [op].
+   Returns the in-flight message.
 
-   Zero-copy plane: the writer's storage is transferred into the message
-   — no [Wire.contents] copy.  The storage returns to a pool when the
-   receiver finishes unpacking ([Runtime.recycle_payload]). *)
-let inject comm ~op ~dest ~tag ~sync ~signature ~count w =
-  let rt = Comm.runtime comm in
-  let payload_len = Wire.length w in
+   Zero-copy plane: the slice's storage is transferred into the message
+   — a pooled writer's, or a forwarded message's — with no copy.  The
+   storage returns to a pool when the receiver finishes unpacking
+   ([Runtime.recycle_payload]). *)
+let inject comm ~op ~dest ~tag ~sync ~signature ~count ~payload ~off ~len =
   let msg =
-    Runtime.inject rt ~context:(Comm.context comm) ~src:(Comm.world_rank comm)
-      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:(Wire.writer_storage w)
-      ~payload_off:0 ~payload_len ~count ~signature ~sync
+    Runtime.inject (Comm.runtime comm) ~context:(Comm.context comm)
+      ~src:(Comm.world_rank comm) ~dst:(Comm.world_of_rank comm dest) ~tag ~payload
+      ~payload_off:off ~payload_len:len ~count ~signature ~sync
   in
-  record comm op ~bytes:payload_len;
+  record comm op ~bytes:len;
   msg
 
 let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
@@ -128,14 +127,15 @@ let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
    a pooled writer (charging the copy), inject. *)
 let send_typed comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) ~pos
     ~count =
-  check_send comm ~op:op.name ~dest ~tag;
-  check_committed dt ~op:op.name;
+  check_send comm ~op:op.Profiling.name ~dest ~tag;
+  check_committed dt ~op:op.Profiling.name;
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let w = Runtime.acquire_writer rt me ~capacity:(writer_capacity dt ~count) in
   Datatype.pack_array dt w data ~pos ~count;
   Runtime.charge_copy rt me ~bytes:(Wire.length w);
-  inject comm ~op ~dest ~tag ~sync ~signature:dt.Datatype.signature ~count w
+  inject comm ~op ~dest ~tag ~sync ~signature:dt.Datatype.signature ~count
+    ~payload:(Wire.writer_storage w) ~off:0 ~len:(Wire.length w)
 
 let send_range comm dt ~dest ~tag (data : 'a array) ~pos ~count =
   Comm.check_rank comm dest;
@@ -144,6 +144,25 @@ let send_range comm dt ~dest ~tag (data : 'a array) ~pos ~count =
 let send comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
   send_range comm dt ~dest ~tag data ~pos:0 ~count:(Array.length data)
+
+(* Send a received message's payload on as it is, as [count] elements of
+   [dt]: the slice passes to the new message, whose receiver recycles it,
+   so [msg] is marked consumed and not recycled here (DESIGN.md §4).  The
+   bytes are the ones packing the unpacked elements would write, so this
+   charges, injects and records exactly what that [send_range] would;
+   only the host's pack is saved. *)
+let forward comm (dt : 'a Datatype.t) ~dest ~tag (msg : Message.t) =
+  Comm.check_rank comm dest;
+  check_send comm ~op:op_send.name ~dest ~tag;
+  check_committed dt ~op:op_send.name;
+  Message.check_live msg ~op:"P2p.forward";
+  let rt = Comm.runtime comm in
+  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:msg.Message.payload_len;
+  ignore
+    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:dt.Datatype.signature
+       ~count:msg.Message.count ~payload:msg.Message.payload ~off:msg.Message.payload_off
+       ~len:msg.Message.payload_len);
+  msg.Message.consumed <- true
 
 let issend_request comm (msg : Message.t) =
   let rt = Comm.runtime comm in
@@ -310,8 +329,8 @@ let await comm ~op ~src_world (p : Mailbox.posted) =
     let w = comm.Comm.wait in
     w.posted <- p;
     w.src_world <- src_world;
-    w.op <- op.name;
-    block_recv comm ~op:op.name ~src_world ~tag:p.Mailbox.p_tag
+    w.op <- op.Profiling.name;
+    block_recv comm ~op:op.Profiling.name ~src_world ~tag:p.Mailbox.p_tag
       ~describe:comm.Comm.recv_describe comm.Comm.recv_ready
   end
 
@@ -334,9 +353,9 @@ let finish comm ~op ~signature ~maxcount ~id (msg : Message.t) =
   note_matched comm ~id msg;
   if msg.Message.count > maxcount then
     Comm.error comm Errdefs.Err_truncate
-      "%s: message of %d elements truncated to buffer of %d" op.name msg.Message.count
-      maxcount;
-  check_signature comm ~signature msg ~op:op.name;
+      "%s: message of %d elements truncated to buffer of %d" op.Profiling.name
+      msg.Message.count maxcount;
+  check_signature comm ~signature msg ~op:op.Profiling.name;
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   Runtime.complete_receive rt me msg;
@@ -351,7 +370,7 @@ let complete comm ~op ~signature ~maxcount ~src_world (p : Mailbox.posted) =
   let msg = p.Mailbox.p_msg in
   if msg == Message.nil then begin
     Mailbox.cancel mb p;
-    gone comm ~op:op.name ~src_world
+    gone comm ~op:op.Profiling.name ~src_world
   end;
   Mailbox.retire mb p;
   finish comm ~op ~signature ~maxcount ~id:p.Mailbox.p_id msg
@@ -375,21 +394,35 @@ let status_of_msg comm (msg : Message.t) =
     ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
 
 (* The unpack steps, straight from the payload slice: into a fresh array,
-   or into a range of caller storage; both recycle the payload. *)
+   or into a range of caller storage; the receives recycle the payload
+   afterwards ([release]). *)
+let release comm (msg : Message.t) = Runtime.recycle_payload (Comm.runtime comm) msg
+
 let unpack_fresh comm dt (msg : Message.t) =
   Message.check_live msg ~op:"P2p.recv";
   let data =
     Datatype.unpack_slice_array dt msg.Message.payload ~off:msg.Message.payload_off
       ~len:msg.Message.payload_len ~count:msg.Message.count
   in
-  Runtime.recycle_payload (Comm.runtime comm) msg;
+  release comm msg;
   data
 
-let unpack_into comm dt (msg : Message.t) into ~pos =
+let read_into dt (msg : Message.t) into ~pos =
   Message.check_live msg ~op:"P2p.recv_into";
   Datatype.unpack_slice_into dt msg.Message.payload ~off:msg.Message.payload_off
-    ~len:msg.Message.payload_len into ~pos ~count:msg.Message.count;
-  Runtime.recycle_payload (Comm.runtime comm) msg
+    ~len:msg.Message.payload_len into ~pos ~count:msg.Message.count
+
+let unpack_into comm dt msg into ~pos =
+  read_into dt msg into ~pos;
+  release comm msg
+
+(* Fold the payload into [acc] from [pos] (DESIGN.md §6.1); the message
+   keeps its slice. *)
+let fold_into dt op ~incoming_left (msg : Message.t) acc ~pos =
+  Message.check_live msg ~op:"P2p.fold_into";
+  Datatype.fold_slice dt op ~incoming_left msg.Message.payload
+    ~off:msg.Message.payload_off ~len:msg.Message.payload_len acc ~pos
+    ~count:msg.Message.count
 
 (* ------------------------------------------------------------------ *)
 (* Receives *)
@@ -440,16 +473,18 @@ let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcou
         recv_into comm dt ~source ~tag ~pos ~maxcount into)
   else recv_into comm dt ~source ~tag ~pos ~maxcount into
 
-(* [recv_into] with every argument given, returning the element count: a
-   collective's receive step builds no status. *)
-let recv_range comm dt ~source ~tag ~pos ~maxcount into =
-  (receive_into comm dt ~source ~tag ~pos ~maxcount into).Message.count
+(* A collective's receive step up to its payload: the matched message,
+   checked against [maxcount] and the element type and accounted, with
+   [recv_into]'s span and profile entry and no status.  The caller reads
+   or folds the payload, then recycles it ([release]) or sends it on
+   ([forward]). *)
+let recv_message comm (dt : 'a Datatype.t) ~source ~tag ~maxcount =
+  receive comm ~op:op_recv ~signature:dt.Datatype.signature ~maxcount ~source ~tag
 
-let recv_range comm dt ~source ~tag ~pos ~maxcount into =
+let recv_message comm dt ~source ~tag ~maxcount =
   if tracing comm then
-    traced comm ~op:"recv_into" (fun () ->
-        recv_range comm dt ~source ~tag ~pos ~maxcount into)
-  else recv_range comm dt ~source ~tag ~pos ~maxcount into
+    traced comm ~op:"recv_into" (fun () -> recv_message comm dt ~source ~tag ~maxcount)
+  else recv_message comm dt ~source ~tag ~maxcount
 
 (* The oldest queued message a receive for (source, tag) would take. *)
 let queued comm ~src_world ~tag =

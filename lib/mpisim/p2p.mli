@@ -30,6 +30,10 @@ val any_tag : int
     below them are the entries of {!Coll_algo}'s tag table. *)
 val first_window_op : int
 
+(** The profile slots of the point-to-point ops, [0 .. n_ops - 1]
+    ({!Profiling.op}); the collectives' entries take the slots after them. *)
+val n_ops : int
+
 (** {1 Sends} *)
 
 (** Eager send of a whole array.  [tag] defaults to 0 and must lie in the
@@ -79,19 +83,42 @@ val recv_into :
   'a array ->
   Status.t
 
-(** [recv_into] with every argument given, returning the number of
-    elements received instead of a status, as the collectives' receive
-    steps call it: no optional argument and no status to allocate per
-    message. *)
-val recv_range :
-  Comm.t ->
+(** {2 A collective's receive and forward steps}
+
+    No optional argument and no status to allocate per message. *)
+
+(** [recv_into]'s receive (span, profile entry and checks, [maxcount]
+    included) up to the payload: returns the matched message, whose
+    payload the caller then reads ({!read_into}) or folds ({!fold_into})
+    and finally recycles ({!release}) or sends on ({!forward}). *)
+val recv_message :
+  Comm.t -> 'a Datatype.t -> source:int -> tag:int -> maxcount:int -> Message.t
+
+(** Unpack a received message's [count] elements into caller storage at
+    [pos]; the message keeps its payload. *)
+val read_into : 'a Datatype.t -> Message.t -> 'a array -> pos:int -> unit
+
+(** Reduce a received message's elements into [acc] from [pos] straight
+    from its payload ({!Datatype.fold_slice}); the message keeps it. *)
+val fold_into :
   'a Datatype.t ->
-  source:int ->
-  tag:int ->
-  pos:int ->
-  maxcount:int ->
+  'a Reduce_op.t ->
+  incoming_left:bool ->
+  Message.t ->
   'a array ->
-  int
+  pos:int ->
+  unit
+
+(** Return a received message's payload storage to the receiver's pool. *)
+val release : Comm.t -> Message.t -> unit
+
+(** [forward comm dt ~dest ~tag msg] sends a received message's payload
+    on unchanged, as [msg]'s element count of [dt]: the new message takes
+    over the payload slice and [msg] is marked consumed without recycling
+    it, so only the last receiver recycles the slice.  It charges,
+    injects and records (the [send] profile row, the trace events) what
+    packing the unpacked elements with [send_range] would. *)
+val forward : Comm.t -> 'a Datatype.t -> dest:int -> tag:int -> Message.t -> unit
 
 (** [matchable comm ~arrived ~source ~tag]: a receive for an exact
     (source, tag) posted now would not wait — a matching message is in

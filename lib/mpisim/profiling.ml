@@ -12,7 +12,9 @@
    is one string-keyed hash lookup that allocates nothing once the op is
    registered; [prepare] resolves the pair ahead of time for paths that
    cannot afford even the lookup, and [record_slot] resolves it at the
-   first call of an op with a fixed slot and keeps it there. *)
+   first call of an op with a fixed slot and keeps it there: the ops of
+   every message (P2p) and of every collective entry (Coll) are such
+   [op]s. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
@@ -23,7 +25,9 @@ type t = {
   mutable enabled : bool;
 }
 
-let n_slots = 16
+let n_slots = 40
+
+type op = { name : string; slot : int }
 
 type summary = (string * int * int) list
 (* (op, calls, bytes), sorted by op name *)
@@ -66,21 +70,23 @@ let record t ~op ~bytes =
     Stats.add h.bytes_c bytes
   end
 
-(* [record ~op] for an op that always comes with the same [slot]: the
-   lookup runs once per table, at the op's first call, so the op enters
-   [snapshot] exactly when [record] would have entered it. *)
+(* The handles of an op that always comes with the same [slot]: the
+   lookup runs once per table, at the op's first use, so the op enters
+   [snapshot] exactly when [record] or [prepare] would have entered it. *)
+let slot_handles t ~slot ~op =
+  match t.slots.(slot) with
+  | Some h -> h
+  | None ->
+      let h = handles t op in
+      t.slots.(slot) <- Some h;
+      h
+
 let record_slot t ~slot ~op ~bytes =
-  if t.enabled then begin
-    let h =
-      match t.slots.(slot) with
-      | Some h -> h
-      | None ->
-          let h = handles t op in
-          t.slots.(slot) <- Some h;
-          h
-    in
-    record_prepared t h ~bytes
-  end
+  if t.enabled then record_prepared t (slot_handles t ~slot ~op) ~bytes
+
+let record_op t op ~bytes = record_slot t ~slot:op.slot ~op:op.name ~bytes
+
+let prepare_op t op = slot_handles t ~slot:op.slot ~op:op.name
 
 let set_enabled t b = t.enabled <- b
 

@@ -36,6 +36,18 @@ val record_prepared : t -> prepared -> bytes:int -> unit
     first call the op is not in [t], as with {!record}. *)
 val record_slot : t -> slot:int -> op:string -> bytes:int -> unit
 
+(** An op with a fixed slot below {!n_slots}, one op per slot: the
+    point-to-point ops of every message and the operations of every
+    collective entry. *)
+type op = { name : string; slot : int }
+
+val n_slots : int
+
+(** [record_slot] and [prepare] of an {!op}. *)
+val record_op : t -> op -> bytes:int -> unit
+
+val prepare_op : t -> op -> prepared
+
 val set_enabled : t -> bool -> unit
 
 val snapshot : t -> summary

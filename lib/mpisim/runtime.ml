@@ -48,6 +48,10 @@ type t = {
   chaos : Chaos.t option;
   profile : Profiling.t;
   stats : Stats.t;
+  (* The [coll.algo.<op>.<algo>] counters by [Coll_algo.slot], each
+     resolved at its first dispatch, so a collective call hashes no
+     counter name and the counters register in first-use order. *)
+  algo_counters : Stats.counter option array;
   trace : Trace.t;
   check : Check.t;
   metrics : metrics;
@@ -104,6 +108,7 @@ let create ?(clock_mode = Measured) ?(check_level = Check.Off) ?chaos ~model ~si
     chaos;
     profile = Profiling.create ~stats ();
     stats;
+    algo_counters = Array.make Coll_algo.n_slots None;
     trace;
     check;
     metrics;

@@ -38,6 +38,9 @@ type t = {
           branch *)
   profile : Profiling.t;
   stats : Stats.t;  (** metrics registry; also backs [profile] *)
+  algo_counters : Stats.counter option array;
+      (** the [coll.algo.*] counters by {!Coll_algo.slot}, each resolved
+          at its first dispatch *)
   trace : Trace.t;  (** event recorder; disabled unless enabled explicitly *)
   check : Check.t;  (** correctness sanitizer; inert at level [Off] *)
   metrics : metrics;

@@ -9,6 +9,3 @@ val encode : 'a Codec.t -> 'a -> Bytes.t
 (** Raises {!Codec.Decode_error} on bad magic, version, codec mismatch,
     malformed payload, or trailing bytes. *)
 val decode : 'a Codec.t -> Bytes.t -> 'a
-
-(** Size of the framing header in bytes. *)
-val header_bytes : int

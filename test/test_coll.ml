@@ -1282,6 +1282,187 @@ let test_choose_allocation_free () =
   Alcotest.(check bool) (Printf.sprintf "%.1f words per 128 choices" words) true
     (words < 1.)
 
+(* --- Rings that forward: results and modelled time --- *)
+
+(* Ring allgather (pinned), allgatherv and bcast's scatter + ring
+   (pinned) on the blocking, posted and persistent drivers, at ragged
+   and power-of-two sizes, under the heavy sanitizer with and without a
+   lossy chaos profile.  A ring round sends on the message it received
+   the round before, so every result must still equal the sequential
+   reference, and every makespan must equal the one the simulator
+   modelled when each round packed its block again (pinned bit for bit
+   below): forwarding changes the host's work, not the model's. *)
+
+type ring_form = Allgather_ring | Allgatherv | Bcast | Ibcast | Bcast_init
+
+let ring_forms = [ Allgather_ring; Allgatherv; Bcast; Ibcast; Bcast_init ]
+
+let ring_form_name = function
+  | Allgather_ring -> "allgather"
+  | Allgatherv -> "allgatherv"
+  | Bcast -> "bcast"
+  | Ibcast -> "ibcast"
+  | Bcast_init -> "bcast_init"
+
+let ring_sizes = [ 2; 3; 5; 8; 16 ]
+
+let ring_block ~rank ~len = Array.init len (fun i -> (rank * 1000) + i)
+
+(* Ragged allgatherv counts, empty blocks included. *)
+let ring_count rank = rank * 7 mod 5 * 9
+
+(* Bcast payloads: fewer elements than ranks (empty blocks), then many. *)
+let ring_bcast_lens = [ 5; 203 ]
+
+let ring_root p = p / 2
+
+(* Each rank's results, one array per call. *)
+let ring_body form comm =
+  let p = Comm.size comm and r = Comm.rank comm in
+  let root = ring_root p in
+  let payload len = ring_block ~rank:root ~len in
+  let data len = if r = root then Some (payload len) else None in
+  match form with
+  | Allgather_ring -> [ Coll.allgather comm Datatype.int (ring_block ~rank:r ~len:13) ]
+  | Allgatherv ->
+      let recv_counts = Array.init p ring_count in
+      [
+        Coll.allgatherv comm Datatype.int ~recv_counts
+          (ring_block ~rank:r ~len:(ring_count r));
+      ]
+  | Bcast ->
+      List.map (fun len -> Coll.bcast comm Datatype.int ~root (data len)) ring_bcast_lens
+  | Ibcast ->
+      List.map
+        (fun len ->
+          let req, cell = Coll.ibcast comm Datatype.int ~root (data len) in
+          ignore (Request.wait req);
+          Option.get !cell)
+        ring_bcast_lens
+  | Bcast_init ->
+      List.map
+        (fun len ->
+          let buf = if r = root then payload len else Array.make len 0 in
+          let req = Coll.bcast_init comm Datatype.int ~root buf in
+          Request.start req;
+          ignore (Request.wait req);
+          Request.free req;
+          buf)
+        ring_bcast_lens
+
+let ring_expected form p =
+  match form with
+  | Allgather_ring -> [ Array.concat (List.init p (fun r -> ring_block ~rank:r ~len:13)) ]
+  | Allgatherv ->
+      [ Array.concat (List.init p (fun r -> ring_block ~rank:r ~len:(ring_count r))) ]
+  | Bcast | Ibcast | Bcast_init ->
+      List.map (fun len -> ring_block ~rank:(ring_root p) ~len) ring_bcast_lens
+
+let ring_chaos = Chaos.config ~seed:23 ~rates:Chaos.Lossy ()
+
+let ring_run form ~p ~chaos =
+  let results, report =
+    Engine.run_collect
+      ~model:
+        (Coll_algo.pin
+           [
+             (Coll_algo.Allgather, Some Coll_algo.Ring);
+             (Coll_algo.Bcast, Some Coll_algo.Scatter_allgather);
+           ]
+           Net_model.ethernet)
+      ~clock_mode:Runtime.Virtual_only ~check_level:Check.Heavy
+      ?chaos:(if chaos then Some ring_chaos else None)
+      ~ranks:p (ring_body form)
+  in
+  (results, report.Engine.max_time)
+
+(* (form, p, chaos) -> makespan, as modelled when each ring round
+   packed its block again. *)
+let ring_makespans =
+  [
+    ((Allgather_ring, 2, false), 0x1.e81c0f7e6ddc4p-16);
+    ((Allgather_ring, 3, false), 0x1.e81c0f7e6ddc3p-15);
+    ((Allgather_ring, 5, false), 0x1.e81c0f7e6ddc2p-14);
+    ((Allgather_ring, 8, false), 0x1.ab188d8ea020cp-13);
+    ((Allgather_ring, 16, false), 0x1.c99a4e8686fe6p-12);
+    ((Allgatherv, 2, false), 0x1.e8c7dbf57f60ap-16);
+    ((Allgatherv, 3, false), 0x1.eaf0312780a7ap-15);
+    ((Allgatherv, 5, false), 0x1.eaee0b6603a2dp-14);
+    ((Allgatherv, 8, false), 0x1.ad8f7bd0b44ccp-13);
+    ((Allgatherv, 16, false), 0x1.cc3db0ba9d753p-12);
+    ((Bcast, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Bcast, 3, false), 0x1.796f053010753p-13);
+    ((Bcast, 5, false), 0x1.5740c6a92322bp-12);
+    ((Bcast, 8, false), 0x1.152338fb5a653p-11);
+    ((Bcast, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Ibcast, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Ibcast, 3, false), 0x1.796f053010753p-13);
+    ((Ibcast, 5, false), 0x1.5740c6a92322bp-12);
+    ((Ibcast, 8, false), 0x1.152338fb5a653p-11);
+    ((Ibcast, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Bcast_init, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Bcast_init, 3, false), 0x1.796f053010753p-13);
+    ((Bcast_init, 5, false), 0x1.5740c6a92322bp-12);
+    ((Bcast_init, 8, false), 0x1.152338fb5a653p-11);
+    ((Bcast_init, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Allgather_ring, 2, true), 0x1.6dda3fe0a95fdp-15);
+    ((Allgather_ring, 3, true), 0x1.8beb5f8960ecfp-13);
+    ((Allgather_ring, 5, true), 0x1.2443d2c43ce97p-12);
+    ((Allgather_ring, 8, true), 0x1.a80fbd3225057p-12);
+    ((Allgather_ring, 16, true), 0x1.a4b0300afdac4p-11);
+    ((Allgatherv, 2, true), 0x1.6e30261c32221p-15);
+    ((Allgatherv, 3, true), 0x1.8c153fc666cbap-13);
+    ((Allgatherv, 5, true), 0x1.246d2990e386ep-12);
+    ((Allgatherv, 8, true), 0x1.a8d1712b9821ap-12);
+    ((Allgatherv, 16, true), 0x1.a470d63f159cfp-11);
+    ((Bcast, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Bcast, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Bcast, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Bcast, 8, true), 0x1.0b1826d87568ep-10);
+    ((Bcast, 16, true), 0x1.d298cc424f924p-10);
+    ((Ibcast, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Ibcast, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Ibcast, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Ibcast, 8, true), 0x1.0b1826d87568ep-10);
+    ((Ibcast, 16, true), 0x1.d298cc424f924p-10);
+    ((Bcast_init, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Bcast_init, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Bcast_init, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Bcast_init, 8, true), 0x1.0b1826d87568ep-10);
+    ((Bcast_init, 16, true), 0x1.d298cc424f924p-10);
+  ]
+
+let test_ring_forwarding () =
+  List.iter
+    (fun chaos ->
+      List.iter
+        (fun form ->
+          List.iter
+            (fun p ->
+              let name =
+                Printf.sprintf "%s p=%d%s" (ring_form_name form) p
+                  (if chaos then " chaos" else "")
+              in
+              let results, makespan = ring_run form ~p ~chaos in
+              let expected = ring_expected form p in
+              Array.iteri
+                (fun r got ->
+                  match got with
+                  | Some got when got = expected -> ()
+                  | Some _ -> Alcotest.failf "%s: rank %d result differs" name r
+                  | None -> Alcotest.failf "%s: rank %d died" name r)
+                results;
+              match List.assoc_opt (form, p, chaos) ring_makespans with
+              | Some pinned when Int64.bits_of_float pinned = Int64.bits_of_float makespan
+                ->
+                  ()
+              | pinned ->
+                  Alcotest.failf "%s: makespan %h, pinned %s" name makespan
+                    (match pinned with Some t -> Printf.sprintf "%h" t | None -> "none"))
+            ring_sizes)
+        ring_forms)
+    [ false; true ]
+
 let tests =
   [
     qtest prop_allgatherv;
@@ -1341,6 +1522,8 @@ let tests =
     Alcotest.test_case "selection sweep: auto is the fastest" `Quick test_selection_sweep;
     Alcotest.test_case "selection allocates nothing" `Quick test_choose_allocation_free;
     qtest prop_selection_is_argmin;
+    Alcotest.test_case "forwarding rings: results and pinned makespans" `Quick
+      test_ring_forwarding;
   ]
 
 let () = Alcotest.run "coll" [ ("coll", tests) ]

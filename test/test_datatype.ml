@@ -704,6 +704,180 @@ let test_golden_layouts () =
   Alcotest.(check bool) "dc3 tuple signature" true
     (Signature.matches dc3.Datatype.signature (Signature.of_base ~count:7 Signature.Int64))
 
+(* --- A ring forwards the bytes it received --- *)
+
+(* A ring round sends on a received message's payload unchanged where it
+   used to unpack the block and pack it again; that is the same message
+   exactly when pack (unpack b) = b for every b a send packs. *)
+type packed = Packed : 'a Datatype.t * 'a array -> packed
+
+let repack_same (Packed (dt, v)) =
+  let count = Array.length v in
+  let pack a =
+    let w = Wire.create_writer () in
+    Datatype.pack_array dt w a ~pos:0 ~count;
+    Wire.contents w
+  in
+  let b = pack v in
+  Bytes.equal b
+    (pack (Datatype.unpack_slice_array dt b ~off:0 ~len:(Bytes.length b) ~count))
+
+let float_gen = QCheck.Gen.(frequency [ (3, float); (1, oneofl float_specials) ])
+
+let prop_forward_equals_repack =
+  let open QCheck.Gen in
+  let arr g = array_size (int_bound 24) g in
+  let case dt g = map (fun a -> Packed (dt, a)) (arr g) in
+  let gapped =
+    Datatype.(
+      record_with_gaps "my_type_gaps"
+        [
+          field "a" int (fun t -> t.a);
+          field ~pad_after:7 "c" char (fun t -> t.c);
+          field "b" float (fun t -> t.b);
+        ]
+        (fun a c b -> { a; c; b }))
+  in
+  let codec = Serial.Codec.(list (pair string int)) in
+  let gen =
+    oneof
+      [
+        case Datatype.int int;
+        case Datatype.int32 (map Int32.of_int int);
+        case Datatype.int64 (map Int64.of_int int);
+        case Datatype.float float_gen;
+        case Datatype.float32 float_gen;
+        case Datatype.char char;
+        case Datatype.byte char;
+        case Datatype.bool bool;
+        case my_record_dt
+          (map (fun (ra, rb, rc) -> { ra; rb; rc }) (triple int float_gen char));
+        case gapped (map (fun (a, c, b) -> { a; c; b }) (triple int char float_gen));
+        case (Datatype.contiguous ~count:3 Datatype.int) (array_size (return 3) int);
+        case (Datatype.pair Datatype.int Datatype.float) (pair int float_gen);
+        case Datatype.bytes (map Bytes.of_string (string_size (int_bound 40)));
+        (* A [Serialized] message: one archive per element. *)
+        case Datatype.bytes
+          (map (Serial.Archive.encode codec)
+             (list_size (int_bound 5) (pair string_printable int)));
+      ]
+  in
+  QCheck.Test.make ~name:"forwarded bytes = repacked bytes" ~count:500 (QCheck.make gen)
+    repack_same
+
+(* --- A reduction folds from the wire --- *)
+
+(* [fold_slice] against the path it replaces: unpack the slice, then
+   fold element by element with the operation's own function, on the
+   left ([~incoming_left], a scan's order) or on the right.  Built-in
+   operations take the fused loops; everything else reads one element at
+   a time. *)
+type folded =
+  | Folded : {
+      dt : 'a Datatype.t;
+      op : 'a Reduce_op.t;
+      eq : 'a -> 'a -> bool;
+      incoming : 'a array;
+      acc : 'a array;
+      pos : int;
+    }
+      -> folded
+
+let fold_same (Folded { dt; op; eq; incoming; acc; pos }) ~incoming_left ~prefix =
+  let w = Wire.create_writer () in
+  Wire.put_string w prefix;
+  let off = Wire.length w in
+  let count = Array.length incoming in
+  Datatype.pack_array dt w incoming ~pos:0 ~count;
+  let b = Wire.contents w in
+  let len = Bytes.length b - off in
+  let expect = Array.copy acc in
+  Array.iteri
+    (fun i x ->
+      let j = pos + i in
+      expect.(j) <- (if incoming_left then op.f x expect.(j) else op.f expect.(j) x))
+    (Datatype.unpack_slice_array dt b ~off ~len ~count);
+  let got = Array.copy acc in
+  Datatype.fold_slice dt op ~incoming_left b ~off ~len got ~pos ~count;
+  Array.for_all2 eq expect got
+
+let prop_fold_from_wire =
+  let open QCheck.Gen in
+  (* [count] incoming elements folded at [pos] of an accumulator of [n]. *)
+  let case ?(eq = ( = )) dt ops g =
+    int_bound 20 >>= fun n ->
+    int_bound n >>= fun count ->
+    int_bound (n - count) >>= fun pos ->
+    map3
+      (fun op acc incoming -> Folded { dt; op; eq; incoming; acc; pos })
+      (oneofl ops) (array_size (return n) g) (array_size (return count) g)
+  in
+  let nc name f = Reduce_op.custom ~commutative:false ~name f in
+  let int_ops =
+    Reduce_op.
+      [
+        int_sum; int_prod; int_min; int_max; int_band; int_bor; int_bxor;
+        nc "chain" (fun a b -> (a * 31) + b);
+        (* A built-in's record with another function is not built-in. *)
+        { int_sum with f = ( - ) };
+      ]
+  in
+  let float_ops =
+    Reduce_op.
+      [
+        float_sum;
+        float_prod;
+        float_min;
+        float_max;
+        nc "fchain" (fun a b -> a -. (2. *. b));
+      ]
+  in
+  let char_ops =
+    [
+      Reduce_op.custom ~name:"cmax" (fun a b -> if a >= b then a else b);
+      nc "cchain" (fun a b -> Char.unsafe_chr (((Char.code a * 3) + Char.code b) land 255));
+    ]
+  in
+  (* Specials twice as often as other floats: two NaNs with different
+     payloads in one slot show which operand an operation keeps. *)
+  let float_gen = frequency [ (1, float); (2, oneofl float_specials) ] in
+  let record_op =
+    nc "rchain" (fun x y -> { ra = (x.ra * 31) + y.ra; rb = x.rb -. y.rb; rc = y.rc })
+  in
+  let rows_op =
+    nc "rows" (fun (x : int array) y -> Array.map2 (fun a b -> (a * 31) + b) x y)
+  in
+  let gen =
+    oneof
+      [
+        case Datatype.int int_ops int;
+        case ~eq:float_bits_eq Datatype.float float_ops float_gen;
+        case ~eq:float_bits_eq Datatype.float32 float_ops float_gen;
+        case Datatype.bool Reduce_op.[ bool_and; bool_or; bool_xor ] bool;
+        case Datatype.char char_ops char;
+        case Datatype.byte char_ops char;
+        case Datatype.int32
+          [ Reduce_op.custom ~name:"add32" Int32.add ]
+          (map Int32.of_int int);
+        case Datatype.int64 [ nc "sub64" Int64.sub ] (map Int64.of_int int);
+        case
+          (Datatype.contiguous ~count:3 Datatype.int)
+          [ rows_op ] (array_size (return 3) int);
+        (* The general path: no kernel, a reader per slice. *)
+        case (Datatype.without_bulk Datatype.int) int_ops int;
+        case ~eq:float_bits_eq (Datatype.without_bulk Datatype.float) float_ops float_gen;
+        case
+          ~eq:(fun x y ->
+            x.ra = y.ra && float_bits_eq x.rb y.rb && x.rc = y.rc)
+          my_record_dt [ record_op ]
+          (map (fun (ra, rb, rc) -> { ra; rb; rc }) (triple int float_gen char));
+      ]
+  in
+  let gen = QCheck.Gen.(triple gen bool (string_size (int_bound 19))) in
+  QCheck.Test.make ~name:"fold from the wire = unpack then fold" ~count:2000
+    (QCheck.make gen) (fun (case, incoming_left, prefix) ->
+      fold_same case ~incoming_left ~prefix)
+
 let tests =
   [
     Alcotest.test_case "builtin sizes" `Quick test_builtin_sizes;
@@ -742,6 +916,8 @@ let tests =
     qtest prop_contiguous_roundtrip;
     qtest prop_array_pack_unpack;
     qtest prop_size_matches_packed_bytes;
+    qtest prop_forward_equals_repack;
+    qtest prop_fold_from_wire;
   ]
 
 let () = Alcotest.run "datatype" [ ("datatype", tests) ]
