@@ -57,45 +57,43 @@
 
 let empty_int : int array = [||]
 
-(* The operations a collective entry records, each with a fixed slot in
-   its run's profile after P2p's ([Profiling.op]): an entry hashes no op
-   name. *)
-let coll_op i name = { Profiling.name; slot = P2p.n_ops + i }
+(* The operations a collective entry records, each with a slot in its
+   run's profile ([Profiling.op]): an entry hashes no op name. *)
 
-let op_barrier = coll_op 0 "barrier"
-let op_ibarrier = coll_op 1 "ibarrier"
-let op_bcast = coll_op 2 "bcast"
-let op_gather = coll_op 3 "gather"
-let op_gatherv = coll_op 4 "gatherv"
-let op_scatter = coll_op 5 "scatter"
-let op_scatterv = coll_op 6 "scatterv"
-let op_allgather = coll_op 7 "allgather"
-let op_allgatherv = coll_op 8 "allgatherv"
-let op_alltoall = coll_op 9 "alltoall"
-let op_alltoallv = coll_op 10 "alltoallv"
-let op_alltoallw = coll_op 11 "alltoallw"
-let op_reduce = coll_op 12 "reduce"
-let op_allreduce = coll_op 13 "allreduce"
-let op_scan = coll_op 14 "scan"
-let op_exscan = coll_op 15 "exscan"
-let op_neighbor_allgather = coll_op 16 "neighbor_allgather"
-let op_neighbor_alltoallv = coll_op 17 "neighbor_alltoallv"
-let op_reduce_scatter_block = coll_op 18 "reduce_scatter_block"
-let op_reduce_scatter = coll_op 19 "reduce_scatter"
-let op_allreduce_init = coll_op 20 "allreduce_init"
-let op_bcast_init = coll_op 21 "bcast_init"
-let op_reduce_scatter_init = coll_op 22 "reduce_scatter_init"
-let op_ibcast = coll_op 23 "ibcast"
-let op_iallreduce = coll_op 24 "iallreduce"
-let op_ialltoallv = coll_op 25 "ialltoallv"
-let op_ireduce_scatter = coll_op 26 "ireduce_scatter"
+let op_barrier = Profiling.op "barrier"
+let op_ibarrier = Profiling.op "ibarrier"
+let op_bcast = Profiling.op "bcast"
+let op_gather = Profiling.op "gather"
+let op_gatherv = Profiling.op "gatherv"
+let op_scatter = Profiling.op "scatter"
+let op_scatterv = Profiling.op "scatterv"
+let op_allgather = Profiling.op "allgather"
+let op_allgatherv = Profiling.op "allgatherv"
+let op_alltoall = Profiling.op "alltoall"
+let op_alltoallv = Profiling.op "alltoallv"
+let op_alltoallw = Profiling.op "alltoallw"
+let op_reduce = Profiling.op "reduce"
+let op_allreduce = Profiling.op "allreduce"
+let op_scan = Profiling.op "scan"
+let op_exscan = Profiling.op "exscan"
+let op_neighbor_allgather = Profiling.op "neighbor_allgather"
+let op_neighbor_alltoallv = Profiling.op "neighbor_alltoallv"
+let op_reduce_scatter_block = Profiling.op "reduce_scatter_block"
+let op_reduce_scatter = Profiling.op "reduce_scatter"
+let op_allreduce_init = Profiling.op "allreduce_init"
+let op_bcast_init = Profiling.op "bcast_init"
+let op_reduce_scatter_init = Profiling.op "reduce_scatter_init"
+let op_ibcast = Profiling.op "ibcast"
+let op_iallreduce = Profiling.op "iallreduce"
+let op_ialltoallv = Profiling.op "ialltoallv"
+let op_ireduce_scatter = Profiling.op "ireduce_scatter"
 
 (* [root] is the comm-rank root (-1 for unrooted collectives) and [ty] the
    element-type name ("" for untyped ops): plain immediates, so the
    sanitizer-off path stays allocation-free. *)
 let prologue comm ~(op : Profiling.op) ~root ~ty =
   Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm);
-  Comm.check_collective comm ~op:op.name ~root ~ty
+  Comm.check_collective comm ~op:(Profiling.op_name op) ~root ~ty
 
 let record comm ~op ~bytes =
   Profiling.record_op (Comm.runtime comm).Runtime.profile op ~bytes
@@ -132,7 +130,7 @@ let leave_raise comm span e =
    lowered onto others (allreduce onto reduce + bcast) show up as nested
    spans. *)
 let enter comm ~(op : Profiling.op) ~root ~ty ~bytes =
-  let span = open_span comm op.name in
+  let span = open_span comm (Profiling.op_name op) in
   (match prologue comm ~op ~root ~ty with
   | () -> ()
   | exception e -> leave_raise comm span e);
@@ -392,10 +390,11 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
     Option.iter Stats.incr counter;
     body x
   in
-  let name = if persistent then op.name ^ "_init" else op.name in
+  let op_name = Profiling.op_name op in
+  let name = if persistent then op_name ^ "_init" else op_name in
   (* A posted operation is named "i" ^ the operation it runs. *)
   let base =
-    if persistent then op.name else String.sub op.name 1 (String.length op.name - 1)
+    if persistent then op_name else String.sub op_name 1 (String.length op_name - 1)
   in
   let describe () =
     if s.k = None then name
@@ -448,7 +447,8 @@ let post comm ~op ~root ~ty ~bytes (run : drv -> 'r) : Request.t * 'r option ref
         result := Some (run x))
   in
   if Check.enabled rt.Runtime.check then
-    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind:op.name req;
+    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm)
+      ~kind:(Profiling.op_name op) req;
   (req, result)
 
 (* ------------------------------------------------------------------ *)

@@ -259,12 +259,6 @@ let byte : char t =
     ~signature:(Signature.of_base Signature.Blob)
     ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
 
-let[@inline] read_bool b p =
-  match Bytes.get b p with
-  | '\000' -> false
-  | '\001' -> true
-  | c -> raise (Wire.Decode_error { what = "bool must be 0 or 1"; got = Char.code c })
-
 let bool : bool t =
   builtin ~name:"bool" ~size:1
     ~signature:(Signature.of_base Signature.Bool)
@@ -273,7 +267,15 @@ let bool : bool t =
       (K_fn
          {
            bk_write = (fun b p v -> Bytes.set b p (if v then '\001' else '\000'));
-           bk_read = read_bool;
+           bk_read =
+             (fun b p ->
+               match Bytes.get b p with
+               | '\000' -> false
+               | '\001' -> true
+               | c ->
+                   raise
+                     (Wire.Decode_error
+                        { what = "bool must be 0 or 1"; got = Char.code c }));
          })
 
 (* One whole byte string per element (a serialized archive, a raw
@@ -615,15 +617,13 @@ let unpack_slice_into (t : 'a t) (b : Bytes.t) ~off ~len (dst : 'a array) ~pos ~
 (* ------------------------------------------------------------------ *)
 (* Reducing from the wire *)
 
-(* The fused loops of the built-in operations: element i of the run at
-   byte [off] folded straight into acc.(pos+i).  The operation is a
+(* The fused loop of the built-in int operations: element i of the run
+   at byte [off] folded straight into acc.(pos+i).  The operation is a
    [Reduce_op.builtin] tag matched per element, a jump the branch
-   predictor learns, so each loop is plain loads, the operation and a
-   plain store: no closure call, no float box, no [caml_modify].  The int
-   and bool operations are exactly commutative; a float operation keeps
-   the operand order (a NaN's payload and [Float.min]'s choice between
-   two NaNs depend on it).  Each loop computes what its type's built-in
-   [Reduce_op] functions compute. *)
+   predictor learns, so the loop is plain loads, the operation and a
+   plain store: no closure call and no [caml_modify].  Every int
+   operation is exactly commutative, so the operand order does not
+   matter, and each computes what its [Reduce_op] function computes. *)
 let fold_ints (tag : Reduce_op.builtin) b off (acc : int array) ~pos ~count =
   for i = 0 to count - 1 do
     let j = pos + i in
@@ -639,44 +639,13 @@ let fold_ints (tag : Reduce_op.builtin) b off (acc : int array) ~pos ~count =
       | Bxor | Lxor -> a lxor x)
   done
 
-let fold_floats (tag : Reduce_op.builtin) ~incoming_left b off (acc : float array) ~pos
-    ~count =
-  for i = 0 to count - 1 do
-    let j = pos + i in
-    let a = Array.unsafe_get acc j
-    and x = Int64.float_of_bits (get_le64 b (off + (8 * i))) in
-    let l = if incoming_left then x else a and r = if incoming_left then a else x in
-    Array.unsafe_set acc j
-      (match tag with
-      | Sum -> l +. r
-      | Prod -> l *. r
-      | Min -> Float.min l r
-      | _ -> Float.max l r)
-  done
-
-let fold_bools (tag : Reduce_op.builtin) b off (acc : bool array) ~pos ~count =
-  for i = 0 to count - 1 do
-    let j = pos + i in
-    let a = Array.unsafe_get acc j and x = read_bool b (off + i) in
-    Array.unsafe_set acc j
-      (match tag with Land -> a && x | Lor -> a || x | _ -> a <> x)
-  done
-
-(* Run the fused loop of [op] on the kernel [k] of [t], if it has one.
-   An operation is built-in by identity, as one of [Reduce_op]'s own
-   records for the element type: a copy with another [f] is not. *)
+(* Run [fold_ints] if [op] is a built-in int operation on the int
+   kernel.  An operation is built-in by identity, as one of [Reduce_op]'s
+   own records: a copy with another [f] is not. *)
 let fold_builtin : type a.
-    a t ->
-    a bulk_kernel ->
-    a Reduce_op.t ->
-    incoming_left:bool ->
-    Bytes.t ->
-    int ->
-    a array ->
-    pos:int ->
-    count:int ->
-    bool =
- fun t k op ~incoming_left b off acc ~pos ~count ->
+    a bulk_kernel -> a Reduce_op.t -> Bytes.t -> int -> a array -> pos:int -> count:int -> bool
+    =
+ fun k op b off acc ~pos ~count ->
   let open Reduce_op in
   match (k, op.builtin) with
   | K_int, Some tag
@@ -684,16 +653,6 @@ let fold_builtin : type a.
          || op == int_band || op == int_bor || op == int_bxor ->
       fold_ints tag b off acc ~pos ~count;
       true
-  | K_float, Some tag
-    when op == float_sum || op == float_prod || op == float_min || op == float_max ->
-      fold_floats tag ~incoming_left b off acc ~pos ~count;
-      true
-  | K_fn _, Some tag -> (
-      match Type.Id.provably_equal t.id bool.id with
-      | Some Type.Equal when op == bool_and || op == bool_or || op == bool_xor ->
-          fold_bools tag b off acc ~pos ~count;
-          true
-      | _ -> false)
   | _ -> false
 
 let fold_slice (t : 'a t) (op : 'a Reduce_op.t) ~incoming_left (b : Bytes.t) ~off ~len
@@ -705,7 +664,7 @@ let fold_slice (t : 'a t) (op : 'a Reduce_op.t) ~incoming_left (b : Bytes.t) ~of
   match t.bulk with
   | Some k ->
       check_fits t ~available:len ~count;
-      if not (fold_builtin t k op ~incoming_left b off acc ~pos ~count) then begin
+      if not (fold_builtin k op b off acc ~pos ~count) then begin
         let sz = t.elem_size in
         for i = 0 to count - 1 do
           let j = pos + i in

@@ -194,10 +194,9 @@ val unpack_slice_into :
     [acc.(pos+i) <- op.f acc.(pos+i) x_i], or [op.f x_i acc.(pos+i)] with
     [~incoming_left:true] (a prefix scan's order).  The result is bit for
     bit what {!unpack_slice_into} followed by that fold gives, with no
-    array in between: a built-in operation of {!Reduce_op} on [int],
-    [float] or [bool] runs a fused typed loop, and every other combination
-    reads one element at a time through the type's kernel or, on the
-    general path, a reader.  Raises like {!unpack_slice_into}; a decode
+    array in between: a built-in int operation of {!Reduce_op} on [int]
+    runs a fused loop, and every other combination reads one element at
+    a time through the type's kernel or, on the general path, a reader.  Raises like {!unpack_slice_into}; a decode
     error part way leaves the elements before it folded. *)
 val fold_slice :
   'a t ->

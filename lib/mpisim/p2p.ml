@@ -68,26 +68,23 @@ let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_ra
 
 let inflight comm = (Comm.runtime comm).Runtime.inflight.(Comm.world_rank comm)
 
-(* The ops every message is profiled under, each with a fixed slot in
-   its run's profile (slots 0-7; Coll's entries take the next ones): a
-   message hashes no op name. *)
-let op_send = { Profiling.name = "send"; slot = 0 }
+(* The ops every message is profiled under, each with a slot in its
+   run's profile ([Profiling.op]): a message hashes no op name. *)
+let op_send = Profiling.op "send"
 
-let op_ssend = { Profiling.name = "ssend"; slot = 1 }
+let op_ssend = Profiling.op "ssend"
 
-let op_isend = { Profiling.name = "isend"; slot = 2 }
+let op_isend = Profiling.op "isend"
 
-let op_issend = { Profiling.name = "issend"; slot = 3 }
+let op_issend = Profiling.op "issend"
 
-let op_recv = { Profiling.name = "recv"; slot = 4 }
+let op_recv = Profiling.op "recv"
 
-let op_irecv = { Profiling.name = "irecv"; slot = 5 }
+let op_irecv = Profiling.op "irecv"
 
-let op_probe = { Profiling.name = "probe"; slot = 6 }
+let op_probe = Profiling.op "probe"
 
-let op_iprobe = { Profiling.name = "iprobe"; slot = 7 }
-
-let n_ops = 8
+let op_iprobe = Profiling.op "iprobe"
 
 let record comm op ~bytes =
   Profiling.record_op (Comm.runtime comm).Runtime.profile op ~bytes
@@ -127,8 +124,8 @@ let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
    a pooled writer (charging the copy), inject. *)
 let send_typed comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a array) ~pos
     ~count =
-  check_send comm ~op:op.Profiling.name ~dest ~tag;
-  check_committed dt ~op:op.Profiling.name;
+  check_send comm ~op:(Profiling.op_name op) ~dest ~tag;
+  check_committed dt ~op:(Profiling.op_name op);
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let w = Runtime.acquire_writer rt me ~capacity:(writer_capacity dt ~count) in
@@ -153,8 +150,8 @@ let send comm dt ~dest ?(tag = 0) (data : 'a array) =
    only the host's pack is saved. *)
 let forward comm (dt : 'a Datatype.t) ~dest ~tag (msg : Message.t) =
   Comm.check_rank comm dest;
-  check_send comm ~op:op_send.name ~dest ~tag;
-  check_committed dt ~op:op_send.name;
+  check_send comm ~op:(Profiling.op_name op_send) ~dest ~tag;
+  check_committed dt ~op:(Profiling.op_name op_send);
   Message.check_live msg ~op:"P2p.forward";
   let rt = Comm.runtime comm in
   Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:msg.Message.payload_len;
@@ -329,8 +326,8 @@ let await comm ~op ~src_world (p : Mailbox.posted) =
     let w = comm.Comm.wait in
     w.posted <- p;
     w.src_world <- src_world;
-    w.op <- op.Profiling.name;
-    block_recv comm ~op:op.Profiling.name ~src_world ~tag:p.Mailbox.p_tag
+    w.op <- Profiling.op_name op;
+    block_recv comm ~op:(Profiling.op_name op) ~src_world ~tag:p.Mailbox.p_tag
       ~describe:comm.Comm.recv_describe comm.Comm.recv_ready
   end
 
@@ -353,9 +350,9 @@ let finish comm ~op ~signature ~maxcount ~id (msg : Message.t) =
   note_matched comm ~id msg;
   if msg.Message.count > maxcount then
     Comm.error comm Errdefs.Err_truncate
-      "%s: message of %d elements truncated to buffer of %d" op.Profiling.name
+      "%s: message of %d elements truncated to buffer of %d" (Profiling.op_name op)
       msg.Message.count maxcount;
-  check_signature comm ~signature msg ~op:op.Profiling.name;
+  check_signature comm ~signature msg ~op:(Profiling.op_name op);
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   Runtime.complete_receive rt me msg;
@@ -370,7 +367,7 @@ let complete comm ~op ~signature ~maxcount ~src_world (p : Mailbox.posted) =
   let msg = p.Mailbox.p_msg in
   if msg == Message.nil then begin
     Mailbox.cancel mb p;
-    gone comm ~op:op.Profiling.name ~src_world
+    gone comm ~op:(Profiling.op_name op) ~src_world
   end;
   Mailbox.retire mb p;
   finish comm ~op ~signature ~maxcount ~id:p.Mailbox.p_id msg

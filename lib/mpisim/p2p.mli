@@ -30,10 +30,6 @@ val any_tag : int
     below them are the entries of {!Coll_algo}'s tag table. *)
 val first_window_op : int
 
-(** The profile slots of the point-to-point ops, [0 .. n_ops - 1]
-    ({!Profiling.op}); the collectives' entries take the slots after them. *)
-val n_ops : int
-
 (** {1 Sends} *)
 
 (** Eager send of a whole array.  [tag] defaults to 0 and must lie in the

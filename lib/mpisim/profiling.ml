@@ -10,31 +10,40 @@
    numbers appear in the general metrics exports (text and JSON) without
    being recorded twice.  The handle pair is cached per op, so [record]
    is one string-keyed hash lookup that allocates nothing once the op is
-   registered; [prepare] resolves the pair ahead of time for paths that
-   cannot afford even the lookup, and [record_slot] resolves it at the
-   first call of an op with a fixed slot and keeps it there: the ops of
-   every message (P2p) and of every collective entry (Coll) are such
-   [op]s. *)
+   registered.  An [op] made once up front (the ops of every message in
+   P2p and of every collective entry in Coll) owns a slot in every table:
+   its handles are looked up at its first use in a table and kept there,
+   so later records hash nothing. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
 type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
-  slots : handles option array;  (* [None] until the slot's op is first recorded *)
+  mutable slots : handles option array;  (* by [op.slot]; [None] until first used *)
   mutable enabled : bool;
 }
 
-let n_slots = 40
-
 type op = { name : string; slot : int }
+
+(* The slots handed out so far; a table sizes its [slots] by it. *)
+let n_ops = Atomic.make 0
+
+let op name = { name; slot = Atomic.fetch_and_add n_ops 1 }
+
+let op_name op = op.name
 
 type summary = (string * int * int) list
 (* (op, calls, bytes), sorted by op name *)
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  { stats; table = Hashtbl.create 32; slots = Array.make n_slots None; enabled = true }
+  {
+    stats;
+    table = Hashtbl.create 32;
+    slots = Array.make (Atomic.get n_ops) None;
+    enabled = true;
+  }
 
 let register t op =
   let h =
@@ -50,19 +59,6 @@ let register t op =
 let handles t op =
   match Hashtbl.find t.table op with h -> h | exception Not_found -> register t op
 
-(* Hot-path variant for persistent operations: the handle pair is resolved
-   once at init ([prepare]) so a per-cycle [record_prepared] is two counter
-   bumps — no hash lookup, no allocation. *)
-type prepared = handles
-
-let prepare t op : prepared = handles t op
-
-let record_prepared t (h : prepared) ~bytes =
-  if t.enabled then begin
-    Stats.incr h.calls_c;
-    Stats.add h.bytes_c bytes
-  end
-
 let record t ~op ~bytes =
   if t.enabled then begin
     let h = handles t op in
@@ -70,23 +66,43 @@ let record t ~op ~bytes =
     Stats.add h.bytes_c bytes
   end
 
-(* The handles of an op that always comes with the same [slot]: the
-   lookup runs once per table, at the op's first use, so the op enters
-   [snapshot] exactly when [record] or [prepare] would have entered it. *)
-let slot_handles t ~slot ~op =
-  match t.slots.(slot) with
-  | Some h -> h
-  | None ->
-      let h = handles t op in
-      t.slots.(slot) <- Some h;
-      h
+(* The handles of an [op]: the lookup runs once per table, at the op's
+   first use, so the op enters [snapshot] exactly when [record] would
+   have entered it.  An op made after the table grows its slots. *)
+let[@inline never] first_use t op =
+  if op.slot >= Array.length t.slots then begin
+    let slots = Array.make (Atomic.get n_ops) None in
+    Array.blit t.slots 0 slots 0 (Array.length t.slots);
+    t.slots <- slots
+  end;
+  let h = handles t op.name in
+  t.slots.(op.slot) <- Some h;
+  h
 
-let record_slot t ~slot ~op ~bytes =
-  if t.enabled then record_prepared t (slot_handles t ~slot ~op) ~bytes
+let[@inline] op_handles t op =
+  if op.slot < Array.length t.slots then
+    match Array.unsafe_get t.slots op.slot with Some h -> h | None -> first_use t op
+  else first_use t op
 
-let record_op t op ~bytes = record_slot t ~slot:op.slot ~op:op.name ~bytes
+(* Hot-path variant for persistent operations: the handle pair is resolved
+   once at init ([prepare_op]) so a per-cycle [record_prepared] is two
+   counter bumps — no hash lookup, no allocation. *)
+type prepared = handles
 
-let prepare_op t op = slot_handles t ~slot:op.slot ~op:op.name
+let prepare_op t op : prepared = op_handles t op
+
+let record_prepared t (h : prepared) ~bytes =
+  if t.enabled then begin
+    Stats.incr h.calls_c;
+    Stats.add h.bytes_c bytes
+  end
+
+let record_op t op ~bytes =
+  if t.enabled then begin
+    let h = op_handles t op in
+    Stats.incr h.calls_c;
+    Stats.add h.bytes_c bytes
+  end
 
 let set_enabled t b = t.enabled <- b
 

@@ -20,33 +20,29 @@ val create : ?stats:Stats.t -> unit -> t
 
 val record : t -> op:string -> bytes:int -> unit
 
-(** Pre-resolved counter handles for an op, for allocation-free hot paths
-    (persistent-request cycles): {!prepare} pays the hash lookup once,
-    {!record_prepared} is then two counter bumps. *)
-type prepared
+(** An operation made once, up front, for hot paths (the ops of every
+    message and of every collective entry): it owns a slot in every
+    table, where its counter handles are kept from its first use in that
+    table on, so later records hash nothing.  Until that first use the op
+    is not in the table, as with {!record}. *)
+type op
 
-val prepare : t -> string -> prepared
+(** [op name] makes an op profiled as [name], with a slot of its own. *)
+val op : string -> op
 
-val record_prepared : t -> prepared -> bytes:int -> unit
+val op_name : op -> string
 
-(** [record_slot t ~slot ~op ~bytes] is [record t ~op ~bytes] for an op
-    that is always recorded with the same [slot] (the point-to-point ops
-    of every message): the handles are looked up at the op's first call
-    in [t] and kept in the slot, so later calls hash nothing.  Until that
-    first call the op is not in [t], as with {!record}. *)
-val record_slot : t -> slot:int -> op:string -> bytes:int -> unit
-
-(** An op with a fixed slot below {!n_slots}, one op per slot: the
-    point-to-point ops of every message and the operations of every
-    collective entry. *)
-type op = { name : string; slot : int }
-
-val n_slots : int
-
-(** [record_slot] and [prepare] of an {!op}. *)
+(** [record_op t op ~bytes] is [record t ~op:(op_name op) ~bytes]. *)
 val record_op : t -> op -> bytes:int -> unit
 
+(** An op's counter handles resolved ahead of time, for allocation-free
+    per-cycle paths (persistent requests): {!record_prepared} is two
+    counter bumps. *)
+type prepared
+
 val prepare_op : t -> op -> prepared
+
+val record_prepared : t -> prepared -> bytes:int -> unit
 
 val set_enabled : t -> bool -> unit
 

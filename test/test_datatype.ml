@@ -770,8 +770,8 @@ let prop_forward_equals_repack =
 (* [fold_slice] against the path it replaces: unpack the slice, then
    fold element by element with the operation's own function, on the
    left ([~incoming_left], a scan's order) or on the right.  Built-in
-   operations take the fused loops; everything else reads one element at
-   a time. *)
+   int operations take the fused loop; everything else reads one element
+   at a time. *)
 type folded =
   | Folded : {
       dt : 'a Datatype.t;

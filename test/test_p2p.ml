@@ -941,20 +941,20 @@ let test_profiling_record_allocation_free () =
   Alcotest.(check (float 0.01)) "words per record" 0. words;
   Alcotest.(check int) "calls counted" 10_101 (Profiling.calls prof ~op:"send")
 
-(* A slot op enters the table at its first call, exactly as [record]
-   would enter it, and is free afterwards. *)
+(* An op enters the table at its first record, exactly as [record]
+   would enter it, and is free afterwards; one made after the table
+   grows its slots. *)
 let test_profiling_slot_first_call () =
   let slotted = Profiling.create () and plain = Profiling.create () in
+  let send = Profiling.op "send" in
   Profiling.set_enabled slotted false;
-  Profiling.record_slot slotted ~slot:0 ~op:"send" ~bytes:8;
+  Profiling.record_op slotted send ~bytes:8;
   Alcotest.(check int) "a disabled table registers nothing" 0
     (List.length (Profiling.snapshot slotted));
   Profiling.set_enabled slotted true;
-  Profiling.record_slot slotted ~slot:0 ~op:"send" ~bytes:8;
+  Profiling.record_op slotted send ~bytes:8;
   Profiling.record plain ~op:"send" ~bytes:8;
-  let words =
-    words_per_call (fun () -> Profiling.record_slot slotted ~slot:0 ~op:"send" ~bytes:64)
-  in
+  let words = words_per_call (fun () -> Profiling.record_op slotted send ~bytes:64) in
   ignore (words_per_call (fun () -> Profiling.record plain ~op:"send" ~bytes:64));
   Alcotest.(check (float 0.01)) "words per record" 0. words;
   Alcotest.(check (list (triple string int int)))
