@@ -31,7 +31,7 @@ let experiments ~full ~smoke =
       fun () ->
         if full then Bench_suffix.run ~ranks:16 ~n:65_536 () else Bench_suffix.run () );
     ("label_prop", fun () -> Bench_lp.run ());
-    ("raxml", fun () -> Bench_raxml.run ());
+    ("raxml", fun () -> Bench_raxml.run ~smoke ());
     ( "ulfm",
       fun () -> if full then Bench_ulfm.run ~max_p:256 () else Bench_ulfm.run ~smoke () );
     ( "ablation",
