@@ -44,12 +44,6 @@ val degree : t -> int -> int
 (** Iterate the global neighbor ids of a local vertex. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 
-(** Number of local edge endpoints. *)
-val local_edge_count : t -> int
-
-(** Local edge endpoints whose other end is remote. *)
-val cut_edge_count : t -> int
-
 (** Locally generated edges, bucketed by the rank that owns each
     endpoint in flat int buffers. *)
 module Edges : sig

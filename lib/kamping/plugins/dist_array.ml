@@ -162,14 +162,3 @@ let reduce_by_key (t : 'a t) ~(key_dt : 'k Datatype.t) ~(value_dt : 'v Datatype.
 (* Materialize the whole array on every rank (small data only). *)
 let to_global (t : 'a t) : 'a array =
   Kamping.Collectives.allgatherv t.comm t.dt t.local
-
-(* Histogram-style helper: count elements per bucket. *)
-let count_by (t : 'a t) ~(bucket_of : 'a -> int) ~(n_buckets : int) : int array =
-  let counts = Array.make n_buckets 0 in
-  Array.iter
-    (fun x ->
-      let b = bucket_of x in
-      if b < 0 || b >= n_buckets then Errdefs.usage_error "Dist_array.count_by: bad bucket";
-      counts.(b) <- counts.(b) + 1)
-    t.local;
-  Kamping.Collectives.allreduce t.comm Datatype.int Reduce_op.int_sum counts

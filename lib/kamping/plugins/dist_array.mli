@@ -57,6 +57,3 @@ val reduce_by_key :
 
 (** Materialize everywhere (small data only). *)
 val to_global : 'a t -> 'a array
-
-(** Global bucket counts. *)
-val count_by : 'a t -> bucket_of:('a -> int) -> n_buckets:int -> int array

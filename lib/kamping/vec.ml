@@ -10,10 +10,6 @@ let create () = { data = [||]; len = 0 }
 
 let of_array a = { data = Array.copy a; len = Array.length a }
 
-(* Takes ownership of [a]: no copy.  The caller must not use [a] again —
-   the analogue of moving a container into a call (§III-B). *)
-let of_array_move a = { data = a; len = Array.length a }
-
 let length t = t.len
 
 let capacity t = Array.length t.data

@@ -11,10 +11,6 @@ val create : unit -> 'a t
 (** Copying constructor. *)
 val of_array : 'a array -> 'a t
 
-(** Takes ownership of the array (no copy) — the analogue of moving a
-    container into a call (§III-B); the caller must not reuse it. *)
-val of_array_move : 'a array -> 'a t
-
 val length : 'a t -> int
 
 val capacity : 'a t -> int

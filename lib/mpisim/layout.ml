@@ -13,9 +13,7 @@
    - [concat ls]                     positions of each layout in turn
 
    [extract] gathers the selected elements into a packed array;
-   [scatter_into] writes a packed array back into the selected positions;
-   [to_datatype] turns (base datatype, layout) into a datatype for the
-   whole flat array that transfers exactly the selected elements. *)
+   [scatter_into] writes a packed array back into the selected positions. *)
 
 type t =
   | Contiguous of int
@@ -121,18 +119,3 @@ let scatter_into (layout : t) ~(packed : 'a array) (dst : 'a array) : unit =
   iter_positions layout (fun i ->
       dst.(i) <- packed.(!j);
       incr j)
-
-(* A datatype whose single element is the *whole flat array*, transferring
-   exactly the layout's selection.  Unpacking yields the packed selection
-   (use [scatter_into] to place it into strided storage). *)
-let to_datatype (base : 'a Datatype.t) (layout : t) : 'a array Datatype.t =
-  let n = element_count layout in
-  Datatype.create
-    ~name:(Printf.sprintf "layout(%d,%s)" n (Datatype.name base))
-    ~size:(n * Datatype.elem_size base)
-    ~signature:(Datatype.signature_of_count base n)
-    ~pack:(fun w src ->
-      if extent layout > Array.length src then
-        Errdefs.usage_error "layout pack: extent exceeds array length";
-      iter_positions layout (fun i -> base.Datatype.pack w src.(i)))
-    ~unpack:(fun r -> Datatype.unpack_array base r ~count:n)

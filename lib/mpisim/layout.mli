@@ -2,9 +2,8 @@
     memory (paper §II / §III-D2 — the dynamic-type construction approach
     the authors plan to adopt).
 
-    A layout selects element positions out of a flat array; {!to_datatype}
-    turns (base type, layout) into a datatype that transfers exactly the
-    selection. *)
+    A layout selects element positions out of a flat array; {!extract}
+    packs the selection and {!scatter_into} places it back. *)
 
 type t
 
@@ -39,8 +38,3 @@ val extract : t -> 'a array -> 'a array
 
 (** Write packed elements back into the selected positions. *)
 val scatter_into : t -> packed:'a array -> 'a array -> unit
-
-(** A datatype whose single element is the whole flat array, transferring
-    exactly the layout's selection; unpacking yields the packed selection
-    (use {!scatter_into} to place it into strided storage). *)
-val to_datatype : 'a Datatype.t -> t -> 'a array Datatype.t

@@ -51,5 +51,3 @@ let bool_or = make_builtin "bool_or" Lor ( || )
 let bool_xor = make_builtin "bool_xor" Lxor (fun a b -> a <> b)
 
 let apply t a b = t.f a b
-
-let is_builtin t = Option.is_some t.builtin

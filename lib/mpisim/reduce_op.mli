@@ -48,5 +48,3 @@ val bool_or : bool t
 val bool_xor : bool t
 
 val apply : 'a t -> 'a -> 'a -> 'a
-
-val is_builtin : 'a t -> bool

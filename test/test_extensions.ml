@@ -43,26 +43,6 @@ let prop_layout_extract_scatter_inverse =
         (Array.init n (fun i ->
              if List.mem i sel then dst.(i) = src.(i) else dst.(i) = -1)))
 
-let test_layout_datatype_halo_exchange () =
-  (* Send every 3rd element of a strip to a neighbor via a layout
-     datatype: the MPL-style use case. *)
-  let results =
-    Engine.run_values ~ranks:2 (fun comm ->
-        let l = Layout.vector ~count:4 ~blocklen:1 ~stride:3 in
-        let dt = Layout.to_datatype Datatype.int l in
-        Datatype.with_committed dt @@ fun dt ->
-        if Comm.rank comm = 0 then begin
-          let strip = Array.init 12 (fun i -> i * 10) in
-          P2p.send comm dt ~dest:1 [| strip |];
-          [||]
-        end
-        else begin
-          let received, _ = P2p.recv comm dt ~source:0 () in
-          received.(0)
-        end)
-  in
-  Alcotest.(check (array int)) "strided halo" [| 0; 30; 60; 90 |] results.(1)
-
 (* --- k-dimensional grid --- *)
 
 let prop_grid_kd_equals_dense =
@@ -274,7 +254,6 @@ let tests =
     Alcotest.test_case "layout extract/scatter" `Quick test_layout_extract_scatter;
     Alcotest.test_case "layout concat/offset" `Quick test_layout_concat_offset;
     qtest prop_layout_extract_scatter_inverse;
-    Alcotest.test_case "layout datatype halo" `Quick test_layout_datatype_halo_exchange;
     qtest prop_grid_kd_equals_dense;
     Alcotest.test_case "grid kd factorization" `Quick test_grid_kd_factorization;
     Alcotest.test_case "aggregator batches" `Quick test_aggregator_batches;
