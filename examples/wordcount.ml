@@ -31,17 +31,15 @@ let () =
             ~combine:( + )
         in
         (* Bring the (tiny) result table together on rank 0. *)
-        let flat = Array.concat [ Array.map fst counts; Array.map snd counts ] in
-        ignore flat;
-        Kamping.Serialized.gather comm
-          Serial.Codec.(list (pair int int))
+        Kamping.Collectives.gather comm
+          (Kamping.Serialized.datatype Serial.Codec.(list (pair int int)))
           ~root:0
-          (Array.to_list counts))
+          [| Array.to_list counts |])
   in
   (match results.(0) with
   | Some per_rank_tables ->
       let totals = Hashtbl.create 8 in
-      List.iter
+      Array.iter
         (List.iter (fun (k, v) ->
              Hashtbl.replace totals k (v + (try Hashtbl.find totals k with Not_found -> 0))))
         per_rank_tables;

@@ -3,8 +3,11 @@
 
 open Mpisim
 
+let model_type = Kamping.Serialized.datatype Model.codec
+
 let broadcast_model mpi ~root (m : Model.t option) : Model.t =
-  Kamping.Serialized.bcast (Kamping.Communicator.of_mpi mpi) Model.codec ~root ?value:m ()
+  Kamping.Collectives.bcast_single (Kamping.Communicator.of_mpi mpi) model_type ~root
+    ?value:m ()
 
 let allreduce_score mpi (x : float) : float =
   Kamping.Collectives.allreduce_single (Kamping.Communicator.of_mpi mpi) Datatype.float

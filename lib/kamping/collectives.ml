@@ -38,6 +38,9 @@ let bcast comm dt ~root ?data () : 'a array =
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
 
+let bcast_single comm dt ~root ?value () : 'a =
+  (bcast comm dt ~root ?data:(Option.map (fun v -> [| v |]) value) ()).(0)
+
 (* ------------------------------------------------------------------ *)
 (* Allgather *)
 

@@ -35,6 +35,12 @@ val exclusive_prefix_sum : int array -> int array
 (** The root passes [~data]; every rank returns the payload. *)
 val bcast : comm -> 'a Datatype.t -> root:int -> ?data:'a array -> unit -> 'a array
 
+(** One value: the root passes [~value] and gets it back; the others
+    return it.  With a {!Serialized.datatype} this is the one-liner that
+    replaces RAxML-NG's hand-rolled size-then-payload broadcast layer
+    (§IV-C, Fig. 11). *)
+val bcast_single : comm -> 'a Datatype.t -> root:int -> ?value:'a -> unit -> 'a
+
 (** {1 Gather family} *)
 
 val allgather : comm -> 'a Datatype.t -> 'a array -> 'a array

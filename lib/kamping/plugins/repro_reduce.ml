@@ -96,7 +96,7 @@ let node_codec : node Serial.Codec.t =
     ~project:(fun n -> (n.level, n.index, n.value))
     (Serial.Codec.triple Serial.Codec.int Serial.Codec.int Serial.Codec.float)
 
-let forest_codec = Serial.Codec.list node_codec
+let forest_type = Kamping.Serialized.datatype (Serial.Codec.list node_codec)
 
 let repro_tag = 4243
 
@@ -123,13 +123,13 @@ let reduce (comm : Kamping.Communicator.t) ~(op : float -> float -> float)
   let sent = ref false in
   while (not !sent) && !mask < n do
     if r land !mask <> 0 then begin
-      Kamping.Serialized.send comm forest_codec ~dest:(r - !mask) ~tag:repro_tag !forest;
+      Kamping.P2p.send_single comm forest_type ~dest:(r - !mask) ~tag:repro_tag !forest;
       sent := true
     end
     else begin
       if r + !mask < n then begin
         let other =
-          Kamping.Serialized.recv comm forest_codec ~source:(r + !mask) ~tag:repro_tag ()
+          Kamping.P2p.recv_single comm forest_type ~source:(r + !mask) ~tag:repro_tag ()
         in
         forest := merge_forests ~op !forest other
       end;

@@ -53,8 +53,10 @@ let alltoallv (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
     done;
     (match !barrier with
     | None ->
-        if List.for_all Request.is_complete send_requests
-           || List.for_all (fun r -> Request.test r <> None) send_requests
+        (* Test only what has not completed: a second test of a
+           completed request is a double wait. *)
+        if
+          List.for_all (fun r -> Request.is_complete r || Request.test r <> None) send_requests
         then barrier := Some (Coll.ibarrier mpi)
     | Some b -> if Request.test b <> None then finished := true);
     if not !finished then Scheduler.yield ()

@@ -54,7 +54,7 @@
 
 open Mpisim
 module C = Kamping.Communicator
-module S = Kamping.Serialized
+module K = Kamping
 
 type mode = Master_worker | Nbx
 
@@ -114,6 +114,9 @@ let t_ckpt = 4313 (* master -> successor: checkpoint entry replication *)
    different keys, and the second one to reach an authoritative store is
    what taskqueue.duplicates_suppressed counts. *)
 type key = { k_task : int; k_origin : int; k_nonce : int }
+
+(* A request for work carries nothing: a serialized unit. *)
+let unit_type = K.Serialized.datatype Serial.Codec.unit
 
 let key_codec =
   Serial.Codec.map ~name:"taskqueue.key"
@@ -223,12 +226,14 @@ let take_token state rt me_world bucket =
   end
 
 (* Drain checkpoint-replication messages into local knowledge. *)
-let drain_ckpts state entry_codec comm =
+let drain_ckpts state entry_type comm =
   let rec go () =
     match P2p.iprobe (C.mpi comm) ~tag:t_ckpt () with
     | None -> ()
     | Some st ->
-        let entries = S.recv comm entry_codec ~source:(Status.source st) ~tag:t_ckpt () in
+        let entries =
+          K.P2p.recv_single comm entry_type ~source:(Status.source st) ~tag:t_ckpt ()
+        in
         List.iter (fun (k, r) -> merge_entry state state.knowledge k r) entries;
         go ()
   in
@@ -246,7 +251,7 @@ let check_members mpi =
 
 type lease = { mutable l_worker : int; mutable l_deadline : float; mutable l_attempt : int }
 
-let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a array) exec =
+let master_loop state entry_type assign_type result_type comm (tasks : 'a array) exec =
   let mpi = C.mpi comm in
   let rt = C.runtime comm in
   let me_world = Comm.world_rank mpi in
@@ -292,7 +297,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
          results whose origin worker has also died. *)
       if size > 1 && List.length !since_ckpt >= state.cfg.checkpoint_every then begin
         Stats.incr state.ctr.c_checkpoints;
-        S.send comm entry_codec ~dest:1 ~tag:t_ckpt !since_ckpt;
+        K.P2p.send_single comm entry_type ~dest:1 ~tag:t_ckpt !since_ckpt;
         since_ckpt := []
       end
     end
@@ -306,7 +311,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     Stats.incr state.ctr.c_dispatched;
     if attempt > 0 then Stats.incr state.ctr.c_redispatched;
     trace_flow rt ~rank:me_world ~name:"dispatch" ~a:id ~b:worker ~c:attempt;
-    S.send comm assign_codec ~dest:worker ~tag:t_assign (id, Some tasks.(id))
+    K.P2p.send_single comm assign_type ~dest:worker ~tag:t_assign (id, Some tasks.(id))
   in
   (* Main pump.  Single-rank communicators (everyone else died, or p=1)
      short-circuit to local execution. *)
@@ -318,7 +323,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     | Some st ->
         progressed := true;
         let k, result =
-          S.recv comm result_codec ~source:(Status.source st) ~tag:t_result ()
+          K.P2p.recv_single comm result_type ~source:(Status.source st) ~tag:t_result ()
         in
         record_result k result
     | None -> ());
@@ -326,7 +331,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     | Some st ->
         progressed := true;
         let w = Status.source st in
-        S.recv comm Serial.Codec.unit ~source:w ~tag:t_request ();
+        K.P2p.recv_single comm unit_type ~source:w ~tag:t_request ();
         Queue.add w waiting
     | None -> ());
     (* Lease expiry: stragglers go back on the ready queue with a longer
@@ -379,7 +384,7 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
   Queue.iter
     (fun w ->
       stopped.(w) <- true;
-      S.send comm assign_codec ~dest:w ~tag:t_assign (-1, None))
+      K.P2p.send_single comm assign_type ~dest:w ~tag:t_assign (-1, None))
     waiting;
   Queue.clear waiting;
   let all_stopped () =
@@ -397,15 +402,15 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
     | Some st ->
         progressed := true;
         let w = Status.source st in
-        S.recv comm Serial.Codec.unit ~source:w ~tag:t_request ();
+        K.P2p.recv_single comm unit_type ~source:w ~tag:t_request ();
         stopped.(w) <- true;
-        S.send comm assign_codec ~dest:w ~tag:t_assign (-1, None)
+        K.P2p.send_single comm assign_type ~dest:w ~tag:t_assign (-1, None)
     | None -> ());
     (match P2p.iprobe mpi ~tag:t_result () with
     | Some st ->
         progressed := true;
         let k, result =
-          S.recv comm result_codec ~source:(Status.source st) ~tag:t_result ()
+          K.P2p.recv_single comm result_type ~source:(Status.source st) ~tag:t_result ()
         in
         record_result k result
     | None -> ());
@@ -413,23 +418,23 @@ let master_loop state entry_codec assign_codec result_codec comm (tasks : 'a arr
   done;
   store
 
-let worker_loop state entry_codec assign_codec result_codec comm (tasks : 'a array) exec =
+let worker_loop state entry_type assign_type result_type comm (tasks : 'a array) exec =
   let mpi = C.mpi comm in
   let rt = C.runtime comm in
   let me_world = Comm.world_rank mpi in
   let master = 0 in
   let continue_ = ref true in
   while !continue_ do
-    drain_ckpts state entry_codec comm;
-    S.send comm Serial.Codec.unit ~dest:master ~tag:t_request ();
-    match S.recv comm assign_codec ~source:master ~tag:t_assign () with
+    drain_ckpts state entry_type comm;
+    K.P2p.send_single comm unit_type ~dest:master ~tag:t_request ();
+    match K.P2p.recv_single comm assign_type ~source:master ~tag:t_assign () with
     | id, Some payload ->
         tasks.(id) <- payload;
         let k, result = execute state rt ~me_world ~exec ~tasks id in
-        S.send comm result_codec ~dest:master ~tag:t_result (k, result)
+        K.P2p.send_single comm result_type ~dest:master ~tag:t_result (k, result)
     | _, None -> continue_ := false
   done;
-  drain_ckpts state entry_codec comm
+  drain_ckpts state entry_type comm
 
 (* ------------------------------------------------------------------ *)
 (* NBX mode: bulk-synchronous decentralized rebalancing *)
@@ -542,18 +547,18 @@ let entry_codec_of result_codec = Serial.Codec.(list (pair key_codec result_code
    back: after this, every rank's knowledge holds every result any
    survivor (or checkpoint replica) had — the checkpointed state a
    re-elected master resumes from. *)
-let resync state entry_codec comm =
+let resync state entry_type comm =
   let entries t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] in
-  let all = S.gather comm entry_codec ~root:0 (entries state.knowledge) in
+  let all = K.Collectives.gather comm entry_type ~root:0 [| entries state.knowledge |] in
   let merged =
     if C.rank comm = 0 then begin
       let table = Hashtbl.copy state.knowledge in
-      List.iter (List.iter (fun (k, r) -> merge_entry state table k r)) all;
+      Array.iter (List.iter (fun (k, r) -> merge_entry state table k r)) all;
       entries table
     end
     else []
   in
-  let union = S.bcast comm entry_codec ~root:0 ~value:merged () in
+  let union = K.Collectives.bcast_single comm entry_type ~root:0 ~value:merged () in
   List.iter (fun (k, r) -> merge_entry state state.knowledge k r) union
 
 let assemble state n =
@@ -601,25 +606,25 @@ let run ?(cfg = config ()) (comm : C.t) ~(task_codec : 'a Serial.Codec.t)
       ctr = counters rt.Runtime.stats;
     }
   in
-  let entry_codec = entry_codec_of result_codec in
-  let assign_codec = Serial.Codec.(pair int (option task_codec)) in
-  let res_msg_codec = Serial.Codec.(pair key_codec result_codec) in
+  let entry_type = K.Serialized.datatype (entry_codec_of result_codec) in
+  let assign_type = K.Serialized.datatype Serial.Codec.(pair int (option task_codec)) in
+  let res_msg_type = K.Serialized.datatype Serial.Codec.(pair key_codec result_codec) in
   (* Workers receive payloads with assignments, so they keep a private
      copy of the task table they can fill in (master mode ships payloads;
      NBX mode relies on the collectively-submitted table). *)
   let my_tasks = Array.copy tasks in
   let protocol_body c =
     Comm.check_collective (C.mpi c) ~op:"taskqueue" ~root:(-1) ~ty:(mode_to_string cfg.mode);
-    drain_ckpts state entry_codec c;
-    resync state entry_codec c;
+    drain_ckpts state entry_type c;
+    resync state entry_type c;
     (match cfg.mode with
     | Master_worker ->
         if C.rank c = 0 then
-          ignore (master_loop state entry_codec assign_codec res_msg_codec c my_tasks exec)
-        else worker_loop state entry_codec assign_codec res_msg_codec c my_tasks exec
+          ignore (master_loop state entry_type assign_type res_msg_type c my_tasks exec)
+        else worker_loop state entry_type assign_type res_msg_type c my_tasks exec
     | Nbx -> nbx_loop state c my_tasks exec);
     (* Replicate the full result set everywhere before committing. *)
-    resync state entry_codec c;
+    resync state entry_type c;
     assemble state n
   in
   (* Revoke-before-agree commit round (the test_failures.ml chaos-recovery

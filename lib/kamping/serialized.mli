@@ -1,35 +1,23 @@
 (** Explicit serialization for communication (paper §III-D3, Fig. 5/11).
 
     Heap-structured values (strings, maps, lists) have no fixed-size
-    datatype; these operations encode them through a {!Serial.Codec.t}
-    into a framed archive and ship it as one [Datatype.bytes] element
-    through the ordinary typed calls, so its traffic is costed, traced
-    and checked like any message.  Usage is explicit — never implicit as
-    in Boost.MPI — because serialization has real allocation and CPU
-    costs that zero-overhead bindings must not hide. *)
+    datatype.  [datatype codec] is the analogue of KaMPIng's
+    [as_serialized]/[as_deserializable]: a datatype whose element is one
+    framed archive of a value ({!Serial.Archive}: a header checked on
+    decode, then the codec's payload), so every typed call — point to
+    point, collectives, {!Named}, nonblocking and plugin calls — carries
+    serialized values, costed, traced and checked like any message.
+    Usage is explicit — never implicit as in Boost.MPI — because
+    serialization has real allocation and CPU costs that zero-overhead
+    bindings must not hide. *)
 
 open Mpisim
 
-val send : Communicator.t -> 'a Serial.Codec.t -> dest:int -> ?tag:int -> 'a -> unit
-
-val recv : Communicator.t -> 'a Serial.Codec.t -> ?source:int -> ?tag:int -> unit -> 'a
-
-val recv_with_status :
-  Communicator.t -> 'a Serial.Codec.t -> ?source:int -> ?tag:int -> unit -> 'a * Status.t
-
-(** Broadcast of a serialized value ({!Collectives.bcast} of its
-    archive); the root passes [~value] and gets it back undecoded.  This
-    is the one-liner that replaces RAxML-NG's hand-rolled
-    size-then-payload broadcast layer (§IV-C, Fig. 11). *)
-val bcast : Communicator.t -> 'a Serial.Codec.t -> root:int -> ?value:'a -> unit -> 'a
-
-(** Gather one serialized value per rank at the root (rank order);
-    non-roots receive [] ({!Collectives.gather} of the archives). *)
-val gather : Communicator.t -> 'a Serial.Codec.t -> root:int -> 'a -> 'a list
-
-(** Sparse exchange of heterogeneous serialized messages: input and output
-    are (rank, value) pairs, the output grouped by source rank in send
-    order (a count {!Collectives.alltoall}, then an
-    {!Collectives.alltoallv} of the archives). *)
-val sparse_exchange :
-  Communicator.t -> 'a Serial.Codec.t -> (int * 'a) list -> (int * 'a) list
+(** A {!Datatype.framed} type of [codec]'s archives: a value encodes
+    straight into the send writer and decodes in place from its received
+    frame (a mismatched codec raises {!Serial.Codec.Decode_error}).  Its
+    placeholder, seen only where a receive leaves a gap, is the codec's
+    decode of zero bytes, made once here and shared; a codec that cannot
+    decode zeros raises [Errdefs.Usage_error] here.  Build it once per
+    codec: each call decodes that placeholder. *)
+val datatype : 'a Serial.Codec.t -> 'a Datatype.t

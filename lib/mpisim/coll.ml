@@ -98,6 +98,24 @@ let prologue comm ~(op : Profiling.op) ~root ~ty =
 let record comm ~op ~bytes =
   Profiling.record_op (Comm.runtime comm).Runtime.profile op ~bytes
 
+(* The bytes a call records for the [count] elements of [data] from [pos]
+   it contributes, by {!Coll_algo.choose}'s payload rule: [count *
+   elem_size] for a fixed-size type; for a variable-size ([framed]) one,
+   what the elements pack to, measured by packing them into the rank's
+   pooled writer (host work only, no virtual time). *)
+let payload_bytes comm (dt : 'a Datatype.t) data ~pos ~count =
+  if dt.Datatype.fixed_size then Datatype.size_of_count dt count
+  else begin
+    let rt = Comm.runtime comm and me = Comm.world_rank comm in
+    let w = Runtime.acquire_writer rt me ~capacity:8 in
+    Datatype.pack_array dt w data ~pos ~count;
+    let bytes = Wire.length w in
+    Wire.recycle rt.Runtime.wire_pools.(me) (Wire.writer_storage w);
+    bytes
+  end
+
+let data_bytes comm dt data = payload_bytes comm dt data ~pos:0 ~count:(Array.length data)
+
 (* Trace spans without closures.  A span is the name it was opened
    under, or [no_span]; a call site brackets its body as
 
@@ -674,7 +692,7 @@ let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a ar
 let bcast_bytes comm dt ~root data =
   Comm.check_rank comm root;
   match data with
-  | Some d when Comm.rank comm = root -> Datatype.size_of_count dt (Array.length d)
+  | Some d when Comm.rank comm = root -> data_bytes comm dt d
   | None when Comm.rank comm = root -> Errdefs.usage_error "bcast: root must provide data"
   | _ -> 0
 
@@ -742,7 +760,7 @@ let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a 
             c.(root) (Array.length data)
       | Some c -> blocks c
   in
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_gatherv ~root ~ty:(Datatype.name dt) ~bytes in
   match gatherv_run comm dt ~root ~table data with
   | r -> leave comm span r
@@ -750,7 +768,7 @@ let gatherv comm (dt : 'a Datatype.t) ~root ?recv_counts (data : 'a array) : 'a 
 
 let gather comm (dt : 'a Datatype.t) ~root (data : 'a array) : 'a array =
   Comm.check_rank comm root;
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_gather ~root ~ty:(Datatype.name dt) ~bytes in
   match gather_equal blocking comm dt ~root data with
   | r -> leave comm span r
@@ -873,10 +891,13 @@ let allgather_run comm dt ~bytes data =
   end
 
 let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  let count = Array.length data in
-  let bytes = Datatype.size_of_count dt count in
-  let span = enter comm ~op:op_allgather ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
-  match allgather_run comm dt ~bytes data with
+  let span =
+    enter comm ~op:op_allgather ~root:(-1) ~ty:(Datatype.name dt)
+      ~bytes:(data_bytes comm dt data)
+  in
+  match
+    allgather_run comm dt ~bytes:(Datatype.size_of_count dt (Array.length data)) data
+  with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
 
@@ -893,7 +914,7 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
   if recv_counts.(r) <> Array.length data then
     Errdefs.usage_error "allgatherv: own recv_count %d does not match data length %d"
       recv_counts.(r) (Array.length data);
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_allgatherv ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   charge_dense_scan comm;
   let table = blocks recv_counts in
@@ -941,7 +962,7 @@ let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   if Array.length data mod n <> 0 then
     Errdefs.usage_error "alltoall: data length %d not divisible by %d"
       (Array.length data) n;
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_alltoall ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match alltoall_run comm dt data with
   | r -> leave comm span r
@@ -950,12 +971,23 @@ let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
 (* Variable alltoall.  Counts and displacements are all required, as in
    MPI — computing sensible defaults is the binding layer's job (§III-A).
    Empty pairs are skipped (both sides know the counts), but every rank
-   pays the O(p) count-array scan.  Returns the bytes it records. *)
-let alltoallv_bytes comm dt ~op ~send_counts ~recv_counts =
+   pays the O(p) count-array scan.  Returns the bytes it records for the
+   blocks of [data] at [send_displs]. *)
+let alltoallv_bytes comm (dt : 'a Datatype.t) ~op ~send_counts ~send_displs ~recv_counts
+    data =
   let n = Comm.size comm in
   if Array.length send_counts <> n || Array.length recv_counts <> n then
     Errdefs.usage_error "%s: counts arrays must have length %d" op n;
-  Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts)
+  if dt.Datatype.fixed_size then
+    Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts)
+  else begin
+    let bytes = ref 0 in
+    for d = 0 to n - 1 do
+      bytes :=
+        !bytes + payload_bytes comm dt data ~pos:send_displs.(d) ~count:send_counts.(d)
+    done;
+    !bytes
+  end
 
 let alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data =
   charge_dense_scan comm;
@@ -968,7 +1000,9 @@ let alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs 
 let alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(send_displs : int array) ~(recv_counts : int array) ~(recv_displs : int array)
     (data : 'a array) : 'a array =
-  let bytes = alltoallv_bytes comm dt ~op:"alltoallv" ~send_counts ~recv_counts in
+  let bytes =
+    alltoallv_bytes comm dt ~op:"alltoallv" ~send_counts ~send_displs ~recv_counts data
+  in
   let span = enter comm ~op:op_alltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match
     alltoallv_run blocking comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data
@@ -996,7 +1030,10 @@ let alltoallw_run comm dt ~send_counts ~recv_counts data =
    limits scalability (paper §II, [9]). *)
 let alltoallw comm (dt : 'a Datatype.t) ~(send_counts : int array)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
-  let bytes = alltoallv_bytes comm dt ~op:"alltoallw" ~send_counts ~recv_counts in
+  let bytes =
+    alltoallv_bytes comm dt ~op:"alltoallw" ~send_counts
+      ~send_displs:(exclusive_prefix_sum send_counts) ~recv_counts data
+  in
   let span = enter comm ~op:op_alltoallw ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match alltoallw_run comm dt ~send_counts ~recv_counts data with
   | r -> leave comm span r
@@ -1074,7 +1111,7 @@ let reduce_run comm dt op ~root data =
 let reduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~root (data : 'a array) :
     'a array =
   Comm.check_rank comm root;
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_reduce ~root ~ty:(Datatype.name dt) ~bytes in
   match reduce_run comm dt op ~root data with
   | r -> leave comm span r
@@ -1254,7 +1291,7 @@ let allreduce_run x comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a a
   end
 
 let allreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_allreduce ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match allreduce_run blocking comm dt op data with
   | r -> leave comm span r
@@ -1282,8 +1319,7 @@ let scan_run comm dt op data =
   acc
 
 let scan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) : 'a array =
-  let len = Array.length data in
-  let bytes = Datatype.size_of_count dt len in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_scan ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match scan_run comm dt op data with
   | r -> leave comm span r
@@ -1303,7 +1339,7 @@ let exscan_run comm dt op data =
 
 let exscan comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     'a array option =
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_exscan ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match exscan_run comm dt op data with
   | r -> leave comm span r
@@ -1341,7 +1377,7 @@ let neighbor_allgather_run comm dt (topo : Comm.topology) data =
 
 let neighbor_allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array array =
   let topo = topology_exn comm ~op:"neighbor_allgather" in
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   let span =
     enter comm ~op:op_neighbor_allgather ~root:(-1) ~ty:(Datatype.name dt) ~bytes
   in
@@ -1381,7 +1417,9 @@ let neighbor_alltoallv comm (dt : 'a Datatype.t) ~(send_counts : int array)
   if Array.length recv_counts <> in_deg then
     Errdefs.usage_error "neighbor_alltoallv: recv_counts length %d, expected in-degree %d"
       (Array.length recv_counts) in_deg;
-  let bytes = Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts) in
+  let bytes =
+    payload_bytes comm dt data ~pos:0 ~count:(Array.fold_left ( + ) 0 send_counts)
+  in
   let span =
     enter comm ~op:op_neighbor_alltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes
   in
@@ -1477,7 +1515,7 @@ let reduce_scatter_block comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   let total = Array.length data in
   if total mod n <> 0 then
     Errdefs.usage_error "reduce_scatter_block: data length %d not divisible by %d" total n;
-  let bytes = Datatype.size_of_count dt total in
+  let bytes = data_bytes comm dt data in
   let span =
     enter comm ~op:op_reduce_scatter_block ~root:(-1) ~ty:(Datatype.name dt) ~bytes
   in
@@ -1501,7 +1539,7 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     ~(recv_counts : int array) (data : 'a array) : 'a array =
   let len = Array.length data in
   let table = reduce_scatter_table comm ~op:"reduce_scatter" ~recv_counts ~len in
-  let bytes = Datatype.size_of_count dt len in
+  let bytes = data_bytes comm dt data in
   let span = enter comm ~op:op_reduce_scatter ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   match reduce_scatter_run blocking comm dt op ~scatterv:true ~table data with
   | r -> leave comm span r
@@ -1531,8 +1569,11 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
     Errdefs.usage_error "allreduce_init: src has %d elements but dst has %d" elems
       (Array.length dst);
   let bytes = Datatype.size_of_count dt elems in
-  record comm ~op:op_allreduce_init ~bytes;
-  let persistent = schedule comm ~op:op_allreduce ~root:(-1) ~ty ~bytes ~persistent:true in
+  let recorded = data_bytes comm dt src in
+  record comm ~op:op_allreduce_init ~bytes:recorded;
+  let persistent =
+    schedule comm ~op:op_allreduce ~root:(-1) ~ty ~bytes:recorded ~persistent:true
+  in
   if Comm.size comm = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 elems)
   else begin
     let counter, algo =
@@ -1554,7 +1595,7 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   Comm.check_rank comm root;
   let total = Array.length buf in
   let bytes = Datatype.size_of_count dt total in
-  let rbytes = if Comm.rank comm = root then bytes else 0 in
+  let rbytes = if Comm.rank comm = root then data_bytes comm dt buf else 0 in
   record comm ~op:op_bcast_init ~bytes:rbytes;
   let persistent = schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~persistent:true in
   let n = Comm.size comm in
@@ -1581,9 +1622,10 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     Errdefs.usage_error "reduce_scatter_init: dst length %d but this rank receives %d"
       (Array.length dst) mine;
   let bytes = Datatype.size_of_count dt len in
-  record comm ~op:op_reduce_scatter_init ~bytes;
+  let recorded = data_bytes comm dt src in
+  record comm ~op:op_reduce_scatter_init ~bytes:recorded;
   let persistent =
-    schedule comm ~op:op_reduce_scatter ~root:(-1) ~ty ~bytes ~persistent:true
+    schedule comm ~op:op_reduce_scatter ~root:(-1) ~ty ~bytes:recorded ~persistent:true
   in
   if n = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 len)
   else begin
@@ -1611,13 +1653,15 @@ let ibcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) :
 
 let iallreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     Request.t * 'a array option ref =
-  let bytes = Datatype.size_of_count dt (Array.length data) in
+  let bytes = data_bytes comm dt data in
   post comm ~op:op_iallreduce ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
       allreduce_run x comm dt op data)
 
 let ialltoallv comm (dt : 'a Datatype.t) ~send_counts ~send_displs ~recv_counts
     ~recv_displs (data : 'a array) : Request.t * 'a array option ref =
-  let bytes = alltoallv_bytes comm dt ~op:"ialltoallv" ~send_counts ~recv_counts in
+  let bytes =
+    alltoallv_bytes comm dt ~op:"ialltoallv" ~send_counts ~send_displs ~recv_counts data
+  in
   post comm ~op:op_ialltoallv ~root:(-1) ~ty:(Datatype.name dt) ~bytes (fun x ->
       alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs data)
 
@@ -1626,5 +1670,5 @@ let ireduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~recv_counts
   let len = Array.length data in
   let table = reduce_scatter_table comm ~op:"ireduce_scatter" ~recv_counts ~len in
   post comm ~op:op_ireduce_scatter ~root:(-1) ~ty:(Datatype.name dt)
-    ~bytes:(Datatype.size_of_count dt len) (fun x ->
+    ~bytes:(data_bytes comm dt data) (fun x ->
       reduce_scatter_run x comm dt op ~scatterv:true ~table data)

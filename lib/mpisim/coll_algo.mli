@@ -123,12 +123,20 @@ val describe_tag : int -> string
     one whose closed-form time under [model] is least (DESIGN.md §6; an
     exact tie, as under [Net_model.zero_cost], keeps recursive doubling,
     Bruck, binomial or reduce + scatterv).  [bytes] is the total payload
-    (per-rank contribution for allgather), [size] the communicator size,
+    (per-rank contribution for allgather) as [count * elem_size], [size]
+    the communicator size,
     and [commutative] whether the operator tolerates reassociation across
     ranks (pass [true] for non-reducing collectives).  Pure and
     allocation-free: every rank of a communicator must pass identical
     arguments — MPI already requires matching signatures, and {!Check}
-    enforces it. *)
+    enforces it.
+
+    The payload rule, for every collective: selection keys on [count *
+    elem_size], which every rank knows before any message; for a
+    variable-size type ([Datatype.framed]) that is the least the payload
+    occupies.  A call's profile row records the bytes its payload packs
+    to: the same [count * elem_size] for a fixed-size type, the packed
+    frames for a variable-size one. *)
 val choose : Net_model.t -> op -> bytes:int -> size:int -> commutative:bool -> algo
 
 (** {1 Pins} *)

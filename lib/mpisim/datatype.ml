@@ -54,6 +54,13 @@ type _ bulk_kernel =
    committed and never change it; [without_bulk] copies share it. *)
 type state = { mutable committed : bool; mutable freed : bool }
 
+(* The placeholder that seeds a fresh receive array, made once when the
+   type is built.  An immutable one is [Shared] by every array that needs
+   it; one a caller could mutate (an array, a user's record) is [Fresh]:
+   made anew on each use, so a write to a placeholder in one call's
+   result never shows in the next call's. *)
+type 'a placeholder = Shared of 'a | Fresh of (unit -> 'a)
+
 type 'a t = {
   name : string;
   kind : kind;
@@ -64,6 +71,8 @@ type 'a t = {
   bulk : 'a bulk_kernel option;  (* fast path; [None] = general path *)
   state : state;
   id : 'a Type.Id.t;  (* one per constructed type; [without_bulk] copies share it *)
+  zero : 'a placeholder;
+  fixed_size : bool;  (* [false] for a [framed] type: [elem_size] is its least *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -196,7 +205,7 @@ let read_run : type a. a bulk_kernel -> sz:int -> Bytes.t -> int -> count:int ->
 (* ------------------------------------------------------------------ *)
 (* Builtins *)
 
-let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
+let born_committed ~name ~size ~signature ~pack ~unpack ~bulk ~zero ~fixed_size =
   {
     name;
     kind = Builtin;
@@ -204,10 +213,16 @@ let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
     signature;
     pack;
     unpack;
-    bulk = Some bulk;
+    bulk;
     state = { committed = true; freed = false };
     id = Type.Id.make ();
+    zero = Shared zero;
+    fixed_size;
   }
+
+let builtin ~name ~size ~signature ~pack ~unpack ~bulk ~zero =
+  born_committed ~name ~size ~signature ~pack ~unpack ~bulk:(Some bulk) ~zero
+    ~fixed_size:true
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
    pair would — the fast-path≡general-path qcheck property enforces this. *)
@@ -215,12 +230,12 @@ let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
 let int : int t =
   builtin ~name:"int" ~size:8
     ~signature:(Signature.of_base Signature.Int64)
-    ~pack:Wire.put_int ~unpack:Wire.get_int ~bulk:K_int
+    ~pack:Wire.put_int ~unpack:Wire.get_int ~bulk:K_int ~zero:0
 
 let int32 : int32 t =
   builtin ~name:"int32" ~size:4
     ~signature:(Signature.of_base Signature.Int32)
-    ~pack:Wire.put_int32 ~unpack:Wire.get_int32
+    ~pack:Wire.put_int32 ~unpack:Wire.get_int32 ~zero:0l
     ~bulk:
       (K_fn
          { bk_write = (fun b p v -> Bytes.set_int32_le b p v); bk_read = Bytes.get_int32_le })
@@ -228,7 +243,7 @@ let int32 : int32 t =
 let int64 : int64 t =
   builtin ~name:"int64" ~size:8
     ~signature:(Signature.of_base Signature.Int64)
-    ~pack:Wire.put_int64 ~unpack:Wire.get_int64
+    ~pack:Wire.put_int64 ~unpack:Wire.get_int64 ~zero:0L
     ~bulk:
       (K_fn
          { bk_write = (fun b p v -> Bytes.set_int64_le b p v); bk_read = Bytes.get_int64_le })
@@ -236,12 +251,12 @@ let int64 : int64 t =
 let float : float t =
   builtin ~name:"float" ~size:8
     ~signature:(Signature.of_base Signature.Float64)
-    ~pack:Wire.put_float ~unpack:Wire.get_float ~bulk:K_float
+    ~pack:Wire.put_float ~unpack:Wire.get_float ~bulk:K_float ~zero:0.
 
 let float32 : float t =
   builtin ~name:"float32" ~size:4
     ~signature:(Signature.of_base Signature.Float32)
-    ~pack:Wire.put_float32 ~unpack:Wire.get_float32
+    ~pack:Wire.put_float32 ~unpack:Wire.get_float32 ~zero:0.
     ~bulk:
       (K_fn
          {
@@ -252,17 +267,17 @@ let float32 : float t =
 let char : char t =
   builtin ~name:"char" ~size:1
     ~signature:(Signature.of_base Signature.Char)
-    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
+    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char ~zero:'\000'
 
 let byte : char t =
   builtin ~name:"byte" ~size:1
     ~signature:(Signature.of_base Signature.Blob)
-    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char
+    ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:K_char ~zero:'\000'
 
 let bool : bool t =
   builtin ~name:"bool" ~size:1
     ~signature:(Signature.of_base Signature.Bool)
-    ~pack:Wire.put_bool ~unpack:Wire.get_bool
+    ~pack:Wire.put_bool ~unpack:Wire.get_bool ~zero:false
     ~bulk:
       (K_fn
          {
@@ -278,34 +293,43 @@ let bool : bool t =
                         { what = "bool must be 0 or 1"; got = Char.code c }));
          })
 
-(* One whole byte string per element (a serialized archive, a raw
-   payload), framed as its 8-byte length and then its bytes: 8 is the
-   least an element occupies, and a zero frame decodes to [Bytes.empty].
-   A length that is negative or runs past the reader raises
-   [Wire.Underflow] before anything is allocated.  No bulk kernel: the
-   elements are not fixed-size. *)
+(* One element of any size per frame: the frame's 8-byte length, then
+   what [encode] wrote.  [encode] writes straight into the send writer
+   after an 8-byte slot, which is then back-patched with the length, and
+   [decode] reads in place from a reader over exactly the frame.  A
+   length that is negative or runs past the reader raises
+   [Wire.Underflow] before [decode] runs, so before anything is
+   allocated.  Not fixed-size: 8 is the least an element occupies.  The
+   signature is [Byte_string] whatever the element, and the type is born
+   committed. *)
+let framed ~name ~(encode : Wire.writer -> 'a -> unit) ~(decode : Wire.reader -> 'a)
+    ~(zero : 'a) : 'a t =
+  let pack w v =
+    let at = Wire.reserve_offset w 8 in
+    encode w v;
+    set_le64 (Wire.writer_storage w) at (Int64.of_int (Wire.length w - at - 8))
+  in
+  let unpack r =
+    let len = Wire.get_int r in
+    (* [read_offset] checks a length past the reader; a negative one
+       is not a length. *)
+    if len < 0 then raise (Wire.Underflow { wanted = len; available = Wire.remaining r });
+    let pos = Wire.read_offset r len in
+    decode (Wire.reader_of_slice (Wire.reader_storage r) ~pos ~len)
+  in
+  born_committed ~name ~size:8
+    ~signature:(Signature.of_base Signature.Byte_string)
+    ~pack ~unpack ~bulk:None ~zero ~fixed_size:false
+
+(* One whole byte string per element (a raw payload): the frame holds
+   the bytes, and a zero frame decodes to [Bytes.empty]. *)
 let bytes : Bytes.t t =
-  {
-    name = "bytes";
-    kind = Builtin;
-    elem_size = 8;
-    signature = Signature.of_base Signature.Byte_string;
-    pack =
-      (fun w b ->
-        Wire.put_int w (Bytes.length b);
-        Wire.put_bytes w b ~pos:0 ~len:(Bytes.length b));
-    unpack =
-      (fun r ->
-        let len = Wire.get_int r in
-        (* [get_bytes] checks a length past the reader; a negative one
-           would reach [Bytes.sub]. *)
-        if len < 0 then
-          raise (Wire.Underflow { wanted = len; available = Wire.remaining r });
-        if len = 0 then Bytes.empty else Wire.get_bytes r len);
-    bulk = None;
-    state = { committed = true; freed = false };
-    id = Type.Id.make ();
-  }
+  framed ~name:"bytes"
+    ~encode:(fun w b -> Wire.put_bytes w b ~pos:0 ~len:(Bytes.length b))
+    ~decode:(fun r ->
+      let len = Wire.remaining r in
+      if len = 0 then Bytes.empty else Wire.get_bytes r len)
+    ~zero:Bytes.empty
 
 (* ------------------------------------------------------------------ *)
 (* Derived-type constructors *)
@@ -313,7 +337,7 @@ let bytes : Bytes.t t =
 (* Internal constructor: derived type with an explicit (optional) bulk
    kernel.  The public [create] takes opaque pack/unpack closures, about
    which nothing can be assumed, so it always gets the general path. *)
-let create_k ~name ~size ~signature ~pack ~unpack ~bulk =
+let create_k ~name ~size ~signature ~pack ~unpack ~bulk ~zero =
   if size < 0 then invalid_arg "Datatype.create: negative size";
   {
     name;
@@ -325,12 +349,23 @@ let create_k ~name ~size ~signature ~pack ~unpack ~bulk =
     bulk;
     state = { committed = false; freed = false };
     id = Type.Id.make ();
+    zero;
+    fixed_size = true;
   }
+
+(* A placeholder decoded afresh from [size] zero bytes made once, for a
+   type whose values nothing here knows to be immutable. *)
+let decoded_zero ~size unpack =
+  let zeros = Bytes.make size '\000' in
+  Fresh (fun () -> unpack (Wire.reader_of_slice zeros ~pos:0 ~len:size))
+
+let zero_elem (t : 'a t) : 'a = match t.zero with Shared z -> z | Fresh f -> f ()
 
 (* Fully custom ("dynamic", §III-D2): the caller supplies everything, with
    sizes possibly known only at runtime. *)
 let create ~name ~size ~signature ~pack ~unpack =
   create_k ~name ~size ~signature ~pack ~unpack ~bulk:None
+    ~zero:(decoded_zero ~size:(Stdlib.max 0 size) unpack)
 
 let contiguous ~count (base : 'a t) : 'a array t =
   if count < 0 then invalid_arg "Datatype.contiguous: negative count";
@@ -364,9 +399,15 @@ let contiguous ~count (base : 'a t) : 'a array t =
                bk_read = (fun buf off -> read_run k ~sz buf off ~count);
              })
   in
+  (* A fresh block per use: an array can be written to. *)
+  let zero =
+    match base.zero with
+    | Shared z -> Fresh (fun () -> Array.make count z)
+    | Fresh f -> Fresh (fun () -> Array.init count (fun _ -> f ()))
+  in
   create_k ~name ~size:(count * base.elem_size)
     ~signature:(Signature.repeat base.signature count)
-    ~pack ~unpack ~bulk
+    ~pack ~unpack ~bulk ~zero
 
 let pair (a : 'a t) (b : 'b t) : ('a * 'b) t =
   let name = Printf.sprintf "pair(%s,%s)" a.name b.name in
@@ -395,12 +436,16 @@ let pair (a : 'a t) (b : 'b t) : ('a * 'b) t =
       let y = b.unpack r in
       (x, y))
     ~bulk
+    ~zero:
+      (match (a.zero, b.zero) with
+      | Shared x, Shared y -> Shared (x, y)
+      | _ -> Fresh (fun () -> (zero_elem a, zero_elem b)))
 
 (* Fixed-size option: a presence byte plus space for the payload either way,
    so that elements stay fixed-size (absent payloads are zero padding). *)
 let option_ (base : 'a t) : 'a option t =
   let name = Printf.sprintf "option(%s)" base.name in
-  create ~name
+  create_k ~name ~bulk:None ~zero:(Shared None)
     ~size:(1 + base.elem_size)
     ~signature:(Signature.append (Signature.of_base Signature.Bool)
                   (Signature.of_base ~count:base.elem_size Signature.Blob))
@@ -519,10 +564,12 @@ let blob ~name ~size ~(write : Bytes.t -> int -> 'a -> unit) ~(read : Bytes.t ->
     let pos = Wire.read_offset r size in
     read (Wire.reader_storage r) pos
   in
+  let zeros = Bytes.make size '\000' in
   create_k ~name ~size
     ~signature:(Signature.of_base ~count:size Signature.Blob)
     ~pack ~unpack
     ~bulk:(Some (K_fn { bk_write = write; bk_read = read }))
+    ~zero:(Fresh (fun () -> read zeros 0))
 
 (* ------------------------------------------------------------------ *)
 (* Array pack/unpack helpers used by the runtime *)
@@ -698,14 +745,6 @@ let with_committed (t : 'a t) (f : 'a t -> 'b) : 'b =
     commit t;
     Fun.protect ~finally:(fun () -> free t) (fun () -> f t)
   end
-
-(* A placeholder element decoded from zero bytes; used to seed freshly
-   allocated receive arrays when the receiver holds no local element of the
-   type.  All combinators in this module decode zero bytes successfully. *)
-let zero_elem (t : 'a t) : 'a =
-  let w = Wire.create_writer ~capacity:(Stdlib.max 1 t.elem_size) () in
-  Wire.put_padding w t.elem_size;
-  t.unpack (Wire.reader_of_bytes (Wire.contents w))
 
 let size_of_count (t : 'a t) n = t.elem_size * n
 

@@ -14,7 +14,10 @@
     - [blob] maps a trivially-copyable value to one contiguous byte block
       (single bulk copy, alignment gaps included on the wire) — the
       library's preferred default per §III-D4;
-    - [create] supports fully dynamic, runtime-sized types (§III-D2).
+    - [create] supports fully dynamic, runtime-sized types (§III-D2);
+    - [framed] carries one element of any size per length-framed run of
+      bytes: raw byte strings ([bytes]) and serialized archives
+      ([Kamping.Serialized.datatype]) are its instances.
 
     Derived types must be committed before use in communication and freed
     afterwards; {!live_derived_count} lets tests assert the absence of
@@ -35,6 +38,14 @@ type 'a bulk_kernel
     type starts uncommitted.  {!without_bulk} copies share it. *)
 type state
 
+(** The placeholder that seeds fresh receive arrays, made once when the
+    type is built: shared by every use when the type's values are
+    immutable, made anew on each use when they could be written to (a
+    [contiguous] block, a [record], a [blob], a [create]d type), so a
+    write to a placeholder in one call's result never shows in another
+    call's.  See {!zero_elem}. *)
+type 'a placeholder
+
 type 'a t = {
   name : string;
   kind : kind;
@@ -49,6 +60,10 @@ type 'a t = {
           by its {!without_bulk} copies: where two ranks meet with their
           own ['a t] (an RMA window's creation), it proves they agree on
           ['a] without a cast *)
+  zero : 'a placeholder;
+  fixed_size : bool;
+      (** [false] for a {!framed} type, whose elements pack to as many
+          bytes as they hold; [elem_size] is then the least one occupies *)
 }
 
 (** {1 Commit/free lifecycle} *)
@@ -91,14 +106,36 @@ val byte : char t
 
 val bool : bool t
 
-(** One whole byte string per element, framed as an 8-byte length and
-    then the bytes — how raw payloads and serialized archives
-    ([Kamping.Serialized]) travel through the typed calls.  [elem_size]
-    is 8, the least an element occupies; a zero frame decodes to
-    [Bytes.empty].  A negative length, or one past the reader, raises
-    {!Wire.Underflow} before anything is allocated.  The signature is its
-    own ([Byte_string]): it matches neither [byte] nor [blob] runs. *)
+(** One whole byte string per element: a {!framed} type whose frame holds
+    the bytes, for raw payloads.  A zero frame decodes to [Bytes.empty]. *)
 val bytes : Bytes.t t
+
+(** {1 Variable-size elements} *)
+
+(** [framed ~name ~encode ~decode ~zero]: one element of any size per
+    frame, the frame's 8-byte length followed by what [encode] wrote.
+    [encode] writes the element straight into the send writer, after an
+    8-byte slot that is back-patched with the length; [decode] reads it
+    in place from a reader over exactly the frame.  A negative length, or
+    one past the reader, raises {!Wire.Underflow} before [decode] runs,
+    so before anything is allocated.
+
+    The type is born committed (kind [Builtin]) and not fixed-size:
+    [elem_size] is 8, the least an element occupies, and its signature is
+    its own ([Byte_string]): it matches any framed type and neither
+    [byte] nor [blob] runs.  [zero] is its placeholder, shared by every
+    use, so it should be a value nothing mutates.
+
+    The variable-size rule: a collective's profile row records the bytes
+    such a payload packs to, while algorithm selection keys on
+    [count * elem_size], which every rank knows
+    ({!Coll_algo.choose}). *)
+val framed :
+  name:string ->
+  encode:(Wire.writer -> 'a -> unit) ->
+  decode:(Wire.reader -> 'a) ->
+  zero:'a ->
+  'a t
 
 (** {1 Derived-type constructors} *)
 
@@ -218,8 +255,10 @@ val bulk_available : 'a t -> bool
     benchmarks. *)
 val without_bulk : 'a t -> 'a t
 
-(** A placeholder decoded from zero bytes; seeds freshly allocated receive
-    arrays. *)
+(** The type's placeholder (what its [elem_size] zero bytes decode to, or
+    a [framed] type's [zero]); seeds freshly allocated receive arrays.
+    Made when the type is built: reading it decodes nothing, and a
+    mutable one is a fresh copy. *)
 val zero_elem : 'a t -> 'a
 
 val size_of_count : 'a t -> int -> int

@@ -21,19 +21,24 @@ let name_hash (s : string) : int32 =
     s;
   Int32.of_int (!h land 0x7FFFFFFF)
 
-let encode (c : 'a Codec.t) (v : 'a) : Bytes.t =
-  let w = Mpisim.Wire.create_writer () in
+(* The header, then the codec's payload, written at the writer's end:
+   an archive encodes straight into a send buffer. *)
+let encode_into (c : 'a Codec.t) (w : Mpisim.Wire.writer) (v : 'a) : unit =
   Mpisim.Wire.put_int32 w (Int32.of_int magic);
   Mpisim.Wire.put_uint8 w version;
   Mpisim.Wire.put_int32 w (name_hash (Codec.name c));
-  c.Codec.encode w v;
+  c.Codec.encode w v
+
+let encode (c : 'a Codec.t) (v : 'a) : Bytes.t =
+  let w = Mpisim.Wire.create_writer () in
+  encode_into c w v;
   Mpisim.Wire.contents w
 
-let decode (c : 'a Codec.t) (b : Bytes.t) : 'a =
-  if Bytes.length b < header_bytes then
-    Codec.decode_error "archive: %d bytes, shorter than the %d-byte header" (Bytes.length b)
-      header_bytes;
-  let r = Mpisim.Wire.reader_of_bytes b in
+(* One whole archive: [r] must hold exactly it. *)
+let decode_from (c : 'a Codec.t) (r : Mpisim.Wire.reader) : 'a =
+  if Mpisim.Wire.remaining r < header_bytes then
+    Codec.decode_error "archive: %d bytes, shorter than the %d-byte header"
+      (Mpisim.Wire.remaining r) header_bytes;
   let m = Int32.to_int (Mpisim.Wire.get_int32 r) in
   if m <> magic then Codec.decode_error "archive: bad magic %x" m;
   let ver = Mpisim.Wire.get_uint8 r in
@@ -46,3 +51,6 @@ let decode (c : 'a Codec.t) (b : Bytes.t) : 'a =
   if Mpisim.Wire.remaining r <> 0 then
     Codec.decode_error "archive: %d trailing bytes" (Mpisim.Wire.remaining r);
   v
+
+let decode (c : 'a Codec.t) (b : Bytes.t) : 'a =
+  decode_from c (Mpisim.Wire.reader_of_bytes b)

@@ -6,6 +6,12 @@
 
 val encode : 'a Codec.t -> 'a -> Bytes.t
 
+(** [encode] written at the end of [w], with no buffer of its own. *)
+val encode_into : 'a Codec.t -> Mpisim.Wire.writer -> 'a -> unit
+
 (** Raises {!Codec.Decode_error} on bad magic, version, codec mismatch,
     malformed payload, or trailing bytes. *)
 val decode : 'a Codec.t -> Bytes.t -> 'a
+
+(** [decode] from a reader that holds exactly one archive, in place. *)
+val decode_from : 'a Codec.t -> Mpisim.Wire.reader -> 'a

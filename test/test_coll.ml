@@ -1224,8 +1224,52 @@ let selection_cell ?(check_level = Check.Off) (model : Net_model.t) op ~p ~total
 
 let all_ops = Coll_algo.[ Allreduce; Allgather; Bcast; Reduce_scatter ]
 
+(* The payload rule ({!Coll_algo.choose}): selection keys on [count *
+   elem_size], so a bcast, allgather or allreduce of [total] 16-byte
+   strings ([Datatype.bytes], 8 bytes each by that measure) selects what
+   the same count of ints selects, while its profile row records the
+   24-byte frames it packs.  [None] when both hold, otherwise the cell. *)
+let payload_rule_cell (model : Net_model.t) op ~p ~total =
+  let run (type a) (dt : a Datatype.t) (x : a) =
+    let report =
+      Engine.run ~model ~clock_mode:Runtime.Virtual_only ~ranks:p (fun comm ->
+          match op with
+          | Coll_algo.Bcast ->
+              let data = if Comm.rank comm = 0 then Some (Array.make total x) else None in
+              ignore (Coll.bcast comm dt ~root:0 data)
+          | Coll_algo.Allreduce ->
+              let max = Reduce_op.custom ~commutative:true ~name:"max" max in
+              ignore (Coll.allreduce comm dt max (Array.make total x))
+          | _ -> ignore (Coll.allgather comm dt (Array.make (total / p) x)))
+    in
+    let algos = ref [] in
+    Stats.iter_counters report.Engine.stats (fun name c ->
+        if String.starts_with ~prefix:"coll.algo." name && Stats.count c > 0 then
+          algos := name :: !algos);
+    let name = Coll_algo.op_name op in
+    let _, _, bytes = List.find (fun (o, _, _) -> o = name) report.Engine.profile in
+    (List.sort compare !algos, bytes)
+  in
+  match op with
+  | Coll_algo.Bcast | Coll_algo.Allgather | Coll_algo.Allreduce ->
+      let elems =
+        match op with
+        | Coll_algo.Bcast -> total
+        | Coll_algo.Allreduce -> p * total
+        | _ -> total / p * p
+      in
+      let int_algos, int_bytes = run Datatype.int 0 in
+      let str_algos, str_bytes = run Datatype.bytes (Bytes.make 16 'x') in
+      if int_algos = str_algos && int_bytes = 8 * elems && str_bytes = 24 * elems then None
+      else
+        Some
+          (Printf.sprintf "%s %s p=%d total=%d: ints [%s] %d B, strings [%s] %d B"
+             model.name (Coll_algo.op_name op) p total (String.concat " " int_algos)
+             int_bytes (String.concat " " str_algos) str_bytes)
+  | _ -> None
+
 (* Every op at p in {4, 8, 13, 16, 32} and totals 1, 4, ..., 65536 ints
-   on both networks.  The byte thresholds this replaced were slower than
+   on both networks, and the payload rule in the same cells.  The byte thresholds this replaced were slower than
    the fastest algorithm in 40 (omnipath) and 46 (ethernet) of these 180
    cells each, by up to 3.68x (reduce_scatter, p = 32, 256 ints). *)
 let test_selection_sweep () =
@@ -1236,8 +1280,14 @@ let test_selection_sweep () =
           (fun op ->
             List.concat_map
               (fun p ->
-                List.filter_map
-                  (fun e -> selection_cell model op ~p ~total:(1 lsl (2 * e)))
+                List.concat_map
+                  (fun e ->
+                    let total = 1 lsl (2 * e) in
+                    List.filter_map Fun.id
+                      [
+                        selection_cell model op ~p ~total;
+                        payload_rule_cell model op ~p ~total;
+                      ])
                   (List.init 9 Fun.id))
               [ 4; 8; 13; 16; 32 ])
           all_ops)

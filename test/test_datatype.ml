@@ -756,10 +756,14 @@ let prop_forward_equals_repack =
         case (Datatype.contiguous ~count:3 Datatype.int) (array_size (return 3) int);
         case (Datatype.pair Datatype.int Datatype.float) (pair int float_gen);
         case Datatype.bytes (map Bytes.of_string (string_size (int_bound 40)));
-        (* A [Serialized] message: one archive per element. *)
+        (* Archives as raw bytes, and as a [Serialized.datatype]'s
+           elements: the same frames. *)
         case Datatype.bytes
           (map (Serial.Archive.encode codec)
              (list_size (int_bound 5) (pair string_printable int)));
+        case
+          (Kamping.Serialized.datatype codec)
+          (list_size (int_bound 5) (pair string_printable int));
       ]
   in
   QCheck.Test.make ~name:"forwarded bytes = repacked bytes" ~count:500 (QCheck.make gen)

@@ -252,28 +252,74 @@ let test_flatten_groups_in_order () =
   Alcotest.(check (array int)) "counts" [| 1; 0; 2 |] counts;
   Alcotest.(check (array int)) "grouped data" [| 1; 20; 21 |] data
 
-(* --- serialized operations --- *)
+(* --- serialized values through the typed calls --- *)
+
+let strings = Kamping.Serialized.datatype Serial.Codec.string
 
 let test_serialized_sparse_exchange () =
   let results =
     Engine.run_values ~ranks:3 (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
         let r = Comm.rank mpi in
-        let outgoing = [ ((r + 1) mod 3, Printf.sprintf "from-%d" r) ] in
-        Kamping.Serialized.sparse_exchange comm Serial.Codec.string outgoing)
+        Kamping_plugins.Sparse_alltoall.alltoallv comm strings
+          [ ((r + 1) mod 3, [| Printf.sprintf "from-%d" r |]) ])
   in
   Alcotest.(check bool) "rank 1 got rank 0's string" true
-    (List.mem (0, "from-0") results.(1))
+    (List.mem (0, [| "from-0" |]) results.(1))
 
 let test_serialized_gather () =
   let results =
     Engine.run_values ~ranks:3 (fun mpi ->
         let comm = Kamping.Communicator.of_mpi mpi in
-        Kamping.Serialized.gather comm Serial.Codec.string ~root:1
-          (String.make (Comm.rank mpi + 1) 'x'))
+        Kamping.Collectives.gather comm strings ~root:1
+          [| String.make (Comm.rank mpi + 1) 'x' |])
   in
-  Alcotest.(check (list string)) "gathered in rank order" [ "x"; "xx"; "xxx" ] results.(1);
-  Alcotest.(check (list string)) "non-root empty" [] results.(0)
+  Alcotest.(check (array string))
+    "gathered in rank order" [| "x"; "xx"; "xxx" |] results.(1);
+  Alcotest.(check (array string)) "non-root empty" [||] results.(0)
+
+(* A variable-size payload is costed by what it packs: a 4-rank bcast of a
+   1 MiB serialized string records one copy of its packed frame (the
+   root's), while the binomial tree's three sends carry one each. *)
+let test_serialized_bcast_costed_by_frame () =
+  let v = String.make (1 lsl 20) 'x' in
+  let frame = 8 + Bytes.length (Serial.Archive.encode Serial.Codec.string v) in
+  let report =
+    Engine.run ~ranks:4 (fun mpi ->
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let got =
+          Kamping.Collectives.bcast_single comm strings ~root:0
+            ?value:(if Comm.rank mpi = 0 then Some v else None)
+            ()
+        in
+        assert (got = v))
+  in
+  let row op = List.find (fun (o, _, _) -> o = op) report.Engine.profile in
+  Alcotest.(check (triple string int int)) "bcast row" ("bcast", 4, frame) (row "bcast");
+  Alcotest.(check (triple string int int)) "send row" ("send", 3, 3 * frame) (row "send")
+
+(* A placeholder that can be written to is made anew for every call: a
+   write into one call's gap never shows in the next call's. *)
+let test_placeholder_not_shared_between_calls () =
+  let dt = Datatype.contiguous ~count:3 Datatype.int in
+  Datatype.with_committed dt (fun dt ->
+      let results =
+        Engine.run_values ~ranks:2 (fun mpi ->
+            let comm = Kamping.Communicator.of_mpi mpi in
+            let r = Comm.rank mpi in
+            let call () =
+              Kamping.Collectives.allgatherv comm dt ~recv_counts:[| 1; 1 |]
+                ~recv_displs:[| 0; 2 |] [| Array.make 3 (r + 1) |]
+            in
+            let first = call () in
+            first.(1).(0) <- 42;
+            (first.(1), (call ()).(1)))
+      in
+      Array.iter
+        (fun (first_gap, second_gap) ->
+          Alcotest.(check (array int)) "first call's gap, written" [| 42; 0; 0 |] first_gap;
+          Alcotest.(check (array int)) "second call's gap" [| 0; 0; 0 |] second_gap)
+        results)
 
 (* --- profiling guarantee (§III-H) --- *)
 
@@ -353,6 +399,10 @@ let tests =
     Alcotest.test_case "flatten grouping" `Quick test_flatten_groups_in_order;
     Alcotest.test_case "serialized sparse exchange" `Quick test_serialized_sparse_exchange;
     Alcotest.test_case "serialized gather" `Quick test_serialized_gather;
+    Alcotest.test_case "serialized bcast costed by its frame" `Quick
+      test_serialized_bcast_costed_by_frame;
+    Alcotest.test_case "placeholder not shared between calls" `Quick
+      test_placeholder_not_shared_between_calls;
     Alcotest.test_case "only expected calls issued" `Quick test_only_expected_calls;
   ]
   @ [

@@ -887,7 +887,8 @@ let test_forward_hands_off () =
 (* Minor words per blocking collective call, summed over 4 ranks: rank 0
    counts across its loop while the other ranks run interleaved with it.
    Beyond its results, a call allocates its messages (19 words each)
-   and a posted record and a park for each receive that waits; its
+   and a posted record and a park for each receive that waits; a result
+   is seeded with its type's placeholder, made once per type; its
    entry and algorithm dispatch build no closure, and a reduction folds
    from the message with no scratch vector. *)
 let coll_words ~calls f =
@@ -929,10 +930,10 @@ let test_coll_words_per_call () =
           (Coll.alltoallv comm Datatype.int ~send_counts ~send_displs
              ~recv_counts:recv_counts.(r) ~recv_displs:recv_displs.(r) send))
   in
-  if allreduce > 340. then
-    Alcotest.failf "allreduce of 16 ints: %.1f words per call (budget 340)" allreduce;
-  if alltoallv > 420. then
-    Alcotest.failf "alltoallv of 1..4 ints: %.1f words per call (budget 420)" alltoallv
+  if allreduce > 276. then
+    Alcotest.failf "allreduce of 16 ints: %.1f words per call (budget 276)" allreduce;
+  if alltoallv > 356. then
+    Alcotest.failf "alltoallv of 1..4 ints: %.1f words per call (budget 356)" alltoallv
 
 let test_profiling_record_allocation_free () =
   let prof = Profiling.create () in

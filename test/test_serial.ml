@@ -176,50 +176,79 @@ let prop_hostile_archive =
           (Bytes.length b) words bound;
       true)
 
-(* [Kamping.Serialized]'s collectives travel as [Datatype.bytes] through
-   the ordinary bcast, gather and alltoallv.  Over random rank counts
-   (powers of two or not), roots and string lists (empty ones included),
-   run under the heaviest sanitizer level, each equals its sequential
-   reference: bcast hands every rank the root's value, gather the rank
-   ordered values at the root and [] elsewhere, and sparse_exchange the
-   messages addressed to a rank, grouped by source in send order. *)
+(* [Kamping.Serialized.datatype] is a datatype like any other: over
+   random rank counts (powers of two or not), roots and string lists
+   (empty ones included), run under the heaviest sanitizer level, every
+   typed call that carries it equals its sequential reference.  Rank r
+   sends [value r] round a ring and contributes it to bcast, ibcast and
+   gather, and sends the messages [out r] (destination, list) through the
+   inferred-count allgatherv, Named.allgatherv, alltoallv and the NBX
+   sparse all-to-all. *)
 let prop_serialized_collectives =
-  let codec = Serial.Codec.(list string) in
-  QCheck.Test.make ~name:"Serialized bcast/gather/sparse_exchange = reference" ~count:60
+  let dt = Kamping.Serialized.datatype Serial.Codec.(list string) in
+  QCheck.Test.make ~name:"Serialized.datatype = reference" ~count:60
     QCheck.(
-      triple (int_range 1 9) small_nat
-        (small_list (pair (small_list small_string) (small_list (pair small_nat string)))))
+      triple (Arb.ranks 1 9) small_nat
+        (small_list
+           (pair (small_list small_string)
+              (small_list (pair small_nat (small_list string))))))
     (fun (p, root, per_rank) ->
-      QCheck.assume (p >= 1);
       let root = root mod p in
       let value r = match List.nth_opt per_rank r with Some (v, _) -> v | None -> [] in
-      let outgoing r =
+      let out r =
         match List.nth_opt per_rank r with
-        | Some (_, out) -> List.map (fun (d, s) -> (d mod p, [ s ])) out
+        | Some (_, out) -> List.map (fun (d, m) -> (d mod p, m)) out
         | None -> []
+      in
+      (* [out r]'s messages grouped by destination, in send order. *)
+      let grouped r =
+        Array.init p (fun d ->
+            Array.of_list
+              (List.filter_map (fun (d', m) -> if d' = d then Some m else None) (out r)))
       in
       let results, _ =
         Mpisim.Engine.run_collect ~check_level:Mpisim.Check.Heavy ~ranks:p (fun mpi ->
             let comm = Kamping.Communicator.of_mpi mpi in
-            let r = Kamping.Communicator.rank comm in
-            let b =
-              Kamping.Serialized.bcast comm codec ~root
-                ?value:(if r = root then Some (value r) else None)
-                ()
+            let module K = Kamping in
+            let r = K.Communicator.rank comm in
+            let mine = value r and g = grouped r in
+            let block = Array.of_list (List.map snd (out r)) in
+            let at_root = if r = root then Some [| mine |] else None in
+            K.P2p.send_single comm dt ~dest:((r + 1) mod p) mine;
+            let ring = K.P2p.recv_single comm dt ~source:((r + p - 1) mod p) () in
+            let b = K.Collectives.bcast comm dt ~root ?data:at_root () in
+            let ib = K.Nb.wait (K.Nb_coll.ibcast comm dt ~root ?data:at_root ()) in
+            let gathered = K.Collectives.gather comm dt ~root [| mine |] in
+            let agv = K.Collectives.allgatherv comm dt block in
+            let named =
+              K.Named.extract_recv_buf
+                (K.Named.allgatherv comm dt [ K.Named.send_buf block ])
             in
-            let g = Kamping.Serialized.gather comm codec ~root (value r) in
-            let x = Kamping.Serialized.sparse_exchange comm codec (outgoing r) in
-            (b, g, x))
+            let a2a =
+              K.Collectives.alltoallv comm dt ~send_counts:(Array.map Array.length g)
+                (Array.concat (Array.to_list g))
+            in
+            let sparse =
+              Kamping_plugins.Sparse_alltoall.alltoallv comm dt
+                (List.filter
+                   (fun (_, m) -> m <> [||])
+                   (List.mapi (fun d m -> (d, m)) (Array.to_list g)))
+            in
+            (ring, b, ib, gathered, agv, named, a2a, List.sort compare sparse))
       in
       let expected r =
-        ( value root,
-          (if r = root then List.init p value else []),
-          List.concat_map
-            (fun src ->
-              List.filter_map
-                (fun (d, v) -> if d = r then Some (src, v) else None)
-                (outgoing src))
-            (List.init p Fun.id) )
+        let from_each = List.init p (fun src -> (src, (grouped src).(r))) in
+        let all_blocks =
+          Array.concat (List.init p (fun src -> Array.of_list (List.map snd (out src))))
+        in
+        ( value ((r + p - 1) mod p),
+          [| value root |],
+          [| value root |],
+          (if r = root then Array.init p value else [||]),
+          all_blocks,
+          all_blocks,
+          Array.concat (List.map snd from_each),
+          List.filter (fun (_, m) -> m <> [||]) from_each )
       in
       Array.for_all Fun.id (Array.mapi (fun r got -> got = Some (expected r)) results))
 
