@@ -82,8 +82,8 @@ let run_smoke () =
          ])
        runs);
   match runs with
-  | [ (_, a, _); (_, b, _) ] when not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-    ->
+  | [ (_, a, _); (_, b, _) ]
+    when not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) ->
       Bench_util.record_failed_gates ~bench:"raxml" [ "final scores of both layers equal" ]
   | _ -> ()
 

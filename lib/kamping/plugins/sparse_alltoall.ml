@@ -55,9 +55,8 @@ let alltoallv (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
     | None ->
         (* Test only what has not completed: a second test of a
            completed request is a double wait. *)
-        if
-          List.for_all (fun r -> Request.is_complete r || Request.test r <> None) send_requests
-        then barrier := Some (Coll.ibarrier mpi)
+        let done_ r = Request.is_complete r || Request.test r <> None in
+        if List.for_all done_ send_requests then barrier := Some (Coll.ibarrier mpi)
     | Some b -> if Request.test b <> None then finished := true);
     if not !finished then Scheduler.yield ()
   done;

@@ -12,18 +12,22 @@
 
 open Mpisim
 
-(* The codec's decode of zero bytes, as many as it reads. *)
-let rec zero_value (codec : 'a Serial.Codec.t) ~size =
-  match codec.Serial.Codec.decode (Wire.reader_of_bytes (Bytes.make size '\000')) with
-  | v -> v
-  | exception Wire.Underflow _ when size < 1 lsl 20 -> zero_value codec ~size:(2 * size)
+(* The zero bytes the codec decodes, as many as it reads. *)
+let rec zeros_for (codec : 'a Serial.Codec.t) ~size =
+  let zeros = Bytes.make size '\000' in
+  match codec.Serial.Codec.decode (Wire.reader_of_bytes zeros) with
+  | _ -> zeros
+  | exception Wire.Underflow _ when size < 1 lsl 20 -> zeros_for codec ~size:(2 * size)
   | exception e ->
       Errdefs.usage_error "Serialized.datatype: codec %s cannot decode zeros (%s)"
         (Serial.Codec.name codec) (Printexc.to_string e)
 
+(* A placeholder is decoded afresh on each use: a decoded value (a
+   table) may be one the caller writes to. *)
 let datatype (codec : 'a Serial.Codec.t) : 'a Datatype.t =
+  let zeros = zeros_for codec ~size:64 in
   Datatype.framed
     ~name:(Printf.sprintf "serialized(%s)" (Serial.Codec.name codec))
     ~encode:(Serial.Archive.encode_into codec)
     ~decode:(Serial.Archive.decode_from codec)
-    ~zero:(zero_value codec ~size:64)
+    ~zero:(fun () -> codec.Serial.Codec.decode (Wire.reader_of_bytes zeros))

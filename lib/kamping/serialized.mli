@@ -17,7 +17,8 @@ open Mpisim
     straight into the send writer and decodes in place from its received
     frame (a mismatched codec raises {!Serial.Codec.Decode_error}).  Its
     placeholder, seen only where a receive leaves a gap, is the codec's
-    decode of zero bytes, made once here and shared; a codec that cannot
-    decode zeros raises [Errdefs.Usage_error] here.  Build it once per
-    codec: each call decodes that placeholder. *)
+    decode of zero bytes, made afresh for each result that needs one, so
+    a value written in one call's gap (a table, say) never shows in
+    another's; a codec that cannot decode zeros raises
+    [Errdefs.Usage_error] here.  Build it once per codec. *)
 val datatype : 'a Serial.Codec.t -> 'a Datatype.t

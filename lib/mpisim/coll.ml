@@ -200,16 +200,19 @@ let block_count (t : int array) b = t.(b + 1) - t.(b)
 (* ------------------------------------------------------------------ *)
 (* Schedules and their drivers *)
 
-(* A schedule on the progressive driver of [comm]: [k] is where it
-   suspended, waiting for the message from comm rank [src] with (shifted)
-   tag [tag] or, with [tag] negative, for [until]; an MPI error it raised
-   is kept for test/wait.  [by_clock] is the rule the running advance
-   takes steps by: a message that has arrived by the rank's virtual
-   clock, or one merely in the mailbox.  [last_test] is the clock at the
-   previous test. *)
+(* A schedule on the progressive driver of [comm]: while [suspended],
+   [k.(0)] is where it suspended, waiting for the message from comm rank
+   [src] with (shifted) tag [tag] or, with [tag] negative, for [until]; an
+   MPI error it raised is kept for test/wait.  [k] is empty until the
+   first suspension makes its one slot, which every later suspension
+   reuses, so a suspension allocates only its continuation.  [by_clock]
+   is the rule the running advance takes steps by: a message that has
+   arrived by the rank's virtual clock, or one merely in the mailbox.
+   [last_test] is the clock at the previous test. *)
 type prog = {
   comm : Comm.t;
-  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable k : (unit, unit) Effect.Deep.continuation array;
+  mutable suspended : bool;
   mutable src : int;
   mutable tag : int;
   mutable until : unit -> bool;
@@ -311,6 +314,12 @@ let recv_dyn x comm dt ~tag ~src =
   arrived x comm ~tag ~src;
   P2p.recv_fresh comm dt ~source:src ~tag
 
+(* The message of such a receive, its payload not yet read. *)
+let take_any x comm dt ~tag ~src =
+  let tag = tag + x.shift in
+  arrived x comm ~tag ~src;
+  P2p.recv_message comm dt ~source:src ~tag ~maxcount:max_int
+
 (* [acc.(pos+i) <- acc.(pos+i) op from.(fpos+i)] for [count] elements. *)
 let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~count =
   for i = 0 to count - 1 do
@@ -329,7 +338,12 @@ let recv_fold ?(incoming_left = false) x comm dt op ~tag ~src buf ~pos ~count =
 
 (* Built once per schedule: a suspension allocates only its continuation. *)
 let handler (s : prog) : (unit, unit) Effect.Deep.handler =
-  let suspend = Some (fun k -> s.k <- Some k) in
+  let suspend =
+    Some
+      (fun k ->
+        if Array.length s.k = 0 then s.k <- [| k |] else s.k.(0) <- k;
+        s.suspended <- true)
+  in
   {
     retc = (fun () -> ());
     (* An MPI error belongs to the request; anything else (a killed
@@ -346,15 +360,13 @@ let handler (s : prog) : (unit, unit) Effect.Deep.handler =
    for is there by the rule [by_clock]; [true] once it has finished. *)
 let rec advance s ~by_clock =
   s.by_clock <- by_clock;
-  match s.k with
-  | None -> true
-  | Some k ->
-      if waits s ~by_clock then begin
-        s.k <- None;
-        Effect.Deep.continue k ();
-        advance s ~by_clock
-      end
-      else false
+  if not s.suspended then true
+  else if waits s ~by_clock then begin
+    s.suspended <- false;
+    Effect.Deep.continue s.k.(0) ();
+    advance s ~by_clock
+  end
+  else false
 
 (* Where a suspended schedule of operation [op] waits, from its tag's
    entry: an algorithm of [op] (".recursive_doubling"), nothing for
@@ -390,7 +402,8 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
   let s =
     {
       comm;
-      k = None;
+      k = [||];
+      suspended = false;
       src = -1;
       tag = -1;
       until = (fun () -> false);
@@ -408,15 +421,17 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
     Option.iter Stats.incr counter;
     body x
   in
-  let op_name = Profiling.op_name op in
-  let name = if persistent then op_name ^ "_init" else op_name in
-  (* A posted operation is named "i" ^ the operation it runs. *)
-  let base =
-    if persistent then op_name else String.sub op_name 1 (String.length op_name - 1)
-  in
+  (* Named when described: a persistent operation as [op ^ "_init"], a
+     posted one as its own name, "i" ^ the operation it runs. *)
   let describe () =
-    if s.k = None then name
-    else Printf.sprintf "%s%s (src %d)" name (wait_suffix ~op:base s.tag) s.src
+    let op_name = Profiling.op_name op in
+    let name = if persistent then op_name ^ "_init" else op_name in
+    if not s.suspended then name
+    else
+      let base =
+        if persistent then op_name else String.sub op_name 1 (String.length op_name - 1)
+      in
+      Printf.sprintf "%s%s (src %d)" name (wait_suffix ~op:base s.tag) s.src
   in
   if persistent && Comm.size comm = 1 then
     Request.make ~start:cycle ~ready:(fun () -> true) ~finalize:(fun () -> Status.empty)
@@ -426,16 +441,17 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
     let sched =
       {
         Request.step = (fun () -> advance s ~by_clock:false);
-        wakes = (fun () -> s.k <> None && waits s ~by_clock:false);
+        wakes = (fun () -> s.suspended && waits s ~by_clock:false);
       }
     in
+    let enlisted = [ sched ] in
     let start () =
       s.by_clock <- true;
       Effect.Deep.match_with cycle () h;
-      if s.k <> None then Request.enlist inflight sched
+      if s.suspended then Request.enlist inflight enlisted
     in
     let test () =
-      let now = rt.Runtime.clocks.(Comm.world_rank comm) in
+      let now = (Comm.runtime s.comm).Runtime.clocks.(Comm.world_rank s.comm) in
       let by_clock = now > s.last_test in
       s.last_test <- now;
       advance s ~by_clock
@@ -449,7 +465,7 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
     in
     let req =
       Request.make ?start:(if persistent then Some start else None) ~advance:test
-        ~ready:(fun () -> s.k = None) ~finalize ~describe inflight
+        ~ready:(fun () -> not s.suspended) ~finalize ~describe inflight
     in
     if not persistent then start ();
     req
@@ -581,33 +597,86 @@ let binomial_mask ~n ~vrank =
     done;
   !mask
 
+(* Send the [count] elements packed in [payload, off, len) to each child
+   of [vrank] below [mask] in the binomial tree rooted at [root]. *)
+let send_copies x comm dt ~tag ~n ~root ~vrank ~mask ~count payload ~off ~len =
+  let mask = ref mask in
+  while !mask > 0 do
+    if vrank + !mask < n then
+      P2p.send_packed comm dt ~dest:(unrotate ~n ~root (vrank + !mask)) ~tag:(tag + x.shift)
+        ~count payload ~off ~len;
+    mask := !mask lsr 1
+  done
+
+(* A framed payload down a binomial tree: packed once, at the root, and
+   every child gets a copy of those bytes or of the message that brought
+   them ([P2p.send_packed]), where packing it again would run its
+   encoder once per tree edge. *)
+let bcast_binomial_framed x comm dt ~root ~total (buf : 'a array) : 'a array =
+  let n = Comm.size comm in
+  let vrank = (Comm.rank comm - root + n) mod n in
+  let mask = binomial_mask ~n ~vrank in
+  let tag = Coll_algo.tag_bcast_binomial in
+  if vrank = 0 then begin
+    let rt = Comm.runtime comm and me = Comm.world_rank comm in
+    let w = Runtime.acquire_writer rt me ~capacity:8 in
+    Datatype.pack_array dt w buf ~pos:0 ~count:(Array.length buf);
+    let payload = Wire.writer_storage w in
+    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count:(Array.length buf)
+      payload ~off:0 ~len:(Wire.length w);
+    Wire.recycle rt.Runtime.wire_pools.(me) payload;
+    buf
+  end
+  else begin
+    let src = unrotate ~n ~root (vrank - mask) in
+    let msg =
+      if total < 0 then take_any x comm dt ~tag ~src
+      else take x comm dt ~tag ~src ~count:total
+    in
+    let buf =
+      if total < 0 then P2p.read_fresh dt msg
+      else begin
+        P2p.read_into dt msg buf ~pos:0;
+        buf
+      end
+    in
+    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count:msg.Message.count
+      msg.Message.payload ~off:msg.Message.payload_off ~len:msg.Message.payload_len;
+    P2p.release comm msg;
+    buf
+  end
+
 (* Binomial tree from [root]: receive from the parent, relay to the
    children.  Non-roots receive [total] elements into [buf]; with
    [total < 0] they do not know the count and the received array becomes
-   the buffer.  Returns the buffer. *)
+   the buffer.  Returns the buffer.  A fixed-size payload is packed for
+   each child, as cheaply as its bytes would copy. *)
 let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
-  let n = Comm.size comm in
-  let vrank = (Comm.rank comm - root + n) mod n in
-  let mask = ref (binomial_mask ~n ~vrank) in
-  let buf =
-    if vrank = 0 then buf
-    else
-      let src = unrotate ~n ~root (vrank - !mask) in
-      if total < 0 then recv_dyn x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src
-      else begin
-        recv x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src buf ~pos:0 ~count:total;
-        buf
-      end
-  in
-  mask := !mask lsr 1;
-  while !mask > 0 do
-    if vrank + !mask < n then
-      send x comm dt ~tag:Coll_algo.tag_bcast_binomial
-        ~dest:(unrotate ~n ~root (vrank + !mask))
-        buf ~pos:0 ~count:(Array.length buf);
-    mask := !mask lsr 1
-  done;
-  buf
+  if not dt.Datatype.fixed_size then bcast_binomial_framed x comm dt ~root ~total buf
+  else begin
+    let n = Comm.size comm in
+    let vrank = (Comm.rank comm - root + n) mod n in
+    let mask = ref (binomial_mask ~n ~vrank) in
+    let buf =
+      if vrank = 0 then buf
+      else
+        let src = unrotate ~n ~root (vrank - !mask) in
+        if total < 0 then recv_dyn x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src
+        else begin
+          recv x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src buf ~pos:0 ~count:total;
+          buf
+        end
+    in
+    mask := !mask lsr 1;
+    while !mask > 0 do
+      if vrank + !mask < n then
+        send x comm dt ~tag:Coll_algo.tag_bcast_binomial
+          ~dest:(unrotate ~n ~root (vrank + !mask))
+          buf ~pos:0 ~count:(Array.length buf);
+      mask := !mask lsr 1
+    done;
+    buf
+  end
 
 (* Long-message bcast (van de Geijn): binomial scatter of p blocks from
    the root, then a ring allgather of the blocks.  2n bytes per rank on
@@ -978,6 +1047,17 @@ let alltoallv_bytes comm (dt : 'a Datatype.t) ~op ~send_counts ~send_displs ~rec
   let n = Comm.size comm in
   if Array.length send_counts <> n || Array.length recv_counts <> n then
     Errdefs.usage_error "%s: counts arrays must have length %d" op n;
+  if Array.length send_displs <> n then
+    Errdefs.usage_error "%s: send_displs has length %d, expected %d" op
+      (Array.length send_displs) n;
+  let len = Array.length data in
+  for d = 0 to n - 1 do
+    let pos = send_displs.(d) and count = send_counts.(d) in
+    if count < 0 || (count > 0 && (pos < 0 || pos > len - count)) then
+      Errdefs.usage_error
+        "%s: block for rank %d (displ %d, count %d) is outside the %d-element buffer" op d
+        pos count len
+  done;
   if dt.Datatype.fixed_size then
     Datatype.size_of_count dt (Array.fold_left ( + ) 0 send_counts)
   else begin
@@ -1571,18 +1651,18 @@ let allreduce_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) ~(src : 'a ar
   let bytes = Datatype.size_of_count dt elems in
   let recorded = data_bytes comm dt src in
   record comm ~op:op_allreduce_init ~bytes:recorded;
-  let persistent =
-    schedule comm ~op:op_allreduce ~root:(-1) ~ty ~bytes:recorded ~persistent:true
+  let counter, body =
+    if Comm.size comm = 1 then (None, fun _ -> Array.blit src 0 dst 0 elems)
+    else
+      let counter, algo =
+        freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative
+          ~payload:bytes
+      in
+      let table = allreduce_table comm algo ~elems in
+      (counter, fun x -> allreduce_sched x comm dt op algo ~src ~dst ~table)
   in
-  if Comm.size comm = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 elems)
-  else begin
-    let counter, algo =
-      freeze comm Coll_algo.Allreduce ~bytes ~commutative:op.Reduce_op.commutative
-        ~payload:bytes
-    in
-    let table = allreduce_table comm algo ~elems in
-    persistent ~counter (fun x -> allreduce_sched x comm dt op algo ~src ~dst ~table)
-  end
+  schedule comm ~op:op_allreduce ~root:(-1) ~ty ~bytes:recorded ~counter ~persistent:true
+    body
 
 (* Persistent bcast.  Unlike the ad-hoc binding (payload at the root
    only), the buffer argument exists on every rank — MPI-style — so the
@@ -1597,16 +1677,17 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   let bytes = Datatype.size_of_count dt total in
   let rbytes = if Comm.rank comm = root then data_bytes comm dt buf else 0 in
   record comm ~op:op_bcast_init ~bytes:rbytes;
-  let persistent = schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~persistent:true in
   let n = Comm.size comm in
-  if n = 1 then persistent ~counter:None ignore
-  else
-    match freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~payload:bytes with
-    | counter, Coll_algo.Scatter_allgather ->
-        let table = even_blocks ~total ~parts:n in
-        persistent ~counter (fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
-    | counter, _ ->
-        persistent ~counter (fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
+  let counter, body =
+    if n = 1 then (None, ignore)
+    else
+      match freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~payload:bytes with
+      | counter, Coll_algo.Scatter_allgather ->
+          let table = even_blocks ~total ~parts:n in
+          (counter, fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
+      | counter, _ -> (counter, fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
+  in
+  schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~counter ~persistent:true body
 
 (* Persistent reduce_scatter: reduces [src] and scatters block r into
    [dst] (whose length must be [recv_counts.(r)]). *)
@@ -1624,21 +1705,22 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
   let bytes = Datatype.size_of_count dt len in
   let recorded = data_bytes comm dt src in
   record comm ~op:op_reduce_scatter_init ~bytes:recorded;
-  let persistent =
-    schedule comm ~op:op_reduce_scatter ~root:(-1) ~ty ~bytes:recorded ~persistent:true
+  let counter, body =
+    if n = 1 then (None, fun _ -> Array.blit src 0 dst 0 len)
+    else
+      let counter, algo =
+        freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
+          ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
+      in
+      ( counter,
+        fun x ->
+          let part =
+            reduce_scatter_sched x comm dt op algo ~scatterv:true ~table ~src ~acc:dst
+          in
+          if part != dst then Array.blit part 0 dst 0 mine )
   in
-  if n = 1 then persistent ~counter:None (fun _ -> Array.blit src 0 dst 0 len)
-  else begin
-    let counter, algo =
-      freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
-        ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
-    in
-    persistent ~counter (fun x ->
-        let part =
-          reduce_scatter_sched x comm dt op algo ~scatterv:true ~table ~src ~acc:dst
-        in
-        if part != dst then Array.blit part 0 dst 0 mine)
-  end
+  schedule comm ~op:op_reduce_scatter ~root:(-1) ~ty ~bytes:recorded ~counter
+    ~persistent:true body
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking collectives: the blocking call's schedule, posted on the

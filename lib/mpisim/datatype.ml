@@ -56,7 +56,8 @@ type state = { mutable committed : bool; mutable freed : bool }
 
 (* The placeholder that seeds a fresh receive array, made once when the
    type is built.  An immutable one is [Shared] by every array that needs
-   it; one a caller could mutate (an array, a user's record) is [Fresh]:
+   it; one a caller could mutate (an array, a user's record, a decoded
+   [framed] element) is [Fresh]:
    made anew on each use, so a write to a placeholder in one call's
    result never shows in the next call's. *)
 type 'a placeholder = Shared of 'a | Fresh of (unit -> 'a)
@@ -216,12 +217,12 @@ let born_committed ~name ~size ~signature ~pack ~unpack ~bulk ~zero ~fixed_size 
     bulk;
     state = { committed = true; freed = false };
     id = Type.Id.make ();
-    zero = Shared zero;
+    zero;
     fixed_size;
   }
 
 let builtin ~name ~size ~signature ~pack ~unpack ~bulk ~zero =
-  born_committed ~name ~size ~signature ~pack ~unpack ~bulk:(Some bulk) ~zero
+  born_committed ~name ~size ~signature ~pack ~unpack ~bulk:(Some bulk) ~zero:(Shared zero)
     ~fixed_size:true
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
@@ -301,9 +302,10 @@ let bool : bool t =
    [Wire.Underflow] before [decode] runs, so before anything is
    allocated.  Not fixed-size: 8 is the least an element occupies.  The
    signature is [Byte_string] whatever the element, and the type is born
-   committed. *)
+   committed.  Its placeholder is made by [zero] on each use: a decoded
+   element (a table, a list of buffers) may be one a caller writes to. *)
 let framed ~name ~(encode : Wire.writer -> 'a -> unit) ~(decode : Wire.reader -> 'a)
-    ~(zero : 'a) : 'a t =
+    ~(zero : unit -> 'a) : 'a t =
   let pack w v =
     let at = Wire.reserve_offset w 8 in
     encode w v;
@@ -319,7 +321,7 @@ let framed ~name ~(encode : Wire.writer -> 'a -> unit) ~(decode : Wire.reader ->
   in
   born_committed ~name ~size:8
     ~signature:(Signature.of_base Signature.Byte_string)
-    ~pack ~unpack ~bulk:None ~zero ~fixed_size:false
+    ~pack ~unpack ~bulk:None ~zero:(Fresh zero) ~fixed_size:false
 
 (* One whole byte string per element (a raw payload): the frame holds
    the bytes, and a zero frame decodes to [Bytes.empty]. *)
@@ -329,7 +331,7 @@ let bytes : Bytes.t t =
     ~decode:(fun r ->
       let len = Wire.remaining r in
       if len = 0 then Bytes.empty else Wire.get_bytes r len)
-    ~zero:Bytes.empty
+    ~zero:(fun () -> Bytes.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Derived-type constructors *)

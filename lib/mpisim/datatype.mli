@@ -41,7 +41,8 @@ type state
 (** The placeholder that seeds fresh receive arrays, made once when the
     type is built: shared by every use when the type's values are
     immutable, made anew on each use when they could be written to (a
-    [contiguous] block, a [record], a [blob], a [create]d type), so a
+    [contiguous] block, a [record], a [blob], a [create]d type, a
+    [framed] element), so a
     write to a placeholder in one call's result never shows in another
     call's.  See {!zero_elem}. *)
 type 'a placeholder
@@ -123,8 +124,9 @@ val bytes : Bytes.t t
     The type is born committed (kind [Builtin]) and not fixed-size:
     [elem_size] is 8, the least an element occupies, and its signature is
     its own ([Byte_string]): it matches any framed type and neither
-    [byte] nor [blob] runs.  [zero] is its placeholder, shared by every
-    use, so it should be a value nothing mutates.
+    [byte] nor [blob] runs.  [zero ()] makes its placeholder, anew on
+    each use, so a decoded element a caller writes to (a table, say) is
+    never shared between calls.
 
     The variable-size rule: a collective's profile row records the bytes
     such a payload packs to, while algorithm selection keys on
@@ -134,7 +136,7 @@ val framed :
   name:string ->
   encode:(Wire.writer -> 'a -> unit) ->
   decode:(Wire.reader -> 'a) ->
-  zero:'a ->
+  zero:(unit -> 'a) ->
   'a t
 
 (** {1 Derived-type constructors} *)
@@ -256,9 +258,9 @@ val bulk_available : 'a t -> bool
 val without_bulk : 'a t -> 'a t
 
 (** The type's placeholder (what its [elem_size] zero bytes decode to, or
-    a [framed] type's [zero]); seeds freshly allocated receive arrays.
-    Made when the type is built: reading it decodes nothing, and a
-    mutable one is a fresh copy. *)
+    a [framed] type's [zero ()]); seeds freshly allocated receive arrays.
+    An immutable one is made when the type is built, so reading it decodes
+    nothing; a mutable one is made anew on each call. *)
 val zero_elem : 'a t -> 'a
 
 val size_of_count : 'a t -> int -> int

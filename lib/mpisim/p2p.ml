@@ -161,6 +161,24 @@ let forward comm (dt : 'a Datatype.t) ~dest ~tag (msg : Message.t) =
        ~len:msg.Message.payload_len);
   msg.Message.consumed <- true
 
+(* Send a copy of the packed elements [payload, off, len) as [count]
+   elements of [dt], for a payload that goes to more than one rank: it
+   charges, injects and records what packing the elements with
+   [send_range] would, and the host copies bytes where packing would run
+   the type's encoder again. *)
+let send_packed comm (dt : 'a Datatype.t) ~dest ~tag ~count payload ~off ~len =
+  Comm.check_rank comm dest;
+  check_send comm ~op:(Profiling.op_name op_send) ~dest ~tag;
+  check_committed dt ~op:(Profiling.op_name op_send);
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  let w = Runtime.acquire_writer rt me ~capacity:(max 8 len) in
+  Wire.put_bytes w payload ~pos:off ~len;
+  Runtime.charge_copy rt me ~bytes:len;
+  ignore
+    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:dt.Datatype.signature ~count
+       ~payload:(Wire.writer_storage w) ~off:0 ~len)
+
 let issend_request comm (msg : Message.t) =
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
@@ -395,12 +413,13 @@ let status_of_msg comm (msg : Message.t) =
    afterwards ([release]). *)
 let release comm (msg : Message.t) = Runtime.recycle_payload (Comm.runtime comm) msg
 
-let unpack_fresh comm dt (msg : Message.t) =
+let read_fresh dt (msg : Message.t) =
   Message.check_live msg ~op:"P2p.recv";
-  let data =
-    Datatype.unpack_slice_array dt msg.Message.payload ~off:msg.Message.payload_off
-      ~len:msg.Message.payload_len ~count:msg.Message.count
-  in
+  Datatype.unpack_slice_array dt msg.Message.payload ~off:msg.Message.payload_off
+    ~len:msg.Message.payload_len ~count:msg.Message.count
+
+let unpack_fresh comm dt (msg : Message.t) =
+  let data = read_fresh dt msg in
   release comm msg;
   data
 

@@ -94,6 +94,10 @@ val recv_message :
     [pos]; the message keeps its payload. *)
 val read_into : 'a Datatype.t -> Message.t -> 'a array -> pos:int -> unit
 
+(** Unpack a received message's elements into a fresh array of its
+    count; the message keeps its payload. *)
+val read_fresh : 'a Datatype.t -> Message.t -> 'a array
+
 (** Reduce a received message's elements into [acc] from [pos] straight
     from its payload ({!Datatype.fold_slice}); the message keeps it. *)
 val fold_into :
@@ -115,6 +119,23 @@ val release : Comm.t -> Message.t -> unit
     injects and records (the [send] profile row, the trace events) what
     packing the unpacked elements with [send_range] would. *)
 val forward : Comm.t -> 'a Datatype.t -> dest:int -> tag:int -> Message.t -> unit
+
+(** [send_packed comm dt ~dest ~tag ~count payload ~off ~len] sends a
+    copy of the bytes [payload, off, len), [count] elements of [dt]
+    already packed, and keeps them: how a payload bound for several ranks
+    is packed once.  It charges, injects and records what packing the
+    elements with [send_range] would; the host copies bytes where a
+    pack would run a {!Datatype.framed} type's encoder again. *)
+val send_packed :
+  Comm.t ->
+  'a Datatype.t ->
+  dest:int ->
+  tag:int ->
+  count:int ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  unit
 
 (** [matchable comm ~arrived ~source ~tag]: a receive for an exact
     (source, tag) posted now would not wait — a matching message is in

@@ -75,7 +75,9 @@ let inflight () =
   in
   q
 
-let enlist q s = q.scheds <- q.scheds @ [ s ]
+(* [one] is the schedule as a one-element list, built with it: a rank
+   with nothing else in flight enlists it without allocating. *)
+let enlist q one = q.scheds <- q.scheds @ one
 
 (* Step every schedule in order, dropping (and so copying) only finished ones. *)
 let rec step_all = function

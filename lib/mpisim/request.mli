@@ -30,8 +30,9 @@ type inflight
 
 val inflight : unit -> inflight
 
-(** Add a started schedule that has not finished. *)
-val enlist : inflight -> sched -> unit
+(** Add a started schedule that has not finished, given as the
+    one-element list [[ sched ]], made once with it. *)
+val enlist : inflight -> sched list -> unit
 
 (** The one blocking wait: returns once [ready ()] holds.  With [q]
     empty it is exactly {!Scheduler.wait}; otherwise it advances every

@@ -282,6 +282,29 @@ let test_neighbor_requires_topology () =
    with Scheduler.Aborted { exn = Errdefs.Usage_error _; _ } -> caught := true);
   Alcotest.(check bool) "usage error without topology" true !caught
 
+(* Malformed send displacements are usage errors, checked before any
+   element is packed: for a framed type the payload bytes are measured
+   from those blocks first. *)
+let test_alltoallv_bad_send_displs () =
+  let outcome dt data ~send_displs =
+    match
+      Engine.run ~model:Net_model.zero_cost ~ranks:2 (fun comm ->
+          ignore
+            (Coll.alltoallv comm dt ~send_counts:[| 1; 1 |] ~send_displs
+               ~recv_counts:[| 1; 1 |] ~recv_displs:[| 0; 1 |] data))
+    with
+    | _ -> "ok"
+    | exception Scheduler.Aborted { exn = Errdefs.Usage_error _; _ } -> "usage error"
+  in
+  let word = Bytes.of_string "w" in
+  List.iter
+    (fun (name, send_displs) ->
+      Alcotest.(check string) ("int, " ^ name) "usage error"
+        (outcome Datatype.int [| 1; 2 |] ~send_displs);
+      Alcotest.(check string) ("bytes, " ^ name) "usage error"
+        (outcome Datatype.bytes [| word; word |] ~send_displs))
+    [ ("short", [| 0 |]); ("past the end", [| 0; 2 |]); ("negative", [| -1; 1 |]) ]
+
 (* Regression: an empty contribution in one gatherv must not leave a stale
    message that corrupts the next gatherv on the same (source, tag). *)
 let test_gatherv_empty_then_nonempty () =
@@ -1269,9 +1292,10 @@ let payload_rule_cell (model : Net_model.t) op ~p ~total =
   | _ -> None
 
 (* Every op at p in {4, 8, 13, 16, 32} and totals 1, 4, ..., 65536 ints
-   on both networks, and the payload rule in the same cells.  The byte thresholds this replaced were slower than
-   the fastest algorithm in 40 (omnipath) and 46 (ethernet) of these 180
-   cells each, by up to 3.68x (reduce_scatter, p = 32, 256 ints). *)
+   on both networks, and the payload rule in the same cells.  The byte
+   thresholds this replaced were slower than the fastest algorithm in 40
+   (omnipath) and 46 (ethernet) of these 180 cells each, by up to 3.68x
+   (reduce_scatter, p = 32, 256 ints). *)
 let test_selection_sweep () =
   let failures =
     List.concat_map
@@ -1530,6 +1554,7 @@ let tests =
     Alcotest.test_case "barrier synchronizes clocks" `Quick test_barrier_synchronizes;
     Alcotest.test_case "neighbor alltoallv on ring" `Quick test_neighbor_alltoallv_ring;
     Alcotest.test_case "neighbor requires topology" `Quick test_neighbor_requires_topology;
+    Alcotest.test_case "alltoallv bad send_displs" `Quick test_alltoallv_bad_send_displs;
     Alcotest.test_case "gatherv empty-then-nonempty" `Quick
       test_gatherv_empty_then_nonempty;
     Alcotest.test_case "allgatherv byte volume" `Quick test_allgatherv_byte_volume;

@@ -319,7 +319,27 @@ let test_placeholder_not_shared_between_calls () =
         (fun (first_gap, second_gap) ->
           Alcotest.(check (array int)) "first call's gap, written" [| 42; 0; 0 |] first_gap;
           Alcotest.(check (array int)) "second call's gap" [| 0; 0; 0 |] second_gap)
-        results)
+        results);
+  (* The same over a serialized table: each gap is a table of its own. *)
+  let dt = Kamping.Serialized.datatype Serial.Codec.(hashtbl string string) in
+  let results =
+    Engine.run_values ~ranks:2 (fun mpi ->
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let own = Hashtbl.create 1 in
+        Hashtbl.replace own "rank" (string_of_int (Comm.rank mpi));
+        let call () =
+          Kamping.Collectives.allgatherv comm dt ~recv_counts:[| 1; 1 |]
+            ~recv_displs:[| 0; 2 |] [| own |]
+        in
+        let first = call () in
+        Hashtbl.replace first.(1) "written" "yes";
+        (Hashtbl.length first.(1), Hashtbl.length (call ()).(1)))
+  in
+  Array.iter
+    (fun (first_gap, second_gap) ->
+      Alcotest.(check int) "first call's table gap, written" 1 first_gap;
+      Alcotest.(check int) "second call's table gap" 0 second_gap)
+    results
 
 (* --- profiling guarantee (§III-H) --- *)
 

@@ -284,15 +284,13 @@ let test_single_rank_cycle_allocation_free () =
 
 (* Multi-rank cycles allocate in transport, but must still allocate less
    than ad-hoc calls (which additionally rebuild working buffers and
-   re-run selection every call).  Words are counted on both heaps: an
-   ad-hoc call's 2048-int result goes straight to the major heap, which
-   [Gc.minor_words] does not see. *)
+   re-run selection every call). *)
 
 let test_multi_rank_cycle_allocates_less () =
   let words_of body =
-    let b0 = Gc.allocated_bytes () in
+    let w0 = Gc.minor_words () in
     ignore (Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only ~ranks:4 body);
-    (Gc.allocated_bytes () -. b0) /. 8.
+    Gc.minor_words () -. w0
   in
   let elems = 2048 and cycles = 50 in
   let adhoc =
@@ -316,7 +314,7 @@ let test_multi_rank_cycle_allocates_less () =
         Request.free req)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "persistent %.0f < ad-hoc %.0f words" persistent adhoc)
+    (Printf.sprintf "persistent %.0f < ad-hoc %.0f minor words" persistent adhoc)
     true (persistent < adhoc)
 
 (* ------------------------------------------------------------------ *)
