@@ -608,23 +608,39 @@ let send_copies x comm dt ~tag ~n ~root ~vrank ~mask ~count payload ~off ~len =
     mask := !mask lsr 1
   done
 
-(* A framed payload down a binomial tree: packed once, at the root, and
-   every child gets a copy of those bytes or of the message that brought
-   them ([P2p.send_packed]), where packing it again would run its
-   encoder once per tree edge. *)
-let bcast_binomial_framed x comm dt ~root ~total (buf : 'a array) : 'a array =
+(* A root's payload packed ahead of the tree: [len] bytes of [storage],
+   pooled storage of the rank's.  A framed bcast packs its payload once,
+   at entry: the profile row records [len], and the binomial tree copies
+   it to the root's children.  [unpacked] is every other payload. *)
+type packed = { storage : Bytes.t; len : int }
+
+let unpacked = { storage = Bytes.empty; len = 0 }
+
+let pack_once comm dt data =
+  let rt = Comm.runtime comm in
+  let w = Runtime.acquire_writer rt (Comm.world_rank comm) ~capacity:8 in
+  Datatype.pack_array dt w data ~pos:0 ~count:(Array.length data);
+  { storage = Wire.writer_storage w; len = Wire.length w }
+
+(* Return a packed payload the tree did not send to the pool. *)
+let recycle_packed comm p =
+  if p != unpacked then
+    Wire.recycle (Comm.runtime comm).Runtime.wire_pools.(Comm.world_rank comm) p.storage
+
+(* A framed payload down a binomial tree: packed once, at the root (ahead
+   of the tree when [packed] holds it), and every child gets a copy of
+   those bytes or of the message that brought them ([P2p.send_packed]),
+   where packing it again would run its encoder once per tree edge. *)
+let bcast_binomial_framed x comm dt ~root ~total ~packed (buf : 'a array) : 'a array =
   let n = Comm.size comm in
   let vrank = (Comm.rank comm - root + n) mod n in
   let mask = binomial_mask ~n ~vrank in
   let tag = Coll_algo.tag_bcast_binomial in
   if vrank = 0 then begin
-    let rt = Comm.runtime comm and me = Comm.world_rank comm in
-    let w = Runtime.acquire_writer rt me ~capacity:8 in
-    Datatype.pack_array dt w buf ~pos:0 ~count:(Array.length buf);
-    let payload = Wire.writer_storage w in
+    let p = if packed != unpacked then packed else pack_once comm dt buf in
     send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count:(Array.length buf)
-      payload ~off:0 ~len:(Wire.length w);
-    Wire.recycle rt.Runtime.wire_pools.(me) payload;
+      p.storage ~off:0 ~len:p.len;
+    recycle_packed comm p;
     buf
   end
   else begin
@@ -650,9 +666,10 @@ let bcast_binomial_framed x comm dt ~root ~total (buf : 'a array) : 'a array =
    children.  Non-roots receive [total] elements into [buf]; with
    [total < 0] they do not know the count and the received array becomes
    the buffer.  Returns the buffer.  A fixed-size payload is packed for
-   each child, as cheaply as its bytes would copy. *)
-let bcast_binomial x comm dt ~root ~total (buf : 'a array) : 'a array =
-  if not dt.Datatype.fixed_size then bcast_binomial_framed x comm dt ~root ~total buf
+   each child, as cheaply as its bytes would copy; [packed] is then
+   [unpacked]. *)
+let bcast_binomial x comm dt ~root ~total ~packed (buf : 'a array) : 'a array =
+  if not dt.Datatype.fixed_size then bcast_binomial_framed x comm dt ~root ~total ~packed buf
   else begin
     let n = Comm.size comm in
     let vrank = (Comm.rank comm - root + n) mod n in
@@ -726,17 +743,22 @@ let bcast_count_rendezvous x comm ~root ~count_at_root =
   Comm.leave comm cell ~op:"bcast";
   cell.Comm.brought.(root)
 
-(* The bcast after its prologue.  A pinned binomial tree skips the count
-   rendezvous, so its non-roots receive without knowing the count. *)
-let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
+(* The bcast after its prologue, with the root's payload [packed] ahead
+   or [unpacked].  A pinned binomial tree skips the count rendezvous, so
+   its non-roots receive without knowing the count. *)
+let bcast_run x comm (dt : 'a Datatype.t) ~root ~packed (data : 'a array option) :
+    'a array =
   let r = Comm.rank comm in
   let mine = match data with Some d when r = root -> d | _ -> [||] in
-  if Comm.size comm = 1 then Option.value data ~default:[||]
+  if Comm.size comm = 1 then begin
+    recycle_packed comm packed;
+    Option.value data ~default:[||]
+  end
   else
     match Coll_algo.pinned (Comm.runtime comm).Runtime.model Coll_algo.Bcast with
     | Some Coll_algo.Binomial -> (
         let span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
-        match bcast_binomial x comm dt ~root ~total:(-1) mine with
+        match bcast_binomial x comm dt ~root ~total:(-1) ~packed mine with
         | r -> leave comm span r
         | exception e -> leave_raise comm span e)
     | _ -> (
@@ -750,25 +772,38 @@ let bcast_run x comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a ar
           match algo with
           | Coll_algo.Scatter_allgather ->
               let table = even_blocks ~total ~parts:(Comm.size comm) in
+              recycle_packed comm packed;
               bcast_scatter_ring x comm dt ~root ~table buf;
               buf
-          | _ -> bcast_binomial x comm dt ~root ~total buf
+          | _ -> bcast_binomial x comm dt ~root ~total ~packed buf
         with
         | r -> leave comm span r
         | exception e -> leave_raise comm span e)
 
-(* Validate a bcast's arguments and return the bytes it records. *)
-let bcast_bytes comm dt ~root data =
+(* Validate a bcast's arguments; at a framed root, pack the payload
+   ahead of the tree. *)
+let bcast_packed comm (dt : 'a Datatype.t) ~root data =
   Comm.check_rank comm root;
   match data with
-  | Some d when Comm.rank comm = root -> data_bytes comm dt d
+  | Some d when Comm.rank comm = root && not dt.Datatype.fixed_size -> pack_once comm dt d
   | None when Comm.rank comm = root -> Errdefs.usage_error "bcast: root must provide data"
+  | _ -> unpacked
+
+(* The bytes a bcast records: the root's payload, as packed ahead for a
+   framed type. *)
+let bcast_bytes comm dt ~root ~packed data =
+  match data with
+  | Some d when Comm.rank comm = root ->
+      if packed != unpacked then packed.len else Datatype.size_of_count dt (Array.length d)
   | _ -> 0
 
 let bcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array =
-  let bytes = bcast_bytes comm dt ~root data in
-  let span = enter comm ~op:op_bcast ~root ~ty:(Datatype.name dt) ~bytes in
-  match bcast_run blocking comm dt ~root data with
+  let packed = bcast_packed comm dt ~root data in
+  let span =
+    enter comm ~op:op_bcast ~root ~ty:(Datatype.name dt)
+      ~bytes:(bcast_bytes comm dt ~root ~packed data)
+  in
+  match bcast_run blocking comm dt ~root ~packed data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
 
@@ -1346,7 +1381,7 @@ let allreduce_sched x comm dt op algo ~src ~dst ~table =
       let bytes = if Comm.rank comm = 0 then bytes else 0 in
       let span = phase x comm ~op:op_bcast ~root:0 ~ty ~bytes in
       let algo_span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
-      match bcast_binomial x comm dt ~root:0 ~total dst with
+      match bcast_binomial x comm dt ~root:0 ~total ~packed:unpacked dst with
       | _ ->
           leave comm algo_span ();
           leave comm span ()
@@ -1685,7 +1720,8 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
       | counter, Coll_algo.Scatter_allgather ->
           let table = even_blocks ~total ~parts:n in
           (counter, fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
-      | counter, _ -> (counter, fun x -> ignore (bcast_binomial x comm dt ~root ~total buf))
+      | counter, _ ->
+          (counter, fun x -> ignore (bcast_binomial x comm dt ~root ~total ~packed:unpacked buf))
   in
   schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~counter ~persistent:true body
 
@@ -1729,9 +1765,10 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
 
 let ibcast comm (dt : 'a Datatype.t) ~root (data : 'a array option) :
     Request.t * 'a array option ref =
-  let bytes = bcast_bytes comm dt ~root data in
-  post comm ~op:op_ibcast ~root ~ty:(Datatype.name dt) ~bytes (fun x ->
-      bcast_run x comm dt ~root data)
+  let packed = bcast_packed comm dt ~root data in
+  post comm ~op:op_ibcast ~root ~ty:(Datatype.name dt)
+    ~bytes:(bcast_bytes comm dt ~root ~packed data) (fun x ->
+      bcast_run x comm dt ~root ~packed data)
 
 let iallreduce comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t) (data : 'a array) :
     Request.t * 'a array option ref =
