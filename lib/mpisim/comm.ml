@@ -58,7 +58,7 @@ type cell = {
 type shared = {
   context : int;
   group : Group.t;  (* comm rank -> world rank *)
-  inverse : (int, int) Hashtbl.t;  (* world rank -> comm rank *)
+  inverse : int array;  (* world rank -> comm rank, -1 for a non-member *)
   mutable revoked : bool;
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
   cells : (int, cell) Hashtbl.t;  (* open rendezvous, by key *)
@@ -85,6 +85,7 @@ type t = {
   rt : Runtime.t;
   shared : shared;
   rank : int;  (* my rank in this communicator *)
+  world : int;  (* my world rank, [group.(rank)] *)
   mutable errhandler : Errdefs.handler;
   gens : int array;  (* kind index -> rendezvous calls so far *)
   mutable my_sched_gen : int;
@@ -99,11 +100,12 @@ type t = {
   cell_describe : unit -> string;
 }
 
-(* World rank -> communicator rank. *)
+(* World rank -> communicator rank, over the world ranks up to the
+   group's largest. *)
 let inverse_of group =
-  let h = Hashtbl.create (Group.size group) in
-  Array.iteri (fun r w -> Hashtbl.replace h w r) group;
-  h
+  let inv = Array.make (Array.fold_left max (-1) group + 1) (-1) in
+  Array.iteri (fun r w -> inv.(w) <- r) group;
+  inv
 
 let make_shared ~comms ~context group =
   let s =
@@ -147,16 +149,16 @@ let group t = t.shared.group
 
 let runtime t = t.rt
 
-let world_rank t = Group.world_rank t.shared.group t.rank
+let world_rank t = t.world
 
 let world_of_rank t r = Group.world_rank t.shared.group r
 
 (* Comm rank of a world rank; raises if not a member. *)
 let rank_of_world t w =
-  match Hashtbl.find t.shared.inverse w with
-  | r -> r
-  | exception Not_found ->
-      Errdefs.usage_error "world rank %d is not a member of this communicator" w
+  let inv = t.shared.inverse in
+  let r = if w >= 0 && w < Array.length inv then Array.unsafe_get inv w else -1 in
+  if r < 0 then Errdefs.usage_error "world rank %d is not a member of this communicator" w;
+  r
 
 (* Revocation propagates rank to rank rather than instantaneously: each
    rank is marked as having observed it the first time the revocation
@@ -391,6 +393,7 @@ let attach ?topology rt shared ~rank =
       rt;
       shared;
       rank;
+      world = shared.group.(rank);
       errhandler = Errdefs.Errors_raise;
       gens = Array.make n_kinds 0;
       my_sched_gen = 0;

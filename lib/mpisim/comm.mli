@@ -56,7 +56,7 @@ type cell = {
 type shared = {
   context : int;
   group : Group.t;
-  inverse : (int, int) Hashtbl.t;
+  inverse : int array;  (** world rank -> comm rank, [-1] for a non-member *)
   mutable revoked : bool;
   revoke_observed : bool array;
       (** per comm rank: has that rank's control flow observed the
@@ -86,6 +86,7 @@ type t = {
   rt : Runtime.t;
   shared : shared;
   rank : int;
+  world : int;  (** this rank's world rank, kept at {!attach} *)
   mutable errhandler : Errdefs.handler;
   gens : int array;  (** rendezvous calls so far, per kind *)
   mutable my_sched_gen : int;

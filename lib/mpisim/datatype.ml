@@ -138,25 +138,57 @@ let kread : type a. a bulk_kernel -> Bytes.t -> int -> a =
   | K_char -> Bytes.unsafe_get b p
   | K_fn f -> f.bk_read b p
 
+(* One element of a typed run: element [j] of the array, bytes at [o]. *)
+let[@inline] put_int buf a j o = set_le64 buf o (Int64.of_int (Array.unsafe_get a j))
+
+let[@inline] put_char buf a j o = Bytes.unsafe_set buf o (Array.unsafe_get a j)
+
+let[@inline] get_int buf dst j o = Array.unsafe_set dst j (Int64.to_int (get_le64 buf o))
+
+let[@inline] get_char buf dst j o = Array.unsafe_set dst j (Bytes.unsafe_get buf o)
+
 (* A run of [count] elements of [sz] bytes each, starting at byte [off].
    The typed branches see monomorphic [int]/[float]/[char] arrays, so the
-   compiler emits plain unboxed loads and stores. *)
+   compiler emits plain unboxed loads and stores.  The [int] runs move 4
+   elements and the [char] runs 8 per iteration, then finish the
+   remainder one at a time: OCaml 5 polls and steps the index once per
+   iteration, which costs a one-element loop as much as its copy. *)
 
 let write_run : type a.
     a bulk_kernel -> sz:int -> Bytes.t -> int -> a array -> pos:int -> count:int -> unit =
  fun k ~sz buf off a ~pos ~count ->
   match k with
   | K_int ->
-      for i = 0 to count - 1 do
-        set_le64 buf (off + (8 * i)) (Int64.of_int (Array.unsafe_get a (pos + i)))
+      let body = count land lnot 3 in
+      for b = 0 to (count lsr 2) - 1 do
+        let j = pos + (4 * b) and o = off + (32 * b) in
+        put_int buf a j o;
+        put_int buf a (j + 1) (o + 8);
+        put_int buf a (j + 2) (o + 16);
+        put_int buf a (j + 3) (o + 24)
+      done;
+      for i = body to count - 1 do
+        put_int buf a (pos + i) (off + (8 * i))
       done
   | K_float ->
       for i = 0 to count - 1 do
         set_le64 buf (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a (pos + i)))
       done
   | K_char ->
-      for i = 0 to count - 1 do
-        Bytes.unsafe_set buf (off + i) (Array.unsafe_get a (pos + i))
+      let body = count land lnot 7 in
+      for b = 0 to (count lsr 3) - 1 do
+        let j = pos + (8 * b) and o = off + (8 * b) in
+        put_char buf a j o;
+        put_char buf a (j + 1) (o + 1);
+        put_char buf a (j + 2) (o + 2);
+        put_char buf a (j + 3) (o + 3);
+        put_char buf a (j + 4) (o + 4);
+        put_char buf a (j + 5) (o + 5);
+        put_char buf a (j + 6) (o + 6);
+        put_char buf a (j + 7) (o + 7)
+      done;
+      for i = body to count - 1 do
+        put_char buf a (pos + i) (off + i)
       done
   | K_fn f ->
       for i = 0 to count - 1 do
@@ -168,16 +200,36 @@ let read_run_into : type a.
  fun k ~sz buf off dst ~pos ~count ->
   match k with
   | K_int ->
-      for i = 0 to count - 1 do
-        Array.unsafe_set dst (pos + i) (Int64.to_int (get_le64 buf (off + (8 * i))))
+      let body = count land lnot 3 in
+      for b = 0 to (count lsr 2) - 1 do
+        let j = pos + (4 * b) and o = off + (32 * b) in
+        get_int buf dst j o;
+        get_int buf dst (j + 1) (o + 8);
+        get_int buf dst (j + 2) (o + 16);
+        get_int buf dst (j + 3) (o + 24)
+      done;
+      for i = body to count - 1 do
+        get_int buf dst (pos + i) (off + (8 * i))
       done
   | K_float ->
       for i = 0 to count - 1 do
         Array.unsafe_set dst (pos + i) (Int64.float_of_bits (get_le64 buf (off + (8 * i))))
       done
   | K_char ->
-      for i = 0 to count - 1 do
-        Array.unsafe_set dst (pos + i) (Bytes.unsafe_get buf (off + i))
+      let body = count land lnot 7 in
+      for b = 0 to (count lsr 3) - 1 do
+        let j = pos + (8 * b) and o = off + (8 * b) in
+        get_char buf dst j o;
+        get_char buf dst (j + 1) (o + 1);
+        get_char buf dst (j + 2) (o + 2);
+        get_char buf dst (j + 3) (o + 3);
+        get_char buf dst (j + 4) (o + 4);
+        get_char buf dst (j + 5) (o + 5);
+        get_char buf dst (j + 6) (o + 6);
+        get_char buf dst (j + 7) (o + 7)
+      done;
+      for i = body to count - 1 do
+        get_char buf dst (pos + i) (off + i)
       done
   | K_fn f ->
       for i = 0 to count - 1 do

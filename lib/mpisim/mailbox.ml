@@ -19,7 +19,8 @@
      (context, src, tag), each key's FIFO chained through the messages'
      own [next] links, so queueing and taking a message allocate nothing:
      an exact-key receive is one probe, and a wildcard scans the slots,
-     which the table keeps within 8x the live keys;
+     which the table keeps within 8x the live keys (and none at all
+     while nothing is queued);
    - a key whose FIFO drains frees its slot at once (backward-shift
      deletion, no tombstones), so long runs with many distinct (src, tag)
      pairs cannot grow the table without bound. *)
@@ -258,12 +259,13 @@ let rec oldest_from t i ~context ~src ~tag best =
 
 (* The slot whose head is the oldest unexpected message matching the
    (context, src, tag) pattern, or -1: one probe for an exact pattern, a
-   scan of the slots for a wildcard. *)
+   scan of the slots for a wildcard, none when nothing is queued. *)
 let find_slot t ~context ~src ~tag =
   if src <> any_source && tag <> any_tag then begin
     let i = slot t context src tag in
     if t.u_ctx.(i) = -1 then -1 else i
   end
+  else if t.n_unexpected = 0 then -1
   else oldest_from t 0 ~context ~src ~tag (-1)
 
 (* Find (and optionally remove) the oldest unexpected message matching the
@@ -287,11 +289,14 @@ let rec chain_length (m : Message.t) n =
    candidates mean the match is arbitrated by sequence number — i.e. by the
    schedule — and a real MPI run could return a different message. *)
 let count_eligible t ~context ~src ~tag =
-  let n = ref 0 in
-  for i = 0 to Array.length t.u_ctx - 1 do
-    if matches_slot t i ~context ~src ~tag then n := chain_length t.u_head.(i) !n
-  done;
-  !n
+  if t.n_unexpected = 0 then 0
+  else begin
+    let n = ref 0 in
+    for i = 0 to Array.length t.u_ctx - 1 do
+      if matches_slot t i ~context ~src ~tag then n := chain_length t.u_head.(i) !n
+    done;
+    !n
+  end
 
 (* A receive at receiver-clock [clock] (a stamp), in two halves.  Under
    the model checker ([defer_wildcards]), wildcard receives are NOT
@@ -383,15 +388,18 @@ let iter_deferred t f =
    reduction: schedules differing only in the order of same-link messages
    are equivalent and explored once. *)
 let candidate_heads t ~context ~src ~tag =
-  let heads = ref [] and eligible = ref 0 in
-  for i = 0 to Array.length t.u_ctx - 1 do
-    if matches_slot t i ~context ~src ~tag then begin
-      heads := t.u_head.(i) :: !heads;
-      eligible := chain_length t.u_head.(i) !eligible
-    end
-  done;
-  let heads = List.sort (fun a b -> compare a.Message.seq b.Message.seq) !heads in
-  (heads, !eligible - List.length heads)
+  if t.n_unexpected = 0 then ([], 0)
+  else begin
+    let heads = ref [] and eligible = ref 0 in
+    for i = 0 to Array.length t.u_ctx - 1 do
+      if matches_slot t i ~context ~src ~tag then begin
+        heads := t.u_head.(i) :: !heads;
+        eligible := chain_length t.u_head.(i) !eligible
+      end
+    done;
+    let heads = List.sort (fun a b -> compare a.Message.seq b.Message.seq) !heads in
+    (heads, !eligible - List.length heads)
+  end
 
 (* Apply a resolver decision: match deferred receive [p] with candidate
    [m], which must be the head of its exact-key unexpected FIFO. *)

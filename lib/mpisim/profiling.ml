@@ -10,28 +10,45 @@
    numbers appear in the general metrics exports (text and JSON) without
    being recorded twice.  The handle pair is cached per op, so [record]
    is one string-keyed hash lookup that allocates nothing once the op is
-   registered.  An [op] made once up front (the ops of every message in
-   P2p and of every collective entry in Coll) owns a slot in every table:
-   its handles are looked up at its first use in a table and kept there,
-   so later records hash nothing. *)
+   registered.  The ops of every message in P2p and of every collective
+   entry in Coll are listed once, in [op_names]; an [op] is its index
+   there and owns that slot in every table: its handles are looked up at
+   its first use in a table and kept there, so later records hash
+   nothing. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
 type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
-  mutable slots : handles option array;  (* by [op.slot]; [None] until first used *)
+  slots : handles option array;  (* by op; [None] until first used *)
   mutable enabled : bool;
 }
 
-type op = { name : string; slot : int }
+(* The name of each op, listed by slot; never written. *)
+let op_names =
+  [|
+    "send"; "ssend"; "isend"; "issend"; "recv"; "irecv"; "probe"; "iprobe"; "barrier";
+    "ibarrier"; "bcast"; "gather"; "gatherv"; "scatter"; "scatterv"; "allgather"; "allgatherv";
+    "alltoall"; "alltoallv"; "alltoallw"; "reduce"; "allreduce"; "scan"; "exscan";
+    "neighbor_allgather"; "neighbor_alltoallv"; "reduce_scatter_block"; "reduce_scatter";
+    "allreduce_init"; "bcast_init"; "reduce_scatter_init"; "ibcast"; "iallreduce";
+    "ialltoallv"; "ireduce_scatter";
+  |]
 
-(* The slots handed out so far; a table sizes its [slots] by it. *)
-let n_ops = Atomic.make 0
+type op = int
 
-let op name = { name; slot = Atomic.fetch_and_add n_ops 1 }
+let op name =
+  let rec find i =
+    if i = Array.length op_names then invalid_arg ("Profiling.op: unlisted op " ^ name)
+    else if op_names.(i) = name then i
+    else find (i + 1)
+  in
+  find 0
 
-let op_name op = op.name
+let op_name op = op_names.(op)
+
+let ops = List.init (Array.length op_names) Fun.id
 
 type summary = (string * int * int) list
 (* (op, calls, bytes), sorted by op name *)
@@ -41,7 +58,7 @@ let create ?stats () =
   {
     stats;
     table = Hashtbl.create 32;
-    slots = Array.make (Atomic.get n_ops) None;
+    slots = Array.make (Array.length op_names) None;
     enabled = true;
   }
 
@@ -68,21 +85,14 @@ let record t ~op ~bytes =
 
 (* The handles of an [op]: the lookup runs once per table, at the op's
    first use, so the op enters [snapshot] exactly when [record] would
-   have entered it.  An op made after the table grows its slots. *)
+   have entered it. *)
 let[@inline never] first_use t op =
-  if op.slot >= Array.length t.slots then begin
-    let slots = Array.make (Atomic.get n_ops) None in
-    Array.blit t.slots 0 slots 0 (Array.length t.slots);
-    t.slots <- slots
-  end;
-  let h = handles t op.name in
-  t.slots.(op.slot) <- Some h;
+  let h = handles t (op_name op) in
+  t.slots.(op) <- Some h;
   h
 
 let[@inline] op_handles t op =
-  if op.slot < Array.length t.slots then
-    match Array.unsafe_get t.slots op.slot with Some h -> h | None -> first_use t op
-  else first_use t op
+  match Array.unsafe_get t.slots op with Some h -> h | None -> first_use t op
 
 (* Hot-path variant for persistent operations: the handle pair is resolved
    once at init ([prepare_op]) so a per-cycle [record_prepared] is two

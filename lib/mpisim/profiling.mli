@@ -20,17 +20,22 @@ val create : ?stats:Stats.t -> unit -> t
 
 val record : t -> op:string -> bytes:int -> unit
 
-(** An operation made once, up front, for hot paths (the ops of every
-    message and of every collective entry): it owns a slot in every
-    table, where its counter handles are kept from its first use in that
-    table on, so later records hash nothing.  Until that first use the op
-    is not in the table, as with {!record}. *)
+(** An operation of a hot path (every message and every collective
+    entry), listed once in this module's table of op names: an op owns
+    its index there as a slot in every table, where its counter handles
+    are kept from its first use in that table on, so later records hash
+    nothing.  Until that first use the op is not in the table, as with
+    {!record}. *)
 type op
 
-(** [op name] makes an op profiled as [name], with a slot of its own. *)
+(** [op name] is the listed op profiled as [name]; raises
+    [Invalid_argument] for a name the table does not list. *)
 val op : string -> op
 
 val op_name : op -> string
+
+(** Every listed op, in slot order. *)
+val ops : op list
 
 (** [record_op t op ~bytes] is [record t ~op:(op_name op) ~bytes]. *)
 val record_op : t -> op -> bytes:int -> unit

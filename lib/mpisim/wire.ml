@@ -211,13 +211,16 @@ let reader_storage r = r.data
    A pool belongs to one run, and a run executes on one domain, so the
    free list takes no lock.
 
-   The free list is a fixed stack of [max_buffers] slots (the top is the
-   most recently recycled buffer), and the pool owns the one writer
-   record it hands out, refilled on every acquire: a hit and a recycle
-   allocate nothing at all. *)
+   The free list is a fixed array of [max_buffers] slots, the live ones
+   first and in no order.  An acquire takes the buffer that fits with
+   the least to spare, and a full pool keeps its larger buffers: a
+   message the size of an earlier one finds storage it does not have to
+   grow, and no acquire hands out storage too small for the capacity it
+   names.  The pool owns the one writer record it hands out, refilled on
+   every acquire: a hit and a recycle allocate nothing at all. *)
 
 type pool = {
-  free : Bytes.t array;  (* slots [0, n_free) are live; the top is [n_free - 1] *)
+  free : Bytes.t array;  (* slots [0, n_free) are live *)
   mutable n_free : int;
   max_buffers : int;
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
@@ -228,10 +231,10 @@ type pool = {
 
 let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
   if max_buffers < 0 || max_retain < 1 then invalid_arg "Wire.create_pool";
+  (* One slot even when [max_buffers = 0]: [preheat] may still park a
+     buffer for the next acquire. *)
   {
-    (* One slot even when [max_buffers = 0]: [preheat] may still park a
-       buffer for the next acquire. *)
-    free = Array.make (max 1 max_buffers) Bytes.empty;
+    free = Array.make (Int.max 1 max_buffers) Bytes.empty;
     n_free = 0;
     max_buffers;
     max_retain;
@@ -240,21 +243,51 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
     writer = { buf = Bytes.empty; len = 0 };
   }
 
-(* The pool's writer over pooled storage.  The hint only sizes a miss; a
-   pooled buffer grows on demand like any other writer. *)
+(* The live slot of the smallest buffer of at least [capacity] bytes, or
+   -1 if none is that large. *)
+let[@inline] fitting pool ~capacity =
+  let free = pool.free in
+  let best = ref (-1) and best_len = ref max_int in
+  for i = 0 to pool.n_free - 1 do
+    let len = Bytes.length (Array.unsafe_get free i) in
+    if len >= capacity && len < !best_len then begin
+      best := i;
+      best_len := len
+    end
+  done;
+  !best
+
+(* The live slot of the smallest buffer; the pool is not empty. *)
+let smallest pool =
+  let free = pool.free in
+  let best = ref 0 in
+  for i = 1 to pool.n_free - 1 do
+    if Bytes.length (Array.unsafe_get free i) < Bytes.length (Array.unsafe_get free !best)
+    then best := i
+  done;
+  !best
+
+(* The pool's writer over the smallest pooled buffer that holds
+   [capacity] bytes, or over a new one of that size when none does:
+   taking a smaller buffer would grow it, which allocates a larger one
+   still and drops the pooled one.  A capacity that is only a least
+   size (a [framed] type's) may still grow the writer. *)
 let acquire pool ~capacity =
+  let capacity = Int.max 1 capacity in
+  let i = fitting pool ~capacity in
   let b =
-    if pool.n_free > 0 then begin
-      let top = pool.n_free - 1 in
-      let b = pool.free.(top) in
-      pool.free.(top) <- Bytes.empty;
-      pool.n_free <- top;
+    if i >= 0 then begin
+      let b = pool.free.(i) and last = pool.n_free - 1 in
+      (* The last live slot fills the one taken. *)
+      if i < last then pool.free.(i) <- pool.free.(last);
+      pool.free.(last) <- Bytes.empty;
+      pool.n_free <- last;
       pool.hits <- pool.hits + 1;
       b
     end
     else begin
       pool.misses <- pool.misses + 1;
-      Bytes.create (max 1 capacity)
+      Bytes.create capacity
     end
   in
   let w = pool.writer in
@@ -262,27 +295,35 @@ let acquire pool ~capacity =
   w.len <- 0;
   w
 
+(* A full pool keeps the larger buffers: [b] replaces the smallest pooled
+   one if it is larger, and is dropped otherwise. *)
 let recycle pool (b : Bytes.t) =
-  if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
-    pool.free.(pool.n_free) <- b;
-    pool.n_free <- pool.n_free + 1
-  end
+  if Bytes.length b <= pool.max_retain then
+    if pool.n_free < pool.max_buffers then begin
+      pool.free.(pool.n_free) <- b;
+      pool.n_free <- pool.n_free + 1
+    end
+    else if pool.max_buffers > 0 then begin
+      let i = smallest pool in
+      if Bytes.length pool.free.(i) < Bytes.length b then pool.free.(i) <- b
+    end
 
-(* Pre-warm the pool so the next [acquire] is hit-and-fits: [acquire]
-   pops the top of the free stack whatever its size, so the guarantee is
-   specifically about the *top* buffer.  If the top is already large
-   enough nothing happens; a too-small top in a full pool is replaced
-   (dropping the small buffer) rather than shadowed.  Persistent requests
-   call this at init so the per-cycle pack never grows a writer. *)
+(* Pre-warm the pool so that the next [acquire] asking for at most
+   [capacity] bytes is a hit whose buffer holds what it asked for:
+   [acquire] takes a pooled buffer that fits whenever there is one.  If
+   one is pooled already nothing happens; otherwise a buffer of
+   [capacity] bytes joins the pool, replacing the smallest in a full one.
+   Persistent requests call this at init so the per-cycle pack never
+   grows a writer. *)
 let preheat pool ~capacity =
-  let capacity = max 1 (min capacity pool.max_retain) in
+  let capacity = Int.max 1 (Int.min capacity pool.max_retain) in
   let n = pool.n_free in
-  if n > 0 && Bytes.length pool.free.(n - 1) >= capacity then ()
-  else if n > 0 && n >= pool.max_buffers then pool.free.(n - 1) <- Bytes.create capacity
-  else begin
+  if fitting pool ~capacity >= 0 then ()
+  else if n < Array.length pool.free then begin
     pool.free.(n) <- Bytes.create capacity;
     pool.n_free <- n + 1
   end
+  else pool.free.(smallest pool) <- Bytes.create capacity
 
 let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
 

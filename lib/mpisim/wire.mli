@@ -114,21 +114,25 @@ type pool
     transfer cannot pin memory. *)
 val create_pool : ?max_buffers:int -> ?max_retain:int -> unit -> pool
 
-(** The pool's writer, emptied, over pooled (or, on a miss, newly
-    allocated) storage.  [capacity] only sizes a miss; pooled buffers
-    grow on demand.  A pool has one writer record, which every acquire
+(** The pool's writer, emptied, over the smallest pooled buffer of at
+    least [capacity] bytes, or on a miss (no pooled buffer is that
+    large) over a new one of [capacity] bytes.  The writer grows on
+    demand past [capacity].  A pool has one writer record, which every acquire
     hands out again: a writer is good until the next acquire on its pool,
     so take its storage ({!writer_storage}, {!unsafe_contents}) first. *)
 val acquire : pool -> capacity:int -> writer
 
-(** Return detached writer storage to the pool. *)
+(** Return detached writer storage to the pool.  A full pool keeps its
+    larger buffers: the storage replaces the smallest pooled buffer if it
+    is larger, and is dropped otherwise. *)
 val recycle : pool -> Bytes.t -> unit
 
-(** Guarantee that the next {!acquire} returns a buffer of at least
-    [capacity] bytes without allocating: ensures the head of the free
-    list is large enough, replacing it when the pool is full.  Called by
-    persistent requests at init so per-cycle packing never grows a
-    writer.  [capacity] is clamped to the pool's retention bound. *)
+(** Guarantee that the next {!acquire} asking for at most [capacity]
+    bytes is a hit whose buffer holds what it asked for: ensures a
+    pooled buffer of at least [capacity] bytes, replacing the smallest
+    one when the pool is full.  Called by persistent requests at init so
+    per-cycle packing never grows a writer.  [capacity] is clamped to the
+    pool's retention bound. *)
 val preheat : pool -> capacity:int -> unit
 
 (** (hits, misses, currently free) — for tests and diagnostics. *)

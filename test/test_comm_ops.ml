@@ -172,6 +172,67 @@ let test_revoked_comm_rejects_ops () =
       caught := true);
   Alcotest.(check bool) "revoked comm raises" true !caught
 
+(* What a handle keeps and what its rank maps answer, against its
+   communicator's group: the handle's own world rank, every member's
+   world rank, and every world rank's comm rank, or the usage error
+   naming a non-member (world ranks -1 .. p, past both ends). *)
+let rank_maps_disagree ~p c =
+  let g = Comm.group c in
+  let bad = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
+  if Comm.world_rank c <> Group.world_rank g (Comm.rank c) then
+    fail "world_rank %d of rank %d" (Comm.world_rank c) (Comm.rank c);
+  for r = 0 to Comm.size c - 1 do
+    if Comm.world_of_rank c r <> Group.world_rank g r then fail "world_of_rank %d" r
+  done;
+  for w = -1 to p do
+    match (Group.rank_of_world g w, Comm.rank_of_world c w) with
+    | Some r, r' -> if r <> r' then fail "rank_of_world %d = %d, group says %d" w r' r
+    | None, r' -> fail "rank_of_world %d = %d for a non-member" w r'
+    | exception Errdefs.Usage_error m ->
+        let expected = Printf.sprintf "world rank %d is not a member of this communicator" w in
+        if Group.mem g w || m <> expected then fail "rank_of_world %d raised %S" w m
+  done;
+  !bad
+
+(* Over dup, split (random colors, undefined ones included, and keys)
+   and shrink communicators, the last after a random rank has died. *)
+let prop_kept_ranks =
+  let gen =
+    QCheck.Gen.(
+      Arb.ranks 1 9 |> QCheck.gen >>= fun p ->
+      quad (return p)
+        (array_size (return p) (int_range (-1) 2))
+        (array_size (return p) (int_range (-3) 3))
+        (opt (int_bound (p - 1))))
+  in
+  let print (p, colors, keys, victim) =
+    Printf.sprintf "p=%d colors=[%s] keys=[%s] victim=%s" p
+      (String.concat ";" (Array.to_list (Array.map string_of_int colors)))
+      (String.concat ";" (Array.to_list (Array.map string_of_int keys)))
+      (match victim with Some v -> string_of_int v | None -> "none")
+  in
+  QCheck.Test.make ~name:"kept world ranks agree with the group" ~count:200
+    (QCheck.make ~print gen) (fun (p, colors, keys, victim) ->
+      let results, _ =
+        Engine.run_collect ~ranks:p (fun comm ->
+            let me = Comm.rank comm in
+            let dup = Comm_ops.dup comm in
+            let split = Comm_ops.split dup ~color:colors.(me) ~key:keys.(me) () in
+            if victim = Some me then Fault.die comm;
+            let shrunk = Comm_ops.shrink comm in
+            List.concat_map (rank_maps_disagree ~p)
+              ([ comm; dup; shrunk ] @ Option.to_list split))
+      in
+      Array.iteri
+        (fun r res ->
+          match res with
+          | Some [] -> ()
+          | Some bad -> QCheck.Test.fail_reportf "rank %d: %s" r (String.concat "; " bad)
+          | None -> if victim <> Some r then QCheck.Test.fail_reportf "rank %d died" r)
+        results;
+      true)
+
 let tests =
   [
     Alcotest.test_case "group algebra" `Quick test_group_algebra;
@@ -187,6 +248,7 @@ let tests =
     Alcotest.test_case "shrink after failure" `Quick test_shrink_after_failure;
     Alcotest.test_case "agree over survivors" `Quick test_agree_over_survivors;
     Alcotest.test_case "revoked comm rejects ops" `Quick test_revoked_comm_rejects_ops;
+    QCheck_alcotest.to_alcotest prop_kept_ranks;
   ]
 
 let () = Alcotest.run "comm_ops" [ ("comm_ops", tests) ]

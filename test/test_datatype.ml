@@ -443,6 +443,45 @@ let prop_bulk_equals_general =
       | `Rows a ->
           bulk_equiv (Datatype.contiguous ~count:3 Datatype.int) a ~pos ~count ~prefix)
 
+(* The unrolled int (4 per iteration) and byte (8 per iteration) runs,
+   at every count from 0 to 17, so each remainder meets 0, 1 and 2 full
+   iterations: packed from a nonzero [pos], after a prefix that puts the
+   run at a nonzero payload offset, and unpacked through a reader and
+   straight from the payload slice, into a fresh array and into a given
+   one. *)
+let slice_equiv (type elt) (dt : elt Datatype.t) (v : elt array) ~pos ~count ~prefix =
+  let w = Wire.create_writer () in
+  Wire.put_string w prefix;
+  Datatype.pack_array (Datatype.without_bulk dt) w v ~pos ~count;
+  let img = Wire.contents w and off = String.length prefix in
+  let len = Bytes.length img - off and expect = Array.sub v pos count in
+  let zero = Datatype.zero_elem dt in
+  let dst = Array.make (Array.length v) zero in
+  Datatype.unpack_slice_into dt img ~off ~len dst ~pos ~count;
+  Datatype.unpack_slice_array dt img ~off ~len ~count = expect
+  && Array.sub dst pos count = expect
+  && Array.for_all (( = ) zero) (Array.sub dst 0 pos)
+  && Array.for_all (( = ) zero) (Array.sub dst (pos + count) (Array.length v - pos - count))
+
+let prop_unrolled_remainders =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 1 7) (string_size (int_range 1 15))
+        (array_size (return 32) (int_range 1 max_int))
+        (array_size (return 32) (map Char.chr (int_range 1 255))))
+  in
+  let print (pos, prefix, _, _) = Printf.sprintf "pos=%d offset=%d" pos (String.length prefix) in
+  QCheck.Test.make ~name:"unrolled runs: every remainder, fast = general" ~count:200
+    (QCheck.make ~print gen) (fun (pos, prefix, ints, bytes) ->
+      List.for_all
+        (fun count ->
+          bulk_equiv Datatype.int ints ~pos ~count ~prefix
+          && slice_equiv Datatype.int ints ~pos ~count ~prefix
+          && bulk_equiv Datatype.byte bytes ~pos ~count ~prefix
+          && slice_equiv Datatype.byte bytes ~pos ~count ~prefix
+          || QCheck.Test.fail_reportf "count %d" count)
+        (List.init 18 Fun.id))
+
 (* A bool byte other than 0 or 1 is a decode error on the kernel path too,
    whether the bool is a bare element or sits inside a composed kernel. *)
 let prop_bulk_bool_rejects_bad_byte =
@@ -906,6 +945,7 @@ let tests =
       test_bulk_skips_callbacks;
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;
     qtest prop_bulk_equals_general;
+    qtest prop_unrolled_remainders;
     qtest prop_bulk_bool_rejects_bad_byte;
     Alcotest.test_case "hostile unpack count" `Quick test_hostile_count;
     Alcotest.test_case "hostile unpack count, general path" `Quick test_hostile_count_general;

@@ -464,6 +464,82 @@ let same_key (a : Message.t) (b : Message.t) =
 
 let seq_of (m : Message.t) = if m == Message.nil then -1 else m.Message.seq
 
+(* The wildcard lookups against a reference scan, over short random
+   deliver/take/find sequences that drain the table often: a take or a
+   find with any source and/or any tag returns the oldest [seq] among the
+   heads of the keys it matches, or nothing when none matches or nothing
+   is queued at all. *)
+type wild_op = W_deliver of int * int * int | W_take of int * int * int | W_find of int * int * int
+
+let prop_wildcard_take_matches_scan =
+  let open QCheck.Gen in
+  let ctx = int_range 1 2 and src = int_range 0 3 in
+  let tag = frequency [ (7, int_range 0 3); (1, return reserved_tag) ] in
+  let wild = Mailbox.any_source and wild_tag = Mailbox.any_tag in
+  let pattern =
+    frequency
+      [
+        (2, map (fun t -> (wild, t)) tag);
+        (2, map (fun s -> (s, wild_tag)) src);
+        (2, return (wild, wild_tag));
+        (1, pair src tag);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (2, map3 (fun c s t -> W_deliver (c, s, t)) ctx src tag);
+        (2, map2 (fun c (s, t) -> W_take (c, s, t)) ctx pattern);
+        (1, map2 (fun c (s, t) -> W_find (c, s, t)) ctx pattern);
+      ]
+  in
+  let show = function
+    | W_deliver (c, s, t) -> Printf.sprintf "deliver(%d,%d,%d)" c s t
+    | W_take (c, s, t) -> Printf.sprintf "take(%d,%d,%d)" c s t
+    | W_find (c, s, t) -> Printf.sprintf "find(%d,%d,%d)" c s t
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      (list_size (int_range 0 40) op)
+  in
+  QCheck.Test.make ~name:"wildcard take = oldest matching head" ~count:500 arb (fun ops ->
+      let mb = Mailbox.create () in
+      let unexp = ref [] (* arrival (= seq) order *) and next_seq = ref 0 in
+      let expected ~ctx ~src ~tag =
+        let is_head m = List.find (fun x -> same_key x m) !unexp == m in
+        List.fold_left
+          (fun best m ->
+            if is_head m && pattern_matches ~ctx ~src ~tag m && (best < 0 || seq_of m < best)
+            then seq_of m
+            else best)
+          (-1) !unexp
+      in
+      let check what got want =
+        if got <> want then QCheck.Test.fail_reportf "%s: seq %d, the scan says %d" what got want
+      in
+      List.iter
+        (function
+          | W_deliver (c, s, t) ->
+              let m = mk_msg ~context:c ~src:s ~tag:t ~seq:!next_seq () in
+              incr next_seq;
+              ignore (Mailbox.deliver mb m);
+              unexp := !unexp @ [ m ]
+          | W_find (c, s, t) ->
+              let got =
+                match Mailbox.find_unexpected ~remove:false mb ~context:c ~src:s ~tag:t with
+                | Some m -> seq_of m
+                | None -> -1
+              in
+              check (show (W_find (c, s, t))) got (expected ~ctx:c ~src:s ~tag:t)
+          | W_take (c, s, t) ->
+              let want = expected ~ctx:c ~src:s ~tag:t in
+              let got = seq_of (Mailbox.take mb ~context:c ~src:s ~tag:t ~clock:0) in
+              check (show (W_take (c, s, t))) got want;
+              unexp := List.filter (fun m -> seq_of m <> got) !unexp)
+        ops;
+      Mailbox.unexpected_depth mb = List.length !unexp)
+
 let prop_mailbox_matches_reference =
   QCheck.Test.make ~name:"mailbox = naive list reference" ~count:60 arb_mb_ops (fun ops ->
       let mb = Mailbox.create () in
@@ -942,19 +1018,35 @@ let test_profiling_record_allocation_free () =
   Alcotest.(check (float 0.01)) "words per record" 0. words;
   Alcotest.(check int) "calls counted" 10_101 (Profiling.calls prof ~op:"send")
 
-(* An op enters the table at its first record, exactly as [record]
-   would enter it, and is free afterwards; one made after the table
-   grows its slots. *)
+(* The ops are one table's: [op] finds each listed name at its own slot
+   and refuses any other.  Every op enters a profile at its first record,
+   exactly as [record] would enter it, and is free afterwards. *)
 let test_profiling_slot_first_call () =
+  let names = List.map Profiling.op_name Profiling.ops in
+  Alcotest.(check int) "listed names are distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun op ->
+      Alcotest.(check bool)
+        (Profiling.op_name op ^ " is found at its slot")
+        true
+        (Profiling.op (Profiling.op_name op) == op))
+    Profiling.ops;
+  Alcotest.check_raises "an unlisted name"
+    (Invalid_argument "Profiling.op: unlisted op no_such_op") (fun () ->
+      ignore (Profiling.op "no_such_op"));
   let slotted = Profiling.create () and plain = Profiling.create () in
-  let send = Profiling.op "send" in
   Profiling.set_enabled slotted false;
-  Profiling.record_op slotted send ~bytes:8;
+  List.iter (fun op -> Profiling.record_op slotted op ~bytes:8) Profiling.ops;
   Alcotest.(check int) "a disabled table registers nothing" 0
     (List.length (Profiling.snapshot slotted));
   Profiling.set_enabled slotted true;
-  Profiling.record_op slotted send ~bytes:8;
-  Profiling.record plain ~op:"send" ~bytes:8;
+  List.iteri
+    (fun i op ->
+      Profiling.record_op slotted op ~bytes:i;
+      Profiling.record plain ~op:(Profiling.op_name op) ~bytes:i)
+    Profiling.ops;
+  let send = Profiling.op "send" in
   let words = words_per_call (fun () -> Profiling.record_op slotted send ~bytes:64) in
   ignore (words_per_call (fun () -> Profiling.record plain ~op:"send" ~bytes:64));
   Alcotest.(check (float 0.01)) "words per record" 0. words;
@@ -1066,6 +1158,7 @@ let tests =
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
     QCheck_alcotest.to_alcotest prop_mailbox_matches_reference;
+    QCheck_alcotest.to_alcotest prop_wildcard_take_matches_scan;
     QCheck_alcotest.to_alcotest prop_stamps_round_trip_and_order;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;
     Alcotest.test_case "alloc: send/recv_into per-message budget" `Quick

@@ -117,9 +117,56 @@ let test_pool_lock_released_on_raise () =
   Wire.put_int w 7;
   Wire.recycle pool (Wire.writer_storage w);
   Wire.preheat pool ~capacity:32;
-  let w = Wire.acquire pool ~capacity:16 in
+  let w = Wire.acquire pool ~capacity:32 in
   Alcotest.(check bool) "preheated buffer served" true
     (Bytes.length (Wire.writer_storage w) >= 32)
+
+let pooled_lengths pool =
+  let rec drain acc =
+    let _, _, free = Wire.pool_stats pool in
+    if free = 0 then List.sort compare acc
+    else drain (Bytes.length (Wire.writer_storage (Wire.acquire pool ~capacity:1)) :: acc)
+  in
+  drain []
+
+(* An acquire takes the smallest pooled buffer that fits, and misses
+   (leaving the pool as it was) when none does; a full pool keeps its
+   larger buffers. *)
+let test_pool_best_fit () =
+  let pool = Wire.create_pool ~max_buffers:3 () in
+  let recycle n = Wire.recycle pool (Bytes.create n) in
+  let acquire capacity = Bytes.length (Wire.writer_storage (Wire.acquire pool ~capacity)) in
+  List.iter recycle [ 64; 1024; 16 ];
+  Alcotest.(check int) "smallest that fits" 64 (acquire 40);
+  recycle 64;
+  Alcotest.(check int) "an exact fit" 1024 (acquire 1024);
+  recycle 1024;
+  Alcotest.(check int) "a new buffer when none fits" 4096 (acquire 4096);
+  Alcotest.(check (list int)) "a miss takes nothing" [ 16; 64; 1024 ] (pooled_lengths pool);
+  List.iter recycle [ 64; 1024; 16 ];
+  recycle 8;
+  recycle 256;
+  Alcotest.(check (list int)) "a full pool keeps the larger buffers" [ 64; 256; 1024 ]
+    (pooled_lengths pool);
+  let hits, misses, _ = Wire.pool_stats pool in
+  Alcotest.(check (pair int int)) "hits and misses" (8, 1) (hits, misses)
+
+(* After [preheat ~capacity], the next acquire asking for at most
+   [capacity] bytes is a hit that fits, whatever the pool held; a full
+   pool gives up its smallest buffer for it. *)
+let prop_preheat_fits =
+  QCheck.Test.make ~name:"preheat: the next acquire fits" ~count:500
+    QCheck.(
+      triple (int_range 0 4) (list_of_size Gen.(int_bound 6) (int_range 1 300)) (int_range 1 300))
+    (fun (max_buffers, pooled, capacity) ->
+      let pool = Wire.create_pool ~max_buffers () in
+      List.iter (fun n -> Wire.recycle pool (Bytes.create n)) pooled;
+      Wire.preheat pool ~capacity;
+      let asked = 1 + (capacity / 2) in
+      let hits, misses, _ = Wire.pool_stats pool in
+      let w = Wire.acquire pool ~capacity:asked in
+      let hits', misses', _ = Wire.pool_stats pool in
+      Bytes.length (Wire.writer_storage w) >= asked && hits' = hits + 1 && misses' = misses)
 
 let test_padding_and_skip () =
   let w = Wire.create_writer () in
@@ -203,6 +250,7 @@ let tests =
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     Alcotest.test_case "pool bounds" `Quick test_pool_bounds;
     Alcotest.test_case "pool lock released on raise" `Quick test_pool_lock_released_on_raise;
+    Alcotest.test_case "pool best fit" `Quick test_pool_best_fit;
     Alcotest.test_case "padding and skip" `Quick test_padding_and_skip;
     Alcotest.test_case "reserve = put" `Quick test_reserve_matches_put;
     Alcotest.test_case "growth" `Quick test_growth;
@@ -211,6 +259,7 @@ let tests =
     qtest prop_float_roundtrip;
     qtest prop_string_roundtrip;
     qtest prop_mixed_sequence;
+    qtest prop_preheat_fits;
   ]
 
 let () = Alcotest.run "wire" [ ("wire", tests) ]
