@@ -61,7 +61,7 @@ let place dt ~(counts : int array) ~(displs : int array) (buf : 'a array) =
     if displs.(s) < 0 then
       Errdefs.usage_error "allgatherv: recv_displs.(%d) = %d is negative" s displs.(s);
     if displs.(s) <> !len then packed := false;
-    len := max !len (displs.(s) + counts.(s))
+    len := Int.max !len (displs.(s) + counts.(s))
   done;
   if !packed then buf
   else begin

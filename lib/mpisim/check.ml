@@ -153,7 +153,7 @@ let on_collective t ~context ~rank ~world_rank ~op ~root ~ty =
     end
     else begin
       if s.cs_len >= Array.length s.cs_entries then begin
-        let cap = max 16 (2 * Array.length s.cs_entries) in
+        let cap = Int.max 16 (2 * Array.length s.cs_entries) in
         let bigger = Array.make cap mine in
         Array.blit s.cs_entries 0 bigger 0 s.cs_len;
         s.cs_entries <- bigger

@@ -381,8 +381,8 @@ let wait_suffix ~op tag =
 
 (* The progressive driver: the request that runs [body], persistent
    (created inactive, each [Request.start] runs one cycle) or, for a
-   nonblocking call, started at once.  A cycle runs the prologue, records
-   [op] through a handle resolved here, bumps the frozen algorithm's
+   nonblocking call, started at once.  [op] enters the profile here; a
+   cycle runs the prologue, records [op], bumps the frozen algorithm's
    [counter] and sends in the tag window taken here
    (collectives are called in the same order everywhere, so windows
    agree); an MPI error it raises surfaces at test/wait.  A started
@@ -396,7 +396,7 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
     ~persistent (body : drv -> unit) : Request.t =
   let rt = Comm.runtime comm in
   let inflight = rt.Runtime.inflight.(Comm.world_rank comm) in
-  let prep = Profiling.prepare_op rt.Runtime.profile op in
+  Profiling.enter_op rt.Runtime.profile op;
   let gen = comm.Comm.my_sched_gen in
   comm.Comm.my_sched_gen <- gen + 1;
   let s =
@@ -417,7 +417,7 @@ let schedule comm ~(op : Profiling.op) ~root ~ty ~bytes ~(counter : Stats.counte
   in
   let cycle () =
     prologue comm ~op ~root ~ty;
-    Profiling.record_prepared rt.Runtime.profile prep ~bytes;
+    Profiling.record_op rt.Runtime.profile op ~bytes;
     Option.iter Stats.incr counter;
     body x
   in
@@ -705,7 +705,7 @@ let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
   (* Scatter phase over vranks: a node entered with mask m holds blocks
      [vrank, vrank + min m (n - vrank)) and forwards the upper half to the
      child at vrank + m/2 as m halves. *)
-  let span v m = table.(v + Stdlib.min m (n - v)) - table.(v) in
+  let span v m = table.(v + Int.min m (n - v)) - table.(v) in
   let mask = ref (binomial_mask ~n ~vrank) in
   if vrank <> 0 then
     recv x comm dt ~tag:Coll_algo.tag_bcast_scatter
@@ -954,7 +954,7 @@ let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   let buf = ref (Array.copy data) in
   let held = ref 1 in
   while !held < n do
-    let send_blocks = Stdlib.min !held (n - !held) in
+    let send_blocks = Int.min !held (n - !held) in
     let dest = (r - !held + n) mod n in
     let src = (r + !held) mod n in
     (* Send our first [send_blocks] blocks (they become the receiver's
@@ -1668,7 +1668,7 @@ let reduce_scatter comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
    call would pick.  Returns its counter's name and the algorithm, with a
    writer pre-warmed for the largest per-round [payload]. *)
 let freeze comm op ~bytes ~commutative ~payload =
-  Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(max 8 payload);
+  Runtime.preheat_writer (Comm.runtime comm) (Comm.world_rank comm) ~capacity:(Int.max 8 payload);
   let algo = choose comm op ~bytes ~commutative in
   (Some (algo_counter (Comm.runtime comm) op algo), algo)
 
@@ -1746,7 +1746,7 @@ let reduce_scatter_init comm (dt : 'a Datatype.t) (op : 'a Reduce_op.t)
     else
       let counter, algo =
         freeze comm Coll_algo.Reduce_scatter ~bytes ~commutative:op.Reduce_op.commutative
-          ~payload:(Datatype.size_of_count dt (Array.fold_left max 0 recv_counts))
+          ~payload:(Datatype.size_of_count dt (Array.fold_left Int.max 0 recv_counts))
       in
       ( counter,
         fun x ->

@@ -247,7 +247,7 @@ let auto (m : Net_model.t) op ~bytes ~size:p ~commutative =
       (* Off a power of two: the unfold's hop after either lg full hops,
          or the preamble's hop and lg rounds of which only ceil_log2 rem,
          the most bits two preamble ranks differ in, wait for latency. *)
-      let late = hop -. (l *. (lg -. float_of_int (ceil_log2 (max rem 1)))) in
+      let late = hop -. (l *. (lg -. float_of_int (ceil_log2 (Int.max rem 1)))) in
       let rdbl = (lg *. hop) +. (x *. (hop +. if late > 0. then late else 0.)) in
       let rabenseifner =
         2. *. ((x *. hop) +. (lg *. a) +. (b' *. (n -. (n /. float_of_int pof2))))

@@ -103,7 +103,7 @@ type t = {
 (* World rank -> communicator rank, over the world ranks up to the
    group's largest. *)
 let inverse_of group =
-  let inv = Array.make (Array.fold_left max (-1) group + 1) (-1) in
+  let inv = Array.make (Array.fold_left Int.max (-1) group + 1) (-1) in
   Array.iteri (fun r w -> inv.(w) <- r) group;
   inv
 

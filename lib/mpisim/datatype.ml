@@ -419,7 +419,7 @@ let zero_elem (t : 'a t) : 'a = match t.zero with Shared z -> z | Fresh f -> f (
    sizes possibly known only at runtime. *)
 let create ~name ~size ~signature ~pack ~unpack =
   create_k ~name ~size ~signature ~pack ~unpack ~bulk:None
-    ~zero:(decoded_zero ~size:(Stdlib.max 0 size) unpack)
+    ~zero:(decoded_zero ~size:(Int.max 0 size) unpack)
 
 let contiguous ~count (base : 'a t) : 'a array t =
   if count < 0 then invalid_arg "Datatype.contiguous: negative count";

@@ -58,9 +58,9 @@ let rec extent = function
   | Contiguous n -> n
   | Vector { count; blocklen; stride } ->
       if count = 0 || blocklen = 0 then 0 else ((count - 1) * stride) + blocklen
-  | Indexed blocks -> List.fold_left (fun acc (d, l) -> max acc (d + l)) 0 blocks
+  | Indexed blocks -> List.fold_left (fun acc (d, l) -> Int.max acc (d + l)) 0 blocks
   | Offset (k, l) -> k + extent l
-  | Concat ls -> List.fold_left (fun acc l -> max acc (extent l)) 0 ls
+  | Concat ls -> List.fold_left (fun acc l -> Int.max acc (extent l)) 0 ls
 
 (* Apply [f] to every selected position, in layout order. *)
 let iter_positions (layout : t) (f : int -> unit) =

@@ -118,7 +118,7 @@ let inject comm ~op ~dest ~tag ~sync ~signature ~count ~payload ~off ~len =
   record comm op ~bytes:len;
   msg
 
-let writer_capacity dt ~count = max 8 (Datatype.size_of_count dt count)
+let writer_capacity dt ~count = Int.max 8 (Datatype.size_of_count dt count)
 
 (* The typed send: checks, pack [count] elements of [data] from [pos] into
    a pooled writer (charging the copy), inject. *)
@@ -172,7 +172,7 @@ let send_packed comm (dt : 'a Datatype.t) ~dest ~tag ~count payload ~off ~len =
   check_committed dt ~op:(Profiling.op_name op_send);
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
-  let w = Runtime.acquire_writer rt me ~capacity:(max 8 len) in
+  let w = Runtime.acquire_writer rt me ~capacity:(Int.max 8 len) in
   Wire.put_bytes w payload ~pos:off ~len;
   Runtime.charge_copy rt me ~bytes:len;
   ignore

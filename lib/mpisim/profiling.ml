@@ -12,16 +12,20 @@
    is one string-keyed hash lookup that allocates nothing once the op is
    registered.  The ops of every message in P2p and of every collective
    entry in Coll are listed once, in [op_names]; an [op] is its index
-   there and owns that slot in every table: its handles are looked up at
-   its first use in a table and kept there, so later records hash
-   nothing. *)
+   there and owns that slot in every table: its two counters are looked
+   up at its first use in a table and kept in the table's [calls] and
+   [bytes] arrays, so a later record is two array reads and two bumps,
+   and hashes nothing. *)
 
 type handles = { calls_c : Stats.counter; bytes_c : Stats.counter }
 
 type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
-  slots : handles option array;  (* by op; [None] until first used *)
+  (* By op: the op's counters, or [unused] until its first use. *)
+  calls : Stats.counter array;
+  bytes : Stats.counter array;
+  unused : Stats.counter;
   mutable enabled : bool;
 }
 
@@ -55,10 +59,13 @@ type summary = (string * int * int) list
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
+  let unused = Stats.unregistered_counter () in
   {
     stats;
     table = Hashtbl.create 32;
-    slots = Array.make (Array.length op_names) None;
+    calls = Array.make (Array.length op_names) unused;
+    bytes = Array.make (Array.length op_names) unused;
+    unused;
     enabled = true;
   }
 
@@ -83,36 +90,22 @@ let record t ~op ~bytes =
     Stats.add h.bytes_c bytes
   end
 
-(* The handles of an [op]: the lookup runs once per table, at the op's
-   first use, so the op enters [snapshot] exactly when [record] would
-   have entered it. *)
+(* The counters of an [op] enter its slots: the lookup runs once per
+   table, at the op's first use, so the op enters [snapshot] exactly when
+   [record] would have entered it. *)
 let[@inline never] first_use t op =
   let h = handles t (op_name op) in
-  t.slots.(op) <- Some h;
-  h
-
-let[@inline] op_handles t op =
-  match Array.unsafe_get t.slots op with Some h -> h | None -> first_use t op
-
-(* Hot-path variant for persistent operations: the handle pair is resolved
-   once at init ([prepare_op]) so a per-cycle [record_prepared] is two
-   counter bumps — no hash lookup, no allocation. *)
-type prepared = handles
-
-let prepare_op t op : prepared = op_handles t op
-
-let record_prepared t (h : prepared) ~bytes =
-  if t.enabled then begin
-    Stats.incr h.calls_c;
-    Stats.add h.bytes_c bytes
-  end
+  t.calls.(op) <- h.calls_c;
+  t.bytes.(op) <- h.bytes_c
 
 let record_op t op ~bytes =
   if t.enabled then begin
-    let h = op_handles t op in
-    Stats.incr h.calls_c;
-    Stats.add h.bytes_c bytes
+    if Array.unsafe_get t.calls op == t.unused then first_use t op;
+    Stats.incr (Array.unsafe_get t.calls op);
+    Stats.add (Array.unsafe_get t.bytes op) bytes
   end
+
+let enter_op t op = if t.calls.(op) == t.unused then first_use t op
 
 let set_enabled t b = t.enabled <- b
 

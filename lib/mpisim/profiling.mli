@@ -40,14 +40,11 @@ val ops : op list
 (** [record_op t op ~bytes] is [record t ~op:(op_name op) ~bytes]. *)
 val record_op : t -> op -> bytes:int -> unit
 
-(** An op's counter handles resolved ahead of time, for allocation-free
-    per-cycle paths (persistent requests): {!record_prepared} is two
-    counter bumps. *)
-type prepared
-
-val prepare_op : t -> op -> prepared
-
-val record_prepared : t -> prepared -> bytes:int -> unit
+(** [enter_op t op] puts [op] in the table now, with no calls if it was
+    not there, as its first {!record_op} would, enabled or not: a
+    nonblocking or persistent collective enters its op when it is
+    created, before any cycle records. *)
+val enter_op : t -> op -> unit
 
 val set_enabled : t -> bool -> unit
 

@@ -26,9 +26,9 @@ let int_sum = make_builtin "int_sum" Sum ( + )
 
 let int_prod = make_builtin "int_prod" Prod ( * )
 
-let int_min = make_builtin "int_min" Min (fun (a : int) b -> min a b)
+let int_min = make_builtin "int_min" Min Int.min
 
-let int_max = make_builtin "int_max" Max (fun (a : int) b -> max a b)
+let int_max = make_builtin "int_max" Max Int.max
 
 let int_band = make_builtin "int_band" Band ( land )
 

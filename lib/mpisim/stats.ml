@@ -66,6 +66,8 @@ let counter t name =
       t.counter_order <- name :: t.counter_order;
       c
 
+let unregistered_counter () = { n = 0 }
+
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g

@@ -35,6 +35,10 @@ val create : unit -> t
     it are visible to reporting. *)
 val counter : t -> string -> counter
 
+(** A counter registered in no registry, which no export lists: a
+    placeholder a cache of handles can compare against. *)
+val unregistered_counter : unit -> counter
+
 val gauge : t -> string -> gauge
 
 val histogram : t -> string -> histogram

@@ -212,15 +212,18 @@ let reader_storage r = r.data
    free list takes no lock.
 
    The free list is a fixed array of [max_buffers] slots, the live ones
-   first and in no order.  An acquire takes the buffer that fits with
-   the least to spare, and a full pool keeps its larger buffers: a
-   message the size of an earlier one finds storage it does not have to
-   grow, and no acquire hands out storage too small for the capacity it
-   names.  The pool owns the one writer record it hands out, refilled on
-   every acquire: a hit and a recycle allocate nothing at all. *)
+   first and in no order, and [caps] holds each live buffer's length in
+   the same slot, so a scan reads one int array and touches no buffer.
+   An acquire takes the buffer that fits with the least to spare, and a
+   full pool keeps its larger buffers: a message the size of an earlier
+   one finds storage it does not have to grow, and no acquire hands out
+   storage too small for the capacity it names.  The pool owns the one
+   writer record it hands out, refilled on every acquire: a hit and a
+   recycle allocate nothing at all. *)
 
 type pool = {
   free : Bytes.t array;  (* slots [0, n_free) are live *)
+  caps : int array;  (* [Bytes.length free.(i)] of each live slot *)
   mutable n_free : int;
   max_buffers : int;
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
@@ -233,8 +236,10 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
   if max_buffers < 0 || max_retain < 1 then invalid_arg "Wire.create_pool";
   (* One slot even when [max_buffers = 0]: [preheat] may still park a
      buffer for the next acquire. *)
+  let slots = Int.max 1 max_buffers in
   {
-    free = Array.make (Int.max 1 max_buffers) Bytes.empty;
+    free = Array.make slots Bytes.empty;
+    caps = Array.make slots 0;
     n_free = 0;
     max_buffers;
     max_retain;
@@ -246,10 +251,10 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
 (* The live slot of the smallest buffer of at least [capacity] bytes, or
    -1 if none is that large. *)
 let[@inline] fitting pool ~capacity =
-  let free = pool.free in
+  let caps = pool.caps in
   let best = ref (-1) and best_len = ref max_int in
   for i = 0 to pool.n_free - 1 do
-    let len = Bytes.length (Array.unsafe_get free i) in
+    let len = Array.unsafe_get caps i in
     if len >= capacity && len < !best_len then begin
       best := i;
       best_len := len
@@ -259,13 +264,16 @@ let[@inline] fitting pool ~capacity =
 
 (* The live slot of the smallest buffer; the pool is not empty. *)
 let smallest pool =
-  let free = pool.free in
+  let caps = pool.caps in
   let best = ref 0 in
   for i = 1 to pool.n_free - 1 do
-    if Bytes.length (Array.unsafe_get free i) < Bytes.length (Array.unsafe_get free !best)
-    then best := i
+    if Array.unsafe_get caps i < Array.unsafe_get caps !best then best := i
   done;
   !best
+
+let[@inline] put_slot pool i b =
+  pool.free.(i) <- b;
+  pool.caps.(i) <- Bytes.length b
 
 (* The pool's writer over the smallest pooled buffer that holds
    [capacity] bytes, or over a new one of that size when none does:
@@ -279,7 +287,10 @@ let acquire pool ~capacity =
     if i >= 0 then begin
       let b = pool.free.(i) and last = pool.n_free - 1 in
       (* The last live slot fills the one taken. *)
-      if i < last then pool.free.(i) <- pool.free.(last);
+      if i < last then begin
+        pool.free.(i) <- pool.free.(last);
+        pool.caps.(i) <- pool.caps.(last)
+      end;
       pool.free.(last) <- Bytes.empty;
       pool.n_free <- last;
       pool.hits <- pool.hits + 1;
@@ -298,14 +309,15 @@ let acquire pool ~capacity =
 (* A full pool keeps the larger buffers: [b] replaces the smallest pooled
    one if it is larger, and is dropped otherwise. *)
 let recycle pool (b : Bytes.t) =
-  if Bytes.length b <= pool.max_retain then
+  let len = Bytes.length b in
+  if len <= pool.max_retain then
     if pool.n_free < pool.max_buffers then begin
-      pool.free.(pool.n_free) <- b;
+      put_slot pool pool.n_free b;
       pool.n_free <- pool.n_free + 1
     end
     else if pool.max_buffers > 0 then begin
       let i = smallest pool in
-      if Bytes.length pool.free.(i) < Bytes.length b then pool.free.(i) <- b
+      if pool.caps.(i) < len then put_slot pool i b
     end
 
 (* Pre-warm the pool so that the next [acquire] asking for at most
@@ -320,12 +332,14 @@ let preheat pool ~capacity =
   let n = pool.n_free in
   if fitting pool ~capacity >= 0 then ()
   else if n < Array.length pool.free then begin
-    pool.free.(n) <- Bytes.create capacity;
+    put_slot pool n (Bytes.create capacity);
     pool.n_free <- n + 1
   end
-  else pool.free.(smallest pool) <- Bytes.create capacity
+  else put_slot pool (smallest pool) (Bytes.create capacity)
 
 let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
+
+let pooled pool = List.init pool.n_free (fun i -> (pool.caps.(i), pool.free.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte

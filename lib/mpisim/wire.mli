@@ -138,6 +138,11 @@ val preheat : pool -> capacity:int -> unit
 (** (hits, misses, currently free) — for tests and diagnostics. *)
 val pool_stats : pool -> int * int * int
 
+(** Each live slot's recorded capacity and buffer, in slot order — for
+    tests: the capacity is what {!acquire} compares, and must equal the
+    buffer's length. *)
+val pooled : pool -> (int * Bytes.t) list
+
 (** {1 Payload checksums}
 
     CRC-32 (IEEE 802.3) over [len] bytes of [b] starting at [pos] — the

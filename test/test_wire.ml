@@ -151,6 +151,56 @@ let test_pool_best_fit () =
   let hits, misses, _ = Wire.pool_stats pool in
   Alcotest.(check (pair int int)) "hits and misses" (8, 1) (hits, misses)
 
+(* Over random acquire/recycle/preheat sequences, every pooled slot's
+   recorded capacity is its buffer's length, and an acquire takes the
+   buffer a reference scan over [Bytes.length] picks: the first smallest
+   one that holds the capacity, or a new one when none does. *)
+type pool_op = Acquire of int | Recycle of int | Preheat of int
+
+let prop_pool_best_fit =
+  let op =
+    QCheck.Gen.(
+      map2
+        (fun k n -> match k with 0 -> Acquire n | 1 -> Recycle n | _ -> Preheat n)
+        (int_bound 2) (int_range 0 300))
+  in
+  QCheck.Test.make ~name:"pool best fit: recorded capacities, reference pick" ~count:500
+    QCheck.(pair (int_range 0 4) (make Gen.(list_size (int_bound 40) op)))
+    (fun (max_buffers, ops) ->
+      let pool = Wire.create_pool ~max_buffers ~max_retain:256 () in
+      let consistent () =
+        List.for_all (fun (cap, b) -> cap = Bytes.length b) (Wire.pooled pool)
+      in
+      let reference capacity =
+        List.fold_left
+          (fun best (_, b) ->
+            let len = Bytes.length b in
+            match best with
+            | Some c when Bytes.length c <= len -> best
+            | _ when len >= capacity -> Some b
+            | _ -> best)
+          None (Wire.pooled pool)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Acquire n ->
+              let expected = reference (Int.max 1 n) in
+              let got = Wire.writer_storage (Wire.acquire pool ~capacity:n) in
+              (match expected with
+              | Some b -> got == b
+              | None -> Bytes.length got = Int.max 1 n)
+              || QCheck.Test.fail_reportf "acquire %d took a %d-byte buffer" n
+                   (Bytes.length got)
+          | Recycle n ->
+              Wire.recycle pool (Bytes.create n);
+              true
+          | Preheat n ->
+              Wire.preheat pool ~capacity:n;
+              true)
+          && consistent ())
+        ops)
+
 (* After [preheat ~capacity], the next acquire asking for at most
    [capacity] bytes is a hit that fits, whatever the pool held; a full
    pool gives up its smallest buffer for it. *)
@@ -260,6 +310,7 @@ let tests =
     qtest prop_string_roundtrip;
     qtest prop_mixed_sequence;
     qtest prop_preheat_fits;
+    qtest prop_pool_best_fit;
   ]
 
 let () = Alcotest.run "wire" [ ("wire", tests) ]
