@@ -20,7 +20,7 @@ type state = {
 }
 
 let create (g : Distgraph.t) ~max_cluster_size =
-  let labels = Array.init (max 1 (Distgraph.n_local g)) (fun l ->
+  let labels = Array.init (Int.max 1 (Distgraph.n_local g)) (fun l ->
       if l < Distgraph.n_local g then Distgraph.global_of_local g l else 0)
   in
   let ghost_labels = Hashtbl.create 64 in

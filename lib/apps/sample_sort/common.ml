@@ -8,7 +8,8 @@
 
 open Mpisim
 
-let num_samples ~p = (16 * int_of_float (ceil (log (float_of_int (max 2 p)) /. log 2.))) + 1
+let num_samples ~p =
+  (16 * int_of_float (ceil (log (float_of_int (Int.max 2 p)) /. log 2.))) + 1
 
 let draw_samples ~rank ~seed (n : int) (data : int array) : int array =
   if Array.length data = 0 then [||]
@@ -21,7 +22,7 @@ let draw_samples ~rank ~seed (n : int) (data : int array) : int array =
 let pick_splitters ~p (sorted_samples : int array) : int array =
   let m = Array.length sorted_samples in
   if m = 0 then [||]
-  else Array.init (p - 1) (fun i -> sorted_samples.(min (m - 1) ((i + 1) * m / p)))
+  else Array.init (p - 1) (fun i -> sorted_samples.(Int.min (m - 1) ((i + 1) * m / p)))
 
 let bucket_of (splitters : int array) (x : int) : int =
   let lo = ref 0 and hi = ref (Array.length splitters) in

@@ -12,8 +12,8 @@ let owner ~n ~p i =
 
 let my_range ~n ~p ~rank =
   let c = chunk ~n ~p in
-  let first = min n (rank * c) in
-  let len = max 0 (min c (n - first)) in
+  let first = Int.min n (rank * c) in
+  let len = Int.max 0 (Int.min c (n - first)) in
   (first, len)
 
 (* Deterministic random text over a small alphabet (small alphabets force

@@ -163,7 +163,7 @@ let rec dcx_ranks (comm : Kamping.Communicator.t) (text : int array) : int array
           if gj >= k then pairs := (gj - k, v) :: !pairs)
         values;
       let incoming = push_pairs comm ~n ~p !pairs in
-      let out = Array.make (max 1 n_local) 0 in
+      let out = Array.make (Int.max 1 n_local) 0 in
       Array.iter (fun (i, v) -> if i >= first && i - first < n_local then out.(i - first) <- v) incoming;
       if n_local = 0 then [||] else Array.sub out 0 n_local
     in
@@ -205,7 +205,7 @@ let rec dcx_ranks (comm : Kamping.Communicator.t) (text : int array) : int array
         in
         let incoming = push_pairs comm ~n:m ~p r_updates in
         let r_first, r_len = Sa_common.my_range ~n:m ~p ~rank in
-        let reduced = Array.make (max 1 r_len) 0 in
+        let reduced = Array.make (Int.max 1 r_len) 0 in
         Array.iter (fun (k, v) -> reduced.(k - r_first) <- v) incoming;
         let reduced = if r_len = 0 then [||] else Array.sub reduced 0 r_len in
         let reduced_ranks = dcx_ranks comm reduced in
@@ -239,9 +239,9 @@ let rec dcx_ranks (comm : Kamping.Communicator.t) (text : int array) : int array
       Datatype.with_committed (Datatype.pair Datatype.int Datatype.int) @@ fun dt ->
       Kamping.Flatten.alltoallv comm dt table
     in
-    let rk_self = Array.make (max 1 n_local) 0 in
-    let rk_next1 = Array.make (max 1 n_local) 0 in
-    let rk_next2 = Array.make (max 1 n_local) 0 in
+    let rk_self = Array.make (Int.max 1 n_local) 0 in
+    let rk_next1 = Array.make (Int.max 1 n_local) 0 in
+    let rk_next2 = Array.make (Int.max 1 n_local) 0 in
     Array.iter
       (fun (key, rk) ->
         let i = key / 4 and d = key mod 4 in
@@ -279,7 +279,7 @@ let rec dcx_ranks (comm : Kamping.Communicator.t) (text : int array) : int array
       Array.to_list (Array.mapi (fun j t -> (t.pos, offset + j)) sorted)
     in
     let incoming = push_pairs comm ~n ~p rank_updates in
-    let ranks = Array.make (max 1 n_local) 0 in
+    let ranks = Array.make (Int.max 1 n_local) 0 in
     Array.iter (fun (i, rk) -> ranks.(i - first) <- rk) incoming;
     if n_local = 0 then [||] else Array.sub ranks 0 n_local
   end

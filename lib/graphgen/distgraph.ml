@@ -96,7 +96,7 @@ module Edges = struct
     let buf =
       if len + 2 <= Array.length buf then buf
       else begin
-        let grown = Array.make (max 64 (2 * Array.length buf)) 0 in
+        let grown = Array.make (Int.max 64 (2 * Array.length buf)) 0 in
         Array.blit buf 0 grown 0 len;
         es.bufs.(dest) <- grown;
         grown
@@ -144,8 +144,8 @@ let build_from_edges (comm : Kamping.Communicator.t) (es : Edges.t) : t =
       (Array.length es.lens) p;
   let n_global = es.n_global in
   let chunk = chunk_size ~n_global ~comm_size:p in
-  let first_vertex = min n_global (r * chunk) in
-  let n_local = max 0 (min chunk (n_global - first_vertex)) in
+  let first_vertex = Int.min n_global (r * chunk) in
+  let n_local = Int.max 0 (Int.min chunk (n_global - first_vertex)) in
   let data = Array.make (Array.fold_left ( + ) 0 es.lens) 0 in
   let pos = ref 0 in
   Array.iteri
@@ -169,7 +169,7 @@ let build_from_edges (comm : Kamping.Communicator.t) (es : Edges.t) : t =
     xadj.(l) <- xadj.(l) + xadj.(l - 1)
   done;
   let adj = Array.make m 0 in
-  let fill = Array.sub xadj 0 (max 1 n_local) in
+  let fill = Array.sub xadj 0 (Int.max 1 n_local) in
   for i = 0 to m - 1 do
     let l = mine.(2 * i) - first_vertex in
     adj.(fill.(l)) <- mine.((2 * i) + 1);

@@ -104,7 +104,7 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?radius ~(seed 
     then c
     else fit (2. *. c)
   in
-  let cell = fit (max radius 1e-9) in
+  let cell = fit (Float.max radius 1e-9) in
   let cx0 = if n_pts = 0 then 0 else cell_of cell !lo_x in
   let cy0 = if n_pts = 0 then 0 else cell_of cell !lo_y in
   let nx = span cell !lo_x !hi_x and ny = span cell !lo_y !hi_y in
@@ -139,10 +139,10 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?radius ~(seed 
     for a = start.(k) to start.(k + 1) - 1 do
       let id = sid.(a) in
       if id >= first && id < first + n_per_rank then
-        for row = max 0 (cy - 1) to min (ny - 1) (cy + 1) do
+        for row = Int.max 0 (cy - 1) to Int.min (ny - 1) (cy + 1) do
           let base = row * nx in
-          let row_lo = start.(base + max 0 (cx - 1))
-          and row_hi = start.(base + min (nx - 1) (cx + 1) + 1) in
+          let row_lo = start.(base + Int.max 0 (cx - 1))
+          and row_hi = start.(base + Int.min (nx - 1) (cx + 1) + 1) in
           for b = row_lo to row_hi - 1 do
             (* Each unordered pair once, from its lower id. *)
             if id < sid.(b) then begin

@@ -28,8 +28,8 @@ let degree_of ~seed ~gamma ~avg_degree ~n v =
   let d_min = avg_degree *. (alpha -. 1.) /. alpha in
   let d_min = if d_min < 1. then 1. else d_min in
   let d = d_min *. (u ** (-1. /. alpha)) in
-  let cap = max 4 (n / 4) in
-  min cap (int_of_float d)
+  let cap = Int.max 4 (n / 4) in
+  Int.min cap (int_of_float d)
 
 let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?(gamma = default_gamma)
     ?(avg_degree = default_avg_degree) ~(seed : int) () : Distgraph.t =
@@ -46,9 +46,9 @@ let generate (comm : Kamping.Communicator.t) ~(n_per_rank : int) ?(gamma = defau
       (* Log-uniform distance in [1, n/2]: short edges dominate, long
          chords keep the diameter low. *)
       let u = Xoshiro.hash_float ~seed ~stream:22 ~counter in
-      let span = float_of_int (max 2 (n / 2)) in
+      let span = float_of_int (Int.max 2 (n / 2)) in
       let dist = int_of_float (exp (u *. log span)) in
-      let dist = max 1 (min (n - 1) dist) in
+      let dist = Int.max 1 (Int.min (n - 1) dist) in
       let sign = if Xoshiro.hash_int ~seed ~stream:23 ~counter ~bound:2 = 0 then 1 else -1 in
       let t = ((v + (sign * dist)) mod n + n) mod n in
       Distgraph.Edges.add edges v t

@@ -59,8 +59,8 @@ let init (comm : Kamping.Communicator.t) (dt : 'a Datatype.t) ~(n : int)
   let p = Kamping.Communicator.size comm in
   let r = Kamping.Communicator.rank comm in
   let chunk = (n + p - 1) / p in
-  let lo = min n (r * chunk) in
-  let hi = min n (lo + chunk) in
+  let lo = Int.min n (r * chunk) in
+  let hi = Int.min n (lo + chunk) in
   {
     comm;
     dt;
@@ -92,15 +92,16 @@ let balance (t : 'a t) : 'a t =
   let p = Kamping.Communicator.size t.comm in
   let n = t.n_global in
   let chunk = (n + p - 1) / p in
-  let target_lo r = min n (r * chunk) in
-  let target_hi r = min n (target_lo r + chunk) in
+  let target_lo r = Int.min n (r * chunk) in
+  let target_hi r = Int.min n (target_lo r + chunk) in
   (* Which of my elements go to which rank: element with global index g
      belongs to rank g / chunk. *)
   let send_counts = Array.make p 0 in
   Array.iteri
     (fun j _ ->
       let g = t.offset + j in
-      send_counts.(min (p - 1) (g / chunk)) <- send_counts.(min (p - 1) (g / chunk)) + 1)
+      send_counts.(Int.min (p - 1) (g / chunk)) <-
+        send_counts.(Int.min (p - 1) (g / chunk)) + 1)
     t.local;
   let received = Kamping.Collectives.alltoallv t.comm t.dt ~send_counts t.local in
   let r = Kamping.Communicator.rank t.comm in

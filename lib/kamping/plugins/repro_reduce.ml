@@ -49,7 +49,7 @@ let local_forest ~op (xs : float array) ~(offset : int) : node list =
         seg := !seg * 2
       done;
       (* In the corner case where alignment allows less than fit, clamp. *)
-      let seg = min !seg (if max_align < !seg then max_align else !seg) in
+      let seg = Int.min !seg (if max_align < !seg then max_align else !seg) in
       let level = ref 0 in
       let s = ref seg in
       while !s > 1 do

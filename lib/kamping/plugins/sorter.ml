@@ -52,7 +52,7 @@ let sort (comm : Kamping.Communicator.t) (dt : 'a Datatype.t)
     let m = Array.length global_samples in
     let splitters =
       if m = 0 then [||]
-      else Array.init (p - 1) (fun i -> global_samples.(min (m - 1) ((i + 1) * m / p)))
+      else Array.init (p - 1) (fun i -> global_samples.(Int.min (m - 1) ((i + 1) * m / p)))
     in
     (* Partition into buckets. *)
     let send_counts = Array.make p 0 in

@@ -458,7 +458,7 @@ let rebalance_plan (loads : int array) : (int * int * int) list =
     match (surplus, deficit) with
     | [], _ | _, [] -> ()
     | (s, sc) :: stl, (d, dc) :: dtl ->
-        let k = min !sc !dc in
+        let k = Int.min !sc !dc in
         if k > 0 then plan := (s, d, k) :: !plan;
         sc := !sc - k;
         dc := !dc - k;
@@ -601,7 +601,7 @@ let run ?(cfg = config ()) (comm : C.t) ~(task_codec : 'a Serial.Codec.t)
       cfg;
       n_tasks = n;
       deps;
-      knowledge = Hashtbl.create (max 16 n);
+      knowledge = Hashtbl.create (Int.max 16 n);
       nonce = 0;
       ctr = counters rt.Runtime.stats;
     }

@@ -216,8 +216,8 @@ let run_many (thunks : (unit -> 'a) list) : 'a list =
       work ()
     end
   in
-  let width = min n (Domain.recommended_domain_count ()) in
-  let helpers = List.init (max 0 (width - 1)) (fun _ -> Domain.spawn work) in
+  let width = Int.min n (Domain.recommended_domain_count ()) in
+  let helpers = List.init (Int.max 0 (width - 1)) (fun _ -> Domain.spawn work) in
   work ();
   List.iter Domain.join helpers;
   Array.iter

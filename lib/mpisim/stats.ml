@@ -158,7 +158,7 @@ let buckets h : (float * float * int) list =
 let quantile h q =
   if h.total = 0 then 0.
   else begin
-    let target = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int h.total))) in
+    let target = Int.max 1 (int_of_float (ceil (q *. float_of_int h.total))) in
     let seen = ref 0 and result = ref h.moments.(2) and found = ref false in
     Array.iteri
       (fun i c ->
@@ -198,11 +198,11 @@ let pp_histogram ?(fmt = default_fmt) ppf h =
       (fmt (mean h)) (fmt (min_value h)) (fmt (max_value h)) (fmt (quantile h 0.5))
       (fmt (quantile h 0.99));
     let biggest =
-      List.fold_left (fun acc (_, _, c) -> Stdlib.max acc c) 1 (buckets h)
+      List.fold_left (fun acc (_, _, c) -> Int.max acc c) 1 (buckets h)
     in
     List.iter
       (fun (lo, hi, c) ->
-        let bar = String.make (Stdlib.max 1 (40 * c / biggest)) '#' in
+        let bar = String.make (Int.max 1 (40 * c / biggest)) '#' in
         let lo_s = if lo = neg_infinity then "<=0 or min" else fmt lo in
         let hi_s = if hi = infinity then "inf" else fmt hi in
         Format.fprintf ppf "  (%s, %s]: %8d %s@." lo_s hi_s c bar)

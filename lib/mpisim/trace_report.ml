@@ -34,7 +34,7 @@ let pp_utilization ppf ~busy ~blocked ~times ~max_time =
       (pct ~of_:max_time idle)
   done;
   let total f = Array.fold_left ( +. ) 0. f in
-  let denom = float_of_int (max 1 n) *. max_time in
+  let denom = float_of_int (Int.max 1 n) *. max_time in
   Format.fprintf ppf "mean  busy %.1f%%  blocked %.1f%%  idle %.1f%%  (makespan %s)@."
     (pct ~of_:denom (total busy))
     (pct ~of_:denom (total blocked))

@@ -88,7 +88,7 @@ module Clocks = struct
   (* Merge [other] into [rank]'s clock, then tick [rank]'s component. *)
   let advance t rank other =
     let cur = t.rows.(rank) in
-    let n = max (max (Array.length cur) (rank + 1)) (Array.length other) in
+    let n = Int.max (Int.max (Array.length cur) (rank + 1)) (Array.length other) in
     let row = if Array.length cur = n then cur else Array.init n (Report.vc_get cur) in
     Array.iteri (fun i x -> if x > row.(i) then row.(i) <- x) other;
     row.(rank) <- row.(rank) + 1;

@@ -47,7 +47,7 @@ let vc_to_string ~ranks vc =
    neither direction holding. *)
 let vc_concurrent a b =
   let a_le_b = ref true and b_le_a = ref true in
-  for i = 0 to max (Array.length a) (Array.length b) - 1 do
+  for i = 0 to Int.max (Array.length a) (Array.length b) - 1 do
     let x = vc_get a i and y = vc_get b i in
     if x > y then a_le_b := false;
     if y > x then b_le_a := false

@@ -190,7 +190,7 @@ let hashtbl (k : 'k t) (v : 'v t) : ('k, 'v) Hashtbl.t t =
         h)
     ~decode:(fun r ->
       let len = varint.decode r in
-      let h = Hashtbl.create (max 16 (min len (Mpisim.Wire.remaining r))) in
+      let h = Hashtbl.create (Int.max 16 (Int.min len (Mpisim.Wire.remaining r))) in
       for _ = 1 to len do
         let key = k.decode r in
         let value = v.decode r in

@@ -182,23 +182,38 @@ let reference_expand_frontier g (dist : int array) frontier ~level =
     frontier;
   (next_local, buckets)
 
-(* Same next frontier (order included), same [dist] and the same
-   [Hashtbl.fold] sequence — the exchangers' send order — on random
-   frontiers over random graphs of every family. *)
+(* A random graph of [family] (GNM with 0 to 3 edges per vertex, so
+   some rows are empty, RGG or RHG) on this rank's communicator. *)
+let kernel_graph mpi ~family ~n_per_rank ~seed =
+  let comm = Kamping.Communicator.of_mpi mpi in
+  match family with
+  | 0 -> Graphgen.Gnm.generate comm ~n_per_rank ~m_per_rank:(seed mod 4 * n_per_rank) ~seed
+  | 1 -> Graphgen.Rgg2d.generate comm ~n_per_rank ~seed ()
+  | _ -> Graphgen.Rhg.generate comm ~n_per_rank ~seed ()
+
+let kernel_case =
+  QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 88) (int_bound 1_000_000))
+
+let kernel_ranks = [| 1; 2; 3; 5; 8 |]
+
+(* The bucket lists as blocks in insertion order. *)
+let block_of_list vs = Array.of_list (List.rev vs)
+
+(* The flat kernel ([Common.of_list] + [expand]) and its list wrapper
+   against the reference on random frontiers (empty ones included) over
+   random graphs of every family: the same [dist], the same next-frontier
+   visiting order, the same per-owner blocks element for element, the
+   same dense layout as [Kamping.Flatten.flatten] and the same
+   [outgoing] (dest, block) sequence as [Hashtbl.fold] over the
+   reference's buckets — the exchangers' send order. *)
 let prop_expand_matches_reference =
-  QCheck.Test.make ~name:"expand_frontier = per-edge Hashtbl reference" ~count:40
-    QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 88) (int_bound 1_000_000))
+  QCheck.Test.make ~name:"expand_frontier = per-edge Hashtbl reference" ~count:60
+    kernel_case
     (fun (family, pi, n, seed) ->
-      let p = [| 1; 3; 4; 5; 8 |].(pi) and n_per_rank = 8 + n in
-      let gen comm =
-        match family with
-        | 0 -> Graphgen.Gnm.generate comm ~n_per_rank ~m_per_rank:(3 * n_per_rank) ~seed
-        | 1 -> Graphgen.Rgg2d.generate comm ~n_per_rank ~seed ()
-        | _ -> Graphgen.Rhg.generate comm ~n_per_rank ~seed ()
-      in
+      let p = kernel_ranks.(pi) and n_per_rank = 8 + n in
       let agree =
         Engine.run_values ~ranks:p (fun mpi ->
-            let g = gen (Kamping.Communicator.of_mpi mpi) in
+            let g = kernel_graph mpi ~family ~n_per_rank ~seed in
             let n = Graphgen.Distgraph.n_local g in
             let rng = Xoshiro.create ~seed ~stream:(Comm.rank mpi) in
             let pick bound = Xoshiro.next_int rng ~bound in
@@ -210,13 +225,171 @@ let prop_expand_matches_reference =
             let level = pick 10 in
             let fold b = Hashtbl.fold (fun owner vs acc -> (owner, vs) :: acc) b [] in
             let d_new = Array.copy dist and d_ref = Array.copy dist in
+            let d_flat = Array.copy dist in
             let next_new, b_new = Bfs.Common.expand_frontier g d_new frontier ~level in
             let next_ref, b_ref = reference_expand_frontier g d_ref frontier ~level in
-            !next_new = !next_ref && d_new = d_ref && fold b_new = fold b_ref)
+            let st = Bfs.Common.of_list g d_flat frontier in
+            Bfs.Common.expand st ~level;
+            let blocks_agree =
+              List.for_all
+                (fun owner ->
+                  Bfs.Common.block st owner
+                  = block_of_list (Option.value (Hashtbl.find_opt b_ref owner) ~default:[]))
+                (List.init p Fun.id)
+            in
+            let outgoing_ref =
+              Hashtbl.fold (fun dest vs acc -> (dest, block_of_list vs) :: acc) b_ref []
+            in
+            !next_new = !next_ref && d_new = d_ref && fold b_new = fold b_ref
+            && d_flat = d_ref
+            && Bfs.Common.rev_list st.next = !next_ref
+            && blocks_agree
+            && Bfs.Common.flatten st = Kamping.Flatten.flatten ~size:p b_ref
+            && Bfs.Common.outgoing st = outgoing_ref)
       in
       Array.for_all Fun.id agree)
 
-let bfs_kernel_tests = [ QCheck_alcotest.to_alcotest prop_expand_matches_reference ]
+(* [outgoing]'s order is computed, not read off a table, so check it
+   where the table would grow: up to 100 distinct owners, past the
+   32-entry doubling point of a 16-bucket table. *)
+let prop_outgoing_order_matches_hashtbl =
+  QCheck.Test.make ~name:"outgoing order = Hashtbl.fold order" ~count:200
+    QCheck.(pair (int_bound 100) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let rng = Xoshiro.create ~seed ~stream:0 in
+      let owners = Array.init 200 Fun.id in
+      for i = 199 downto 1 do
+        let j = Xoshiro.next_int rng ~bound:(i + 1) in
+        let x = owners.(i) in
+        owners.(i) <- owners.(j);
+        owners.(j) <- x
+      done;
+      let owners = Array.sub owners 0 k in
+      let table = Hashtbl.create 16 in
+      Array.iter (fun o -> Hashtbl.add table o ()) owners;
+      let expected = Hashtbl.fold (fun o () acc -> o :: acc) table [] in
+      let buf = Bfs.Common.buf () in
+      Array.iter (Bfs.Common.push buf) owners;
+      Bfs.Common.hashtbl_order buf;
+      List.rev (Array.to_list (Array.sub buf.a 0 buf.n)) = expected)
+
+(* A frontier row holding an out-of-range neighbour raises the same
+   [Usage_error] in the flat kernel as in the reference. *)
+let test_out_of_range_neighbour () =
+  let outcome f = try ignore (f ()); "no error" with Errdefs.Usage_error m -> m in
+  let msgs =
+    Engine.run_values ~ranks:2 (fun mpi ->
+        let g = kernel_graph mpi ~family:1 ~n_per_rank:32 ~seed:5 in
+        let n = Graphgen.Distgraph.n_local g in
+        let l =
+          List.find (fun l -> Graphgen.Distgraph.degree g l > 0) (List.init n Fun.id)
+        in
+        let bad = Graphgen.Distgraph.n_global g + 3 in
+        g.adjncy.(g.xadj.(l + 1) - 1) <- bad;
+        let dist () = Array.make n Bfs.Common.undef in
+        ( outcome (fun () -> Bfs.Common.expand_frontier g (dist ()) [ l ] ~level:0),
+          outcome (fun () -> reference_expand_frontier g (dist ()) [ l ] ~level:0) ))
+  in
+  Array.iter
+    (fun (flat, reference) ->
+      Alcotest.(check string) "same usage error" reference flat;
+      Alcotest.(check bool) "an error" true (flat <> "no error"))
+    msgs
+
+(* Every exchanger computes the distances of the dense alltoallv one
+   from a random source, on the kernel property's graphs. *)
+let prop_exchangers_match_dense =
+  QCheck.Test.make ~name:"every exchanger equals Dense_mpi" ~count:25 kernel_case
+    (fun (family, pi, n, seed) ->
+      let p = kernel_ranks.(pi) and n_per_rank = 8 + n in
+      let run exchanger =
+        Engine.run_values ~ranks:p (fun mpi ->
+            let g = kernel_graph mpi ~family ~n_per_rank ~seed in
+            let source = seed mod Graphgen.Distgraph.n_global g in
+            Bfs.Exchangers.bfs mpi g ~source ~exchanger)
+      in
+      let dense = run Bfs.Exchangers.Dense_mpi in
+      List.for_all (fun ex -> run ex = dense) Bfs.Exchangers.all)
+
+(* Minor words [f] allocates, read after a minor collection so the
+   counter starts exact. *)
+let minor_words f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* One BFS level, repeated on a warmed state: [expand] and [relax]
+   allocate nothing once the buffers have grown, remote neighbours or
+   not; [outgoing] allocates each block (its length plus a header word)
+   and one pair and one list cell (3 words each) per owner. *)
+let test_kernel_allocation () =
+  let measured =
+    Engine.run_values ~ranks:3 (fun mpi ->
+        let rank = Comm.rank mpi in
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let g = Graphgen.Rgg2d.generate comm ~n_per_rank:256 ~seed:9 () in
+        let n = Graphgen.Distgraph.n_local g in
+        let frontier = List.init (n / 2) (fun i -> 2 * i) in
+        let dist = Array.make n Bfs.Common.undef in
+        let st = Bfs.Common.of_list g (Array.copy dist) frontier in
+        let received = Array.init 16 (fun i -> g.first_vertex + (i * 7 mod n)) in
+        let level () =
+          Array.blit dist 0 st.dist 0 n;
+          st.next.n <- 0;
+          Array.iter (fun (b : Bfs.Common.buf) -> b.n <- 0) st.out;
+          st.owners.n <- 0;
+          let expand = minor_words (fun () -> Bfs.Common.expand st ~level:0) in
+          let relax = minor_words (fun () -> Bfs.Common.relax st received ~level:0) in
+          let expected =
+            List.init (Array.length st.out) (fun o -> Bfs.Common.count st o)
+            |> List.filter (fun c -> c > 0)
+            |> List.fold_left (fun acc c -> acc + c + 1 + 3 + 3) 0
+          in
+          let outgoing = minor_words (fun () -> ignore (Bfs.Common.outgoing st)) in
+          (expand, relax, outgoing, float_of_int expected, st.owners.n)
+        in
+        ignore (level ());
+        (rank, level ()))
+  in
+  Array.iter
+    (fun (rank, (expand, relax, outgoing, expected, owners)) ->
+      let where = Printf.sprintf "rank %d" rank in
+      Alcotest.(check (float 0.)) (where ^ ": expand allocates nothing") 0. expand;
+      Alcotest.(check (float 0.)) (where ^ ": relax allocates nothing") 0. relax;
+      Alcotest.(check bool) (where ^ ": has remote neighbours") true (owners > 0);
+      Alcotest.(check (float 0.))
+        (where ^ ": outgoing allocates its blocks")
+        expected outgoing)
+    measured;
+  (* One rank: every neighbour is local, so a level sends nothing. *)
+  let single =
+    Engine.run_values ~ranks:1 (fun mpi ->
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let g = Graphgen.Rgg2d.generate comm ~n_per_rank:256 ~seed:9 () in
+        let n = Graphgen.Distgraph.n_local g in
+        let dist = Array.make n Bfs.Common.undef in
+        let st = Bfs.Common.of_list g (Array.copy dist) (List.init n Fun.id) in
+        let level () =
+          Array.blit dist 0 st.dist 0 n;
+          st.next.n <- 0;
+          minor_words (fun () ->
+              Bfs.Common.expand st ~level:0;
+              ignore (Bfs.Common.outgoing st))
+        in
+        ignore (level ());
+        level ())
+  in
+  Alcotest.(check (float 0.)) "no remote neighbour: a level allocates nothing" 0. single.(0)
+
+let bfs_kernel_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_expand_matches_reference;
+    QCheck_alcotest.to_alcotest prop_outgoing_order_matches_hashtbl;
+    QCheck_alcotest.to_alcotest prop_exchangers_match_dense;
+    Alcotest.test_case "out-of-range neighbour" `Quick test_out_of_range_neighbour;
+    Alcotest.test_case "warmed kernel allocation" `Quick test_kernel_allocation;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Suffix array: both variants against the sequential reference. *)
