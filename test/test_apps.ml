@@ -187,7 +187,8 @@ let reference_expand_frontier g (dist : int array) frontier ~level =
 let kernel_graph mpi ~family ~n_per_rank ~seed =
   let comm = Kamping.Communicator.of_mpi mpi in
   match family with
-  | 0 -> Graphgen.Gnm.generate comm ~n_per_rank ~m_per_rank:(seed mod 4 * n_per_rank) ~seed
+  | 0 ->
+      Graphgen.Gnm.generate comm ~n_per_rank ~m_per_rank:(seed mod 4 * n_per_rank) ~seed
   | 1 -> Graphgen.Rgg2d.generate comm ~n_per_rank ~seed ()
   | _ -> Graphgen.Rhg.generate comm ~n_per_rank ~seed ()
 
