@@ -20,8 +20,6 @@ type t = private {
 
 val chunk_size : n_global:int -> comm_size:int -> int
 
-val owner_of : n_global:int -> comm_size:int -> int -> int
-
 (** Owner rank of a global vertex. *)
 val owner : t -> int -> int
 

@@ -6,11 +6,8 @@
     moderate locality (log-uniform target distances over an angular id
     layout), and low diameter. *)
 
-val default_gamma : float
-
-val default_avg_degree : float
-
-(** Collective; deterministic in [seed]. *)
+(** Collective; deterministic in [seed].  [gamma] defaults to 2.8 and
+    [avg_degree] to 8. *)
 val generate :
   Kamping.Communicator.t ->
   n_per_rank:int ->

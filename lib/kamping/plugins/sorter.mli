@@ -7,10 +7,8 @@
 
 open Mpisim
 
-val default_oversampling : int
-
 (** Collective.  Deterministic in [seed]; [compare] defaults to
-    polymorphic comparison. *)
+    polymorphic comparison, [oversampling] to 16. *)
 val sort :
   Kamping.Communicator.t ->
   'a Datatype.t ->

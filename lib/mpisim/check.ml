@@ -403,21 +403,6 @@ let on_wildcard_match t ~rank ~src ~tag ~eligible =
   end
 
 (* ------------------------------------------------------------------ *)
-(* (e) RMA bounds *)
-
-(* A one-sided op addressed elements outside the target's exposure.  The
-   RMA layer raises a named [Mpi_error ERR_RMA_RANGE] regardless of the
-   sanitizer; under the sanitizer we additionally count the violation so
-   it appears in check.* diagnostics alongside the other classes. *)
-let on_rma_range t ~rank ~op ~target ~pos ~count ~len =
-  record t ~rank ~counter:"rma_range" ~name:"rma_range";
-  Log.warn (fun f ->
-      f
-        "RMA range violation on rank %d: %s addressed [%d, %d) on target %d whose \
-         window exposes %d elements"
-        rank op pos (pos + count) target len)
-
-(* ------------------------------------------------------------------ *)
 
 (* Finalize-time scan, run by the engine after a clean (non-aborted,
    no-kills) run: leaked requests and diverging collective counts. *)

@@ -115,15 +115,6 @@ val on_crc_mismatch : t -> rank:int -> src:int -> expected:int -> got:int -> uni
     simultaneously eligible; records a race when [eligible >= 2]. *)
 val on_wildcard_match : t -> rank:int -> src:int -> tag:int -> eligible:int -> unit
 
-(** {1 RMA bounds} *)
-
-(** A one-sided op on [rank] addressed elements [pos, pos+count) outside
-    the [len]-element exposure of [target]'s window.  Counts the finding
-    under [check.rma_range] (the RMA layer raises the named
-    [ERR_RMA_RANGE] error itself, sanitizer or not). *)
-val on_rma_range :
-  t -> rank:int -> op:string -> target:int -> pos:int -> count:int -> len:int -> unit
-
 (** {1 Finalize} *)
 
 (** End-of-run scan (engine teardown of a clean run): leaked requests

@@ -16,38 +16,32 @@ let max_user_tag = Mailbox.max_user_tag
 type topology = { sources : int array; destinations : int array }
 (* Neighbor lists in comm ranks, for neighborhood collectives (§V-A). *)
 
-(* Rendezvous.  [ibarrier], the bcast count, ULFM [agree] and [shrink]
-   and RMA window creation meet through shared state rather than
-   messages: one cell per call, found in the communicator's table under
-   (kind, generation).  Every rank numbers its calls of each kind, and
-   calls of a kind are collective, so the k-th call of a kind on every
-   member meets in the same cell.  The kind also says whom the cell waits
-   for: every member (ibarrier, window), the root (bcast), or the members
-   still alive (agree, shrink). *)
-type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink | Window
+(* Rendezvous.  [ibarrier], the bcast count and ULFM [agree] and
+   [shrink] meet through shared state rather than messages: one cell per
+   call, found in the communicator's table under (kind, generation).
+   Every rank numbers its calls of each kind, and calls of a kind are
+   collective, so the k-th call of a kind on every member meets in the
+   same cell.  The kind also says whom the cell waits for: every member
+   (ibarrier), the root (bcast), or the members still alive (agree,
+   shrink). *)
+type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink
 
 let kind_index = function
   | Ibarrier -> 0
   | Bcast _ -> 1
   | Agree -> 2
   | Shrink -> 3
-  | Window -> 4
 
-let n_kinds = 5
+let n_kinds = 4
 
-(* What the first arrival makes for everyone: shrink's context id, or
-   what a later module declares (an RMA window's shared record, see
-   [Rma.create]). *)
-type made = ..
-
-type made += Nothing | Context of int
-
+(* Nothing arrived, or nothing made: a value no rank brings and no
+   context id takes. *)
 let absent = min_int
 
 type cell = {
   kind : kind;
   key : int;  (* generation * n_kinds + kind index *)
-  made : made;
+  made : int;  (* made by the first arrival (shrink's context id), or [absent] *)
   brought : int array;  (* comm rank -> what it brought, [absent] until it arrives *)
   mutable arrivals : int;
   mutable max_clock : float;  (* latest arrival clock *)
@@ -256,7 +250,7 @@ let live_members t =
    the cell, with [make ()] for everyone; every arrival records what it
    brings ([value]: bcast's count at the root, an agree vote) and its
    clock, and counts as progress. *)
-let arrive ?(value = 0) ?(make = fun () -> Nothing) t kind =
+let arrive ?(value = 0) ?(make = fun () -> absent) t kind =
   let i = kind_index kind in
   let gen = t.gens.(i) in
   t.gens.(i) <- gen + 1;
@@ -292,7 +286,7 @@ let generation c = c.key / n_kinds
    as arrived for a live-member cell). *)
 let complete t c =
   match c.kind with
-  | Ibarrier | Window -> c.arrivals = Array.length c.brought
+  | Ibarrier -> c.arrivals = Array.length c.brought
   | Bcast { root } -> c.brought.(root) <> absent
   | Agree | Shrink ->
       let rec go r =
@@ -311,7 +305,7 @@ let broken t c =
   match c.kind with
   | Agree | Shrink -> false
   | Bcast { root } -> any_member_failed t || (t.shared.revoked && awaited root)
-  | Ibarrier | Window ->
+  | Ibarrier ->
       let rec any r = r >= 0 && (awaited r || any (r - 1)) in
       any_member_failed t || (t.shared.revoked && any (Array.length c.brought - 1))
 
@@ -369,7 +363,7 @@ let cell_describe t =
   | Shrink -> Printf.sprintf "comm_shrink on rank %d" t.rank
   | Agree -> Printf.sprintf "comm_agree on rank %d" t.rank
   | Bcast _ -> Printf.sprintf "bcast count rendezvous gen %d" (generation c)
-  | Ibarrier | Window -> Printf.sprintf "rendezvous gen %d" (generation c)
+  | Ibarrier -> Printf.sprintf "rendezvous gen %d" (generation c)
 
 (* A cell no wait is on: the [wait.cell] of a handle before its first
    rendezvous. *)
@@ -377,7 +371,7 @@ let no_cell =
   {
     kind = Ibarrier;
     key = -1;
-    made = Nothing;
+    made = absent;
     brought = [||];
     arrivals = 0;
     max_clock = 0.;

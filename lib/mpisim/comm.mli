@@ -7,8 +7,8 @@
     communicators ([comms]), so no communicator state outlives
     its run or is visible to another run.  Record internals are exposed
     for the collective layer (which meets in rendezvous cells for the
-    non-blocking barrier, the bcast count, ULFM shrink and agree, and RMA
-    windows); applications should treat them as read-only. *)
+    non-blocking barrier, the bcast count, and ULFM shrink and agree);
+    applications should treat them as read-only. *)
 
 (** Largest tag usable by applications; larger tags are reserved for the
     internal messages of collective algorithms. *)
@@ -20,27 +20,22 @@ type topology = { sources : int array; destinations : int array }
 
 (** {1 Rendezvous}
 
-    [ibarrier], the bcast count, ULFM agree and shrink, and RMA window
-    creation meet through shared state rather than messages: one cell per
-    call, in the communicator's [cells] table.  The k-th call of a kind on
-    a communicator meets every other member's k-th call of that kind. *)
+    [ibarrier], the bcast count, and ULFM agree and shrink meet through
+    shared state rather than messages: one cell per call, in the
+    communicator's [cells] table.  The k-th call of a kind on a
+    communicator meets every other member's k-th call of that kind. *)
 
-(** The kind also says whom the cell waits for: every member ([Ibarrier],
-    [Window]), the root ([Bcast]), or the members still alive ([Agree],
-    [Shrink]). *)
-type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink | Window
-
-(** What the first arrival makes for every member: nothing, shrink's
-    fresh context id, or a constructor another module declares (an RMA
-    window's shared record, see {!Rma}). *)
-type made = ..
-
-type made += Nothing | Context of int
+(** The kind also says whom the cell waits for: every member
+    ([Ibarrier]), the root ([Bcast]), or the members still alive
+    ([Agree], [Shrink]). *)
+type kind = Ibarrier | Bcast of { root : int } | Agree | Shrink
 
 type cell = {
   kind : kind;
   key : int;
-  made : made;
+  made : int;
+      (** what the first arrival made for every member: shrink's fresh
+          context id, or [min_int] *)
   brought : int array;
       (** comm rank -> the value it brought (bcast's count at the root,
           an agree vote), [min_int] until it arrives *)
@@ -192,17 +187,17 @@ val check_collective : t -> op:string -> root:int -> ty:string -> unit
 (** {1 Rendezvous operations} *)
 
 (** This rank's next call of [kind]: find the cell or, as the first
-    member to arrive, create it with [make ()] (default [Nothing]).
-    Records the arrival, its [value] (default 0) and clock, and bumps
-    progress. *)
-val arrive : ?value:int -> ?make:(unit -> made) -> t -> kind -> cell
+    member to arrive, create it with [made = make ()] (default
+    [min_int]).  Records the arrival, its [value] (default 0) and clock,
+    and bumps progress. *)
+val arrive : ?value:int -> ?make:(unit -> int) -> t -> kind -> cell
 
 (** The cell's generation: which call of its kind it is. *)
 val generation : cell -> int
 
 (** The one wake rule, scheduler-safe: every member the cell waits for
-    has arrived, or, for an [Ibarrier], [Window] or [Bcast] cell, it never
-    will: a member has failed, or a member it waits for has observed the
+    has arrived, or, for an [Ibarrier] or [Bcast] cell, it never will: a
+    member has failed, or a member it waits for has observed the
     revocation before arriving.  [Agree] and [Shrink] cells tolerate
     failures and never break. *)
 val settled : t -> cell -> bool

@@ -168,16 +168,10 @@ let shrink comm : Comm.t =
   let rt = Comm.runtime comm in
   Runtime.check_alive rt (Comm.world_rank comm);
   Runtime.record rt ~op:"comm_shrink" ~bytes:0;
-  let cell =
-    Comm.arrive comm Comm.Shrink ~make:(fun () -> Comm.Context (Runtime.fresh_context rt))
-  in
+  let cell = Comm.arrive comm Comm.Shrink ~make:(fun () -> Runtime.fresh_context rt) in
   Comm.await comm cell;
   let survivors = Comm.decide_live comm cell in
-  let context =
-    match cell.Comm.made with
-    | Comm.Context c -> c
-    | _ -> invalid_arg "Comm_ops.shrink"
-  in
+  let context = cell.Comm.made in
   let world_ranks = List.map (Comm.world_of_rank comm) survivors in
   let group = Group.of_ranks (Array.of_list world_ranks) in
   let new_shared = Comm.get_or_create_shared comm ~context ~group in

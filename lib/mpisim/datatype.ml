@@ -71,7 +71,6 @@ type 'a t = {
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;  (* fast path; [None] = general path *)
   state : state;
-  id : 'a Type.Id.t;  (* one per constructed type; [without_bulk] copies share it *)
   zero : 'a placeholder;
   fixed_size : bool;  (* [false] for a [framed] type: [elem_size] is its least *)
 }
@@ -268,7 +267,6 @@ let born_committed ~name ~size ~signature ~pack ~unpack ~bulk ~zero ~fixed_size 
     unpack;
     bulk;
     state = { committed = true; freed = false };
-    id = Type.Id.make ();
     zero;
     fixed_size;
   }
@@ -402,7 +400,6 @@ let create_k ~name ~size ~signature ~pack ~unpack ~bulk ~zero =
     unpack;
     bulk;
     state = { committed = false; freed = false };
-    id = Type.Id.make ();
     zero;
     fixed_size = true;
   }

@@ -56,11 +56,6 @@ type 'a t = {
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;
   state : state;
-  id : 'a Type.Id.t;
-      (** the type's identity, made once per constructed type and shared
-          by its {!without_bulk} copies: where two ranks meet with their
-          own ['a t] (an RMA window's creation), it proves they agree on
-          ['a] without a cast *)
   zero : 'a placeholder;
   fixed_size : bool;
       (** [false] for a {!framed} type, whose elements pack to as many

@@ -20,7 +20,6 @@ type code =
   | Err_proc_failed  (* a participating process has failed (ULFM) *)
   | Err_revoked  (* communicator has been revoked (ULFM) *)
   | Err_deadlock
-  | Err_rma_range  (* one-sided op out of the target window's bounds *)
   | Err_other of string
 
 let code_name = function
@@ -35,7 +34,6 @@ let code_name = function
   | Err_proc_failed -> "ERR_PROC_FAILED"
   | Err_revoked -> "ERR_REVOKED"
   | Err_deadlock -> "ERR_DEADLOCK"
-  | Err_rma_range -> "ERR_RMA_RANGE"
   | Err_other s -> "ERR_OTHER(" ^ s ^ ")"
 
 exception Mpi_error of { code : code; msg : string }

@@ -21,7 +21,6 @@ type code =
   | Err_proc_failed  (** a participating process has failed (ULFM) *)
   | Err_revoked  (** communicator has been revoked (ULFM) *)
   | Err_deadlock
-  | Err_rma_range  (** one-sided op out of the target window's bounds *)
   | Err_other of string
 
 val code_name : code -> string

@@ -29,8 +29,6 @@ val element_count : t -> int
 (** One past the highest selected position. *)
 val extent : t -> int
 
-val iter_positions : t -> (int -> unit) -> unit
-
 val positions : t -> int list
 
 (** Gather the selected elements into a fresh packed array. *)

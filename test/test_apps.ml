@@ -312,14 +312,6 @@ let prop_exchangers_match_dense =
       let dense = run Bfs.Exchangers.Dense_mpi in
       List.for_all (fun ex -> run ex = dense) Bfs.Exchangers.all)
 
-(* Minor words [f] allocates, read after a minor collection so the
-   counter starts exact. *)
-let minor_words f =
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
-
 (* One BFS level, repeated on a warmed state: [expand] and [relax]
    allocate nothing once the buffers have grown, remote neighbours or
    not; [outgoing] allocates each block (its length plus a header word)
@@ -340,14 +332,14 @@ let test_kernel_allocation () =
           st.next.n <- 0;
           Array.iter (fun (b : Bfs.Common.buf) -> b.n <- 0) st.out;
           st.owners.n <- 0;
-          let expand = minor_words (fun () -> Bfs.Common.expand st ~level:0) in
-          let relax = minor_words (fun () -> Bfs.Common.relax st received ~level:0) in
+          let expand = Alloc.minor_words (fun () -> Bfs.Common.expand st ~level:0) in
+          let relax = Alloc.minor_words (fun () -> Bfs.Common.relax st received ~level:0) in
           let expected =
             List.init (Array.length st.out) (fun o -> Bfs.Common.count st o)
             |> List.filter (fun c -> c > 0)
             |> List.fold_left (fun acc c -> acc + c + 1 + 3 + 3) 0
           in
-          let outgoing = minor_words (fun () -> ignore (Bfs.Common.outgoing st)) in
+          let outgoing = Alloc.minor_words (fun () -> ignore (Bfs.Common.outgoing st)) in
           (expand, relax, outgoing, float_of_int expected, st.owners.n)
         in
         ignore (level ());
@@ -374,7 +366,7 @@ let test_kernel_allocation () =
         let level () =
           Array.blit dist 0 st.dist 0 n;
           st.next.n <- 0;
-          minor_words (fun () ->
+          Alloc.minor_words (fun () ->
               Bfs.Common.expand st ~level:0;
               ignore (Bfs.Common.outgoing st))
         in

@@ -282,18 +282,20 @@ let test_off_level_is_free () =
   let trace = Trace.create ~clocks in
   let chk = Check.create ~stats ~trace ~size:4 () in
   Alcotest.(check bool) "created off" false (Check.enabled chk);
-  let w0 = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    if Check.enabled chk then
-      Check.on_collective chk ~context:0 ~rank:0 ~world_rank:0 ~op:"allgather" ~root:(-1)
-        ~ty:"int";
-    if Check.enabled chk then
-      Check.set_waiting chk ~rank:0 (Check.Wrecv { src = i; tag = 0; ctx = 0; op = "recv" });
-    if Check.enabled chk then Check.clear_waiting chk ~rank:0;
-    if Check.heavy chk then
-      Check.on_wildcard_match chk ~rank:0 ~src:(-1) ~tag:(-1) ~eligible:2
-  done;
-  let allocated = Gc.minor_words () -. w0 in
+  let allocated =
+    Alloc.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          if Check.enabled chk then
+            Check.on_collective chk ~context:0 ~rank:0 ~world_rank:0 ~op:"allgather"
+              ~root:(-1) ~ty:"int";
+          if Check.enabled chk then
+            Check.set_waiting chk ~rank:0
+              (Check.Wrecv { src = i; tag = 0; ctx = 0; op = "recv" });
+          if Check.enabled chk then Check.clear_waiting chk ~rank:0;
+          if Check.heavy chk then
+            Check.on_wildcard_match chk ~rank:0 ~src:(-1) ~tag:(-1) ~eligible:2
+        done)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "allocated %.0f words for 40k guarded hook sites" allocated)
     true (allocated < 100.)

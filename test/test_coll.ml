@@ -1348,11 +1348,13 @@ let test_choose_allocation_free () =
     done
   in
   choose_all ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 100 do
-    choose_all ()
-  done;
-  let words = (Gc.minor_words () -. w0) /. 100. in
+  let words =
+    Alloc.minor_words (fun () ->
+        for _ = 1 to 100 do
+          choose_all ()
+        done)
+    /. 100.
+  in
   Alcotest.(check bool) (Printf.sprintf "%.1f words per 128 choices" words) true
     (words < 1.)
 

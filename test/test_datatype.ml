@@ -525,17 +525,16 @@ let test_hostile_count () =
     List.iter
       (fun count ->
         let r = Wire.reader_of_bytes (Bytes.make 16 '\000') in
-        (* Settle the GC counters first: without a collection here the
-           difference can include megabytes allocated before [b0]. *)
-        Gc.minor ();
-        let b0 = Gc.allocated_bytes () in
-        (match Datatype.unpack_array dt r ~count with
-        | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
-        | exception Wire.Underflow { available; _ } ->
-            Alcotest.(check int)
-              (Printf.sprintf "%s count=%d available" name count)
-              16 available);
-        let allocated = Gc.allocated_bytes () -. b0 in
+        let available, words =
+          Alloc.measure (fun () ->
+              match Datatype.unpack_array dt r ~count with
+              | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
+              | exception Wire.Underflow { available; _ } -> available)
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s count=%d available" name count)
+          16 available;
+        let allocated = Alloc.bytes words in
         if allocated > 1024. then
           Alcotest.failf "%s count=%d allocated %.0f bytes" name count allocated;
         Alcotest.(check int) (Printf.sprintf "%s count=%d: reader untouched" name count) 16
@@ -555,17 +554,16 @@ let test_hostile_count_general () =
     List.iter
       (fun count ->
         let r = Wire.reader_of_bytes (Bytes.make 16 '\000') in
-        (* Settle the GC counters first: without a collection here the
-           difference can include megabytes allocated before [b0]. *)
-        Gc.minor ();
-        let b0 = Gc.allocated_bytes () in
-        (match Datatype.unpack_array dt r ~count with
-        | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
-        | exception Wire.Underflow { available; _ } ->
-            Alcotest.(check int)
-              (Printf.sprintf "%s count=%d available" name count)
-              16 available);
-        let allocated = Gc.allocated_bytes () -. b0 in
+        let available, words =
+          Alloc.measure (fun () ->
+              match Datatype.unpack_array dt r ~count with
+              | _ -> Alcotest.failf "%s count=%d: decoded from 16 bytes" name count
+              | exception Wire.Underflow { available; _ } -> available)
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s count=%d available" name count)
+          16 available;
+        let allocated = Alloc.bytes words in
         if allocated > 1024. then
           Alcotest.failf "%s count=%d allocated %.0f bytes" name count allocated;
         Alcotest.(check int) (Printf.sprintf "%s count=%d: reader untouched" name count) 16
@@ -635,11 +633,6 @@ let test_bytes_signature () =
    a fresh receive array of n <= 256 elements costs exactly its own n + 1
    words (header included). *)
 let test_bulk_allocation () =
-  let minor_words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
   let pool = Wire.create_pool () in
   let check_type (type e) name (dt : e Datatype.t) (sample : int -> e) =
     List.iter
@@ -648,12 +641,16 @@ let test_bulk_allocation () =
         let bytes = n * Datatype.elem_size dt in
         Wire.preheat pool ~capacity:bytes;
         let w = Wire.acquire pool ~capacity:bytes in
-        let packed = minor_words (fun () -> Datatype.pack_array dt w v ~pos:0 ~count:n) in
+        let packed =
+          Alloc.minor_words (fun () -> Datatype.pack_array dt w v ~pos:0 ~count:n)
+        in
         Alcotest.(check (float 0.)) (Printf.sprintf "%s pack_array n=%d" name n) 0. packed;
         let img = Wire.contents w in
         let dst = Array.make n (Datatype.zero_elem dt) in
         let r = Wire.reader_of_bytes img in
-        let into = minor_words (fun () -> Datatype.unpack_into dt r dst ~pos:0 ~count:n) in
+        let into =
+          Alloc.minor_words (fun () -> Datatype.unpack_into dt r dst ~pos:0 ~count:n)
+        in
         Alcotest.(check (float 0.)) (Printf.sprintf "%s unpack_into n=%d" name n) 0. into;
         Alcotest.(check bool)
           (Printf.sprintf "%s unpack_into n=%d values" name n)
@@ -661,7 +658,7 @@ let test_bulk_allocation () =
         if n <= 256 then begin
           let r = Wire.reader_of_bytes img in
           let fresh =
-            minor_words (fun () -> ignore (Datatype.unpack_array dt r ~count:n))
+            Alloc.minor_words (fun () -> ignore (Datatype.unpack_array dt r ~count:n))
           in
           Alcotest.(check (float 0.))
             (Printf.sprintf "%s unpack_array n=%d" name n)

@@ -193,28 +193,25 @@ let test_assertion_level_compat () =
 
 (* ------------------------------------------------------------------ *)
 (* Independent runs on different domains share no state: communicator,
-   window, agreement and datatype bookkeeping all live in the run (or in
-   the type value), so concurrent runs reproduce their sequential
-   results exactly. *)
+   agreement and datatype bookkeeping all live in the run (or in the type
+   value), so concurrent runs reproduce their sequential results
+   exactly. *)
 
 (* Touches every kind of cross-rank bookkeeping a run keeps: split and
-   dup (communicator table), an RMA window (window table), agree
-   (agreement cells) and a derived type committed around an allgather. *)
+   dup (communicator table), a collective on the dup (its traffic in the
+   dup's context), agree (agreement cells) and a derived type committed
+   around an allgather. *)
 let probe comm =
   let r = Comm.rank comm in
   let sub = Option.get (Comm_ops.split comm ~color:(r mod 2) ~key:r ()) in
   let dup = Comm_ops.dup sub in
-  let w = Rma.create dup Datatype.int (Array.make (Comm.size dup) 0) in
-  Rma.put w ~target:0 ~target_pos:(Comm.rank dup) [| r + 1 |];
-  Rma.fence w;
-  let window = Array.copy (Rma.local w) in
-  Rma.free w;
+  let gathered = Coll.allgather dup Datatype.int [| r + 1 |] in
   let agreed = Comm_ops.agree comm (r < Comm.size comm) in
   let pairs =
     Datatype.with_committed (Datatype.pair Datatype.int Datatype.int) (fun dt ->
         Coll.allgather comm dt [| (r, Comm.rank dup) |])
   in
-  (window, agreed, pairs)
+  (gathered, agreed, pairs)
 
 let probe_run () =
   let results, report =
@@ -301,19 +298,6 @@ let test_run_after_raise_keeps_its_waits () =
   check_own_waits (Option.get !inner);
   check_own_waits (ring_deadlock ~ranks:2 ~tag:9 ())
 
-(* A window's ranks meet at one element type: the datatype's identity
-   proves it, so a rank passing another datatype of the same OCaml type
-   is refused rather than sharing storage it cannot describe. *)
-let test_window_datatypes_must_agree () =
-  match
-    Engine.run ~ranks:2 (fun comm ->
-        let dt = if Comm.rank comm = 0 then Datatype.float else Datatype.float32 in
-        Rma.free (Rma.create comm dt [| 0. |]))
-  with
-  | _ -> Alcotest.fail "expected a usage error"
-  | exception Scheduler.Aborted { rank; exn = Errdefs.Usage_error _; _ } ->
-      Alcotest.(check int) "the rank that passed the other datatype" 1 rank
-
 (* Rank 0 drains one message from every other rank with fully wildcard
    receives; oldest-first arbitration fixes the order. *)
 let wildcard_drain comm =
@@ -377,8 +361,6 @@ let tests =
       test_concurrent_deadlocks_keep_their_waits;
     Alcotest.test_case "run after a raise keeps its waits" `Quick
       test_run_after_raise_keeps_its_waits;
-    Alcotest.test_case "window datatypes must agree" `Quick
-      test_window_datatypes_must_agree;
     Alcotest.test_case "explore leaves other runs undeferred" `Quick
       test_explore_leaves_other_runs_undeferred;
   ]

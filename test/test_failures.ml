@@ -288,8 +288,8 @@ let rendezvous_form_tests =
     rendezvous_forms
 
 (* A clean run through every rendezvous kind — ibarrier, bcast's count,
-   window create/free, agree, and shrink and agree after a member dies —
-   leaves no rendezvous cell open on any communicator. *)
+   agree, and shrink and agree after a member dies — leaves no rendezvous
+   cell open on any communicator. *)
 let test_rendezvous_cells_closed () =
   let results, report =
     Engine.run_collect ~ranks:4 (fun comm ->
@@ -299,9 +299,6 @@ let test_rendezvous_cells_closed () =
         Alcotest.(check (array int))
           "bcast payload" [| 7; 8 |]
           (Coll.bcast comm Datatype.int ~root:1 payload);
-        let win = Rma.create comm Datatype.int [| me |] in
-        Rma.fence win;
-        Rma.free win;
         Alcotest.(check bool) "agree over all" false (Comm_ops.agree comm (me <> 2));
         if me = 3 then Fault.die comm;
         let rt = Comm.runtime comm in
@@ -768,31 +765,6 @@ let prop_named_matches_labelled =
               else Kamping.Collectives.allgather comm Datatype.int (mine r))
             ~counts:(fun _ -> None) ~displs:(fun _ -> None))
 
-(* --- RMA accumulate property --- *)
-
-let prop_rma_accumulate_sums =
-  QCheck.Test.make ~name:"RMA accumulate totals are exact" ~count:30
-    QCheck.(pair (Arb.ranks 2 8) (int_bound 10000))
-    (fun (p, seed) ->
-      let contributions r = Xoshiro.hash_int ~seed ~stream:r ~counter:0 ~bound:100 in
-      let results =
-        Engine.run_values ~model:Net_model.zero_cost ~ranks:p (fun comm ->
-            let win = Rma.create comm Datatype.int (Array.make 1 0) in
-            let r = Comm.rank comm in
-            Rma.accumulate win ~target:(r mod 2) ~target_pos:0 Reduce_op.int_sum
-              [| contributions r |];
-            Rma.fence win;
-            let v = (Rma.local win).(0) in
-            Rma.free win;
-            v)
-      in
-      let expected target =
-        List.fold_left
-          (fun acc r -> if r mod 2 = target then acc + contributions r else acc)
-          0 (List.init p Fun.id)
-      in
-      results.(0) = expected 0 && results.(1) = expected 1)
-
 let tests =
   collective_failure_tests @ receive_form_tests @ rendezvous_form_tests
   @ [
@@ -813,7 +785,6 @@ let tests =
       qtest prop_named_equals_labelled_allgatherv;
       qtest prop_named_equals_labelled_alltoallv;
       qtest prop_named_matches_labelled;
-      qtest prop_rma_accumulate_sums;
     ]
 
 let () = Alcotest.run "failures" [ ("failures", tests) ]

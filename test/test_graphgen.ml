@@ -187,16 +187,16 @@ let test_radius_extremes () =
   let _, _, tiny = gather_graph ~p (gen (Some 1e-9)) in
   Alcotest.(check int) "1e-9: no edges" 0 tiny.Distgraph.edge_endpoints;
   (* Under the virtual clock the runs' schedules, and so their
-     allocations, do not depend on host timing.  A minor collection
-     before each reading makes the count exact: without one, some QCheck
-     seeds of the earlier cases left the 1e-9 reading high by most of a
-     minor heap (1,847,406 bytes against 41,263). *)
+     allocations, do not depend on host timing.  Read without a minor
+     collection first, some QCheck seeds of the earlier cases left the
+     1e-9 reading high by most of a minor heap (1,847,406 bytes against
+     41,263); [Alloc.measure] runs one. *)
   let allocated radius =
-    Gc.minor ();
-    let b0 = Gc.allocated_bytes () in
-    ignore (gather_graph ~clock_mode:Runtime.Virtual_only ~p (gen radius));
-    Gc.minor ();
-    Gc.allocated_bytes () -. b0
+    let (), words =
+      Alloc.measure (fun () ->
+          ignore (gather_graph ~clock_mode:Runtime.Virtual_only ~p (gen radius)))
+    in
+    Alloc.bytes words
   in
   let tiny_bytes = allocated (Some 1e-9) and default_bytes = allocated None in
   if tiny_bytes > default_bytes then

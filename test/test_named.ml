@@ -194,15 +194,13 @@ let test_in_place_conflict () =
 let words_per_call f =
   let ranks = 8 in
   let words calls =
-    let w0 = Gc.minor_words () in
-    ignore
-      (Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks
-         (fun mpi ->
-           let comm = Kamping.Communicator.of_mpi mpi in
-           for _ = 1 to calls do
-             f comm
-           done));
-    Gc.minor_words () -. w0
+    Alloc.minor_words (fun () ->
+        Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks
+          (fun mpi ->
+            let comm = Kamping.Communicator.of_mpi mpi in
+            for _ = 1 to calls do
+              f comm
+            done))
   in
   (words 400 -. words 200) /. 200. /. float_of_int ranks
 

@@ -452,12 +452,13 @@ let test_disabled_paths_allocation_free () =
   let clocks = [| 0. |] in
   let tr = Trace.create ~clocks in
   let cm = Comm_matrix.create ~size:2 in
-  let w0 = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    Trace.instant_d tr ~rank:0 ~cat:"c" ~name:"i" ~a:i ~b:0 ~c:0 ~d:i;
-    Comm_matrix.record cm ~src:0 ~dst:1 ~tag:0 ~bytes:i
-  done;
-  let allocated = Gc.minor_words () -. w0 in
+  let allocated =
+    Alloc.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Trace.instant_d tr ~rank:0 ~cat:"c" ~name:"i" ~a:i ~b:0 ~c:0 ~d:i;
+          Comm_matrix.record cm ~src:0 ~dst:1 ~tag:0 ~bytes:i
+        done)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "disabled instant_d + matrix record allocate nothing (%.0f words)"
        allocated)

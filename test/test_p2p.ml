@@ -724,11 +724,11 @@ let words_per_call ?(n = 10_000) f =
   for _ = 1 to 100 do
     f ()
   done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int n
+  Alloc.minor_words (fun () ->
+      for _ = 1 to n do
+        f ()
+      done)
+  /. float_of_int n
 
 (* The mailbox alone, steady state over 10k messages: a message that
    arrives first is queued and taken by the receive's post, and a receive
@@ -804,11 +804,7 @@ let pingpong_words ~round_trips ~(send : Comm.t -> int -> unit)
            done
          in
          go 50;
-         if me = 0 then begin
-           let w0 = Gc.minor_words () in
-           go round_trips;
-           words := Gc.minor_words () -. w0
-         end
+         if me = 0 then words := Alloc.minor_words (fun () -> go round_trips)
          else go round_trips));
   !words /. float_of_int (2 * round_trips)
 
@@ -835,11 +831,11 @@ let scheduler_words_per_iteration body =
          for _ = 1 to 100 do
            body ()
          done;
-         let w0 = Gc.minor_words () in
-         for _ = 1 to n do
-           body ()
-         done;
-         words := Gc.minor_words () -. w0));
+         words :=
+           Alloc.minor_words (fun () ->
+               for _ = 1 to n do
+                 body ()
+               done)));
   !words /. float_of_int n
 
 let park_budget = 5.
@@ -916,11 +912,13 @@ let test_queued_receive_words () =
            end
            else begin
              recv_step comm ~tag:1;
-             let w0 = Gc.minor_words () in
-             for _ = 1 to batch do
-               recv_step comm ~tag:0
-             done;
-             if round > 1 then words := !words +. (Gc.minor_words () -. w0)
+             let w =
+               Alloc.minor_words (fun () ->
+                   for _ = 1 to batch do
+                     recv_step comm ~tag:0
+                   done)
+             in
+             if round > 1 then words := !words +. w
            end
          done));
   let words = !words /. float_of_int (batch * (rounds - 1)) in
@@ -975,13 +973,12 @@ let coll_words ~calls f =
          for _ = 1 to 20 do
            f comm
          done;
-         if Comm.rank comm = 0 then begin
-           let w0 = Gc.minor_words () in
-           for _ = 1 to calls do
-             f comm
-           done;
-           words := Gc.minor_words () -. w0
-         end
+         if Comm.rank comm = 0 then
+           words :=
+             Alloc.minor_words (fun () ->
+                 for _ = 1 to calls do
+                   f comm
+                 done)
          else
            for _ = 1 to calls do
              f comm

@@ -272,12 +272,13 @@ let test_single_rank_cycle_allocation_free () =
            Request.start req;
            ignore (Request.wait req)
          done;
-         let w0 = Gc.minor_words () in
-         for _ = 1 to 10_000 do
-           Request.start req;
-           ignore (Request.wait req)
-         done;
-         let words = Gc.minor_words () -. w0 in
+         let words =
+           Alloc.minor_words (fun () ->
+               for _ = 1 to 10_000 do
+                 Request.start req;
+                 ignore (Request.wait req)
+               done)
+         in
          Request.free req;
          if words >= 100. then
            failwith (Printf.sprintf "start/wait allocated %.0f minor words/10k cycles" words)))
@@ -288,9 +289,9 @@ let test_single_rank_cycle_allocation_free () =
 
 let test_multi_rank_cycle_allocates_less () =
   let words_of body =
-    let w0 = Gc.minor_words () in
-    ignore (Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only ~ranks:4 body);
-    Gc.minor_words () -. w0
+    Alloc.minor_words (fun () ->
+        Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only ~ranks:4
+          body)
   in
   let elems = 2048 and cycles = 50 in
   let adhoc =

@@ -161,15 +161,14 @@ let prop_hostile_archive =
       let b =
         List.fold_left apply_mutation (Serial.Archive.encode hostile_codec v) mutations
       in
-      (* Minor collections on both sides settle the counters, so the
-         delta is this decode's allocation (direct major ones included). *)
-      Gc.minor ();
-      let before = Gc.allocated_bytes () in
-      (match Serial.Archive.decode hostile_codec b with
-      | _ -> ()
-      | exception Serial.Codec.Decode_error _ -> ());
-      Gc.minor ();
-      let words = (Gc.allocated_bytes () -. before) /. 8. in
+      (* This decode's allocation, direct major ones included. *)
+      let (), w =
+        Alloc.measure (fun () ->
+            match Serial.Archive.decode hostile_codec b with
+            | _ -> ()
+            | exception Serial.Codec.Decode_error _ -> ())
+      in
+      let words = w.Alloc.minor +. w.Alloc.direct_major in
       let bound = float_of_int ((16 * Bytes.length b) + 4096) in
       if words > bound then
         QCheck.Test.fail_reportf "%d-byte archive: %.0f words allocated (bound %.0f)"

@@ -59,15 +59,14 @@ let test_disabled_mode_is_free () =
   let clocks = [| 0. |] in
   let tr = Trace.create ~clocks in
   Alcotest.(check bool) "created disabled" false (Trace.enabled tr);
-  let w0 = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    Trace.span_begin tr ~rank:0 ~cat:"c" ~name:"n";
-    Trace.instant tr ~rank:0 ~cat:"c" ~name:"i" ~a:i ~b:0 ~c:0;
-    Trace.span_end tr ~rank:0 ~cat:"c" ~name:"n"
-  done;
-  let allocated = Gc.minor_words () -. w0 in
-  (* Not exactly 0 because reading minor_words itself boxes a float, but
-     far below one word per emitter call. *)
+  let allocated =
+    Alloc.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Trace.span_begin tr ~rank:0 ~cat:"c" ~name:"n";
+          Trace.instant tr ~rank:0 ~cat:"c" ~name:"i" ~a:i ~b:0 ~c:0;
+          Trace.span_end tr ~rank:0 ~cat:"c" ~name:"n"
+        done)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "allocation-free when disabled (%.0f words)" allocated)
     true (allocated < 100.);
@@ -199,11 +198,13 @@ let test_observe_cross_module_free () =
   for i = 1 to 100 do
     Stats.observe h (float_of_int i *. 0.5)
   done;
-  let w0 = Gc.minor_words () in
-  for i = 1 to n do
-    Stats.observe h (float_of_int i *. 0.5)
-  done;
-  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let words =
+    Alloc.minor_words (fun () ->
+        for i = 1 to n do
+          Stats.observe h (float_of_int i *. 0.5)
+        done)
+    /. float_of_int n
+  in
   Alcotest.(check int) "observed" (n + 100) (Stats.total h);
   Alcotest.(check (float 0.01)) "minor words per observe" 0. words
 

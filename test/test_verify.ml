@@ -342,9 +342,8 @@ let header ~ranks =
 (* [f ()] must return an [Error] while allocating far less than [claimed]
    bytes. *)
 let check_rejected_cheaply ~claimed label f =
-  let before = Gc.allocated_bytes () in
-  let r = f () in
-  let grown = Gc.allocated_bytes () -. before in
+  let r, words = Alloc.measure f in
+  let grown = Alloc.bytes words in
   (match r with
   | Error (_ : string) -> ()
   | Ok _ -> Alcotest.failf "%s: expected an Error" label);
@@ -491,12 +490,13 @@ let test_off_hooks_are_free () =
   Alcotest.(check bool) "not deferring" false (Mailbox.defers_wildcards mb);
   let tr = Trace.create ~clocks:[| 0.; 0. |] in
   let hits = ref 0 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    if Mailbox.defers_wildcards mb then incr hits;
-    if Trace.is_streaming tr then incr hits
-  done;
-  let allocated = Gc.minor_words () -. w0 in
+  let allocated =
+    Alloc.minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          if Mailbox.defers_wildcards mb then incr hits;
+          if Trace.is_streaming tr then incr hits
+        done)
+  in
   Alcotest.(check int) "guards never fired" 0 !hits;
   Alcotest.(check bool)
     (Printf.sprintf "allocated %.0f words for 20k guarded sites" allocated)

@@ -62,14 +62,14 @@ let test_bytes_hostile_frames () =
       Wire.put_int w len;
       Wire.put_padding w payload;
       let r = Wire.reader_of_bytes (Wire.contents w) in
-      (* Settle the GC counters first, as [test_datatype]'s hostile counts do. *)
-      Gc.minor ();
-      let b0 = Gc.allocated_bytes () in
-      (match Datatype.unpack_array Datatype.bytes r ~count:1 with
-      | _ -> Alcotest.failf "%s: decoded" name
-      | exception Wire.Underflow { available; _ } ->
-          Alcotest.(check int) (name ^ ": available") payload available);
-      let allocated = Gc.allocated_bytes () -. b0 in
+      let available, words =
+        Alloc.measure (fun () ->
+            match Datatype.unpack_array Datatype.bytes r ~count:1 with
+            | _ -> Alcotest.failf "%s: decoded" name
+            | exception Wire.Underflow { available; _ } -> available)
+      in
+      Alcotest.(check int) (name ^ ": available") payload available;
+      let allocated = Alloc.bytes words in
       if allocated > 1024. then Alcotest.failf "%s: allocated %.0f bytes" name allocated)
     [
       ("length -1", -1, 16);
