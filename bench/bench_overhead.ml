@@ -158,15 +158,14 @@ let stencil_persistent ~iterations mpi =
    The words include engine setup, identical across variants, so the
    difference isolates the per-iteration allocation. *)
 let measure_stencil ~iterations ~runs body =
-  let w0 = Gc.minor_words () in
-  let wall, () =
-    Bench_util.wall_median ~runs (fun () ->
-        ignore
-          (Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only
-             ~ranks:stencil_ranks (body ~iterations)))
+  let (wall, ()), words =
+    Bench_util.minor_words (fun () ->
+        Bench_util.wall_median ~runs (fun () ->
+            ignore
+              (Engine.run ~model:Net_model.zero_cost ~clock_mode:Runtime.Virtual_only
+                 ~ranks:stencil_ranks (body ~iterations))))
   in
-  let words = (Gc.minor_words () -. w0) /. float_of_int runs in
-  (wall, words)
+  (wall, words /. float_of_int runs)
 
 (* Minor words of 10k start/wait cycles on one rank, measured inside the
    (only) fiber after a short warm-up — the strict zero-allocation
@@ -184,12 +183,14 @@ let single_rank_cycle_words () =
            Request.start req;
            ignore (Request.wait req)
          done;
-         let w0 = Gc.minor_words () in
-         for _ = 1 to 10_000 do
-           Request.start req;
-           ignore (Request.wait req)
-         done;
-         words := Gc.minor_words () -. w0;
+         let (), w =
+           Bench_util.minor_words (fun () ->
+               for _ = 1 to 10_000 do
+                 Request.start req;
+                 ignore (Request.wait req)
+               done)
+         in
+         words := w;
          Request.free req));
   !words
 

@@ -116,11 +116,12 @@ let pack_unpack_cost (dt : char Datatype.t) ~bytes =
   cycle ();
   calls := 0;
   let iters = 100 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    cycle ()
-  done;
-  let words = Gc.minor_words () -. w0 in
+  let (), words =
+    Bench_util.minor_words (fun () ->
+        for _ = 1 to iters do
+          cycle ()
+        done)
+  in
   (words /. float_of_int iters, float_of_int !calls /. float_of_int iters)
 
 let fast_path_series ~smoke =
@@ -198,11 +199,7 @@ let alloc_per_message (body : Comm.t -> int -> (unit -> unit) * (unit -> unit)) 
            done
          in
          go 50;
-         if me = 0 then begin
-           let w0 = Gc.minor_words () in
-           go round_trips;
-           words := Gc.minor_words () -. w0
-         end
+         if me = 0 then words := snd (Bench_util.minor_words (fun () -> go round_trips))
          else go round_trips));
   !words /. float_of_int (2 * round_trips)
 

@@ -117,6 +117,17 @@ let wall_median ?(runs = 5) (f : unit -> 'a) : float * 'a =
 
 let speedup_string ~baseline t = Printf.sprintf "%.2fx" (t /. baseline)
 
+(* [f]'s result and the minor words it allocates, read as the test
+   suites' allocation pins read them (test/alloc.ml): a minor collection
+   first, then [Gc.minor_words] last before [f] and first after it, a
+   read that allocates nothing. *)
+let minor_words f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let w1 = Gc.minor_words () in
+  (r, w1 -. w0)
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel wrapper: run closures under OLS analysis, return ns/run. *)
 

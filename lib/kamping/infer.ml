@@ -13,32 +13,19 @@ open Mpisim
 
 let c = Communicator.mpi
 
-(* Trace span around one binding-layer call, so default-parameter
-   communication (the count allgather of [allgatherv]) shows up inside
-   the kamping span, nested above the underlying [Coll] spans.  The
-   shape of [Coll.enter]/[leave]: a call site brackets its body as
+(* Trace span around one binding-layer call, [Coll]'s closure-free
+   bracket in category "kamping", so default-parameter communication
+   (the count allgather of [allgatherv]) shows up inside the kamping
+   span, nested above the underlying [Coll] spans.  A call site brackets
+   its body as
 
      let span = enter comm ~op in
-     match body with r -> leave comm span r | exception e -> leave_raise comm span e
+     match body with r -> leave comm span r | exception e -> leave_raise comm span e *)
+let enter comm ~op = Coll.open_span (c comm) ~cat:"kamping" op
 
-   so the span closes on return or raise and no path builds a closure;
-   with tracing off, both ends are a flag test. *)
-let enter comm ~op =
-  let mpi = c comm in
-  Trace.span_begin (Comm.runtime mpi).Runtime.trace ~rank:(Comm.world_rank mpi)
-    ~cat:"kamping" ~name:op;
-  op
+let leave comm span r = Coll.close_span (c comm) ~cat:"kamping" span r
 
-let leave comm span r =
-  let mpi = c comm in
-  Trace.span_end (Comm.runtime mpi).Runtime.trace ~rank:(Comm.world_rank mpi)
-    ~cat:"kamping" ~name:span;
-  r
-
-let leave_raise comm span e =
-  let bt = Printexc.get_raw_backtrace () in
-  leave comm span ();
-  Printexc.raise_with_backtrace e bt
+let leave_raise comm span e = Coll.close_span_raise (c comm) ~cat:"kamping" span e
 
 type 'a vector_result = {
   recv_buf : 'a array;

@@ -38,10 +38,11 @@
    [recv], [forward] and [recv_fold] steps over caller buffers given as
    ranges, plus local copies and folds.  A step touches each payload
    once: a ring round [forward]s the message received the round before,
-   its packed bytes unchanged, instead of packing the block again, and
-   [recv_fold] reduces the received bytes straight into the accumulator
-   ({!Datatype.fold_slice}), with no scratch vector in between.  Every
-   step sends or receives on the
+   its packed bytes unchanged, instead of packing the block again, the
+   bcast tree's root packs once and every node sends its children copies
+   of those bytes, and [recv_fold] reduces the received bytes straight
+   into the accumulator ({!Datatype.fold_slice}), with no scratch vector
+   in between.  Every step sends or receives on the
    algorithm's own entry of [Coll_algo]'s internal-tag table, so the tag
    alone tells the communication matrix, a blocked call's report and a
    count error which algorithm (or lowered phase) moved the message.  A
@@ -116,39 +117,37 @@ let payload_bytes comm (dt : 'a Datatype.t) data ~pos ~count =
 
 let data_bytes comm dt data = payload_bytes comm dt data ~pos:0 ~count:(Array.length data)
 
-(* Trace spans without closures.  A span is the name it was opened
-   under, or [no_span]; a call site brackets its body as
-
-     let span = enter comm ~op ~root ~ty ~bytes in
-     match body with r -> leave comm span r | exception e -> leave_raise comm span e
-
-   so the span closes on the way out, returned or raised, as
-   [Fun.protect] would close it, and no path (traced or not) builds a
-   closure.  With tracing off, opening and closing are a flag test. *)
+(* Trace spans without closures (coll.mli), for this layer (category
+   "coll") and the binding layer above it.  A span is the name it was
+   opened under, or [no_span], which closes as a no-op. *)
 let no_span = ""
 
-let open_span comm name =
-  Trace.span_begin (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm)
-    ~cat:"coll" ~name;
+let open_span comm ~cat name =
+  Trace.span_begin (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm) ~cat
+    ~name;
   name
 
-let leave comm span r =
+let close_span comm ~cat span r =
   if span != no_span then
-    Trace.span_end (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm)
-      ~cat:"coll" ~name:span;
+    Trace.span_end (Comm.runtime comm).Runtime.trace ~rank:(Comm.world_rank comm) ~cat
+      ~name:span;
   r
 
-let leave_raise comm span e =
+let close_span_raise comm ~cat span e =
   let bt = Printexc.get_raw_backtrace () in
-  leave comm span ();
+  close_span comm ~cat span ();
   Printexc.raise_with_backtrace e bt
+
+let leave comm span r = close_span comm ~cat:"coll" span r
+
+let leave_raise comm span e = close_span_raise comm ~cat:"coll" span e
 
 (* A blocking collective: a trace span on the caller's virtual timeline
    around the prologue, the profile entry and the body.  Collectives
    lowered onto others (allreduce onto reduce + bcast) show up as nested
    spans. *)
 let enter comm ~(op : Profiling.op) ~root ~ty ~bytes =
-  let span = open_span comm (Profiling.op_name op) in
+  let span = open_span comm ~cat:"coll" (Profiling.op_name op) in
   (match prologue comm ~op ~root ~ty with
   | () -> ()
   | exception e -> leave_raise comm span e);
@@ -256,7 +255,8 @@ let algo_counter (rt : Runtime.t) alg_op algo =
    may suspend mid-algorithm, so it opens no span. *)
 let dispatch x comm alg_op algo =
   Stats.incr (algo_counter (Comm.runtime comm) alg_op algo);
-  if x.prog <> None then no_span else open_span comm (Coll_algo.span_name alg_op algo)
+  if x.prog <> None then no_span
+  else open_span comm ~cat:"coll" (Coll_algo.span_name alg_op algo)
 
 (* A collective lowered onto another one: on the blocking driver the
    inner one gets the prologue, profile entry and span of an ad-hoc call;
@@ -313,12 +313,6 @@ let recv_dyn x comm dt ~tag ~src =
   let tag = tag + x.shift in
   arrived x comm ~tag ~src;
   P2p.recv_fresh comm dt ~source:src ~tag
-
-(* The message of such a receive, its payload not yet read. *)
-let take_any x comm dt ~tag ~src =
-  let tag = tag + x.shift in
-  arrived x comm ~tag ~src;
-  P2p.recv_message comm dt ~source:src ~tag ~maxcount:max_int
 
 (* [acc.(pos+i) <- acc.(pos+i) op from.(fpos+i)] for [count] elements. *)
 let fold (op : 'a Reduce_op.t) ~(acc : 'a array) ~pos ~(from : 'a array) ~fpos ~count =
@@ -609,17 +603,21 @@ let send_copies x comm dt ~tag ~n ~root ~vrank ~mask ~count payload ~off ~len =
   done
 
 (* A root's payload packed ahead of the tree: [len] bytes of [storage],
-   pooled storage of the rank's.  A framed bcast packs its payload once,
-   at entry: the profile row records [len], and the binomial tree copies
-   it to the root's children.  [unpacked] is every other payload. *)
+   pooled storage of the rank's.  A framed bcast packs its payload at
+   entry, where the profile row records [len].  [unpacked] is every
+   other payload. *)
 type packed = { storage : Bytes.t; len : int }
 
 let unpacked = { storage = Bytes.empty; len = 0 }
 
 let pack_once comm dt data =
   let rt = Comm.runtime comm in
-  let w = Runtime.acquire_writer rt (Comm.world_rank comm) ~capacity:8 in
-  Datatype.pack_array dt w data ~pos:0 ~count:(Array.length data);
+  let count = Array.length data in
+  let w =
+    Runtime.acquire_writer rt (Comm.world_rank comm)
+      ~capacity:(Int.max 8 (Datatype.size_of_count dt count))
+  in
+  Datatype.pack_array dt w data ~pos:0 ~count;
   { storage = Wire.writer_storage w; len = Wire.length w }
 
 (* Return a packed payload the tree did not send to the pool. *)
@@ -627,72 +625,29 @@ let recycle_packed comm p =
   if p != unpacked then
     Wire.recycle (Comm.runtime comm).Runtime.wire_pools.(Comm.world_rank comm) p.storage
 
-(* A framed payload down a binomial tree: packed once, at the root (ahead
-   of the tree when [packed] holds it), and every child gets a copy of
-   those bytes or of the message that brought them ([P2p.send_packed]),
-   where packing it again would run its encoder once per tree edge. *)
-let bcast_binomial_framed x comm dt ~root ~total ~packed (buf : 'a array) : 'a array =
+(* Binomial tree from [root] over [buf], the root's payload and every
+   other rank's landing buffer of its length.  The root packs [buf] once
+   (or has it [packed]), a non-root receives it from its parent, and each
+   child gets a copy of those bytes ([P2p.send_packed]): what packing
+   again would charge, without the host's pack per tree edge. *)
+let bcast_binomial x comm dt ~root ~packed (buf : 'a array) =
   let n = Comm.size comm in
   let vrank = (Comm.rank comm - root + n) mod n in
   let mask = binomial_mask ~n ~vrank in
   let tag = Coll_algo.tag_bcast_binomial in
+  let count = Array.length buf in
   if vrank = 0 then begin
     let p = if packed != unpacked then packed else pack_once comm dt buf in
-    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count:(Array.length buf)
-      p.storage ~off:0 ~len:p.len;
-    recycle_packed comm p;
-    buf
+    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count p.storage ~off:0
+      ~len:p.len;
+    recycle_packed comm p
   end
   else begin
-    let src = unrotate ~n ~root (vrank - mask) in
-    let msg =
-      if total < 0 then take_any x comm dt ~tag ~src
-      else take x comm dt ~tag ~src ~count:total
-    in
-    let buf =
-      if total < 0 then P2p.read_fresh dt msg
-      else begin
-        P2p.read_into dt msg buf ~pos:0;
-        buf
-      end
-    in
-    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count:msg.Message.count
-      msg.Message.payload ~off:msg.Message.payload_off ~len:msg.Message.payload_len;
-    P2p.release comm msg;
-    buf
-  end
-
-(* Binomial tree from [root]: receive from the parent, relay to the
-   children.  Non-roots receive [total] elements into [buf]; with
-   [total < 0] they do not know the count and the received array becomes
-   the buffer.  Returns the buffer.  A fixed-size payload is packed for
-   each child, as cheaply as its bytes would copy; [packed] is then
-   [unpacked]. *)
-let bcast_binomial x comm dt ~root ~total ~packed (buf : 'a array) : 'a array =
-  if not dt.Datatype.fixed_size then bcast_binomial_framed x comm dt ~root ~total ~packed buf
-  else begin
-    let n = Comm.size comm in
-    let vrank = (Comm.rank comm - root + n) mod n in
-    let mask = ref (binomial_mask ~n ~vrank) in
-    let buf =
-      if vrank = 0 then buf
-      else
-        let src = unrotate ~n ~root (vrank - !mask) in
-        if total < 0 then recv_dyn x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src
-        else begin
-          recv x comm dt ~tag:Coll_algo.tag_bcast_binomial ~src buf ~pos:0 ~count:total;
-          buf
-        end
-    in
-    mask := !mask lsr 1;
-    while !mask > 0 do
-      if vrank + !mask < n then
-        send x comm dt ~tag:Coll_algo.tag_bcast_binomial
-          ~dest:(unrotate ~n ~root (vrank + !mask))
-          buf ~pos:0 ~count:(Array.length buf);
-      mask := !mask lsr 1
-    done;
-    buf
+    let msg = take x comm dt ~tag ~src:(unrotate ~n ~root (vrank - mask)) ~count in
+    P2p.read_into dt msg buf ~pos:0;
+    send_copies x comm dt ~tag ~n ~root ~vrank ~mask:(mask lsr 1) ~count msg.Message.payload
+      ~off:msg.Message.payload_off ~len:msg.Message.payload_len;
+    P2p.release comm msg
   end
 
 (* Long-message bcast (van de Geijn): binomial scatter of p blocks from
@@ -743,42 +698,44 @@ let bcast_count_rendezvous x comm ~root ~count_at_root =
   Comm.leave comm cell ~op:"bcast";
   cell.Comm.brought.(root)
 
+(* The bcast of [buf] (as [bcast_binomial] takes it) by [algo] and its
+   block [table]; the scatter returns a [packed] payload to the pool. *)
+let bcast_sched x comm dt algo ~root ~packed ~(table : int array) buf =
+  match algo with
+  | Coll_algo.Scatter_allgather ->
+      recycle_packed comm packed;
+      bcast_scatter_ring x comm dt ~root ~table buf
+  | _ -> bcast_binomial x comm dt ~root ~packed buf
+
+(* The scatter's even block table. *)
+let bcast_table comm algo ~total =
+  match algo with
+  | Coll_algo.Scatter_allgather -> even_blocks ~total ~parts:(Comm.size comm)
+  | _ -> empty_int
+
 (* The bcast after its prologue, with the root's payload [packed] ahead
-   or [unpacked].  A pinned binomial tree skips the count rendezvous, so
-   its non-roots receive without knowing the count. *)
+   or [unpacked].  Every rank learns the count at the rendezvous, so a
+   pinned algorithm runs as a selected one does. *)
 let bcast_run x comm (dt : 'a Datatype.t) ~root ~packed (data : 'a array option) :
     'a array =
-  let r = Comm.rank comm in
-  let mine = match data with Some d when r = root -> d | _ -> [||] in
   if Comm.size comm = 1 then begin
     recycle_packed comm packed;
     Option.value data ~default:[||]
   end
-  else
-    match Coll_algo.pinned (Comm.runtime comm).Runtime.model Coll_algo.Bcast with
-    | Some Coll_algo.Binomial -> (
-        let span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
-        match bcast_binomial x comm dt ~root ~total:(-1) ~packed mine with
-        | r -> leave comm span r
-        | exception e -> leave_raise comm span e)
-    | _ -> (
-        let count_at_root = Array.length mine in
-        let total = bcast_count_rendezvous x comm ~root ~count_at_root in
-        let bytes = Datatype.size_of_count dt total in
-        let algo = choose comm Coll_algo.Bcast ~bytes ~commutative:true in
-        let buf = if r = root then mine else scratch_like dt total in
-        let span = dispatch x comm Coll_algo.Bcast algo in
-        match
-          match algo with
-          | Coll_algo.Scatter_allgather ->
-              let table = even_blocks ~total ~parts:(Comm.size comm) in
-              recycle_packed comm packed;
-              bcast_scatter_ring x comm dt ~root ~table buf;
-              buf
-          | _ -> bcast_binomial x comm dt ~root ~total ~packed buf
-        with
-        | r -> leave comm span r
-        | exception e -> leave_raise comm span e)
+  else begin
+    let r = Comm.rank comm in
+    let mine = match data with Some d when r = root -> d | _ -> [||] in
+    let total = bcast_count_rendezvous x comm ~root ~count_at_root:(Array.length mine) in
+    let algo =
+      choose comm Coll_algo.Bcast ~bytes:(Datatype.size_of_count dt total) ~commutative:true
+    in
+    let table = bcast_table comm algo ~total in
+    let buf = if r = root then mine else scratch_like dt total in
+    let span = dispatch x comm Coll_algo.Bcast algo in
+    match bcast_sched x comm dt algo ~root ~packed ~table buf with
+    | () -> leave comm span buf
+    | exception e -> leave_raise comm span e
+  end
 
 (* Validate a bcast's arguments; at a framed root, pack the payload
    ahead of the tree. *)
@@ -1381,8 +1338,8 @@ let allreduce_sched x comm dt op algo ~src ~dst ~table =
       let bytes = if Comm.rank comm = 0 then bytes else 0 in
       let span = phase x comm ~op:op_bcast ~root:0 ~ty ~bytes in
       let algo_span = dispatch x comm Coll_algo.Bcast Coll_algo.Binomial in
-      match bcast_binomial x comm dt ~root:0 ~total ~packed:unpacked dst with
-      | _ ->
+      match bcast_binomial x comm dt ~root:0 ~packed:unpacked dst with
+      | () ->
           leave comm algo_span ();
           leave comm span ()
       | exception e ->
@@ -1716,12 +1673,11 @@ let bcast_init comm (dt : 'a Datatype.t) ~root (buf : 'a array) : Request.t =
   let counter, body =
     if n = 1 then (None, ignore)
     else
-      match freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~payload:bytes with
-      | counter, Coll_algo.Scatter_allgather ->
-          let table = even_blocks ~total ~parts:n in
-          (counter, fun x -> bcast_scatter_ring x comm dt ~root ~table buf)
-      | counter, _ ->
-          (counter, fun x -> ignore (bcast_binomial x comm dt ~root ~total ~packed:unpacked buf))
+      let counter, algo =
+        freeze comm Coll_algo.Bcast ~bytes ~commutative:true ~payload:bytes
+      in
+      let table = bcast_table comm algo ~total in
+      (counter, fun x -> bcast_sched x comm dt algo ~root ~packed:unpacked ~table buf)
   in
   schedule comm ~op:op_bcast ~root ~ty ~bytes:rbytes ~counter ~persistent:true body
 

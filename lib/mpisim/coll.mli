@@ -28,6 +28,33 @@
 (** Exclusive prefix sum of a counts array (displacement helper). *)
 val exclusive_prefix_sum : int array -> int array
 
+(** {1 Trace spans}
+
+    A span bracket that builds no closure, for a call of this layer
+    (category ["coll"]) or of a layer above it: a call site brackets its
+    body as
+
+    {[
+      let span = open_span comm ~cat name in
+      match body with
+      | r -> close_span comm ~cat span r
+      | exception e -> close_span_raise comm ~cat span e
+    ]}
+
+    so the span closes on return or raise.  With tracing off, both ends
+    are a flag test. *)
+
+(** [open_span comm ~cat name] begins span [name] on the caller's
+    timeline and returns it. *)
+val open_span : Comm.t -> cat:string -> string -> string
+
+(** [close_span comm ~cat span r] ends [span] and returns [r]. *)
+val close_span : Comm.t -> cat:string -> string -> 'a -> 'a
+
+(** [close_span_raise comm ~cat span e] ends [span] and re-raises [e]
+    with its backtrace. *)
+val close_span_raise : Comm.t -> cat:string -> string -> exn -> 'a
+
 (** {1 Synchronization} *)
 
 (** Dissemination barrier, O(log p) rounds. *)
@@ -40,7 +67,9 @@ val ibarrier : Comm.t -> Request.t
 (** {1 One-to-all / all-to-one} *)
 
 (** Broadcast.  The root passes [Some data]; all ranks return the
-    payload.  Binomial tree, or binomial scatter + ring allgather for
+    payload.  Every rank first learns the count from the root at a
+    rendezvous, and fails there alike, whether the algorithm is selected
+    or pinned: a binomial tree, or binomial scatter + ring allgather for
     long messages. *)
 val bcast : Comm.t -> 'a Datatype.t -> root:int -> 'a array option -> 'a array
 

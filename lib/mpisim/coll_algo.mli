@@ -155,9 +155,6 @@ val parse_spec : string -> (spec, string) result
     the ones it already carries; pass the result to [Engine.run ~model]. *)
 val pin : spec -> Net_model.t -> Net_model.t
 
-(** The algorithm [model] pins for [op], if any. *)
-val pinned : Net_model.t -> op -> algo option
-
 (** {1 Integer helpers shared with the algorithm implementations} *)
 
 (** [ceil_log2 n] for [n >= 1]: smallest [k] with [2^k >= n]. *)

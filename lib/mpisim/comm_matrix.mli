@@ -39,7 +39,5 @@ val publish_stats : t -> Stats.t -> unit
     per cell. *)
 val csv : t -> string
 
-val json_into : Buffer.t -> t -> unit
-
 (** Write the matrix to [path]: JSON when it ends in [.json], else CSV. *)
 val write_file : t -> string -> unit

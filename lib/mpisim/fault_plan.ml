@@ -155,5 +155,3 @@ let parse (s : string) : (t, string) result =
            Ok (a :: acc))
        (Ok [])
   |> Result.map List.rev
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

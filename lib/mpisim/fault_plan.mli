@@ -36,5 +36,3 @@ val action_to_string : action -> string
 
 (** Round-trips through {!parse}. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

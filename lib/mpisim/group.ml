@@ -73,10 +73,3 @@ let difference (a : t) (b : t) =
 let equal (a : t) (b : t) = a = b
 
 let to_list (g : t) = Array.to_list g
-
-let pp ppf (g : t) =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (Array.to_list g)

@@ -38,5 +38,3 @@ val difference : t -> t -> t
 val equal : t -> t -> bool
 
 val to_list : t -> int list
-
-val pp : Format.formatter -> t -> unit

@@ -5,8 +5,6 @@
     objects and arrays.  Non-finite floats are emitted as [null] so the
     output always parses. *)
 
-val str : Buffer.t -> string -> unit
-
 val int : Buffer.t -> int -> unit
 
 val float : Buffer.t -> float -> unit

@@ -103,10 +103,3 @@ let[@inline] transit_time m = m.latency
 
 let recv_busy_time m ~bytes =
   m.recv_overhead +. (float_of_int bytes *. m.copy_byte_time)
-
-let pp ppf m =
-  Format.fprintf ppf
-    "%s(lat=%.2gus, 1/beta=%.3gGB/s, o_s=%.2gus, o_r=%.2gus)" m.name
-    (m.latency *. 1e6)
-    (1. /. m.byte_time /. 1e9)
-    (m.send_overhead *. 1e6) (m.recv_overhead *. 1e6)

@@ -63,5 +63,3 @@ val transit_time : t -> float
 
 (** Receiver-side cost of accepting a [bytes]-byte message. *)
 val recv_busy_time : t -> bytes:int -> float
-
-val pp : Format.formatter -> t -> unit

@@ -94,10 +94,6 @@ val recv_message :
     [pos]; the message keeps its payload. *)
 val read_into : 'a Datatype.t -> Message.t -> 'a array -> pos:int -> unit
 
-(** Unpack a received message's elements into a fresh array of its
-    count; the message keeps its payload. *)
-val read_fresh : 'a Datatype.t -> Message.t -> 'a array
-
 (** Reduce a received message's elements into [acc] from [pos] straight
     from its payload ({!Datatype.fold_slice}); the message keeps it. *)
 val fold_into :

@@ -26,7 +26,6 @@ type t = {
   calls : Stats.counter array;
   bytes : Stats.counter array;
   unused : Stats.counter;
-  mutable enabled : bool;
 }
 
 (* The name of each op, listed by slot; never written. *)
@@ -66,7 +65,6 @@ let create ?stats () =
     calls = Array.make (Array.length op_names) unused;
     bytes = Array.make (Array.length op_names) unused;
     unused;
-    enabled = true;
   }
 
 let register t op =
@@ -84,11 +82,9 @@ let handles t op =
   match Hashtbl.find t.table op with h -> h | exception Not_found -> register t op
 
 let record t ~op ~bytes =
-  if t.enabled then begin
-    let h = handles t op in
-    Stats.incr h.calls_c;
-    Stats.add h.bytes_c bytes
-  end
+  let h = handles t op in
+  Stats.incr h.calls_c;
+  Stats.add h.bytes_c bytes
 
 (* The counters of an [op] enter its slots: the lookup runs once per
    table, at the op's first use, so the op enters [snapshot] exactly when
@@ -99,15 +95,11 @@ let[@inline never] first_use t op =
   t.bytes.(op) <- h.bytes_c
 
 let record_op t op ~bytes =
-  if t.enabled then begin
-    if Array.unsafe_get t.calls op == t.unused then first_use t op;
-    Stats.incr (Array.unsafe_get t.calls op);
-    Stats.add (Array.unsafe_get t.bytes op) bytes
-  end
+  if Array.unsafe_get t.calls op == t.unused then first_use t op;
+  Stats.incr (Array.unsafe_get t.calls op);
+  Stats.add (Array.unsafe_get t.bytes op) bytes
 
 let enter_op t op = if t.calls.(op) == t.unused then first_use t op
-
-let set_enabled t b = t.enabled <- b
 
 let snapshot t : summary =
   Hashtbl.fold
@@ -120,9 +112,6 @@ let calls t ~op =
 
 let bytes t ~op =
   match Hashtbl.find_opt t.table op with None -> 0 | Some h -> Stats.count h.bytes_c
-
-let total_calls t =
-  Hashtbl.fold (fun _ h acc -> acc + Stats.count h.calls_c) t.table 0
 
 (* [diff ~before ~after] lists ops whose call or byte count changed, with
    deltas.  The diff is symmetric: an op present only in [before] (e.g.

@@ -41,20 +41,16 @@ val ops : op list
 val record_op : t -> op -> bytes:int -> unit
 
 (** [enter_op t op] puts [op] in the table now, with no calls if it was
-    not there, as its first {!record_op} would, enabled or not: a
-    nonblocking or persistent collective enters its op when it is
-    created, before any cycle records. *)
+    not there, as its first {!record_op} would: a nonblocking or
+    persistent collective enters its op when it is created, before any
+    cycle records. *)
 val enter_op : t -> op -> unit
-
-val set_enabled : t -> bool -> unit
 
 val snapshot : t -> summary
 
 val calls : t -> op:string -> int
 
 val bytes : t -> op:string -> int
-
-val total_calls : t -> int
 
 (** Operations whose counters changed between two snapshots, with deltas.
     Symmetric: ops present only in [before] appear with negative deltas

@@ -227,23 +227,6 @@ let iter_histograms t f =
     (fun name -> f name (Hashtbl.find t.histograms name))
     (List.sort String.compare t.histogram_order)
 
-let pp ppf t =
-  iter_counters t (fun name c ->
-      let n = count c in
-      if n <> 0 then Format.fprintf ppf "%-32s %d@." name n);
-  iter_gauges t (fun name g -> Format.fprintf ppf "%-32s %g@." name g.value);
-  iter_histograms t (fun name h ->
-      let fmt =
-        if String.length name >= 6 && String.sub name (String.length name - 6) 6 = "_bytes"
-        then fmt_bytes
-        else if
-          String.length name >= 8 && String.sub name (String.length name - 8) 8 = "_seconds"
-        then fmt_seconds
-        else default_fmt
-      in
-      Format.fprintf ppf "%s:@." name;
-      pp_histogram ~fmt ppf h)
-
 (* ------------------------------------------------------------------ *)
 (* JSON export *)
 

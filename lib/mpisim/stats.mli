@@ -3,8 +3,8 @@
     The registry generalizes the per-op call/byte table of {!Profiling}
     (which is now implemented on top of it): the runtime feeds it
     message-size, message-latency, mailbox-depth and fiber-park-duration
-    distributions; exporters turn it into text ({!pp}) or JSON
-    ({!json_into}).
+    distributions; exporters turn it into JSON ({!json_into}), or a
+    histogram into text ({!pp_histogram}).
 
     All update operations ([incr], [add], [set], [observe]) are
     allocation-free, so they may sit on simulator hot paths: [observe]
@@ -82,7 +82,7 @@ val buckets : histogram -> (float * float * int) list
     the q-th observation (exact max for the overflow bucket). *)
 val quantile : histogram -> float -> float
 
-(** Iteration (and hence {!pp} / {!json_into} output) is sorted by metric
+(** Iteration (and hence {!json_into} output) is sorted by metric
     name, so dumps are deterministic and diffable across runs. *)
 val iter_counters : t -> (string -> counter -> unit) -> unit
 
@@ -94,9 +94,5 @@ val fmt_bytes : float -> string
 val fmt_seconds : float -> string
 
 val pp_histogram : ?fmt:(float -> string) -> Format.formatter -> histogram -> unit
-
-(** Full text dump.  Histograms whose name ends in [_bytes] / [_seconds]
-    are formatted with the matching unit formatter. *)
-val pp : Format.formatter -> t -> unit
 
 val json_into : Buffer.t -> t -> unit

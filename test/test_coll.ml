@@ -1360,25 +1360,48 @@ let test_choose_allocation_free () =
 
 (* --- Rings that forward: results and modelled time --- *)
 
-(* Ring allgather (pinned), allgatherv and bcast's scatter + ring
-   (pinned) on the blocking, posted and persistent drivers, at ragged
-   and power-of-two sizes, under the heavy sanitizer with and without a
-   lossy chaos profile.  A ring round sends on the message it received
-   the round before, so every result must still equal the sequential
-   reference, and every makespan must equal the one the simulator
-   modelled when each round packed its block again (pinned bit for bit
-   below): forwarding changes the host's work, not the model's. *)
+(* Ring allgather (pinned), allgatherv, bcast's scatter + ring (pinned)
+   and its binomial tree (pinned, of [int] and of a framed type) on the
+   blocking, posted and persistent drivers, at ragged and power-of-two
+   sizes, under the heavy sanitizer with and without a lossy chaos
+   profile.  A ring round sends on the message it received the round
+   before, and a tree node sends copies of the bytes it received, so
+   every result must still equal the sequential reference, and every
+   makespan must equal the one the simulator modelled when each step
+   packed its block again (pinned bit for bit below): forwarding changes
+   the host's work, not the model's. *)
 
-type ring_form = Allgather_ring | Allgatherv | Bcast | Ibcast | Bcast_init
+(* A bcast form's algorithm and payload: the scatter + ring of [int]s,
+   or the binomial tree of [int]s or of [Datatype.bytes] frames. *)
+type bcast_pin = Scatter_ring | Tree_int | Tree_framed
 
-let ring_forms = [ Allgather_ring; Allgatherv; Bcast; Ibcast; Bcast_init ]
+type ring_form =
+  | Allgather_ring
+  | Allgatherv
+  | Bcast of bcast_pin
+  | Ibcast of bcast_pin
+  | Bcast_init of bcast_pin
+
+let ring_forms =
+  let bcasts pin = [ Bcast pin; Ibcast pin; Bcast_init pin ] in
+  let bcast_forms = List.concat_map bcasts [ Scatter_ring; Tree_int; Tree_framed ] in
+  Allgather_ring :: Allgatherv :: bcast_forms
+
+let bcast_pin_name = function
+  | Scatter_ring -> ""
+  | Tree_int -> " binomial int"
+  | Tree_framed -> " binomial framed"
+
+let bcast_pin_algo = function
+  | Scatter_ring -> Coll_algo.Scatter_allgather
+  | Tree_int | Tree_framed -> Coll_algo.Binomial
 
 let ring_form_name = function
   | Allgather_ring -> "allgather"
   | Allgatherv -> "allgatherv"
-  | Bcast -> "bcast"
-  | Ibcast -> "ibcast"
-  | Bcast_init -> "bcast_init"
+  | Bcast pin -> "bcast" ^ bcast_pin_name pin
+  | Ibcast pin -> "ibcast" ^ bcast_pin_name pin
+  | Bcast_init pin -> "bcast_init" ^ bcast_pin_name pin
 
 let ring_sizes = [ 2; 3; 5; 8; 16 ]
 
@@ -1392,12 +1415,39 @@ let ring_bcast_lens = [ 5; 203 ]
 
 let ring_root p = p / 2
 
+(* The bcasts of one form's driver of [ring_bcast_lens] elements of
+   [dt], made from the root's [ring_block] ints by [enc] and read back by
+   [dec]: each rank's results. *)
+let ring_bcasts form dt ~enc ~dec ~zero comm =
+  let p = Comm.size comm and r = Comm.rank comm in
+  let root = ring_root p in
+  let payload len = Array.map enc (ring_block ~rank:root ~len) in
+  let data len = if r = root then Some (payload len) else None in
+  let run len =
+    match form with
+    | Ibcast _ ->
+        let req, cell = Coll.ibcast comm dt ~root (data len) in
+        ignore (Request.wait req);
+        Option.get !cell
+    | Bcast_init _ ->
+        let buf = if r = root then payload len else Array.make len zero in
+        let req = Coll.bcast_init comm dt ~root buf in
+        Request.start req;
+        ignore (Request.wait req);
+        Request.free req;
+        buf
+    | _ -> Coll.bcast comm dt ~root (data len)
+  in
+  List.map (fun len -> Array.map dec (run len)) ring_bcast_lens
+
+(* A [Datatype.bytes] frame per int: its decimal digits. *)
+let frame_of_int i = Bytes.of_string (string_of_int i)
+
+let int_of_frame b = int_of_string (Bytes.to_string b)
+
 (* Each rank's results, one array per call. *)
 let ring_body form comm =
   let p = Comm.size comm and r = Comm.rank comm in
-  let root = ring_root p in
-  let payload len = ring_block ~rank:root ~len in
-  let data len = if r = root then Some (payload len) else None in
   match form with
   | Allgather_ring -> [ Coll.allgather comm Datatype.int (ring_block ~rank:r ~len:13) ]
   | Allgatherv ->
@@ -1406,44 +1456,35 @@ let ring_body form comm =
         Coll.allgatherv comm Datatype.int ~recv_counts
           (ring_block ~rank:r ~len:(ring_count r));
       ]
-  | Bcast ->
-      List.map (fun len -> Coll.bcast comm Datatype.int ~root (data len)) ring_bcast_lens
-  | Ibcast ->
-      List.map
-        (fun len ->
-          let req, cell = Coll.ibcast comm Datatype.int ~root (data len) in
-          ignore (Request.wait req);
-          Option.get !cell)
-        ring_bcast_lens
-  | Bcast_init ->
-      List.map
-        (fun len ->
-          let buf = if r = root then payload len else Array.make len 0 in
-          let req = Coll.bcast_init comm Datatype.int ~root buf in
-          Request.start req;
-          ignore (Request.wait req);
-          Request.free req;
-          buf)
-        ring_bcast_lens
+  | Bcast Tree_framed | Ibcast Tree_framed | Bcast_init Tree_framed ->
+      ring_bcasts form Datatype.bytes ~enc:frame_of_int ~dec:int_of_frame ~zero:Bytes.empty
+        comm
+  | Bcast _ | Ibcast _ | Bcast_init _ ->
+      ring_bcasts form Datatype.int ~enc:Fun.id ~dec:Fun.id ~zero:0 comm
 
 let ring_expected form p =
   match form with
   | Allgather_ring -> [ Array.concat (List.init p (fun r -> ring_block ~rank:r ~len:13)) ]
   | Allgatherv ->
       [ Array.concat (List.init p (fun r -> ring_block ~rank:r ~len:(ring_count r))) ]
-  | Bcast | Ibcast | Bcast_init ->
+  | Bcast _ | Ibcast _ | Bcast_init _ ->
       List.map (fun len -> ring_block ~rank:(ring_root p) ~len) ring_bcast_lens
 
 let ring_chaos = Chaos.config ~seed:23 ~rates:Chaos.Lossy ()
 
 let ring_run form ~p ~chaos =
+  let bcast_algo =
+    match form with
+    | Bcast pin | Ibcast pin | Bcast_init pin -> bcast_pin_algo pin
+    | Allgather_ring | Allgatherv -> Coll_algo.Scatter_allgather
+  in
   let results, report =
     Engine.run_collect
       ~model:
         (Coll_algo.pin
            [
              (Coll_algo.Allgather, Some Coll_algo.Ring);
-             (Coll_algo.Bcast, Some Coll_algo.Scatter_allgather);
+             (Coll_algo.Bcast, Some bcast_algo);
            ]
            Net_model.ethernet)
       ~clock_mode:Runtime.Virtual_only ~check_level:Check.Heavy
@@ -1453,7 +1494,8 @@ let ring_run form ~p ~chaos =
   (results, report.Engine.max_time)
 
 (* (form, p, chaos) -> makespan, as modelled when each ring round
-   packed its block again. *)
+   packed its block again and an [int] tree packed its payload once per
+   child. *)
 let ring_makespans =
   [
     ((Allgather_ring, 2, false), 0x1.e81c0f7e6ddc4p-16);
@@ -1466,21 +1508,21 @@ let ring_makespans =
     ((Allgatherv, 5, false), 0x1.eaee0b6603a2dp-14);
     ((Allgatherv, 8, false), 0x1.ad8f7bd0b44ccp-13);
     ((Allgatherv, 16, false), 0x1.cc3db0ba9d753p-12);
-    ((Bcast, 2, false), 0x1.ecc2a01df92c6p-14);
-    ((Bcast, 3, false), 0x1.796f053010753p-13);
-    ((Bcast, 5, false), 0x1.5740c6a92322bp-12);
-    ((Bcast, 8, false), 0x1.152338fb5a653p-11);
-    ((Bcast, 16, false), 0x1.0c5ea5554e36p-10);
-    ((Ibcast, 2, false), 0x1.ecc2a01df92c6p-14);
-    ((Ibcast, 3, false), 0x1.796f053010753p-13);
-    ((Ibcast, 5, false), 0x1.5740c6a92322bp-12);
-    ((Ibcast, 8, false), 0x1.152338fb5a653p-11);
-    ((Ibcast, 16, false), 0x1.0c5ea5554e36p-10);
-    ((Bcast_init, 2, false), 0x1.ecc2a01df92c6p-14);
-    ((Bcast_init, 3, false), 0x1.796f053010753p-13);
-    ((Bcast_init, 5, false), 0x1.5740c6a92322bp-12);
-    ((Bcast_init, 8, false), 0x1.152338fb5a653p-11);
-    ((Bcast_init, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Bcast Scatter_ring, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Bcast Scatter_ring, 3, false), 0x1.796f053010753p-13);
+    ((Bcast Scatter_ring, 5, false), 0x1.5740c6a92322bp-12);
+    ((Bcast Scatter_ring, 8, false), 0x1.152338fb5a653p-11);
+    ((Bcast Scatter_ring, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Ibcast Scatter_ring, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Ibcast Scatter_ring, 3, false), 0x1.796f053010753p-13);
+    ((Ibcast Scatter_ring, 5, false), 0x1.5740c6a92322bp-12);
+    ((Ibcast Scatter_ring, 8, false), 0x1.152338fb5a653p-11);
+    ((Ibcast Scatter_ring, 16, false), 0x1.0c5ea5554e36p-10);
+    ((Bcast_init Scatter_ring, 2, false), 0x1.ecc2a01df92c6p-14);
+    ((Bcast_init Scatter_ring, 3, false), 0x1.796f053010753p-13);
+    ((Bcast_init Scatter_ring, 5, false), 0x1.5740c6a92322bp-12);
+    ((Bcast_init Scatter_ring, 8, false), 0x1.152338fb5a653p-11);
+    ((Bcast_init Scatter_ring, 16, false), 0x1.0c5ea5554e36p-10);
     ((Allgather_ring, 2, true), 0x1.6dda3fe0a95fdp-15);
     ((Allgather_ring, 3, true), 0x1.8beb5f8960ecfp-13);
     ((Allgather_ring, 5, true), 0x1.2443d2c43ce97p-12);
@@ -1491,21 +1533,81 @@ let ring_makespans =
     ((Allgatherv, 5, true), 0x1.246d2990e386ep-12);
     ((Allgatherv, 8, true), 0x1.a8d1712b9821ap-12);
     ((Allgatherv, 16, true), 0x1.a470d63f159cfp-11);
-    ((Bcast, 2, true), 0x1.e9cef7a9c3d07p-13);
-    ((Bcast, 3, true), 0x1.2ffde790a1bbfp-12);
-    ((Bcast, 5, true), 0x1.2b0e06c7390d4p-11);
-    ((Bcast, 8, true), 0x1.0b1826d87568ep-10);
-    ((Bcast, 16, true), 0x1.d298cc424f924p-10);
-    ((Ibcast, 2, true), 0x1.e9cef7a9c3d07p-13);
-    ((Ibcast, 3, true), 0x1.2ffde790a1bbfp-12);
-    ((Ibcast, 5, true), 0x1.2b0e06c7390d4p-11);
-    ((Ibcast, 8, true), 0x1.0b1826d87568ep-10);
-    ((Ibcast, 16, true), 0x1.d298cc424f924p-10);
-    ((Bcast_init, 2, true), 0x1.e9cef7a9c3d07p-13);
-    ((Bcast_init, 3, true), 0x1.2ffde790a1bbfp-12);
-    ((Bcast_init, 5, true), 0x1.2b0e06c7390d4p-11);
-    ((Bcast_init, 8, true), 0x1.0b1826d87568ep-10);
-    ((Bcast_init, 16, true), 0x1.d298cc424f924p-10);
+    ((Bcast Scatter_ring, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Bcast Scatter_ring, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Bcast Scatter_ring, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Bcast Scatter_ring, 8, true), 0x1.0b1826d87568ep-10);
+    ((Bcast Scatter_ring, 16, true), 0x1.d298cc424f924p-10);
+    ((Ibcast Scatter_ring, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Ibcast Scatter_ring, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Ibcast Scatter_ring, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Ibcast Scatter_ring, 8, true), 0x1.0b1826d87568ep-10);
+    ((Ibcast Scatter_ring, 16, true), 0x1.d298cc424f924p-10);
+    ((Bcast_init Scatter_ring, 2, true), 0x1.e9cef7a9c3d07p-13);
+    ((Bcast_init Scatter_ring, 3, true), 0x1.2ffde790a1bbfp-12);
+    ((Bcast_init Scatter_ring, 5, true), 0x1.2b0e06c7390d4p-11);
+    ((Bcast_init Scatter_ring, 8, true), 0x1.0b1826d87568ep-10);
+    ((Bcast_init Scatter_ring, 16, true), 0x1.d298cc424f924p-10);
+    ((Bcast Tree_int, 2, false), 0x1.1097c50699721p-15);
+    ((Bcast Tree_int, 3, false), 0x1.3e031ae78cec9p-15);
+    ((Bcast Tree_int, 5, false), 0x1.274d6ff7132f5p-14);
+    ((Bcast Tree_int, 8, false), 0x1.98e3a789e62b1p-14);
+    ((Bcast Tree_int, 16, false), 0x1.1097c5069972p-13);
+    ((Ibcast Tree_int, 2, false), 0x1.1097c50699721p-15);
+    ((Ibcast Tree_int, 3, false), 0x1.3e031ae78cec9p-15);
+    ((Ibcast Tree_int, 5, false), 0x1.274d6ff7132f5p-14);
+    ((Ibcast Tree_int, 8, false), 0x1.98e3a789e62b1p-14);
+    ((Ibcast Tree_int, 16, false), 0x1.1097c5069972p-13);
+    ((Bcast_init Tree_int, 2, false), 0x1.1097c50699721p-15);
+    ((Bcast_init Tree_int, 3, false), 0x1.3e031ae78cec9p-15);
+    ((Bcast_init Tree_int, 5, false), 0x1.274d6ff7132f5p-14);
+    ((Bcast_init Tree_int, 8, false), 0x1.98e3a789e62b1p-14);
+    ((Bcast_init Tree_int, 16, false), 0x1.1097c5069972p-13);
+    ((Bcast Tree_framed, 2, false), 0x1.16dda86c643a2p-15);
+    ((Bcast Tree_framed, 3, false), 0x1.4a37b19d1b845p-15);
+    ((Bcast Tree_framed, 5, false), 0x1.308aad04bfdf2p-14);
+    ((Bcast Tree_framed, 8, false), 0x1.a24c7ca29657p-14);
+    ((Bcast Tree_framed, 16, false), 0x1.16dda86c643ap-13);
+    ((Ibcast Tree_framed, 2, false), 0x1.16dda86c643a2p-15);
+    ((Ibcast Tree_framed, 3, false), 0x1.4a37b19d1b845p-15);
+    ((Ibcast Tree_framed, 5, false), 0x1.308aad04bfdf2p-14);
+    ((Ibcast Tree_framed, 8, false), 0x1.a24c7ca29657p-14);
+    ((Ibcast Tree_framed, 16, false), 0x1.16dda86c643ap-13);
+    ((Bcast_init Tree_framed, 2, false), 0x1.16dda86c643a2p-15);
+    ((Bcast_init Tree_framed, 3, false), 0x1.4a37b19d1b845p-15);
+    ((Bcast_init Tree_framed, 5, false), 0x1.308aad04bfdf2p-14);
+    ((Bcast_init Tree_framed, 8, false), 0x1.a24c7ca29657p-14);
+    ((Bcast_init Tree_framed, 16, false), 0x1.16dda86c643ap-13);
+    ((Bcast Tree_int, 2, true), 0x1.8a63fd280be3dp-15);
+    ((Bcast Tree_int, 3, true), 0x1.bd7ede89a5ec3p-15);
+    ((Bcast Tree_int, 5, true), 0x1.b2b7fab2874e1p-13);
+    ((Bcast Tree_int, 8, true), 0x1.b2b7fab2874e1p-13);
+    ((Bcast Tree_int, 16, true), 0x1.232aa919f7807p-12);
+    ((Ibcast Tree_int, 2, true), 0x1.8a63fd280be3dp-15);
+    ((Ibcast Tree_int, 3, true), 0x1.bd7ede89a5ec3p-15);
+    ((Ibcast Tree_int, 5, true), 0x1.b2b7fab2874e1p-13);
+    ((Ibcast Tree_int, 8, true), 0x1.b2b7fab2874e1p-13);
+    ((Ibcast Tree_int, 16, true), 0x1.232aa919f7807p-12);
+    ((Bcast_init Tree_int, 2, true), 0x1.8a63fd280be3dp-15);
+    ((Bcast_init Tree_int, 3, true), 0x1.bd7ede89a5ec3p-15);
+    ((Bcast_init Tree_int, 5, true), 0x1.b2b7fab2874e1p-13);
+    ((Bcast_init Tree_int, 8, true), 0x1.b2b7fab2874e1p-13);
+    ((Bcast_init Tree_int, 16, true), 0x1.232aa919f7807p-12);
+    ((Bcast Tree_framed, 2, true), 0x1.90a9e08dd6abep-15);
+    ((Bcast Tree_framed, 3, true), 0x1.c9b3753f3483ep-15);
+    ((Bcast Tree_framed, 5, true), 0x1.b75699395da62p-13);
+    ((Bcast Tree_framed, 8, true), 0x1.b75699395da62p-13);
+    ((Bcast Tree_framed, 16, true), 0x1.264d9accdce4bp-12);
+    ((Ibcast Tree_framed, 2, true), 0x1.90a9e08dd6abep-15);
+    ((Ibcast Tree_framed, 3, true), 0x1.c9b3753f3483ep-15);
+    ((Ibcast Tree_framed, 5, true), 0x1.b75699395da62p-13);
+    ((Ibcast Tree_framed, 8, true), 0x1.b75699395da62p-13);
+    ((Ibcast Tree_framed, 16, true), 0x1.264d9accdce4bp-12);
+    ((Bcast_init Tree_framed, 2, true), 0x1.90a9e08dd6abep-15);
+    ((Bcast_init Tree_framed, 3, true), 0x1.c9b3753f3483ep-15);
+    ((Bcast_init Tree_framed, 5, true), 0x1.b75699395da62p-13);
+    ((Bcast_init Tree_framed, 8, true), 0x1.b75699395da62p-13);
+    ((Bcast_init Tree_framed, 16, true), 0x1.264d9accdce4bp-12);
   ]
 
 let test_ring_forwarding () =

@@ -9,10 +9,10 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* Run a 4-rank program where rank 2 dies first; the others then attempt
    [op] and must observe a failure (or revocation). *)
-let check_collective_fails name (op : Comm.t -> unit) () =
+let check_collective_fails ?model name (op : Comm.t -> unit) () =
   let observed = ref 0 in
   let _, report =
-    Engine.run_collect ~ranks:4 (fun comm ->
+    Engine.run_collect ?model ~ranks:4 (fun comm ->
         if Comm.rank comm = 2 then Fault.die comm
         else begin
           (* Let the victim die first. *)
@@ -52,11 +52,24 @@ let collective_failure_tests =
       ("comm_split", fun c -> ignore (Comm_ops.split c ~color:0 ()));
     ]
   in
+  let bcast = List.assoc "bcast" ops in
+  (* Every bcast algorithm learns the count at the same rendezvous, so it
+     fails there alike, pinned or selected. *)
+  let pinned_bcasts =
+    List.map
+      (fun algo ->
+        let name = "bcast (" ^ Coll_algo.algo_name algo ^ " pinned)" in
+        let model = Coll_algo.pin [ (Coll_algo.Bcast, Some algo) ] Net_model.omnipath in
+        Alcotest.test_case ("failure surfaces in " ^ name) `Quick
+          (check_collective_fails ~model name bcast))
+      [ Coll_algo.Binomial; Coll_algo.Scatter_allgather ]
+  in
   List.map
     (fun (name, op) ->
       Alcotest.test_case ("failure surfaces in " ^ name) `Quick
         (check_collective_fails name op))
     ops
+  @ pinned_bcasts
 
 (* Send to a failed rank raises. *)
 let test_send_to_failed () =
