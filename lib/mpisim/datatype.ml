@@ -119,6 +119,24 @@ let[@inline] get_le64 b p = if Sys.big_endian then swap64 (get64u b p) else get6
 
 let[@inline] set_le64 b p v = set64u b p (if Sys.big_endian then swap64 v else v)
 
+(* The kernels of [wire_kernels.c] (DESIGN.md §13).  [read_ints] and
+   [read_chars] return a fresh array of [count] elements decoded from
+   byte [off], each element written once; [write_floats]/[read_floats]
+   copy elements [pos, pos + count) of a float array to or from byte
+   [off] as one block.  None checks its range: each runs only on a run
+   that [check_fits] or [Wire.reserve_offset]/[read_offset] has checked. *)
+external read_ints : Bytes.t -> int -> int -> int array = "mpisim_read_ints"
+
+external read_chars : Bytes.t -> int -> int -> char array = "mpisim_read_chars"
+
+external write_floats : Bytes.t -> int -> float array -> int -> int -> unit
+  = "mpisim_write_floats"
+[@@noalloc]
+
+external read_floats : Bytes.t -> int -> float array -> int -> int -> unit
+  = "mpisim_read_floats"
+[@@noalloc]
+
 (* One element through any kernel: the composed kernels of [contiguous]
    and [pair] are built from these. *)
 let kwrite : type a. a bulk_kernel -> Bytes.t -> int -> a -> unit =
@@ -147,11 +165,11 @@ let[@inline] get_int buf dst j o = Array.unsafe_set dst j (Int64.to_int (get_le6
 let[@inline] get_char buf dst j o = Array.unsafe_set dst j (Bytes.unsafe_get buf o)
 
 (* A run of [count] elements of [sz] bytes each, starting at byte [off].
-   The typed branches see monomorphic [int]/[float]/[char] arrays, so the
-   compiler emits plain unboxed loads and stores.  The [int] runs move 4
-   elements and the [char] runs 8 per iteration, then finish the
-   remainder one at a time: OCaml 5 polls and steps the index once per
-   iteration, which costs a one-element loop as much as its copy. *)
+   The [int] and [char] branches see monomorphic arrays, so the compiler
+   emits plain unboxed loads and stores.  They move 4 [int]s or 8 bytes
+   per iteration, then finish the remainder one at a time: OCaml 5 polls
+   and steps the index once per iteration, which costs a one-element
+   loop as much as its copy.  A [float] run is one block copy in C. *)
 
 let write_run : type a.
     a bulk_kernel -> sz:int -> Bytes.t -> int -> a array -> pos:int -> count:int -> unit =
@@ -169,10 +187,7 @@ let write_run : type a.
       for i = body to count - 1 do
         put_int buf a (pos + i) (off + (8 * i))
       done
-  | K_float ->
-      for i = 0 to count - 1 do
-        set_le64 buf (off + (8 * i)) (Int64.bits_of_float (Array.unsafe_get a (pos + i)))
-      done
+  | K_float -> write_floats buf off a pos count
   | K_char ->
       let body = count land lnot 7 in
       for b = 0 to (count lsr 3) - 1 do
@@ -210,10 +225,7 @@ let read_run_into : type a.
       for i = body to count - 1 do
         get_int buf dst (pos + i) (off + (8 * i))
       done
-  | K_float ->
-      for i = 0 to count - 1 do
-        Array.unsafe_set dst (pos + i) (Int64.float_of_bits (get_le64 buf (off + (8 * i))))
-      done
+  | K_float -> read_floats buf off dst pos count
   | K_char ->
       let body = count land lnot 7 in
       for b = 0 to (count lsr 3) - 1 do
@@ -235,22 +247,17 @@ let read_run_into : type a.
         Array.unsafe_set dst (pos + i) (f.bk_read buf (off + (sz * i)))
       done
 
-(* A fresh array: the typed branches allocate it filled with an immediate
-   (or unboxed) placeholder and overwrite it with plain stores. *)
+(* A fresh array.  The [int] and [char] runs are decoded straight into a
+   new block, each element written once; a [float] array is allocated
+   unfilled ([Array.create_float]) and copied into. *)
 let read_run : type a. a bulk_kernel -> sz:int -> Bytes.t -> int -> count:int -> a array =
  fun k ~sz buf off ~count ->
   match k with
-  | K_int ->
-      let a = Array.make count 0 in
-      read_run_into k ~sz buf off a ~pos:0 ~count;
-      a
+  | K_int -> read_ints buf off count
+  | K_char -> read_chars buf off count
   | K_float ->
       let a = Array.create_float count in
-      read_run_into k ~sz buf off a ~pos:0 ~count;
-      a
-  | K_char ->
-      let a = Array.make count '\000' in
-      read_run_into k ~sz buf off a ~pos:0 ~count;
+      read_floats buf off a 0 count;
       a
   | K_fn f -> Array.init count (fun i -> f.bk_read buf (off + (sz * i)))
 

@@ -918,6 +918,242 @@ let prop_fold_from_wire =
     (QCheck.make gen) (fun (case, incoming_left, prefix) ->
       fold_same case ~incoming_left ~prefix)
 
+(* --- Fresh receive arrays, decoded straight into a new block --- *)
+
+let random_byte st = Char.chr (Random.State.int st 256)
+
+(* A wire image for one fresh-decode case: [off] bytes of random prefix,
+   then [count] elements drawn from [st], and the elements it must decode
+   to.  The [int] words are raw 64-bit patterns, most of them outside
+   OCaml's 63-bit range, so a decode must truncate them as
+   [Int64.to_int] does. *)
+let int_image st ~off ~count =
+  let img = Bytes.init (off + (8 * count)) (fun _ -> random_byte st) in
+  for i = 0 to count - 1 do
+    Bytes.set_int64_le img (off + (8 * i)) (Random.State.bits64 st)
+  done;
+  (img, Array.init count (fun i -> Int64.to_int (Bytes.get_int64_le img (off + (8 * i)))))
+
+let byte_image st ~off ~count =
+  let img = Bytes.init (off + count) (fun _ -> random_byte st) in
+  (img, Array.init count (fun i -> Bytes.get img (off + i)))
+
+(* The fresh decode of [count] elements at [off] equals the decode into
+   an [Array.make] reference of the same image, and both equal [expect]:
+   from the slice ([unpack_slice_array] against [unpack_slice_into]) and
+   through a reader ([unpack_array], which must end at the image's end).
+   With [~words], the fresh slice decode must allocate exactly the
+   array: [count + 1] words on the minor heap up to 256 elements, and
+   directly on the major heap above. *)
+let fresh_equals_into (type e) ?(words = false) (dt : e Datatype.t) img ~off ~count
+    (expect : e array) =
+  let len = Bytes.length img - off in
+  let fresh, w =
+    Alloc.measure (fun () -> Datatype.unpack_slice_array dt img ~off ~len ~count)
+  in
+  let reference = Array.make count (Datatype.zero_elem dt) in
+  Datatype.unpack_slice_into dt img ~off ~len reference ~pos:0 ~count;
+  let r = Wire.reader_of_bytes ~pos:off img in
+  let through_reader = Datatype.unpack_array dt r ~count in
+  let block = if count = 0 then 0. else float_of_int (count + 1) in
+  let minor, major = if count <= 256 then (block, 0.) else (0., block) in
+  (fresh = reference || QCheck.Test.fail_reportf "fresh <> into")
+  && (fresh = expect || QCheck.Test.fail_reportf "fresh <> expected")
+  && (through_reader = expect && Wire.remaining r = 0
+     || QCheck.Test.fail_reportf "reader decode <> expected")
+  && ((not words)
+     || (w.Alloc.minor = minor && w.Alloc.direct_major = major)
+     || QCheck.Test.fail_reportf "allocated %.0f minor, %.0f major words, not %.0f, %.0f"
+          w.Alloc.minor w.Alloc.direct_major minor major)
+
+let fresh_counts = [ 0; 1; 255; 256; 257; 4096; 32768 ]
+
+let prop_fresh_equals_into =
+  let kinds = [ `Int; `Byte; `Char; `Rows; `Bytes ] in
+  let gen = QCheck.Gen.(quad (oneofl kinds) (oneofl fresh_counts) (int_bound 15) int) in
+  let print (kind, count, off, seed) =
+    Printf.sprintf "%s count=%d off=%d seed=%d"
+      (match kind with
+      | `Int -> "int"
+      | `Byte -> "byte"
+      | `Char -> "char"
+      | `Rows -> "contiguous(3,int)"
+      | `Bytes -> "bytes")
+      count off seed
+  in
+  QCheck.Test.make ~name:"fresh decode = decode into an Array.make reference" ~count:200
+    (QCheck.make ~print gen) (fun (kind, count, off, seed) ->
+      let st = Random.State.make [| seed |] in
+      match kind with
+      | `Int ->
+          let img, expect = int_image st ~off ~count in
+          fresh_equals_into ~words:true Datatype.int img ~off ~count expect
+      | `Byte ->
+          let img, expect = byte_image st ~off ~count in
+          fresh_equals_into ~words:true Datatype.byte img ~off ~count expect
+      | `Char ->
+          let img, expect = byte_image st ~off ~count in
+          fresh_equals_into ~words:true Datatype.char img ~off ~count expect
+      | `Rows ->
+          let img, ints = int_image st ~off ~count:(3 * count) in
+          let rows = Array.init count (fun i -> Array.sub ints (3 * i) 3) in
+          fresh_equals_into (Datatype.contiguous ~count:3 Datatype.int) img ~off ~count rows
+      | `Bytes ->
+          let strings =
+            Array.init count (fun _ ->
+                Bytes.init (Random.State.int st 6) (fun _ -> random_byte st))
+          in
+          let w = Wire.create_writer () in
+          Wire.put_string w (String.make off '\255');
+          Datatype.pack_array Datatype.bytes w strings ~pos:0 ~count;
+          fresh_equals_into Datatype.bytes (Wire.contents w) ~off ~count strings)
+
+(* The fresh decodes under a busy collector: a minor heap of 4096 words
+   kept partly live by young blocks that the loop replaces at random, a
+   young wire buffer for most small decodes, full major collections and
+   compactions between decodes.  Some small decodes must start a minor
+   collection themselves (the buffer moves while the kernel allocates),
+   and every decoded array and every live block must read back intact. *)
+let test_fresh_decode_gc_stress () =
+  let st = Random.State.make [| 43 |] in
+  let live = Array.make 64 [||] in
+  let collected_in_decode = ref 0 in
+  let decodes_to dt ~off ~count (img, expect) () =
+    Datatype.unpack_slice_array dt img ~off ~len:(Bytes.length img - off) ~count = expect
+  in
+  let stress () =
+    for iter = 1 to 4000 do
+      let count =
+        match iter mod 4 with
+        | 0 -> 255
+        | 1 -> 256
+        | 2 -> 1 + Random.State.int st 200
+        | _ -> 257 + Random.State.int st 4000
+      in
+      let off = Random.State.int st 8 in
+      let decode =
+        if Random.State.bool st then
+          decodes_to Datatype.int ~off ~count (int_image st ~off ~count)
+        else decodes_to Datatype.byte ~off ~count (byte_image st ~off ~count)
+      in
+      for _ = 1 to Random.State.int st 16 do
+        let j = Random.State.int st 64 in
+        live.(j) <- Array.make (1 + Random.State.int st 250) j
+      done;
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      let ok = decode () in
+      if (Gc.quick_stat ()).Gc.minor_collections > before && count <= 256 then
+        incr collected_in_decode;
+      if not ok then Alcotest.failf "iteration %d: count %d decoded wrong" iter count;
+      Array.iteri
+        (fun j a ->
+          if not (Array.for_all (( = ) j) a) then
+            Alcotest.failf "iteration %d: live block %d corrupted" iter j)
+        live;
+      if iter mod 97 = 0 then Gc.full_major ();
+      if iter mod 331 = 0 then Gc.compact ()
+    done
+  in
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = 4096 };
+      stress ());
+  if !collected_in_decode = 0 then
+    Alcotest.fail "no small decode started a minor collection; the stress missed its case"
+
+(* The same decodes through [P2p.recv] in two simulations pooled on two
+   domains ([Engine.run_many]): each domain's minor heap, major
+   allocations and collections run beside the other's. *)
+let test_fresh_decode_pooled () =
+  let job seed () =
+    Engine.run_values ~clock_mode:Runtime.Virtual_only ~ranks:2 (fun comm ->
+        (* Both ranks draw the same payloads from the same seed. *)
+        let st = Random.State.make [| seed |] in
+        List.for_all
+          (fun count ->
+            let ints = Array.init count (fun _ -> Random.State.bits st - (1 lsl 29))
+            and chars = Array.init count (fun _ -> random_byte st) in
+            if Comm.rank comm = 0 then begin
+              P2p.send comm Datatype.int ~dest:1 ints;
+              P2p.send comm Datatype.byte ~dest:1 chars;
+              true
+            end
+            else
+              let got_ints, _ = P2p.recv comm Datatype.int ~source:0 () in
+              let got_chars, _ = P2p.recv comm Datatype.byte ~source:0 () in
+              got_ints = ints && got_chars = chars)
+          (fresh_counts @ List.rev fresh_counts @ fresh_counts))
+  in
+  let results = Engine.run_many [ job 1; job 2 ] in
+  Alcotest.(check (list (array bool)))
+    "every receive decoded its payload"
+    [ [| true; true |]; [| true; true |] ]
+    results
+
+(* Float runs are one block copy each way: packed images equal the
+   per-element little-endian encoding of each float's bits, and every
+   unpack (fresh, through a reader, into a range) returns the same bits
+   — NaN payloads, signalling NaNs, subnormals and -0. included. *)
+let prop_float_runs_bit_exact =
+  let open QCheck.Gen in
+  let of_bits = Int64.float_of_bits in
+  let elt =
+    frequency
+      [
+        (2, float);
+        (1, oneofl float_specials);
+        (2, map of_bits ui64);
+        (* Subnormals and NaNs with random payloads, either sign. *)
+        (1, map (fun b -> of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) ui64);
+        (1, map (fun b -> of_bits (Int64.logor b 0x7FF0_0000_0000_0001L)) ui64);
+      ]
+  in
+  let arr =
+    frequency
+      [ (3, array_size (int_bound 40) elt); (1, array_size (int_range 257 4096) elt) ]
+  in
+  let case =
+    arr >>= fun v ->
+    let n = Array.length v in
+    int_bound n >>= fun pos ->
+    int_bound (n - pos) >>= fun count ->
+    map (fun off -> (v, pos, count, off)) (int_bound 15)
+  in
+  let print (v, pos, count, off) =
+    Printf.sprintf "n=%d pos=%d count=%d off=%d" (Array.length v) pos count off
+  in
+  QCheck.Test.make ~name:"float runs: bit-exact both ways" ~count:300
+    (QCheck.make ~print case) (fun (v, pos, count, off) ->
+      let bits_eq a b =
+        Array.length a = Array.length b && Array.for_all2 float_bits_eq a b
+      in
+      let w = Wire.create_writer () in
+      Wire.put_string w (String.make off 'p');
+      Datatype.pack_array Datatype.float w v ~pos ~count;
+      let img = Wire.contents w in
+      let reference = Bytes.make (off + (8 * count)) 'p' in
+      for i = 0 to count - 1 do
+        Bytes.set_int64_le reference (off + (8 * i)) (Int64.bits_of_float v.(pos + i))
+      done;
+      let expect = Array.sub v pos count and len = 8 * count in
+      let into = Array.make (Array.length v) 1.5 in
+      Datatype.unpack_slice_into Datatype.float img ~off ~len into ~pos ~count;
+      let outside_kept =
+        Array.for_all (( = ) 1.5) (Array.sub into 0 pos)
+        && Array.for_all (( = ) 1.5)
+             (Array.sub into (pos + count) (Array.length v - pos - count))
+      in
+      (Bytes.equal img reference || QCheck.Test.fail_reportf "packed image differs")
+      && (bits_eq expect (Datatype.unpack_slice_array Datatype.float img ~off ~len ~count)
+         || QCheck.Test.fail_reportf "fresh slice decode differs")
+      && (let r = Wire.reader_of_bytes ~pos:off img in
+          bits_eq expect (Datatype.unpack_array Datatype.float r ~count)
+          || QCheck.Test.fail_reportf "reader decode differs")
+      && ((bits_eq expect (Array.sub into pos count) && outside_kept)
+         || QCheck.Test.fail_reportf "decode into a range differs"))
+
 let tests =
   [
     Alcotest.test_case "builtin sizes" `Quick test_builtin_sizes;
@@ -959,6 +1195,10 @@ let tests =
     qtest prop_size_matches_packed_bytes;
     qtest prop_forward_equals_repack;
     qtest prop_fold_from_wire;
+    qtest prop_fresh_equals_into;
+    Alcotest.test_case "fresh decodes under GC stress" `Quick test_fresh_decode_gc_stress;
+    Alcotest.test_case "fresh decodes in pooled runs" `Quick test_fresh_decode_pooled;
+    qtest prop_float_runs_bit_exact;
   ]
 
 let () = Alcotest.run "datatype" [ ("datatype", tests) ]

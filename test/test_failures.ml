@@ -71,6 +71,50 @@ let collective_failure_tests =
     ops
   @ pinned_bcasts
 
+(* The cases above fail at the entry check: rank 2 is dead before anyone
+   calls [bcast].  Here rank 2 is the root and dies only once the three
+   survivors have entered [bcast] with every member alive, so each has
+   passed the entry check and waits at the count rendezvous for the root.
+   The root's death must wake every one of them with the failure, by the
+   selected algorithm and by each pinned one alike (the algorithm is
+   chosen after the rendezvous). *)
+let check_bcast_root_dies_in_rendezvous ?model name () =
+  let entered = ref 0 and alive_at_entry = ref 0 and observed = ref 0 in
+  let _, report =
+    Engine.run_collect ?model ~ranks:4 (fun comm ->
+        if Comm.rank comm = 2 then begin
+          Scheduler.park
+            ~describe:(fun () -> "awaiting the survivors' entry")
+            ~poll:(fun () -> if !entered = 3 then Some () else None);
+          Fault.die comm
+        end
+        else begin
+          incr entered;
+          if not (Runtime.is_failed (Comm.runtime comm) 2) then incr alive_at_entry;
+          match Coll.bcast comm Datatype.int ~root:2 None with
+          | _ -> ()
+          | exception
+              Errdefs.Mpi_error { code = Errdefs.Err_proc_failed | Errdefs.Err_revoked; _ } ->
+              incr observed
+        end)
+  in
+  Alcotest.(check (list int)) (name ^ ": victim recorded") [ 2 ] report.Engine.killed;
+  Alcotest.(check int) (name ^ ": every survivor entered with the root alive") 3
+    !alive_at_entry;
+  Alcotest.(check int) (name ^ ": all survivors observed the failure") 3 !observed
+
+let bcast_rendezvous_failure_tests =
+  let case form model =
+    let name = "bcast root dies at rendezvous: " ^ form in
+    Alcotest.test_case name `Quick (check_bcast_root_dies_in_rendezvous ?model name)
+  in
+  let pinned algo =
+    case
+      (Coll_algo.algo_name algo ^ " pinned")
+      (Some (Coll_algo.pin [ (Coll_algo.Bcast, Some algo) ] Net_model.omnipath))
+  in
+  [ case "selected" None; pinned Coll_algo.Binomial; pinned Coll_algo.Scatter_allgather ]
+
 (* Send to a failed rank raises. *)
 let test_send_to_failed () =
   let caught = ref false in
@@ -779,7 +823,8 @@ let prop_named_matches_labelled =
             ~counts:(fun _ -> None) ~displs:(fun _ -> None))
 
 let tests =
-  collective_failure_tests @ receive_form_tests @ rendezvous_form_tests
+  collective_failure_tests @ bcast_rendezvous_failure_tests @ receive_form_tests
+  @ rendezvous_form_tests
   @ [
       Alcotest.test_case "rendezvous cells closed after a clean run" `Quick
         test_rendezvous_cells_closed;

@@ -924,6 +924,50 @@ let test_queued_receive_words () =
   let words = !words /. float_of_int (batch * (rounds - 1)) in
   Alcotest.(check (float 0.01)) "words per queued receive" 0. words
 
+(* A fresh receive's result is one block, written once.  Rank 1 queues a
+   message and then a marker; once rank 0 has the marker it counts the
+   words of [P2p.recv] taking the queued message, in every round after
+   the first.  32,768 ints land directly on the major heap as one block
+   of 32,769 words, beside 8 minor words: the status (5) and the result
+   pair (3).  A 64-byte receive's 65-word array joins those 8 on the
+   minor heap. *)
+let fresh_recv_words (type e) (dt : e Datatype.t) (payload : e array) =
+  let rounds = 5 in
+  let readings = ref [] in
+  ignore
+    (Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks:2
+       (fun comm ->
+         for round = 1 to rounds do
+           if Comm.rank comm = 1 then begin
+             P2p.send comm dt ~dest:0 ~tag:0 payload;
+             P2p.send comm Datatype.int ~dest:0 ~tag:1 [| round |]
+           end
+           else begin
+             ignore (P2p.recv comm Datatype.int ~source:1 ~tag:1 ());
+             let (got, _), w =
+               Alloc.measure (fun () -> P2p.recv comm dt ~source:1 ~tag:0 ())
+             in
+             if got <> payload then Alcotest.failf "round %d: wrong payload" round;
+             if round > 1 then readings := w :: !readings
+           end
+         done));
+  match !readings with
+  | w :: rest ->
+      List.iter
+        (fun (w' : Alloc.words) ->
+          if w' <> w then Alcotest.fail "fresh receive words differ between rounds")
+        rest;
+      w
+  | [] -> Alcotest.fail "no reading"
+
+let test_fresh_recv_words () =
+  let bulk = fresh_recv_words Datatype.int (Array.init 32_768 (fun i -> (i * 7919) - 1)) in
+  let small = fresh_recv_words Datatype.byte (Array.init 64 (fun i -> Char.chr (i + 32))) in
+  Alcotest.(check (float 0.)) "32,768 ints: direct major words" 32_769. bulk.direct_major;
+  Alcotest.(check (float 0.)) "32,768 ints: minor words" 8. bulk.minor;
+  Alcotest.(check (float 0.)) "64 bytes: direct major words" 0. small.direct_major;
+  Alcotest.(check (float 0.)) "64 bytes: minor words" 73. small.minor
+
 (* A forward hands the received payload slice on: rank 1 reads the
    message from rank 0 and forwards it to rank 2, which receives the same
    elements.  The forwarded message is consumed (a second read is a use
@@ -1159,6 +1203,8 @@ let tests =
       test_kamping_recv_pingpong_budget;
     Alcotest.test_case "alloc: receive of an already-queued message" `Quick
       test_queued_receive_words;
+    Alcotest.test_case "alloc: fresh receive arrays are one block" `Quick
+      test_fresh_recv_words;
     Alcotest.test_case "forward hands the payload slice on" `Quick test_forward_hands_off;
     Alcotest.test_case "alloc: 4-rank allreduce/alltoallv words per call" `Quick
       test_coll_words_per_call;
