@@ -411,16 +411,19 @@ let on_transfer t ~src ~dst ~seq ~bytes ~now : transfer =
   in
   attempt 1 ~delay:0. ~busy:0.
 
-(* Flip one deterministic-random bit of the payload slice (the
-   [deliver_corrupt] path; the CRC was computed over the pristine bytes,
-   so the receiver's check must fire). *)
+(* Flip one deterministic-random bit of the payload slice in a copy of
+   the storage (the [deliver_corrupt] path; the CRC was computed over the
+   pristine bytes, so the receiver's check must fire).  The corruption
+   reaches this transfer's receiver only: whoever else holds the storage
+   keeps the clean bytes. *)
 let corrupt_payload t (payload : Bytes.t) ~pos ~len =
+  let copy = Bytes.copy payload in
   if len > 0 then begin
     let byte = pos + Xoshiro.next_int t.rng ~bound:len in
     let bit = Xoshiro.next_int t.rng ~bound:8 in
-    Bytes.set payload byte
-      (Char.chr (Char.code (Bytes.get payload byte) lxor (1 lsl bit)))
-  end
+    Bytes.set copy byte (Char.chr (Char.code (Bytes.get copy byte) lxor (1 lsl bit)))
+  end;
+  copy
 
 (* ------------------------------------------------------------------ *)
 (* Spec parsing: the full --chaos argument; chaos.mli lists the

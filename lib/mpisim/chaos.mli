@@ -136,6 +136,8 @@ type transfer = {
     chaos PRNG; deterministic given (seed, plan, call order). *)
 val on_transfer : t -> src:int -> dst:int -> seq:int -> bytes:int -> now:float -> transfer
 
-(** Flip one random bit of the payload slice (the [deliver_corrupt]
-    path). *)
-val corrupt_payload : t -> Bytes.t -> pos:int -> len:int -> unit
+(** A copy of the storage with one random bit of the payload slice
+    [pos, pos + len) flipped (the [deliver_corrupt] path): the storage
+    itself is left as it is, since ranks other than this transfer's
+    receiver may still read it (a ring's block, DESIGN.md §4). *)
+val corrupt_payload : t -> Bytes.t -> pos:int -> len:int -> Bytes.t

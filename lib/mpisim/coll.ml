@@ -37,12 +37,13 @@
    Each algorithm is written once, as a schedule: rounds of [send],
    [recv], [forward] and [recv_fold] steps over caller buffers given as
    ranges, plus local copies and folds.  A step touches each payload
-   once: a ring round [forward]s the message received the round before,
-   its packed bytes unchanged, instead of packing the block again, the
-   bcast tree's root packs once and every node sends its children copies
-   of those bytes, and [recv_fold] reduces the received bytes straight
-   into the accumulator ({!Datatype.fold_slice}), with no scratch vector
-   in between.  Every step sends or receives on the
+   once: a ring round [forward]s the slice received the round before,
+   its packed bytes unchanged, instead of packing the block again, and
+   collects it, so the ring's result is written once, after its last
+   round; the bcast tree's root packs once and every node sends its
+   children copies of those bytes, and [recv_fold] reduces the received
+   bytes straight into the accumulator ({!Datatype.fold_slice}), with no
+   scratch vector in between.  Every step sends or receives on the
    algorithm's own entry of [Coll_algo]'s internal-tag table, so the tag
    alone tells the communication matrix, a blocked call's report and a
    count error which algorithm (or lowered phase) moved the message.  A
@@ -186,11 +187,13 @@ let blocks (counts : int array) =
   t
 
 (* [total] elements in [parts] blocks whose sizes differ by at most one,
-   the larger ones first. *)
+   the larger ones first: block b's size, and the table of them all. *)
+let even_count ~total ~parts b = (total / parts) + if b < total mod parts then 1 else 0
+
 let even_blocks ~total ~parts =
   let t = Array.make (parts + 1) 0 in
   for b = 1 to parts do
-    t.(b) <- t.(b - 1) + (total / parts) + if b - 1 < total mod parts then 1 else 0
+    t.(b) <- t.(b - 1) + even_count ~total ~parts (b - 1)
   done;
   t
 
@@ -295,18 +298,10 @@ let take x comm dt ~tag ~src ~count =
   end;
   msg
 
-(* Receive exactly [count] elements into [buf] at [pos], keeping the
-   message: a ring forwards it the next round. *)
-let recv_kept x comm dt ~tag ~src buf ~pos ~count =
+let recv x comm dt ~tag ~src buf ~pos ~count =
   let msg = take x comm dt ~tag ~src ~count in
   P2p.read_into dt msg buf ~pos;
-  msg
-
-let recv x comm dt ~tag ~src buf ~pos ~count =
-  P2p.release comm (recv_kept x comm dt ~tag ~src buf ~pos ~count)
-
-(* Send a kept message on: its payload is the block it brought, packed. *)
-let forward x comm dt ~tag ~dest msg = P2p.forward comm dt ~dest ~tag:(tag + x.shift) msg
+  P2p.release comm msg
 
 (* Receive a message of a length this rank does not know. *)
 let recv_dyn x comm dt ~tag ~src =
@@ -531,39 +526,144 @@ let ibarrier comm =
 (* Ring allgather: allgather for long messages, allgatherv, and the
    second phase of the long-message bcast. *)
 
+(* A payload packed ahead of the algorithm that sends it: [len] bytes of
+   [storage], pooled storage of the rank's.  A framed bcast root or ring
+   member packs its payload at entry, where the profile row records
+   [len].  [unpacked] is every other payload. *)
+type packed = { storage : Bytes.t; len : int }
+
+let unpacked = { storage = Bytes.empty; len = 0 }
+
+(* Return a packed payload no step sent to the pool. *)
+let recycle_packed comm p =
+  if p != unpacked then
+    Wire.recycle (Comm.runtime comm).Runtime.wire_pools.(Comm.world_rank comm) p.storage
+
+(* Pack [count] elements of [data] from [pos] as a ring block: into the
+   rank's pooled writer, with the count of the ring's [readers] after the
+   payload (DESIGN.md §4).  The payload is the writer's bytes less
+   [P2p.shared_trailer]; the writer holds them until the rank's next
+   acquire. *)
+let pack_block comm dt ~readers data ~pos ~count =
+  let rt = Comm.runtime comm in
+  let w =
+    Runtime.acquire_writer rt (Comm.world_rank comm)
+      ~capacity:(Int.max 8 (Datatype.size_of_count dt count) + P2p.shared_trailer)
+  in
+  Datatype.pack_array dt w data ~pos ~count;
+  let at = Wire.reserve_offset w P2p.shared_trailer in
+  P2p.set_readers (Wire.writer_storage w) ~at readers;
+  w
+
+(* A framed ring member's block packed at entry, so the call records the
+   bytes its round 0 sends and the type's encoder runs once; [unpacked]
+   for a fixed-size type, a lone rank or an empty ring. *)
+let ring_packed comm (dt : 'a Datatype.t) ~total data =
+  let n = Comm.size comm in
+  if dt.Datatype.fixed_size || n = 1 || total = 0 then unpacked
+  else begin
+    let w = pack_block comm dt ~readers:(n - 1) data ~pos:0 ~count:(Array.length data) in
+    { storage = Wire.writer_storage w; len = Wire.length w - P2p.shared_trailer }
+  end
+
+(* The elements in ring block [b]: [counts.(b)], or with [counts] empty,
+   block b of [total] elements split evenly over the [n] members. *)
+let ring_count ~(counts : int array) ~total ~n b =
+  if Array.length counts = 0 then even_count ~total ~parts:n b else counts.(b)
+
+(* Block b of a ring's collection: its payload slice and count. *)
+let block_storage (c : Runtime.collected) b = c.Runtime.storage.(b)
+
+let block_off (c : Runtime.collected) b = c.Runtime.spans.(3 * b)
+
+let block_len (c : Runtime.collected) b = c.Runtime.spans.((3 * b) + 1)
+
+let block_elems (c : Runtime.collected) b = c.Runtime.spans.((3 * b) + 2)
+
+(* Collect what a receive step took: its payload slice and count, the
+   message record itself left behind. *)
+let collect (c : Runtime.collected) b (msg : Message.t) =
+  c.Runtime.storage.(b) <- msg.Message.payload;
+  c.Runtime.spans.(3 * b) <- msg.Message.payload_off;
+  c.Runtime.spans.((3 * b) + 1) <- msg.Message.payload_len;
+  c.Runtime.spans.((3 * b) + 2) <- msg.Message.count
+
+(* Where a ring collects: the rank's reused room on the blocking driver,
+   a room of the schedule's own on the progressive one, which may run
+   while its rank is blocked in another ring. *)
+let ring_room x comm =
+  let n = Comm.size comm in
+  match x.prog with
+  | None -> Runtime.ring_room (Comm.runtime comm) (Comm.world_rank comm) ~n
+  | Some _ -> Runtime.collected n
+
 (* In round s the rank at ring position v sends block (v - s) to its
    right neighbour and receives block (v - s - 1) from its left one.
-   Round 0 packs the rank's own block; every later round forwards the
-   message that brought its block the round before, and the last one is
-   recycled here (DESIGN.md §4).  Ring positions are ranks rotated by
-   [rot] (bcast's root).  Empty blocks still flow, so the ring stays
+   Round 0 sends the rank's own block, [packed] ahead or packed here
+   from [buf] at [pos]; every later round sends on, as it is, the slice
+   that brought its block the round before.  The ring reads nothing: it
+   collects each block's slice into [c] at the block's index, for the
+   caller to write out once and then [release_ring].  Ring positions are
+   ranks rotated by [rot] (bcast's root), and block b holds
+   [ring_count] elements.  Empty blocks still flow, so the ring stays
    paired. *)
-let ring x comm dt ~tag ~rot ~(table : int array) buf =
+let ring x comm dt ~tag ~rot ~counts ~total ~packed buf ~pos (c : Runtime.collected) =
   let n = Comm.size comm in
   if n > 1 then begin
     let v = (Comm.rank comm - rot + n) mod n in
     let right = (v + 1 + rot) mod n in
     let left = (v - 1 + n + rot) mod n in
-    send x comm dt ~tag ~dest:right buf ~pos:table.(v) ~count:(block_count table v);
-    let held = ref Message.nil in
+    let tag_out = tag + x.shift in
+    let count = ring_count ~counts ~total ~n v in
+    (if packed != unpacked then
+       P2p.send_slice comm dt ~dest:right ~tag:tag_out ~count packed.storage ~off:0
+         ~len:packed.len
+     else
+       let w = pack_block comm dt ~readers:(n - 1) buf ~pos ~count in
+       P2p.send_slice comm dt ~dest:right ~tag:tag_out ~count (Wire.writer_storage w) ~off:0
+         ~len:(Wire.length w - P2p.shared_trailer));
     for s = 0 to n - 2 do
-      if s > 0 then forward x comm dt ~tag ~dest:right !held;
+      if s > 0 then begin
+        let b = (v - s + n) mod n in
+        P2p.send_slice comm dt ~dest:right ~tag:tag_out ~count:(block_elems c b)
+          (block_storage c b) ~off:(block_off c b) ~len:(block_len c b)
+      end;
       let rb = (v - s - 1 + n) mod n in
-      held :=
-        recv_kept x comm dt ~tag ~src:left buf ~pos:table.(rb) ~count:(block_count table rb)
-    done;
-    P2p.release comm !held
+      collect c rb (take x comm dt ~tag ~src:left ~count:(ring_count ~counts ~total ~n rb))
+    done
   end
 
-(* Gather every rank's [data] into a fresh buffer laid out by [table];
-   nothing moves when the total is empty. *)
-let ring_allgather comm dt ~tag ~(table : int array) data =
+(* Give up the rank's claims on the blocks its ring collected, except
+   its own ([mine]), once they are written out.  The last reader of
+   block b sends its storage home, to the pool of the rank that packed
+   it, so every pool gets back the buffer it lent, whichever rank reads
+   last (DESIGN.md §4).  The room keeps no storage alive after the
+   call. *)
+let release_ring comm ~rot ~mine (c : Runtime.collected) =
   let n = Comm.size comm in
-  if table.(n) = 0 then [||]
+  for b = 0 to n - 1 do
+    if b <> mine then begin
+      P2p.release_shared comm (block_storage c b)
+        ~at:(block_off c b + block_len c b)
+        ~home:(Comm.world_of_rank comm ((b + rot) mod n));
+      c.Runtime.storage.(b) <- Bytes.empty
+    end
+  done
+
+(* Gather every rank's [data] into a fresh array: the ring collects the
+   other blocks and [Datatype.concat_blocks] writes the result once, at
+   its final size; nothing moves when the total is empty. *)
+let ring_allgather comm dt ~tag ~counts ~total ~packed data =
+  if total = 0 then [||]
   else begin
-    let out = scratch_like dt table.(n) in
-    Array.blit data 0 out table.(Comm.rank comm) (Array.length data);
-    ring blocking comm dt ~tag ~rot:0 ~table out;
+    let r = Comm.rank comm in
+    let c = ring_room blocking comm in
+    ring blocking comm dt ~tag ~rot:0 ~counts ~total ~packed data ~pos:0 c;
+    let out =
+      Datatype.concat_blocks dt ~storage:c.Runtime.storage ~spans:c.Runtime.spans ~me:r
+        ~own:data ~total
+    in
+    release_ring comm ~rot:0 ~mine:r c;
     out
   end
 
@@ -602,14 +702,7 @@ let send_copies x comm dt ~tag ~n ~root ~vrank ~mask ~count payload ~off ~len =
     mask := !mask lsr 1
   done
 
-(* A root's payload packed ahead of the tree: [len] bytes of [storage],
-   pooled storage of the rank's.  A framed bcast packs its payload at
-   entry, where the profile row records [len].  [unpacked] is every
-   other payload. *)
-type packed = { storage : Bytes.t; len : int }
-
-let unpacked = { storage = Bytes.empty; len = 0 }
-
+(* A root's payload packed ahead of the tree. *)
 let pack_once comm dt data =
   let rt = Comm.runtime comm in
   let count = Array.length data in
@@ -619,11 +712,6 @@ let pack_once comm dt data =
   in
   Datatype.pack_array dt w data ~pos:0 ~count;
   { storage = Wire.writer_storage w; len = Wire.length w }
-
-(* Return a packed payload the tree did not send to the pool. *)
-let recycle_packed comm p =
-  if p != unpacked then
-    Wire.recycle (Comm.runtime comm).Runtime.wire_pools.(Comm.world_rank comm) p.storage
 
 (* Binomial tree from [root] over [buf], the root's payload and every
    other rank's landing buffer of its length.  The root packs [buf] once
@@ -675,8 +763,17 @@ let bcast_scatter_ring x comm dt ~root ~(table : int array) buf =
         ~count:(span child !mask);
     mask := !mask lsr 1
   done;
-  (* Ring allgather of the n blocks, in vrank space. *)
-  ring x comm dt ~tag:Coll_algo.tag_bcast_ring ~rot:root ~table buf
+  (* Ring allgather of the n blocks, in vrank space: collected, then
+     each written once into its place in [buf]. *)
+  let c = ring_room x comm in
+  ring x comm dt ~tag:Coll_algo.tag_bcast_ring ~rot:root ~counts:empty_int ~total:table.(n)
+    ~packed:unpacked buf ~pos:table.(vrank) c;
+  for b = 0 to n - 1 do
+    if b <> vrank then
+      Datatype.unpack_slice_into dt (block_storage c b) ~off:(block_off c b)
+        ~len:(block_len c b) buf ~pos:table.(b) ~count:(block_elems c b)
+  done;
+  release_ring comm ~rot:root ~mine:vrank c
 
 (* In MPI the element count of a bcast is an argument on every rank; our
    binding takes the payload at the root only, so size-keyed algorithm
@@ -903,48 +1000,80 @@ let scatter comm (dt : 'a Datatype.t) ~root (data : 'a array option) : 'a array 
    default, ring exchange (p-1 rounds, bandwidth-optimal) for long
    messages. *)
 
+(* Blocks [first, first + k) of a buffer of [n] blocks of [count]
+   elements, taken mod n, as one message: packed straight from [out], in
+   two runs when they wrap past the last block, so the bytes are the
+   ones a single run of the same elements packs to. *)
+let bruck_send comm dt ~tag ~dest out ~n ~count ~first ~k =
+  let head = Int.min k (n - first) in
+  if head = k then send blocking comm dt ~tag ~dest out ~pos:(first * count) ~count:(k * count)
+  else begin
+    let w =
+      Runtime.acquire_writer (Comm.runtime comm) (Comm.world_rank comm)
+        ~capacity:(Int.max 8 (Datatype.size_of_count dt (k * count)))
+    in
+    Datatype.pack_array dt w out ~pos:(first * count) ~count:(head * count);
+    Datatype.pack_array dt w out ~pos:0 ~count:((k - head) * count);
+    P2p.send_slice comm dt ~dest ~tag ~count:(k * count) (Wire.writer_storage w) ~off:0
+      ~len:(Wire.length w)
+  end
+
+(* Receive blocks [first, first + k) (mod n) the same way, each element
+   read once into its place in [out]. *)
+let bruck_recv comm dt ~tag ~src out ~n ~count ~first ~k =
+  let head = Int.min k (n - first) in
+  if head = k then recv blocking comm dt ~tag ~src out ~pos:(first * count) ~count:(k * count)
+  else begin
+    let msg = take blocking comm dt ~tag ~src ~count:(k * count) in
+    let b = msg.Message.payload and off = msg.Message.payload_off in
+    let len = msg.Message.payload_len in
+    (if Datatype.bulk_available dt then begin
+       (* A bulk type's elements all take [elem_size] bytes. *)
+       let split = Datatype.size_of_count dt (head * count) in
+       Datatype.unpack_slice_into dt b ~off ~len:split out ~pos:(first * count)
+         ~count:(head * count);
+       Datatype.unpack_slice_into dt b ~off:(off + split) ~len:(len - split) out ~pos:0
+         ~count:((k - head) * count)
+     end
+     else
+       let rd = Wire.reader_of_slice b ~pos:off ~len in
+       Datatype.unpack_into dt rd out ~pos:(first * count) ~count:(head * count);
+       Datatype.unpack_into dt rd out ~pos:0 ~count:((k - head) * count));
+    P2p.release comm msg
+  end
+
+(* Each round doubles the blocks a rank holds, r, r+1, ..., r+held-1
+   (mod n): it sends the first [moved] of them, which become its left
+   partner's blocks from [held] on, and receives the next [moved] from
+   its right partner.  The result is in rank order from the start, so
+   every block is received once, straight into its place. *)
 let allgather_bruck comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
   let n = Comm.size comm in
   let r = Comm.rank comm in
   let count = Array.length data in
-  (* [buf] holds blocks r, r+1, ..., r+held-1 (mod n), in that order. *)
-  let buf = ref (Array.copy data) in
+  let tag = Coll_algo.tag_allgather_bruck in
+  let out = scratch_like dt (n * count) in
+  Array.blit data 0 out (r * count) count;
   let held = ref 1 in
   while !held < n do
-    let send_blocks = Int.min !held (n - !held) in
-    let dest = (r - !held + n) mod n in
-    let src = (r + !held) mod n in
-    (* Send our first [send_blocks] blocks (they become the receiver's
-       blocks [held..held+send_blocks-1]); receive symmetrically. *)
-    P2p.send_range comm dt ~dest ~tag:Coll_algo.tag_allgather_bruck !buf ~pos:0
-      ~count:(send_blocks * count);
-    let incoming = P2p.recv_fresh comm dt ~source:src ~tag:Coll_algo.tag_allgather_bruck in
-    buf := Array.append !buf incoming;
-    held := !held + send_blocks
+    let moved = Int.min !held (n - !held) in
+    bruck_send comm dt ~tag ~dest:((r - !held + n) mod n) out ~n ~count ~first:r ~k:moved;
+    bruck_recv comm dt ~tag ~src:((r + !held) mod n) out ~n ~count
+      ~first:((r + !held) mod n) ~k:moved;
+    held := !held + moved
   done;
-  (* Rotate from local order (starting at r) to absolute order. *)
-  let out = scratch_like dt (n * count) in
-  if count > 0 then
-    for b = 0 to n - 1 do
-      let abs_block = (r + b) mod n in
-      Array.blit !buf (b * count) out (abs_block * count) count
-    done;
   out
 
-let allgather_ring_impl comm dt data =
-  let n = Comm.size comm in
-  ring_allgather comm dt ~tag:Coll_algo.tag_allgather_ring
-    ~table:(even_blocks ~total:(n * Array.length data) ~parts:n)
-    data
-
-let allgather_run comm dt ~bytes data =
+let allgather_run comm dt algo ~packed data =
   if Comm.size comm = 1 then Array.copy data
   else begin
-    let algo = choose comm Coll_algo.Allgather ~bytes ~commutative:true in
     let span = dispatch blocking comm Coll_algo.Allgather algo in
     match
       match algo with
-      | Coll_algo.Ring -> allgather_ring_impl comm dt data
+      | Coll_algo.Ring ->
+          ring_allgather comm dt ~tag:Coll_algo.tag_allgather_ring ~counts:empty_int
+            ~total:(Comm.size comm * Array.length data)
+            ~packed data
       | _ -> allgather_bruck comm dt data
     with
     | r -> leave comm span r
@@ -952,13 +1081,17 @@ let allgather_run comm dt ~bytes data =
   end
 
 let allgather comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
-  let span =
-    enter comm ~op:op_allgather ~root:(-1) ~ty:(Datatype.name dt)
-      ~bytes:(data_bytes comm dt data)
+  let count = Array.length data in
+  let algo =
+    choose comm Coll_algo.Allgather ~bytes:(Datatype.size_of_count dt count) ~commutative:true
   in
-  match
-    allgather_run comm dt ~bytes:(Datatype.size_of_count dt (Array.length data)) data
-  with
+  let packed =
+    if algo = Coll_algo.Ring then ring_packed comm dt ~total:(Comm.size comm * count) data
+    else unpacked
+  in
+  let bytes = if packed != unpacked then packed.len else data_bytes comm dt data in
+  let span = enter comm ~op:op_allgather ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
+  match allgather_run comm dt algo ~packed data with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
 
@@ -975,47 +1108,68 @@ let allgatherv comm (dt : 'a Datatype.t) ~(recv_counts : int array) (data : 'a a
   if recv_counts.(r) <> Array.length data then
     Errdefs.usage_error "allgatherv: own recv_count %d does not match data length %d"
       recv_counts.(r) (Array.length data);
-  let bytes = data_bytes comm dt data in
+  let total = ref 0 in
+  for b = 0 to n - 1 do
+    if recv_counts.(b) < 0 then
+      Errdefs.usage_error "allgatherv: recv_counts.(%d) is negative (%d)" b recv_counts.(b);
+    total := !total + recv_counts.(b)
+  done;
+  let total = !total in
+  let packed = ring_packed comm dt ~total data in
+  let bytes = if packed != unpacked then packed.len else data_bytes comm dt data in
   let span = enter comm ~op:op_allgatherv ~root:(-1) ~ty:(Datatype.name dt) ~bytes in
   charge_dense_scan comm;
-  let table = blocks recv_counts in
-  match ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~table data with
+  match
+    ring_allgather comm dt ~tag:Coll_algo.tag_allgatherv ~counts:recv_counts ~total ~packed
+      data
+  with
   | r -> leave comm span r
   | exception e -> leave_raise comm span e
 
 (* ------------------------------------------------------------------ *)
 (* Alltoall family: pairwise exchange *)
 
+(* Entry [i] of a count or displacement array; an empty array stands
+   for the uniform layout of [uniform] elements per rank. *)
+let count_at (counts : int array) ~uniform i =
+  if Array.length counts = 0 then uniform else counts.(i)
+
+let displ_at (displs : int array) ~uniform i =
+  if Array.length displs = 0 then i * uniform else displs.(i)
+
 (* Round s sends block (r + s) and receives block (r - s).  [skip_empty]
    (alltoallv) skips zero-count pairs — both sides know the counts;
    alltoall and alltoallw send every pair. *)
-let alltoall_sched x comm dt ~tag ~skip_empty ~(send_counts : int array)
+let alltoall_sched x comm dt ~tag ~skip_empty ~uniform ~(send_counts : int array)
     ~(sdispls : int array) ~(recv_counts : int array) ~(rdispls : int array) data out =
   let n = Comm.size comm in
   let r = Comm.rank comm in
-  if send_counts.(r) > 0 then begin
-    if send_counts.(r) <> recv_counts.(r) then
+  let mine = count_at send_counts ~uniform r in
+  if mine > 0 then begin
+    if mine <> count_at recv_counts ~uniform r then
       Comm.error comm Errdefs.Err_count "%s: self send/recv count mismatch"
         (Coll_algo.tag_name tag);
-    Array.blit data sdispls.(r) out rdispls.(r) send_counts.(r)
+    Array.blit data (displ_at sdispls ~uniform r) out (displ_at rdispls ~uniform r) mine
   end;
   for s = 1 to n - 1 do
     let dest = (r + s) mod n in
     let src = (r - s + n) mod n in
-    if not (skip_empty && send_counts.(dest) = 0) then
-      send x comm dt ~tag ~dest data ~pos:sdispls.(dest) ~count:send_counts.(dest);
-    if not (skip_empty && recv_counts.(src) = 0) then
-      recv x comm dt ~tag ~src out ~pos:rdispls.(src) ~count:recv_counts.(src)
+    let scount = count_at send_counts ~uniform dest in
+    if not (skip_empty && scount = 0) then
+      send x comm dt ~tag ~dest data ~pos:(displ_at sdispls ~uniform dest) ~count:scount;
+    let rcount = count_at recv_counts ~uniform src in
+    if not (skip_empty && rcount = 0) then
+      recv x comm dt ~tag ~src out ~pos:(displ_at rdispls ~uniform src) ~count:rcount
   done
 
+(* Every block [Array.length data / p] elements: the uniform layout, no
+   count or displacement array. *)
 let alltoall_run comm dt data =
-  let n = Comm.size comm in
-  let count = Array.length data / n in
-  let counts = Array.make n count in
-  let displs = Array.init n (fun i -> i * count) in
   let out = scratch_like dt (Array.length data) in
   alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoall ~skip_empty:false
-    ~send_counts:counts ~sdispls:displs ~recv_counts:counts ~rdispls:displs data out;
+    ~uniform:(Array.length data / Comm.size comm)
+    ~send_counts:empty_int ~sdispls:empty_int ~recv_counts:empty_int ~rdispls:empty_int data
+    out;
   out
 
 let alltoall comm (dt : 'a Datatype.t) (data : 'a array) : 'a array =
@@ -1065,7 +1219,7 @@ let alltoallv_run x comm dt ~send_counts ~send_displs ~recv_counts ~recv_displs 
   charge_dense_scan comm;
   let n = Comm.size comm in
   let out = scratch_like dt (recv_displs.(n - 1) + recv_counts.(n - 1)) in
-  alltoall_sched x comm dt ~tag:Coll_algo.tag_alltoallv ~skip_empty:true
+  alltoall_sched x comm dt ~tag:Coll_algo.tag_alltoallv ~skip_empty:true ~uniform:0
     ~send_counts ~sdispls:send_displs ~recv_counts ~rdispls:recv_displs data out;
   out
 
@@ -1092,7 +1246,7 @@ let alltoallw_run comm dt ~send_counts ~recv_counts data =
     (2. *. float_of_int n *. rt.Runtime.model.Net_model.alltoallw_type_setup);
   let rdispls = exclusive_prefix_sum recv_counts in
   let out = scratch_like dt (rdispls.(n - 1) + recv_counts.(n - 1)) in
-  alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoallw ~skip_empty:false
+  alltoall_sched blocking comm dt ~tag:Coll_algo.tag_alltoallw ~skip_empty:false ~uniform:0
     ~send_counts ~sdispls:(exclusive_prefix_sum send_counts) ~recv_counts ~rdispls data out;
   out
 

@@ -129,6 +129,15 @@ external read_ints : Bytes.t -> int -> int -> int array = "mpisim_read_ints"
 
 external read_chars : Bytes.t -> int -> int -> char array = "mpisim_read_chars"
 
+(* [concat_ints storage spans me own total]: the [total] elements of
+   [concat_blocks], as a fresh block written once; [concat_chars] the
+   same for bytes. *)
+external concat_ints : Bytes.t array -> int array -> int -> int array -> int -> int array
+  = "mpisim_concat_ints"
+
+external concat_chars : Bytes.t array -> int array -> int -> char array -> int -> char array
+  = "mpisim_concat_chars"
+
 external write_floats : Bytes.t -> int -> float array -> int -> int -> unit
   = "mpisim_write_floats"
 [@@noalloc]
@@ -718,6 +727,58 @@ let unpack_slice_into (t : 'a t) (b : Bytes.t) ~off ~len (dst : 'a array) ~pos ~
       check_fits t ~available:len ~count;
       read_run_into k ~sz:t.elem_size b off dst ~pos ~count
   | None -> unpack_into t (Wire.reader_of_slice b ~pos:off ~len) dst ~pos ~count
+
+(* A fresh array of [total] elements that is the blocks of [storage] in
+   order: block [me] is [own], and every other block b the
+   [spans.(3b + 2)] elements packed in [storage.(b)] from byte
+   [spans.(3b)], [spans.(3b + 1)] bytes (a ring's collected blocks,
+   DESIGN.md §6.1).  Every element is written once: the [int] and [char]
+   kernels build the array in one C pass (DESIGN.md §13), a [float]
+   array is allocated unfilled and each block copied into it; every
+   other type seeds the array with its placeholder and reads each block
+   over it.  All ranges are checked first: each slice holds its count,
+   and the counts sum to [total]. *)
+let concat_blocks : type a.
+    a t -> storage:Bytes.t array -> spans:int array -> me:int -> own:a array -> total:int ->
+    a array =
+ fun t ~storage ~spans ~me ~own ~total ->
+  let n = Array.length storage in
+  if Array.length spans <> 3 * n || me < 0 || me >= n then
+    invalid_arg "Datatype.concat_blocks: bad block table";
+  let sum = ref 0 in
+  for b = 0 to n - 1 do
+    if b = me then sum := !sum + Array.length own
+    else begin
+      let off = spans.(3 * b) and len = spans.((3 * b) + 1) and count = spans.((3 * b) + 2) in
+      check_slice ~op:"Datatype.concat_blocks" storage.(b) ~off ~len;
+      if count < 0 then invalid_arg "Datatype.concat_blocks: negative count";
+      check_fits t ~available:len ~count;
+      sum := !sum + count
+    end
+  done;
+  if !sum <> total then invalid_arg "Datatype.concat_blocks: counts do not sum to total";
+  match t.bulk with
+  | Some K_int -> concat_ints storage spans me own total
+  | Some K_char -> concat_chars storage spans me own total
+  | _ when total = 0 -> [||]
+  | bulk ->
+      let a : a array =
+        match bulk with Some K_float -> Array.create_float total | _ -> Array.make total (zero_elem t)
+      in
+      let pos = ref 0 in
+      for b = 0 to n - 1 do
+        if b = me then begin
+          Array.blit own 0 a !pos (Array.length own);
+          pos := !pos + Array.length own
+        end
+        else begin
+          let count = spans.((3 * b) + 2) in
+          unpack_slice_into t storage.(b) ~off:spans.(3 * b) ~len:spans.((3 * b) + 1) a
+            ~pos:!pos ~count;
+          pos := !pos + count
+        end
+      done;
+      a
 
 (* ------------------------------------------------------------------ *)
 (* Reducing from the wire *)

@@ -223,6 +223,27 @@ val unpack_slice_array : 'a t -> Bytes.t -> off:int -> len:int -> count:int -> '
 val unpack_slice_into :
   'a t -> Bytes.t -> off:int -> len:int -> 'a array -> pos:int -> count:int -> unit
 
+(** [concat_blocks t ~storage ~spans ~me ~own ~total] is a fresh array
+    of [total] elements holding the blocks in order (a ring's collected
+    blocks): block [me] is [own], copied with its elements kept as they
+    are; every other block [b] is the [spans.(3b + 2)] elements decoded
+    from [storage.(b)] at byte [spans.(3b)], a slice of [spans.(3b + 1)]
+    bytes.  Each element is written once: [int] and [char]/[byte] arrays
+    are built in one pass, [float] arrays allocated unfilled; other types
+    fill the array with their placeholder first.  Raises
+    [Invalid_argument] for a [spans] that is not three entries per
+    block, an [me] outside the blocks, a slice outside its storage or
+    counts that do not sum to [total], and {!Wire.Underflow} for a slice
+    shorter than its count, all before anything is allocated. *)
+val concat_blocks :
+  'a t ->
+  storage:Bytes.t array ->
+  spans:int array ->
+  me:int ->
+  own:'a array ->
+  total:int ->
+  'a array
+
 (** [fold_slice t op ~incoming_left b ~off ~len acc ~pos ~count] reduces
     the [count] elements [x_i] of the slice into [acc] in place:
     [acc.(pos+i) <- op.f acc.(pos+i) x_i], or [op.f x_i acc.(pos+i)] with

@@ -142,24 +142,19 @@ let send comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
   send_range comm dt ~dest ~tag data ~pos:0 ~count:(Array.length data)
 
-(* Send a received message's payload on as it is, as [count] elements of
-   [dt]: the slice passes to the new message, whose receiver recycles it,
-   so [msg] is marked consumed and not recycled here (DESIGN.md §4).  The
-   bytes are the ones packing the unpacked elements would write, so this
-   charges, injects and records exactly what that [send_range] would;
-   only the host's pack is saved. *)
-let forward comm (dt : 'a Datatype.t) ~dest ~tag (msg : Message.t) =
+(* Send the packed elements [payload, off, len) on as they are, as
+   [count] elements of [dt]: the slice passes to the new message without
+   a copy.  The bytes are the ones packing the elements would write, so
+   this charges, injects and records exactly what that [send_range]
+   would; only the host's pack is saved. *)
+let send_slice comm (dt : 'a Datatype.t) ~dest ~tag ~count payload ~off ~len =
   Comm.check_rank comm dest;
   check_send comm ~op:(Profiling.op_name op_send) ~dest ~tag;
   check_committed dt ~op:(Profiling.op_name op_send);
-  Message.check_live msg ~op:"P2p.forward";
-  let rt = Comm.runtime comm in
-  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:msg.Message.payload_len;
+  Runtime.charge_copy (Comm.runtime comm) (Comm.world_rank comm) ~bytes:len;
   ignore
-    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:dt.Datatype.signature
-       ~count:msg.Message.count ~payload:msg.Message.payload ~off:msg.Message.payload_off
-       ~len:msg.Message.payload_len);
-  msg.Message.consumed <- true
+    (inject comm ~op:op_send ~dest ~tag ~sync:false ~signature:dt.Datatype.signature ~count
+       ~payload ~off ~len)
 
 (* Send a copy of the packed elements [payload, off, len) as [count]
    elements of [dt], for a payload that goes to more than one rank: it
@@ -432,6 +427,21 @@ let unpack_into comm dt msg into ~pos =
   read_into dt msg into ~pos;
   release comm msg
 
+(* Storage several ranks read (DESIGN.md §4): a ring's block, passed
+   from rank to rank as one payload slice.  Its packer writes the number
+   of readers into the [shared_trailer] bytes after the payload; each
+   reader gives up its claim once it has written the elements out, and
+   the claim that takes the count to zero returns the storage to the
+   pool of world rank [home]. *)
+let shared_trailer = 8
+
+let set_readers (storage : Bytes.t) ~at n = Bytes.set_int64_le storage at (Int64.of_int n)
+
+let release_shared comm (storage : Bytes.t) ~at ~home =
+  let left = Int64.to_int (Bytes.get_int64_le storage at) - 1 in
+  set_readers storage ~at left;
+  if left = 0 then Wire.recycle (Comm.runtime comm).Runtime.wire_pools.(home) storage
+
 (* Fold the payload into [acc] from [pos] (DESIGN.md §6.1); the message
    keeps its slice. *)
 let fold_into dt op ~incoming_left (msg : Message.t) acc ~pos =
@@ -492,8 +502,8 @@ let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcou
 (* A collective's receive step up to its payload: the matched message,
    checked against [maxcount] and the element type and accounted, with
    [recv_into]'s span and profile entry and no status.  The caller reads
-   or folds the payload, then recycles it ([release]) or sends it on
-   ([forward]). *)
+   or folds the payload, then recycles it ([release]) or sends its slice
+   on ([send_slice]). *)
 let recv_message comm (dt : 'a Datatype.t) ~source ~tag ~maxcount =
   receive comm ~op:op_recv ~signature:dt.Datatype.signature ~maxcount ~source ~tag
 

@@ -86,7 +86,7 @@ val recv_into :
 (** [recv_into]'s receive (span, profile entry and checks, [maxcount]
     included) up to the payload: returns the matched message, whose
     payload the caller then reads ({!read_into}) or folds ({!fold_into})
-    and finally recycles ({!release}) or sends on ({!forward}). *)
+    and finally recycles ({!release}), or sends on ({!send_slice}). *)
 val recv_message :
   Comm.t -> 'a Datatype.t -> source:int -> tag:int -> maxcount:int -> Message.t
 
@@ -108,13 +108,41 @@ val fold_into :
 (** Return a received message's payload storage to the receiver's pool. *)
 val release : Comm.t -> Message.t -> unit
 
-(** [forward comm dt ~dest ~tag msg] sends a received message's payload
-    on unchanged, as [msg]'s element count of [dt]: the new message takes
-    over the payload slice and [msg] is marked consumed without recycling
-    it, so only the last receiver recycles the slice.  It charges,
-    injects and records (the [send] profile row, the trace events) what
-    packing the unpacked elements with [send_range] would. *)
-val forward : Comm.t -> 'a Datatype.t -> dest:int -> tag:int -> Message.t -> unit
+(** [send_slice comm dt ~dest ~tag ~count payload ~off ~len] sends the
+    bytes [payload, off, len), [count] elements of [dt] already packed,
+    as they are: the new message takes the slice over without a copy.
+    It charges, injects and records (the [send] profile row, the trace
+    events) what packing the elements with [send_range] would. *)
+val send_slice :
+  Comm.t ->
+  'a Datatype.t ->
+  dest:int ->
+  tag:int ->
+  count:int ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  unit
+
+(** {2 Storage several ranks read}
+
+    A payload that a ring passes on holds a count of the ranks that
+    still have to read it, in the {!shared_trailer} bytes after it
+    ({!set_readers}, written by the packer).  Each reader calls
+    {!release_shared} once it has written the elements out; the reader
+    whose release takes the count to zero returns the storage to the
+    pool of world rank [home], so storage is recycled once, after its
+    last read (DESIGN.md §4). *)
+
+val shared_trailer : int
+
+(** [set_readers storage ~at n]: [n] readers, the count at byte [at]. *)
+val set_readers : Bytes.t -> at:int -> int -> unit
+
+(** [release_shared comm storage ~at ~home] gives up one reader's claim
+    on [storage], whose count is at byte [at] (the payload's end).  Call
+    it once per reader. *)
+val release_shared : Comm.t -> Bytes.t -> at:int -> home:int -> unit
 
 (** [send_packed comm dt ~dest ~tag ~count payload ~off ~len] sends a
     copy of the bytes [payload, off, len), [count] elements of [dt]

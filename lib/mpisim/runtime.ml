@@ -30,6 +30,18 @@ type metrics = {
   msgs_unexpected : Stats.counter;  (* delivered before a matching receive was posted *)
 }
 
+(* The blocks a ring collects before it writes its result out: block b
+   is the [spans.(3b + 2)] elements packed in [storage.(b)] from byte
+   [spans.(3b)], [spans.(3b + 1)] bytes.  Plain arrays of a rank's
+   reused room hold no message record, so a ring keeps nothing young
+   alive between its rounds but the storage it must. *)
+type collected = { storage : Bytes.t array; spans : int array }
+
+let collected n = { storage = Array.make n Bytes.empty; spans = Array.make (3 * n) 0 }
+
+(* No room yet: every rank's slot until its first blocking ring. *)
+let no_room = { storage = [||]; spans = [||] }
+
 type t = {
   size : int;
   model : Net_model.t;
@@ -71,6 +83,9 @@ type t = {
   comm_matrix : Comm_matrix.t;
   (* Per-rank schedules in flight, which the rank's blocking waits advance. *)
   inflight : Request.inflight array;
+  (* Per-rank room for a blocking ring's blocks, reused call after call;
+     empty until the run's first blocking ring. *)
+  mutable rings : collected array;
   mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
@@ -117,6 +132,7 @@ let create ?(clock_mode = Measured) ?(check_level = Check.Off) ?chaos ~model ~si
     lamport = Array.make size 0;
     comm_matrix = Comm_matrix.create ~size;
     inflight = Array.init size (fun _ -> Request.inflight ());
+    rings = [||];
     progress = 0;
     msg_seq = 0;
     next_context = 0;
@@ -231,6 +247,18 @@ let any_failed t = t.n_failed > 0
    [Wire.unsafe_contents]) or back in the pool. *)
 let acquire_writer t rank ~capacity = Wire.acquire t.wire_pools.(rank) ~capacity
 
+(* A rank's ring room sized for [n] blocks: made at the rank's first
+   blocking ring and again only when the communicator size changes. *)
+let ring_room t rank ~n =
+  if Array.length t.rings = 0 then t.rings <- Array.make t.size no_room;
+  let c = t.rings.(rank) in
+  if Array.length c.storage = n then c
+  else begin
+    let c = collected n in
+    t.rings.(rank) <- c;
+    c
+  end
+
 (* Pre-warm a rank's pool so the next acquire fits without allocating
    (persistent-request init). *)
 let preheat_writer t rank ~capacity = Wire.preheat t.wire_pools.(rank) ~capacity
@@ -246,14 +274,15 @@ let recycle_payload t (m : Message.t) =
   end
 
 (* The reliable layer's view of one transfer under the chaos plane:
-   (arrival, payload CRC).  May kill ranks and raise. *)
+   (arrival, payload CRC, the storage the receiver gets: [payload], or a
+   corrupted copy of it).  May kill ranks and raise. *)
 let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~payload_len =
   (* Absolute-time failure triggers use the sender's clock as the global
      progress proxy; the scheduler's wake hook discontinues any victim
      that is currently parked. *)
   List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
   if t.failed.(src) then raise (Process_killed src);
-  if src = dst then (sent_at +. transit, -1)
+  if src = dst then (sent_at +. transit, -1, payload)
   else begin
     (* Frame the payload before any corruption decision so the
        receiver-side CRC backstop can detect a flip end to end. *)
@@ -269,9 +298,12 @@ let chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off ~
         "send %d->%d: no acknowledgement after %d attempts; peer declared failed" src dst
         tr.Chaos.tr_attempts
     end;
-    if tr.Chaos.tr_corrupt then
-      Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
-    (sent_at +. transit +. tr.Chaos.tr_delay, crc)
+    let delivered =
+      if tr.Chaos.tr_corrupt then
+        Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len
+      else payload
+    in
+    (sent_at +. transit +. tr.Chaos.tr_delay, crc, delivered)
   end
 
 (* Lamport send rule: the injection is a local event, so tick first; the
@@ -305,7 +337,7 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
           ~payload_len ~count ~signature ~sent_stamp:(Message.stamp sent_at)
           ~arrival_stamp:(Message.stamp (sent_at +. transit)) ~seq ~sync
     | Some ch ->
-        let arrival, crc =
+        let arrival, crc, payload =
           chaos_transfer t ch ~src ~dst ~seq ~sent_at ~transit ~payload ~payload_off
             ~payload_len
         in

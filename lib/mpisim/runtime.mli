@@ -22,6 +22,14 @@ type metrics = {
   msgs_unexpected : Stats.counter;
 }
 
+(** The blocks a ring collects before it writes its result out
+    ([Coll.ring]): block b is the [spans.(3b + 2)] elements packed in
+    [storage.(b)] from byte [spans.(3b)], [spans.(3b + 1)] bytes. *)
+type collected = { storage : Bytes.t array; spans : int array }
+
+(** Room for [n] blocks. *)
+val collected : int -> collected
+
 type t = {
   size : int;
   model : Net_model.t;
@@ -57,6 +65,9 @@ type t = {
           attribution; disabled (one branch per injection) by default *)
   inflight : Request.inflight array;
       (** per-rank schedules in flight, advanced by {!Request.block} *)
+  mutable rings : collected array;
+      (** per-rank room for a blocking ring's blocks, reused call after
+          call ({!ring_room}); empty until the run's first blocking ring *)
   mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
@@ -150,6 +161,12 @@ val any_failed : t -> bool
     [Wire.unsafe_contents]) or back in the pool; the record itself is
     handed out again by the next acquire on [rank] ({!Wire.acquire}). *)
 val acquire_writer : t -> int -> capacity:int -> Wire.writer
+
+(** [rank]'s room for the [n] blocks of a blocking ring, exactly [n]
+    long.  A fiber runs one blocking call at a time, so one room per rank
+    serves them all; a progressive schedule, which may run while its rank
+    is blocked in a ring, takes a {!collected} of its own. *)
+val ring_room : t -> int -> n:int -> collected
 
 (** Pre-warm [rank]'s pool so its next [acquire_writer] returns a
     buffer of at least [capacity] bytes without allocating

@@ -4,7 +4,8 @@
    block: OCaml's only way to allocate one is [Array.make], which writes
    every element before the decode writes it again.  Here the block is
    allocated uninitialised and each element is stored once, as
-   [caml_make_vect] stores its fill value.
+   [caml_make_vect] stores its fill value.  A ring's result is built the
+   same way from its collected messages.
 
    A [float] run copied between a flat float array and the wire in one
    block copy: OCaml reads a float's bits only through a C call per
@@ -88,6 +89,55 @@ value mpisim_read_chars(value buf, value off, value count)
   const unsigned char *src = Bytes_val(buf) + Long_val(off);
   for (mlsize_t i = 0; i < n; i++) Field(res, i) = Val_int(src[i]);
   CAMLreturn(filled(res, n));
+}
+
+/* A ring's result as one fresh block of [total] fields: block [me] is
+   the array [own], its fields copied as they are; every other block b
+   is the [spans.(3b + 2)] elements packed in [storage.(b)] from byte
+   [spans.(3b)], little-endian 64-bit words ([width] 8, stored as
+   [mpisim_read_ints] does) or bytes ([width] 1).  The same rule as
+   [mpisim_read_ints]: [alloc_run] is the one allocation, and every field
+   is stored before anything else can allocate or poll.  The roots
+   [storage] and [own] are read only after it, so a collection it
+   starts moves nothing under the loops; [spans] holds immediates only.
+   [Datatype.concat_blocks] has checked that [me] names a block, that
+   every other slice lies in its storage and holds its count, and that
+   the counts sum to [total]. */
+static value concat_run(value storage, value spans, value me, value own, value total,
+                        int width)
+{
+  CAMLparam3(storage, spans, own);
+  mlsize_t n = Long_val(total);
+  value res = alloc_run(n);
+  mlsize_t nb = Wosize_val(storage), mine = Long_val(me), at = 0;
+  for (mlsize_t b = 0; b < nb; b++) {
+    mlsize_t k;
+    if (b == mine) {
+      k = Wosize_val(own);
+      for (mlsize_t i = 0; i < k; i++) Field(res, at + i) = Field(own, i);
+    } else {
+      const unsigned char *src =
+          Bytes_val(Field(storage, b)) + Long_val(Field(spans, 3 * b));
+      k = Long_val(Field(spans, 3 * b + 2));
+      if (width == 8)
+        for (mlsize_t i = 0; i < k; i++)
+          Field(res, at + i) = Val_long((intnat)load_le64(src + 8 * i));
+      else
+        for (mlsize_t i = 0; i < k; i++) Field(res, at + i) = Val_int(src[i]);
+    }
+    at += k;
+  }
+  CAMLreturn(filled(res, n));
+}
+
+value mpisim_concat_ints(value storage, value spans, value me, value own, value total)
+{
+  return concat_run(storage, spans, me, own, total, 8);
+}
+
+value mpisim_concat_chars(value storage, value spans, value me, value own, value total)
+{
+  return concat_run(storage, spans, me, own, total, 1);
 }
 
 /* Elements [pos, pos + count) of the float array [a] into [buf] from

@@ -635,6 +635,53 @@ let test_json_deep_nesting () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* --- Delivered corruption stays on its hop --- *)
+
+(* A 4-rank ring allgatherv whose link 1 -> 2 delivers corrupted
+   payloads.  Seed [corrupt_forward_seed] corrupts one message on that
+   link: rank 1's last-round forward of rank 3's block, whose earlier
+   readers (ranks 0 and 1) read it only after the forward, at the end of
+   their ring.  The corruption lands in a copy bound for rank 2 alone:
+   rank 2's CRC check fires, and every other rank ends with the clean
+   block. *)
+let corrupt_forward_seed = 5
+
+let corrupt_forward_block ~rank = Array.init (5 + rank) (fun i -> (rank * 100) + i)
+
+let test_corrupt_forward_isolated () =
+  let rates = { Chaos.perfect_link with Chaos.corrupt = 0.5 } in
+  let chaos =
+    Chaos.config ~seed:corrupt_forward_seed ~links:[ ((1, 2), rates) ] ~deliver_corrupt:true ()
+  in
+  let recv_counts = Array.init 4 (fun r -> 5 + r) in
+  let results, report =
+    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~chaos
+      ~ranks:4 (fun comm ->
+        match
+          Coll.allgatherv comm Datatype.int ~recv_counts
+            (corrupt_forward_block ~rank:(Comm.rank comm))
+        with
+        | got -> Ok got
+        | exception Errdefs.Mpi_error { code = Errdefs.Err_other "ERR_DATA_CORRUPT"; _ } ->
+            Error "crc")
+  in
+  (* Rank 2 raises at the corrupted receive and forwards nothing after
+     it, so the other ranks complete only if it was the last. *)
+  Alcotest.(check int)
+    "one delivered corruption" 1
+    (Stats.count (Stats.counter report.Engine.stats "chaos.corrupted"));
+  let clean = Array.concat (List.init 4 (fun r -> corrupt_forward_block ~rank:r)) in
+  Array.iteri
+    (fun r res ->
+      let want = if r = 2 then Some (Error "crc") else Some (Ok clean) in
+      if res <> want then
+        Alcotest.failf "rank %d: %s" r
+          (match res with
+          | Some (Ok _) -> "a wrong block"
+          | Some (Error e) -> e
+          | None -> "no result"))
+    results
+
 let tests =
   [
     qtest prop_fault_plan_total;
@@ -661,6 +708,8 @@ let tests =
     Alcotest.test_case "delivered corruption trips CRC" `Quick
       test_deliver_corrupt_crc_backstop;
     Alcotest.test_case "corruption as loss" `Quick test_corrupt_as_loss;
+    Alcotest.test_case "delivered corruption stays on its hop" `Quick
+      test_corrupt_forward_isolated;
     Alcotest.test_case "duplicates not delivered" `Quick test_duplicates_not_delivered;
     Alcotest.test_case "fail at op count" `Quick test_fail_at_ops;
     Alcotest.test_case "fail at time wakes blocked victim" `Quick

@@ -1641,6 +1641,436 @@ let test_ring_forwarding () =
         ring_forms)
     [ false; true ]
 
+(* --- Results written once --- *)
+
+(* An element type the ring collectives carry: rank [r]'s element [i] is
+   [make ~rank:r i], [same] compares two elements (floats bit for bit),
+   and the own block of a [boxed] type must stay the caller's elements,
+   not copies decoded from the wire. *)
+type 'a elem = {
+  name : string;
+  dt : 'a Datatype.t;
+  make : rank:int -> int -> 'a;
+  same : 'a -> 'a -> bool;
+  boxed : bool;
+}
+
+type once_ty = Ty : 'a elem -> once_ty
+
+type point = { px : int; py : float }
+
+let point_dt =
+  let dt =
+    Datatype.record "point"
+      Datatype.[ field "px" int (fun p -> p.px); field "py" float (fun p -> p.py) ]
+      (fun px py -> { px; py })
+  in
+  Datatype.commit dt;
+  dt
+
+let triple_dt =
+  let dt = Datatype.contiguous ~count:3 Datatype.int in
+  Datatype.commit dt;
+  dt
+
+let once_hash ~rank i = Xoshiro.hash_int ~seed:4409 ~stream:rank ~counter:i ~bound:1_000_000
+
+(* Floats with the specials in: NaN payloads, infinities, -0. and
+   subnormals, compared by their bits. *)
+let once_float ~rank i =
+  match once_hash ~rank i mod 7 with
+  | 0 -> Int64.float_of_bits (Int64.logor 0x7ff0000000000001L (Int64.of_int i))
+  | 1 -> Float.neg_infinity
+  | 2 -> -0.
+  | 3 -> Float.of_int (i + 1) *. 4.9e-324
+  | _ -> Float.of_int (once_hash ~rank i) /. 7.
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let once_types =
+  [
+    Ty
+      {
+        name = "int";
+        dt = Datatype.int;
+        make = (fun ~rank i -> (once_hash ~rank i * 1_000_003) - (rank lsl 40));
+        same = Int.equal;
+        boxed = false;
+      };
+    Ty
+      {
+        name = "byte";
+        dt = Datatype.byte;
+        make = (fun ~rank i -> Char.chr (once_hash ~rank i land 255));
+        same = Char.equal;
+        boxed = false;
+      };
+    Ty { name = "float"; dt = Datatype.float; make = once_float; same = same_bits; boxed = false };
+    Ty
+      {
+        name = "record";
+        dt = point_dt;
+        make = (fun ~rank i -> { px = once_hash ~rank i; py = once_float ~rank i });
+        same = (fun a b -> a.px = b.px && same_bits a.py b.py);
+        boxed = true;
+      };
+    Ty
+      {
+        name = "contiguous";
+        dt = triple_dt;
+        make = (fun ~rank i -> [| rank; i; once_hash ~rank i |]);
+        same = ( = );
+        boxed = true;
+      };
+    Ty
+      {
+        name = "serialized";
+        dt = Kamping.Serialized.datatype Serial.Codec.string;
+        make = (fun ~rank i -> String.make (once_hash ~rank i mod 5) (Char.chr (65 + (i mod 26))));
+        same = String.equal;
+        boxed = true;
+      };
+  ]
+
+(* Block counts per rank: all empty (a zero total), or a mix of empty
+   blocks and blocks on both sides of [Max_young_wosize] (256 words). *)
+let once_counts ~p ~mixed =
+  if not mixed then Array.make p 0
+  else Array.init p (fun b -> [| 0; 1; 255; 256; 257; 0; 40; 300 |].(((b * 5) + p) mod 8))
+
+(* What MPI says a rank's result is: a buffer seeded with the type's
+   placeholder, its own block ([me], or none) copied in and every other
+   block read into place from its packed bytes. *)
+let once_reference e (blocks : 'a array array) ~me =
+  let total = Array.fold_left (fun n b -> n + Array.length b) 0 blocks in
+  if total = 0 then [||]
+  else begin
+    let out = Array.make total (Datatype.zero_elem e.dt) in
+    let pos = ref 0 in
+    Array.iteri
+      (fun b block ->
+        let count = Array.length block in
+        if b = me then Array.blit block 0 out !pos count
+        else begin
+          let w = Wire.create_writer () in
+          Datatype.pack_array e.dt w block ~pos:0 ~count;
+          Datatype.unpack_slice_into e.dt (Wire.writer_storage w) ~off:0 ~len:(Wire.length w)
+            out ~pos:!pos ~count
+        end;
+        pos := !pos + count)
+      blocks;
+    out
+  end
+
+type once_form =
+  | Once_allgatherv
+  | Once_allgather
+  | Once_bruck
+  | Once_bcast
+  | Once_ibcast
+  | Once_bcast_init
+
+let once_forms =
+  [ Once_allgatherv; Once_allgather; Once_bruck; Once_bcast; Once_ibcast; Once_bcast_init ]
+
+let once_form_name = function
+  | Once_allgatherv -> "allgatherv"
+  | Once_allgather -> "allgather (ring)"
+  | Once_bruck -> "allgather (Bruck)"
+  | Once_bcast -> "bcast (scatter+ring)"
+  | Once_ibcast -> "ibcast (scatter+ring)"
+  | Once_bcast_init -> "bcast_init (scatter+ring)"
+
+let once_model =
+  Coll_algo.pin
+    [
+      (Coll_algo.Allgather, Some Coll_algo.Ring); (Coll_algo.Bcast, Some Coll_algo.Scatter_allgather);
+    ]
+    Net_model.omnipath
+
+(* The Bruck allgather receives a run that wraps past the last block in
+   two pieces, each read straight into its place. *)
+let bruck_model = Coll_algo.pin [ (Coll_algo.Allgather, Some Coll_algo.Bruck) ] Net_model.omnipath
+
+let once_model_of = function Once_bruck -> bruck_model | _ -> once_model
+
+let once_block e ~rank ~len = Array.init len (e.make ~rank)
+
+(* The blocks of every rank's result, in order; a bcast's is the root's
+   payload alone. *)
+let once_blocks e form ~p ~(counts : int array) =
+  match form with
+  | Once_allgatherv | Once_allgather | Once_bruck ->
+      Array.init p (fun b -> once_block e ~rank:b ~len:counts.(b))
+  | Once_bcast | Once_ibcast | Once_bcast_init ->
+      [| once_block e ~rank:(p / 2) ~len:(Array.fold_left ( + ) 0 counts) |]
+
+(* One call of [form] on this rank: its result, and the block it
+   contributed (an empty one for a bcast, whose blocks all come from the
+   root). *)
+let once_call e form comm ~(counts : int array) =
+  let p = Comm.size comm and r = Comm.rank comm in
+  let root = p / 2 in
+  let total = Array.fold_left ( + ) 0 counts in
+  let payload () = once_block e ~rank:root ~len:total in
+  match form with
+  | Once_allgatherv ->
+      let data = once_block e ~rank:r ~len:counts.(r) in
+      (Coll.allgatherv comm e.dt ~recv_counts:counts data, data)
+  | Once_allgather | Once_bruck ->
+      let data = once_block e ~rank:r ~len:counts.(r) in
+      (Coll.allgather comm e.dt data, data)
+  | Once_bcast -> (Coll.bcast comm e.dt ~root (if r = root then Some (payload ()) else None), [||])
+  | Once_ibcast ->
+      let req, cell = Coll.ibcast comm e.dt ~root (if r = root then Some (payload ()) else None) in
+      ignore (Request.wait req);
+      (Option.get !cell, [||])
+  | Once_bcast_init ->
+      let buf = if r = root then payload () else Array.make total (Datatype.zero_elem e.dt) in
+      let req = Coll.bcast_init comm e.dt ~root buf in
+      Request.start req;
+      ignore (Request.wait req);
+      Request.free req;
+      (buf, [||])
+
+(* One rank's result against the reference: the same elements, and for
+   a boxed type, its own block the caller's very elements. *)
+let once_check e ~what ~me ~blocks ~own got =
+  let expected = once_reference e blocks ~me in
+  if Array.length got <> Array.length expected then
+    Alcotest.failf "%s: rank %d: %d elements, reference %d" what me (Array.length got)
+      (Array.length expected);
+  Array.iteri
+    (fun i x ->
+      if not (e.same got.(i) x) then Alcotest.failf "%s: rank %d: element %d differs" what me i)
+    expected;
+  if e.boxed && me >= 0 then begin
+    let pos = ref 0 in
+    for b = 0 to me - 1 do
+      pos := !pos + Array.length blocks.(b)
+    done;
+    Array.iteri
+      (fun i x ->
+        if got.(!pos + i) != x then Alcotest.failf "%s: rank %d: own element %d is a copy" what me i)
+      own
+  end
+
+(* Run [form] over [e] at [p] ranks with each count layout, [calls]
+   calls per run and [between] after each, and check every result of
+   every rank of every run [runs] makes of the simulation. *)
+let once_case ?(between = ignore) ?(calls = 1) ?(runs = fun f -> [ f () ]) e form ~p =
+  List.iter
+    (fun mixed ->
+      let counts = once_counts ~p ~mixed in
+      let counts =
+        match form with
+        | Once_allgather | Once_bruck -> Array.make p (Array.fold_left Int.max 0 counts)
+        | _ -> counts
+      in
+      let what =
+        Printf.sprintf "%s %s p=%d %s" (once_form_name form) e.name p
+          (if mixed then "mixed" else "empty")
+      in
+      let runs =
+        runs (fun () ->
+            fst
+              (Engine.run_collect ~model:(once_model_of form) ~clock_mode:Runtime.Virtual_only
+                 ~ranks:p
+                 (fun comm ->
+                   List.init calls (fun _ ->
+                       let r = once_call e form comm ~counts in
+                       between ();
+                       r))))
+      in
+      let blocks = once_blocks e form ~p ~counts in
+      let bcast =
+        match form with Once_allgatherv | Once_allgather | Once_bruck -> false | _ -> true
+      in
+      List.iter
+        (Array.iteri (fun me res ->
+             match res with
+             | None -> Alcotest.failf "%s: rank %d died" what me
+             | Some results ->
+                 List.iter
+                   (fun (got, own) ->
+                     once_check e ~what ~me:(if bcast then -1 else me) ~blocks ~own got)
+                   results))
+        runs)
+    [ false; true ]
+
+let test_write_once_reference () =
+  List.iter
+    (fun (Ty e) ->
+      List.iter
+        (fun form -> List.iter (fun p -> once_case e form ~p) [ 1; 2; 3; 5; 8; 16 ])
+        once_forms)
+    once_types
+
+(* The same under collection pressure: a 4,096-word minor heap, and a
+   full major collection or a compaction after every call, so results
+   built on either heap are moved and scanned between calls. *)
+let test_write_once_gc_stress () =
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = 4096 };
+      let n = ref 0 in
+      let between () =
+        incr n;
+        if !n mod 2 = 0 then Gc.compact () else Gc.full_major ()
+      in
+      List.iter
+        (fun (Ty e) ->
+          List.iter (fun form -> once_case ~between ~calls:3 e form ~p:5) once_forms)
+        once_types)
+
+(* Two independent runs pooled on 2 domains, each result checked. *)
+let test_write_once_pooled () =
+  let runs f = Engine.run_many [ f; f ] in
+  List.iter
+    (fun (Ty e) -> List.iter (fun form -> once_case ~runs e form ~p:8) once_forms)
+    once_types
+
+(* --- The last reader recycles --- *)
+
+(* Rank [rank]'s element [i] in iteration [it]: new data every call. *)
+let lag_value ~it ~rank i = (it * 1_000_000) + (rank * 10_000) + i
+
+(* A ring reads every block at its end, after passing it on, so a
+   block's storage must outlive its slowest reader.  Back-to-back ring
+   allgathervs, all-to-alls and reductions with new data each
+   iteration, under the heavy sanitizer, every result checked: storage
+   handed back by the block's last receiver as soon as that rank is done
+   with it is packed over by its next call while a ring member that
+   lags has still to read it, and a result here goes wrong. *)
+let test_lagging_readers () =
+  List.iter
+    (fun p ->
+      let results, _ =
+        Engine.run_collect ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only
+          ~check_level:Check.Heavy ~ranks:p (fun comm ->
+            let r = Comm.rank comm in
+            let wrong = ref [] in
+            let check what it got want = if got <> want then wrong := (what, it) :: !wrong in
+            for it = 1 to 25 do
+              let counts = Array.init p (fun b -> ((b * 7) + it) mod 11 * 3) in
+              check "allgatherv" it
+                (Coll.allgatherv comm Datatype.int ~recv_counts:counts
+                   (Array.init counts.(r) (lag_value ~it ~rank:r)))
+                (Array.concat
+                   (List.init p (fun b -> Array.init counts.(b) (lag_value ~it ~rank:b))));
+              check "alltoall" it
+                (Coll.alltoall comm Datatype.int (Array.init (2 * p) (lag_value ~it:(-it) ~rank:r)))
+                (Array.init (2 * p) (fun i ->
+                     lag_value ~it:(-it) ~rank:(i / 2) ((r * 2) + (i mod 2))));
+              check "allreduce" it
+                (Coll.allreduce comm Datatype.int Reduce_op.int_sum
+                   (Array.init 64 (lag_value ~it ~rank:r)))
+                (Array.init 64 (fun i ->
+                     List.fold_left ( + ) 0 (List.init p (fun b -> lag_value ~it ~rank:b i))))
+            done;
+            List.rev !wrong)
+      in
+      Array.iteri
+        (fun r res ->
+          match res with
+          | Some [] -> ()
+          | Some ((what, it) :: _) ->
+              Alcotest.failf "p=%d rank %d: %s wrong in iteration %d" p r what it
+          | None -> Alcotest.failf "p=%d rank %d died" p r)
+        results)
+    [ 3; 5; 8 ]
+
+(* Every rank's pool hits and misses over 200 allgatherv calls, after
+   20 calls that fill the pools: whichever member reads a block last
+   returns its storage to the pool of the rank that packed it, so each
+   pool gets its one buffer back per call and serves the next call's
+   pack from it.  For these layouts that is 200 hits and no miss per
+   rank, as when each block's last receiver recycled it at once. *)
+let test_ring_pool_counts () =
+  List.iter
+    (fun (p, counts) ->
+      let counts_of = Array.of_list counts in
+      let reading = Array.make p (0, 0) in
+      ignore
+        (Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks:p
+           (fun comm ->
+             let r = Comm.rank comm in
+             let pool = (Comm.runtime comm).Runtime.wire_pools.(Comm.world_rank comm) in
+             let call it =
+               ignore
+                 (Coll.allgatherv comm Datatype.int ~recv_counts:counts_of
+                    (Array.init counts_of.(r) (lag_value ~it ~rank:r)))
+             in
+             for it = 1 to 20 do
+               call it
+             done;
+             let h0, m0, _ = Wire.pool_stats pool in
+             for it = 21 to 220 do
+               call it
+             done;
+             let h, m, _ = Wire.pool_stats pool in
+             reading.(r) <- (h - h0, m - m0)));
+      Array.iteri
+        (fun r (hits, misses) ->
+          if (hits, misses) <> (200, 0) then
+            Alcotest.failf "p=%d rank %d: %d hits, %d misses in 200 calls" p r hits misses)
+        reading)
+    [
+      (3, [ 16; 16; 16 ]);
+      (8, [ 0; 3; 6; 2; 5; 1; 4; 0 ]);
+      (16, List.init 16 (fun b -> 16 + (b * 67)));
+    ]
+
+(* A framed ring member packs its block once: the bytes the profile row
+   records are the ones its round 0 sends, so a counting codec sees one
+   encode per rank and call, and the row reads what each rank's block
+   packs to. *)
+let test_framed_ring_packs_once () =
+  let value r = String.make (10 + r) (Char.chr (97 + r)) in
+  let packed_len r =
+    let w = Wire.create_writer () in
+    Datatype.pack_array (Kamping.Serialized.datatype Serial.Codec.string) w [| value r |] ~pos:0
+      ~count:1;
+    Wire.length w
+  in
+  List.iter
+    (fun p ->
+      let encodes = ref 0 in
+      let codec =
+        Serial.Codec.map ~name:"counted" ~inject:Fun.id
+          ~project:(fun s ->
+            incr encodes;
+            s)
+          Serial.Codec.string
+      in
+      let dt = Kamping.Serialized.datatype codec in
+      List.iter
+        (fun (op, call) ->
+          encodes := 0;
+          let results, report =
+            Engine.run_collect ~model:once_model ~clock_mode:Runtime.Virtual_only ~ranks:p
+              (fun comm -> call comm dt (value (Comm.rank comm)))
+          in
+          Array.iter
+            (fun res ->
+              if res <> Some (Array.init p value) then Alcotest.failf "%s p=%d: wrong result" op p)
+            results;
+          if !encodes <> p then
+            Alcotest.failf "%s p=%d: %d encodes, one per rank expected" op p !encodes;
+          let bytes = List.fold_left ( + ) 0 (List.init p packed_len) in
+          Alcotest.(check (triple string int int))
+            (Printf.sprintf "%s p=%d profile row" op p)
+            (op, p, bytes)
+            (List.find (fun (o, _, _) -> o = op) report.Engine.profile))
+        [
+          ( "allgatherv",
+            fun comm dt v -> Coll.allgatherv comm dt ~recv_counts:(Array.make p 1) [| v |] );
+          ("allgather", fun comm dt v -> Coll.allgather comm dt [| v |]);
+        ])
+    [ 4; 8; 16 ]
+
 let tests =
   [
     qtest prop_allgatherv;
@@ -1701,6 +2131,14 @@ let tests =
     Alcotest.test_case "selection sweep: auto is the fastest" `Quick test_selection_sweep;
     Alcotest.test_case "selection allocates nothing" `Quick test_choose_allocation_free;
     qtest prop_selection_is_argmin;
+    Alcotest.test_case "write-once results = Array.make reference" `Quick
+      test_write_once_reference;
+    Alcotest.test_case "write-once results under GC stress" `Quick
+      test_write_once_gc_stress;
+    Alcotest.test_case "write-once results in pooled runs" `Quick test_write_once_pooled;
+    Alcotest.test_case "lagging ring readers read their own data" `Quick test_lagging_readers;
+    Alcotest.test_case "ring pools: hits and misses per call" `Quick test_ring_pool_counts;
+    Alcotest.test_case "a framed ring packs once" `Quick test_framed_ring_packs_once;
     Alcotest.test_case "forwarding rings: results and pinned makespans" `Quick
       test_ring_forwarding;
   ]

@@ -968,34 +968,54 @@ let test_fresh_recv_words () =
   Alcotest.(check (float 0.)) "64 bytes: direct major words" 0. small.direct_major;
   Alcotest.(check (float 0.)) "64 bytes: minor words" 73. small.minor
 
-(* A forward hands the received payload slice on: rank 1 reads the
-   message from rank 0 and forwards it to rank 2, which receives the same
-   elements.  The forwarded message is consumed (a second read is a use
-   after hand-off) and its storage is not recycled into rank 1's pool,
-   so the slice has one owner; the forward is profiled as a send of the
-   same bytes. *)
+(* A forward hands the received payload slice on: rank 0 sends a block
+   both other ranks read, and rank 1 sends the slice it received from
+   rank 0 on to rank 2, as it is, which receives the same elements.
+   Rank 1 reads the slice after passing it on (a ring reads last), and
+   each reader gives up its claim with [release_shared]: rank 1's leaves
+   the storage alone, rank 2's, the last, returns it to the pool it
+   names.  The forward is profiled as a send of the same bytes. *)
 let test_forward_hands_off () =
   let data = [| 3; 1; 4; 1; 5 |] in
   let results, report =
     Engine.run_collect ~clock_mode:Runtime.Virtual_only ~ranks:3 (fun comm ->
         let rt = Comm.runtime comm in
+        let free r =
+          let _, _, n = Wire.pool_stats rt.Runtime.wire_pools.(r) in
+          n
+        in
+        let receive ~source =
+          let msg = P2p.recv_message comm Datatype.int ~source ~tag:0 ~maxcount:5 in
+          (msg.Message.payload, msg.Message.payload_off, msg.Message.payload_len)
+        in
+        let read (storage, off, len) =
+          let into = Array.make 5 0 in
+          Datatype.unpack_slice_into Datatype.int storage ~off ~len into ~pos:0 ~count:5;
+          into
+        in
         match Comm.rank comm with
         | 0 ->
-            P2p.send comm Datatype.int ~dest:1 data;
+            let w = Runtime.acquire_writer rt 0 ~capacity:64 in
+            Datatype.pack_array Datatype.int w data ~pos:0 ~count:5;
+            let len = Wire.length w in
+            let at = Wire.reserve_offset w P2p.shared_trailer in
+            P2p.set_readers (Wire.writer_storage w) ~at 2;
+            P2p.send_slice comm Datatype.int ~dest:1 ~tag:0 ~count:5 (Wire.writer_storage w)
+              ~off:0 ~len;
             true
         | 1 ->
-            let into = Array.make 5 0 in
-            let msg = P2p.recv_message comm Datatype.int ~source:0 ~tag:0 ~maxcount:5 in
-            P2p.read_into Datatype.int msg into ~pos:0;
-            let _, _, free_before = Wire.pool_stats rt.Runtime.wire_pools.(1) in
-            P2p.forward comm Datatype.int ~dest:2 ~tag:0 msg;
-            P2p.release comm msg;
-            let _, _, free_after = Wire.pool_stats rt.Runtime.wire_pools.(1) in
-            into = data && msg.Message.consumed && free_after = free_before
-            && (match P2p.read_into Datatype.int msg into ~pos:0 with
-               | () -> false
-               | exception Invalid_argument _ -> true)
-        | _ -> fst (P2p.recv comm Datatype.int ~source:1 ()) = data)
+            let ((storage, off, len) as slice) = receive ~source:0 in
+            P2p.send_slice comm Datatype.int ~dest:2 ~tag:0 ~count:5 storage ~off ~len;
+            let got = read slice in
+            let before = (free 1, free 2) in
+            P2p.release_shared comm storage ~at:(off + len) ~home:2;
+            got = data && (free 1, free 2) = before
+        | _ ->
+            let ((storage, off, len) as slice) = receive ~source:1 in
+            let got = read slice in
+            let before = free 2 in
+            P2p.release_shared comm storage ~at:(off + len) ~home:2;
+            got = data && free 2 = before + 1)
   in
   Alcotest.(check (array (option bool)))
     "every rank's checks" [| Some true; Some true; Some true |] results;
@@ -1051,6 +1071,37 @@ let test_coll_words_per_call () =
     Alcotest.failf "allreduce of 16 ints: %.1f words per call (budget 276)" allreduce;
   if alltoallv > 356. then
     Alcotest.failf "alltoallv of 1..4 ints: %.1f words per call (budget 356)" alltoallv
+
+(* Minor words per call per rank of an exchange on 16 ranks (omnipath,
+   Virtual_only), by [test_named]'s rule: 400 calls minus 200 calls, so
+   the run's own setup cancels out. *)
+let words_at_16 f =
+  let ranks = 16 in
+  let words calls =
+    Alloc.minor_words (fun () ->
+        Engine.run ~model:Net_model.omnipath ~clock_mode:Runtime.Virtual_only ~ranks
+          (fun comm ->
+            for _ = 1 to calls do
+              f comm
+            done))
+  in
+  (words 400 -. words 200) /. 200. /. float_of_int ranks
+
+(* The exchanges behind an inferred count (§III-H) allocate their result
+   and their messages and nothing to get there: a Bruck allgather of one
+   int receives every round straight into its place in the rank-ordered
+   result, not into a fresh array appended to a copy; an alltoall of
+   equal blocks reads the uniform layout off its block size, with no
+   count or displacement arrays.
+   They read 190.88 and 445.00 words before. *)
+let test_inferred_exchange_words () =
+  let one = [| 7 |] and blocks = Array.init 16 Fun.id in
+  let allgather = words_at_16 (fun comm -> ignore (Coll.allgather comm Datatype.int one)) in
+  let alltoall = words_at_16 (fun comm -> ignore (Coll.alltoall comm Datatype.int blocks)) in
+  if allgather > 136. then
+    Alcotest.failf "Bruck allgather of 1 int: %.2f words per call (budget 136)" allgather;
+  if alltoall > 407. then
+    Alcotest.failf "alltoall of 1 int per rank: %.2f words per call (budget 407)" alltoall
 
 let test_profiling_record_allocation_free () =
   let prof = Profiling.create () in
@@ -1208,6 +1259,8 @@ let tests =
     Alcotest.test_case "forward hands the payload slice on" `Quick test_forward_hands_off;
     Alcotest.test_case "alloc: 4-rank allreduce/alltoallv words per call" `Quick
       test_coll_words_per_call;
+    Alcotest.test_case "alloc: inferred-count exchanges at 16 ranks" `Quick
+      test_inferred_exchange_words;
     Alcotest.test_case "alloc: park and resume budget" `Quick test_park_resume_budget;
     Alcotest.test_case "alloc: yield budget" `Quick test_yield_budget;
     Alcotest.test_case "alloc: mailbox deliver-then-post budget" `Quick
